@@ -320,6 +320,7 @@ fn record_mode(args: &[String]) -> i32 {
             sharded
                 .run_plan_traced(&plan, Some(threads), &Trace::disabled())
                 .unwrap_or_else(|e| panic!("sharded turbohom++ failed on {}: {e}", q.id))
+                .decode()
         });
         // The sharded path must agree with the single store it mirrors.
         let single = record

@@ -19,7 +19,7 @@
 //! dependency); the parser below accepts exactly the subset of JSON the
 //! writer emits (and ordinary whitespace), which is all the gate needs.
 
-use turbohom_engine::{json_escape, MatchStats};
+use turbohom_engine::{escape_json_into, MatchStats};
 
 /// Pairs where either median is below this floor are skipped by the gate:
 /// sub-50µs timings are dominated by clock and allocator noise.
@@ -112,134 +112,143 @@ pub struct BenchRecord {
     pub load_ms: Vec<(String, f64)>,
 }
 
-fn push_query_runs(out: &mut String, runs: &[QueryRun]) {
+fn push_query_runs(out: &mut Vec<u8>, runs: &[QueryRun]) {
     for (i, q) in runs.iter().enumerate() {
-        out.push_str("    {\"id\": \"");
-        out.push_str(&json_escape(&q.id));
-        out.push_str("\", \"engine\": \"");
-        out.push_str(&json_escape(&q.engine));
-        out.push_str("\", \"runs_ms\": [");
+        out.extend_from_slice(b"    {\"id\": \"");
+        escape_json_into(out, &q.id);
+        out.extend_from_slice(b"\", \"engine\": \"");
+        escape_json_into(out, &q.engine);
+        out.extend_from_slice(b"\", \"runs_ms\": [");
         for (j, r) in q.runs_ms.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.push(b',');
             }
             push_f64(out, *r);
         }
-        out.push_str("], \"median_ms\": ");
+        out.extend_from_slice(b"], \"median_ms\": ");
         push_f64(out, q.median_ms);
-        out.push_str(", \"avg_ms\": ");
+        out.extend_from_slice(b", \"avg_ms\": ");
         push_f64(out, q.avg_ms);
-        out.push_str(&format!(", \"solutions\": {}, \"stats\": ", q.solutions));
+        out.extend_from_slice(format!(", \"solutions\": {}, \"stats\": ", q.solutions).as_bytes());
         push_stats(out, &q.stats);
         if !q.stages_ms.is_empty() {
-            out.push_str(", \"stages_ms\": {");
+            out.extend_from_slice(b", \"stages_ms\": {");
             for (j, (name, ms)) in q.stages_ms.iter().enumerate() {
                 if j > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
-                out.push_str(&format!("\"{}\": ", json_escape(name)));
+                out.push(b'"');
+                escape_json_into(out, name);
+                out.extend_from_slice(b"\": ");
                 push_f64(out, *ms);
             }
-            out.push('}');
+            out.push(b'}');
         }
         if let Some(qerr) = q.qerror {
-            out.push_str(", \"qerror\": ");
+            out.extend_from_slice(b", \"qerror\": ");
             push_f64(out, qerr);
         }
-        out.push('}');
+        out.push(b'}');
         if i + 1 < runs.len() {
-            out.push(',');
+            out.push(b',');
         }
-        out.push('\n');
+        out.push(b'\n');
     }
 }
 
-fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut Vec<u8>, v: f64) {
     // Emit finite numbers only; JSON has no NaN/Inf.
     if v.is_finite() {
-        out.push_str(&format!("{v:.6}"));
+        out.extend_from_slice(format!("{v:.6}").as_bytes());
     } else {
-        out.push('0');
+        out.push(b'0');
     }
 }
 
-fn push_stats(out: &mut String, s: &MatchStats) {
-    out.push_str(&format!(
-        "{{\"candidate_regions\":{},\"nonempty_regions\":{},\"candidate_vertices\":{},\
+fn push_stats(out: &mut Vec<u8>, s: &MatchStats) {
+    out.extend_from_slice(
+        format!(
+            "{{\"candidate_regions\":{},\"nonempty_regions\":{},\"candidate_vertices\":{},\
          \"explored_vertices\":{},\"isjoinable_probes\":{},\"intersection_ops\":{},\
          \"search_recursions\":{},\"matching_orders_computed\":{},\"solutions\":{},\
          \"morsels\":{},\"morsels_stolen\":{},\"shards_executed\":{},\"shards_pruned\":{}}}",
-        s.candidate_regions,
-        s.nonempty_regions,
-        s.candidate_vertices,
-        s.explored_vertices,
-        s.isjoinable_probes,
-        s.intersection_ops,
-        s.search_recursions,
-        s.matching_orders_computed,
-        s.solutions,
-        s.morsels,
-        s.morsels_stolen,
-        s.shards_executed,
-        s.shards_pruned,
-    ));
+            s.candidate_regions,
+            s.nonempty_regions,
+            s.candidate_vertices,
+            s.explored_vertices,
+            s.isjoinable_probes,
+            s.intersection_ops,
+            s.search_recursions,
+            s.matching_orders_computed,
+            s.solutions,
+            s.morsels,
+            s.morsels_stolen,
+            s.shards_executed,
+            s.shards_pruned,
+        )
+        .as_bytes(),
+    );
 }
 
 impl BenchRecord {
     /// Serializes the record as pretty-stable JSON (keys in fixed order, so
     /// committed baselines diff cleanly).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.queries.len() * 256);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"turbohom-bench/1\",\n");
-        out.push_str(&format!(
-            "  \"dataset\": \"{}\",\n",
-            json_escape(&self.dataset)
-        ));
-        out.push_str(&format!("  \"triples\": {},\n", self.triples));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(
-            "  \"protocol\": \"5 warm runs; median_ms = middle run, avg_ms = drop best/worst then average\",\n",
-        );
+        let mut out: Vec<u8> = Vec::with_capacity(1024 + self.queries.len() * 256);
+        out.extend_from_slice(b"{\n");
+        out.extend_from_slice(b"  \"schema\": \"turbohom-bench/1\",\n");
+        out.extend_from_slice(b"  \"dataset\": \"");
+        escape_json_into(&mut out, &self.dataset);
+        out.extend_from_slice(b"\",\n");
+        out.extend_from_slice(format!("  \"triples\": {},\n", self.triples).as_bytes());
+        out.extend_from_slice(format!("  \"threads\": {},\n", self.threads).as_bytes());
+        out.extend_from_slice(b"  \"protocol\": \"5 warm runs; median_ms = middle run, avg_ms = drop best/worst then average\",\n");
         if !self.load_ms.is_empty() {
-            out.push_str("  \"load_ms\": {");
+            out.extend_from_slice(b"  \"load_ms\": {");
             for (i, (name, ms)) in self.load_ms.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(", ");
+                    out.extend_from_slice(b", ");
                 }
-                out.push_str(&format!("\"{}\": ", json_escape(name)));
+                out.push(b'"');
+                escape_json_into(&mut out, name);
+                out.extend_from_slice(b"\": ");
                 push_f64(&mut out, *ms);
             }
-            out.push_str("},\n");
+            out.extend_from_slice(b"},\n");
         }
-        out.push_str("  \"queries\": [\n");
+        out.extend_from_slice(b"  \"queries\": [\n");
         push_query_runs(&mut out, &self.queries);
-        out.push_str("  ],\n");
+        out.extend_from_slice(b"  ],\n");
         if !self.sharded.is_empty() {
-            out.push_str(&format!("  \"shard_count\": {},\n", self.shard_count));
-            out.push_str("  \"sharded\": [\n");
+            out.extend_from_slice(format!("  \"shard_count\": {},\n", self.shard_count).as_bytes());
+            out.extend_from_slice(b"  \"sharded\": [\n");
             push_query_runs(&mut out, &self.sharded);
-            out.push_str("  ],\n");
+            out.extend_from_slice(b"  ],\n");
         }
-        out.push_str("  \"scheduler_comparison\": [\n");
+        out.extend_from_slice(b"  \"scheduler_comparison\": [\n");
         for (i, s) in self.scheduler_comparison.iter().enumerate() {
-            out.push_str("    {\"id\": \"");
-            out.push_str(&json_escape(&s.id));
-            out.push_str(&format!("\", \"threads\": {}, \"morsel_ms\": ", s.threads));
+            out.extend_from_slice(b"    {\"id\": \"");
+            escape_json_into(&mut out, &s.id);
+            out.extend_from_slice(
+                format!("\", \"threads\": {}, \"morsel_ms\": ", s.threads).as_bytes(),
+            );
             push_f64(&mut out, s.morsel_ms);
-            out.push_str(", \"chunked_ms\": ");
+            out.extend_from_slice(b", \"chunked_ms\": ");
             push_f64(&mut out, s.chunked_ms);
-            out.push_str(&format!(
-                ", \"morsels\": {}, \"morsels_stolen\": {}}}",
-                s.morsels, s.morsels_stolen
-            ));
+            out.extend_from_slice(
+                format!(
+                    ", \"morsels\": {}, \"morsels_stolen\": {}}}",
+                    s.morsels, s.morsels_stolen
+                )
+                .as_bytes(),
+            );
             if i + 1 < self.scheduler_comparison.len() {
-                out.push(',');
+                out.push(b',');
             }
-            out.push('\n');
+            out.push(b'\n');
         }
-        out.push_str("  ]\n}\n");
-        out
+        out.extend_from_slice(b"  ]\n}\n");
+        String::from_utf8(out).expect("the emitter writes UTF-8")
     }
 
     /// Parses a record previously written by [`to_json`](Self::to_json).

@@ -8,7 +8,7 @@ use crate::config::{Scheduler, TurboHomConfig};
 use crate::matching_order::MatchingOrder;
 use crate::morsel::MorselQueue;
 use crate::query_tree::QueryTree;
-use crate::result::{merge_step_counts, MatchResult, Solution};
+use crate::result::{merge_step_counts, MatchResult, RowLayout};
 use crate::start_vertex::choose_start_vertex;
 use crate::stats::MatchStats;
 use crate::subgraph_search::SubgraphSearcher;
@@ -16,8 +16,8 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use turbohom_graph::VertexId;
-use turbohom_rdf::Dictionary;
+use turbohom_graph::{ELabel, VertexId};
+use turbohom_rdf::{Dictionary, IdRows, UNBOUND};
 use turbohom_sparql::{EvalContext, Expression};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
@@ -78,9 +78,9 @@ fn timed<T>(detailed: bool, slot: &mut Duration, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// What the parallel paths merge across workers: solutions, solution count,
-/// counters, per-step actual rows, per-step candidate estimates.
-type MergeAcc = (Vec<Solution>, usize, MatchStats, Vec<u64>, Vec<u64>);
+/// What the parallel paths merge across workers: solution rows, solution
+/// count, counters, per-step actual rows, per-step candidate estimates.
+type MergeAcc = (IdRows, usize, MatchStats, Vec<u64>, Vec<u64>);
 
 /// What one parallel worker did, for its per-worker span.
 struct WorkerTiming {
@@ -258,6 +258,7 @@ impl<'a> TurboHomEngine<'a> {
         }
         let tree = QueryTree::build(&query.graph, selection.query_vertex);
         debug_assert!(tree.spans(&query.graph));
+        let layout = RowLayout::of(&query.graph);
 
         // Split the FILTER expressions: cheap single-variable filters on
         // required vertices are evaluated inline while matching; the rest
@@ -277,6 +278,7 @@ impl<'a> TurboHomEngine<'a> {
             self.run_sequential(
                 query,
                 &tree,
+                &layout,
                 &selection.start_vertices,
                 &search_config,
                 &inline_filters,
@@ -290,6 +292,7 @@ impl<'a> TurboHomEngine<'a> {
                 Scheduler::Morsel => self.run_parallel_morsel(
                     query,
                     &tree,
+                    &layout,
                     &selection.start_vertices,
                     &search_config,
                     &inline_filters,
@@ -301,6 +304,7 @@ impl<'a> TurboHomEngine<'a> {
                 Scheduler::Chunked => self.run_parallel_chunked(
                     query,
                     &tree,
+                    &layout,
                     &selection.start_vertices,
                     &search_config,
                     &inline_filters,
@@ -314,16 +318,14 @@ impl<'a> TurboHomEngine<'a> {
         let mut result = result;
 
         if !post_filters.is_empty() {
-            self.apply_post_filters(query, &post_filters, &mut result);
+            self.apply_post_filters(query, &layout, &post_filters, &mut result);
         }
         if let Some(limit) = self.config.max_solutions {
-            if result.solutions.len() > limit {
-                result.solutions.truncate(limit);
-            }
+            result.rows.truncate(limit);
             result.solution_count = result.solution_count.min(limit);
         }
         if self.config.count_only {
-            result.solutions.clear();
+            result.rows.clear();
         }
         Ok((result, computed_order))
     }
@@ -334,6 +336,7 @@ impl<'a> TurboHomEngine<'a> {
         &self,
         query: &TransformedQuery,
         tree: &QueryTree,
+        layout: &RowLayout,
         starts: &[VertexId],
         config: &TurboHomConfig,
         inline_filters: &[Vec<&Expression>],
@@ -344,7 +347,7 @@ impl<'a> TurboHomEngine<'a> {
     ) -> (MatchResult, Option<MatchingOrder>) {
         let detailed = trace.is_detailed();
         let mut clock = StageClock::default();
-        let mut solutions = Vec::new();
+        let mut rows = IdRows::new(layout.stride());
         let mut count = 0usize;
         let mut step_rows: Vec<u64> = Vec::new();
         let mut step_estimates: Vec<u64> = Vec::new();
@@ -385,14 +388,16 @@ impl<'a> TurboHomEngine<'a> {
                 query,
                 tree,
                 order,
+                layout,
                 self.dictionary,
                 inline_filters.to_vec(),
+                std::mem::take(&mut rows),
             );
             timed(detailed, &mut clock.search, || {
                 searcher.search_region(&region, vs)
             });
             count += searcher.solution_count;
-            solutions.append(&mut searcher.solutions);
+            rows = std::mem::take(&mut searcher.rows);
             stats.merge(&searcher.stats);
             merge_step_counts(&mut step_rows, &searcher.step_rows);
             if let Some(limit) = config.max_solutions {
@@ -406,7 +411,7 @@ impl<'a> TurboHomEngine<'a> {
         }
         (
             MatchResult {
-                solutions,
+                rows,
                 solution_count: count,
                 stats,
                 step_rows,
@@ -459,6 +464,7 @@ impl<'a> TurboHomEngine<'a> {
         &self,
         query: &TransformedQuery,
         tree: &QueryTree,
+        layout: &RowLayout,
         starts: &[VertexId],
         config: &TurboHomConfig,
         inline_filters: &[Vec<&Expression>],
@@ -493,7 +499,13 @@ impl<'a> TurboHomEngine<'a> {
         );
         let found = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        let merged: Mutex<MergeAcc> = Mutex::new((Vec::new(), 0, stats, Vec::new(), Vec::new()));
+        let merged: Mutex<MergeAcc> = Mutex::new((
+            IdRows::new(layout.stride()),
+            0,
+            stats,
+            Vec::new(),
+            Vec::new(),
+        ));
         let timings: Mutex<Vec<WorkerTiming>> = Mutex::new(Vec::new());
 
         std::thread::scope(|scope| {
@@ -507,7 +519,7 @@ impl<'a> TurboHomEngine<'a> {
                 scope.spawn(move || {
                     let worker_start = Instant::now();
                     let mut local_clock = StageClock::default();
-                    let mut local_solutions: Vec<Solution> = Vec::new();
+                    let mut local_rows_out = IdRows::new(layout.stride());
                     let mut local_count = 0usize;
                     let mut local_stats = MatchStats::default();
                     let mut local_rows: Vec<u64> = Vec::new();
@@ -554,14 +566,16 @@ impl<'a> TurboHomEngine<'a> {
                                 query,
                                 tree,
                                 order,
+                                layout,
                                 self.dictionary,
                                 inline_filters.to_vec(),
+                                std::mem::take(&mut local_rows_out),
                             );
                             timed(detailed, &mut local_clock.search, || {
                                 searcher.search_region(&region, vs)
                             });
                             local_count += searcher.solution_count;
-                            local_solutions.append(&mut searcher.solutions);
+                            local_rows_out = std::mem::take(&mut searcher.rows);
                             local_stats.merge(&searcher.stats);
                             merge_step_counts(&mut local_rows, &searcher.step_rows);
                             if let Some(limit) = config.max_solutions {
@@ -585,7 +599,7 @@ impl<'a> TurboHomEngine<'a> {
                         });
                     }
                     let mut guard = merged.lock();
-                    guard.0.append(&mut local_solutions);
+                    guard.0.append(&mut local_rows_out);
                     guard.1 += local_count;
                     guard.2.merge(&local_stats);
                     merge_step_counts(&mut guard.3, &local_rows);
@@ -594,7 +608,7 @@ impl<'a> TurboHomEngine<'a> {
             }
         });
 
-        let (solutions, count, mut stats, step_rows, step_estimates) = merged.into_inner();
+        let (rows, count, mut stats, step_rows, step_estimates) = merged.into_inner();
         stats.morsels_stolen = stats.morsels_stolen.max(queue.stolen_count());
         if detailed {
             let mut workers = timings.into_inner();
@@ -606,7 +620,7 @@ impl<'a> TurboHomEngine<'a> {
         }
         (
             MatchResult {
-                solutions,
+                rows,
                 solution_count: count,
                 stats,
                 step_rows,
@@ -626,6 +640,7 @@ impl<'a> TurboHomEngine<'a> {
         &self,
         query: &TransformedQuery,
         tree: &QueryTree,
+        layout: &RowLayout,
         starts: &[VertexId],
         config: &TurboHomConfig,
         inline_filters: &[Vec<&Expression>],
@@ -641,7 +656,13 @@ impl<'a> TurboHomEngine<'a> {
         });
 
         let next = AtomicUsize::new(0);
-        let merged: Mutex<MergeAcc> = Mutex::new((Vec::new(), 0, stats, Vec::new(), Vec::new()));
+        let merged: Mutex<MergeAcc> = Mutex::new((
+            IdRows::new(layout.stride()),
+            0,
+            stats,
+            Vec::new(),
+            Vec::new(),
+        ));
         let timings: Mutex<Vec<WorkerTiming>> = Mutex::new(Vec::new());
         // Like the sequential path, the preset only applies under +REUSE;
         // without it every region determines its own order.
@@ -661,7 +682,7 @@ impl<'a> TurboHomEngine<'a> {
                 scope.spawn(move || {
                     let worker_start = Instant::now();
                     let mut local_clock = StageClock::default();
-                    let mut local_solutions: Vec<Solution> = Vec::new();
+                    let mut local_rows_out = IdRows::new(layout.stride());
                     let mut local_count = 0usize;
                     let mut local_stats = MatchStats::default();
                     let mut local_rows: Vec<u64> = Vec::new();
@@ -706,14 +727,16 @@ impl<'a> TurboHomEngine<'a> {
                                 query,
                                 tree,
                                 order,
+                                layout,
                                 self.dictionary,
                                 inline_filters.to_vec(),
+                                std::mem::take(&mut local_rows_out),
                             );
                             timed(detailed, &mut local_clock.search, || {
                                 searcher.search_region(&region, vs)
                             });
                             local_count += searcher.solution_count;
-                            local_solutions.append(&mut searcher.solutions);
+                            local_rows_out = std::mem::take(&mut searcher.rows);
                             local_stats.merge(&searcher.stats);
                             merge_step_counts(&mut local_rows, &searcher.step_rows);
                         }
@@ -728,7 +751,7 @@ impl<'a> TurboHomEngine<'a> {
                         });
                     }
                     let mut guard = merged.lock();
-                    guard.0.append(&mut local_solutions);
+                    guard.0.append(&mut local_rows_out);
                     guard.1 += local_count;
                     guard.2.merge(&local_stats);
                     merge_step_counts(&mut guard.3, &local_rows);
@@ -737,7 +760,7 @@ impl<'a> TurboHomEngine<'a> {
             }
         });
 
-        let (solutions, count, stats, step_rows, step_estimates) = merged.into_inner();
+        let (rows, count, stats, step_rows, step_estimates) = merged.into_inner();
         if detailed {
             let mut workers = timings.into_inner();
             workers.sort_by_key(|t| t.worker);
@@ -748,7 +771,7 @@ impl<'a> TurboHomEngine<'a> {
         }
         (
             MatchResult {
-                solutions,
+                rows,
                 solution_count: count,
                 stats,
                 step_rows,
@@ -790,49 +813,50 @@ impl<'a> TurboHomEngine<'a> {
     fn apply_post_filters(
         &self,
         query: &TransformedQuery,
+        layout: &RowLayout,
         filters: &[&Expression],
         result: &mut MatchResult,
     ) {
-        let before = result.solutions.len();
-        let solutions = std::mem::take(&mut result.solutions);
-        result.solutions = solutions
-            .into_iter()
-            .filter(|s| {
-                let ctx = self.binding_context(query, s);
-                filters.iter().all(|f| f.evaluate_bool(&ctx))
-            })
-            .collect();
-        let removed = before - result.solutions.len();
-        result.stats.filtered_post += removed;
-        result.solution_count = result.solutions.len();
+        let before = result.rows.len();
+        result.rows.retain(|row| {
+            let ctx = self.binding_context(query, layout, row);
+            filters.iter().all(|f| f.evaluate_bool(&ctx))
+        });
+        result.stats.filtered_post += before - result.rows.len();
+        result.solution_count = result.rows.len();
     }
 
-    /// Builds the variable → term context of one solution (vertex variables
-    /// and variable predicates).
-    fn binding_context(&self, query: &TransformedQuery, solution: &Solution) -> EvalContext {
+    /// Builds the variable → term context of one solution row (vertex
+    /// variables and variable predicates).
+    fn binding_context(
+        &self,
+        query: &TransformedQuery,
+        layout: &RowLayout,
+        row: &[u32],
+    ) -> EvalContext {
+        let mappings = &self.data.mappings;
         let mut ctx = EvalContext::new();
-        for (i, qv) in query.graph.vertices().iter().enumerate() {
-            if let (Some(var), Some(Some(v))) = (&qv.variable, solution.vertices.get(i)) {
-                if let Some(term) = self
-                    .data
-                    .mappings
-                    .term_of_vertex(*v)
-                    .and_then(|tid| self.dictionary.term(tid))
-                {
-                    ctx.insert(var.clone(), term);
-                }
+        let mut bind = |var: &Option<String>, id: Option<turbohom_rdf::TermId>| {
+            if let (Some(var), Some(term)) = (var, id.and_then(|id| self.dictionary.term(id))) {
+                ctx.insert(var.clone(), term);
+            }
+        };
+        for (u, qv) in query.graph.vertices().iter().enumerate() {
+            let cell = row[layout.vertex_column(u)];
+            if cell != UNBOUND {
+                bind(&qv.variable, mappings.term_of_vertex(VertexId(cell)));
             }
         }
-        for (ei, qe) in query.graph.edges().iter().enumerate() {
-            if let (Some(var), Some(Some(el))) = (&qe.variable, solution.edge_labels.get(ei)) {
-                if let Some(term) = self
-                    .data
-                    .mappings
-                    .term_of_elabel(*el)
-                    .and_then(|tid| self.dictionary.term(tid))
-                {
-                    ctx.insert(var.clone(), term);
-                }
+        for (&e, &cell) in layout
+            .variable_edges()
+            .iter()
+            .zip(&row[query.graph.vertex_count()..])
+        {
+            if cell != UNBOUND {
+                bind(
+                    &query.graph.edge(e).variable,
+                    mappings.term_of_elabel(ELabel(cell)),
+                );
             }
         }
         ctx
@@ -907,7 +931,7 @@ mod tests {
         let data = type_aware_transform(&ds);
         let result = execute(&ds, &data, TRIANGLE, TurboHomConfig::default());
         assert_eq!(result.len(), 24);
-        assert_eq!(result.solutions.len(), 24);
+        assert_eq!(result.rows.len(), 24);
         assert!(result.stats.nonempty_regions > 0);
     }
 
@@ -934,8 +958,8 @@ mod tests {
             );
             assert_eq!(par.len(), seq.len(), "threads = {threads}");
             // Same multiset of solutions.
-            let mut a: Vec<_> = seq.solutions.iter().map(|s| s.vertices.clone()).collect();
-            let mut b: Vec<_> = par.solutions.iter().map(|s| s.vertices.clone()).collect();
+            let mut a: Vec<_> = seq.rows.iter().collect();
+            let mut b: Vec<_> = par.rows.iter().collect();
             a.sort();
             b.sort();
             assert_eq!(a, b);
@@ -947,7 +971,7 @@ mod tests {
         let ds = university_dataset();
         let data = type_aware_transform(&ds);
         let seq = execute(&ds, &data, TRIANGLE, TurboHomConfig::default());
-        let mut expected: Vec<_> = seq.solutions.iter().map(|s| s.vertices.clone()).collect();
+        let mut expected: Vec<_> = seq.rows.iter().collect();
         expected.sort();
         for scheduler in [Scheduler::Morsel, Scheduler::Chunked] {
             let par = execute(
@@ -959,7 +983,7 @@ mod tests {
                     .with_scheduler(scheduler),
             );
             assert_eq!(par.len(), seq.len(), "{scheduler:?}");
-            let mut got: Vec<_> = par.solutions.iter().map(|s| s.vertices.clone()).collect();
+            let mut got: Vec<_> = par.rows.iter().collect();
             got.sort();
             assert_eq!(got, expected, "{scheduler:?}");
         }
@@ -1002,7 +1026,7 @@ mod tests {
             };
             let result = execute(&ds, &data, TRIANGLE, config);
             assert_eq!(result.len(), 5, "threads = {threads}");
-            assert_eq!(result.solutions.len(), 5);
+            assert_eq!(result.rows.len(), 5);
         }
     }
 
@@ -1164,8 +1188,8 @@ mod tests {
         assert_eq!(warm.stats.matching_orders_computed, 0);
         assert!(recomputed.is_none());
         assert_eq!(warm.len(), cold.len());
-        let mut a: Vec<_> = cold.solutions.iter().map(|s| s.vertices.clone()).collect();
-        let mut b: Vec<_> = warm.solutions.iter().map(|s| s.vertices.clone()).collect();
+        let mut a: Vec<_> = cold.rows.iter().collect();
+        let mut b: Vec<_> = warm.rows.iter().collect();
         a.sort();
         b.sort();
         assert_eq!(a, b);

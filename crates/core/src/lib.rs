@@ -35,5 +35,5 @@ pub use config::{MatchSemantics, OptimizationName, Optimizations, Scheduler, Tur
 pub use engine::{EngineError, TurboHomEngine};
 pub use matching_order::MatchingOrder;
 pub use morsel::{Morsel, MorselQueue};
-pub use result::{merge_step_counts, MatchResult, Solution};
+pub use result::{merge_step_counts, MatchResult, RowLayout};
 pub use stats::MatchStats;

@@ -1,45 +1,66 @@
-//! Match results: solutions and their rendering helpers.
+//! Match results: the flat id rows the enumerator appends to, and their
+//! column layout.
 
 use crate::stats::MatchStats;
-use turbohom_graph::{ELabel, VertexId};
+use turbohom_graph::QueryGraph;
+use turbohom_rdf::IdRows;
 
-/// One e-graph homomorphism: the data vertex assigned to every query vertex
-/// (by query-vertex index) plus the edge label chosen for every query edge
-/// that carries a variable predicate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Solution {
-    /// `vertices[i]` is the data vertex matched to query vertex `i`, or
-    /// `None` when the vertex belongs to an OPTIONAL clause that did not
-    /// match (Section 5.1's nullified mapping).
-    pub vertices: Vec<Option<VertexId>>,
-    /// `edge_labels[j]` is the edge label assigned to query edge `j` by the
-    /// `Me` mapping of Definition 2. It is `Some` only for edges whose
-    /// predicate is a variable and whose endpoints are both bound.
-    pub edge_labels: Vec<Option<ELabel>>,
+/// The column layout of one match row: one cell per query vertex holding the
+/// data vertex matched to it ([`UNBOUND`](turbohom_rdf::UNBOUND) when the
+/// vertex belongs to an OPTIONAL clause that did not match — Section 5.1's
+/// nullified mapping), then one cell per query edge with a variable
+/// predicate, in edge order, holding the edge label the `Me` mapping of
+/// Definition 2 assigned (unbound when an endpoint is).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowLayout {
+    vertices: usize,
+    variable_edges: Vec<usize>,
 }
 
-impl Solution {
-    /// Creates a solution with the given vertex assignment and no
-    /// variable-predicate assignments.
-    pub fn from_vertices(vertices: Vec<Option<VertexId>>, edge_count: usize) -> Self {
-        Solution {
-            vertices,
-            edge_labels: vec![None; edge_count],
+impl RowLayout {
+    /// The layout of the rows a search over `query` produces.
+    pub fn of(query: &QueryGraph) -> Self {
+        RowLayout {
+            vertices: query.vertex_count(),
+            variable_edges: (0..query.edge_count())
+                .filter(|&e| query.edge(e).label.is_none())
+                .collect(),
         }
     }
 
-    /// The number of bound (non-null) query vertices.
-    pub fn bound_count(&self) -> usize {
-        self.vertices.iter().filter(|v| v.is_some()).count()
+    /// Cells per row.
+    pub fn stride(&self) -> usize {
+        self.vertices + self.variable_edges.len()
+    }
+
+    /// The query edges with a variable predicate, in column order.
+    pub fn variable_edges(&self) -> &[usize] {
+        &self.variable_edges
+    }
+
+    /// The column of query vertex `u`.
+    pub fn vertex_column(&self, u: usize) -> usize {
+        debug_assert!(u < self.vertices);
+        u
+    }
+
+    /// The column of query edge `e`, if its predicate is a variable.
+    pub fn edge_column(&self, e: usize) -> Option<usize> {
+        self.variable_edges
+            .iter()
+            .position(|&v| v == e)
+            .map(|i| self.vertices + i)
     }
 }
 
 /// The outcome of one query execution.
 #[derive(Debug, Clone, Default)]
 pub struct MatchResult {
-    /// The solutions, unless the engine ran in count-only mode.
-    pub solutions: Vec<Solution>,
-    /// The number of solutions found (equals `solutions.len()` unless
+    /// The solutions as data-graph ids, one row per solution in the
+    /// [`RowLayout`] of the query (empty when the engine ran in count-only
+    /// mode).
+    pub rows: IdRows,
+    /// The number of solutions found (equals `rows.len()` unless
     /// count-only mode was enabled).
     pub solution_count: usize,
     /// Execution counters.
@@ -83,18 +104,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bound_count_ignores_nulls() {
-        let s = Solution::from_vertices(vec![Some(VertexId(1)), None, Some(VertexId(3))], 2);
-        assert_eq!(s.bound_count(), 2);
-        assert_eq!(s.edge_labels.len(), 2);
+    fn layout_puts_variable_edges_after_the_vertices() {
+        use turbohom_graph::{ELabel, QueryEdge, QueryVertex};
+        let mut q = QueryGraph::new();
+        let from = q.add_vertex(QueryVertex::variable("a", Vec::new()));
+        let to = q.add_vertex(QueryVertex::variable("b", Vec::new()));
+        for (label, variable) in [(Some(ELabel(0)), None), (None, Some("p".to_string()))] {
+            q.add_edge(QueryEdge {
+                from,
+                to,
+                label,
+                variable,
+            });
+        }
+        let layout = RowLayout::of(&q);
+        assert_eq!(layout.stride(), 3);
+        assert_eq!(layout.variable_edges(), [1]);
+        assert_eq!(layout.vertex_column(1), 1);
+        assert_eq!(layout.edge_column(0), None);
+        assert_eq!(layout.edge_column(1), Some(2));
     }
 
     #[test]
     fn result_len_tracks_solution_count() {
         let mut r = MatchResult::default();
         assert!(r.is_empty());
-        r.solutions
-            .push(Solution::from_vertices(vec![Some(VertexId(0))], 0));
+        r.rows = IdRows::new(1);
+        r.rows.push(&[0]);
         r.solution_count = 1;
         assert_eq!(r.len(), 1);
         assert!(!r.is_empty());

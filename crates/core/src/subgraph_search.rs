@@ -20,11 +20,11 @@ use crate::candidate_region::CandidateRegion;
 use crate::config::{MatchSemantics, TurboHomConfig};
 use crate::matching_order::MatchingOrder;
 use crate::query_tree::QueryTree;
-use crate::result::Solution;
+use crate::result::RowLayout;
 use crate::stats::MatchStats;
 use std::collections::HashSet;
 use turbohom_graph::{ops, Direction, ELabel, VertexId};
-use turbohom_rdf::{Dictionary, Term};
+use turbohom_rdf::{Dictionary, IdRows, Term};
 use turbohom_sparql::{EvalContext, Expression};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
@@ -45,13 +45,16 @@ pub struct SubgraphSearcher<'a> {
     query: &'a TransformedQuery,
     tree: &'a QueryTree,
     order: &'a MatchingOrder,
+    layout: &'a RowLayout,
     dictionary: &'a Dictionary,
     /// Cheap filters applied when the keyed query vertex gets bound.
     inline_filters: Vec<Vec<&'a Expression>>,
     mapping: Vec<Option<VertexId>>,
     used: HashSet<VertexId>,
-    /// Collected solutions (empty in count-only mode).
-    pub solutions: Vec<Solution>,
+    /// The buffer solutions are appended to, one row per solution in
+    /// `layout` (untouched in count-only mode). Handed in by the caller and
+    /// taken back after the search, so consecutive regions share one buffer.
+    pub rows: IdRows,
     /// Number of solutions found (also counts in count-only mode).
     pub solution_count: usize,
     /// Execution counters.
@@ -71,29 +74,35 @@ pub struct SubgraphSearcher<'a> {
 impl<'a> SubgraphSearcher<'a> {
     /// Creates a searcher. `inline_filters` must contain, for every query
     /// vertex, the cheap FILTER expressions to evaluate as soon as that
-    /// vertex is bound (the engine computes this split).
+    /// vertex is bound (the engine computes this split); `rows` is the
+    /// buffer to append solutions to, with `layout`'s stride.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         data: &'a TransformedGraph,
         config: &'a TurboHomConfig,
         query: &'a TransformedQuery,
         tree: &'a QueryTree,
         order: &'a MatchingOrder,
+        layout: &'a RowLayout,
         dictionary: &'a Dictionary,
         inline_filters: Vec<Vec<&'a Expression>>,
+        rows: IdRows,
     ) -> Self {
         let n = query.graph.vertex_count();
         debug_assert_eq!(inline_filters.len(), n);
+        debug_assert_eq!(rows.stride(), layout.stride());
         SubgraphSearcher {
             data,
             config,
             query,
             tree,
             order,
+            layout,
             dictionary,
             inline_filters,
             mapping: vec![None; n],
             used: HashSet::new(),
-            solutions: Vec::new(),
+            rows,
             solution_count: 0,
             stats: MatchStats::default(),
             step_rows: vec![0; order.len()],
@@ -342,18 +351,19 @@ impl<'a> SubgraphSearcher<'a> {
     /// (one per combination of edge labels for variable-predicate edges).
     /// Returns the number of solutions emitted.
     fn report(&mut self) -> usize {
-        // Resolve the Me mapping for variable-predicate edges.
+        // Resolve the Me mapping for variable-predicate edges: the column
+        // of each one whose endpoints are bound, and its candidate labels.
+        let first_edge_column = self.mapping.len();
         let mut variable_edges: Vec<(usize, Vec<ELabel>)> = Vec::new();
-        for (ei, e) in self.query.graph.edges().iter().enumerate() {
-            if e.label.is_none() {
-                if let (Some(s), Some(o)) = (self.mapping[e.from], self.mapping[e.to]) {
-                    let labels = self.data.graph.edge_labels_between(s, o);
-                    if labels.is_empty() {
-                        // Defensive: the search guaranteed at least one edge.
-                        return 0;
-                    }
-                    variable_edges.push((ei, labels));
+        for (i, &ei) in self.layout.variable_edges().iter().enumerate() {
+            let e = self.query.graph.edge(ei);
+            if let (Some(s), Some(o)) = (self.mapping[e.from], self.mapping[e.to]) {
+                let labels = self.data.graph.edge_labels_between(s, o);
+                if labels.is_empty() {
+                    // Defensive: the search guaranteed at least one edge.
+                    return 0;
                 }
+                variable_edges.push((first_edge_column + i, labels));
             }
         }
         let combinations: usize = variable_edges
@@ -389,18 +399,21 @@ impl<'a> SubgraphSearcher<'a> {
         }
 
         // Materialize the solutions (cartesian product over variable edges).
-        let edge_count = self.query.graph.edge_count();
         let mut emitted = 0usize;
         let mut indices = vec![0usize; variable_edges.len()];
         loop {
             if emitted >= to_emit {
                 break;
             }
-            let mut sol = Solution::from_vertices(self.mapping.clone(), edge_count);
-            for (slot, (ei, labels)) in variable_edges.iter().enumerate() {
-                sol.edge_labels[*ei] = Some(labels[indices[slot]]);
+            let row = self.rows.push_unbound();
+            for (cell, v) in row.iter_mut().zip(&self.mapping) {
+                if let Some(v) = v {
+                    *cell = v.0;
+                }
             }
-            self.solutions.push(sol);
+            for (slot, (column, labels)) in variable_edges.iter().enumerate() {
+                row[*column] = labels[indices[slot]].0;
+            }
             emitted += 1;
             // Advance the mixed-radix counter.
             let mut advanced = false;
@@ -426,12 +439,17 @@ mod tests {
     use crate::candidate_region::explore_candidate_region;
     use crate::config::Optimizations;
     use crate::start_vertex::choose_start_vertex;
-    use turbohom_rdf::{vocab, Dataset};
+    use turbohom_rdf::{vocab, Dataset, UNBOUND};
     use turbohom_sparql::parse_query;
     use turbohom_transform::{transform_query, type_aware_transform};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
+    }
+
+    /// The number of bound (non-null) cells of a match row.
+    fn bound_count(row: &[u32]) -> usize {
+        row.iter().filter(|&&cell| cell != UNBOUND).count()
     }
 
     /// Runs a full (single-region-at-a-time) search and returns the results.
@@ -440,7 +458,7 @@ mod tests {
         data: &TransformedGraph,
         sparql: &str,
         config: &TurboHomConfig,
-    ) -> (usize, Vec<Solution>, MatchStats) {
+    ) -> (usize, IdRows, MatchStats) {
         let q = parse_query(sparql).unwrap();
         let tq = transform_query(&q.pattern, data, &ds.dictionary).unwrap();
         assert!(!tq.unsatisfiable, "query should be satisfiable");
@@ -448,8 +466,9 @@ mod tests {
         let sel = choose_start_vertex(data, config, &tq, &mut stats);
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let inline = vec![Vec::new(); tq.graph.vertex_count()];
+        let layout = RowLayout::of(&tq.graph);
         let mut total = 0usize;
-        let mut solutions = Vec::new();
+        let mut solutions = IdRows::new(layout.stride());
         let mut order: Option<MatchingOrder> = None;
         for &start in &sel.start_vertices {
             stats.candidate_regions += 1;
@@ -464,11 +483,20 @@ mod tests {
                 stats.matching_orders_computed += 1;
             }
             let o = order.as_ref().unwrap();
-            let mut searcher =
-                SubgraphSearcher::new(data, config, &tq, &tree, o, &ds.dictionary, inline.clone());
+            let mut searcher = SubgraphSearcher::new(
+                data,
+                config,
+                &tq,
+                &tree,
+                o,
+                &layout,
+                &ds.dictionary,
+                inline.clone(),
+                std::mem::take(&mut solutions),
+            );
             searcher.search_region(&region, start);
             total += searcher.solution_count;
-            solutions.extend(searcher.solutions);
+            solutions = std::mem::take(&mut searcher.rows);
             stats.merge(&searcher.stats);
             if config.max_solutions.is_some_and(|m| total >= m) {
                 break;
@@ -528,7 +556,7 @@ mod tests {
         assert_eq!(count, 3);
         assert_eq!(solutions.len(), 3);
         // All solutions are distinct.
-        let set: HashSet<_> = solutions.iter().map(|s| s.vertices.clone()).collect();
+        let set: HashSet<_> = solutions.iter().collect();
         assert_eq!(set.len(), 3);
     }
 
@@ -539,8 +567,8 @@ mod tests {
         let (count, solutions, _) = run(&ds, &data, FIGURE1_QUERY, &TurboHomConfig::isomorphism());
         assert_eq!(count, 1);
         // Every data vertex in the single solution is distinct (injectivity).
-        let s = &solutions[0];
-        let bound: Vec<VertexId> = s.vertices.iter().filter_map(|v| *v).collect();
+        let bound = solutions.row(0);
+        assert_eq!(bound_count(bound), bound.len());
         let distinct: HashSet<_> = bound.iter().collect();
         assert_eq!(bound.len(), distinct.len());
     }
@@ -602,9 +630,10 @@ mod tests {
             &TurboHomConfig::default(),
         );
         assert_eq!(count, 2);
-        let labels: HashSet<Option<ELabel>> = solutions.iter().map(|s| s.edge_labels[0]).collect();
+        // Two constant vertices, then the variable edge's label column.
+        let labels: HashSet<u32> = solutions.iter().map(|row| row[2]).collect();
         assert_eq!(labels.len(), 2);
-        assert!(labels.iter().all(|l| l.is_some()));
+        assert!(!labels.contains(&UNBOUND));
     }
 
     #[test]
@@ -630,8 +659,8 @@ mod tests {
         );
         assert_eq!(count, 2);
         // Exactly one solution has the rating bound, the other has it null.
-        let with_rating = solutions.iter().filter(|s| s.bound_count() == 3).count();
-        let without_rating = solutions.iter().filter(|s| s.bound_count() == 2).count();
+        let with_rating = solutions.iter().filter(|s| bound_count(s) == 3).count();
+        let without_rating = solutions.iter().filter(|s| bound_count(s) == 2).count();
         assert_eq!(with_rating, 1);
         assert_eq!(without_rating, 1);
     }
@@ -657,7 +686,7 @@ mod tests {
         );
         // Two ratings → two rows; no additional null row.
         assert_eq!(count, 2);
-        assert!(solutions.iter().all(|s| s.bound_count() == 3));
+        assert!(solutions.iter().all(|s| bound_count(s) == 3));
     }
 
     #[test]
@@ -680,10 +709,10 @@ mod tests {
             &TurboHomConfig::default(),
         );
         assert_eq!(count, 1);
-        let s = &solutions[0];
+        let s = solutions.row(0);
         // p, price and rating are bound; homepage is null (4 query vertices).
-        assert_eq!(s.vertices.len(), 4);
-        assert_eq!(s.bound_count(), 3);
+        assert_eq!(s.len(), 4);
+        assert_eq!(bound_count(s), 3);
     }
 
     #[test]

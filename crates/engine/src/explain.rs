@@ -25,7 +25,7 @@
 
 use crate::error::StoreError;
 use crate::plan::{ComponentPlan, QueryPlan};
-use crate::results::{json_escape, QueryResults};
+use crate::results::{escape_json_into, IdResults};
 use crate::sharded::{AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
 use turbohom_core::candidate_region::explore_candidate_region;
@@ -226,7 +226,7 @@ impl ExplainReport {
     /// counts are attached when exactly one component carries a matching
     /// order (the common case — the merged counters cannot be split across
     /// several components); the summary counters are attached always.
-    fn attach_actuals(&mut self, results: &QueryResults) {
+    fn attach_actuals(&mut self, results: &IdResults<'_>) {
         self.analyzed = true;
         let max_qerror = results
             .step_estimates
@@ -256,7 +256,7 @@ impl ExplainReport {
         }
         self.actual = Some(ActualSummary {
             solutions: results.solution_count as u64,
-            rows: results.rows.len() as u64,
+            rows: results.row_count() as u64,
             elapsed_us: results.elapsed.as_micros() as u64,
             intersections: results.stats.intersection_ops as u64,
             recursions: results.stats.search_recursions as u64,
@@ -269,73 +269,81 @@ impl ExplainReport {
 
     /// Serializes the report as a `turbohom-explain/1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"schema\":\"");
-        out.push_str(EXPLAIN_SCHEMA);
-        out.push_str("\",\"mode\":\"");
-        out.push_str(if self.analyzed { "analyze" } else { "explain" });
-        out.push_str("\",\"engine\":\"");
-        out.push_str(self.engine.name());
-        out.push_str("\",\"store\":\"");
-        out.push_str(self.store_flavor);
-        out.push_str("\",\"plan\":\"");
-        out.push_str(self.plan_type);
-        out.push_str("\",\"limit\":");
+        let mut out: Vec<u8> = Vec::with_capacity(512);
+        out.extend_from_slice(b"{\"schema\":\"");
+        out.extend_from_slice(EXPLAIN_SCHEMA.as_bytes());
+        out.extend_from_slice(b"\",\"mode\":\"");
+        out.extend_from_slice(if self.analyzed {
+            b"analyze"
+        } else {
+            b"explain"
+        });
+        out.extend_from_slice(b"\",\"engine\":\"");
+        out.extend_from_slice(self.engine.name().as_bytes());
+        out.extend_from_slice(b"\",\"store\":\"");
+        out.extend_from_slice(self.store_flavor.as_bytes());
+        out.extend_from_slice(b"\",\"plan\":\"");
+        out.extend_from_slice(self.plan_type.as_bytes());
+        out.extend_from_slice(b"\",\"limit\":");
         match self.limit {
-            Some(l) => out.push_str(&l.to_string()),
-            None => out.push_str("null"),
+            Some(l) => out.extend_from_slice(l.to_string().as_bytes()),
+            None => out.extend_from_slice(b"null"),
         }
-        out.push_str(",\"limit_pushdown\":");
-        out.push_str(if self.limit_pushdown { "true" } else { "false" });
+        out.extend_from_slice(b",\"limit_pushdown\":");
+        out.extend_from_slice(if self.limit_pushdown {
+            b"true"
+        } else {
+            b"false"
+        });
         if let Some(anchor) = &self.anchor {
-            out.push_str(",\"anchor\":\"");
-            out.push_str(&json_escape(anchor));
-            out.push('"');
+            out.extend_from_slice(b",\"anchor\":\"");
+            escape_json_into(&mut out, anchor);
+            out.push(b'"');
         }
-        out.push_str(",\"components\":[");
+        out.extend_from_slice(b",\"components\":[");
         for (i, c) in self.components.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
             c.append_json(&mut out);
         }
-        out.push(']');
+        out.push(b']');
         if !self.shards.is_empty() {
-            out.push_str(",\"shards\":[");
+            out.extend_from_slice(b",\"shards\":[");
             for (i, s) in self.shards.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 s.append_json(&mut out);
             }
-            out.push(']');
+            out.push(b']');
         }
         if let Some(a) = &self.actual {
-            out.push_str(",\"actual\":{\"solutions\":");
-            out.push_str(&a.solutions.to_string());
-            out.push_str(",\"rows\":");
-            out.push_str(&a.rows.to_string());
-            out.push_str(",\"elapsed_us\":");
-            out.push_str(&a.elapsed_us.to_string());
-            out.push_str(",\"intersections\":");
-            out.push_str(&a.intersections.to_string());
-            out.push_str(",\"recursions\":");
-            out.push_str(&a.recursions.to_string());
-            out.push_str(",\"morsels\":");
-            out.push_str(&a.morsels.to_string());
-            out.push_str(",\"steals\":");
-            out.push_str(&a.steals.to_string());
-            out.push_str(",\"max_qerror\":");
+            out.extend_from_slice(b",\"actual\":{\"solutions\":");
+            out.extend_from_slice(a.solutions.to_string().as_bytes());
+            out.extend_from_slice(b",\"rows\":");
+            out.extend_from_slice(a.rows.to_string().as_bytes());
+            out.extend_from_slice(b",\"elapsed_us\":");
+            out.extend_from_slice(a.elapsed_us.to_string().as_bytes());
+            out.extend_from_slice(b",\"intersections\":");
+            out.extend_from_slice(a.intersections.to_string().as_bytes());
+            out.extend_from_slice(b",\"recursions\":");
+            out.extend_from_slice(a.recursions.to_string().as_bytes());
+            out.extend_from_slice(b",\"morsels\":");
+            out.extend_from_slice(a.morsels.to_string().as_bytes());
+            out.extend_from_slice(b",\"steals\":");
+            out.extend_from_slice(a.steals.to_string().as_bytes());
+            out.extend_from_slice(b",\"max_qerror\":");
             match a.max_qerror {
-                Some(q) => out.push_str(&format_f64(q)),
-                None => out.push_str("null"),
+                Some(q) => out.extend_from_slice(format_f64(q).as_bytes()),
+                None => out.extend_from_slice(b"null"),
             }
-            out.push_str(",\"false_live_shards\":");
-            out.push_str(&a.false_live_shards.to_string());
-            out.push('}');
+            out.extend_from_slice(b",\"false_live_shards\":");
+            out.extend_from_slice(a.false_live_shards.to_string().as_bytes());
+            out.push(b'}');
         }
-        out.push('}');
-        out
+        out.push(b'}');
+        String::from_utf8(out).expect("the emitter writes UTF-8")
     }
 }
 
@@ -351,113 +359,113 @@ fn format_f64(v: f64) -> String {
 }
 
 impl ComponentExplain {
-    fn append_json(&self, out: &mut String) {
-        out.push_str("{\"branch\":");
-        out.push_str(&self.branch.to_string());
-        out.push_str(",\"component\":");
-        out.push_str(&self.component.to_string());
-        out.push_str(",\"graph\":\"");
-        out.push_str(self.graph);
-        out.push_str("\",\"vertices\":");
-        out.push_str(&self.vertices.to_string());
-        out.push_str(",\"edges\":");
-        out.push_str(&self.edges.to_string());
+    fn append_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"branch\":");
+        out.extend_from_slice(self.branch.to_string().as_bytes());
+        out.extend_from_slice(b",\"component\":");
+        out.extend_from_slice(self.component.to_string().as_bytes());
+        out.extend_from_slice(b",\"graph\":\"");
+        out.extend_from_slice(self.graph.as_bytes());
+        out.extend_from_slice(b"\",\"vertices\":");
+        out.extend_from_slice(self.vertices.to_string().as_bytes());
+        out.extend_from_slice(b",\"edges\":");
+        out.extend_from_slice(self.edges.to_string().as_bytes());
         if let Some(note) = self.note {
-            out.push_str(",\"note\":\"");
-            out.push_str(&json_escape(note));
-            out.push('"');
+            out.extend_from_slice(b",\"note\":\"");
+            escape_json_into(out, note);
+            out.push(b'"');
         }
         if let Some(start) = &self.start {
-            out.push_str(",\"start\":{\"query_vertex\":");
-            out.push_str(&start.query_vertex.to_string());
-            out.push_str(",\"variable\":");
+            out.extend_from_slice(b",\"start\":{\"query_vertex\":");
+            out.extend_from_slice(start.query_vertex.to_string().as_bytes());
+            out.extend_from_slice(b",\"variable\":");
             append_opt_str(out, start.variable.as_deref());
-            out.push_str(",\"candidates\":");
-            out.push_str(&start.candidates.to_string());
-            out.push('}');
+            out.extend_from_slice(b",\"candidates\":");
+            out.extend_from_slice(start.candidates.to_string().as_bytes());
+            out.push(b'}');
         }
         if let Some(rc) = self.region_candidates {
-            out.push_str(",\"region_candidates\":");
-            out.push_str(&rc.to_string());
+            out.extend_from_slice(b",\"region_candidates\":");
+            out.extend_from_slice(rc.to_string().as_bytes());
         }
-        out.push_str(",\"steps\":[");
+        out.extend_from_slice(b",\"steps\":[");
         for (i, s) in self.steps.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str("{\"position\":");
-            out.push_str(&s.position.to_string());
-            out.push_str(",\"query_vertex\":");
-            out.push_str(&s.query_vertex.to_string());
-            out.push_str(",\"variable\":");
+            out.extend_from_slice(b"{\"position\":");
+            out.extend_from_slice(s.position.to_string().as_bytes());
+            out.extend_from_slice(b",\"query_vertex\":");
+            out.extend_from_slice(s.query_vertex.to_string().as_bytes());
+            out.extend_from_slice(b",\"variable\":");
             append_opt_str(out, s.variable.as_deref());
-            out.push_str(",\"estimate\":");
-            out.push_str(&s.estimate.to_string());
+            out.extend_from_slice(b",\"estimate\":");
+            out.extend_from_slice(s.estimate.to_string().as_bytes());
             if let Some(rows) = s.rows {
-                out.push_str(",\"rows\":");
-                out.push_str(&rows.to_string());
+                out.extend_from_slice(b",\"rows\":");
+                out.extend_from_slice(rows.to_string().as_bytes());
             }
             if let Some(q) = s.qerror {
-                out.push_str(",\"qerror\":");
-                out.push_str(&format_f64(q));
+                out.extend_from_slice(b",\"qerror\":");
+                out.extend_from_slice(format_f64(q).as_bytes());
             }
-            out.push('}');
+            out.push(b'}');
         }
-        out.push_str("]}");
+        out.extend_from_slice(b"]}");
     }
 }
 
 impl ShardExplain {
-    fn append_json(&self, out: &mut String) {
-        out.push_str("{\"shard\":");
-        out.push_str(&self.shard.to_string());
-        out.push_str(",\"triples\":");
-        out.push_str(&self.triples.to_string());
-        out.push_str(",\"verdict\":\"");
-        out.push_str(self.verdict);
-        out.push('"');
+    fn append_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"shard\":");
+        out.extend_from_slice(self.shard.to_string().as_bytes());
+        out.extend_from_slice(b",\"triples\":");
+        out.extend_from_slice(self.triples.to_string().as_bytes());
+        out.extend_from_slice(b",\"verdict\":\"");
+        out.extend_from_slice(self.verdict.as_bytes());
+        out.push(b'"');
         if let Some(check) = self.check {
-            out.push_str(",\"check\":\"");
-            out.push_str(check);
-            out.push_str("\",\"probe\":\"");
-            out.push_str(self.probe.unwrap_or("exact"));
-            out.push('"');
+            out.extend_from_slice(b",\"check\":\"");
+            out.extend_from_slice(check.as_bytes());
+            out.extend_from_slice(b"\",\"probe\":\"");
+            out.extend_from_slice(self.probe.unwrap_or("exact").as_bytes());
+            out.push(b'"');
         }
         if let Some(term) = &self.term {
-            out.push_str(",\"term\":\"");
-            out.push_str(&json_escape(term));
-            out.push('"');
+            out.extend_from_slice(b",\"term\":\"");
+            escape_json_into(out, term);
+            out.push(b'"');
         }
         if !self.components.is_empty() {
-            out.push_str(",\"components\":[");
+            out.extend_from_slice(b",\"components\":[");
             for (i, c) in self.components.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 c.append_json(out);
             }
-            out.push(']');
+            out.push(b']');
         }
         if let Some(rows) = self.rows {
-            out.push_str(",\"rows\":");
-            out.push_str(&rows.to_string());
+            out.extend_from_slice(b",\"rows\":");
+            out.extend_from_slice(rows.to_string().as_bytes());
         }
         if let Some(fl) = self.false_live {
-            out.push_str(",\"false_live\":");
-            out.push_str(if fl { "true" } else { "false" });
+            out.extend_from_slice(b",\"false_live\":");
+            out.extend_from_slice(if fl { b"true" } else { b"false" });
         }
-        out.push('}');
+        out.push(b'}');
     }
 }
 
-fn append_opt_str(out: &mut String, v: Option<&str>) {
+fn append_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
     match v {
         Some(s) => {
-            out.push('"');
-            out.push_str(&json_escape(s));
-            out.push('"');
+            out.push(b'"');
+            escape_json_into(out, s);
+            out.push(b'"');
         }
-        None => out.push_str("null"),
+        None => out.extend_from_slice(b"null"),
     }
 }
 
@@ -594,11 +602,11 @@ impl Store {
         sparql: &str,
         kind: EngineKind,
         threads: Option<usize>,
-    ) -> Result<(QueryResults, ExplainReport), StoreError> {
+    ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
         let query = parse_query(sparql)?;
         let plan = self.plan_query(&query, kind)?;
         let mut report = self.explain_plan(&query, &plan);
-        let results = self.run_plan_with(&plan, threads)?;
+        let results = self.run_plan_traced(&plan, threads, &Trace::disabled())?;
         report.attach_actuals(&results);
         Ok((results, report))
     }
@@ -686,7 +694,7 @@ impl ShardedStore {
         sparql: &str,
         kind: EngineKind,
         threads: Option<usize>,
-    ) -> Result<(QueryResults, ExplainReport), StoreError> {
+    ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
         let query = parse_query(sparql)?;
         let plan = self.prepare_plan(sparql, kind)?;
         let mut report = self.explain_plan(&query, &plan);
@@ -746,7 +754,7 @@ impl AnyStore {
         sparql: &str,
         kind: EngineKind,
         threads: Option<usize>,
-    ) -> Result<(QueryResults, ExplainReport), StoreError> {
+    ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
         match self {
             AnyStore::Single(s) => s.analyze(sparql, kind, threads),
             AnyStore::Sharded(s) => s.analyze(sparql, kind, threads),

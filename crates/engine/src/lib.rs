@@ -4,9 +4,10 @@
 //! need: the type-aware and direct labeled graphs with their indexes (for
 //! the TurboHOM++ / TurboHOM engines) and the six permutation indexes (for
 //! the join-based baselines). A SPARQL query can then be executed with any
-//! [`EngineKind`] and returns uniform [`QueryResults`], which is what the
-//! examples, the cross-engine correctness tests and the benchmark harness
-//! build on.
+//! [`EngineKind`] and returns uniform results: [`IdResults`], one flat buffer
+//! of term ids that a server sorts and serialises without copying a term, and
+//! its decoded view [`QueryResults`], which is what the examples, the
+//! cross-engine correctness tests and the benchmark harness build on.
 
 pub mod backend;
 pub mod error;
@@ -23,7 +24,7 @@ pub use explain::{
     StepExplain, EXPLAIN_SCHEMA,
 };
 pub use plan::QueryPlan;
-pub use results::{json_escape, QueryResults, ResultRow};
+pub use results::{escape_json_into, ExtraMembers, IdResults, QueryResults, ResultRow};
 pub use sharded::{AnyPlan, AnyStore, ShardedOptions, ShardedPlan, ShardedStore};
 pub use store::{EngineKind, ParseEngineKindError, PreparedQuery, Store, StoreOptions};
 // Re-exported so callers configuring a sharded store (the server's flag
@@ -50,6 +51,7 @@ const _: () = {
     assert_send_sync::<Store>();
     assert_send_sync::<QueryPlan>();
     assert_send_sync::<QueryResults>();
+    assert_send_sync::<IdResults<'static>>();
     assert_send_sync::<StoreError>();
     assert_send_sync::<ShardedStore>();
     assert_send_sync::<ShardedPlan>();

@@ -18,16 +18,20 @@
 //! run concurrently from many threads against the store that prepared them.
 
 use crate::error::StoreError;
-use crate::results::{QueryResults, ResultRow};
+use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
 use crate::store::{branch_needs_direct, collect_filters, split_components, EngineKind, Store};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use turbohom_baseline::JoinStrategy;
-use turbohom_core::{merge_step_counts, MatchStats, MatchingOrder, TurboHomConfig, TurboHomEngine};
+use turbohom_core::{
+    merge_step_counts, MatchResult, MatchingOrder, RowLayout, TurboHomConfig, TurboHomEngine,
+};
+use turbohom_graph::{ELabel, VertexId};
+use turbohom_rdf::{IdRows, TermId, UNBOUND};
 use turbohom_sparql::{EvalContext, Expression, GroupPattern, Query};
 use turbohom_trace::{SpanId, Trace};
-use turbohom_transform::{TransformKind, TransformedQuery};
+use turbohom_transform::{TransformKind, TransformedGraph, TransformedQuery};
 
 /// A fully prepared query: parsed, union-expanded, component-split and
 /// transformed for one [`EngineKind`] against one [`Store`].
@@ -223,80 +227,100 @@ impl Store {
         })
     }
 
-    /// Runs a prepared plan with its built-in configuration.
+    /// Runs a prepared plan with its built-in configuration and decodes the
+    /// result.
     pub fn run_plan(&self, plan: &QueryPlan) -> Result<QueryResults, StoreError> {
         self.run_plan_with(plan, None)
     }
 
     /// Runs a prepared plan, optionally overriding the worker-thread count
     /// for this run only (the join baselines are single-threaded and ignore
-    /// the override).
+    /// the override), and decodes the result.
     pub fn run_plan_with(
         &self,
         plan: &QueryPlan,
         threads: Option<usize>,
     ) -> Result<QueryResults, StoreError> {
-        self.run_plan_traced(plan, threads, &Trace::disabled())
+        Ok(self
+            .run_plan_traced(plan, threads, &Trace::disabled())?
+            .decode())
     }
 
-    /// Like [`run_plan_with`](Self::run_plan_with), recording an `execute`
-    /// stage span into `trace`. With a [detailed](Trace::is_detailed) trace
-    /// the matching engine additionally records `candidate_regions`,
-    /// `matching_order`, `enumeration` and per-worker spans as children of
-    /// the `execute` span (the join baselines only get the `execute` span).
+    /// Like [`run_plan_with`](Self::run_plan_with), but returning the result
+    /// as term ids (what a server serialises from; see [`IdResults`]) and
+    /// recording two stage spans into `trace`: `execute`, the matching (one
+    /// span per union branch), and `materialise`, the projection of the
+    /// matches to term ids plus the canonical sort. With a
+    /// [detailed](Trace::is_detailed) trace the matching engine additionally
+    /// records `candidate_regions`, `matching_order`, `enumeration` and
+    /// per-worker spans as children of `execute` (the join baselines only
+    /// get the two stage spans).
     pub fn run_plan_traced(
         &self,
         plan: &QueryPlan,
         threads: Option<usize>,
         trace: &Trace,
-    ) -> Result<QueryResults, StoreError> {
+    ) -> Result<IdResults<'_>, StoreError> {
+        self.run_plan_ids(plan, threads, trace, true)
+    }
+
+    /// The run half behind every entry point. `canonical_order` is off only
+    /// for a shard of a sharded store, whose coordinator sorts the gathered
+    /// rows itself.
+    pub(crate) fn run_plan_ids(
+        &self,
+        plan: &QueryPlan,
+        threads: Option<usize>,
+        trace: &Trace,
+        canonical_order: bool,
+    ) -> Result<IdResults<'_>, StoreError> {
         if threads == Some(0) {
             return Err(StoreError::InvalidThreadCount(0));
         }
-        let mut span = trace.span("execute");
-        let parent = span.id();
-        let result = match &plan.mode {
+        let started = Instant::now();
+        let mut materialise = Duration::ZERO;
+        let mut results = match &plan.mode {
             PlanMode::Graph { config, branches } => {
                 let config = match threads {
                     Some(t) => config.with_threads(t),
                     None => *config,
                 };
-                self.run_graph_plan_limited(
+                self.run_graph_plan(
                     branches,
                     config,
-                    plan.projected.clone(),
+                    &plan.projected,
                     plan.limit,
                     trace,
-                    parent,
-                )
+                    &mut materialise,
+                )?
             }
             PlanMode::Join { query, strategy } => {
-                let mut results = self.run_baseline(query, *strategy);
+                let mut results = self.run_baseline(query, *strategy, trace, &mut materialise);
                 if let Some(limit) = plan.limit {
-                    results.rows.truncate(limit);
-                    results.solution_count = results.solution_count.min(limit);
+                    results.truncate(limit);
                 }
-                Ok(results)
+                results
             }
         };
+        results.elapsed = started.elapsed();
         // Canonical row order: without a pushed-down LIMIT the full solution
         // multiset is enumerated, so sorting makes the output independent of
         // enumeration order — parallel morsel scheduling and sharded
         // scatter-gather merge then produce byte-identical SPARQL-JSON to a
         // single-threaded single-store run. (Under a LIMIT the engines stop
         // early and any subset is a valid answer, so no order is imposed.)
-        let result = result.map(|mut results| {
-            if plan.limit.is_none() {
-                results.rows.sort_unstable();
-            }
-            results
-        });
-        if let Ok(results) = &result {
-            span.counter("solutions", results.solution_count as u64);
-            span.counter("rows", results.rows.len() as u64);
+        if canonical_order && plan.limit.is_none() {
+            let sorting = Instant::now();
+            results.sort_canonical();
+            materialise += sorting.elapsed();
         }
-        span.finish();
-        result
+        trace.record_rollup(
+            "materialise",
+            None,
+            materialise,
+            &[("rows", results.row_count() as u64)],
+        );
+        Ok(results)
     }
 
     /// Expands the query's unions and transforms every branch (the prepare
@@ -346,178 +370,161 @@ impl Store {
         })
     }
 
-    /// Runs pre-transformed branches (the run half of `execute_turbohom`).
-    /// The reported `elapsed` covers pattern matching and result rendering
-    /// only — parsing and transformation happened at plan time.
+    /// Runs pre-transformed branches with a pushed-down `LIMIT`: each branch
+    /// only enumerates the solutions still missing, and the branch loop stops
+    /// as soon as the limit is reached. The time spent turning matches into
+    /// term-id rows is added to `materialise`.
     pub(crate) fn run_graph_plan(
         &self,
         branches: &[BranchPlan],
         config: TurboHomConfig,
-        projected: Vec<String>,
-    ) -> Result<QueryResults, StoreError> {
-        self.run_graph_plan_limited(branches, config, projected, None, &Trace::disabled(), None)
-    }
-
-    /// Like [`run_graph_plan`](Self::run_graph_plan), with a pushed-down
-    /// `LIMIT`: each branch only enumerates the solutions still missing, and
-    /// the branch loop stops as soon as the limit is reached.
-    pub(crate) fn run_graph_plan_limited(
-        &self,
-        branches: &[BranchPlan],
-        config: TurboHomConfig,
-        projected: Vec<String>,
+        projected: &[String],
         limit: Option<usize>,
         trace: &Trace,
-        parent: Option<SpanId>,
-    ) -> Result<QueryResults, StoreError> {
-        let start = Instant::now();
-        let mut rows: Vec<ResultRow> = Vec::new();
-        let mut count = 0usize;
-        let mut stats = MatchStats::default();
-        let mut step_rows: Vec<u64> = Vec::new();
-        let mut step_estimates: Vec<u64> = Vec::new();
+        materialise: &mut Duration,
+    ) -> Result<IdResults<'_>, StoreError> {
+        let mut results = self.id_results(projected.to_vec(), IdRows::new(projected.len()));
         for branch in branches {
-            let remaining = limit.map(|l| l.saturating_sub(count));
+            let remaining = limit.map(|l| l.saturating_sub(results.solution_count));
             if remaining == Some(0) {
                 break;
             }
-            let mut partial =
-                self.run_branch_plan(branch, config, &projected, remaining, trace, parent)?;
-            rows.append(&mut partial.rows);
-            count += partial.count;
-            stats.merge(&partial.stats);
-            merge_step_counts(&mut step_rows, &partial.step_rows);
-            merge_step_counts(&mut step_estimates, &partial.step_estimates);
+            self.run_branch_plan(branch, config, remaining, trace, materialise, &mut results)?;
         }
-        Ok(QueryResults {
-            variables: projected,
-            rows,
-            solution_count: count,
-            elapsed: start.elapsed(),
-            stats,
-            step_rows,
-            step_estimates,
-        })
+        Ok(results)
     }
 
-    /// Runs one branch. Connected branches go straight to the matching
-    /// engine; a branch whose required BGP falls apart into several
-    /// connected components (e.g. BSBM Q5, which compares two unrelated
-    /// products through a FILTER) is evaluated component by component, the
-    /// partial results are combined by a cartesian product, and the branch
-    /// filters are applied to the combined rows.
+    /// An empty result over `variables` whose cells are ids of this store's
+    /// dictionary.
+    pub(crate) fn id_results(&self, variables: Vec<String>, rows: IdRows) -> IdResults<'_> {
+        IdResults::new(
+            variables,
+            rows,
+            Dictionaries::Store(&self.dataset().dictionary),
+        )
+    }
+
+    /// Runs one branch and appends its rows to `results`. Connected branches
+    /// go straight to the matching engine; a branch whose required BGP falls
+    /// apart into several connected components (e.g. BSBM Q5, which compares
+    /// two unrelated products through a FILTER) is evaluated component by
+    /// component, the partial results are combined by a cartesian product,
+    /// and the branch filters are applied to the combined rows.
     fn run_branch_plan(
         &self,
         branch: &BranchPlan,
         config: TurboHomConfig,
-        projected: &[String],
         limit: Option<usize>,
         trace: &Trace,
-        parent: Option<SpanId>,
-    ) -> Result<PartialRun, StoreError> {
-        if let [component] = branch.components.as_slice() {
+        materialise: &mut Duration,
+        results: &mut IdResults<'_>,
+    ) -> Result<(), StoreError> {
+        let config = match (branch.components.as_slice(), limit) {
             // Single connected component: the limit goes straight into the
             // enumerator as a solution cap, so search stops early.
-            let config = match limit {
-                Some(l) => TurboHomConfig {
-                    max_solutions: Some(config.max_solutions.map_or(l, |m| m.min(l))),
-                    ..config
-                },
-                None => config,
-            };
-            return self.run_component_plan(component, config, projected, trace, parent);
-        }
-        // Evaluate each component over its own variables.
-        let mut partials: Vec<(&[String], Vec<ResultRow>)> = Vec::new();
-        let mut stats = MatchStats::default();
-        let mut step_rows: Vec<u64> = Vec::new();
-        let mut step_estimates: Vec<u64> = Vec::new();
+            ([_], Some(l)) => TurboHomConfig {
+                max_solutions: Some(config.max_solutions.map_or(l, |m| m.min(l))),
+                ..config
+            },
+            _ => config,
+        };
+        let mut span = trace.span("execute");
+        let mut matched = Vec::with_capacity(branch.components.len());
         for component in &branch.components {
-            let partial =
-                self.run_component_plan(component, config, &component.vars, trace, parent)?;
-            stats.merge(&partial.stats);
-            merge_step_counts(&mut step_rows, &partial.step_rows);
-            merge_step_counts(&mut step_estimates, &partial.step_estimates);
-            partials.push((&component.vars, partial.rows));
+            let result = self.match_component(component, config, trace, span.id())?;
+            results.stats.merge(&result.stats);
+            merge_step_counts(&mut results.step_rows, &result.step_rows);
+            merge_step_counts(&mut results.step_estimates, &result.step_estimates);
+            matched.push(result);
         }
-        // Cartesian product of the component results.
-        let all_vars: Vec<String> = partials
-            .iter()
-            .flat_map(|(v, _)| v.iter().cloned())
-            .collect();
-        let mut combined: Vec<ResultRow> = vec![Vec::new()];
-        for (_, rows) in &partials {
-            let mut next = Vec::with_capacity(combined.len() * rows.len());
-            for prefix in &combined {
-                for row in rows {
-                    let mut r = prefix.clone();
-                    r.extend(row.iter().cloned());
-                    next.push(r);
+        let solutions: usize = matched.iter().map(|m| m.solution_count).sum();
+        span.counter("solutions", solutions as u64);
+        span.finish();
+
+        let projecting = Instant::now();
+        if let ([component], [result]) = (branch.components.as_slice(), matched.as_slice()) {
+            let mut rows = self.project(component, &result.rows, &results.variables);
+            results.rows.append(&mut rows);
+            results.solution_count += result.solution_count;
+        } else {
+            let parts: Vec<IdRows> = branch
+                .components
+                .iter()
+                .zip(&matched)
+                .map(|(component, result)| self.project(component, &result.rows, &component.vars))
+                .collect();
+            let mut rows = self.combine_components(branch, &parts, &results.variables);
+            // A limit cannot be pushed below the cartesian combination
+            // (dropping partial rows early would drop combinations), so it
+            // applies here.
+            if let Some(l) = limit {
+                rows.truncate(l);
+            }
+            results.solution_count += rows.len();
+            results.rows.append(&mut rows);
+        }
+        *materialise += projecting.elapsed();
+        Ok(())
+    }
+
+    /// Combines the per-component rows of a disconnected branch: cartesian
+    /// product, branch filters, projection onto `projected`.
+    fn combine_components(
+        &self,
+        branch: &BranchPlan,
+        parts: &[IdRows],
+        projected: &[String],
+    ) -> IdRows {
+        let all_vars: Vec<&String> = branch.components.iter().flat_map(|c| &c.vars).collect();
+        // The join's identity: no columns, one row.
+        let mut combined = IdRows::unbound(0, 1);
+        for part in parts {
+            let width = combined.stride();
+            let mut next =
+                IdRows::with_capacity(width + part.stride(), combined.len() * part.len());
+            for prefix in combined.iter() {
+                for row in part.iter() {
+                    let cells = next.push_unbound();
+                    cells[..width].copy_from_slice(prefix);
+                    cells[width..].copy_from_slice(row);
                 }
             }
             combined = next;
             if combined.is_empty() {
-                break;
+                return IdRows::new(projected.len());
             }
         }
-        // Apply the branch filters over the combined rows.
-        let filtered: Vec<ResultRow> = combined
-            .into_iter()
-            .filter(|row| {
-                let mut ctx = EvalContext::new();
-                for (var, term) in all_vars.iter().zip(row.iter()) {
-                    if let Some(term) = term {
-                        ctx.insert(var.clone(), term.clone());
-                    }
+        // FILTER expressions evaluate over owned terms.
+        let dictionary = &self.dataset().dictionary;
+        combined.retain(|row| {
+            let mut ctx = EvalContext::new();
+            for (var, &cell) in all_vars.iter().zip(row) {
+                if let Some(term) = term_of(dictionary, cell) {
+                    ctx.insert((*var).clone(), term.to_term());
                 }
-                branch.filters.iter().all(|f| f.evaluate_bool(&ctx))
-            })
-            .collect();
-        // Project onto the requested variables.
-        let indices: Vec<Option<usize>> = projected
-            .iter()
-            .map(|v| all_vars.iter().position(|x| x == v))
-            .collect();
-        let mut rows: Vec<ResultRow> = filtered
-            .iter()
-            .map(|row| {
-                indices
-                    .iter()
-                    .map(|i| i.and_then(|i| row[i].clone()))
-                    .collect()
-            })
-            .collect();
-        // A limit cannot be pushed below the cartesian combination (dropping
-        // partial rows early would drop combinations), so it applies here.
-        if let Some(l) = limit {
-            rows.truncate(l);
+            }
+            branch.filters.iter().all(|f| f.evaluate_bool(&ctx))
+        });
+        let mut rows = IdRows::unbound(projected.len(), combined.len());
+        for (column, var) in projected.iter().enumerate() {
+            if let Some(source) = all_vars.iter().position(|v| *v == var) {
+                rows.fill_column(column, &combined, source, |id| id);
+            }
         }
-        let count = rows.len();
-        Ok(PartialRun {
-            rows,
-            count,
-            stats,
-            step_rows,
-            step_estimates,
-        })
+        rows
     }
 
-    /// Runs one transformed component, reusing (or memoizing) its matching
-    /// order, and renders the result rows over `out_vars`.
-    fn run_component_plan(
+    /// Runs the matcher over one transformed component, reusing (or
+    /// memoizing) its matching order.
+    fn match_component(
         &self,
         component: &ComponentPlan,
         config: TurboHomConfig,
-        out_vars: &[String],
         trace: &Trace,
         parent: Option<SpanId>,
-    ) -> Result<PartialRun, StoreError> {
-        let graph = if component.use_direct {
-            self.direct_graph()
-        } else {
-            self.type_aware_graph()
-        };
-        let engine = TurboHomEngine::new(graph, &self.dataset().dictionary, config);
+    ) -> Result<MatchResult, StoreError> {
+        let engine =
+            TurboHomEngine::new(self.graph_of(component), &self.dataset().dictionary, config);
         let preset = component.cached_order.lock().clone();
         let (result, computed) = engine.execute_with_order_traced(
             &component.transformed,
@@ -531,26 +538,49 @@ impl Store {
                 *slot = Some(Arc::new(order));
             }
         }
-        let mut rows = Vec::new();
-        self.append_rows(&mut rows, graph, &component.transformed, &result, out_vars);
-        Ok(PartialRun {
-            rows,
-            count: result.solution_count,
-            stats: result.stats,
-            step_rows: result.step_rows,
-            step_estimates: result.step_estimates,
-        })
+        Ok(result)
     }
-}
 
-/// The intermediate result of one branch or component run: the rendered
-/// rows plus every counter the merged [`QueryResults`] accumulates.
-struct PartialRun {
-    rows: Vec<ResultRow>,
-    count: usize,
-    stats: MatchStats,
-    step_rows: Vec<u64>,
-    step_estimates: Vec<u64>,
+    /// The transformed graph a component matches over.
+    fn graph_of(&self, component: &ComponentPlan) -> &TransformedGraph {
+        if component.use_direct {
+            self.direct_graph()
+        } else {
+            self.type_aware_graph()
+        }
+    }
+
+    /// Projects the matcher's rows (data-graph ids in the component's
+    /// [`RowLayout`]) to term-id rows over `out_vars`. Where a variable lives
+    /// is resolved once per column, and the column is then filled in one
+    /// pass; a variable the component does not bind stays unbound.
+    fn project(&self, component: &ComponentPlan, matched: &IdRows, out_vars: &[String]) -> IdRows {
+        let query = &component.transformed.graph;
+        let mappings = &self.graph_of(component).mappings;
+        let layout = RowLayout::of(query);
+        let cell = |id: Option<TermId>| id.map_or(UNBOUND, IdRows::cell);
+        let mut rows = IdRows::unbound(out_vars.len(), matched.len());
+        if matched.is_empty() {
+            return rows;
+        }
+        for (column, var) in out_vars.iter().enumerate() {
+            if let Some(u) = query.vertex_of_variable(var) {
+                rows.fill_column(column, matched, layout.vertex_column(u), |v| {
+                    cell(mappings.term_of_vertex(VertexId(v)))
+                });
+            } else if let Some(source) = query
+                .edges()
+                .iter()
+                .position(|e| e.variable.as_deref() == Some(var))
+                .and_then(|e| layout.edge_column(e))
+            {
+                rows.fill_column(column, matched, source, |l| {
+                    cell(mappings.term_of_elabel(ELabel(l)))
+                });
+            }
+        }
+        rows
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,26 @@
 //! Uniform query results across all engines.
+//!
+//! A result stays a table of integer ids from the enumerator to the moment
+//! it is written out: [`IdResults`] is one flat [`IdRows`] buffer of term ids
+//! plus the dictionaries they resolve through. It is sorted into the
+//! canonical row order and serialised through borrowed [`TermRef`] views, so
+//! no `Term` is cloned unless an embedder asks for the decoded view,
+//! [`QueryResults`], with [`IdResults::decode`]. Both views serialise through
+//! the one SPARQL-JSON writer in this module.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::io::{self, Write};
+use std::time::{Duration, Instant};
 use turbohom_core::MatchStats;
-use turbohom_rdf::Term;
+use turbohom_rdf::{Dictionary, IdRows, Term, TermRef};
 
-/// One result row: the terms bound to the projected variables (in the order
-/// of [`QueryResults::variables`]); `None` marks a variable left unbound by
-/// an OPTIONAL clause.
+/// One decoded result row: the terms bound to the projected variables (in the
+/// order of [`QueryResults::variables`]); `None` marks a variable left
+/// unbound by an OPTIONAL clause.
 pub type ResultRow = Vec<Option<Term>>;
 
-/// The result of executing one SPARQL query.
+/// The decoded result of executing one SPARQL query: what
+/// [`IdResults::decode`] produces for embedders, tests and examples.
 #[derive(Debug, Clone, Default)]
 pub struct QueryResults {
     /// The projected variable names (without `?`).
@@ -19,12 +29,17 @@ pub struct QueryResults {
     pub rows: Vec<ResultRow>,
     /// The number of solutions (equals `rows.len()` unless count-only).
     pub solution_count: usize,
-    /// Wall-clock execution time of the pattern matching and result
-    /// rendering. Parsing, query-graph transformation and dictionary
-    /// decoding are excluded — they happen at plan-preparation time
-    /// (mirroring the paper's protocol of timing only query processing,
-    /// and making cold and warm plan-cache runs report comparable numbers).
+    /// Wall-clock time of pattern matching and of projecting the matches to
+    /// term ids. Parsing and query-graph transformation happened at
+    /// plan-preparation time; the canonical sort, dictionary decoding
+    /// ([`decode_elapsed`](Self::decode_elapsed)) and serialisation come
+    /// after it and are not included (mirroring the paper's protocol of
+    /// timing only query processing, and making cold and warm plan-cache
+    /// runs report comparable numbers).
     pub elapsed: Duration,
+    /// Wall-clock time [`IdResults::decode`] spent copying terms out of the
+    /// dictionary into [`rows`](Self::rows).
+    pub decode_elapsed: Duration,
     /// Per-stage execution counters of the graph engines, merged across all
     /// branches and worker threads (all-zero for the join baselines, which
     /// do not run the matcher). The benchmark flight recorder persists these
@@ -74,99 +89,419 @@ impl QueryResults {
     /// format (`application/sparql-results+json`): a `head.vars` list and
     /// one binding object per row, unbound variables omitted.
     pub fn to_sparql_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.rows.len() * 64);
-        out.push_str("{\"head\":{\"vars\":[");
-        for (i, var) in self.variables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&json_escape(var));
-            out.push('"');
-        }
-        out.push_str("]},\"results\":{\"bindings\":[");
-        for (r, row) in self.rows.iter().enumerate() {
-            if r > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut first = true;
-            for (var, term) in self.variables.iter().zip(row.iter()) {
-                let Some(term) = term else { continue };
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push('"');
-                out.push_str(&json_escape(var));
-                out.push_str("\":");
-                append_term_json(&mut out, term);
-            }
-            out.push('}');
-        }
-        out.push_str("]}}");
-        out
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|term| term.as_ref().map(TermRef::from)));
+        json_string(|out| write_sparql_json(out, &self.variables, rows, None))
     }
 }
 
-/// Appends one RDF term as a SPARQL-JSON binding value object.
-fn append_term_json(out: &mut String, term: &Term) {
+/// Appends further top-level members, each with its leading comma, to a
+/// SPARQL-JSON document (see [`IdResults::write_sparql_json`]).
+pub type ExtraMembers<'a> = &'a mut dyn FnMut(&mut Vec<u8>);
+
+/// The dictionaries the cells of an [`IdResults`] resolve through.
+#[derive(Debug, Clone)]
+pub(crate) enum Dictionaries<'s> {
+    /// A single store: every cell is an id of this dictionary.
+    Store(&'s Dictionary),
+    /// A sharded store, whose shards each own a dictionary: every row ends
+    /// with one extra cell, the index of the shard whose ids it holds.
+    Shards(Vec<&'s Dictionary>),
+}
+
+/// The result of executing one SPARQL query, as term ids.
+///
+/// Rows are kept in one flat buffer and resolved through the store's
+/// dictionary (the producing shard's, on a sharded store) only when they are
+/// compared, serialised or decoded, so memory per in-flight query is bounded
+/// by the id buffer rather than by rendered text (the canonical sort holds a
+/// buffer of sort keys while it runs). The value borrows the store that
+/// produced it.
+#[derive(Debug, Clone)]
+pub struct IdResults<'s> {
+    /// The projected variable names (without `?`).
+    pub variables: Vec<String>,
+    /// The number of solutions (equals the number of rows unless the query
+    /// ran in count-only mode).
+    pub solution_count: usize,
+    /// Wall-clock time of pattern matching and id projection; see
+    /// [`QueryResults::elapsed`].
+    pub elapsed: Duration,
+    /// Per-stage execution counters; see [`QueryResults::stats`].
+    pub stats: MatchStats,
+    /// Per matching-order position actuals; see [`QueryResults::step_rows`].
+    pub step_rows: Vec<u64>,
+    /// Per matching-order position estimates; see
+    /// [`QueryResults::step_estimates`].
+    pub step_estimates: Vec<u64>,
+    /// One row per solution: a term-id cell per variable, plus the shard
+    /// index with [`Dictionaries::Shards`].
+    pub(crate) rows: IdRows,
+    pub(crate) dictionaries: Dictionaries<'s>,
+}
+
+impl<'s> IdResults<'s> {
+    /// Results over `variables` holding `rows`, with every counter at zero.
+    pub(crate) fn new(
+        variables: Vec<String>,
+        rows: IdRows,
+        dictionaries: Dictionaries<'s>,
+    ) -> Self {
+        IdResults {
+            variables,
+            solution_count: rows.len(),
+            elapsed: Duration::ZERO,
+            stats: MatchStats::default(),
+            step_rows: Vec::new(),
+            step_estimates: Vec::new(),
+            rows,
+            dictionaries,
+        }
+    }
+
+    /// Number of solutions.
+    pub fn len(&self) -> usize {
+        self.solution_count
+    }
+
+    /// Returns `true` if the query produced no solutions.
+    pub fn is_empty(&self) -> bool {
+        self.solution_count == 0
+    }
+
+    /// Number of materialised rows (0 in count-only mode).
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The dictionary `row`'s cells are ids of.
+    fn dictionary_of(&self, row: &[u32]) -> &'s Dictionary {
+        match &self.dictionaries {
+            Dictionaries::Store(dictionary) => dictionary,
+            Dictionaries::Shards(shards) => shards[row[self.variables.len()] as usize],
+        }
+    }
+
+    /// The terms of `row`, one per variable, as borrowed views.
+    fn terms<'a>(&'a self, row: &'a [u32]) -> impl Iterator<Item = Option<TermRef<'s>>> + 'a {
+        let dictionary = self.dictionary_of(row);
+        row[..self.variables.len()]
+            .iter()
+            .map(move |&cell| term_of(dictionary, cell))
+    }
+
+    /// Sorts the rows into the canonical order: the order of the decoded
+    /// rows (`Vec<Option<Term>>`: unbound first, then `Term`'s order).
+    ///
+    /// Comparing through the dictionary costs a cache miss or two per look
+    /// at a term, on every comparison (on a 65k-row LUBM(640) scan the sort
+    /// then takes three times as long as sorting cloned terms). Instead each
+    /// row is written once, in enumeration order — which walks the
+    /// dictionary nearly sequentially — as a byte string whose `memcmp`
+    /// order is the canonical order, into one buffer that lives for the
+    /// length of the sort; the sort then compares adjacent memory only.
+    pub(crate) fn sort_canonical(&mut self) {
+        if self.variables.is_empty() {
+            return;
+        }
+        let mut keys: Vec<u8> = Vec::with_capacity(self.rows.len() * 32);
+        // Per row: where its key starts, its length, and the row.
+        let mut order: Vec<(usize, u32, u32)> = Vec::with_capacity(self.rows.len());
+        for (i, row) in self.rows.iter().enumerate() {
+            let start = keys.len();
+            for term in self.terms(row) {
+                append_sort_key(&mut keys, term);
+            }
+            let length = u32::try_from(keys.len() - start).expect("a row's text fits 4 GB");
+            order.push((
+                start,
+                length,
+                u32::try_from(i).expect("row indices fit u32"),
+            ));
+        }
+        let key = |&(start, length, _): &(usize, u32, u32)| &keys[start..start + length as usize];
+        order.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+        self.rows = self
+            .rows
+            .gather(order.iter().map(|&(_, _, row)| row as usize));
+    }
+
+    /// Keeps the first `limit` rows.
+    pub(crate) fn truncate(&mut self, limit: usize) {
+        self.rows.truncate(limit);
+        self.solution_count = self.solution_count.min(limit);
+    }
+
+    /// Decodes every id into an owned [`Term`]: the one place terms are
+    /// copied out of the dictionary.
+    pub fn decode(self) -> QueryResults {
+        let started = Instant::now();
+        let rows: Vec<ResultRow> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let dictionary = self.dictionary_of(row);
+                row[..self.variables.len()]
+                    .iter()
+                    .map(|&cell| IdRows::term_id(cell).and_then(|id| dictionary.term(id)))
+                    .collect()
+            })
+            .collect();
+        QueryResults {
+            variables: self.variables,
+            rows,
+            solution_count: self.solution_count,
+            elapsed: self.elapsed,
+            decode_elapsed: started.elapsed(),
+            stats: self.stats,
+            step_rows: self.step_rows,
+            step_estimates: self.step_estimates,
+        }
+    }
+
+    /// Writes the results in the W3C SPARQL 1.1 Query Results JSON format to
+    /// `out`, in pieces of at most about 64 KB: ids are resolved and escaped
+    /// straight into one reused buffer. `members`, when given, appends
+    /// further top-level members (each with its leading comma) after the
+    /// bindings have been handed to `out` and before the closing brace. The
+    /// first write error ends the serialisation.
+    pub fn write_sparql_json<W: Write>(
+        &self,
+        out: &mut W,
+        members: Option<ExtraMembers<'_>>,
+    ) -> io::Result<()> {
+        let rows = self.rows.iter().map(|row| self.terms(row));
+        write_sparql_json(out, &self.variables, rows, members)
+    }
+
+    /// Serializes the results as one SPARQL 1.1 Query Results JSON string.
+    pub fn to_sparql_json(&self) -> String {
+        json_string(|out| self.write_sparql_json(out, None))
+    }
+}
+
+/// The term in a cell of an id row, `None` when unbound.
+pub(crate) fn term_of(dictionary: &Dictionary, cell: u32) -> Option<TermRef<'_>> {
+    IdRows::term_id(cell).and_then(|id| dictionary.term_ref(id))
+}
+
+/// Appends one cell of a canonical-order sort key: an encoding of the term
+/// under which byte order is [`TermRef`]'s (and so `Term`'s) order, with
+/// unbound first, and no key is a prefix of another, so that the keys of a
+/// row's cells can simply be concatenated.
+fn append_sort_key(out: &mut Vec<u8>, term: Option<TermRef<'_>>) {
+    /// A string, then a terminator below every byte a longer string could
+    /// continue with: 0x00 0x00, with a 0x00 inside the string as 0x00 0xff.
+    fn text(out: &mut Vec<u8>, s: &str) {
+        if s.as_bytes().contains(&0) {
+            for piece in s.as_bytes().split_inclusive(|&byte| byte == 0) {
+                out.extend_from_slice(piece);
+                if piece.last() == Some(&0) {
+                    out.push(0xff);
+                }
+            }
+        } else {
+            out.extend_from_slice(s.as_bytes());
+        }
+        out.extend_from_slice(&[0, 0]);
+    }
+    fn optional_text(out: &mut Vec<u8>, s: Option<&str>) {
+        match s {
+            None => out.push(0),
+            Some(s) => {
+                out.push(1);
+                text(out, s);
+            }
+        }
+    }
     match term {
-        Term::Iri(iri) => {
-            out.push_str("{\"type\":\"uri\",\"value\":\"");
-            out.push_str(&json_escape(iri));
-            out.push_str("\"}");
+        None => out.push(0),
+        Some(TermRef::Iri(iri)) => {
+            out.push(1);
+            text(out, iri);
         }
-        Term::BlankNode(label) => {
-            out.push_str("{\"type\":\"bnode\",\"value\":\"");
-            out.push_str(&json_escape(label));
-            out.push_str("\"}");
+        Some(TermRef::BlankNode(label)) => {
+            out.push(2);
+            text(out, label);
         }
-        Term::Literal {
+        Some(TermRef::Literal {
+            lexical,
+            datatype,
+            language,
+        }) => {
+            out.push(3);
+            text(out, lexical);
+            optional_text(out, datatype);
+            optional_text(out, language);
+        }
+    }
+}
+
+/// Collects what `write` writes into a `String`.
+fn json_string(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the writer emits UTF-8")
+}
+
+/// The size the writer's buffer is created with. A piece is handed on once it
+/// passes [`FLUSH_AT`], so the buffer only grows past this for a single row
+/// of more than 16 KB.
+const BUFFER: usize = 64 * 1024;
+
+/// The fill at which the writer hands its buffer on.
+const FLUSH_AT: usize = 48 * 1024;
+
+/// The one SPARQL-JSON writer: a `head.vars` list and one binding object per
+/// row, unbound variables omitted.
+fn write_sparql_json<'t, W, R, C>(
+    out: &mut W,
+    variables: &[String],
+    rows: R,
+    members: Option<ExtraMembers<'_>>,
+) -> io::Result<()>
+where
+    W: Write,
+    R: Iterator<Item = C>,
+    C: Iterator<Item = Option<TermRef<'t>>>,
+{
+    let mut buf: Vec<u8> = Vec::with_capacity(BUFFER);
+    // Each variable's `"name":` is escaped once, not once per row.
+    let mut keys: Vec<Vec<u8>> = Vec::with_capacity(variables.len());
+    buf.extend_from_slice(b"{\"head\":{\"vars\":[");
+    for (i, variable) in variables.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        let mut key = Vec::with_capacity(variable.len() + 3);
+        key.push(b'"');
+        escape_json_into(&mut key, variable);
+        key.push(b'"');
+        buf.extend_from_slice(&key);
+        key.push(b':');
+        keys.push(key);
+    }
+    buf.extend_from_slice(b"]},\"results\":{\"bindings\":[");
+    for (r, row) in rows.enumerate() {
+        if r > 0 {
+            buf.push(b',');
+        }
+        buf.push(b'{');
+        let mut first = true;
+        for (key, term) in keys.iter().zip(row) {
+            let Some(term) = term else { continue };
+            if !first {
+                buf.push(b',');
+            }
+            first = false;
+            buf.extend_from_slice(key);
+            append_term_json(&mut buf, term);
+        }
+        buf.push(b'}');
+        if buf.len() >= FLUSH_AT {
+            out.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    buf.extend_from_slice(b"]}");
+    if let Some(members) = members {
+        // The bindings go out first, so that whatever the members report
+        // (the request's profile) covers writing them.
+        out.write_all(&buf)?;
+        buf.clear();
+        members(&mut buf);
+    }
+    buf.push(b'}');
+    out.write_all(&buf)
+}
+
+/// Appends one RDF term as a SPARQL-JSON binding value object.
+fn append_term_json(out: &mut Vec<u8>, term: TermRef<'_>) {
+    match term {
+        TermRef::Iri(iri) => {
+            out.extend_from_slice(b"{\"type\":\"uri\",\"value\":\"");
+            escape_json_into(out, iri);
+            out.extend_from_slice(b"\"}");
+        }
+        TermRef::BlankNode(label) => {
+            out.extend_from_slice(b"{\"type\":\"bnode\",\"value\":\"");
+            escape_json_into(out, label);
+            out.extend_from_slice(b"\"}");
+        }
+        TermRef::Literal {
             lexical,
             datatype,
             language,
         } => {
-            out.push_str("{\"type\":\"literal\",\"value\":\"");
-            out.push_str(&json_escape(lexical));
-            out.push('"');
+            out.extend_from_slice(b"{\"type\":\"literal\",\"value\":\"");
+            escape_json_into(out, lexical);
+            out.push(b'"');
             if let Some(lang) = language {
-                out.push_str(",\"xml:lang\":\"");
-                out.push_str(&json_escape(lang));
-                out.push('"');
+                out.extend_from_slice(b",\"xml:lang\":\"");
+                escape_json_into(out, lang);
+                out.push(b'"');
             }
             if let Some(dt) = datatype {
-                out.push_str(",\"datatype\":\"");
-                out.push_str(&json_escape(dt));
-                out.push('"');
+                out.extend_from_slice(b",\"datatype\":\"");
+                escape_json_into(out, dt);
+                out.push(b'"');
             }
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Per byte: 0 when it stands for itself inside a JSON string literal, `u`
+/// when it needs a `\u00XX` escape, otherwise the letter of its two-character
+/// escape. Bytes of multi-byte UTF-8 sequences are all above 0x7f and pass.
+const ESCAPES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut control = 0;
+    while control < 0x20 {
+        table[control] = b'u';
+        control += 1;
+    }
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table
+};
+
+/// Appends `s` to `out` escaped for embedding in a JSON string literal.
+/// Runs of bytes that need no escaping are copied with one
+/// `extend_from_slice`; nothing is allocated beyond `out`'s own growth.
+pub fn escape_json_into(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut run_start = 0;
+    for (i, &byte) in bytes.iter().enumerate() {
+        let escape = ESCAPES[byte as usize];
+        if escape == 0 {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run_start..i]);
+        run_start = i + 1;
+        if escape == b'u' {
+            out.extend_from_slice(b"\\u00");
+            out.push(HEX[(byte >> 4) as usize]);
+            out.push(HEX[(byte & 0x0f) as usize]);
+        } else {
+            out.push(b'\\');
+            out.push(escape);
         }
     }
-    out
+    out.extend_from_slice(&bytes[run_start..]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use turbohom_rdf::TermId;
 
     fn sample() -> QueryResults {
         QueryResults {
@@ -236,10 +571,284 @@ mod tests {
         assert!(json.contains(r#"{"type":"literal","value":"hi \"there\"\n","xml:lang":"en"}"#));
     }
 
+    fn escaped(s: &str) -> String {
+        let mut out = Vec::new();
+        escape_json_into(&mut out, s);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain ünïcode"), "plain ünïcode");
+        assert_eq!(escaped("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escaped("\u{1}\u{1f}"), "\\u0001\\u001f");
+        assert_eq!(escaped("plain ünïcode"), "plain ünïcode");
+        assert_eq!(escaped("\r\tend\\"), "\\r\\tend\\\\");
+        assert_eq!(escaped(""), "");
+    }
+
+    /// The serialiser as it was before the id-row result path, kept as the
+    /// reference the one writer is compared against byte for byte.
+    mod reference {
+        use super::Term;
+
+        pub fn to_sparql_json(variables: &[String], rows: &[Vec<Option<Term>>]) -> String {
+            let mut out = String::with_capacity(64 + rows.len() * 64);
+            out.push_str("{\"head\":{\"vars\":[");
+            for (i, var) in variables.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                out.push_str(&json_escape(var));
+                out.push('"');
+            }
+            out.push_str("]},\"results\":{\"bindings\":[");
+            for (r, row) in rows.iter().enumerate() {
+                if r > 0 {
+                    out.push(',');
+                }
+                out.push('{');
+                let mut first = true;
+                for (var, term) in variables.iter().zip(row.iter()) {
+                    let Some(term) = term else { continue };
+                    if !first {
+                        out.push(',');
+                    }
+                    first = false;
+                    out.push('"');
+                    out.push_str(&json_escape(var));
+                    out.push_str("\":");
+                    append_term_json(&mut out, term);
+                }
+                out.push('}');
+            }
+            out.push_str("]}}");
+            out
+        }
+
+        fn append_term_json(out: &mut String, term: &Term) {
+            match term {
+                Term::Iri(iri) => {
+                    out.push_str("{\"type\":\"uri\",\"value\":\"");
+                    out.push_str(&json_escape(iri));
+                    out.push_str("\"}");
+                }
+                Term::BlankNode(label) => {
+                    out.push_str("{\"type\":\"bnode\",\"value\":\"");
+                    out.push_str(&json_escape(label));
+                    out.push_str("\"}");
+                }
+                Term::Literal {
+                    lexical,
+                    datatype,
+                    language,
+                } => {
+                    out.push_str("{\"type\":\"literal\",\"value\":\"");
+                    out.push_str(&json_escape(lexical));
+                    out.push('"');
+                    if let Some(lang) = language {
+                        out.push_str(",\"xml:lang\":\"");
+                        out.push_str(&json_escape(lang));
+                        out.push('"');
+                    }
+                    if let Some(dt) = datatype {
+                        out.push_str(",\"datatype\":\"");
+                        out.push_str(&json_escape(dt));
+                        out.push('"');
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        fn json_escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+    }
+
+    /// Everything the escaper distinguishes: quotes, backslashes, the named
+    /// and the numbered control characters, non-ASCII, and plain letters.
+    const ALPHABET: [char; 16] = [
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', 'é', '日', '😀', ' ', '/', 'a', 'b', 'y',
+        'z',
+    ];
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..ALPHABET.len(), 0..8)
+            .prop_map(|indices| indices.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    /// A term of any of the six kinds the dictionary distinguishes.
+    fn term() -> impl Strategy<Value = Term> {
+        (0..6u8, text(), text(), text()).prop_map(|(kind, lexical, datatype, language)| {
+            match kind {
+                0 => Term::Iri(lexical),
+                1 => Term::BlankNode(lexical),
+                2 => Term::literal(lexical),
+                3 => Term::typed_literal(lexical, datatype),
+                4 => Term::lang_literal(lexical, language),
+                // The snapshot stores this kind as `datatype \0 language`, so
+                // a NUL inside the datatype would not survive the round trip.
+                _ => Term::Literal {
+                    lexical,
+                    datatype: Some(datatype.replace('\0', "")),
+                    language: Some(language),
+                },
+            }
+        })
+    }
+
+    /// The dictionary as a snapshot view: written out and mapped back.
+    fn snapshot_view(dictionary: &Dictionary, tag: u64) -> Dictionary {
+        use turbohom_storage::{Snapshot, SnapshotWriter};
+        let mut writer = SnapshotWriter::new();
+        dictionary.write_sections(&mut writer);
+        let path = std::env::temp_dir().join(format!(
+            "turbohom-results-{}-{tag}.snap",
+            std::process::id()
+        ));
+        writer.write_to(&path).unwrap();
+        let snapshot = Snapshot::open(&path).unwrap();
+        let view = Dictionary::read_sections(&mut snapshot.cursor()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(view.is_view());
+        view
+    }
+
+    /// `rows` over `dictionary` as id-backed results of a single store.
+    fn id_results<'s>(
+        dictionary: &'s Dictionary,
+        variables: &[String],
+        rows: &[Vec<Option<Term>>],
+    ) -> IdResults<'s> {
+        let mut ids = IdRows::new(variables.len());
+        for row in rows {
+            let cells = ids.push_unbound();
+            for (cell, term) in cells.iter_mut().zip(row) {
+                if let Some(term) = term {
+                    *cell = IdRows::cell(dictionary.id_of(term).unwrap());
+                }
+            }
+        }
+        IdResults::new(variables.to_vec(), ids, Dictionaries::Store(dictionary))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn term_views_order_like_terms(a in term(), b in term()) {
+            prop_assert_eq!(TermRef::from(&a).cmp(&TermRef::from(&b)), a.cmp(&b));
+            // … and likewise when the views come out of a dictionary, owned
+            // or mapped from a snapshot.
+            let mut owned = Dictionary::new();
+            let (ia, ib) = (owned.encode(&a), owned.encode(&b));
+            let view = snapshot_view(&owned, 0);
+            for dictionary in [&owned, &view] {
+                let (ra, rb) = (dictionary.term_ref(ia), dictionary.term_ref(ib));
+                prop_assert_eq!(ra.map(TermRef::to_term).as_ref(), Some(&a));
+                prop_assert_eq!(ra.cmp(&rb), a.cmp(&b));
+            }
+        }
+
+        #[test]
+        fn the_writer_matches_the_reference_serialiser_and_the_sort_matches_the_term_sort(
+            variables in proptest::collection::vec(text(), 0..4),
+            cells in proptest::collection::vec(proptest::option::of(term()), 0..24),
+        ) {
+            let width = variables.len().max(1);
+            let mut rows: Vec<Vec<Option<Term>>> = cells
+                .chunks_exact(width)
+                .map(|row| row[..variables.len()].to_vec())
+                .collect();
+            let mut owned = Dictionary::new();
+            for term in rows.iter().flatten().flatten() {
+                owned.encode(term);
+            }
+            let view = snapshot_view(&owned, 1);
+            let unsorted = reference::to_sparql_json(&variables, &rows);
+            let decoded = QueryResults {
+                variables: variables.clone(),
+                solution_count: rows.len(),
+                rows: rows.clone(),
+                ..Default::default()
+            };
+            prop_assert_eq!(&decoded.to_sparql_json(), &unsorted);
+            rows.sort_unstable();
+            let sorted = reference::to_sparql_json(&variables, &rows);
+            for dictionary in [&owned, &view] {
+                let mut results = id_results(dictionary, &variables, &decoded.rows);
+                prop_assert_eq!(&results.to_sparql_json(), &unsorted);
+                results.sort_canonical();
+                prop_assert_eq!(&results.to_sparql_json(), &sorted);
+                prop_assert_eq!(&results.decode().rows, &rows);
+            }
+        }
+    }
+
+    #[test]
+    fn the_writer_hands_its_buffer_on_in_bounded_pieces() {
+        struct Pieces(Vec<usize>);
+        impl Write for Pieces {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut dictionary = Dictionary::new();
+        let id = dictionary.encode(&Term::iri("http://example.org/a/rather/long/iri"));
+        let mut rows = IdRows::new(1);
+        for _ in 0..10_000 {
+            rows.push(&[IdRows::cell(id)]);
+        }
+        let results = IdResults::new(vec!["x".into()], rows, Dictionaries::Store(&dictionary));
+        let mut pieces = Pieces(Vec::new());
+        let mut tail = |out: &mut Vec<u8>| out.extend_from_slice(b",\"extra\":1");
+        results
+            .write_sparql_json(&mut pieces, Some(&mut tail))
+            .unwrap();
+        assert!(pieces.0.len() > 10, "{:?}", pieces.0);
+        assert!(pieces.0.iter().all(|&n| n <= BUFFER));
+        assert_eq!(
+            pieces.0.iter().sum::<usize>(),
+            results.to_sparql_json().len() + ",\"extra\":1".len()
+        );
+        // A failing sink ends the serialisation at its first piece.
+        struct Broken(usize);
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut broken = Broken(0);
+        assert!(results.write_sparql_json(&mut broken, None).is_err());
+        assert_eq!(broken.0, 1);
+    }
+
+    #[test]
+    fn unknown_ids_read_as_unbound() {
+        let dictionary = Dictionary::new();
+        assert_eq!(term_of(&dictionary, IdRows::cell(TermId(7))), None);
     }
 }

@@ -26,18 +26,18 @@
 
 use crate::error::StoreError;
 use crate::plan::QueryPlan;
-use crate::results::QueryResults;
+use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use turbohom_core::{merge_step_counts, MatchStats};
+use turbohom_core::merge_step_counts;
 use turbohom_partition::{
     analyze_query, footprint, partition_dataset, summary_prunes, Anchor, Manifest, Ownership,
     PartitionConfig, PartitionerKind, ShardSummary, DEFAULT_HALO,
 };
-use turbohom_rdf::{parse_ntriples, Dataset, InferenceConfig, InferenceEngine};
+use turbohom_rdf::{parse_ntriples, Dataset, IdRows, InferenceConfig, InferenceEngine};
 use turbohom_sparql::{parse_query, Selection};
 use turbohom_storage::SnapshotError;
 use turbohom_trace::Trace;
@@ -313,11 +313,10 @@ impl ShardedStore {
         // The per-shard query: no LIMIT/OFFSET (the coordinator applies the
         // window after the merge), and the anchor variable added to the
         // projection when the filter needs a column the query did not ask
-        // for (dropped again after filtering).
+        // for (left behind at the gather).
         let mut shard_sparql = query.clone();
         shard_sparql.limit = None;
         shard_sparql.offset = None;
-        let mut anchor_extended = false;
         let anchor_column = match &shard_query.anchor {
             Anchor::Constant(_) => None,
             Anchor::Variable(var) => {
@@ -325,7 +324,6 @@ impl ShardedStore {
                 if !projected.contains(var) {
                     projected.push(var.clone());
                     shard_sparql.selection = Selection::Variables(projected.clone());
-                    anchor_extended = true;
                 }
                 Some(projected.iter().position(|v| v == var).unwrap())
             }
@@ -352,28 +350,31 @@ impl ShardedStore {
             limit,
             anchor: shard_query.anchor,
             anchor_column,
-            anchor_extended,
             per_shard,
             live,
             pruned,
         })
     }
 
-    /// Runs a sharded plan.
+    /// Runs a sharded plan and decodes the result.
     pub fn run_plan(&self, plan: &ShardedPlan) -> Result<QueryResults, StoreError> {
-        self.run_plan_traced(plan, None, &Trace::disabled())
+        Ok(self
+            .run_plan_traced(plan, None, &Trace::disabled())?
+            .decode())
     }
 
     /// Runs a sharded plan, scattering it across the live shards on a
-    /// worker pool and gathering the per-shard rows into one canonical
-    /// result. Records an `execute` stage span with `shard_fanout` and
-    /// `merge` children plus one `shard_execute` roll-up per executed shard.
+    /// worker pool and gathering the per-shard id rows — each tagged with
+    /// the shard whose dictionary its ids belong to — into one canonical
+    /// result. Records an `execute` stage span with a `shard_fanout` child
+    /// plus one `shard_execute` roll-up per executed shard, and a
+    /// `materialise` stage span for the gather and the merge sort.
     pub fn run_plan_traced(
         &self,
         plan: &ShardedPlan,
         threads: Option<usize>,
         trace: &Trace,
-    ) -> Result<QueryResults, StoreError> {
+    ) -> Result<IdResults<'_>, StoreError> {
         if threads == Some(0) {
             return Err(StoreError::InvalidThreadCount(0));
         }
@@ -387,7 +388,7 @@ impl ShardedStore {
         // One slot per live shard; a small pool of workers drains them via
         // an atomic cursor, each worker reusing its scratch buffer across
         // shard tasks (the ownership filter renders terms into it).
-        let mut slots: Vec<Option<Result<QueryResults, StoreError>>> =
+        let mut slots: Vec<Option<Result<IdResults<'_>, StoreError>>> =
             (0..plan.live.len()).map(|_| None).collect();
         let workers = plan
             .live
@@ -400,8 +401,8 @@ impl ShardedStore {
             for _ in 0..workers {
                 let cursor = &cursor;
                 handles.push(scope.spawn(move || {
-                    let mut scratch = ShardScratch::default();
-                    let mut done: Vec<(usize, Result<QueryResults, StoreError>)> = Vec::new();
+                    let mut scratch = String::new();
+                    let mut done: Vec<(usize, Result<IdResults<'_>, StoreError>)> = Vec::new();
                     loop {
                         let slot = cursor.fetch_add(1, Ordering::Relaxed);
                         if slot >= plan.live.len() {
@@ -420,13 +421,9 @@ impl ShardedStore {
         });
         fanout.finish();
 
-        // Gather. Shard durations are recorded as roll-ups so a pool never
-        // skews the span tree (the work happened on worker threads).
-        let mut merge = trace.span_under("merge", parent);
-        let mut rows = Vec::new();
-        let mut stats = MatchStats::default();
-        let mut step_rows: Vec<u64> = Vec::new();
-        let mut step_estimates: Vec<u64> = Vec::new();
+        // Shard durations are recorded as roll-ups so a pool never skews the
+        // span tree (the work happened on worker threads).
+        let mut shard_results = Vec::with_capacity(slots.len());
         let mut elapsed_max = std::time::Duration::ZERO;
         for (slot, result) in slots.into_iter().enumerate() {
             let result = result.expect("every live slot is executed")?;
@@ -436,43 +433,53 @@ impl ShardedStore {
                 result.elapsed,
                 &[
                     ("shard", plan.live[slot] as u64),
-                    ("rows", result.rows.len() as u64),
+                    ("rows", result.row_count() as u64),
                 ],
             );
             elapsed_max = elapsed_max.max(result.elapsed);
-            stats.merge(&result.stats);
-            merge_step_counts(&mut step_rows, &result.step_rows);
-            merge_step_counts(&mut step_estimates, &result.step_estimates);
-            rows.extend(result.rows);
+            shard_results.push(result);
         }
-        stats.shards_executed = plan.live.len();
-        stats.shards_pruned = plan.pruned;
-        if plan.anchor_extended {
-            for row in &mut rows {
-                row.pop();
+        let solutions: usize = shard_results.iter().map(|r| r.row_count()).sum();
+        span.counter("solutions", solutions as u64);
+        span.finish();
+
+        // Gather: one more cell per row says which shard's dictionary the
+        // ids belong to; an anchor column the query did not ask for is left
+        // behind.
+        let mut merge = trace.span("materialise");
+        let width = plan.projected.len();
+        let mut results = IdResults::new(
+            plan.projected.clone(),
+            IdRows::with_capacity(width + 1, solutions),
+            Dictionaries::Shards(
+                self.shards
+                    .iter()
+                    .map(|shard| &shard.dataset().dictionary)
+                    .collect(),
+            ),
+        );
+        for (&shard_id, shard) in plan.live.iter().zip(&shard_results) {
+            results.stats.merge(&shard.stats);
+            merge_step_counts(&mut results.step_rows, &shard.step_rows);
+            merge_step_counts(&mut results.step_estimates, &shard.step_estimates);
+            for row in shard.rows.iter() {
+                let cells = results.rows.push_unbound();
+                cells[..width].copy_from_slice(&row[..width]);
+                cells[width] = shard_id as u32;
             }
         }
+        results.stats.shards_executed = plan.live.len();
+        results.stats.shards_pruned = plan.pruned;
+        results.elapsed = start.elapsed().max(elapsed_max);
         // The same canonical order the single-store path imposes; the merge
         // is then byte-identical to an unsharded run.
-        rows.sort_unstable();
+        results.sort_canonical();
+        results.solution_count = results.row_count();
         if let Some(limit) = plan.limit {
-            rows.truncate(limit);
+            results.truncate(limit);
         }
-        merge.counter("rows", rows.len() as u64);
+        merge.counter("rows", results.row_count() as u64);
         merge.finish();
-
-        let results = QueryResults {
-            variables: plan.projected.clone(),
-            solution_count: rows.len(),
-            rows,
-            elapsed: start.elapsed().max(elapsed_max),
-            stats,
-            step_rows,
-            step_estimates,
-        };
-        span.counter("solutions", results.solution_count as u64);
-        span.counter("rows", results.rows.len() as u64);
-        span.finish();
         Ok(results)
     }
 
@@ -484,41 +491,35 @@ impl ShardedStore {
 
     /// Runs one shard's plan and applies the ownership filter for variable
     /// anchors: each shard keeps exactly the rows whose anchor binding it
-    /// owns, so the gathered rows partition the global multiset.
+    /// owns, so the gathered rows partition the global multiset. The rows
+    /// come back unsorted; the coordinator sorts the gathered whole.
     fn run_shard(
         &self,
         plan: &ShardedPlan,
         shard_id: usize,
         threads: Option<usize>,
-        scratch: &mut ShardScratch,
-    ) -> Result<QueryResults, StoreError> {
+        scratch: &mut String,
+    ) -> Result<IdResults<'_>, StoreError> {
         let shard_plan = plan.per_shard[shard_id]
             .as_ref()
             .expect("live shards have plans");
+        let shard = &self.shards[shard_id];
         // Shard spans would tangle with the coordinator's tree (they run on
         // pool threads); durations are re-attached as roll-ups instead.
-        let mut results =
-            self.shards[shard_id].run_plan_traced(shard_plan, threads, &Trace::disabled())?;
+        let mut results = shard.run_plan_ids(shard_plan, threads, &Trace::disabled(), false)?;
         if let Some(col) = plan.anchor_column {
-            let ownership = &self.ownership;
+            let dictionary = &shard.dataset().dictionary;
             results.rows.retain(|row| {
                 // The anchor comes from a required triple, so it is bound in
                 // every row; an absent binding defaults to shard 0.
-                row[col].as_ref().map_or(shard_id == 0, |term| {
-                    ownership.owner(term, &mut scratch.render) == shard_id
+                term_of(dictionary, row[col]).map_or(shard_id == 0, |term| {
+                    self.ownership.owner(term, scratch) == shard_id
                 })
             });
-            results.solution_count = results.rows.len();
+            results.solution_count = results.row_count();
         }
         Ok(results)
     }
-}
-
-/// Per-worker reusable buffers, held across shard tasks so the hot
-/// ownership-filter loop never allocates per row.
-#[derive(Default)]
-struct ShardScratch {
-    render: String,
 }
 
 /// A prepared sharded plan: the live-shard set decided by summary pruning
@@ -531,11 +532,9 @@ pub struct ShardedPlan {
     limit: Option<usize>,
     anchor: Anchor,
     /// Column of the anchor variable in the per-shard output (`None` for
-    /// constant anchors, which route instead of filtering).
+    /// constant anchors, which route instead of filtering). It lies past the
+    /// projected columns when the query did not ask for the variable.
     anchor_column: Option<usize>,
-    /// The anchor column was appended to the projection and is dropped
-    /// after filtering.
-    anchor_extended: bool,
     per_shard: Vec<Option<Arc<QueryPlan>>>,
     live: Vec<usize>,
     pruned: usize,
@@ -608,15 +607,16 @@ impl AnyStore {
         }
     }
 
-    /// Runs a prepared plan, recording execution spans into `trace`.
-    /// Panics if the plan came from the other store flavor (the service
-    /// keys its cache per store, so plans never cross).
+    /// Runs a prepared plan, recording execution spans into `trace`; the
+    /// result comes back as term ids. Panics if the plan came from the other
+    /// store flavor (the service keys its cache per store, so plans never
+    /// cross).
     pub fn run_plan_traced(
         &self,
         plan: &AnyPlan,
         threads: Option<usize>,
         trace: &Trace,
-    ) -> Result<QueryResults, StoreError> {
+    ) -> Result<IdResults<'_>, StoreError> {
         match (self, plan) {
             (AnyStore::Single(s), AnyPlan::Single(p)) => s.run_plan_traced(p, threads, trace),
             (AnyStore::Sharded(s), AnyPlan::Sharded(p)) => s.run_plan_traced(p, threads, trace),
@@ -661,7 +661,9 @@ impl AnyStore {
     /// cache the plan instead).
     pub fn execute(&self, sparql: &str, kind: EngineKind) -> Result<QueryResults, StoreError> {
         let plan = self.prepare_plan_traced(sparql, kind, &Trace::disabled())?;
-        self.run_plan_traced(&plan, None, &Trace::disabled())
+        Ok(self
+            .run_plan_traced(&plan, None, &Trace::disabled())?
+            .decode())
     }
 
     /// Number of shards (`None` on the single-store path).
@@ -889,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_traces_record_fanout_merge_and_rollups() {
+    fn sharded_traces_record_fanout_materialise_and_rollups() {
         let sharded = sharded(3, PartitionerKind::Hash);
         let trace = Trace::new(7);
         let plan = sharded
@@ -903,12 +905,30 @@ mod tests {
             .filter(|s| s.parent.is_none())
             .map(|s| s.name)
             .collect();
-        assert_eq!(names, ["parse", "summary_prune", "transform", "execute"]);
+        assert_eq!(
+            names,
+            [
+                "parse",
+                "summary_prune",
+                "transform",
+                "execute",
+                "materialise"
+            ]
+        );
         let execute = report.spans.iter().find(|s| s.name == "execute").unwrap();
-        for child in ["shard_fanout", "merge"] {
-            let s = report.spans.iter().find(|s| s.name == child).unwrap();
-            assert_eq!(s.parent, Some(execute.id));
-        }
+        let fanout = report
+            .spans
+            .iter()
+            .find(|s| s.name == "shard_fanout")
+            .unwrap();
+        assert_eq!(fanout.parent, Some(execute.id));
+        // The gather and the merge sort are the sharded `materialise`.
+        let merge = report
+            .spans
+            .iter()
+            .find(|s| s.name == "materialise")
+            .unwrap();
+        assert!(merge.counters.contains(&("rows", 10)));
         let rollups: Vec<_> = report
             .spans
             .iter()

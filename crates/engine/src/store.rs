@@ -4,14 +4,14 @@
 use crate::backend::{self, HeapBackend, SnapshotBackend, StorageBackend};
 use crate::error::StoreError;
 use crate::plan::QueryPlan;
-use crate::results::{QueryResults, ResultRow};
+use crate::results::{IdResults, QueryResults};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use turbohom_baseline::{HashJoinEngine, JoinStrategy, MergeJoinEngine, PermutationIndexes};
-use turbohom_core::{MatchResult, TurboHomConfig};
-use turbohom_rdf::{parse_ntriples, Dataset, Term};
+use turbohom_core::TurboHomConfig;
+use turbohom_rdf::{parse_ntriples, Dataset, IdRows, Term};
 use turbohom_sparql::{parse_query, GroupPattern, Query, SparqlTerm};
 use turbohom_trace::{Trace, TraceReport};
 use turbohom_transform::{transform_query, TransformError, TransformedGraph, TransformedQuery};
@@ -302,11 +302,11 @@ impl Store {
     }
 
     /// Executes a query with full profiling: every pipeline stage (`parse`,
-    /// `transform`, `execute`) is timed, and the matching engine records
-    /// fine-grained child spans (`candidate_regions`, `matching_order`,
-    /// `enumeration`, one `worker` span per thread) with their
-    /// [`MatchStats`] counters attached. The embedded-API counterpart of the
-    /// HTTP server's `profile=1` mode.
+    /// `transform`, `execute`, `materialise`) is timed, and the matching
+    /// engine records fine-grained child spans of `execute`
+    /// (`candidate_regions`, `matching_order`, `enumeration`, one `worker`
+    /// span per thread) with their [`MatchStats`] counters attached. The
+    /// embedded-API counterpart of the HTTP server's `profile=1` mode.
     ///
     /// Trace ids are assigned from a process-wide counter so concurrent
     /// callers get distinct ids.
@@ -318,7 +318,7 @@ impl Store {
         static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
         let trace = Trace::detailed(NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed));
         let plan = self.prepare_plan_traced(sparql, kind, &trace)?;
-        let results = self.run_plan_traced(&plan, None, &trace)?;
+        let results = self.run_plan_traced(&plan, None, &trace)?.decode();
         Ok((results, trace.finish()))
     }
 
@@ -334,7 +334,17 @@ impl Store {
     ) -> Result<QueryResults, StoreError> {
         let query = parse_query(sparql)?;
         let branches = self.plan_branches(&query, force_direct)?;
-        self.run_graph_plan(&branches, config, query.projected_variables())
+        let started = Instant::now();
+        let mut results = self.run_graph_plan(
+            &branches,
+            config,
+            &query.projected_variables(),
+            None,
+            &Trace::disabled(),
+            &mut Duration::default(),
+        )?;
+        results.elapsed = started.elapsed();
+        Ok(results.decode())
     }
 
     // ---- internal execution paths -------------------------------------
@@ -364,84 +374,38 @@ impl Store {
         }
     }
 
-    /// Converts matcher solutions into term rows over the projected variables.
-    pub(crate) fn append_rows(
+    /// Evaluates the query with a join baseline (an `execute` stage span)
+    /// and lays the relation out as term-id rows over the projected
+    /// variables (added to `materialise`).
+    pub(crate) fn run_baseline(
         &self,
-        rows: &mut Vec<ResultRow>,
-        graph: &TransformedGraph,
-        query: &TransformedQuery,
-        result: &MatchResult,
-        projected: &[String],
-    ) {
-        // Pre-resolve where every projected variable lives.
-        enum Slot {
-            Vertex(usize),
-            Edge(usize),
-            Absent,
-        }
-        let slots: Vec<Slot> = projected
-            .iter()
-            .map(|var| {
-                if let Some(u) = query.graph.vertex_of_variable(var) {
-                    Slot::Vertex(u)
-                } else if let Some(e) = query
-                    .graph
-                    .edges()
-                    .iter()
-                    .position(|e| e.variable.as_deref() == Some(var))
-                {
-                    Slot::Edge(e)
-                } else {
-                    Slot::Absent
-                }
-            })
-            .collect();
-        for solution in &result.solutions {
-            let row: ResultRow = slots
-                .iter()
-                .map(|slot| match slot {
-                    Slot::Vertex(u) => solution.vertices[*u]
-                        .and_then(|v| graph.mappings.term_of_vertex(v))
-                        .and_then(|tid| self.dataset().dictionary.term(tid)),
-                    Slot::Edge(e) => solution.edge_labels[*e]
-                        .and_then(|el| graph.mappings.term_of_elabel(el))
-                        .and_then(|tid| self.dataset().dictionary.term(tid)),
-                    Slot::Absent => None,
-                })
-                .collect();
-            rows.push(row);
-        }
-    }
-
-    pub(crate) fn run_baseline(&self, query: &Query, strategy: JoinStrategy) -> QueryResults {
+        query: &Query,
+        strategy: JoinStrategy,
+        trace: &Trace,
+        materialise: &mut Duration,
+    ) -> IdResults<'_> {
         let projected = query.projected_variables();
-        let start = Instant::now();
         let engine = match strategy {
             JoinStrategy::SortMerge => MergeJoinEngine::new(self.dataset(), self.permutations()),
             JoinStrategy::Hash => HashJoinEngine::new(self.dataset(), self.permutations()),
         };
+        let mut span = trace.span("execute");
         let (relation, _stats) = engine.execute(query);
+        span.counter("solutions", relation.len() as u64);
+        span.finish();
+        let projecting = Instant::now();
         let columns: Vec<Option<usize>> = projected.iter().map(|v| relation.column(v)).collect();
-        let rows: Vec<ResultRow> = relation
-            .rows
-            .iter()
-            .map(|row| {
-                columns
-                    .iter()
-                    .map(|col| {
-                        col.and_then(|i| row[i])
-                            .and_then(|tid| self.dataset().dictionary.term(tid))
-                    })
-                    .collect()
-            })
-            .collect();
-        QueryResults {
-            variables: projected,
-            solution_count: rows.len(),
-            rows,
-            elapsed: start.elapsed(),
-            ..Default::default()
+        let mut rows = IdRows::with_capacity(projected.len(), relation.len());
+        for row in &relation.rows {
+            let cells = rows.push_unbound();
+            for (cell, column) in cells.iter_mut().zip(&columns) {
+                if let Some(id) = column.and_then(|i| row[i]) {
+                    *cell = IdRows::cell(id);
+                }
+            }
         }
+        *materialise += projecting.elapsed();
+        self.id_results(projected, rows)
     }
 
     /// Renders a term for display (used by the examples).
@@ -818,7 +782,7 @@ mod tests {
         // than the total traced time.
         let stages = report.stages();
         let names: Vec<_> = stages.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["parse", "transform", "execute"]);
+        assert_eq!(names, ["parse", "transform", "execute", "materialise"]);
         assert!(report.stage_total_ns() <= report.total_ns);
         // The matcher's fine-grained spans hang off the execute span.
         let execute = report.spans.iter().find(|s| s.name == "execute").unwrap();
@@ -831,6 +795,15 @@ mod tests {
             assert_eq!(span.parent, Some(execute.id));
         }
         assert!(execute.counters.contains(&("solutions", 3)));
+        // Projecting the matches to term ids and sorting them is its own
+        // stage, so `execute` is the matcher's time alone.
+        let materialise = report
+            .spans
+            .iter()
+            .find(|s| s.name == "materialise")
+            .unwrap();
+        assert_eq!(materialise.parent, None);
+        assert!(materialise.counters.contains(&("rows", 3)));
         // Join baselines only get the coarse pipeline spans.
         let (_, join_report) = store.execute_traced(q, EngineKind::MergeJoin).unwrap();
         assert!(join_report.spans.iter().any(|s| s.name == "execute"));

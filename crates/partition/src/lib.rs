@@ -41,7 +41,7 @@ pub use summary::{
     LabeledFootprint, PruneCheck, QueryFootprint, ShardSummary, SummaryVerdict,
 };
 
-use turbohom_rdf::{vocab, Term};
+use turbohom_rdf::{vocab, Term, TermRef};
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -68,11 +68,12 @@ pub fn term_hash(term: &Term) -> u64 {
 }
 
 /// Like [`term_hash`], rendering into a caller-owned scratch buffer so hot
-/// loops (the coordinator's per-row ownership filter) never allocate.
-pub fn term_hash_into(term: &Term, scratch: &mut String) -> u64 {
+/// loops (the coordinator's per-row ownership filter) never allocate. Takes
+/// a `&Term` or a borrowed `TermRef`, which render alike.
+pub fn term_hash_into<'a>(term: impl Into<TermRef<'a>>, scratch: &mut String) -> u64 {
     use std::fmt::Write;
     scratch.clear();
-    let _ = write!(scratch, "{term}");
+    let _ = write!(scratch, "{}", term.into());
     fnv1a(scratch.as_bytes())
 }
 

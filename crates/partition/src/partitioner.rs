@@ -20,7 +20,7 @@ use crate::term_hash;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use turbohom_rdf::{Dataset, Term};
+use turbohom_rdf::{Dataset, Term, TermRef};
 
 /// Default halo radius: every term within two linkage hops of an owned term
 /// is replicated. Radius 2 covers star and short-path queries (all LUBM
@@ -148,9 +148,9 @@ impl Ownership {
         }
     }
 
-    /// The shard owning `term`, rendering into `scratch` (no allocation on
-    /// the warm path).
-    pub fn owner(&self, term: &Term, scratch: &mut String) -> usize {
+    /// The shard owning `term` (a `&Term` or a borrowed `TermRef`), rendering
+    /// into `scratch` (no allocation on the warm path).
+    pub fn owner<'a>(&self, term: impl Into<TermRef<'a>>, scratch: &mut String) -> usize {
         self.owner_of_hash(crate::term_hash_into(term, scratch))
     }
 }

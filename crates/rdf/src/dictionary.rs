@@ -18,7 +18,7 @@
 //!   (copy-on-write).
 
 use crate::error::RdfError;
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use turbohom_storage::{FlatVec, Pod, SectionCursor, SnapshotError, SnapshotWriter};
@@ -100,39 +100,23 @@ fn term_key(term: &Term) -> (u32, &str, Cow<'_, str>) {
     }
 }
 
-/// Rebuilds a term from its stored key parts.
-fn term_from_parts(kind: u32, lex: &[u8], extra: &[u8]) -> Term {
-    let lex = String::from_utf8_lossy(lex).into_owned();
-    let extra_str = String::from_utf8_lossy(extra);
-    match kind {
-        KIND_IRI => Term::Iri(lex),
-        KIND_BLANK => Term::BlankNode(lex),
-        KIND_PLAIN => Term::Literal {
-            lexical: lex,
-            datatype: None,
-            language: None,
-        },
-        KIND_TYPED => Term::Literal {
-            lexical: lex,
-            datatype: Some(extra_str.into_owned()),
-            language: None,
-        },
-        KIND_LANG => Term::Literal {
-            lexical: lex,
-            datatype: None,
-            language: Some(extra_str.into_owned()),
-        },
+/// Rebuilds a borrowed term from its stored key parts.
+fn term_ref_from_parts<'a>(kind: u32, lexical: &'a str, extra: &'a str) -> TermRef<'a> {
+    let (datatype, language) = match kind {
+        KIND_IRI => return TermRef::Iri(lexical),
+        KIND_BLANK => return TermRef::BlankNode(lexical),
+        KIND_PLAIN => (None, None),
+        KIND_TYPED => (Some(extra), None),
+        KIND_LANG => (None, Some(extra)),
         _ => {
-            let (dt, lang) = match extra_str.split_once('\0') {
-                Some((d, l)) => (d.to_owned(), l.to_owned()),
-                None => (extra_str.into_owned(), String::new()),
-            };
-            Term::Literal {
-                lexical: lex,
-                datatype: Some(dt),
-                language: Some(lang),
-            }
+            let (dt, lang) = extra.split_once('\0').unwrap_or((extra, ""));
+            (Some(dt), Some(lang))
         }
+    };
+    TermRef::Literal {
+        lexical,
+        datatype,
+        language,
     }
 }
 
@@ -169,9 +153,10 @@ impl ViewRepr {
         self.lookup_key(kind, lex.as_bytes(), extra.as_bytes())
     }
 
-    fn term(&self, index: usize) -> Term {
+    fn term_ref(&self, index: usize) -> TermRef<'_> {
         let (kind, lex, extra) = record_key(&self.arena, &self.records[index]);
-        term_from_parts(kind, lex, extra)
+        let text = |bytes| std::str::from_utf8(bytes).expect("read_sections validated the arena");
+        term_ref_from_parts(kind, text(lex), text(extra))
     }
 }
 
@@ -236,7 +221,7 @@ impl Dictionary {
             let mut id_to_term = Vec::with_capacity(n);
             let mut term_to_id = HashMap::with_capacity(n);
             for i in 0..n {
-                let t = v.term(i);
+                let t = v.term_ref(i).to_term();
                 term_to_id.insert(t.clone(), TermId(i as u64));
                 id_to_term.push(t);
             }
@@ -308,12 +293,18 @@ impl Dictionary {
         }
     }
 
+    /// Returns a borrowed view of the term for `id`, if `id` is valid: no
+    /// string is copied, on the owned representation or on a snapshot view.
+    pub fn term_ref(&self, id: TermId) -> Option<TermRef<'_>> {
+        match &self.repr {
+            Repr::Owned { id_to_term, .. } => id_to_term.get(id.index()).map(TermRef::from),
+            Repr::View(v) => (id.index() < v.records.len()).then(|| v.term_ref(id.index())),
+        }
+    }
+
     /// Returns the term for `id`, if `id` is valid.
     pub fn term(&self, id: TermId) -> Option<Term> {
-        match &self.repr {
-            Repr::Owned { id_to_term, .. } => id_to_term.get(id.index()).cloned(),
-            Repr::View(v) => (id.index() < v.records.len()).then(|| v.term(id.index())),
-        }
+        self.term_ref(id).map(TermRef::to_term)
     }
 
     /// Returns the term for `id` or an [`RdfError::UnknownTermId`].
@@ -383,7 +374,8 @@ impl Dictionary {
     }
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
-    /// validating every record's arena ranges so later reads cannot panic.
+    /// validating every record's arena ranges and their UTF-8 so later reads
+    /// cannot panic.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let arena: FlatVec<u8> = cur.next_section(TAG_DICT_ARENA)?;
         let records: FlatVec<TermRecord> = cur.next_section(TAG_DICT_RECORDS)?;
@@ -406,6 +398,13 @@ impl Dictionary {
             if !lex_ok || !extra_ok || r.kind > KIND_TYPED_LANG {
                 return Err(SnapshotError::Malformed(format!(
                     "dictionary record {i} is out of bounds or has a bad kind"
+                )));
+            }
+            // `term_ref` hands these ranges out as `&str`.
+            let (_, lex, extra) = record_key(&arena, r);
+            if std::str::from_utf8(lex).is_err() || std::str::from_utf8(extra).is_err() {
+                return Err(SnapshotError::Malformed(format!(
+                    "dictionary record {i} is not UTF-8"
                 )));
             }
         }

@@ -9,6 +9,9 @@
 //!   [`TermId`]s, exactly the style RDF-3X and TurboHOM++ rely on so that the
 //!   engine works over integers only and "the dictionary look-up time" can be
 //!   excluded from timings as the paper does (Section 7.1).
+//! * [`IdRows`] — the flat `u32` id-row buffer every result path appends to,
+//!   and [`TermRef`], the borrowed term view that sorts and serialises those
+//!   ids without cloning a `Term`.
 //! * [`Triple`] / [`TripleStore`] — an append-only, deduplicated in-memory
 //!   triple store over encoded ids.
 //! * [`ntriples`] — a streaming N-Triples parser and serializer used by the
@@ -23,6 +26,7 @@ pub mod dictionary;
 pub mod error;
 pub mod inference;
 pub mod ntriples;
+pub mod rows;
 pub mod term;
 pub mod triple;
 pub mod vocab;
@@ -31,5 +35,6 @@ pub use dictionary::{Dictionary, TermId};
 pub use error::RdfError;
 pub use inference::{InferenceConfig, InferenceEngine, InferenceStats};
 pub use ntriples::{parse_ntriples, parse_ntriples_line, serialize_ntriples};
-pub use term::Term;
+pub use rows::{IdRows, UNBOUND};
+pub use term::{Term, TermRef};
 pub use triple::{Dataset, Triple, TripleStore};

@@ -200,10 +200,78 @@ impl Term {
 impl fmt::Display for Term {
     /// Formats the term in N-Triples syntax.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(iri) => write!(f, "<{iri}>"),
-            Term::BlankNode(label) => write!(f, "_:{label}"),
+        TermRef::from(self).fmt(f)
+    }
+}
+
+/// A borrowed view of a [`Term`]: the same three shapes over `&str`s that
+/// live in a dictionary (its `Term`s, or the string arena of a snapshot).
+///
+/// The result path sorts, filters and serialises through these views, so no
+/// `Term` is cloned between the enumerator and the socket. Variant and field
+/// order mirror [`Term`] exactly, which makes the derived ordering identical
+/// to `Term`'s derived `Ord` (the canonical row order depends on it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum TermRef<'a> {
+    /// An IRI.
+    Iri(&'a str),
+    /// A blank node label (without the `_:` prefix).
+    BlankNode(&'a str),
+    /// A literal with optional datatype IRI or language tag.
+    Literal {
+        /// The lexical form.
+        lexical: &'a str,
+        /// Datatype IRI, if any.
+        datatype: Option<&'a str>,
+        /// Language tag, if any.
+        language: Option<&'a str>,
+    },
+}
+
+impl<'a> From<&'a Term> for TermRef<'a> {
+    fn from(term: &'a Term) -> Self {
+        match term {
+            Term::Iri(iri) => TermRef::Iri(iri),
+            Term::BlankNode(label) => TermRef::BlankNode(label),
             Term::Literal {
+                lexical,
+                datatype,
+                language,
+            } => TermRef::Literal {
+                lexical,
+                datatype: datatype.as_deref(),
+                language: language.as_deref(),
+            },
+        }
+    }
+}
+
+impl TermRef<'_> {
+    /// Copies the view into an owned [`Term`].
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(iri) => Term::Iri(iri.to_owned()),
+            TermRef::BlankNode(label) => Term::BlankNode(label.to_owned()),
+            TermRef::Literal {
+                lexical,
+                datatype,
+                language,
+            } => Term::Literal {
+                lexical: lexical.to_owned(),
+                datatype: datatype.map(str::to_owned),
+                language: language.map(str::to_owned),
+            },
+        }
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    /// Formats the term in N-Triples syntax.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TermRef::Iri(iri) => write!(f, "<{iri}>"),
+            TermRef::BlankNode(label) => write!(f, "_:{label}"),
+            TermRef::Literal {
                 lexical,
                 datatype,
                 language,
@@ -291,6 +359,22 @@ mod tests {
             language: Some("en".into()),
         };
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn term_ref_round_trips_and_renders_like_the_term() {
+        let terms = [
+            Term::iri("http://a"),
+            Term::blank("b"),
+            Term::literal("x \"quoted\""),
+            Term::typed_literal("1", vocab::XSD_INTEGER),
+            Term::lang_literal("chat", "fr"),
+        ];
+        for term in &terms {
+            let view = TermRef::from(term);
+            assert_eq!(view.to_term(), *term);
+            assert_eq!(view.to_string(), term.to_string());
+        }
     }
 
     #[test]

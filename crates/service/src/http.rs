@@ -6,8 +6,14 @@
 //! * `GET /query?query=…&engine=…&threads=…&profile=…&explain=…&analyze=…`
 //!   — execute a query; returns `application/sparql-results+json` plus
 //!   `X-Cache: HIT|MISS`, `X-Engine`, `X-Fingerprint` and `X-Trace-Id`
-//!   headers. With `profile=1` the JSON gains a top-level `"profile"`
-//!   object: the request's span tree and per-stage timings. With
+//!   headers. The results are streamed: ids are decoded and escaped into a
+//!   buffer of at most about 64 KB that goes out as one
+//!   `Transfer-Encoding: chunked` piece at a time (an HTTP/1.0 client gets
+//!   the same bytes unframed, ended by the close), so a response is never
+//!   held as rendered text, and a client that hangs up ends the
+//!   serialisation at the next piece. With `profile=1` the JSON gains a
+//!   top-level `"profile"` object, written before the closing brace: the
+//!   request's span tree and per-stage timings. With
 //!   `explain=1` the query is **not executed**: the response is the
 //!   structured plan tree (`turbohom-explain/1` JSON). With `analyze=1`
 //!   the query executes outside the plan cache and the SPARQL-JSON gains a
@@ -26,7 +32,7 @@
 //!   exists).
 //!
 //! Every endpoint also answers `HEAD` with the same headers (including
-//! `Content-Length`) and no body. The optional access log writes one stderr
+//! `Content-Length`, or `Transfer-Encoding` for query results) and no body. The optional access log writes one stderr
 //! line per request: method, path, status, duration and trace id.
 //!
 //! Concurrency model: blocking accept loop, one thread per connection,
@@ -34,14 +40,15 @@
 //! the interesting shared state (store, plan cache, metrics) is all inside
 //! `QueryService`, which is what the concurrency tests hammer.
 
-use crate::service::{QueryOptions, QueryService};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use crate::service::{InFlight, QueryOptions, QueryService};
+use std::cell::Cell;
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-use turbohom_engine::{format_trace_id, json_escape, EngineKind};
+use std::time::{Duration, Instant};
+use turbohom_engine::{escape_json_into, format_trace_id, EngineKind, ExtraMembers};
 
 /// Maximum accepted size of a request head or body (1 MiB, like oxigraph's
 /// `MAX_SPARQL_BODY_SIZE`).
@@ -142,6 +149,8 @@ impl ServerHandle {
 /// One parsed request.
 struct Request {
     method: String,
+    /// An HTTP/1.0 client: it cannot read a chunked body.
+    http10: bool,
     path: String,
     query_string: String,
     content_type: String,
@@ -166,11 +175,22 @@ impl Routed {
     }
 }
 
+/// What an endpoint answers with.
+enum Reply<'s> {
+    /// A finished response.
+    Buffered(Routed),
+    /// An executed query whose results are streamed to the client.
+    Results(Box<InFlight<'s>>),
+}
+
 fn handle_connection(stream: TcpStream, service: &QueryService, access_log: bool) {
     let started = Instant::now();
     // A stalled or malicious client must not pin this thread (slowloris) …
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(std::time::Duration::from_secs(30)));
+    // Results go out in pieces of tens of kilobytes followed by a few bytes
+    // of chunk framing, which must not wait for an acknowledgement.
+    let _ = stream.set_nodelay(true);
     let reading = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -180,35 +200,231 @@ fn handle_connection(stream: TcpStream, service: &QueryService, access_log: bool
     // it via the head/body size checks.
     let mut reader = BufReader::new(reading.take(2 * MAX_REQUEST_SIZE as u64));
     let mut stream = stream;
-    let (mut response, method, path) = match read_request(&mut reader) {
-        Ok(request) => {
-            let mut response = respond(&request, service);
-            if request.method == "HEAD" {
-                // RFC 9110: a HEAD response carries the headers (including
-                // Content-Length) but no content.
-                truncate_to_head(&mut response.bytes);
-            }
-            (response, request.method, request.path)
-        }
+    let (reply, head_only, http10, method, path) = match read_request(&mut reader) {
+        Ok(request) => (
+            respond(&request, service),
+            request.method == "HEAD",
+            request.http10,
+            request.method,
+            request.path,
+        ),
         Err(e) => (
-            Routed::new(400, error_response(400, &format!("bad request: {e}"))),
+            Reply::Buffered(Routed::new(
+                400,
+                error_response(400, &format!("bad request: {e}")),
+            )),
+            false,
+            false,
             "-".to_string(),
             "-".to_string(),
         ),
     };
-    let _ = stream.write_all(&response.bytes);
-    let _ = stream.flush();
+    let (status, trace_id) = match reply {
+        Reply::Buffered(mut response) => {
+            if head_only {
+                // RFC 9110: a HEAD response carries the headers (including
+                // Content-Length) but no content.
+                truncate_to_head(&mut response.bytes);
+            }
+            // The response is complete either way: if the client is gone
+            // there is nothing left to stop.
+            let _ = stream
+                .write_all(&response.bytes)
+                .and_then(|()| stream.flush());
+            (response.status, response.trace_id)
+        }
+        Reply::Results(request) => {
+            let trace_id = request.trace_id;
+            let framing = if http10 {
+                Framing::UntilClose
+            } else {
+                Framing::Chunked
+            };
+            match stream_results(&mut stream, &request, framing, head_only) {
+                Ok(()) => drop(service.complete(*request)),
+                Err(e) => service.abandon(*request, &e),
+            }
+            (200, Some(trace_id))
+        }
+    };
     if access_log {
         eprintln!(
-            "access method={method} path={path} status={} dur_ms={:.3} trace={}",
-            response.status,
+            "access method={method} path={path} status={status} dur_ms={:.3} trace={}",
             started.elapsed().as_secs_f64() * 1000.0,
-            response
-                .trace_id
-                .take()
-                .map_or_else(|| "-".into(), format_trace_id),
+            trace_id.map_or_else(|| "-".into(), format_trace_id),
         );
     }
+}
+
+/// How a response tells the client where its body ends.
+#[derive(Clone, Copy, PartialEq)]
+enum Framing {
+    /// `Content-Length`: a body that is already rendered.
+    Length(usize),
+    /// `Transfer-Encoding: chunked`, one chunk per piece the results
+    /// serialiser hands over.
+    Chunked,
+    /// Neither: the close of the connection ends the body (streaming to an
+    /// HTTP/1.0 client).
+    UntilClose,
+}
+
+/// Pieces below this size are copied behind the bytes already waiting and
+/// sent with them; larger ones go out in place.
+const COALESCE_BELOW: usize = 16 * 1024;
+
+/// The socket as the results serialiser sees it: every piece written becomes
+/// one HTTP chunk, and the time spent in socket writes is added to `writing`.
+///
+/// A short response — head, one small chunk, the terminal chunk — leaves in
+/// a single write; a large piece is never copied: it goes out in one
+/// vectored write between its chunk framing.
+struct BodyWriter<'a> {
+    stream: &'a mut TcpStream,
+    framing: Framing,
+    writing: &'a Cell<Duration>,
+    /// Bytes waiting for the next write: the head at first, then chunk
+    /// framing and small pieces.
+    pending: Vec<u8>,
+}
+
+impl BodyWriter<'_> {
+    /// Sends what is pending, then `piece` and `after`, in one vectored
+    /// write where the kernel takes them whole.
+    fn send(&mut self, piece: &[u8], after: &[u8]) -> io::Result<()> {
+        let started = Instant::now();
+        let pending = std::mem::take(&mut self.pending);
+        let mut parts = [&pending[..], piece, after];
+        let sent = loop {
+            if parts.iter().all(|part| part.is_empty()) {
+                break Ok(());
+            }
+            let slices = parts.map(IoSlice::new);
+            let mut written = match self.stream.write_vectored(&slices) {
+                Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            };
+            for part in &mut parts {
+                let taken = written.min(part.len());
+                *part = &part[taken..];
+                written -= taken;
+            }
+        };
+        self.pending = pending;
+        self.pending.clear();
+        self.writing.set(self.writing.get() + started.elapsed());
+        sent
+    }
+
+    /// Ends the body: the terminal chunk, where the body is chunked, and
+    /// whatever is still pending.
+    fn finish(mut self) -> io::Result<()> {
+        if self.framing == Framing::Chunked {
+            self.pending.extend_from_slice(b"0\r\n\r\n");
+        }
+        self.send(b"", b"")?;
+        self.stream.flush()
+    }
+}
+
+impl Write for BodyWriter<'_> {
+    fn write(&mut self, piece: &[u8]) -> io::Result<usize> {
+        let after: &[u8] = match self.framing {
+            // An empty chunk would end the body.
+            _ if piece.is_empty() => return Ok(0),
+            Framing::Chunked => {
+                write!(self.pending, "{:x}\r\n", piece.len())?;
+                b"\r\n"
+            }
+            Framing::UntilClose | Framing::Length(_) => b"",
+        };
+        if piece.len() < COALESCE_BELOW {
+            self.pending.extend_from_slice(piece);
+            self.pending.extend_from_slice(after);
+        } else {
+            self.send(piece, after)?;
+        }
+        Ok(piece.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Streams an executed query's results to the client: the head, then —
+/// unless the request was a `HEAD` — the SPARQL-JSON body piece by piece as
+/// the serialiser fills its buffer. The `profile`/`explain` members are
+/// written before the closing brace. Records the `serialise` and `write`
+/// stages on the request's trace; the first failed socket write ends the
+/// serialisation and is returned.
+fn stream_results(
+    stream: &mut TcpStream,
+    request: &InFlight<'_>,
+    framing: Framing,
+    head_only: bool,
+) -> io::Result<()> {
+    let started = Instant::now();
+    let writing = Cell::new(Duration::ZERO);
+    let record_stages = || {
+        let write = writing.get();
+        let serialise = started.elapsed().saturating_sub(write);
+        request
+            .trace
+            .record_rollup("serialise", None, serialise, &[]);
+        request.trace.record_rollup("write", None, write, &[]);
+    };
+    let cache = if request.cache_hit { "HIT" } else { "MISS" };
+    let head = response_head(
+        200,
+        "application/sparql-results+json",
+        framing,
+        &[
+            ("X-Cache", cache.to_string()),
+            ("X-Engine", request.engine.to_string()),
+            (
+                "X-Fingerprint",
+                format!("{:016x}", request.fingerprint.hash),
+            ),
+            ("X-Trace-Id", format_trace_id(request.trace_id)),
+        ],
+    );
+    let mut body = BodyWriter {
+        stream,
+        framing,
+        writing: &writing,
+        pending: head.into_bytes(),
+    };
+    if head_only {
+        return body.send(b"", b"");
+    }
+    // The reports are top-level members next to the standard
+    // "head"/"results" pair. The bindings have gone out when they are
+    // written, so the profile covers serialising and writing them (not
+    // itself).
+    let reports = request.profile || request.explain.is_some();
+    let mut members = |out: &mut Vec<u8>| {
+        record_stages();
+        if request.profile {
+            out.extend_from_slice(b",\"profile\":");
+            out.extend_from_slice(request.trace.finish().to_json().as_bytes());
+        }
+        if let Some(report) = &request.explain {
+            out.extend_from_slice(b",\"explain\":");
+            out.extend_from_slice(report.to_json().as_bytes());
+        }
+    };
+    let members: Option<ExtraMembers<'_>> = if reports { Some(&mut members) } else { None };
+    let delivered = request
+        .results
+        .write_sparql_json(&mut body, members)
+        .and_then(|()| body.finish());
+    if !reports {
+        record_stages();
+    }
+    delivered
 }
 
 /// Cuts a serialized response after the blank line separating head and body.
@@ -274,6 +490,7 @@ fn read_request(reader: &mut BufReader<io::Take<TcpStream>>) -> Result<Request, 
     reader.read_exact(&mut body).map_err(|e| e.to_string())?;
     Ok(Request {
         method,
+        http10: version == "HTTP/1.0",
         path,
         query_string,
         content_type,
@@ -282,14 +499,12 @@ fn read_request(reader: &mut BufReader<io::Take<TcpStream>>) -> Result<Request, 
 }
 
 /// Routes one request to its endpoint.
-fn respond(request: &Request, service: &QueryService) -> Routed {
-    match (request.method.as_str(), request.path.as_str()) {
+fn respond<'s>(request: &Request, service: &'s QueryService) -> Reply<'s> {
+    if request.path == "/query" && matches!(request.method.as_str(), "GET" | "POST" | "HEAD") {
+        return respond_query(request, service);
+    }
+    Reply::Buffered(match (request.method.as_str(), request.path.as_str()) {
         ("GET" | "HEAD", "/healthz") => {
-            let snapshot = service
-                .store()
-                .snapshot_path()
-                .map(|p| format!("\"{}\"", json_escape(&p.display().to_string())))
-                .unwrap_or_else(|| "null".into());
             let shards = service
                 .store()
                 .shard_count()
@@ -298,25 +513,45 @@ fn respond(request: &Request, service: &QueryService) -> Routed {
                 .store()
                 .partitioner_name()
                 .map_or_else(|| "null".into(), |p| format!("\"{p}\""));
-            let body = format!(
-                "{{\"status\":\"ok\",\"triples\":{},\"uptime_secs\":{:.3},\"engine\":\"{}\",\"dataset\":\"{}\",\"backend\":\"{}\",\"snapshot\":{},\"shards\":{},\"partitioning\":{}}}",
+            let mut body = format!(
+                "{{\"status\":\"ok\",\"triples\":{},\"uptime_secs\":{:.3},\"engine\":\"{}\",\"dataset\":\"",
                 service.store().triple_count(),
                 service.uptime().as_secs_f64(),
-                json_escape(service.config().default_engine.name()),
-                json_escape(service.dataset_label()),
-                service.store().backend_name(),
-                snapshot,
-                shards,
-                partitioning,
+                service.config().default_engine.name(),
+            )
+            .into_bytes();
+            escape_json_into(&mut body, service.dataset_label());
+            body.extend_from_slice(
+                format!(
+                    "\",\"backend\":\"{}\",\"snapshot\":",
+                    service.store().backend_name()
+                )
+                .as_bytes(),
             );
-            Routed::new(200, json_response(200, &body, &[]))
+            match service.store().snapshot_path() {
+                Some(path) => {
+                    body.push(b'"');
+                    escape_json_into(&mut body, &path.display().to_string());
+                    body.push(b'"');
+                }
+                None => body.extend_from_slice(b"null"),
+            }
+            body.extend_from_slice(
+                format!(",\"shards\":{shards},\"partitioning\":{partitioning}}}").as_bytes(),
+            );
+            Routed::new(200, build_response(200, "application/json", &body, &[]))
         }
         ("GET" | "HEAD", "/stats") => {
             Routed::new(200, json_response(200, &service.stats().to_json(), &[]))
         }
         ("GET" | "HEAD", "/metrics") => Routed::new(
             200,
-            build_response(200, "text/plain; version=0.0.4", &service.prometheus(), &[]),
+            build_response(
+                200,
+                "text/plain; version=0.0.4",
+                service.prometheus().as_bytes(),
+                &[],
+            ),
         ),
         ("GET" | "HEAD", "/debug/slow") => {
             Routed::new(200, json_response(200, &service.slow_log().to_json(), &[]))
@@ -326,11 +561,10 @@ fn respond(request: &Request, service: &QueryService) -> Routed {
             build_response(
                 200,
                 "application/x-ndjson",
-                &service.journal().to_jsonl(),
+                service.journal().to_jsonl().as_bytes(),
                 &[],
             ),
         ),
-        ("GET" | "POST", "/query") => respond_query(request, service),
         ("GET" | "HEAD", "/") => Routed::new(
             200,
             json_response(
@@ -350,12 +584,13 @@ fn respond(request: &Request, service: &QueryService) -> Routed {
             404,
             error_response(404, &format!("no such endpoint: {}", request.path)),
         ),
-    }
+    })
 }
 
-/// The `/query` endpoint: parameter extraction + execution + serialization.
-fn respond_query(request: &Request, service: &QueryService) -> Routed {
-    let bad = |message: &str| Routed::new(400, error_response(400, message));
+/// The `/query` endpoint: parameter extraction + execution. A query that
+/// executed comes back in flight, for its results to be streamed.
+fn respond_query<'s>(request: &Request, service: &'s QueryService) -> Reply<'s> {
+    let bad = |message: &str| Reply::Buffered(Routed::new(400, error_response(400, message)));
     let mut params = parse_query_string(&request.query_string);
     if request.method == "POST" {
         if request
@@ -430,16 +665,16 @@ fn respond_query(request: &Request, service: &QueryService) -> Routed {
                     ("X-Fingerprint", format!("{:016x}", response.fingerprint)),
                     ("X-Trace-Id", format_trace_id(response.trace_id)),
                 ];
-                Routed {
+                Reply::Buffered(Routed {
                     bytes: json_response(200, &response.report.to_json(), &headers),
                     status: 200,
                     trace_id: Some(response.trace_id),
-                }
+                })
             }
             Err(e) => bad(&e.to_string()),
         };
     }
-    match service.query(
+    match service.begin(
         sparql,
         QueryOptions {
             engine,
@@ -448,37 +683,7 @@ fn respond_query(request: &Request, service: &QueryService) -> Routed {
             analyze,
         },
     ) {
-        Ok(response) => {
-            let cache = if response.cache_hit { "HIT" } else { "MISS" };
-            let headers = [
-                ("X-Cache", cache.to_string()),
-                ("X-Engine", response.engine.to_string()),
-                ("X-Fingerprint", format!("{:016x}", response.fingerprint)),
-                ("X-Trace-Id", format_trace_id(response.trace_id)),
-            ];
-            let mut body = response.results.to_sparql_json();
-            // Splice the profile / explain reports in as top-level members,
-            // next to the standard "head"/"results" pair.
-            if let Some(report) = &response.profile {
-                debug_assert!(body.ends_with('}'));
-                body.truncate(body.len() - 1);
-                body.push_str(",\"profile\":");
-                body.push_str(&report.to_json());
-                body.push('}');
-            }
-            if let Some(report) = &response.explain {
-                debug_assert!(body.ends_with('}'));
-                body.truncate(body.len() - 1);
-                body.push_str(",\"explain\":");
-                body.push_str(&report.to_json());
-                body.push('}');
-            }
-            Routed {
-                bytes: sparql_json_response(&body, &headers),
-                status: 200,
-                trace_id: Some(response.trace_id),
-            }
-        }
+        Ok(request) => Reply::Results(Box::new(request)),
         Err(e) => bad(&e.to_string()),
     }
 }
@@ -531,17 +736,14 @@ pub fn percent_decode(s: &str) -> String {
 
 /// Builds a full HTTP response with a JSON body.
 fn json_response(status: u16, body: &str, extra_headers: &[(&str, String)]) -> Vec<u8> {
-    build_response(status, "application/json", body, extra_headers)
-}
-
-/// Builds a `200` response carrying SPARQL-JSON results.
-fn sparql_json_response(body: &str, extra_headers: &[(&str, String)]) -> Vec<u8> {
-    build_response(200, "application/sparql-results+json", body, extra_headers)
+    build_response(status, "application/json", body.as_bytes(), extra_headers)
 }
 
 /// Builds an error response with a JSON `{"error": …}` body.
 fn error_response(status: u16, message: &str) -> Vec<u8> {
-    let body = format!("{{\"error\":\"{}\"}}", json_escape(message));
+    let mut body = b"{\"error\":\"".to_vec();
+    escape_json_into(&mut body, message);
+    body.extend_from_slice(b"\"}");
     build_response(status, "application/json", &body, &[])
 }
 
@@ -555,17 +757,23 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-fn build_response(
+/// The status line and headers of a response, blank line included.
+fn response_head(
     status: u16,
     content_type: &str,
-    body: &str,
+    framing: Framing,
     extra_headers: &[(&str, String)],
-) -> Vec<u8> {
+) -> String {
     let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\nServer: turbohom\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
         status_text(status),
-        body.len(),
     );
+    match framing {
+        Framing::Length(bytes) => head.push_str(&format!("Content-Length: {bytes}\r\n")),
+        Framing::Chunked => head.push_str("Transfer-Encoding: chunked\r\n"),
+        Framing::UntilClose => {}
+    }
+    head.push_str("Connection: close\r\nServer: turbohom\r\n");
     for (name, value) in extra_headers {
         head.push_str(name);
         head.push_str(": ");
@@ -573,8 +781,20 @@ fn build_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    let mut out = head.into_bytes();
-    out.extend_from_slice(body.as_bytes());
+    head
+}
+
+/// Builds a full response around a body that is already rendered (the small
+/// JSON and text endpoints; query results are streamed instead).
+fn build_response(
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    extra_headers: &[(&str, String)],
+) -> Vec<u8> {
+    let framing = Framing::Length(body.len());
+    let mut out = response_head(status, content_type, framing, extra_headers).into_bytes();
+    out.extend_from_slice(body);
     out
 }
 

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use std::fs::File;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use turbohom_engine::{format_trace_id, json_escape, EngineKind};
+use turbohom_engine::{escape_json_into, format_trace_id, EngineKind};
 
 /// Query text carried by plan events is truncated to this many bytes.
 const MAX_QUERY_LEN: usize = 200;
@@ -113,13 +113,12 @@ impl JournalEvent {
     }
 
     /// Appends the variant-specific JSON members (leading comma included).
-    fn append_fields(&self, out: &mut String) {
+    fn append_fields(&self, out: &mut Vec<u8>) {
         match self {
             JournalEvent::QueryAdmitted { engine, mode } => {
-                out.push_str(&format!(
-                    ",\"engine\":\"{}\",\"mode\":\"{mode}\"",
-                    engine.name()
-                ));
+                out.extend_from_slice(
+                    format!(",\"engine\":\"{}\",\"mode\":\"{mode}\"", engine.name()).as_bytes(),
+                );
             }
             JournalEvent::QueryCompleted {
                 engine,
@@ -127,26 +126,24 @@ impl JournalEvent {
                 solutions,
                 total_ms,
             } => {
-                out.push_str(&format!(
+                out.extend_from_slice(format!(
                     ",\"engine\":\"{}\",\"cache\":\"{}\",\"solutions\":{solutions},\"total_ms\":{total_ms:.3}",
                     engine.name(),
                     if *cache_hit { "HIT" } else { "MISS" },
-                ));
+                ).as_bytes());
             }
             JournalEvent::QueryFailed { engine, error } => {
-                out.push_str(&format!(
-                    ",\"engine\":\"{}\",\"error\":\"{}\"",
-                    engine.name(),
-                    json_escape(error)
-                ));
+                let head = format!(",\"engine\":\"{}\",\"error\":\"", engine.name());
+                out.extend_from_slice(head.as_bytes());
+                escape_json_into(out, error);
+                out.push(b'"');
             }
             JournalEvent::PlanCached { engine, query }
             | JournalEvent::PlanEvicted { engine, query } => {
-                out.push_str(&format!(
-                    ",\"engine\":\"{}\",\"query\":\"{}\"",
-                    engine.name(),
-                    json_escape(query)
-                ));
+                let head = format!(",\"engine\":\"{}\",\"query\":\"", engine.name());
+                out.extend_from_slice(head.as_bytes());
+                escape_json_into(out, query);
+                out.push(b'"');
             }
             JournalEvent::StoreLoaded {
                 flavor,
@@ -154,18 +151,23 @@ impl JournalEvent {
                 triples,
                 mapped,
             } => {
-                out.push_str(&format!(
+                out.extend_from_slice(format!(
                     ",\"store\":\"{flavor}\",\"backend\":\"{backend}\",\"triples\":{triples},\"mapped\":{mapped}"
-                ));
+                ).as_bytes());
             }
             JournalEvent::ShardsPruned { pruned, executed } => {
-                out.push_str(&format!(",\"pruned\":{pruned},\"executed\":{executed}"));
+                out.extend_from_slice(
+                    format!(",\"pruned\":{pruned},\"executed\":{executed}").as_bytes(),
+                );
             }
             JournalEvent::SlowQuery { engine, total_ms } => {
-                out.push_str(&format!(
-                    ",\"engine\":\"{}\",\"total_ms\":{total_ms:.3}",
-                    engine.name()
-                ));
+                out.extend_from_slice(
+                    format!(
+                        ",\"engine\":\"{}\",\"total_ms\":{total_ms:.3}",
+                        engine.name()
+                    )
+                    .as_bytes(),
+                );
             }
         }
     }
@@ -188,19 +190,22 @@ pub struct JournalEntry {
 impl JournalEntry {
     /// Renders the entry as one JSON object (one JSONL line, no newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        out.push_str(&format!(
-            "{{\"seq\":{},\"uptime_secs\":{:.3},\"trace\":",
-            self.seq, self.uptime_secs
-        ));
+        let mut out: Vec<u8> = Vec::with_capacity(160);
+        out.extend_from_slice(
+            format!(
+                "{{\"seq\":{},\"uptime_secs\":{:.3},\"trace\":",
+                self.seq, self.uptime_secs
+            )
+            .as_bytes(),
+        );
         match self.trace_id {
-            Some(id) => out.push_str(&format!("\"{}\"", format_trace_id(id))),
-            None => out.push_str("null"),
+            Some(id) => out.extend_from_slice(format!("\"{}\"", format_trace_id(id)).as_bytes()),
+            None => out.extend_from_slice(b"null"),
         }
-        out.push_str(&format!(",\"event\":\"{}\"", self.event.kind()));
+        out.extend_from_slice(format!(",\"event\":\"{}\"", self.event.kind()).as_bytes());
         self.event.append_fields(&mut out);
-        out.push('}');
-        out
+        out.push(b'}');
+        String::from_utf8(out).expect("the emitter writes UTF-8")
     }
 }
 

@@ -17,14 +17,19 @@ const BUCKETS: usize = 40;
 
 /// The pipeline stages whose cumulative time `/metrics` exposes as
 /// `turbohom_stage_seconds_total{stage=…}`, in pipeline order. These are the
-/// root span names the service layer records on every request's trace.
-pub const STAGES: [&str; 6] = [
+/// root span names the service layer records on every request's trace;
+/// `serialise` and `write` come from the HTTP layer, which streams the
+/// results, so they stay at zero for embedded use.
+pub const STAGES: [&str; 9] = [
     "fingerprint",
     "cache_lookup",
     "parse",
     "summary_prune",
     "transform",
     "execute",
+    "materialise",
+    "serialise",
+    "write",
 ];
 
 /// A log₂-bucketed latency histogram.

@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_engine::{
-    json_escape, AnyStore, EngineKind, ExplainReport, QueryResults, Store, StoreError, Trace,
-    TraceReport,
+    AnyStore, EngineKind, ExplainReport, IdResults, Store, StoreError, Trace, TraceReport,
 };
 use turbohom_sparql::{fingerprint, QueryFingerprint};
 
@@ -79,16 +78,19 @@ pub struct QueryOptions {
 }
 
 /// The outcome of one service query.
-pub struct QueryResponse {
-    /// The query results.
-    pub results: QueryResults,
+pub struct QueryResponse<'s> {
+    /// The query results as term ids, borrowing the service's store:
+    /// serialise them with [`IdResults::to_sparql_json`] or get the decoded
+    /// view with [`IdResults::decode`].
+    pub results: IdResults<'s>,
     /// The engine that answered.
     pub engine: EngineKind,
     /// Whether the plan came from the cache.
     pub cache_hit: bool,
     /// The 64-bit fingerprint of the normalized query.
     pub fingerprint: u64,
-    /// Wall clock for the whole request (fingerprint + plan + run + render).
+    /// Wall clock for the whole request: fingerprint + plan + run, and for a
+    /// request served over HTTP also serialising and writing the response.
     pub elapsed: Duration,
     /// The request's trace id (`X-Trace-Id`; ties the response to the
     /// access log and slow-query recorder).
@@ -99,6 +101,32 @@ pub struct QueryResponse {
     /// [`QueryOptions::analyze`] was set.
     pub explain: Option<ExplainReport>,
 }
+
+/// A query that has executed but whose response is not delivered yet.
+///
+/// The HTTP layer streams `results` to the client between
+/// [`QueryService::begin`] and [`QueryService::complete`] (or
+/// [`QueryService::abandon`], when the client hangs up), so that the
+/// request's trace, latency and journal entries cover serialisation and the
+/// socket writes.
+pub(crate) struct InFlight<'s> {
+    pub(crate) results: IdResults<'s>,
+    pub(crate) engine: EngineKind,
+    pub(crate) cache_hit: bool,
+    pub(crate) fingerprint: QueryFingerprint,
+    pub(crate) trace_id: u64,
+    /// The request's trace, still open: coarse, detailed under
+    /// [`QueryOptions::profile`], disabled under [`QueryOptions::analyze`].
+    pub(crate) trace: Trace,
+    pub(crate) profile: bool,
+    pub(crate) explain: Option<ExplainReport>,
+    started: Instant,
+}
+
+/// What executing a query yields: the results, whether the plan came from
+/// the cache, the query's fingerprint, and the ANALYZE report if one was
+/// asked for.
+type Executed<'s> = (IdResults<'s>, bool, QueryFingerprint, Option<ExplainReport>);
 
 /// The outcome of one `explain=1` request ([`QueryService::explain`]):
 /// the static plan tree, built **without executing** the query.
@@ -192,7 +220,7 @@ impl StatsSnapshot {
             }
             out.push_str(&format!(
                 "\"{}\":{{\"store\":\"{}\",\"queries\":{},\"errors\":{},\"qps\":{:.3},\"latency_ms\":{{\"mean\":{:.3},\"p50\":{:.3},\"p95\":{:.3},\"p99\":{:.3}}},\"matcher\":{{\"solutions\":{},\"intersection_ops\":{},\"morsels\":{},\"morsels_stolen\":{}}}}}",
-                json_escape(e.kind.name()),
+                e.kind.name(),
                 e.store,
                 e.queries,
                 e.errors,
@@ -334,7 +362,22 @@ impl QueryService {
     /// the per-stage time totals in `/metrics` and the slow-query recorder);
     /// [`QueryOptions::profile`] upgrades it to a detailed trace whose
     /// report comes back in [`QueryResponse::profile`].
-    pub fn query(&self, sparql: &str, options: QueryOptions) -> Result<QueryResponse, StoreError> {
+    pub fn query(
+        &self,
+        sparql: &str,
+        options: QueryOptions,
+    ) -> Result<QueryResponse<'_>, StoreError> {
+        Ok(self.complete(self.begin(sparql, options)?))
+    }
+
+    /// Admits and executes one query; the caller delivers the results and
+    /// then hands the request back to [`complete`](Self::complete) or
+    /// [`abandon`](Self::abandon). Failures are counted and journaled here.
+    pub(crate) fn begin(
+        &self,
+        sparql: &str,
+        options: QueryOptions,
+    ) -> Result<InFlight<'_>, StoreError> {
         let engine = options.engine.unwrap_or(self.config.default_engine);
         let threads = options.threads.map(|t| t.clamp(1, self.config.max_threads));
         let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
@@ -346,134 +389,55 @@ impl QueryService {
             "query"
         };
         self.journal_event(Some(trace_id), JournalEvent::QueryAdmitted { engine, mode });
-        if options.analyze {
-            return self.run_analyze(sparql, engine, threads, trace_id);
-        }
-        let trace = if options.profile {
+        let started = Instant::now();
+        let trace = if options.analyze {
+            // ANALYZE runs outside the plan cache and the stage totals.
+            Trace::disabled()
+        } else if options.profile {
             Trace::detailed(trace_id)
         } else {
             Trace::new(trace_id)
         };
-        let start = Instant::now();
-        let outcome = self.run(sparql, engine, threads, &trace, trace_id);
+        let outcome = if options.analyze {
+            self.run_analyze(sparql, engine, threads)
+        } else {
+            self.run(sparql, engine, threads, &trace, trace_id)
+        };
         match outcome {
-            Ok((results, cache_hit, fp)) => {
-                let elapsed = start.elapsed();
-                self.record_query_success(engine, cache_hit, elapsed, &results, trace_id);
-                let report = trace.finish();
-                self.metrics.record_stages(&report);
-                if self.slow_log.is_slow(elapsed) {
-                    self.record_slow(&report, fp.canonical, engine, cache_hit, elapsed, &results);
-                }
-                Ok(QueryResponse {
-                    results,
-                    engine,
-                    cache_hit,
-                    fingerprint: fp.hash,
-                    elapsed,
-                    trace_id,
-                    profile: options.profile.then_some(report),
-                    explain: None,
-                })
-            }
-            Err(e) => Err(self.record_query_error(engine, trace_id, e)),
-        }
-    }
-
-    /// Builds the EXPLAIN plan tree for a query **without executing it**
-    /// (the `explain=1` request path). Bypasses the plan cache — EXPLAIN
-    /// should show what a cold request would decide — and records no
-    /// success metrics since nothing ran; failures still count as errors.
-    pub fn explain(
-        &self,
-        sparql: &str,
-        options: QueryOptions,
-    ) -> Result<ExplainResponse, StoreError> {
-        let engine = options.engine.unwrap_or(self.config.default_engine);
-        let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        self.journal_event(
-            Some(trace_id),
-            JournalEvent::QueryAdmitted {
+            Ok((results, cache_hit, fingerprint, explain)) => Ok(InFlight {
+                results,
                 engine,
-                mode: "explain",
-            },
-        );
-        let start = Instant::now();
-        let fp = match fingerprint(sparql) {
-            Ok(fp) => fp,
-            Err(e) => return Err(self.record_query_error(engine, trace_id, e.into())),
-        };
-        match self.store.explain(sparql, engine) {
-            Ok(report) => {
-                let elapsed = start.elapsed();
-                self.journal_event(
-                    Some(trace_id),
-                    JournalEvent::QueryCompleted {
-                        engine,
-                        cache_hit: false,
-                        solutions: 0,
-                        total_ms: elapsed.as_secs_f64() * 1000.0,
-                    },
-                );
-                Ok(ExplainResponse {
-                    report,
-                    engine,
-                    fingerprint: fp.hash,
-                    trace_id,
-                    elapsed,
-                })
+                cache_hit,
+                fingerprint,
+                trace_id,
+                trace,
+                profile: options.profile && !options.analyze,
+                explain,
+                started,
+            }),
+            Err(e) => {
+                self.record_query_error(engine, trace_id, e.to_string());
+                Err(e)
             }
-            Err(e) => Err(self.record_query_error(engine, trace_id, e)),
         }
     }
 
-    /// The `analyze=1` request path: execute outside the plan cache,
-    /// annotate the plan tree with actuals, and feed the estimate-vs-actual
-    /// telemetry (q-error histogram, false-live counter).
-    fn run_analyze(
-        &self,
-        sparql: &str,
-        engine: EngineKind,
-        threads: Option<usize>,
-        trace_id: u64,
-    ) -> Result<QueryResponse, StoreError> {
-        let start = Instant::now();
-        let fp = match fingerprint(sparql) {
-            Ok(fp) => fp,
-            Err(e) => return Err(self.record_query_error(engine, trace_id, e.into())),
-        };
-        match self.store.analyze(sparql, engine, threads) {
-            Ok((results, report)) => {
-                let elapsed = start.elapsed();
-                self.record_query_success(engine, false, elapsed, &results, trace_id);
-                self.metrics.record_qerrors(&report.step_qerrors());
-                self.metrics.record_false_lives(report.false_live_shards());
-                Ok(QueryResponse {
-                    results,
-                    engine,
-                    cache_hit: false,
-                    fingerprint: fp.hash,
-                    elapsed,
-                    trace_id,
-                    profile: None,
-                    explain: Some(report),
-                })
-            }
-            Err(e) => Err(self.record_query_error(engine, trace_id, e)),
-        }
-    }
-
-    /// Success bookkeeping shared by the query and analyze paths: engine
-    /// metrics, shard counters, and the journal's completion (and, for
-    /// sharded queries, pruning) events.
-    fn record_query_success(
-        &self,
-        engine: EngineKind,
-        cache_hit: bool,
-        elapsed: Duration,
-        results: &QueryResults,
-        trace_id: u64,
-    ) {
+    /// Success bookkeeping once the response is delivered: engine metrics,
+    /// shard counters, stage totals, the slow-query recorder and the
+    /// journal's completion events.
+    pub(crate) fn complete<'s>(&self, request: InFlight<'s>) -> QueryResponse<'s> {
+        let InFlight {
+            results,
+            engine,
+            cache_hit,
+            fingerprint,
+            trace_id,
+            trace,
+            profile,
+            explain,
+            started,
+        } = request;
+        let elapsed = started.elapsed();
         self.metrics.record_success(engine, elapsed, &results.stats);
         self.shards_pruned
             .fetch_add(results.stats.shards_pruned as u64, Ordering::Relaxed);
@@ -497,20 +461,115 @@ impl QueryService {
                 total_ms: elapsed.as_secs_f64() * 1000.0,
             },
         );
+        let report = trace.finish();
+        self.metrics.record_stages(&report);
+        if trace.is_enabled() && self.slow_log.is_slow(elapsed) {
+            self.record_slow(
+                &report,
+                fingerprint.canonical,
+                engine,
+                cache_hit,
+                elapsed,
+                results.stats.solutions,
+            );
+        }
+        QueryResponse {
+            results,
+            engine,
+            cache_hit,
+            fingerprint: fingerprint.hash,
+            elapsed,
+            trace_id,
+            profile: profile.then_some(report),
+            explain,
+        }
+    }
+
+    /// Failure bookkeeping for a request whose response could not be
+    /// delivered (the client hung up mid-body): it counts as an error and
+    /// leaves one `query_failed` journal event.
+    pub(crate) fn abandon(&self, request: InFlight<'_>, error: &std::io::Error) {
+        self.record_query_error(
+            request.engine,
+            request.trace_id,
+            format!("response not delivered: {error}"),
+        );
+    }
+
+    /// Builds the EXPLAIN plan tree for a query **without executing it**
+    /// (the `explain=1` request path). Bypasses the plan cache — EXPLAIN
+    /// should show what a cold request would decide — and records no
+    /// success metrics since nothing ran; failures still count as errors.
+    pub fn explain(
+        &self,
+        sparql: &str,
+        options: QueryOptions,
+    ) -> Result<ExplainResponse, StoreError> {
+        let engine = options.engine.unwrap_or(self.config.default_engine);
+        let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
+        self.journal_event(
+            Some(trace_id),
+            JournalEvent::QueryAdmitted {
+                engine,
+                mode: "explain",
+            },
+        );
+        let start = Instant::now();
+        let fp = match fingerprint(sparql) {
+            Ok(fp) => fp,
+            Err(e) => {
+                self.record_query_error(engine, trace_id, e.to_string());
+                return Err(e.into());
+            }
+        };
+        match self.store.explain(sparql, engine) {
+            Ok(report) => {
+                let elapsed = start.elapsed();
+                self.journal_event(
+                    Some(trace_id),
+                    JournalEvent::QueryCompleted {
+                        engine,
+                        cache_hit: false,
+                        solutions: 0,
+                        total_ms: elapsed.as_secs_f64() * 1000.0,
+                    },
+                );
+                Ok(ExplainResponse {
+                    report,
+                    engine,
+                    fingerprint: fp.hash,
+                    trace_id,
+                    elapsed,
+                })
+            }
+            Err(e) => {
+                self.record_query_error(engine, trace_id, e.to_string());
+                Err(e)
+            }
+        }
+    }
+
+    /// The `analyze=1` request path: execute outside the plan cache,
+    /// annotate the plan tree with actuals, and feed the estimate-vs-actual
+    /// telemetry (q-error histogram, false-live counter).
+    fn run_analyze(
+        &self,
+        sparql: &str,
+        engine: EngineKind,
+        threads: Option<usize>,
+    ) -> Result<Executed<'_>, StoreError> {
+        let fp = fingerprint(sparql)?;
+        let (results, report) = self.store.analyze(sparql, engine, threads)?;
+        self.metrics.record_qerrors(&report.step_qerrors());
+        self.metrics.record_false_lives(report.false_live_shards());
+        Ok((results, false, fp, Some(report)))
     }
 
     /// Error bookkeeping: the error counter plus the journal's failure
-    /// event. Returns the error for `?`-style pass-through.
-    fn record_query_error(&self, engine: EngineKind, trace_id: u64, e: StoreError) -> StoreError {
+    /// event.
+    fn record_query_error(&self, engine: EngineKind, trace_id: u64, error: String) {
         self.metrics.record_error(engine);
-        self.journal_event(
-            Some(trace_id),
-            JournalEvent::QueryFailed {
-                engine,
-                error: e.to_string(),
-            },
-        );
-        e
+        self.journal_event(Some(trace_id), JournalEvent::QueryFailed { engine, error });
     }
 
     /// Records one journal event stamped with the current uptime.
@@ -526,7 +585,7 @@ impl QueryService {
         threads: Option<usize>,
         trace: &Trace,
         trace_id: u64,
-    ) -> Result<(QueryResults, bool, QueryFingerprint), StoreError> {
+    ) -> Result<Executed<'_>, StoreError> {
         let fp = {
             let mut span = trace.span("fingerprint");
             let fp = fingerprint(sparql)?;
@@ -546,7 +605,7 @@ impl QueryService {
         if let Some(plan) = cached {
             // Warm path: straight to enumeration.
             let results = self.store.run_plan_traced(&plan, threads, trace)?;
-            return Ok((results, true, fp));
+            return Ok((results, true, fp, None));
         }
         // Cold path: parse + transform, run, then publish the plan.
         let plan = self.store.prepare_plan_traced(sparql, engine, trace)?;
@@ -572,7 +631,7 @@ impl QueryService {
                 },
             );
         }
-        Ok((results, false, fp))
+        Ok((results, false, fp, None))
     }
 
     /// Pushes one offender into the slow-query ring and logs it to stderr.
@@ -583,7 +642,7 @@ impl QueryService {
         engine: EngineKind,
         cache_hit: bool,
         elapsed: Duration,
-        results: &QueryResults,
+        solutions: usize,
     ) {
         let entry = SlowQueryEntry {
             trace_id: report.trace_id,
@@ -596,7 +655,7 @@ impl QueryService {
                 .into_iter()
                 .map(|(name, ns)| (name, ns as f64 / 1e6))
                 .collect(),
-            solutions: results.stats.solutions,
+            solutions,
             uptime_secs: self.metrics.uptime().as_secs_f64(),
         };
         let trace_id = entry.trace_id;
@@ -776,7 +835,7 @@ mod tests {
         assert!(!cold.cache_hit);
         let warm = svc.query(Q, QueryOptions::default()).unwrap();
         assert!(warm.cache_hit);
-        assert_eq!(warm.results.rows, cold.results.rows);
+        assert_eq!(warm.results.to_sparql_json(), cold.results.to_sparql_json());
         assert_eq!(warm.fingerprint, cold.fingerprint);
         let stats = svc.stats();
         // The prepare half (parse + transform) ran exactly once.
@@ -867,7 +926,8 @@ mod tests {
             .unwrap();
         let report = cold.profile.as_ref().unwrap();
         assert_eq!(report.trace_id, cold.trace_id);
-        // Cold request: all five pipeline stages, in order.
+        // Cold request: all six in-process pipeline stages, in order (the
+        // HTTP layer adds `serialise` and `write`).
         let names: Vec<&str> = report.stages().iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
@@ -876,7 +936,8 @@ mod tests {
                 "cache_lookup",
                 "parse",
                 "transform",
-                "execute"
+                "execute",
+                "materialise"
             ]
         );
         // The stage roll-up covers (almost) the whole request: stages are
@@ -907,7 +968,10 @@ mod tests {
             .unwrap();
         let report = warm.profile.as_ref().unwrap();
         let names: Vec<&str> = report.stages().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["fingerprint", "cache_lookup", "execute"]);
+        assert_eq!(
+            names,
+            vec!["fingerprint", "cache_lookup", "execute", "materialise"]
+        );
         let lookup = report
             .spans
             .iter()

@@ -16,7 +16,7 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use turbohom_engine::{format_trace_id, json_escape, EngineKind};
+use turbohom_engine::{escape_json_into, format_trace_id, EngineKind};
 
 /// Canonical query text is truncated to this many bytes in an entry (the
 /// buffer must stay small even if someone sends 1 MiB queries).
@@ -47,27 +47,30 @@ pub struct SlowQueryEntry {
 impl SlowQueryEntry {
     /// Renders the entry as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160 + self.canonical.len());
-        out.push_str("{\"trace_id\":\"");
-        out.push_str(&format_trace_id(self.trace_id));
-        out.push_str("\",\"engine\":\"");
-        out.push_str(self.engine.name());
-        out.push_str("\",\"cache\":\"");
-        out.push_str(if self.cache_hit { "HIT" } else { "MISS" });
-        out.push_str(&format!(
-            "\",\"total_ms\":{:.3},\"solutions\":{},\"uptime_secs\":{:.3},\"stages_ms\":{{",
-            self.total_ms, self.solutions, self.uptime_secs
-        ));
+        let mut out: Vec<u8> = Vec::with_capacity(160 + self.canonical.len());
+        out.extend_from_slice(b"{\"trace_id\":\"");
+        out.extend_from_slice(format_trace_id(self.trace_id).as_bytes());
+        out.extend_from_slice(b"\",\"engine\":\"");
+        out.extend_from_slice(self.engine.name().as_bytes());
+        out.extend_from_slice(b"\",\"cache\":\"");
+        out.extend_from_slice(if self.cache_hit { b"HIT" } else { b"MISS" });
+        out.extend_from_slice(
+            format!(
+                "\",\"total_ms\":{:.3},\"solutions\":{},\"uptime_secs\":{:.3},\"stages_ms\":{{",
+                self.total_ms, self.solutions, self.uptime_secs
+            )
+            .as_bytes(),
+        );
         for (i, (name, ms)) in self.stages_ms.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str(&format!("\"{name}\":{ms:.3}"));
+            out.extend_from_slice(format!("\"{name}\":{ms:.3}").as_bytes());
         }
-        out.push_str("},\"query\":\"");
-        out.push_str(&json_escape(&self.canonical));
-        out.push_str("\"}");
-        out
+        out.extend_from_slice(b"},\"query\":\"");
+        escape_json_into(&mut out, &self.canonical);
+        out.extend_from_slice(b"\"}");
+        String::from_utf8(out).expect("the emitter writes UTF-8")
     }
 
     /// The one-line structured log form (what goes to stderr).

@@ -23,7 +23,8 @@ fn lubm_service_with(config: ServiceConfig) -> (Arc<QueryService>, ServerHandle)
     (service, handle)
 }
 
-/// Sends one raw HTTP request and returns (status line, headers, body).
+/// Sends one raw HTTP request and returns (status line, headers, body); a
+/// `Transfer-Encoding: chunked` body comes back reassembled.
 fn http_request(addr: std::net::SocketAddr, request: &str) -> (String, String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.write_all(request.as_bytes()).unwrap();
@@ -33,7 +34,30 @@ fn http_request(addr: std::net::SocketAddr, request: &str) -> (String, String, S
         .split_once("\r\n\r\n")
         .expect("response has a blank line");
     let (status, headers) = head.split_once("\r\n").unwrap_or((head, ""));
-    (status.to_string(), headers.to_string(), body.to_string())
+    let body = if headers.contains("Transfer-Encoding: chunked") {
+        dechunk(body)
+    } else {
+        body.to_string()
+    };
+    (status.to_string(), headers.to_string(), body)
+}
+
+/// Reassembles a chunked body, checking its framing on the way: hexadecimal
+/// sizes, a CRLF after every chunk, and nothing after the terminal chunk.
+fn dechunk(mut wire: &str) -> String {
+    let mut body = String::new();
+    loop {
+        let (size, rest) = wire.split_once("\r\n").expect("chunk size line");
+        let size = usize::from_str_radix(size, 16).expect("hexadecimal chunk size");
+        if size == 0 {
+            assert_eq!(rest, "\r\n", "bytes after the terminal chunk");
+            return body;
+        }
+        body.push_str(&rest[..size]);
+        wire = rest[size..]
+            .strip_prefix("\r\n")
+            .expect("CRLF after the chunk");
+    }
 }
 
 /// Percent-encodes a query so it survives a GET query string.
@@ -130,7 +154,7 @@ fn warm_requests_skip_parse_and_transform() {
     for _ in 0..10 {
         let warm = service.query(q, QueryOptions::default()).unwrap();
         assert!(warm.cache_hit);
-        assert_eq!(warm.results.rows, cold.results.rows);
+        assert_eq!(warm.results.to_sparql_json(), cold.results.to_sparql_json());
     }
     let stats = service.stats();
     assert_eq!(stats.plans_prepared, 1);
@@ -257,8 +281,35 @@ fn json_number(json: &str, key: &str) -> f64 {
 fn profile_mode_returns_stage_timings_that_cover_the_request() {
     let (_service, handle) = lubm_service();
     let addr = handle.addr();
-    let q = &lubm::queries()[1].sparql; // Q2: a triangle query, real work
+    // Q2: a triangle query, real matching work. Q6: a type scan, where the
+    // time goes into the result path instead.
+    for q in [&lubm::queries()[1].sparql, &lubm::queries()[5].sparql] {
+        profile_covers_the_request(addr, q);
+    }
 
+    let q = &lubm::queries()[1].sparql;
+    // Without profile=…, no profile block (and the response still carries a
+    // trace id — coarse tracing is always on).
+    let (status, headers, body) = get_query(addr, q, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(headers.contains("X-Trace-Id: "));
+    assert!(!body.contains("\"profile\""));
+
+    // A non-boolean profile value → 400.
+    let request = format!(
+        "GET /query?query={}&profile=maybe HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        urlencode(q),
+    );
+    let (status, _, _) = http_request(addr, &request);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+
+    handle.shutdown();
+}
+
+/// One `profile=1` request for `q`: the profile block is there, names every
+/// stage from the fingerprint to the socket write, and its stages add up to
+/// the request.
+fn profile_covers_the_request(addr: std::net::SocketAddr, q: &str) {
     let request = format!(
         "GET /query?query={}&profile=1&threads=2 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
         urlencode(q),
@@ -269,24 +320,37 @@ fn profile_mode_returns_stage_timings_that_cover_the_request() {
     // doesn't cover. Take the best of a few attempts before judging.
     let (mut headers, mut body) = (String::new(), String::new());
     let (mut stage_sum, mut total_us) = (0.0f64, f64::MAX);
-    for _attempt in 0..5 {
+    for attempt in 0..5 {
         let (status, h, b) = http_request(addr, &request);
         assert_eq!(status, "HTTP/1.1 200 OK", "{b}");
         assert!(h.contains("X-Trace-Id: "), "{h}");
 
         // The SPARQL-JSON body gained a top-level profile block with the
-        // span tree and per-stage timings.
+        // span tree and per-stage timings, before its closing brace.
         assert!(b.contains("\"head\"") && b.contains("\"results\""));
-        let profile_at = b.find("\"profile\":{").expect("profile block present");
+        assert!(b.ends_with("}}"), "{b}");
+        let profile_at = b.find(",\"profile\":{").expect("profile block present");
         let profile = &b[profile_at..];
+        let cold: &[&str] = if attempt == 0 {
+            &["parse", "transform"]
+        } else {
+            &[]
+        };
         for stage in [
             "fingerprint",
             "cache_lookup",
-            "parse",
-            "transform",
             "execute",
-        ] {
-            assert!(profile.contains(&format!("\"{stage}\"")), "missing {stage}");
+            "materialise",
+            "serialise",
+            "write",
+        ]
+        .iter()
+        .chain(cold)
+        {
+            assert!(
+                profile.contains(&format!("\"{stage}\":")),
+                "missing {stage}"
+            );
         }
         // Detailed spans from the matching core, parented under execute.
         assert!(profile.contains("\"candidate_regions\""));
@@ -322,23 +386,6 @@ fn profile_mode_returns_stage_timings_that_cover_the_request() {
         .find_map(|l| l.strip_prefix("X-Trace-Id: "))
         .unwrap();
     assert!(profile.contains(&format!("\"trace_id\":\"{header_id}\"")));
-
-    // Without profile=…, no profile block (and the response still carries a
-    // trace id — coarse tracing is always on).
-    let (status, headers, body) = get_query(addr, q, "turbohom++");
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    assert!(headers.contains("X-Trace-Id: "));
-    assert!(!body.contains("\"profile\""));
-
-    // A non-boolean profile value → 400.
-    let request = format!(
-        "GET /query?query={}&profile=maybe HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
-        urlencode(q),
-    );
-    let (status, _, _) = http_request(addr, &request);
-    assert_eq!(status, "HTTP/1.1 400 Bad Request");
-
-    handle.shutdown();
 }
 
 #[test]
@@ -586,6 +633,77 @@ fn debug_events_serves_the_journal_as_jsonl_with_trace_ids() {
         correlated >= 3,
         "{correlated} events for {trace_id}:\n{body}"
     );
+
+    handle.shutdown();
+}
+
+#[test]
+fn a_client_that_hangs_up_mid_body_ends_the_serialisation_and_is_journaled() {
+    // A Q6-shaped type scan whose body (several MB) cannot fit the socket
+    // buffers, so the server is still writing when the client goes away.
+    let mut dataset = turbohom_rdf::Dataset::new();
+    for i in 0..40_000 {
+        dataset.insert_iris(
+            &format!("http://www.Department{}.University{}.edu/a/rather/long/path/to/keep/the/response/body/large/UndergraduateStudent{i}", i % 25, i % 640),
+            turbohom_rdf::vocab::RDF_TYPE,
+            "http://swat.cse.lehigh.edu/onto/univ-bench.owl#Student",
+        );
+    }
+    let service = Arc::new(QueryService::new(Arc::new(Store::from_dataset(dataset))));
+    let handle = HttpServer::bind("127.0.0.1:0", Arc::clone(&service))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let addr = handle.addr();
+    let q6 = &lubm::queries()[5].sparql;
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let request = format!(
+        "GET /query?query={} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        urlencode(q6)
+    );
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut first_kilobyte = [0u8; 1024];
+    stream.read_exact(&mut first_kilobyte).unwrap();
+    assert!(first_kilobyte.starts_with(b"HTTP/1.1 200 OK\r\n"));
+    // Unread data is pending, so this close resets the connection.
+    drop(stream);
+
+    // The request ends as a failure: one `query_failed` event with its trace
+    // id, no `query_completed`, and the error counter moved.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let journal = loop {
+        let journal = service.journal().to_jsonl();
+        if journal.contains("\"event\":\"query_failed\"") {
+            break journal;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no query_failed event:\n{journal}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let failed: Vec<&str> = journal
+        .lines()
+        .filter(|l| l.contains("\"event\":\"query_failed\""))
+        .collect();
+    assert_eq!(failed.len(), 1, "{journal}");
+    assert!(failed[0].contains("response not delivered"), "{journal}");
+    assert!(failed[0].contains("\"trace\":\"00"), "{journal}");
+    assert!(
+        !journal.contains("\"event\":\"query_completed\""),
+        "{journal}"
+    );
+    let stats = service.stats();
+    let engine = &stats.engines[EngineKind::TurboHomPlusPlus.index()];
+    assert_eq!((engine.queries, engine.errors), (0, 1));
+
+    // The server carries on: the next client gets the whole answer.
+    let (status, headers, body) = get_query(addr, q6, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(headers.contains("Transfer-Encoding: chunked"), "{headers}");
+    assert!(body.len() > 4_000_000 && body.ends_with("]}}"));
+    assert_eq!(body.matches("\"type\":\"uri\"").count(), 40_000);
 
     handle.shutdown();
 }
