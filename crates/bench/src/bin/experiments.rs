@@ -28,9 +28,9 @@
 //! ratio (see `turbohom_bench::recorder`).
 
 use std::collections::BTreeMap;
-use turbohom_bench::recorder::{regression_gate, BenchRecord, QueryRun, SchedulerRun};
+use turbohom_bench::recorder::{regression_gate, BenchRecord, QueryRun};
 use turbohom_bench::*;
-use turbohom_core::{OptimizationName, Optimizations, Scheduler, TurboHomConfig};
+use turbohom_core::{OptimizationName, Optimizations, TurboHomConfig};
 use turbohom_datasets::{bsbm, btc, lubm, yago};
 use turbohom_engine::{EngineKind, Trace};
 
@@ -246,31 +246,6 @@ fn record_mode(args: &[String]) -> i32 {
                 .map(|r| format!("{:.3}", r.median_ms))
                 .unwrap_or_default()
         );
-    }
-
-    // Morsel-vs-chunked scheduler A/B on the heavy queries at 4 threads.
-    let ab_threads = 4usize;
-    for q in queries.iter().filter(|q| q.id == "Q2" || q.id == "Q9") {
-        let run_with = |scheduler: Scheduler| {
-            let config = TurboHomConfig::turbohom_plus_plus()
-                .with_threads(ab_threads)
-                .with_scheduler(scheduler);
-            measure_runs(|| {
-                store
-                    .execute_turbohom(&q.sparql, config, false)
-                    .unwrap_or_else(|e| panic!("{} A/B failed on {}: {e}", scheduler.label(), q.id))
-            })
-        };
-        let (morsel_runs, morsel_last) = run_with(Scheduler::Morsel);
-        let (chunked_runs, _) = run_with(Scheduler::Chunked);
-        record.scheduler_comparison.push(SchedulerRun {
-            id: q.id.clone(),
-            threads: ab_threads,
-            morsel_ms: protocol_median(&morsel_runs).as_secs_f64() * 1000.0,
-            chunked_ms: protocol_median(&chunked_runs).as_secs_f64() * 1000.0,
-            morsels: morsel_last.stats.morsels,
-            morsels_stolen: morsel_last.stats.morsels_stolen,
-        });
     }
 
     // The sharded column: the same queries through the scatter-gather

@@ -66,24 +66,6 @@ pub struct QueryRun {
     pub qerror: Option<f64>,
 }
 
-/// A scheduler A/B data point: the same query and thread count under the
-/// morsel-driven and the legacy chunked scheduler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedulerRun {
-    /// The benchmark query id.
-    pub id: String,
-    /// Worker threads used for both sides.
-    pub threads: usize,
-    /// Median elapsed time under the morsel work-stealing scheduler.
-    pub morsel_ms: f64,
-    /// Median elapsed time under the legacy chunked scheduler.
-    pub chunked_ms: f64,
-    /// Morsels executed (morsel side).
-    pub morsels: usize,
-    /// Morsels obtained by stealing (morsel side).
-    pub morsels_stolen: usize,
-}
-
 /// One recorded benchmark session: everything `BENCH_<dataset>.json` holds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchRecord {
@@ -102,8 +84,6 @@ pub struct BenchRecord {
     pub sharded: Vec<QueryRun>,
     /// Shards used for the `sharded` measurements (0 when not recorded).
     pub shard_count: usize,
-    /// Morsel-vs-chunked scheduler comparison (empty if not recorded).
-    pub scheduler_comparison: Vec<SchedulerRun>,
     /// Store-load timings in milliseconds: `parse_build` (generate/parse the
     /// triples and build every index on the heap) vs `snapshot_map` (open a
     /// saved snapshot zero-copy). Empty when not recorded — records written
@@ -218,40 +198,23 @@ impl BenchRecord {
         }
         out.extend_from_slice(b"  \"queries\": [\n");
         push_query_runs(&mut out, &self.queries);
-        out.extend_from_slice(b"  ],\n");
+        out.extend_from_slice(b"  ]");
         if !self.sharded.is_empty() {
-            out.extend_from_slice(format!("  \"shard_count\": {},\n", self.shard_count).as_bytes());
+            out.extend_from_slice(
+                format!(",\n  \"shard_count\": {},\n", self.shard_count).as_bytes(),
+            );
             out.extend_from_slice(b"  \"sharded\": [\n");
             push_query_runs(&mut out, &self.sharded);
-            out.extend_from_slice(b"  ],\n");
+            out.extend_from_slice(b"  ]");
         }
-        out.extend_from_slice(b"  \"scheduler_comparison\": [\n");
-        for (i, s) in self.scheduler_comparison.iter().enumerate() {
-            out.extend_from_slice(b"    {\"id\": \"");
-            escape_json_into(&mut out, &s.id);
-            out.extend_from_slice(
-                format!("\", \"threads\": {}, \"morsel_ms\": ", s.threads).as_bytes(),
-            );
-            push_f64(&mut out, s.morsel_ms);
-            out.extend_from_slice(b", \"chunked_ms\": ");
-            push_f64(&mut out, s.chunked_ms);
-            out.extend_from_slice(
-                format!(
-                    ", \"morsels\": {}, \"morsels_stolen\": {}}}",
-                    s.morsels, s.morsels_stolen
-                )
-                .as_bytes(),
-            );
-            if i + 1 < self.scheduler_comparison.len() {
-                out.push(b',');
-            }
-            out.push(b'\n');
-        }
-        out.extend_from_slice(b"  ]\n}\n");
+        out.extend_from_slice(b"\n}\n");
         String::from_utf8(out).expect("the emitter writes UTF-8")
     }
 
     /// Parses a record previously written by [`to_json`](Self::to_json).
+    /// Keys it does not know are skipped, so records that still carry the
+    /// retired `scheduler_comparison` section (the morsel-vs-chunked A/B)
+    /// keep parsing.
     pub fn from_json(input: &str) -> Result<Self, String> {
         let value = Json::parse(input)?;
         let obj = value.as_object().ok_or("top level must be an object")?;
@@ -286,17 +249,6 @@ impl BenchRecord {
                 .and_then(|v| v.as_f64())
                 .map(|v| v as usize)
                 .unwrap_or(0);
-        }
-        for s in get_array(obj, "scheduler_comparison")? {
-            let s = s.as_object().ok_or("scheduler entry must be an object")?;
-            record.scheduler_comparison.push(SchedulerRun {
-                id: get_str(s, "id")?,
-                threads: get_usize(s, "threads")?,
-                morsel_ms: get_f64(s, "morsel_ms")?,
-                chunked_ms: get_f64(s, "chunked_ms")?,
-                morsels: get_usize(s, "morsels")?,
-                morsels_stolen: get_usize(s, "morsels_stolen")?,
-            });
         }
         Ok(record)
     }
@@ -738,14 +690,6 @@ mod tests {
                 qerror: Some(2.0),
             }],
             shard_count: 8,
-            scheduler_comparison: vec![SchedulerRun {
-                id: "Q2".into(),
-                threads: 4,
-                morsel_ms: 0.8,
-                chunked_ms: 1.1,
-                morsels: 40,
-                morsels_stolen: 6,
-            }],
             load_ms: vec![
                 ("parse_build".into(), 12.5),
                 ("snapshot_map".into(), 0.75),
@@ -765,7 +709,6 @@ mod tests {
         assert_eq!(parsed.queries.len(), 2);
         assert_eq!(parsed.queries[0].stats.candidate_regions, 7);
         assert_eq!(parsed.queries[0].stats.morsels_stolen, 1);
-        assert_eq!(parsed.scheduler_comparison, record.scheduler_comparison);
         assert_eq!(parsed.median_ms("Q1", "turbohom++"), Some(0.5));
         assert_eq!(parsed.median_ms("Q9", "turbohom++"), None);
         // The floats survive the 6-decimal formatting.
@@ -790,6 +733,17 @@ mod tests {
         assert_eq!(parsed.sharded.len(), 1);
         assert_eq!(parsed.sharded[0].stats.shards_executed, 3);
         assert_eq!(parsed.sharded[0].stats.shards_pruned, 5);
+        // Records written while the scheduler A/B existed end with its
+        // section; the reader skips it, the writer no longer emits it.
+        assert!(!json.contains("scheduler_comparison"));
+        let old_shape = json.replacen(
+            "\n}\n",
+            ",\n  \"scheduler_comparison\": [\n    {\"id\": \"Q2\", \"threads\": 4, \
+             \"morsel_ms\": 0.8, \"chunked_ms\": 1.1, \"morsels\": 40, \"morsels_stolen\": 6}\n  ]\n}\n",
+            1,
+        );
+        assert!(old_shape.contains("scheduler_comparison"));
+        assert_eq!(BenchRecord::from_json(&old_shape).unwrap(), parsed);
     }
 
     #[test]

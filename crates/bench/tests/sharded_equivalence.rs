@@ -50,3 +50,28 @@ fn lubm1_selective_queries_prune_shards_at_k8() {
         assert!(result.stats.shards_pruned > 0, "{} pruned nothing", q.id);
     }
 }
+
+#[test]
+fn one_live_shard_runs_inline_and_four_fan_out_to_the_same_bytes() {
+    // The fan-out runs a single live shard on the calling thread and hands
+    // several to a pool; both must gather what the single store returns.
+    let single = lubm_store(1);
+    let sharded = sharded_lubm_store(1, 4);
+    let kind = EngineKind::TurboHomPlusPlus;
+    let mut live_counts = Vec::new();
+    for q in lubm::queries()
+        .iter()
+        .filter(|q| ["Q1", "Q6"].contains(&q.id.as_str()))
+    {
+        let plan = sharded.prepare_plan(&q.sparql, kind).unwrap();
+        live_counts.push(plan.live_shards().len());
+        assert_eq!(
+            sharded.run_plan(&plan).unwrap().to_sparql_json(),
+            single.execute(&q.sparql, kind).unwrap().to_sparql_json(),
+            "{} on {} live shard(s)",
+            q.id,
+            plan.live_shards().len()
+        );
+    }
+    assert_eq!(live_counts, [1, 4]);
+}

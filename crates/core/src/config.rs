@@ -114,30 +114,6 @@ impl OptimizationName {
     }
 }
 
-/// How candidate regions are distributed to worker threads (Section 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Morsel-driven work stealing: every worker owns a contiguous range of
-    /// start vertices and pops small morsels off its own front; an idle
-    /// worker steals the back half of a victim's remaining range. Degree
-    /// information ranks heavy regions first.
-    #[default]
-    Morsel,
-    /// Legacy scheduler: workers claim fixed-size chunks from one shared
-    /// atomic cursor. Kept for A/B comparison in the benchmarks.
-    Chunked,
-}
-
-impl Scheduler {
-    /// Short name used by the flight recorder and the benchmark CLI.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Scheduler::Morsel => "morsel",
-            Scheduler::Chunked => "chunked",
-        }
-    }
-}
-
 /// The full engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TurboHomConfig {
@@ -148,8 +124,6 @@ pub struct TurboHomConfig {
     /// Number of worker threads for candidate-region-parallel execution
     /// (Section 5.2). `1` means sequential.
     pub threads: usize,
-    /// Strategy used to hand candidate regions to the worker threads.
-    pub scheduler: Scheduler,
     /// When `true`, solutions are counted but not materialized (useful for
     /// the largest benchmark runs).
     pub count_only: bool,
@@ -166,7 +140,6 @@ impl Default for TurboHomConfig {
             semantics: MatchSemantics::Homomorphism,
             optimizations: Optimizations::all(),
             threads: 1,
-            scheduler: Scheduler::Morsel,
             count_only: false,
             max_solutions: None,
             simple_entailment: false,
@@ -208,12 +181,6 @@ impl TurboHomConfig {
     /// Returns a copy with the given optimizations.
     pub fn with_optimizations(mut self, optimizations: Optimizations) -> Self {
         self.optimizations = optimizations;
-        self
-    }
-
-    /// Returns a copy with the given region scheduler.
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 }
@@ -270,14 +237,5 @@ mod tests {
     fn with_threads_clamps_to_one() {
         assert_eq!(TurboHomConfig::default().with_threads(0).threads, 1);
         assert_eq!(TurboHomConfig::default().with_threads(8).threads, 8);
-    }
-
-    #[test]
-    fn scheduler_defaults_to_morsel_and_round_trips() {
-        assert_eq!(TurboHomConfig::default().scheduler, Scheduler::Morsel);
-        let c = TurboHomConfig::default().with_scheduler(Scheduler::Chunked);
-        assert_eq!(c.scheduler, Scheduler::Chunked);
-        assert_eq!(Scheduler::Morsel.label(), "morsel");
-        assert_eq!(Scheduler::Chunked.label(), "chunked");
     }
 }

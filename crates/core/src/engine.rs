@@ -4,36 +4,22 @@
 //! vertices (paper Algorithm 1 + Sections 4.3, 5.1, 5.2).
 
 use crate::candidate_region::{explore_candidate_region, CandidateRegion};
-use crate::config::{Scheduler, TurboHomConfig};
+use crate::config::TurboHomConfig;
 use crate::matching_order::MatchingOrder;
-use crate::morsel::MorselQueue;
+use crate::morsel::{drive, Morsel, Worker};
 use crate::query_tree::QueryTree;
 use crate::result::{merge_step_counts, MatchResult, RowLayout};
 use crate::start_vertex::choose_start_vertex;
 use crate::stats::MatchStats;
 use crate::subgraph_search::SubgraphSearcher;
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use turbohom_graph::{ELabel, VertexId};
 use turbohom_rdf::{Dictionary, IdRows, UNBOUND};
 use turbohom_sparql::{EvalContext, Expression};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
-
-/// Upper bound on how many starting vertices one thread claims at a time.
-/// Small chunks keep the load balanced (Section 5.2: "we assign a small
-/// chunk of the starting data vertices to threads dynamically"); the actual
-/// chunk size additionally shrinks when there are few starting vertices so
-/// that every worker gets something to do.
-const PARALLEL_CHUNK: usize = 16;
-
-/// Picks the dynamic chunk size for `starts` starting vertices and `threads`
-/// workers: roughly eight chunks per worker, capped at [`PARALLEL_CHUNK`].
-fn chunk_size(starts: usize, threads: usize) -> usize {
-    (starts / (threads * 8)).clamp(1, PARALLEL_CHUNK)
-}
 
 /// Accumulates one region's candidate counts per matching-order position —
 /// the cardinality estimates ANALYZE compares against the actual per-step
@@ -58,14 +44,6 @@ struct StageClock {
     search: Duration,
 }
 
-impl StageClock {
-    fn add(&mut self, other: &StageClock) {
-        self.explore += other.explore;
-        self.order += other.order;
-        self.search += other.search;
-    }
-}
-
 /// Runs `f`, adding its wall time to `slot` when `detailed` tracing is on.
 fn timed<T>(detailed: bool, slot: &mut Duration, f: impl FnOnce() -> T) -> T {
     if detailed {
@@ -78,28 +56,217 @@ fn timed<T>(detailed: bool, slot: &mut Duration, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// What the parallel paths merge across workers: solution rows, solution
-/// count, counters, per-step actual rows, per-step candidate estimates.
-type MergeAcc = (IdRows, usize, MatchStats, Vec<u64>, Vec<u64>);
+/// What every worker of one run reads: the query, its search structures,
+/// the start vertices in the order they are handed out, and the run-wide
+/// solution counter that makes LIMIT stop all workers.
+struct RegionRun<'r> {
+    data: &'r TransformedGraph,
+    dictionary: &'r Dictionary,
+    config: &'r TurboHomConfig,
+    query: &'r TransformedQuery,
+    tree: &'r QueryTree,
+    layout: &'r RowLayout,
+    inline_filters: &'r [Vec<&'r Expression>],
+    starts: &'r [VertexId],
+    /// The +REUSE order when it is known before the first region runs: the
+    /// plan cache's preset, or the one a pool agreed on up front.
+    shared_order: Option<&'r MatchingOrder>,
+    detailed: bool,
+    found: AtomicUsize,
+}
 
-/// What one parallel worker did, for its per-worker span.
-struct WorkerTiming {
-    worker: usize,
-    busy: Duration,
+impl RegionRun<'_> {
+    /// Algorithm 1's outer loop, for any thread count. One thread (or one
+    /// start vertex) walks `starts` in the given order on the calling
+    /// thread. A pool first agrees on the +REUSE order, then pulls the start
+    /// vertices heaviest-first in small morsels (see [`drive`]). `stats`
+    /// carries the counters of start-vertex selection into the result.
+    fn execute(
+        self,
+        mut stats: MatchStats,
+        trace: &Trace,
+        parent: Option<SpanId>,
+    ) -> (MatchResult, Option<MatchingOrder>) {
+        let threads = self.config.threads.min(self.starts.len());
+        let mut clock = StageClock::default();
+        let mut agreed_order = None;
+        let mut ranked = None;
+        if threads > 1 {
+            // With +REUSE the order is the one of the first non-empty region
+            // in `starts` order, whichever worker gets to that region.
+            if self.config.optimizations.reuse_matching_order && self.shared_order.is_none() {
+                agreed_order = timed(self.detailed, &mut clock.order, || self.probe_order());
+                stats.matching_orders_computed += usize::from(agreed_order.is_some());
+            }
+            // Heavy regions first: a candidate region can only be as large as
+            // the adjacency of its start vertex, so total degree is a cheap,
+            // effective size rank. Claimed early, the giant regions overlap
+            // with the long tail of small ones instead of serializing at the
+            // end.
+            let mut by_degree = self.starts.to_vec();
+            by_degree.sort_by_key(|&v| std::cmp::Reverse(self.data.graph.total_degree(v)));
+            ranked = Some(by_degree);
+        }
+        let run = RegionRun {
+            shared_order: self.shared_order.or(agreed_order.as_ref()),
+            starts: ranked.as_deref().unwrap_or(self.starts),
+            ..self
+        };
+
+        let mut pool = drive(run.starts.len(), threads, || RegionWorker::new(&run));
+        let mut result = MatchResult {
+            rows: IdRows::new(run.layout.stride()),
+            stats,
+            ..MatchResult::default()
+        };
+        for worker in &mut pool {
+            result.rows.append(&mut worker.result.rows);
+            result.solution_count += worker.result.solution_count;
+            result.stats.merge(&worker.result.stats);
+            merge_step_counts(&mut result.step_rows, &worker.result.step_rows);
+            merge_step_counts(&mut result.step_estimates, &worker.result.step_estimates);
+            clock.explore += worker.clock.explore;
+            clock.order += worker.clock.order;
+            clock.search += worker.clock.search;
+        }
+        if run.detailed {
+            let pool = if threads > 1 { &pool[..] } else { &[] };
+            record_stage_spans(trace, parent, &clock, &result.stats, pool);
+        }
+        let own_order = pool.into_iter().find_map(|worker| worker.own_order);
+        (result, agreed_order.or(own_order))
+    }
+
+    /// Determines the matching order of the first non-empty region in
+    /// `starts` order. The exploration is not counted: whichever worker
+    /// claims that region explores, and counts, it again.
+    fn probe_order(&self) -> Option<MatchingOrder> {
+        let mut uncounted = MatchStats::default();
+        self.starts
+            .iter()
+            .find_map(|&vs| {
+                explore_candidate_region(
+                    self.data,
+                    self.config,
+                    self.query,
+                    self.tree,
+                    vs,
+                    &mut uncounted,
+                )
+            })
+            .map(|region| MatchingOrder::determine(self.query, self.tree, &region))
+    }
+}
+
+/// Algorithm 1's loop body and what it accumulates. One worker runs the
+/// whole query when it is sequential; a pool has one per thread, merged when
+/// all have retired.
+struct RegionWorker<'r> {
+    shared: &'r RegionRun<'r>,
+    result: MatchResult,
     clock: StageClock,
-    stats: MatchStats,
-    solutions: usize,
+    /// +REUSE without a shared order: the order of the first non-empty
+    /// region this worker met.
+    own_order: Option<MatchingOrder>,
+}
+
+impl<'r> RegionWorker<'r> {
+    fn new(run: &'r RegionRun<'r>) -> Self {
+        RegionWorker {
+            shared: run,
+            result: MatchResult {
+                rows: IdRows::new(run.layout.stride()),
+                ..MatchResult::default()
+            },
+            clock: StageClock::default(),
+            own_order: None,
+        }
+    }
+}
+
+impl Worker for RegionWorker<'_> {
+    /// One iteration of Algorithm 1 for the start vertex at `index`: explore
+    /// its candidate region, fix or reuse the matching order, search. Stops
+    /// (without exploring) once the run has found `max_solutions`.
+    fn run(&mut self, index: usize) -> bool {
+        let run = self.shared;
+        let limit = run.config.max_solutions;
+        if limit.is_some_and(|limit| run.found.load(Ordering::Relaxed) >= limit) {
+            return false;
+        }
+        let vs = run.starts[index];
+        self.result.stats.candidate_regions += 1;
+        let region = timed(run.detailed, &mut self.clock.explore, || {
+            explore_candidate_region(
+                run.data,
+                run.config,
+                run.query,
+                run.tree,
+                vs,
+                &mut self.result.stats,
+            )
+        });
+        let Some(region) = region else {
+            return true;
+        };
+        self.result.stats.nonempty_regions += 1;
+        let mut determine = || {
+            self.result.stats.matching_orders_computed += 1;
+            timed(run.detailed, &mut self.clock.order, || {
+                MatchingOrder::determine(run.query, run.tree, &region)
+            })
+        };
+        let order_storage;
+        let order = if !run.config.optimizations.reuse_matching_order {
+            order_storage = determine();
+            &order_storage
+        } else if let Some(shared) = run.shared_order {
+            shared
+        } else {
+            self.own_order.get_or_insert_with(determine)
+        };
+        accumulate_estimates(&mut self.result.step_estimates, order, &region);
+        let mut searcher = SubgraphSearcher::new(
+            run.data,
+            run.config,
+            run.query,
+            run.tree,
+            order,
+            run.layout,
+            run.dictionary,
+            run.inline_filters,
+            std::mem::take(&mut self.result.rows),
+        );
+        timed(run.detailed, &mut self.clock.search, || {
+            searcher.search_region(&region, vs)
+        });
+        self.result.solution_count += searcher.solution_count;
+        self.result.rows = std::mem::take(&mut searcher.rows);
+        self.result.stats.merge(&searcher.stats);
+        merge_step_counts(&mut self.result.step_rows, &searcher.step_rows);
+        if limit.is_some() {
+            run.found
+                .fetch_add(searcher.solution_count, Ordering::Relaxed);
+        }
+        true
+    }
+
+    fn claimed(&mut self, morsel: &Morsel) {
+        self.result.stats.morsels += 1;
+        self.result.stats.morsels_stolen += usize::from(morsel.stolen);
+    }
 }
 
 /// Emits the detailed stage spans: `candidate_regions`, `matching_order`
 /// and `enumeration` rollups under `parent`, plus one `worker` span per
-/// parallel worker (child of `enumeration`) carrying its `MatchStats`.
+/// pool worker (child of `enumeration`, as long as the worker's regions
+/// took) carrying its share of the counters.
 fn record_stage_spans(
     trace: &Trace,
     parent: Option<SpanId>,
     clock: &StageClock,
     stats: &MatchStats,
-    workers: &[WorkerTiming],
+    pool: &[RegionWorker],
 ) {
     trace.record_rollup(
         "candidate_regions",
@@ -126,17 +293,17 @@ fn record_stage_spans(
             ("solutions", stats.solutions as u64),
         ],
     );
-    for w in workers {
+    for (w, worker) in pool.iter().enumerate() {
         trace.record_rollup(
             "worker",
             enumeration,
-            w.busy,
+            worker.clock.explore + worker.clock.order + worker.clock.search,
             &[
-                ("worker", w.worker as u64),
-                ("morsels", w.stats.morsels as u64),
-                ("morsels_stolen", w.stats.morsels_stolen as u64),
-                ("regions", w.stats.candidate_regions as u64),
-                ("solutions", w.solutions as u64),
+                ("worker", w as u64),
+                ("morsels", worker.result.stats.morsels as u64),
+                ("morsels_stolen", worker.result.stats.morsels_stolen as u64),
+                ("regions", worker.result.stats.candidate_regions as u64),
+                ("solutions", worker.result.solution_count as u64),
             ],
         );
     }
@@ -200,7 +367,7 @@ impl<'a> TurboHomEngine<'a> {
 
     /// Executes one (union-free) transformed query.
     pub fn execute(&self, query: &TransformedQuery) -> Result<MatchResult, EngineError> {
-        self.execute_with_order(query, None)
+        self.execute_with_order(query, None, &Trace::disabled(), None)
             .map(|(result, _)| result)
     }
 
@@ -213,22 +380,14 @@ impl<'a> TurboHomEngine<'a> {
     /// per-region by design). When a preset is supplied, no order is computed
     /// at all — `MatchStats::matching_orders_computed` stays `0` — and the
     /// returned order is `None` (the caller already holds it).
-    pub fn execute_with_order(
-        &self,
-        query: &TransformedQuery,
-        preset_order: Option<&MatchingOrder>,
-    ) -> Result<(MatchResult, Option<MatchingOrder>), EngineError> {
-        self.execute_with_order_traced(query, preset_order, &Trace::disabled(), None)
-    }
-
-    /// Executes like [`execute_with_order`](Self::execute_with_order) while
-    /// recording spans into `trace` (under `parent`). With a
-    /// [detailed](Trace::is_detailed) trace this times candidate-region
+    ///
+    /// Spans go into `trace` (under `parent`). A
+    /// [detailed](Trace::is_detailed) trace times candidate-region
     /// exploration, matching-order determination and enumeration separately
     /// (they interleave per region, so each is emitted as one rolled-up
-    /// span), plus one span per parallel worker; a coarse or disabled trace
-    /// makes this identical to the untraced path.
-    pub fn execute_with_order_traced(
+    /// span), plus one span per pool worker; a coarse or disabled trace
+    /// records nothing here.
+    pub fn execute_with_order(
         &self,
         query: &TransformedQuery,
         preset_order: Option<&MatchingOrder>,
@@ -274,48 +433,20 @@ impl<'a> TurboHomEngine<'a> {
             search_config.max_solutions = None;
         }
 
-        let (result, computed_order) = if self.config.threads <= 1 {
-            self.run_sequential(
-                query,
-                &tree,
-                &layout,
-                &selection.start_vertices,
-                &search_config,
-                &inline_filters,
-                preset_order,
-                stats,
-                trace,
-                parent,
-            )
-        } else {
-            match self.config.scheduler {
-                Scheduler::Morsel => self.run_parallel_morsel(
-                    query,
-                    &tree,
-                    &layout,
-                    &selection.start_vertices,
-                    &search_config,
-                    &inline_filters,
-                    preset_order,
-                    stats,
-                    trace,
-                    parent,
-                ),
-                Scheduler::Chunked => self.run_parallel_chunked(
-                    query,
-                    &tree,
-                    &layout,
-                    &selection.start_vertices,
-                    &search_config,
-                    &inline_filters,
-                    preset_order,
-                    stats,
-                    trace,
-                    parent,
-                ),
-            }
-        };
-        let mut result = result;
+        let (mut result, computed_order) = RegionRun {
+            data: self.data,
+            dictionary: self.dictionary,
+            config: &search_config,
+            query,
+            tree: &tree,
+            layout: &layout,
+            inline_filters: &inline_filters,
+            starts: &selection.start_vertices,
+            shared_order: preset_order.filter(|_| self.config.optimizations.reuse_matching_order),
+            detailed: trace.is_detailed(),
+            found: AtomicUsize::new(0),
+        }
+        .execute(stats, trace, parent);
 
         if !post_filters.is_empty() {
             self.apply_post_filters(query, &layout, &post_filters, &mut result);
@@ -328,457 +459,6 @@ impl<'a> TurboHomEngine<'a> {
             result.rows.clear();
         }
         Ok((result, computed_order))
-    }
-
-    /// Sequential execution (Algorithm 1's outer loop).
-    #[allow(clippy::too_many_arguments)]
-    fn run_sequential(
-        &self,
-        query: &TransformedQuery,
-        tree: &QueryTree,
-        layout: &RowLayout,
-        starts: &[VertexId],
-        config: &TurboHomConfig,
-        inline_filters: &[Vec<&Expression>],
-        preset_order: Option<&MatchingOrder>,
-        mut stats: MatchStats,
-        trace: &Trace,
-        parent: Option<SpanId>,
-    ) -> (MatchResult, Option<MatchingOrder>) {
-        let detailed = trace.is_detailed();
-        let mut clock = StageClock::default();
-        let mut rows = IdRows::new(layout.stride());
-        let mut count = 0usize;
-        let mut step_rows: Vec<u64> = Vec::new();
-        let mut step_estimates: Vec<u64> = Vec::new();
-        let mut shared_order: Option<MatchingOrder> = None;
-        for &vs in starts {
-            stats.candidate_regions += 1;
-            let region = timed(detailed, &mut clock.explore, || {
-                explore_candidate_region(self.data, config, query, tree, vs, &mut stats)
-            });
-            let Some(region) = region else {
-                continue;
-            };
-            stats.nonempty_regions += 1;
-            let order_storage;
-            let order = if config.optimizations.reuse_matching_order {
-                if let Some(preset) = preset_order {
-                    preset
-                } else {
-                    if shared_order.is_none() {
-                        shared_order = Some(timed(detailed, &mut clock.order, || {
-                            MatchingOrder::determine(query, tree, &region)
-                        }));
-                        stats.matching_orders_computed += 1;
-                    }
-                    shared_order.as_ref().unwrap()
-                }
-            } else {
-                order_storage = timed(detailed, &mut clock.order, || {
-                    MatchingOrder::determine(query, tree, &region)
-                });
-                stats.matching_orders_computed += 1;
-                &order_storage
-            };
-            accumulate_estimates(&mut step_estimates, order, &region);
-            let mut searcher = SubgraphSearcher::new(
-                self.data,
-                config,
-                query,
-                tree,
-                order,
-                layout,
-                self.dictionary,
-                inline_filters.to_vec(),
-                std::mem::take(&mut rows),
-            );
-            timed(detailed, &mut clock.search, || {
-                searcher.search_region(&region, vs)
-            });
-            count += searcher.solution_count;
-            rows = std::mem::take(&mut searcher.rows);
-            stats.merge(&searcher.stats);
-            merge_step_counts(&mut step_rows, &searcher.step_rows);
-            if let Some(limit) = config.max_solutions {
-                if count >= limit {
-                    break;
-                }
-            }
-        }
-        if detailed {
-            record_stage_spans(trace, parent, &clock, &stats, &[]);
-        }
-        (
-            MatchResult {
-                rows,
-                solution_count: count,
-                stats,
-                step_rows,
-                step_estimates,
-            },
-            shared_order,
-        )
-    }
-
-    /// With +REUSE the matching order comes from the first non-empty region;
-    /// the parallel paths compute it up front so every worker can share it.
-    fn precompute_shared_order(
-        &self,
-        query: &TransformedQuery,
-        tree: &QueryTree,
-        starts: &[VertexId],
-        config: &TurboHomConfig,
-        preset_order: Option<&MatchingOrder>,
-        stats: &mut MatchStats,
-    ) -> Option<MatchingOrder> {
-        if !config.optimizations.reuse_matching_order || preset_order.is_some() {
-            return None;
-        }
-        for &vs in starts {
-            stats.candidate_regions += 1;
-            if let Some(region) =
-                explore_candidate_region(self.data, config, query, tree, vs, stats)
-            {
-                stats.nonempty_regions += 1;
-                let order = MatchingOrder::determine(query, tree, &region);
-                stats.matching_orders_computed += 1;
-                // This region is searched again by a worker below; the
-                // duplicate exploration is negligible (one region).
-                stats.candidate_regions -= 1;
-                stats.nonempty_regions -= 1;
-                return Some(order);
-            }
-        }
-        None
-    }
-
-    /// Morsel-driven parallel execution (the default scheduler). Start
-    /// vertices are ranked heaviest-first by total degree, split into
-    /// per-worker ranges, and claimed in small morsels; an idle worker steals
-    /// the back half of a victim's remaining range (see [`MorselQueue`]).
-    /// A shared solution counter lets every worker stop as soon as the
-    /// configured `max_solutions` limit is reached globally.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel_morsel(
-        &self,
-        query: &TransformedQuery,
-        tree: &QueryTree,
-        layout: &RowLayout,
-        starts: &[VertexId],
-        config: &TurboHomConfig,
-        inline_filters: &[Vec<&Expression>],
-        preset_order: Option<&MatchingOrder>,
-        mut stats: MatchStats,
-        trace: &Trace,
-        parent: Option<SpanId>,
-    ) -> (MatchResult, Option<MatchingOrder>) {
-        let detailed = trace.is_detailed();
-        let mut clock = StageClock::default();
-        let shared_order = timed(detailed, &mut clock.order, || {
-            self.precompute_shared_order(query, tree, starts, config, preset_order, &mut stats)
-        });
-        let shared_order_ref = if config.optimizations.reuse_matching_order {
-            preset_order.or(shared_order.as_ref())
-        } else {
-            None
-        };
-
-        // Heavy regions first: a candidate region can only be as large as the
-        // adjacency of its start vertex, so total degree is a cheap, effective
-        // size rank. Claimed early, the giant regions overlap with the long
-        // tail of small ones instead of serializing at the end.
-        let mut ordered: Vec<VertexId> = starts.to_vec();
-        ordered.sort_by_key(|&v| std::cmp::Reverse(self.data.graph.total_degree(v)));
-
-        let workers = config.threads;
-        let queue = MorselQueue::new(
-            ordered.len(),
-            workers,
-            MorselQueue::default_morsel_size(ordered.len(), workers),
-        );
-        let found = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let merged: Mutex<MergeAcc> = Mutex::new((
-            IdRows::new(layout.stride()),
-            0,
-            stats,
-            Vec::new(),
-            Vec::new(),
-        ));
-        let timings: Mutex<Vec<WorkerTiming>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let ordered = &ordered;
-                let found = &found;
-                let stop = &stop;
-                let merged = &merged;
-                let timings = &timings;
-                scope.spawn(move || {
-                    let worker_start = Instant::now();
-                    let mut local_clock = StageClock::default();
-                    let mut local_rows_out = IdRows::new(layout.stride());
-                    let mut local_count = 0usize;
-                    let mut local_stats = MatchStats::default();
-                    let mut local_rows: Vec<u64> = Vec::new();
-                    let mut local_estimates: Vec<u64> = Vec::new();
-                    'work: while let Some(morsel) = queue.pop(w) {
-                        local_stats.morsels += 1;
-                        if morsel.stolen {
-                            local_stats.morsels_stolen += 1;
-                        }
-                        for &vs in &ordered[morsel.start..morsel.end] {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'work;
-                            }
-                            local_stats.candidate_regions += 1;
-                            let region = timed(detailed, &mut local_clock.explore, || {
-                                explore_candidate_region(
-                                    self.data,
-                                    config,
-                                    query,
-                                    tree,
-                                    vs,
-                                    &mut local_stats,
-                                )
-                            });
-                            let Some(region) = region else {
-                                continue;
-                            };
-                            local_stats.nonempty_regions += 1;
-                            let order_storage;
-                            let order = match shared_order_ref {
-                                Some(o) => o,
-                                None => {
-                                    order_storage = timed(detailed, &mut local_clock.order, || {
-                                        MatchingOrder::determine(query, tree, &region)
-                                    });
-                                    local_stats.matching_orders_computed += 1;
-                                    &order_storage
-                                }
-                            };
-                            accumulate_estimates(&mut local_estimates, order, &region);
-                            let mut searcher = SubgraphSearcher::new(
-                                self.data,
-                                config,
-                                query,
-                                tree,
-                                order,
-                                layout,
-                                self.dictionary,
-                                inline_filters.to_vec(),
-                                std::mem::take(&mut local_rows_out),
-                            );
-                            timed(detailed, &mut local_clock.search, || {
-                                searcher.search_region(&region, vs)
-                            });
-                            local_count += searcher.solution_count;
-                            local_rows_out = std::mem::take(&mut searcher.rows);
-                            local_stats.merge(&searcher.stats);
-                            merge_step_counts(&mut local_rows, &searcher.step_rows);
-                            if let Some(limit) = config.max_solutions {
-                                let total = found
-                                    .fetch_add(searcher.solution_count, Ordering::Relaxed)
-                                    + searcher.solution_count;
-                                if total >= limit {
-                                    stop.store(true, Ordering::Relaxed);
-                                    break 'work;
-                                }
-                            }
-                        }
-                    }
-                    if detailed {
-                        timings.lock().push(WorkerTiming {
-                            worker: w,
-                            busy: worker_start.elapsed(),
-                            clock: local_clock,
-                            stats: local_stats,
-                            solutions: local_count,
-                        });
-                    }
-                    let mut guard = merged.lock();
-                    guard.0.append(&mut local_rows_out);
-                    guard.1 += local_count;
-                    guard.2.merge(&local_stats);
-                    merge_step_counts(&mut guard.3, &local_rows);
-                    merge_step_counts(&mut guard.4, &local_estimates);
-                });
-            }
-        });
-
-        let (rows, count, mut stats, step_rows, step_estimates) = merged.into_inner();
-        stats.morsels_stolen = stats.morsels_stolen.max(queue.stolen_count());
-        if detailed {
-            let mut workers = timings.into_inner();
-            workers.sort_by_key(|t| t.worker);
-            for t in &workers {
-                clock.add(&t.clock);
-            }
-            record_stage_spans(trace, parent, &clock, &stats, &workers);
-        }
-        (
-            MatchResult {
-                rows,
-                solution_count: count,
-                stats,
-                step_rows,
-                step_estimates,
-            },
-            shared_order,
-        )
-    }
-
-    /// Legacy parallel execution: starting vertices are handed to worker
-    /// threads in small dynamic chunks off one shared cursor (the pre-morsel
-    /// scheduler, kept behind [`Scheduler::Chunked`] for A/B benchmarking).
-    /// Each candidate region is explored and searched entirely by one thread;
-    /// results are merged at the end.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel_chunked(
-        &self,
-        query: &TransformedQuery,
-        tree: &QueryTree,
-        layout: &RowLayout,
-        starts: &[VertexId],
-        config: &TurboHomConfig,
-        inline_filters: &[Vec<&Expression>],
-        preset_order: Option<&MatchingOrder>,
-        mut stats: MatchStats,
-        trace: &Trace,
-        parent: Option<SpanId>,
-    ) -> (MatchResult, Option<MatchingOrder>) {
-        let detailed = trace.is_detailed();
-        let mut clock = StageClock::default();
-        let shared_order = timed(detailed, &mut clock.order, || {
-            self.precompute_shared_order(query, tree, starts, config, preset_order, &mut stats)
-        });
-
-        let next = AtomicUsize::new(0);
-        let merged: Mutex<MergeAcc> = Mutex::new((
-            IdRows::new(layout.stride()),
-            0,
-            stats,
-            Vec::new(),
-            Vec::new(),
-        ));
-        let timings: Mutex<Vec<WorkerTiming>> = Mutex::new(Vec::new());
-        // Like the sequential path, the preset only applies under +REUSE;
-        // without it every region determines its own order.
-        let shared_order_ref = if config.optimizations.reuse_matching_order {
-            preset_order.or(shared_order.as_ref())
-        } else {
-            None
-        };
-        let chunk = chunk_size(starts.len(), config.threads);
-
-        std::thread::scope(|scope| {
-            for w in 0..config.threads {
-                let timings = &timings;
-                let next = &next;
-                let merged = &merged;
-                let shared_order_ref = &shared_order_ref;
-                scope.spawn(move || {
-                    let worker_start = Instant::now();
-                    let mut local_clock = StageClock::default();
-                    let mut local_rows_out = IdRows::new(layout.stride());
-                    let mut local_count = 0usize;
-                    let mut local_stats = MatchStats::default();
-                    let mut local_rows: Vec<u64> = Vec::new();
-                    let mut local_estimates: Vec<u64> = Vec::new();
-                    loop {
-                        let begin = next.fetch_add(chunk, Ordering::Relaxed);
-                        if begin >= starts.len() {
-                            break;
-                        }
-                        let end = (begin + chunk).min(starts.len());
-                        for &vs in &starts[begin..end] {
-                            local_stats.candidate_regions += 1;
-                            let region = timed(detailed, &mut local_clock.explore, || {
-                                explore_candidate_region(
-                                    self.data,
-                                    config,
-                                    query,
-                                    tree,
-                                    vs,
-                                    &mut local_stats,
-                                )
-                            });
-                            let Some(region) = region else {
-                                continue;
-                            };
-                            local_stats.nonempty_regions += 1;
-                            let order_storage;
-                            let order = match shared_order_ref {
-                                Some(o) => *o,
-                                None => {
-                                    order_storage = timed(detailed, &mut local_clock.order, || {
-                                        MatchingOrder::determine(query, tree, &region)
-                                    });
-                                    local_stats.matching_orders_computed += 1;
-                                    &order_storage
-                                }
-                            };
-                            accumulate_estimates(&mut local_estimates, order, &region);
-                            let mut searcher = SubgraphSearcher::new(
-                                self.data,
-                                config,
-                                query,
-                                tree,
-                                order,
-                                layout,
-                                self.dictionary,
-                                inline_filters.to_vec(),
-                                std::mem::take(&mut local_rows_out),
-                            );
-                            timed(detailed, &mut local_clock.search, || {
-                                searcher.search_region(&region, vs)
-                            });
-                            local_count += searcher.solution_count;
-                            local_rows_out = std::mem::take(&mut searcher.rows);
-                            local_stats.merge(&searcher.stats);
-                            merge_step_counts(&mut local_rows, &searcher.step_rows);
-                        }
-                    }
-                    if detailed {
-                        timings.lock().push(WorkerTiming {
-                            worker: w,
-                            busy: worker_start.elapsed(),
-                            clock: local_clock,
-                            stats: local_stats,
-                            solutions: local_count,
-                        });
-                    }
-                    let mut guard = merged.lock();
-                    guard.0.append(&mut local_rows_out);
-                    guard.1 += local_count;
-                    guard.2.merge(&local_stats);
-                    merge_step_counts(&mut guard.3, &local_rows);
-                    merge_step_counts(&mut guard.4, &local_estimates);
-                });
-            }
-        });
-
-        let (rows, count, stats, step_rows, step_estimates) = merged.into_inner();
-        if detailed {
-            let mut workers = timings.into_inner();
-            workers.sort_by_key(|t| t.worker);
-            for t in &workers {
-                clock.add(&t.clock);
-            }
-            record_stage_spans(trace, parent, &clock, &stats, &workers);
-        }
-        (
-            MatchResult {
-                rows,
-                solution_count: count,
-                stats,
-                step_rows,
-                step_estimates,
-            },
-            shared_order,
-        )
     }
 
     /// Splits the query's filters into per-vertex inline filters and
@@ -866,6 +546,7 @@ impl<'a> TurboHomEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Optimizations;
     use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
     use turbohom_transform::{transform_query, type_aware_transform};
@@ -880,6 +561,11 @@ mod tests {
     /// has 3 × 2 × 4 = 24 solutions).
     fn university_dataset() -> Dataset {
         let mut ds = Dataset::new();
+        add_universities(&mut ds);
+        ds
+    }
+
+    fn add_universities(ds: &mut Dataset) {
         for u in 0..3 {
             let univ = ub(&format!("univ{u}"));
             ds.insert_iris(&univ, vocab::RDF_TYPE, &ub("University"));
@@ -901,7 +587,6 @@ mod tests {
                 }
             }
         }
-        ds
     }
 
     const TRIANGLE: &str = r#"
@@ -944,48 +629,115 @@ mod tests {
         assert_eq!(plus.len(), plain.len());
     }
 
-    #[test]
-    fn parallel_execution_matches_sequential() {
-        let ds = university_dataset();
-        let data = type_aware_transform(&ds);
-        let seq = execute(&ds, &data, TRIANGLE, TurboHomConfig::default());
-        for threads in [2, 4, 8] {
-            let par = execute(
-                &ds,
-                &data,
-                TRIANGLE,
-                TurboHomConfig::default().with_threads(threads),
+    /// [`university_dataset`] preceded by entities that start candidate
+    /// regions which turn out empty (whichever query vertex is chosen as the
+    /// start): a university without departments, a department without
+    /// students, a student without a department.
+    fn university_dataset_with_empty_regions() -> Dataset {
+        let mut ds = Dataset::new();
+        for i in 0..3 {
+            ds.insert_iris(
+                &ub(&format!("lone_univ{i}")),
+                vocab::RDF_TYPE,
+                &ub("University"),
             );
-            assert_eq!(par.len(), seq.len(), "threads = {threads}");
-            // Same multiset of solutions.
-            let mut a: Vec<_> = seq.rows.iter().collect();
-            let mut b: Vec<_> = par.rows.iter().collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
+            ds.insert_iris(
+                &ub(&format!("lone_dept{i}")),
+                vocab::RDF_TYPE,
+                &ub("Department"),
+            );
+            ds.insert_iris(
+                &ub(&format!("lone_student{i}")),
+                vocab::RDF_TYPE,
+                &ub("Student"),
+            );
+        }
+        add_universities(&mut ds);
+        ds
+    }
+
+    fn sorted_rows(result: &MatchResult) -> Vec<&[u32]> {
+        let mut rows: Vec<_> = result.rows.iter().collect();
+        rows.sort();
+        rows
+    }
+
+    /// The counters that must not depend on how regions were handed out.
+    fn counters(result: &MatchResult) -> MatchStats {
+        MatchStats {
+            morsels: 0,
+            morsels_stolen: 0,
+            ..result.stats
         }
     }
 
     #[test]
-    fn both_schedulers_match_sequential() {
-        let ds = university_dataset();
+    fn every_thread_count_runs_the_same_search() {
+        let ds = university_dataset_with_empty_regions();
         let data = type_aware_transform(&ds);
-        let seq = execute(&ds, &data, TRIANGLE, TurboHomConfig::default());
-        let mut expected: Vec<_> = seq.rows.iter().collect();
-        expected.sort();
-        for scheduler in [Scheduler::Morsel, Scheduler::Chunked] {
-            let par = execute(
-                &ds,
-                &data,
-                TRIANGLE,
-                TurboHomConfig::default()
-                    .with_threads(4)
-                    .with_scheduler(scheduler),
-            );
-            assert_eq!(par.len(), seq.len(), "{scheduler:?}");
-            let mut got: Vec<_> = par.rows.iter().collect();
-            got.sort();
-            assert_eq!(got, expected, "{scheduler:?}");
+        let q = parse_query(TRIANGLE).unwrap();
+        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let run = |config: TurboHomConfig, preset: Option<&MatchingOrder>| {
+            TurboHomEngine::new(&data, &ds.dictionary, config)
+                .execute_with_order(&tq, preset, &Trace::disabled(), None)
+                .unwrap()
+        };
+        let (cold, cached_order) = run(TurboHomConfig::default(), None);
+        // Empty regions come before the first hit, so a pool that counted
+        // its search for the shared order would report more regions.
+        assert!(cold.stats.candidate_regions > cold.stats.nonempty_regions);
+        assert_eq!(cold.stats.matching_orders_computed, 1);
+        // One slot per query vertex, for both actuals and estimates; every
+        // step bound at least one candidate, and the final step produced
+        // exactly the solutions (no variable-predicate fan-out here).
+        assert_eq!(cold.step_rows.len(), 3);
+        assert_eq!(cold.step_estimates.len(), 3);
+        assert!(cold.step_rows.iter().all(|&r| r > 0));
+        assert!(cold.step_estimates.iter().all(|&e| e > 0));
+        assert_eq!(*cold.step_rows.last().unwrap(), 24);
+
+        for optimizations in [Optimizations::all(), Optimizations::none()] {
+            for preset in [None, cached_order.as_ref()] {
+                let config = TurboHomConfig::default().with_optimizations(optimizations);
+                let case = format!(
+                    "reuse = {}, preset = {}",
+                    optimizations.reuse_matching_order,
+                    preset.is_some()
+                );
+                let (seq, seq_order) = run(config, preset);
+                assert_eq!(seq.len(), 24, "{case}");
+                assert_eq!(
+                    seq.stats.morsels, 0,
+                    "{case}: an inline run claims no morsels"
+                );
+                let orders = match (optimizations.reuse_matching_order, preset) {
+                    (true, Some(_)) => 0,
+                    (true, None) => 1,
+                    (false, _) => seq.stats.nonempty_regions,
+                };
+                assert_eq!(seq.stats.matching_orders_computed, orders, "{case}");
+                for threads in [1, 2, 4, 8] {
+                    let case = format!("{case}, threads = {threads}");
+                    let (par, par_order) = run(config.with_threads(threads), preset);
+                    assert_eq!(sorted_rows(&par), sorted_rows(&seq), "{case}");
+                    assert_eq!(par.len(), seq.len(), "{case}");
+                    assert_eq!(par.step_rows, seq.step_rows, "{case}");
+                    assert_eq!(par.step_estimates, seq.step_estimates, "{case}");
+                    assert_eq!(counters(&par), counters(&seq), "{case}");
+                    assert_eq!(
+                        par_order.map(|o| o.order),
+                        seq_order.as_ref().map(|o| o.order.clone()),
+                        "{case}"
+                    );
+                    let limited = TurboHomConfig {
+                        max_solutions: Some(5),
+                        ..config.with_threads(threads)
+                    };
+                    let (limited, _) = run(limited, preset);
+                    assert_eq!(limited.len(), 5, "{case}");
+                    assert_eq!(limited.rows.len(), 5, "{case}");
+                }
+            }
         }
     }
 
@@ -999,35 +751,7 @@ mod tests {
             TRIANGLE,
             TurboHomConfig::default().with_threads(4),
         );
-        assert!(
-            par.stats.morsels > 0,
-            "morsel scheduler must record morsels"
-        );
-        // The chunked legacy path records none.
-        let chunked = execute(
-            &ds,
-            &data,
-            TRIANGLE,
-            TurboHomConfig::default()
-                .with_threads(4)
-                .with_scheduler(Scheduler::Chunked),
-        );
-        assert_eq!(chunked.stats.morsels, 0);
-    }
-
-    #[test]
-    fn parallel_limit_stops_early_and_is_exact() {
-        let ds = university_dataset();
-        let data = type_aware_transform(&ds);
-        for threads in [2, 4] {
-            let config = TurboHomConfig {
-                max_solutions: Some(5),
-                ..TurboHomConfig::default().with_threads(threads)
-            };
-            let result = execute(&ds, &data, TRIANGLE, config);
-            assert_eq!(result.len(), 5, "threads = {threads}");
-            assert_eq!(result.rows.len(), 5);
-        }
+        assert!(par.stats.morsels > 0, "a pool must record its morsels");
     }
 
     #[test]
@@ -1133,43 +857,13 @@ mod tests {
             &ds,
             &data,
             TRIANGLE,
-            TurboHomConfig::default().with_optimizations(crate::config::Optimizations::none()),
+            TurboHomConfig::default().with_optimizations(Optimizations::none()),
         );
         assert!(without.stats.matching_orders_computed >= 1);
         assert_eq!(
             without.stats.matching_orders_computed,
             without.stats.nonempty_regions
         );
-    }
-
-    #[test]
-    fn step_counters_cover_every_order_position_and_agree_across_schedulers() {
-        let ds = university_dataset();
-        let data = type_aware_transform(&ds);
-        let seq = execute(&ds, &data, TRIANGLE, TurboHomConfig::default());
-        // One slot per query vertex, for both actuals and estimates.
-        assert_eq!(seq.step_rows.len(), 3);
-        assert_eq!(seq.step_estimates.len(), 3);
-        // Every step bound at least one candidate (the query has solutions),
-        // and the final step produced exactly the solution count (no
-        // variable-predicate fan-out in this query).
-        assert!(seq.step_rows.iter().all(|&r| r > 0));
-        assert_eq!(*seq.step_rows.last().unwrap(), 24);
-        assert!(seq.step_estimates.iter().all(|&e| e > 0));
-        // Parallel execution visits the same regions, so the summed per-step
-        // counters are identical regardless of scheduler.
-        for scheduler in [Scheduler::Morsel, Scheduler::Chunked] {
-            let par = execute(
-                &ds,
-                &data,
-                TRIANGLE,
-                TurboHomConfig::default()
-                    .with_threads(4)
-                    .with_scheduler(scheduler),
-            );
-            assert_eq!(par.step_rows, seq.step_rows, "{scheduler:?}");
-            assert_eq!(par.step_estimates, seq.step_estimates, "{scheduler:?}");
-        }
     }
 
     #[test]
@@ -1180,11 +874,15 @@ mod tests {
         let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         // Cold run: computes the order once (+REUSE) and hands it back.
-        let (cold, order) = engine.execute_with_order(&tq, None).unwrap();
+        let (cold, order) = engine
+            .execute_with_order(&tq, None, &Trace::disabled(), None)
+            .unwrap();
         assert_eq!(cold.stats.matching_orders_computed, 1);
         let order = order.expect("cold run must surface the computed order");
         // Warm run: the preset is used, no order is determined at all.
-        let (warm, recomputed) = engine.execute_with_order(&tq, Some(&order)).unwrap();
+        let (warm, recomputed) = engine
+            .execute_with_order(&tq, Some(&order), &Trace::disabled(), None)
+            .unwrap();
         assert_eq!(warm.stats.matching_orders_computed, 0);
         assert!(recomputed.is_none());
         assert_eq!(warm.len(), cold.len());
@@ -1199,7 +897,9 @@ mod tests {
             &ds.dictionary,
             TurboHomConfig::default().with_threads(4),
         );
-        let (par, recomputed) = par_engine.execute_with_order(&tq, Some(&order)).unwrap();
+        let (par, recomputed) = par_engine
+            .execute_with_order(&tq, Some(&order), &Trace::disabled(), None)
+            .unwrap();
         assert_eq!(par.stats.matching_orders_computed, 0);
         assert!(recomputed.is_none());
         assert_eq!(par.len(), cold.len());
@@ -1218,7 +918,7 @@ mod tests {
         let root = trace.span("execute");
         let root_id = root.id();
         let (result, _) = engine
-            .execute_with_order_traced(&tq, None, &trace, root_id)
+            .execute_with_order(&tq, None, &trace, root_id)
             .unwrap();
         root.finish();
         let report = trace.finish();
@@ -1251,46 +951,38 @@ mod tests {
         assert!(report.spans.iter().all(|s| s.name != "worker"));
 
         // Parallel: one worker span per thread, parented under enumeration.
-        for scheduler in [Scheduler::Morsel, Scheduler::Chunked] {
-            let engine = TurboHomEngine::new(
-                &data,
-                &ds.dictionary,
-                TurboHomConfig::default()
-                    .with_threads(3)
-                    .with_scheduler(scheduler),
-            );
-            let trace = Trace::detailed(12);
-            let (result, _) = engine
-                .execute_with_order_traced(&tq, None, &trace, None)
-                .unwrap();
-            assert_eq!(result.len(), 24, "{scheduler:?}");
-            let report = trace.finish();
-            let enum_id = report
-                .spans
-                .iter()
-                .find(|s| s.name == "enumeration")
-                .map(|s| s.id);
-            let workers: Vec<_> = report.spans.iter().filter(|s| s.name == "worker").collect();
-            assert_eq!(workers.len(), 3, "{scheduler:?}");
-            assert!(workers.iter().all(|s| s.parent == enum_id));
-            let worker_solutions: u64 = workers
-                .iter()
-                .map(|s| {
-                    s.counters
-                        .iter()
-                        .find(|(n, _)| *n == "solutions")
-                        .map_or(0, |(_, v)| *v)
-                })
-                .sum();
-            assert_eq!(worker_solutions, 24, "{scheduler:?}");
-        }
+        let engine = TurboHomEngine::new(
+            &data,
+            &ds.dictionary,
+            TurboHomConfig::default().with_threads(3),
+        );
+        let trace = Trace::detailed(12);
+        let (result, _) = engine.execute_with_order(&tq, None, &trace, None).unwrap();
+        assert_eq!(result.len(), 24);
+        let report = trace.finish();
+        let enum_id = report
+            .spans
+            .iter()
+            .find(|s| s.name == "enumeration")
+            .map(|s| s.id);
+        let workers: Vec<_> = report.spans.iter().filter(|s| s.name == "worker").collect();
+        assert_eq!(workers.len(), 3);
+        assert!(workers.iter().all(|s| s.parent == enum_id));
+        let worker_solutions: u64 = workers
+            .iter()
+            .map(|s| {
+                s.counters
+                    .iter()
+                    .find(|(n, _)| *n == "solutions")
+                    .map_or(0, |(_, v)| *v)
+            })
+            .sum();
+        assert_eq!(worker_solutions, 24);
 
         // An untraced (or coarse) run records nothing from the core.
         let trace = Trace::new(13);
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-        let (_, _) = engine
-            .execute_with_order_traced(&tq, None, &trace, None)
-            .unwrap();
+        let (_, _) = engine.execute_with_order(&tq, None, &trace, None).unwrap();
         assert!(trace.finish().spans.is_empty());
     }
 

@@ -31,9 +31,9 @@ pub mod start_vertex;
 pub mod stats;
 pub mod subgraph_search;
 
-pub use config::{MatchSemantics, OptimizationName, Optimizations, Scheduler, TurboHomConfig};
+pub use config::{MatchSemantics, OptimizationName, Optimizations, TurboHomConfig};
 pub use engine::{EngineError, TurboHomEngine};
 pub use matching_order::MatchingOrder;
-pub use morsel::{Morsel, MorselQueue};
+pub use morsel::{drive, Morsel, MorselQueue, Worker};
 pub use result::{merge_step_counts, MatchResult, RowLayout};
 pub use stats::MatchStats;

@@ -1,13 +1,15 @@
-//! Morsel-driven work-stealing distribution of candidate regions.
+//! The worker driver and its morsel-driven work-stealing queue.
 //!
 //! Section 5.2 of the paper parallelizes TurboHOM++ by handing candidate
 //! regions (equivalently: start vertices) to worker threads dynamically.
-//! This module implements that distribution morsel-style: every worker owns
-//! one contiguous range of the start-vertex array and pops small *morsels*
-//! (fixed-size runs) off its own front with a single CAS. A worker whose
-//! range is exhausted steals the back half of a victim's remaining range, so
-//! skewed regions (one giant candidate region next to thousands of tiny
-//! ones) no longer serialize behind a shared cursor.
+//! [`drive`] is the one place that does so: with one thread it runs a single
+//! [`Worker`] on the calling thread, otherwise it spawns scoped workers that
+//! pull from a [`MorselQueue`]. Every worker owns one contiguous range of the
+//! item array and pops small *morsels* (fixed-size runs) off its own front
+//! with a single CAS. A worker whose range is exhausted steals the back half
+//! of a victim's remaining range, so skewed regions (one giant candidate
+//! region next to thousands of tiny ones) do not serialize behind a shared
+//! cursor.
 //!
 //! Ranges are packed `begin << 32 | end` into one `AtomicU64` per worker, so
 //! both pop and steal are single-word CAS operations with no locks.
@@ -31,6 +33,56 @@ pub struct MorselQueue {
     segments: Vec<AtomicU64>,
     morsel_size: usize,
     stolen: AtomicUsize,
+}
+
+/// One worker of a [`drive`] run: the state it accumulates and its per-item
+/// step.
+pub trait Worker: Send {
+    /// Processes item `index`; returning `false` retires this worker.
+    fn run(&mut self, index: usize) -> bool;
+
+    /// Told about every morsel the worker claims from the queue (never
+    /// called when the run is inline).
+    fn claimed(&mut self, _morsel: &Morsel) {}
+}
+
+/// Runs the items `0..total` through `threads` workers and returns them in
+/// worker order. With `threads <= 1` the single worker runs on the calling
+/// thread over the items in index order — nothing is spawned; otherwise
+/// every scoped thread builds its worker with `new_worker` and pulls morsels
+/// until the queue is dry or its worker retires.
+pub fn drive<W: Worker>(total: usize, threads: usize, new_worker: impl Fn() -> W + Sync) -> Vec<W> {
+    if threads <= 1 {
+        let mut worker = new_worker();
+        let _ = (0..total).all(|index| worker.run(index));
+        return vec![worker];
+    }
+    let queue = MorselQueue::new(
+        total,
+        threads,
+        MorselQueue::default_morsel_size(total, threads),
+    );
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                let (queue, new_worker) = (&queue, &new_worker);
+                scope.spawn(move || {
+                    let mut worker = new_worker();
+                    while let Some(morsel) = queue.pop(w) {
+                        worker.claimed(&morsel);
+                        if !(morsel.start..morsel.end).all(|index| worker.run(index)) {
+                            break;
+                        }
+                    }
+                    worker
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("worker panicked"))
+            .collect()
+    })
 }
 
 #[inline]
@@ -240,6 +292,64 @@ mod tests {
                 assert_eq!(got, (0..total).collect::<Vec<_>>(), "{total}/{workers}");
             }
         }
+    }
+
+    /// Records what the driver told it; retires at `stop_at`.
+    struct Recorder {
+        seen: Vec<usize>,
+        morsels: usize,
+        stop_at: Option<usize>,
+    }
+
+    impl Worker for Recorder {
+        fn run(&mut self, index: usize) -> bool {
+            self.seen.push(index);
+            self.stop_at != Some(index)
+        }
+
+        fn claimed(&mut self, _morsel: &Morsel) {
+            self.morsels += 1;
+        }
+    }
+
+    fn recorder(stop_at: Option<usize>) -> impl Fn() -> Recorder + Sync {
+        move || Recorder {
+            seen: Vec::new(),
+            morsels: 0,
+            stop_at,
+        }
+    }
+
+    #[test]
+    fn drive_runs_one_worker_inline_and_in_order() {
+        let caller = std::thread::current().id();
+        let workers = drive(37, 1, || {
+            assert_eq!(std::thread::current().id(), caller, "nothing is spawned");
+            recorder(None)()
+        });
+        assert_eq!(workers.len(), 1);
+        assert_eq!(workers[0].seen, (0..37).collect::<Vec<_>>());
+        assert_eq!(workers[0].morsels, 0, "an inline run claims no morsels");
+        // A worker that returns `false` is not called again.
+        let workers = drive(37, 1, recorder(Some(4)));
+        assert_eq!(workers[0].seen, [0, 1, 2, 3, 4]);
+        // No items: the worker still exists, and saw nothing.
+        assert!(drive(0, 1, recorder(None))[0].seen.is_empty());
+    }
+
+    #[test]
+    fn drive_pools_cover_every_item_once() {
+        let workers = drive(1_000, 4, recorder(None));
+        assert_eq!(workers.len(), 4);
+        assert!(workers.iter().map(|w| w.morsels).sum::<usize>() > 0);
+        let mut all: Vec<usize> = workers.iter().flat_map(|w| w.seen.clone()).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..1_000).collect::<Vec<_>>());
+        // A retiring worker stops only itself; its unclaimed items are
+        // stolen by the others.
+        let workers = drive(1_000, 4, recorder(Some(0)));
+        let seen: HashSet<usize> = workers.iter().flat_map(|w| w.seen.clone()).collect();
+        assert!(seen.len() > 900);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct SubgraphSearcher<'a> {
     layout: &'a RowLayout,
     dictionary: &'a Dictionary,
     /// Cheap filters applied when the keyed query vertex gets bound.
-    inline_filters: Vec<Vec<&'a Expression>>,
+    inline_filters: &'a [Vec<&'a Expression>],
     mapping: Vec<Option<VertexId>>,
     used: HashSet<VertexId>,
     /// The buffer solutions are appended to, one row per solution in
@@ -85,7 +85,7 @@ impl<'a> SubgraphSearcher<'a> {
         order: &'a MatchingOrder,
         layout: &'a RowLayout,
         dictionary: &'a Dictionary,
-        inline_filters: Vec<Vec<&'a Expression>>,
+        inline_filters: &'a [Vec<&'a Expression>],
         rows: IdRows,
     ) -> Self {
         let n = query.graph.vertex_count();
@@ -491,7 +491,7 @@ mod tests {
                 o,
                 &layout,
                 &ds.dictionary,
-                inline.clone(),
+                &inline,
                 std::mem::take(&mut solutions),
             );
             searcher.search_region(&region, start);

@@ -501,7 +501,7 @@ fn explain_component(
         region_candidates: None,
         steps: Vec::new(),
     };
-    // The same guards `execute_with_order_traced` applies, in the same order.
+    // The same guards `execute_with_order` applies, in the same order.
     if tq.unsatisfiable || tq.graph.vertex_count() == 0 {
         ce.note = Some("unsatisfiable: a query constant does not occur in the data");
         return ce;

@@ -526,12 +526,8 @@ impl Store {
         let engine =
             TurboHomEngine::new(self.graph_of(component), &self.dataset().dictionary, config);
         let preset = component.cached_order.lock().clone();
-        let (result, computed) = engine.execute_with_order_traced(
-            &component.transformed,
-            preset.as_deref(),
-            trace,
-            parent,
-        )?;
+        let (result, computed) =
+            engine.execute_with_order(&component.transformed, preset.as_deref(), trace, parent)?;
         if let Some(order) = computed {
             let mut slot = component.cached_order.lock();
             if slot.is_none() {

@@ -29,10 +29,9 @@ use crate::plan::QueryPlan;
 use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use turbohom_core::merge_step_counts;
+use turbohom_core::{drive, merge_step_counts, Worker};
 use turbohom_partition::{
     analyze_query, footprint, partition_dataset, summary_prunes, Anchor, Manifest, Ownership,
     PartitionConfig, PartitionerKind, ShardSummary, DEFAULT_HALO,
@@ -385,48 +384,31 @@ impl ShardedStore {
         let mut fanout = trace.span_under("shard_fanout", parent);
         fanout.counter("live", plan.live.len() as u64);
         fanout.counter("pruned", plan.pruned as u64);
-        // One slot per live shard; a small pool of workers drains them via
-        // an atomic cursor, each worker reusing its scratch buffer across
-        // shard tasks (the ownership filter renders terms into it).
-        let mut slots: Vec<Option<Result<IdResults<'_>, StoreError>>> =
-            (0..plan.live.len()).map(|_| None).collect();
+        // One worker per core, at most one per live shard: a plan with a
+        // single live shard runs right here, on the request's thread.
         let workers = plan
             .live
             .len()
-            .min(std::thread::available_parallelism().map_or(4, |n| n.get()))
-            .max(1);
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let cursor = &cursor;
-                handles.push(scope.spawn(move || {
-                    let mut scratch = String::new();
-                    let mut done: Vec<(usize, Result<IdResults<'_>, StoreError>)> = Vec::new();
-                    loop {
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        if slot >= plan.live.len() {
-                            return done;
-                        }
-                        let shard_id = plan.live[slot];
-                        done.push((slot, self.run_shard(plan, shard_id, threads, &mut scratch)));
-                    }
-                }));
-            }
-            for handle in handles {
-                for (slot, result) in handle.join().expect("shard worker panicked") {
-                    slots[slot] = Some(result);
-                }
-            }
-        });
+            .min(std::thread::available_parallelism().map_or(4, |n| n.get()));
+        let mut done: Vec<_> = drive(plan.live.len(), workers, || ShardWorker {
+            store: self,
+            plan,
+            threads,
+            scratch: String::new(),
+            done: Vec::new(),
+        })
+        .into_iter()
+        .flat_map(|worker| worker.done)
+        .collect();
+        done.sort_unstable_by_key(|&(slot, _)| slot);
         fanout.finish();
 
         // Shard durations are recorded as roll-ups so a pool never skews the
         // span tree (the work happened on worker threads).
-        let mut shard_results = Vec::with_capacity(slots.len());
+        let mut shard_results = Vec::with_capacity(done.len());
         let mut elapsed_max = std::time::Duration::ZERO;
-        for (slot, result) in slots.into_iter().enumerate() {
-            let result = result.expect("every live slot is executed")?;
+        for (slot, result) in done {
+            let result = result?;
             trace.record_rollup(
                 "shard_execute",
                 parent,
@@ -519,6 +501,29 @@ impl ShardedStore {
             results.solution_count = results.row_count();
         }
         Ok(results)
+    }
+}
+
+/// One worker of the shard fan-out: runs the live shards it is handed,
+/// reusing its scratch buffer across them (the ownership filter renders
+/// terms into it).
+struct ShardWorker<'s> {
+    store: &'s ShardedStore,
+    plan: &'s ShardedPlan,
+    threads: Option<usize>,
+    scratch: String,
+    /// `(index into plan.live, that shard's outcome)` per shard run.
+    done: Vec<(usize, Result<IdResults<'s>, StoreError>)>,
+}
+
+impl Worker for ShardWorker<'_> {
+    fn run(&mut self, slot: usize) -> bool {
+        let shard_id = self.plan.live[slot];
+        let result = self
+            .store
+            .run_shard(self.plan, shard_id, self.threads, &mut self.scratch);
+        self.done.push((slot, result));
+        true
     }
 }
 

@@ -42,22 +42,7 @@ pub use summary::{
 };
 
 use turbohom_rdf::{vocab, Term, TermRef};
-
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice. The same function the query fingerprint uses;
-/// kept dependency-free here so ownership is stable across processes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use turbohom_storage::{fnv1a, FNV_OFFSET};
 
 /// The ownership hash of a term: FNV-1a over its N-Triples rendering.
 /// Dictionary-independent, so every shard (and every process) agrees on
@@ -74,7 +59,7 @@ pub fn term_hash_into<'a>(term: impl Into<TermRef<'a>>, scratch: &mut String) ->
     use std::fmt::Write;
     scratch.clear();
     let _ = write!(scratch, "{}", term.into());
-    fnv1a(scratch.as_bytes())
+    fnv1a(FNV_OFFSET, scratch.as_bytes())
 }
 
 /// Returns `true` for the RDFS schema predicates that are replicated into
@@ -93,12 +78,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a_matches_known_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
     fn term_hash_is_rendering_based_and_scratch_reusable() {
         let a = Term::iri("http://ex.org/a");
         let mut scratch = String::new();
@@ -106,6 +85,8 @@ mod tests {
         let h2 = term_hash_into(&a, &mut scratch);
         assert_eq!(h1, h2);
         assert_eq!(scratch, "<http://ex.org/a>");
+        // Saved manifests route by this value: it must never change.
+        assert_eq!(h1, 0x282f_4643_dfc8_a3aa);
         // Different term kinds with the same inner text hash differently.
         assert_ne!(term_hash(&Term::iri("x")), term_hash(&Term::literal("x")));
         // The scratch buffer is reusable across terms.

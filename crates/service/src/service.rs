@@ -5,7 +5,8 @@
 //!
 //! 1. normalize + fingerprint the query text (cheap: one lexer pass),
 //! 2. look the `(canonical, engine)` key up in the LRU plan cache,
-//! 3. **hit** → jump straight to enumeration via [`Store::run_plan_with`]
+//! 3. **hit** → jump straight to enumeration via
+//!    [`AnyStore::run_plan_traced`]
 //!    (no parsing, no transformation, and — via the plan's memoized
 //!    matching order — no order determination either),
 //! 4. **miss** → [`Store::prepare_plan`] (parse + transform), run it, and

@@ -24,6 +24,7 @@ use crate::parser::ParseError;
 use std::collections::HashMap;
 use std::fmt;
 use turbohom_rdf::vocab;
+use turbohom_storage::{fnv1a, FNV_OFFSET};
 
 /// The normalized identity of one query text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -43,16 +44,6 @@ impl fmt::Display for QueryFingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.hash)
     }
-}
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Computes the fingerprint of `query` without parsing it.
@@ -172,7 +163,7 @@ pub fn fingerprint(query: &str) -> Result<QueryFingerprint, ParseError> {
     }
 
     Ok(QueryFingerprint {
-        hash: fnv1a(canonical.as_bytes()),
+        hash: fnv1a(FNV_OFFSET, canonical.as_bytes()),
         canonical,
         tokens: token_count,
     })
@@ -191,6 +182,9 @@ mod tests {
         let a = fp("SELECT ?x WHERE { ?x <http://p> ?y . }");
         let b = fp("select\n\t?x  # projection\nwhere {\n  ?x <http://p> ?y .\n}\n");
         assert_eq!(a, b);
+        // Logs and caches of other processes carry this value: it must
+        // never change.
+        assert_eq!(a.hash, 0xe71b_4a90_fce2_0e4a);
         let c = fp("SELECT ?x WHERE { ?x <http://q> ?y . }");
         assert_ne!(a, c);
     }

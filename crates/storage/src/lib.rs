@@ -14,15 +14,19 @@
 //!   slice of a mapped snapshot without changing its accessors.
 //! * [`FlatCsr`] — an offsets-plus-data compressed sparse row layout over
 //!   two `FlatVec`s, replacing `Vec<Vec<T>>` in the indexes.
+//! * [`fnv1a`] — the 64-bit FNV-1a every persisted or cross-process hash
+//!   (snapshot checksums, shard ownership, query fingerprints) is made of.
 //! * [`SnapshotWriter`] / [`Snapshot`] / [`SectionCursor`] — the versioned,
 //!   checksummed section file format documented in `docs/STORAGE.md`.
 
 pub mod bytes;
 pub mod flat;
+pub mod hash;
 pub mod pod;
 pub mod snapshot;
 
 pub use bytes::ByteStore;
 pub use flat::{FlatCsr, FlatVec};
+pub use hash::{fnv1a, FNV_OFFSET};
 pub use pod::Pod;
 pub use snapshot::{SectionCursor, Snapshot, SnapshotError, SnapshotWriter};

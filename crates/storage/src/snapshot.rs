@@ -24,6 +24,7 @@
 
 use crate::bytes::ByteStore;
 use crate::flat::FlatVec;
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::pod::{bytes_of, Pod};
 use std::fmt;
 use std::io::{self, Write};
@@ -96,19 +97,6 @@ impl From<io::Error> for SnapshotError {
         SnapshotError::Io(e.to_string())
     }
 }
-
-/// FNV-1a 64-bit hash.
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    let mut h = init;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// The FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 #[derive(Debug, Clone, Copy)]
 struct SectionEntry {
@@ -391,6 +379,16 @@ mod tests {
         let path = temp_path(name);
         w.write_to(&path).unwrap();
         path
+    }
+
+    #[test]
+    fn checksums_of_a_fixed_file_do_not_change() {
+        let path = sample_file("checksums");
+        let bytes = std::fs::read(&path).unwrap();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(word(40), 0x8fe5_c427_02da_daeb, "payload checksum");
+        assert_eq!(word(48), 0x6283_9b51_1d96_5083, "header checksum");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

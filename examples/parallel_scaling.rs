@@ -1,18 +1,17 @@
 //! Parallel speed-up of TurboHOM++ (the Figure 16 experiment in miniature).
 //!
 //! The two most expensive LUBM queries (Q2 and Q9) are executed with an
-//! increasing number of threads, once per scheduler: the default
-//! **morsel-driven work-stealing** scheduler and the legacy **chunked**
-//! scheduler (static distribution of candidate regions, Section 5.2).
-//! The morsel columns also report how many morsels ran and how many were
-//! obtained by stealing — the observable evidence of rebalancing even on
-//! hosts with few cores.
+//! increasing number of threads. One thread runs the candidate regions on
+//! the calling thread; more threads pull them in small morsels and steal
+//! from each other (Section 5.2). Each line also reports how many morsels
+//! ran and how many were obtained by stealing — the observable evidence of
+//! rebalancing even on hosts with few cores.
 //!
 //! ```bash
 //! cargo run --release --example parallel_scaling [scale]
 //! ```
 
-use turbohom::core::{Scheduler, TurboHomConfig};
+use turbohom::core::TurboHomConfig;
 use turbohom::datasets::lubm::{self, LubmConfig, LubmGenerator};
 use turbohom::engine::{Store, StoreOptions};
 
@@ -33,31 +32,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for query in &queries {
         println!("\n{} — {}", query.id, query.description);
-        for &scheduler in &[Scheduler::Morsel, Scheduler::Chunked] {
-            println!("  scheduler: {}", scheduler.label());
-            let mut baseline = None;
-            for &threads in &thread_counts {
-                let config = TurboHomConfig::turbohom_plus_plus()
-                    .with_threads(threads)
-                    .with_scheduler(scheduler);
-                let result = store.execute_turbohom(&query.sparql, config, false)?;
-                let elapsed = result.elapsed;
-                let speedup = match baseline {
-                    None => {
-                        baseline = Some(elapsed);
-                        1.0
-                    }
-                    Some(base) => base.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
-                };
-                let stats = &result.stats;
-                println!(
-                    "    {threads:>2} thread(s): {:>12.3?}  ({} solutions, speed-up ×{speedup:.2}, {} morsels, {} stolen)",
-                    elapsed,
-                    result.len(),
-                    stats.morsels,
-                    stats.morsels_stolen
-                );
-            }
+        let mut baseline = None;
+        for &threads in &thread_counts {
+            let config = TurboHomConfig::turbohom_plus_plus().with_threads(threads);
+            let result = store.execute_turbohom(&query.sparql, config, false)?;
+            let elapsed = result.elapsed;
+            let speedup = match baseline {
+                None => {
+                    baseline = Some(elapsed);
+                    1.0
+                }
+                Some(base) => base.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
+            };
+            let stats = &result.stats;
+            println!(
+                "  {threads:>2} thread(s): {:>12.3?}  ({} solutions, speed-up ×{speedup:.2}, {} morsels, {} stolen)",
+                elapsed,
+                result.len(),
+                stats.morsels,
+                stats.morsels_stolen
+            );
         }
     }
     Ok(())
