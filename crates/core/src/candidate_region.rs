@@ -8,37 +8,151 @@
 //! of the *required* query with no candidates kills the whole region; a
 //! child inside an OPTIONAL clause merely records an empty candidate list
 //! (the nullify-and-keep-searching strategy of Section 5.1).
+//!
+//! A query explores one region per start vertex, thousands of them in a
+//! join, so a [`CandidateRegion`] is an arena: every candidate list lies in
+//! one pool, and exploring the next region reuses what the last one
+//! allocated. What does not change from region to region — the query, its
+//! tree, the per-vertex filters — is the [`RegionExplorer`].
 
 use crate::config::{MatchSemantics, TurboHomConfig};
-use crate::filters;
+use crate::filters::{self, VertexFilter};
 use crate::query_tree::QueryTree;
 use crate::stats::MatchStats;
-use std::collections::HashMap;
 use turbohom_graph::VertexId;
 use turbohom_transform::{TransformedGraph, TransformedQuery};
+
+/// Where one candidate list `CR(u, v)` lies in the pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `(u, v)` packed, see [`SpanIndex::key`].
+    key: u64,
+    start: usize,
+    len: usize,
+    /// The generation that wrote the slot; a slot of any other generation is
+    /// free.
+    stamp: u32,
+}
+
+/// `(query vertex, parent data vertex) → span of the pool`: a linear-probing
+/// table whose slots are live only for the generation that wrote them, so
+/// forgetting a region is one increment. The keys are ids this program
+/// assigned, multiplied by an odd constant — no hasher to set up per region.
+#[derive(Debug, Clone, Default)]
+struct SpanIndex {
+    /// Empty or a power of two long, at most half full.
+    slots: Vec<Slot>,
+    generation: u32,
+    live: usize,
+}
+
+impl SpanIndex {
+    const MIN_SLOTS: usize = 64;
+
+    fn key(u: usize, parent: VertexId) -> u64 {
+        (u as u64) << 32 | u64::from(parent.0)
+    }
+
+    /// Forgets every entry.
+    fn clear(&mut self) {
+        self.live = 0;
+        if self.generation == u32::MAX {
+            // The counter wraps: stamps of 2^32 regions ago would be live.
+            self.slots.fill(Slot::default());
+            self.generation = 0;
+        }
+        self.generation += 1;
+    }
+
+    /// The slot holding `key`, or the free one it would be written to. The
+    /// table must not be empty.
+    fn probe(&self, key: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        while self.slots[i].stamp == self.generation && self.slots[i].key != key {
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        i
+    }
+
+    fn get(&self, key: u64) -> Option<&Slot> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let slot = &self.slots[self.probe(key)];
+        (slot.stamp == self.generation).then_some(slot)
+    }
+
+    /// The slot of `key`, added with an empty span if it is new.
+    fn entry(&mut self, key: u64) -> &mut Slot {
+        if (self.live + 1) * 2 > self.slots.len() {
+            let doubled = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+            let old = std::mem::replace(&mut self.slots, vec![Slot::default(); doubled]);
+            for slot in old.into_iter().filter(|s| s.stamp == self.generation) {
+                let i = self.probe(slot.key);
+                self.slots[i] = slot;
+            }
+        }
+        let i = self.probe(key);
+        if self.slots[i].stamp != self.generation {
+            self.live += 1;
+            self.slots[i] = Slot {
+                key,
+                start: 0,
+                len: 0,
+                stamp: self.generation,
+            };
+        }
+        &mut self.slots[i]
+    }
+}
 
 /// The candidate region rooted at one starting data vertex.
 ///
 /// `CR(u, v)` — the candidate data vertices of query vertex `u` that are
 /// adjacent to `v`, where `v` is a candidate of `u`'s query-tree parent —
-/// is stored as a map keyed by `(u, v)`.
+/// is a span of one pool, found through an index keyed by `(u, v)`. A
+/// region is grown by [`RegionExplorer::explore`], which may be called again
+/// and again on the same value: each call forgets the previous region and
+/// keeps its buffers.
 #[derive(Debug, Clone)]
 pub struct CandidateRegion {
     /// The starting data vertex this region was grown from.
     pub start_vertex: VertexId,
-    entries: HashMap<(usize, VertexId), Vec<VertexId>>,
+    /// Every candidate list of the region, one after the other.
+    pool: Vec<VertexId>,
+    index: SpanIndex,
     /// Total candidate vertices per query vertex (used to pick the matching
     /// order).
     counts: Vec<usize>,
+    /// Exploration scratch: the qualified candidates of the lists still
+    /// being built, the innermost list on top.
+    staging: Vec<VertexId>,
+    /// Exploration scratch: the data vertices on the current path (kept
+    /// under the isomorphism semantics only).
+    path: Vec<VertexId>,
+}
+
+impl Default for CandidateRegion {
+    fn default() -> Self {
+        CandidateRegion {
+            start_vertex: VertexId(0),
+            pool: Vec::new(),
+            index: SpanIndex::default(),
+            counts: Vec::new(),
+            staging: Vec::new(),
+            path: Vec::new(),
+        }
+    }
 }
 
 impl CandidateRegion {
     /// The candidates `CR(u, parent_vertex)`, empty if none were recorded.
     pub fn candidates(&self, u: usize, parent_vertex: VertexId) -> &[VertexId] {
-        self.entries
-            .get(&(u, parent_vertex))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        match self.index.get(SpanIndex::key(u, parent_vertex)) {
+            Some(slot) => &self.pool[slot.start..slot.start + slot.len],
+            None => &[],
+        }
     }
 
     /// Total number of candidate vertices recorded for query vertex `u`
@@ -51,12 +165,160 @@ impl CandidateRegion {
     pub fn total_candidates(&self) -> usize {
         self.counts.iter().sum()
     }
+
+    /// Forgets the region held, keeping every buffer, and starts the one
+    /// rooted at `start` for a query of `vertices` vertices.
+    fn reset(&mut self, vertices: usize, start: VertexId) {
+        self.start_vertex = start;
+        self.pool.clear();
+        self.index.clear();
+        self.counts.clear();
+        self.counts.resize(vertices, 0);
+        self.staging.clear();
+        self.path.clear();
+    }
+
+    /// Records the tail of the pool, `pool[from..]`, as `CR(u, parent)`. The
+    /// exploration reaches the same `(u, parent)` once per path to `parent`
+    /// and the last visit wins; its list goes where the previous one lay if
+    /// it fits, so that revisits do not grow the pool.
+    fn record(&mut self, u: usize, parent: VertexId, from: usize) {
+        let len = self.pool.len() - from;
+        let slot = self.index.entry(SpanIndex::key(u, parent));
+        if len <= slot.len {
+            self.pool.copy_within(from.., slot.start);
+            self.pool.truncate(from);
+        } else {
+            slot.start = from;
+        }
+        slot.len = len;
+        self.counts[u] += len;
+    }
 }
 
-/// Grows the candidate region rooted at `start`. Returns `None` if some
-/// *required* query vertex has no candidates anywhere in the region, which
-/// means the region cannot contribute any solution and is skipped
-/// (Algorithm 1, line 10).
+/// What every candidate region of one run is grown from: the data, the
+/// query with its tree, and the filter of each query vertex, derived here
+/// once.
+pub struct RegionExplorer<'a> {
+    data: &'a TransformedGraph,
+    config: &'a TurboHomConfig,
+    query: &'a TransformedQuery,
+    tree: &'a QueryTree,
+    filters: Vec<VertexFilter<'a>>,
+}
+
+impl<'a> RegionExplorer<'a> {
+    /// Prepares the exploration of `query`'s regions along `tree`.
+    pub fn new(
+        data: &'a TransformedGraph,
+        config: &'a TurboHomConfig,
+        query: &'a TransformedQuery,
+        tree: &'a QueryTree,
+    ) -> Self {
+        let filters = (0..query.graph.vertex_count())
+            .map(|u| VertexFilter::new(config, &query.graph, u))
+            .collect();
+        RegionExplorer {
+            data,
+            config,
+            query,
+            tree,
+            filters,
+        }
+    }
+
+    /// Grows in `region` the candidate region rooted at `start`. Returns
+    /// `false` if some *required* query vertex has no candidates anywhere in
+    /// the region, which means the region cannot contribute any solution and
+    /// is skipped (Algorithm 1, line 10); what `region` then holds is
+    /// unspecified.
+    pub fn explore(
+        &self,
+        region: &mut CandidateRegion,
+        start: VertexId,
+        stats: &mut MatchStats,
+    ) -> bool {
+        region.reset(self.query.graph.vertex_count(), start);
+        region.counts[self.tree.root] = 1;
+        if self.config.semantics == MatchSemantics::Isomorphism {
+            region.path.push(start);
+        }
+        let alive = self.subtree(region, self.tree.root, start, stats);
+        if alive {
+            stats.candidate_vertices += region.total_candidates();
+        }
+        alive
+    }
+
+    /// Recursive exploration of the subtree rooted at query vertex `u`, whose
+    /// candidate data vertex is `v`. Returns `false` if a required descendant
+    /// cannot be matched under `v`.
+    fn subtree(
+        &self,
+        region: &mut CandidateRegion,
+        u: usize,
+        v: VertexId,
+        stats: &mut MatchStats,
+    ) -> bool {
+        // Injectivity is enforced along the exploration path for the
+        // isomorphism semantics (Section 2.2).
+        let injective = self.config.semantics == MatchSemantics::Isomorphism;
+        for &child in &self.tree.children[u] {
+            let edge = self.tree.parent[child].expect("child has a parent tree edge");
+            let label = self.query.graph.edge(edge.edge).label;
+            let child_labels = &self.query.graph.vertex(child).labels;
+            let raw =
+                filters::adjacent_candidates(self.data, v, edge.direction, label, child_labels);
+            stats.explored_vertices += raw.len();
+
+            // The adjacency list is selected by the child's labels, so a
+            // neighbor is checked one by one only if the ID attribute, a
+            // filter or the simple entailment regime can still turn it down.
+            let filter = &self.filters[child];
+            let checked = filter.can_reject();
+            let from;
+            if !checked && !injective && self.tree.children[child].is_empty() {
+                from = region.pool.len();
+                region.pool.extend_from_slice(&raw);
+            } else {
+                let mark = region.staging.len();
+                for &c in raw.iter() {
+                    if checked && !filter.qualifies(self.data, c, stats) {
+                        continue;
+                    }
+                    if injective {
+                        if region.path.contains(&c) {
+                            continue;
+                        }
+                        region.path.push(c);
+                    }
+                    let alive = self.subtree(region, child, c, stats);
+                    if injective {
+                        region.path.pop();
+                    }
+                    if alive {
+                        region.staging.push(c);
+                    }
+                }
+                // The lists of the descendants lie in the pool by now; this
+                // one follows them.
+                from = region.pool.len();
+                region.pool.extend_from_slice(&region.staging[mark..]);
+                region.staging.truncate(mark);
+            }
+
+            let child_is_required = self.query.vertex_clause[child].is_none();
+            if region.pool.len() == from && child_is_required {
+                return false;
+            }
+            region.record(child, v, from);
+        }
+        true
+    }
+}
+
+/// Grows the candidate region rooted at `start` in structures of its own.
+/// Returns `None` if the region is dead (see [`RegionExplorer::explore`]).
 pub fn explore_candidate_region(
     data: &TransformedGraph,
     config: &TurboHomConfig,
@@ -65,81 +327,10 @@ pub fn explore_candidate_region(
     start: VertexId,
     stats: &mut MatchStats,
 ) -> Option<CandidateRegion> {
-    let mut region = CandidateRegion {
-        start_vertex: start,
-        entries: HashMap::new(),
-        counts: vec![0; query.graph.vertex_count()],
-    };
-    region.counts[tree.root] = 1;
-    let mut path: Vec<VertexId> = vec![start];
-    let ok = explore(
-        data,
-        config,
-        query,
-        tree,
-        tree.root,
-        start,
-        &mut region,
-        &mut path,
-        stats,
-    );
-    if ok {
-        stats.candidate_vertices += region.total_candidates();
-        Some(region)
-    } else {
-        None
-    }
-}
-
-/// Recursive exploration of the subtree rooted at query vertex `u`, whose
-/// candidate data vertex is `v`. Returns `false` if a required descendant
-/// cannot be matched under `v`.
-#[allow(clippy::too_many_arguments)]
-fn explore(
-    data: &TransformedGraph,
-    config: &TurboHomConfig,
-    query: &TransformedQuery,
-    tree: &QueryTree,
-    u: usize,
-    v: VertexId,
-    region: &mut CandidateRegion,
-    path: &mut Vec<VertexId>,
-    stats: &mut MatchStats,
-) -> bool {
-    for &child in &tree.children[u] {
-        let edge_info = tree.parent[child].expect("child has a parent tree edge");
-        let qedge = query.graph.edge(edge_info.edge);
-        let child_labels = &query.graph.vertex(child).labels;
-        let raw =
-            filters::adjacent_candidates(data, v, edge_info.direction, qedge.label, child_labels);
-        stats.explored_vertices += raw.len();
-
-        let mut valid = Vec::with_capacity(raw.len());
-        for c in raw {
-            if !filters::qualifies(data, config, &query.graph, child, c, stats) {
-                continue;
-            }
-            if config.semantics == MatchSemantics::Isomorphism && path.contains(&c) {
-                // Injectivity is enforced along the exploration path for the
-                // isomorphism semantics (Section 2.2).
-                continue;
-            }
-            path.push(c);
-            let subtree_ok = explore(data, config, query, tree, child, c, region, path, stats);
-            path.pop();
-            if subtree_ok {
-                valid.push(c);
-            }
-        }
-
-        let child_is_required = query.vertex_clause[child].is_none();
-        if valid.is_empty() && child_is_required {
-            return false;
-        }
-        region.counts[child] += valid.len();
-        region.entries.insert((child, v), valid);
-    }
-    true
+    let mut region = CandidateRegion::default();
+    RegionExplorer::new(data, config, query, tree)
+        .explore(&mut region, start, stats)
+        .then_some(region)
 }
 
 #[cfg(test)]
@@ -265,7 +456,7 @@ mod tests {
         let mut stats = MatchStats::default();
         let sel = start_vertex::choose_start_vertex(&t2, &config, &tq2, &mut stats);
         let tree = QueryTree::build(&tq2.graph, sel.query_vertex);
-        for &vs in &sel.start_vertices {
+        for &vs in sel.start_vertices.iter() {
             assert!(explore_candidate_region(&t2, &config, &tq2, &tree, vs, &mut stats).is_none());
         }
     }
@@ -346,5 +537,86 @@ mod tests {
             &mut stats,
         );
         assert!(iso.is_none());
+    }
+
+    #[test]
+    fn one_arena_serves_regions_of_any_size_and_revisits_reuse_their_span() {
+        // A path query a → b → c → d. From `big`, 100 b's all lead to the one
+        // c0, which leads to two d's: (c, bN) is recorded a hundred times
+        // under different keys (the index outgrows its first 64 slots) and
+        // (d, c0) a hundred times under the same key. From `small`, one of
+        // each. `dead` has a b without a c.
+        let mut ds = Dataset::new();
+        for i in 0..100 {
+            ds.insert_iris(&ub("big"), &ub("ab"), &ub(&format!("b{i}")));
+            ds.insert_iris(&ub(&format!("b{i}")), &ub("bc"), &ub("c0"));
+        }
+        ds.insert_iris(&ub("c0"), &ub("cd"), &ub("d0"));
+        ds.insert_iris(&ub("c0"), &ub("cd"), &ub("d1"));
+        ds.insert_iris(&ub("small"), &ub("ab"), &ub("b_small"));
+        ds.insert_iris(&ub("b_small"), &ub("bc"), &ub("c_small"));
+        ds.insert_iris(&ub("c_small"), &ub("cd"), &ub("d_small"));
+        ds.insert_iris(&ub("dead"), &ub("ab"), &ub("b_dead"));
+        let t = type_aware_transform(&ds);
+        let q = parse_query(
+            r#"PREFIX ub: <http://ub.org/>
+               SELECT * WHERE { ?a ub:ab ?b . ?b ub:bc ?c . ?c ub:cd ?d . }"#,
+        )
+        .unwrap();
+        let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|v| tq.graph.vertex_of_variable(v).unwrap());
+        let tree = QueryTree::build(&tq.graph, a);
+        let vertex = |name: &str| {
+            t.mappings
+                .vertex_of(ds.dictionary.id_of_iri(&ub(name)).unwrap())
+                .unwrap()
+        };
+        let config = TurboHomConfig::default();
+        let explorer = RegionExplorer::new(&t, &config, &tq, &tree);
+        let mut stats = MatchStats::default();
+        let mut region = CandidateRegion::default();
+
+        for round in 0..2 {
+            assert!(explorer.explore(&mut region, vertex("big"), &mut stats));
+            assert_eq!(region.start_vertex, vertex("big"));
+            assert_eq!(region.candidates(b, vertex("big")).len(), 100);
+            for i in [0, 63, 64, 99] {
+                let bi = vertex(&format!("b{i}"));
+                assert_eq!(region.candidates(c, bi), [vertex("c0")]);
+            }
+            let mut ds_of_c0 = [vertex("d0"), vertex("d1")];
+            ds_of_c0.sort();
+            assert_eq!(region.candidates(d, vertex("c0")), ds_of_c0);
+            // Every visit counts, as it always did …
+            assert_eq!((region.count(c), region.count(d)), (100, 200));
+            // … but the hundred lists of (d, c0) share one span of the pool.
+            assert_eq!(region.pool.len(), 100 + 100 + 2, "round {round}");
+
+            assert!(explorer.explore(&mut region, vertex("small"), &mut stats));
+            assert_eq!(region.candidates(d, vertex("c_small")), [vertex("d_small")]);
+            assert_eq!(region.total_candidates(), 4);
+            // Nothing of the big region is left to be found.
+            assert!(region.candidates(b, vertex("big")).is_empty());
+            assert!(region.candidates(d, vertex("c0")).is_empty());
+
+            assert!(!explorer.explore(&mut region, vertex("dead"), &mut stats));
+        }
+    }
+
+    #[test]
+    fn span_index_survives_the_generation_counter_wrapping() {
+        let mut index = SpanIndex {
+            generation: u32::MAX - 1,
+            ..SpanIndex::default()
+        };
+        let key = SpanIndex::key(3, VertexId(7));
+        for round in 0..4 {
+            index.clear();
+            assert!(index.generation >= 1);
+            assert!(index.get(key).is_none(), "round {round}");
+            index.entry(key).len = round + 1;
+            assert_eq!(index.get(key).map(|slot| slot.len), Some(round + 1));
+            assert_eq!(index.live, 1);
+        }
     }
 }

@@ -3,13 +3,13 @@
 //! FILTER application and (optionally) parallel execution over starting
 //! vertices (paper Algorithm 1 + Sections 4.3, 5.1, 5.2).
 
-use crate::candidate_region::{explore_candidate_region, CandidateRegion};
+use crate::candidate_region::{CandidateRegion, RegionExplorer};
 use crate::config::TurboHomConfig;
 use crate::matching_order::MatchingOrder;
 use crate::morsel::{drive, Morsel, Worker};
 use crate::query_tree::QueryTree;
 use crate::result::{merge_step_counts, MatchResult, RowLayout};
-use crate::start_vertex::choose_start_vertex;
+use crate::start_vertex::{choose_start_vertex, StartSelection};
 use crate::stats::MatchStats;
 use crate::subgraph_search::SubgraphSearcher;
 use std::fmt;
@@ -20,6 +20,16 @@ use turbohom_rdf::{Dictionary, IdRows, UNBOUND};
 use turbohom_sparql::{EvalContext, Expression};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
+
+/// [`merge_step_counts`] for a `src` that is no longer needed: the first
+/// (for a sequential run, the only) worker's counts are taken as they are.
+fn absorb_step_counts(dst: &mut Vec<u64>, src: &mut Vec<u64>) {
+    if dst.is_empty() {
+        std::mem::swap(dst, src);
+    } else {
+        merge_step_counts(dst, src);
+    }
+}
 
 /// Accumulates one region's candidate counts per matching-order position —
 /// the cardinality estimates ANALYZE compares against the actual per-step
@@ -33,26 +43,50 @@ fn accumulate_estimates(dst: &mut Vec<u64>, order: &MatchingOrder, region: &Cand
     }
 }
 
-/// Per-stage wall-clock accumulators for a detailed trace. Exploration,
+/// Per-stage wall-clock accumulators for a detailed trace: a stopwatch
+/// whose laps are credited to one stage each. The stages of a thread follow
+/// one another with nothing in between, so together they account for all the
+/// time from the stopwatch's start to its last lap. Exploration,
 /// matching-order determination and enumeration interleave per candidate
 /// region, so their times are accumulated here and emitted as rolled-up
 /// spans at the end of the run.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct StageClock {
+    /// When the previous lap ended. `None` unless the trace is detailed: the
+    /// clock is then never read.
+    last: Option<Instant>,
+    select: Duration,
     explore: Duration,
     order: Duration,
     search: Duration,
 }
 
-/// Runs `f`, adding its wall time to `slot` when `detailed` tracing is on.
-fn timed<T>(detailed: bool, slot: &mut Duration, f: impl FnOnce() -> T) -> T {
-    if detailed {
-        let t0 = Instant::now();
-        let out = f();
-        *slot += t0.elapsed();
-        out
-    } else {
-        f()
+impl StageClock {
+    fn start(detailed: bool) -> Self {
+        StageClock {
+            last: detailed.then(Instant::now),
+            select: Duration::ZERO,
+            explore: Duration::ZERO,
+            order: Duration::ZERO,
+            search: Duration::ZERO,
+        }
+    }
+
+    /// A stopwatch with no time on it whose previous lap ended at `last`.
+    fn resume(last: Option<Instant>) -> Self {
+        StageClock {
+            last,
+            ..StageClock::start(false)
+        }
+    }
+
+    /// Credits the time since the previous lap to the stage `slot` picks.
+    fn lap(&mut self, slot: impl FnOnce(&mut Self) -> &mut Duration) {
+        if let Some(last) = self.last {
+            let now = Instant::now();
+            *slot(self) += now - last;
+            self.last = Some(now);
+        }
     }
 }
 
@@ -65,14 +99,24 @@ struct RegionRun<'r> {
     config: &'r TurboHomConfig,
     query: &'r TransformedQuery,
     tree: &'r QueryTree,
+    explorer: RegionExplorer<'r>,
     layout: &'r RowLayout,
     inline_filters: &'r [Vec<&'r Expression>],
     starts: &'r [VertexId],
     /// The +REUSE order when it is known before the first region runs: the
     /// plan cache's preset, or the one a pool agreed on up front.
     shared_order: Option<&'r MatchingOrder>,
-    detailed: bool,
+    /// The stopwatch every worker starts with: no time on it yet, running
+    /// since the run's own last lap.
+    handoff: StageClock,
     found: AtomicUsize,
+}
+
+/// What one worker of a pool contributed, for its `worker` span.
+struct WorkerShare {
+    took: Duration,
+    stats: MatchStats,
+    solutions: usize,
 }
 
 impl RegionRun<'_> {
@@ -80,22 +124,23 @@ impl RegionRun<'_> {
     /// start vertex) walks `starts` in the given order on the calling
     /// thread. A pool first agrees on the +REUSE order, then pulls the start
     /// vertices heaviest-first in small morsels (see [`drive`]). `stats`
-    /// carries the counters of start-vertex selection into the result.
+    /// carries the counters of start-vertex selection into the result;
+    /// `clock` is the run's stopwatch, which the workers take over and hand
+    /// back. Also returns the shares of a pool's workers if the trace is
+    /// detailed.
     fn execute(
         self,
         mut stats: MatchStats,
-        trace: &Trace,
-        parent: Option<SpanId>,
-    ) -> (MatchResult, Option<MatchingOrder>) {
+        clock: &mut StageClock,
+    ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
         let threads = self.config.threads.min(self.starts.len());
-        let mut clock = StageClock::default();
         let mut agreed_order = None;
         let mut ranked = None;
         if threads > 1 {
             // With +REUSE the order is the one of the first non-empty region
             // in `starts` order, whichever worker gets to that region.
             if self.config.optimizations.reuse_matching_order && self.shared_order.is_none() {
-                agreed_order = timed(self.detailed, &mut clock.order, || self.probe_order());
+                agreed_order = self.probe_order();
                 stats.matching_orders_computed += usize::from(agreed_order.is_some());
             }
             // Heavy regions first: a candidate region can only be as large as
@@ -106,35 +151,45 @@ impl RegionRun<'_> {
             let mut by_degree = self.starts.to_vec();
             by_degree.sort_by_key(|&v| std::cmp::Reverse(self.data.graph.total_degree(v)));
             ranked = Some(by_degree);
+            clock.lap(|c| &mut c.order);
         }
         let run = RegionRun {
             shared_order: self.shared_order.or(agreed_order.as_ref()),
             starts: ranked.as_deref().unwrap_or(self.starts),
+            handoff: StageClock::resume(clock.last),
             ..self
         };
 
-        let mut pool = drive(run.starts.len(), threads, || RegionWorker::new(&run));
+        let pool = drive(run.starts.len(), threads, || RegionWorker::new(&run));
         let mut result = MatchResult {
             rows: IdRows::new(run.layout.stride()),
             stats,
             ..MatchResult::default()
         };
-        for worker in &mut pool {
-            result.rows.append(&mut worker.result.rows);
-            result.solution_count += worker.result.solution_count;
-            result.stats.merge(&worker.result.stats);
-            merge_step_counts(&mut result.step_rows, &worker.result.step_rows);
-            merge_step_counts(&mut result.step_estimates, &worker.result.step_estimates);
+        let mut shares = Vec::new();
+        let mut own_order = None;
+        for mut worker in pool {
+            let found = &mut worker.searcher;
+            result.rows.append(&mut found.rows);
+            result.solution_count += found.solution_count;
+            result.stats.merge(&found.stats);
+            absorb_step_counts(&mut result.step_rows, &mut found.step_rows);
+            absorb_step_counts(&mut result.step_estimates, &mut worker.step_estimates);
+            // The stopwatch goes on from where the last worker stopped.
+            clock.last = clock.last.max(worker.clock.last);
             clock.explore += worker.clock.explore;
             clock.order += worker.clock.order;
             clock.search += worker.clock.search;
+            if clock.last.is_some() && threads > 1 {
+                shares.push(WorkerShare {
+                    took: worker.clock.explore + worker.clock.order + worker.clock.search,
+                    stats: found.stats,
+                    solutions: found.solution_count,
+                });
+            }
+            own_order = own_order.or(worker.own_order);
         }
-        if run.detailed {
-            let pool = if threads > 1 { &pool[..] } else { &[] };
-            record_stage_spans(trace, parent, &clock, &result.stats, pool);
-        }
-        let own_order = pool.into_iter().find_map(|worker| worker.own_order);
-        (result, agreed_order.or(own_order))
+        (result, agreed_order.or(own_order), shares)
     }
 
     /// Determines the matching order of the first non-empty region in
@@ -142,28 +197,25 @@ impl RegionRun<'_> {
     /// claims that region explores, and counts, it again.
     fn probe_order(&self) -> Option<MatchingOrder> {
         let mut uncounted = MatchStats::default();
+        let mut region = CandidateRegion::default();
         self.starts
             .iter()
-            .find_map(|&vs| {
-                explore_candidate_region(
-                    self.data,
-                    self.config,
-                    self.query,
-                    self.tree,
-                    vs,
-                    &mut uncounted,
-                )
-            })
-            .map(|region| MatchingOrder::determine(self.query, self.tree, &region))
+            .any(|&vs| self.explorer.explore(&mut region, vs, &mut uncounted))
+            .then(|| MatchingOrder::determine(self.query, self.tree, &region))
     }
 }
 
 /// Algorithm 1's loop body and what it accumulates. One worker runs the
 /// whole query when it is sequential; a pool has one per thread, merged when
-/// all have retired.
+/// all have retired. Its candidate-region arena and its searcher serve every
+/// region it runs.
 struct RegionWorker<'r> {
     shared: &'r RegionRun<'r>,
-    result: MatchResult,
+    region: CandidateRegion,
+    /// Holds the rows, the solution count, the per-step rows and every
+    /// counter of this worker, those of exploration included.
+    searcher: SubgraphSearcher<'r>,
+    step_estimates: Vec<u64>,
     clock: StageClock,
     /// +REUSE without a shared order: the order of the first non-empty
     /// region this worker met.
@@ -172,13 +224,23 @@ struct RegionWorker<'r> {
 
 impl<'r> RegionWorker<'r> {
     fn new(run: &'r RegionRun<'r>) -> Self {
+        let mut searcher = SubgraphSearcher::new(
+            run.data,
+            run.config,
+            run.query,
+            run.layout,
+            run.dictionary,
+            run.inline_filters,
+        );
+        if let Some(shared) = run.shared_order {
+            searcher.set_order(run.tree, shared);
+        }
         RegionWorker {
             shared: run,
-            result: MatchResult {
-                rows: IdRows::new(run.layout.stride()),
-                ..MatchResult::default()
-            },
-            clock: StageClock::default(),
+            region: CandidateRegion::default(),
+            searcher,
+            step_estimates: Vec::new(),
+            clock: run.handoff,
             own_order: None,
         }
     }
@@ -195,79 +257,79 @@ impl Worker for RegionWorker<'_> {
             return false;
         }
         let vs = run.starts[index];
-        self.result.stats.candidate_regions += 1;
-        let region = timed(run.detailed, &mut self.clock.explore, || {
-            explore_candidate_region(
-                run.data,
-                run.config,
-                run.query,
-                run.tree,
-                vs,
-                &mut self.result.stats,
-            )
-        });
-        let Some(region) = region else {
+        self.searcher.stats.candidate_regions += 1;
+        let alive = run
+            .explorer
+            .explore(&mut self.region, vs, &mut self.searcher.stats);
+        self.clock.lap(|c| &mut c.explore);
+        if !alive {
             return true;
-        };
-        self.result.stats.nonempty_regions += 1;
-        let mut determine = || {
-            self.result.stats.matching_orders_computed += 1;
-            timed(run.detailed, &mut self.clock.order, || {
-                MatchingOrder::determine(run.query, run.tree, &region)
-            })
-        };
-        let order_storage;
-        let order = if !run.config.optimizations.reuse_matching_order {
-            order_storage = determine();
-            &order_storage
-        } else if let Some(shared) = run.shared_order {
-            shared
-        } else {
-            self.own_order.get_or_insert_with(determine)
-        };
-        accumulate_estimates(&mut self.result.step_estimates, order, &region);
-        let mut searcher = SubgraphSearcher::new(
-            run.data,
-            run.config,
-            run.query,
-            run.tree,
-            order,
-            run.layout,
-            run.dictionary,
-            run.inline_filters,
-            std::mem::take(&mut self.result.rows),
-        );
-        timed(run.detailed, &mut self.clock.search, || {
-            searcher.search_region(&region, vs)
-        });
-        self.result.solution_count += searcher.solution_count;
-        self.result.rows = std::mem::take(&mut searcher.rows);
-        self.result.stats.merge(&searcher.stats);
-        merge_step_counts(&mut self.result.step_rows, &searcher.step_rows);
-        if limit.is_some() {
-            run.found
-                .fetch_add(searcher.solution_count, Ordering::Relaxed);
         }
+        self.searcher.stats.nonempty_regions += 1;
+
+        // The searcher follows the shared order from the start; any other
+        // order it is told about here, when it is determined.
+        let reuse = run.config.optimizations.reuse_matching_order;
+        let this_region_only;
+        let order = match (run.shared_order, &self.own_order) {
+            (Some(shared), _) => shared,
+            (None, Some(own)) if reuse => own,
+            (None, _) => {
+                self.searcher.stats.matching_orders_computed += 1;
+                let determined = MatchingOrder::determine(run.query, run.tree, &self.region);
+                self.searcher.set_order(run.tree, &determined);
+                if reuse {
+                    self.own_order.insert(determined)
+                } else {
+                    this_region_only = determined;
+                    &this_region_only
+                }
+            }
+        };
+        accumulate_estimates(&mut self.step_estimates, order, &self.region);
+        self.clock.lap(|c| &mut c.order);
+        let found_before = self.searcher.solution_count;
+        self.searcher.search_region(&self.region, vs);
+        if limit.is_some() {
+            let found_here = self.searcher.solution_count - found_before;
+            run.found.fetch_add(found_here, Ordering::Relaxed);
+        }
+        self.clock.lap(|c| &mut c.search);
         true
     }
 
     fn claimed(&mut self, morsel: &Morsel) {
-        self.result.stats.morsels += 1;
-        self.result.stats.morsels_stolen += usize::from(morsel.stolen);
+        self.searcher.stats.morsels += 1;
+        self.searcher.stats.morsels_stolen += usize::from(morsel.stolen);
     }
 }
 
-/// Emits the detailed stage spans: `candidate_regions`, `matching_order`
-/// and `enumeration` rollups under `parent`, plus one `worker` span per
-/// pool worker (child of `enumeration`, as long as the worker's regions
-/// took) carrying its share of the counters.
+/// Emits the detailed stage spans: `start_vertex`, `candidate_regions`,
+/// `matching_order` and `enumeration` rollups under `parent`, plus one
+/// `worker` span per pool worker (child of `enumeration`, as long as the
+/// worker's regions took) carrying its share of the counters.
+///
+/// `enumeration` is written last and lasts until then: it takes in what
+/// follows the last region — merging the workers, post-hoc FILTERs, freeing
+/// what the run was set up with, writing its three siblings — so that the
+/// four add up to the matcher's whole time.
 fn record_stage_spans(
     trace: &Trace,
     parent: Option<SpanId>,
-    clock: &StageClock,
+    mut clock: StageClock,
+    selection: &StartSelection<'_>,
     stats: &MatchStats,
-    pool: &[RegionWorker],
+    pool: &[WorkerShare],
 ) {
+    trace.record_rollup(
+        "start_vertex",
+        parent,
+        clock.select,
+        &[
+            ("ranked", selection.ranked as u64),
+            ("candidates", selection.start_vertices.len() as u64),
+        ],
+    );
     trace.record_rollup(
         "candidate_regions",
         parent,
@@ -283,6 +345,7 @@ fn record_stage_spans(
         clock.order,
         &[("orders_computed", stats.matching_orders_computed as u64)],
     );
+    clock.lap(|c| &mut c.search);
     let enumeration = trace.record_rollup(
         "enumeration",
         parent,
@@ -297,13 +360,13 @@ fn record_stage_spans(
         trace.record_rollup(
             "worker",
             enumeration,
-            worker.clock.explore + worker.clock.order + worker.clock.search,
+            worker.took,
             &[
                 ("worker", w as u64),
-                ("morsels", worker.result.stats.morsels as u64),
-                ("morsels_stolen", worker.result.stats.morsels_stolen as u64),
-                ("regions", worker.result.stats.candidate_regions as u64),
-                ("solutions", worker.result.solution_count as u64),
+                ("morsels", worker.stats.morsels as u64),
+                ("morsels_stolen", worker.stats.morsels_stolen as u64),
+                ("regions", worker.stats.candidate_regions as u64),
+                ("solutions", worker.solutions as u64),
             ],
         );
     }
@@ -382,11 +445,11 @@ impl<'a> TurboHomEngine<'a> {
     /// returned order is `None` (the caller already holds it).
     ///
     /// Spans go into `trace` (under `parent`). A
-    /// [detailed](Trace::is_detailed) trace times candidate-region
-    /// exploration, matching-order determination and enumeration separately
-    /// (they interleave per region, so each is emitted as one rolled-up
-    /// span), plus one span per pool worker; a coarse or disabled trace
-    /// records nothing here.
+    /// [detailed](Trace::is_detailed) trace times start-vertex selection,
+    /// candidate-region exploration, matching-order determination and
+    /// enumeration separately (the last three interleave per region, so
+    /// each is emitted as one rolled-up span), plus one span per pool
+    /// worker; a coarse or disabled trace records nothing here.
     pub fn execute_with_order(
         &self,
         query: &TransformedQuery,
@@ -394,6 +457,7 @@ impl<'a> TurboHomEngine<'a> {
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<(MatchResult, Option<MatchingOrder>), EngineError> {
+        let mut clock = StageClock::start(trace.is_detailed());
         if query.unsatisfiable || query.graph.vertex_count() == 0 {
             return Ok((MatchResult::default(), None));
         }
@@ -406,15 +470,33 @@ impl<'a> TurboHomEngine<'a> {
 
         let mut stats = MatchStats::default();
         let selection = choose_start_vertex(self.data, &self.config, query, &mut stats);
-        if selection.start_vertices.is_empty() {
-            return Ok((
-                MatchResult {
-                    stats,
-                    ..MatchResult::default()
-                },
-                None,
-            ));
+        let (result, computed_order, workers) = if selection.start_vertices.is_empty() {
+            clock.lap(|c| &mut c.select);
+            let result = MatchResult {
+                stats,
+                ..MatchResult::default()
+            };
+            (result, None, Vec::new())
+        } else {
+            self.run_regions(query, &selection, preset_order, stats, &mut clock)
+        };
+        if trace.is_detailed() {
+            record_stage_spans(trace, parent, clock, &selection, &result.stats, &workers);
         }
+        Ok((result, computed_order))
+    }
+
+    /// Everything after the start vertices are known: the set-up they
+    /// decide (query tree, row layout, FILTER split, per-vertex filters),
+    /// the regions, the post-hoc FILTERs and the LIMIT.
+    fn run_regions(
+        &self,
+        query: &TransformedQuery,
+        selection: &StartSelection<'_>,
+        preset_order: Option<&MatchingOrder>,
+        stats: MatchStats,
+        clock: &mut StageClock,
+    ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
         let tree = QueryTree::build(&query.graph, selection.query_vertex);
         debug_assert!(tree.spans(&query.graph));
         let layout = RowLayout::of(&query.graph);
@@ -433,20 +515,23 @@ impl<'a> TurboHomEngine<'a> {
             search_config.max_solutions = None;
         }
 
-        let (mut result, computed_order) = RegionRun {
+        let explorer = RegionExplorer::new(self.data, &search_config, query, &tree);
+        clock.lap(|c| &mut c.select);
+        let run = RegionRun {
             data: self.data,
             dictionary: self.dictionary,
             config: &search_config,
             query,
             tree: &tree,
+            explorer,
             layout: &layout,
             inline_filters: &inline_filters,
             starts: &selection.start_vertices,
             shared_order: preset_order.filter(|_| self.config.optimizations.reuse_matching_order),
-            detailed: trace.is_detailed(),
+            handoff: StageClock::resume(clock.last),
             found: AtomicUsize::new(0),
-        }
-        .execute(stats, trace, parent);
+        };
+        let (mut result, computed_order, workers) = run.execute(stats, clock);
 
         if !post_filters.is_empty() {
             self.apply_post_filters(query, &layout, &post_filters, &mut result);
@@ -458,7 +543,7 @@ impl<'a> TurboHomEngine<'a> {
         if self.config.count_only {
             result.rows.clear();
         }
-        Ok((result, computed_order))
+        (result, computed_order, workers)
     }
 
     /// Splits the query's filters into per-vertex inline filters and

@@ -13,9 +13,14 @@
 //! because RDF data is schema-regular and the filters rarely prune anything
 //! (Section 4.3); the [`Optimizations`](crate::config::Optimizations) flags
 //! control that.
+//!
+//! What a filter demands depends only on the query vertex, so it is derived
+//! once per query vertex ([`VertexFilter::new`]) and then applied to every
+//! data candidate of that vertex.
 
 use crate::config::{MatchSemantics, TurboHomConfig};
 use crate::stats::MatchStats;
+use std::borrow::Cow;
 use turbohom_graph::{ops, Direction, ELabel, QueryGraph, VLabel, VertexId};
 use turbohom_transform::TransformedGraph;
 
@@ -52,158 +57,300 @@ pub fn satisfies_labels(
 /// constrained to carry all of `labels` (Section 4.2's
 /// `ExploreCandidateRegion` inductive case).
 ///
-/// The returned list is sorted and duplicate free.
-pub fn adjacent_candidates(
-    data: &TransformedGraph,
+/// The list is sorted and duplicate free. With a constant predicate and at
+/// most one label it is a slice of the data graph's adjacency, borrowed; only
+/// a multi-label vertex or a variable predicate builds a list of its own.
+pub fn adjacent_candidates<'a>(
+    data: &'a TransformedGraph,
     v: VertexId,
     direction: Direction,
     el: Option<ELabel>,
     labels: &[VLabel],
-) -> Vec<VertexId> {
+) -> Cow<'a, [VertexId]> {
     let g = &data.graph;
-    match (el, labels.len()) {
-        (Some(el), 0) => g.neighbors(v, direction, el).to_vec(),
-        (Some(el), 1) => g.neighbors_typed(v, direction, el, labels[0]).to_vec(),
+    match (el, labels) {
+        (Some(el), []) => Cow::Borrowed(g.neighbors(v, direction, el)),
+        (Some(el), [label]) => Cow::Borrowed(g.neighbors_typed(v, direction, el, *label)),
         (Some(el), _) => {
             let slices: Vec<&[VertexId]> = labels
                 .iter()
                 .map(|&l| g.neighbors_typed(v, direction, el, l))
                 .collect();
-            ops::intersect_k(&slices)
+            Cow::Owned(ops::intersect_k(&slices))
         }
-        (None, 0) => g.all_neighbors(v, direction),
+        (None, []) => Cow::Owned(g.all_neighbors(v, direction)),
         (None, _) => {
             let lists: Vec<Vec<VertexId>> = labels
                 .iter()
                 .map(|&l| g.neighbors_with_label_any_edge(v, direction, l))
                 .collect();
             let slices: Vec<&[VertexId]> = lists.iter().map(|l| l.as_slice()).collect();
-            ops::intersect_k(&slices)
+            Cow::Owned(ops::intersect_k(&slices))
         }
     }
-}
-
-/// Applies the degree filter to data vertex `v` for query vertex `u`.
-///
-/// Returns `true` if `v` passes (or the filter is disabled in `config`).
-pub fn degree_filter(
-    data: &TransformedGraph,
-    config: &TurboHomConfig,
-    query: &QueryGraph,
-    u: usize,
-    v: VertexId,
-    stats: &mut MatchStats,
-) -> bool {
-    if !config.optimizations.degree_filter {
-        return true;
-    }
-    let pass = match config.semantics {
-        MatchSemantics::Isomorphism => {
-            // v needs at least as many incident edges per direction as u.
-            let (mut q_out, mut q_in) = (0usize, 0usize);
-            for &(ei, dir) in query.incident_edges(u) {
-                let _ = ei;
-                match dir {
-                    Direction::Outgoing => q_out += 1,
-                    Direction::Incoming => q_in += 1,
-                }
-            }
-            data.graph.degree(v, Direction::Outgoing) >= q_out
-                && data.graph.degree(v, Direction::Incoming) >= q_in
-        }
-        MatchSemantics::Homomorphism => {
-            // Homomorphism flavour: v needs at least as many neighbors as u
-            // has *distinct* neighbor constraints per direction.
-            let mut distinct_out: Vec<(Option<ELabel>, Vec<VLabel>)> = Vec::new();
-            let mut distinct_in: Vec<(Option<ELabel>, Vec<VLabel>)> = Vec::new();
-            for (dir, el, labels) in query.neighbor_constraints(u) {
-                let entry = (el, labels.to_vec());
-                let bucket = match dir {
-                    Direction::Outgoing => &mut distinct_out,
-                    Direction::Incoming => &mut distinct_in,
-                };
-                if !bucket.contains(&entry) {
-                    bucket.push(entry);
-                }
-            }
-            data.graph.degree(v, Direction::Outgoing) >= distinct_out.len()
-                && data.graph.degree(v, Direction::Incoming) >= distinct_in.len()
-        }
-    };
-    if !pass {
-        stats.degree_filtered += 1;
-    }
-    pass
 }
 
 /// A neighbor constraint of a query vertex: direction, optional edge label
 /// and the required neighbor label set.
-type NeighborConstraint = (Direction, Option<ELabel>, Vec<VLabel>);
+type NeighborConstraint<'q> = (Direction, Option<ELabel>, &'q [VLabel]);
 
-/// Applies the neighborhood label frequency (NLF) filter to data vertex `v`
-/// for query vertex `u`.
-///
-/// Isomorphism flavour: for every distinct neighbor constraint of `u`, `v`
-/// must have at least as many matching neighbors as `u` requires.
-/// Homomorphism flavour: at least one matching neighbor suffices.
-pub fn nlf_filter(
-    data: &TransformedGraph,
-    config: &TurboHomConfig,
-    query: &QueryGraph,
-    u: usize,
-    v: VertexId,
-    stats: &mut MatchStats,
-) -> bool {
-    if !config.optimizations.nlf_filter {
-        return true;
-    }
-    // Group u's neighbor constraints and count how often each occurs.
-    let mut constraints: Vec<(NeighborConstraint, usize)> = Vec::new();
-    for (dir, el, labels) in query.neighbor_constraints(u) {
-        let key = (dir, el, labels.to_vec());
-        if let Some(entry) = constraints.iter_mut().find(|(k, _)| *k == key) {
-            entry.1 += 1;
-        } else {
-            constraints.push((key, 1));
-        }
-    }
-    let pass = constraints.iter().all(|((dir, el, labels), count)| {
-        let matching = adjacent_candidates(data, v, *dir, *el, labels);
-        match config.semantics {
-            MatchSemantics::Isomorphism => matching.len() >= *count,
-            MatchSemantics::Homomorphism => !matching.is_empty(),
-        }
-    });
-    if !pass {
-        stats.nlf_filtered += 1;
-    }
-    pass
+/// What a data vertex must satisfy to be a candidate of one query vertex:
+/// the ID attribute, the label set and (when enabled) the degree and NLF
+/// filters, all derived from the query once instead of per data candidate.
+#[derive(Debug, Clone)]
+pub struct VertexFilter<'q> {
+    config: TurboHomConfig,
+    bound: Option<VertexId>,
+    labels: &'q [VLabel],
+    /// The degree filter's demand — the least number of (outgoing, incoming)
+    /// incident edges — or `None` when the filter is off.
+    min_degree: Option<(usize, usize)>,
+    /// The NLF filter's demand — the distinct neighbor constraints, each
+    /// with how often the query vertex has it. Empty when the filter is off.
+    neighbors: Vec<(NeighborConstraint<'q>, usize)>,
 }
 
-/// Applies the ID-attribute check, label check and (when enabled) the degree
-/// and NLF filters to `v` as a candidate for query vertex `u`.
-pub fn qualifies(
-    data: &TransformedGraph,
-    config: &TurboHomConfig,
-    query: &QueryGraph,
-    u: usize,
-    v: VertexId,
-    stats: &mut MatchStats,
-) -> bool {
-    if v.index() >= data.graph.vertex_count() {
-        // Sentinel ids (constants absent from the data) never qualify.
-        return false;
-    }
-    let qv = query.vertex(u);
-    if let Some(bound) = qv.bound {
-        if bound != v {
-            return false;
+impl<'q> VertexFilter<'q> {
+    /// Derives the filter of query vertex `u`.
+    pub fn new(config: &TurboHomConfig, query: &'q QueryGraph, u: usize) -> Self {
+        // The distinct neighbor constraints of `u`, with multiplicity. Both
+        // filters are off in TurboHOM++, which then derives nothing.
+        let mut neighbors: Vec<(NeighborConstraint, usize)> = Vec::new();
+        if config.optimizations.degree_filter || config.optimizations.nlf_filter {
+            for constraint in query.neighbor_constraints(u) {
+                match neighbors.iter_mut().find(|(c, _)| *c == constraint) {
+                    Some(entry) => entry.1 += 1,
+                    None => neighbors.push((constraint, 1)),
+                }
+            }
+        }
+        let min_degree = config.optimizations.degree_filter.then(|| {
+            let count = |direction: Direction| {
+                neighbors
+                    .iter()
+                    .filter(|((d, _, _), _)| *d == direction)
+                    .map(|(_, times)| match config.semantics {
+                        // v needs at least as many incident edges as u.
+                        MatchSemantics::Isomorphism => *times,
+                        // v needs at least as many neighbors as u has
+                        // *distinct* neighbor constraints.
+                        MatchSemantics::Homomorphism => 1,
+                    })
+                    .sum()
+            };
+            (count(Direction::Outgoing), count(Direction::Incoming))
+        });
+        if !config.optimizations.nlf_filter {
+            neighbors.clear();
+        }
+        let qv = query.vertex(u);
+        VertexFilter {
+            config: *config,
+            bound: qv.bound,
+            labels: &qv.labels,
+            min_degree,
+            neighbors,
         }
     }
-    if !satisfies_labels(data, config, v, &qv.labels) {
-        return false;
+
+    /// Whether [`qualifies`](Self::qualifies) can turn down a data vertex
+    /// that is known to carry the query vertex's labels in the full
+    /// closure — a member of the inverse label list, of the predicate index
+    /// or of a typed adjacency group. When it cannot, such a list is the
+    /// candidate list and its length the candidate count.
+    pub fn can_reject(&self) -> bool {
+        self.bound.is_some()
+            || self.min_degree.is_some()
+            || !self.neighbors.is_empty()
+            || (self.config.simple_entailment && !self.labels.is_empty())
     }
-    degree_filter(data, config, query, u, v, stats) && nlf_filter(data, config, query, u, v, stats)
+
+    /// Applies the degree filter to data vertex `v`.
+    ///
+    /// Returns `true` if `v` passes (or the filter is disabled).
+    pub fn degree_filter(
+        &self,
+        data: &TransformedGraph,
+        v: VertexId,
+        stats: &mut MatchStats,
+    ) -> bool {
+        let pass = self.min_degree.is_none_or(|(min_out, min_in)| {
+            data.graph.degree(v, Direction::Outgoing) >= min_out
+                && data.graph.degree(v, Direction::Incoming) >= min_in
+        });
+        if !pass {
+            stats.degree_filtered += 1;
+        }
+        pass
+    }
+
+    /// Applies the neighborhood label frequency (NLF) filter to data vertex
+    /// `v`.
+    ///
+    /// Isomorphism flavour: for every distinct neighbor constraint of the
+    /// query vertex, `v` must have at least as many matching neighbors as
+    /// the query vertex requires. Homomorphism flavour: at least one
+    /// matching neighbor suffices.
+    pub fn nlf_filter(&self, data: &TransformedGraph, v: VertexId, stats: &mut MatchStats) -> bool {
+        let pass = self.neighbors.iter().all(|((dir, el, labels), count)| {
+            let matching = adjacent_candidates(data, v, *dir, *el, labels);
+            match self.config.semantics {
+                MatchSemantics::Isomorphism => matching.len() >= *count,
+                MatchSemantics::Homomorphism => !matching.is_empty(),
+            }
+        });
+        if !pass {
+            stats.nlf_filtered += 1;
+        }
+        pass
+    }
+
+    /// Applies the ID-attribute check, label check and (when enabled) the
+    /// degree and NLF filters to `v` as a candidate for the query vertex.
+    pub fn qualifies(&self, data: &TransformedGraph, v: VertexId, stats: &mut MatchStats) -> bool {
+        if v.index() >= data.graph.vertex_count() {
+            // Sentinel ids (constants absent from the data) never qualify.
+            return false;
+        }
+        if self.bound.is_some_and(|bound| bound != v) {
+            return false;
+        }
+        satisfies_labels(data, &self.config, v, self.labels)
+            && self.degree_filter(data, v, stats)
+            && self.nlf_filter(data, v, stats)
+    }
+}
+
+/// The filters as they were before [`VertexFilter`]: everything is derived
+/// again from the query for every data candidate. Kept as the reference the
+/// tests of this module and of `start_vertex` compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Applies the degree filter to data vertex `v` for query vertex `u`.
+    ///
+    /// Returns `true` if `v` passes (or the filter is disabled in `config`).
+    pub fn degree_filter(
+        data: &TransformedGraph,
+        config: &TurboHomConfig,
+        query: &QueryGraph,
+        u: usize,
+        v: VertexId,
+        stats: &mut MatchStats,
+    ) -> bool {
+        if !config.optimizations.degree_filter {
+            return true;
+        }
+        let pass = match config.semantics {
+            MatchSemantics::Isomorphism => {
+                // v needs at least as many incident edges per direction as u.
+                let (mut q_out, mut q_in) = (0usize, 0usize);
+                for &(ei, dir) in query.incident_edges(u) {
+                    let _ = ei;
+                    match dir {
+                        Direction::Outgoing => q_out += 1,
+                        Direction::Incoming => q_in += 1,
+                    }
+                }
+                data.graph.degree(v, Direction::Outgoing) >= q_out
+                    && data.graph.degree(v, Direction::Incoming) >= q_in
+            }
+            MatchSemantics::Homomorphism => {
+                // Homomorphism flavour: v needs at least as many neighbors as u
+                // has *distinct* neighbor constraints per direction.
+                let mut distinct_out: Vec<(Option<ELabel>, Vec<VLabel>)> = Vec::new();
+                let mut distinct_in: Vec<(Option<ELabel>, Vec<VLabel>)> = Vec::new();
+                for (dir, el, labels) in query.neighbor_constraints(u) {
+                    let entry = (el, labels.to_vec());
+                    let bucket = match dir {
+                        Direction::Outgoing => &mut distinct_out,
+                        Direction::Incoming => &mut distinct_in,
+                    };
+                    if !bucket.contains(&entry) {
+                        bucket.push(entry);
+                    }
+                }
+                data.graph.degree(v, Direction::Outgoing) >= distinct_out.len()
+                    && data.graph.degree(v, Direction::Incoming) >= distinct_in.len()
+            }
+        };
+        if !pass {
+            stats.degree_filtered += 1;
+        }
+        pass
+    }
+
+    /// A neighbor constraint of a query vertex: direction, optional edge label
+    /// and the required neighbor label set.
+    type NeighborConstraint = (Direction, Option<ELabel>, Vec<VLabel>);
+
+    /// Applies the neighborhood label frequency (NLF) filter to data vertex `v`
+    /// for query vertex `u`.
+    ///
+    /// Isomorphism flavour: for every distinct neighbor constraint of `u`, `v`
+    /// must have at least as many matching neighbors as `u` requires.
+    /// Homomorphism flavour: at least one matching neighbor suffices.
+    pub fn nlf_filter(
+        data: &TransformedGraph,
+        config: &TurboHomConfig,
+        query: &QueryGraph,
+        u: usize,
+        v: VertexId,
+        stats: &mut MatchStats,
+    ) -> bool {
+        if !config.optimizations.nlf_filter {
+            return true;
+        }
+        // Group u's neighbor constraints and count how often each occurs.
+        let mut constraints: Vec<(NeighborConstraint, usize)> = Vec::new();
+        for (dir, el, labels) in query.neighbor_constraints(u) {
+            let key = (dir, el, labels.to_vec());
+            if let Some(entry) = constraints.iter_mut().find(|(k, _)| *k == key) {
+                entry.1 += 1;
+            } else {
+                constraints.push((key, 1));
+            }
+        }
+        let pass = constraints.iter().all(|((dir, el, labels), count)| {
+            let matching = adjacent_candidates(data, v, *dir, *el, labels);
+            match config.semantics {
+                MatchSemantics::Isomorphism => matching.len() >= *count,
+                MatchSemantics::Homomorphism => !matching.is_empty(),
+            }
+        });
+        if !pass {
+            stats.nlf_filtered += 1;
+        }
+        pass
+    }
+
+    /// Applies the ID-attribute check, label check and (when enabled) the degree
+    /// and NLF filters to `v` as a candidate for query vertex `u`.
+    pub fn qualifies(
+        data: &TransformedGraph,
+        config: &TurboHomConfig,
+        query: &QueryGraph,
+        u: usize,
+        v: VertexId,
+        stats: &mut MatchStats,
+    ) -> bool {
+        if v.index() >= data.graph.vertex_count() {
+            // Sentinel ids (constants absent from the data) never qualify.
+            return false;
+        }
+        let qv = query.vertex(u);
+        if let Some(bound) = qv.bound {
+            if bound != v {
+                return false;
+            }
+        }
+        if !satisfies_labels(data, config, v, &qv.labels) {
+            return false;
+        }
+        degree_filter(data, config, query, u, v, stats)
+            && nlf_filter(data, config, query, u, v, stats)
+    }
 }
 
 #[cfg(test)]
@@ -333,19 +480,13 @@ mod tests {
             ],
         );
         // s1 has both; s2 only memberOf.
-        assert!(degree_filter(
+        assert!(VertexFilter::new(&config, &q, 0).degree_filter(
             &t,
-            &config,
-            &q,
-            0,
             vid(&ds, &t, "s1"),
             &mut stats
         ));
-        assert!(!degree_filter(
+        assert!(!VertexFilter::new(&config, &q, 0).degree_filter(
             &t,
-            &config,
-            &q,
-            0,
             vid(&ds, &t, "s2"),
             &mut stats
         ));
@@ -368,11 +509,8 @@ mod tests {
                 ),
             ],
         );
-        assert!(degree_filter(
+        assert!(VertexFilter::new(&config, &q, 0).degree_filter(
             &t,
-            &config,
-            &q,
-            0,
             vid(&ds, &t, "s2"),
             &mut stats
         ));
@@ -399,22 +537,8 @@ mod tests {
                 (Direction::Outgoing, Some(takes), vec![course_l]),
             ],
         );
-        assert!(nlf_filter(
-            &t,
-            &config,
-            &q,
-            0,
-            vid(&ds, &t, "s1"),
-            &mut stats
-        ));
-        assert!(!nlf_filter(
-            &t,
-            &config,
-            &q,
-            0,
-            vid(&ds, &t, "s2"),
-            &mut stats
-        ));
+        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, &t, "s1"), &mut stats));
+        assert!(!VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, &t, "s2"), &mut stats));
         assert_eq!(stats.nlf_filtered, 1);
     }
 
@@ -437,11 +561,8 @@ mod tests {
                 (Direction::Incoming, Some(member_of), vec![student_l]),
             ],
         );
-        assert!(nlf_filter(
+        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(
             &t,
-            &config,
-            &q,
-            0,
             vid(&ds, &t, "dept1"),
             &mut stats
         ));
@@ -455,11 +576,8 @@ mod tests {
                 (Direction::Incoming, Some(member_of), vec![student_l]),
             ],
         );
-        assert!(!nlf_filter(
+        assert!(!VertexFilter::new(&config, &q3, 0).nlf_filter(
             &t,
-            &config,
-            &q3,
-            0,
             vid(&ds, &t, "dept1"),
             &mut stats
         ));
@@ -480,9 +598,9 @@ mod tests {
             bound: Some(s1),
             variable: None,
         });
-        assert!(qualifies(&t, &config, &q, 0, s1, &mut stats));
+        assert!(VertexFilter::new(&config, &q, 0).qualifies(&t, s1, &mut stats));
         // Wrong vertex for a bound query vertex.
-        assert!(!qualifies(&t, &config, &q, 0, dept, &mut stats));
+        assert!(!VertexFilter::new(&config, &q, 0).qualifies(&t, dept, &mut stats));
 
         let mut q2 = QueryGraph::new();
         q2.add_vertex(QueryVertex {
@@ -490,8 +608,63 @@ mod tests {
             bound: None,
             variable: None,
         });
-        assert!(qualifies(&t, &config, &q2, 0, s1, &mut stats));
-        assert!(!qualifies(&t, &config, &q2, 0, dept, &mut stats));
+        assert!(VertexFilter::new(&config, &q2, 0).qualifies(&t, s1, &mut stats));
+        assert!(!VertexFilter::new(&config, &q2, 0).qualifies(&t, dept, &mut stats));
+    }
+
+    #[test]
+    fn vertex_filter_agrees_with_the_per_candidate_reference() {
+        let (ds, t) = data();
+        let member_of = el(&ds, &t, "memberOf");
+        let takes = el(&ds, &t, "takesCourse");
+        let student_l = vl(&ds, &t, "Student");
+        let dept_l = vl(&ds, &t, "Department");
+        let course_l = vl(&ds, &t, "Course");
+        let queries = [
+            one_vertex_query(vec![student_l], vec![]),
+            one_vertex_query(
+                vec![],
+                vec![
+                    (Direction::Outgoing, Some(member_of), vec![dept_l]),
+                    (Direction::Outgoing, Some(takes), vec![course_l]),
+                ],
+            ),
+            one_vertex_query(
+                vec![dept_l],
+                vec![
+                    (Direction::Incoming, Some(member_of), vec![student_l]),
+                    (Direction::Incoming, Some(member_of), vec![student_l]),
+                    (Direction::Incoming, None, vec![]),
+                ],
+            ),
+        ];
+        let none = crate::config::Optimizations::none();
+        let configs = [
+            TurboHomConfig::default(),
+            TurboHomConfig::turbohom(),
+            TurboHomConfig::isomorphism().with_optimizations(none),
+            TurboHomConfig {
+                simple_entailment: true,
+                ..TurboHomConfig::turbohom()
+            },
+        ];
+        for query in &queries {
+            for config in &configs {
+                for u in 0..query.vertex_count() {
+                    let filter = VertexFilter::new(config, query, u);
+                    for v in t.graph.vertices().chain([VertexId(u32::MAX)]) {
+                        let (mut expected, mut got) =
+                            (MatchStats::default(), MatchStats::default());
+                        assert_eq!(
+                            filter.qualifies(&t, v, &mut got),
+                            reference::qualifies(&t, config, query, u, v, &mut expected),
+                            "{config:?} u{u} {v}"
+                        );
+                        assert_eq!(got, expected, "{config:?} u{u} {v}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

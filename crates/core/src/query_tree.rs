@@ -46,13 +46,14 @@ impl QueryTree {
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut visited = vec![false; n];
         let mut tree_edge_used = vec![false; query.edge_count()];
+        // The vertices in discovery order double as the BFS queue.
         let mut bfs_order = Vec::with_capacity(n);
-        let mut queue = std::collections::VecDeque::new();
+        let mut next = 0;
 
         visited[root] = true;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            bfs_order.push(u);
+        bfs_order.push(root);
+        while let Some(&u) = bfs_order.get(next) {
+            next += 1;
             for (other, ei, dir) in query.neighbors(u) {
                 if other == u {
                     continue; // self loops are never tree edges
@@ -66,7 +67,7 @@ impl QueryTree {
                         direction: dir,
                     });
                     children[u].push(other);
-                    queue.push_back(other);
+                    bfs_order.push(other);
                 }
             }
         }

@@ -6,11 +6,19 @@
 //! The paper ranks query vertices by `rank(u) = freq(g, L(u)) / deg(u)`
 //! (preferring rare labels and high degree), then refines the top-k by
 //! actually counting candidates with the degree and NLF filters applied.
+//!
+//! Counting is a lookup whenever nothing can turn a listed vertex down: the
+//! candidates of a query vertex are then a list of the inverse vertex label
+//! list or of the predicate index, and `freq` is already its length. Only
+//! the winner's list is handed out, borrowed from the index. A list is
+//! walked (and copied) only when the ID attribute, the degree or NLF filter
+//! or the simple entailment regime has to look at each vertex.
 
 use crate::config::TurboHomConfig;
-use crate::filters;
+use crate::filters::VertexFilter;
 use crate::stats::MatchStats;
-use turbohom_graph::{ops, VertexId};
+use std::borrow::Cow;
+use turbohom_graph::VertexId;
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
 /// How many of the lowest-ranked query vertices are refined by exact
@@ -20,78 +28,72 @@ const TOP_K: usize = 3;
 /// The outcome of start-vertex selection: the chosen query vertex and the
 /// data vertices that start a candidate region each.
 #[derive(Debug, Clone)]
-pub struct StartSelection {
+pub struct StartSelection<'a> {
     /// The chosen starting query vertex (index into the query graph).
     pub query_vertex: usize,
-    /// The qualifying starting data vertices, sorted.
-    pub start_vertices: Vec<VertexId>,
+    /// The qualifying starting data vertices, sorted; borrowed from the
+    /// data's indexes when no per-vertex check applies.
+    pub start_vertices: Cow<'a, [VertexId]>,
+    /// How many query vertices were eligible and ranked.
+    pub ranked: usize,
 }
 
-/// Estimates `freq(g, L(u))` — the number of data vertices that could match
-/// query vertex `u` — without enumerating them (used for the coarse ranking).
-fn rough_frequency(data: &TransformedGraph, query: &TransformedQuery, u: usize) -> usize {
+/// For a query vertex without label or ID: the shortest list the predicate
+/// index has for one of its incident edges with a constant predicate
+/// (Section 4.2), if it has such an edge.
+fn shortest_incidence_list<'a>(
+    data: &'a TransformedGraph,
+    query: &TransformedQuery,
+    u: usize,
+) -> Option<&'a [VertexId]> {
+    query
+        .graph
+        .incident_edges(u)
+        .iter()
+        .filter_map(|&(ei, dir)| {
+            let el = query.graph.edge(ei).label?;
+            Some(data.predicates.endpoints(el, dir))
+        })
+        .min_by_key(|endpoints| endpoints.len())
+}
+
+/// `freq(g, L(u))` — the number of data vertices listed for query vertex
+/// `u`, which is the length of [`listed_vertices`] without building it
+/// (used for the coarse ranking).
+fn frequency(data: &TransformedGraph, query: &TransformedQuery, u: usize) -> usize {
     let qv = query.graph.vertex(u);
     if qv.bound.is_some() {
         return 1;
     }
-    if !qv.labels.is_empty() {
-        return data
-            .inverse_labels
-            .frequency_of_set(&qv.labels)
-            .unwrap_or(usize::MAX);
+    if let Some(freq) = data.inverse_labels.frequency_of_set(&qv.labels) {
+        return freq;
     }
-    // No label, no ID: use the predicate index over the incident edges with
-    // constant predicates (Section 4.2), taking the most selective one.
-    let mut best = usize::MAX;
-    for &(ei, dir) in query.graph.incident_edges(u) {
-        if let Some(el) = query.graph.edge(ei).label {
-            let endpoints = data.predicates.endpoints(el, dir).len();
-            best = best.min(endpoints);
-        }
-    }
-    if best == usize::MAX {
-        data.graph.vertex_count()
-    } else {
-        best
-    }
+    shortest_incidence_list(data, query, u).map_or(data.graph.vertex_count(), <[_]>::len)
 }
 
-/// Enumerates the data vertices that qualify as starting vertices for query
-/// vertex `u` (ID attribute, label set, degree/NLF filters).
-pub fn enumerate_start_vertices(
-    data: &TransformedGraph,
-    config: &TurboHomConfig,
+/// The sorted data vertices the indexes list for query vertex `u`: its ID
+/// attribute, else the vertices carrying all its labels, else the shortest
+/// constant-predicate incidence list, or every vertex as a last resort.
+fn listed_vertices<'a>(
+    data: &'a TransformedGraph,
     query: &TransformedQuery,
     u: usize,
-    stats: &mut MatchStats,
-) -> Vec<VertexId> {
+) -> Cow<'a, [VertexId]> {
     let qv = query.graph.vertex(u);
-    let base: Vec<VertexId> = if let Some(bound) = qv.bound {
-        vec![bound]
-    } else if !qv.labels.is_empty() {
-        data.inverse_labels
-            .vertices_with_all_labels(&qv.labels)
-            .unwrap_or_default()
-    } else {
-        // No label, no ID: take the most selective constant-predicate
-        // incidence list, or every vertex as a last resort.
-        let mut best: Option<Vec<VertexId>> = None;
-        for &(ei, dir) in query.graph.incident_edges(u) {
-            if let Some(el) = query.graph.edge(ei).label {
-                let endpoints = data.predicates.endpoints(el, dir);
-                if best.as_ref().is_none_or(|b| endpoints.len() < b.len()) {
-                    best = Some(endpoints.to_vec());
-                }
-            }
+    if let Some(bound) = qv.bound {
+        return Cow::Owned(vec![bound]);
+    }
+    match qv.labels.as_slice() {
+        [] => match shortest_incidence_list(data, query, u) {
+            Some(endpoints) => Cow::Borrowed(endpoints),
+            None => Cow::Owned(data.graph.vertices().collect()),
+        },
+        [label] => Cow::Borrowed(data.inverse_labels.vertices_with_label(*label)),
+        labels => {
+            let all = data.inverse_labels.vertices_with_all_labels(labels);
+            Cow::Owned(all.unwrap_or_default())
         }
-        best.unwrap_or_else(|| data.graph.vertices().collect())
-    };
-    let mut out: Vec<VertexId> = base
-        .into_iter()
-        .filter(|&v| filters::qualifies(data, config, &query.graph, u, v, stats))
-        .collect();
-    ops::canonicalize(&mut out);
-    out
+    }
 }
 
 /// Chooses the starting query vertex and enumerates its starting data
@@ -100,46 +102,57 @@ pub fn enumerate_start_vertices(
 /// Only vertices of the *required* part of the query are eligible: the
 /// OPTIONAL strategy of Section 5.1 demands that "TurboHOM++ selects a start
 /// query vertex which is not specified in an OPTIONAL clause".
-pub fn choose_start_vertex(
-    data: &TransformedGraph,
+pub fn choose_start_vertex<'a>(
+    data: &'a TransformedGraph,
     config: &TurboHomConfig,
     query: &TransformedQuery,
     stats: &mut MatchStats,
-) -> StartSelection {
-    let eligible: Vec<usize> = (0..query.graph.vertex_count())
-        .filter(|&u| query.vertex_clause[u].is_none())
-        .collect();
-    debug_assert!(!eligible.is_empty(), "query must have a required part");
-
+) -> StartSelection<'a> {
     // Coarse ranking: freq / deg, lower is better.
-    let mut ranked: Vec<(f64, usize)> = eligible
-        .iter()
-        .map(|&u| {
-            let freq = rough_frequency(data, query, u) as f64;
+    let mut ranked: Vec<(f64, usize, usize)> = (0..query.graph.vertex_count())
+        .filter(|&u| query.vertex_clause[u].is_none())
+        .map(|u| {
+            let freq = frequency(data, query, u);
             let deg = query.graph.degree(u).max(1) as f64;
-            (freq / deg, u)
+            (freq as f64 / deg, u, freq)
         })
         .collect();
+    debug_assert!(!ranked.is_empty(), "query must have a required part");
     ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
-    // Refine the top-k by exact candidate counting.
-    let mut best: Option<(usize, Vec<VertexId>)> = None;
-    for &(_, u) in ranked.iter().take(TOP_K) {
-        let candidates = enumerate_start_vertices(data, config, query, u, stats);
-        match &best {
-            Some((_, current)) if candidates.len() >= current.len() => {}
-            _ => best = Some((u, candidates)),
+    // Refine the top-k by exact candidate counting. A vertex that has to be
+    // checked one by one keeps the list the check produced, for the case
+    // that it wins.
+    let mut best: Option<(usize, usize, Option<Vec<VertexId>>)> = None;
+    for &(_, u, freq) in ranked.iter().take(TOP_K) {
+        let filter = VertexFilter::new(config, &query.graph, u);
+        let (count, qualified) = if filter.can_reject() {
+            let qualified: Vec<VertexId> = listed_vertices(data, query, u)
+                .iter()
+                .copied()
+                .filter(|&v| filter.qualifies(data, v, stats))
+                .collect();
+            (qualified.len(), Some(qualified))
+        } else {
+            (freq, None)
+        };
+        if best.as_ref().is_none_or(|&(_, fewest, _)| count < fewest) {
+            best = Some((u, count, qualified));
         }
-        if let Some((_, c)) = &best {
-            if c.is_empty() {
-                break;
-            }
+        if best.as_ref().is_some_and(|&(_, fewest, _)| fewest == 0) {
+            break;
         }
     }
-    let (query_vertex, start_vertices) = best.expect("at least one eligible vertex");
+    let (query_vertex, count, qualified) = best.expect("at least one eligible vertex");
+    let start_vertices = match qualified {
+        Some(qualified) => Cow::Owned(qualified),
+        None => listed_vertices(data, query, query_vertex),
+    };
+    debug_assert_eq!(start_vertices.len(), count);
     StartSelection {
         query_vertex,
         start_vertices,
+        ranked: ranked.len(),
     }
 }
 
@@ -149,6 +162,132 @@ mod tests {
     use turbohom_rdf::{vocab, Dataset};
     use turbohom_sparql::parse_query;
     use turbohom_transform::{transform_query, type_aware_transform};
+
+    /// Selection as it was before it counted: the full candidate list of
+    /// each of the top-k query vertices is copied out of the index, walked
+    /// through the per-candidate filters and sorted. The reference of the
+    /// property test below.
+    mod reference {
+        use crate::config::TurboHomConfig;
+        use crate::filters;
+        use crate::stats::MatchStats;
+        use turbohom_graph::{ops, VertexId};
+        use turbohom_transform::{TransformedGraph, TransformedQuery};
+
+        const TOP_K: usize = 3;
+
+        /// Estimates `freq(g, L(u))` — the number of data vertices that could match
+        /// query vertex `u` — without enumerating them (used for the coarse ranking).
+        fn rough_frequency(data: &TransformedGraph, query: &TransformedQuery, u: usize) -> usize {
+            let qv = query.graph.vertex(u);
+            if qv.bound.is_some() {
+                return 1;
+            }
+            if !qv.labels.is_empty() {
+                return data
+                    .inverse_labels
+                    .frequency_of_set(&qv.labels)
+                    .unwrap_or(usize::MAX);
+            }
+            // No label, no ID: use the predicate index over the incident edges with
+            // constant predicates (Section 4.2), taking the most selective one.
+            let mut best = usize::MAX;
+            for &(ei, dir) in query.graph.incident_edges(u) {
+                if let Some(el) = query.graph.edge(ei).label {
+                    let endpoints = data.predicates.endpoints(el, dir).len();
+                    best = best.min(endpoints);
+                }
+            }
+            if best == usize::MAX {
+                data.graph.vertex_count()
+            } else {
+                best
+            }
+        }
+
+        /// Enumerates the data vertices that qualify as starting vertices for query
+        /// vertex `u` (ID attribute, label set, degree/NLF filters).
+        pub fn enumerate_start_vertices(
+            data: &TransformedGraph,
+            config: &TurboHomConfig,
+            query: &TransformedQuery,
+            u: usize,
+            stats: &mut MatchStats,
+        ) -> Vec<VertexId> {
+            let qv = query.graph.vertex(u);
+            let base: Vec<VertexId> = if let Some(bound) = qv.bound {
+                vec![bound]
+            } else if !qv.labels.is_empty() {
+                data.inverse_labels
+                    .vertices_with_all_labels(&qv.labels)
+                    .unwrap_or_default()
+            } else {
+                // No label, no ID: take the most selective constant-predicate
+                // incidence list, or every vertex as a last resort.
+                let mut best: Option<Vec<VertexId>> = None;
+                for &(ei, dir) in query.graph.incident_edges(u) {
+                    if let Some(el) = query.graph.edge(ei).label {
+                        let endpoints = data.predicates.endpoints(el, dir);
+                        if best.as_ref().is_none_or(|b| endpoints.len() < b.len()) {
+                            best = Some(endpoints.to_vec());
+                        }
+                    }
+                }
+                best.unwrap_or_else(|| data.graph.vertices().collect())
+            };
+            let mut out: Vec<VertexId> = base
+                .into_iter()
+                .filter(|&v| filters::reference::qualifies(data, config, &query.graph, u, v, stats))
+                .collect();
+            ops::canonicalize(&mut out);
+            out
+        }
+
+        /// Chooses the starting query vertex and enumerates its starting data
+        /// vertices.
+        ///
+        /// Only vertices of the *required* part of the query are eligible: the
+        /// OPTIONAL strategy of Section 5.1 demands that "TurboHOM++ selects a start
+        /// query vertex which is not specified in an OPTIONAL clause".
+        pub fn choose_start_vertex(
+            data: &TransformedGraph,
+            config: &TurboHomConfig,
+            query: &TransformedQuery,
+            stats: &mut MatchStats,
+        ) -> (usize, Vec<VertexId>) {
+            let eligible: Vec<usize> = (0..query.graph.vertex_count())
+                .filter(|&u| query.vertex_clause[u].is_none())
+                .collect();
+            debug_assert!(!eligible.is_empty(), "query must have a required part");
+
+            // Coarse ranking: freq / deg, lower is better.
+            let mut ranked: Vec<(f64, usize)> = eligible
+                .iter()
+                .map(|&u| {
+                    let freq = rough_frequency(data, query, u) as f64;
+                    let deg = query.graph.degree(u).max(1) as f64;
+                    (freq / deg, u)
+                })
+                .collect();
+            ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+
+            // Refine the top-k by exact candidate counting.
+            let mut best: Option<(usize, Vec<VertexId>)> = None;
+            for &(_, u) in ranked.iter().take(TOP_K) {
+                let candidates = enumerate_start_vertices(data, config, query, u, stats);
+                match &best {
+                    Some((_, current)) if candidates.len() >= current.len() => {}
+                    _ => best = Some((u, candidates)),
+                }
+                if let Some((_, c)) = &best {
+                    if c.is_empty() {
+                        break;
+                    }
+                }
+            }
+            best.expect("at least one eligible vertex")
+        }
+    }
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -258,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_class_yields_no_start_vertices() {
+    fn bound_vertex_of_the_wrong_class_yields_no_start_vertices() {
         let (ds, t) = data();
         let q = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -267,13 +406,17 @@ mod tests {
         )
         .unwrap();
         let mut tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
-        // Artificially constrain the student vertex to an impossible bound id
-        // to check the empty-candidate path.
         let u = tq.graph.vertex_of_variable("x").unwrap();
         let mut stats = MatchStats::default();
-        let cands = enumerate_start_vertices(&t, &TurboHomConfig::default(), &tq, u, &mut stats);
-        assert_eq!(cands.len(), 10);
-        // Bound to a non-Student vertex: label check rejects it.
+        // The two departments that have members beat the ten students, and
+        // nothing has to be checked: the list is the predicate index's own.
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, &mut stats);
+        assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("d").unwrap());
+        assert_eq!(sel.start_vertices.len(), 2);
+        assert_eq!(sel.ranked, 2);
+        assert!(matches!(sel.start_vertices, Cow::Borrowed(_)));
+        // Pin the student vertex to a non-Student vertex: it is the most
+        // selective start, and the label check leaves it no candidate.
         let univ = t
             .mappings
             .vertex_of(ds.dictionary.id_of_iri(&ub("univ0")).unwrap())
@@ -291,7 +434,83 @@ mod tests {
             vertices_rebuilt.add_edge(e.clone());
         }
         tq.graph = vertices_rebuilt;
-        let cands = enumerate_start_vertices(&t, &TurboHomConfig::default(), &tq, u, &mut stats);
-        assert!(cands.is_empty());
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, &mut stats);
+        assert_eq!(sel.query_vertex, u);
+        assert!(sel.start_vertices.is_empty());
+    }
+
+    /// Classes `C0..C3` with `C1 ⊑ C0` (so the closure and `Lsimple`
+    /// differ), predicates `p0..p2`, 24 entities of which every fifth has no
+    /// class, and edges drawn by a fixed rule.
+    fn property_data() -> (Dataset, TransformedGraph) {
+        let mut ds = Dataset::new();
+        ds.insert_iris(&ub("C1"), vocab::RDFS_SUBCLASSOF, &ub("C0"));
+        for i in 0..24usize {
+            let e = ub(&format!("e{i}"));
+            if i % 5 != 0 {
+                ds.insert_iris(&e, vocab::RDF_TYPE, &ub(&format!("C{}", i % 4)));
+            }
+            if i % 7 == 3 {
+                ds.insert_iris(&e, vocab::RDF_TYPE, &ub("C2"));
+            }
+            for (p, step) in [(0usize, 1usize), (1, 5), (2, 11)] {
+                if (i + p) % (p + 2) != 0 {
+                    let o = ub(&format!("e{}", (i * 3 + step) % 24));
+                    ds.insert_iris(&e, &ub(&format!("p{p}")), &o);
+                }
+            }
+        }
+        let t = type_aware_transform(&ds);
+        (ds, t)
+    }
+
+    /// One triple pattern of a generated BGP, as indexes into small pools of
+    /// terms: `(subject, predicate, object)`.
+    fn pattern_text((s, p, o): (usize, usize, usize)) -> String {
+        // Variables, data entities, and a constant absent from the data.
+        let term = |i: usize| match i {
+            0..=3 => format!("?v{i}"),
+            4..=8 => format!("<http://ub.org/e{}>", (i - 4) * 5 + 1),
+            _ => "<http://ub.org/absent>".to_string(),
+        };
+        match p {
+            // A class assertion (on a variable or a constant).
+            0..=3 => format!("{} rdf:type ub:C{} .", term(s), p),
+            // A variable predicate.
+            4 => format!("{} ?pred {} .", term(s), term(o)),
+            _ => format!("{} ub:p{} {} .", term(s), p - 5, term(o)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn counting_selection_matches_the_enumerating_reference(
+            patterns in proptest::collection::vec((0usize..10, 0usize..8, 0usize..10), 1..6),
+        ) {
+            let (ds, t) = property_data();
+            let text = format!(
+                "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> \
+                 PREFIX ub: <http://ub.org/> SELECT * WHERE {{ {} }}",
+                patterns.iter().copied().map(pattern_text).collect::<Vec<_>>().join(" "),
+            );
+            let tq = transform_query(&parse_query(&text).unwrap().pattern, &t, &ds.dictionary).unwrap();
+            let none = crate::config::Optimizations::none();
+            for config in [
+                TurboHomConfig::default(),
+                TurboHomConfig::turbohom(),
+                TurboHomConfig { simple_entailment: true, ..TurboHomConfig::default() },
+                TurboHomConfig::isomorphism().with_optimizations(none),
+            ] {
+                let (mut expected_stats, mut stats) = (MatchStats::default(), MatchStats::default());
+                let (query_vertex, start_vertices) =
+                    reference::choose_start_vertex(&t, &config, &tq, &mut expected_stats);
+                let sel = choose_start_vertex(&t, &config, &tq, &mut stats);
+                proptest::prop_assert_eq!(sel.query_vertex, query_vertex, "{} {:?}", text, config);
+                proptest::prop_assert_eq!(&*sel.start_vertices, &start_vertices[..], "{} {:?}", text, config);
+                proptest::prop_assert_eq!(stats, expected_stats, "{} {:?}", text, config);
+            }
+        }
     }
 }

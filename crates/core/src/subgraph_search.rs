@@ -15,6 +15,10 @@
 //! the whole block with those query vertices unbound — which implements the
 //! left-join semantics of SPARQL OPTIONAL (the paper's
 //! nullify-and-keep-searching strategy).
+//!
+//! One searcher serves every region a worker runs. What a step has to verify
+//! depends on the query tree and the matching order alone, so it is laid out
+//! once per order ([`SubgraphSearcher::set_order`]), not once per recursion.
 
 use crate::candidate_region::CandidateRegion;
 use crate::config::{MatchSemantics, TurboHomConfig};
@@ -23,39 +27,74 @@ use crate::query_tree::QueryTree;
 use crate::result::RowLayout;
 use crate::stats::MatchStats;
 use std::collections::HashSet;
-use turbohom_graph::{ops, Direction, ELabel, VertexId};
+use turbohom_graph::{ops, Direction, ELabel, VLabel, VertexId};
 use turbohom_rdf::{Dictionary, IdRows, Term};
 use turbohom_sparql::{EvalContext, Expression};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
-/// A non-tree-edge constraint against an already matched query vertex.
-struct JoinConstraint {
-    /// The data vertex the other endpoint is matched to.
-    matched: VertexId,
-    /// Direction to traverse from `matched` toward the current candidate.
+/// A non-tree edge between the query vertex of a step and a query vertex
+/// matched at an earlier step.
+#[derive(Debug, Clone, Copy)]
+struct Join {
+    /// The query vertex at the other end. It imposes no constraint while it
+    /// is nullified.
+    other: usize,
+    /// Direction to traverse from `other`'s data vertex toward the current
+    /// candidate.
     direction: Direction,
     /// Edge label (None = variable predicate: any edge suffices).
     label: Option<ELabel>,
 }
 
-/// The per-execution (per-thread) search state.
+/// What extending the partial mapping at one matching-order position takes.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// The query vertex matched here.
+    u: usize,
+    /// Its query-tree parent, whose data vertex selects `CR(u, ·)`. Only the
+    /// root has none, and the root is bound before the recursion starts.
+    parent: Option<usize>,
+    /// When the block of an OPTIONAL clause starts here: the position right
+    /// after the block, where the search continues if the clause is
+    /// nullified.
+    clause_end: Option<usize>,
+    /// `joins[joins.0..joins.1]` of the plan are this step's `IsJoinable`
+    /// checks.
+    joins: (usize, usize),
+    /// `self_loops[self_loops.0..self_loops.1]` of the plan are the labels of
+    /// `u`'s self loops, each requiring an edge v → v.
+    self_loops: (usize, usize),
+    /// `u`'s label if it has exactly one: +INT then intersects with the
+    /// typed adjacency group instead of the whole per-predicate list.
+    single_label: Option<VLabel>,
+}
+
+/// The steps of one matching order over one query tree.
+#[derive(Debug, Default)]
+struct SearchPlan {
+    steps: Vec<Step>,
+    joins: Vec<Join>,
+    self_loops: Vec<Option<ELabel>>,
+}
+
+/// The search state of one worker, reused from region to region.
 pub struct SubgraphSearcher<'a> {
     data: &'a TransformedGraph,
     config: &'a TurboHomConfig,
     query: &'a TransformedQuery,
-    tree: &'a QueryTree,
-    order: &'a MatchingOrder,
     layout: &'a RowLayout,
     dictionary: &'a Dictionary,
     /// Cheap filters applied when the keyed query vertex gets bound.
     inline_filters: &'a [Vec<&'a Expression>],
+    plan: SearchPlan,
+    /// All `None` between regions: every binding is undone on the way back.
     mapping: Vec<Option<VertexId>>,
+    /// Empty between regions, for the same reason.
     used: HashSet<VertexId>,
-    /// The buffer solutions are appended to, one row per solution in
-    /// `layout` (untouched in count-only mode). Handed in by the caller and
-    /// taken back after the search, so consecutive regions share one buffer.
+    /// The solutions of every region searched so far, one row per solution
+    /// in `layout` (untouched in count-only mode).
     pub rows: IdRows,
-    /// Number of solutions found (also counts in count-only mode).
+    /// Number of solutions found so far (also counts in count-only mode).
     pub solution_count: usize,
     /// Execution counters.
     pub stats: MatchStats,
@@ -66,50 +105,90 @@ pub struct SubgraphSearcher<'a> {
     /// Per-depth candidate buffers, reused across recursions so the +INT hot
     /// path does not allocate a fresh result vector per extension step.
     depth_buffers: Vec<Vec<VertexId>>,
-    /// Ping-pong scratch for [`ops::intersect_k_into`]; only used between
+    /// Ping-pong scratch for the +INT intersections; only used between
     /// recursions, so one buffer serves every depth.
     scratch: Vec<VertexId>,
+    /// The adjacency lists one +INT step intersects; likewise.
+    join_lists: Vec<&'a [VertexId]>,
 }
 
 impl<'a> SubgraphSearcher<'a> {
     /// Creates a searcher. `inline_filters` must contain, for every query
     /// vertex, the cheap FILTER expressions to evaluate as soon as that
-    /// vertex is bound (the engine computes this split); `rows` is the
-    /// buffer to append solutions to, with `layout`'s stride.
-    #[allow(clippy::too_many_arguments)]
+    /// vertex is bound (the engine computes this split). Solutions are
+    /// appended to [`rows`](Self::rows) in `layout`. A matching order has to
+    /// be [set](Self::set_order) before the first region is searched.
     pub fn new(
         data: &'a TransformedGraph,
         config: &'a TurboHomConfig,
         query: &'a TransformedQuery,
-        tree: &'a QueryTree,
-        order: &'a MatchingOrder,
         layout: &'a RowLayout,
         dictionary: &'a Dictionary,
         inline_filters: &'a [Vec<&'a Expression>],
-        rows: IdRows,
     ) -> Self {
         let n = query.graph.vertex_count();
         debug_assert_eq!(inline_filters.len(), n);
-        debug_assert_eq!(rows.stride(), layout.stride());
         SubgraphSearcher {
             data,
             config,
             query,
-            tree,
-            order,
             layout,
             dictionary,
             inline_filters,
+            plan: SearchPlan::default(),
             mapping: vec![None; n],
             used: HashSet::new(),
-            rows,
+            rows: IdRows::new(layout.stride()),
             solution_count: 0,
             stats: MatchStats::default(),
-            step_rows: vec![0; order.len()],
+            step_rows: Vec::new(),
             limit_reached: false,
             depth_buffers: vec![Vec::new(); n],
             scratch: Vec::new(),
+            join_lists: Vec::new(),
         }
+    }
+
+    /// Lays out the steps of searching along `order` over `tree`: which
+    /// non-tree edges each position has to verify against which earlier
+    /// position, its self loops, and where a nullified OPTIONAL clause
+    /// resumes. The regions searched from now on are searched in this
+    /// order; what was counted and found so far stays.
+    pub fn set_order(&mut self, tree: &QueryTree, order: &MatchingOrder) {
+        let graph = &self.query.graph;
+        let plan = &mut self.plan;
+        plan.steps.clear();
+        plan.joins.clear();
+        plan.self_loops.clear();
+        for (depth, &u) in order.order.iter().enumerate() {
+            let (joins_from, loops_from) = (plan.joins.len(), plan.self_loops.len());
+            for (ei, dir_from_u) in tree.non_tree_edges_of(graph, u) {
+                let e = graph.edge(ei);
+                let other = if e.from == u { e.to } else { e.from };
+                if other == u {
+                    plan.self_loops.push(e.label);
+                } else if order.position[other] < depth {
+                    plan.joins.push(Join {
+                        other,
+                        direction: dir_from_u.reverse(),
+                        label: e.label,
+                    });
+                }
+            }
+            plan.steps.push(Step {
+                u,
+                parent: tree.parent[u].map(|edge| edge.parent),
+                clause_end: order.clause_start_at[depth].map(|c| order.clause_blocks[c].end),
+                joins: (joins_from, plan.joins.len()),
+                self_loops: (loops_from, plan.self_loops.len()),
+                single_label: match graph.vertex(u).labels.as_slice() {
+                    [label] => Some(*label),
+                    _ => None,
+                },
+            });
+        }
+        debug_assert_eq!(plan.steps.first().map(|step| step.u), Some(tree.root));
+        self.step_rows.resize(order.len(), 0);
     }
 
     /// Returns `true` once the configured solution limit has been hit.
@@ -124,8 +203,8 @@ impl<'a> SubgraphSearcher<'a> {
         if self.limit_reached {
             return;
         }
-        let root = self.order.order[0];
-        debug_assert_eq!(root, self.tree.root);
+        debug_assert!(self.mapping.iter().all(Option::is_none) && self.used.is_empty());
+        let root = self.plan.steps[0].u;
         if !self.inline_filters_pass(root, start) {
             self.stats.filtered_inline += 1;
             return;
@@ -146,12 +225,12 @@ impl<'a> SubgraphSearcher<'a> {
         if self.limit_reached {
             return 0;
         }
-        if depth >= self.order.len() {
+        if depth >= self.plan.steps.len() {
             return self.report();
         }
         self.stats.search_recursions += 1;
 
-        if let Some(clause) = self.order.clause_start_at[depth] {
+        if let Some(clause_end) = self.plan.steps[depth].clause_end {
             // Entering an OPTIONAL clause block: try to match it; if nothing
             // can be produced, nullify the whole block (including nested
             // clauses) and continue after it.
@@ -159,8 +238,7 @@ impl<'a> SubgraphSearcher<'a> {
             if emitted > 0 || self.limit_reached {
                 return emitted;
             }
-            let block = self.order.clause_blocks[clause];
-            return self.search(region, block.end);
+            return self.search(region, clause_end);
         }
         self.extend_vertex(region, depth)
     }
@@ -168,13 +246,14 @@ impl<'a> SubgraphSearcher<'a> {
     /// Extends the partial mapping at position `depth` with every qualifying
     /// candidate. Returns the number of solutions reported below.
     fn extend_vertex(&mut self, region: &CandidateRegion, depth: usize) -> usize {
-        let u = self.order.order[depth];
-        let Some(tree_edge) = self.tree.parent[u] else {
+        let step = self.plan.steps[depth];
+        let u = step.u;
+        let Some(parent) = step.parent else {
             // Only the root has no parent, and the root is bound before the
             // recursion starts; reaching here means the order is degenerate.
             return 0;
         };
-        let Some(parent_vertex) = self.mapping[tree_edge.parent] else {
+        let Some(parent_vertex) = self.mapping[parent] else {
             // Parent nullified (enclosing OPTIONAL clause failed): this
             // vertex cannot be matched either.
             return 0;
@@ -185,72 +264,30 @@ impl<'a> SubgraphSearcher<'a> {
             return 0;
         }
 
-        // Gather the IsJoinable constraints: non-tree edges from u to
-        // query vertices already bound in the current prefix.
-        let mut constraints: Vec<JoinConstraint> = Vec::new();
-        let mut self_loop_labels: Vec<Option<ELabel>> = Vec::new();
-        for (ei, dir_from_u) in self.tree.non_tree_edges_of(&self.query.graph, u) {
-            let e = self.query.graph.edge(ei);
-            let other = if e.from == u { e.to } else { e.from };
-            if other == u {
-                self_loop_labels.push(e.label);
-                continue;
-            }
-            if self.order.position[other] < depth {
-                if let Some(w) = self.mapping[other] {
-                    constraints.push(JoinConstraint {
-                        matched: w,
-                        direction: dir_from_u.reverse(),
-                        label: e.label,
-                    });
-                }
-                // A nullified other endpoint imposes no constraint.
-            }
-        }
+        // The IsJoinable constraints in force: non-tree edges from u to a
+        // query vertex bound in the current prefix. A nullified other
+        // endpoint imposes no constraint.
+        let joinable = self.plan.joins[step.joins.0..step.joins.1]
+            .iter()
+            .any(|join| self.mapping[join.other].is_some());
 
         // Candidate narrowing: with +INT intersect the candidate list with
         // every constraint adjacency list at once; without it, probe each
-        // candidate against each constraint individually. The result lands in
-        // the pooled per-depth buffer, which survives the recursion below and
-        // is returned to the pool at the end.
-        let mut candidates: Vec<VertexId> = std::mem::take(&mut self.depth_buffers[depth]);
-        if self.config.optimizations.intersection_joinable && !constraints.is_empty() {
+        // candidate against each constraint individually. The intersection
+        // lands in the pooled per-depth buffer, which survives the recursion
+        // below and is returned to the pool at the end.
+        let probing = joinable && !self.config.optimizations.intersection_joinable;
+        let mut narrowed: Vec<VertexId> = std::mem::take(&mut self.depth_buffers[depth]);
+        let candidates: &[VertexId] = if joinable && !probing {
             self.stats.intersection_ops += 1;
-            let u_labels = &self.query.graph.vertex(u).labels;
-            let mut owned: Vec<Vec<VertexId>> = Vec::new();
-            let mut slices: Vec<&[VertexId]> = vec![base];
-            for c in &constraints {
-                match c.label {
-                    Some(el) => {
-                        if u_labels.len() == 1 {
-                            slices.push(self.data.graph.neighbors_typed(
-                                c.matched,
-                                c.direction,
-                                el,
-                                u_labels[0],
-                            ));
-                        } else {
-                            slices.push(self.data.graph.neighbors(c.matched, c.direction, el));
-                        }
-                    }
-                    None => {
-                        owned.push(self.data.graph.all_neighbors(c.matched, c.direction));
-                    }
-                }
-            }
-            for o in &owned {
-                slices.push(o.as_slice());
-            }
-            let mut scratch = std::mem::take(&mut self.scratch);
-            ops::intersect_k_into(&slices, &mut candidates, &mut scratch);
-            self.scratch = scratch;
+            self.intersect_joins(base, step, &mut narrowed);
+            &narrowed
         } else {
-            candidates.clear();
-            candidates.extend_from_slice(base);
-        }
+            base
+        };
 
         let mut emitted = 0usize;
-        for &v in &candidates {
+        for &v in candidates {
             if self.limit_reached {
                 break;
             }
@@ -259,21 +296,12 @@ impl<'a> SubgraphSearcher<'a> {
                 continue;
             }
             // IsJoinable probes (only needed when +INT did not already narrow).
-            if !self.config.optimizations.intersection_joinable && !constraints.is_empty() {
-                let mut ok = true;
-                for c in &constraints {
-                    self.stats.isjoinable_probes += 1;
-                    if !self.edge_exists(c.matched, c.direction, c.label, v) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    continue;
-                }
+            if probing && !self.joins_hold(step, v) {
+                continue;
             }
             // Self loops require an edge v → v.
-            if !self_loop_labels.iter().all(|label| match label {
+            let self_loops = &self.plan.self_loops[step.self_loops.0..step.self_loops.1];
+            if !self_loops.iter().all(|label| match label {
                 Some(el) => self.data.graph.has_edge(v, v, *el),
                 None => !self.data.graph.edge_labels_between(v, v).is_empty(),
             }) {
@@ -294,8 +322,63 @@ impl<'a> SubgraphSearcher<'a> {
             self.mapping[u] = None;
             self.used.remove(&v);
         }
-        self.depth_buffers[depth] = candidates;
+        self.depth_buffers[depth] = narrowed;
         emitted
+    }
+
+    /// +INT: intersects `base` with the adjacency list of every matched
+    /// endpoint of `step`'s joins, into `out`.
+    fn intersect_joins(&mut self, base: &[VertexId], step: Step, out: &mut Vec<VertexId>) {
+        let data = self.data;
+        let joins = &self.plan.joins[step.joins.0..step.joins.1];
+
+        // Constant predicates: slices of the data graph, shortest first to
+        // keep the intermediate results minimal.
+        self.join_lists.clear();
+        for join in joins {
+            if let (Some(w), Some(el)) = (self.mapping[join.other], join.label) {
+                self.join_lists.push(match step.single_label {
+                    Some(vl) => data.graph.neighbors_typed(w, join.direction, el, vl),
+                    None => data.graph.neighbors(w, join.direction, el),
+                });
+            }
+        }
+        self.join_lists.sort_unstable_by_key(|list| list.len());
+        match self.join_lists.split_first() {
+            Some((first, rest)) => {
+                ops::intersect_adaptive_into(base, first, out);
+                for list in rest {
+                    ops::intersect_adaptive_into(out, list, &mut self.scratch);
+                    std::mem::swap(out, &mut self.scratch);
+                }
+            }
+            None => {
+                out.clear();
+                out.extend_from_slice(base);
+            }
+        }
+        // Variable predicates: the union of the endpoint's adjacency groups.
+        for join in joins {
+            if let (Some(w), None) = (self.mapping[join.other], join.label) {
+                let any_edge = data.graph.all_neighbors(w, join.direction);
+                ops::intersect_adaptive_into(out, &any_edge, &mut self.scratch);
+                std::mem::swap(out, &mut self.scratch);
+            }
+        }
+    }
+
+    /// `IsJoinable` without +INT: probes `candidate` against every matched
+    /// endpoint of `step`'s joins, stopping at the first miss.
+    fn joins_hold(&mut self, step: Step, candidate: VertexId) -> bool {
+        for join in &self.plan.joins[step.joins.0..step.joins.1] {
+            if let Some(w) = self.mapping[join.other] {
+                self.stats.isjoinable_probes += 1;
+                if !self.edge_exists(w, join.direction, join.label, candidate) {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// One `IsJoinable` probe: is there an edge between `from` (an already
@@ -436,8 +519,9 @@ impl<'a> SubgraphSearcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate_region::explore_candidate_region;
+    use crate::candidate_region::{explore_candidate_region, RegionExplorer};
     use crate::config::Optimizations;
+    use crate::result::{merge_step_counts, MatchResult};
     use crate::start_vertex::choose_start_vertex;
     use turbohom_rdf::{vocab, Dataset, UNBOUND};
     use turbohom_sparql::parse_query;
@@ -467,42 +551,140 @@ mod tests {
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let inline = vec![Vec::new(); tq.graph.vertex_count()];
         let layout = RowLayout::of(&tq.graph);
-        let mut total = 0usize;
-        let mut solutions = IdRows::new(layout.stride());
+        let explorer = RegionExplorer::new(data, config, &tq, &tree);
+        let mut region = CandidateRegion::default();
+        let mut searcher =
+            SubgraphSearcher::new(data, config, &tq, &layout, &ds.dictionary, &inline);
         let mut order: Option<MatchingOrder> = None;
-        for &start in &sel.start_vertices {
+        for &start in sel.start_vertices.iter() {
             stats.candidate_regions += 1;
-            let Some(region) =
-                explore_candidate_region(data, config, &tq, &tree, start, &mut stats)
-            else {
+            if !explorer.explore(&mut region, start, &mut stats) {
                 continue;
-            };
+            }
             stats.nonempty_regions += 1;
             if order.is_none() || !config.optimizations.reuse_matching_order {
-                order = Some(MatchingOrder::determine(&tq, &tree, &region));
+                let determined = MatchingOrder::determine(&tq, &tree, &region);
+                searcher.set_order(&tree, &determined);
+                order = Some(determined);
                 stats.matching_orders_computed += 1;
             }
-            let o = order.as_ref().unwrap();
-            let mut searcher = SubgraphSearcher::new(
-                data,
-                config,
-                &tq,
-                &tree,
-                o,
-                &layout,
-                &ds.dictionary,
-                &inline,
-                std::mem::take(&mut solutions),
-            );
             searcher.search_region(&region, start);
-            total += searcher.solution_count;
-            solutions = std::mem::take(&mut searcher.rows);
-            stats.merge(&searcher.stats);
-            if config.max_solutions.is_some_and(|m| total >= m) {
+            if searcher.limit_reached() {
                 break;
             }
         }
+        stats.merge(&searcher.stats);
+        let (total, solutions) = (searcher.solution_count, searcher.rows);
         (total, solutions, stats)
+    }
+
+    /// Universities of very different sizes, in start-vertex order: a big one
+    /// (3 departments × 6 students), a small one (1 × 1), one without
+    /// departments (its region is dead), a middling one (2 × 3), and one whose
+    /// only student graduated elsewhere (its region lives but holds no
+    /// solution). A student also knows the next one of the department, which
+    /// gives the query below a tree of depth three.
+    fn uneven_universities() -> Dataset {
+        let mut ds = Dataset::new();
+        for (u, (departments, students)) in [(3, 6), (1, 1), (0, 0), (2, 3), (1, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let univ = ub(&format!("univ{u}"));
+            ds.insert_iris(&univ, vocab::RDF_TYPE, &ub("University"));
+            for d in 0..departments {
+                let dept = ub(&format!("dept{u}_{d}"));
+                ds.insert_iris(&dept, vocab::RDF_TYPE, &ub("Department"));
+                ds.insert_iris(&dept, &ub("subOrganizationOf"), &univ);
+                for s in 0..students {
+                    let student = ub(&format!("student{u}_{d}_{s}"));
+                    ds.insert_iris(&student, vocab::RDF_TYPE, &ub("Student"));
+                    ds.insert_iris(&student, &ub("memberOf"), &dept);
+                    let degree_from = if u == 4 { ub("univ0") } else { univ.clone() };
+                    ds.insert_iris(&student, &ub("degreeFrom"), &degree_from);
+                    let next = ub(&format!("student{u}_{d}_{}", (s + 1) % students));
+                    ds.insert_iris(&student, &ub("knows"), &next);
+                }
+            }
+        }
+        ds
+    }
+
+    #[test]
+    fn reused_arena_and_searcher_match_fresh_ones_region_by_region() {
+        let ds = uneven_universities();
+        let data = type_aware_transform(&ds);
+        let q = parse_query(
+            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+               PREFIX ub: <http://ub.org/>
+               SELECT * WHERE {
+                 ?y rdf:type ub:University . ?z rdf:type ub:Department . ?x rdf:type ub:Student .
+                 ?z ub:subOrganizationOf ?y . ?x ub:memberOf ?z . ?x ub:degreeFrom ?y .
+                 ?x ub:knows ?w . ?w ub:memberOf ?z .
+               }"#,
+        )
+        .unwrap();
+        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let inline = vec![Vec::new(); tq.graph.vertex_count()];
+        let layout = RowLayout::of(&tq.graph);
+        for config in [
+            TurboHomConfig::default(),
+            TurboHomConfig::turbohom(),
+            TurboHomConfig::isomorphism(),
+        ] {
+            let sel = choose_start_vertex(&data, &config, &tq, &mut MatchStats::default());
+            assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("y").unwrap());
+            let tree = QueryTree::build(&tq.graph, sel.query_vertex);
+            let explorer = RegionExplorer::new(&data, &config, &tq, &tree);
+            let new_searcher =
+                || SubgraphSearcher::new(&data, &config, &tq, &layout, &ds.dictionary, &inline);
+
+            let mut region = CandidateRegion::default();
+            let mut reused = new_searcher();
+            let mut expected = MatchResult {
+                rows: IdRows::new(layout.stride()),
+                ..MatchResult::default()
+            };
+            let mut solutions_per_region = Vec::new();
+            for &start in sel.start_vertices.iter() {
+                let mut fresh = new_searcher();
+                let fresh_region =
+                    explore_candidate_region(&data, &config, &tq, &tree, start, &mut fresh.stats);
+                let alive = explorer.explore(&mut region, start, &mut reused.stats);
+                assert_eq!(alive, fresh_region.is_some(), "{config:?} {start}");
+                if let Some(fresh_region) = &fresh_region {
+                    for u in 0..tq.graph.vertex_count() {
+                        assert_eq!(region.count(u), fresh_region.count(u), "{config:?} u{u}");
+                    }
+                    let order = MatchingOrder::determine(&tq, &tree, fresh_region);
+                    // −REUSE plans every region anew; +REUSE keeps the first.
+                    if expected.rows.is_empty() || !config.optimizations.reuse_matching_order {
+                        reused.set_order(&tree, &order);
+                    }
+                    fresh.set_order(&tree, &order);
+                    fresh.search_region(fresh_region, start);
+                    reused.search_region(&region, start);
+                    merge_step_counts(&mut expected.step_rows, &fresh.step_rows);
+                }
+                solutions_per_region.push(fresh.solution_count);
+                expected.solution_count += fresh.solution_count;
+                expected.rows.append(&mut fresh.rows);
+                expected.stats.merge(&fresh.stats);
+                // Region by region, not only in the end.
+                assert_eq!(reused.rows, expected.rows, "{config:?} {start}");
+                assert_eq!(reused.step_rows, expected.step_rows, "{config:?} {start}");
+                assert_eq!(reused.stats, expected.stats, "{config:?} {start}");
+                assert_eq!(reused.solution_count, expected.solution_count);
+            }
+            // Big, small, dead, middling, alive without a solution. (The
+            // filters of plain TurboHOM start neither the dead nor the
+            // solution-less one; an injective match cannot have the lone
+            // student know itself.)
+            if config == TurboHomConfig::default() {
+                assert_eq!(solutions_per_region, [18, 1, 0, 6, 0]);
+            }
+            assert!(solutions_per_region.len() >= 3 && solutions_per_region[0] == 18);
+        }
     }
 
     /// The worked example of paper Figure 1: the query q1 has exactly one

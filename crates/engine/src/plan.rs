@@ -428,20 +428,23 @@ impl Store {
             },
             _ => config,
         };
-        let mut span = trace.span("execute");
+        // `execute` is the matcher alone; folding what it found into
+        // `results` is part of materialising them.
         let mut matched = Vec::with_capacity(branch.components.len());
+        let mut span = trace.span("execute");
         for component in &branch.components {
-            let result = self.match_component(component, config, trace, span.id())?;
-            results.stats.merge(&result.stats);
-            merge_step_counts(&mut results.step_rows, &result.step_rows);
-            merge_step_counts(&mut results.step_estimates, &result.step_estimates);
-            matched.push(result);
+            matched.push(self.match_component(component, config, trace, span.id())?);
         }
         let solutions: usize = matched.iter().map(|m| m.solution_count).sum();
         span.counter("solutions", solutions as u64);
         span.finish();
 
         let projecting = Instant::now();
+        for result in &matched {
+            results.stats.merge(&result.stats);
+            merge_step_counts(&mut results.step_rows, &result.step_rows);
+            merge_step_counts(&mut results.step_estimates, &result.step_estimates);
+        }
         if let ([component], [result]) = (branch.components.as_slice(), matched.as_slice()) {
             let mut rows = self.project(component, &result.rows, &results.variables);
             results.rows.append(&mut rows);

@@ -1,8 +1,10 @@
-//! The result path allocates nothing per row or per cell: executing a type
-//! scan to id rows, sorting them into the canonical order and serialising
-//! them costs a constant number of allocations (plus buffer doublings) more
-//! than a count-only run, which does the same matching — the matcher's own
-//! per-region work — and materialises nothing.
+//! Neither the matcher nor the result path allocates per candidate region,
+//! per row or per cell. A count-only run — parse, transform, one candidate
+//! region per start vertex, nothing materialised — costs a constant number
+//! of allocations plus buffer doublings, whether a region is a single vertex
+//! or two triangles joined at it; executing the scan to id rows, sorting
+//! them into the canonical order and serialising them costs a constant
+//! number (plus doublings) more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{self, Write};
@@ -57,8 +59,13 @@ impl Write for Discard {
 
 const SCAN: &str = "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex.org/Student> . }";
 
+const TWO_TRIANGLES: &str = "PREFIX ex: <http://ex.org/> \
+    SELECT * WHERE { ?h a ex:Hub . \
+    ?h ex:a ?l1 . ?l1 ex:b ?l2 . ?l2 ex:c ?h . \
+    ?h ex:d ?r1 . ?r1 ex:e ?r2 . ?r2 ex:f ?h . }";
+
 #[test]
-fn executing_and_serialising_a_scan_allocates_nothing_per_row() {
+fn matching_and_serialising_allocate_nothing_per_region_or_row() {
     for n in [1_000usize, 16_000] {
         let mut dataset = Dataset::new();
         for i in 0..n {
@@ -83,6 +90,10 @@ fn executing_and_serialising_a_scan_allocates_nothing_per_row() {
             let counted = store.execute_turbohom(SCAN, count_only, false).unwrap();
             assert_eq!(counted.len(), n);
         });
+        assert!(
+            baseline <= 64 + n / 64,
+            "{n} single-vertex regions: {baseline} allocations for the count-only run"
+        );
         let mut sink = Discard(0);
         let result_path = allocations(|| {
             let results = store
@@ -98,4 +109,42 @@ fn executing_and_serialising_a_scan_allocates_nothing_per_row() {
             "{n} rows: {result_path} allocations against {baseline} for the count-only run"
         );
     }
+    // Regions with an inside: every hub closes two triangles, so each region
+    // has four tree children and two non-tree edges to intersect for. Parsing
+    // and transforming the seven patterns is most of the count; sixteen times
+    // the regions must add next to nothing to it.
+    let counts = [1_000usize, 16_000].map(|n| {
+        let mut dataset = Dataset::new();
+        for i in 0..n {
+            let node = |role: &str| format!("http://ex.org/{role}{i}");
+            dataset.insert_iris(&node("hub"), vocab::RDF_TYPE, "http://ex.org/Hub");
+            for (from, edge, to) in [
+                ("hub", "a", "left1"),
+                ("left1", "b", "left2"),
+                ("left2", "c", "hub"),
+                ("hub", "d", "right1"),
+                ("right1", "e", "right2"),
+                ("right2", "f", "hub"),
+            ] {
+                dataset.insert_iris(&node(from), &format!("http://ex.org/{edge}"), &node(to));
+            }
+        }
+        let store = Store::from_dataset(dataset);
+        let count_only = TurboHomConfig {
+            count_only: true,
+            ..store.default_config()
+        };
+        allocations(|| {
+            let counted = store
+                .execute_turbohom(TWO_TRIANGLES, count_only, false)
+                .unwrap();
+            assert_eq!(counted.len(), n);
+            assert_eq!(counted.stats.candidate_regions, n);
+            assert_eq!(counted.stats.intersection_ops, 2 * n);
+        })
+    });
+    assert!(
+        counts[0] <= 512 && counts[1] <= counts[0] + 16,
+        "{counts:?} allocations for the count-only run over 1k and 16k two-triangle regions"
+    );
 }

@@ -78,9 +78,14 @@ impl InverseLabelIndex {
     }
 
     /// `freq(g, L)` for a label set (size of the intersection). Returns
-    /// `None` for an empty label set (unconstrained).
+    /// `None` for an empty label set (unconstrained). A single label is a
+    /// list length; only a multi-label set builds its intersection.
     pub fn frequency_of_set(&self, labels: &[VLabel]) -> Option<usize> {
-        self.vertices_with_all_labels(labels).map(|v| v.len())
+        match labels {
+            [] => None,
+            [label] => Some(self.frequency(*label)),
+            _ => self.vertices_with_all_labels(labels).map(|v| v.len()),
+        }
     }
 
     /// Vertices with an empty label set.

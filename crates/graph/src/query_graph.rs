@@ -183,7 +183,7 @@ impl QueryGraph {
     /// Disconnected query graphs correspond to cartesian products, which the
     /// matcher rejects up front.
     pub fn is_connected(&self) -> bool {
-        if self.vertices.is_empty() {
+        if self.vertices.len() <= 1 {
             return true;
         }
         let mut seen = vec![false; self.vertices.len()];

@@ -388,6 +388,78 @@ fn profile_covers_the_request(addr: std::net::SocketAddr, q: &str) {
     assert!(profile.contains(&format!("\"trace_id\":\"{header_id}\"")));
 }
 
+/// The share of the `execute` spans of a `profile=1` body that their child
+/// spans account for, and the names of those children.
+fn execute_coverage(body: &str) -> (f64, Vec<String>) {
+    let spans_at = body.find("\"spans\":[").expect("span list present");
+    // One piece per span: `{"id":N,"parent":P,"name":"…",…,"dur_us":D,…}`.
+    let spans: Vec<(u64, Option<u64>, &str, f64)> = body[spans_at..]
+        .split("{\"id\":")
+        .skip(1)
+        .map(|span| {
+            let id = span[..span.find(',').unwrap()].parse().unwrap();
+            let parent = span.split_once("\"parent\":").unwrap().1;
+            let parent = parent[..parent.find(',').unwrap()].parse().ok();
+            let name = span.split_once("\"name\":\"").unwrap().1;
+            let name = &name[..name.find('"').unwrap()];
+            (id, parent, name, json_number(span, "dur_us"))
+        })
+        .collect();
+    let (mut execute, mut children, mut names) = (0.0, 0.0, Vec::new());
+    for &(id, _, name, dur) in &spans {
+        if name == "execute" {
+            execute += dur;
+            for &(_, parent, child, dur) in &spans {
+                if parent == Some(id) {
+                    children += dur;
+                    names.push(child.to_string());
+                }
+            }
+        }
+    }
+    (children / execute, names)
+}
+
+#[test]
+fn the_children_of_execute_account_for_it() {
+    let (_service, handle) = lubm_service();
+    let addr = handle.addr();
+    // Q1: an anchored lookup, four candidate regions — whatever the matcher
+    // does once per request shows here. Q9: a triangle over three classes.
+    for q in [&lubm::queries()[0].sparql, &lubm::queries()[8].sparql] {
+        let request = format!(
+            "GET /query?query={}&profile=1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            urlencode(q),
+        );
+        // As in `profile_covers_the_request`: a preemption between two spans
+        // opens a gap no span covers, so the best of a few attempts counts.
+        let mut best = 0.0f64;
+        for _ in 0..8 {
+            let (status, _, body) = http_request(addr, &request);
+            assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+            let (covered, children) = execute_coverage(&body);
+            for stage in [
+                "start_vertex",
+                "candidate_regions",
+                "matching_order",
+                "enumeration",
+            ] {
+                assert!(children.iter().any(|c| c == stage), "missing {stage}");
+            }
+            best = best.max(covered);
+            if best >= 0.9 {
+                break;
+            }
+        }
+        assert!(
+            (0.9..=1.01).contains(&best),
+            "the children of execute cover {:.0} % of it",
+            best * 100.0
+        );
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn metrics_endpoint_serves_prometheus_exposition() {
     let (_service, handle) = lubm_service();

@@ -95,7 +95,9 @@ impl Trace {
                 started: Instant::now(),
                 detailed,
                 next_id: AtomicU32::new(0),
-                spans: Mutex::new(Vec::new()),
+                // A profiled request writes a dozen spans or so; room for them
+                // up front spares the writers the regrowth.
+                spans: Mutex::new(Vec::with_capacity(16)),
             })),
         }
     }
