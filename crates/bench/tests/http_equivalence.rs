@@ -83,7 +83,7 @@ fn request(addr: SocketAddr, method: &str, target: &str, sparql: &str) -> Respon
     let mut stream = TcpStream::connect(addr).unwrap();
     let message = if method == "POST" {
         format!(
-            "POST {target} HTTP/1.1\r\nHost: x\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{sparql}",
+            "POST {target} HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Type: application/sparql-query\r\nContent-Length: {}\r\n\r\n{sparql}",
             sparql.len()
         )
     } else {
@@ -94,7 +94,9 @@ fn request(addr: SocketAddr, method: &str, target: &str, sparql: &str) -> Respon
                 _ => format!("%{b:02X}"),
             })
             .collect();
-        format!("{method} {target}?query={encoded} HTTP/1.1\r\nHost: x\r\n\r\n")
+        format!(
+            "{method} {target}?query={encoded} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
     };
     stream.write_all(message.as_bytes()).unwrap();
     let mut raw = Vec::new();

@@ -126,17 +126,14 @@ impl<'q> VertexFilter<'q> {
         }
         let min_degree = config.optimizations.degree_filter.then(|| {
             let count = |direction: Direction| {
-                neighbors
-                    .iter()
-                    .filter(|((d, _, _), _)| *d == direction)
-                    .map(|(_, times)| match config.semantics {
-                        // v needs at least as many incident edges as u.
-                        MatchSemantics::Isomorphism => *times,
-                        // v needs at least as many neighbors as u has
-                        // *distinct* neighbor constraints.
-                        MatchSemantics::Homomorphism => 1,
-                    })
-                    .sum()
+                let incident = neighbors.iter().filter(|((d, _, _), _)| *d == direction);
+                match config.semantics {
+                    // v needs at least as many incident edges as u.
+                    MatchSemantics::Isomorphism => incident.map(|(_, times)| *times).sum(),
+                    MatchSemantics::Homomorphism => {
+                        homomorphic_degree(incident.map(|((_, label, _), _)| *label))
+                    }
+                }
             };
             (count(Direction::Outgoing), count(Direction::Incoming))
         });
@@ -221,6 +218,20 @@ impl<'q> VertexFilter<'q> {
     }
 }
 
+/// The incident edges, in one direction, a data vertex needs to be the image
+/// of a query vertex whose edges in that direction carry `labels`, under
+/// homomorphism. Query edges may share a data edge unless their predicates
+/// differ, so it is one edge per distinct constant predicate — a variable
+/// predicate is content with any of them — and one if there are only
+/// variable ones.
+fn homomorphic_degree(labels: impl Iterator<Item = Option<ELabel>>) -> usize {
+    let mut any = false;
+    let mut constant: Vec<ELabel> = labels.inspect(|_| any = true).flatten().collect();
+    constant.sort_unstable();
+    constant.dedup();
+    constant.len().max(usize::from(any))
+}
+
 /// The filters as they were before [`VertexFilter`]: everything is derived
 /// again from the query for every data candidate. Kept as the reference the
 /// tests of this module and of `start_vertex` compare against.
@@ -257,22 +268,17 @@ pub(crate) mod reference {
                     && data.graph.degree(v, Direction::Incoming) >= q_in
             }
             MatchSemantics::Homomorphism => {
-                // Homomorphism flavour: v needs at least as many neighbors as u
-                // has *distinct* neighbor constraints per direction.
-                let mut distinct_out: Vec<(Option<ELabel>, Vec<VLabel>)> = Vec::new();
-                let mut distinct_in: Vec<(Option<ELabel>, Vec<VLabel>)> = Vec::new();
-                for (dir, el, labels) in query.neighbor_constraints(u) {
-                    let entry = (el, labels.to_vec());
-                    let bucket = match dir {
-                        Direction::Outgoing => &mut distinct_out,
-                        Direction::Incoming => &mut distinct_in,
-                    };
-                    if !bucket.contains(&entry) {
-                        bucket.push(entry);
-                    }
-                }
-                data.graph.degree(v, Direction::Outgoing) >= distinct_out.len()
-                    && data.graph.degree(v, Direction::Incoming) >= distinct_in.len()
+                // Homomorphism flavour: v needs an edge per distinct constant
+                // predicate of u's edges in the direction, one at least.
+                let demand = |direction: Direction| {
+                    let labels = query
+                        .neighbor_constraints(u)
+                        .filter(move |(dir, _, _)| *dir == direction)
+                        .map(|(_, el, _)| el);
+                    homomorphic_degree(labels)
+                };
+                data.graph.degree(v, Direction::Outgoing) >= demand(Direction::Outgoing)
+                    && data.graph.degree(v, Direction::Incoming) >= demand(Direction::Incoming)
             }
         };
         if !pass {
@@ -491,6 +497,33 @@ mod tests {
             &mut stats
         ));
         assert_eq!(stats.degree_filtered, 1);
+    }
+
+    #[test]
+    fn degree_filter_homomorphism_lets_a_variable_predicate_share_an_edge() {
+        let (ds, t) = data();
+        let mut stats = MatchStats::default();
+        let config = TurboHomConfig {
+            optimizations: crate::config::Optimizations::none(),
+            ..TurboHomConfig::default()
+        };
+        let member_of = el(&ds, &t, "memberOf");
+        // `?x memberOf ?y . ?x ?p ?z`: both edges can be the one memberOf
+        // edge of s2, under homomorphism only.
+        let q = one_vertex_query(
+            vec![],
+            vec![
+                (Direction::Outgoing, Some(member_of), vec![]),
+                (Direction::Outgoing, None, vec![]),
+            ],
+        );
+        let s2 = vid(&ds, &t, "s2");
+        assert!(VertexFilter::new(&config, &q, 0).degree_filter(&t, s2, &mut stats));
+        let isomorphism = TurboHomConfig {
+            semantics: MatchSemantics::Isomorphism,
+            ..config
+        };
+        assert!(!VertexFilter::new(&isomorphism, &q, 0).degree_filter(&t, s2, &mut stats));
     }
 
     #[test]

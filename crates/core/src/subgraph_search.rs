@@ -204,7 +204,11 @@ impl<'a> SubgraphSearcher<'a> {
             return;
         }
         debug_assert!(self.mapping.iter().all(Option::is_none) && self.used.is_empty());
-        let root = self.plan.steps[0].u;
+        let step = self.plan.steps[0];
+        let root = step.u;
+        if !self.self_loops_hold(step, start) {
+            return;
+        }
         if !self.inline_filters_pass(root, start) {
             self.stats.filtered_inline += 1;
             return;
@@ -299,12 +303,7 @@ impl<'a> SubgraphSearcher<'a> {
             if probing && !self.joins_hold(step, v) {
                 continue;
             }
-            // Self loops require an edge v → v.
-            let self_loops = &self.plan.self_loops[step.self_loops.0..step.self_loops.1];
-            if !self_loops.iter().all(|label| match label {
-                Some(el) => self.data.graph.has_edge(v, v, *el),
-                None => !self.data.graph.edge_labels_between(v, v).is_empty(),
-            }) {
+            if !self.self_loops_hold(step, v) {
                 continue;
             }
             // Cheap inline filters.
@@ -365,6 +364,17 @@ impl<'a> SubgraphSearcher<'a> {
                 std::mem::swap(out, &mut self.scratch);
             }
         }
+    }
+
+    /// Every self loop of `step`'s query vertex requires an edge v → v,
+    /// carrying the loop's label (or any label, for a variable predicate).
+    fn self_loops_hold(&self, step: Step, v: VertexId) -> bool {
+        self.plan.self_loops[step.self_loops.0..step.self_loops.1]
+            .iter()
+            .all(|label| match label {
+                Some(el) => self.data.graph.has_edge(v, v, *el),
+                None => !self.data.graph.edge_labels_between(v, v).is_empty(),
+            })
     }
 
     /// `IsJoinable` without +INT: probes `candidate` against every matched

@@ -93,7 +93,7 @@ impl QueryResults {
             .rows
             .iter()
             .map(|row| row.iter().map(|term| term.as_ref().map(TermRef::from)));
-        json_string(|out| write_sparql_json(out, &self.variables, rows, None))
+        json_string(|out| write_sparql_json(out, &mut Vec::new(), &self.variables, rows, None))
     }
 }
 
@@ -263,22 +263,26 @@ impl<'s> IdResults<'s> {
 
     /// Writes the results in the W3C SPARQL 1.1 Query Results JSON format to
     /// `out`, in pieces of at most about 64 KB: ids are resolved and escaped
-    /// straight into one reused buffer. `members`, when given, appends
+    /// straight into `buffer`, whose contents are discarded and whose
+    /// capacity (about 64 KB from the first use on) stays with the caller,
+    /// so a connection serialises every response through one allocation.
+    /// `members`, when given, appends
     /// further top-level members (each with its leading comma) after the
     /// bindings have been handed to `out` and before the closing brace. The
     /// first write error ends the serialisation.
     pub fn write_sparql_json<W: Write>(
         &self,
         out: &mut W,
+        buffer: &mut Vec<u8>,
         members: Option<ExtraMembers<'_>>,
     ) -> io::Result<()> {
         let rows = self.rows.iter().map(|row| self.terms(row));
-        write_sparql_json(out, &self.variables, rows, members)
+        write_sparql_json(out, buffer, &self.variables, rows, members)
     }
 
     /// Serializes the results as one SPARQL 1.1 Query Results JSON string.
     pub fn to_sparql_json(&self) -> String {
-        json_string(|out| self.write_sparql_json(out, None))
+        json_string(|out| self.write_sparql_json(out, &mut Vec::new(), None))
     }
 }
 
@@ -346,7 +350,7 @@ fn json_string(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
     String::from_utf8(out).expect("the writer emits UTF-8")
 }
 
-/// The size the writer's buffer is created with. A piece is handed on once it
+/// The size the writer's buffer is brought to. A piece is handed on once it
 /// passes [`FLUSH_AT`], so the buffer only grows past this for a single row
 /// of more than 16 KB.
 const BUFFER: usize = 64 * 1024;
@@ -358,6 +362,7 @@ const FLUSH_AT: usize = 48 * 1024;
 /// row, unbound variables omitted.
 fn write_sparql_json<'t, W, R, C>(
     out: &mut W,
+    buf: &mut Vec<u8>,
     variables: &[String],
     rows: R,
     members: Option<ExtraMembers<'_>>,
@@ -367,7 +372,8 @@ where
     R: Iterator<Item = C>,
     C: Iterator<Item = Option<TermRef<'t>>>,
 {
-    let mut buf: Vec<u8> = Vec::with_capacity(BUFFER);
+    buf.clear();
+    buf.reserve(BUFFER);
     // Each variable's `"name":` is escaped once, not once per row.
     let mut keys: Vec<Vec<u8>> = Vec::with_capacity(variables.len());
     buf.extend_from_slice(b"{\"head\":{\"vars\":[");
@@ -397,11 +403,11 @@ where
             }
             first = false;
             buf.extend_from_slice(key);
-            append_term_json(&mut buf, term);
+            append_term_json(buf, term);
         }
         buf.push(b'}');
         if buf.len() >= FLUSH_AT {
-            out.write_all(&buf)?;
+            out.write_all(buf)?;
             buf.clear();
         }
     }
@@ -409,12 +415,12 @@ where
     if let Some(members) = members {
         // The bindings go out first, so that whatever the members report
         // (the request's profile) covers writing them.
-        out.write_all(&buf)?;
+        out.write_all(buf)?;
         buf.clear();
-        members(&mut buf);
+        members(buf);
     }
     buf.push(b'}');
-    out.write_all(&buf)
+    out.write_all(buf)
 }
 
 /// Appends one RDF term as a SPARQL-JSON binding value object.
@@ -822,7 +828,7 @@ mod tests {
         let mut pieces = Pieces(Vec::new());
         let mut tail = |out: &mut Vec<u8>| out.extend_from_slice(b",\"extra\":1");
         results
-            .write_sparql_json(&mut pieces, Some(&mut tail))
+            .write_sparql_json(&mut pieces, &mut Vec::new(), Some(&mut tail))
             .unwrap();
         assert!(pieces.0.len() > 10, "{:?}", pieces.0);
         assert!(pieces.0.iter().all(|&n| n <= BUFFER));
@@ -842,7 +848,9 @@ mod tests {
             }
         }
         let mut broken = Broken(0);
-        assert!(results.write_sparql_json(&mut broken, None).is_err());
+        assert!(results
+            .write_sparql_json(&mut broken, &mut Vec::new(), None)
+            .is_err());
         assert_eq!(broken.0, 1);
     }
 

@@ -100,7 +100,9 @@ fn matching_and_serialising_allocate_nothing_per_region_or_row() {
                 .run_plan_traced(&plan, None, &Trace::disabled())
                 .unwrap();
             assert_eq!(results.row_count(), n);
-            results.write_sparql_json(&mut sink, None).unwrap();
+            results
+                .write_sparql_json(&mut sink, &mut Vec::new(), None)
+                .unwrap();
         });
         assert!(sink.0 > n * 60, "{} bytes for {n} rows", sink.0);
         let allowed = baseline + 64 + n / 64;

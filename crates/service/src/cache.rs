@@ -4,9 +4,11 @@
 //! [`turbohom_sparql::fingerprint`]) plus the engine kind — so every
 //! spelling of a query shares one entry per engine, and a fingerprint hash
 //! collision can never hand back the wrong plan (the full canonical text is
-//! compared on lookup). Values are [`AnyPlan`] handles (an `Arc`'d plan for
-//! either store flavor), shared with in-flight requests so eviction never
-//! invalidates a running query.
+//! compared on lookup). There is one map per engine, keyed by the text alone,
+//! so a lookup probes with the `&str` it was handed and a hit copies nothing.
+//! Values are [`AnyPlan`] handles (an `Arc`'d plan for either store flavor),
+//! shared with in-flight requests so eviction never invalidates a running
+//! query.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -40,8 +42,15 @@ pub struct InsertOutcome {
 }
 
 struct Inner {
-    map: HashMap<PlanKey, Entry>,
+    /// Per engine ([`EngineKind::index`]): canonical text → entry.
+    maps: [HashMap<String, Entry>; EngineKind::COUNT],
     tick: u64,
+}
+
+impl Inner {
+    fn len(&self) -> usize {
+        self.maps.iter().map(HashMap::len).sum()
+    }
 }
 
 /// A thread-safe least-recently-used cache of prepared query plans.
@@ -60,7 +69,7 @@ impl PlanCache {
         PlanCache {
             capacity,
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
+                maps: Default::default(),
                 tick: 0,
             }),
             hits: AtomicU64::new(0),
@@ -69,12 +78,13 @@ impl PlanCache {
         }
     }
 
-    /// Looks up a plan, refreshing its recency on a hit.
-    pub fn get(&self, key: &PlanKey) -> Option<AnyPlan> {
+    /// Looks up the plan cached for `canonical` under engine `kind`,
+    /// refreshing its recency on a hit.
+    pub fn get(&self, canonical: &str, kind: EngineKind) -> Option<AnyPlan> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
+        match inner.maps[kind.index()].get_mut(canonical) {
             Some(entry) => {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -108,7 +118,7 @@ impl PlanCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(existing) = inner.map.get(&key) {
+        if let Some(existing) = inner.maps[key.kind.index()].get(&key.canonical) {
             return InsertOutcome {
                 plan: existing.plan.clone(),
                 inserted: false,
@@ -116,22 +126,28 @@ impl PlanCache {
             };
         }
         let mut evicted = None;
-        if inner.map.len() >= self.capacity {
+        if inner.len() >= self.capacity {
             // O(n) victim scan — plan caches are small (tens to hundreds of
             // entries), so a scan beats maintaining an intrusive list.
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
+            let victim = EngineKind::all()
+                .into_iter()
+                .flat_map(|kind| {
+                    let entries = inner.maps[kind.index()].iter();
+                    entries.map(move |(canonical, e)| (e.last_used, kind, canonical))
+                })
+                .min_by_key(|&(last_used, ..)| last_used)
+                .map(|(_, kind, canonical)| PlanKey {
+                    canonical: canonical.clone(),
+                    kind,
+                });
+            if let Some(victim) = victim {
+                inner.maps[victim.kind.index()].remove(&victim.canonical);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 evicted = Some(victim);
             }
         }
-        inner.map.insert(
-            key,
+        inner.maps[key.kind.index()].insert(
+            key.canonical,
             Entry {
                 plan: plan.clone(),
                 last_used: tick,
@@ -146,7 +162,7 @@ impl PlanCache {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().len()
     }
 
     /// Returns `true` if the cache is empty.
@@ -203,9 +219,9 @@ mod tests {
         let store = store();
         let cache = PlanCache::new(4);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
-        assert!(cache.get(&key(q)).is_none());
+        assert!(cache.get(q, EngineKind::TurboHomPlusPlus).is_none());
         cache.insert(key(q), plan_for(&store, q));
-        assert!(cache.get(&key(q)).is_some());
+        assert!(cache.get(q, EngineKind::TurboHomPlusPlus).is_some());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
@@ -217,11 +233,7 @@ mod tests {
         let cache = PlanCache::new(4);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
         cache.insert(key(q), plan_for(&store, q));
-        let other = PlanKey {
-            canonical: q.into(),
-            kind: EngineKind::MergeJoin,
-        };
-        assert!(cache.get(&other).is_none());
+        assert!(cache.get(q, EngineKind::MergeJoin).is_none());
     }
 
     #[test]
@@ -232,12 +244,12 @@ mod tests {
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
         cache.insert(key(a), plan_for(&store, q));
         cache.insert(key(b), plan_for(&store, q));
-        assert!(cache.get(&key(a)).is_some()); // refresh a → b is now LRU
+        assert!(cache.get(a, EngineKind::TurboHomPlusPlus).is_some()); // refresh a → b is now LRU
         cache.insert(key(c), plan_for(&store, q));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(a)).is_some());
-        assert!(cache.get(&key(b)).is_none());
-        assert!(cache.get(&key(c)).is_some());
+        assert!(cache.get(a, EngineKind::TurboHomPlusPlus).is_some());
+        assert!(cache.get(b, EngineKind::TurboHomPlusPlus).is_none());
+        assert!(cache.get(c, EngineKind::TurboHomPlusPlus).is_some());
         assert_eq!(cache.evictions(), 1);
     }
 
@@ -278,7 +290,7 @@ mod tests {
         let cache = PlanCache::new(0);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
         cache.insert(key(q), plan_for(&store, q));
-        assert!(cache.get(&key(q)).is_none());
+        assert!(cache.get(q, EngineKind::TurboHomPlusPlus).is_none());
         assert!(cache.is_empty());
     }
 }

@@ -55,9 +55,11 @@ pub mod service;
 pub mod slow;
 
 pub use cache::{InsertOutcome, PlanCache, PlanKey};
-pub use http::{HttpServer, ServerHandle};
+pub use http::{serve_connection, HttpServer, ServerHandle};
 pub use journal::{EventJournal, JournalEntry, JournalEvent};
-pub use metrics::{EngineMetrics, LatencyHistogram, QErrorHistogram, ServiceMetrics, StageTotals};
+pub use metrics::{
+    EngineMetrics, HttpMetrics, LatencyHistogram, QErrorHistogram, ServiceMetrics, StageTotals,
+};
 pub use service::{
     EngineStats, ExplainResponse, QueryOptions, QueryResponse, QueryService, ServiceConfig,
     StatsSnapshot,

@@ -256,10 +256,25 @@ pub struct EngineMetrics {
     pub morsels_stolen: AtomicU64,
 }
 
+/// Connection-level counters of the HTTP front-end. Requests ÷ connections
+/// is how well clients reuse their connections: ≈ 1 means they do not.
+#[derive(Default)]
+pub struct HttpMetrics {
+    /// Connections accepted and served.
+    pub connections: AtomicU64,
+    /// Requests read off those connections, unreadable ones included.
+    pub requests: AtomicU64,
+    /// Connections refused with `503` because too many were open.
+    pub rejected: AtomicU64,
+    /// Connections open right now; the accept loop admits against it.
+    pub open: AtomicU64,
+}
+
 /// All service metrics: one [`EngineMetrics`] per engine plus per-stage
-/// time totals and uptime.
+/// time totals, the HTTP front-end's connection counters and uptime.
 pub struct ServiceMetrics {
     per_engine: [EngineMetrics; EngineKind::COUNT],
+    http: HttpMetrics,
     stages: StageTotals,
     /// Per-step estimate-vs-actual q-errors from `analyze=1` requests.
     qerror: QErrorHistogram,
@@ -280,6 +295,7 @@ impl ServiceMetrics {
     pub fn new() -> Self {
         ServiceMetrics {
             per_engine: Default::default(),
+            http: HttpMetrics::default(),
             stages: StageTotals::default(),
             qerror: QErrorHistogram::default(),
             summary_prune_errors: AtomicU64::new(0),
@@ -310,6 +326,11 @@ impl ServiceMetrics {
     /// Total summary-pruning misses observed by `analyze=1` requests.
     pub fn summary_prune_errors(&self) -> u64 {
         self.summary_prune_errors.load(Ordering::Relaxed)
+    }
+
+    /// The HTTP front-end's connection counters.
+    pub fn http(&self) -> &HttpMetrics {
+        &self.http
     }
 
     /// The metrics of one engine.
@@ -374,9 +395,9 @@ impl ServiceMetrics {
     /// format (version 0.0.4): uptime, per-engine counters (labeled with
     /// `store` — the `"single"`/`"sharded"` flavor, so dashboards never
     /// blur the two execution paths), per-stage time totals, one latency
-    /// histogram per engine, the `analyze=1` q-error histogram, and the
-    /// summary-prune-error counter. The service layer appends its own
-    /// cache/store series after this.
+    /// histogram per engine, the `analyze=1` q-error histogram, the
+    /// summary-prune-error counter and the HTTP connection series. The
+    /// service layer appends its own cache/store series after this.
     pub fn render_prometheus(&self, out: &mut String, store: &str) {
         out.push_str("# HELP turbohom_uptime_seconds Seconds since the service started.\n");
         out.push_str("# TYPE turbohom_uptime_seconds gauge\n");
@@ -471,6 +492,38 @@ impl ServiceMetrics {
             "turbohom_summary_prune_errors_total {}\n",
             self.summary_prune_errors()
         ));
+
+        for (name, kind, help, value) in [
+            (
+                "turbohom_http_connections_total",
+                "counter",
+                "Connections accepted and served.",
+                &self.http.connections,
+            ),
+            (
+                "turbohom_http_requests_total",
+                "counter",
+                "Requests read off those connections (requests / connections near 1: clients are not reusing connections).",
+                &self.http.requests,
+            ),
+            (
+                "turbohom_http_connections_rejected_total",
+                "counter",
+                "Connections refused with 503 because too many were open.",
+                &self.http.rejected,
+            ),
+            (
+                "turbohom_http_connections_open",
+                "gauge",
+                "Connections open right now.",
+                &self.http.open,
+            ),
+        ] {
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {}\n",
+                value.load(Ordering::Relaxed)
+            ));
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 //! Request path:
 //!
 //! 1. normalize + fingerprint the query text (cheap: one lexer pass),
-//! 2. look the `(canonical, engine)` key up in the LRU plan cache,
+//! 2. look the `(canonical, engine)` key up in the LRU plan cache (probed
+//!    with the borrowed text: a hit copies nothing),
 //! 3. **hit** → jump straight to enumeration via
 //!    [`AnyStore::run_plan_traced`]
 //!    (no parsing, no transformation, and — via the plan's memoized
@@ -163,6 +164,10 @@ pub struct StatsSnapshot {
     pub cache_size: usize,
     /// How many times the prepare half (parse + transform) actually ran.
     pub plans_prepared: u64,
+    /// Connections the HTTP front-end accepted and served.
+    pub connections: u64,
+    /// Requests read off those connections.
+    pub requests: u64,
     /// Per-engine counters, in [`EngineKind::all`] order.
     pub engines: Vec<EngineStats>,
 }
@@ -205,7 +210,7 @@ impl StatsSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push_str(&format!(
-            "{{\"uptime_seconds\":{:.3},\"store\":\"{}\",\"triples\":{},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"size\":{}}},\"plans_prepared\":{},\"engines\":{{",
+            "{{\"uptime_seconds\":{:.3},\"store\":\"{}\",\"triples\":{},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"size\":{}}},\"plans_prepared\":{},\"connections\":{},\"requests\":{},\"engines\":{{",
             self.uptime_seconds,
             self.store_flavor,
             self.triples,
@@ -214,6 +219,8 @@ impl StatsSnapshot {
             self.cache_evictions,
             self.cache_size,
             self.plans_prepared,
+            self.connections,
+            self.requests,
         ));
         for (i, e) in self.engines.iter().enumerate() {
             if i > 0 {
@@ -593,13 +600,9 @@ impl QueryService {
             span.counter("tokens", fp.tokens as u64);
             fp
         };
-        let key = PlanKey {
-            canonical: fp.canonical.clone(),
-            kind: engine,
-        };
         let cached = {
             let mut span = trace.span("cache_lookup");
-            let cached = self.cache.get(&key);
+            let cached = self.cache.get(&fp.canonical, engine);
             span.counter("hit", cached.is_some() as u64);
             cached
         };
@@ -612,7 +615,10 @@ impl QueryService {
         let plan = self.store.prepare_plan_traced(sparql, engine, trace)?;
         self.plans_prepared.fetch_add(1, Ordering::Relaxed);
         let results = self.store.run_plan_traced(&plan, threads, trace)?;
-        let canonical = key.canonical.clone();
+        let key = PlanKey {
+            canonical: fp.canonical.clone(),
+            kind: engine,
+        };
         let outcome = self.cache.insert_tracked(key, plan);
         if let Some(victim) = outcome.evicted {
             self.journal_event(
@@ -628,7 +634,7 @@ impl QueryService {
                 Some(trace_id),
                 JournalEvent::PlanCached {
                     engine,
-                    query: canonical,
+                    query: fp.canonical.clone(),
                 },
             );
         }
@@ -801,6 +807,8 @@ impl QueryService {
             cache_evictions: self.cache.evictions(),
             cache_size: self.cache.len(),
             plans_prepared: self.plans_prepared.load(Ordering::Relaxed),
+            connections: self.metrics.http().connections.load(Ordering::Relaxed),
+            requests: self.metrics.http().requests.load(Ordering::Relaxed),
             engines,
         }
     }

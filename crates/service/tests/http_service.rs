@@ -2,8 +2,8 @@
 //! concurrent clients over TCP, checked byte-for-byte against the embedded
 //! `Store::execute` API (the ISSUE 2 acceptance criterion).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use turbohom_datasets::lubm::{self, LubmConfig, LubmGenerator};
@@ -21,6 +21,103 @@ fn lubm_service_with(config: ServiceConfig) -> (Arc<QueryService>, ServerHandle)
     let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
     let handle = server.spawn().unwrap();
     (service, handle)
+}
+
+/// A service over 40,000 students with long IRIs, each a member of one of 25
+/// departments: LUBM Q6 is a scan with a body of several MB, and the members
+/// of a department are a lookup.
+fn student_scan_service() -> (Arc<QueryService>, ServerHandle) {
+    let mut dataset = turbohom_rdf::Dataset::new();
+    for i in 0..40_000 {
+        let student = format!("http://www.Department{}.University{}.edu/a/rather/long/path/to/keep/the/response/body/large/UndergraduateStudent{i}", i % 25, i % 640);
+        dataset.insert_iris(
+            &student,
+            turbohom_rdf::vocab::RDF_TYPE,
+            "http://swat.cse.lehigh.edu/onto/univ-bench.owl#Student",
+        );
+        if i % 400 == 0 {
+            dataset.insert_iris(
+                &student,
+                "http://swat.cse.lehigh.edu/onto/univ-bench.owl#memberOf",
+                &format!("http://www.Department{}.edu", i % 25),
+            );
+        }
+    }
+    let service = Arc::new(QueryService::new(Arc::new(Store::from_dataset(dataset))));
+    let handle = HttpServer::bind("127.0.0.1:0", Arc::clone(&service))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    (service, handle)
+}
+
+/// A client that keeps its connection: it reads each response by its
+/// framing, not to the end of the stream.
+struct Connection(BufReader<TcpStream>);
+
+impl Connection {
+    fn open(addr: SocketAddr) -> Connection {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        Connection(BufReader::new(stream))
+    }
+
+    /// Sends `request` and returns the bytes of its response exactly as
+    /// they came: the head, then a `Content-Length` body or every chunk up
+    /// to the terminal one (none of either for a `HEAD`).
+    fn exchange(&mut self, request: &str) -> Vec<u8> {
+        self.0.get_mut().write_all(request.as_bytes()).unwrap();
+        let reader = &mut self.0;
+        let mut wire = Vec::new();
+        fn line(reader: &mut impl BufRead, wire: &mut Vec<u8>) -> String {
+            let at = wire.len();
+            assert!(
+                reader.read_until(b'\n', wire).unwrap() > 0,
+                "connection closed"
+            );
+            String::from_utf8(wire[at..].to_vec()).unwrap()
+        }
+        let (mut length, mut chunked) = (0usize, false);
+        loop {
+            let header = line(reader, &mut wire);
+            if header == "\r\n" {
+                break;
+            }
+            if let Some(value) = header.strip_prefix("Content-Length: ") {
+                length = value.trim().parse().unwrap();
+            }
+            chunked |= header == "Transfer-Encoding: chunked\r\n";
+        }
+        if request.starts_with("HEAD ") {
+            return wire;
+        }
+        while chunked {
+            let size = usize::from_str_radix(line(reader, &mut wire).trim(), 16).unwrap();
+            let at = wire.len();
+            wire.resize(at + size + 2, 0);
+            reader.read_exact(&mut wire[at..]).unwrap();
+            assert!(wire.ends_with(b"\r\n"), "no CRLF after the chunk");
+            chunked = size > 0;
+        }
+        let at = wire.len();
+        wire.resize(at + length, 0);
+        reader.read_exact(&mut wire[at..]).unwrap();
+        wire
+    }
+
+    /// Half-closes the connection and returns what the server still sends
+    /// before it closes its side.
+    fn finish(mut self) -> Vec<u8> {
+        self.0
+            .get_ref()
+            .shutdown(std::net::Shutdown::Write)
+            .unwrap();
+        let mut rest = Vec::new();
+        self.0.read_to_end(&mut rest).unwrap();
+        rest
+    }
 }
 
 /// Sends one raw HTTP request and returns (status line, headers, body); a
@@ -713,19 +810,7 @@ fn debug_events_serves_the_journal_as_jsonl_with_trace_ids() {
 fn a_client_that_hangs_up_mid_body_ends_the_serialisation_and_is_journaled() {
     // A Q6-shaped type scan whose body (several MB) cannot fit the socket
     // buffers, so the server is still writing when the client goes away.
-    let mut dataset = turbohom_rdf::Dataset::new();
-    for i in 0..40_000 {
-        dataset.insert_iris(
-            &format!("http://www.Department{}.University{}.edu/a/rather/long/path/to/keep/the/response/body/large/UndergraduateStudent{i}", i % 25, i % 640),
-            turbohom_rdf::vocab::RDF_TYPE,
-            "http://swat.cse.lehigh.edu/onto/univ-bench.owl#Student",
-        );
-    }
-    let service = Arc::new(QueryService::new(Arc::new(Store::from_dataset(dataset))));
-    let handle = HttpServer::bind("127.0.0.1:0", Arc::clone(&service))
-        .unwrap()
-        .spawn()
-        .unwrap();
+    let (service, handle) = student_scan_service();
     let addr = handle.addr();
     let q6 = &lubm::queries()[5].sparql;
 
@@ -776,6 +861,150 @@ fn a_client_that_hangs_up_mid_body_ends_the_serialisation_and_is_journaled() {
     assert!(headers.contains("Transfer-Encoding: chunked"), "{headers}");
     assert!(body.len() > 4_000_000 && body.ends_with("]}}"));
     assert_eq!(body.matches("\"type\":\"uri\"").count(), 40_000);
+
+    handle.shutdown();
+}
+
+#[test]
+fn requests_on_one_connection_get_the_bytes_they_get_on_one_each() {
+    let ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
+    let scan = &lubm::queries()[5].sparql;
+    let lookup = format!("SELECT ?x WHERE {{ ?x <{ub}memberOf> <http://www.Department3.edu> . }}");
+    let post = |content_type: &str, body: &str| {
+        format!(
+            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    let get = |target: &str| format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
+    let templates = [
+        get(&format!("/query?query={}", urlencode(&lookup))),
+        post("application/sparql-query", &lookup),
+        post(
+            "application/x-www-form-urlencoded",
+            &format!("engine=mergejoin&query={}", urlencode(&lookup)),
+        ),
+        format!(
+            "HEAD /query?query={} HTTP/1.1\r\nHost: x\r\n\r\n",
+            urlencode(scan)
+        ),
+        // A body of several MB in chunks, and a lookup right behind it.
+        post("application/sparql-query", scan),
+        post("application/sparql-query", &lookup),
+        get(&format!(
+            "/query?query={}&engine=sparqlotron",
+            urlencode(&lookup)
+        )),
+        post("application/sparql-query", "SELECT WHERE {"),
+        get("/"),
+        get("/nope"),
+    ];
+    let requests: Vec<&String> = templates.iter().cycle().take(50).collect();
+
+    // Two fresh services, so that both passes see the same plan-cache
+    // states and hand out the same trace ids.
+    let (kept_service, kept_handle) = student_scan_service();
+    let mut connection = Connection::open(kept_handle.addr());
+    let kept: Vec<Vec<u8>> = requests.iter().map(|r| connection.exchange(r)).collect();
+    assert!(connection.finish().is_empty());
+
+    let (each_service, each_handle) = student_scan_service();
+    let each: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|r| Connection::open(each_handle.addr()).exchange(r))
+        .collect();
+
+    for ((request, kept), each) in requests.iter().zip(&kept).zip(&each) {
+        let line = request.lines().next().unwrap();
+        assert!(kept == each, "{line}: the responses differ");
+        assert!(!kept.windows(11).any(|w| w == b"Connection:"), "{line}");
+    }
+    let status = |response: &[u8]| String::from_utf8_lossy(&response[..12]).into_owned();
+    assert_eq!(status(&kept[4]), "HTTP/1.1 200");
+    assert!(kept[4].len() > 4_000_000 && kept[4].ends_with(b"]}}\r\n0\r\n\r\n"));
+    assert!(kept[3].ends_with(b"\r\n\r\n") && kept[3].len() < 400);
+    assert_eq!(status(&kept[6]), "HTTP/1.1 400");
+    assert_eq!(status(&kept[9]), "HTTP/1.1 404");
+
+    // What told them apart is in the counters: one connection against fifty.
+    let counted = |service: &QueryService| {
+        let stats = service.stats();
+        (stats.connections, stats.requests)
+    };
+    assert_eq!(counted(&kept_service), (1, 50));
+    assert_eq!(counted(&each_service), (50, 50));
+    let (_, _, stats) = http_request(
+        kept_handle.addr(),
+        "GET /stats HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
+    assert!(
+        stats.contains("\"connections\":2,\"requests\":51,"),
+        "{stats}"
+    );
+    let (_, _, metrics) = http_request(
+        kept_handle.addr(),
+        "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
+    for series in [
+        "# TYPE turbohom_http_connections_total counter\nturbohom_http_connections_total 3\n",
+        "# TYPE turbohom_http_requests_total counter\nturbohom_http_requests_total 52\n",
+        "# TYPE turbohom_http_connections_rejected_total counter\nturbohom_http_connections_rejected_total 0\n",
+    ] {
+        assert!(metrics.contains(series), "{series} missing from:\n{metrics}");
+    }
+    // This connection is open; the threads of the two before it may be just
+    // about to give their slots back.
+    let open = metrics
+        .split("# TYPE turbohom_http_connections_open gauge\nturbohom_http_connections_open ")
+        .nth(1)
+        .and_then(|rest| rest.lines().next()?.parse::<u64>().ok());
+    assert!(matches!(open, Some(1..=3)), "{metrics}");
+
+    kept_handle.shutdown();
+    each_handle.shutdown();
+}
+
+#[test]
+fn a_close_is_asked_for_announced_and_carried_out() {
+    let (service, handle) = lubm_service();
+    let addr = handle.addr();
+    let q = &lubm::queries()[0].sparql;
+    let target = format!("/query?query={}", urlencode(q));
+
+    // `http_request` reads to the end of the stream, so each of these
+    // returns only because the server closed the connection.
+    let (status, headers, _) = http_request(
+        addr,
+        &format!("GET {target} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(headers.contains("Connection: close"), "{headers}");
+    assert!(headers.contains("Transfer-Encoding: chunked"), "{headers}");
+    let (status, headers, body) = http_request(addr, &format!("GET {target} HTTP/1.0\r\n\r\n"));
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(headers.contains("Connection: close"), "{headers}");
+    assert!(!headers.contains("Transfer-Encoding"), "{headers}");
+    assert!(
+        body.starts_with("{\"head\":") && body.ends_with("]}}"),
+        "{body}"
+    );
+    let (status, headers, _) = http_request(addr, "GET /healthz HTTP/1.0\r\n\r\n");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(headers.contains("Connection: close"), "{headers}");
+
+    // A connection left open says nothing about closing; when the client
+    // is done with it — before any request, or after one — the server
+    // closes its side without another byte and without an event.
+    assert!(Connection::open(addr).finish().is_empty());
+    let mut connection = Connection::open(addr);
+    let response = connection.exchange(&format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n"));
+    let response = String::from_utf8(response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    assert!(!response.contains("Connection:"), "{response}");
+    assert!(connection.finish().is_empty());
+    let journal = service.journal().to_jsonl();
+    assert!(!journal.contains("query_failed"), "{journal}");
+    assert_eq!(journal.matches("\"event\":\"query_completed\"").count(), 3);
 
     handle.shutdown();
 }

@@ -19,9 +19,8 @@
 //! full normalized text, collision-free by construction) and use
 //! [`QueryFingerprint::hash`] for display and statistics.
 
-use crate::lexer::{Lexer, Token, TokenKind};
+use crate::lexer::{Lexer, TokenKind};
 use crate::parser::ParseError;
-use std::collections::HashMap;
 use std::fmt;
 use turbohom_rdf::vocab;
 use turbohom_storage::{fnv1a, FNV_OFFSET};
@@ -46,126 +45,185 @@ impl fmt::Display for QueryFingerprint {
     }
 }
 
-/// Computes the fingerprint of `query` without parsing it.
-///
-/// Only lexical errors are reported here; a fingerprintable query can still
-/// fail to parse (the cache-miss path surfaces that as usual).
-pub fn fingerprint(query: &str) -> Result<QueryFingerprint, ParseError> {
-    let tokens = Lexer::new(query)
-        .tokenize()
-        .map_err(|(message, offset)| ParseError { message, offset })?;
+/// The prologue's `PREFIX` declarations, `(prefix, iri)` in order. A handful
+/// at most, so a scan beats a map, and the first eight live inline: the
+/// usual query allocates nothing for them.
+#[derive(Default)]
+struct Prefixes<'a> {
+    inline: [(&'a str, &'a str); 8],
+    inline_len: usize,
+    more: Vec<(&'a str, &'a str)>,
+}
 
-    // Pass 1: collect the prologue's PREFIX declarations (`PREFIX p: <iri>`).
-    // Only *leading* declarations are lifted — the prologue is the only
-    // place the grammar allows them, so a stray `PREFIX` later in the text
-    // must stay in the canonical stream (otherwise an invalid query could
-    // share a cache key with a valid one).
-    let mut prefixes: HashMap<&str, &str> = HashMap::new();
-    let mut declaration = vec![false; tokens.len()];
-    let mut i = 0;
-    loop {
-        // `BASE <iri>`: accepted in the prologue and discarded, exactly
-        // like the parser does.
-        if let [Token {
-            kind: TokenKind::Word(w),
-            ..
-        }, Token {
-            kind: TokenKind::Iri(_),
-            ..
-        }] = &tokens[i..(i + 2).min(tokens.len())]
-        {
-            if w.eq_ignore_ascii_case("base") {
-                declaration[i] = true;
-                declaration[i + 1] = true;
-                i += 2;
-                continue;
+impl<'a> Prefixes<'a> {
+    fn declare(&mut self, prefix: &'a str, iri: &'a str) {
+        match self.inline.get_mut(self.inline_len) {
+            Some(slot) => {
+                *slot = (prefix, iri);
+                self.inline_len += 1;
             }
+            None => self.more.push((prefix, iri)),
         }
-        let [Token {
-            kind: TokenKind::Word(w),
-            ..
-        }, Token {
-            kind: TokenKind::PrefixedName(prefix, local),
-            ..
-        }, Token {
-            kind: TokenKind::Iri(iri),
-            ..
-        }] = &tokens[i..(i + 3).min(tokens.len())]
-        else {
-            break;
-        };
-        if !(w.eq_ignore_ascii_case("prefix") && local.is_empty()) {
-            break;
-        }
-        prefixes.insert(prefix.as_str(), iri.as_str());
-        declaration[i] = true;
-        declaration[i + 1] = true;
-        declaration[i + 2] = true;
-        i += 3;
     }
 
-    // Pass 2: emit the canonical form of every non-declaration token.
-    let mut canonical = String::with_capacity(query.len());
-    let mut token_count = 0usize;
-    for (token, is_declaration) in tokens.iter().zip(&declaration) {
-        if *is_declaration || token.kind == TokenKind::Eof {
-            continue;
+    /// The IRI `prefix` stands for; its last declaration wins.
+    fn resolve(&self, prefix: &str) -> Option<&'a str> {
+        let inline = &self.inline[..self.inline_len];
+        let mut declarations = self.more.iter().rev().chain(inline.iter().rev());
+        declarations
+            .find(|(declared, _)| *declared == prefix)
+            .map(|(_, iri)| *iri)
+    }
+}
+
+/// The canonical text under construction: the tokens emitted so far and the
+/// prologue's declarations they are expanded with.
+struct Canonical<'a> {
+    text: String,
+    tokens: usize,
+    prefixes: Prefixes<'a>,
+}
+
+impl<'a> Canonical<'a> {
+    /// Appends the canonical form of one token (nothing for the end of the
+    /// input).
+    fn emit(&mut self, kind: &TokenKind<'a>) {
+        if *kind == TokenKind::Eof {
+            return;
         }
-        token_count += 1;
-        if !canonical.is_empty() {
-            canonical.push(' ');
+        self.tokens += 1;
+        let out = &mut self.text;
+        if !out.is_empty() {
+            out.push(' ');
         }
-        match &token.kind {
-            TokenKind::PrefixedName(prefix, local) => match prefixes.get(prefix.as_str()) {
-                Some(base) => {
-                    canonical.push('<');
-                    canonical.push_str(base);
-                    canonical.push_str(local);
-                    canonical.push('>');
+        match kind {
+            TokenKind::PrefixedName(prefix, local) => {
+                match self.prefixes.resolve(prefix) {
+                    Some(base) => {
+                        out.push('<');
+                        out.push_str(base);
+                        out.push_str(local);
+                        out.push('>');
+                    }
+                    // Undeclared prefix: keep the raw form (the parser will
+                    // reject the query on the miss path anyway).
+                    None => {
+                        out.push_str(prefix);
+                        out.push(':');
+                        out.push_str(local);
+                    }
                 }
-                // Undeclared prefix: keep the raw form (the parser will
-                // reject the query on the miss path anyway).
-                None => {
-                    canonical.push_str(prefix);
-                    canonical.push(':');
-                    canonical.push_str(local);
-                }
-            },
-            TokenKind::Word(w) if w == "a" => {
+            }
+            TokenKind::Word("a") => {
                 // The `a` predicate keyword is sugar for rdf:type.
-                canonical.push('<');
-                canonical.push_str(vocab::RDF_TYPE);
-                canonical.push('>');
+                out.push('<');
+                out.push_str(vocab::RDF_TYPE);
+                out.push('>');
             }
             TokenKind::Word(w) => {
-                canonical.extend(w.chars().map(|c| c.to_ascii_uppercase()));
+                let at = out.len();
+                out.push_str(w);
+                out[at..].make_ascii_uppercase();
             }
             TokenKind::StringLiteral(s) => {
                 // Re-escape so a literal containing quotes cannot collide
                 // with a differently tokenized query text.
-                canonical.push('"');
+                out.push('"');
                 for c in s.chars() {
                     match c {
-                        '"' => canonical.push_str("\\\""),
-                        '\\' => canonical.push_str("\\\\"),
-                        '\n' => canonical.push_str("\\n"),
-                        '\r' => canonical.push_str("\\r"),
-                        '\t' => canonical.push_str("\\t"),
-                        c => canonical.push(c),
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c => out.push(c),
                     }
                 }
-                canonical.push('"');
+                out.push('"');
             }
-            other => {
-                canonical.push_str(&other.to_string());
+            TokenKind::Iri(iri) => {
+                out.push('<');
+                out.push_str(iri);
+                out.push('>');
+            }
+            TokenKind::Variable(v) => {
+                out.push('?');
+                out.push_str(v);
+            }
+            TokenKind::LangTag(tag) => {
+                out.push('@');
+                out.push_str(tag);
+            }
+            TokenKind::DatatypeMarker => out.push_str("^^"),
+            TokenKind::Number(text) | TokenKind::Operator(text) => out.push_str(text),
+            TokenKind::Punct(c) => out.push(*c),
+            TokenKind::Eof => {}
+        }
+    }
+}
+
+/// Computes the fingerprint of `query` without parsing it: one pass of the
+/// lexer, each token written straight into the canonical text.
+///
+/// Only lexical errors are reported here; a fingerprintable query can still
+/// fail to parse (the cache-miss path surfaces that as usual).
+pub fn fingerprint(query: &str) -> Result<QueryFingerprint, ParseError> {
+    let mut lexer = Lexer::new(query);
+    let mut next = move || {
+        lexer
+            .next_token()
+            .map(|token| token.kind)
+            .map_err(|(message, offset)| ParseError { message, offset })
+    };
+    let mut canonical = Canonical {
+        text: String::with_capacity(query.len()),
+        tokens: 0,
+        prefixes: Prefixes::default(),
+    };
+
+    // The prologue: `PREFIX p: <iri>` declarations are collected and `BASE
+    // <iri>` is discarded, exactly like the parser does. Only *leading*
+    // declarations are lifted — the prologue is the only place the grammar
+    // allows them, so a stray `PREFIX` later in the text must stay in the
+    // canonical stream (otherwise an invalid query could share a cache key
+    // with a valid one). What starts like a declaration and is none ends the
+    // prologue and is emitted as it stands.
+    loop {
+        let mut read = [next()?, TokenKind::Eof, TokenKind::Eof];
+        if let TokenKind::Word(w) = read[0] {
+            if w.eq_ignore_ascii_case("base") {
+                read[1] = next()?;
+                if matches!(read[1], TokenKind::Iri(_)) {
+                    continue;
+                }
+            } else if w.eq_ignore_ascii_case("prefix") {
+                read[1] = next()?;
+                if let TokenKind::PrefixedName(prefix, "") = read[1] {
+                    read[2] = next()?;
+                    if let TokenKind::Iri(iri) = read[2] {
+                        canonical.prefixes.declare(prefix, iri);
+                        continue;
+                    }
+                }
             }
         }
+        for kind in &read {
+            canonical.emit(kind);
+        }
+        break;
+    }
+    loop {
+        let kind = next()?;
+        if kind == TokenKind::Eof {
+            break;
+        }
+        canonical.emit(&kind);
     }
 
     Ok(QueryFingerprint {
-        hash: fnv1a(FNV_OFFSET, canonical.as_bytes()),
-        canonical,
-        tokens: token_count,
+        hash: fnv1a(FNV_OFFSET, canonical.text.as_bytes()),
+        canonical: canonical.text,
+        tokens: canonical.tokens,
     })
 }
 
@@ -249,6 +307,24 @@ mod tests {
             fp("PREFIX p: <http://x/> BASE <http://b/> SELECT ?v WHERE { ?v p:q ?o . }");
         assert_eq!(plain, with_base);
         assert_eq!(plain, base_between);
+    }
+
+    #[test]
+    fn any_number_of_prefixes_resolves_and_the_last_declaration_wins() {
+        // More declarations than the inline table holds, one of them
+        // repeated behind it.
+        let prologue: String = (0..12)
+            .map(|i| format!("PREFIX p{i}: <http://ns{i}/> "))
+            .collect();
+        let f = fp(&format!(
+            "{prologue} PREFIX p1: <http://late/> \
+             SELECT ?x WHERE {{ ?x p11:a p1:b . ?x p0:c p2:d }}"
+        ));
+        assert_eq!(
+            f.canonical,
+            "SELECT ?x WHERE { ?x <http://ns11/a> <http://late/b> . \
+             ?x <http://ns0/c> <http://ns2/d> }"
+        );
     }
 
     #[test]

@@ -1,51 +1,58 @@
 //! Tokenizer for the SPARQL subset.
 //!
+//! The lexer scans the query text in place: a token borrows the slice of the
+//! text it came from, and only a string literal containing an escape owns its
+//! (resolved) value. The parser and the plan-cache fingerprint consume the
+//! same tokens, one by one from [`Lexer::next_token`].
+//!
 //! The only genuinely tricky part of lexing SPARQL is that `<` starts both an
 //! IRI (`<http://…>`) and the less-than operator inside `FILTER`. The lexer
 //! resolves the ambiguity by look-ahead: if a `>` appears before any
 //! whitespace, the token is an IRI, otherwise it is an operator — which is
 //! how every practical SPARQL tokenizer handles it.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A lexical token with its byte offset in the input (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token kind/payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset where the token starts.
     pub offset: usize,
 }
 
-/// Token kinds.
+/// Token kinds. Text payloads are slices of the query text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// `<http://…>` (the IRI without the angle brackets).
-    Iri(String),
+    Iri(&'a str),
     /// `prefix:local` (either part may be empty).
-    PrefixedName(String, String),
+    PrefixedName(&'a str, &'a str),
     /// `?name` or `$name` (without the sigil).
-    Variable(String),
-    /// `"…"` string literal body (escapes already resolved).
-    StringLiteral(String),
+    Variable(&'a str),
+    /// `"…"` string literal body (escapes already resolved; borrowed when
+    /// there were none).
+    StringLiteral(Cow<'a, str>),
     /// `@lang` tag following a string literal (without `@`).
-    LangTag(String),
+    LangTag(&'a str),
     /// `^^` datatype marker.
     DatatypeMarker,
     /// Integer or decimal number (kept as text; the parser types it).
-    Number(String),
+    Number(&'a str),
     /// A bare word: keyword (`SELECT`, `WHERE`, …), `a`, `true`, `false`,
     /// or a function name (`regex`, `bound`, …).
-    Word(String),
+    Word(&'a str),
     /// Single-character punctuation: `{ } ( ) . ; , *`
     Punct(char),
     /// Operator: `= != < <= > >= && || ! + - /`
-    Operator(String),
+    Operator(&'static str),
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Iri(i) => write!(f, "<{i}>"),
@@ -63,236 +70,191 @@ impl fmt::Display for TokenKind {
     }
 }
 
+/// A lexical error: the message and the byte offset it refers to.
+pub type LexError = (String, usize);
+
 /// The lexer: turns the query text into a token stream.
 pub struct Lexer<'a> {
-    chars: Vec<char>,
-    /// Byte offsets of each char (so error positions refer to the original text).
-    offsets: Vec<usize>,
+    input: &'a str,
+    /// Byte position of the next unread character (always a char boundary).
     pos: usize,
-    _input: &'a str,
 }
 
 impl<'a> Lexer<'a> {
     /// Creates a lexer over `input`.
     pub fn new(input: &'a str) -> Self {
-        let mut chars = Vec::with_capacity(input.len());
-        let mut offsets = Vec::with_capacity(input.len());
-        for (o, c) in input.char_indices() {
-            chars.push(c);
-            offsets.push(o);
-        }
-        Lexer {
-            chars,
-            offsets,
-            pos: 0,
-            _input: input,
-        }
+        Lexer { input, pos: 0 }
     }
 
     /// Tokenizes the whole input. Returns the tokens including a final
     /// [`TokenKind::Eof`], or an error message with a byte offset.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, (String, usize)> {
+    pub fn tokenize(mut self) -> Result<Vec<Token<'a>>, LexError> {
         let mut tokens = Vec::new();
         loop {
-            self.skip_whitespace_and_comments();
-            let offset = self.current_offset();
-            let Some(c) = self.peek() else {
-                tokens.push(Token {
-                    kind: TokenKind::Eof,
-                    offset,
-                });
+            let token = self.next_token()?;
+            let done = token.kind == TokenKind::Eof;
+            tokens.push(token);
+            if done {
                 return Ok(tokens);
-            };
-            let kind = match c {
-                '<' => self.lex_angle()?,
-                '?' | '$' => self.lex_variable()?,
-                '"' | '\'' => self.lex_string()?,
-                '@' => {
-                    self.bump();
-                    let tag = self.take_while(|c| c.is_alphanumeric() || c == '-');
-                    if tag.is_empty() {
-                        return Err(("empty language tag".into(), offset));
-                    }
-                    TokenKind::LangTag(tag)
-                }
-                '^' => {
-                    self.bump();
-                    if self.peek() == Some('^') {
-                        self.bump();
-                        TokenKind::DatatypeMarker
-                    } else {
-                        return Err(("expected `^^`".into(), offset));
-                    }
-                }
-                '{' | '}' | '(' | ')' | '.' | ';' | ',' | '*' => {
-                    // `.` could also start a decimal number like `.5`, but
-                    // SPARQL decimals in our benchmarks always have a leading
-                    // digit, so `.` is always punctuation here.
-                    self.bump();
-                    TokenKind::Punct(c)
-                }
-                '=' => {
-                    self.bump();
-                    TokenKind::Operator("=".into())
-                }
-                '!' => {
-                    self.bump();
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        TokenKind::Operator("!=".into())
-                    } else {
-                        TokenKind::Operator("!".into())
-                    }
-                }
-                '>' => {
-                    self.bump();
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        TokenKind::Operator(">=".into())
-                    } else {
-                        TokenKind::Operator(">".into())
-                    }
-                }
-                '&' => {
-                    self.bump();
-                    if self.peek() == Some('&') {
-                        self.bump();
-                        TokenKind::Operator("&&".into())
-                    } else {
-                        return Err(("expected `&&`".into(), offset));
-                    }
-                }
-                '|' => {
-                    self.bump();
-                    if self.peek() == Some('|') {
-                        self.bump();
-                        TokenKind::Operator("||".into())
-                    } else {
-                        return Err(("expected `||`".into(), offset));
-                    }
-                }
-                '+' | '/' => {
-                    self.bump();
-                    TokenKind::Operator(c.to_string())
-                }
-                '-' => {
-                    self.bump();
-                    // A minus immediately followed by a digit is a negative
-                    // number literal.
-                    if matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                        let digits = self.lex_number_body();
-                        TokenKind::Number(format!("-{digits}"))
-                    } else {
-                        TokenKind::Operator("-".into())
-                    }
-                }
-                d if d.is_ascii_digit() => {
-                    let digits = self.lex_number_body();
-                    TokenKind::Number(digits)
-                }
-                c if c.is_alphabetic() || c == '_' => self.lex_word_or_prefixed(),
-                other => {
-                    return Err((format!("unexpected character {other:?}"), offset));
-                }
-            };
-            tokens.push(Token { kind, offset });
+            }
         }
     }
 
-    fn current_offset(&self) -> usize {
-        self.offsets
-            .get(self.pos)
-            .copied()
-            .unwrap_or_else(|| self.offsets.last().map(|&o| o + 1).unwrap_or(0))
+    /// Scans the next token. At the end of the input every call returns
+    /// [`TokenKind::Eof`].
+    pub fn next_token(&mut self) -> Result<Token<'a>, LexError> {
+        self.skip_whitespace_and_comments();
+        let offset = self.pos;
+        let Some(c) = self.peek() else {
+            return Ok(Token {
+                kind: TokenKind::Eof,
+                offset,
+            });
+        };
+        let kind = match c {
+            '<' => self.lex_angle(),
+            '?' | '$' => self.lex_variable()?,
+            '"' | '\'' => self.lex_string()?,
+            '@' => {
+                self.bump();
+                let tag = self.take_while(|c| c.is_alphanumeric() || c == '-');
+                if tag.is_empty() {
+                    return Err(("empty language tag".into(), offset));
+                }
+                TokenKind::LangTag(tag)
+            }
+            '^' => {
+                self.bump();
+                if !self.eat('^') {
+                    return Err(("expected `^^`".into(), offset));
+                }
+                TokenKind::DatatypeMarker
+            }
+            '{' | '}' | '(' | ')' | '.' | ';' | ',' | '*' => {
+                // `.` could also start a decimal number like `.5`, but
+                // SPARQL decimals in our benchmarks always have a leading
+                // digit, so `.` is always punctuation here.
+                self.bump();
+                TokenKind::Punct(c)
+            }
+            '=' => {
+                self.bump();
+                TokenKind::Operator("=")
+            }
+            '!' => {
+                self.bump();
+                TokenKind::Operator(if self.eat('=') { "!=" } else { "!" })
+            }
+            '>' => {
+                self.bump();
+                TokenKind::Operator(if self.eat('=') { ">=" } else { ">" })
+            }
+            '&' => {
+                self.bump();
+                if !self.eat('&') {
+                    return Err(("expected `&&`".into(), offset));
+                }
+                TokenKind::Operator("&&")
+            }
+            '|' => {
+                self.bump();
+                if !self.eat('|') {
+                    return Err(("expected `||`".into(), offset));
+                }
+                TokenKind::Operator("||")
+            }
+            '+' => {
+                self.bump();
+                TokenKind::Operator("+")
+            }
+            '/' => {
+                self.bump();
+                TokenKind::Operator("/")
+            }
+            '-' => {
+                self.bump();
+                // A minus immediately followed by a digit is a negative
+                // number literal.
+                if matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
+                    self.skip_number_body();
+                    TokenKind::Number(&self.input[offset..self.pos])
+                } else {
+                    TokenKind::Operator("-")
+                }
+            }
+            d if d.is_ascii_digit() => {
+                self.skip_number_body();
+                TokenKind::Number(&self.input[offset..self.pos])
+            }
+            c if c.is_alphabetic() || c == '_' => self.lex_word_or_prefixed(),
+            other => {
+                return Err((format!("unexpected character {other:?}"), offset));
+            }
+        };
+        Ok(Token { kind, offset })
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.peek_at(0)
     }
 
+    /// The character `ahead` bytes on; only asked for behind ASCII.
     fn peek_at(&self, ahead: usize) -> Option<char> {
-        self.chars.get(self.pos + ahead).copied()
+        let at = self.pos + ahead;
+        match *self.input.as_bytes().get(at)? {
+            byte if byte < 0x80 => Some(byte as char),
+            _ => self.input[at..].chars().next(),
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        Some(c)
     }
 
-    fn take_while(&mut self, predicate: impl Fn(char) -> bool) -> String {
-        let mut out = String::new();
-        while let Some(c) = self.peek() {
-            if predicate(c) {
-                out.push(c);
-                self.pos += 1;
-            } else {
-                break;
-            }
+    /// Consumes `expected` if it comes next.
+    fn eat(&mut self, expected: char) -> bool {
+        let found = self.peek() == Some(expected);
+        if found {
+            self.pos += expected.len_utf8();
         }
-        out
+        found
+    }
+
+    fn take_while(&mut self, predicate: impl Fn(char) -> bool) -> &'a str {
+        let rest = &self.input[self.pos..];
+        let taken = &rest[..rest.find(|c| !predicate(c)).unwrap_or(rest.len())];
+        self.pos += taken.len();
+        taken
     }
 
     fn skip_whitespace_and_comments(&mut self) {
         loop {
-            while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-                self.pos += 1;
-            }
-            if self.peek() == Some('#') {
-                while let Some(c) = self.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-            } else {
+            self.take_while(char::is_whitespace);
+            if self.peek() != Some('#') {
                 break;
             }
+            self.take_while(|c| c != '\n');
         }
     }
 
     /// Lexes a token that starts with `<`: either an IRI or a comparison
     /// operator, disambiguated by whether a `>` is reached before whitespace.
-    fn lex_angle(&mut self) -> Result<TokenKind, (String, usize)> {
-        let offset = self.current_offset();
-        let mut ahead = 1usize;
-        let mut is_iri = false;
-        while let Some(c) = self.peek_at(ahead) {
-            if c == '>' {
-                is_iri = true;
-                break;
+    fn lex_angle(&mut self) -> TokenKind<'a> {
+        self.bump(); // '<'
+        let rest = &self.input[self.pos..];
+        match rest.find(|c: char| c == '>' || c.is_whitespace()) {
+            Some(end) if rest[end..].starts_with('>') => {
+                self.pos += end + 1;
+                TokenKind::Iri(&rest[..end])
             }
-            if c.is_whitespace() {
-                break;
-            }
-            ahead += 1;
-        }
-        if is_iri {
-            self.bump(); // '<'
-            let mut iri = String::new();
-            loop {
-                match self.bump() {
-                    Some('>') => break,
-                    Some(c) => iri.push(c),
-                    None => return Err(("unterminated IRI".into(), offset)),
-                }
-            }
-            Ok(TokenKind::Iri(iri))
-        } else {
-            self.bump();
-            if self.peek() == Some('=') {
-                self.bump();
-                Ok(TokenKind::Operator("<=".into()))
-            } else {
-                Ok(TokenKind::Operator("<".into()))
-            }
+            _ => TokenKind::Operator(if self.eat('=') { "<=" } else { "<" }),
         }
     }
 
-    fn lex_variable(&mut self) -> Result<TokenKind, (String, usize)> {
-        let offset = self.current_offset();
+    fn lex_variable(&mut self) -> Result<TokenKind<'a>, LexError> {
+        let offset = self.pos;
         self.bump(); // '?' or '$'
         let name = self.take_while(|c| c.is_alphanumeric() || c == '_');
         if name.is_empty() {
@@ -301,10 +263,26 @@ impl<'a> Lexer<'a> {
         Ok(TokenKind::Variable(name))
     }
 
-    fn lex_string(&mut self) -> Result<TokenKind, (String, usize)> {
-        let offset = self.current_offset();
+    fn lex_string(&mut self) -> Result<TokenKind<'a>, LexError> {
+        let offset = self.pos;
         let quote = self.bump().expect("caller checked");
-        let mut value = String::new();
+        let start = self.pos;
+        // Up to the first escape the value is the text itself.
+        let mut value = loop {
+            match self.bump() {
+                Some(c) if c == quote => {
+                    return Ok(TokenKind::StringLiteral(Cow::Borrowed(
+                        &self.input[start..self.pos - 1],
+                    )));
+                }
+                Some('\\') => {
+                    self.pos -= 1;
+                    break self.input[start..self.pos].to_string();
+                }
+                Some(_) => {}
+                None => return Err(("unterminated string literal".into(), offset)),
+            }
+        };
         loop {
             match self.bump() {
                 Some(c) if c == quote => break,
@@ -325,45 +303,40 @@ impl<'a> Lexer<'a> {
                 None => return Err(("unterminated string literal".into(), offset)),
             }
         }
-        Ok(TokenKind::StringLiteral(value))
+        Ok(TokenKind::StringLiteral(Cow::Owned(value)))
     }
 
-    fn lex_number_body(&mut self) -> String {
-        let mut digits = self.take_while(|c| c.is_ascii_digit());
+    /// Skips digits, an optional fraction and an optional exponent.
+    fn skip_number_body(&mut self) {
+        self.take_while(|c| c.is_ascii_digit());
         if self.peek() == Some('.') && matches!(self.peek_at(1), Some(d) if d.is_ascii_digit()) {
             self.bump();
-            digits.push('.');
-            digits.push_str(&self.take_while(|c| c.is_ascii_digit()));
+            self.take_while(|c| c.is_ascii_digit());
         }
         // Exponent part (e.g. 1.5e3).
         if matches!(self.peek(), Some('e' | 'E'))
             && matches!(self.peek_at(1), Some(d) if d.is_ascii_digit() || d == '+' || d == '-')
         {
-            digits.push(self.bump().unwrap());
+            self.bump();
             if matches!(self.peek(), Some('+' | '-')) {
-                digits.push(self.bump().unwrap());
+                self.bump();
             }
-            digits.push_str(&self.take_while(|c| c.is_ascii_digit()));
+            self.take_while(|c| c.is_ascii_digit());
         }
-        digits
     }
 
     /// Lexes a bare word, which may turn out to be a prefixed name
     /// (`foaf:name`, `rdf:type`, `:localOnly`) or a keyword/identifier.
-    fn lex_word_or_prefixed(&mut self) -> TokenKind {
+    fn lex_word_or_prefixed(&mut self) -> TokenKind<'a> {
         let word = self.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-');
-        if self.peek() == Some(':') {
-            self.bump();
-            let local =
-                self.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.');
-            // Trailing dots belong to the statement terminator.
-            let trimmed = local.trim_end_matches('.');
-            let removed = local.len() - trimmed.len();
-            self.pos -= removed;
-            TokenKind::PrefixedName(word, trimmed.to_string())
-        } else {
-            TokenKind::Word(word)
+        if !self.eat(':') {
+            return TokenKind::Word(word);
         }
+        let local = self.take_while(|c| c.is_alphanumeric() || c == '_' || c == '-' || c == '.');
+        // Trailing dots belong to the statement terminator.
+        let trimmed = local.trim_end_matches('.');
+        self.pos -= local.len() - trimmed.len();
+        TokenKind::PrefixedName(word, trimmed)
     }
 }
 
@@ -371,7 +344,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(input)
             .tokenize()
             .unwrap()
@@ -386,13 +359,13 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Word("SELECT".into()),
-                TokenKind::Variable("x".into()),
-                TokenKind::Word("WHERE".into()),
+                TokenKind::Word("SELECT"),
+                TokenKind::Variable("x"),
+                TokenKind::Word("WHERE"),
                 TokenKind::Punct('{'),
-                TokenKind::Variable("x".into()),
-                TokenKind::Word("a".into()),
-                TokenKind::Iri("http://ex.org/T".into()),
+                TokenKind::Variable("x"),
+                TokenKind::Word("a"),
+                TokenKind::Iri("http://ex.org/T"),
                 TokenKind::Punct('.'),
                 TokenKind::Punct('}'),
                 TokenKind::Eof,
@@ -403,33 +376,33 @@ mod tests {
     #[test]
     fn lexes_prefixed_names_and_prefix_decl() {
         let toks = kinds("PREFIX rdf: <http://w3.org/rdf#> ?x rdf:type ub:Student .");
-        assert!(toks.contains(&TokenKind::PrefixedName("rdf".into(), "".into())));
-        assert!(toks.contains(&TokenKind::PrefixedName("rdf".into(), "type".into())));
-        assert!(toks.contains(&TokenKind::PrefixedName("ub".into(), "Student".into())));
+        assert!(toks.contains(&TokenKind::PrefixedName("rdf", "")));
+        assert!(toks.contains(&TokenKind::PrefixedName("rdf", "type")));
+        assert!(toks.contains(&TokenKind::PrefixedName("ub", "Student")));
     }
 
     #[test]
     fn prefixed_name_before_statement_dot_keeps_dot_separate() {
         let toks = kinds("?x ub:memberOf ub:dept1.univ0 . }");
         // the local part may contain interior dots but the trailing dot is punctuation
-        assert!(toks.contains(&TokenKind::PrefixedName("ub".into(), "dept1.univ0".into())));
+        assert!(toks.contains(&TokenKind::PrefixedName("ub", "dept1.univ0")));
         assert!(toks.contains(&TokenKind::Punct('.')));
     }
 
     #[test]
     fn disambiguates_iri_from_less_than() {
         let toks = kinds("FILTER (?x < 5 && ?y <= 3)");
-        assert!(toks.contains(&TokenKind::Operator("<".into())));
-        assert!(toks.contains(&TokenKind::Operator("<=".into())));
+        assert!(toks.contains(&TokenKind::Operator("<")));
+        assert!(toks.contains(&TokenKind::Operator("<=")));
         let toks2 = kinds("?x <http://ex.org/p> ?y .");
-        assert!(toks2.contains(&TokenKind::Iri("http://ex.org/p".into())));
+        assert!(toks2.contains(&TokenKind::Iri("http://ex.org/p")));
     }
 
     #[test]
     fn lexes_string_literals_with_lang_and_datatype() {
         let toks = kinds(r#""hello"@en "5"^^<http://www.w3.org/2001/XMLSchema#integer>"#);
         assert_eq!(toks[0], TokenKind::StringLiteral("hello".into()));
-        assert_eq!(toks[1], TokenKind::LangTag("en".into()));
+        assert_eq!(toks[1], TokenKind::LangTag("en"));
         assert_eq!(toks[2], TokenKind::StringLiteral("5".into()));
         assert_eq!(toks[3], TokenKind::DatatypeMarker);
         assert!(matches!(toks[4], TokenKind::Iri(_)));
@@ -438,19 +411,19 @@ mod tests {
     #[test]
     fn lexes_numbers_including_negative_and_decimal() {
         let toks = kinds("42 -7 3.25 1.5e3");
-        assert_eq!(toks[0], TokenKind::Number("42".into()));
-        assert_eq!(toks[1], TokenKind::Number("-7".into()));
-        assert_eq!(toks[2], TokenKind::Number("3.25".into()));
-        assert_eq!(toks[3], TokenKind::Number("1.5e3".into()));
+        assert_eq!(toks[0], TokenKind::Number("42"));
+        assert_eq!(toks[1], TokenKind::Number("-7"));
+        assert_eq!(toks[2], TokenKind::Number("3.25"));
+        assert_eq!(toks[3], TokenKind::Number("1.5e3"));
     }
 
     #[test]
     fn lexes_operators() {
         let toks = kinds("= != > >= && || ! + - * /");
-        let ops: Vec<String> = toks
+        let ops: Vec<&str> = toks
             .iter()
             .filter_map(|t| match t {
-                TokenKind::Operator(o) => Some(o.clone()),
+                TokenKind::Operator(o) => Some(*o),
                 _ => None,
             })
             .collect();
@@ -467,9 +440,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Word("SELECT".into()),
-                TokenKind::Variable("x".into()),
-                TokenKind::Word("WHERE".into()),
+                TokenKind::Word("SELECT"),
+                TokenKind::Variable("x"),
+                TokenKind::Word("WHERE"),
                 TokenKind::Eof,
             ]
         );
@@ -482,6 +455,34 @@ mod tests {
         assert!(Lexer::new("& broken").tokenize().is_err());
         let err = Lexer::new("SELECT ~").tokenize().unwrap_err();
         assert_eq!(err.1, 7);
+    }
+
+    #[test]
+    fn tokens_borrow_the_text_and_only_escapes_own_theirs() {
+        let text = r#"?x ub:name "plain" "a\"b\n" -1.5e3 <http://é/p>"#;
+        let toks = kinds(text);
+        let within = |s: &str| text.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        assert!(matches!(toks[0], TokenKind::Variable(v) if within(v)));
+        assert!(matches!(toks[1], TokenKind::PrefixedName(p, l) if within(p) && within(l)));
+        assert!(matches!(&toks[2], TokenKind::StringLiteral(Cow::Borrowed(s)) if within(s)));
+        assert_eq!(
+            toks[3],
+            TokenKind::StringLiteral(Cow::Owned("a\"b\n".to_string()))
+        );
+        assert!(matches!(&toks[3], TokenKind::StringLiteral(Cow::Owned(_))));
+        assert_eq!(toks[4], TokenKind::Number("-1.5e3"));
+        assert_eq!(toks[5], TokenKind::Iri("http://é/p"));
+        // Offsets are byte offsets into the text, multi-byte characters
+        // included.
+        let tokens = Lexer::new("\"é\" ?y").tokenize().unwrap();
+        assert_eq!(tokens[1].offset, 5);
+        assert_eq!(
+            tokens[2],
+            Token {
+                kind: TokenKind::Eof,
+                offset: 7
+            }
+        );
     }
 
     #[test]

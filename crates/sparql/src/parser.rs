@@ -3,6 +3,7 @@
 use crate::algebra::{GroupPattern, Query, Selection, SparqlTerm, TriplePattern};
 use crate::expression::{ArithOp, CompareOp, Expression};
 use crate::lexer::{Lexer, Token, TokenKind};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use turbohom_rdf::{vocab, Term};
@@ -39,14 +40,14 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
 /// Parsed solution modifiers: `ORDER BY` variables, `LIMIT`, `OFFSET`.
 type Modifiers = (Vec<String>, Option<usize>, Option<usize>);
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
-    prefixes: HashMap<String, String>,
+    prefixes: HashMap<&'a str, &'a str>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Token<'a>>) -> Self {
         Parser {
             tokens,
             pos: 0,
@@ -56,7 +57,7 @@ impl Parser {
 
     // ---- token helpers --------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
     }
 
@@ -64,7 +65,7 @@ impl Parser {
         self.tokens[self.pos.min(self.tokens.len() - 1)].offset
     }
 
-    fn bump(&mut self) -> TokenKind {
+    fn bump(&mut self) -> TokenKind<'a> {
         let kind = self.tokens[self.pos.min(self.tokens.len() - 1)]
             .kind
             .clone();
@@ -123,7 +124,7 @@ impl Parser {
     }
 
     fn eat_operator(&mut self, op: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Operator(o) if o == op) {
+        if matches!(self.peek(), TokenKind::Operator(o) if *o == op) {
             self.bump();
             true
         } else {
@@ -168,7 +169,7 @@ impl Parser {
             }
             self.expect_word("PREFIX")?;
             let prefix = match self.bump() {
-                TokenKind::PrefixedName(p, local) if local.is_empty() => p,
+                TokenKind::PrefixedName(p, "") => p,
                 other => {
                     return self.error(format!("expected `prefix:` after PREFIX, found `{other}`"))
                 }
@@ -188,7 +189,7 @@ impl Parser {
         }
         let mut vars = Vec::new();
         while let TokenKind::Variable(v) = self.peek() {
-            vars.push(v.clone());
+            vars.push(v.to_string());
             self.bump();
         }
         if vars.is_empty() {
@@ -207,7 +208,7 @@ impl Parser {
                 loop {
                     match self.peek().clone() {
                         TokenKind::Variable(v) => {
-                            order_by.push(v);
+                            order_by.push(v.to_string());
                             self.bump();
                         }
                         TokenKind::Word(w)
@@ -216,7 +217,7 @@ impl Parser {
                             self.bump();
                             self.expect_punct('(')?;
                             match self.bump() {
-                                TokenKind::Variable(v) => order_by.push(v),
+                                TokenKind::Variable(v) => order_by.push(v.to_string()),
                                 other => {
                                     return self.error(format!(
                                         "expected variable in ORDER BY, found `{other}`"
@@ -337,7 +338,7 @@ impl Parser {
     /// Parses a predicate position: a term or the `a` keyword.
     fn parse_verb(&mut self) -> Result<SparqlTerm, ParseError> {
         if let TokenKind::Word(w) = self.peek() {
-            if w == "a" {
+            if *w == "a" {
                 self.bump();
                 return Ok(SparqlTerm::iri(vocab::RDF_TYPE));
             }
@@ -348,16 +349,16 @@ impl Parser {
     /// Parses a subject/object position.
     fn parse_term(&mut self) -> Result<SparqlTerm, ParseError> {
         match self.bump() {
-            TokenKind::Variable(v) => Ok(SparqlTerm::Variable(v)),
-            TokenKind::Iri(iri) => Ok(SparqlTerm::Constant(Term::Iri(iri))),
+            TokenKind::Variable(v) => Ok(SparqlTerm::Variable(v.to_string())),
+            TokenKind::Iri(iri) => Ok(SparqlTerm::Constant(Term::Iri(iri.to_string()))),
             TokenKind::PrefixedName(prefix, local) => {
-                let base = self.resolve_prefix(&prefix)?;
+                let base = self.resolve_prefix(prefix)?;
                 Ok(SparqlTerm::Constant(Term::Iri(format!("{base}{local}"))))
             }
             TokenKind::StringLiteral(value) => {
                 Ok(SparqlTerm::Constant(self.finish_literal(value)?))
             }
-            TokenKind::Number(n) => Ok(SparqlTerm::Constant(number_literal(&n))),
+            TokenKind::Number(n) => Ok(SparqlTerm::Constant(number_literal(n))),
             TokenKind::Word(w) if w.eq_ignore_ascii_case("true") => Ok(SparqlTerm::Constant(
                 Term::typed_literal("true", vocab::XSD_BOOLEAN),
             )),
@@ -369,7 +370,7 @@ impl Parser {
     }
 
     /// Attaches an optional language tag or datatype to a string literal.
-    fn finish_literal(&mut self, value: String) -> Result<Term, ParseError> {
+    fn finish_literal(&mut self, value: Cow<'a, str>) -> Result<Term, ParseError> {
         match self.peek().clone() {
             TokenKind::LangTag(lang) => {
                 self.bump();
@@ -380,7 +381,7 @@ impl Parser {
                 match self.bump() {
                     TokenKind::Iri(iri) => Ok(Term::typed_literal(value, iri)),
                     TokenKind::PrefixedName(prefix, local) => {
-                        let base = self.resolve_prefix(&prefix)?;
+                        let base = self.resolve_prefix(prefix)?;
                         Ok(Term::typed_literal(value, format!("{base}{local}")))
                     }
                     other => self.error(format!("expected datatype IRI, found `{other}`")),
@@ -390,10 +391,10 @@ impl Parser {
         }
     }
 
-    fn resolve_prefix(&self, prefix: &str) -> Result<String, ParseError> {
+    fn resolve_prefix(&self, prefix: &str) -> Result<&'a str, ParseError> {
         self.prefixes
             .get(prefix)
-            .cloned()
+            .copied()
             .ok_or_else(|| ParseError {
                 message: format!("undeclared prefix `{prefix}:`"),
                 offset: self.offset(),
@@ -427,7 +428,7 @@ impl Parser {
     fn parse_relational(&mut self) -> Result<Expression, ParseError> {
         let left = self.parse_additive()?;
         let op = match self.peek() {
-            TokenKind::Operator(o) => match o.as_str() {
+            TokenKind::Operator(o) => match *o {
                 "=" => Some(CompareOp::Eq),
                 "!=" => Some(CompareOp::Ne),
                 "<" => Some(CompareOp::Lt),
@@ -504,11 +505,11 @@ impl Parser {
             }
             TokenKind::Variable(v) => {
                 self.bump();
-                Ok(Expression::Variable(v))
+                Ok(Expression::Variable(v.to_string()))
             }
             TokenKind::Number(n) => {
                 self.bump();
-                Ok(Expression::Constant(number_literal(&n)))
+                Ok(Expression::Constant(number_literal(n)))
             }
             TokenKind::StringLiteral(s) => {
                 self.bump();
@@ -517,14 +518,14 @@ impl Parser {
             }
             TokenKind::Iri(iri) => {
                 self.bump();
-                Ok(Expression::Constant(Term::Iri(iri)))
+                Ok(Expression::Constant(Term::Iri(iri.to_string())))
             }
             TokenKind::PrefixedName(prefix, local) => {
                 self.bump();
-                let base = self.resolve_prefix(&prefix)?;
+                let base = self.resolve_prefix(prefix)?;
                 Ok(Expression::Constant(Term::Iri(format!("{base}{local}"))))
             }
-            TokenKind::Word(w) => self.parse_function_call(&w),
+            TokenKind::Word(w) => self.parse_function_call(w),
             other => self.error(format!("expected an expression, found `{other}`")),
         }
     }
@@ -552,7 +553,7 @@ impl Parser {
                 let target = self.parse_expression()?;
                 self.expect_punct(',')?;
                 let pattern = match self.bump() {
-                    TokenKind::StringLiteral(s) => s,
+                    TokenKind::StringLiteral(s) => s.into_owned(),
                     other => {
                         return self
                             .error(format!("expected REGEX pattern string, found `{other}`"))
@@ -560,7 +561,7 @@ impl Parser {
                 };
                 let flags = if self.eat_punct(',') {
                     match self.bump() {
-                        TokenKind::StringLiteral(s) => Some(s),
+                        TokenKind::StringLiteral(s) => Some(s.into_owned()),
                         other => {
                             return self
                                 .error(format!("expected REGEX flags string, found `{other}`"))
@@ -576,7 +577,7 @@ impl Parser {
                 self.bump();
                 self.expect_punct('(')?;
                 let var = match self.bump() {
-                    TokenKind::Variable(v) => v,
+                    TokenKind::Variable(v) => v.to_string(),
                     other => {
                         return self.error(format!("expected variable in BOUND, found `{other}`"))
                     }

@@ -7,10 +7,10 @@
 //! identical solution counts across all of them on every benchmark query is
 //! strong evidence that each one is right.
 
-use turbohom::datasets::{bsbm, btc, lubm, yago};
+use turbohom::datasets::{bsbm, btc, lubm, yago, BenchmarkQuery};
 use turbohom::engine::{EngineKind, Store, StoreOptions};
 
-fn assert_all_engines_agree(store: &Store, queries: &[turbohom::datasets::BenchmarkQuery]) {
+fn assert_all_engines_agree(store: &Store, queries: &[BenchmarkQuery]) {
     for q in queries {
         let mut counts = Vec::new();
         for kind in EngineKind::all() {
@@ -195,6 +195,32 @@ fn limit_pushdown_agrees_across_engines() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_self_loop_on_the_start_vertex_is_verified() {
+    // `?x p ?x` has one query vertex, so it is the start vertex, and the
+    // loop is a non-tree edge of it: only `a` qualifies, although `b` has
+    // an outgoing `p` edge too.
+    let store = Store::from_ntriples(
+        "<http://x/a> <http://x/p> <http://x/a> .\n<http://x/b> <http://x/p> <http://x/c> .\n",
+    )
+    .unwrap();
+    let queries = [
+        ("constant", "SELECT ?x { ?x <http://x/p> ?x }", 1),
+        ("variable", "SELECT ?x ?e { ?x ?e ?x }", 1),
+        (
+            "rooted-chain",
+            "SELECT ?x ?y { ?x <http://x/p> ?x . ?x <http://x/p> ?y }",
+            1,
+        ),
+    ]
+    .map(|(id, sparql, rows)| (BenchmarkQuery::new(id, "self loop", sparql), rows));
+    for (query, rows) in &queries {
+        assert_all_engines_agree(&store, std::slice::from_ref(query));
+        let found = store.execute(&query.sparql, EngineKind::TurboHomPlusPlus);
+        assert_eq!(found.unwrap().len(), *rows, "{}", query.id);
     }
 }
 

@@ -117,14 +117,17 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 }
 
 /// Chain-shaped queries `?v0 --p--> ?v1 --q--> ?v2 ...` with optional
-/// constants at either end, guaranteed connected.
+/// constants at either end, guaranteed connected, and now and then a self
+/// loop (constant or variable predicate) on one of the chain's variables —
+/// which may be the one the matcher starts from.
 fn query_strategy() -> impl Strategy<Value = String> {
     (
         1usize..4,
         proptest::collection::vec((0usize..3, proptest::bool::ANY), 3),
         proptest::option::of(0usize..8),
+        proptest::option::of((0usize..3, proptest::option::of(0usize..3))),
     )
-        .prop_map(|(len, spec, end_constant)| {
+        .prop_map(|(len, spec, end_constant, self_loop)| {
             let mut body = String::new();
             for (i, &(p, forward)) in spec.iter().enumerate().take(len) {
                 let from = format!("?v{i}");
@@ -138,6 +141,14 @@ fn query_strategy() -> impl Strategy<Value = String> {
                 };
                 let (s, o) = if forward { (from, to) } else { (to, from) };
                 body.push_str(&format!("{s} <{}> {o} . ", iri(PREDS[p])));
+            }
+            if let Some((vertex, predicate)) = self_loop {
+                let v = format!("?v{}", vertex % len);
+                let predicate = match predicate {
+                    Some(p) => format!("<{}>", iri(PREDS[p])),
+                    None => "?loop".to_string(),
+                };
+                body.push_str(&format!("{v} {predicate} {v} . "));
             }
             format!("SELECT * WHERE {{ {body} }}")
         })
