@@ -4,15 +4,12 @@
 //! any triple pattern with any subset of bound positions can be answered by
 //! a binary-searched range scan whose output is already sorted — the
 //! property its merge joins rely on. [`PermutationIndexes`] reproduces that
-//! layout in memory.
+//! layout in memory. It is never stored: a sort of the triple table rebuilds
+//! it (about 0.7 s per million triples), so a store builds it for the first
+//! plan that names a join baseline and a snapshot carries no copy.
 
 use turbohom_rdf::{Dataset, TermId, Triple};
-use turbohom_storage::{FlatVec, SectionCursor, SnapshotError, SnapshotWriter};
-
-/// Snapshot section tags (component 0x08): meta, then the six orderings in
-/// [`Ordering::all`] order.
-const TAG_PERM_META: u64 = 0x0800;
-const TAG_PERM_FIRST_ORDER: u64 = 0x0801;
+use turbohom_storage::{FlatVec, MemoryUse};
 
 /// Which position of a triple a component refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,60 +86,21 @@ pub struct PermutationIndexes {
 impl PermutationIndexes {
     /// Builds the six orderings from a dataset.
     pub fn build(dataset: &Dataset) -> Self {
-        let base: Vec<Triple> = dataset.triples.iter().copied().collect();
         let orders = Ordering::all().map(|o| {
-            let mut v = base.clone();
+            let mut v = dataset.triples.as_slice().to_vec();
             v.sort_unstable_by_key(|t| sort_key(t, o));
             (o, v.into())
         });
         PermutationIndexes {
             orders,
-            len: base.len(),
+            len: dataset.len(),
         }
     }
 
-    /// Serializes the six orderings as snapshot sections.
-    pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        let meta: [u64; 1] = [self.len as u64];
-        w.section(TAG_PERM_META, &meta);
-        for (i, (_, table)) in self.orders.iter().enumerate() {
-            w.section(TAG_PERM_FIRST_ORDER + i as u64, table);
-        }
-    }
-
-    /// Reconstructs the six orderings reading them in place from a snapshot.
-    pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
-        let meta: FlatVec<u64> = cur.next_section(TAG_PERM_META)?;
-        if meta.len() != 1 {
-            return Err(SnapshotError::Malformed(
-                "permutation meta section length".into(),
-            ));
-        }
-        let len = meta[0] as usize;
-        let mut tables: Vec<FlatVec<Triple>> = Vec::with_capacity(6);
-        for i in 0..6u64 {
-            let table: FlatVec<Triple> = cur.next_section(TAG_PERM_FIRST_ORDER + i)?;
-            if table.len() != len {
-                return Err(SnapshotError::Malformed(format!(
-                    "permutation table {i} holds {} triples, expected {len}",
-                    table.len()
-                )));
-            }
-            tables.push(table);
-        }
-        let mut it = tables.into_iter();
-        let orders = Ordering::all().map(|o| (o, it.next().expect("six tables read above")));
-        for (o, table) in &orders {
-            if table
-                .windows(2)
-                .any(|w| sort_key(&w[0], *o) > sort_key(&w[1], *o))
-            {
-                return Err(SnapshotError::Malformed(format!(
-                    "permutation table {o:?} is not sorted"
-                )));
-            }
-        }
-        Ok(PermutationIndexes { orders, len })
+    /// Bytes of each of the six tables, under its ordering's name.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 6] {
+        const NAMES: [&str; 6] = ["spo", "sop", "pso", "pos", "osp", "ops"];
+        std::array::from_fn(|i| (NAMES[i], (&self.orders[i].1).into()))
     }
 
     /// Total number of triples indexed.

@@ -129,6 +129,10 @@ fn record_mode(args: &[String]) -> i32 {
         "  {} triples ({parse_build_ms:.1} ms parse+build)",
         store.triple_count()
     );
+    // Outside `parse_build` and ahead of every measured run: what only the
+    // ablation engines read. Each structure's build time is its own column.
+    warm_every_engine(&store);
+    let structure_ms = store.builds().into_iter().map(|b| (b.structure, b.ms));
 
     // The load_ms column: how long the same store takes to come up from a
     // snapshot (zero-copy map) vs the parse+build path above.
@@ -160,6 +164,7 @@ fn record_mode(args: &[String]) -> i32 {
             if let Some(ms) = snapshot_map_ms {
                 l.push(("snapshot_map".to_string(), ms));
             }
+            l.extend(structure_ms.map(|(structure, ms)| (format!("{structure}_build"), ms)));
             l
         },
         ..BenchRecord::default()

@@ -1,165 +1,155 @@
-//! The pluggable storage layer: every read path of the engines goes through
-//! a [`StorageBackend`], so the matcher code is agnostic to whether the
-//! dataset and its derived indexes live in owned heap memory
-//! ([`HeapBackend`]) or are zero-copy views into a memory-mapped snapshot
-//! file ([`SnapshotBackend`]).
+//! What a [`Store`](crate::Store) holds: the dataset, the type-aware graph,
+//! and the two derived structures only some plans read — the direct graph
+//! and the six permutation tables — each built by the first plan that reads
+//! it. The arrays are owned heap memory when the store was built from
+//! triples and zero-copy views into a memory-mapped file when it was opened
+//! from a snapshot; every read path is the same for both.
 
 use crate::error::StoreError;
-use crate::store::StoreOptions;
+use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
+use std::thread::ThreadId;
+use std::time::Instant;
 use turbohom_baseline::PermutationIndexes;
 use turbohom_rdf::{Dataset, InferenceConfig, InferenceEngine};
-use turbohom_storage::{Snapshot, SnapshotWriter};
+use turbohom_storage::{MemoryUse, Snapshot, SnapshotError, SnapshotWriter};
 use turbohom_transform::{direct_transform, type_aware_transform, TransformedGraph};
 
 /// Engine-level snapshot meta section: format sub-version, inference flag,
-/// triple count (component 0x09; the component sections of the dataset,
-/// graphs and permutations follow).
+/// triple count (component 0x09; the component sections of the dataset and
+/// the two graphs follow).
 const TAG_STORE_META: u64 = 0x0901;
 
 /// The store-level snapshot format sub-version. Bumped when the *composition*
 /// of component sections changes (the components themselves version their
-/// sections through their tags).
-const STORE_FORMAT_SUB_VERSION: u64 = 1;
+/// sections through their tags). 2: the permutation tables (tags `0x08xx`)
+/// are no longer stored.
+const STORE_FORMAT_SUB_VERSION: u64 = 2;
 
-/// Everything a [`Store`](crate::Store) reads: the dataset plus every derived
-/// structure the engines need.
-pub(crate) struct BackendData {
-    pub dataset: Dataset,
-    pub type_aware: TransformedGraph,
-    pub direct: TransformedGraph,
-    pub permutations: PermutationIndexes,
+/// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
+/// the bytes of one part of one component. A derived structure that has not
+/// been built is a single line with an empty `part` and zero bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoryRow {
+    /// `dictionary`, `triples`, `dedup_set`, `type_aware`, `direct` or
+    /// `permutations`.
+    pub component: &'static str,
+    /// The array group inside the component (`arena`, `csr`, `spo`, …).
+    pub part: &'static str,
+    /// Its heap and mapped bytes.
+    pub bytes: MemoryUse,
 }
 
-impl BackendData {
-    /// Builds every derived structure from a dataset (materializing the RDFS
-    /// closure first when `inference` is set).
-    fn build(mut dataset: Dataset, inference: bool) -> Self {
+/// One structure a store built: `freeze` and `type_aware` at load, `direct`
+/// and `permutations` for the first plan that reads them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StructureBuild {
+    /// `freeze`, `type_aware`, `direct` or `permutations`.
+    pub structure: &'static str,
+    /// Wall-clock milliseconds the build took.
+    pub ms: f64,
+    /// Bytes the built structure holds.
+    pub bytes: u64,
+}
+
+/// Where a store's arrays live.
+enum Origin {
+    Heap,
+    Snapshot { path: PathBuf, mapped: bool },
+}
+
+pub(crate) struct Backend {
+    pub dataset: Dataset,
+    pub type_aware: TransformedGraph,
+    direct: OnceLock<TransformedGraph>,
+    permutations: OnceLock<PermutationIndexes>,
+    origin: Origin,
+    /// Every build so far. The thread is set on a first-use build until
+    /// [`take_first_use_builds`](Self::take_first_use_builds) hands it to the
+    /// request that caused it.
+    builds: Mutex<Vec<(StructureBuild, Option<ThreadId>)>>,
+}
+
+fn rows<const N: usize>(
+    component: &'static str,
+    parts: [(&'static str, MemoryUse); N],
+) -> impl Iterator<Item = MemoryRow> {
+    parts.into_iter().map(move |(part, bytes)| MemoryRow {
+        component,
+        part,
+        bytes,
+    })
+}
+
+fn total<const N: usize>(parts: [(&'static str, MemoryUse); N]) -> u64 {
+    parts.iter().map(|(_, m)| m.heap + m.mapped).sum()
+}
+
+/// Runs `build`, which also says how many bytes what it built holds, and
+/// returns the built value with the record of its build.
+fn timed<T>(structure: &'static str, build: impl FnOnce() -> (T, u64)) -> (T, StructureBuild) {
+    let started = Instant::now();
+    let (built, bytes) = build();
+    let ms = started.elapsed().as_secs_f64() * 1e3;
+    let record = StructureBuild {
+        structure,
+        ms,
+        bytes,
+    };
+    (built, record)
+}
+
+impl Backend {
+    /// Builds what every plan reads: materializes the RDFS closure when
+    /// `inference` is set, freezes the dataset — before the graph build, so
+    /// that the memory the loading form gives back is what the graph is
+    /// built into — and runs the type-aware transformation.
+    pub fn build(mut dataset: Dataset, inference: bool) -> Self {
         if inference {
             InferenceEngine::new(InferenceConfig::full()).materialize(&mut dataset);
         }
-        let type_aware = type_aware_transform(&dataset);
-        let direct = direct_transform(&dataset);
-        let permutations = PermutationIndexes::build(&dataset);
-        BackendData {
+        let ((), freeze) = timed("freeze", || {
+            dataset.freeze();
+            let bytes = total(dataset.dictionary.memory()) + total(dataset.triples.memory());
+            ((), bytes)
+        });
+        let (type_aware, type_aware_build) = timed("type_aware", || {
+            let graph = type_aware_transform(&dataset);
+            let bytes = total(graph.memory());
+            (graph, bytes)
+        });
+        Backend {
             dataset,
             type_aware,
-            direct,
-            permutations,
+            direct: OnceLock::new(),
+            permutations: OnceLock::new(),
+            origin: Origin::Heap,
+            builds: Mutex::new(vec![(freeze, None), (type_aware_build, None)]),
         }
     }
-}
 
-/// Uniform read access to a store's data, regardless of where it lives.
-///
-/// `Send + Sync` so services can share a store behind an `Arc` across worker
-/// threads with either backend.
-pub trait StorageBackend: Send + Sync {
-    /// Short machine-readable backend name (`"heap"` or `"snapshot"`),
-    /// surfaced by `/healthz` and the metrics endpoint.
-    fn name(&self) -> &'static str;
-
-    /// The snapshot file backing this store, if any.
-    fn snapshot_path(&self) -> Option<&Path>;
-
-    /// `true` when the snapshot payload is memory-mapped (as opposed to
-    /// owned heap memory, including the buffered-read fallback).
-    fn is_mapped(&self) -> bool;
-
-    /// The encoded dataset (triples + dictionary).
-    fn dataset(&self) -> &Dataset;
-
-    /// The type-aware transformed graph (paper Section 4.1).
-    fn type_aware(&self) -> &TransformedGraph;
-
-    /// The direct transformed graph (paper Section 3.2).
-    fn direct(&self) -> &TransformedGraph;
-
-    /// The six RDF-3X-style permutation indexes.
-    fn permutations(&self) -> &PermutationIndexes;
-}
-
-/// The owned in-memory backend: parses/builds everything on the heap.
-pub struct HeapBackend {
-    data: BackendData,
-}
-
-impl HeapBackend {
-    /// Builds the backend from an encoded dataset.
-    pub fn from_dataset(dataset: Dataset, inference: bool) -> Self {
-        HeapBackend {
-            data: BackendData::build(dataset, inference),
-        }
-    }
-}
-
-impl StorageBackend for HeapBackend {
-    fn name(&self) -> &'static str {
-        "heap"
-    }
-
-    fn snapshot_path(&self) -> Option<&Path> {
-        None
-    }
-
-    fn is_mapped(&self) -> bool {
-        false
-    }
-
-    fn dataset(&self) -> &Dataset {
-        &self.data.dataset
-    }
-
-    fn type_aware(&self) -> &TransformedGraph {
-        &self.data.type_aware
-    }
-
-    fn direct(&self) -> &TransformedGraph {
-        &self.data.direct
-    }
-
-    fn permutations(&self) -> &PermutationIndexes {
-        &self.data.permutations
-    }
-}
-
-/// The zero-copy snapshot backend: all flat arrays are views into a
-/// memory-mapped (or, as a fallback, buffer-read) snapshot file. The
-/// mapping stays alive for as long as any view references it.
-pub struct SnapshotBackend {
-    data: BackendData,
-    path: PathBuf,
-    mapped: bool,
-    /// Whether the snapshot was written by a store with inference enabled
+    /// Opens `path` and reconstructs the dataset and both graphs in place;
+    /// also returns whether the snapshot was written with inference enabled
     /// (the closure is already materialized in the stored triples).
-    inference: bool,
-}
-
-impl SnapshotBackend {
-    /// Opens `path` and reconstructs every structure in place.
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
+    pub fn open(path: &Path) -> Result<(Self, bool), StoreError> {
         let snapshot = Snapshot::open(path)?;
-        let mapped = snapshot.is_mapped();
         let mut cur = snapshot.cursor();
         let meta: turbohom_storage::FlatVec<u64> = cur.next_section(TAG_STORE_META)?;
         if meta.len() != 3 {
-            return Err(turbohom_storage::SnapshotError::Malformed(
-                "store meta section length".into(),
-            )
-            .into());
+            return Err(SnapshotError::Malformed("store meta section length".into()).into());
         }
         if meta[0] != STORE_FORMAT_SUB_VERSION {
-            return Err(turbohom_storage::SnapshotError::VersionMismatch {
+            return Err(SnapshotError::VersionMismatch {
                 found: meta[0] as u32,
                 expected: STORE_FORMAT_SUB_VERSION as u32,
             }
             .into());
         }
-        let inference = meta[1] != 0;
         let triple_count = meta[2] as usize;
         let dataset = Dataset::read_sections(&mut cur)?;
         if dataset.len() != triple_count {
-            return Err(turbohom_storage::SnapshotError::Malformed(format!(
+            return Err(SnapshotError::Malformed(format!(
                 "snapshot holds {} triples, meta says {triple_count}",
                 dataset.len()
             ))
@@ -167,77 +157,131 @@ impl SnapshotBackend {
         }
         let type_aware = TransformedGraph::read_sections(&mut cur)?;
         let direct = TransformedGraph::read_sections(&mut cur)?;
-        let permutations = PermutationIndexes::read_sections(&mut cur)?;
-        Ok(SnapshotBackend {
-            data: BackendData {
-                dataset,
-                type_aware,
-                direct,
-                permutations,
+        let backend = Backend {
+            dataset,
+            type_aware,
+            direct: direct.into(),
+            permutations: OnceLock::new(),
+            origin: Origin::Snapshot {
+                path: path.to_path_buf(),
+                mapped: snapshot.is_mapped(),
             },
-            path: path.to_path_buf(),
-            mapped,
-            inference,
+            builds: Mutex::new(Vec::new()),
+        };
+        Ok((backend, meta[1] != 0))
+    }
+
+    /// Writes the dataset and both graphs (building the direct one if no
+    /// plan has yet) to a snapshot file; returns the bytes written.
+    pub fn save(&self, inference: bool, path: &Path) -> Result<u64, StoreError> {
+        let mut w = SnapshotWriter::new();
+        let meta: [u64; 3] = [
+            STORE_FORMAT_SUB_VERSION,
+            inference as u64,
+            self.dataset.len() as u64,
+        ];
+        w.section(TAG_STORE_META, &meta);
+        self.dataset.write_sections(&mut w);
+        self.type_aware.write_sections(&mut w);
+        self.direct(false).write_sections(&mut w);
+        Ok(w.write_to(path)?)
+    }
+
+    /// `"heap"` or `"snapshot"`.
+    pub fn name(&self) -> &'static str {
+        match self.origin {
+            Origin::Heap => "heap",
+            Origin::Snapshot { .. } => "snapshot",
+        }
+    }
+
+    pub fn snapshot_path(&self) -> Option<&Path> {
+        match &self.origin {
+            Origin::Heap => None,
+            Origin::Snapshot { path, .. } => Some(path),
+        }
+    }
+
+    /// `true` when the snapshot payload is memory-mapped (as opposed to
+    /// owned heap memory, including the buffered-read fallback).
+    pub fn is_mapped(&self) -> bool {
+        matches!(self.origin, Origin::Snapshot { mapped: true, .. })
+    }
+
+    /// The direct transformed graph, built here if this is its first reader.
+    /// `first_use` says a request is that reader (a plan being prepared), as
+    /// opposed to a warm-up or a save.
+    pub fn direct(&self, first_use: bool) -> &TransformedGraph {
+        self.direct.get_or_init(|| {
+            self.record("direct", first_use, || {
+                let graph = direct_transform(&self.dataset);
+                let bytes = total(graph.memory());
+                (graph, bytes)
+            })
         })
     }
 
-    /// The [`StoreOptions`] recorded in (or implied by) the snapshot,
-    /// with the runtime-only thread count supplied by the caller.
-    pub fn options(&self, threads: usize) -> StoreOptions {
-        StoreOptions {
-            inference: self.inference,
-            threads,
+    /// The six permutation tables, built here if this is their first reader.
+    pub fn permutations(&self, first_use: bool) -> &PermutationIndexes {
+        self.permutations.get_or_init(|| {
+            self.record("permutations", first_use, || {
+                let tables = PermutationIndexes::build(&self.dataset);
+                let bytes = total(tables.memory());
+                (tables, bytes)
+            })
+        })
+    }
+
+    fn record<T>(
+        &self,
+        structure: &'static str,
+        first_use: bool,
+        build: impl FnOnce() -> (T, u64),
+    ) -> T {
+        let (built, record) = timed(structure, build);
+        let by = first_use.then(|| std::thread::current().id());
+        self.builds.lock().push((record, by));
+        built
+    }
+
+    /// Every build so far, load-time ones first.
+    pub fn builds(&self) -> Vec<StructureBuild> {
+        self.builds.lock().iter().map(|(b, _)| *b).collect()
+    }
+
+    /// The first-use builds the calling thread ran and has not been handed
+    /// yet: what the request now on this thread caused.
+    pub fn take_first_use_builds(&self) -> Vec<StructureBuild> {
+        let me = Some(std::thread::current().id());
+        let mut builds = self.builds.lock();
+        let mut mine = Vec::new();
+        for (build, by) in builds.iter_mut().filter(|(_, by)| *by == me) {
+            *by = None;
+            mine.push(*build);
         }
-    }
-}
-
-impl StorageBackend for SnapshotBackend {
-    fn name(&self) -> &'static str {
-        "snapshot"
+        mine
     }
 
-    fn snapshot_path(&self) -> Option<&Path> {
-        Some(&self.path)
+    /// The memory ledger: every array group this store holds.
+    pub fn memory(&self) -> Vec<MemoryRow> {
+        // A component that is one array, or not built yet: one line.
+        let whole = |(component, bytes)| MemoryRow {
+            component,
+            part: "",
+            bytes,
+        };
+        let mut ledger: Vec<MemoryRow> = rows("dictionary", self.dataset.dictionary.memory())
+            .chain(self.dataset.triples.memory().map(whole))
+            .chain(rows("type_aware", self.type_aware.memory()))
+            .collect();
+        match self.direct.get() {
+            Some(graph) => ledger.extend(rows("direct", graph.memory())),
+            None => ledger.push(whole(("direct", MemoryUse::default()))),
+        }
+        match self.permutations.get() {
+            Some(tables) => ledger.extend(rows("permutations", tables.memory())),
+            None => ledger.push(whole(("permutations", MemoryUse::default()))),
+        }
+        ledger
     }
-
-    fn is_mapped(&self) -> bool {
-        self.mapped
-    }
-
-    fn dataset(&self) -> &Dataset {
-        &self.data.dataset
-    }
-
-    fn type_aware(&self) -> &TransformedGraph {
-        &self.data.type_aware
-    }
-
-    fn direct(&self) -> &TransformedGraph {
-        &self.data.direct
-    }
-
-    fn permutations(&self) -> &PermutationIndexes {
-        &self.data.permutations
-    }
-}
-
-/// Serializes a backend's full data to a snapshot file; returns the number
-/// of bytes written.
-pub(crate) fn save_snapshot(
-    backend: &dyn StorageBackend,
-    inference: bool,
-    path: &Path,
-) -> Result<u64, StoreError> {
-    let mut w = SnapshotWriter::new();
-    let meta: [u64; 3] = [
-        STORE_FORMAT_SUB_VERSION,
-        inference as u64,
-        backend.dataset().len() as u64,
-    ];
-    w.section(TAG_STORE_META, &meta);
-    backend.dataset().write_sections(&mut w);
-    backend.type_aware().write_sections(&mut w);
-    backend.direct().write_sections(&mut w);
-    backend.permutations().write_sections(&mut w);
-    Ok(w.write_to(path)?)
 }

@@ -1,15 +1,16 @@
 //! The high-level store API tying the whole system together.
 //!
-//! A [`Store`] owns one RDF dataset and every derived structure the engines
-//! need: the type-aware and direct labeled graphs with their indexes (for
-//! the TurboHOM++ / TurboHOM engines) and the six permutation indexes (for
-//! the join-based baselines). A SPARQL query can then be executed with any
+//! A [`Store`] owns one RDF dataset and the derived structures the engines
+//! read: the type-aware labeled graph with its indexes (TurboHOM++), and —
+//! each built by the first plan that needs it — the direct graph (TurboHOM,
+//! variable predicates) and the six permutation indexes (the join-based
+//! baselines). A SPARQL query can then be executed with any
 //! [`EngineKind`] and returns uniform results: [`IdResults`], one flat buffer
 //! of term ids that a server sorts and serialises without copying a term, and
 //! its decoded view [`QueryResults`], which is what the examples, the
 //! cross-engine correctness tests and the benchmark harness build on.
 
-pub mod backend;
+mod backend;
 pub mod error;
 pub mod explain;
 pub mod plan;
@@ -17,7 +18,7 @@ pub mod results;
 pub mod sharded;
 pub mod store;
 
-pub use backend::{HeapBackend, SnapshotBackend, StorageBackend};
+pub use backend::{MemoryRow, StructureBuild};
 pub use error::StoreError;
 pub use explain::{
     qerror, ActualSummary, ComponentExplain, ExplainReport, ShardExplain, StartExplain,
@@ -34,9 +35,9 @@ pub use turbohom_partition::{Anchor, PartitionerKind, DEFAULT_HALO};
 // flight recorder, the service metrics) need no direct core dependency.
 pub use turbohom_core::MatchStats;
 // Re-exported so callers matching on `StoreError::Snapshot` (the server's
-// startup diagnostics, the corruption tests) need no direct storage
-// dependency.
-pub use turbohom_storage::SnapshotError;
+// startup diagnostics, the corruption tests) and readers of the memory
+// ledger need no direct storage dependency.
+pub use turbohom_storage::{MemoryUse, SnapshotError};
 // Re-exported so callers of `execute_traced` / the `*_traced` plan methods
 // (the service, the benchmark recorder) need no direct trace dependency.
 pub use turbohom_trace::{format_trace_id, SpanId, SpanRecord, Trace, TraceReport};

@@ -190,7 +190,9 @@ impl Store {
 
     /// Builds the execution plan for an already parsed query. Only the
     /// join-baseline plans keep a copy of the algebra; the graph-engine
-    /// plans borrow it just long enough to transform the branches.
+    /// plans borrow it just long enough to transform the branches. The
+    /// first plan that reads the direct graph or the permutation tables
+    /// builds them here (see [`Store::take_first_use_builds`]).
     pub fn plan_query(&self, query: &Query, kind: EngineKind) -> Result<QueryPlan, StoreError> {
         let projected = query.projected_variables();
         // LIMIT is only pushed into the enumerator when no OFFSET shifts the
@@ -201,6 +203,12 @@ impl Store {
             None | Some(0) => query.limit,
             Some(_) => None,
         };
+        // Planning builds what the plan will read (the graph plans'
+        // `transform_branch` does the same for the direct graph), so that
+        // running a plan — cached or not — never does.
+        if matches!(kind, EngineKind::MergeJoin | EngineKind::HashJoin) {
+            self.permutations();
+        }
         let mode = match kind {
             EngineKind::TurboHomPlusPlus => PlanMode::Graph {
                 config: self.default_config(),

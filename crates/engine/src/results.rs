@@ -731,7 +731,7 @@ mod tests {
         let snapshot = Snapshot::open(&path).unwrap();
         let view = Dictionary::read_sections(&mut snapshot.cursor()).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert!(view.is_view());
+        assert!(view.is_frozen());
         view
     }
 

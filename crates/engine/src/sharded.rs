@@ -110,6 +110,9 @@ impl ShardedStore {
             halo: options.halo,
         };
         let parts = partition_dataset(&dataset, &config);
+        // The shards hold everything from here on; keeping the global
+        // dataset alive under the k store builds would set the peak.
+        drop(dataset);
         let store_options = StoreOptions {
             inference: false,
             threads: options.threads,
@@ -669,6 +672,14 @@ impl AnyStore {
         Ok(self
             .run_plan_traced(&plan, None, &Trace::disabled())?
             .decode())
+    }
+
+    /// The stores behind this one: the single store, or the shards in order.
+    pub fn stores(&self) -> &[Arc<Store>] {
+        match self {
+            AnyStore::Single(s) => std::slice::from_ref(s),
+            AnyStore::Sharded(s) => &s.shards,
+        }
     }
 
     /// Number of shards (`None` on the single-store path).

@@ -1,7 +1,7 @@
 //! The [`Store`]: one RDF dataset plus every derived structure the engines
 //! need, and the uniform query entry point.
 
-use crate::backend::{self, HeapBackend, SnapshotBackend, StorageBackend};
+use crate::backend::{Backend, MemoryRow, StructureBuild};
 use crate::error::StoreError;
 use crate::plan::QueryPlan;
 use crate::results::{IdResults, QueryResults};
@@ -143,15 +143,17 @@ impl Default for StoreOptions {
     }
 }
 
-/// An RDF store with all engine-specific structures materialized.
+/// An RDF store: the dataset, the type-aware graph every TurboHOM++ plan
+/// matches over, and — each built by the first plan that reads it — the
+/// direct graph and the six permutation tables.
 ///
-/// The data lives behind a [`StorageBackend`]: either owned heap memory
-/// (built from parsed triples) or zero-copy views into a memory-mapped
-/// snapshot file (see [`Store::from_snapshot`]). A `Store` is immutable
-/// after construction and `Send + Sync`: services share one behind an `Arc`
-/// across worker threads (see the `turbohom-service` crate).
+/// The arrays are either owned heap memory (built from parsed triples) or
+/// zero-copy views into a memory-mapped snapshot file (see
+/// [`Store::from_snapshot`]). A `Store` answers the same after construction
+/// and is `Send + Sync`: services share one behind an `Arc` across worker
+/// threads (see the `turbohom-service` crate).
 pub struct Store {
-    backend: Box<dyn StorageBackend>,
+    backend: Backend,
     options: StoreOptions,
 }
 
@@ -175,7 +177,7 @@ impl Store {
     /// Builds a store from an already encoded dataset.
     pub fn from_dataset_with(dataset: Dataset, options: StoreOptions) -> Self {
         Store {
-            backend: Box::new(HeapBackend::from_dataset(dataset, options.inference)),
+            backend: Backend::build(dataset, options.inference),
             options,
         }
     }
@@ -205,21 +207,22 @@ impl Store {
         if threads == 0 {
             return Err(StoreError::InvalidThreadCount(0));
         }
-        let backend = SnapshotBackend::open(path)?;
-        let options = backend.options(threads);
+        let (backend, inference) = Backend::open(path)?;
         Ok(Store {
-            backend: Box::new(backend),
-            options,
+            backend,
+            options: StoreOptions { inference, threads },
         })
     }
 
-    /// Writes the store's full contents (dictionary, triples, both
-    /// transformed graphs with their indexes, the six permutation indexes)
-    /// to a versioned, checksummed snapshot file that
+    /// Writes the store's contents (dictionary, triples, both transformed
+    /// graphs with their indexes — the direct one is built first if no plan
+    /// has read it yet) to a versioned, checksummed snapshot file that
     /// [`from_snapshot`](Self::from_snapshot) reads back without copying.
-    /// Returns the number of bytes written.
+    /// The permutation tables are not stored; a join baseline sorts them
+    /// out of the mapped triples on first use. Returns the number of bytes
+    /// written.
     pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
-        backend::save_snapshot(self.backend.as_ref(), self.options.inference, path)
+        self.backend.save(self.options.inference, path)
     }
 
     /// The backend serving this store (`"heap"` or `"snapshot"`).
@@ -239,27 +242,67 @@ impl Store {
 
     /// The underlying dataset.
     pub fn dataset(&self) -> &Dataset {
-        self.backend.dataset()
+        &self.backend.dataset
     }
 
     /// Number of triples loaded (after inference, if enabled).
     pub fn triple_count(&self) -> usize {
-        self.backend.dataset().len()
+        self.backend.dataset.len()
     }
 
     /// The type-aware transformed graph (Section 4.1).
     pub fn type_aware_graph(&self) -> &TransformedGraph {
-        self.backend.type_aware()
+        &self.backend.type_aware
     }
 
-    /// The direct transformed graph (Section 3.2).
+    /// The direct transformed graph (Section 3.2), built now if nothing has
+    /// read it before. Planning a query forces what the plan will read, so
+    /// running a plan never builds.
     pub fn direct_graph(&self) -> &TransformedGraph {
-        self.backend.direct()
+        self.backend.direct(true)
     }
 
-    /// The six permutation indexes (the join baselines' storage).
+    /// The six permutation indexes (the join baselines' storage), built now
+    /// if nothing has read them before.
     pub(crate) fn permutations(&self) -> &PermutationIndexes {
-        self.backend.permutations()
+        self.backend.permutations(true)
+    }
+
+    /// Builds, ahead of any request, what plans for `kind` read beyond the
+    /// type-aware graph: the direct graph for [`EngineKind::TurboHom`], the
+    /// permutation tables for the join baselines. (A TurboHOM++ plan reads
+    /// the direct graph only for a variable predicate or class; that stays a
+    /// first-use build.) Call it before timing anything.
+    pub fn warm(&self, kind: EngineKind) {
+        match kind {
+            EngineKind::TurboHomPlusPlus => {}
+            EngineKind::TurboHom => {
+                self.backend.direct(false);
+            }
+            EngineKind::MergeJoin | EngineKind::HashJoin => {
+                self.backend.permutations(false);
+            }
+        }
+    }
+
+    /// The memory ledger: heap and mapped bytes of every array group the
+    /// store holds right now (`direct` and `permutations` are one zero line
+    /// each until a plan has read them).
+    pub fn memory(&self) -> Vec<MemoryRow> {
+        self.backend.memory()
+    }
+
+    /// Every structure build so far with its duration: `freeze` and
+    /// `type_aware` at load, then the first-use builds.
+    pub fn builds(&self) -> Vec<StructureBuild> {
+        self.backend.builds()
+    }
+
+    /// The first-use builds the calling thread ran and that no caller has
+    /// taken yet — after preparing a plan, what that request caused (the
+    /// service journals them under the request's trace id).
+    pub fn take_first_use_builds(&self) -> Vec<StructureBuild> {
+        self.backend.take_first_use_builds()
     }
 
     /// The construction options.

@@ -120,6 +120,115 @@ fn saving_from_a_snapshot_store_round_trips_again() {
     std::fs::remove_file(&p2).ok();
 }
 
+/// The ledger line a snapshot section belongs to (`None` for the meta
+/// sections, whose few counts live in struct fields, not arrays). Both
+/// graphs write the same tags; `graph` says which one is being read.
+fn ledger_line(tag: u64, graph: &'static str) -> Option<(&'static str, &'static str)> {
+    Some(match tag {
+        0x0901 | 0x0701 | 0x0301 => return None,
+        0x0101 => ("dictionary", "arena"),
+        0x0102 => ("dictionary", "records"),
+        0x0103 => ("dictionary", "sorted"),
+        0x0201 => ("triples", ""),
+        0x0302..=0x0304 | 0x0702 | 0x0703 => (graph, "labels"),
+        0x0310..=0x032f => (graph, "csr"),
+        0x0400..=0x04ff => (graph, "predicate_index"),
+        0x0500..=0x05ff => (graph, "inverse_labels"),
+        0x0600..=0x06ff => (graph, "mappings"),
+        other => panic!("section tag {other:#x} belongs to no ledger line"),
+    })
+}
+
+#[test]
+fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
+    let heap = sample_store();
+    let path = temp_path("ledger.snap");
+    heap.save_snapshot(&path).unwrap();
+
+    let mut sections: Vec<((&str, &str), u64)> = Vec::new();
+    let mut graphs = ["type_aware", "direct"].into_iter();
+    let mut graph = "";
+    for (tag, len) in turbohom_storage::Snapshot::open(&path).unwrap().sections() {
+        if tag == 0x0701 {
+            graph = graphs.next().expect("a snapshot stores two graphs");
+        }
+        if let Some(line) = ledger_line(tag, graph) {
+            match sections.iter_mut().find(|(l, _)| *l == line) {
+                Some((_, bytes)) => *bytes += len,
+                None => sections.push((line, len)),
+            }
+        }
+    }
+
+    // Saving built the direct graph; nothing has read the permutations.
+    let mapped = Store::from_snapshot(&path).unwrap();
+    assert!(mapped.is_mapped());
+    for (store, on_heap) in [(&heap, true), (&mapped, false)] {
+        let mut ledger = store.memory();
+        let unbuilt = |row: &turbohom_engine::MemoryRow| {
+            ["dedup_set", "permutations"].contains(&row.component)
+        };
+        for row in ledger.iter().filter(|row| unbuilt(row)) {
+            assert_eq!((row.bytes.heap, row.bytes.mapped), (0, 0), "{row:?}");
+        }
+        ledger.retain(|row| !unbuilt(row));
+        assert_eq!(ledger.len(), sections.len());
+        for row in &ledger {
+            let line = (row.component, row.part);
+            let (_, bytes) = sections
+                .iter()
+                .find(|(l, _)| *l == line)
+                .unwrap_or_else(|| panic!("no section for {line:?}"));
+            let expected = if on_heap { (*bytes, 0) } else { (0, *bytes) };
+            assert_eq!((row.bytes.heap, row.bytes.mapped), expected, "{line:?}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
+    let path = temp_path("lazy.snap");
+    sample_store().save_snapshot(&path).unwrap();
+    let snap = Store::from_snapshot(&path).unwrap();
+    let bytes_of = |store: &Store, component: &str| -> u64 {
+        let rows = store.memory();
+        let of_component = rows.iter().filter(|row| row.component == component);
+        of_component.map(|r| r.bytes.heap + r.bytes.mapped).sum()
+    };
+    // The direct graph came out of the file; nothing was built at open.
+    assert!(bytes_of(&snap, "direct") > 0);
+    assert_eq!(bytes_of(&snap, "permutations"), 0);
+    assert!(snap.builds().is_empty());
+    snap.execute(QUERIES[0], EngineKind::HashJoin).unwrap();
+    assert_eq!(
+        bytes_of(&snap, "permutations"),
+        6 * 24 * snap.triple_count() as u64
+    );
+    let built: Vec<_> = snap.builds().iter().map(|b| b.structure).collect();
+    assert_eq!(built, ["permutations"]);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_sub_version_1_snapshot_is_refused_with_a_version_mismatch() {
+    // What a parent build wrote first: the store meta section with
+    // sub-version 1 (the permutation tables still followed the graphs).
+    let path = temp_path("subversion1.snap");
+    let mut w = turbohom_storage::SnapshotWriter::new();
+    w.section::<u64>(0x0901, &[1, 0, 3]);
+    w.write_to(&path).unwrap();
+    let err = Store::from_snapshot(&path).unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::Snapshot(SnapshotError::VersionMismatch {
+            found: 1,
+            expected: 2
+        })
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn bad_magic_is_a_typed_error() {
     let path = temp_path("badmagic.snap");

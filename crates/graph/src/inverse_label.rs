@@ -9,7 +9,7 @@
 use crate::ids::{VLabel, VertexId};
 use crate::labeled_graph::LabeledGraph;
 use crate::ops;
-use turbohom_storage::{FlatCsr, FlatVec, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatCsr, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (component 0x05).
 const TAG_INV_OFFSETS: u64 = 0x0501;
@@ -96,6 +96,11 @@ impl InverseLabelIndex {
     /// Number of distinct labels indexed.
     pub fn label_count(&self) -> usize {
         self.lists.num_rows()
+    }
+
+    /// Bytes of the index's arrays.
+    pub fn memory(&self) -> MemoryUse {
+        MemoryUse::from(&self.lists) + (&self.unlabeled).into()
     }
 
     /// Serializes the index as snapshot sections.

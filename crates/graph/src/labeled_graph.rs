@@ -15,7 +15,7 @@
 //! per label in the *typed* groups but only once in the per-edge-label slice.
 
 use crate::ids::{Direction, ELabel, VLabel, VertexId};
-use turbohom_storage::{FlatVec, Pod, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (component 0x03). The two adjacency directions use
 /// distinct tag bases so a mis-ordered reader fails loudly.
@@ -112,6 +112,15 @@ pub(crate) struct AdjacencyDirection {
 }
 
 impl AdjacencyDirection {
+    fn memory(&self) -> MemoryUse {
+        MemoryUse::from(&self.vertex_offsets)
+            + (&self.elabel_groups).into()
+            + (&self.type_groups).into()
+            + (&self.targets).into()
+            + (&self.typed_targets).into()
+            + (&self.degrees).into()
+    }
+
     fn elabel_groups_of(&self, v: VertexId) -> &[ELabelGroup] {
         let start = self.vertex_offsets[v.index()] as usize;
         let end = self.vertex_offsets[v.index() + 1] as usize;
@@ -459,6 +468,18 @@ impl LabeledGraph {
             })
             .map(|g| g.elabel)
             .collect()
+    }
+
+    /// Bytes of the graph's arrays: the two adjacency directions (`csr`) and
+    /// the vertex label sets plus the degree order (`labels`).
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 2] {
+        let labels = MemoryUse::from(&self.label_offsets)
+            + (&self.labels).into()
+            + (&self.degree_order).into();
+        [
+            ("csr", self.outgoing.memory() + self.incoming.memory()),
+            ("labels", labels),
+        ]
     }
 
     /// Serializes the graph as snapshot sections: a meta array, the vertex

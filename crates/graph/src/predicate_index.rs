@@ -10,7 +10,7 @@
 use crate::ids::{Direction, ELabel, VertexId};
 use crate::labeled_graph::LabeledGraph;
 use crate::ops;
-use turbohom_storage::{FlatCsr, FlatVec, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatCsr, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (component 0x04).
 const TAG_PRED_SUBJECT_OFFSETS: u64 = 0x0401;
@@ -83,6 +83,11 @@ impl PredicateIndex {
     /// Number of predicates indexed.
     pub fn predicate_count(&self) -> usize {
         self.subjects.num_rows()
+    }
+
+    /// Bytes of the index's arrays.
+    pub fn memory(&self) -> MemoryUse {
+        MemoryUse::from(&self.subjects) + (&self.objects).into() + (&self.edge_counts).into()
     }
 
     /// Serializes the index as snapshot sections.

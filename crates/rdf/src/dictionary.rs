@@ -10,18 +10,20 @@
 //! The dictionary has two physical representations behind one API:
 //!
 //! * **Owned** — a `HashMap` + `Vec<Term>` pair, used while loading and
-//!   encoding new terms.
-//! * **View** — three flat arrays read in place from a snapshot: a UTF-8
-//!   string arena, fixed-width [`TermRecord`]s pointing into it, and a
-//!   key-sorted id permutation for binary-search lookups. Nothing is copied
-//!   at load time; `encode` on a view transparently converts to owned first
-//!   (copy-on-write).
+//!   encoding new terms. It holds every string twice.
+//! * **Flat** — three flat arrays: a UTF-8 string arena, fixed-width
+//!   [`TermRecord`]s pointing into it, and a key-sorted id permutation for
+//!   binary-search lookups. [`Dictionary::freeze`] turns a loaded dictionary
+//!   into this form on the heap, and a snapshot stores exactly these arrays,
+//!   so a mapped dictionary reads them in place: heap and snapshot stores
+//!   share one read path. `encode` on the flat form transparently converts
+//!   back to owned first (ids unchanged).
 
 use crate::error::RdfError;
 use crate::term::{Term, TermRef};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use turbohom_storage::{FlatVec, Pod, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// A dense identifier for a dictionary-encoded [`Term`].
 ///
@@ -128,16 +130,60 @@ fn record_key<'a>(arena: &'a [u8], r: &TermRecord) -> (u32, &'a [u8], &'a [u8]) 
     )
 }
 
-/// The zero-copy snapshot-backed representation.
+/// The flat representation: owned arrays after [`Dictionary::freeze`],
+/// views into a snapshot after [`Dictionary::read_sections`].
+///
+/// Invariant (what `term_ref` relies on): every record's two ranges lie
+/// inside `arena`, on UTF-8 boundaries, and hold valid UTF-8. `build` and
+/// `read_sections` are the only constructors and nothing mutates the arrays
+/// afterwards.
 #[derive(Debug, Clone)]
-struct ViewRepr {
+struct FlatRepr {
     arena: FlatVec<u8>,
     records: FlatVec<TermRecord>,
     /// Term ids sorted by `(kind, lexical, extra)` for binary-search lookup.
     sorted: FlatVec<u64>,
 }
 
-impl ViewRepr {
+impl FlatRepr {
+    /// Lays `terms` (in id order) out as the three arrays. The arena is
+    /// sized in a first pass so it is allocated once, at its final size.
+    fn build(terms: &[Term]) -> Self {
+        let arena_len = terms
+            .iter()
+            .map(|t| {
+                let (_, lex, extra) = term_key(t);
+                lex.len() + extra.len()
+            })
+            .sum();
+        let mut arena: Vec<u8> = Vec::with_capacity(arena_len);
+        let mut records: Vec<TermRecord> = Vec::with_capacity(terms.len());
+        for term in terms {
+            let (kind, lex, extra) = term_key(term);
+            let lex_off = arena.len() as u64;
+            arena.extend_from_slice(lex.as_bytes());
+            let extra_off = arena.len() as u64;
+            arena.extend_from_slice(extra.as_bytes());
+            records.push(TermRecord {
+                kind,
+                reserved: 0,
+                lex_off,
+                lex_len: lex.len() as u64,
+                extra_off,
+                extra_len: extra.len() as u64,
+            });
+        }
+        let mut sorted: Vec<u64> = (0..terms.len() as u64).collect();
+        sorted.sort_unstable_by(|&a, &b| {
+            record_key(&arena, &records[a as usize]).cmp(&record_key(&arena, &records[b as usize]))
+        });
+        FlatRepr {
+            arena: arena.into(),
+            records: records.into(),
+            sorted: sorted.into(),
+        }
+    }
+
     fn lookup_key(&self, kind: u32, lex: &[u8], extra: &[u8]) -> Option<TermId> {
         let target = (kind, lex, extra);
         self.sorted
@@ -155,7 +201,13 @@ impl ViewRepr {
 
     fn term_ref(&self, index: usize) -> TermRef<'_> {
         let (kind, lex, extra) = record_key(&self.arena, &self.records[index]);
-        let text = |bytes| std::str::from_utf8(bytes).expect("read_sections validated the arena");
+        // SAFETY: by the struct invariant both ranges hold valid UTF-8:
+        // `build` copied them from `&str`s, `read_sections` validated every
+        // record's ranges with `from_utf8`, and the arrays are immutable
+        // since (a mapped arena is a private read-only mapping, the premise
+        // `ByteStore` already rests on). Validating here instead would cost
+        // a pass over the string on every decoded cell of every result row.
+        let text = |bytes| unsafe { std::str::from_utf8_unchecked(bytes) };
         term_ref_from_parts(kind, text(lex), text(extra))
     }
 }
@@ -166,15 +218,15 @@ enum Repr {
         term_to_id: HashMap<Term, TermId>,
         id_to_term: Vec<Term>,
     },
-    View(ViewRepr),
+    Flat(FlatRepr),
 }
 
 /// A bidirectional mapping between [`Term`]s and [`TermId`]s.
 ///
 /// Encoding is insert-or-get: encoding the same term twice yields the same
 /// id. Decoding is O(1) via a dense array in both representations; `id_of`
-/// is O(1) on the owned representation and O(log n) (zero-copy binary
-/// search) on a snapshot view.
+/// is O(1) on the owned representation and O(log n) (binary search over the
+/// arena) on the flat one.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
     repr: Repr,
@@ -207,16 +259,42 @@ impl Dictionary {
         }
     }
 
-    /// Returns `true` if this dictionary reads from a snapshot view (its
-    /// strings live in the snapshot's arena, not on the heap).
-    pub fn is_view(&self) -> bool {
-        matches!(self.repr, Repr::View(_))
+    /// Returns `true` if this dictionary is in the flat form: frozen on the
+    /// heap or read in place from a snapshot.
+    pub fn is_frozen(&self) -> bool {
+        matches!(self.repr, Repr::Flat(_))
     }
 
-    /// Converts a view into the owned representation (copy-on-write step
-    /// before any mutation).
+    /// Ends loading: replaces the owned `HashMap` + `Vec<Term>` (every
+    /// string twice, one allocation each) by the flat arrays. Ids, lookups
+    /// and iteration order are unchanged; a later `encode` thaws. A no-op on
+    /// a dictionary that is already flat.
+    pub fn freeze(&mut self) {
+        if let Repr::Owned { term_to_id, .. } = &mut self.repr {
+            // The map (half of the strings) goes first, so that the arena
+            // is allocated into memory the map gave back.
+            *term_to_id = HashMap::new();
+        }
+        if let Repr::Owned { id_to_term, .. } = &self.repr {
+            self.repr = Repr::Flat(FlatRepr::build(id_to_term));
+        }
+    }
+
+    /// Heap and mapped bytes of the three flat arrays. All zero while the
+    /// dictionary is still in its loading form, whose scattered per-term
+    /// allocations the ledger leaves to its `unaccounted` line.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 3] {
+        let (arena, records, sorted) = match &self.repr {
+            Repr::Flat(f) => ((&f.arena).into(), (&f.records).into(), (&f.sorted).into()),
+            Repr::Owned { .. } => Default::default(),
+        };
+        [("arena", arena), ("records", records), ("sorted", sorted)]
+    }
+
+    /// Converts the flat form into the owned representation (copy-on-write
+    /// step before any mutation).
     fn make_owned(&mut self) {
-        if let Repr::View(v) = &self.repr {
+        if let Repr::Flat(v) = &self.repr {
             let n = v.records.len();
             let mut id_to_term = Vec::with_capacity(n);
             let mut term_to_id = HashMap::with_capacity(n);
@@ -280,7 +358,7 @@ impl Dictionary {
     pub fn id_of(&self, term: &Term) -> Option<TermId> {
         match &self.repr {
             Repr::Owned { term_to_id, .. } => term_to_id.get(term).copied(),
-            Repr::View(v) => v.lookup(term),
+            Repr::Flat(v) => v.lookup(term),
         }
     }
 
@@ -289,7 +367,7 @@ impl Dictionary {
         match &self.repr {
             Repr::Owned { term_to_id, .. } => term_to_id.get(&Term::Iri(iri.to_owned())).copied(),
             // Zero-allocation lookup straight against the arena bytes.
-            Repr::View(v) => v.lookup_key(KIND_IRI, iri.as_bytes(), b""),
+            Repr::Flat(v) => v.lookup_key(KIND_IRI, iri.as_bytes(), b""),
         }
     }
 
@@ -298,7 +376,7 @@ impl Dictionary {
     pub fn term_ref(&self, id: TermId) -> Option<TermRef<'_>> {
         match &self.repr {
             Repr::Owned { id_to_term, .. } => id_to_term.get(id.index()).map(TermRef::from),
-            Repr::View(v) => (id.index() < v.records.len()).then(|| v.term_ref(id.index())),
+            Repr::Flat(v) => (id.index() < v.records.len()).then(|| v.term_ref(id.index())),
         }
     }
 
@@ -316,7 +394,7 @@ impl Dictionary {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Owned { id_to_term, .. } => id_to_term.len(),
-            Repr::View(v) => v.records.len(),
+            Repr::Flat(v) => v.records.len(),
         }
     }
 
@@ -343,34 +421,20 @@ impl Dictionary {
     }
 
     /// Serializes the dictionary as snapshot sections (arena, records,
-    /// sorted permutation) — see `docs/STORAGE.md`.
+    /// sorted permutation) — see `docs/STORAGE.md`. The flat form writes its
+    /// arrays as they are.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        let n = self.len();
-        let mut arena: Vec<u8> = Vec::new();
-        let mut records: Vec<TermRecord> = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let term = self.term(TermId(i)).expect("ids below len are valid");
-            let (kind, lex, extra) = term_key(&term);
-            let lex_off = arena.len() as u64;
-            arena.extend_from_slice(lex.as_bytes());
-            let extra_off = arena.len() as u64;
-            arena.extend_from_slice(extra.as_bytes());
-            records.push(TermRecord {
-                kind,
-                reserved: 0,
-                lex_off,
-                lex_len: lex.len() as u64,
-                extra_off,
-                extra_len: extra.len() as u64,
-            });
-        }
-        let mut sorted: Vec<u64> = (0..n as u64).collect();
-        sorted.sort_unstable_by(|&a, &b| {
-            record_key(&arena, &records[a as usize]).cmp(&record_key(&arena, &records[b as usize]))
-        });
-        w.section(TAG_DICT_ARENA, &arena);
-        w.section(TAG_DICT_RECORDS, &records);
-        w.section(TAG_DICT_SORTED, &sorted);
+        let built;
+        let flat = match &self.repr {
+            Repr::Flat(f) => f,
+            Repr::Owned { id_to_term, .. } => {
+                built = FlatRepr::build(id_to_term);
+                &built
+            }
+        };
+        w.section(TAG_DICT_ARENA, &flat.arena);
+        w.section(TAG_DICT_RECORDS, &flat.records);
+        w.section(TAG_DICT_SORTED, &flat.sorted);
     }
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
@@ -415,7 +479,7 @@ impl Dictionary {
             ));
         }
         Ok(Dictionary {
-            repr: Repr::View(ViewRepr {
+            repr: Repr::Flat(FlatRepr {
                 arena,
                 records,
                 sorted,
@@ -546,7 +610,7 @@ mod tests {
         let terms = sample_terms();
         let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
         let view = snapshot_view(&d, "roundtrip");
-        assert!(view.is_view());
+        assert!(view.is_frozen());
         assert_eq!(view.len(), d.len());
         for (t, id) in terms.iter().zip(&ids) {
             assert_eq!(view.term(*id).as_ref(), Some(t), "term {t}");
@@ -561,6 +625,93 @@ mod tests {
     }
 
     #[test]
+    fn freeze_keeps_ids_and_lookups_and_encode_thaws() {
+        let mut d = Dictionary::new();
+        let terms = sample_terms();
+        let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
+        assert!(d.memory().iter().all(|(_, m)| m.heap == 0));
+        d.freeze();
+        assert!(d.is_frozen());
+        let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
+        assert_eq!(records, (terms.len() * 40) as u64);
+        assert_eq!(sorted, (terms.len() * 8) as u64);
+        assert!(arena > 0);
+        for (t, id) in terms.iter().zip(&ids) {
+            assert_eq!(d.term(*id).as_ref(), Some(t));
+            assert_eq!(d.id_of(t), Some(*id));
+        }
+        assert_eq!(d.id_of_iri("http://ex.org/b"), Some(ids[1]));
+        d.freeze(); // a second freeze changes nothing
+        assert_eq!(d.len(), terms.len());
+        // Encoding thaws: old ids stay, the new term gets the next one.
+        assert_eq!(d.encode(&terms[3]), ids[3]);
+        assert_eq!(d.encode_iri("http://ex.org/new").index(), terms.len());
+        assert!(!d.is_frozen());
+    }
+
+    /// One term of each of the six kinds from three short strings.
+    fn term_of_kind(kind: usize, lexical: &str, datatype: &str, language: &str) -> Term {
+        let (datatype, language) = (format!("http://ex.org/dt/{datatype}"), language.to_owned());
+        match kind {
+            0 => Term::iri(format!("http://ex.org/{lexical}")),
+            1 => Term::blank(lexical),
+            2 => Term::literal(lexical),
+            3 => Term::typed_literal(lexical, datatype),
+            4 => Term::lang_literal(lexical, language),
+            _ => Term::Literal {
+                lexical: lexical.to_owned(),
+                datatype: Some(datatype),
+                language: Some(language),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        /// The owned, the frozen and the snapshot-view form are one
+        /// dictionary: same length, same iteration order, same answer to
+        /// every `id_of` and `term_ref` — and thawing a frozen dictionary
+        /// keeps every id.
+        #[test]
+        fn owned_frozen_and_snapshot_forms_agree(
+            specs in proptest::collection::vec(
+                (0usize..6, "[a-cé ]{0,5}", "[a-b]{1,2}", "[a-b]{1,2}"),
+                1..40,
+            ),
+            case in 0u64..u64::MAX,
+        ) {
+            let terms: Vec<Term> = specs
+                .iter()
+                .map(|(kind, lex, dt, lang)| term_of_kind(*kind, lex, dt, lang))
+                .collect();
+            let mut owned = Dictionary::new();
+            let ids: Vec<TermId> = terms.iter().map(|t| owned.encode(t)).collect();
+            let mut frozen = owned.clone();
+            frozen.freeze();
+            let view = snapshot_view(&owned, &format!("prop-{case:x}"));
+            let absent = Term::iri("http://ex.org/absent/term");
+            for flat in [&frozen, &view] {
+                proptest::prop_assert!(flat.is_frozen());
+                proptest::prop_assert_eq!(flat.len(), owned.len());
+                proptest::prop_assert_eq!(
+                    flat.iter().collect::<Vec<_>>(),
+                    owned.iter().collect::<Vec<_>>()
+                );
+                for (term, id) in terms.iter().zip(&ids) {
+                    proptest::prop_assert_eq!(flat.id_of(term), Some(*id));
+                    proptest::prop_assert_eq!(flat.term_ref(*id), owned.term_ref(*id));
+                }
+                proptest::prop_assert_eq!(flat.id_of(&absent), None);
+                proptest::prop_assert_eq!(flat.term_ref(TermId(owned.len() as u64)), None);
+            }
+            let mut thawed = frozen.clone();
+            proptest::prop_assert_eq!(thawed.encode(&absent).index(), owned.len());
+            for (term, id) in terms.iter().zip(&ids) {
+                proptest::prop_assert_eq!(thawed.id_of(term), Some(*id));
+            }
+        }
+    }
+
+    #[test]
     fn encode_on_a_view_copies_on_write() {
         let mut d = Dictionary::new();
         for t in sample_terms() {
@@ -572,7 +723,7 @@ mod tests {
         assert!(view.encode(&Term::literal("plain")).index() < before);
         let new_id = view.encode_iri("http://ex.org/new");
         assert_eq!(new_id.index(), before);
-        assert!(!view.is_view());
+        assert!(!view.is_frozen());
         assert_eq!(view.term(new_id), Some(Term::iri("http://ex.org/new")));
     }
 }

@@ -10,7 +10,7 @@ use crate::dictionary::{Dictionary, TermId};
 use crate::term::Term;
 use crate::vocab;
 use std::collections::HashSet;
-use turbohom_storage::{FlatVec, Pod, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tag (component 0x02).
 const TAG_TRIPLES: u64 = 0x0201;
@@ -41,8 +41,8 @@ impl Triple {
 ///
 /// The triples live in a [`FlatVec`], so a store loaded from a snapshot
 /// reads them in place. The dedup set exists only while the store is being
-/// populated; a snapshot-backed store materializes it lazily on the first
-/// mutation (snapshots are written deduplicated).
+/// populated: [`freeze`](Self::freeze) drops it, a snapshot never stores it,
+/// and the first mutation afterwards rebuilds it from the triples.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
     triples: FlatVec<Triple>,
@@ -66,7 +66,8 @@ impl TripleStore {
     /// Inserts a triple. Returns `true` if it was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
         if self.seen.len() != self.triples.len() {
-            // Snapshot-backed store: build the dedup set on first mutation.
+            // Frozen or snapshot-backed store: build the dedup set on first
+            // mutation.
             self.seen = self.triples.iter().copied().collect();
         }
         if self.seen.insert(triple) {
@@ -77,12 +78,33 @@ impl TripleStore {
         }
     }
 
+    /// Ends loading: drops the dedup set (about twice the triples' own
+    /// size) and the triple array's spare capacity.
+    pub fn freeze(&mut self) {
+        self.seen = HashSet::new();
+        if !self.triples.is_view() {
+            self.triples.to_mut().shrink_to_fit();
+        }
+    }
+
+    /// Bytes of the triple array and (an estimate from its capacity: one
+    /// triple plus one control byte per bucket) of the dedup set.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 2] {
+        let bucket = std::mem::size_of::<Triple>() as u64 + 1;
+        let dedup = MemoryUse {
+            heap: self.seen.capacity() as u64 * 8 / 7 * bucket,
+            mapped: 0,
+        };
+        [("triples", (&self.triples).into()), ("dedup_set", dedup)]
+    }
+
     /// Returns `true` if the exact triple is present.
     pub fn contains(&self, triple: &Triple) -> bool {
         if self.seen.len() == self.triples.len() {
             self.seen.contains(triple)
         } else {
-            // Snapshot-backed store before any mutation: no hash set yet.
+            // Frozen or snapshot-backed store before any mutation: no hash
+            // set.
             self.triples.iter().any(|t| t == triple)
         }
     }
@@ -178,6 +200,14 @@ impl Dataset {
     /// Convenience for tests and generators: inserts a triple of IRIs.
     pub fn insert_iris(&mut self, s: &str, p: &str, o: &str) -> bool {
         self.insert_owned(Term::iri(s), Term::iri(p), Term::iri(o))
+    }
+
+    /// Ends loading: the dictionary becomes its three flat arrays (see
+    /// [`Dictionary::freeze`]) and the triple store drops its dedup set.
+    /// Every read is unchanged; an insert afterwards thaws what it needs.
+    pub fn freeze(&mut self) {
+        self.dictionary.freeze();
+        self.triples.freeze();
     }
 
     /// Number of distinct triples.

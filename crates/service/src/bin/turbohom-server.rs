@@ -274,6 +274,10 @@ fn main() -> ExitCode {
             }
         }
     };
+    // Whatever plans of the default engine read beyond the type-aware graph
+    // is built now, not by the first request. (Another engine named by a
+    // request's `engine=` still builds on first use.)
+    store.stores().iter().for_each(|s| s.warm(args.engine));
     let load_ms = load_started.elapsed().as_secs_f64() * 1000.0;
     let shard_note = match store.shard_count() {
         Some(k) => format!(

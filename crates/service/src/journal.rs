@@ -79,6 +79,23 @@ pub enum JournalEvent {
         triples: usize,
         /// Whether the store is served from a memory-mapped snapshot.
         mapped: bool,
+        /// Milliseconds spent building each structure (`freeze`,
+        /// `type_aware`, `direct`, `permutations`) before the service
+        /// started, summed over shards (0 for a structure not built yet, or
+        /// mapped instead of built). Rendered as `<structure>_ms` members.
+        build_ms: [(&'static str, f64); 4],
+    },
+    /// A derived structure was built by the first plan that reads it; the
+    /// entry's trace id is the request that caused (and waited for) it.
+    StructureBuilt {
+        /// `direct` or `permutations`.
+        structure: &'static str,
+        /// The shard whose store built it (0 on a single store).
+        shard: usize,
+        /// Wall-clock milliseconds the build took.
+        ms: f64,
+        /// Bytes the built structure holds.
+        bytes: u64,
     },
     /// A sharded query's scatter decision: how many shards were skipped by
     /// summary pruning / ownership routing and how many executed.
@@ -107,6 +124,7 @@ impl JournalEvent {
             JournalEvent::PlanCached { .. } => "plan_cached",
             JournalEvent::PlanEvicted { .. } => "plan_evicted",
             JournalEvent::StoreLoaded { .. } => "store_loaded",
+            JournalEvent::StructureBuilt { .. } => "structure_built",
             JournalEvent::ShardsPruned { .. } => "shards_pruned",
             JournalEvent::SlowQuery { .. } => "slow_query",
         }
@@ -150,9 +168,23 @@ impl JournalEvent {
                 backend,
                 triples,
                 mapped,
+                build_ms,
             } => {
                 out.extend_from_slice(format!(
                     ",\"store\":\"{flavor}\",\"backend\":\"{backend}\",\"triples\":{triples},\"mapped\":{mapped}"
+                ).as_bytes());
+                for (structure, ms) in build_ms {
+                    out.extend_from_slice(format!(",\"{structure}_ms\":{ms:.3}").as_bytes());
+                }
+            }
+            JournalEvent::StructureBuilt {
+                structure,
+                shard,
+                ms,
+                bytes,
+            } => {
+                out.extend_from_slice(format!(
+                    ",\"structure\":\"{structure}\",\"shard\":{shard},\"ms\":{ms:.3},\"bytes\":{bytes}"
                 ).as_bytes());
             }
             JournalEvent::ShardsPruned { pruned, executed } => {
@@ -336,6 +368,12 @@ mod tests {
                 backend: "heap",
                 triples: 42,
                 mapped: false,
+                build_ms: [
+                    ("freeze", 1.0),
+                    ("type_aware", 2.0),
+                    ("direct", 0.0),
+                    ("permutations", 0.0),
+                ],
             },
         );
         journal.record(
@@ -352,6 +390,7 @@ mod tests {
         assert!(lines[0].contains("\"trace\":null"));
         assert!(lines[0].contains("\"event\":\"store_loaded\""));
         assert!(lines[0].contains("\"triples\":42"));
+        assert!(lines[0].contains("\"type_aware_ms\":2.000"));
         assert!(lines[1].contains("\"trace\":\"000000000000002a\""));
         assert!(lines[1].contains("\"event\":\"query_admitted\""));
         assert!(lines[1].contains("\"mode\":\"analyze\""));
@@ -386,6 +425,13 @@ mod tests {
                 backend: "heap",
                 triples: 9,
                 mapped: false,
+                build_ms: [("freeze", 0.0); 4],
+            },
+            JournalEvent::StructureBuilt {
+                structure: "permutations",
+                shard: 2,
+                ms: 700.0,
+                bytes: 144,
             },
             JournalEvent::ShardsPruned {
                 pruned: 7,
@@ -408,6 +454,7 @@ mod tests {
             "plan_cached",
             "plan_evicted",
             "store_loaded",
+            "structure_built",
             "shards_pruned",
             "slow_query",
         ] {

@@ -61,8 +61,8 @@ pub use metrics::{
     EngineMetrics, HttpMetrics, LatencyHistogram, QErrorHistogram, ServiceMetrics, StageTotals,
 };
 pub use service::{
-    EngineStats, ExplainResponse, QueryOptions, QueryResponse, QueryService, ServiceConfig,
-    StatsSnapshot,
+    BytesSnapshot, EngineStats, ExplainResponse, QueryOptions, QueryResponse, QueryService,
+    ServiceConfig, StatsSnapshot,
 };
 pub use slow::{SlowQueryEntry, SlowQueryLog};
 // Re-exported so HTTP-layer consumers can work with profile/explain reports

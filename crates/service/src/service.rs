@@ -25,7 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_engine::{
-    AnyStore, EngineKind, ExplainReport, IdResults, Store, StoreError, Trace, TraceReport,
+    AnyStore, EngineKind, ExplainReport, IdResults, MemoryRow, MemoryUse, Store, StoreError, Trace,
+    TraceReport,
 };
 use turbohom_sparql::{fingerprint, QueryFingerprint};
 
@@ -170,6 +171,64 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// Per-engine counters, in [`EngineKind::all`] order.
     pub engines: Vec<EngineStats>,
+    /// Where the memory is: the store's ledger against the process.
+    pub bytes: BytesSnapshot,
+}
+
+/// The `bytes` block of `/stats`: every store's memory ledger, and what the
+/// process holds beyond it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BytesSnapshot {
+    /// Resident set of the process (`VmRSS`; 0 where `/proc` is missing).
+    pub resident: u64,
+    /// Its high-water mark (`VmHWM`).
+    pub peak: u64,
+    /// Sum of the ledgers, heap and mapped.
+    pub accounted: u64,
+    /// `resident - accounted`: allocator slack, build garbage not yet
+    /// returned, plan cache, thread stacks. Negative when mapped pages the
+    /// ledger counts are not resident.
+    pub unaccounted: i64,
+    /// Σ shard triples ÷ dataset triples (1 on a single store): what halo
+    /// replication costs.
+    pub replication_factor: f64,
+    /// Triples and ledger of each store (one entry on a single store).
+    pub shards: Vec<(usize, Vec<MemoryRow>)>,
+}
+
+fn ledger_total(rows: &[MemoryRow]) -> MemoryUse {
+    rows.iter().map(|r| r.bytes).sum()
+}
+
+impl BytesSnapshot {
+    fn append_json(&self, out: &mut String) {
+        out.push_str(&format!(
+            "{{\"resident\":{},\"peak\":{},\"accounted\":{},\"unaccounted\":{},\"replication_factor\":{:.3},\"shards\":[",
+            self.resident, self.peak, self.accounted, self.unaccounted, self.replication_factor,
+        ));
+        for (i, (triples, rows)) in self.shards.iter().enumerate() {
+            let total = ledger_total(rows);
+            out.push_str(&format!(
+                "{}{{\"shard\":{i},\"triples\":{triples},\"heap\":{},\"mapped\":{},\"components\":{{",
+                if i > 0 { "," } else { "" },
+                total.heap,
+                total.mapped,
+            ));
+            for (j, row) in rows.iter().enumerate() {
+                out.push_str(&format!(
+                    "{}\"{}{}{}\":{{\"heap\":{},\"mapped\":{}}}",
+                    if j > 0 { "," } else { "" },
+                    row.component,
+                    if row.part.is_empty() { "" } else { "." },
+                    row.part,
+                    row.bytes.heap,
+                    row.bytes.mapped,
+                ));
+            }
+            out.push_str("}}");
+        }
+        out.push_str("]}");
+    }
 }
 
 /// Per-engine counters inside a [`StatsSnapshot`].
@@ -243,7 +302,9 @@ impl StatsSnapshot {
                 e.morsels_stolen,
             ));
         }
-        out.push_str("}}");
+        out.push_str("},\"bytes\":");
+        self.bytes.append_json(&mut out);
+        out.push('}');
         out
     }
 }
@@ -294,6 +355,13 @@ impl QueryService {
             config,
             store,
         };
+        let builds: Vec<_> = (service.store.stores().iter())
+            .flat_map(|store| store.builds())
+            .collect();
+        let build_ms = ["freeze", "type_aware", "direct", "permutations"].map(|structure| {
+            let of_structure = builds.iter().filter(|b| b.structure == structure);
+            (structure, of_structure.fold(0.0, |ms, b| ms + b.ms))
+        });
         service.journal.record(
             None,
             0.0,
@@ -302,6 +370,7 @@ impl QueryService {
                 backend: service.store.backend_name(),
                 triples: service.store.triple_count(),
                 mapped: service.store.is_mapped(),
+                build_ms,
             },
         );
         service
@@ -407,7 +476,7 @@ impl QueryService {
             Trace::new(trace_id)
         };
         let outcome = if options.analyze {
-            self.run_analyze(sparql, engine, threads)
+            self.run_analyze(sparql, engine, threads, trace_id)
         } else {
             self.run(sparql, engine, threads, &trace, trace_id)
         };
@@ -530,7 +599,9 @@ impl QueryService {
                 return Err(e.into());
             }
         };
-        match self.store.explain(sparql, engine) {
+        let explained = self.store.explain(sparql, engine);
+        self.journal_first_use_builds(trace_id);
+        match explained {
             Ok(report) => {
                 let elapsed = start.elapsed();
                 self.journal_event(
@@ -565,9 +636,12 @@ impl QueryService {
         sparql: &str,
         engine: EngineKind,
         threads: Option<usize>,
+        trace_id: u64,
     ) -> Result<Executed<'_>, StoreError> {
         let fp = fingerprint(sparql)?;
-        let (results, report) = self.store.analyze(sparql, engine, threads)?;
+        let analyzed = self.store.analyze(sparql, engine, threads);
+        self.journal_first_use_builds(trace_id);
+        let (results, report) = analyzed?;
         self.metrics.record_qerrors(&report.step_qerrors());
         self.metrics.record_false_lives(report.false_live_shards());
         Ok((results, false, fp, Some(report)))
@@ -578,6 +652,25 @@ impl QueryService {
     fn record_query_error(&self, engine: EngineKind, trace_id: u64, error: String) {
         self.metrics.record_error(engine);
         self.journal_event(Some(trace_id), JournalEvent::QueryFailed { engine, error });
+    }
+
+    /// Journals, under the request that caused them, the structures its
+    /// planning just built (none, except for the first plan that reads the
+    /// direct graph or the permutation tables).
+    fn journal_first_use_builds(&self, trace_id: u64) {
+        for (shard, store) in self.store.stores().iter().enumerate() {
+            for build in store.take_first_use_builds() {
+                self.journal_event(
+                    Some(trace_id),
+                    JournalEvent::StructureBuilt {
+                        structure: build.structure,
+                        shard,
+                        ms: build.ms,
+                        bytes: build.bytes,
+                    },
+                );
+            }
+        }
     }
 
     /// Records one journal event stamped with the current uptime.
@@ -612,7 +705,9 @@ impl QueryService {
             return Ok((results, true, fp, None));
         }
         // Cold path: parse + transform, run, then publish the plan.
-        let plan = self.store.prepare_plan_traced(sparql, engine, trace)?;
+        let prepared = self.store.prepare_plan_traced(sparql, engine, trace);
+        self.journal_first_use_builds(trace_id);
+        let plan = prepared?;
         self.plans_prepared.fetch_add(1, Ordering::Relaxed);
         let results = self.store.run_plan_traced(&plan, threads, trace)?;
         let key = PlanKey {
@@ -727,6 +822,41 @@ impl QueryService {
                 .replace('\\', "\\\\")
                 .replace('"', "\\\"")
         ));
+        let bytes = self.bytes();
+        out.push_str(
+            "# HELP turbohom_memory_bytes Bytes of each array group of each store component (the /stats bytes ledger; direct and permutations are one zero line until a plan reads them).\n",
+        );
+        out.push_str("# TYPE turbohom_memory_bytes gauge\n");
+        for (shard, (_, rows)) in bytes.shards.iter().enumerate() {
+            for MemoryRow {
+                component,
+                part,
+                bytes,
+            } in rows
+            {
+                for (kind, value) in [("heap", bytes.heap), ("mapped", bytes.mapped)] {
+                    out.push_str(&format!(
+                        "turbohom_memory_bytes{{component=\"{component}\",part=\"{part}\",kind=\"{kind}\",shard=\"{shard}\"}} {value}\n"
+                    ));
+                }
+            }
+        }
+        for (name, help, value) in [
+            (
+                "resident",
+                "Resident set of the server process (VmRSS)",
+                bytes.resident,
+            ),
+            (
+                "resident_peak",
+                "High-water mark of the resident set (VmHWM)",
+                bytes.peak,
+            ),
+        ] {
+            out.push_str(&format!(
+                "# HELP turbohom_process_{name}_bytes {help}.\n# TYPE turbohom_process_{name}_bytes gauge\nturbohom_process_{name}_bytes {value}\n"
+            ));
+        }
         if let Some(shards) = self.store.shard_count() {
             out.push_str(
                 "# HELP turbohom_shards Sharded-execution topology (1 = active; labels carry the configuration).\n",
@@ -774,6 +904,31 @@ impl QueryService {
         out
     }
 
+    /// Walks every store's memory ledger and reads the process's resident
+    /// set beside it (the `bytes` block of `/stats`).
+    pub fn bytes(&self) -> BytesSnapshot {
+        let stores = self.store.stores();
+        let shards: Vec<(usize, Vec<MemoryRow>)> = stores
+            .iter()
+            .map(|s| (s.triple_count(), s.memory()))
+            .collect();
+        let accounted: u64 = shards
+            .iter()
+            .map(|(_, rows)| ledger_total(rows))
+            .map(|m| m.heap + m.mapped)
+            .sum();
+        let (resident, peak) = crate::metrics::process_resident_bytes();
+        let shard_triples: usize = shards.iter().map(|(triples, _)| triples).sum();
+        BytesSnapshot {
+            resident,
+            peak,
+            accounted,
+            unaccounted: resident as i64 - accounted as i64,
+            replication_factor: shard_triples as f64 / self.store.triple_count().max(1) as f64,
+            shards,
+        }
+    }
+
     /// Takes a snapshot of every counter (the `/stats` payload).
     pub fn stats(&self) -> StatsSnapshot {
         let engines = EngineKind::all()
@@ -810,6 +965,7 @@ impl QueryService {
             connections: self.metrics.http().connections.load(Ordering::Relaxed),
             requests: self.metrics.http().requests.load(Ordering::Relaxed),
             engines,
+            bytes: self.bytes(),
         }
     }
 }

@@ -69,6 +69,21 @@ impl<T: Pod> FlatVec<T> {
         }
     }
 
+    /// Bytes this array holds on the heap: its elements when owned (or when
+    /// it views a buffered, not mapped, snapshot), 0 over a mapping. Counts
+    /// `len`, not capacity, so it equals the array's snapshot section.
+    pub fn heap_bytes(&self) -> u64 {
+        match &self.repr {
+            Repr::View { store, .. } if store.is_mapped() => 0,
+            _ => std::mem::size_of_val(self.as_slice()) as u64,
+        }
+    }
+
+    /// Bytes this array reads in place from a memory-mapped file.
+    pub fn mapped_bytes(&self) -> u64 {
+        std::mem::size_of_val(self.as_slice()) as u64 - self.heap_bytes()
+    }
+
     /// Mutable access as an owned `Vec`, converting a view into owned memory
     /// first (copy-on-write).
     pub fn to_mut(&mut self) -> &mut Vec<T> {
@@ -217,6 +232,16 @@ impl<T: Pod> FlatCsr<T> {
         self.data.len()
     }
 
+    /// Heap bytes of both arrays (see [`FlatVec::heap_bytes`]).
+    pub fn heap_bytes(&self) -> u64 {
+        self.offsets.heap_bytes() + self.data.heap_bytes()
+    }
+
+    /// Mapped bytes of both arrays.
+    pub fn mapped_bytes(&self) -> u64 {
+        self.offsets.mapped_bytes() + self.data.mapped_bytes()
+    }
+
     /// The offsets array (for snapshot writing).
     pub fn offsets(&self) -> &FlatVec<u64> {
         &self.offsets
@@ -228,9 +253,71 @@ impl<T: Pod> FlatCsr<T> {
     }
 }
 
+/// Bytes a structure holds, split by where they live: the entry type of the
+/// memory ledger (`Store::memory`, `/stats` `bytes`, `turbohom_memory_bytes`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryUse {
+    /// Bytes in owned heap memory.
+    pub heap: u64,
+    /// Bytes read in place from a memory-mapped snapshot.
+    pub mapped: u64,
+}
+
+impl<T: Pod> From<&FlatVec<T>> for MemoryUse {
+    fn from(v: &FlatVec<T>) -> Self {
+        MemoryUse {
+            heap: v.heap_bytes(),
+            mapped: v.mapped_bytes(),
+        }
+    }
+}
+
+impl<T: Pod> From<&FlatCsr<T>> for MemoryUse {
+    fn from(csr: &FlatCsr<T>) -> Self {
+        MemoryUse {
+            heap: csr.heap_bytes(),
+            mapped: csr.mapped_bytes(),
+        }
+    }
+}
+
+impl std::ops::Add for MemoryUse {
+    type Output = MemoryUse;
+
+    fn add(self, other: MemoryUse) -> MemoryUse {
+        MemoryUse {
+            heap: self.heap + other.heap,
+            mapped: self.mapped + other.mapped,
+        }
+    }
+}
+
+impl std::iter::Sum for MemoryUse {
+    fn sum<I: Iterator<Item = MemoryUse>>(iter: I) -> MemoryUse {
+        iter.fold(MemoryUse::default(), std::ops::Add::add)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bytes_are_heap_when_owned_or_buffered_and_mapped_over_a_mapping() {
+        let owned: FlatVec<u32> = vec![1, 2, 3].into();
+        assert_eq!((owned.heap_bytes(), owned.mapped_bytes()), (12, 0));
+        let buffered = Arc::new(ByteStore::from_bytes(&[0; 16]));
+        let view: FlatVec<u64> = FlatVec::view(buffered, 0, 2);
+        assert_eq!((view.heap_bytes(), view.mapped_bytes()), (16, 0));
+        let csr = FlatCsr::from_rows(&[vec![1u32, 2], vec![3]]);
+        assert_eq!(
+            MemoryUse::from(&csr) + MemoryUse::from(&owned),
+            MemoryUse {
+                heap: 3 * 8 + 3 * 4 + 12,
+                mapped: 0
+            }
+        );
+    }
 
     #[test]
     fn owned_flatvec_behaves_like_a_slice() {

@@ -141,11 +141,10 @@ impl SnapshotWriter {
     /// Serializes header + payload + table and writes the file atomically
     /// (via a sibling temp file and rename). Returns the total size in bytes.
     pub fn write_to(&self, path: &Path) -> Result<u64, SnapshotError> {
-        let mut payload = self.payload.clone();
-        while !payload.len().is_multiple_of(8) {
-            payload.push(0);
-        }
-        let table_offset = HEADER_LEN + payload.len();
+        // The table starts 8-byte aligned; the padding is checksummed and
+        // written after the payload instead of copying the payload to pad it.
+        let padding = &[0u8; 8][..self.payload.len().next_multiple_of(8) - self.payload.len()];
+        let table_offset = HEADER_LEN + self.payload.len() + padding.len();
         let mut table = Vec::with_capacity(self.sections.len() * ENTRY_LEN);
         for s in &self.sections {
             table.extend_from_slice(&s.tag.to_le_bytes());
@@ -153,7 +152,7 @@ impl SnapshotWriter {
             table.extend_from_slice(&s.len.to_le_bytes());
         }
         let file_len = table_offset + table.len();
-        let payload_checksum = fnv1a(FNV_OFFSET, &payload);
+        let payload_checksum = fnv1a(fnv1a(FNV_OFFSET, &self.payload), padding);
 
         let mut fixed = Vec::with_capacity(48);
         fixed.extend_from_slice(&MAGIC);
@@ -171,7 +170,8 @@ impl SnapshotWriter {
             f.write_all(&fixed)?;
             f.write_all(&header_checksum.to_le_bytes())?;
             f.write_all(&0u64.to_le_bytes())?;
-            f.write_all(&payload)?;
+            f.write_all(&self.payload)?;
+            f.write_all(padding)?;
             f.write_all(&table)?;
             f.sync_all()?;
         }
@@ -302,6 +302,11 @@ impl Snapshot {
         self.sections.len()
     }
 
+    /// Every section's `(tag, byte length)`, in file order.
+    pub fn sections(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.sections.iter().map(|s| (s.tag, s.len))
+    }
+
     /// Returns section `index` as a zero-copy view, checking its tag and
     /// that its byte length divides evenly into `T` elements.
     pub fn section<T: Pod>(&self, index: usize, tag: u64) -> Result<FlatVec<T>, SnapshotError> {
@@ -418,6 +423,11 @@ mod tests {
         assert!(snap.is_mapped());
         let v = snap.section::<u64>(0, 1).unwrap();
         assert!(v.is_view());
+        assert_eq!((v.heap_bytes(), v.mapped_bytes()), (0, 24));
+        assert_eq!(
+            snap.sections().collect::<Vec<_>>(),
+            [(1, 24), (2, 12), (3, 5)]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

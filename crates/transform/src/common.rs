@@ -3,7 +3,7 @@
 use std::fmt;
 use turbohom_graph::{ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex, VLabel, VertexId};
 use turbohom_rdf::TermId;
-use turbohom_storage::{FlatCsr, FlatVec, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatCsr, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (components 0x06 mappings, 0x07 transformed graph).
 const TAG_MAP_TERM_TO_VERTEX: u64 = 0x0601;
@@ -126,6 +126,16 @@ impl GraphMappings {
         l
     }
 
+    /// Bytes of the six mapping arrays.
+    pub fn memory(&self) -> MemoryUse {
+        MemoryUse::from(&self.term_to_vertex)
+            + (&self.vertex_to_term).into()
+            + (&self.term_to_vlabel).into()
+            + (&self.vlabel_to_term).into()
+            + (&self.term_to_elabel).into()
+            + (&self.elabel_to_term).into()
+    }
+
     /// Serializes all six mapping arrays as snapshot sections.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
         w.section(TAG_MAP_TERM_TO_VERTEX, &self.term_to_vertex);
@@ -219,6 +229,21 @@ impl TransformedGraph {
         }
     }
 
+    /// Bytes of every array of the bundle, by part: the graph's `csr` and
+    /// `labels` (the simple label sets counted with the latter), the two
+    /// indexes and the mappings.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 5] {
+        let [csr, (labels, label_bytes)] = self.graph.memory();
+        let simple = self.simple_labels.as_ref().map(MemoryUse::from);
+        [
+            csr,
+            (labels, label_bytes + simple.unwrap_or_default()),
+            ("inverse_labels", self.inverse_labels.memory()),
+            ("predicate_index", self.predicates.memory()),
+            ("mappings", self.mappings.memory()),
+        ]
+    }
+
     /// Serializes the whole bundle (meta, graph, indexes, mappings, simple
     /// labels) as snapshot sections.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
@@ -234,10 +259,12 @@ impl TransformedGraph {
         self.inverse_labels.write_sections(w);
         self.predicates.write_sections(w);
         self.mappings.write_sections(w);
-        let empty = FlatCsr::default();
-        let sl = self.simple_labels.as_ref().unwrap_or(&empty);
-        w.section(TAG_SIMPLE_LABEL_OFFSETS, sl.offsets());
-        w.section(TAG_SIMPLE_LABELS, sl.data());
+        let (offsets, labels): (&[u64], &[VLabel]) = match &self.simple_labels {
+            Some(sl) => (sl.offsets(), sl.data()),
+            None => (&[], &[]),
+        };
+        w.section(TAG_SIMPLE_LABEL_OFFSETS, offsets);
+        w.section(TAG_SIMPLE_LABELS, labels);
     }
 
     /// Reconstructs the bundle reading everything in place from a snapshot.

@@ -21,6 +21,9 @@ fn run_workload(
     queries: &[turbohom::datasets::BenchmarkQuery],
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n=== {name} ({} triples) ===", store.triple_count());
+    // The join baselines' permutation tables are built by their first plan;
+    // build them now so no timing below sits next to a build.
+    store.warm(EngineKind::MergeJoin);
     println!(
         "{:<4} {:>9} {:>14} {:>14} {:>14}   winner",
         "id", "solutions", "TurboHOM++", "MergeJoin", "HashJoin"
