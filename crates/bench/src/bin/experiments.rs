@@ -178,8 +178,9 @@ fn record_mode(args: &[String]) -> i32 {
                 .unwrap_or_else(|e| panic!("planning {} for {} failed: {e}", q.id, kind));
             let (runs, last) = measure_runs(|| {
                 store
-                    .run_plan_with(&plan, Some(threads))
+                    .run_plan_traced(&plan, Some(threads), &Trace::disabled())
                     .unwrap_or_else(|e| panic!("{} failed on {}: {e}", kind.label(), q.id))
+                    .decode()
             });
             // Cross-engine agreement doubles as a correctness witness in
             // every recorded file.

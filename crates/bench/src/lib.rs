@@ -65,6 +65,15 @@ pub fn protocol_median(runs: &[Duration; 5]) -> Duration {
     sorted[2]
 }
 
+/// The SPARQL-JSON body with its rows sorted: what the equivalence suites
+/// compare. Rows leave the engine in enumeration order, which differs across
+/// thread counts, store flavours and shard counts; the sorted bodies are equal
+/// exactly when the rows and their rendering are.
+pub fn canonical_json(mut results: QueryResults) -> String {
+    results.rows.sort();
+    results.to_sparql_json()
+}
+
 /// Runs `query` on `store` with `kind`, measured per the paper's protocol.
 pub fn measure_engine(
     store: &Store,

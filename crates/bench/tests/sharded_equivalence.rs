@@ -1,8 +1,8 @@
 //! LUBM(1) sharded scatter-gather differential: for every shard count the
-//! coordinator must return byte-identical SPARQL-JSON to the single-store
-//! path for every benchmark query on every engine.
+//! coordinator must return the single-store path's rows, rendered to the same
+//! bytes, for every benchmark query on every engine.
 
-use turbohom_bench::{lubm_store, sharded_lubm_store};
+use turbohom_bench::{canonical_json, lubm_store, sharded_lubm_store};
 use turbohom_datasets::lubm;
 use turbohom_engine::EngineKind;
 
@@ -18,8 +18,8 @@ fn lubm1_sharded_matches_single_store_for_every_benchmark_query() {
                 let a = single.execute(&q.sparql, kind).unwrap();
                 let b = sharded.execute(&q.sparql, kind).unwrap();
                 assert_eq!(
-                    a.to_sparql_json(),
-                    b.to_sparql_json(),
+                    canonical_json(a),
+                    canonical_json(b),
                     "{kind} disagrees between single store and k={shards} on {}",
                     q.id
                 );
@@ -52,7 +52,7 @@ fn lubm1_selective_queries_prune_shards_at_k8() {
 }
 
 #[test]
-fn one_live_shard_runs_inline_and_four_fan_out_to_the_same_bytes() {
+fn one_live_shard_runs_inline_and_four_fan_out_to_the_same_rows() {
     // The fan-out runs a single live shard on the calling thread and hands
     // several to a pool; both must gather what the single store returns.
     let single = lubm_store(1);
@@ -66,8 +66,8 @@ fn one_live_shard_runs_inline_and_four_fan_out_to_the_same_bytes() {
         let plan = sharded.prepare_plan(&q.sparql, kind).unwrap();
         live_counts.push(plan.live_shards().len());
         assert_eq!(
-            sharded.run_plan(&plan).unwrap().to_sparql_json(),
-            single.execute(&q.sparql, kind).unwrap().to_sparql_json(),
+            canonical_json(sharded.run_plan(&plan).unwrap()),
+            canonical_json(single.execute(&q.sparql, kind).unwrap()),
             "{} on {} live shard(s)",
             q.id,
             plan.live_shards().len()

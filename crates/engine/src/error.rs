@@ -30,6 +30,9 @@ pub enum StoreError {
     /// disconnected pattern, or a triple beyond the halo radius). The inner
     /// message says which rule failed; single-store execution still works.
     NotShardable(String),
+    /// The query has an `ORDER BY`. No engine sorts: rows leave in
+    /// enumeration order, so the clause is refused rather than ignored.
+    OrderByUnsupported,
 }
 
 impl fmt::Display for StoreError {
@@ -45,6 +48,10 @@ impl fmt::Display for StoreError {
                 "invalid thread count {n}: the override must be at least 1 (pass None for the store default)"
             ),
             StoreError::NotShardable(why) => write!(f, "query is not shardable: {why}"),
+            StoreError::OrderByUnsupported => write!(
+                f,
+                "ORDER BY is not supported: rows are returned in enumeration order"
+            ),
         }
     }
 }

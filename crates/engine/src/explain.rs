@@ -588,7 +588,7 @@ impl Store {
             "single",
             plan_type,
             query.limit,
-            plan.limit().is_some(),
+            plan.pushed_limit().is_some(),
         );
         report.components = explain_plan_components(self, plan);
         report
@@ -633,7 +633,7 @@ impl ShardedStore {
             "sharded",
             plan_type,
             query.limit,
-            plan.limit().is_some(),
+            plan.pushed_limit().is_some(),
         );
         report.anchor = Some(match plan.anchor() {
             Anchor::Variable(v) => format!("?{v}"),

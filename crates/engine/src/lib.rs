@@ -6,7 +6,7 @@
 //! variable predicates) and the six permutation indexes (the join-based
 //! baselines). A SPARQL query can then be executed with any
 //! [`EngineKind`] and returns uniform results: [`IdResults`], one flat buffer
-//! of term ids that a server sorts and serialises without copying a term, and
+//! of term ids that a server serialises without copying a term, and
 //! its decoded view [`QueryResults`], which is what the examples, the
 //! cross-engine correctness tests and the benchmark harness build on.
 
@@ -38,7 +38,7 @@ pub use turbohom_core::MatchStats;
 // startup diagnostics, the corruption tests) and readers of the memory
 // ledger need no direct storage dependency.
 pub use turbohom_storage::{MemoryUse, SnapshotError};
-// Re-exported so callers of `execute_traced` / the `*_traced` plan methods
+// Re-exported so callers of the `*_traced` plan methods
 // (the service, the benchmark recorder) need no direct trace dependency.
 pub use turbohom_trace::{format_trace_id, SpanId, SpanRecord, Trace, TraceReport};
 

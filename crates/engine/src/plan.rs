@@ -16,6 +16,10 @@
 //!
 //! Plans are `Send + Sync` (asserted at compile time in `lib.rs`) and can be
 //! run concurrently from many threads against the store that prepared them.
+//!
+//! Rows come back in enumeration order — stable for one store at one worker
+//! thread, unspecified otherwise — and `ORDER BY` is refused at plan time
+//! ([`StoreError::OrderByUnsupported`]): no engine applies it.
 
 use crate::error::StoreError;
 use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
@@ -38,10 +42,7 @@ use turbohom_transform::{TransformKind, TransformedGraph, TransformedQuery};
 pub struct QueryPlan {
     kind: EngineKind,
     projected: Vec<String>,
-    /// `LIMIT` pushed down from the query (only when no `OFFSET` shifts the
-    /// window): the graph engines stop enumerating once this many solutions
-    /// exist, the join baselines truncate their result.
-    limit: Option<usize>,
+    window: Window,
     mode: PlanMode,
 }
 
@@ -99,8 +100,8 @@ impl QueryPlan {
     /// The `LIMIT` pushed into the enumerator, if any. `None` either means
     /// the query has no `LIMIT` or that an `OFFSET` prevents the pushdown
     /// (skipped rows must still be enumerated).
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
+    pub fn pushed_limit(&self) -> Option<usize> {
+        self.window.pushed_limit()
     }
 
     /// Number of transformed connected components across all branches
@@ -163,6 +164,35 @@ impl ComponentPlan {
     }
 }
 
+/// The query's solution modifiers: skip `offset` rows (0 when absent), then
+/// keep at most `limit`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window {
+    pub(crate) offset: usize,
+    pub(crate) limit: Option<usize>,
+}
+
+impl Window {
+    /// The `LIMIT` an enumerator may stop at: none under an `OFFSET`, whose
+    /// skipped rows must still be enumerated.
+    pub(crate) fn pushed_limit(&self) -> Option<usize> {
+        self.limit.filter(|_| self.offset == 0)
+    }
+}
+
+/// The query's window. `ORDER BY` is refused here, for every planner and
+/// entry point alike: no engine applies it, and rows leave in enumeration
+/// order.
+pub(crate) fn window_of(query: &Query) -> Result<Window, StoreError> {
+    if !query.order_by.is_empty() {
+        return Err(StoreError::OrderByUnsupported);
+    }
+    Ok(Window {
+        offset: query.offset.unwrap_or(0),
+        limit: query.limit,
+    })
+}
+
 impl Store {
     /// Parses a SPARQL query and builds the full execution plan for `kind`.
     pub fn prepare_plan(&self, sparql: &str, kind: EngineKind) -> Result<QueryPlan, StoreError> {
@@ -194,15 +224,8 @@ impl Store {
     /// first plan that reads the direct graph or the permutation tables
     /// builds them here (see [`Store::take_first_use_builds`]).
     pub fn plan_query(&self, query: &Query, kind: EngineKind) -> Result<QueryPlan, StoreError> {
+        let window = window_of(query)?;
         let projected = query.projected_variables();
-        // LIMIT is only pushed into the enumerator when no OFFSET shifts the
-        // result window — skipped rows still have to be enumerated. (No
-        // engine applies DISTINCT or ORDER BY, so early termination cannot
-        // change which rows survive.)
-        let limit = match query.offset {
-            None | Some(0) => query.limit,
-            Some(_) => None,
-        };
         // Planning builds what the plan will read (the graph plans'
         // `transform_branch` does the same for the direct graph), so that
         // running a plan — cached or not — never does.
@@ -230,7 +253,7 @@ impl Store {
         Ok(QueryPlan {
             kind,
             projected,
-            limit,
+            window,
             mode,
         })
     }
@@ -238,27 +261,18 @@ impl Store {
     /// Runs a prepared plan with its built-in configuration and decodes the
     /// result.
     pub fn run_plan(&self, plan: &QueryPlan) -> Result<QueryResults, StoreError> {
-        self.run_plan_with(plan, None)
-    }
-
-    /// Runs a prepared plan, optionally overriding the worker-thread count
-    /// for this run only (the join baselines are single-threaded and ignore
-    /// the override), and decodes the result.
-    pub fn run_plan_with(
-        &self,
-        plan: &QueryPlan,
-        threads: Option<usize>,
-    ) -> Result<QueryResults, StoreError> {
         Ok(self
-            .run_plan_traced(plan, threads, &Trace::disabled())?
+            .run_plan_traced(plan, None, &Trace::disabled())?
             .decode())
     }
 
-    /// Like [`run_plan_with`](Self::run_plan_with), but returning the result
-    /// as term ids (what a server serialises from; see [`IdResults`]) and
-    /// recording two stage spans into `trace`: `execute`, the matching (one
-    /// span per union branch), and `materialise`, the projection of the
-    /// matches to term ids plus the canonical sort. With a
+    /// The run half behind every entry point: runs a prepared plan,
+    /// optionally overriding the worker-thread count for this run only (the
+    /// join baselines are single-threaded and ignore the override), and
+    /// returns the result as term ids (what a server serialises from; see
+    /// [`IdResults`]), rows in enumeration order. Records two stage spans
+    /// into `trace`: `execute`, the matching (one span per union branch),
+    /// and `materialise`, the projection of the matches to term ids. With a
     /// [detailed](Trace::is_detailed) trace the matching engine additionally
     /// records `candidate_regions`, `matching_order`, `enumeration` and
     /// per-worker spans as children of `execute` (the join baselines only
@@ -268,19 +282,6 @@ impl Store {
         plan: &QueryPlan,
         threads: Option<usize>,
         trace: &Trace,
-    ) -> Result<IdResults<'_>, StoreError> {
-        self.run_plan_ids(plan, threads, trace, true)
-    }
-
-    /// The run half behind every entry point. `canonical_order` is off only
-    /// for a shard of a sharded store, whose coordinator sorts the gathered
-    /// rows itself.
-    pub(crate) fn run_plan_ids(
-        &self,
-        plan: &QueryPlan,
-        threads: Option<usize>,
-        trace: &Trace,
-        canonical_order: bool,
     ) -> Result<IdResults<'_>, StoreError> {
         if threads == Some(0) {
             return Err(StoreError::InvalidThreadCount(0));
@@ -297,31 +298,17 @@ impl Store {
                     branches,
                     config,
                     &plan.projected,
-                    plan.limit,
+                    plan.pushed_limit(),
                     trace,
                     &mut materialise,
                 )?
             }
             PlanMode::Join { query, strategy } => {
-                let mut results = self.run_baseline(query, *strategy, trace, &mut materialise);
-                if let Some(limit) = plan.limit {
-                    results.truncate(limit);
-                }
-                results
+                self.run_baseline(query, *strategy, trace, &mut materialise)
             }
         };
+        results.apply_window(plan.window);
         results.elapsed = started.elapsed();
-        // Canonical row order: without a pushed-down LIMIT the full solution
-        // multiset is enumerated, so sorting makes the output independent of
-        // enumeration order — parallel morsel scheduling and sharded
-        // scatter-gather merge then produce byte-identical SPARQL-JSON to a
-        // single-threaded single-store run. (Under a LIMIT the engines stop
-        // early and any subset is a valid answer, so no order is imposed.)
-        if canonical_order && plan.limit.is_none() {
-            let sorting = Instant::now();
-            results.sort_canonical();
-            materialise += sorting.elapsed();
-        }
         trace.record_rollup(
             "materialise",
             None,
@@ -653,7 +640,9 @@ mod tests {
         let warm = store.run_plan(&plan).unwrap();
         assert_eq!(warm.rows, cold.rows);
         // The cached order survives a thread override.
-        let threaded = store.run_plan_with(&plan, Some(4)).unwrap();
+        let threaded = store
+            .run_plan_traced(&plan, Some(4), &Trace::disabled())
+            .unwrap();
         assert_eq!(threaded.len(), cold.len());
     }
 
@@ -694,7 +683,7 @@ mod tests {
         let q = format!("{Q} LIMIT 2");
         for kind in EngineKind::all() {
             let plan = store.prepare_plan(&q, kind).unwrap();
-            assert_eq!(plan.limit(), Some(2), "{kind}");
+            assert_eq!(plan.pushed_limit(), Some(2), "{kind}");
             let r = store.run_plan(&plan).unwrap();
             assert_eq!(r.rows.len(), 2, "{kind}");
             assert_eq!(r.solution_count, 2, "{kind}");
@@ -702,22 +691,45 @@ mod tests {
     }
 
     #[test]
-    fn offset_disables_the_limit_pushdown() {
+    fn offset_disables_the_limit_pushdown_and_shifts_the_window() {
         let store = sample_store();
         let q = format!("{Q} LIMIT 2 OFFSET 1");
-        let plan = store
-            .prepare_plan(&q, EngineKind::TurboHomPlusPlus)
-            .unwrap();
-        assert_eq!(plan.limit(), None);
-        // Without the pushdown all solutions are enumerated (the window is
-        // applied by the caller once OFFSET is involved).
-        assert_eq!(store.run_plan(&plan).unwrap().rows.len(), 4);
+        for kind in EngineKind::all() {
+            let plan = store.prepare_plan(&q, kind).unwrap();
+            assert_eq!(plan.pushed_limit(), None, "{kind}");
+            // All four solutions are enumerated; the window keeps rows 2–3.
+            let all = store.execute(Q, kind).unwrap();
+            let r = store.run_plan(&plan).unwrap();
+            assert_eq!(r.solution_count, 2, "{kind}");
+            assert_eq!(r.rows, all.rows[1..3], "{kind}");
+            // A window past the end is empty, not an error.
+            let past = store.execute(&format!("{Q} LIMIT 2 OFFSET 9"), kind);
+            assert!(past.unwrap().rows.is_empty(), "{kind}");
+            let tail = store.execute(&format!("{Q} OFFSET 3"), kind).unwrap();
+            assert_eq!(tail.rows, all.rows[3..], "{kind}");
+        }
         // OFFSET 0 does not shift the window, so the pushdown stays on.
         let q0 = format!("{Q} LIMIT 3 OFFSET 0");
         let plan0 = store
             .prepare_plan(&q0, EngineKind::TurboHomPlusPlus)
             .unwrap();
-        assert_eq!(plan0.limit(), Some(3));
+        assert_eq!(plan0.pushed_limit(), Some(3));
+    }
+
+    #[test]
+    fn order_by_is_refused_by_every_engine() {
+        let store = sample_store();
+        for modifiers in ["ORDER BY ?x", "ORDER BY DESC(?x) LIMIT 2"] {
+            for kind in EngineKind::all() {
+                let refused = store.prepare_plan(&format!("{Q} {modifiers}"), kind);
+                assert!(
+                    matches!(refused, Err(StoreError::OrderByUnsupported)),
+                    "{kind} {modifiers}"
+                );
+            }
+        }
+        let message = StoreError::OrderByUnsupported.to_string();
+        assert!(message.contains("ORDER BY"), "{message}");
     }
 
     #[test]
@@ -752,7 +764,7 @@ mod tests {
         for kind in EngineKind::all() {
             let plan = store.prepare_plan(Q, kind).unwrap();
             assert!(matches!(
-                store.run_plan_with(&plan, Some(0)),
+                store.run_plan_traced(&plan, Some(0), &Trace::disabled()),
                 Err(StoreError::InvalidThreadCount(0))
             ));
         }

@@ -2,12 +2,17 @@
 //!
 //! A result stays a table of integer ids from the enumerator to the moment
 //! it is written out: [`IdResults`] is one flat [`IdRows`] buffer of term ids
-//! plus the dictionaries they resolve through. It is sorted into the
-//! canonical row order and serialised through borrowed [`TermRef`] views, so
-//! no `Term` is cloned unless an embedder asks for the decoded view,
-//! [`QueryResults`], with [`IdResults::decode`]. Both views serialise through
-//! the one SPARQL-JSON writer in this module.
+//! plus the dictionaries they resolve through. It is serialised through
+//! borrowed [`TermRef`] views, so no `Term` is cloned unless an embedder asks
+//! for the decoded view, [`QueryResults`], with [`IdResults::decode`]. Both
+//! views serialise through the one SPARQL-JSON writer in this module.
+//!
+//! Rows are in enumeration order: stable for one store at one worker thread,
+//! unspecified otherwise. Nothing here sorts them (`ORDER BY` is refused at
+//! plan time), so whoever compares results across thread counts, store
+//! flavours or shard counts sorts the decoded rows first.
 
+use crate::plan::Window;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
@@ -31,7 +36,7 @@ pub struct QueryResults {
     pub solution_count: usize,
     /// Wall-clock time of pattern matching and of projecting the matches to
     /// term ids. Parsing and query-graph transformation happened at
-    /// plan-preparation time; the canonical sort, dictionary decoding
+    /// plan-preparation time; dictionary decoding
     /// ([`decode_elapsed`](Self::decode_elapsed)) and serialisation come
     /// after it and are not included (mirroring the paper's protocol of
     /// timing only query processing, and making cold and warm plan-cache
@@ -116,9 +121,8 @@ pub(crate) enum Dictionaries<'s> {
 /// Rows are kept in one flat buffer and resolved through the store's
 /// dictionary (the producing shard's, on a sharded store) only when they are
 /// compared, serialised or decoded, so memory per in-flight query is bounded
-/// by the id buffer rather than by rendered text (the canonical sort holds a
-/// buffer of sort keys while it runs). The value borrows the store that
-/// produced it.
+/// by the id buffer rather than by rendered text. The value borrows the store
+/// that produced it.
 #[derive(Debug, Clone)]
 pub struct IdResults<'s> {
     /// The projected variable names (without `?`).
@@ -192,46 +196,21 @@ impl<'s> IdResults<'s> {
             .map(move |&cell| term_of(dictionary, cell))
     }
 
-    /// Sorts the rows into the canonical order: the order of the decoded
-    /// rows (`Vec<Option<Term>>`: unbound first, then `Term`'s order).
-    ///
-    /// Comparing through the dictionary costs a cache miss or two per look
-    /// at a term, on every comparison (on a 65k-row LUBM(640) scan the sort
-    /// then takes three times as long as sorting cloned terms). Instead each
-    /// row is written once, in enumeration order — which walks the
-    /// dictionary nearly sequentially — as a byte string whose `memcmp`
-    /// order is the canonical order, into one buffer that lives for the
-    /// length of the sort; the sort then compares adjacent memory only.
-    pub(crate) fn sort_canonical(&mut self) {
-        if self.variables.is_empty() {
-            return;
+    /// Applies the query's window: drops the first `offset` rows, then keeps
+    /// at most `limit`.
+    pub(crate) fn apply_window(&mut self, Window { offset, limit }: Window) {
+        if let Some(limit) = limit {
+            self.rows.truncate(offset.saturating_add(limit));
         }
-        let mut keys: Vec<u8> = Vec::with_capacity(self.rows.len() * 32);
-        // Per row: where its key starts, its length, and the row.
-        let mut order: Vec<(usize, u32, u32)> = Vec::with_capacity(self.rows.len());
-        for (i, row) in self.rows.iter().enumerate() {
-            let start = keys.len();
-            for term in self.terms(row) {
-                append_sort_key(&mut keys, term);
-            }
-            let length = u32::try_from(keys.len() - start).expect("a row's text fits 4 GB");
-            order.push((
-                start,
-                length,
-                u32::try_from(i).expect("row indices fit u32"),
-            ));
+        if offset > 0 {
+            let mut seen = 0;
+            self.rows.retain(|_| {
+                seen += 1;
+                seen > offset
+            });
         }
-        let key = |&(start, length, _): &(usize, u32, u32)| &keys[start..start + length as usize];
-        order.sort_unstable_by(|a, b| key(a).cmp(key(b)));
-        self.rows = self
-            .rows
-            .gather(order.iter().map(|&(_, _, row)| row as usize));
-    }
-
-    /// Keeps the first `limit` rows.
-    pub(crate) fn truncate(&mut self, limit: usize) {
-        self.rows.truncate(limit);
-        self.solution_count = self.solution_count.min(limit);
+        let kept = self.solution_count.saturating_sub(offset);
+        self.solution_count = limit.map_or(kept, |limit| kept.min(limit));
     }
 
     /// Decodes every id into an owned [`Term`]: the one place terms are
@@ -289,58 +268,6 @@ impl<'s> IdResults<'s> {
 /// The term in a cell of an id row, `None` when unbound.
 pub(crate) fn term_of(dictionary: &Dictionary, cell: u32) -> Option<TermRef<'_>> {
     IdRows::term_id(cell).and_then(|id| dictionary.term_ref(id))
-}
-
-/// Appends one cell of a canonical-order sort key: an encoding of the term
-/// under which byte order is [`TermRef`]'s (and so `Term`'s) order, with
-/// unbound first, and no key is a prefix of another, so that the keys of a
-/// row's cells can simply be concatenated.
-fn append_sort_key(out: &mut Vec<u8>, term: Option<TermRef<'_>>) {
-    /// A string, then a terminator below every byte a longer string could
-    /// continue with: 0x00 0x00, with a 0x00 inside the string as 0x00 0xff.
-    fn text(out: &mut Vec<u8>, s: &str) {
-        if s.as_bytes().contains(&0) {
-            for piece in s.as_bytes().split_inclusive(|&byte| byte == 0) {
-                out.extend_from_slice(piece);
-                if piece.last() == Some(&0) {
-                    out.push(0xff);
-                }
-            }
-        } else {
-            out.extend_from_slice(s.as_bytes());
-        }
-        out.extend_from_slice(&[0, 0]);
-    }
-    fn optional_text(out: &mut Vec<u8>, s: Option<&str>) {
-        match s {
-            None => out.push(0),
-            Some(s) => {
-                out.push(1);
-                text(out, s);
-            }
-        }
-    }
-    match term {
-        None => out.push(0),
-        Some(TermRef::Iri(iri)) => {
-            out.push(1);
-            text(out, iri);
-        }
-        Some(TermRef::BlankNode(label)) => {
-            out.push(2);
-            text(out, label);
-        }
-        Some(TermRef::Literal {
-            lexical,
-            datatype,
-            language,
-        }) => {
-            out.push(3);
-            text(out, lexical);
-            optional_text(out, datatype);
-            optional_text(out, language);
-        }
-    }
 }
 
 /// Collects what `write` writes into a `String`.
@@ -772,12 +699,12 @@ mod tests {
         }
 
         #[test]
-        fn the_writer_matches_the_reference_serialiser_and_the_sort_matches_the_term_sort(
+        fn the_writer_matches_the_reference_serialiser(
             variables in proptest::collection::vec(text(), 0..4),
             cells in proptest::collection::vec(proptest::option::of(term()), 0..24),
         ) {
             let width = variables.len().max(1);
-            let mut rows: Vec<Vec<Option<Term>>> = cells
+            let rows: Vec<Vec<Option<Term>>> = cells
                 .chunks_exact(width)
                 .map(|row| row[..variables.len()].to_vec())
                 .collect();
@@ -786,22 +713,18 @@ mod tests {
                 owned.encode(term);
             }
             let view = snapshot_view(&owned, 1);
-            let unsorted = reference::to_sparql_json(&variables, &rows);
+            let expected = reference::to_sparql_json(&variables, &rows);
             let decoded = QueryResults {
                 variables: variables.clone(),
                 solution_count: rows.len(),
-                rows: rows.clone(),
+                rows,
                 ..Default::default()
             };
-            prop_assert_eq!(&decoded.to_sparql_json(), &unsorted);
-            rows.sort_unstable();
-            let sorted = reference::to_sparql_json(&variables, &rows);
+            prop_assert_eq!(&decoded.to_sparql_json(), &expected);
             for dictionary in [&owned, &view] {
-                let mut results = id_results(dictionary, &variables, &decoded.rows);
-                prop_assert_eq!(&results.to_sparql_json(), &unsorted);
-                results.sort_canonical();
-                prop_assert_eq!(&results.to_sparql_json(), &sorted);
-                prop_assert_eq!(&results.decode().rows, &rows);
+                let results = id_results(dictionary, &variables, &decoded.rows);
+                prop_assert_eq!(&results.to_sparql_json(), &expected);
+                prop_assert_eq!(&results.decode().rows, &decoded.rows);
             }
         }
     }

@@ -16,16 +16,17 @@
 //!    to its owner shard alone. A variable anchor fans out to the surviving
 //!    shards; each keeps only the rows whose anchor binding it owns, which
 //!    makes the concatenation an exact multiset partition of the
-//!    single-store answer — no deduplication, byte-identical SPARQL-JSON
-//!    (rows are canonically sorted on both paths, see
-//!    [`Store::run_plan_traced`]).
+//!    single-store answer — no deduplication. The gathered rows are the
+//!    shards' runs in ascending shard order, each in its own enumeration
+//!    order: the same rows as a single store returns, with the same
+//!    rendering, in another order.
 //!
 //! Queries outside the sharded scope (UNION, disconnected patterns, triples
 //! beyond the halo radius) fail with [`StoreError::NotShardable`]; the
 //! single-store path still handles them.
 
 use crate::error::StoreError;
-use crate::plan::QueryPlan;
+use crate::plan::{window_of, QueryPlan, Window};
 use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
 use std::path::{Path, PathBuf};
@@ -288,6 +289,8 @@ impl ShardedStore {
             let _span = trace.span("parse");
             parse_query(sparql)?
         };
+        // Before any pruning: the refusal must not depend on the data.
+        let window = window_of(&query)?;
         let shard_query = analyze_query(&query, self.halo).map_err(StoreError::NotShardable)?;
 
         // Layer 1: summary pruning + ownership routing decide the live set.
@@ -340,16 +343,10 @@ impl ShardedStore {
         span.counter("shard_plans", live.len() as u64);
         span.finish();
 
-        // Mirror the single-store LIMIT-pushdown rule: with an OFFSET the
-        // window is the caller's job, so no limit applies at the merge.
-        let limit = match query.offset {
-            None | Some(0) => query.limit,
-            Some(_) => None,
-        };
         Ok(ShardedPlan {
             kind,
             projected: query.projected_variables(),
-            limit,
+            window,
             anchor: shard_query.anchor,
             anchor_column,
             per_shard,
@@ -367,10 +364,10 @@ impl ShardedStore {
 
     /// Runs a sharded plan, scattering it across the live shards on a
     /// worker pool and gathering the per-shard id rows — each tagged with
-    /// the shard whose dictionary its ids belong to — into one canonical
-    /// result. Records an `execute` stage span with a `shard_fanout` child
+    /// the shard whose dictionary its ids belong to — in ascending shard
+    /// order. Records an `execute` stage span with a `shard_fanout` child
     /// plus one `shard_execute` roll-up per executed shard, and a
-    /// `materialise` stage span for the gather and the merge sort.
+    /// `materialise` stage span for the gather.
     pub fn run_plan_traced(
         &self,
         plan: &ShardedPlan,
@@ -393,25 +390,27 @@ impl ShardedStore {
             .live
             .len()
             .min(std::thread::available_parallelism().map_or(4, |n| n.get()));
-        let mut done: Vec<_> = drive(plan.live.len(), workers, || ShardWorker {
+        // Whichever worker ran a shard, its outcome lands at the shard's slot.
+        let mut done: Vec<_> = plan.live.iter().map(|_| None).collect();
+        for worker in drive(plan.live.len(), workers, || ShardWorker {
             store: self,
             plan,
             threads,
             scratch: String::new(),
             done: Vec::new(),
-        })
-        .into_iter()
-        .flat_map(|worker| worker.done)
-        .collect();
-        done.sort_unstable_by_key(|&(slot, _)| slot);
+        }) {
+            for (slot, result) in worker.done {
+                done[slot] = Some(result);
+            }
+        }
         fanout.finish();
 
         // Shard durations are recorded as roll-ups so a pool never skews the
         // span tree (the work happened on worker threads).
         let mut shard_results = Vec::with_capacity(done.len());
         let mut elapsed_max = std::time::Duration::ZERO;
-        for (slot, result) in done {
-            let result = result?;
+        for (slot, result) in done.into_iter().enumerate() {
+            let result = result.expect("the driver runs every live shard")?;
             trace.record_rollup(
                 "shard_execute",
                 parent,
@@ -456,13 +455,8 @@ impl ShardedStore {
         results.stats.shards_executed = plan.live.len();
         results.stats.shards_pruned = plan.pruned;
         results.elapsed = start.elapsed().max(elapsed_max);
-        // The same canonical order the single-store path imposes; the merge
-        // is then byte-identical to an unsharded run.
-        results.sort_canonical();
         results.solution_count = results.row_count();
-        if let Some(limit) = plan.limit {
-            results.truncate(limit);
-        }
+        results.apply_window(plan.window);
         merge.counter("rows", results.row_count() as u64);
         merge.finish();
         Ok(results)
@@ -476,8 +470,7 @@ impl ShardedStore {
 
     /// Runs one shard's plan and applies the ownership filter for variable
     /// anchors: each shard keeps exactly the rows whose anchor binding it
-    /// owns, so the gathered rows partition the global multiset. The rows
-    /// come back unsorted; the coordinator sorts the gathered whole.
+    /// owns, so the gathered rows partition the global multiset.
     fn run_shard(
         &self,
         plan: &ShardedPlan,
@@ -491,7 +484,7 @@ impl ShardedStore {
         let shard = &self.shards[shard_id];
         // Shard spans would tangle with the coordinator's tree (they run on
         // pool threads); durations are re-attached as roll-ups instead.
-        let mut results = shard.run_plan_ids(shard_plan, threads, &Trace::disabled(), false)?;
+        let mut results = shard.run_plan_traced(shard_plan, threads, &Trace::disabled())?;
         if let Some(col) = plan.anchor_column {
             let dictionary = &shard.dataset().dictionary;
             results.rows.retain(|row| {
@@ -535,9 +528,8 @@ impl Worker for ShardWorker<'_> {
 pub struct ShardedPlan {
     kind: EngineKind,
     projected: Vec<String>,
-    /// The merge-time LIMIT (single-store pushdown rule: absent when an
-    /// OFFSET shifts the window).
-    limit: Option<usize>,
+    /// Applied after the merge; the per-shard plans carry neither modifier.
+    window: Window,
     anchor: Anchor,
     /// Column of the anchor variable in the per-shard output (`None` for
     /// constant anchors, which route instead of filtering). It lies past the
@@ -581,9 +573,9 @@ impl ShardedPlan {
         self.per_shard.get(shard).and_then(|p| p.as_ref())
     }
 
-    /// The merge-time LIMIT, mirroring [`QueryPlan::limit`].
-    pub fn limit(&self) -> Option<usize> {
-        self.limit
+    /// The merge-time LIMIT, mirroring [`QueryPlan::pushed_limit`].
+    pub fn pushed_limit(&self) -> Option<usize> {
+        self.window.pushed_limit()
     }
 }
 
@@ -740,6 +732,14 @@ mod tests {
     use super::*;
     use turbohom_rdf::vocab;
 
+    /// `turbohom_bench::canonical_json`, which this crate's unit tests cannot
+    /// link: the body with its rows sorted, for comparing results whose
+    /// enumeration orders differ.
+    fn canonical_json(mut results: QueryResults) -> String {
+        results.rows.sort();
+        results.to_sparql_json()
+    }
+
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
     }
@@ -817,7 +817,7 @@ mod tests {
     ];
 
     #[test]
-    fn sharded_results_are_byte_identical_to_single_store() {
+    fn sharded_results_are_the_single_store_rows_with_the_same_rendering() {
         let single = single_store();
         for partitioner in [PartitionerKind::Hash, PartitionerKind::Greedy] {
             for k in [1, 3, 4] {
@@ -827,8 +827,8 @@ mod tests {
                         let expect = single.execute(q, kind).unwrap();
                         let got = sharded.execute(q, kind).unwrap();
                         assert_eq!(
-                            got.to_sparql_json(),
-                            expect.to_sparql_json(),
+                            canonical_json(got),
+                            canonical_json(expect),
                             "k={k} {partitioner:?} {kind} {q}"
                         );
                     }
@@ -891,19 +891,47 @@ mod tests {
     }
 
     #[test]
-    fn limit_applies_after_the_merge() {
+    fn limit_and_offset_apply_after_the_merge() {
         let single = single_store();
         let sharded = sharded(3, PartitionerKind::Hash);
-        let q = format!("{} LIMIT 4", QUERIES[0]);
-        let r = sharded.execute(&q, EngineKind::TurboHomPlusPlus).unwrap();
-        assert_eq!(r.rows.len(), 4);
-        // The sharded rows are the 4 smallest in canonical order — a valid
-        // LIMIT answer, and a deterministic one.
-        let mut all = single
-            .execute(QUERIES[0], EngineKind::TurboHomPlusPlus)
-            .unwrap();
-        all.rows.truncate(4);
-        assert_eq!(r.rows, all.rows);
+        for kind in EngineKind::all() {
+            let all = single.execute(QUERIES[0], kind).unwrap();
+            assert_eq!(all.rows.len(), 10);
+            // Any 4 rows of the full answer are a valid LIMIT answer.
+            let r = sharded
+                .execute(&format!("{} LIMIT 4", QUERIES[0]), kind)
+                .unwrap();
+            assert_eq!((r.rows.len(), r.solution_count), (4, 4), "{kind}");
+            assert!(r.rows.iter().all(|row| all.rows.contains(row)), "{kind}");
+            // The window is cut from the gathered rows, whichever shard
+            // they came from.
+            let gathered = sharded.execute(QUERIES[0], kind).unwrap();
+            let q = format!("{} LIMIT 4 OFFSET 7", QUERIES[0]);
+            let plan = sharded.prepare_plan(&q, kind).unwrap();
+            assert_eq!(plan.pushed_limit(), None);
+            let r = sharded.run_plan(&plan).unwrap();
+            assert_eq!(r.solution_count, 3, "{kind}");
+            assert_eq!(r.rows, gathered.rows[7..], "{kind}");
+        }
+    }
+
+    #[test]
+    fn order_by_is_refused_even_when_every_shard_is_pruned() {
+        let sharded = sharded(4, PartitionerKind::Hash);
+        for pattern in ["?x ub:memberOf ?d", "?x ub:nonexistent ?d"] {
+            let q = format!(
+                "PREFIX ub: <http://ub.org/> SELECT ?x WHERE {{ {pattern} . }} ORDER BY ?x"
+            );
+            for kind in EngineKind::all() {
+                assert!(
+                    matches!(
+                        sharded.prepare_plan(&q, kind),
+                        Err(StoreError::OrderByUnsupported)
+                    ),
+                    "{kind} {pattern}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -938,7 +966,7 @@ mod tests {
             .find(|s| s.name == "shard_fanout")
             .unwrap();
         assert_eq!(fanout.parent, Some(execute.id));
-        // The gather and the merge sort are the sharded `materialise`.
+        // The gather is the sharded `materialise`.
         let merge = report
             .spans
             .iter()
@@ -982,7 +1010,7 @@ mod tests {
         for q in QUERIES {
             let a = built.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
             let b = booted.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
-            assert_eq!(a.to_sparql_json(), b.to_sparql_json());
+            assert_eq!(canonical_json(a), canonical_json(b));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1006,7 +1034,7 @@ mod tests {
             assert_eq!(plan.kind(), EngineKind::TurboHomPlusPlus);
             assert_eq!(plan.projected_variables(), ["x", "d"]);
             let r = store.run_plan_traced(&plan, None, &trace).unwrap();
-            bodies.push(r.to_sparql_json());
+            bodies.push(canonical_json(r.decode()));
         }
         assert_eq!(bodies[0], bodies[1]);
     }

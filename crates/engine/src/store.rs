@@ -3,17 +3,16 @@
 
 use crate::backend::{Backend, MemoryRow, StructureBuild};
 use crate::error::StoreError;
-use crate::plan::QueryPlan;
+use crate::plan::{window_of, QueryPlan};
 use crate::results::{IdResults, QueryResults};
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use turbohom_baseline::{HashJoinEngine, JoinStrategy, MergeJoinEngine, PermutationIndexes};
 use turbohom_core::TurboHomConfig;
 use turbohom_rdf::{parse_ntriples, Dataset, IdRows, Term};
 use turbohom_sparql::{parse_query, GroupPattern, Query, SparqlTerm};
-use turbohom_trace::{Trace, TraceReport};
+use turbohom_trace::Trace;
 use turbohom_transform::{transform_query, TransformError, TransformedGraph, TransformedQuery};
 
 /// Which execution engine to use for a query.
@@ -332,39 +331,6 @@ impl Store {
         self.run_plan(&self.prepare_plan(sparql, kind)?)
     }
 
-    /// Like [`execute`](Self::execute), but overriding the number of worker
-    /// threads for this request only (the store-level
-    /// [`StoreOptions::threads`] remains the default).
-    pub fn execute_with_threads(
-        &self,
-        sparql: &str,
-        kind: EngineKind,
-        threads: Option<usize>,
-    ) -> Result<QueryResults, StoreError> {
-        self.run_plan_with(&self.prepare_plan(sparql, kind)?, threads)
-    }
-
-    /// Executes a query with full profiling: every pipeline stage (`parse`,
-    /// `transform`, `execute`, `materialise`) is timed, and the matching
-    /// engine records fine-grained child spans of `execute`
-    /// (`candidate_regions`, `matching_order`, `enumeration`, one `worker`
-    /// span per thread) with their [`MatchStats`] counters attached. The
-    /// embedded-API counterpart of the HTTP server's `profile=1` mode.
-    ///
-    /// Trace ids are assigned from a process-wide counter so concurrent
-    /// callers get distinct ids.
-    pub fn execute_traced(
-        &self,
-        sparql: &str,
-        kind: EngineKind,
-    ) -> Result<(QueryResults, TraceReport), StoreError> {
-        static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-        let trace = Trace::detailed(NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed));
-        let plan = self.prepare_plan_traced(sparql, kind, &trace)?;
-        let results = self.run_plan_traced(&plan, None, &trace)?.decode();
-        Ok((results, trace.finish()))
-    }
-
     /// Executes with an explicit TurboHOM configuration (used by the
     /// optimization-ablation and parallel-speed-up experiments).
     /// `force_direct` runs over the direct transformation regardless of the
@@ -376,16 +342,18 @@ impl Store {
         force_direct: bool,
     ) -> Result<QueryResults, StoreError> {
         let query = parse_query(sparql)?;
+        let window = window_of(&query)?;
         let branches = self.plan_branches(&query, force_direct)?;
         let started = Instant::now();
         let mut results = self.run_graph_plan(
             &branches,
             config,
             &query.projected_variables(),
-            None,
+            window.pushed_limit(),
             &Trace::disabled(),
             &mut Duration::default(),
         )?;
+        results.apply_window(window);
         results.elapsed = started.elapsed();
         Ok(results.decode())
     }
@@ -730,6 +698,16 @@ mod tests {
             for force_direct in [false, true] {
                 let r = store.execute_turbohom(q, config, force_direct).unwrap();
                 assert_eq!(r.len(), 3, "{opts:?} force_direct={force_direct}");
+                // The solution modifiers hold on this entry point too.
+                let windowed = format!("{q} LIMIT 5 OFFSET 1");
+                let w = store
+                    .execute_turbohom(&windowed, config, force_direct)
+                    .unwrap();
+                assert_eq!(w.rows, r.rows[1..], "{opts:?} {force_direct}");
+                assert!(matches!(
+                    store.execute_turbohom(&format!("{q} ORDER BY ?x"), config, force_direct),
+                    Err(StoreError::OrderByUnsupported)
+                ));
             }
         }
     }
@@ -786,9 +764,10 @@ mod tests {
                    SELECT ?x WHERE { ?x rdf:type ub:Student . }"#;
         // The store was built with threads = 1; the override applies per call.
         assert_eq!(store.options().threads, 1);
-        let seq = store.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
+        let plan = store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap();
+        let seq = store.run_plan(&plan).unwrap();
         let par = store
-            .execute_with_threads(q, EngineKind::TurboHomPlusPlus, Some(4))
+            .run_plan_traced(&plan, Some(4), &Trace::disabled())
             .unwrap();
         assert_eq!(seq.len(), par.len());
         assert_eq!(store.options().threads, 1);
@@ -801,26 +780,33 @@ mod tests {
                    PREFIX ub: <http://ub.org/>
                    SELECT ?x WHERE { ?x rdf:type ub:Student . }"#;
         for kind in EngineKind::all() {
-            let err = store.execute_with_threads(q, kind, Some(0)).unwrap_err();
+            let plan = store.prepare_plan(q, kind).unwrap();
+            let err = store
+                .run_plan_traced(&plan, Some(0), &Trace::disabled())
+                .unwrap_err();
             assert!(matches!(err, StoreError::InvalidThreadCount(0)), "{kind}");
+            // `None` still means "use the store default".
+            assert!(store
+                .run_plan_traced(&plan, None, &Trace::disabled())
+                .is_ok());
         }
-        // `None` still means "use the store default".
-        assert!(store
-            .execute_with_threads(q, EngineKind::TurboHomPlusPlus, None)
-            .is_ok());
     }
 
     #[test]
-    fn execute_traced_profiles_every_stage() {
+    fn a_detailed_trace_profiles_every_stage() {
         let store = sample_store();
         let q = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                    PREFIX ub: <http://ub.org/>
                    SELECT ?x ?d WHERE { ?x rdf:type ub:Student . ?x ub:memberOf ?d . }"#;
-        let (results, report) = store
-            .execute_traced(q, EngineKind::TurboHomPlusPlus)
-            .unwrap();
-        assert_eq!(results.len(), 3);
-        assert!(report.trace_id > 0);
+        let traced = |kind, trace_id| {
+            let trace = Trace::detailed(trace_id);
+            let plan = store.prepare_plan_traced(q, kind, &trace).unwrap();
+            let results = store.run_plan_traced(&plan, None, &trace).unwrap();
+            (results.len(), trace.finish())
+        };
+        let (solutions, report) = traced(EngineKind::TurboHomPlusPlus, 7);
+        assert_eq!(solutions, 3);
+        assert_eq!(report.trace_id, 7);
         // The pipeline stages appear as roots, in order, and sum to no more
         // than the total traced time.
         let stages = report.stages();
@@ -838,8 +824,8 @@ mod tests {
             assert_eq!(span.parent, Some(execute.id));
         }
         assert!(execute.counters.contains(&("solutions", 3)));
-        // Projecting the matches to term ids and sorting them is its own
-        // stage, so `execute` is the matcher's time alone.
+        // Projecting the matches to term ids is its own stage, so `execute`
+        // is the matcher's time alone.
         let materialise = report
             .spans
             .iter()
@@ -848,11 +834,9 @@ mod tests {
         assert_eq!(materialise.parent, None);
         assert!(materialise.counters.contains(&("rows", 3)));
         // Join baselines only get the coarse pipeline spans.
-        let (_, join_report) = store.execute_traced(q, EngineKind::MergeJoin).unwrap();
+        let (_, join_report) = traced(EngineKind::MergeJoin, 8);
         assert!(join_report.spans.iter().any(|s| s.name == "execute"));
         assert!(join_report.spans.iter().all(|s| s.name != "enumeration"));
-        // Trace ids are distinct across calls.
-        assert_ne!(report.trace_id, join_report.trace_id);
         // The profile JSON carries the stage breakdown.
         let json = report.to_json();
         assert!(json.contains("\"stages\":{\"parse\":"));

@@ -2,13 +2,15 @@
 //! per row or per cell. A count-only run — parse, transform, one candidate
 //! region per start vertex, nothing materialised — costs a constant number
 //! of allocations plus buffer doublings, whether a region is a single vertex
-//! or two triangles joined at it; executing the scan to id rows, sorting
-//! them into the canonical order and serialising them costs a constant
-//! number (plus doublings) more.
+//! or two triangles joined at it; executing the scan to id rows and
+//! serialising them costs a constant number (plus doublings) more, and no
+//! bytes beyond the id rows and the writer's buffer. Nothing reorders the
+//! rows on the way: an unlimited scan leaves in enumeration order.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use turbohom_core::TurboHomConfig;
 use turbohom_engine::{EngineKind, Store, Trace};
 use turbohom_rdf::{vocab, Dataset};
@@ -16,12 +18,22 @@ use turbohom_rdf::{vocab, Dataset};
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by each test while it runs: the counters are process-wide.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    // The other test having failed is no reason for this one to.
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // counter publishes no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -29,6 +41,7 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,12 +49,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations (and reallocations) `work` performs on this thread's behalf.
-/// The one test of this file is the only code running while it counts.
-fn allocations(work: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+/// Allocations (and reallocations) `work` performs, and the bytes they ask
+/// for. The caller runs [`alone`], so nothing else runs meanwhile.
+fn allocations(work: impl FnOnce()) -> (usize, usize) {
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     work();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    (
+        ALLOCATIONS.load(Ordering::Relaxed) - before.0,
+        BYTES.load(Ordering::Relaxed) - before.1,
+    )
 }
 
 /// A sink that keeps nothing, so the response costs it no allocation.
@@ -64,18 +83,42 @@ const TWO_TRIANGLES: &str = "PREFIX ex: <http://ex.org/> \
     ?h ex:a ?l1 . ?l1 ex:b ?l2 . ?l2 ex:c ?h . \
     ?h ex:d ?r1 . ?r1 ex:e ?r2 . ?r2 ex:f ?h . }";
 
+/// `n` students over 16 departments, inserted — and so numbered — in an
+/// order that is not the order of their IRIs.
+fn student_store(n: usize) -> Store {
+    let mut dataset = Dataset::new();
+    for i in 0..n {
+        dataset.insert_iris(
+            &format!("http://ex.org/dept{}/student{i}", i % 16),
+            vocab::RDF_TYPE,
+            "http://ex.org/Student",
+        );
+    }
+    Store::from_dataset(dataset)
+}
+
+#[test]
+fn an_unlimited_scan_leaves_in_enumeration_order() {
+    let _alone = alone();
+    let store = student_store(16_000);
+    let kind = EngineKind::TurboHomPlusPlus;
+    // A LIMIT no result reaches stops nothing early and reorders nothing.
+    let enumerated = store
+        .execute(&format!("{SCAN} LIMIT 1000000000"), kind)
+        .unwrap();
+    let unlimited = store.execute(SCAN, kind).unwrap();
+    assert_eq!(unlimited.rows.len(), 16_000);
+    assert!(unlimited.rows == enumerated.rows, "the scan was reordered");
+    let mut sorted = unlimited.rows.clone();
+    sorted.sort();
+    assert!(sorted != unlimited.rows, "id order is IRI order here");
+}
+
 #[test]
 fn matching_and_serialising_allocate_nothing_per_region_or_row() {
+    let _alone = alone();
     for n in [1_000usize, 16_000] {
-        let mut dataset = Dataset::new();
-        for i in 0..n {
-            dataset.insert_iris(
-                &format!("http://ex.org/dept{}/student{i}", i % 16),
-                vocab::RDF_TYPE,
-                "http://ex.org/Student",
-            );
-        }
-        let store = Store::from_dataset(dataset);
+        let store = student_store(n);
         let plan = store
             .prepare_plan(SCAN, EngineKind::TurboHomPlusPlus)
             .unwrap();
@@ -86,7 +129,7 @@ fn matching_and_serialising_allocate_nothing_per_region_or_row() {
         // Warm both paths once (the plan memoizes its matching order).
         assert_eq!(store.run_plan(&plan).unwrap().len(), n);
 
-        let baseline = allocations(|| {
+        let (baseline, _) = allocations(|| {
             let counted = store.execute_turbohom(SCAN, count_only, false).unwrap();
             assert_eq!(counted.len(), n);
         });
@@ -95,7 +138,7 @@ fn matching_and_serialising_allocate_nothing_per_region_or_row() {
             "{n} single-vertex regions: {baseline} allocations for the count-only run"
         );
         let mut sink = Discard(0);
-        let result_path = allocations(|| {
+        let (result_path, result_path_bytes) = allocations(|| {
             let results = store
                 .run_plan_traced(&plan, None, &Trace::disabled())
                 .unwrap();
@@ -105,10 +148,16 @@ fn matching_and_serialising_allocate_nothing_per_region_or_row() {
                 .unwrap();
         });
         assert!(sink.0 > n * 60, "{} bytes for {n} rows", sink.0);
-        let allowed = baseline + 64 + n / 64;
         assert!(
-            result_path <= allowed,
+            result_path <= 64,
             "{n} rows: {result_path} allocations against {baseline} for the count-only run"
+        );
+        // The matched and the projected ids (a `u32` per row each, the
+        // first grown by doubling) and the writer's 64 KB buffer: there is
+        // no room here for anything else that grows with the rows.
+        assert!(
+            result_path_bytes <= 12 * n + 96 * 1024,
+            "{n} rows: {result_path_bytes} bytes allocated on the result path"
         );
     }
     // Regions with an inside: every hub closes two triangles, so each region
@@ -136,14 +185,15 @@ fn matching_and_serialising_allocate_nothing_per_region_or_row() {
             count_only: true,
             ..store.default_config()
         };
-        allocations(|| {
+        let (count, _) = allocations(|| {
             let counted = store
                 .execute_turbohom(TWO_TRIANGLES, count_only, false)
                 .unwrap();
             assert_eq!(counted.len(), n);
             assert_eq!(counted.stats.candidate_regions, n);
             assert_eq!(counted.stats.intersection_ops, 2 * n);
-        })
+        });
+        count
     });
     assert!(
         counts[0] <= 512 && counts[1] <= counts[0] + 16,

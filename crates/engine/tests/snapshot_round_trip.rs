@@ -78,7 +78,7 @@ const QUERIES: &[&str] = &[
 ];
 
 #[test]
-fn snapshot_backend_is_byte_identical_to_heap_on_every_engine() {
+fn snapshot_backend_returns_the_heap_rows_on_every_engine() {
     let heap = sample_store();
     let path = temp_path("equivalence.snap");
     let bytes = heap.save_snapshot(&path).unwrap();
@@ -92,10 +92,14 @@ fn snapshot_backend_is_byte_identical_to_heap_on_every_engine() {
     assert_eq!(snap.triple_count(), heap.triple_count());
     assert!(snap.options().inference);
 
+    // Row order is enumeration order, which the two backends need not
+    // share: the same rows must render to the same bytes once sorted.
     for q in QUERIES {
         for kind in EngineKind::all() {
-            let a = heap.execute(q, kind).unwrap();
-            let b = snap.execute(q, kind).unwrap();
+            let mut a = heap.execute(q, kind).unwrap();
+            let mut b = snap.execute(q, kind).unwrap();
+            a.rows.sort();
+            b.rows.sort();
             assert_eq!(
                 a.to_sparql_json(),
                 b.to_sparql_json(),

@@ -178,16 +178,6 @@ impl IdRows {
         }
         self.truncate(kept);
     }
-
-    /// A new table whose rows are this one's rows `order` names, in that
-    /// order.
-    pub fn gather(&self, order: impl ExactSizeIterator<Item = usize>) -> IdRows {
-        let mut out = IdRows::with_capacity(self.stride, order.len());
-        for i in order {
-            out.push(self.row(i));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn append_truncate_retain_gather() {
+    fn append_truncate_retain() {
         let mut a = IdRows::new(1);
         let mut b = IdRows::new(1);
         for i in 0..5 {
@@ -232,8 +222,6 @@ mod tests {
         assert_eq!(a.len(), 6);
         a.retain(|row| row[0] % 2 == 1);
         assert_eq!(a.iter().map(|r| r[0]).collect::<Vec<_>>(), vec![1, 3, 9]);
-        let g = a.gather([2, 0].into_iter());
-        assert_eq!(g.iter().map(|r| r[0]).collect::<Vec<_>>(), vec![9, 1]);
         a.truncate(1);
         assert_eq!(a.len(), 1);
         a.clear();

@@ -207,10 +207,10 @@ impl fmt::Display for Term {
 /// A borrowed view of a [`Term`]: the same three shapes over `&str`s that
 /// live in a dictionary (its `Term`s, or the string arena of a snapshot).
 ///
-/// The result path sorts, filters and serialises through these views, so no
-/// `Term` is cloned between the enumerator and the socket. Variant and field
-/// order mirror [`Term`] exactly, which makes the derived ordering identical
-/// to `Term`'s derived `Ord` (the canonical row order depends on it).
+/// The result path filters and serialises through these views, so no `Term`
+/// is cloned between the enumerator and the socket. Variant and field order
+/// mirror [`Term`] exactly, which makes the derived ordering identical to
+/// `Term`'s derived `Ord`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TermRef<'a> {
     /// An IRI.

@@ -309,7 +309,7 @@ fn http_engine_parameter_and_stats_endpoint() {
 
 #[test]
 fn post_bodies_and_error_statuses() {
-    let (_service, handle) = lubm_service();
+    let (service, handle) = lubm_service();
     let addr = handle.addr();
 
     // POST with a urlencoded form body.
@@ -334,6 +334,35 @@ fn post_bodies_and_error_statuses() {
     let (status, _, body) = get_query(addr, "SELECT WHERE {", "turbohom++");
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     assert!(body.contains("\"error\""));
+
+    // ORDER BY → 400 naming it (refused, not ignored), counted and journaled
+    // like any other failed query.
+    let errors = || service.stats().engines[0].errors;
+    let before = errors();
+    let ordered = format!("{} ORDER BY ?X", lubm::queries()[5].sparql);
+    let (status, _, body) = get_query(addr, &ordered, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(body.contains("ORDER BY"), "{body}");
+    assert_eq!(errors(), before + 1);
+    let (_, _, events) = http_request(
+        addr,
+        "GET /debug/events HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
+    let failed = events.lines().rfind(|l| l.contains("query_failed"));
+    assert!(failed.is_some_and(|l| l.contains("ORDER BY")), "{events}");
+
+    // LIMIT n OFFSET m → the n rows after the first m.
+    let q6 = &lubm::queries()[5].sparql;
+    let all = service.query(q6, QueryOptions::default()).unwrap().results;
+    let window = format!("{q6} LIMIT 2 OFFSET 1");
+    let (status, _, body) = get_query(addr, &window, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    assert_eq!(body.matches("\"type\":\"uri\"").count(), 2, "{body}");
+    let rows = all.decode().rows;
+    for row in &rows[1..3] {
+        let iri = row[0].as_ref().unwrap().as_iri().unwrap();
+        assert!(body.contains(iri), "{iri} missing from {body}");
+    }
 
     // Unknown engine → 400.
     let (status, _, body) = get_query(addr, "SELECT ?s WHERE { ?s ?p ?o . }", "sparqlotron");

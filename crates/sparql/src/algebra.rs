@@ -219,7 +219,8 @@ pub struct Query {
     pub distinct: bool,
     /// The `WHERE` group.
     pub pattern: GroupPattern,
-    /// `ORDER BY` variables (recorded, not applied during matching).
+    /// `ORDER BY` variables (recorded; the engine refuses a query that has
+    /// any, since nothing sorts).
     pub order_by: Vec<String>,
     /// `LIMIT`, if present.
     pub limit: Option<usize>,

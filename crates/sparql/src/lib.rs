@@ -11,7 +11,8 @@
 //! * `WHERE` groups containing triple patterns (with `;`/`,` shorthand and
 //!   the `a` keyword), `OPTIONAL` groups (possibly nested), `FILTER`
 //!   expressions and `UNION` alternatives,
-//! * solution modifiers `ORDER BY`, `LIMIT`, `OFFSET` (parsed, recorded).
+//! * solution modifiers `ORDER BY`, `LIMIT`, `OFFSET` (parsed, recorded; the
+//!   engine applies the last two and refuses the first).
 //!
 //! The produced [`Query`] / [`GroupPattern`] algebra is consumed by the
 //! transformation crate (to build query graphs) and by the baseline engines

@@ -83,7 +83,7 @@ impl Trace {
 
     /// A detailed trace: additionally asks the matching core to time
     /// candidate-region exploration, matching-order selection and
-    /// per-worker enumeration. Used by `profile=1` and `execute_traced`.
+    /// per-worker enumeration. Used by `profile=1`.
     pub fn detailed(trace_id: u64) -> Trace {
         Trace::build(trace_id, true)
     }
