@@ -6,29 +6,26 @@
 //! ```
 //!
 //! Each experiment prints a table in the layout of the corresponding paper
-//! table/figure, with locally measured numbers. The mapping from experiment
-//! id to paper artifact is documented in DESIGN.md §2 and the measured
-//! results are recorded in EXPERIMENTS.md.
+//! table/figure, with locally measured numbers.
 //!
 //! `--engines=turbohom++,mergejoin` restricts the per-engine tables to the
 //! listed engines (names are parsed case-insensitively via
 //! `EngineKind::from_str`).
 //!
-//! The `record` mode is the perf flight recorder (docs/BENCHMARKING.md):
+//! The `record` mode writes the reproduction record (docs/BENCHMARKING.md):
 //!
 //! ```bash
 //! cargo run --release -p turbohom-bench --bin experiments -- record \
-//!     --scale=1 --out=BENCH_LUBM1.json --baseline=BENCH_LUBM1.json
+//!     --scale=64 --threads=1 --out=BENCH_LUBM64.json
 //! ```
 //!
-//! It measures every LUBM query on every engine (5 warm runs each), writes
-//! the medians and per-stage matcher counters to `--out`, and — when
-//! `--baseline` points at a committed record — fails (exit 1) if any query's
-//! median regressed more than 25% beyond the hardware-normalized median
-//! ratio (see `turbohom_bench::recorder`).
+//! It measures every LUBM query on every engine (5 warm runs each) and writes
+//! the medians, raw runs, per-stage matcher counters and stage timings to
+//! `--out` (see `turbohom_bench::recorder`). It compares against nothing: the
+//! regression gate is the repo benchmark (`BENCHMARK.json`).
 
 use std::collections::BTreeMap;
-use turbohom_bench::recorder::{regression_gate, BenchRecord, QueryRun};
+use turbohom_bench::recorder::{BenchRecord, QueryRun};
 use turbohom_bench::*;
 use turbohom_core::{OptimizationName, Optimizations, TurboHomConfig};
 use turbohom_datasets::{bsbm, btc, lubm, yago};
@@ -37,7 +34,7 @@ use turbohom_engine::{EngineKind, Trace};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "record") {
-        std::process::exit(record_mode(&args));
+        return record_mode(&args);
     }
     let engines: Vec<EngineKind> = args
         .iter()
@@ -103,25 +100,21 @@ fn flag<'a>(args: &'a [String], prefix: &str) -> Option<&'a str> {
     args.iter().find_map(|a| a.strip_prefix(prefix))
 }
 
-/// The flight recorder: measures the LUBM workload, writes
-/// `BENCH_<dataset>.json`, and optionally gates against a baseline record.
-/// Returns the process exit code.
-fn record_mode(args: &[String]) -> i32 {
+/// The reproduction record: measures the LUBM workload at one scale and
+/// writes `BENCH_<dataset>.json`.
+fn record_mode(args: &[String]) {
     let scale: usize = flag(args, "--scale=")
         .map(|v| v.parse().expect("--scale takes an integer"))
         .unwrap_or(1);
     let threads: usize = flag(args, "--threads=")
         .map(|v| v.parse().expect("--threads takes an integer"))
         .unwrap_or(1);
-    let tolerance: f64 = flag(args, "--tolerance=")
-        .map(|v| v.parse().expect("--tolerance takes a float"))
-        .unwrap_or(recorder::GATE_DEFAULT_TOLERANCE);
     let dataset = format!("LUBM{scale}");
     let out_path = flag(args, "--out=")
         .map(String::from)
         .unwrap_or_else(|| format!("BENCH_{dataset}.json"));
 
-    println!("flight recorder: building {dataset} ...");
+    println!("record: building {dataset} ...");
     let build_started = std::time::Instant::now();
     let store = lubm_store(scale);
     let parse_build_ms = build_started.elapsed().as_secs_f64() * 1000.0;
@@ -137,37 +130,31 @@ fn record_mode(args: &[String]) -> i32 {
     // The load_ms column: how long the same store takes to come up from a
     // snapshot (zero-copy map) vs the parse+build path above.
     let snapshot_path = std::env::temp_dir().join(format!("turbohom-bench-{dataset}.snap"));
-    let snapshot_map_ms = match store.save_snapshot(&snapshot_path) {
-        Ok(bytes) => {
-            let map_started = std::time::Instant::now();
-            let mapped = turbohom_engine::Store::from_snapshot(&snapshot_path)
-                .unwrap_or_else(|e| panic!("reloading snapshot failed: {e}"));
-            let ms = map_started.elapsed().as_secs_f64() * 1000.0;
-            assert_eq!(mapped.triple_count(), store.triple_count());
-            println!("  snapshot: {bytes} bytes, mapped in {ms:.1} ms");
-            std::fs::remove_file(&snapshot_path).ok();
-            Some(ms)
-        }
-        Err(e) => {
-            eprintln!("  snapshot timing skipped: {e}");
-            None
-        }
-    };
+    let bytes = store
+        .save_snapshot(&snapshot_path)
+        .unwrap_or_else(|e| panic!("saving snapshot failed: {e}"));
+    let map_started = std::time::Instant::now();
+    let mapped = turbohom_engine::Store::from_snapshot(&snapshot_path)
+        .unwrap_or_else(|e| panic!("reloading snapshot failed: {e}"));
+    let snapshot_map_ms = map_started.elapsed().as_secs_f64() * 1000.0;
+    assert_eq!(mapped.triple_count(), store.triple_count());
+    println!("  snapshot: {bytes} bytes, mapped in {snapshot_map_ms:.1} ms");
+    drop(mapped);
+    std::fs::remove_file(&snapshot_path).ok();
 
     let queries = lubm::queries();
     let mut record = BenchRecord {
         dataset,
         triples: store.triple_count(),
         threads,
-        load_ms: {
-            let mut l = vec![("parse_build".to_string(), parse_build_ms)];
-            if let Some(ms) = snapshot_map_ms {
-                l.push(("snapshot_map".to_string(), ms));
-            }
-            l.extend(structure_ms.map(|(structure, ms)| (format!("{structure}_build"), ms)));
-            l
-        },
-        ..BenchRecord::default()
+        load_ms: [
+            ("parse_build".to_string(), parse_build_ms),
+            ("snapshot_map".to_string(), snapshot_map_ms),
+        ]
+        .into_iter()
+        .chain(structure_ms.map(|(structure, ms)| (format!("{structure}_build"), ms)))
+        .collect(),
+        queries: Vec::new(),
     };
 
     for q in &queries {
@@ -254,136 +241,9 @@ fn record_mode(args: &[String]) -> i32 {
         );
     }
 
-    // The sharded column: the same queries through the scatter-gather
-    // coordinator at k=8. The regression gate only compares `queries`, so
-    // this section is informational — the interesting numbers are
-    // `shards_executed` / `shards_pruned` (summary pruning plus
-    // constant-anchor ownership routing) and the sharded load timings.
-    let shard_k = 8usize;
-    println!(
-        "flight recorder: building sharded {} (k={shard_k}) ...",
-        record.dataset
-    );
-    let sharded_build_started = std::time::Instant::now();
-    let sharded = sharded_lubm_store(scale, shard_k);
-    record.shard_count = shard_k;
-    record.load_ms.push((
-        "sharded_parse_build".to_string(),
-        sharded_build_started.elapsed().as_secs_f64() * 1000.0,
-    ));
-
-    // Sharded map timing: per-shard snapshots plus a manifest, booted back.
-    let manifest_path =
-        std::env::temp_dir().join(format!("turbohom-bench-{}.shards", record.dataset));
-    match sharded.save_snapshots(&manifest_path) {
-        Ok(bytes) => {
-            let map_started = std::time::Instant::now();
-            let mapped = turbohom_engine::ShardedStore::from_manifest(&manifest_path, 1)
-                .unwrap_or_else(|e| panic!("rebooting shard manifest failed: {e}"));
-            let ms = map_started.elapsed().as_secs_f64() * 1000.0;
-            assert_eq!(mapped.triple_count(), sharded.triple_count());
-            println!("  shard snapshots: {bytes} bytes, mapped in {ms:.1} ms");
-            record.load_ms.push(("sharded_map".to_string(), ms));
-            for i in 0..shard_k {
-                let name = format!("turbohom-bench-{}.shards.shard{i}.snap", record.dataset);
-                std::fs::remove_file(manifest_path.with_file_name(name)).ok();
-            }
-            std::fs::remove_file(&manifest_path).ok();
-        }
-        Err(e) => eprintln!("  sharded snapshot timing skipped: {e}"),
-    }
-
-    for q in &queries {
-        let plan = sharded
-            .prepare_plan(&q.sparql, EngineKind::TurboHomPlusPlus)
-            .unwrap_or_else(|e| panic!("sharded planning {} failed: {e}", q.id));
-        let (runs, last) = measure_runs(|| {
-            sharded
-                .run_plan_traced(&plan, Some(threads), &Trace::disabled())
-                .unwrap_or_else(|e| panic!("sharded turbohom++ failed on {}: {e}", q.id))
-                .decode()
-        });
-        // The sharded path must agree with the single store it mirrors.
-        let single = record
-            .queries
-            .iter()
-            .find(|r| r.id == q.id && r.engine == "turbohom++")
-            .map(|r| r.solutions)
-            .unwrap_or(0);
-        assert_eq!(
-            last.len(),
-            single,
-            "sharded execution disagrees with the single store on {}",
-            q.id
-        );
-        // One traced run for the stage column (includes `summary_prune`).
-        let trace = Trace::detailed(0);
-        let traced_plan = sharded
-            .prepare_plan_traced(&q.sparql, EngineKind::TurboHomPlusPlus, &trace)
-            .unwrap_or_else(|e| panic!("sharded traced planning {} failed: {e}", q.id));
-        sharded
-            .run_plan_traced(&traced_plan, Some(threads), &trace)
-            .unwrap_or_else(|e| panic!("sharded traced run failed on {}: {e}", q.id));
-        let report = trace.finish();
-        let qerror = sharded
-            .analyze(&q.sparql, EngineKind::TurboHomPlusPlus, Some(threads))
-            .unwrap_or_else(|e| panic!("sharded analyze {} failed: {e}", q.id))
-            .1
-            .max_qerror();
-        record.sharded.push(QueryRun {
-            id: q.id.clone(),
-            engine: "turbohom++".to_string(),
-            runs_ms: runs.iter().map(|d| d.as_secs_f64() * 1000.0).collect(),
-            median_ms: protocol_median(&runs).as_secs_f64() * 1000.0,
-            avg_ms: protocol_average(&runs).as_secs_f64() * 1000.0,
-            solutions: last.len(),
-            stats: last.stats,
-            qerror,
-            stages_ms: report
-                .stages()
-                .into_iter()
-                .map(|(name, ns)| (name.to_string(), ns as f64 / 1e6))
-                .collect(),
-        });
-        println!(
-            "  {:<4} sharded: {} live / {} pruned of {shard_k}",
-            q.id, last.stats.shards_executed, last.stats.shards_pruned
-        );
-    }
-
     let json = record.to_json();
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path} ({} bytes)", json.len());
-
-    if let Some(baseline_path) = flag(args, "--baseline=") {
-        let baseline_text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return 2;
-            }
-        };
-        let baseline = match BenchRecord::from_json(&baseline_text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot parse baseline {baseline_path}: {e}");
-                return 2;
-            }
-        };
-        let outcome = regression_gate(&baseline, &record, tolerance);
-        println!(
-            "gate vs {baseline_path}: {} compared, {} skipped, median ratio {:.2}x, tolerance {:.2}x",
-            outcome.compared, outcome.skipped, outcome.median_ratio, tolerance
-        );
-        if !outcome.passed() {
-            for f in &outcome.failures {
-                eprintln!("REGRESSION: {f}");
-            }
-            return 1;
-        }
-        println!("gate passed");
-    }
-    0
 }
 
 /// Keeps `defaults` in order, dropping the engines not selected on the

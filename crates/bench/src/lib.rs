@@ -5,7 +5,7 @@
 //! the remaining three are averaged; dictionary look-up time is excluded
 //! (our engines time only the pattern matching). [`measure`] implements that
 //! protocol; [`Workloads`] builds the stores for each benchmark dataset at
-//! the laptop-sized scale factors used throughout DESIGN.md §2.
+//! laptop-sized scale factors ([`LUBM_SCALES`]).
 
 use std::time::Duration;
 use turbohom_core::TurboHomConfig;
@@ -31,9 +31,9 @@ where
 }
 
 /// Executes a closure five times and returns the raw per-run durations (in
-/// execution order) together with the result of the last run. The flight
-/// recorder persists the raw runs; [`measure`] reduces them with the paper's
-/// protocol.
+/// execution order) together with the result of the last run. The
+/// reproduction record persists the raw runs; [`measure`] reduces them with
+/// the paper's protocol.
 pub fn measure_runs<F>(mut run: F) -> ([Duration; 5], QueryResults)
 where
     F: FnMut() -> QueryResults,
@@ -57,8 +57,8 @@ pub fn protocol_average(runs: &[Duration; 5]) -> Duration {
     kept.iter().sum::<Duration>() / kept.len() as u32
 }
 
-/// The median of five runs (the flight recorder's headline number — a single
-/// order statistic is more robust to scheduler noise than a mean).
+/// The median of five runs (the reproduction record's headline number — a
+/// single order statistic is more robust to scheduler noise than a mean).
 pub fn protocol_median(runs: &[Duration; 5]) -> Duration {
     let mut sorted = *runs;
     sorted.sort();
@@ -125,8 +125,7 @@ pub fn lubm_store(scale: usize) -> Store {
 }
 
 /// Builds the LUBM store partitioned across `shards` shard stores (hash
-/// ownership, default halo — the configuration the sharded benchmark column
-/// and the differential tests measure).
+/// ownership, default halo — the configuration the differential tests run).
 pub fn sharded_lubm_store(scale: usize, shards: usize) -> ShardedStore {
     let dataset = lubm::LubmGenerator::new(lubm::LubmConfig::scale(scale)).generate();
     ShardedStore::from_dataset_with(

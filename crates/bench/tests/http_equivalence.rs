@@ -232,9 +232,11 @@ fn streamed_bodies_equal_the_embedded_api_on_every_store_flavour() {
                 assert_eq!(response.status, 400, "{flavour} {id}");
                 continue;
             }
-            let expected = store
-                .execute(&sparql, EngineKind::TurboHomPlusPlus)
-                .unwrap();
+            let expected = match &store {
+                AnyStore::Single(s) => s.execute(&sparql, EngineKind::TurboHomPlusPlus),
+                AnyStore::Sharded(s) => s.execute(&sparql, EngineKind::TurboHomPlusPlus),
+            }
+            .unwrap();
             assert!(!expected.is_empty(), "{id} should have solutions");
             assert_eq!(response.status, 200, "{flavour} {id}");
             assert!(response.chunked(), "{flavour} {id}: {}", response.headers);

@@ -4,7 +4,7 @@
 //! generators and dumps are external artifacts (Java tools, multi-gigabyte
 //! downloads), so this crate re-creates each of them as a deterministic,
 //! seed-driven Rust generator that preserves the *statistical shape* the
-//! experiments rely on (see DESIGN.md §4 for the substitution argument):
+//! experiments rely on:
 //!
 //! | Paper dataset | Module | What is preserved |
 //! |---|---|---|

@@ -29,6 +29,7 @@ use crate::error::StoreError;
 use crate::plan::{window_of, QueryPlan, Window};
 use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -176,17 +177,11 @@ impl ShardedStore {
 
     /// Returns `true` if `path` looks like a shard manifest rather than a
     /// binary snapshot (manifests are JSON; snapshots start with magic
-    /// bytes).
+    /// bytes). Reads at most the first 64 bytes of the file.
     pub fn is_manifest(path: &Path) -> bool {
-        std::fs::read(path)
-            .ok()
-            .and_then(|bytes| {
-                bytes
-                    .iter()
-                    .find(|b| !b.is_ascii_whitespace())
-                    .map(|&b| b == b'{')
-            })
-            .unwrap_or(false)
+        let mut head = Vec::with_capacity(64);
+        let read = std::fs::File::open(path).and_then(|f| f.take(64).read_to_end(&mut head));
+        read.is_ok() && head.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{')
     }
 
     /// Boots a sharded store from a manifest written by
@@ -657,15 +652,6 @@ impl AnyStore {
         }
     }
 
-    /// Parses and executes in one call (sugar for prepare + run; services
-    /// cache the plan instead).
-    pub fn execute(&self, sparql: &str, kind: EngineKind) -> Result<QueryResults, StoreError> {
-        let plan = self.prepare_plan_traced(sparql, kind, &Trace::disabled())?;
-        Ok(self
-            .run_plan_traced(&plan, None, &Trace::disabled())?
-            .decode())
-    }
-
     /// The stores behind this one: the single store, or the shards in order.
     pub fn stores(&self) -> &[Arc<Store>] {
         match self {
@@ -987,6 +973,32 @@ mod tests {
             .unwrap();
         assert!(prune.counters.iter().any(|(n, _)| *n == "live"));
         assert!(prune.counters.iter().any(|(n, _)| *n == "pruned"));
+    }
+
+    #[test]
+    fn is_manifest_looks_at_the_head_of_the_file_only() {
+        let dir = std::env::temp_dir().join(format!("turbohom-sniff-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sniff = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            ShardedStore::is_manifest(&path)
+        };
+        // A snapshot far larger than the 64-byte window: magic first, and
+        // braces beyond the window that a whole-file scan would also skip.
+        let mut snapshot = b"TURBOSNP".to_vec();
+        snapshot.resize(4096, b'{');
+        assert!(!sniff("store.snap", &snapshot));
+        assert!(sniff("manifest", b" \n\t{\"version\": 1}"));
+        assert!(sniff("manifest-bare", b"{}"));
+        // Whitespace filling the whole window is not a manifest, whatever
+        // comes after it.
+        let mut padded = vec![b' '; 64];
+        padded.push(b'{');
+        assert!(!sniff("padded", &padded));
+        assert!(!sniff("empty", b""));
+        assert!(!ShardedStore::is_manifest(&dir.join("missing")));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

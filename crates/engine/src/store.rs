@@ -10,7 +10,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 use turbohom_baseline::{HashJoinEngine, JoinStrategy, MergeJoinEngine, PermutationIndexes};
 use turbohom_core::TurboHomConfig;
-use turbohom_rdf::{parse_ntriples, Dataset, IdRows, Term};
+use turbohom_rdf::{parse_ntriples, Dataset, IdRows};
 use turbohom_sparql::{parse_query, GroupPattern, Query, SparqlTerm};
 use turbohom_trace::Trace;
 use turbohom_transform::{transform_query, TransformError, TransformedGraph, TransformedQuery};
@@ -417,11 +417,6 @@ impl Store {
         }
         *materialise += projecting.elapsed();
         self.id_results(projected, rows)
-    }
-
-    /// Renders a term for display (used by the examples).
-    pub fn render(&self, term: &Term) -> String {
-        term.to_string()
     }
 }
 

@@ -190,8 +190,7 @@ fn concurrent_clients_get_results_identical_to_the_embedded_api() {
     let expected: Vec<String> = queries
         .iter()
         .map(|q| {
-            let results = service
-                .store()
+            let results = service.store().stores()[0]
                 .execute(&q.sparql, EngineKind::TurboHomPlusPlus)
                 .unwrap();
             assert!(!results.is_empty(), "{} should have solutions", q.id);
@@ -769,8 +768,7 @@ fn analyze_over_http_splices_actuals_and_feeds_qerror_metrics() {
     assert!(body.contains("\"mode\":\"analyze\""));
     assert!(body.contains("\"actual\""));
     // The actuals match what the embedded API returns for the same query.
-    let want = service
-        .store()
+    let want = service.store().stores()[0]
         .execute(q, EngineKind::TurboHomPlusPlus)
         .unwrap()
         .len();
