@@ -33,6 +33,9 @@ pub enum StoreError {
     /// The query has an `ORDER BY`. No engine sorts: rows leave in
     /// enumeration order, so the clause is refused rather than ignored.
     OrderByUnsupported,
+    /// The query is a `SELECT DISTINCT`. No engine removes duplicates, so
+    /// the modifier is refused rather than answered with them.
+    DistinctUnsupported,
 }
 
 impl fmt::Display for StoreError {
@@ -51,6 +54,10 @@ impl fmt::Display for StoreError {
             StoreError::OrderByUnsupported => write!(
                 f,
                 "ORDER BY is not supported: rows are returned in enumeration order"
+            ),
+            StoreError::DistinctUnsupported => write!(
+                f,
+                "DISTINCT is not supported: duplicate solutions are not removed"
             ),
         }
     }

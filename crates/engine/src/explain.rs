@@ -24,16 +24,16 @@
 //! body for `analyze=1`.
 
 use crate::error::StoreError;
-use crate::plan::{ComponentPlan, QueryPlan};
-use crate::results::{escape_json_into, IdResults};
+use crate::plan::{ComponentPlan, QueryPlan, Window};
+use crate::results::IdResults;
 use crate::sharded::{AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
 use turbohom_core::candidate_region::explore_candidate_region;
 use turbohom_core::query_tree::QueryTree;
 use turbohom_core::start_vertex::choose_start_vertex;
 use turbohom_core::{MatchStats, MatchingOrder, TurboHomConfig};
-use turbohom_partition::{labeled_footprint, summary_verdict, Anchor, SummaryVerdict};
-use turbohom_sparql::{parse_query, Query};
+use turbohom_json::{JsonWriter, ToJson};
+use turbohom_partition::{Anchor, ShardVerdict};
 use turbohom_trace::Trace;
 
 /// Schema identifier embedded in every report.
@@ -137,12 +137,13 @@ pub struct ShardExplain {
     pub triples: usize,
     /// `"live"`, `"pruned"` or `"routed-away"`.
     pub verdict: &'static str,
-    /// The summary check that pruned the shard (`"predicate"`, `"class"`,
-    /// `"term"`), pruned only.
+    /// The check that kept the shard from executing: the summary check that
+    /// pruned it (`"predicate"`, `"class"`, `"term"`) or `"ownership-route"`.
     pub check: Option<&'static str>,
-    /// How that check probes (`"exact"` or `"bloom"`), pruned only.
+    /// How that check probes (`"exact"` or `"bloom"`), set with `check`.
     pub probe: Option<&'static str>,
-    /// The query constant that no summary entry matched, pruned only.
+    /// The query constant that check decided on: the one no summary entry
+    /// matched, or the anchor that another shard owns.
     pub term: Option<String>,
     /// The shard-local component plans, live only.
     pub components: Vec<ComponentExplain>,
@@ -177,20 +178,17 @@ pub struct ActualSummary {
 }
 
 impl ExplainReport {
-    fn new(
-        engine: EngineKind,
-        store_flavor: &'static str,
-        plan_type: &'static str,
-        limit: Option<usize>,
-        limit_pushdown: bool,
-    ) -> Self {
+    fn new(engine: EngineKind, store_flavor: &'static str, window: Window) -> Self {
         ExplainReport {
             engine,
             store_flavor,
-            plan_type,
+            plan_type: match engine {
+                EngineKind::TurboHomPlusPlus | EngineKind::TurboHom => "graph",
+                EngineKind::MergeJoin | EngineKind::HashJoin => "join",
+            },
             analyzed: false,
-            limit,
-            limit_pushdown,
+            limit: window.limit,
+            limit_pushdown: window.pushed_limit().is_some(),
             components: Vec::new(),
             shards: Vec::new(),
             anchor: None,
@@ -228,12 +226,9 @@ impl ExplainReport {
     /// several components); the summary counters are attached always.
     fn attach_actuals(&mut self, results: &IdResults<'_>) {
         self.analyzed = true;
-        let max_qerror = results
-            .step_estimates
-            .iter()
-            .zip(&results.step_rows)
+        let max_qerror = std::iter::zip(&results.step_estimates, &results.step_rows)
             .map(|(&e, &a)| qerror(e, a))
-            .fold(None, |m: Option<f64>, q| Some(m.map_or(q, |m| m.max(q))));
+            .reduce(f64::max);
         let mut with_steps: Vec<&mut ComponentExplain> = self
             .components
             .iter_mut()
@@ -242,16 +237,11 @@ impl ExplainReport {
             .collect();
         if let [component] = with_steps.as_mut_slice() {
             for step in component.steps.iter_mut() {
-                let est = results.step_estimates.get(step.position).copied();
-                let act = results.step_rows.get(step.position).copied();
-                if let Some(est) = est {
-                    step.estimate = est;
+                if let Some(&estimate) = results.step_estimates.get(step.position) {
+                    step.estimate = estimate;
                 }
-                step.rows = act;
-                step.qerror = match (est.or(Some(step.estimate)), act) {
-                    (Some(e), Some(a)) => Some(qerror(e, a)),
-                    _ => None,
-                };
+                step.rows = results.step_rows.get(step.position).copied();
+                step.qerror = step.rows.map(|rows| qerror(step.estimate, rows));
             }
         }
         self.actual = Some(ActualSummary {
@@ -269,203 +259,95 @@ impl ExplainReport {
 
     /// Serializes the report as a `turbohom-explain/1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut out: Vec<u8> = Vec::with_capacity(512);
-        out.extend_from_slice(b"{\"schema\":\"");
-        out.extend_from_slice(EXPLAIN_SCHEMA.as_bytes());
-        out.extend_from_slice(b"\",\"mode\":\"");
-        out.extend_from_slice(if self.analyzed {
-            b"analyze"
-        } else {
-            b"explain"
-        });
-        out.extend_from_slice(b"\",\"engine\":\"");
-        out.extend_from_slice(self.engine.name().as_bytes());
-        out.extend_from_slice(b"\",\"store\":\"");
-        out.extend_from_slice(self.store_flavor.as_bytes());
-        out.extend_from_slice(b"\",\"plan\":\"");
-        out.extend_from_slice(self.plan_type.as_bytes());
-        out.extend_from_slice(b"\",\"limit\":");
-        match self.limit {
-            Some(l) => out.extend_from_slice(l.to_string().as_bytes()),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.extend_from_slice(b",\"limit_pushdown\":");
-        out.extend_from_slice(if self.limit_pushdown {
-            b"true"
-        } else {
-            b"false"
-        });
-        if let Some(anchor) = &self.anchor {
-            out.extend_from_slice(b",\"anchor\":\"");
-            escape_json_into(&mut out, anchor);
-            out.push(b'"');
-        }
-        out.extend_from_slice(b",\"components\":[");
-        for (i, c) in self.components.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            c.append_json(&mut out);
-        }
-        out.push(b']');
-        if !self.shards.is_empty() {
-            out.extend_from_slice(b",\"shards\":[");
-            for (i, s) in self.shards.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                s.append_json(&mut out);
-            }
-            out.push(b']');
-        }
-        if let Some(a) = &self.actual {
-            out.extend_from_slice(b",\"actual\":{\"solutions\":");
-            out.extend_from_slice(a.solutions.to_string().as_bytes());
-            out.extend_from_slice(b",\"rows\":");
-            out.extend_from_slice(a.rows.to_string().as_bytes());
-            out.extend_from_slice(b",\"elapsed_us\":");
-            out.extend_from_slice(a.elapsed_us.to_string().as_bytes());
-            out.extend_from_slice(b",\"intersections\":");
-            out.extend_from_slice(a.intersections.to_string().as_bytes());
-            out.extend_from_slice(b",\"recursions\":");
-            out.extend_from_slice(a.recursions.to_string().as_bytes());
-            out.extend_from_slice(b",\"morsels\":");
-            out.extend_from_slice(a.morsels.to_string().as_bytes());
-            out.extend_from_slice(b",\"steals\":");
-            out.extend_from_slice(a.steals.to_string().as_bytes());
-            out.extend_from_slice(b",\"max_qerror\":");
-            match a.max_qerror {
-                Some(q) => out.extend_from_slice(format_f64(q).as_bytes()),
-                None => out.extend_from_slice(b"null"),
-            }
-            out.extend_from_slice(b",\"false_live_shards\":");
-            out.extend_from_slice(a.false_live_shards.to_string().as_bytes());
-            out.push(b'}');
-        }
-        out.push(b'}');
-        String::from_utf8(out).expect("the emitter writes UTF-8")
+        turbohom_json::document(|w| {
+            w.begin_object()
+                .field("schema", EXPLAIN_SCHEMA)
+                .field("mode", if self.analyzed { "analyze" } else { "explain" })
+                .field("engine", self.engine.name())
+                .field("store", self.store_flavor)
+                .field("plan", self.plan_type)
+                .field("limit", self.limit)
+                .field("limit_pushdown", self.limit_pushdown)
+                .field_some("anchor", self.anchor.as_deref())
+                .field("components", &self.components)
+                .field_some("shards", Some(&self.shards).filter(|s| !s.is_empty()))
+                .field_some("actual", self.actual.as_ref())
+                .end_object();
+        })
     }
 }
 
-/// Formats an f64 for JSON: finite shortest-round-trip representation,
-/// with an explicit `.0` kept so the value stays a JSON number either way.
-fn format_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
+impl ToJson for ActualSummary {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("solutions", self.solutions)
+            .field("rows", self.rows)
+            .field("elapsed_us", self.elapsed_us)
+            .field("intersections", self.intersections)
+            .field("recursions", self.recursions)
+            .field("morsels", self.morsels)
+            .field("steals", self.steals)
+            .field("max_qerror", self.max_qerror)
+            .field("false_live_shards", self.false_live_shards)
+            .end_object();
     }
 }
 
-impl ComponentExplain {
-    fn append_json(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"branch\":");
-        out.extend_from_slice(self.branch.to_string().as_bytes());
-        out.extend_from_slice(b",\"component\":");
-        out.extend_from_slice(self.component.to_string().as_bytes());
-        out.extend_from_slice(b",\"graph\":\"");
-        out.extend_from_slice(self.graph.as_bytes());
-        out.extend_from_slice(b"\",\"vertices\":");
-        out.extend_from_slice(self.vertices.to_string().as_bytes());
-        out.extend_from_slice(b",\"edges\":");
-        out.extend_from_slice(self.edges.to_string().as_bytes());
-        if let Some(note) = self.note {
-            out.extend_from_slice(b",\"note\":\"");
-            escape_json_into(out, note);
-            out.push(b'"');
-        }
-        if let Some(start) = &self.start {
-            out.extend_from_slice(b",\"start\":{\"query_vertex\":");
-            out.extend_from_slice(start.query_vertex.to_string().as_bytes());
-            out.extend_from_slice(b",\"variable\":");
-            append_opt_str(out, start.variable.as_deref());
-            out.extend_from_slice(b",\"candidates\":");
-            out.extend_from_slice(start.candidates.to_string().as_bytes());
-            out.push(b'}');
-        }
-        if let Some(rc) = self.region_candidates {
-            out.extend_from_slice(b",\"region_candidates\":");
-            out.extend_from_slice(rc.to_string().as_bytes());
-        }
-        out.extend_from_slice(b",\"steps\":[");
-        for (i, s) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            out.extend_from_slice(b"{\"position\":");
-            out.extend_from_slice(s.position.to_string().as_bytes());
-            out.extend_from_slice(b",\"query_vertex\":");
-            out.extend_from_slice(s.query_vertex.to_string().as_bytes());
-            out.extend_from_slice(b",\"variable\":");
-            append_opt_str(out, s.variable.as_deref());
-            out.extend_from_slice(b",\"estimate\":");
-            out.extend_from_slice(s.estimate.to_string().as_bytes());
-            if let Some(rows) = s.rows {
-                out.extend_from_slice(b",\"rows\":");
-                out.extend_from_slice(rows.to_string().as_bytes());
-            }
-            if let Some(q) = s.qerror {
-                out.extend_from_slice(b",\"qerror\":");
-                out.extend_from_slice(format_f64(q).as_bytes());
-            }
-            out.push(b'}');
-        }
-        out.extend_from_slice(b"]}");
+impl ToJson for ComponentExplain {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("branch", self.branch)
+            .field("component", self.component)
+            .field("graph", self.graph)
+            .field("vertices", self.vertices)
+            .field("edges", self.edges)
+            .field_some("note", self.note)
+            .field_some("start", self.start.as_ref())
+            .field_some("region_candidates", self.region_candidates)
+            .field("steps", &self.steps)
+            .end_object();
     }
 }
 
-impl ShardExplain {
-    fn append_json(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"shard\":");
-        out.extend_from_slice(self.shard.to_string().as_bytes());
-        out.extend_from_slice(b",\"triples\":");
-        out.extend_from_slice(self.triples.to_string().as_bytes());
-        out.extend_from_slice(b",\"verdict\":\"");
-        out.extend_from_slice(self.verdict.as_bytes());
-        out.push(b'"');
-        if let Some(check) = self.check {
-            out.extend_from_slice(b",\"check\":\"");
-            out.extend_from_slice(check.as_bytes());
-            out.extend_from_slice(b"\",\"probe\":\"");
-            out.extend_from_slice(self.probe.unwrap_or("exact").as_bytes());
-            out.push(b'"');
-        }
-        if let Some(term) = &self.term {
-            out.extend_from_slice(b",\"term\":\"");
-            escape_json_into(out, term);
-            out.push(b'"');
-        }
-        if !self.components.is_empty() {
-            out.extend_from_slice(b",\"components\":[");
-            for (i, c) in self.components.iter().enumerate() {
-                if i > 0 {
-                    out.push(b',');
-                }
-                c.append_json(out);
-            }
-            out.push(b']');
-        }
-        if let Some(rows) = self.rows {
-            out.extend_from_slice(b",\"rows\":");
-            out.extend_from_slice(rows.to_string().as_bytes());
-        }
-        if let Some(fl) = self.false_live {
-            out.extend_from_slice(b",\"false_live\":");
-            out.extend_from_slice(if fl { b"true" } else { b"false" });
-        }
-        out.push(b'}');
+impl ToJson for StartExplain {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("query_vertex", self.query_vertex)
+            .field("variable", self.variable.as_deref())
+            .field("candidates", self.candidates)
+            .end_object();
     }
 }
 
-fn append_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
-    match v {
-        Some(s) => {
-            out.push(b'"');
-            escape_json_into(out, s);
-            out.push(b'"');
-        }
-        None => out.extend_from_slice(b"null"),
+impl ToJson for StepExplain {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("position", self.position)
+            .field("query_vertex", self.query_vertex)
+            .field("variable", self.variable.as_deref())
+            .field("estimate", self.estimate)
+            .field_some("rows", self.rows)
+            .field_some("qerror", self.qerror)
+            .end_object();
+    }
+}
+
+impl ToJson for ShardExplain {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("shard", self.shard)
+            .field("triples", self.triples)
+            .field("verdict", self.verdict)
+            .field_some("check", self.check)
+            .field_some("probe", self.probe)
+            .field_some("term", self.term.as_deref())
+            .field_some(
+                "components",
+                Some(&self.components).filter(|c| !c.is_empty()),
+            )
+            .field_some("rows", self.rows)
+            .field_some("false_live", self.false_live)
+            .end_object();
     }
 }
 
@@ -480,20 +362,16 @@ fn explain_component(
     branch: usize,
     index: usize,
 ) -> ComponentExplain {
-    let graph = if comp.use_direct() {
-        store.direct_graph()
+    let (graph, graph_name) = if comp.use_direct() {
+        (store.direct_graph(), "direct")
     } else {
-        store.type_aware_graph()
+        (store.type_aware_graph(), "type-aware")
     };
     let tq = comp.transformed();
     let mut ce = ComponentExplain {
         branch,
         component: index,
-        graph: if comp.use_direct() {
-            "direct"
-        } else {
-            "type-aware"
-        },
+        graph: graph_name,
         vertices: tq.graph.vertex_count(),
         edges: tq.graph.edge_count(),
         note: None,
@@ -571,25 +449,12 @@ impl Store {
     /// Explains a query **without executing it**: the structured plan tree
     /// the chosen engine would run (see the module docs for what it holds).
     pub fn explain(&self, sparql: &str, kind: EngineKind) -> Result<ExplainReport, StoreError> {
-        let query = parse_query(sparql)?;
-        let plan = self.plan_query(&query, kind)?;
-        Ok(self.explain_plan(&query, &plan))
+        Ok(self.explain_plan(&self.prepare_plan(sparql, kind)?))
     }
 
     /// Builds the EXPLAIN report for an already prepared plan.
-    pub(crate) fn explain_plan(&self, query: &Query, plan: &QueryPlan) -> ExplainReport {
-        let plan_type = if plan.join_strategy().is_some() {
-            "join"
-        } else {
-            "graph"
-        };
-        let mut report = ExplainReport::new(
-            plan.kind(),
-            "single",
-            plan_type,
-            query.limit,
-            plan.pushed_limit().is_some(),
-        );
+    fn explain_plan(&self, plan: &QueryPlan) -> ExplainReport {
+        let mut report = ExplainReport::new(plan.kind(), "single", plan.window);
         report.components = explain_plan_components(self, plan);
         report
     }
@@ -603,9 +468,8 @@ impl Store {
         kind: EngineKind,
         threads: Option<usize>,
     ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
-        let query = parse_query(sparql)?;
-        let plan = self.plan_query(&query, kind)?;
-        let mut report = self.explain_plan(&query, &plan);
+        let plan = self.prepare_plan(sparql, kind)?;
+        let mut report = self.explain_plan(&plan);
         let results = self.run_plan_traced(&plan, threads, &Trace::disabled())?;
         report.attach_actuals(&results);
         Ok((results, report))
@@ -617,35 +481,17 @@ impl ShardedStore {
     /// verdicts (naming the check that pruned each shard), the ownership
     /// route, and the shard-local plan trees of the live shards.
     pub fn explain(&self, sparql: &str, kind: EngineKind) -> Result<ExplainReport, StoreError> {
-        let query = parse_query(sparql)?;
-        let plan = self.prepare_plan(sparql, kind)?;
-        Ok(self.explain_plan(&query, &plan))
+        Ok(self.explain_plan(&self.prepare_plan(sparql, kind)?))
     }
 
     /// Builds the EXPLAIN report for an already prepared sharded plan.
-    pub(crate) fn explain_plan(&self, query: &Query, plan: &ShardedPlan) -> ExplainReport {
-        let plan_type = match plan.kind() {
-            EngineKind::TurboHomPlusPlus | EngineKind::TurboHom => "graph",
-            EngineKind::MergeJoin | EngineKind::HashJoin => "join",
-        };
-        let mut report = ExplainReport::new(
-            plan.kind(),
-            "sharded",
-            plan_type,
-            query.limit,
-            plan.pushed_limit().is_some(),
-        );
+    fn explain_plan(&self, plan: &ShardedPlan) -> ExplainReport {
+        let mut report = ExplainReport::new(plan.kind(), "sharded", plan.window);
         report.anchor = Some(match plan.anchor() {
             Anchor::Variable(v) => format!("?{v}"),
             Anchor::Constant(t) => t.to_string(),
         });
-        let fp = labeled_footprint(query);
-        let mut scratch = String::new();
-        let route = match plan.anchor() {
-            Anchor::Constant(term) => Some(self.ownership().owner(term, &mut scratch)),
-            Anchor::Variable(_) => None,
-        };
-        for (i, summary) in self.summaries().iter().enumerate() {
+        for (i, verdict) in plan.verdicts.iter().enumerate() {
             let mut se = ShardExplain {
                 shard: i,
                 triples: self.shard(i).triple_count(),
@@ -657,28 +503,25 @@ impl ShardedStore {
                 rows: None,
                 false_live: None,
             };
-            if route.is_some_and(|owner| owner != i) {
-                // The constant anchor's owner is another shard; the summary
-                // was never probed (same order as plan preparation). The
-                // deciding check is the ownership route on the anchor term.
-                se.verdict = "routed-away";
-                se.check = Some("ownership-route");
-                if let Anchor::Constant(term) = plan.anchor() {
-                    se.term = Some(term.to_string());
+            match verdict {
+                ShardVerdict::Live => {
+                    if let Some(shard_plan) = &plan.per_shard[i] {
+                        se.components = explain_plan_components(self.shard(i), shard_plan);
+                    }
                 }
-            } else {
-                match summary_verdict(summary, &fp) {
-                    SummaryVerdict::Live => {
-                        if let Some(shard_plan) = plan.shard_plan(i) {
-                            se.components = explain_plan_components(self.shard(i), shard_plan);
-                        }
-                    }
-                    SummaryVerdict::Pruned { check, term } => {
-                        se.verdict = "pruned";
-                        se.check = Some(check.name());
-                        se.probe = Some(check.mode());
-                        se.term = Some(term);
-                    }
+                // The deciding check is the ownership route on the anchor
+                // term, an exact computation.
+                ShardVerdict::RoutedAway => {
+                    se.verdict = "routed-away";
+                    se.check = Some("ownership-route");
+                    se.probe = Some("exact");
+                    se.term = report.anchor.clone();
+                }
+                ShardVerdict::Pruned { check, term } => {
+                    se.verdict = "pruned";
+                    se.check = Some(check.name());
+                    se.probe = Some(check.mode());
+                    se.term = Some(term.clone());
                 }
             }
             report.shards.push(se);
@@ -695,31 +538,22 @@ impl ShardedStore {
         kind: EngineKind,
         threads: Option<usize>,
     ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
-        let query = parse_query(sparql)?;
         let plan = self.prepare_plan(sparql, kind)?;
-        let mut report = self.explain_plan(&query, &plan);
+        let mut report = self.explain_plan(&plan);
         // A coarse trace records the per-shard `shard_execute` roll-ups,
         // which carry exactly the per-shard row counts ANALYZE needs.
         let trace = Trace::new(0);
         let results = self.run_plan_traced(&plan, threads, &trace)?;
-        let trace_report = trace.finish();
         let mut false_live = 0u64;
-        for span in trace_report
-            .spans
-            .iter()
-            .filter(|s| s.name == "shard_execute")
-        {
-            let shard = span.counters.iter().find(|(n, _)| *n == "shard");
-            let rows = span.counters.iter().find(|(n, _)| *n == "rows");
-            if let (Some(&(_, shard)), Some(&(_, rows))) = (shard, rows) {
-                if let Some(se) = report.shards.iter_mut().find(|s| s.shard == shard as usize) {
-                    se.rows = Some(rows);
-                    let fl = se.verdict == "live" && rows == 0;
-                    se.false_live = Some(fl);
-                    if fl {
-                        false_live += 1;
-                    }
-                }
+        let spans = trace.finish().spans;
+        for span in spans.iter().filter(|s| s.name == "shard_execute") {
+            let counter = |name| span.counters.iter().find(|(n, _)| *n == name);
+            // Only live shards execute, and `report.shards` is in shard order.
+            if let (Some(&(_, shard)), Some(&(_, rows))) = (counter("shard"), counter("rows")) {
+                let se = &mut report.shards[shard as usize];
+                se.rows = Some(rows);
+                se.false_live = Some(rows == 0);
+                false_live += u64::from(rows == 0);
             }
         }
         report.attach_actuals(&results);
@@ -1021,5 +855,87 @@ mod tests {
         assert_eq!(qerror(0, 0), 1.0);
         assert_eq!(qerror(0, 5), 5.0);
         assert_eq!(qerror(5, 0), 5.0);
+    }
+
+    #[test]
+    fn distinct_is_refused_at_every_entry_point_and_reduced_is_answered() {
+        let distinct = Q.replace("SELECT ?x ?d", "SELECT DISTINCT ?x ?d");
+        let reduced = Q.replace("SELECT ?x ?d", "SELECT REDUCED ?x ?d");
+        let parsed = turbohom_sparql::parse_query(&distinct).unwrap();
+        let store = sample_store();
+        let sharded = ShardedStore::from_dataset_with(
+            sample_dataset(),
+            ShardedOptions {
+                shards: 3,
+                inference: true,
+                threads: 1,
+                ..ShardedOptions::default()
+            },
+        )
+        .unwrap();
+        let refused = |outcome: Result<(), StoreError>, entry: &str| {
+            assert_eq!(outcome, Err(StoreError::DistinctUnsupported), "{entry}");
+        };
+        let trace = Trace::disabled();
+        for kind in EngineKind::all() {
+            let q = distinct.as_str();
+            refused(store.plan_query(&parsed, kind).map(drop), "plan_query");
+            let prepared = store.prepare(q).unwrap();
+            refused(prepared.plan(kind).map(drop), "PreparedQuery::plan");
+            refused(prepared.execute(kind).map(drop), "PreparedQuery::execute");
+            refused(store.prepare_plan(q, kind).map(drop), "prepare_plan");
+            refused(store.execute(q, kind).map(drop), "execute");
+            refused(store.explain(q, kind).map(drop), "explain");
+            refused(store.analyze(q, kind, None).map(drop), "analyze");
+            let plan = sharded.prepare_plan_traced(q, kind, &trace);
+            refused(plan.map(drop), "sharded prepare_plan_traced");
+            refused(sharded.execute(q, kind).map(drop), "sharded execute");
+            refused(sharded.explain(q, kind).map(drop), "sharded explain");
+            let analyzed = sharded.analyze(q, kind, None);
+            refused(analyzed.map(drop), "sharded analyze");
+            // REDUCED permits duplicates: the plain answer is a right one.
+            let plain = store.execute(Q, kind).unwrap();
+            assert_eq!(store.execute(&reduced, kind).unwrap().rows, plain.rows);
+            assert_eq!(sharded.execute(&reduced, kind).unwrap().len(), 10);
+        }
+        let config = TurboHomConfig::default();
+        for force_direct in [false, true] {
+            let outcome = store.execute_turbohom(&distinct, config, force_direct);
+            refused(outcome.map(drop), "execute_turbohom");
+        }
+        let message = StoreError::DistinctUnsupported.to_string();
+        assert!(message.contains("DISTINCT"), "{message}");
+    }
+
+    #[test]
+    fn hostile_anchor_and_term_are_escaped() {
+        let hostile = "\"a\\\"b\"\n\u{1}é } ]";
+        let window = Window {
+            offset: 0,
+            limit: Some(3),
+        };
+        let mut report = ExplainReport::new(EngineKind::TurboHom, "sharded", window);
+        report.anchor = Some(hostile.to_string());
+        report.shards.push(ShardExplain {
+            shard: 1,
+            triples: 9,
+            verdict: "pruned",
+            check: Some("term"),
+            probe: Some("bloom"),
+            term: Some(hostile.to_string()),
+            components: Vec::new(),
+            rows: None,
+            false_live: None,
+        });
+        let escaped = r#""\"a\\\"b\"\n\u0001é } ]""#;
+        assert_eq!(
+            report.to_json(),
+            format!(
+                "{{\"schema\":\"turbohom-explain/1\",\"mode\":\"explain\",\"engine\":\"turbohom\",\
+                 \"store\":\"sharded\",\"plan\":\"graph\",\"limit\":3,\"limit_pushdown\":true,\
+                 \"anchor\":{escaped},\"components\":[],\"shards\":[{{\"shard\":1,\"triples\":9,\
+                 \"verdict\":\"pruned\",\"check\":\"term\",\"probe\":\"bloom\",\"term\":{escaped}}}]}}"
+            )
+        );
     }
 }

@@ -25,9 +25,12 @@ pub use explain::{
     StepExplain, EXPLAIN_SCHEMA,
 };
 pub use plan::QueryPlan;
-pub use results::{escape_json_into, ExtraMembers, IdResults, QueryResults, ResultRow};
+pub use results::{ExtraMembers, IdResults, QueryResults, ResultRow};
 pub use sharded::{AnyPlan, AnyStore, ShardedOptions, ShardedPlan, ShardedStore};
 pub use store::{EngineKind, ParseEngineKindError, PreparedQuery, Store, StoreOptions};
+// Re-exported where it lived before it moved to the JSON crate (the bench
+// recorder still builds its record with it).
+pub use turbohom_json::escape_json_into;
 // Re-exported so callers configuring a sharded store (the server's flag
 // parsing, the bench harness) need no direct partition dependency.
 pub use turbohom_partition::{Anchor, PartitionerKind, DEFAULT_HALO};

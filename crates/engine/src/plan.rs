@@ -42,7 +42,7 @@ use turbohom_transform::{TransformKind, TransformedGraph, TransformedQuery};
 pub struct QueryPlan {
     kind: EngineKind,
     projected: Vec<String>,
-    window: Window,
+    pub(crate) window: Window,
     mode: PlanMode,
 }
 
@@ -135,14 +135,6 @@ impl QueryPlan {
             PlanMode::Join { .. } => None,
         }
     }
-
-    /// The join strategy (`None` for graph-engine plans).
-    pub(crate) fn join_strategy(&self) -> Option<JoinStrategy> {
-        match &self.mode {
-            PlanMode::Graph { .. } => None,
-            PlanMode::Join { strategy, .. } => Some(*strategy),
-        }
-    }
 }
 
 impl BranchPlan {
@@ -180,12 +172,15 @@ impl Window {
     }
 }
 
-/// The query's window. `ORDER BY` is refused here, for every planner and
-/// entry point alike: no engine applies it, and rows leave in enumeration
-/// order.
+/// The query's window. `ORDER BY` and `DISTINCT` are refused here, for every
+/// planner and entry point alike: no engine applies either, rows leave in
+/// enumeration order and a solution appears as often as it was found.
 pub(crate) fn window_of(query: &Query) -> Result<Window, StoreError> {
     if !query.order_by.is_empty() {
         return Err(StoreError::OrderByUnsupported);
+    }
+    if query.distinct {
+        return Err(StoreError::DistinctUnsupported);
     }
     Ok(Window {
         offset: query.offset.unwrap_or(0),

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::time::{Duration, Instant};
 use turbohom_core::MatchStats;
+use turbohom_json::escape_json_into;
 use turbohom_rdf::{Dictionary, IdRows, Term, TermRef};
 
 /// One decoded result row: the terms bound to the projected variables (in the
@@ -386,50 +387,6 @@ fn append_term_json(out: &mut Vec<u8>, term: TermRef<'_>) {
     }
 }
 
-/// Per byte: 0 when it stands for itself inside a JSON string literal, `u`
-/// when it needs a `\u00XX` escape, otherwise the letter of its two-character
-/// escape. Bytes of multi-byte UTF-8 sequences are all above 0x7f and pass.
-const ESCAPES: [u8; 256] = {
-    let mut table = [0u8; 256];
-    let mut control = 0;
-    while control < 0x20 {
-        table[control] = b'u';
-        control += 1;
-    }
-    table[b'"' as usize] = b'"';
-    table[b'\\' as usize] = b'\\';
-    table[b'\n' as usize] = b'n';
-    table[b'\r' as usize] = b'r';
-    table[b'\t' as usize] = b't';
-    table
-};
-
-/// Appends `s` to `out` escaped for embedding in a JSON string literal.
-/// Runs of bytes that need no escaping are copied with one
-/// `extend_from_slice`; nothing is allocated beyond `out`'s own growth.
-pub fn escape_json_into(out: &mut Vec<u8>, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bytes = s.as_bytes();
-    let mut run_start = 0;
-    for (i, &byte) in bytes.iter().enumerate() {
-        let escape = ESCAPES[byte as usize];
-        if escape == 0 {
-            continue;
-        }
-        out.extend_from_slice(&bytes[run_start..i]);
-        run_start = i + 1;
-        if escape == b'u' {
-            out.extend_from_slice(b"\\u00");
-            out.push(HEX[(byte >> 4) as usize]);
-            out.push(HEX[(byte & 0x0f) as usize]);
-        } else {
-            out.push(b'\\');
-            out.push(escape);
-        }
-    }
-    out.extend_from_slice(&bytes[run_start..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,21 +459,6 @@ mod tests {
         let json = r.to_sparql_json();
         assert!(json.contains(r#"{"type":"bnode","value":"b0"}"#));
         assert!(json.contains(r#"{"type":"literal","value":"hi \"there\"\n","xml:lang":"en"}"#));
-    }
-
-    fn escaped(s: &str) -> String {
-        let mut out = Vec::new();
-        escape_json_into(&mut out, s);
-        String::from_utf8(out).unwrap()
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(escaped("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escaped("\u{1}\u{1f}"), "\\u0001\\u001f");
-        assert_eq!(escaped("plain ünïcode"), "plain ünïcode");
-        assert_eq!(escaped("\r\tend\\"), "\\r\\tend\\\\");
-        assert_eq!(escaped(""), "");
     }
 
     /// The serialiser as it was before the id-row result path, kept as the

@@ -35,8 +35,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use turbohom_core::{drive, merge_step_counts, Worker};
 use turbohom_partition::{
-    analyze_query, footprint, partition_dataset, summary_prunes, Anchor, Manifest, Ownership,
-    PartitionConfig, PartitionerKind, ShardSummary, DEFAULT_HALO,
+    analyze_query, labeled_footprint, partition_dataset, summary_verdict, Anchor, Manifest,
+    Ownership, PartitionConfig, PartitionerKind, ShardSummary, ShardVerdict, DEFAULT_HALO,
 };
 use turbohom_rdf::{parse_ntriples, Dataset, IdRows, InferenceConfig, InferenceEngine};
 use turbohom_sparql::{parse_query, Selection};
@@ -255,17 +255,6 @@ impl ShardedStore {
         !self.shards.is_empty() && self.shards.iter().all(|s| s.is_mapped())
     }
 
-    /// The per-shard summary graphs (the EXPLAIN builder probes them to name
-    /// the check that prunes each shard).
-    pub(crate) fn summaries(&self) -> &[ShardSummary] {
-        &self.summaries
-    }
-
-    /// The term → shard ownership assignment.
-    pub(crate) fn ownership(&self) -> &Ownership {
-        &self.ownership
-    }
-
     /// Parses a SPARQL query and builds the sharded plan for `kind`.
     pub fn prepare_plan(&self, sparql: &str, kind: EngineKind) -> Result<ShardedPlan, StoreError> {
         self.prepare_plan_traced(sparql, kind, &Trace::disabled())
@@ -288,26 +277,28 @@ impl ShardedStore {
         let window = window_of(&query)?;
         let shard_query = analyze_query(&query, self.halo).map_err(StoreError::NotShardable)?;
 
-        // Layer 1: summary pruning + ownership routing decide the live set.
+        // Layer 1: ownership routing, then summary pruning, decide every
+        // shard's verdict once; EXPLAIN renders what is decided here.
         let mut span = trace.span("summary_prune");
-        let fp = footprint(&query);
-        let mut live: Vec<usize> = Vec::with_capacity(self.shards.len());
+        let fp = labeled_footprint(&query);
         let mut scratch = String::new();
         let route = match &shard_query.anchor {
             Anchor::Constant(term) => Some(self.ownership.owner(term, &mut scratch)),
             Anchor::Variable(_) => None,
         };
+        let mut verdicts = Vec::with_capacity(self.summaries.len());
         for (i, summary) in self.summaries.iter().enumerate() {
-            if route.is_some_and(|owner| owner != i) {
-                continue;
-            }
-            if !summary_prunes(summary, &fp) {
-                live.push(i);
-            }
+            verdicts.push(match route {
+                // The anchor's owner is another shard: no summary is probed.
+                Some(owner) if owner != i => ShardVerdict::RoutedAway,
+                _ => summary_verdict(summary, &fp),
+            });
         }
-        let pruned = self.shards.len() - live.len();
+        let live: Vec<usize> = (0..verdicts.len())
+            .filter(|&i| verdicts[i] == ShardVerdict::Live)
+            .collect();
         span.counter("live", live.len() as u64);
-        span.counter("pruned", pruned as u64);
+        span.counter("pruned", (verdicts.len() - live.len()) as u64);
         span.finish();
 
         // The per-shard query: no LIMIT/OFFSET (the coordinator applies the
@@ -345,8 +336,8 @@ impl ShardedStore {
             anchor: shard_query.anchor,
             anchor_column,
             per_shard,
+            verdicts,
             live,
-            pruned,
         })
     }
 
@@ -378,7 +369,7 @@ impl ShardedStore {
 
         let mut fanout = trace.span_under("shard_fanout", parent);
         fanout.counter("live", plan.live.len() as u64);
-        fanout.counter("pruned", plan.pruned as u64);
+        fanout.counter("pruned", plan.pruned_shards() as u64);
         // One worker per core, at most one per live shard: a plan with a
         // single live shard runs right here, on the request's thread.
         let workers = plan
@@ -448,7 +439,7 @@ impl ShardedStore {
             }
         }
         results.stats.shards_executed = plan.live.len();
-        results.stats.shards_pruned = plan.pruned;
+        results.stats.shards_pruned = plan.pruned_shards();
         results.elapsed = start.elapsed().max(elapsed_max);
         results.solution_count = results.row_count();
         results.apply_window(plan.window);
@@ -518,21 +509,24 @@ impl Worker for ShardWorker<'_> {
     }
 }
 
-/// A prepared sharded plan: the live-shard set decided by summary pruning
-/// and ownership routing, plus one single-store plan per live shard.
+/// A prepared sharded plan: one verdict per shard, decided by ownership
+/// routing and summary pruning, plus one single-store plan per live shard.
 pub struct ShardedPlan {
     kind: EngineKind,
     projected: Vec<String>,
     /// Applied after the merge; the per-shard plans carry neither modifier.
-    window: Window,
+    pub(crate) window: Window,
     anchor: Anchor,
     /// Column of the anchor variable in the per-shard output (`None` for
     /// constant anchors, which route instead of filtering). It lies past the
     /// projected columns when the query did not ask for the variable.
     anchor_column: Option<usize>,
-    per_shard: Vec<Option<Arc<QueryPlan>>>,
+    /// The single-store plan of every live shard, by shard index.
+    pub(crate) per_shard: Vec<Option<Arc<QueryPlan>>>,
+    /// Every shard's verdict, by shard index (what EXPLAIN renders).
+    pub(crate) verdicts: Vec<ShardVerdict>,
+    /// The shards whose verdict is [`ShardVerdict::Live`], ascending.
     live: Vec<usize>,
-    pruned: usize,
 }
 
 impl ShardedPlan {
@@ -554,18 +548,12 @@ impl ShardedPlan {
 
     /// Number of shards skipped before execution.
     pub fn pruned_shards(&self) -> usize {
-        self.pruned
+        self.verdicts.len() - self.live.len()
     }
 
     /// The anchor the shardability analysis picked.
     pub fn anchor(&self) -> &Anchor {
         &self.anchor
-    }
-
-    /// The single-store plan prepared for one shard (`None` for pruned
-    /// shards). The EXPLAIN builder walks the live shards' plans.
-    pub(crate) fn shard_plan(&self, shard: usize) -> Option<&Arc<QueryPlan>> {
-        self.per_shard.get(shard).and_then(|p| p.as_ref())
     }
 
     /// The merge-time LIMIT, mirroring [`QueryPlan::pushed_limit`].
@@ -660,27 +648,12 @@ impl AnyStore {
         }
     }
 
-    /// Number of shards (`None` on the single-store path).
-    pub fn shard_count(&self) -> Option<usize> {
+    /// The sharded store (`None` on the single-store path), for what only
+    /// it has: shard count, partitioner, halo.
+    pub fn sharded(&self) -> Option<&ShardedStore> {
         match self {
             AnyStore::Single(_) => None,
-            AnyStore::Sharded(s) => Some(s.shard_count()),
-        }
-    }
-
-    /// Partitioner name (`None` on the single-store path).
-    pub fn partitioner_name(&self) -> Option<&'static str> {
-        match self {
-            AnyStore::Single(_) => None,
-            AnyStore::Sharded(s) => Some(s.partitioner_name()),
-        }
-    }
-
-    /// Halo radius (`None` on the single-store path).
-    pub fn halo(&self) -> Option<usize> {
-        match self {
-            AnyStore::Single(_) => None,
-            AnyStore::Sharded(s) => Some(s.halo()),
+            AnyStore::Sharded(s) => Some(s),
         }
     }
 }
@@ -1031,10 +1004,11 @@ mod tests {
     fn any_store_dispatches_both_flavors() {
         let single = AnyStore::Single(Arc::new(single_store()));
         let sharded_store = AnyStore::Sharded(Arc::new(sharded(2, PartitionerKind::Hash)));
-        assert_eq!(single.shard_count(), None);
-        assert_eq!(sharded_store.shard_count(), Some(2));
-        assert_eq!(sharded_store.partitioner_name(), Some("hash"));
-        assert_eq!(sharded_store.halo(), Some(DEFAULT_HALO));
+        assert!(single.sharded().is_none());
+        let behind = sharded_store.sharded().expect("the sharded flavor");
+        assert_eq!(behind.shard_count(), 2);
+        assert_eq!(behind.partitioner_name(), "hash");
+        assert_eq!(behind.halo(), DEFAULT_HALO);
         assert_eq!(sharded_store.backend_name(), "sharded-heap");
         assert_eq!(single.triple_count(), sharded_store.triple_count());
         let trace = Trace::disabled();

@@ -11,9 +11,9 @@
 //!   distributed join.
 //! * [`ShardSummary`] is the per-partition summary graph: the exact predicate
 //!   and class signatures plus a Bloom filter over all subject/object terms.
-//!   A query's constant [`footprint`] is matched against the summaries first,
-//!   and whole partitions are skipped before any candidate-region
-//!   computation runs.
+//!   A query's constant [footprint](labeled_footprint) is matched against the
+//!   summaries first ([`summary_verdict`]), and whole partitions are skipped
+//!   before any candidate-region computation runs.
 //! * [`analyze_query`] decides whether a query is shardable at all (single
 //!   union-free branch, every triple within the halo radius of an anchor)
 //!   and picks the anchor term that makes scatter-gather results an *exact*
@@ -37,8 +37,8 @@ pub use partitioner::{
 };
 pub use query::{analyze_query, Anchor, ShardQuery};
 pub use summary::{
-    footprint, labeled_footprint, summary_prunes, summary_verdict, Bloom, LabeledConstant,
-    LabeledFootprint, PruneCheck, QueryFootprint, ShardSummary, SummaryVerdict,
+    labeled_footprint, summary_verdict, Bloom, LabeledConstant, LabeledFootprint, PruneCheck,
+    ShardSummary, ShardVerdict,
 };
 
 use turbohom_rdf::{vocab, Term, TermRef};

@@ -9,8 +9,10 @@
 //! persisted. The greedy partitioner's bucket table *is* persisted: it
 //! depends on the full dataset, which no longer exists at boot time.
 //!
-//! The file is hand-rolled JSON (this workspace builds offline, without
-//! serde), with a fixed schema identified by [`MANIFEST_FORMAT`].
+//! The file is JSON with a fixed schema identified by [`MANIFEST_FORMAT`],
+//! written with the workspace's `JsonWriter` and read back by a scanner of
+//! its own: the file arrives from outside the program, so every byte of it
+//! is checked here.
 
 use crate::partitioner::{Ownership, PartitionerKind, GREEDY_BUCKETS};
 
@@ -53,51 +55,18 @@ impl Manifest {
 
     /// Serializes the manifest as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"format\":\"");
-        out.push_str(MANIFEST_FORMAT);
-        out.push_str("\",\"shards\":");
-        out.push_str(&self.shards.to_string());
-        out.push_str(",\"halo\":");
-        out.push_str(&self.halo.to_string());
-        out.push_str(",\"partitioner\":\"");
-        out.push_str(self.partitioner.name());
-        out.push_str("\",\"buckets\":[");
-        for (i, b) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.to_string());
-        }
-        out.push_str("],\"shard_files\":[");
-        for (i, f) in self.shard_files.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            // Shard file names are generated (`<base>.shard<i>.snap`), but
-            // escape the JSON-significant characters anyway.
-            for c in f.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        out.push_str("],\"shard_triples\":[");
-        for (i, t) in self.shard_triples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&t.to_string());
-        }
-        out.push_str("],\"global_triples\":");
-        out.push_str(&self.global_triples.to_string());
-        out.push('}');
-        out
+        turbohom_json::document(|w| {
+            w.begin_object()
+                .field("format", MANIFEST_FORMAT)
+                .field("shards", self.shards)
+                .field("halo", self.halo)
+                .field("partitioner", self.partitioner.name())
+                .field("buckets", &self.buckets)
+                .field("shard_files", &self.shard_files)
+                .field("shard_triples", &self.shard_triples)
+                .field("global_triples", self.global_triples)
+                .end_object();
+        })
     }
 
     /// Parses a manifest, validating the schema identifier and the

@@ -4,9 +4,9 @@
 //! A [`ShardSummary`] is deliberately tiny: the *exact* set of predicate
 //! hashes, the *exact* set of class hashes (objects of `rdf:type`), and a
 //! Bloom filter over every subject/object term hash. Matching a query's
-//! constant [`footprint`] against a summary costs a handful of set probes,
-//! and a miss proves the shard cannot hold a single result — the shard is
-//! pruned before any candidate-region computation runs.
+//! constant [footprint](labeled_footprint) against a summary costs a handful
+//! of set probes, and a miss proves the shard cannot hold a single result —
+//! the shard is pruned before any candidate-region computation runs.
 //!
 //! Soundness rests on halo containment: if a shard holds at least one
 //! result, every triple of that result is present in the shard (see
@@ -129,17 +129,6 @@ impl ShardSummary {
     }
 }
 
-/// The constants of a query's required part, pre-hashed for summary probes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueryFootprint {
-    /// Hashes of constant non-type, non-schema predicates.
-    pub predicates: Vec<u64>,
-    /// Hashes of constant classes (`rdf:type` objects).
-    pub classes: Vec<u64>,
-    /// Hashes of constant subject/object terms of non-schema triples.
-    pub terms: Vec<u64>,
-}
-
 /// One pre-hashed constant together with its human-readable rendering, so a
 /// prune verdict can *name* the deciding term rather than print a hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,9 +139,8 @@ pub struct LabeledConstant {
     pub label: String,
 }
 
-/// A [`QueryFootprint`] that keeps the term renderings alongside the hashes.
-/// Used by EXPLAIN, where verdicts must be legible; the hot path keeps the
-/// hash-only [`QueryFootprint`].
+/// The constants of a query's required part: what [`summary_verdict`] probes
+/// a shard summary with.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabeledFootprint {
     /// Constant non-type, non-schema predicates.
@@ -163,25 +151,10 @@ pub struct LabeledFootprint {
     pub terms: Vec<LabeledConstant>,
 }
 
-impl LabeledFootprint {
-    /// Drops the labels, yielding the probe-only footprint.
-    pub fn to_footprint(&self) -> QueryFootprint {
-        QueryFootprint {
-            predicates: self.predicates.iter().map(|c| c.hash).collect(),
-            classes: self.classes.iter().map(|c| c.hash).collect(),
-            terms: self.terms.iter().map(|c| c.hash).collect(),
-        }
-    }
-}
-
-/// Extracts the prunable constants of `query`'s required part. `OPTIONAL`
-/// groups and schema triples (replicated everywhere) contribute nothing.
-pub fn footprint(query: &Query) -> QueryFootprint {
-    labeled_footprint(query).to_footprint()
-}
-
-/// Like [`footprint`], but keeping each constant's rendering so verdicts can
-/// name the term that decided a prune.
+/// Extracts the prunable constants of `query`'s required part, each with
+/// its rendering so a verdict can name the term that decided a prune.
+/// `OPTIONAL` groups and schema triples (replicated everywhere) contribute
+/// nothing.
 pub fn labeled_footprint(query: &Query) -> LabeledFootprint {
     let mut fp = LabeledFootprint::default();
     collect_group(&query.pattern, &mut fp);
@@ -226,19 +199,9 @@ fn collect_group(group: &GroupPattern, fp: &mut LabeledFootprint) {
     }
     // UNION branches are alternatives, not conjuncts: only constants common
     // to every branch could prune, so (conservatively) skip them. The
-    // sharded executor rejects UNION queries anyway; this keeps `footprint`
+    // sharded executor rejects UNION queries anyway; this keeps the footprint
     // sound if that ever changes.
     let _ = &group.unions;
-}
-
-/// Returns `true` if the summary *proves* the shard holds no result for a
-/// query with this footprint.
-pub fn summary_prunes(summary: &ShardSummary, fp: &QueryFootprint) -> bool {
-    fp.predicates
-        .iter()
-        .any(|&h| !summary.contains_predicate(h))
-        || fp.classes.iter().any(|&h| !summary.contains_class(h))
-        || fp.terms.iter().any(|&h| !summary.may_contain_term(h))
 }
 
 /// Which summary structure decided a prune.
@@ -272,12 +235,16 @@ impl PruneCheck {
     }
 }
 
-/// The outcome of probing one shard summary with a query footprint.
+/// What is decided about one shard before a query runs on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SummaryVerdict {
+pub enum ShardVerdict {
     /// No check fired: the shard may hold results and must be executed.
     Live,
-    /// A check proved the shard empty for this query.
+    /// A constant anchor sends the query to the one shard that owns it, and
+    /// this is another one. The coordinator's verdict: it is reached without
+    /// probing the summary, and [`summary_verdict`] never returns it.
+    RoutedAway,
+    /// A summary check proved the shard empty for this query.
     Pruned {
         /// Which summary structure fired.
         check: PruneCheck,
@@ -286,21 +253,22 @@ pub enum SummaryVerdict {
     },
 }
 
-impl SummaryVerdict {
-    /// `true` when the verdict is [`SummaryVerdict::Pruned`].
+impl ShardVerdict {
+    /// `true` when the verdict is [`ShardVerdict::Pruned`].
     pub fn is_pruned(&self) -> bool {
-        matches!(self, SummaryVerdict::Pruned { .. })
+        matches!(self, ShardVerdict::Pruned { .. })
     }
 }
 
-/// Like [`summary_prunes`], but reporting *which* check fired and on which
-/// constant. Probes in the same order as `summary_prunes`, so
-/// `summary_verdict(..).is_pruned() == summary_prunes(..)` for the same
-/// query.
-pub fn summary_verdict(summary: &ShardSummary, fp: &LabeledFootprint) -> SummaryVerdict {
+/// Probes one shard summary with a query's footprint: predicates, then
+/// classes, then terms. A [`Pruned`] verdict *proves* the shard holds no
+/// result for the query, and says which check fired on which constant.
+///
+/// [`Pruned`]: ShardVerdict::Pruned
+pub fn summary_verdict(summary: &ShardSummary, fp: &LabeledFootprint) -> ShardVerdict {
     for c in &fp.predicates {
         if !summary.contains_predicate(c.hash) {
-            return SummaryVerdict::Pruned {
+            return ShardVerdict::Pruned {
                 check: PruneCheck::Predicate,
                 term: c.label.clone(),
             };
@@ -308,7 +276,7 @@ pub fn summary_verdict(summary: &ShardSummary, fp: &LabeledFootprint) -> Summary
     }
     for c in &fp.classes {
         if !summary.contains_class(c.hash) {
-            return SummaryVerdict::Pruned {
+            return ShardVerdict::Pruned {
                 check: PruneCheck::Class,
                 term: c.label.clone(),
             };
@@ -316,13 +284,13 @@ pub fn summary_verdict(summary: &ShardSummary, fp: &LabeledFootprint) -> Summary
     }
     for c in &fp.terms {
         if !summary.may_contain_term(c.hash) {
-            return SummaryVerdict::Pruned {
+            return ShardVerdict::Pruned {
                 check: PruneCheck::Term,
                 term: c.label.clone(),
             };
         }
     }
-    SummaryVerdict::Live
+    ShardVerdict::Live
 }
 
 #[cfg(test)]
@@ -367,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn footprint_collects_required_constants_only() {
+    fn labeled_footprint_collects_required_constants_only() {
         let q = parse_query(&format!(
             "SELECT ?x WHERE {{ \
                ?x <{}> <http://ex/Student> . \
@@ -379,35 +347,43 @@ mod tests {
             vocab::RDFS_SUBCLASSOF,
         ))
         .unwrap();
-        let fp = footprint(&q);
-        assert_eq!(fp.classes, vec![term_hash(&Term::iri("http://ex/Student"))]);
+        let fp = labeled_footprint(&q);
+        let hashes = |list: &[LabeledConstant]| list.iter().map(|c| c.hash).collect::<Vec<_>>();
         assert_eq!(
-            fp.predicates,
+            hashes(&fp.classes),
+            vec![term_hash(&Term::iri("http://ex/Student"))]
+        );
+        assert_eq!(
+            hashes(&fp.predicates),
             vec![term_hash(&Term::iri("http://ex/memberOf"))]
         );
         // d1 (required object) is in the term footprint; the schema triple's
         // constants and the OPTIONAL e1 are not.
-        assert!(fp.terms.contains(&term_hash(&Term::iri("http://ex/d1"))));
-        assert!(!fp.terms.contains(&term_hash(&Term::iri("http://ex/Thing"))));
-        assert!(!fp.terms.contains(&term_hash(&Term::iri("http://ex/e1"))));
+        let terms = hashes(&fp.terms);
+        assert!(terms.contains(&term_hash(&Term::iri("http://ex/d1"))));
+        assert!(!terms.contains(&term_hash(&Term::iri("http://ex/Thing"))));
+        assert!(!terms.contains(&term_hash(&Term::iri("http://ex/e1"))));
     }
 
     #[test]
     fn pruning_fires_on_missing_constants_only() {
         let summary = ShardSummary::build(&sample_dataset());
-        let hit =
-            parse_query("SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d1> . }").unwrap();
-        assert!(!summary_prunes(&summary, &footprint(&hit)));
-        let miss_pred =
-            parse_query("SELECT ?x WHERE { ?x <http://ex/advisor> <http://ex/d1> . }").unwrap();
-        assert!(summary_prunes(&summary, &footprint(&miss_pred)));
-        let miss_term =
-            parse_query("SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d9> . }").unwrap();
-        assert!(summary_prunes(&summary, &footprint(&miss_term)));
+        let prunes = |q: &str| {
+            summary_verdict(&summary, &labeled_footprint(&parse_query(q).unwrap())).is_pruned()
+        };
+        assert!(!prunes(
+            "SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d1> . }"
+        ));
+        assert!(prunes(
+            "SELECT ?x WHERE { ?x <http://ex/advisor> <http://ex/d1> . }"
+        ));
+        assert!(prunes(
+            "SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d9> . }"
+        ));
         // An all-variable query never prunes.
         let open = parse_query("SELECT ?s WHERE { ?s ?p ?o . }").unwrap();
-        assert_eq!(footprint(&open), QueryFootprint::default());
-        assert!(!summary_prunes(&summary, &footprint(&open)));
+        assert_eq!(labeled_footprint(&open), LabeledFootprint::default());
+        assert!(!prunes("SELECT ?s WHERE { ?s ?p ?o . }"));
     }
 
     #[test]
@@ -417,7 +393,7 @@ mod tests {
             parse_query("SELECT ?x WHERE { ?x <http://ex/advisor> <http://ex/d1> . }").unwrap();
         assert_eq!(
             summary_verdict(&summary, &labeled_footprint(&miss_pred)),
-            SummaryVerdict::Pruned {
+            ShardVerdict::Pruned {
                 check: PruneCheck::Predicate,
                 term: "<http://ex/advisor>".to_string(),
             }
@@ -429,7 +405,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             summary_verdict(&summary, &labeled_footprint(&miss_class)),
-            SummaryVerdict::Pruned {
+            ShardVerdict::Pruned {
                 check: PruneCheck::Class,
                 term: "<http://ex/Professor>".to_string(),
             }
@@ -439,17 +415,17 @@ mod tests {
         let verdict = summary_verdict(&summary, &labeled_footprint(&miss_term));
         assert_eq!(
             verdict,
-            SummaryVerdict::Pruned {
+            ShardVerdict::Pruned {
                 check: PruneCheck::Term,
                 term: "<http://ex/d9>".to_string(),
             }
         );
         match verdict {
-            SummaryVerdict::Pruned { check, .. } => {
+            ShardVerdict::Pruned { check, .. } => {
                 assert_eq!(check.name(), "term");
                 assert_eq!(check.mode(), "bloom");
             }
-            SummaryVerdict::Live => unreachable!(),
+            _ => unreachable!(),
         }
         assert_eq!(PruneCheck::Predicate.mode(), "exact");
         assert_eq!(PruneCheck::Class.mode(), "exact");
@@ -457,27 +433,7 @@ mod tests {
             parse_query("SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d1> . }").unwrap();
         assert_eq!(
             summary_verdict(&summary, &labeled_footprint(&hit)),
-            SummaryVerdict::Live
+            ShardVerdict::Live
         );
-    }
-
-    #[test]
-    fn verdict_agrees_with_summary_prunes() {
-        let summary = ShardSummary::build(&sample_dataset());
-        for q in [
-            "SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d1> . }",
-            "SELECT ?x WHERE { ?x <http://ex/advisor> <http://ex/d1> . }",
-            "SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d9> . }",
-            "SELECT ?s WHERE { ?s ?p ?o . }",
-        ] {
-            let query = parse_query(q).unwrap();
-            let lf = labeled_footprint(&query);
-            assert_eq!(lf.to_footprint(), footprint(&query), "{q}");
-            assert_eq!(
-                summary_verdict(&summary, &lf).is_pruned(),
-                summary_prunes(&summary, &footprint(&query)),
-                "{q}"
-            );
-        }
     }
 }

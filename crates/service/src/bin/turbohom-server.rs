@@ -19,6 +19,7 @@
 //! curl 'http://127.0.0.1:7878/debug/events' # structured event journal (JSONL)
 //! ```
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,6 +28,7 @@ use turbohom_engine::{
     AnyStore, EngineKind, PartitionerKind, ShardedOptions, ShardedStore, Store, StoreOptions,
     DEFAULT_HALO,
 };
+use turbohom_rdf::parse_ntriples;
 use turbohom_service::{HttpServer, QueryService, ServiceConfig};
 
 struct Args {
@@ -75,6 +77,12 @@ fn usage() -> &'static str {
      \x20 --help            print this help"
 }
 
+/// Parses a flag's numeric value, or says what the flag `expects`.
+fn number<T: std::str::FromStr>(flag: &str, value: String, expects: &str) -> Result<T, String> {
+    let parsed = value.parse().ok();
+    parsed.ok_or_else(|| format!("{flag} expects {expects}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         bind: "127.0.0.1:7878".into(),
@@ -96,69 +104,41 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--bind" => args.bind = value("--bind")?,
-            "--lubm" => {
-                args.lubm_scale = value("--lubm")?
-                    .parse()
-                    .map_err(|_| "--lubm expects an integer scale")?
-            }
-            "--ntriples" => args.ntriples = Some(value("--ntriples")?),
-            "--snapshot" => args.snapshot = Some(value("--snapshot")?),
-            "--save-snapshot" => args.save_snapshot = Some(value("--save-snapshot")?),
+        let flag = arg.as_str();
+        let mut value = || it.next().ok_or(format!("{flag} needs a value"));
+        match flag {
+            "--bind" => args.bind = value()?,
+            "--lubm" => args.lubm_scale = number(flag, value()?, "an integer scale")?,
+            "--ntriples" => args.ntriples = Some(value()?),
+            "--snapshot" => args.snapshot = Some(value()?),
+            "--save-snapshot" => args.save_snapshot = Some(value()?),
             "--inference" => args.inference = true,
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects an integer")?
-            }
+            "--threads" => args.threads = number(flag, value()?, "an integer")?,
             "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or("--shards expects an integer >= 1")?
+                args.shards = number::<NonZeroUsize>(flag, value()?, "an integer >= 1")?.get()
             }
             "--partitioner" => {
-                args.partitioner = value("--partitioner")?
+                args.partitioner = value()?
                     .parse::<PartitionerKind>()
                     .map_err(|e| e.to_string())?
             }
-            "--halo" => {
-                args.halo = value("--halo")?
-                    .parse()
-                    .map_err(|_| "--halo expects an integer")?
-            }
-            "--cache" => {
-                args.cache = value("--cache")?
-                    .parse()
-                    .map_err(|_| "--cache expects an integer")?
-            }
+            "--halo" => args.halo = number(flag, value()?, "an integer")?,
+            "--cache" => args.cache = number(flag, value()?, "an integer")?,
             "--engine" => {
-                args.engine = value("--engine")?
-                    .parse::<EngineKind>()
-                    .map_err(|e| e.to_string())?
+                args.engine = value()?.parse::<EngineKind>().map_err(|e| e.to_string())?
             }
             "--slow-ms" => {
-                let v = value("--slow-ms")?;
+                let v = value()?;
                 args.slow_ms = if v.eq_ignore_ascii_case("off") {
                     None
                 } else {
-                    Some(
-                        v.parse::<f64>()
-                            .ok()
-                            .filter(|ms| ms.is_finite() && *ms >= 0.0)
-                            .ok_or("--slow-ms expects a non-negative number or `off`")?,
-                    )
+                    let ms = v.parse::<f64>().ok();
+                    let ms = ms.filter(|ms| ms.is_finite() && *ms >= 0.0);
+                    Some(ms.ok_or("--slow-ms expects a non-negative number or `off`")?)
                 };
             }
-            "--slow-capacity" => {
-                args.slow_capacity = value("--slow-capacity")?
-                    .parse()
-                    .map_err(|_| "--slow-capacity expects an integer")?
-            }
-            "--journal" => args.journal = Some(value("--journal")?),
+            "--slow-capacity" => args.slow_capacity = number(flag, value()?, "an integer")?,
+            "--journal" => args.journal = Some(value()?),
             "--access-log" => args.access_log = true,
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -171,26 +151,26 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("turbohom-server: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+/// Loads the store and serves it, or saves its snapshot and returns. An
+/// `Err` is the message the process exits with.
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
     if args.snapshot.is_some() && (args.ntriples.is_some() || args.save_snapshot.is_some()) {
-        eprintln!(
-            "turbohom-server: --snapshot cannot be combined with --ntriples or --save-snapshot"
-        );
-        return ExitCode::FAILURE;
+        return Err("--snapshot cannot be combined with --ntriples or --save-snapshot".into());
     }
     if args.snapshot.is_some() && args.shards > 1 {
-        eprintln!(
-            "turbohom-server: --shards cannot be combined with --snapshot \
-             (the manifest records the shard layout)"
-        );
-        return ExitCode::FAILURE;
+        return Err("--shards cannot be combined with --snapshot \
+                    (the manifest records the shard layout)"
+            .into());
     }
 
     let options = StoreOptions {
@@ -204,74 +184,39 @@ fn main() -> ExitCode {
         partitioner: args.partitioner,
         halo: args.halo,
     };
+    let single = |store: Store| AnyStore::Single(Arc::new(store));
+    let sharded = |store: ShardedStore| AnyStore::Sharded(Arc::new(store));
     let load_started = std::time::Instant::now();
-    let (store, load_phase) = match (&args.snapshot, &args.ntriples) {
-        (Some(path), _) => {
-            let file = std::path::Path::new(path);
-            if ShardedStore::is_manifest(file) {
-                eprintln!("mapping shard manifest {path} ...");
-                match ShardedStore::from_manifest(file, options.threads) {
-                    Ok(store) => (AnyStore::Sharded(Arc::new(store)), "sharded_map"),
-                    Err(e) => {
-                        eprintln!("turbohom-server: cannot load shard manifest {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                eprintln!("mapping snapshot {path} ...");
-                match Store::from_snapshot_with(file, options.threads) {
-                    Ok(store) => (AnyStore::Single(Arc::new(store)), "map"),
-                    Err(e) => {
-                        eprintln!("turbohom-server: cannot load snapshot {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+    let (store, load_phase) = if let Some(path) = &args.snapshot {
+        let file = std::path::Path::new(path);
+        if ShardedStore::is_manifest(file) {
+            eprintln!("mapping shard manifest {path} ...");
+            let store = ShardedStore::from_manifest(file, options.threads)
+                .map_err(|e| format!("cannot load shard manifest {path}: {e}"))?;
+            (sharded(store), "sharded_map")
+        } else {
+            eprintln!("mapping snapshot {path} ...");
+            let store = Store::from_snapshot_with(file, options.threads)
+                .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
+            (single(store), "map")
         }
-        (None, Some(path)) => {
+    } else {
+        let dataset = if let Some(path) = &args.ntriples {
             eprintln!("loading N-Triples from {path} ...");
-            let input = match std::fs::read_to_string(path) {
-                Ok(input) => input,
-                Err(e) => {
-                    eprintln!("turbohom-server: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if args.shards > 1 {
-                match ShardedStore::from_ntriples_with(&input, sharded_options) {
-                    Ok(store) => (AnyStore::Sharded(Arc::new(store)), "sharded_parse_build"),
-                    Err(e) => {
-                        eprintln!("turbohom-server: cannot parse {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match Store::from_ntriples_with(&input, options) {
-                    Ok(store) => (AnyStore::Single(Arc::new(store)), "parse_build"),
-                    Err(e) => {
-                        eprintln!("turbohom-server: cannot parse {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        }
-        (None, None) => {
+            let input =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            parse_ntriples(&input).map_err(|e| format!("cannot parse {path}: {e}"))?
+        } else {
             eprintln!("generating LUBM({}) ...", args.lubm_scale);
-            let dataset = LubmGenerator::new(LubmConfig::scale(args.lubm_scale)).generate();
-            if args.shards > 1 {
-                match ShardedStore::from_dataset_with(dataset, sharded_options) {
-                    Ok(store) => (AnyStore::Sharded(Arc::new(store)), "sharded_parse_build"),
-                    Err(e) => {
-                        eprintln!("turbohom-server: cannot partition LUBM dataset: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                (
-                    AnyStore::Single(Arc::new(Store::from_dataset_with(dataset, options))),
-                    "parse_build",
-                )
-            }
+            LubmGenerator::new(LubmConfig::scale(args.lubm_scale)).generate()
+        };
+        if args.shards > 1 {
+            let store = ShardedStore::from_dataset_with(dataset, sharded_options)
+                .map_err(|e| format!("cannot partition the dataset: {e}"))?;
+            (sharded(store), "sharded_parse_build")
+        } else {
+            let store = Store::from_dataset_with(dataset, options);
+            (single(store), "parse_build")
         }
     };
     // Whatever plans of the default engine read beyond the type-aware graph
@@ -279,13 +224,10 @@ fn main() -> ExitCode {
     // request's `engine=` still builds on first use.)
     store.stores().iter().for_each(|s| s.warm(args.engine));
     let load_ms = load_started.elapsed().as_secs_f64() * 1000.0;
-    let shard_note = match store.shard_count() {
-        Some(k) => format!(
-            ", {k} shards, {} partitioner",
-            store.partitioner_name().unwrap_or("?")
-        ),
-        None => String::new(),
-    };
+    let shard_note = store.sharded().map_or(String::new(), |s| {
+        let (k, partitioner) = (s.shard_count(), s.partitioner_name());
+        format!(", {k} shards, {partitioner} partitioner")
+    });
     eprintln!(
         "store ready: {} triples in {load_ms:.1} ms ({load_phase}, {} backend{}{shard_note})",
         store.triple_count(),
@@ -299,26 +241,15 @@ fn main() -> ExitCode {
             AnyStore::Single(s) => s.save_snapshot(std::path::Path::new(path)),
             AnyStore::Sharded(s) => s.save_snapshots(std::path::Path::new(path)),
         };
-        match saved {
-            Ok(bytes) => {
-                println!(
-                    "snapshot saved: {path} ({bytes} bytes, {} triples, {} file{}, {:.1} ms)",
-                    store.triple_count(),
-                    store.shard_count().map_or(1, |k| k + 1),
-                    if store.shard_count().is_some() {
-                        "s"
-                    } else {
-                        ""
-                    },
-                    started.elapsed().as_secs_f64() * 1000.0,
-                );
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("turbohom-server: cannot save snapshot {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let bytes = saved.map_err(|e| format!("cannot save snapshot {path}: {e}"))?;
+        println!(
+            "snapshot saved: {path} ({bytes} bytes, {} triples, {} file{}, {:.1} ms)",
+            store.triple_count(),
+            store.sharded().map_or(1, |s| s.shard_count() + 1),
+            store.sharded().map_or("", |_| "s"),
+            started.elapsed().as_secs_f64() * 1000.0,
+        );
+        return Ok(());
     }
 
     let dataset_label = match (&args.snapshot, &args.ntriples) {
@@ -338,35 +269,21 @@ fn main() -> ExitCode {
     )
     .with_dataset_label(dataset_label);
     if let Some(path) = &args.journal {
-        match std::fs::OpenOptions::new()
+        let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-        {
-            Ok(file) => service = service.with_journal_tee(file),
-            Err(e) => {
-                eprintln!("turbohom-server: cannot open journal file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+            .map_err(|e| format!("cannot open journal file {path}: {e}"))?;
+        service = service.with_journal_tee(file);
     }
-    let service = Arc::new(service);
-    let server = match HttpServer::bind(args.bind.as_str(), service) {
-        Ok(server) => server.with_access_log(args.access_log),
-        Err(e) => {
-            eprintln!("turbohom-server: cannot bind {}: {e}", args.bind);
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = HttpServer::bind(args.bind.as_str(), Arc::new(service))
+        .map_err(|e| format!("cannot bind {}: {e}", args.bind))?
+        .with_access_log(args.access_log);
     match server.local_addr() {
         Ok(addr) => eprintln!(
             "listening on http://{addr} (endpoints: /query /healthz /stats /metrics /debug/slow /debug/events)"
         ),
         Err(_) => eprintln!("listening on {}", args.bind),
     }
-    if let Err(e) = server.run() {
-        eprintln!("turbohom-server: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    server.run().map_err(|e| e.to_string())
 }

@@ -63,11 +63,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use turbohom_engine::{escape_json_into, format_trace_id, EngineKind, ExtraMembers};
+use turbohom_engine::{format_trace_id, EngineKind, ExtraMembers};
+use turbohom_json::Fixed3;
 
 /// Maximum accepted size of a request head or body (1 MiB, like oxigraph's
 /// `MAX_SPARQL_BODY_SIZE`).
 const MAX_REQUEST_SIZE: usize = 1 << 20;
+
+/// The endpoints, as `GET /` lists them.
+const ENDPOINTS: [&str; 6] = [
+    "/query",
+    "/healthz",
+    "/stats",
+    "/metrics",
+    "/debug/slow",
+    "/debug/events",
+];
 
 /// Connections open at once (each is a thread); the accept thread refuses
 /// further ones with `503`.
@@ -687,41 +698,25 @@ fn respond<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<'s> {
     }
     Reply::Buffered(match (request.method, request.path) {
         ("GET" | "HEAD", "/healthz") => {
-            let shards = service
-                .store()
-                .shard_count()
-                .map_or_else(|| "null".into(), |n| n.to_string());
-            let partitioning = service
-                .store()
-                .partitioner_name()
-                .map_or_else(|| "null".into(), |p| format!("\"{p}\""));
-            let mut body = format!(
-                "{{\"status\":\"ok\",\"triples\":{},\"uptime_secs\":{:.3},\"engine\":\"{}\",\"dataset\":\"",
-                service.store().triple_count(),
-                service.uptime().as_secs_f64(),
-                service.config().default_engine.name(),
-            )
-            .into_bytes();
-            escape_json_into(&mut body, service.dataset_label());
-            body.extend_from_slice(
-                format!(
-                    "\",\"backend\":\"{}\",\"snapshot\":",
-                    service.store().backend_name()
-                )
-                .as_bytes(),
-            );
-            match service.store().snapshot_path() {
-                Some(path) => {
-                    body.push(b'"');
-                    escape_json_into(&mut body, &path.display().to_string());
-                    body.push(b'"');
-                }
-                None => body.extend_from_slice(b"null"),
-            }
-            body.extend_from_slice(
-                format!(",\"shards\":{shards},\"partitioning\":{partitioning}}}").as_bytes(),
-            );
-            Routed::new(200, "application/json", body)
+            let store = service.store();
+            let snapshot = store.snapshot_path().map(|p| p.display().to_string());
+            let body = turbohom_json::document(|w| {
+                w.begin_object()
+                    .field("status", "ok")
+                    .field("triples", store.triple_count())
+                    .field("uptime_secs", Fixed3(service.uptime().as_secs_f64()))
+                    .field("engine", service.config().default_engine.name())
+                    .field("dataset", service.dataset_label())
+                    .field("backend", store.backend_name())
+                    .field("snapshot", snapshot)
+                    .field("shards", store.sharded().map(|s| s.shard_count()))
+                    .field(
+                        "partitioning",
+                        store.sharded().map(|s| s.partitioner_name()),
+                    )
+                    .end_object();
+            });
+            Routed::json(200, body)
         }
         ("GET" | "HEAD", "/stats") => Routed::json(200, service.stats().to_json()),
         ("GET" | "HEAD", "/metrics") => Routed::new(
@@ -735,14 +730,18 @@ fn respond<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<'s> {
             "application/x-ndjson",
             service.journal().to_jsonl().into_bytes(),
         ),
-        ("GET" | "HEAD", "/") => Routed::json(
-            200,
-            "{\"service\":\"turbohom\",\"endpoints\":[\"/query\",\"/healthz\",\"/stats\",\"/metrics\",\"/debug/slow\",\"/debug/events\"]}".into(),
-        ),
-        (
-            _,
-            "/healthz" | "/stats" | "/metrics" | "/debug/slow" | "/debug/events" | "/query" | "/",
-        ) => Routed::error(405, &format!("method {} not allowed", request.method)),
+        ("GET" | "HEAD", "/") => {
+            let body = turbohom_json::document(|w| {
+                w.begin_object()
+                    .field("service", "turbohom")
+                    .field("endpoints", ENDPOINTS.as_slice())
+                    .end_object();
+            });
+            Routed::json(200, body)
+        }
+        (_, path) if path == "/" || ENDPOINTS.contains(&path) => {
+            Routed::error(405, &format!("method {} not allowed", request.method))
+        }
         _ => Routed::error(404, &format!("no such endpoint: {}", request.path)),
     })
 }
@@ -898,10 +897,10 @@ pub fn percent_decode(s: &str) -> String {
 
 /// The body of an error response: a JSON `{"error": …}` object.
 fn error_body(message: &str) -> Vec<u8> {
-    let mut body = b"{\"error\":\"".to_vec();
-    escape_json_into(&mut body, message);
-    body.extend_from_slice(b"\"}");
-    body
+    let body = turbohom_json::document(|w| {
+        w.begin_object().field("error", message).end_object();
+    });
+    body.into_bytes()
 }
 
 fn status_text(status: u16) -> &'static str {
@@ -1161,6 +1160,31 @@ mod tests {
             "POST /query HTTP/1.1\r\nHost: x\r\nContent-Type: application/sparql-query\r\n{extra_headers}Content-Length: {}\r\n\r\n{sparql}",
             sparql.len()
         )
+    }
+
+    #[test]
+    fn healthz_escapes_a_hostile_dataset_label() {
+        let service = fresh_service().with_dataset_label("we\"ird\\set\n\u{1}é");
+        let get = |path: &str| {
+            let request = format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+            let output = serve(&service, request.as_bytes());
+            let mut responses = parse_responses(&output, &[false]).unwrap();
+            String::from_utf8(responses.remove(0).body).unwrap()
+        };
+        let body = get("/healthz");
+        let (head, tail) = body.split_once(",\"engine\":").expect("an engine member");
+        assert!(
+            head.starts_with(r#"{"status":"ok","triples":3,"uptime_secs":"#),
+            "{body}"
+        );
+        assert_eq!(
+            tail,
+            r#""turbohom++","dataset":"we\"ird\\set\n\u0001é","backend":"heap","snapshot":null,"shards":null,"partitioning":null}"#
+        );
+        assert_eq!(
+            get("/"),
+            r#"{"service":"turbohom","endpoints":["/query","/healthz","/stats","/metrics","/debug/slow","/debug/events"]}"#
+        );
     }
 
     #[test]

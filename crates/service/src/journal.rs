@@ -20,7 +20,8 @@ use parking_lot::Mutex;
 use std::fs::File;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use turbohom_engine::{escape_json_into, format_trace_id, EngineKind};
+use turbohom_engine::{format_trace_id, EngineKind};
+use turbohom_json::{Fixed3, JsonWriter};
 
 /// Query text carried by plan events is truncated to this many bytes.
 const MAX_QUERY_LEN: usize = 200;
@@ -130,13 +131,11 @@ impl JournalEvent {
         }
     }
 
-    /// Appends the variant-specific JSON members (leading comma included).
-    fn append_fields(&self, out: &mut Vec<u8>) {
+    /// Writes the variant-specific members into the entry's open object.
+    fn write_fields(&self, w: &mut JsonWriter<'_>) {
         match self {
             JournalEvent::QueryAdmitted { engine, mode } => {
-                out.extend_from_slice(
-                    format!(",\"engine\":\"{}\",\"mode\":\"{mode}\"", engine.name()).as_bytes(),
-                );
+                w.field("engine", engine.name()).field("mode", mode);
             }
             JournalEvent::QueryCompleted {
                 engine,
@@ -144,24 +143,17 @@ impl JournalEvent {
                 solutions,
                 total_ms,
             } => {
-                out.extend_from_slice(format!(
-                    ",\"engine\":\"{}\",\"cache\":\"{}\",\"solutions\":{solutions},\"total_ms\":{total_ms:.3}",
-                    engine.name(),
-                    if *cache_hit { "HIT" } else { "MISS" },
-                ).as_bytes());
+                w.field("engine", engine.name())
+                    .field("cache", if *cache_hit { "HIT" } else { "MISS" })
+                    .field("solutions", solutions)
+                    .field("total_ms", Fixed3(*total_ms));
             }
             JournalEvent::QueryFailed { engine, error } => {
-                let head = format!(",\"engine\":\"{}\",\"error\":\"", engine.name());
-                out.extend_from_slice(head.as_bytes());
-                escape_json_into(out, error);
-                out.push(b'"');
+                w.field("engine", engine.name()).field("error", error);
             }
             JournalEvent::PlanCached { engine, query }
             | JournalEvent::PlanEvicted { engine, query } => {
-                let head = format!(",\"engine\":\"{}\",\"query\":\"", engine.name());
-                out.extend_from_slice(head.as_bytes());
-                escape_json_into(out, query);
-                out.push(b'"');
+                w.field("engine", engine.name()).field("query", query);
             }
             JournalEvent::StoreLoaded {
                 flavor,
@@ -170,11 +162,12 @@ impl JournalEvent {
                 mapped,
                 build_ms,
             } => {
-                out.extend_from_slice(format!(
-                    ",\"store\":\"{flavor}\",\"backend\":\"{backend}\",\"triples\":{triples},\"mapped\":{mapped}"
-                ).as_bytes());
+                w.field("store", flavor)
+                    .field("backend", backend)
+                    .field("triples", triples)
+                    .field("mapped", mapped);
                 for (structure, ms) in build_ms {
-                    out.extend_from_slice(format!(",\"{structure}_ms\":{ms:.3}").as_bytes());
+                    w.field(&format!("{structure}_ms"), Fixed3(*ms));
                 }
             }
             JournalEvent::StructureBuilt {
@@ -183,23 +176,17 @@ impl JournalEvent {
                 ms,
                 bytes,
             } => {
-                out.extend_from_slice(format!(
-                    ",\"structure\":\"{structure}\",\"shard\":{shard},\"ms\":{ms:.3},\"bytes\":{bytes}"
-                ).as_bytes());
+                w.field("structure", structure)
+                    .field("shard", shard)
+                    .field("ms", Fixed3(*ms))
+                    .field("bytes", bytes);
             }
             JournalEvent::ShardsPruned { pruned, executed } => {
-                out.extend_from_slice(
-                    format!(",\"pruned\":{pruned},\"executed\":{executed}").as_bytes(),
-                );
+                w.field("pruned", pruned).field("executed", executed);
             }
             JournalEvent::SlowQuery { engine, total_ms } => {
-                out.extend_from_slice(
-                    format!(
-                        ",\"engine\":\"{}\",\"total_ms\":{total_ms:.3}",
-                        engine.name()
-                    )
-                    .as_bytes(),
-                );
+                w.field("engine", engine.name())
+                    .field("total_ms", Fixed3(*total_ms));
             }
         }
     }
@@ -222,22 +209,15 @@ pub struct JournalEntry {
 impl JournalEntry {
     /// Renders the entry as one JSON object (one JSONL line, no newline).
     pub fn to_json(&self) -> String {
-        let mut out: Vec<u8> = Vec::with_capacity(160);
-        out.extend_from_slice(
-            format!(
-                "{{\"seq\":{},\"uptime_secs\":{:.3},\"trace\":",
-                self.seq, self.uptime_secs
-            )
-            .as_bytes(),
-        );
-        match self.trace_id {
-            Some(id) => out.extend_from_slice(format!("\"{}\"", format_trace_id(id)).as_bytes()),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.extend_from_slice(format!(",\"event\":\"{}\"", self.event.kind()).as_bytes());
-        self.event.append_fields(&mut out);
-        out.push(b'}');
-        String::from_utf8(out).expect("the emitter writes UTF-8")
+        turbohom_json::document(|w| {
+            w.begin_object()
+                .field("seq", self.seq)
+                .field("uptime_secs", Fixed3(self.uptime_secs))
+                .field("trace", self.trace_id.map(format_trace_id))
+                .field("event", self.event.kind());
+            self.event.write_fields(w);
+            w.end_object();
+        })
     }
 }
 
@@ -281,7 +261,7 @@ impl EventJournal {
         if let JournalEvent::PlanCached { query, .. } | JournalEvent::PlanEvicted { query, .. } =
             &mut event
         {
-            truncate_query(query);
+            truncate_text(query, MAX_QUERY_LEN);
         }
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let entry = JournalEntry {
@@ -319,15 +299,16 @@ impl EventJournal {
     }
 }
 
-/// Truncates journaled query text on a char boundary.
-fn truncate_query(query: &mut String) {
-    if query.len() > MAX_QUERY_LEN {
-        let mut cut = MAX_QUERY_LEN;
-        while !query.is_char_boundary(cut) {
+/// Cuts `text` down to at most `max` bytes, on a char boundary, and marks
+/// the cut with an ellipsis (both recorders bound the query text they keep).
+pub(crate) fn truncate_text(text: &mut String, max: usize) {
+    if text.len() > max {
+        let mut cut = max;
+        while !text.is_char_boundary(cut) {
             cut -= 1;
         }
-        query.truncate(cut);
-        query.push('…');
+        text.truncate(cut);
+        text.push('…');
     }
 }
 
@@ -506,5 +487,24 @@ mod tests {
             .lines()
             .all(|l| l.contains("\"event\":\"query_completed\"")));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_hostile_error_message_stays_one_json_line() {
+        let journal = EventJournal::new(1);
+        let error = "line\nbreak \"q\" back\\slash \u{0}\u{1f} é }".to_string();
+        journal.record(
+            Some(1),
+            0.5,
+            JournalEvent::QueryFailed {
+                engine: EngineKind::TurboHom,
+                error,
+            },
+        );
+        assert_eq!(
+            journal.to_jsonl(),
+            "{\"seq\":0,\"uptime_secs\":0.500,\"trace\":\"0000000000000001\",\"event\":\"query_failed\",\
+             \"engine\":\"turbohom\",\"error\":\"line\\nbreak \\\"q\\\" back\\\\slash \\u0000\\u001f é }\"}\n"
+        );
     }
 }

@@ -8,6 +8,7 @@
 //! dashboard needs (the paper reports milliseconds; sub-bucket precision
 //! would be noise).
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use turbohom_engine::{EngineKind, MatchStats, TraceReport};
@@ -32,37 +33,86 @@ pub const STAGES: [&str; 9] = [
     "write",
 ];
 
-/// A log₂-bucketed latency histogram.
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
+/// What both histograms are under their units: per-bucket counts, the number
+/// of observations and their sum, scaled so that the atomic stays an integer.
+struct Buckets<const N: usize> {
+    counts: [AtomicU64; N],
     count: AtomicU64,
-    total_micros: AtomicU64,
+    sum: AtomicU64,
 }
 
-impl Default for LatencyHistogram {
+impl<const N: usize> Default for Buckets<N> {
     fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        Buckets {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
-            total_micros: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
         }
     }
 }
+
+impl<const N: usize> Buckets<N> {
+    /// Counts one observation of `amount` into `bucket`; what lies beyond the
+    /// last bucket saturates into it.
+    fn add(&self, bucket: usize, amount: u64) {
+        self.counts[bucket.min(N - 1)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(amount, Ordering::Relaxed);
+    }
+
+    /// Appends the cumulative Prometheus `_bucket` series — bucket `i`'s
+    /// upper bound is `le(i)`, the saturating top bucket's `+Inf` — plus
+    /// `_sum` (the sum divided by `per_unit`) and `_count` for metric `name`
+    /// with `labels` (as they stand inside `{}`, no trailing comma; may be
+    /// empty).
+    fn render_prometheus(
+        &self,
+        out: &mut String,
+        name: &str,
+        labels: &str,
+        le: impl Fn(usize) -> f64,
+        per_unit: f64,
+    ) {
+        let comma = if labels.is_empty() { "" } else { "," };
+        let mut cumulative = 0u64;
+        for (i, count) in self.counts.iter().enumerate() {
+            cumulative += count.load(Ordering::Relaxed);
+            let le = if i + 1 == N {
+                "+Inf".to_string()
+            } else {
+                le(i).to_string()
+            };
+            out.push_str(&format!(
+                "{name}_bucket{{{labels}{comma}le=\"{le}\"}} {cumulative}\n"
+            ));
+        }
+        let labels = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{{{labels}}}")
+        };
+        let sum = self.sum.load(Ordering::Relaxed) as f64 / per_unit;
+        out.push_str(&format!("{name}_sum{labels} {sum}\n"));
+        out.push_str(&format!("{name}_count{labels} {cumulative}\n"));
+    }
+}
+
+/// A log₂-bucketed latency histogram; the sum is kept in microseconds.
+#[derive(Default)]
+pub struct LatencyHistogram(Buckets<BUCKETS>);
 
 impl LatencyHistogram {
     /// Records one observation.
     pub fn record(&self, latency: Duration) {
         let micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         // Bucket i holds values < 2^i µs: 0µs → bucket 0, 1µs → 1, 2-3µs → 2…
-        let idx = (u64::BITS - micros.leading_zeros()).min(BUCKETS as u32 - 1) as usize;
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
+        self.0
+            .add((u64::BITS - micros.leading_zeros()) as usize, micros);
     }
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.0.count.load(Ordering::Relaxed)
     }
 
     /// Mean latency, or zero when nothing was recorded.
@@ -71,7 +121,7 @@ impl LatencyHistogram {
         if count == 0 {
             return Duration::ZERO;
         }
-        Duration::from_micros(self.total_micros.load(Ordering::Relaxed) / count)
+        Duration::from_micros(self.0.sum.load(Ordering::Relaxed) / count)
     }
 
     /// Estimates the latency at quantile `q` (in `[0, 1]`): the upper bound
@@ -83,7 +133,7 @@ impl LatencyHistogram {
         }
         let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
+        for (i, bucket) in self.0.counts.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
                 return Duration::from_micros(1u64 << i);
@@ -92,43 +142,11 @@ impl LatencyHistogram {
         Duration::from_micros(1u64 << (BUCKETS - 1))
     }
 
-    /// Total observed time in microseconds (the Prometheus `_sum`).
-    pub fn total_micros(&self) -> u64 {
-        self.total_micros.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy of the raw per-bucket counts (bucket `i` holds
-    /// observations `< 2^i` µs). Exposed for the Prometheus renderer and
-    /// its tests.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Appends this histogram as a cumulative Prometheus `_bucket` series
-    /// (plus `_sum` and `_count`) for metric `name` with `labels` (rendered
-    /// inside `{}`, no trailing comma). Bucket `i`'s upper bound is `2^i` µs
-    /// expressed in seconds; the saturating top bucket becomes `+Inf`.
+    /// Appends this histogram as a Prometheus histogram in seconds for metric
+    /// `name` with `labels`: bucket `i`'s upper bound is `2^i` µs.
     pub fn render_prometheus(&self, out: &mut String, name: &str, labels: &str) {
-        let counts = self.bucket_counts();
-        let mut cumulative = 0u64;
-        for (i, count) in counts.iter().enumerate() {
-            cumulative += count;
-            if i + 1 == BUCKETS {
-                out.push_str(&format!(
-                    "{name}_bucket{{{labels},le=\"+Inf\"}} {cumulative}\n"
-                ));
-            } else {
-                let le = (1u64 << i) as f64 / 1e6;
-                out.push_str(&format!(
-                    "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "{name}_sum{{{labels}}} {}\n",
-            self.total_micros() as f64 / 1e6
-        ));
-        out.push_str(&format!("{name}_count{{{labels}}} {cumulative}\n"));
+        let le = |i| (1u64 << i) as f64 / 1e6;
+        self.0.render_prometheus(out, name, labels, le, 1e6);
     }
 }
 
@@ -138,23 +156,10 @@ const QERROR_BUCKETS: usize = 16;
 
 /// A log₂-bucketed histogram of estimate-vs-actual q-errors (ratios ≥ 1),
 /// fed by `analyze=1` requests. Bucket `i` covers ratios in `[2^i, 2^(i+1))`
-/// — a perfectly estimated step lands in bucket 0 (`le="2"`).
-pub struct QErrorHistogram {
-    buckets: [AtomicU64; QERROR_BUCKETS],
-    count: AtomicU64,
-    /// Sum in thousandths, so the atomic stays integer.
-    sum_milli: AtomicU64,
-}
-
-impl Default for QErrorHistogram {
-    fn default() -> Self {
-        QErrorHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_milli: AtomicU64::new(0),
-        }
-    }
-}
+/// — a perfectly estimated step lands in bucket 0 (`le="2"`). The sum is
+/// kept in thousandths.
+#[derive(Default)]
+pub struct QErrorHistogram(Buckets<QERROR_BUCKETS>);
 
 impl QErrorHistogram {
     /// Records one per-step q-error (clamped to ≥ 1).
@@ -164,55 +169,29 @@ impl QErrorHistogram {
         } else {
             1.0
         };
-        let idx = (q.log2() as usize).min(QERROR_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_milli
-            .fetch_add((q * 1000.0).min(u64::MAX as f64) as u64, Ordering::Relaxed);
+        let milli = (q * 1000.0).min(u64::MAX as f64) as u64;
+        self.0.add(q.log2() as usize, milli);
     }
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.0.count.load(Ordering::Relaxed)
     }
 
-    /// Appends the histogram as a cumulative Prometheus `_bucket` series
-    /// (plus `_sum` and `_count`) for metric `name`. Bucket `i`'s upper
-    /// bound is `2^(i+1)`; the saturating top bucket becomes `+Inf`.
+    /// Appends the histogram as a Prometheus histogram for metric `name`:
+    /// bucket `i`'s upper bound is `2^(i+1)`.
     pub fn render_prometheus(&self, out: &mut String, name: &str) {
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if i + 1 == QERROR_BUCKETS {
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-            } else {
-                out.push_str(&format!(
-                    "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    1u64 << (i + 1)
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "{name}_sum {}\n",
-            self.sum_milli.load(Ordering::Relaxed) as f64 / 1000.0
-        ));
-        out.push_str(&format!("{name}_count {cumulative}\n"));
+        let le = |i| (1u64 << (i + 1)) as f64;
+        self.0.render_prometheus(out, name, "", le, 1000.0);
     }
 }
 
 /// Cumulative wall-clock time per pipeline stage, fed by every request's
 /// trace (coarse traces are always on, so these are exact totals, not
 /// samples). Lock-free like everything else here.
+#[derive(Default)]
 pub struct StageTotals {
     nanos: [AtomicU64; STAGES.len()],
-}
-
-impl Default for StageTotals {
-    fn default() -> Self {
-        StageTotals {
-            nanos: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 impl StageTotals {
@@ -399,16 +378,17 @@ impl ServiceMetrics {
     /// summary-prune-error counter and the HTTP connection series. The
     /// service layer appends its own cache/store series after this.
     pub fn render_prometheus(&self, out: &mut String, store: &str) {
-        out.push_str("# HELP turbohom_uptime_seconds Seconds since the service started.\n");
-        out.push_str("# TYPE turbohom_uptime_seconds gauge\n");
-        out.push_str(&format!(
-            "turbohom_uptime_seconds {}\n",
-            self.uptime().as_secs_f64()
-        ));
+        scalar(
+            out,
+            "turbohom_uptime_seconds",
+            "gauge",
+            "Seconds since the service started.",
+            self.uptime().as_secs_f64(),
+        );
 
         let counter =
             |out: &mut String, name: &str, help: &str, value: fn(&EngineMetrics) -> u64| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+                family(out, name, "counter", help);
                 for kind in EngineKind::all() {
                     out.push_str(&format!(
                         "{name}{{engine=\"{}\",store=\"{store}\"}} {}\n",
@@ -454,10 +434,12 @@ impl ServiceMetrics {
             |m| m.morsels_stolen.load(Ordering::Relaxed),
         );
 
-        out.push_str(
-            "# HELP turbohom_stage_seconds_total Cumulative wall-clock seconds per pipeline stage.\n",
+        family(
+            out,
+            "turbohom_stage_seconds_total",
+            "counter",
+            "Cumulative wall-clock seconds per pipeline stage.",
         );
-        out.push_str("# TYPE turbohom_stage_seconds_total counter\n");
         for stage in STAGES {
             out.push_str(&format!(
                 "turbohom_stage_seconds_total{{stage=\"{stage}\"}} {}\n",
@@ -465,10 +447,12 @@ impl ServiceMetrics {
             ));
         }
 
-        out.push_str(
-            "# HELP turbohom_query_latency_seconds Request latency of successful queries.\n",
+        family(
+            out,
+            "turbohom_query_latency_seconds",
+            "histogram",
+            "Request latency of successful queries.",
         );
-        out.push_str("# TYPE turbohom_query_latency_seconds histogram\n");
         for kind in EngineKind::all() {
             self.engine(kind).latency.render_prometheus(
                 out,
@@ -477,21 +461,22 @@ impl ServiceMetrics {
             );
         }
 
-        out.push_str(
-            "# HELP turbohom_estimate_qerror Per-step estimate-vs-actual q-error (analyze=1 requests).\n",
+        family(
+            out,
+            "turbohom_estimate_qerror",
+            "histogram",
+            "Per-step estimate-vs-actual q-error (analyze=1 requests).",
         );
-        out.push_str("# TYPE turbohom_estimate_qerror histogram\n");
         self.qerror
             .render_prometheus(out, "turbohom_estimate_qerror");
 
-        out.push_str(
-            "# HELP turbohom_summary_prune_errors_total Live shards that contributed zero rows (summary-pruning misses seen by analyze=1).\n",
+        scalar(
+            out,
+            "turbohom_summary_prune_errors_total",
+            "counter",
+            "Live shards that contributed zero rows (summary-pruning misses seen by analyze=1).",
+            self.summary_prune_errors(),
         );
-        out.push_str("# TYPE turbohom_summary_prune_errors_total counter\n");
-        out.push_str(&format!(
-            "turbohom_summary_prune_errors_total {}\n",
-            self.summary_prune_errors()
-        ));
 
         for (name, kind, help, value) in [
             (
@@ -519,12 +504,29 @@ impl ServiceMetrics {
                 &self.http.open,
             ),
         ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {}\n",
-                value.load(Ordering::Relaxed)
-            ));
+            scalar(out, name, kind, help, value.load(Ordering::Relaxed));
         }
     }
+}
+
+/// Writes the `# HELP` / `# TYPE` header every metric family starts with.
+pub(crate) fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
+/// A family of one unlabelled sample.
+pub(crate) fn scalar(out: &mut String, name: &str, kind: &str, help: &str, value: impl Display) {
+    family(out, name, kind, help);
+    out.push_str(&format!("{name} {value}\n"));
+}
+
+/// Escapes a label value the way the exposition format asks: backslash,
+/// double quote and line feed.
+pub(crate) fn escape_label(value: &str) -> String {
+    value
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// The process's resident set and its high-water mark in bytes (`VmRSS`
@@ -584,7 +586,7 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert!(h.quantile(1.0) > Duration::from_secs(1));
         // The saturating top bucket holds the observation …
-        assert_eq!(h.bucket_counts()[BUCKETS - 1], 1);
+        assert_eq!(h.0.counts[BUCKETS - 1].load(Ordering::Relaxed), 1);
         // … and the quantile estimate is its (huge) upper bound, not +∞.
         assert_eq!(
             h.quantile(1.0),
@@ -784,5 +786,18 @@ mod tests {
                 .load(Ordering::Relaxed),
             0
         );
+    }
+
+    #[test]
+    fn family_headers_and_label_escapes_follow_the_exposition_format() {
+        let mut out = String::new();
+        scalar(&mut out, "m_total", "counter", "What it counts.", 3u64);
+        assert_eq!(
+            out,
+            "# HELP m_total What it counts.\n# TYPE m_total counter\nm_total 3\n"
+        );
+        // A path with a line feed in it must not end the sample line.
+        assert_eq!(escape_label("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
+        assert_eq!(escape_label("/data/lubm.snap"), "/data/lubm.snap");
     }
 }

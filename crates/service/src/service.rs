@@ -19,7 +19,7 @@
 
 use crate::cache::{PlanCache, PlanKey};
 use crate::journal::{EventJournal, JournalEvent};
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{escape_label, family, scalar, ServiceMetrics};
 use crate::slow::{SlowQueryEntry, SlowQueryLog};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,6 +28,7 @@ use turbohom_engine::{
     AnyStore, EngineKind, ExplainReport, IdResults, MemoryRow, MemoryUse, Store, StoreError, Trace,
     TraceReport,
 };
+use turbohom_json::{Fixed3, JsonWriter, ToJson};
 use turbohom_sparql::{fingerprint, QueryFingerprint};
 
 /// Configuration of a [`QueryService`].
@@ -200,34 +201,34 @@ fn ledger_total(rows: &[MemoryRow]) -> MemoryUse {
     rows.iter().map(|r| r.bytes).sum()
 }
 
-impl BytesSnapshot {
-    fn append_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"resident\":{},\"peak\":{},\"accounted\":{},\"unaccounted\":{},\"replication_factor\":{:.3},\"shards\":[",
-            self.resident, self.peak, self.accounted, self.unaccounted, self.replication_factor,
-        ));
+impl ToJson for BytesSnapshot {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("resident", self.resident)
+            .field("peak", self.peak)
+            .field("accounted", self.accounted)
+            .field("unaccounted", self.unaccounted)
+            .field("replication_factor", Fixed3(self.replication_factor));
+        w.key("shards").begin_array();
         for (i, (triples, rows)) in self.shards.iter().enumerate() {
             let total = ledger_total(rows);
-            out.push_str(&format!(
-                "{}{{\"shard\":{i},\"triples\":{triples},\"heap\":{},\"mapped\":{},\"components\":{{",
-                if i > 0 { "," } else { "" },
-                total.heap,
-                total.mapped,
-            ));
-            for (j, row) in rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}\"{}{}{}\":{{\"heap\":{},\"mapped\":{}}}",
-                    if j > 0 { "," } else { "" },
-                    row.component,
-                    if row.part.is_empty() { "" } else { "." },
-                    row.part,
-                    row.bytes.heap,
-                    row.bytes.mapped,
-                ));
+            w.begin_object()
+                .field("shard", i)
+                .field("triples", triples)
+                .field("heap", total.heap)
+                .field("mapped", total.mapped);
+            w.key("components").begin_object();
+            for row in rows {
+                let dot = if row.part.is_empty() { "" } else { "." };
+                w.key(&format!("{}{dot}{}", row.component, row.part))
+                    .begin_object()
+                    .field("heap", row.bytes.heap)
+                    .field("mapped", row.bytes.mapped)
+                    .end_object();
             }
-            out.push_str("}}");
+            w.end_object().end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
     }
 }
 
@@ -267,45 +268,52 @@ pub struct EngineStats {
 impl StatsSnapshot {
     /// Renders the snapshot as a JSON object (the `/stats` payload).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
-            "{{\"uptime_seconds\":{:.3},\"store\":\"{}\",\"triples\":{},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"size\":{}}},\"plans_prepared\":{},\"connections\":{},\"requests\":{},\"engines\":{{",
-            self.uptime_seconds,
-            self.store_flavor,
-            self.triples,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_size,
-            self.plans_prepared,
-            self.connections,
-            self.requests,
-        ));
-        for (i, e) in self.engines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        turbohom_json::document(|w| {
+            w.begin_object()
+                .field("uptime_seconds", Fixed3(self.uptime_seconds))
+                .field("store", self.store_flavor)
+                .field("triples", self.triples);
+            w.key("plan_cache")
+                .begin_object()
+                .field("hits", self.cache_hits)
+                .field("misses", self.cache_misses)
+                .field("evictions", self.cache_evictions)
+                .field("size", self.cache_size)
+                .end_object()
+                .field("plans_prepared", self.plans_prepared)
+                .field("connections", self.connections)
+                .field("requests", self.requests);
+            w.key("engines").begin_object();
+            for e in &self.engines {
+                w.field(e.kind.name(), e);
             }
-            out.push_str(&format!(
-                "\"{}\":{{\"store\":\"{}\",\"queries\":{},\"errors\":{},\"qps\":{:.3},\"latency_ms\":{{\"mean\":{:.3},\"p50\":{:.3},\"p95\":{:.3},\"p99\":{:.3}}},\"matcher\":{{\"solutions\":{},\"intersection_ops\":{},\"morsels\":{},\"morsels_stolen\":{}}}}}",
-                e.kind.name(),
-                e.store,
-                e.queries,
-                e.errors,
-                e.qps,
-                e.mean_ms,
-                e.p50_ms,
-                e.p95_ms,
-                e.p99_ms,
-                e.solutions,
-                e.intersection_ops,
-                e.morsels,
-                e.morsels_stolen,
-            ));
-        }
-        out.push_str("},\"bytes\":");
-        self.bytes.append_json(&mut out);
-        out.push('}');
-        out
+            w.end_object().field("bytes", &self.bytes).end_object();
+        })
+    }
+}
+
+impl ToJson for EngineStats {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("store", self.store)
+            .field("queries", self.queries)
+            .field("errors", self.errors)
+            .field("qps", Fixed3(self.qps));
+        w.key("latency_ms")
+            .begin_object()
+            .field("mean", Fixed3(self.mean_ms))
+            .field("p50", Fixed3(self.p50_ms))
+            .field("p95", Fixed3(self.p95_ms))
+            .field("p99", Fixed3(self.p99_ms))
+            .end_object();
+        w.key("matcher")
+            .begin_object()
+            .field("solutions", self.solutions)
+            .field("intersection_ops", self.intersection_ops)
+            .field("morsels", self.morsels)
+            .field("morsels_stolen", self.morsels_stolen)
+            .end_object()
+            .end_object();
     }
 }
 
@@ -503,29 +511,20 @@ impl QueryService {
     /// shard counters, stage totals, the slow-query recorder and the
     /// journal's completion events.
     pub(crate) fn complete<'s>(&self, request: InFlight<'s>) -> QueryResponse<'s> {
-        let InFlight {
-            results,
-            engine,
-            cache_hit,
-            fingerprint,
-            trace_id,
-            trace,
-            profile,
-            explain,
-            started,
-        } = request;
-        let elapsed = started.elapsed();
-        self.metrics.record_success(engine, elapsed, &results.stats);
+        let (engine, cache_hit, trace_id) = (request.engine, request.cache_hit, request.trace_id);
+        let stats = &request.results.stats;
+        let elapsed = request.started.elapsed();
+        self.metrics.record_success(engine, elapsed, stats);
         self.shards_pruned
-            .fetch_add(results.stats.shards_pruned as u64, Ordering::Relaxed);
+            .fetch_add(stats.shards_pruned as u64, Ordering::Relaxed);
         self.shards_executed
-            .fetch_add(results.stats.shards_executed as u64, Ordering::Relaxed);
-        if results.stats.shards_pruned + results.stats.shards_executed > 0 {
+            .fetch_add(stats.shards_executed as u64, Ordering::Relaxed);
+        if stats.shards_pruned + stats.shards_executed > 0 {
             self.journal_event(
                 Some(trace_id),
                 JournalEvent::ShardsPruned {
-                    pruned: results.stats.shards_pruned,
-                    executed: results.stats.shards_executed,
+                    pruned: stats.shards_pruned,
+                    executed: stats.shards_executed,
                 },
             );
         }
@@ -534,31 +533,34 @@ impl QueryService {
             JournalEvent::QueryCompleted {
                 engine,
                 cache_hit,
-                solutions: results.stats.solutions,
+                solutions: stats.solutions,
                 total_ms: elapsed.as_secs_f64() * 1000.0,
             },
         );
-        let report = trace.finish();
+        let report = request.trace.finish();
         self.metrics.record_stages(&report);
-        if trace.is_enabled() && self.slow_log.is_slow(elapsed) {
-            self.record_slow(
-                &report,
-                fingerprint.canonical,
+        if request.trace.is_enabled() && self.slow_log.is_slow(elapsed) {
+            let stages = report.stages().into_iter();
+            self.record_slow(SlowQueryEntry {
+                trace_id: report.trace_id,
+                canonical: request.fingerprint.canonical,
                 engine,
                 cache_hit,
-                elapsed,
-                results.stats.solutions,
-            );
+                total_ms: elapsed.as_secs_f64() * 1000.0,
+                stages_ms: stages.map(|(name, ns)| (name, ns as f64 / 1e6)).collect(),
+                solutions: stats.solutions,
+                uptime_secs: self.metrics.uptime().as_secs_f64(),
+            });
         }
         QueryResponse {
-            results,
+            results: request.results,
             engine,
             cache_hit,
-            fingerprint: fingerprint.hash,
+            fingerprint: request.fingerprint.hash,
             elapsed,
             trace_id,
-            profile: profile.then_some(report),
-            explain,
+            profile: request.profile.then_some(report),
+            explain: request.explain,
         }
     }
 
@@ -737,31 +739,8 @@ impl QueryService {
     }
 
     /// Pushes one offender into the slow-query ring and logs it to stderr.
-    fn record_slow(
-        &self,
-        report: &TraceReport,
-        canonical: String,
-        engine: EngineKind,
-        cache_hit: bool,
-        elapsed: Duration,
-        solutions: usize,
-    ) {
-        let entry = SlowQueryEntry {
-            trace_id: report.trace_id,
-            canonical,
-            engine,
-            cache_hit,
-            total_ms: elapsed.as_secs_f64() * 1000.0,
-            stages_ms: report
-                .stages()
-                .into_iter()
-                .map(|(name, ns)| (name, ns as f64 / 1e6))
-                .collect(),
-            solutions,
-            uptime_secs: self.metrics.uptime().as_secs_f64(),
-        };
-        let trace_id = entry.trace_id;
-        let total_ms = entry.total_ms;
+    fn record_slow(&self, entry: SlowQueryEntry) {
+        let (trace_id, engine, total_ms) = (entry.trace_id, entry.engine, entry.total_ms);
         let line = entry.to_log_line();
         if self.slow_log.record(entry) {
             self.journal_event(Some(trace_id), JournalEvent::SlowQuery { engine, total_ms });
@@ -776,57 +755,70 @@ impl QueryService {
         let mut out = String::with_capacity(8192);
         self.metrics
             .render_prometheus(&mut out, self.store.flavor_name());
-        out.push_str("# HELP turbohom_plan_cache_hits_total Plan-cache hits.\n");
-        out.push_str("# TYPE turbohom_plan_cache_hits_total counter\n");
-        out.push_str(&format!(
-            "turbohom_plan_cache_hits_total {}\n",
-            self.cache.hits()
-        ));
-        out.push_str("# HELP turbohom_plan_cache_misses_total Plan-cache misses.\n");
-        out.push_str("# TYPE turbohom_plan_cache_misses_total counter\n");
-        out.push_str(&format!(
-            "turbohom_plan_cache_misses_total {}\n",
-            self.cache.misses()
-        ));
-        out.push_str("# HELP turbohom_plan_cache_evictions_total Plans evicted from the cache.\n");
-        out.push_str("# TYPE turbohom_plan_cache_evictions_total counter\n");
-        out.push_str(&format!(
-            "turbohom_plan_cache_evictions_total {}\n",
-            self.cache.evictions()
-        ));
-        out.push_str("# HELP turbohom_plan_cache_size Plans currently cached.\n");
-        out.push_str("# TYPE turbohom_plan_cache_size gauge\n");
-        out.push_str(&format!("turbohom_plan_cache_size {}\n", self.cache.len()));
-        out.push_str(
-            "# HELP turbohom_plans_prepared_total How many times parse + transform actually ran.\n",
+        let plans_prepared = self.plans_prepared.load(Ordering::Relaxed);
+        for (name, kind, help, value) in [
+            (
+                "turbohom_plan_cache_hits_total",
+                "counter",
+                "Plan-cache hits.",
+                self.cache.hits(),
+            ),
+            (
+                "turbohom_plan_cache_misses_total",
+                "counter",
+                "Plan-cache misses.",
+                self.cache.misses(),
+            ),
+            (
+                "turbohom_plan_cache_evictions_total",
+                "counter",
+                "Plans evicted from the cache.",
+                self.cache.evictions(),
+            ),
+            (
+                "turbohom_plan_cache_size",
+                "gauge",
+                "Plans currently cached.",
+                self.cache.len() as u64,
+            ),
+            (
+                "turbohom_plans_prepared_total",
+                "counter",
+                "How many times parse + transform actually ran.",
+                plans_prepared,
+            ),
+            (
+                "turbohom_triples",
+                "gauge",
+                "Triples in the underlying store.",
+                self.store.triple_count() as u64,
+            ),
+        ] {
+            scalar(&mut out, name, kind, help, value);
+        }
+        family(
+            &mut out,
+            "turbohom_storage_backend",
+            "gauge",
+            "Active storage backend (1 = active; the snapshot label is the file path, empty for the heap backend).",
         );
-        out.push_str("# TYPE turbohom_plans_prepared_total counter\n");
-        out.push_str(&format!(
-            "turbohom_plans_prepared_total {}\n",
-            self.plans_prepared.load(Ordering::Relaxed)
-        ));
-        out.push_str("# HELP turbohom_triples Triples in the underlying store.\n");
-        out.push_str("# TYPE turbohom_triples gauge\n");
-        out.push_str(&format!("turbohom_triples {}\n", self.store.triple_count()));
-        out.push_str(
-            "# HELP turbohom_storage_backend Active storage backend (1 = active; the snapshot label is the file path, empty for the heap backend).\n",
-        );
-        out.push_str("# TYPE turbohom_storage_backend gauge\n");
+        let snapshot = self.store.snapshot_path();
         out.push_str(&format!(
             "turbohom_storage_backend{{backend=\"{}\",snapshot=\"{}\"}} 1\n",
             self.store.backend_name(),
-            self.store
-                .snapshot_path()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default()
-                .replace('\\', "\\\\")
-                .replace('"', "\\\"")
+            escape_label(
+                &snapshot
+                    .map(|p| p.display().to_string())
+                    .unwrap_or_default()
+            ),
         ));
         let bytes = self.bytes();
-        out.push_str(
-            "# HELP turbohom_memory_bytes Bytes of each array group of each store component (the /stats bytes ledger; direct and permutations are one zero line until a plan reads them).\n",
+        family(
+            &mut out,
+            "turbohom_memory_bytes",
+            "gauge",
+            "Bytes of each array group of each store component (the /stats bytes ledger; direct and permutations are one zero line until a plan reads them).",
         );
-        out.push_str("# TYPE turbohom_memory_bytes gauge\n");
         for (shard, (_, rows)) in bytes.shards.iter().enumerate() {
             for MemoryRow {
                 component,
@@ -841,66 +833,58 @@ impl QueryService {
                 }
             }
         }
-        for (name, help, value) in [
-            (
-                "resident",
-                "Resident set of the server process (VmRSS)",
-                bytes.resident,
-            ),
-            (
-                "resident_peak",
-                "High-water mark of the resident set (VmHWM)",
-                bytes.peak,
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP turbohom_process_{name}_bytes {help}.\n# TYPE turbohom_process_{name}_bytes gauge\nturbohom_process_{name}_bytes {value}\n"
-            ));
-        }
-        if let Some(shards) = self.store.shard_count() {
-            out.push_str(
-                "# HELP turbohom_shards Sharded-execution topology (1 = active; labels carry the configuration).\n",
+        scalar(
+            &mut out,
+            "turbohom_process_resident_bytes",
+            "gauge",
+            "Resident set of the server process (VmRSS).",
+            bytes.resident,
+        );
+        scalar(
+            &mut out,
+            "turbohom_process_resident_peak_bytes",
+            "gauge",
+            "High-water mark of the resident set (VmHWM).",
+            bytes.peak,
+        );
+        if let Some(sharded) = self.store.sharded() {
+            family(
+                &mut out,
+                "turbohom_shards",
+                "gauge",
+                "Sharded-execution topology (1 = active; labels carry the configuration).",
             );
-            out.push_str("# TYPE turbohom_shards gauge\n");
             out.push_str(&format!(
                 "turbohom_shards{{shards=\"{}\",partitioner=\"{}\",halo=\"{}\"}} 1\n",
-                shards,
-                self.store.partitioner_name().unwrap_or(""),
-                self.store.halo().unwrap_or(0),
+                sharded.shard_count(),
+                sharded.partitioner_name(),
+                sharded.halo(),
             ));
         }
-        out.push_str(
-            "# HELP turbohom_shards_pruned_total Shards skipped by summary pruning / ownership routing.\n",
-        );
-        out.push_str("# TYPE turbohom_shards_pruned_total counter\n");
-        out.push_str(&format!(
-            "turbohom_shards_pruned_total {}\n",
-            self.shards_pruned.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP turbohom_shards_executed_total Shards that executed queries on the sharded path.\n",
-        );
-        out.push_str("# TYPE turbohom_shards_executed_total counter\n");
-        out.push_str(&format!(
-            "turbohom_shards_executed_total {}\n",
-            self.shards_executed.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP turbohom_slow_queries_total Queries recorded by the slow-query recorder.\n",
-        );
-        out.push_str("# TYPE turbohom_slow_queries_total counter\n");
-        out.push_str(&format!(
-            "turbohom_slow_queries_total {}\n",
-            self.slow_log.recorded()
-        ));
-        out.push_str(
-            "# HELP turbohom_journal_events_total Events recorded by the structured event journal.\n",
-        );
-        out.push_str("# TYPE turbohom_journal_events_total counter\n");
-        out.push_str(&format!(
-            "turbohom_journal_events_total {}\n",
-            self.journal.recorded()
-        ));
+        for (name, help, value) in [
+            (
+                "turbohom_shards_pruned_total",
+                "Shards skipped by summary pruning / ownership routing.",
+                self.shards_pruned.load(Ordering::Relaxed),
+            ),
+            (
+                "turbohom_shards_executed_total",
+                "Shards that executed queries on the sharded path.",
+                self.shards_executed.load(Ordering::Relaxed),
+            ),
+            (
+                "turbohom_slow_queries_total",
+                "Queries recorded by the slow-query recorder.",
+                self.slow_log.recorded(),
+            ),
+            (
+                "turbohom_journal_events_total",
+                "Events recorded by the structured event journal.",
+                self.journal.recorded(),
+            ),
+        ] {
+            scalar(&mut out, name, "counter", help, value);
+        }
         out
     }
 

@@ -16,7 +16,8 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use turbohom_engine::{escape_json_into, format_trace_id, EngineKind};
+use turbohom_engine::{format_trace_id, EngineKind};
+use turbohom_json::{Fixed3, JsonWriter, ToJson};
 
 /// Canonical query text is truncated to this many bytes in an entry (the
 /// buffer must stay small even if someone sends 1 MiB queries).
@@ -47,41 +48,13 @@ pub struct SlowQueryEntry {
 impl SlowQueryEntry {
     /// Renders the entry as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out: Vec<u8> = Vec::with_capacity(160 + self.canonical.len());
-        out.extend_from_slice(b"{\"trace_id\":\"");
-        out.extend_from_slice(format_trace_id(self.trace_id).as_bytes());
-        out.extend_from_slice(b"\",\"engine\":\"");
-        out.extend_from_slice(self.engine.name().as_bytes());
-        out.extend_from_slice(b"\",\"cache\":\"");
-        out.extend_from_slice(if self.cache_hit { b"HIT" } else { b"MISS" });
-        out.extend_from_slice(
-            format!(
-                "\",\"total_ms\":{:.3},\"solutions\":{},\"uptime_secs\":{:.3},\"stages_ms\":{{",
-                self.total_ms, self.solutions, self.uptime_secs
-            )
-            .as_bytes(),
-        );
-        for (i, (name, ms)) in self.stages_ms.iter().enumerate() {
-            if i > 0 {
-                out.push(b',');
-            }
-            out.extend_from_slice(format!("\"{name}\":{ms:.3}").as_bytes());
-        }
-        out.extend_from_slice(b"},\"query\":\"");
-        escape_json_into(&mut out, &self.canonical);
-        out.extend_from_slice(b"\"}");
-        String::from_utf8(out).expect("the emitter writes UTF-8")
+        turbohom_json::document(|w| self.write_json(w))
     }
 
     /// The one-line structured log form (what goes to stderr).
     pub fn to_log_line(&self) -> String {
-        let mut stages = String::new();
-        for (i, (name, ms)) in self.stages_ms.iter().enumerate() {
-            if i > 0 {
-                stages.push(',');
-            }
-            stages.push_str(&format!("{name}:{ms:.3}"));
-        }
+        let stage = |(name, ms): &(&str, f64)| format!("{name}:{ms:.3}");
+        let stages: Vec<String> = self.stages_ms.iter().map(stage).collect();
         format!(
             "slow-query trace={} engine={} cache={} total_ms={:.3} solutions={} stages=[{}] query={:?}",
             format_trace_id(self.trace_id),
@@ -89,9 +62,26 @@ impl SlowQueryEntry {
             if self.cache_hit { "HIT" } else { "MISS" },
             self.total_ms,
             self.solutions,
-            stages,
+            stages.join(","),
             self.canonical,
         )
+    }
+}
+
+impl ToJson for SlowQueryEntry {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("trace_id", format_trace_id(self.trace_id))
+            .field("engine", self.engine.name())
+            .field("cache", if self.cache_hit { "HIT" } else { "MISS" })
+            .field("total_ms", Fixed3(self.total_ms))
+            .field("solutions", self.solutions)
+            .field("uptime_secs", Fixed3(self.uptime_secs));
+        w.key("stages_ms").begin_object();
+        for &(name, ms) in &self.stages_ms {
+            w.field(name, Fixed3(ms));
+        }
+        w.end_object().field("query", &self.canonical).end_object();
     }
 }
 
@@ -147,14 +137,7 @@ impl SlowQueryLog {
         if !self.is_slow(Duration::from_secs_f64(entry.total_ms / 1000.0)) {
             return false;
         }
-        if entry.canonical.len() > MAX_CANONICAL_LEN {
-            let mut cut = MAX_CANONICAL_LEN;
-            while !entry.canonical.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            entry.canonical.truncate(cut);
-            entry.canonical.push('…');
-        }
+        crate::journal::truncate_text(&mut entry.canonical, MAX_CANONICAL_LEN);
         let slot = self.head.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
         *self.slots[slot].lock() = Some(entry);
         true
@@ -170,28 +153,15 @@ impl SlowQueryLog {
 
     /// Renders the whole buffer as the `GET /debug/slow` JSON payload.
     pub fn to_json(&self) -> String {
-        let entries = self.snapshot();
-        let mut out = String::with_capacity(64 + entries.len() * 200);
-        match self.threshold {
-            Some(t) => out.push_str(&format!(
-                "{{\"threshold_ms\":{:.3},",
-                t.as_secs_f64() * 1000.0
-            )),
-            None => out.push_str("{\"threshold_ms\":null,"),
-        }
-        out.push_str(&format!(
-            "\"capacity\":{},\"recorded\":{},\"entries\":[",
-            self.capacity(),
-            self.recorded()
-        ));
-        for (i, entry) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&entry.to_json());
-        }
-        out.push_str("]}");
-        out
+        turbohom_json::document(|w| {
+            let threshold_ms = self.threshold.map(|t| Fixed3(t.as_secs_f64() * 1000.0));
+            w.begin_object()
+                .field("threshold_ms", threshold_ms)
+                .field("capacity", self.capacity())
+                .field("recorded", self.recorded())
+                .field("entries", self.snapshot())
+                .end_object();
+        })
     }
 }
 
@@ -288,5 +258,24 @@ mod tests {
         assert!(line.contains("total_ms=12.500"));
         assert!(line.contains("stages=[parse:0.100,execute:12.400]"));
         assert!(!line.contains('\n'));
+    }
+
+    #[test]
+    fn a_hostile_query_text_is_escaped_in_the_whole_document() {
+        let log = SlowQueryLog::new(1, Some(Duration::ZERO));
+        let mut e = entry(7, 2.0);
+        e.canonical = "SELECT \"?x\"\n\\ \u{0}\u{1f} é } ] ,".into();
+        log.record(e);
+        assert_eq!(
+            log.to_json(),
+            "{\"threshold_ms\":0.000,\"capacity\":1,\"recorded\":1,\"entries\":[{\"trace_id\":\"0000000000000007\",\
+             \"engine\":\"turbohom++\",\"cache\":\"MISS\",\"total_ms\":2.000,\"solutions\":5,\"uptime_secs\":1.000,\
+             \"stages_ms\":{\"parse\":0.100,\"execute\":1.900},\
+             \"query\":\"SELECT \\\"?x\\\"\\n\\\\ \\u0000\\u001f é } ] ,\"}]}"
+        );
+        // A disabled recorder says so with a null.
+        let disabled = SlowQueryLog::new(1, None).to_json();
+        assert!(disabled.starts_with("{\"threshold_ms\":null,\"capacity\":1,"));
+        assert!(disabled.ends_with("\"entries\":[]}"));
     }
 }

@@ -391,6 +391,48 @@ fn post_bodies_and_error_statuses() {
     handle.shutdown();
 }
 
+#[test]
+fn distinct_is_refused_and_reduced_is_answered() {
+    let (service, handle) = lubm_service();
+    let addr = handle.addr();
+    let q6 = &lubm::queries()[5].sparql;
+    assert!(q6.contains("SELECT ?X"), "{q6}");
+
+    // DISTINCT → 400 naming it: nothing removes duplicates, so the query is
+    // refused, counted and journaled rather than answered with them.
+    let errors = || service.stats().engines[0].errors;
+    let before = errors();
+    let distinct = q6.replace("SELECT ?X", "SELECT DISTINCT ?X");
+    let (status, _, body) = get_query(addr, &distinct, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(
+        body.starts_with("{\"error\":\"") && body.contains("DISTINCT"),
+        "{body}"
+    );
+    assert_eq!(errors(), before + 1);
+    let events = service.journal().to_jsonl();
+    let failed = events.lines().rfind(|l| l.contains("query_failed"));
+    assert!(failed.is_some_and(|l| l.contains("DISTINCT")), "{events}");
+    // EXPLAIN refuses alike: it plans through the same entry point.
+    let request = format!(
+        "GET /query?explain=1&query={} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        urlencode(&distinct)
+    );
+    let (status, _, body) = http_request(addr, &request);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(body.contains("DISTINCT"), "{body}");
+
+    // REDUCED permits duplicates, so it is answered — with the plain answer.
+    let reduced = q6.replace("SELECT ?X", "SELECT REDUCED ?X");
+    let (status, _, plain) = get_query(addr, q6, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let (status, _, body) = get_query(addr, &reduced, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    assert_eq!(body, plain);
+
+    handle.shutdown();
+}
+
 /// Extracts the first JSON number following `"key":` in `json`.
 fn json_number(json: &str, key: &str) -> f64 {
     let needle = format!("\"{key}\":");

@@ -214,8 +214,10 @@ pub enum Selection {
 pub struct Query {
     /// The projection.
     pub selection: Selection,
-    /// Whether `DISTINCT` was present (recorded; the engines ignore it when
-    /// timing pure pattern matching, as the paper prescribes in Section 7.1).
+    /// Whether `DISTINCT` was present (recorded; no engine removes
+    /// duplicates — the paper times pure pattern matching, Section 7.1 — so
+    /// the store refuses a query that has it). `REDUCED` is not recorded: it
+    /// permits duplicates.
     pub distinct: bool,
     /// The `WHERE` group.
     pub pattern: GroupPattern,

@@ -6,8 +6,10 @@
 //! This crate parses exactly that subset:
 //!
 //! * `PREFIX` declarations and prefixed names,
-//! * `SELECT` with a projection list or `*`, `DISTINCT` (recognized and
-//!   recorded, excluded from timing as the paper does),
+//! * `SELECT` with a projection list or `*`; `DISTINCT` is recognized and
+//!   recorded (the engine refuses it: the paper times pure pattern matching
+//!   and nothing removes duplicates), `REDUCED` is accepted and asks for
+//!   nothing,
 //! * `WHERE` groups containing triple patterns (with `;`/`,` shorthand and
 //!   the `a` keyword), `OPTIONAL` groups (possibly nested), `FILTER`
 //!   expressions and `UNION` alternatives,

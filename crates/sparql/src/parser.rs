@@ -137,7 +137,11 @@ impl<'a> Parser<'a> {
     fn parse(mut self) -> Result<Query, ParseError> {
         self.parse_prologue()?;
         self.expect_word("SELECT")?;
-        let distinct = self.eat_word("DISTINCT") || self.eat_word("REDUCED");
+        let distinct = self.eat_word("DISTINCT");
+        if !distinct {
+            // REDUCED permits duplicates: answering with all of them is correct.
+            self.eat_word("REDUCED");
+        }
         let selection = self.parse_selection()?;
         // WHERE is technically optional in SPARQL.
         let _ = self.eat_word("WHERE");
@@ -659,6 +663,10 @@ mod tests {
         assert_eq!(q.projected_variables(), vec!["o", "p", "s"]);
         let t = &q.pattern.triples[0];
         assert!(t.subject.is_variable() && t.predicate.is_variable() && t.object.is_variable());
+        // REDUCED is accepted and asks for nothing.
+        let q = parse_query("SELECT REDUCED ?s WHERE { ?s ?p ?o . }").unwrap();
+        assert!(!q.distinct);
+        assert!(parse_query("SELECT DISTINCT REDUCED ?s WHERE { ?s ?p ?o . }").is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Zero-dependency span tracing for the TurboHOM++ query pipeline.
+//! Span tracing for the TurboHOM++ query pipeline.
 //!
 //! The paper's central claim is about *where* query time goes — type-aware
 //! transform, candidate-region filtering, matching-order selection,
@@ -22,13 +22,14 @@
 //! additionally makes the matching core time candidate-region exploration,
 //! matching-order selection and per-worker enumeration.
 //!
-//! The crate depends only on `std` so every layer of the workspace —
-//! `turbohom-core`, `turbohom-engine`, `turbohom-service` — can link it
-//! without cycles.
+//! The crate depends only on `std` and the workspace's JSON writer so every
+//! layer of the workspace — `turbohom-core`, `turbohom-engine`,
+//! `turbohom-service` — can link it without cycles.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use turbohom_json::Fixed3;
 
 /// Identifier of one span within its trace (dense, starting at 0).
 pub type SpanId = u32;
@@ -179,11 +180,7 @@ impl Trace {
     /// A disabled trace yields an empty report with `trace_id` 0.
     pub fn finish(&self) -> TraceReport {
         let Some(inner) = self.inner.as_ref() else {
-            return TraceReport {
-                trace_id: 0,
-                total_ns: 0,
-                spans: Vec::new(),
-            };
+            return TraceReport::default();
         };
         let mut spans = inner.spans.lock().unwrap().clone();
         spans.sort_by_key(|s| s.id);
@@ -257,7 +254,7 @@ impl Drop for Span<'_> {
 }
 
 /// A finished trace: the span tree plus stage roll-ups.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// The id the trace was created with (0 for a disabled trace).
     pub trace_id: u64,
@@ -315,53 +312,33 @@ impl TraceReport {
     /// Durations are microseconds with nanosecond precision; `stages` keys
     /// appear in pipeline order.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.spans.len() * 96);
-        out.push_str("{\"trace_id\":\"");
-        out.push_str(&format_trace_id(self.trace_id));
-        out.push_str("\",\"total_us\":");
-        push_us(&mut out, self.total_ns);
-        out.push_str(",\"stages\":{");
-        for (i, (name, ns)) in self.stages().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        turbohom_json::document(|w| {
+            // Microseconds with 3 decimals (i.e. nanosecond precision) so that
+            // sub-microsecond stages don't collapse to zero in profile output.
+            let us = |ns: u64| Fixed3(ns as f64 / 1_000.0);
+            w.begin_object()
+                .field("trace_id", format_trace_id(self.trace_id))
+                .field("total_us", us(self.total_ns));
+            w.key("stages").begin_object();
+            for (name, ns) in self.stages() {
+                w.field(name, us(ns));
             }
-            out.push('"');
-            out.push_str(name);
-            out.push_str("\":");
-            push_us(&mut out, *ns);
-        }
-        out.push_str("},\"spans\":[");
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            out.push_str(&span.id.to_string());
-            out.push_str(",\"parent\":");
-            match span.parent {
-                Some(p) => out.push_str(&p.to_string()),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"name\":\"");
-            out.push_str(span.name);
-            out.push_str("\",\"start_us\":");
-            push_us(&mut out, span.start_ns);
-            out.push_str(",\"dur_us\":");
-            push_us(&mut out, span.duration_ns);
-            out.push_str(",\"counters\":{");
-            for (j, (name, value)) in span.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            w.end_object().key("spans").begin_array();
+            for span in &self.spans {
+                w.begin_object()
+                    .field("id", span.id)
+                    .field("parent", span.parent)
+                    .field("name", span.name)
+                    .field("start_us", us(span.start_ns))
+                    .field("dur_us", us(span.duration_ns));
+                w.key("counters").begin_object();
+                for &(name, value) in &span.counters {
+                    w.field(name, value);
                 }
-                out.push('"');
-                out.push_str(name);
-                out.push_str("\":");
-                out.push_str(&value.to_string());
+                w.end_object().end_object();
             }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+            w.end_array().end_object();
+        })
     }
 }
 
@@ -369,16 +346,6 @@ impl TraceReport {
 /// (`X-Trace-Id` header, access log, slow-query log): 16 hex digits.
 pub fn format_trace_id(id: u64) -> String {
     format!("{id:016x}")
-}
-
-fn push_us(out: &mut String, ns: u64) {
-    // Microseconds with 3 decimals (i.e. nanosecond precision) so that
-    // sub-microsecond stages don't collapse to zero in profile output.
-    let us = ns / 1_000;
-    let frac = ns % 1_000;
-    out.push_str(&us.to_string());
-    out.push('.');
-    out.push_str(&format!("{frac:03}"));
 }
 
 #[cfg(test)]
@@ -578,15 +545,5 @@ mod tests {
         assert_eq!(parent_span.name, "execute");
         assert_eq!(child_span.parent, Some(parent_span.id));
         assert!(json.contains("\"counters\":{\"shard\":3,\"rows\":7}"));
-    }
-
-    #[test]
-    fn microsecond_formatting_keeps_nanosecond_precision() {
-        let mut out = String::new();
-        push_us(&mut out, 1_234_567);
-        assert_eq!(out, "1234.567");
-        let mut out = String::new();
-        push_us(&mut out, 42);
-        assert_eq!(out, "0.042");
     }
 }
