@@ -540,22 +540,18 @@ impl ShardedStore {
     ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
         let plan = self.prepare_plan(sparql, kind)?;
         let mut report = self.explain_plan(&plan);
-        // A coarse trace records the per-shard `shard_execute` roll-ups,
-        // which carry exactly the per-shard row counts ANALYZE needs.
-        let trace = Trace::new(0);
-        let results = self.run_plan_traced(&plan, threads, &trace)?;
+        let mut results = self.scatter(&plan, threads, &Trace::disabled())?;
+        // What each live shard contributed, read before the window is cut
+        // (a shard a LIMIT empties was not a pruning miss).
         let mut false_live = 0u64;
-        let spans = trace.finish().spans;
-        for span in spans.iter().filter(|s| s.name == "shard_execute") {
-            let counter = |name| span.counters.iter().find(|(n, _)| *n == name);
-            // Only live shards execute, and `report.shards` is in shard order.
-            if let (Some(&(_, shard)), Some(&(_, rows))) = (counter("shard"), counter("rows")) {
-                let se = &mut report.shards[shard as usize];
-                se.rows = Some(rows);
-                se.false_live = Some(rows == 0);
-                false_live += u64::from(rows == 0);
-            }
+        for run in &results.runs {
+            let rows = run.rows.len() as u64;
+            let se = &mut report.shards[run.shard];
+            se.rows = Some(rows);
+            se.false_live = Some(rows == 0);
+            false_live += u64::from(rows == 0);
         }
+        results.apply_window(plan.window);
         report.attach_actuals(&results);
         if let Some(actual) = &mut report.actual {
             actual.false_live_shards = false_live;
@@ -789,34 +785,52 @@ mod tests {
 
     #[test]
     fn sharded_analyze_reports_per_shard_rows_and_false_lives() {
-        let sharded = ShardedStore::from_dataset_with(
-            sample_dataset(),
-            ShardedOptions {
-                shards: 3,
-                inference: true,
-                threads: 1,
-                ..ShardedOptions::default()
-            },
-        )
-        .unwrap();
-        let (results, report) = sharded
-            .analyze(Q, EngineKind::TurboHomPlusPlus, None)
+        for shards in [3, 8] {
+            let sharded = ShardedStore::from_dataset_with(
+                sample_dataset(),
+                ShardedOptions {
+                    shards,
+                    inference: true,
+                    threads: 1,
+                    ..ShardedOptions::default()
+                },
+            )
             .unwrap();
-        assert_eq!(results.len(), 10);
-        // Every live shard got a row count; their sum is the result size
-        // (the ownership filter makes the shard rows a partition).
-        let live: Vec<_> = report
-            .shards
-            .iter()
-            .filter(|s| s.verdict == "live")
-            .collect();
-        assert!(!live.is_empty());
-        let total: u64 = live.iter().map(|s| s.rows.unwrap()).sum();
-        assert_eq!(total, 10);
-        // false_live is set for every live shard, and counted in the summary.
-        let false_lives = live.iter().filter(|s| s.false_live == Some(true)).count() as u64;
-        assert_eq!(report.false_live_shards(), false_lives);
-        assert!(report.actual.is_some());
+            let (results, report) = sharded
+                .analyze(Q, EngineKind::TurboHomPlusPlus, None)
+                .unwrap();
+            assert_eq!(results.len(), 10);
+            // Every live shard got a row count; their sum is the result size
+            // (the ownership filter makes the shard rows a partition).
+            let live: Vec<_> = report
+                .shards
+                .iter()
+                .filter(|s| s.verdict == "live")
+                .collect();
+            assert!(!live.is_empty());
+            let total: u64 = live.iter().map(|s| s.rows.unwrap()).sum();
+            assert_eq!(total as usize, results.row_count(), "k={shards}");
+            // A live shard is false-live exactly when it contributed nothing,
+            // and the summary counts those.
+            for s in &live {
+                assert_eq!(s.false_live, Some(s.rows == Some(0)), "shard {}", s.shard);
+            }
+            let false_lives = live.iter().filter(|s| s.rows == Some(0)).count() as u64;
+            assert_eq!(report.false_live_shards(), false_lives, "k={shards}");
+            let skipped = report.shards.iter().filter(|s| s.verdict != "live");
+            assert!(skipped.into_iter().all(|s| s.rows.is_none()));
+            // Shard rows are what the shard contributed, not what a LIMIT
+            // left of it: a shard the window empties is not a pruning miss.
+            let limited = format!("{Q} LIMIT 1");
+            let (results, cut) = sharded
+                .analyze(&limited, EngineKind::TurboHomPlusPlus, None)
+                .unwrap();
+            assert_eq!((results.len(), results.row_count()), (1, 1));
+            for (whole, cut) in report.shards.iter().zip(&cut.shards) {
+                assert_eq!((whole.rows, whole.false_live), (cut.rows, cut.false_live));
+            }
+            assert_eq!(cut.false_live_shards(), false_lives);
+        }
     }
 
     #[test]

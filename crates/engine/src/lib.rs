@@ -33,7 +33,7 @@ pub use store::{EngineKind, ParseEngineKindError, PreparedQuery, Store, StoreOpt
 pub use turbohom_json::escape_json_into;
 // Re-exported so callers configuring a sharded store (the server's flag
 // parsing, the bench harness) need no direct partition dependency.
-pub use turbohom_partition::{Anchor, PartitionerKind, DEFAULT_HALO};
+pub use turbohom_partition::{Anchor, DEFAULT_HALO};
 // Re-exported so harnesses consuming `QueryResults::stats` (the benchmark
 // flight recorder, the service metrics) need no direct core dependency.
 pub use turbohom_core::MatchStats;

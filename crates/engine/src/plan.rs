@@ -22,7 +22,7 @@
 //! ([`StoreError::OrderByUnsupported`]): no engine applies it.
 
 use crate::error::StoreError;
-use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
+use crate::results::{term_of, IdResults, QueryResults, Run};
 use crate::store::{branch_needs_direct, collect_filters, split_components, EngineKind, Store};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -384,14 +384,15 @@ impl Store {
         Ok(results)
     }
 
-    /// An empty result over `variables` whose cells are ids of this store's
-    /// dictionary.
+    /// A result over `variables` of one run: `rows`, whose cells are ids of
+    /// this store's dictionary.
     pub(crate) fn id_results(&self, variables: Vec<String>, rows: IdRows) -> IdResults<'_> {
-        IdResults::new(
-            variables,
+        let run = Run {
+            shard: 0,
             rows,
-            Dictionaries::Store(&self.dataset().dictionary),
-        )
+            dictionary: &self.dataset().dictionary,
+        };
+        IdResults::new(variables, vec![run])
     }
 
     /// Runs one branch and appends its rows to `results`. Connected branches
@@ -437,7 +438,7 @@ impl Store {
         }
         if let ([component], [result]) = (branch.components.as_slice(), matched.as_slice()) {
             let mut rows = self.project(component, &result.rows, &results.variables);
-            results.rows.append(&mut rows);
+            results.rows_mut().append(&mut rows);
             results.solution_count += result.solution_count;
         } else {
             let parts: Vec<IdRows> = branch
@@ -454,7 +455,7 @@ impl Store {
                 rows.truncate(l);
             }
             results.solution_count += rows.len();
-            results.rows.append(&mut rows);
+            results.rows_mut().append(&mut rows);
         }
         *materialise += projecting.elapsed();
         Ok(())

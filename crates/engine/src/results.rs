@@ -2,7 +2,8 @@
 //!
 //! A result stays a table of integer ids from the enumerator to the moment
 //! it is written out: [`IdResults`] is one flat [`IdRows`] buffer of term ids
-//! plus the dictionaries they resolve through. It is serialised through
+//! per store that produced rows, each with the dictionary its ids resolve
+//! through. It is serialised through
 //! borrowed [`TermRef`] views, so no `Term` is cloned unless an embedder asks
 //! for the decoded view, [`QueryResults`], with [`IdResults::decode`]. Both
 //! views serialise through the one SPARQL-JSON writer in this module.
@@ -99,7 +100,8 @@ impl QueryResults {
             .rows
             .iter()
             .map(|row| row.iter().map(|term| term.as_ref().map(TermRef::from)));
-        json_string(|out| write_sparql_json(out, &mut Vec::new(), &self.variables, rows, None))
+        let runs = std::iter::once(rows);
+        json_string(|out| write_sparql_json(out, &mut Vec::new(), &self.variables, runs, None))
     }
 }
 
@@ -107,23 +109,27 @@ impl QueryResults {
 /// SPARQL-JSON document (see [`IdResults::write_sparql_json`]).
 pub type ExtraMembers<'a> = &'a mut dyn FnMut(&mut Vec<u8>);
 
-/// The dictionaries the cells of an [`IdResults`] resolve through.
+/// The rows one store produced, where it put them: a single store's result
+/// is one run, a sharded store's one run per live shard in ascending shard
+/// order.
 #[derive(Debug, Clone)]
-pub(crate) enum Dictionaries<'s> {
-    /// A single store: every cell is an id of this dictionary.
-    Store(&'s Dictionary),
-    /// A sharded store, whose shards each own a dictionary: every row ends
-    /// with one extra cell, the index of the shard whose ids it holds.
-    Shards(Vec<&'s Dictionary>),
+pub(crate) struct Run<'s> {
+    /// The shard that produced the rows (0 on a single store).
+    pub(crate) shard: usize,
+    /// One row per solution: a term-id cell per variable, then whatever
+    /// further columns the producer matched on (an anchor the query did not
+    /// project), which no reader looks at.
+    pub(crate) rows: IdRows,
+    /// The dictionary the cells are ids of.
+    pub(crate) dictionary: &'s Dictionary,
 }
 
 /// The result of executing one SPARQL query, as term ids.
 ///
-/// Rows are kept in one flat buffer and resolved through the store's
-/// dictionary (the producing shard's, on a sharded store) only when they are
-/// compared, serialised or decoded, so memory per in-flight query is bounded
-/// by the id buffer rather than by rendered text. The value borrows the store
-/// that produced it.
+/// Rows are kept in one flat buffer per producing store and resolved through
+/// that store's dictionary only when they are compared, serialised or
+/// decoded, so memory per in-flight query is bounded by the id buffers rather
+/// than by rendered text. The value borrows the store that produced it.
 #[derive(Debug, Clone)]
 pub struct IdResults<'s> {
     /// The projected variable names (without `?`).
@@ -141,28 +147,21 @@ pub struct IdResults<'s> {
     /// Per matching-order position estimates; see
     /// [`QueryResults::step_estimates`].
     pub step_estimates: Vec<u64>,
-    /// One row per solution: a term-id cell per variable, plus the shard
-    /// index with [`Dictionaries::Shards`].
-    pub(crate) rows: IdRows,
-    pub(crate) dictionaries: Dictionaries<'s>,
+    /// The rows, run after run.
+    pub(crate) runs: Vec<Run<'s>>,
 }
 
 impl<'s> IdResults<'s> {
-    /// Results over `variables` holding `rows`, with every counter at zero.
-    pub(crate) fn new(
-        variables: Vec<String>,
-        rows: IdRows,
-        dictionaries: Dictionaries<'s>,
-    ) -> Self {
+    /// Results over `variables` holding `runs`, with every counter at zero.
+    pub(crate) fn new(variables: Vec<String>, runs: Vec<Run<'s>>) -> Self {
         IdResults {
             variables,
-            solution_count: rows.len(),
+            solution_count: runs.iter().map(|run| run.rows.len()).sum(),
             elapsed: Duration::ZERO,
             stats: MatchStats::default(),
             step_rows: Vec::new(),
             step_estimates: Vec::new(),
-            rows,
-            dictionaries,
+            runs,
         }
     }
 
@@ -178,37 +177,30 @@ impl<'s> IdResults<'s> {
 
     /// Number of materialised rows (0 in count-only mode).
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        self.runs.iter().map(|run| run.rows.len()).sum()
     }
 
-    /// The dictionary `row`'s cells are ids of.
-    fn dictionary_of(&self, row: &[u32]) -> &'s Dictionary {
-        match &self.dictionaries {
-            Dictionaries::Store(dictionary) => dictionary,
-            Dictionaries::Shards(shards) => shards[row[self.variables.len()] as usize],
-        }
-    }
-
-    /// The terms of `row`, one per variable, as borrowed views.
-    fn terms<'a>(&'a self, row: &'a [u32]) -> impl Iterator<Item = Option<TermRef<'s>>> + 'a {
-        let dictionary = self.dictionary_of(row);
-        row[..self.variables.len()]
-            .iter()
-            .map(move |&cell| term_of(dictionary, cell))
+    /// The rows of a single store's result (its one run).
+    pub(crate) fn rows_mut(&mut self) -> &mut IdRows {
+        &mut self.runs[0].rows
     }
 
     /// Applies the query's window: drops the first `offset` rows, then keeps
-    /// at most `limit`.
+    /// at most `limit`, counting through the runs in order.
     pub(crate) fn apply_window(&mut self, Window { offset, limit }: Window) {
-        if let Some(limit) = limit {
-            self.rows.truncate(offset.saturating_add(limit));
-        }
-        if offset > 0 {
-            let mut seen = 0;
-            self.rows.retain(|_| {
-                seen += 1;
-                seen > offset
-            });
+        let mut skip = offset;
+        let mut room = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
+        for run in &mut self.runs {
+            run.rows.truncate(room);
+            room -= run.rows.len();
+            if skip > 0 {
+                let (before, mut seen) = (run.rows.len(), 0);
+                run.rows.retain(|_| {
+                    seen += 1;
+                    seen > skip
+                });
+                skip -= before - run.rows.len();
+            }
         }
         let kept = self.solution_count.saturating_sub(offset);
         self.solution_count = limit.map_or(kept, |limit| kept.min(limit));
@@ -218,17 +210,16 @@ impl<'s> IdResults<'s> {
     /// copied out of the dictionary.
     pub fn decode(self) -> QueryResults {
         let started = Instant::now();
-        let rows: Vec<ResultRow> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let dictionary = self.dictionary_of(row);
-                row[..self.variables.len()]
+        let width = self.variables.len();
+        let mut rows: Vec<ResultRow> = Vec::with_capacity(self.row_count());
+        for run in &self.runs {
+            rows.extend(run.rows.iter().map(|row| {
+                row[..width]
                     .iter()
-                    .map(|&cell| IdRows::term_id(cell).and_then(|id| dictionary.term(id)))
+                    .map(|&cell| IdRows::term_id(cell).and_then(|id| run.dictionary.term(id)))
                     .collect()
-            })
-            .collect();
+            }));
+        }
         QueryResults {
             variables: self.variables,
             rows,
@@ -256,8 +247,14 @@ impl<'s> IdResults<'s> {
         buffer: &mut Vec<u8>,
         members: Option<ExtraMembers<'_>>,
     ) -> io::Result<()> {
-        let rows = self.rows.iter().map(|row| self.terms(row));
-        write_sparql_json(out, buffer, &self.variables, rows, members)
+        let width = self.variables.len();
+        let runs = self.runs.iter().map(|run| {
+            let cell = move |&cell| term_of(run.dictionary, cell);
+            run.rows
+                .iter()
+                .map(move |row| row[..width].iter().map(cell))
+        });
+        write_sparql_json(out, buffer, &self.variables, runs, members)
     }
 
     /// Serializes the results as one SPARQL 1.1 Query Results JSON string.
@@ -287,16 +284,17 @@ const BUFFER: usize = 64 * 1024;
 const FLUSH_AT: usize = 48 * 1024;
 
 /// The one SPARQL-JSON writer: a `head.vars` list and one binding object per
-/// row, unbound variables omitted.
-fn write_sparql_json<'t, W, R, C>(
+/// row of every run in turn, unbound variables omitted.
+fn write_sparql_json<'t, W, S, R, C>(
     out: &mut W,
     buf: &mut Vec<u8>,
     variables: &[String],
-    rows: R,
+    runs: S,
     members: Option<ExtraMembers<'_>>,
 ) -> io::Result<()>
 where
     W: Write,
+    S: Iterator<Item = R>,
     R: Iterator<Item = C>,
     C: Iterator<Item = Option<TermRef<'t>>>,
 {
@@ -318,25 +316,29 @@ where
         keys.push(key);
     }
     buf.extend_from_slice(b"]},\"results\":{\"bindings\":[");
-    for (r, row) in rows.enumerate() {
-        if r > 0 {
-            buf.push(b',');
-        }
-        buf.push(b'{');
-        let mut first = true;
-        for (key, term) in keys.iter().zip(row) {
-            let Some(term) = term else { continue };
-            if !first {
+    let mut first_row = true;
+    for rows in runs {
+        for row in rows {
+            if !first_row {
                 buf.push(b',');
             }
-            first = false;
-            buf.extend_from_slice(key);
-            append_term_json(buf, term);
-        }
-        buf.push(b'}');
-        if buf.len() >= FLUSH_AT {
-            out.write_all(buf)?;
-            buf.clear();
+            first_row = false;
+            buf.push(b'{');
+            let mut first = true;
+            for (key, term) in keys.iter().zip(row) {
+                let Some(term) = term else { continue };
+                if !first {
+                    buf.push(b',');
+                }
+                first = false;
+                buf.extend_from_slice(key);
+                append_term_json(buf, term);
+            }
+            buf.push(b'}');
+            if buf.len() >= FLUSH_AT {
+                out.write_all(buf)?;
+                buf.clear();
+            }
         }
     }
     buf.extend_from_slice(b"]}");
@@ -604,13 +606,15 @@ mod tests {
         view
     }
 
-    /// `rows` over `dictionary` as id-backed results of a single store.
-    fn id_results<'s>(
+    /// `rows` as ids of `dictionary`, in a run of stride `width` that shard
+    /// `shard` produced.
+    fn run<'s>(
         dictionary: &'s Dictionary,
-        variables: &[String],
+        shard: usize,
+        width: usize,
         rows: &[Vec<Option<Term>>],
-    ) -> IdResults<'s> {
-        let mut ids = IdRows::new(variables.len());
+    ) -> Run<'s> {
+        let mut ids = IdRows::new(width);
         for row in rows {
             let cells = ids.push_unbound();
             for (cell, term) in cells.iter_mut().zip(row) {
@@ -619,7 +623,21 @@ mod tests {
                 }
             }
         }
-        IdResults::new(variables.to_vec(), ids, Dictionaries::Store(dictionary))
+        Run {
+            shard,
+            rows: ids,
+            dictionary,
+        }
+    }
+
+    /// `rows` over `dictionary` as id-backed results of a single store.
+    fn id_results<'s>(
+        dictionary: &'s Dictionary,
+        variables: &[String],
+        rows: &[Vec<Option<Term>>],
+    ) -> IdResults<'s> {
+        let run = run(dictionary, 0, variables.len(), rows);
+        IdResults::new(variables.to_vec(), vec![run])
     }
 
     proptest! {
@@ -689,7 +707,12 @@ mod tests {
         for _ in 0..10_000 {
             rows.push(&[IdRows::cell(id)]);
         }
-        let results = IdResults::new(vec!["x".into()], rows, Dictionaries::Store(&dictionary));
+        let run = Run {
+            shard: 0,
+            rows,
+            dictionary: &dictionary,
+        };
+        let results = IdResults::new(vec!["x".into()], vec![run]);
         let mut pieces = Pieces(Vec::new());
         let mut tail = |out: &mut Vec<u8>| out.extend_from_slice(b",\"extra\":1");
         results
@@ -717,6 +740,72 @@ mod tests {
             .write_sparql_json(&mut broken, &mut Vec::new(), None)
             .is_err());
         assert_eq!(broken.0, 1);
+    }
+
+    /// Two shards whose dictionaries give the same ids to different terms,
+    /// the second run one column wider than the variables.
+    #[test]
+    fn every_run_resolves_through_its_own_dictionary() {
+        let term = |name: &str| Some(Term::iri(format!("http://ex/{name}")));
+        let (mut first, mut second) = (Dictionary::new(), Dictionary::new());
+        for name in ["a", "b", "c"] {
+            first.encode(&term(name).unwrap());
+        }
+        for name in ["c", "anchor", "a", "d"] {
+            second.encode(&term(name).unwrap());
+        }
+        let variables = vec!["x".to_string(), "y".to_string()];
+        let from_first = vec![vec![term("a"), term("b")], vec![term("c"), None]];
+        let from_second = vec![
+            vec![term("c"), term("d"), term("anchor")],
+            vec![term("a"), term("c"), term("anchor")],
+        ];
+        let gathered = || {
+            IdResults::new(
+                variables.clone(),
+                vec![
+                    run(&first, 1, 2, &from_first),
+                    run(&second, 5, 3, &from_second),
+                ],
+            )
+        };
+        let expected: Vec<ResultRow> = from_first
+            .iter()
+            .chain(&from_second)
+            .map(|row| row[..2].to_vec())
+            .collect();
+        let results = gathered();
+        assert_eq!((results.len(), results.row_count()), (4, 4));
+        assert_eq!(
+            results.to_sparql_json(),
+            reference::to_sparql_json(&variables, &expected)
+        );
+        assert_eq!(results.decode().rows, expected);
+        // A window that starts inside the first run and ends inside the
+        // second, one that ends inside the first, one that skips it whole.
+        for (offset, limit) in [
+            (1, Some(2)),
+            (0, Some(1)),
+            (2, None),
+            (3, Some(5)),
+            (9, None),
+        ] {
+            let mut windowed = gathered();
+            windowed.apply_window(Window { offset, limit });
+            let kept: Vec<ResultRow> = expected
+                .iter()
+                .skip(offset)
+                .take(limit.unwrap_or(usize::MAX))
+                .cloned()
+                .collect();
+            assert_eq!(windowed.len(), kept.len(), "{offset} {limit:?}");
+            assert_eq!(windowed.row_count(), kept.len(), "{offset} {limit:?}");
+            assert_eq!(
+                windowed.to_sparql_json(),
+                reference::to_sparql_json(&variables, &kept)
+            );
+            assert_eq!(windowed.decode().rows, kept, "{offset} {limit:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! every term has one owner shard, and each shard additionally replicates a
 //! bounded *halo* of boundary adjacency, so a connected query never needs a
 //! distributed join — each shard answers it locally and the coordinator
-//! only concatenates.
+//! only hands their rows on, shard after shard.
 //!
 //! Two pruning layers run before any shard executes:
 //!
@@ -14,11 +14,12 @@
 //!    no result are never planned, let alone executed.
 //! 2. **Ownership routing** (plan time): a constant anchor sends the query
 //!    to its owner shard alone. A variable anchor fans out to the surviving
-//!    shards; each keeps only the rows whose anchor binding it owns, which
-//!    makes the concatenation an exact multiset partition of the
-//!    single-store answer — no deduplication. The gathered rows are the
-//!    shards' runs in ascending shard order, each in its own enumeration
-//!    order: the same rows as a single store returns, with the same
+//!    shards; each keeps only the rows whose anchor binding it owns (a bit
+//!    its summary holds per term id), which makes the runs an exact multiset
+//!    partition of the single-store answer — no deduplication. The gathered
+//!    result is the shards' runs in ascending shard order, each left where
+//!    its shard put it, in its own enumeration order and over its own
+//!    dictionary: the same rows as a single store returns, with the same
 //!    rendering, in another order.
 //!
 //! Queries outside the sharded scope (UNION, disconnected patterns, triples
@@ -27,7 +28,7 @@
 
 use crate::error::StoreError;
 use crate::plan::{window_of, QueryPlan, Window};
-use crate::results::{term_of, Dictionaries, IdResults, QueryResults};
+use crate::results::{IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -36,7 +37,7 @@ use std::time::Instant;
 use turbohom_core::{drive, merge_step_counts, Worker};
 use turbohom_partition::{
     analyze_query, labeled_footprint, partition_dataset, summary_verdict, Anchor, Manifest,
-    Ownership, PartitionConfig, PartitionerKind, ShardSummary, ShardVerdict, DEFAULT_HALO,
+    Ownership, PartitionConfig, ShardSummary, ShardVerdict, DEFAULT_HALO,
 };
 use turbohom_rdf::{parse_ntriples, Dataset, IdRows, InferenceConfig, InferenceEngine};
 use turbohom_sparql::{parse_query, Selection};
@@ -53,8 +54,6 @@ pub struct ShardedOptions {
     pub inference: bool,
     /// Worker threads per shard execution (the per-shard TurboHOM++ setting).
     pub threads: usize,
-    /// Term → shard assignment strategy.
-    pub partitioner: PartitionerKind,
     /// Boundary replication radius (linkage hops).
     pub halo: usize,
 }
@@ -65,7 +64,6 @@ impl Default for ShardedOptions {
             shards: 4,
             inference: false,
             threads: 1,
-            partitioner: PartitionerKind::Hash,
             halo: DEFAULT_HALO,
         }
     }
@@ -77,7 +75,6 @@ impl Default for ShardedOptions {
 pub struct ShardedStore {
     shards: Vec<Arc<Store>>,
     summaries: Vec<ShardSummary>,
-    ownership: Ownership,
     halo: usize,
     global_triples: usize,
     snapshot_path: Option<PathBuf>,
@@ -87,7 +84,6 @@ impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
             .field("shards", &self.shards.len())
-            .field("partitioner", &self.ownership.kind())
             .field("halo", &self.halo)
             .field("global_triples", &self.global_triples)
             .finish()
@@ -108,7 +104,6 @@ impl ShardedStore {
         }
         let config = PartitionConfig {
             shards: options.shards,
-            partitioner: options.partitioner,
             halo: options.halo,
         };
         let parts = partition_dataset(&dataset, &config);
@@ -121,8 +116,8 @@ impl ShardedStore {
         };
         let mut shards = Vec::with_capacity(parts.shards.len());
         let mut summaries = Vec::with_capacity(parts.shards.len());
-        for shard_dataset in parts.shards {
-            summaries.push(ShardSummary::build(&shard_dataset));
+        for (i, shard_dataset) in parts.shards.into_iter().enumerate() {
+            summaries.push(ShardSummary::build(&shard_dataset, &parts.ownership, i));
             shards.push(Arc::new(Store::from_dataset_with(
                 shard_dataset,
                 store_options,
@@ -131,8 +126,7 @@ impl ShardedStore {
         Ok(ShardedStore {
             shards,
             summaries,
-            ownership: parts.ownership,
-            halo: parts.halo,
+            halo: options.halo,
             global_triples: parts.global_triples,
             snapshot_path: None,
         })
@@ -164,8 +158,6 @@ impl ShardedStore {
         let manifest = Manifest {
             shards: self.shards.len(),
             halo: self.halo,
-            partitioner: self.ownership.kind(),
-            buckets: self.ownership.bucket_table().to_vec(),
             shard_files,
             shard_triples,
             global_triples: self.global_triples as u64,
@@ -186,24 +178,32 @@ impl ShardedStore {
 
     /// Boots a sharded store from a manifest written by
     /// [`save_snapshots`](Self::save_snapshots): maps every shard snapshot
-    /// and rebuilds the summaries by scanning the shard datasets.
+    /// and rebuilds the summaries by scanning the shard datasets. A shard
+    /// file that does not hold the triple count the manifest records for its
+    /// position is refused: the ownership filter of shard `i` is only right
+    /// over shard `i`'s data.
     pub fn from_manifest(path: &Path, threads: usize) -> Result<Self, StoreError> {
         let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
         let manifest = Manifest::parse(&text).map_err(SnapshotError::Malformed)?;
-        let ownership = manifest
-            .ownership()
-            .expect("Manifest::parse validates the bucket table");
+        let ownership = Ownership::new(manifest.shards);
         let mut shards = Vec::with_capacity(manifest.shards);
         let mut summaries = Vec::with_capacity(manifest.shards);
-        for file in &manifest.shard_files {
+        for (i, file) in manifest.shard_files.iter().enumerate() {
             let shard = Store::from_snapshot_with(&path.with_file_name(file), threads)?;
-            summaries.push(ShardSummary::build(shard.dataset()));
+            let (found, recorded) = (shard.triple_count() as u64, manifest.shard_triples[i]);
+            if found != recorded {
+                return Err(SnapshotError::Malformed(format!(
+                    "shard {i}: `{file}` holds {found} triples, \
+                     the manifest's `shard_triples` records {recorded}"
+                ))
+                .into());
+            }
+            summaries.push(ShardSummary::build(shard.dataset(), &ownership, i));
             shards.push(Arc::new(shard));
         }
         Ok(ShardedStore {
             shards,
             summaries,
-            ownership,
             halo: manifest.halo,
             global_triples: manifest.global_triples as usize,
             snapshot_path: Some(path.to_path_buf()),
@@ -223,11 +223,6 @@ impl ShardedStore {
     /// The boundary replication radius the shards were built with.
     pub fn halo(&self) -> usize {
         self.halo
-    }
-
-    /// Name of the partitioner that assigned ownership.
-    pub fn partitioner_name(&self) -> &'static str {
-        self.ownership.kind().name()
     }
 
     /// Triples in the original, unpartitioned dataset (after inference).
@@ -281,9 +276,8 @@ impl ShardedStore {
         // shard's verdict once; EXPLAIN renders what is decided here.
         let mut span = trace.span("summary_prune");
         let fp = labeled_footprint(&query);
-        let mut scratch = String::new();
         let route = match &shard_query.anchor {
-            Anchor::Constant(term) => Some(self.ownership.owner(term, &mut scratch)),
+            Anchor::Constant(term) => Some(Ownership::new(self.shards.len()).owner(term)),
             Anchor::Variable(_) => None,
         };
         let mut verdicts = Vec::with_capacity(self.summaries.len());
@@ -304,7 +298,7 @@ impl ShardedStore {
         // The per-shard query: no LIMIT/OFFSET (the coordinator applies the
         // window after the merge), and the anchor variable added to the
         // projection when the filter needs a column the query did not ask
-        // for (left behind at the gather).
+        // for (no reader of the result looks past the query's own columns).
         let mut shard_sparql = query.clone();
         shard_sparql.limit = None;
         shard_sparql.offset = None;
@@ -348,13 +342,28 @@ impl ShardedStore {
             .decode())
     }
 
-    /// Runs a sharded plan, scattering it across the live shards on a
-    /// worker pool and gathering the per-shard id rows — each tagged with
-    /// the shard whose dictionary its ids belong to — in ascending shard
-    /// order. Records an `execute` stage span with a `shard_fanout` child
-    /// plus one `shard_execute` roll-up per executed shard, and a
-    /// `materialise` stage span for the gather.
+    /// Runs a sharded plan: `scatter`, then the plan's window cut from the
+    /// gathered runs under a `materialise` stage span.
     pub fn run_plan_traced(
+        &self,
+        plan: &ShardedPlan,
+        threads: Option<usize>,
+        trace: &Trace,
+    ) -> Result<IdResults<'_>, StoreError> {
+        let mut results = self.scatter(plan, threads, trace)?;
+        let mut merge = trace.span("materialise");
+        results.apply_window(plan.window);
+        merge.counter("rows", results.row_count() as u64);
+        merge.finish();
+        Ok(results)
+    }
+
+    /// Scatters a sharded plan across the live shards on a worker pool and
+    /// gathers their ownership-filtered runs, each left in the buffer its
+    /// shard filled, in ascending shard order; no window is applied. Records
+    /// an `execute` stage span with a `shard_fanout` child plus one
+    /// `shard_execute` roll-up per executed shard.
+    pub(crate) fn scatter(
         &self,
         plan: &ShardedPlan,
         threads: Option<usize>,
@@ -382,7 +391,6 @@ impl ShardedStore {
             store: self,
             plan,
             threads,
-            scratch: String::new(),
             done: Vec::new(),
         }) {
             for (slot, result) in worker.done {
@@ -393,58 +401,30 @@ impl ShardedStore {
 
         // Shard durations are recorded as roll-ups so a pool never skews the
         // span tree (the work happened on worker threads).
-        let mut shard_results = Vec::with_capacity(done.len());
+        let mut results = IdResults::new(plan.projected.clone(), Vec::with_capacity(done.len()));
         let mut elapsed_max = std::time::Duration::ZERO;
-        for (slot, result) in done.into_iter().enumerate() {
-            let result = result.expect("the driver runs every live shard")?;
+        for (&shard_id, result) in plan.live.iter().zip(done) {
+            let mut shard = result.expect("the driver runs every live shard")?;
+            let mut run = shard.runs.pop().expect("a store's result is one run");
+            run.shard = shard_id;
             trace.record_rollup(
                 "shard_execute",
                 parent,
-                result.elapsed,
-                &[
-                    ("shard", plan.live[slot] as u64),
-                    ("rows", result.row_count() as u64),
-                ],
+                shard.elapsed,
+                &[("shard", shard_id as u64), ("rows", run.rows.len() as u64)],
             );
-            elapsed_max = elapsed_max.max(result.elapsed);
-            shard_results.push(result);
-        }
-        let solutions: usize = shard_results.iter().map(|r| r.row_count()).sum();
-        span.counter("solutions", solutions as u64);
-        span.finish();
-
-        // Gather: one more cell per row says which shard's dictionary the
-        // ids belong to; an anchor column the query did not ask for is left
-        // behind.
-        let mut merge = trace.span("materialise");
-        let width = plan.projected.len();
-        let mut results = IdResults::new(
-            plan.projected.clone(),
-            IdRows::with_capacity(width + 1, solutions),
-            Dictionaries::Shards(
-                self.shards
-                    .iter()
-                    .map(|shard| &shard.dataset().dictionary)
-                    .collect(),
-            ),
-        );
-        for (&shard_id, shard) in plan.live.iter().zip(&shard_results) {
+            elapsed_max = elapsed_max.max(shard.elapsed);
             results.stats.merge(&shard.stats);
             merge_step_counts(&mut results.step_rows, &shard.step_rows);
             merge_step_counts(&mut results.step_estimates, &shard.step_estimates);
-            for row in shard.rows.iter() {
-                let cells = results.rows.push_unbound();
-                cells[..width].copy_from_slice(&row[..width]);
-                cells[width] = shard_id as u32;
-            }
+            results.solution_count += run.rows.len();
+            results.runs.push(run);
         }
+        span.counter("solutions", results.solution_count as u64);
+        span.finish();
         results.stats.shards_executed = plan.live.len();
         results.stats.shards_pruned = plan.pruned_shards();
         results.elapsed = start.elapsed().max(elapsed_max);
-        results.solution_count = results.row_count();
-        results.apply_window(plan.window);
-        merge.counter("rows", results.row_count() as u64);
-        merge.finish();
         Ok(results)
     }
 
@@ -462,23 +442,20 @@ impl ShardedStore {
         plan: &ShardedPlan,
         shard_id: usize,
         threads: Option<usize>,
-        scratch: &mut String,
     ) -> Result<IdResults<'_>, StoreError> {
         let shard_plan = plan.per_shard[shard_id]
             .as_ref()
             .expect("live shards have plans");
-        let shard = &self.shards[shard_id];
         // Shard spans would tangle with the coordinator's tree (they run on
         // pool threads); durations are re-attached as roll-ups instead.
-        let mut results = shard.run_plan_traced(shard_plan, threads, &Trace::disabled())?;
+        let mut results =
+            self.shards[shard_id].run_plan_traced(shard_plan, threads, &Trace::disabled())?;
         if let Some(col) = plan.anchor_column {
-            let dictionary = &shard.dataset().dictionary;
-            results.rows.retain(|row| {
-                // The anchor comes from a required triple, so it is bound in
-                // every row; an absent binding defaults to shard 0.
-                term_of(dictionary, row[col]).map_or(shard_id == 0, |term| {
-                    self.ownership.owner(term, scratch) == shard_id
-                })
+            let summary = &self.summaries[shard_id];
+            // The anchor comes from a required triple, so it is bound in
+            // every row; an absent binding defaults to shard 0.
+            results.rows_mut().retain(|row| {
+                IdRows::term_id(row[col]).map_or(shard_id == 0, |id| summary.owns(id))
             });
             results.solution_count = results.row_count();
         }
@@ -486,24 +463,19 @@ impl ShardedStore {
     }
 }
 
-/// One worker of the shard fan-out: runs the live shards it is handed,
-/// reusing its scratch buffer across them (the ownership filter renders
-/// terms into it).
-struct ShardWorker<'s> {
+/// One worker of the shard fan-out: runs the live shards it is handed.
+struct ShardWorker<'s, 'p> {
     store: &'s ShardedStore,
-    plan: &'s ShardedPlan,
+    plan: &'p ShardedPlan,
     threads: Option<usize>,
-    scratch: String,
     /// `(index into plan.live, that shard's outcome)` per shard run.
     done: Vec<(usize, Result<IdResults<'s>, StoreError>)>,
 }
 
-impl Worker for ShardWorker<'_> {
+impl Worker for ShardWorker<'_, '_> {
     fn run(&mut self, slot: usize) -> bool {
         let shard_id = self.plan.live[slot];
-        let result = self
-            .store
-            .run_shard(self.plan, shard_id, self.threads, &mut self.scratch);
+        let result = self.store.run_shard(self.plan, shard_id, self.threads);
         self.done.push((slot, result));
         true
     }
@@ -649,7 +621,7 @@ impl AnyStore {
     }
 
     /// The sharded store (`None` on the single-store path), for what only
-    /// it has: shard count, partitioner, halo.
+    /// it has: shard count, halo.
     pub fn sharded(&self) -> Option<&ShardedStore> {
         match self {
             AnyStore::Single(_) => None,
@@ -736,14 +708,13 @@ mod tests {
         )
     }
 
-    fn sharded(shards: usize, partitioner: PartitionerKind) -> ShardedStore {
+    fn sharded(shards: usize) -> ShardedStore {
         ShardedStore::from_dataset_with(
             sample_dataset(),
             ShardedOptions {
                 shards,
                 inference: true,
                 threads: 1,
-                partitioner,
                 halo: DEFAULT_HALO,
             },
         )
@@ -778,19 +749,17 @@ mod tests {
     #[test]
     fn sharded_results_are_the_single_store_rows_with_the_same_rendering() {
         let single = single_store();
-        for partitioner in [PartitionerKind::Hash, PartitionerKind::Greedy] {
-            for k in [1, 3, 4] {
-                let sharded = sharded(k, partitioner);
-                for q in QUERIES {
-                    for kind in EngineKind::all() {
-                        let expect = single.execute(q, kind).unwrap();
-                        let got = sharded.execute(q, kind).unwrap();
-                        assert_eq!(
-                            canonical_json(got),
-                            canonical_json(expect),
-                            "k={k} {partitioner:?} {kind} {q}"
-                        );
-                    }
+        for k in [1, 3, 4] {
+            let sharded = sharded(k);
+            for q in QUERIES {
+                for kind in EngineKind::all() {
+                    let expect = single.execute(q, kind).unwrap();
+                    let got = sharded.execute(q, kind).unwrap();
+                    assert_eq!(
+                        canonical_json(got),
+                        canonical_json(expect),
+                        "k={k} {kind} {q}"
+                    );
                 }
             }
         }
@@ -798,7 +767,7 @@ mod tests {
 
     #[test]
     fn constant_anchor_routes_to_a_single_shard() {
-        let sharded = sharded(4, PartitionerKind::Hash);
+        let sharded = sharded(4);
         let plan = sharded
             .prepare_plan(QUERIES[1], EngineKind::TurboHomPlusPlus)
             .unwrap();
@@ -813,7 +782,7 @@ mod tests {
 
     #[test]
     fn summary_pruning_skips_shards_without_the_constants() {
-        let sharded = sharded(4, PartitionerKind::Hash);
+        let sharded = sharded(4);
         // A predicate absent everywhere: every shard is pruned, the result
         // is empty without executing anything.
         let q = r#"PREFIX ub: <http://ub.org/>
@@ -830,7 +799,7 @@ mod tests {
 
     #[test]
     fn union_and_disconnected_queries_are_not_shardable() {
-        let sharded = sharded(2, PartitionerKind::Hash);
+        let sharded = sharded(2);
         let union = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                        PREFIX ub: <http://ub.org/>
                        SELECT ?x WHERE {
@@ -852,7 +821,7 @@ mod tests {
     #[test]
     fn limit_and_offset_apply_after_the_merge() {
         let single = single_store();
-        let sharded = sharded(3, PartitionerKind::Hash);
+        let sharded = sharded(3);
         for kind in EngineKind::all() {
             let all = single.execute(QUERIES[0], kind).unwrap();
             assert_eq!(all.rows.len(), 10);
@@ -875,8 +844,40 @@ mod tests {
     }
 
     #[test]
+    fn a_window_across_two_runs_is_a_slice_of_the_unlimited_answer() {
+        let sharded = sharded(3);
+        let kind = EngineKind::TurboHomPlusPlus;
+        let plan = sharded.prepare_plan(QUERIES[0], kind).unwrap();
+        let trace = Trace::disabled();
+        let unlimited = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
+        let lengths: Vec<usize> = unlimited.runs.iter().map(|run| run.rows.len()).collect();
+        assert!(
+            lengths.len() >= 2 && lengths[0] >= 2 && lengths[1] >= 2,
+            "the sample no longer fills two runs: {lengths:?}"
+        );
+        let all = unlimited.decode().rows;
+        // From the last row of the first run to the first of the second, and
+        // from inside the first run to the end of the second.
+        for (offset, limit) in [(lengths[0] - 1, 2), (1, lengths[0] + lengths[1] - 1)] {
+            let q = format!("{} LIMIT {limit} OFFSET {offset}", QUERIES[0]);
+            let plan = sharded.prepare_plan(&q, kind).unwrap();
+            let windowed = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
+            assert_eq!(windowed.len(), limit, "{offset} {limit}");
+            let body = windowed.to_sparql_json();
+            let rows = windowed.decode().rows;
+            assert_eq!(rows, all[offset..offset + limit], "{offset} {limit}");
+            let expected = QueryResults {
+                variables: vec!["x".into(), "d".into()],
+                rows,
+                ..Default::default()
+            };
+            assert_eq!(body, expected.to_sparql_json(), "{offset} {limit}");
+        }
+    }
+
+    #[test]
     fn order_by_is_refused_even_when_every_shard_is_pruned() {
-        let sharded = sharded(4, PartitionerKind::Hash);
+        let sharded = sharded(4);
         for pattern in ["?x ub:memberOf ?d", "?x ub:nonexistent ?d"] {
             let q = format!(
                 "PREFIX ub: <http://ub.org/> SELECT ?x WHERE {{ {pattern} . }} ORDER BY ?x"
@@ -895,7 +896,7 @@ mod tests {
 
     #[test]
     fn sharded_traces_record_fanout_materialise_and_rollups() {
-        let sharded = sharded(3, PartitionerKind::Hash);
+        let sharded = sharded(3);
         let trace = Trace::new(7);
         let plan = sharded
             .prepare_plan_traced(QUERIES[0], EngineKind::TurboHomPlusPlus, &trace)
@@ -979,7 +980,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("turbohom-shard-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("sample.shards");
-        let built = sharded(3, PartitionerKind::Greedy);
+        let built = sharded(3);
         built.save_snapshots(&base).unwrap();
         assert!(ShardedStore::is_manifest(&base));
         assert!(!ShardedStore::is_manifest(
@@ -988,7 +989,6 @@ mod tests {
 
         let booted = ShardedStore::from_manifest(&base, 1).unwrap();
         assert_eq!(booted.shard_count(), 3);
-        assert_eq!(booted.partitioner_name(), "greedy");
         assert_eq!(booted.triple_count(), built.triple_count());
         assert_eq!(booted.backend_name(), "sharded-snapshot");
         assert!(booted.is_mapped());
@@ -1000,14 +1000,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The manifest is input from outside: a recorded triple count that a
+    /// shard file does not hold, or the files of two shards swapped (every
+    /// ownership filter would run over another shard's data), is refused.
+    #[test]
+    fn from_manifest_checks_every_shard_against_its_recorded_triple_count() {
+        let dir = std::env::temp_dir().join(format!("turbohom-tamper-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = dir.join("sample.shards");
+        // Without a halo the shards of the sample differ in size.
+        let options = ShardedOptions {
+            shards: 3,
+            halo: 0,
+            ..ShardedOptions::default()
+        };
+        let built = ShardedStore::from_dataset_with(sample_dataset(), options).unwrap();
+        built.save_snapshots(&base).unwrap();
+        let manifest = Manifest::parse(&std::fs::read_to_string(&base).unwrap()).unwrap();
+        let refusal = |tampered: &Manifest| {
+            std::fs::write(&base, tampered.to_json()).unwrap();
+            match ShardedStore::from_manifest(&base, 1) {
+                Err(StoreError::Snapshot(SnapshotError::Malformed(message))) => message,
+                other => panic!("expected a refusal, got {:?}", other.err()),
+            }
+        };
+        let mut miscounted = manifest.clone();
+        miscounted.shard_triples[1] += 1;
+        let message = refusal(&miscounted);
+        assert!(
+            message.contains("shard 1") && message.contains("shard_triples"),
+            "{message}"
+        );
+        let (a, b) = (0..3)
+            .flat_map(|a| (a + 1..3).map(move |b| (a, b)))
+            .find(|&(a, b)| manifest.shard_triples[a] != manifest.shard_triples[b])
+            .expect("two shards of the sample differ in size");
+        let mut swapped = manifest.clone();
+        swapped.shard_files.swap(a, b);
+        let message = refusal(&swapped);
+        assert!(message.contains(&format!("shard {a}")), "{message}");
+        // Untouched, it boots.
+        std::fs::write(&base, manifest.to_json()).unwrap();
+        assert_eq!(ShardedStore::from_manifest(&base, 1).unwrap().halo(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn any_store_dispatches_both_flavors() {
         let single = AnyStore::Single(Arc::new(single_store()));
-        let sharded_store = AnyStore::Sharded(Arc::new(sharded(2, PartitionerKind::Hash)));
+        let sharded_store = AnyStore::Sharded(Arc::new(sharded(2)));
         assert!(single.sharded().is_none());
         let behind = sharded_store.sharded().expect("the sharded flavor");
         assert_eq!(behind.shard_count(), 2);
-        assert_eq!(behind.partitioner_name(), "hash");
         assert_eq!(behind.halo(), DEFAULT_HALO);
         assert_eq!(sharded_store.backend_name(), "sharded-heap");
         assert_eq!(single.triple_count(), sharded_store.triple_count());

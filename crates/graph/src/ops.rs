@@ -18,9 +18,38 @@ pub fn is_sorted_set(values: &[VertexId]) -> bool {
     values.windows(2).all(|w| w[0] < w[1])
 }
 
-/// Linear merge intersection of two sorted sets.
+/// Runs a kernel that fills a caller-owned buffer on a fresh one.
+fn collected(fill: impl FnOnce(&mut Vec<VertexId>)) -> Vec<VertexId> {
+    let mut out = Vec::new();
+    fill(&mut out);
+    out
+}
+
+/// [`intersect_merge_into`] a fresh vector.
 pub fn intersect_merge(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    collected(|out| intersect_merge_into(a, b, out))
+}
+
+/// [`intersect_galloping_into`] a fresh vector.
+pub fn intersect_galloping(small: &[VertexId], large: &[VertexId]) -> Vec<VertexId> {
+    collected(|out| intersect_galloping_into(small, large, out))
+}
+
+/// [`intersect_adaptive_into`] a fresh vector.
+pub fn intersect_adaptive(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    collected(|out| intersect_adaptive_into(a, b, out))
+}
+
+/// [`intersect_k_into`] fresh vectors. Returns the empty set when `lists` is
+/// empty.
+pub fn intersect_k(lists: &[&[VertexId]]) -> Vec<VertexId> {
+    collected(|out| intersect_k_into(lists, out, &mut Vec::new()))
+}
+
+/// Linear merge intersection of two sorted sets into a caller-owned buffer
+/// (cleared first).
+pub fn intersect_merge_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+    out.clear();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -33,15 +62,15 @@ pub fn intersect_merge(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
             }
         }
     }
-    out
 }
 
-/// Galloping (exponential search) intersection: probes each element of the
-/// smaller set into the larger one. Wins when the sizes are very skewed,
-/// mirroring the binary-search flavour of the original `IsJoinable`.
-pub fn intersect_galloping(small: &[VertexId], large: &[VertexId]) -> Vec<VertexId> {
+/// Galloping (exponential search) intersection into a caller-owned buffer
+/// (cleared first): probes each element of the smaller set into the larger
+/// one. Wins when the sizes are very skewed, mirroring the binary-search
+/// flavour of the original `IsJoinable`.
+pub fn intersect_galloping_into(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
     debug_assert!(small.len() <= large.len());
-    let mut out = Vec::with_capacity(small.len());
+    out.clear();
     let mut lo = 0usize;
     for &x in small {
         // Exponential search for x in large[lo..].
@@ -68,93 +97,12 @@ pub fn intersect_galloping(small: &[VertexId], large: &[VertexId]) -> Vec<Vertex
             break;
         }
     }
-    out
 }
 
-/// Intersection that picks merge or galloping based on the size ratio of the
-/// two inputs. The crossover constant 16 follows the usual rule of thumb
-/// (galloping pays off when one list is more than an order of magnitude
-/// smaller).
-pub fn intersect_adaptive(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if large.len() / small.len().max(1) >= 16 {
-        intersect_galloping(small, large)
-    } else {
-        intersect_merge(small, large)
-    }
-}
-
-/// k-way intersection of sorted sets, smallest-first to keep intermediate
-/// results minimal. Returns the empty set when `lists` is empty.
-pub fn intersect_k(lists: &[&[VertexId]]) -> Vec<VertexId> {
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].to_vec(),
-        _ => {
-            let mut order: Vec<usize> = (0..lists.len()).collect();
-            order.sort_by_key(|&i| lists[i].len());
-            let mut acc = intersect_adaptive(lists[order[0]], lists[order[1]]);
-            for &i in &order[2..] {
-                if acc.is_empty() {
-                    break;
-                }
-                acc = intersect_adaptive(&acc, lists[i]);
-            }
-            acc
-        }
-    }
-}
-
-/// Linear merge intersection into a caller-owned buffer (cleared first).
-pub fn intersect_merge_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    out.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Galloping intersection into a caller-owned buffer (cleared first).
-pub fn intersect_galloping_into(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
-    debug_assert!(small.len() <= large.len());
-    out.clear();
-    let mut lo = 0usize;
-    for &x in small {
-        let mut step = 1usize;
-        let mut hi = lo;
-        while hi < large.len() && large[hi] < x {
-            lo = hi + 1;
-            hi = lo + step;
-            step *= 2;
-        }
-        let hi = (hi + 1).min(large.len());
-        match large[lo..hi].binary_search(&x) {
-            Ok(pos) => {
-                out.push(x);
-                lo += pos + 1;
-            }
-            Err(pos) => {
-                lo += pos;
-            }
-        }
-        if lo >= large.len() {
-            break;
-        }
-    }
-}
-
-/// Adaptive intersection into a caller-owned buffer (cleared first).
+/// Intersection into a caller-owned buffer (cleared first) that picks merge
+/// or galloping based on the size ratio of the two inputs. The crossover
+/// constant 16 follows the usual rule of thumb (galloping pays off when one
+/// list is more than an order of magnitude smaller).
 pub fn intersect_adaptive_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     out.clear();
     if a.is_empty() || b.is_empty() {
@@ -168,7 +116,8 @@ pub fn intersect_adaptive_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<Ver
     }
 }
 
-/// k-way intersection into caller-owned buffers, ping-ponging between `out`
+/// k-way intersection of sorted sets, smallest-first to keep intermediate
+/// results minimal, into caller-owned buffers, ping-ponging between `out`
 /// and `scratch` so the enumeration hot path allocates nothing per call. The
 /// result always ends up in `out`; `scratch` holds garbage afterwards.
 pub fn intersect_k_into(

@@ -5,12 +5,12 @@
 //! item 4, following Gai et al.'s partition-based summary-graph method):
 //!
 //! * [`partition_dataset`] deterministically splits a [`Dataset`] into `k`
-//!   partitions by term ownership ([`Ownership`]: plain hash or a METIS-lite
-//!   greedy bucket assignment), replicating a bounded *halo* of boundary
-//!   adjacency into each partition so that a connected query never needs a
-//!   distributed join.
+//!   partitions by term ownership ([`Ownership`]: `hash % k`), replicating a
+//!   bounded *halo* of boundary adjacency into each partition so that a
+//!   connected query never needs a distributed join.
 //! * [`ShardSummary`] is the per-partition summary graph: the exact predicate
-//!   and class signatures plus a Bloom filter over all subject/object terms.
+//!   and class signatures, a Bloom filter over all subject/object terms and
+//!   the bit set of the shard's term ids that the shard owns.
 //!   A query's constant [footprint](labeled_footprint) is matched against the
 //!   summaries first ([`summary_verdict`]), and whole partitions are skipped
 //!   before any candidate-region computation runs.
@@ -32,8 +32,7 @@ mod summary;
 
 pub use manifest::{Manifest, MANIFEST_FORMAT};
 pub use partitioner::{
-    partition_dataset, Ownership, PartitionConfig, PartitionedDataset, PartitionerKind,
-    DEFAULT_HALO, GREEDY_BUCKETS,
+    partition_dataset, Ownership, PartitionConfig, PartitionedDataset, DEFAULT_HALO,
 };
 pub use query::{analyze_query, Anchor, ShardQuery};
 pub use summary::{
@@ -41,25 +40,26 @@ pub use summary::{
     ShardSummary, ShardVerdict,
 };
 
-use turbohom_rdf::{vocab, Term, TermRef};
+use turbohom_rdf::{vocab, TermRef};
 use turbohom_storage::{fnv1a, FNV_OFFSET};
 
-/// The ownership hash of a term: FNV-1a over its N-Triples rendering.
-/// Dictionary-independent, so every shard (and every process) agrees on
-/// which shard owns a term regardless of local id assignment.
-pub fn term_hash(term: &Term) -> u64 {
-    let mut scratch = String::new();
-    term_hash_into(term, &mut scratch)
-}
-
-/// Like [`term_hash`], rendering into a caller-owned scratch buffer so hot
-/// loops (the coordinator's per-row ownership filter) never allocate. Takes
-/// a `&Term` or a borrowed `TermRef`, which render alike.
-pub fn term_hash_into<'a>(term: impl Into<TermRef<'a>>, scratch: &mut String) -> u64 {
+/// The ownership hash of a term (a `&Term` or a borrowed `TermRef`, which
+/// render alike): FNV-1a over its N-Triples rendering, fed to the hash piece
+/// by piece as it is rendered. Dictionary-independent, so every shard (and
+/// every process) agrees on which shard owns a term regardless of local id
+/// assignment.
+pub fn term_hash<'a>(term: impl Into<TermRef<'a>>) -> u64 {
     use std::fmt::Write;
-    scratch.clear();
-    let _ = write!(scratch, "{}", term.into());
-    fnv1a(FNV_OFFSET, scratch.as_bytes())
+    struct Fnv(u64);
+    impl Write for Fnv {
+        fn write_str(&mut self, piece: &str) -> std::fmt::Result {
+            self.0 = fnv1a(self.0, piece.as_bytes());
+            Ok(())
+        }
+    }
+    let mut hash = Fnv(FNV_OFFSET);
+    let _ = write!(hash, "{}", term.into());
+    hash.0
 }
 
 /// Returns `true` for the RDFS schema predicates that are replicated into
@@ -76,22 +76,22 @@ pub fn is_schema_predicate(iri: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbohom_rdf::Term;
 
     #[test]
-    fn term_hash_is_rendering_based_and_scratch_reusable() {
+    fn term_hash_is_the_hash_of_the_rendering() {
         let a = Term::iri("http://ex.org/a");
-        let mut scratch = String::new();
-        let h1 = term_hash(&a);
-        let h2 = term_hash_into(&a, &mut scratch);
-        assert_eq!(h1, h2);
-        assert_eq!(scratch, "<http://ex.org/a>");
+        assert_eq!(term_hash(&a), fnv1a(FNV_OFFSET, b"<http://ex.org/a>"));
         // Saved manifests route by this value: it must never change.
-        assert_eq!(h1, 0x282f_4643_dfc8_a3aa);
+        assert_eq!(term_hash(&a), 0x282f_4643_dfc8_a3aa);
         // Different term kinds with the same inner text hash differently.
         assert_ne!(term_hash(&Term::iri("x")), term_hash(&Term::literal("x")));
-        // The scratch buffer is reusable across terms.
-        let h3 = term_hash_into(&Term::literal("x"), &mut scratch);
-        assert_eq!(h3, term_hash(&Term::literal("x")));
+        // A rendering made of several pieces hashes like the whole string.
+        let tagged = Term::lang_literal("hi \"there\"", "en");
+        assert_eq!(
+            term_hash(&tagged),
+            fnv1a(FNV_OFFSET, tagged.to_string().as_bytes())
+        );
     }
 
     #[test]

@@ -6,18 +6,16 @@
 //! specifies) plus this manifest at `base` itself. Booting reads the
 //! manifest, maps each shard snapshot, and rebuilds the summaries by
 //! scanning the shard datasets — summaries are derived data and are never
-//! persisted. The greedy partitioner's bucket table *is* persisted: it
-//! depends on the full dataset, which no longer exists at boot time.
+//! persisted, and ownership is `hash % shards`.
 //!
 //! The file is JSON with a fixed schema identified by [`MANIFEST_FORMAT`],
 //! written with the workspace's `JsonWriter` and read back by a scanner of
 //! its own: the file arrives from outside the program, so every byte of it
 //! is checked here.
 
-use crate::partitioner::{Ownership, PartitionerKind, GREEDY_BUCKETS};
-
-/// Schema identifier of the manifest format.
-pub const MANIFEST_FORMAT: &str = "turbohom-shards/1";
+/// Schema identifier of the manifest format (`/1` also named a partitioner
+/// and carried its bucket table).
+pub const MANIFEST_FORMAT: &str = "turbohom-shards/2";
 
 /// A parsed (or to-be-written) shard manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,33 +24,15 @@ pub struct Manifest {
     pub shards: usize,
     /// Halo radius the shards were partitioned with.
     pub halo: usize,
-    /// Which partitioner assigned ownership.
-    pub partitioner: PartitionerKind,
-    /// The greedy bucket table (empty for the hash partitioner).
-    pub buckets: Vec<u16>,
-    /// Per-shard snapshot file names, relative to the manifest's directory.
+    /// Per-shard snapshot file names, in the manifest's directory.
     pub shard_files: Vec<String>,
-    /// Per-shard triple counts (for `ls`-level sanity checks and load logs).
+    /// Per-shard triple counts, checked against the mapped shards at boot.
     pub shard_triples: Vec<u64>,
     /// Distinct triples in the original, unpartitioned dataset.
     pub global_triples: u64,
 }
 
 impl Manifest {
-    /// Reconstructs the ownership assignment this manifest describes.
-    pub fn ownership(&self) -> Result<Ownership, String> {
-        match self.partitioner {
-            PartitionerKind::Hash => Ok(Ownership::hash(self.shards)),
-            PartitionerKind::Greedy => Ownership::greedy(self.shards, self.buckets.clone())
-                .ok_or_else(|| {
-                    format!(
-                        "greedy bucket table must have {GREEDY_BUCKETS} entries in 0..{}",
-                        self.shards
-                    )
-                }),
-        }
-    }
-
     /// Serializes the manifest as JSON.
     pub fn to_json(&self) -> String {
         turbohom_json::document(|w| {
@@ -60,8 +40,6 @@ impl Manifest {
                 .field("format", MANIFEST_FORMAT)
                 .field("shards", self.shards)
                 .field("halo", self.halo)
-                .field("partitioner", self.partitioner.name())
-                .field("buckets", &self.buckets)
                 .field("shard_files", &self.shard_files)
                 .field("shard_triples", &self.shard_triples)
                 .field("global_triples", self.global_triples)
@@ -69,18 +47,17 @@ impl Manifest {
         })
     }
 
-    /// Parses a manifest, validating the schema identifier and the
-    /// cross-field invariants (list lengths, bucket-table shape).
+    /// Parses a manifest, validating the schema identifier, the list
+    /// lengths and that every shard file is a plain file name (it is opened
+    /// in the manifest's own directory, nowhere else).
     pub fn parse(text: &str) -> Result<Manifest, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
-        let mut format = None;
+        let mut format = String::new();
         let mut shards = None;
         let mut halo = None;
-        let mut partitioner = None;
-        let mut buckets = Vec::new();
         let mut shard_files = Vec::new();
         let mut shard_triples = Vec::new();
         let mut global_triples = None;
@@ -90,43 +67,31 @@ impl Manifest {
             let key = p.string()?;
             p.expect(b':')?;
             match key.as_str() {
-                "format" => format = Some(p.string()?),
+                "format" => format = p.string()?,
                 "shards" => shards = Some(p.number()? as usize),
                 "halo" => halo = Some(p.number()? as usize),
-                "partitioner" => {
-                    let name = p.string()?;
-                    partitioner = Some(name.parse::<PartitionerKind>().map_err(|e| e.to_string())?);
-                }
-                "buckets" => {
-                    buckets = p
-                        .number_array()?
-                        .into_iter()
-                        .map(|n| u16::try_from(n).map_err(|_| "bucket id out of range".to_string()))
-                        .collect::<Result<_, _>>()?;
-                }
                 "shard_files" => shard_files = p.string_array()?,
                 "shard_triples" => shard_triples = p.number_array()?,
                 "global_triples" => global_triples = Some(p.number()?),
+                // A file of another format version is refused as that, not
+                // for the first member this version does not know.
+                _ if !format.is_empty() && format != MANIFEST_FORMAT => break,
                 other => return Err(format!("unknown manifest key `{other}`")),
             }
             if !p.comma_or(b'}')? {
                 break;
             }
         }
-        p.end()?;
-
-        if format.as_deref() != Some(MANIFEST_FORMAT) {
+        if format != MANIFEST_FORMAT {
             return Err(format!(
-                "unsupported manifest format {:?} (expected {MANIFEST_FORMAT:?})",
-                format.unwrap_or_default()
+                "unsupported manifest format {format:?} (expected {MANIFEST_FORMAT:?})"
             ));
         }
+        p.end()?;
         let shards = shards.ok_or("manifest is missing `shards`")?;
         let manifest = Manifest {
             shards,
             halo: halo.ok_or("manifest is missing `halo`")?,
-            partitioner: partitioner.ok_or("manifest is missing `partitioner`")?,
-            buckets,
             shard_files,
             shard_triples,
             global_triples: global_triples.ok_or("manifest is missing `global_triples`")?,
@@ -140,7 +105,14 @@ impl Manifest {
         if manifest.shard_triples.len() != shards {
             return Err("manifest `shard_triples` length mismatch".into());
         }
-        manifest.ownership()?;
+        for name in &manifest.shard_files {
+            if matches!(name.as_str(), "" | "." | "..") || name.contains(std::path::is_separator) {
+                return Err(format!(
+                    "shard file {name:?} is not a plain file name \
+                     (no path separator, no `..`)"
+                ));
+            }
+        }
         Ok(manifest)
     }
 }
@@ -311,15 +283,10 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
-    fn sample(partitioner: PartitionerKind) -> Manifest {
+    fn sample() -> Manifest {
         Manifest {
             shards: 4,
             halo: 2,
-            partitioner,
-            buckets: match partitioner {
-                PartitionerKind::Hash => Vec::new(),
-                PartitionerKind::Greedy => (0..GREEDY_BUCKETS).map(|b| (b % 4) as u16).collect(),
-            },
             shard_files: (0..4).map(|i| format!("lubm.shard{i}.snap")).collect(),
             shard_triples: vec![100, 120, 90, 110],
             global_triples: 300,
@@ -327,13 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_for_both_partitioners() {
-        for kind in [PartitionerKind::Hash, PartitionerKind::Greedy] {
-            let m = sample(kind);
-            let parsed = Manifest::parse(&m.to_json()).unwrap();
-            assert_eq!(parsed, m);
-            parsed.ownership().unwrap();
-        }
+    fn round_trips() {
+        let m = sample();
+        assert_eq!(Manifest::parse(&m.to_json()).unwrap(), m);
     }
 
     #[test]
@@ -342,27 +305,47 @@ mod tests {
         assert!(Manifest::parse("{}").is_err());
         assert!(Manifest::parse("not json").is_err());
         // Wrong format tag.
-        let wrong = sample(PartitionerKind::Hash)
-            .to_json()
-            .replace("turbohom-shards/1", "turbohom-shards/99");
+        let wrong = sample().to_json().replace("shards/2", "shards/99");
         assert!(Manifest::parse(&wrong).unwrap_err().contains("format"));
         // File-count mismatch.
-        let mut m = sample(PartitionerKind::Hash);
+        let mut m = sample();
         m.shard_files.pop();
         assert!(Manifest::parse(&m.to_json()).is_err());
-        // Greedy without a bucket table.
-        let mut m = sample(PartitionerKind::Greedy);
-        m.buckets.clear();
-        assert!(Manifest::parse(&m.to_json()).is_err());
+        // A member this format does not have.
+        let extra = sample().to_json().replace("\"halo\"", "\"hello\"");
+        assert!(Manifest::parse(&extra).unwrap_err().contains("`hello`"));
         // Trailing garbage.
-        let mut s = sample(PartitionerKind::Hash).to_json();
+        let mut s = sample().to_json();
         s.push('x');
         assert!(Manifest::parse(&s).is_err());
     }
 
     #[test]
+    fn a_version_1_manifest_is_refused_as_an_unsupported_format() {
+        // As the previous format was written, partitioner and bucket table
+        // included.
+        let v1 = r#"{"format":"turbohom-shards/1","shards":2,"halo":2,"partitioner":"hash","buckets":[],"shard_files":["a.shard0.snap","a.shard1.snap"],"shard_triples":[5,6],"global_triples":9}"#;
+        let message = Manifest::parse(v1).unwrap_err();
+        assert!(
+            message.contains("unsupported manifest format \"turbohom-shards/1\""),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn shard_files_must_be_plain_file_names() {
+        for hostile in ["../x.snap", "sub/x.snap", "/etc/passwd", "..", ".", ""] {
+            let mut m = sample();
+            m.shard_files[2] = hostile.into();
+            let message = Manifest::parse(&m.to_json()).unwrap_err();
+            assert!(message.contains("not a plain file name"), "{message}");
+            assert!(message.contains(&format!("{hostile:?}")), "{message}");
+        }
+    }
+
+    #[test]
     fn file_names_with_escapes_round_trip() {
-        let mut m = sample(PartitionerKind::Hash);
+        let mut m = sample();
         m.shard_files[0] = "we\"ird\\name.snap".into();
         m.shard_files[1] = "unicode-Ω.snap".into();
         let parsed = Manifest::parse(&m.to_json()).unwrap();

@@ -2,8 +2,10 @@
 //! them.
 //!
 //! A [`ShardSummary`] is deliberately tiny: the *exact* set of predicate
-//! hashes, the *exact* set of class hashes (objects of `rdf:type`), and a
-//! Bloom filter over every subject/object term hash. Matching a query's
+//! hashes, the *exact* set of class hashes (objects of `rdf:type`), a
+//! Bloom filter over every subject/object term hash, and one bit per term id
+//! saying whether this shard owns the term (the scatter-gather ownership
+//! filter reads it once per row). Matching a query's
 //! constant [footprint](labeled_footprint) against a summary costs a handful
 //! of set probes, and a miss proves the shard cannot hold a single result —
 //! the shard is pruned before any candidate-region computation runs.
@@ -15,9 +17,9 @@
 //! `OPTIONAL` groups never prune — an optional part may legitimately match
 //! nowhere.
 
-use crate::{is_schema_predicate, term_hash};
+use crate::{is_schema_predicate, term_hash, Ownership};
 use std::collections::HashSet;
-use turbohom_rdf::{vocab, Dataset, Term};
+use turbohom_rdf::{vocab, Dataset, Term, TermId};
 use turbohom_sparql::{GroupPattern, Query};
 
 /// A split-Bloom filter over 64-bit term hashes (two probes derived from
@@ -69,19 +71,25 @@ pub struct ShardSummary {
     classes: HashSet<u64>,
     /// Bloom filter over every subject and object term hash.
     terms: Bloom,
+    /// Bit `id` is set when this shard owns the term with that id.
+    owned: Vec<u64>,
 }
 
 impl ShardSummary {
-    /// Scans a shard dataset and builds its summary. Summaries are rebuilt
-    /// at boot rather than persisted — the scan is one pass over the shard's
-    /// triples and hashes each distinct term once.
-    pub fn build(dataset: &Dataset) -> ShardSummary {
+    /// Scans the dataset of shard `shard` and builds its summary. Summaries
+    /// are rebuilt at boot rather than persisted — the scan is one pass over
+    /// the shard's triples and hashes each distinct term once.
+    pub fn build(dataset: &Dataset, ownership: &Ownership, shard: usize) -> ShardSummary {
         let n = dataset.dictionary.len();
-        // Hash each distinct term once, not once per triple.
+        // Hash each distinct term once, not once per triple or result row.
         let mut hashes: Vec<u64> = vec![0; n];
-        let mut scratch = String::new();
+        let mut owned = vec![0u64; n.div_ceil(64)];
         for (id, term) in dataset.dictionary.iter() {
-            hashes[id.index()] = crate::term_hash_into(&term, &mut scratch);
+            let hash = term_hash(&term);
+            hashes[id.index()] = hash;
+            if ownership.owner_of_hash(hash) == shard {
+                owned[id.index() / 64] |= 1 << (id.index() % 64);
+            }
         }
         let type_id = dataset.rdf_type_id();
         let mut predicates = HashSet::new();
@@ -99,7 +107,15 @@ impl ShardSummary {
             predicates,
             classes,
             terms,
+            owned,
         }
+    }
+
+    /// Does this shard own the term with this id of its dictionary? What
+    /// [`Ownership::owner`] says of the term, looked up instead of hashed.
+    pub fn owns(&self, id: TermId) -> bool {
+        let word = self.owned.get(id.index() / 64);
+        word.is_some_and(|w| w >> (id.index() % 64) & 1 == 1)
     }
 
     /// Exact membership: is the predicate with hash `h` present?
@@ -323,7 +339,7 @@ mod tests {
 
     #[test]
     fn summary_reflects_the_dataset() {
-        let s = ShardSummary::build(&sample_dataset());
+        let s = ShardSummary::build(&sample_dataset(), &Ownership::new(1), 0);
         assert!(s.contains_predicate(term_hash(&Term::iri("http://ex/memberOf"))));
         assert!(!s.contains_predicate(term_hash(&Term::iri("http://ex/advisor"))));
         assert!(s.contains_class(term_hash(&Term::iri("http://ex/Student"))));
@@ -332,6 +348,27 @@ mod tests {
         assert!(!s.may_contain_term(term_hash(&Term::iri("http://ex/absent"))));
         assert_eq!(s.predicate_count(), 2);
         assert_eq!(s.class_count(), 2);
+    }
+
+    #[test]
+    fn owns_is_the_ownership_of_every_term_of_every_lubm_shard() {
+        use crate::{partition_dataset, PartitionConfig, DEFAULT_HALO};
+        use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
+        let dataset = LubmGenerator::new(LubmConfig::scale(1)).generate();
+        for shards in [2, 4, 8] {
+            let halo = DEFAULT_HALO;
+            let parts = partition_dataset(&dataset, &PartitionConfig { shards, halo });
+            for (shard, data) in parts.shards.iter().enumerate() {
+                let summary = ShardSummary::build(data, &parts.ownership, shard);
+                for (id, term) in data.dictionary.iter() {
+                    let owner = parts.ownership.owner(&term);
+                    assert_eq!(summary.owns(id), owner == shard, "k={shards} {term}");
+                }
+                // An id past the dictionary is owned by nobody.
+                let past = data.dictionary.len() as u64;
+                assert!((past..past + 130).all(|id| !summary.owns(TermId(id))));
+            }
+        }
     }
 
     #[test]
@@ -367,7 +404,7 @@ mod tests {
 
     #[test]
     fn pruning_fires_on_missing_constants_only() {
-        let summary = ShardSummary::build(&sample_dataset());
+        let summary = ShardSummary::build(&sample_dataset(), &Ownership::new(1), 0);
         let prunes = |q: &str| {
             summary_verdict(&summary, &labeled_footprint(&parse_query(q).unwrap())).is_pruned()
         };
@@ -388,7 +425,7 @@ mod tests {
 
     #[test]
     fn verdict_names_the_deciding_check_and_term() {
-        let summary = ShardSummary::build(&sample_dataset());
+        let summary = ShardSummary::build(&sample_dataset(), &Ownership::new(1), 0);
         let miss_pred =
             parse_query("SELECT ?x WHERE { ?x <http://ex/advisor> <http://ex/d1> . }").unwrap();
         assert_eq!(

@@ -25,8 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
 use turbohom_engine::{
-    AnyStore, EngineKind, PartitionerKind, ShardedOptions, ShardedStore, Store, StoreOptions,
-    DEFAULT_HALO,
+    AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions, DEFAULT_HALO,
 };
 use turbohom_rdf::parse_ntriples;
 use turbohom_service::{HttpServer, QueryService, ServiceConfig};
@@ -40,7 +39,6 @@ struct Args {
     inference: bool,
     threads: usize,
     shards: usize,
-    partitioner: PartitionerKind,
     halo: usize,
     cache: usize,
     engine: EngineKind,
@@ -63,7 +61,6 @@ fn usage() -> &'static str {
      \x20 --threads N       default worker threads per query (default 1)\n\
      \x20 --shards N        partition the data across N shard stores and run\n\
      \x20                   queries scatter-gather (default 1 = single store)\n\
-     \x20 --partitioner P   shard ownership: hash | greedy (default hash)\n\
      \x20 --halo N          boundary replication radius in triples (default 2)\n\
      \x20 --cache N         plan-cache capacity (default 256)\n\
      \x20 --engine NAME     default engine: turbohom++ | turbohom | mergejoin | hashjoin\n\
@@ -93,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
         inference: false,
         threads: 1,
         shards: 1,
-        partitioner: PartitionerKind::Hash,
         halo: DEFAULT_HALO,
         cache: 256,
         engine: EngineKind::TurboHomPlusPlus,
@@ -116,11 +112,6 @@ fn parse_args() -> Result<Args, String> {
             "--threads" => args.threads = number(flag, value()?, "an integer")?,
             "--shards" => {
                 args.shards = number::<NonZeroUsize>(flag, value()?, "an integer >= 1")?.get()
-            }
-            "--partitioner" => {
-                args.partitioner = value()?
-                    .parse::<PartitionerKind>()
-                    .map_err(|e| e.to_string())?
             }
             "--halo" => args.halo = number(flag, value()?, "an integer")?,
             "--cache" => args.cache = number(flag, value()?, "an integer")?,
@@ -181,7 +172,6 @@ fn run() -> Result<(), String> {
         shards: args.shards,
         inference: args.inference,
         threads: args.threads.max(1),
-        partitioner: args.partitioner,
         halo: args.halo,
     };
     let single = |store: Store| AnyStore::Single(Arc::new(store));
@@ -225,8 +215,7 @@ fn run() -> Result<(), String> {
     store.stores().iter().for_each(|s| s.warm(args.engine));
     let load_ms = load_started.elapsed().as_secs_f64() * 1000.0;
     let shard_note = store.sharded().map_or(String::new(), |s| {
-        let (k, partitioner) = (s.shard_count(), s.partitioner_name());
-        format!(", {k} shards, {partitioner} partitioner")
+        format!(", {} shards, halo {}", s.shard_count(), s.halo())
     });
     eprintln!(
         "store ready: {} triples in {load_ms:.1} ms ({load_phase}, {} backend{}{shard_note})",

@@ -710,10 +710,6 @@ fn respond<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<'s> {
                     .field("backend", store.backend_name())
                     .field("snapshot", snapshot)
                     .field("shards", store.sharded().map(|s| s.shard_count()))
-                    .field(
-                        "partitioning",
-                        store.sharded().map(|s| s.partitioner_name()),
-                    )
                     .end_object();
             });
             Routed::json(200, body)
@@ -1179,7 +1175,7 @@ mod tests {
         );
         assert_eq!(
             tail,
-            r#""turbohom++","dataset":"we\"ird\\set\n\u0001é","backend":"heap","snapshot":null,"shards":null,"partitioning":null}"#
+            r#""turbohom++","dataset":"we\"ird\\set\n\u0001é","backend":"heap","snapshot":null,"shards":null}"#
         );
         assert_eq!(
             get("/"),

@@ -855,9 +855,8 @@ impl QueryService {
                 "Sharded-execution topology (1 = active; labels carry the configuration).",
             );
             out.push_str(&format!(
-                "turbohom_shards{{shards=\"{}\",partitioner=\"{}\",halo=\"{}\"}} 1\n",
+                "turbohom_shards{{shards=\"{}\",halo=\"{}\"}} 1\n",
                 sharded.shard_count(),
-                sharded.partitioner_name(),
                 sharded.halo(),
             ));
         }
