@@ -10,7 +10,8 @@
 //!
 //! `--engines=turbohom++,mergejoin` restricts the per-engine tables to the
 //! listed engines (names are parsed case-insensitively via
-//! `EngineKind::from_str`).
+//! `EngineKind::from_str`). `figure15 --scale=640` runs the ablation alone, at
+//! that LUBM scale, without building the other workloads.
 //!
 //! The `record` mode writes the reproduction record (docs/BENCHMARKING.md):
 //!
@@ -29,7 +30,7 @@ use turbohom_bench::recorder::{BenchRecord, QueryRun};
 use turbohom_bench::*;
 use turbohom_core::{OptimizationName, Optimizations, TurboHomConfig};
 use turbohom_datasets::{bsbm, btc, lubm, yago};
-use turbohom_engine::{EngineKind, Trace};
+use turbohom_engine::{EngineKind, Store, Trace};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,6 +70,15 @@ fn main() {
 
     println!("TurboHOM++ reproduction — experiment harness");
     println!("=============================================");
+    if let Some(scale) = flag(&args, "--scale=") {
+        if requested != ["figure15"] {
+            eprintln!("--scale applies to `figure15` alone (and to `record`)");
+            std::process::exit(2);
+        }
+        let scale: usize = scale.parse().expect("--scale takes an integer");
+        println!("building LUBM({scale}) ...");
+        return figure15(&format!("LUBM({scale})"), &lubm_store(scale));
+    }
     println!("building workloads ...");
     let workloads = Workloads::build();
     for (name, store) in &workloads.lubm {
@@ -88,7 +98,10 @@ fn main() {
             "table6" => table6(&workloads, &engines),
             "table7" => table7(&workloads),
             "figure6" => figure6(&workloads, &engines),
-            "figure15" => figure15(&workloads),
+            "figure15" => {
+                let (name, store) = workloads.lubm.last().expect("at least one LUBM scale");
+                figure15(name, store)
+            }
             "figure16" => figure16(),
             other => eprintln!("unknown experiment `{other}` (expected table1..table7, figure6, figure15, figure16, all)"),
         }
@@ -459,9 +472,9 @@ fn figure6(w: &Workloads, engines: &[EngineKind]) {
 }
 
 /// Figure 15: reduced elapsed time of each optimization applied separately
-/// (Q2 and Q9, largest LUBM scale).
-fn figure15(w: &Workloads) {
-    let (name, store) = w.lubm.last().expect("at least one LUBM scale");
+/// (Q2 and Q9), one column per [`OptimizationName`]. Panics if a setting
+/// finds a different number of solutions than the unoptimized run.
+fn figure15(name: &str, store: &Store) {
     heading(&format!(
         "Figure 15 — reduced elapsed time of each optimization in {name} [ms]"
     ));
@@ -469,31 +482,33 @@ fn figure15(w: &Workloads) {
         .into_iter()
         .filter(|q| q.id == "Q2" || q.id == "Q9")
         .collect();
-    println!(
-        "{:<6} {:>16} {:>12} {:>12} {:>12} {:>12} {:>16}",
-        "query", "no-opt [ms]", "+INT", "-NLF", "-DEG", "+REUSE", "all-opts [ms]"
-    );
-    for q in &queries {
-        let base_config = TurboHomConfig::default().with_optimizations(Optimizations::none());
-        let (base, _) = measure_turbohom(store, q, base_config, false);
-        let mut cells = Vec::new();
-        for opt in OptimizationName::all() {
-            let config = TurboHomConfig::default().with_optimizations(Optimizations::only(opt));
-            let (t, _) = measure_turbohom(store, q, config, false);
-            let reduced = base.saturating_sub(t);
-            cells.push(format!("{:>12}", ms(reduced)));
-        }
-        let all_config = TurboHomConfig::default().with_optimizations(Optimizations::all());
-        let (all, _) = measure_turbohom(store, q, all_config, false);
-        println!(
-            "{:<6} {:>16} {} {:>16}",
-            q.id,
-            ms(base),
-            cells.join(" "),
-            ms(all)
-        );
+    let labels: Vec<&str> = OptimizationName::all().iter().map(|o| o.label()).collect();
+    print!("{:<6} {:>16}", "query", "no-opt [ms]");
+    for label in &labels {
+        print!(" {label:>12}");
     }
-    println!("(columns +INT/-NLF/-DEG/+REUSE report the elapsed-time reduction relative to the no-optimization run)");
+    println!(" {:>16}", "all-opts [ms]");
+    for q in &queries {
+        let run = |optimizations: Optimizations| {
+            let config = TurboHomConfig::default().with_optimizations(optimizations);
+            measure_turbohom(store, q, config, false)
+        };
+        let (base, solutions) = run(Optimizations::none());
+        print!("{:<6} {:>16}", q.id, ms(base));
+        let only = OptimizationName::all().map(Optimizations::only);
+        for (optimizations, label) in only.into_iter().zip(&labels) {
+            let (t, found) = run(optimizations);
+            assert_eq!(found, solutions, "{} with only {label}", q.id);
+            print!(" {:>12}", ms(base.saturating_sub(t)));
+        }
+        let (all, found) = run(Optimizations::all());
+        assert_eq!(found, solutions, "{} with every optimization", q.id);
+        println!(" {:>16}", ms(all));
+    }
+    println!(
+        "(columns {} report the elapsed-time reduction relative to the no-optimization run)",
+        labels.join("/")
+    );
 }
 
 /// Figure 16: parallel speed-up of TurboHOM++ on Q2 and Q9.

@@ -115,13 +115,14 @@ fn push_stats(out: &mut Vec<u8>, s: &MatchStats) {
     out.extend_from_slice(
         format!(
             "{{\"candidate_regions\":{},\"nonempty_regions\":{},\"candidate_vertices\":{},\
-         \"explored_vertices\":{},\"isjoinable_probes\":{},\"intersection_ops\":{},\
-         \"search_recursions\":{},\"matching_orders_computed\":{},\"solutions\":{},\
+         \"explored_vertices\":{},\"signature_pruned\":{},\"isjoinable_probes\":{},\
+         \"intersection_ops\":{},\"search_recursions\":{},\"matching_orders_computed\":{},\"solutions\":{},\
          \"morsels\":{},\"morsels_stolen\":{},\"shards_executed\":{},\"shards_pruned\":{}}}",
             s.candidate_regions,
             s.nonempty_regions,
             s.candidate_vertices,
             s.explored_vertices,
+            s.signature_pruned,
             s.isjoinable_probes,
             s.intersection_ops,
             s.search_recursions,
@@ -213,8 +214,8 @@ mod tests {
         };
         let zero_stats =
             "{\"candidate_regions\":0,\"nonempty_regions\":0,\"candidate_vertices\":0,\
-            \"explored_vertices\":0,\"isjoinable_probes\":0,\"intersection_ops\":0,\
-            \"search_recursions\":0,\"matching_orders_computed\":0,\"solutions\":0,\
+            \"explored_vertices\":0,\"signature_pruned\":0,\"isjoinable_probes\":0,\
+            \"intersection_ops\":0,\"search_recursions\":0,\"matching_orders_computed\":0,\"solutions\":0,\
             \"morsels\":0,\"morsels_stolen\":0,\"shards_executed\":0,\"shards_pruned\":0}";
         let q1_stats = zero_stats
             .replace("\"candidate_regions\":0", "\"candidate_regions\":7")

@@ -14,12 +14,19 @@
 //! one pool, and exploring the next region reuses what the last one
 //! allocated. What does not change from region to region — the query, its
 //! tree, the per-vertex filters — is the [`RegionExplorer`].
+//!
+//! With `+SUM` the explorer also reads the predicate index's schema summary,
+//! once: a child's adjacency list is selected by its labels *minus* those the
+//! tree edge's predicate implies (every `advisor` subject is a `Student`, so
+//! the untyped list is the typed one, three dependent loads sooner), and a
+//! candidate is asked for the predicates the query needs of it — one AND
+//! against its 64-bit signature — before the region descends into it.
 
 use crate::config::{MatchSemantics, TurboHomConfig};
 use crate::filters::{self, VertexFilter};
 use crate::query_tree::QueryTree;
 use crate::stats::MatchStats;
-use turbohom_graph::VertexId;
+use turbohom_graph::{signature_bit, VLabel, VertexId};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
 /// Where one candidate list `CR(u, v)` lies in the pool.
@@ -205,6 +212,13 @@ pub struct RegionExplorer<'a> {
     query: &'a TransformedQuery,
     tree: &'a QueryTree,
     filters: Vec<VertexFilter<'a>>,
+    /// Per query vertex: the labels its adjacency list is selected by. `L(u)`
+    /// itself, or under `+SUM` what of it the tree edge's predicate does not
+    /// already imply of whoever is reached over it.
+    lookup_labels: Vec<Vec<VLabel>>,
+    /// Per query vertex: the signature bits a data vertex must have to be
+    /// let in (`+SUM`); nothing is tested where this is 0.
+    need: Vec<u64>,
 }
 
 impl<'a> RegionExplorer<'a> {
@@ -215,8 +229,56 @@ impl<'a> RegionExplorer<'a> {
         query: &'a TransformedQuery,
         tree: &'a QueryTree,
     ) -> Self {
-        let filters = (0..query.graph.vertex_count())
+        let vertices = 0..query.graph.vertex_count();
+        let filters = vertices
+            .clone()
             .map(|u| VertexFilter::new(config, &query.graph, u))
+            .collect();
+        let summary = config.optimizations.schema_summary;
+        // What arriving over the tree edge proves of a candidate of `u`: it
+        // is on the child's side of an edge with that predicate.
+        let arrival = |u: usize| {
+            let edge = tree.parent[u].filter(|_| summary)?;
+            let predicate = query.graph.edge(edge.edge).label?;
+            Some((predicate, edge.direction.reverse()))
+        };
+        let lookup_labels = vertices
+            .clone()
+            .map(|u| {
+                let mut labels = query.graph.vertex(u).labels.clone();
+                if let Some((predicate, side)) = arrival(u) {
+                    let implied = data.predicates.implied_labels(predicate, side);
+                    labels.retain(|l| !implied.contains(l));
+                }
+                labels
+            })
+            .collect();
+        let need = vertices
+            .map(|u| {
+                if !summary {
+                    return 0;
+                }
+                // An edge of `u` demands a data edge of `u`'s image whenever
+                // the vertex at its other end is matched with `u`: always if
+                // that one is required, together with `u` if both are in
+                // one OPTIONAL clause. An edge into a clause `u` is not part
+                // of demands nothing of `u`.
+                let mut need = 0;
+                for (other, ei, side) in query.graph.neighbors(u) {
+                    let clause = query.vertex_clause[other];
+                    if let Some(predicate) = query.graph.edge(ei).label {
+                        if clause.is_none() || clause == query.vertex_clause[u] {
+                            need |= signature_bit(predicate, side);
+                        }
+                    }
+                }
+                // Ask only what the summary cannot prove.
+                if let Some((predicate, side)) = arrival(u) {
+                    let common = data.predicates.common_signature(predicate, side);
+                    need &= !(signature_bit(predicate, side) | common);
+                }
+                need
+            })
             .collect();
         RegionExplorer {
             data,
@@ -224,7 +286,29 @@ impl<'a> RegionExplorer<'a> {
             query,
             tree,
             filters,
+            lookup_labels,
+            need,
         }
+    }
+
+    /// The labels the adjacency list of query vertex `u` is selected by:
+    /// fewer than `L(u)` where the tree edge's predicate implies the rest.
+    pub fn lookup_labels(&self, u: usize) -> &[VLabel] {
+        &self.lookup_labels[u]
+    }
+
+    /// The signature bits a candidate of `u` is asked for (0: not asked).
+    pub fn signature_need(&self, u: usize) -> u64 {
+        self.need[u]
+    }
+
+    /// Whether the signature of `v` lacks a bit of `need`: `v` then has no
+    /// edge of any predicate folding onto that bit, the needed one included.
+    /// A vertex nothing is asked of is not looked up at all.
+    fn lacks_needed_edge(&self, need: u64, v: VertexId, stats: &mut MatchStats) -> bool {
+        let lacks = need != 0 && self.data.predicates.signature(v) & need != need;
+        stats.signature_pruned += usize::from(lacks);
+        lacks
     }
 
     /// Grows in `region` the candidate region rooted at `start`. Returns
@@ -239,6 +323,9 @@ impl<'a> RegionExplorer<'a> {
         stats: &mut MatchStats,
     ) -> bool {
         region.reset(self.query.graph.vertex_count(), start);
+        if self.lacks_needed_edge(self.need[self.tree.root], start, stats) {
+            return false;
+        }
         region.counts[self.tree.root] = 1;
         if self.config.semantics == MatchSemantics::Isomorphism {
             region.path.push(start);
@@ -266,23 +353,29 @@ impl<'a> RegionExplorer<'a> {
         for &child in &self.tree.children[u] {
             let edge = self.tree.parent[child].expect("child has a parent tree edge");
             let label = self.query.graph.edge(edge.edge).label;
-            let child_labels = &self.query.graph.vertex(child).labels;
+            let lookup_labels = &self.lookup_labels[child];
             let raw =
-                filters::adjacent_candidates(self.data, v, edge.direction, label, child_labels);
+                filters::adjacent_candidates(self.data, v, edge.direction, label, lookup_labels);
             stats.explored_vertices += raw.len();
 
-            // The adjacency list is selected by the child's labels, so a
-            // neighbor is checked one by one only if the ID attribute, a
-            // filter or the simple entailment regime can still turn it down.
+            // The adjacency list is selected by the child's labels (those
+            // the predicate implies included), so a neighbor is checked one
+            // by one only if the ID attribute, a filter, the simple
+            // entailment regime or its signature can still turn it down.
             let filter = &self.filters[child];
             let checked = filter.can_reject();
+            let need = self.need[child];
+            let asked = need != 0;
             let from;
-            if !checked && !injective && self.tree.children[child].is_empty() {
+            if !checked && !asked && !injective && self.tree.children[child].is_empty() {
                 from = region.pool.len();
                 region.pool.extend_from_slice(&raw);
             } else {
                 let mark = region.staging.len();
                 for &c in raw.iter() {
+                    if self.lacks_needed_edge(need, c, stats) {
+                        continue;
+                    }
                     if checked && !filter.qualifies(self.data, c, stats) {
                         continue;
                     }
@@ -319,7 +412,8 @@ impl<'a> RegionExplorer<'a> {
 
 /// Grows the candidate region rooted at `start` in structures of its own.
 /// Returns `None` if the region is dead (see [`RegionExplorer::explore`]).
-pub fn explore_candidate_region(
+#[cfg(test)]
+pub(crate) fn explore_candidate_region(
     data: &TransformedGraph,
     config: &TurboHomConfig,
     query: &TransformedQuery,

@@ -16,8 +16,8 @@ pub enum MatchSemantics {
     Homomorphism,
 }
 
-/// The four optimizations of Section 4.3, individually toggleable so the
-/// Figure 15 ablation can be reproduced.
+/// The four optimizations of Section 4.3 and this reproduction's fifth,
+/// individually toggleable so the Figure 15 ablation can be reproduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Optimizations {
     /// `+INT`: perform the `IsJoinable` test as one k-way intersection
@@ -33,17 +33,24 @@ pub struct Optimizations {
     /// `+REUSE`: compute the matching order for the first candidate region
     /// only and reuse it for all the others.
     pub reuse_matching_order: bool,
+    /// `+SUM` (not in the paper): read the predicate index's schema summary
+    /// once per plan — select adjacency by the query vertex's labels minus
+    /// those its tree edge's (or join's) predicate implies, and ask a
+    /// candidate's predicate signature for the edges the query needs of it
+    /// before the region descends into it.
+    pub schema_summary: bool,
 }
 
 impl Optimizations {
-    /// The TurboHOM++ configuration: all four optimizations applied
-    /// (+INT, −NLF, −DEG, +REUSE).
+    /// The TurboHOM++ configuration: the paper's four optimizations applied
+    /// (+INT, −NLF, −DEG, +REUSE), and +SUM.
     pub fn all() -> Self {
         Optimizations {
             intersection_joinable: true,
             nlf_filter: false,
             degree_filter: false,
             reuse_matching_order: true,
+            schema_summary: true,
         }
     }
 
@@ -55,6 +62,7 @@ impl Optimizations {
             nlf_filter: true,
             degree_filter: true,
             reuse_matching_order: false,
+            schema_summary: false,
         }
     }
 
@@ -68,6 +76,7 @@ impl Optimizations {
             OptimizationName::DisableNlf => o.nlf_filter = false,
             OptimizationName::DisableDegree => o.degree_filter = false,
             OptimizationName::ReuseMatchingOrder => o.reuse_matching_order = true,
+            OptimizationName::SchemaSummary => o.schema_summary = true,
         }
         o
     }
@@ -79,7 +88,7 @@ impl Default for Optimizations {
     }
 }
 
-/// The names of the four optimizations (used by the ablation harness).
+/// The names of the optimizations (used by the ablation harness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptimizationName {
     /// `+INT`
@@ -90,16 +99,19 @@ pub enum OptimizationName {
     DisableDegree,
     /// `+REUSE`
     ReuseMatchingOrder,
+    /// `+SUM`
+    SchemaSummary,
 }
 
 impl OptimizationName {
-    /// All four, in the order the paper lists them.
-    pub fn all() -> [OptimizationName; 4] {
+    /// The paper's four in the order it lists them, then `+SUM`.
+    pub fn all() -> [OptimizationName; 5] {
         [
             OptimizationName::Intersection,
             OptimizationName::DisableNlf,
             OptimizationName::DisableDegree,
             OptimizationName::ReuseMatchingOrder,
+            OptimizationName::SchemaSummary,
         ]
     }
 
@@ -110,6 +122,7 @@ impl OptimizationName {
             OptimizationName::DisableNlf => "-NLF",
             OptimizationName::DisableDegree => "-DEG",
             OptimizationName::ReuseMatchingOrder => "+REUSE",
+            OptimizationName::SchemaSummary => "+SUM",
         }
     }
 }
@@ -197,6 +210,7 @@ mod tests {
         assert!(!c.optimizations.nlf_filter);
         assert!(!c.optimizations.degree_filter);
         assert!(c.optimizations.reuse_matching_order);
+        assert!(c.optimizations.schema_summary);
         assert_eq!(c.threads, 1);
     }
 
@@ -206,6 +220,7 @@ mod tests {
         assert_eq!(c.optimizations, Optimizations::none());
         assert!(c.optimizations.nlf_filter);
         assert!(c.optimizations.degree_filter);
+        assert!(!c.optimizations.schema_summary);
     }
 
     #[test]
@@ -225,12 +240,16 @@ mod tests {
 
         let reuse = Optimizations::only(OptimizationName::ReuseMatchingOrder);
         assert!(reuse.reuse_matching_order);
+        assert!(!reuse.schema_summary);
+        let sum = Optimizations::only(OptimizationName::SchemaSummary);
+        assert!(sum.schema_summary);
+        assert!(!sum.reuse_matching_order);
     }
 
     #[test]
     fn labels_and_enumeration() {
         let labels: Vec<&str> = OptimizationName::all().iter().map(|o| o.label()).collect();
-        assert_eq!(labels, vec!["+INT", "-NLF", "-DEG", "+REUSE"]);
+        assert_eq!(labels, vec!["+INT", "-NLF", "-DEG", "+REUSE", "+SUM"]);
     }
 
     #[test]

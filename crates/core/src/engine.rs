@@ -337,6 +337,7 @@ fn record_stage_spans(
         &[
             ("regions", stats.candidate_regions as u64),
             ("nonempty", stats.nonempty_regions as u64),
+            ("signature_pruned", stats.signature_pruned as u64),
         ],
     );
     trace.record_rollup(

@@ -38,9 +38,10 @@ pub struct StartSelection<'a> {
     pub ranked: usize,
 }
 
-/// For a query vertex without label or ID: the shortest list the predicate
-/// index has for one of its incident edges with a constant predicate
-/// (Section 4.2), if it has such an edge.
+/// For a (required) query vertex without label or ID: the shortest list the
+/// predicate index has for one of its incident edges with a constant
+/// predicate (Section 4.2), if it has such an edge. An edge into an OPTIONAL
+/// clause demands nothing of the vertex, so its list is not one of them.
 fn shortest_incidence_list<'a>(
     data: &'a TransformedGraph,
     query: &TransformedQuery,
@@ -48,9 +49,9 @@ fn shortest_incidence_list<'a>(
 ) -> Option<&'a [VertexId]> {
     query
         .graph
-        .incident_edges(u)
-        .iter()
-        .filter_map(|&(ei, dir)| {
+        .neighbors(u)
+        .filter(|&(other, _, _)| query.vertex_clause[other].is_none())
+        .filter_map(|(_, ei, dir)| {
             let el = query.graph.edge(ei).label?;
             Some(data.predicates.endpoints(el, dir))
         })
@@ -192,7 +193,10 @@ mod tests {
             // No label, no ID: use the predicate index over the incident edges with
             // constant predicates (Section 4.2), taking the most selective one.
             let mut best = usize::MAX;
-            for &(ei, dir) in query.graph.incident_edges(u) {
+            for (other, ei, dir) in query.graph.neighbors(u) {
+                if query.vertex_clause[other].is_some() {
+                    continue; // an OPTIONAL edge demands nothing of `u`
+                }
                 if let Some(el) = query.graph.edge(ei).label {
                     let endpoints = data.predicates.endpoints(el, dir).len();
                     best = best.min(endpoints);
@@ -225,7 +229,10 @@ mod tests {
                 // No label, no ID: take the most selective constant-predicate
                 // incidence list, or every vertex as a last resort.
                 let mut best: Option<Vec<VertexId>> = None;
-                for &(ei, dir) in query.graph.incident_edges(u) {
+                for (other, ei, dir) in query.graph.neighbors(u) {
+                    if query.vertex_clause[other].is_some() {
+                        continue;
+                    }
                     if let Some(el) = query.graph.edge(ei).label {
                         let endpoints = data.predicates.endpoints(el, dir);
                         if best.as_ref().is_none_or(|b| endpoints.len() < b.len()) {

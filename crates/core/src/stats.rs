@@ -17,6 +17,9 @@ pub struct MatchStats {
     pub candidate_vertices: usize,
     /// Data vertices visited during candidate-region exploration.
     pub explored_vertices: usize,
+    /// Start vertices and candidates turned down by their predicate
+    /// signature (`+SUM`) before the region descended into them.
+    pub signature_pruned: usize,
     /// Individual edge-existence probes performed by `IsJoinable`
     /// (the non-+INT path).
     pub isjoinable_probes: usize,
@@ -58,6 +61,7 @@ impl MatchStats {
         self.nonempty_regions += other.nonempty_regions;
         self.candidate_vertices += other.candidate_vertices;
         self.explored_vertices += other.explored_vertices;
+        self.signature_pruned += other.signature_pruned;
         self.isjoinable_probes += other.isjoinable_probes;
         self.intersection_ops += other.intersection_ops;
         self.search_recursions += other.search_recursions;

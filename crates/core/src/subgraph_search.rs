@@ -44,6 +44,11 @@ struct Join {
     direction: Direction,
     /// Edge label (None = variable predicate: any edge suffices).
     label: Option<ELabel>,
+    /// The step's label if it has exactly one: +INT then intersects with
+    /// the typed adjacency group instead of the whole per-predicate list —
+    /// unless (`+SUM`) the predicate implies the label, when the two lists
+    /// are equal and the whole one is two dependent loads nearer.
+    typed: Option<VLabel>,
 }
 
 /// What extending the partial mapping at one matching-order position takes.
@@ -64,9 +69,6 @@ struct Step {
     /// `self_loops[self_loops.0..self_loops.1]` of the plan are the labels of
     /// `u`'s self loops, each requiring an edge v → v.
     self_loops: (usize, usize),
-    /// `u`'s label if it has exactly one: +INT then intersects with the
-    /// typed adjacency group instead of the whole per-predicate list.
-    single_label: Option<VLabel>,
 }
 
 /// The steps of one matching order over one query tree.
@@ -160,18 +162,28 @@ impl<'a> SubgraphSearcher<'a> {
         plan.steps.clear();
         plan.joins.clear();
         plan.self_loops.clear();
+        let summary = self.config.optimizations.schema_summary;
         for (depth, &u) in order.order.iter().enumerate() {
             let (joins_from, loops_from) = (plan.joins.len(), plan.self_loops.len());
+            let single_label = match graph.vertex(u).labels.as_slice() {
+                [label] => Some(*label),
+                _ => None,
+            };
             for (ei, dir_from_u) in tree.non_tree_edges_of(graph, u) {
                 let e = graph.edge(ei);
                 let other = if e.from == u { e.to } else { e.from };
                 if other == u {
                     plan.self_loops.push(e.label);
                 } else if order.position[other] < depth {
+                    let implied: &[VLabel] = match e.label {
+                        Some(el) if summary => self.data.predicates.implied_labels(el, dir_from_u),
+                        _ => &[],
+                    };
                     plan.joins.push(Join {
                         other,
                         direction: dir_from_u.reverse(),
                         label: e.label,
+                        typed: single_label.filter(|vl| !implied.contains(vl)),
                     });
                 }
             }
@@ -181,10 +193,6 @@ impl<'a> SubgraphSearcher<'a> {
                 clause_end: order.clause_start_at[depth].map(|c| order.clause_blocks[c].end),
                 joins: (joins_from, plan.joins.len()),
                 self_loops: (loops_from, plan.self_loops.len()),
-                single_label: match graph.vertex(u).labels.as_slice() {
-                    [label] => Some(*label),
-                    _ => None,
-                },
             });
         }
         debug_assert_eq!(plan.steps.first().map(|step| step.u), Some(tree.root));
@@ -215,12 +223,17 @@ impl<'a> SubgraphSearcher<'a> {
         }
         self.mapping[root] = Some(start);
         self.step_rows[0] += 1;
-        if self.config.semantics == MatchSemantics::Isomorphism {
+        // `used` is touched under the injective semantics only: under
+        // homomorphism it stays empty and every access is a wasted hash.
+        let injective = self.config.semantics == MatchSemantics::Isomorphism;
+        if injective {
             self.used.insert(start);
         }
         self.search(region, 1);
         self.mapping[root] = None;
-        self.used.remove(&start);
+        if injective {
+            self.used.remove(&start);
+        }
     }
 
     /// Recursive search starting at matching-order position `depth`.
@@ -290,13 +303,14 @@ impl<'a> SubgraphSearcher<'a> {
             base
         };
 
+        let injective = self.config.semantics == MatchSemantics::Isomorphism;
         let mut emitted = 0usize;
         for &v in candidates {
             if self.limit_reached {
                 break;
             }
             // Injectivity (subgraph isomorphism only).
-            if self.config.semantics == MatchSemantics::Isomorphism && self.used.contains(&v) {
+            if injective && self.used.contains(&v) {
                 continue;
             }
             // IsJoinable probes (only needed when +INT did not already narrow).
@@ -314,12 +328,14 @@ impl<'a> SubgraphSearcher<'a> {
 
             self.mapping[u] = Some(v);
             self.step_rows[depth] += 1;
-            if self.config.semantics == MatchSemantics::Isomorphism {
+            if injective {
                 self.used.insert(v);
             }
             emitted += self.search(region, depth + 1);
             self.mapping[u] = None;
-            self.used.remove(&v);
+            if injective {
+                self.used.remove(&v);
+            }
         }
         self.depth_buffers[depth] = narrowed;
         emitted
@@ -336,7 +352,7 @@ impl<'a> SubgraphSearcher<'a> {
         self.join_lists.clear();
         for join in joins {
             if let (Some(w), Some(el)) = (self.mapping[join.other], join.label) {
-                self.join_lists.push(match step.single_label {
+                self.join_lists.push(match join.typed {
                     Some(vl) => data.graph.neighbors_typed(w, join.direction, el, vl),
                     None => data.graph.neighbors(w, join.direction, el),
                 });
@@ -553,11 +569,74 @@ mod tests {
         sparql: &str,
         config: &TurboHomConfig,
     ) -> (usize, IdRows, MatchStats) {
+        let found = run_from(ds, data, sparql, config, None);
+        (found.count, found.rows, found.stats)
+    }
+
+    /// What [`run_from`] found and how it looked things up.
+    struct Found {
+        count: usize,
+        rows: IdRows,
+        stats: MatchStats,
+        /// Per query vertex, by variable: the labels its adjacency list was
+        /// selected by.
+        lookup_labels: Vec<(String, Vec<VLabel>)>,
+        /// The `typed` label of every +INT join of the last order set.
+        join_types: Vec<Option<VLabel>>,
+    }
+
+    impl Found {
+        /// The rows as sorted lists of IRIs (unbound: the empty string).
+        fn named(&self, ds: &Dataset, data: &TransformedGraph) -> Vec<Vec<String>> {
+            let name = |cell: u32| match cell {
+                UNBOUND => String::new(),
+                v => {
+                    let term = data.mappings.term_of_vertex(VertexId(v)).unwrap();
+                    ds.dictionary
+                        .term(term)
+                        .unwrap()
+                        .as_iri()
+                        .unwrap()
+                        .to_string()
+                }
+            };
+            let mut rows: Vec<Vec<String>> = self
+                .rows
+                .iter()
+                .map(|row| row.iter().map(|&cell| name(cell)).collect())
+                .collect();
+            rows.sort();
+            rows
+        }
+
+        fn lookup_labels_of(&self, variable: &str) -> &[VLabel] {
+            let found = self.lookup_labels.iter().find(|(v, _)| v == variable);
+            &found.expect("a query variable").1
+        }
+    }
+
+    /// [`run`] with the query tree rooted at `root` (a variable) instead of
+    /// where start-vertex selection would put it.
+    fn run_from(
+        ds: &Dataset,
+        data: &TransformedGraph,
+        sparql: &str,
+        config: &TurboHomConfig,
+        root: Option<&str>,
+    ) -> Found {
         let q = parse_query(sparql).unwrap();
         let tq = transform_query(&q.pattern, data, &ds.dictionary).unwrap();
         assert!(!tq.unsatisfiable, "query should be satisfiable");
         let mut stats = MatchStats::default();
-        let sel = choose_start_vertex(data, config, &tq, &mut stats);
+        let mut sel = choose_start_vertex(data, config, &tq, &mut stats);
+        if let Some(root) = root {
+            let u = tq.graph.vertex_of_variable(root).unwrap();
+            let [label] = tq.graph.vertex(u).labels[..] else {
+                panic!("root a vertex with one label");
+            };
+            sel.query_vertex = u;
+            sel.start_vertices = data.inverse_labels.vertices_with_label(label).into();
+        }
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let inline = vec![Vec::new(); tq.graph.vertex_count()];
         let layout = RowLayout::of(&tq.graph);
@@ -584,8 +663,18 @@ mod tests {
             }
         }
         stats.merge(&searcher.stats);
-        let (total, solutions) = (searcher.solution_count, searcher.rows);
-        (total, solutions, stats)
+        Found {
+            count: searcher.solution_count,
+            stats,
+            lookup_labels: (0..tq.graph.vertex_count())
+                .filter_map(|u| {
+                    let variable = tq.graph.vertex(u).variable.clone()?;
+                    Some((variable, explorer.lookup_labels(u).to_vec()))
+                })
+                .collect(),
+            join_types: searcher.plan.joins.iter().map(|join| join.typed).collect(),
+            rows: searcher.rows,
+        }
     }
 
     /// Universities of very different sizes, in start-vertex order: a big one
@@ -941,5 +1030,227 @@ mod tests {
         let (count, solutions, _) = run(&ds, &data, FIGURE1_QUERY, &config);
         assert_eq!(count, 3);
         assert!(solutions.is_empty());
+    }
+
+    const UB_PREFIXES: &str = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> \
+                               PREFIX ub: <http://ub.org/>";
+
+    /// `all()` without `+SUM`: the switch is the only difference.
+    fn without_summary() -> TurboHomConfig {
+        TurboHomConfig::default().with_optimizations(Optimizations {
+            schema_summary: false,
+            ..Optimizations::all()
+        })
+    }
+
+    /// LUBM Q9's shape: students with an advisor who teaches a course they
+    /// take. Returns the dataset and the (student, faculty, course) triangles
+    /// counted by hand from the edge lists.
+    fn advisors_and_courses() -> (Dataset, Vec<Vec<String>>) {
+        let mut ds = Dataset::new();
+        let (mut advisor, mut teaches, mut takes) = (Vec::new(), Vec::new(), Vec::new());
+        for f in 0..3 {
+            let prof = ub(&format!("prof{f}"));
+            ds.insert_iris(&prof, vocab::RDF_TYPE, &ub("Faculty"));
+            for c in 0..2 {
+                let course = ub(&format!("course{f}_{c}"));
+                ds.insert_iris(&course, vocab::RDF_TYPE, &ub("Course"));
+                teaches.push((prof.clone(), course));
+            }
+            for s in 0..4 {
+                let student = ub(&format!("student{f}_{s}"));
+                ds.insert_iris(&student, vocab::RDF_TYPE, &ub("Student"));
+                advisor.push((student.clone(), prof.clone()));
+                // One course of the advisor's and one of the next professor's.
+                takes.push((student.clone(), ub(&format!("course{f}_{}", s % 2))));
+                takes.push((student, ub(&format!("course{}_0", (f + 1) % 3))));
+            }
+        }
+        for (edges, predicate) in [
+            (&advisor, "advisor"),
+            (&teaches, "teacherOf"),
+            (&takes, "takesCourse"),
+        ] {
+            for (s, o) in edges {
+                ds.insert_iris(s, &ub(predicate), o);
+            }
+        }
+        let mut triangles = Vec::new();
+        for (x, y) in &advisor {
+            for (_, z) in teaches.iter().filter(|(teacher, _)| teacher == y) {
+                if takes.contains(&(x.clone(), z.clone())) {
+                    triangles.push(vec![x.clone(), y.clone(), z.clone()]);
+                }
+            }
+        }
+        triangles.sort();
+        (ds, triangles)
+    }
+
+    #[test]
+    fn a_label_the_predicate_implies_is_not_looked_up_until_the_data_says_otherwise() {
+        let q9 = format!(
+            "{UB_PREFIXES} SELECT ?X ?Y ?Z WHERE {{
+               ?X rdf:type ub:Student . ?Y rdf:type ub:Faculty . ?Z rdf:type ub:Course .
+               ?X ub:advisor ?Y . ?Y ub:teacherOf ?Z . ?X ub:takesCourse ?Z . }}"
+        );
+        let (mut ds, triangles) = advisors_and_courses();
+        assert_eq!(triangles.len(), 12);
+        let config = TurboHomConfig::default();
+
+        // Every advisor subject is a Student, every teacherOf and
+        // takesCourse object a Course: nothing is left to select by.
+        let data = type_aware_transform(&ds);
+        let regular = run_from(&ds, &data, &q9, &config, Some("Y"));
+        assert_eq!(regular.named(&ds, &data), triangles);
+        assert!(regular.lookup_labels_of("X").is_empty());
+        assert!(regular.lookup_labels_of("Z").is_empty());
+        assert_eq!(regular.join_types, [None]);
+        // Without the switch the typed groups are read, to the same rows.
+        let typed = run_from(&ds, &data, &q9, &without_summary(), Some("Y"));
+        assert_eq!(typed.named(&ds, &data), triangles);
+        assert_eq!(typed.lookup_labels_of("X").len(), 1);
+        assert!(typed.join_types[0].is_some());
+
+        // A visitor — no Student — with an advisor, sitting in on a course of
+        // theirs and on a reading group that is no Course.
+        ds.insert_iris(&ub("visitor"), &ub("advisor"), &ub("prof0"));
+        ds.insert_iris(&ub("visitor"), &ub("takesCourse"), &ub("course0_0"));
+        ds.insert_iris(&ub("visitor"), &ub("takesCourse"), &ub("reading_group"));
+        ds.insert_iris(&ub("prof0"), &ub("teacherOf"), &ub("reading_group"));
+        let data = type_aware_transform(&ds);
+        let irregular = run_from(&ds, &data, &q9, &config, Some("Y"));
+        assert_eq!(irregular.named(&ds, &data), triangles);
+        assert_eq!(
+            irregular.lookup_labels_of("X"),
+            typed.lookup_labels_of("X"),
+            "the label is back"
+        );
+        assert_eq!(irregular.lookup_labels_of("Z").len(), 1);
+        assert!(irregular.join_types[0].is_some());
+    }
+
+    #[test]
+    fn a_candidate_without_the_needed_predicate_is_turned_down_before_it_is_explored() {
+        // LUBM J2's shape. Per university: a department two professors work
+        // for and three research groups nobody works for; eight students
+        // with a professor as advisor. All ten people hold a degree from the
+        // university, but only the students have an advisor.
+        let mut ds = Dataset::new();
+        for u in 0..3 {
+            let univ = ub(&format!("univ{u}"));
+            ds.insert_iris(&univ, vocab::RDF_TYPE, &ub("University"));
+            let dept = ub(&format!("dept{u}"));
+            ds.insert_iris(&dept, &ub("subOrganizationOf"), &univ);
+            for g in 0..3 {
+                ds.insert_iris(
+                    &ub(&format!("group{u}_{g}")),
+                    &ub("subOrganizationOf"),
+                    &univ,
+                );
+            }
+            for p in 0..2 {
+                let prof = ub(&format!("prof{u}_{p}"));
+                ds.insert_iris(&prof, &ub("worksFor"), &dept);
+                ds.insert_iris(&prof, &ub("degreeFrom"), &univ);
+            }
+            for s in 0..8 {
+                let student = ub(&format!("student{u}_{s}"));
+                ds.insert_iris(&student, &ub("advisor"), &ub(&format!("prof{u}_{}", s % 2)));
+                ds.insert_iris(&student, &ub("degreeFrom"), &univ);
+            }
+        }
+        let data = type_aware_transform(&ds);
+        // From ?U the tree is U → {S → P, D}: ?D is a leaf whose `worksFor`
+        // edge to ?P only the enumeration verifies.
+        let j2 = format!(
+            "{UB_PREFIXES} SELECT ?U ?D ?P ?S WHERE {{
+               ?U rdf:type ub:University . ?S ub:degreeFrom ?U . ?D ub:subOrganizationOf ?U .
+               ?S ub:advisor ?P . ?P ub:worksFor ?D . }}"
+        );
+        let on = run_from(&ds, &data, &j2, &TurboHomConfig::default(), Some("U"));
+        let off = run_from(&ds, &data, &j2, &without_summary(), Some("U"));
+        assert_eq!(on.count, 3 * 8);
+        assert_eq!(on.named(&ds, &data), off.named(&ds, &data));
+        // Per university the three groups (no `worksFor` member) and the two
+        // professors (degree holders without an `advisor`) die at the
+        // signature. The groups used to be carried into the enumeration,
+        // each costing a recursion per student before the join found out.
+        assert_eq!(off.stats.signature_pruned, 0);
+        assert_eq!(on.stats.signature_pruned, 3 * (3 + 2));
+        assert!(on.stats.candidate_vertices < off.stats.candidate_vertices);
+        assert_eq!(
+            (on.stats.search_recursions, off.stats.search_recursions),
+            (3 * (1 + 1 + 8), 3 * (1 + 4 + 4 * 8))
+        );
+    }
+
+    #[test]
+    fn an_edge_into_an_optional_clause_demands_nothing_of_a_required_vertex() {
+        let mut ds = Dataset::new();
+        for (product, rating) in [("p0", None), ("p1", Some("r1")), ("p2", Some("r2"))] {
+            ds.insert_iris(&ub(product), &ub("price"), &ub(&format!("{product}_price")));
+            if let Some(rating) = rating {
+                ds.insert_iris(&ub(product), &ub("rating"), &ub(rating));
+            }
+        }
+        // r1 is signed, r2 is anonymous.
+        ds.insert_iris(&ub("r1"), &ub("by"), &ub("alice"));
+        let data = type_aware_transform(&ds);
+        let leaf = format!(
+            "{UB_PREFIXES} SELECT * WHERE {{ ?p ub:price ?x . OPTIONAL {{ ?p ub:rating ?r . }} }}"
+        );
+        // ?r is an inner tree vertex of its clause: ?who hangs off it.
+        let inner = format!(
+            "{UB_PREFIXES} SELECT * WHERE {{
+               ?p ub:price ?x . OPTIONAL {{ ?p ub:rating ?r . ?r ub:by ?who . }} }}"
+        );
+        for (query, bound_cells) in [(&leaf, [2, 3, 3]), (&inner, [2, 2, 4])] {
+            let on = run_from(&ds, &data, query, &TurboHomConfig::default(), None);
+            let off = run_from(&ds, &data, query, &without_summary(), None);
+            // Every product is returned, rated or not.
+            assert_eq!(on.count, 3, "{query}");
+            let mut bound: Vec<usize> = on.rows.iter().map(bound_count).collect();
+            bound.sort_unstable();
+            assert_eq!(bound, bound_cells, "{query}");
+            assert_eq!(on.named(&ds, &data), off.named(&ds, &data), "{query}");
+        }
+        // Inside the clause the signature does ask: the anonymous rating
+        // lacks the `by` edge its own clause needs of it.
+        let on = run_from(&ds, &data, &inner, &TurboHomConfig::default(), None);
+        assert_eq!(on.stats.signature_pruned, 1);
+    }
+
+    #[test]
+    fn a_colliding_predicate_passes_the_signature_and_fails_the_lookup() {
+        // 70 predicates: the bits of p3 and p35 fold onto each other.
+        let mut ds = Dataset::new();
+        for p in 0..70 {
+            ds.insert_iris(&ub(&format!("s{p}")), &ub(&format!("p{p}")), &ub("sink"));
+        }
+        for b in ["has_p3", "has_p35", "has_neither"] {
+            ds.insert_iris(&ub("a"), &ub("link"), &ub(b));
+        }
+        ds.insert_iris(&ub("has_p3"), &ub("p3"), &ub("c"));
+        ds.insert_iris(&ub("has_p35"), &ub("p35"), &ub("c"));
+        let data = type_aware_transform(&ds);
+        let elabel = |p: &str| {
+            let term = ds.dictionary.id_of_iri(&ub(p)).unwrap();
+            data.mappings.elabel_of(term).unwrap()
+        };
+        let bit = |p: &str| turbohom_graph::signature_bit(elabel(p), Direction::Outgoing);
+        assert_eq!(bit("p3"), bit("p35"));
+        assert_ne!(bit("p3"), bit("p4"));
+
+        let query =
+            format!("{UB_PREFIXES} SELECT ?b ?c WHERE {{ ub:a ub:link ?b . ?b ub:p3 ?c . }}");
+        let on = run_from(&ds, &data, &query, &TurboHomConfig::default(), None);
+        let off = run_from(&ds, &data, &query, &without_summary(), None);
+        assert_eq!(on.count, 1);
+        assert_eq!(on.named(&ds, &data), off.named(&ds, &data));
+        // Only the vertex with neither predicate is turned down by its
+        // signature; the one with the colliding predicate is kept and found
+        // to have no p3 edge by the lookup, as without the switch.
+        assert_eq!(on.stats.signature_pruned, 1);
     }
 }

@@ -28,7 +28,7 @@ use crate::plan::{ComponentPlan, QueryPlan, Window};
 use crate::results::IdResults;
 use crate::sharded::{AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
-use turbohom_core::candidate_region::explore_candidate_region;
+use turbohom_core::candidate_region::{CandidateRegion, RegionExplorer};
 use turbohom_core::query_tree::QueryTree;
 use turbohom_core::start_vertex::choose_start_vertex;
 use turbohom_core::{MatchStats, MatchingOrder, TurboHomConfig};
@@ -122,6 +122,12 @@ pub struct StepExplain {
     /// the first non-empty region (EXPLAIN), or summed over all explored
     /// regions (ANALYZE).
     pub estimate: u64,
+    /// `+SUM`: the adjacency list of this vertex is selected by fewer labels
+    /// than the query gives it, the tree edge's predicate implying the rest.
+    pub label_lookup_elided: bool,
+    /// `+SUM`: how many predicate-signature bits a data vertex is asked for
+    /// before the region descends into it (0: it is not asked).
+    pub signature_bits: u32,
     /// Partial mappings actually extended at this step (ANALYZE only).
     pub rows: Option<u64>,
     /// `qerror(estimate, rows)` (ANALYZE only).
@@ -167,6 +173,9 @@ pub struct ActualSummary {
     pub intersections: u64,
     /// Search-tree recursions.
     pub recursions: u64,
+    /// Start vertices and candidates turned down by their predicate
+    /// signature (+SUM).
+    pub signature_pruned: u64,
     /// Morsels dispatched across workers.
     pub morsels: u64,
     /// Morsels obtained by work stealing.
@@ -250,6 +259,7 @@ impl ExplainReport {
             elapsed_us: results.elapsed.as_micros() as u64,
             intersections: results.stats.intersection_ops as u64,
             recursions: results.stats.search_recursions as u64,
+            signature_pruned: results.stats.signature_pruned as u64,
             morsels: results.stats.morsels as u64,
             steals: results.stats.morsels_stolen as u64,
             max_qerror,
@@ -285,6 +295,7 @@ impl ToJson for ActualSummary {
             .field("elapsed_us", self.elapsed_us)
             .field("intersections", self.intersections)
             .field("recursions", self.recursions)
+            .field("signature_pruned", self.signature_pruned)
             .field("morsels", self.morsels)
             .field("steals", self.steals)
             .field("max_qerror", self.max_qerror)
@@ -326,6 +337,8 @@ impl ToJson for StepExplain {
             .field("query_vertex", self.query_vertex)
             .field("variable", self.variable.as_deref())
             .field("estimate", self.estimate)
+            .field("label_lookup_elided", self.label_lookup_elided)
+            .field("signature_bits", self.signature_bits)
             .field_some("rows", self.rows)
             .field_some("qerror", self.qerror)
             .end_object();
@@ -405,14 +418,13 @@ fn explain_component(
     }
     let tree = QueryTree::build(&tq.graph, selection.query_vertex);
     // `+REUSE`: the order is determined from the first non-empty region.
-    let region = selection
-        .start_vertices
-        .iter()
-        .find_map(|&s| explore_candidate_region(graph, config, tq, &tree, s, &mut stats));
-    let Some(region) = region else {
+    let explorer = RegionExplorer::new(graph, config, tq, &tree);
+    let mut region = CandidateRegion::default();
+    let mut starts = selection.start_vertices.iter();
+    if !starts.any(|&s| explorer.explore(&mut region, s, &mut stats)) {
         ce.note = Some("every candidate region is empty");
         return ce;
-    };
+    }
     ce.region_candidates = Some(region.total_candidates());
     let order = MatchingOrder::determine(tq, &tree, &region);
     ce.steps = order
@@ -424,6 +436,8 @@ fn explain_component(
             query_vertex: u,
             variable: tq.graph.vertex(u).variable.clone(),
             estimate: region.count(u) as u64,
+            label_lookup_elided: explorer.lookup_labels(u).len() < tq.graph.vertex(u).labels.len(),
+            signature_bits: explorer.signature_need(u).count_ones(),
             rows: None,
             qerror: None,
         })

@@ -6,6 +6,7 @@
 
 use std::path::PathBuf;
 use turbohom_engine::{EngineKind, SnapshotError, Store, StoreError, StoreOptions};
+use turbohom_graph::{Direction, ELabel};
 
 fn ub(l: &str) -> String {
     format!("http://ub.org/{l}")
@@ -143,6 +144,18 @@ fn ledger_line(tag: u64, graph: &'static str) -> Option<(&'static str, &'static 
     })
 }
 
+/// The heap bytes of the schema summary a predicate index derives and no
+/// snapshot holds: 8 per vertex, 8 per (predicate, side), and the CSR of the
+/// implied labels.
+fn derived_summary_bytes(graph: &turbohom_transform::TransformedGraph) -> u64 {
+    let rows = 2 * graph.predicates.predicate_count() as u64;
+    let implied: usize = (0..graph.predicates.predicate_count() as u32)
+        .flat_map(|el| [Direction::Outgoing, Direction::Incoming].map(|side| (ELabel(el), side)))
+        .map(|(el, side)| graph.predicates.implied_labels(el, side).len())
+        .sum();
+    8 * graph.graph.vertex_count() as u64 + 8 * rows + 8 * (rows + 1) + 4 * implied as u64
+}
+
 #[test]
 fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
     let heap = sample_store();
@@ -183,7 +196,21 @@ fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
                 .iter()
                 .find(|(l, _)| *l == line)
                 .unwrap_or_else(|| panic!("no section for {line:?}"));
-            let expected = if on_heap { (*bytes, 0) } else { (0, *bytes) };
+            // The one line that is more than its sections: the predicate
+            // index's summary is derived at load and lies on the heap.
+            let derived = match line {
+                ("type_aware", "predicate_index") => {
+                    derived_summary_bytes(store.type_aware_graph())
+                }
+                ("direct", "predicate_index") => derived_summary_bytes(store.direct_graph()),
+                _ => 0,
+            };
+            assert!(derived > 0 || line.1 != "predicate_index");
+            let expected = if on_heap {
+                (*bytes + derived, 0)
+            } else {
+                (derived, *bytes)
+            };
             assert_eq!((row.bytes.heap, row.bytes.mapped), expected, "{line:?}");
         }
     }
@@ -300,6 +327,58 @@ fn corrupted_payload_is_a_typed_error() {
             "pos={pos} gave {err:?}"
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Overwrites the first element of the first non-empty section tagged `tag`
+/// with `value` and re-checksums the file, so that the loader gets past the
+/// container's checks and reads the mangled section as it would a good one.
+fn overwrite_first_u32(bytes: &mut [u8], tag: u64, value: u32) {
+    let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (count, table) = (word(bytes, 16) as usize, word(bytes, 24) as usize);
+    let at = (0..count)
+        .map(|i| table + 24 * i)
+        .find(|&entry| word(bytes, entry) == tag && word(bytes, entry + 16) >= 4)
+        .map(|entry| word(bytes, entry + 8) as usize)
+        .unwrap_or_else(|| panic!("no non-empty section {tag:#x}"));
+    bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    let fnv = turbohom_storage::fnv1a;
+    let payload = fnv(turbohom_storage::FNV_OFFSET, &bytes[64..table]);
+    bytes[40..48].copy_from_slice(&payload.to_le_bytes());
+    let header = fnv(
+        fnv(turbohom_storage::FNV_OFFSET, &bytes[..48]),
+        &bytes[table..table + 24 * count],
+    );
+    bytes[48..56].copy_from_slice(&header.to_le_bytes());
+}
+
+#[test]
+fn a_predicate_index_endpoint_that_is_no_vertex_is_refused_not_indexed() {
+    // The summary derived at map time indexes per-vertex arrays by what the
+    // predicate lists name; the lists are bytes from outside.
+    let path = temp_path("endpoint.snap");
+    let heap = sample_store();
+    heap.save_snapshot(&path).unwrap();
+    let original = std::fs::read(&path).unwrap();
+    let vertices = heap.type_aware_graph().graph.vertex_count() as u32;
+    // Subjects (0x0402) and objects (0x0404); the first id that is no
+    // vertex, and the largest.
+    for (tag, id) in [(0x0402, vertices), (0x0404, vertices), (0x0402, u32::MAX)] {
+        let mut bytes = original.clone();
+        overwrite_first_u32(&mut bytes, tag, id);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Store::from_snapshot(&path).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Snapshot(SnapshotError::Malformed(m))
+                if m.contains("predicate e") && m.contains("not a vertex")),
+            "{tag:#x} {id} gave {err:?}"
+        );
+    }
+    // The helper itself leaves a loadable file when it changes nothing.
+    let mut bytes = original.clone();
+    let first = heap.type_aware_graph().predicates.subjects(ELabel(0))[0];
+    overwrite_first_u32(&mut bytes, 0x0402, first.0);
+    assert_eq!(bytes, original);
     std::fs::remove_file(&path).ok();
 }
 

@@ -796,7 +796,7 @@ mod tests {
         let snap = turbohom_storage::Snapshot::open(&path).unwrap();
         let mut cur = snap.cursor();
         let l = LabeledGraph::read_sections(&mut cur).unwrap();
-        let lidx = crate::predicate_index::PredicateIndex::read_sections(&mut cur).unwrap();
+        let lidx = crate::predicate_index::PredicateIndex::read_sections(&mut cur, &l).unwrap();
         let linv = crate::inverse_label::InverseLabelIndex::read_sections(&mut cur).unwrap();
         std::fs::remove_file(&path).unwrap();
 

@@ -12,7 +12,9 @@
 //!   sorted list of vertices carrying it.
 //! * [`PredicateIndex`] — edge label → (sorted subject list, sorted object
 //!   list), used when a query vertex has neither label nor bound ID
-//!   (Section 4.2, `ChooseStartQueryVertex`).
+//!   (Section 4.2, `ChooseStartQueryVertex`), plus the schema summary derived
+//!   from it: what a predicate implies of its endpoints, and a 64-bit
+//!   predicate signature per vertex.
 //! * [`QueryGraph`] — the query-side representation with the *two-attribute
 //!   vertex model*: a query vertex has an optional bound data-vertex ID and a
 //!   label set; a query edge has an optional edge label (a `None` label is a
@@ -32,5 +34,5 @@ pub use builder::LabeledGraphBuilder;
 pub use ids::{Direction, ELabel, VLabel, VertexId};
 pub use inverse_label::InverseLabelIndex;
 pub use labeled_graph::{GraphStats, LabeledGraph, NeighborType};
-pub use predicate_index::PredicateIndex;
+pub use predicate_index::{signature_bit, PredicateIndex};
 pub use query_graph::{QueryEdge, QueryGraph, QueryVertex};

@@ -227,6 +227,9 @@ pub struct EngineMetrics {
     /// Cumulative k-way intersections run by the `+INT` joinability test
     /// (all-zero for the join baselines, which never run the matcher).
     pub intersection_ops: AtomicU64,
+    /// Cumulative start vertices and candidates the matcher turned down by
+    /// their predicate signature (`+SUM`) instead of exploring them.
+    pub signature_pruned: AtomicU64,
     /// Cumulative morsels executed by the work-stealing scheduler (stays
     /// zero while requests run single-threaded).
     pub morsels: AtomicU64,
@@ -326,6 +329,8 @@ impl ServiceMetrics {
             .fetch_add(stats.solutions as u64, Ordering::Relaxed);
         m.intersection_ops
             .fetch_add(stats.intersection_ops as u64, Ordering::Relaxed);
+        m.signature_pruned
+            .fetch_add(stats.signature_pruned as u64, Ordering::Relaxed);
         m.morsels.fetch_add(stats.morsels as u64, Ordering::Relaxed);
         m.morsels_stolen
             .fetch_add(stats.morsels_stolen as u64, Ordering::Relaxed);
@@ -744,6 +749,7 @@ mod tests {
         let stats = MatchStats {
             solutions: 3,
             intersection_ops: 7,
+            signature_pruned: 5,
             morsels: 4,
             morsels_stolen: 1,
             ..MatchStats::default()
@@ -778,6 +784,7 @@ mod tests {
         let t = m.engine(EngineKind::TurboHomPlusPlus);
         assert_eq!(t.solutions.load(Ordering::Relaxed), 6);
         assert_eq!(t.intersection_ops.load(Ordering::Relaxed), 14);
+        assert_eq!(t.signature_pruned.load(Ordering::Relaxed), 10);
         assert_eq!(t.morsels.load(Ordering::Relaxed), 8);
         assert_eq!(t.morsels_stolen.load(Ordering::Relaxed), 2);
         assert_eq!(

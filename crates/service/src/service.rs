@@ -259,6 +259,9 @@ pub struct EngineStats {
     pub solutions: u64,
     /// Cumulative `+INT` k-way intersections run by the matcher.
     pub intersection_ops: u64,
+    /// Cumulative start vertices and candidates turned down by their
+    /// predicate signature (`+SUM`).
+    pub signature_pruned: u64,
     /// Cumulative morsels executed by the work-stealing scheduler.
     pub morsels: u64,
     /// Cumulative morsels obtained by stealing.
@@ -310,6 +313,7 @@ impl ToJson for EngineStats {
             .begin_object()
             .field("solutions", self.solutions)
             .field("intersection_ops", self.intersection_ops)
+            .field("signature_pruned", self.signature_pruned)
             .field("morsels", self.morsels)
             .field("morsels_stolen", self.morsels_stolen)
             .end_object()
@@ -931,6 +935,7 @@ impl QueryService {
                     p99_ms: ms(m.latency.quantile(0.99)),
                     solutions: m.solutions.load(Ordering::Relaxed),
                     intersection_ops: m.intersection_ops.load(Ordering::Relaxed),
+                    signature_pruned: m.signature_pruned.load(Ordering::Relaxed),
                     morsels: m.morsels.load(Ordering::Relaxed),
                     morsels_stolen: m.morsels_stolen.load(Ordering::Relaxed),
                 }

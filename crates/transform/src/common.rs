@@ -286,7 +286,7 @@ impl TransformedGraph {
         };
         let graph = LabeledGraph::read_sections(cur)?;
         let inverse_labels = InverseLabelIndex::read_sections(cur)?;
-        let predicates = PredicateIndex::read_sections(cur)?;
+        let predicates = PredicateIndex::read_sections(cur, &graph)?;
         let mappings = GraphMappings::read_sections(cur)?;
         let sl = FlatCsr::from_parts(
             cur.next_section(TAG_SIMPLE_LABEL_OFFSETS)?,

@@ -9,8 +9,9 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use turbohom::engine::{EngineKind, Store};
-use turbohom::rdf::{Dataset, TermId};
+use turbohom::core::{MatchSemantics, Optimizations, TurboHomConfig};
+use turbohom::engine::{EngineKind, Store, StoreOptions};
+use turbohom::rdf::{vocab, Dataset, TermId};
 use turbohom::sparql::{parse_query, SparqlTerm, TriplePattern};
 
 /// Counts the solutions of a (union-free, OPTIONAL-free, FILTER-free) BGP by
@@ -154,8 +155,137 @@ fn query_strategy() -> impl Strategy<Value = String> {
         })
 }
 
+const CLASSES: [&str; 2] = ["A", "B"];
+
+/// The datasets of [`dataset_strategy`] plus class assertions over `A ⊑ B`.
+/// Half of them are schema-regular the way RDF data is — every subject of
+/// `p` an `A`, every object of `q` a `B` — which is when a predicate implies
+/// a label; the other half carry whatever types were drawn.
+fn typed_dataset_strategy() -> impl Strategy<Value = Dataset> {
+    (
+        dataset_strategy(),
+        proptest::collection::vec((0usize..8, 0usize..2), 0..8),
+        proptest::bool::ANY,
+    )
+        .prop_map(|(mut ds, types, regular)| {
+            ds.insert_iris(&iri("A"), vocab::RDFS_SUBCLASSOF, &iri("B"));
+            for (entity, class) in types {
+                ds.insert_iris(
+                    &iri(&format!("n{entity}")),
+                    vocab::RDF_TYPE,
+                    &iri(CLASSES[class]),
+                );
+            }
+            if regular {
+                let p = ds.dictionary.id_of_iri(&iri("p"));
+                let q = ds.dictionary.id_of_iri(&iri("q"));
+                let typed: Vec<(TermId, &str)> = ds
+                    .triples
+                    .iter()
+                    .filter_map(|t| match Some(t.p) {
+                        pred if pred == p => Some((t.s, "A")),
+                        pred if pred == q => Some((t.o, "B")),
+                        _ => None,
+                    })
+                    .collect();
+                for (entity, class) in typed {
+                    let entity = ds
+                        .dictionary
+                        .term(entity)
+                        .unwrap()
+                        .as_iri()
+                        .unwrap()
+                        .to_string();
+                    ds.insert_iris(&entity, vocab::RDF_TYPE, &iri(class));
+                }
+            }
+            ds
+        })
+}
+
+/// The chains of [`query_strategy`] — some with a closing edge, which +INT
+/// verifies by intersection — whose variables may be typed and whose
+/// predicates may be variables (such a query runs over the direct graph).
+fn typed_query_strategy() -> impl Strategy<Value = String> {
+    (
+        1usize..4,
+        proptest::collection::vec(
+            (
+                proptest::option::of(0usize..3),
+                proptest::bool::ANY,
+                proptest::option::of(0usize..2),
+            ),
+            4,
+        ),
+        0usize..6,
+    )
+        .prop_map(|(len, spec, closing)| {
+            let predicate = |p: Option<usize>, i: usize| match p {
+                Some(p) => format!("<{}>", iri(PREDS[p])),
+                None => format!("?e{i}"),
+            };
+            let mut body = String::new();
+            for (i, &(p, forward, class)) in spec.iter().enumerate().take(len + 1) {
+                if let Some(class) = class {
+                    let rdf_type = vocab::RDF_TYPE;
+                    body.push_str(&format!("?v{i} <{rdf_type}> <{}> . ", iri(CLASSES[class])));
+                }
+                if i < len {
+                    let (from, to) = (format!("?v{i}"), format!("?v{}", i + 1));
+                    let (s, o) = if forward { (from, to) } else { (to, from) };
+                    body.push_str(&format!("{s} {} {o} . ", predicate(p, i)));
+                }
+            }
+            if closing < PREDS.len() && len > 1 {
+                body.push_str(&format!("?v0 <{}> ?v{len} . ", iri(PREDS[closing])));
+            }
+            format!("SELECT * WHERE {{ {body} }}")
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `+SUM` on and off agree with each other under homomorphism and
+    /// isomorphism, full and simple entailment, on the type-aware and the
+    /// direct graph, with constant and variable predicates — and, wherever
+    /// the brute-force matcher defines the answer (homomorphism), with it.
+    #[test]
+    fn schema_summary_on_and_off_agree_with_the_oracle_and_each_other(
+        ds in typed_dataset_strategy(),
+        sparql in typed_query_strategy(),
+    ) {
+        let patterns = parse_query(&sparql).unwrap().pattern.triples;
+        // The closure is what the full regime matches; the asserted triples
+        // are what the simple regime does.
+        let options = StoreOptions { inference: true, ..StoreOptions::default() };
+        let closed = Store::from_dataset_with(ds.clone(), options);
+        let asserted = Store::from_dataset(ds);
+        for simple_entailment in [false, true] {
+            let store = if simple_entailment { &asserted } else { &closed };
+            let expected = brute_force_count(store.dataset(), &patterns);
+            for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
+                for force_direct in [false, true] {
+                    let found = [true, false].map(|schema_summary| {
+                        let config = TurboHomConfig {
+                            semantics,
+                            simple_entailment,
+                            optimizations: Optimizations { schema_summary, ..Optimizations::all() },
+                            ..TurboHomConfig::default()
+                        };
+                        store.execute_turbohom(&sparql, config, force_direct).unwrap().len()
+                    });
+                    let setting = (simple_entailment, semantics, force_direct);
+                    prop_assert_eq!(found[0], found[1], "+SUM on/off differ: {:?} {}", setting, sparql);
+                    if semantics == MatchSemantics::Homomorphism {
+                        prop_assert_eq!(found[0], expected, "oracle differs: {:?} {}", setting, sparql);
+                    } else {
+                        prop_assert!(found[0] <= expected, "{:?} {}", setting, sparql);
+                    }
+                }
+            }
+        }
+    }
 
     /// TurboHOM++ (and the plain TurboHOM) agree with the brute-force
     /// reference matcher on every random chain query.
