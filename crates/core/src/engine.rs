@@ -402,6 +402,22 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// The engine's guards, decided before it reads the data and in one place
+/// for [`TurboHomEngine::execute_with_order`] and for EXPLAIN: `Ok(true)` —
+/// the matcher runs; `Ok(false)` — a query constant does not occur in the
+/// data (or the query is empty), so the answer is empty; `Err` — refused.
+pub fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
+    if query.unsatisfiable || query.graph.vertex_count() == 0 {
+        Ok(false)
+    } else if !query.graph.is_connected() {
+        Err(EngineError::DisconnectedQuery)
+    } else if query.vertex_clause.iter().all(|c| c.is_some()) {
+        Err(EngineError::NoRequiredPart)
+    } else {
+        Ok(true)
+    }
+}
+
 /// The TurboHOM / TurboHOM++ execution engine over one transformed data graph.
 pub struct TurboHomEngine<'a> {
     data: &'a TransformedGraph,
@@ -459,14 +475,8 @@ impl<'a> TurboHomEngine<'a> {
         parent: Option<SpanId>,
     ) -> Result<(MatchResult, Option<MatchingOrder>), EngineError> {
         let mut clock = StageClock::start(trace.is_detailed());
-        if query.unsatisfiable || query.graph.vertex_count() == 0 {
+        if !admit(query)? {
             return Ok((MatchResult::default(), None));
-        }
-        if !query.graph.is_connected() {
-            return Err(EngineError::DisconnectedQuery);
-        }
-        if query.vertex_clause.iter().all(|c| c.is_some()) {
-            return Err(EngineError::NoRequiredPart);
         }
 
         let mut stats = MatchStats::default();
@@ -894,6 +904,7 @@ mod tests {
         )
         .unwrap();
         let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        assert_eq!(admit(&tq), Ok(false));
         let result = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
             .execute(&tq)
             .unwrap();
@@ -914,6 +925,8 @@ mod tests {
         let err = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
             .execute(&tq)
             .unwrap_err();
+        // What EXPLAIN asks and what `execute` obeys is one function.
+        assert_eq!(admit(&tq), Err(err.clone()));
         assert_eq!(err, EngineError::DisconnectedQuery);
         assert!(err.to_string().contains("disconnected"));
     }

@@ -6,76 +6,84 @@
 //! so the ablation benches and the tests can verify *why* an optimization
 //! helps, not just that elapsed time changed.
 
-/// Counters collected during one query execution.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MatchStats {
+/// Defines [`MatchStats`] from one list of counters: the struct, its
+/// [`merge`](MatchStats::merge) and the [`counters`](MatchStats::counters)
+/// table every served surface (`/stats`, `/metrics`) iterates, so that a
+/// counter added here reaches all of them or does not compile.
+macro_rules! match_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Counters collected during one query execution.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct MatchStats {
+            $($(#[$doc])* pub $name: usize,)*
+        }
+
+        impl MatchStats {
+            /// How many counters there are.
+            pub const COUNTERS: usize = [$(stringify!($name)),*].len();
+
+            /// Every counter with its field name, in declaration order.
+            pub fn counters(&self) -> [(&'static str, usize); Self::COUNTERS] {
+                [$((stringify!($name), self.$name)),*]
+            }
+
+            /// Merges the counters of another execution slice (used when
+            /// merging per-thread statistics).
+            pub fn merge(&mut self, other: &MatchStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            #[cfg(test)]
+            fn counters_mut(&mut self) -> [&mut usize; Self::COUNTERS] {
+                [$(&mut self.$name),*]
+            }
+        }
+    };
+}
+
+match_stats! {
     /// Number of starting data vertices considered (candidate regions tried).
-    pub candidate_regions: usize,
+    candidate_regions,
     /// Number of candidate regions that were non-empty.
-    pub nonempty_regions: usize,
+    nonempty_regions,
     /// Total data vertices placed into candidate regions.
-    pub candidate_vertices: usize,
+    candidate_vertices,
     /// Data vertices visited during candidate-region exploration.
-    pub explored_vertices: usize,
+    explored_vertices,
     /// Start vertices and candidates turned down by their predicate
     /// signature (`+SUM`) before the region descended into them.
-    pub signature_pruned: usize,
+    signature_pruned,
     /// Individual edge-existence probes performed by `IsJoinable`
     /// (the non-+INT path).
-    pub isjoinable_probes: usize,
+    isjoinable_probes,
     /// k-way intersection operations performed by the +INT path.
-    pub intersection_ops: usize,
+    intersection_ops,
     /// Recursive `SubgraphSearch` calls.
-    pub search_recursions: usize,
+    search_recursions,
     /// Candidate vertices rejected by the degree filter.
-    pub degree_filtered: usize,
+    degree_filtered,
     /// Candidate vertices rejected by the NLF filter.
-    pub nlf_filtered: usize,
+    nlf_filtered,
     /// Matching orders computed (`+REUSE` keeps this at 1).
-    pub matching_orders_computed: usize,
+    matching_orders_computed,
     /// Solutions rejected by cheap (inline) FILTERs.
-    pub filtered_inline: usize,
+    filtered_inline,
     /// Solutions rejected by expensive (post-hoc) FILTERs.
-    pub filtered_post: usize,
+    filtered_post,
     /// Number of solutions reported.
-    pub solutions: usize,
+    solutions,
     /// Morsels (contiguous runs of candidate-region start vertices) executed
     /// by the work-stealing scheduler.
-    pub morsels: usize,
+    morsels,
     /// Morsels obtained by stealing from another worker's range.
-    pub morsels_stolen: usize,
+    morsels_stolen,
     /// Shards that actually executed the query (stays zero on the
     /// single-store path; the sharded coordinator sets it to the live-set
     /// size after summary pruning).
-    pub shards_executed: usize,
+    shards_executed,
     /// Shards skipped entirely by summary-graph pruning before any
     /// candidate-region computation ran.
-    pub shards_pruned: usize,
-}
-
-impl MatchStats {
-    /// Merges the counters of another execution slice (used when merging
-    /// per-thread statistics).
-    pub fn merge(&mut self, other: &MatchStats) {
-        self.candidate_regions += other.candidate_regions;
-        self.nonempty_regions += other.nonempty_regions;
-        self.candidate_vertices += other.candidate_vertices;
-        self.explored_vertices += other.explored_vertices;
-        self.signature_pruned += other.signature_pruned;
-        self.isjoinable_probes += other.isjoinable_probes;
-        self.intersection_ops += other.intersection_ops;
-        self.search_recursions += other.search_recursions;
-        self.degree_filtered += other.degree_filtered;
-        self.nlf_filtered += other.nlf_filtered;
-        self.matching_orders_computed += other.matching_orders_computed;
-        self.filtered_inline += other.filtered_inline;
-        self.filtered_post += other.filtered_post;
-        self.solutions += other.solutions;
-        self.morsels += other.morsels;
-        self.morsels_stolen += other.morsels_stolen;
-        self.shards_executed += other.shards_executed;
-        self.shards_pruned += other.shards_pruned;
-    }
+    shards_pruned,
 }
 
 #[cfg(test)]
@@ -83,30 +91,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds_fieldwise() {
-        let mut a = MatchStats {
-            candidate_regions: 1,
-            solutions: 2,
-            isjoinable_probes: 3,
-            ..MatchStats::default()
-        };
-        let b = MatchStats {
-            candidate_regions: 10,
-            solutions: 20,
-            intersection_ops: 5,
-            ..MatchStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.candidate_regions, 11);
-        assert_eq!(a.solutions, 22);
-        assert_eq!(a.isjoinable_probes, 3);
-        assert_eq!(a.intersection_ops, 5);
+    fn merge_adds_every_counter_of_the_table() {
+        let mut one = MatchStats::default();
+        for (i, slot) in one.counters_mut().into_iter().enumerate() {
+            *slot = i + 1;
+        }
+        let mut sum = one;
+        sum.merge(&one);
+        sum.merge(&MatchStats::default());
+        for (i, (name, value)) in sum.counters().into_iter().enumerate() {
+            assert_eq!(value, 2 * (i + 1), "{name}");
+        }
     }
 
     #[test]
-    fn default_is_all_zero() {
-        let s = MatchStats::default();
-        assert_eq!(s.candidate_regions, 0);
-        assert_eq!(s.solutions, 0);
+    fn the_table_names_the_fields_in_declaration_order() {
+        let stats = MatchStats {
+            candidate_regions: 7,
+            shards_pruned: 9,
+            ..MatchStats::default()
+        };
+        let table = stats.counters();
+        assert_eq!(table.len(), MatchStats::COUNTERS);
+        assert_eq!(table[0], ("candidate_regions", 7));
+        assert_eq!(table[MatchStats::COUNTERS - 1], ("shards_pruned", 9));
+        let mut names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), MatchStats::COUNTERS);
+        assert!(MatchStats::default().counters().iter().all(|c| c.1 == 0));
     }
 }

@@ -31,7 +31,7 @@ use crate::store::{EngineKind, Store};
 use turbohom_core::candidate_region::{CandidateRegion, RegionExplorer};
 use turbohom_core::query_tree::QueryTree;
 use turbohom_core::start_vertex::choose_start_vertex;
-use turbohom_core::{MatchStats, MatchingOrder, TurboHomConfig};
+use turbohom_core::{admit, EngineError, MatchStats, MatchingOrder, TurboHomConfig};
 use turbohom_json::{JsonWriter, ToJson};
 use turbohom_partition::{Anchor, ShardVerdict};
 use turbohom_trace::Trace;
@@ -392,17 +392,13 @@ fn explain_component(
         region_candidates: None,
         steps: Vec::new(),
     };
-    // The same guards `execute_with_order` applies, in the same order.
-    if tq.unsatisfiable || tq.graph.vertex_count() == 0 {
-        ce.note = Some("unsatisfiable: a query constant does not occur in the data");
-        return ce;
-    }
-    if !tq.graph.is_connected() {
-        ce.note = Some("disconnected query graph");
-        return ce;
-    }
-    if tq.vertex_clause.iter().all(|c| c.is_some()) {
-        ce.note = Some("no required part (every vertex is OPTIONAL)");
+    ce.note = match admit(tq) {
+        Ok(true) => None,
+        Ok(false) => Some("unsatisfiable: a query constant does not occur in the data"),
+        Err(EngineError::DisconnectedQuery) => Some("disconnected query graph"),
+        Err(EngineError::NoRequiredPart) => Some("no required part (every vertex is OPTIONAL)"),
+    };
+    if ce.note.is_some() {
         return ce;
     }
     let mut stats = MatchStats::default();
@@ -699,6 +695,41 @@ mod tests {
         let join = store.explain(Q, EngineKind::MergeJoin).unwrap();
         assert_eq!(join.plan_type, "join");
         assert!(join.components.is_empty());
+    }
+
+    #[test]
+    fn explain_carries_a_guard_note_exactly_when_execution_stops_at_that_guard() {
+        let store = sample_store();
+        let kind = EngineKind::TurboHomPlusPlus;
+        // (query, the note EXPLAIN gives, what executing it does)
+        let cases = [
+            (Q.to_string(), None, Ok(10)),
+            (
+                "SELECT ?x WHERE { ?x <http://ub.org/nonexistent> ?y . }".to_string(),
+                Some("unsatisfiable: a query constant does not occur in the data"),
+                Ok(0),
+            ),
+            (
+                "SELECT ?x WHERE { OPTIONAL { ?x <http://ub.org/memberOf> ?y . } }".to_string(),
+                Some("no required part (every vertex is OPTIONAL)"),
+                Err(EngineError::NoRequiredPart),
+            ),
+        ];
+        for (sparql, note, outcome) in cases {
+            let report = store.explain(&sparql, kind).unwrap();
+            assert_eq!(report.components[0].note, note, "{sparql}");
+            let executed = store.execute(&sparql, kind).map(|r| r.len());
+            match outcome {
+                Ok(rows) => assert_eq!(executed.unwrap(), rows, "{sparql}"),
+                Err(refusal) => {
+                    let error = executed.unwrap_err().to_string();
+                    assert!(error.contains(&refusal.to_string()), "{sparql}: {error}");
+                }
+            }
+        }
+        // The fourth verdict is not reachable from here: a disconnected
+        // pattern is split into connected components before it is planned
+        // (`turbohom-core` tests `admit` on one).
     }
 
     #[test]

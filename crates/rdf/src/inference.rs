@@ -24,7 +24,7 @@ use crate::dictionary::TermId;
 use crate::term::Term;
 use crate::triple::{Dataset, Triple};
 use crate::vocab;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which RDFS rules to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,13 +149,13 @@ impl InferenceEngine {
             let edges = collect_pairs(dataset, subclassof);
             transitive_closure(&edges)
         } else {
-            HashMap::new()
+            Pairs::new()
         };
         let subproperty_closure = if self.config.property_hierarchy {
             let edges = collect_pairs(dataset, subpropertyof);
             transitive_closure(&edges)
         } else {
-            HashMap::new()
+            Pairs::new()
         };
 
         if self.config.class_hierarchy {
@@ -256,9 +256,14 @@ impl InferenceEngine {
     }
 }
 
+/// `node → {nodes}`, ordered: the rules insert triples while walking these
+/// maps, and the order triples are inserted in is the order a store and its
+/// snapshot keep them in — it must follow from the data, not from a hash seed.
+type Pairs = BTreeMap<TermId, BTreeSet<TermId>>;
+
 /// Collects `subject → {objects}` pairs for all triples with predicate `pred`.
-fn collect_pairs(dataset: &Dataset, pred: TermId) -> HashMap<TermId, HashSet<TermId>> {
-    let mut map: HashMap<TermId, HashSet<TermId>> = HashMap::new();
+fn collect_pairs(dataset: &Dataset, pred: TermId) -> Pairs {
+    let mut map = Pairs::new();
     for t in dataset.triples.iter() {
         if t.p == pred {
             map.entry(t.s).or_default().insert(t.o);
@@ -270,12 +275,10 @@ fn collect_pairs(dataset: &Dataset, pred: TermId) -> HashMap<TermId, HashSet<Ter
 /// Computes, for every node, the set of nodes reachable in one or more hops
 /// through the given edge map (classic DFS-based transitive closure; the
 /// hierarchies involved are tiny schema graphs).
-fn transitive_closure(
-    edges: &HashMap<TermId, HashSet<TermId>>,
-) -> HashMap<TermId, HashSet<TermId>> {
-    let mut closure: HashMap<TermId, HashSet<TermId>> = HashMap::new();
+fn transitive_closure(edges: &Pairs) -> Pairs {
+    let mut closure = Pairs::new();
     for &start in edges.keys() {
-        let mut reached: HashSet<TermId> = HashSet::new();
+        let mut reached = BTreeSet::new();
         let mut stack: Vec<TermId> = edges
             .get(&start)
             .map(|s| s.iter().copied().collect())

@@ -15,7 +15,7 @@
 //! curl 'http://127.0.0.1:7878/query?analyze=1' --data-urlencode 'query=…'   # plan tree + actuals + q-errors
 //! curl 'http://127.0.0.1:7878/stats'
 //! curl 'http://127.0.0.1:7878/metrics'      # Prometheus text exposition
-//! curl 'http://127.0.0.1:7878/debug/slow'   # slow-query recorder ring
+//! curl 'http://127.0.0.1:7878/debug/slow'   # the journal's slow completions, slowest first
 //! curl 'http://127.0.0.1:7878/debug/events' # structured event journal (JSONL)
 //! ```
 
@@ -43,7 +43,6 @@ struct Args {
     cache: usize,
     engine: EngineKind,
     slow_ms: Option<f64>,
-    slow_capacity: usize,
     journal: Option<String>,
     access_log: bool,
 }
@@ -64,10 +63,9 @@ fn usage() -> &'static str {
      \x20 --halo N          boundary replication radius in triples (default 2)\n\
      \x20 --cache N         plan-cache capacity (default 256)\n\
      \x20 --engine NAME     default engine: turbohom++ | turbohom | mergejoin | hashjoin\n\
-     \x20 --slow-ms MS      record queries at or above MS milliseconds in\n\
-     \x20                   /debug/slow and stderr; 0 records everything,\n\
-     \x20                   `off` disables the recorder (default 500)\n\
-     \x20 --slow-capacity N slow-query ring size (default 32)\n\
+     \x20 --slow-ms MS      keep queries at or above MS milliseconds in\n\
+     \x20                   /debug/slow and write them to stderr; 0 keeps\n\
+     \x20                   every one, `off` none (default 500)\n\
      \x20 --journal FILE    tee every /debug/events journal event to FILE\n\
      \x20                   as JSONL (appended) for post-mortem analysis\n\
      \x20 --access-log      log one stderr line per request\n\
@@ -94,7 +92,6 @@ fn parse_args() -> Result<Args, String> {
         cache: 256,
         engine: EngineKind::TurboHomPlusPlus,
         slow_ms: Some(500.0),
-        slow_capacity: 32,
         journal: None,
         access_log: false,
     };
@@ -128,7 +125,6 @@ fn parse_args() -> Result<Args, String> {
                     Some(ms.ok_or("--slow-ms expects a non-negative number or `off`")?)
                 };
             }
-            "--slow-capacity" => args.slow_capacity = number(flag, value()?, "an integer")?,
             "--journal" => args.journal = Some(value()?),
             "--access-log" => args.access_log = true,
             "--help" | "-h" => {
@@ -252,7 +248,6 @@ fn run() -> Result<(), String> {
             plan_cache_capacity: args.cache,
             default_engine: args.engine,
             slow_query: args.slow_ms.map(|ms| Duration::from_secs_f64(ms / 1000.0)),
-            slow_log_capacity: args.slow_capacity,
             ..ServiceConfig::default()
         },
     )

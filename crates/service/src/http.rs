@@ -26,7 +26,8 @@
 //!   uptime and engine/dataset identity.
 //! * `GET /stats` — the [`StatsSnapshot`](crate::StatsSnapshot) as JSON.
 //! * `GET /metrics` — Prometheus text exposition (version 0.0.4).
-//! * `GET /debug/slow` — the slow-query recorder ring as JSON.
+//! * `GET /debug/slow` — the journal's slow completions as JSON, slowest
+//!   first; each entry is its `/debug/events` line.
 //! * `GET /debug/events` — the structured event journal as JSONL (one JSON
 //!   object per line, oldest first, each carrying a trace id where one
 //!   exists).
@@ -720,7 +721,7 @@ fn respond<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<'s> {
             "text/plain; version=0.0.4",
             service.prometheus().into_bytes(),
         ),
-        ("GET" | "HEAD", "/debug/slow") => Routed::json(200, service.slow_log().to_json()),
+        ("GET" | "HEAD", "/debug/slow") => Routed::json(200, service.journal().slow_to_json()),
         ("GET" | "HEAD", "/debug/events") => Routed::new(
             200,
             "application/x-ndjson",

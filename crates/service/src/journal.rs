@@ -1,30 +1,52 @@
-//! The structured event journal: a lock-light ring of typed service events.
+//! The structured event journal: a lock-light ring of typed service events,
+//! and the slow-query view over it.
 //!
-//! Where the slow-query recorder answers "which queries hurt", the journal
-//! answers "what happened, in order": every query admission and completion,
-//! every plan-cache insert and eviction, the store load at startup, shard
-//! pruning outcomes, and slow-query offenders — each stamped with a
-//! sequence number, the service uptime, and (where one exists) the
-//! request's trace id, so journal lines join `/debug/slow` entries, the
-//! access log, and `profile=1` output on `X-Trace-Id`.
+//! The journal answers "what happened, in order": every query admission and
+//! outcome, every plan-cache insert and eviction, the store load at startup
+//! and the structures built on first use — each stamped with a sequence
+//! number, the service uptime, and (where one exists) the request's trace
+//! id, so journal lines join the access log and `profile=1` output on
+//! `X-Trace-Id`. A finished request is **one** entry, `query_completed`; one
+//! that crossed the slow threshold carries its stage breakdown and text in
+//! it and is kept a second time in a ring of its own (`GET /debug/slow`),
+//! because the fast requests around it turn the event ring over in
+//! milliseconds (docs/OBSERVABILITY.md has the arithmetic).
 //!
-//! The write path mirrors [`SlowQueryLog`](crate::SlowQueryLog): claiming a
-//! slot is one `fetch_add` on the ring head, and the entry is written under
-//! that slot's own mutex, so concurrent writers hit different slots and
-//! never serialize the request path. The ring is served as JSONL (one JSON
-//! object per line, oldest first) at `GET /debug/events`, and can be tee'd
-//! to a file (`turbohom-server --journal FILE`) for post-mortem analysis —
-//! the file keeps every event, the ring only the most recent `capacity`.
+//! Claiming a slot is one `fetch_add` on the ring head, and the entry is
+//! written under that slot's own mutex, so concurrent writers hit different
+//! slots and never serialize the request path. The event ring is served as
+//! JSONL (one JSON object per line, oldest first) at `GET /debug/events`,
+//! and can be tee'd to a file (`turbohom-server --journal FILE`) — the file
+//! keeps every event, the rings only the most recent.
 
 use parking_lot::Mutex;
 use std::fs::File;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 use turbohom_engine::{format_trace_id, EngineKind};
-use turbohom_json::{Fixed3, JsonWriter};
+use turbohom_json::{Fixed3, JsonWriter, ToJson};
 
-/// Query text carried by plan events is truncated to this many bytes.
-const MAX_QUERY_LEN: usize = 200;
+/// Events the journal keeps (`/debug/events`).
+pub const EVENT_CAPACITY: usize = 256;
+
+/// Slow completions the journal keeps beyond that (`/debug/slow`).
+pub const SLOW_CAPACITY: usize = 32;
+
+/// Every query text the journal keeps (plan events, slow completions) is
+/// truncated to this many bytes: the rings must stay small even if someone
+/// sends 1 MiB queries.
+const MAX_QUERY_LEN: usize = 512;
+
+/// What a request that crossed the slow threshold leaves behind, beyond
+/// what every completion records.
+#[derive(Debug, Clone)]
+pub struct SlowDetail {
+    /// Per-stage breakdown (stage name, milliseconds), pipeline order.
+    pub stages_ms: Vec<(&'static str, f64)>,
+    /// Canonical (normalized) query text (truncated).
+    pub query: String,
+}
 
 /// One typed journal event. The variants map one-to-one onto the `event`
 /// field of a journal line.
@@ -38,16 +60,24 @@ pub enum JournalEvent {
         /// The request mode.
         mode: &'static str,
     },
-    /// A request finished successfully.
+    /// A request finished successfully: its one record.
     QueryCompleted {
         /// The engine that answered.
         engine: EngineKind,
+        /// The request mode, as admitted.
+        mode: &'static str,
         /// Whether the plan came from the cache.
         cache_hit: bool,
         /// Solutions produced (zero for `explain`, which never executes).
         solutions: usize,
         /// Total request latency in milliseconds.
         total_ms: f64,
+        /// On a sharded store, the scatter decision: shards skipped by
+        /// summary pruning / ownership routing, and shards that executed.
+        shards: Option<(usize, usize)>,
+        /// Present when the request crossed the slow threshold: the entry
+        /// is then kept in the slow ring as well.
+        slow: Option<SlowDetail>,
     },
     /// A request returned an error.
     QueryFailed {
@@ -98,21 +128,6 @@ pub enum JournalEvent {
         /// Bytes the built structure holds.
         bytes: u64,
     },
-    /// A sharded query's scatter decision: how many shards were skipped by
-    /// summary pruning / ownership routing and how many executed.
-    ShardsPruned {
-        /// Shards skipped.
-        pruned: usize,
-        /// Shards that executed.
-        executed: usize,
-    },
-    /// A query crossed the slow-query threshold (details in `/debug/slow`).
-    SlowQuery {
-        /// The engine that answered.
-        engine: EngineKind,
-        /// Total request latency in milliseconds.
-        total_ms: f64,
-    },
 }
 
 impl JournalEvent {
@@ -126,8 +141,17 @@ impl JournalEvent {
             JournalEvent::PlanEvicted { .. } => "plan_evicted",
             JournalEvent::StoreLoaded { .. } => "store_loaded",
             JournalEvent::StructureBuilt { .. } => "structure_built",
-            JournalEvent::ShardsPruned { .. } => "shards_pruned",
-            JournalEvent::SlowQuery { .. } => "slow_query",
+        }
+    }
+
+    /// The query text the event carries, if it does.
+    fn query_mut(&mut self) -> Option<&mut String> {
+        match self {
+            JournalEvent::PlanCached { query, .. } | JournalEvent::PlanEvicted { query, .. } => {
+                Some(query)
+            }
+            JournalEvent::QueryCompleted { slow, .. } => slow.as_mut().map(|s| &mut s.query),
+            _ => None,
         }
     }
 
@@ -139,14 +163,30 @@ impl JournalEvent {
             }
             JournalEvent::QueryCompleted {
                 engine,
+                mode,
                 cache_hit,
                 solutions,
                 total_ms,
+                shards,
+                slow,
             } => {
                 w.field("engine", engine.name())
+                    .field("mode", mode)
                     .field("cache", if *cache_hit { "HIT" } else { "MISS" })
                     .field("solutions", solutions)
                     .field("total_ms", Fixed3(*total_ms));
+                if let Some((pruned, executed)) = shards {
+                    w.field("shards_pruned", pruned)
+                        .field("shards_executed", executed);
+                }
+                w.field("slow", slow.is_some());
+                if let Some(SlowDetail { stages_ms, query }) = slow {
+                    w.key("stages_ms").begin_object();
+                    for &(name, ms) in stages_ms {
+                        w.field(name, Fixed3(ms));
+                    }
+                    w.end_object().field("query", query);
+                }
             }
             JournalEvent::QueryFailed { engine, error } => {
                 w.field("engine", engine.name()).field("error", error);
@@ -181,13 +221,6 @@ impl JournalEvent {
                     .field("ms", Fixed3(*ms))
                     .field("bytes", bytes);
             }
-            JournalEvent::ShardsPruned { pruned, executed } => {
-                w.field("pruned", pruned).field("executed", executed);
-            }
-            JournalEvent::SlowQuery { engine, total_ms } => {
-                w.field("engine", engine.name())
-                    .field("total_ms", Fixed3(*total_ms));
-            }
         }
     }
 }
@@ -209,87 +242,154 @@ pub struct JournalEntry {
 impl JournalEntry {
     /// Renders the entry as one JSON object (one JSONL line, no newline).
     pub fn to_json(&self) -> String {
-        turbohom_json::document(|w| {
-            w.begin_object()
-                .field("seq", self.seq)
-                .field("uptime_secs", Fixed3(self.uptime_secs))
-                .field("trace", self.trace_id.map(format_trace_id))
-                .field("event", self.event.kind());
-            self.event.write_fields(w);
-            w.end_object();
-        })
+        turbohom_json::document(|w| self.write_json(w))
+    }
+
+    /// What the slow view sorts by (zero for anything but a completion).
+    fn total_ms(&self) -> f64 {
+        match self.event {
+            JournalEvent::QueryCompleted { total_ms, .. } => total_ms,
+            _ => 0.0,
+        }
     }
 }
 
-/// The journal ring plus the optional file tee.
-pub struct EventJournal {
-    slots: Vec<Mutex<Option<JournalEntry>>>,
+impl ToJson for JournalEntry {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object()
+            .field("seq", self.seq)
+            .field("uptime_secs", Fixed3(self.uptime_secs))
+            .field("trace", self.trace_id.map(format_trace_id))
+            .field("event", self.event.kind());
+        self.event.write_fields(w);
+        w.end_object();
+    }
+}
+
+/// A ring of the most recent values pushed into it.
+struct Ring<T> {
+    slots: Vec<Mutex<Option<T>>>,
     head: AtomicU64,
+}
+
+impl<T: Clone> Ring<T> {
+    fn new(capacity: usize) -> Self {
+        Ring {
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            head: AtomicU64::new(0),
+        }
+    }
+
+    /// Ordinals claimed so far (the values of the most recent
+    /// `min(claimed, capacity)` of them are still in the ring).
+    fn claimed(&self) -> u64 {
+        self.head.load(Ordering::Relaxed)
+    }
+
+    /// Claims the next ordinal, and with it the slot of the oldest value.
+    fn claim(&self) -> u64 {
+        self.head.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Stores the value that belongs to a claimed `ordinal`.
+    fn store(&self, ordinal: u64, value: T) {
+        *self.slots[ordinal as usize % self.slots.len()].lock() = Some(value);
+    }
+
+    /// The values in the ring, in no particular order.
+    fn values(&self) -> Vec<T> {
+        self.slots.iter().filter_map(|s| s.lock().clone()).collect()
+    }
+}
+
+/// The journal: the event ring, the slow completions kept beyond it and the
+/// optional file tee.
+pub struct EventJournal {
+    events: Ring<JournalEntry>,
+    slow: Ring<JournalEntry>,
+    /// Completions at or above this latency are slow; `None` means none is.
+    threshold: Option<Duration>,
     tee: Option<Mutex<File>>,
 }
 
 impl EventJournal {
-    /// A journal keeping the `capacity` most recent events.
-    pub fn new(capacity: usize) -> Self {
+    /// A journal whose slow view keeps completions at or above `threshold`.
+    /// `Duration::ZERO` keeps every one (useful when debugging); `None`
+    /// disables the view.
+    pub fn new(threshold: Option<Duration>) -> Self {
         EventJournal {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-            head: AtomicU64::new(0),
+            events: Ring::new(EVENT_CAPACITY),
+            slow: Ring::new(SLOW_CAPACITY),
+            threshold,
             tee: None,
         }
     }
 
     /// Additionally appends every event to `file` as JSONL (the
-    /// `--journal FILE` tee). The file keeps everything; the ring wraps.
-    pub fn with_tee(mut self, file: File) -> Self {
+    /// `--journal FILE` tee), beginning with what the ring already holds.
+    /// The file keeps everything; the ring wraps.
+    pub fn with_tee(mut self, mut file: File) -> Self {
+        let _ = file.write_all(self.to_jsonl().as_bytes());
         self.tee = Some(Mutex::new(file));
         self
     }
 
-    /// Number of ring slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events recorded (the most recent `min(recorded, capacity)`
+    /// Total events recorded (the most recent [`EVENT_CAPACITY`] at most
     /// are still in the ring).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.events.claimed()
     }
 
-    /// Records one event.
+    /// Total slow completions recorded.
+    pub fn slow_recorded(&self) -> u64 {
+        self.slow.claimed()
+    }
+
+    /// Returns whether `elapsed` crosses the slow threshold — the only
+    /// check fast queries pay.
+    pub fn is_slow(&self, elapsed: Duration) -> bool {
+        self.threshold.is_some_and(|t| elapsed >= t)
+    }
+
+    /// Records one event. A completion carrying its [`SlowDetail`] is also
+    /// kept in the slow ring and written to stderr, as the line
+    /// `/debug/events` shows for it.
     pub fn record(&self, trace_id: Option<u64>, uptime_secs: f64, mut event: JournalEvent) {
-        if let JournalEvent::PlanCached { query, .. } | JournalEvent::PlanEvicted { query, .. } =
-            &mut event
-        {
+        if let Some(query) = event.query_mut() {
             truncate_text(query, MAX_QUERY_LEN);
         }
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        let offender = matches!(event, JournalEvent::QueryCompleted { slow: Some(_), .. });
         let entry = JournalEntry {
-            seq,
+            seq: self.events.claim(),
             uptime_secs,
             trace_id,
             event,
         };
-        if let Some(tee) = &self.tee {
-            let mut file = tee.lock();
-            let _ = writeln!(file, "{}", entry.to_json());
+        if offender || self.tee.is_some() {
+            let line = entry.to_json();
+            if let Some(tee) = &self.tee {
+                let _ = writeln!(tee.lock(), "{line}");
+            }
+            if offender {
+                eprintln!("{line}");
+                self.slow.store(self.slow.claim(), entry.clone());
+            }
         }
-        let slot = seq as usize % self.slots.len();
-        *self.slots[slot].lock() = Some(entry);
+        self.events.store(entry.seq, entry);
     }
 
-    /// The current ring contents in event order (oldest first).
-    pub fn snapshot(&self) -> Vec<JournalEntry> {
-        let mut entries: Vec<JournalEntry> =
-            self.slots.iter().filter_map(|s| s.lock().clone()).collect();
-        entries.sort_by_key(|e| e.seq);
+    /// The slow completions still kept, slowest first.
+    pub fn slow_snapshot(&self) -> Vec<JournalEntry> {
+        let mut entries = self.slow.values();
+        entries.sort_by(|a, b| b.total_ms().total_cmp(&a.total_ms()));
         entries
     }
 
     /// Renders the ring as JSONL (the `GET /debug/events` payload): one
     /// JSON object per line, oldest first, trailing newline.
     pub fn to_jsonl(&self) -> String {
-        let entries = self.snapshot();
+        let mut entries = self.events.values();
+        entries.sort_by_key(|e| e.seq);
         let mut out = String::with_capacity(entries.len() * 160 + 1);
         for entry in &entries {
             out.push_str(&entry.to_json());
@@ -297,11 +397,24 @@ impl EventJournal {
         }
         out
     }
+
+    /// Renders the slow view as the `GET /debug/slow` JSON payload.
+    pub fn slow_to_json(&self) -> String {
+        turbohom_json::document(|w| {
+            let threshold_ms = self.threshold.map(|t| Fixed3(t.as_secs_f64() * 1000.0));
+            w.begin_object()
+                .field("threshold_ms", threshold_ms)
+                .field("capacity", SLOW_CAPACITY)
+                .field("recorded", self.slow_recorded())
+                .field("entries", self.slow_snapshot())
+                .end_object();
+        })
+    }
 }
 
 /// Cuts `text` down to at most `max` bytes, on a char boundary, and marks
-/// the cut with an ellipsis (both recorders bound the query text they keep).
-pub(crate) fn truncate_text(text: &mut String, max: usize) {
+/// the cut with an ellipsis.
+fn truncate_text(text: &mut String, max: usize) {
     if text.len() > max {
         let mut cut = max;
         while !text.is_char_boundary(cut) {
@@ -316,31 +429,64 @@ pub(crate) fn truncate_text(text: &mut String, max: usize) {
 mod tests {
     use super::*;
 
-    fn completed(solutions: usize) -> JournalEvent {
+    fn completed_in(solutions: usize, total_ms: f64, slow: Option<SlowDetail>) -> JournalEvent {
         JournalEvent::QueryCompleted {
             engine: EngineKind::TurboHomPlusPlus,
+            mode: "query",
             cache_hit: false,
             solutions,
-            total_ms: 1.5,
+            total_ms,
+            shards: None,
+            slow,
         }
+    }
+
+    fn completed(solutions: usize) -> JournalEvent {
+        completed_in(solutions, 1.5, None)
+    }
+
+    /// A completion that crossed the threshold, as the service builds it.
+    fn offender(total_ms: f64, query: &str) -> JournalEvent {
+        let detail = SlowDetail {
+            stages_ms: vec![("parse", 0.1), ("execute", total_ms - 0.1)],
+            query: query.into(),
+        };
+        completed_in(5, total_ms, Some(detail))
+    }
+
+    #[test]
+    fn a_ring_keeps_the_most_recent_values() {
+        let ring = Ring::new(2);
+        for i in 1..=5u64 {
+            let ordinal = ring.claim();
+            ring.store(ordinal, (ordinal, i));
+        }
+        let mut values = ring.values();
+        values.sort_unstable();
+        // Values 4 and 5 survive, pushed as the 3rd and 4th (from zero).
+        assert_eq!(values, vec![(3, 4), (4, 5)]);
+        assert_eq!(ring.claimed(), 5);
     }
 
     #[test]
     fn entries_keep_global_order_and_wrap() {
-        let journal = EventJournal::new(3);
-        for i in 0..5 {
+        let journal = EventJournal::new(None);
+        let total = EVENT_CAPACITY as u64 + 2;
+        for i in 0..total {
             journal.record(Some(i), i as f64, completed(i as usize));
         }
-        assert_eq!(journal.recorded(), 5);
-        let snap = journal.snapshot();
-        // Ring of 3: events 2, 3, 4 survive, oldest first.
-        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
+        assert_eq!(journal.recorded(), total);
+        // The two oldest events are gone; the rest come oldest first.
+        let jsonl = journal.to_jsonl();
+        assert_eq!(jsonl.lines().count(), EVENT_CAPACITY);
+        for (line, seq) in jsonl.lines().zip(2..total) {
+            assert!(line.starts_with(&format!("{{\"seq\":{seq},")), "{line}");
+        }
     }
 
     #[test]
     fn jsonl_is_one_object_per_line_with_trace_ids() {
-        let journal = EventJournal::new(8);
+        let journal = EventJournal::new(None);
         journal.record(
             None,
             0.0,
@@ -388,7 +534,15 @@ mod tests {
                 engine: EngineKind::TurboHom,
                 mode: "query",
             },
-            completed(7),
+            JournalEvent::QueryCompleted {
+                engine: EngineKind::TurboHomPlusPlus,
+                mode: "profile",
+                cache_hit: true,
+                solutions: 7,
+                total_ms: 1.5,
+                shards: Some((7, 1)),
+                slow: None,
+            },
             JournalEvent::QueryFailed {
                 engine: EngineKind::HashJoin,
                 error: "parse error: \"x\"".into(),
@@ -414,16 +568,8 @@ mod tests {
                 ms: 700.0,
                 bytes: 144,
             },
-            JournalEvent::ShardsPruned {
-                pruned: 7,
-                executed: 1,
-            },
-            JournalEvent::SlowQuery {
-                engine: EngineKind::TurboHomPlusPlus,
-                total_ms: 600.0,
-            },
         ];
-        let journal = EventJournal::new(events.len());
+        let journal = EventJournal::new(None);
         for event in events {
             journal.record(Some(1), 0.5, event);
         }
@@ -436,8 +582,6 @@ mod tests {
             "plan_evicted",
             "store_loaded",
             "structure_built",
-            "shards_pruned",
-            "slow_query",
         ] {
             assert!(
                 jsonl.contains(&format!("\"event\":\"{kind}\"")),
@@ -446,26 +590,44 @@ mod tests {
         }
         // The error message is escaped, not raw.
         assert!(jsonl.contains("parse error: \\\"x\\\""));
-        assert!(jsonl.contains("\"pruned\":7,\"executed\":1"));
+        // A completion is the request's one record: the shard verdict counts
+        // are members of it, and a fast one has no stages and no text.
+        assert!(jsonl.contains(
+            "\"event\":\"query_completed\",\"engine\":\"turbohom++\",\"mode\":\"profile\",\"cache\":\"HIT\",\
+             \"solutions\":7,\"total_ms\":1.500,\"shards_pruned\":7,\"shards_executed\":1,\"slow\":false}"
+        ));
+        assert!(!jsonl.contains("stages_ms"));
     }
 
     #[test]
-    fn long_query_text_is_truncated() {
-        let journal = EventJournal::new(1);
+    fn every_kept_query_text_is_truncated_on_a_char_boundary() {
+        let journal = EventJournal::new(Some(Duration::ZERO));
+        let long = "é".repeat(400); // 800 bytes of 2-byte chars
         journal.record(
             None,
             0.0,
             JournalEvent::PlanCached {
                 engine: EngineKind::TurboHomPlusPlus,
-                query: "é".repeat(300),
+                query: long.clone(),
             },
         );
-        let snap = journal.snapshot();
-        let JournalEvent::PlanCached { query, .. } = &snap[0].event else {
-            panic!("plan_cached expected");
+        journal.record(Some(1), 0.0, offender(10.0, &long));
+        let events = journal.events.values();
+        let cached = events.iter().find_map(|e| match &e.event {
+            JournalEvent::PlanCached { query, .. } => Some(query),
+            _ => None,
+        });
+        let cached = cached.expect("plan_cached expected");
+        let JournalEvent::QueryCompleted {
+            slow: Some(detail), ..
+        } = &journal.slow_snapshot()[0].event
+        else {
+            panic!("a slow query_completed expected");
         };
-        assert!(query.len() <= MAX_QUERY_LEN + '…'.len_utf8());
-        assert!(query.ends_with('…'));
+        for stored in [cached, &detail.query] {
+            assert!(stored.len() <= MAX_QUERY_LEN + '…'.len_utf8());
+            assert!(stored.ends_with('…'));
+        }
     }
 
     #[test]
@@ -474,24 +636,28 @@ mod tests {
             "turbohom-journal-test-{}.jsonl",
             std::process::id()
         ));
-        let file = File::create(&path).unwrap();
-        let journal = EventJournal::new(2).with_tee(file);
-        for i in 0..5 {
-            journal.record(Some(i), 0.0, completed(i as usize));
+        let journal = EventJournal::new(None);
+        journal.record(None, 0.0, completed(0));
+        // What the ring holds when the tee is attached goes to the file first.
+        let journal = journal.with_tee(File::create(&path).unwrap());
+        let total = EVENT_CAPACITY + 5;
+        for i in 1..total {
+            journal.record(Some(i as u64), 0.0, completed(i));
         }
-        // The ring kept 2; the tee kept all 5.
-        assert_eq!(journal.snapshot().len(), 2);
+        // The ring wrapped; the tee kept every event, in order.
+        assert_eq!(journal.to_jsonl().lines().count(), EVENT_CAPACITY);
         let teed = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(teed.lines().count(), 5);
-        assert!(teed
-            .lines()
-            .all(|l| l.contains("\"event\":\"query_completed\"")));
+        assert_eq!(teed.lines().count(), total);
+        for (i, line) in teed.lines().enumerate() {
+            assert!(line.starts_with(&format!("{{\"seq\":{i},")), "{line}");
+            assert!(line.contains("\"event\":\"query_completed\""));
+        }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn a_hostile_error_message_stays_one_json_line() {
-        let journal = EventJournal::new(1);
+        let journal = EventJournal::new(None);
         let error = "line\nbreak \"q\" back\\slash \u{0}\u{1f} é }".to_string();
         journal.record(
             Some(1),
@@ -506,5 +672,82 @@ mod tests {
             "{\"seq\":0,\"uptime_secs\":0.500,\"trace\":\"0000000000000001\",\"event\":\"query_failed\",\
              \"engine\":\"turbohom\",\"error\":\"line\\nbreak \\\"q\\\" back\\\\slash \\u0000\\u001f é }\"}\n"
         );
+    }
+
+    #[test]
+    fn the_threshold_decides_what_is_slow() {
+        let journal = EventJournal::new(Some(Duration::from_millis(100)));
+        assert!(!journal.is_slow(Duration::from_millis(99)));
+        assert!(journal.is_slow(Duration::from_millis(100)));
+        // A disabled view calls nothing slow, a zero threshold everything.
+        assert!(!EventJournal::new(None).is_slow(Duration::from_secs(100)));
+        assert!(EventJournal::new(Some(Duration::ZERO)).is_slow(Duration::ZERO));
+        // Only a completion carrying its detail enters the slow ring.
+        journal.record(Some(1), 0.0, completed_in(1, 50.0, None));
+        journal.record(Some(2), 0.0, offender(150.0, "SELECT ?x"));
+        assert_eq!(journal.slow_snapshot().len(), 1);
+        assert_eq!(journal.slow_recorded(), 1);
+        assert_eq!(journal.recorded(), 2);
+    }
+
+    #[test]
+    fn the_slow_view_wraps_and_sorts_slowest_first() {
+        let journal = EventJournal::new(Some(Duration::ZERO));
+        let total = SLOW_CAPACITY as u64 + 3;
+        for i in 1..=total {
+            journal.record(Some(i), 0.0, offender(((i * 7) % total) as f64 + 1.0, "Q"));
+        }
+        let snap = journal.slow_snapshot();
+        assert_eq!(snap.len(), SLOW_CAPACITY);
+        assert_eq!(journal.slow_recorded(), total);
+        // The three oldest offenders were overwritten …
+        assert!(snap.iter().all(|e| e.trace_id.unwrap() > 3));
+        // … and what is left comes slowest first.
+        let ms: Vec<f64> = snap.iter().map(JournalEntry::total_ms).collect();
+        assert!(ms.windows(2).all(|w| w[0] >= w[1]), "{ms:?}");
+    }
+
+    #[test]
+    fn an_offender_outlives_the_event_ring_in_the_slow_view() {
+        let journal = EventJournal::new(Some(Duration::from_millis(500)));
+        journal.record(Some(0x2a), 1.0, offender(600.0, "SELECT ?slow"));
+        let line = journal.to_jsonl().trim_end().to_string();
+        // The slow view shows the entry `/debug/events` showed, byte for byte.
+        assert_eq!(
+            journal.slow_to_json(),
+            format!(
+                "{{\"threshold_ms\":500.000,\"capacity\":32,\"recorded\":1,\"entries\":[{line}]}}"
+            )
+        );
+        assert!(line.contains("\"slow\":true,\"stages_ms\":{\"parse\":0.100,\"execute\":599.900},"));
+        assert!(line.ends_with("\"query\":\"SELECT ?slow\"}"));
+        // More fast requests than the event ring holds push it out of there.
+        for i in 0..EVENT_CAPACITY as u64 {
+            journal.record(Some(100 + i), 2.0, completed(1));
+        }
+        assert!(!journal.to_jsonl().contains("SELECT ?slow"));
+        assert!(journal.slow_to_json().contains(&line));
+    }
+
+    #[test]
+    fn a_hostile_query_text_is_escaped_in_the_whole_slow_document() {
+        let journal = EventJournal::new(Some(Duration::ZERO));
+        journal.record(
+            Some(7),
+            1.0,
+            offender(2.0, "SELECT \"?x\"\n\\ \u{0}\u{1f} é } ] ,"),
+        );
+        assert_eq!(
+            journal.slow_to_json(),
+            "{\"threshold_ms\":0.000,\"capacity\":32,\"recorded\":1,\"entries\":[{\"seq\":0,\"uptime_secs\":1.000,\
+             \"trace\":\"0000000000000007\",\"event\":\"query_completed\",\"engine\":\"turbohom++\",\"mode\":\"query\",\
+             \"cache\":\"MISS\",\"solutions\":5,\"total_ms\":2.000,\"slow\":true,\
+             \"stages_ms\":{\"parse\":0.100,\"execute\":1.900},\
+             \"query\":\"SELECT \\\"?x\\\"\\n\\\\ \\u0000\\u001f é } ] ,\"}]}"
+        );
+        // A disabled view says so with a null.
+        let disabled = EventJournal::new(None).slow_to_json();
+        assert!(disabled.starts_with("{\"threshold_ms\":null,\"capacity\":32,"));
+        assert!(disabled.ends_with("\"entries\":[]}"));
     }
 }

@@ -19,10 +19,13 @@
 //!   `explain=1` returns the structured plan tree without executing,
 //!   `analyze=1` executes and annotates that tree with actuals (feeding the
 //!   estimate-vs-actual q-error histogram), [`metrics::ServiceMetrics`]
-//!   renders Prometheus text exposition, a [`slow::SlowQueryLog`] ring keeps
-//!   the slowest offenders, and an [`journal::EventJournal`] ring records
-//!   typed lifecycle events (query admitted/completed, plan cached/evicted,
-//!   store loaded, shards pruned, slow query) correlated by trace id,
+//!   renders Prometheus text exposition — one series per counter of
+//!   `MatchStats::counters`, the table `/stats` iterates too — and a
+//!   [`journal::EventJournal`] ring records typed lifecycle events (query
+//!   admitted/completed/failed, plan cached/evicted, store loaded, structure
+//!   built) correlated by trace id; a finished request is one
+//!   `query_completed` entry, and those that crossed the slow threshold are
+//!   kept in a second ring, the `/debug/slow` view,
 //! * an **HTTP/1.1 endpoint** ([`HttpServer`]) on `std::net::TcpListener` —
 //!   `GET`/`POST /query` returning SPARQL-JSON, `/healthz`, `/stats`,
 //!   `/metrics`, `/debug/slow`, `/debug/events` — and the `turbohom-server`
@@ -52,11 +55,10 @@ pub mod http;
 pub mod journal;
 pub mod metrics;
 pub mod service;
-pub mod slow;
 
 pub use cache::{InsertOutcome, PlanCache, PlanKey};
 pub use http::{serve_connection, HttpServer, ServerHandle};
-pub use journal::{EventJournal, JournalEntry, JournalEvent};
+pub use journal::{EventJournal, JournalEntry, JournalEvent, SlowDetail};
 pub use metrics::{
     EngineMetrics, HttpMetrics, LatencyHistogram, QErrorHistogram, ServiceMetrics, StageTotals,
 };
@@ -64,7 +66,6 @@ pub use service::{
     BytesSnapshot, EngineStats, ExplainResponse, QueryOptions, QueryResponse, QueryService,
     ServiceConfig, StatsSnapshot,
 };
-pub use slow::{SlowQueryEntry, SlowQueryLog};
 // Re-exported so HTTP-layer consumers can work with profile/explain reports
 // and trace ids without a direct engine/trace dependency.
 pub use turbohom_engine::{format_trace_id, ExplainReport, Trace, TraceReport};
@@ -75,6 +76,5 @@ const _: () = {
     assert_send_sync::<QueryService>();
     assert_send_sync::<PlanCache>();
     assert_send_sync::<ServiceMetrics>();
-    assert_send_sync::<SlowQueryLog>();
     assert_send_sync::<EventJournal>();
 };

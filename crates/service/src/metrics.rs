@@ -222,20 +222,21 @@ pub struct EngineMetrics {
     /// Latency of successful queries (wall clock across the whole request:
     /// fingerprint + plan lookup/preparation + enumeration + rendering).
     pub latency: LatencyHistogram,
-    /// Solutions returned across all successful queries.
-    pub solutions: AtomicU64,
-    /// Cumulative k-way intersections run by the `+INT` joinability test
-    /// (all-zero for the join baselines, which never run the matcher).
-    pub intersection_ops: AtomicU64,
-    /// Cumulative start vertices and candidates the matcher turned down by
-    /// their predicate signature (`+SUM`) instead of exploring them.
-    pub signature_pruned: AtomicU64,
-    /// Cumulative morsels executed by the work-stealing scheduler (stays
-    /// zero while requests run single-threaded).
-    pub morsels: AtomicU64,
-    /// Cumulative morsels obtained by stealing — a high ratio of stolen to
-    /// total morsels means the per-region work is heavily skewed.
-    pub morsels_stolen: AtomicU64,
+    /// The matcher's counters summed over successful queries, one per entry
+    /// of [`MatchStats::counters`] (all-zero for the join baselines, which
+    /// never run the matcher).
+    matcher: [AtomicU64; MatchStats::COUNTERS],
+}
+
+impl EngineMetrics {
+    /// The cumulative matcher counters under their [`MatchStats`] names.
+    pub fn matcher(&self) -> [(&'static str, usize); MatchStats::COUNTERS] {
+        let mut counters = MatchStats::default().counters();
+        for ((_, value), total) in counters.iter_mut().zip(&self.matcher) {
+            *value = total.load(Ordering::Relaxed) as usize;
+        }
+        counters
+    }
 }
 
 /// Connection-level counters of the HTTP front-end. Requests ÷ connections
@@ -325,15 +326,13 @@ impl ServiceMetrics {
         let m = self.engine(kind);
         m.queries.fetch_add(1, Ordering::Relaxed);
         m.latency.record(latency);
-        m.solutions
-            .fetch_add(stats.solutions as u64, Ordering::Relaxed);
-        m.intersection_ops
-            .fetch_add(stats.intersection_ops as u64, Ordering::Relaxed);
-        m.signature_pruned
-            .fetch_add(stats.signature_pruned as u64, Ordering::Relaxed);
-        m.morsels.fetch_add(stats.morsels as u64, Ordering::Relaxed);
-        m.morsels_stolen
-            .fetch_add(stats.morsels_stolen as u64, Ordering::Relaxed);
+        for (total, (_, value)) in m.matcher.iter().zip(stats.counters()) {
+            // Most counters of a lookup are zero; an untaken branch is
+            // cheaper than a locked add.
+            if value > 0 {
+                total.fetch_add(value as u64, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Records a failed query.
@@ -392,7 +391,7 @@ impl ServiceMetrics {
         );
 
         let counter =
-            |out: &mut String, name: &str, help: &str, value: fn(&EngineMetrics) -> u64| {
+            |out: &mut String, name: &str, help: &str, value: &dyn Fn(&EngineMetrics) -> u64| {
                 family(out, name, "counter", help);
                 for kind in EngineKind::all() {
                     out.push_str(&format!(
@@ -406,38 +405,27 @@ impl ServiceMetrics {
             out,
             "turbohom_queries_total",
             "Successfully answered queries.",
-            |m| m.queries.load(Ordering::Relaxed),
+            &|m| m.queries.load(Ordering::Relaxed),
         );
         counter(
             out,
             "turbohom_query_errors_total",
             "Queries that returned an error.",
-            |m| m.errors.load(Ordering::Relaxed),
+            &|m| m.errors.load(Ordering::Relaxed),
         );
-        counter(
-            out,
-            "turbohom_solutions_total",
-            "Solutions returned across all successful queries.",
-            |m| m.solutions.load(Ordering::Relaxed),
-        );
-        counter(
-            out,
-            "turbohom_intersection_ops_total",
-            "Cumulative k-way intersections run by the +INT joinability test.",
-            |m| m.intersection_ops.load(Ordering::Relaxed),
-        );
-        counter(
-            out,
-            "turbohom_morsels_total",
-            "Cumulative morsels executed by the work-stealing scheduler.",
-            |m| m.morsels.load(Ordering::Relaxed),
-        );
-        counter(
-            out,
-            "turbohom_morsels_stolen_total",
-            "Cumulative morsels obtained by stealing.",
-            |m| m.morsels_stolen.load(Ordering::Relaxed),
-        );
+        for (i, (name, _)) in MatchStats::default().counters().iter().enumerate() {
+            let series = format!("turbohom_{name}_total");
+            let help = format!("Matcher counter `{name}` summed over successful queries.");
+            let total = |m: &EngineMetrics| m.matcher[i].load(Ordering::Relaxed);
+            if name.starts_with("shards_") {
+                // The shard counters have always been one unlabelled sample:
+                // the sum over engines (`/stats` has them per engine).
+                let sum: u64 = self.per_engine.iter().map(total).sum();
+                scalar(out, &series, "counter", &help, sum);
+            } else {
+                counter(out, &series, &help, &total);
+            }
+        }
 
         family(
             out,
@@ -688,8 +676,11 @@ mod tests {
             "turbohom_query_errors_total",
             "turbohom_solutions_total",
             "turbohom_intersection_ops_total",
+            "turbohom_signature_pruned_total",
+            "turbohom_degree_filtered_total",
             "turbohom_morsels_total",
             "turbohom_morsels_stolen_total",
+            "turbohom_shards_pruned_total",
             "turbohom_stage_seconds_total",
             "turbohom_query_latency_seconds",
             "turbohom_estimate_qerror",
@@ -780,19 +771,14 @@ mod tests {
         assert_eq!(m.engine(EngineKind::HashJoin).latency.count(), 0);
         assert_eq!(m.total_queries(), 2);
         assert!(m.qps(EngineKind::TurboHomPlusPlus) > 0.0);
-        // The matcher counters accumulate across requests.
-        let t = m.engine(EngineKind::TurboHomPlusPlus);
-        assert_eq!(t.solutions.load(Ordering::Relaxed), 6);
-        assert_eq!(t.intersection_ops.load(Ordering::Relaxed), 14);
-        assert_eq!(t.signature_pruned.load(Ordering::Relaxed), 10);
-        assert_eq!(t.morsels.load(Ordering::Relaxed), 8);
-        assert_eq!(t.morsels_stolen.load(Ordering::Relaxed), 2);
-        assert_eq!(
-            m.engine(EngineKind::MergeJoin)
-                .solutions
-                .load(Ordering::Relaxed),
-            0
-        );
+        // Every matcher counter accumulates across requests, the ones this
+        // request left at zero included.
+        let mut twice = stats;
+        twice.merge(&stats);
+        let busy = m.engine(EngineKind::TurboHomPlusPlus).matcher();
+        assert_eq!(busy, twice.counters());
+        let idle = m.engine(EngineKind::MergeJoin).matcher();
+        assert_eq!(idle, MatchStats::default().counters());
     }
 
     #[test]

@@ -18,15 +18,14 @@
 //! tests assert on: repeated queries must not re-parse or re-transform.
 
 use crate::cache::{PlanCache, PlanKey};
-use crate::journal::{EventJournal, JournalEvent};
+use crate::journal::{EventJournal, JournalEvent, SlowDetail};
 use crate::metrics::{escape_label, family, scalar, ServiceMetrics};
-use crate::slow::{SlowQueryEntry, SlowQueryLog};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_engine::{
-    AnyStore, EngineKind, ExplainReport, IdResults, MemoryRow, MemoryUse, Store, StoreError, Trace,
-    TraceReport,
+    AnyStore, EngineKind, ExplainReport, IdResults, MatchStats, MemoryRow, MemoryUse, Store,
+    StoreError, Trace, TraceReport,
 };
 use turbohom_json::{Fixed3, JsonWriter, ToJson};
 use turbohom_sparql::{fingerprint, QueryFingerprint};
@@ -41,13 +40,10 @@ pub struct ServiceConfig {
     /// Upper bound for the per-request `threads` override (defends the
     /// thread pool against `threads=10000` requests).
     pub max_threads: usize,
-    /// Queries at or above this latency land in the slow-query recorder
-    /// (`Duration::ZERO` records everything, `None` disables it).
+    /// Queries at or above this latency are kept in the journal's slow
+    /// view, `/debug/slow` (`Duration::ZERO` keeps every one, `None`
+    /// disables it).
     pub slow_query: Option<Duration>,
-    /// Ring capacity of the slow-query recorder.
-    pub slow_log_capacity: usize,
-    /// Ring capacity of the structured event journal (`/debug/events`).
-    pub journal_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -57,8 +53,6 @@ impl Default for ServiceConfig {
             default_engine: EngineKind::TurboHomPlusPlus,
             max_threads: 64,
             slow_query: Some(Duration::from_millis(500)),
-            slow_log_capacity: 32,
-            journal_capacity: 256,
         }
     }
 }
@@ -97,7 +91,7 @@ pub struct QueryResponse<'s> {
     /// request served over HTTP also serialising and writing the response.
     pub elapsed: Duration,
     /// The request's trace id (`X-Trace-Id`; ties the response to the
-    /// access log and slow-query recorder).
+    /// access log and the journal).
     pub trace_id: u64,
     /// The detailed trace, present when [`QueryOptions::profile`] was set.
     pub profile: Option<TraceReport>,
@@ -116,6 +110,8 @@ pub struct QueryResponse<'s> {
 pub(crate) struct InFlight<'s> {
     pub(crate) results: IdResults<'s>,
     pub(crate) engine: EngineKind,
+    /// The request mode, as journaled at admission.
+    mode: &'static str,
     pub(crate) cache_hit: bool,
     pub(crate) fingerprint: QueryFingerprint,
     pub(crate) trace_id: u64,
@@ -255,17 +251,9 @@ pub struct EngineStats {
     pub p95_ms: f64,
     /// 99th percentile (ms).
     pub p99_ms: f64,
-    /// Solutions returned across all successful queries.
-    pub solutions: u64,
-    /// Cumulative `+INT` k-way intersections run by the matcher.
-    pub intersection_ops: u64,
-    /// Cumulative start vertices and candidates turned down by their
-    /// predicate signature (`+SUM`).
-    pub signature_pruned: u64,
-    /// Cumulative morsels executed by the work-stealing scheduler.
-    pub morsels: u64,
-    /// Cumulative morsels obtained by stealing.
-    pub morsels_stolen: u64,
+    /// The matcher's counters summed over all successful queries, under
+    /// their [`MatchStats`] names.
+    pub matcher: [(&'static str, usize); MatchStats::COUNTERS],
 }
 
 impl StatsSnapshot {
@@ -309,15 +297,11 @@ impl ToJson for EngineStats {
             .field("p95", Fixed3(self.p95_ms))
             .field("p99", Fixed3(self.p99_ms))
             .end_object();
-        w.key("matcher")
-            .begin_object()
-            .field("solutions", self.solutions)
-            .field("intersection_ops", self.intersection_ops)
-            .field("signature_pruned", self.signature_pruned)
-            .field("morsels", self.morsels)
-            .field("morsels_stolen", self.morsels_stolen)
-            .end_object()
-            .end_object();
+        w.key("matcher").begin_object();
+        for (name, value) in self.matcher {
+            w.field(name, value);
+        }
+        w.end_object().end_object();
     }
 }
 
@@ -329,12 +313,6 @@ pub struct QueryService {
     cache: PlanCache,
     metrics: ServiceMetrics,
     plans_prepared: AtomicU64,
-    /// Shards skipped by summary pruning / ownership routing, summed over
-    /// every successful sharded query (`turbohom_shards_pruned_total`).
-    shards_pruned: AtomicU64,
-    /// Shards that actually executed, summed likewise.
-    shards_executed: AtomicU64,
-    slow_log: SlowQueryLog,
     journal: EventJournal,
     next_trace_id: AtomicU64,
     dataset_label: String,
@@ -358,10 +336,7 @@ impl QueryService {
             cache: PlanCache::new(config.plan_cache_capacity),
             metrics: ServiceMetrics::new(),
             plans_prepared: AtomicU64::new(0),
-            shards_pruned: AtomicU64::new(0),
-            shards_executed: AtomicU64::new(0),
-            slow_log: SlowQueryLog::new(config.slow_log_capacity, config.slow_query),
-            journal: EventJournal::new(config.journal_capacity),
+            journal: EventJournal::new(config.slow_query),
             next_trace_id: AtomicU64::new(1),
             dataset_label: "unnamed".into(),
             config,
@@ -389,17 +364,10 @@ impl QueryService {
     }
 
     /// Tees every journal event to `file` as JSONL (builder style, the
-    /// server's `--journal FILE`). The startup `store_loaded` event already
-    /// sits in the ring and is replayed into the file first, so the tee is
-    /// complete.
+    /// server's `--journal FILE`), the startup `store_loaded` event that
+    /// already sits in the ring included.
     pub fn with_journal_tee(mut self, file: std::fs::File) -> Self {
-        let replay = self.journal.snapshot();
-        let capacity = self.journal.capacity();
-        self.journal = EventJournal::new(capacity).with_tee(file);
-        for entry in replay {
-            self.journal
-                .record(entry.trace_id, entry.uptime_secs, entry.event);
-        }
+        self.journal = self.journal.with_tee(file);
         self
     }
 
@@ -430,12 +398,8 @@ impl QueryService {
         &self.metrics
     }
 
-    /// The slow-query recorder (served as `/debug/slow`).
-    pub fn slow_log(&self) -> &SlowQueryLog {
-        &self.slow_log
-    }
-
-    /// The structured event journal (served as `/debug/events`).
+    /// The structured event journal (served as `/debug/events`, its slow
+    /// completions as `/debug/slow`).
     pub fn journal(&self) -> &EventJournal {
         &self.journal
     }
@@ -448,7 +412,7 @@ impl QueryService {
     /// Answers one query.
     ///
     /// Every request runs under a coarse trace (a handful of spans feeding
-    /// the per-stage time totals in `/metrics` and the slow-query recorder);
+    /// the per-stage time totals in `/metrics` and the journal's slow view);
     /// [`QueryOptions::profile`] upgrades it to a detailed trace whose
     /// report comes back in [`QueryResponse::profile`].
     pub fn query(
@@ -496,6 +460,7 @@ impl QueryService {
             Ok((results, cache_hit, fingerprint, explain)) => Ok(InFlight {
                 results,
                 engine,
+                mode,
                 cache_hit,
                 fingerprint,
                 trace_id,
@@ -512,50 +477,34 @@ impl QueryService {
     }
 
     /// Success bookkeeping once the response is delivered: engine metrics,
-    /// shard counters, stage totals, the slow-query recorder and the
-    /// journal's completion events.
+    /// stage totals and the request's one record, the journal's
+    /// `query_completed` entry.
     pub(crate) fn complete<'s>(&self, request: InFlight<'s>) -> QueryResponse<'s> {
         let (engine, cache_hit, trace_id) = (request.engine, request.cache_hit, request.trace_id);
         let stats = &request.results.stats;
         let elapsed = request.started.elapsed();
         self.metrics.record_success(engine, elapsed, stats);
-        self.shards_pruned
-            .fetch_add(stats.shards_pruned as u64, Ordering::Relaxed);
-        self.shards_executed
-            .fetch_add(stats.shards_executed as u64, Ordering::Relaxed);
-        if stats.shards_pruned + stats.shards_executed > 0 {
-            self.journal_event(
-                Some(trace_id),
-                JournalEvent::ShardsPruned {
-                    pruned: stats.shards_pruned,
-                    executed: stats.shards_executed,
-                },
-            );
-        }
+        let report = request.trace.finish();
+        self.metrics.record_stages(&report);
+        let slow = request.trace.is_enabled() && self.journal.is_slow(elapsed);
         self.journal_event(
             Some(trace_id),
             JournalEvent::QueryCompleted {
                 engine,
+                mode: request.mode,
                 cache_hit,
                 solutions: stats.solutions,
                 total_ms: elapsed.as_secs_f64() * 1000.0,
+                shards: (stats.shards_pruned + stats.shards_executed > 0)
+                    .then_some((stats.shards_pruned, stats.shards_executed)),
+                slow: slow.then(|| SlowDetail {
+                    stages_ms: (report.stages().into_iter())
+                        .map(|(name, ns)| (name, ns as f64 / 1e6))
+                        .collect(),
+                    query: request.fingerprint.canonical,
+                }),
             },
         );
-        let report = request.trace.finish();
-        self.metrics.record_stages(&report);
-        if request.trace.is_enabled() && self.slow_log.is_slow(elapsed) {
-            let stages = report.stages().into_iter();
-            self.record_slow(SlowQueryEntry {
-                trace_id: report.trace_id,
-                canonical: request.fingerprint.canonical,
-                engine,
-                cache_hit,
-                total_ms: elapsed.as_secs_f64() * 1000.0,
-                stages_ms: stages.map(|(name, ns)| (name, ns as f64 / 1e6)).collect(),
-                solutions: stats.solutions,
-                uptime_secs: self.metrics.uptime().as_secs_f64(),
-            });
-        }
         QueryResponse {
             results: request.results,
             engine,
@@ -614,9 +563,12 @@ impl QueryService {
                     Some(trace_id),
                     JournalEvent::QueryCompleted {
                         engine,
+                        mode: "explain",
                         cache_hit: false,
                         solutions: 0,
                         total_ms: elapsed.as_secs_f64() * 1000.0,
+                        shards: None,
+                        slow: None,
                     },
                 );
                 Ok(ExplainResponse {
@@ -742,16 +694,6 @@ impl QueryService {
         Ok((results, false, fp, None))
     }
 
-    /// Pushes one offender into the slow-query ring and logs it to stderr.
-    fn record_slow(&self, entry: SlowQueryEntry) {
-        let (trace_id, engine, total_ms) = (entry.trace_id, entry.engine, entry.total_ms);
-        let line = entry.to_log_line();
-        if self.slow_log.record(entry) {
-            self.journal_event(Some(trace_id), JournalEvent::SlowQuery { engine, total_ms });
-            eprintln!("{line}");
-        }
-    }
-
     /// Renders every counter in Prometheus text exposition format (the
     /// `/metrics` payload): engine counters and latency histograms, stage
     /// time totals, plan-cache and store series.
@@ -866,19 +808,9 @@ impl QueryService {
         }
         for (name, help, value) in [
             (
-                "turbohom_shards_pruned_total",
-                "Shards skipped by summary pruning / ownership routing.",
-                self.shards_pruned.load(Ordering::Relaxed),
-            ),
-            (
-                "turbohom_shards_executed_total",
-                "Shards that executed queries on the sharded path.",
-                self.shards_executed.load(Ordering::Relaxed),
-            ),
-            (
                 "turbohom_slow_queries_total",
-                "Queries recorded by the slow-query recorder.",
-                self.slow_log.recorded(),
+                "Completions kept in the journal's slow view.",
+                self.journal.slow_recorded(),
             ),
             (
                 "turbohom_journal_events_total",
@@ -933,11 +865,7 @@ impl QueryService {
                     p50_ms: ms(m.latency.quantile(0.50)),
                     p95_ms: ms(m.latency.quantile(0.95)),
                     p99_ms: ms(m.latency.quantile(0.99)),
-                    solutions: m.solutions.load(Ordering::Relaxed),
-                    intersection_ops: m.intersection_ops.load(Ordering::Relaxed),
-                    signature_pruned: m.signature_pruned.load(Ordering::Relaxed),
-                    morsels: m.morsels.load(Ordering::Relaxed),
-                    morsels_stolen: m.morsels_stolen.load(Ordering::Relaxed),
+                    matcher: m.matcher(),
                 }
             })
             .collect();
@@ -1150,38 +1078,63 @@ mod tests {
     }
 
     #[test]
-    fn slow_log_records_offenders_with_their_stage_breakdown() {
-        let mut ds = Dataset::new();
-        for i in 0..3 {
-            let s = ub(&format!("student{i}"));
-            ds.insert_iris(&s, vocab::RDF_TYPE, &ub("Student"));
-        }
+    fn an_offender_is_one_record_in_both_views_and_a_fast_request_carries_no_detail() {
         // Threshold zero: every query is an offender.
-        let svc = QueryService::with_config(
-            Arc::new(Store::from_dataset(ds)),
+        let svc = QueryService::with_any_store(
+            service().store().clone(),
             ServiceConfig {
                 slow_query: Some(Duration::ZERO),
-                slow_log_capacity: 4,
                 ..ServiceConfig::default()
             },
         );
         let r = svc.query(Q, QueryOptions::default()).unwrap();
-        let entries = svc.slow_log().snapshot();
+        let entries = svc.journal().slow_snapshot();
         assert_eq!(entries.len(), 1);
-        let entry = &entries[0];
-        assert_eq!(entry.trace_id, r.trace_id);
-        assert_eq!(entry.engine, EngineKind::TurboHomPlusPlus);
-        assert!(!entry.cache_hit);
-        assert_eq!(entry.solutions, 3);
-        assert!(entry.canonical.contains("SELECT"));
-        let stage_names: Vec<&str> = entry.stages_ms.iter().map(|(n, _)| *n).collect();
+        assert_eq!(entries[0].trace_id, Some(r.trace_id));
+        let JournalEvent::QueryCompleted {
+            engine,
+            mode,
+            cache_hit,
+            solutions,
+            shards,
+            slow: Some(detail),
+            ..
+        } = &entries[0].event
+        else {
+            panic!("a slow query_completed expected: {:?}", entries[0]);
+        };
+        assert_eq!((*engine, *mode), (EngineKind::TurboHomPlusPlus, "query"));
+        assert_eq!((*cache_hit, *solutions, *shards), (false, 3, None));
+        assert!(detail.query.contains("SELECT"));
+        let stage_names: Vec<&str> = detail.stages_ms.iter().map(|(n, _)| *n).collect();
         assert!(stage_names.contains(&"parse"));
         assert!(stage_names.contains(&"execute"));
         assert!(svc.prometheus().contains("turbohom_slow_queries_total 1"));
+        // The entry of `/debug/slow` is the `query_completed` line of
+        // `/debug/events`, and there is no other event for the offender.
+        let line = entries[0].to_json();
+        let events = svc.journal().to_jsonl();
+        assert_eq!(events.lines().filter(|l| *l == line).count(), 1);
+        assert!(svc.journal().slow_to_json().contains(&line));
+        assert!(line.contains("\"slow\":true,\"stages_ms\":{") && line.contains("\"query\":\""));
+        assert!(!events.contains("\"event\":\"slow_query\""));
+
+        // Under the default threshold the same request is fast: one
+        // `query_completed` with neither stages nor text, and an empty view.
+        let svc = service();
+        svc.query(Q, QueryOptions::default()).unwrap();
+        let events = svc.journal().to_jsonl();
+        let completed: Vec<&str> = (events.lines())
+            .filter(|l| l.contains("\"event\":\"query_completed\""))
+            .collect();
+        assert_eq!(completed.len(), 1, "{events}");
+        assert!(completed[0].contains("\"slow\":false}"), "{events}");
+        assert!(!completed[0].contains("stages_ms") && !completed[0].contains("\"query\":"));
+        assert!(svc.journal().slow_snapshot().is_empty());
     }
 
     #[test]
-    fn disabled_slow_log_stays_empty() {
+    fn a_disabled_slow_view_stays_empty() {
         let svc = QueryService::with_any_store(
             service().store().clone(),
             ServiceConfig {
@@ -1190,8 +1143,52 @@ mod tests {
             },
         );
         svc.query(Q, QueryOptions::default()).unwrap();
-        assert!(svc.slow_log().snapshot().is_empty());
-        assert!(svc.slow_log().to_json().contains("\"threshold_ms\":null"));
+        assert!(svc.journal().slow_snapshot().is_empty());
+        let document = svc.journal().slow_to_json();
+        assert!(document.contains("\"threshold_ms\":null"));
+    }
+
+    #[test]
+    fn every_matcher_counter_is_served_with_the_value_the_query_reported() {
+        let svc = service();
+        let analyzed = svc
+            .query(
+                Q,
+                QueryOptions {
+                    analyze: true,
+                    ..QueryOptions::default()
+                },
+            )
+            .unwrap();
+        let reported = analyzed.results.stats.counters();
+        assert!(reported.iter().any(|(_, value)| *value > 0));
+        let stats = svc.stats();
+        let served = &stats.engines[EngineKind::TurboHomPlusPlus.index()];
+        assert_eq!(served.matcher, reported);
+        let (json, metrics) = (stats.to_json(), svc.prometheus());
+        let engines = &json[json.find("\"engines\"").unwrap()..];
+        let matcher = &engines[engines.find("\"matcher\":{").unwrap()..];
+        let matcher = &matcher[..matcher.find('}').unwrap()];
+        for (name, value) in reported {
+            assert!(
+                matcher.contains(&format!("\"{name}\":{value}")),
+                "{name} in {matcher}"
+            );
+            // One family per counter: labelled by engine and store, but for
+            // the two shard counters, which are one sample summed over engines.
+            assert!(metrics.contains(&format!("# TYPE turbohom_{name}_total counter\n")));
+            let sample = if name.starts_with("shards_") {
+                format!("\nturbohom_{name}_total {value}\n")
+            } else {
+                format!(
+                    "\nturbohom_{name}_total{{engine=\"turbohom++\",store=\"single\"}} {value}\n"
+                )
+            };
+            assert!(metrics.contains(&sample), "{sample} in {metrics}");
+        }
+        // The benchmark reads the first `hits` / `misses` of `/stats`.
+        let first = |member: &str| json.find(&format!("\"{member}\":")).unwrap();
+        assert!(first("plan_cache") < first("hits") && first("plan_cache") < first("misses"));
     }
 
     #[test]

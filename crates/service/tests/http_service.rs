@@ -653,11 +653,10 @@ fn metrics_endpoint_serves_prometheus_exposition() {
 }
 
 #[test]
-fn slow_query_recorder_surfaces_offenders_at_debug_slow() {
-    // Threshold zero: every query is recorded.
+fn debug_slow_is_a_view_of_the_journal_and_metrics_serve_every_matcher_counter() {
+    // Threshold zero: every query is kept.
     let (_service, handle) = lubm_service_with(ServiceConfig {
         slow_query: Some(Duration::ZERO),
-        slow_log_capacity: 8,
         ..ServiceConfig::default()
     });
     let addr = handle.addr();
@@ -668,17 +667,40 @@ fn slow_query_recorder_surfaces_offenders_at_debug_slow() {
         .find_map(|l| l.strip_prefix("X-Trace-Id: "))
         .unwrap()
         .to_string();
+    let get = |path: &str| {
+        let request = format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+        let (status, _, body) = http_request(addr, &request);
+        assert_eq!(status, "HTTP/1.1 200 OK", "{path}");
+        body
+    };
 
-    let (status, _, body) = http_request(
-        addr,
-        "GET /debug/slow HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    // The offender's one record: its `query_completed` line in
+    // `/debug/events`, stage breakdown and text included …
+    let events = get("/debug/events");
+    let completed: Vec<&str> = (events.lines())
+        .filter(|l| l.contains(&format!("\"trace\":\"{trace_id}\"")))
+        .filter(|l| l.contains("\"event\":\"query_completed\""))
+        .collect();
+    assert_eq!(completed.len(), 1, "{events}");
+    let line = completed[0];
+    assert!(line.contains("\"engine\":\"turbohom++\",\"mode\":\"query\""));
+    assert!(line.contains("\"slow\":true,\"stages_ms\":{"));
+    assert!(line.contains("\"execute\":") && line.contains("\"write\":"));
+    assert!(line.contains("\"query\":\"SELECT"));
+    // … and `/debug/slow` shows that line, byte for byte, in its envelope.
+    let slow = get("/debug/slow");
+    let envelope = "{\"threshold_ms\":0.000,\"capacity\":32,\"recorded\":1,\"entries\":[";
+    assert_eq!(slow, format!("{envelope}{line}]}}"));
+
+    // `/metrics` has one family per matcher counter; the one the hand-copied
+    // lists had lost is among them.
+    let metrics = get("/metrics");
+    assert!(metrics
+        .contains("turbohom_signature_pruned_total{engine=\"turbohom++\",store=\"single\"} "));
+    assert!(
+        metrics.contains("turbohom_nlf_filtered_total{engine=\"turbohom++\",store=\"single\"} ")
     );
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    assert!(body.contains("\"threshold_ms\":0.000"));
-    assert!(body.contains(&format!("\"trace_id\":\"{trace_id}\"")));
-    assert!(body.contains("\"stages_ms\":{"));
-    assert!(body.contains("\"execute\":"));
-    assert!(body.contains("\"engine\":\"turbohom++\""));
+    assert!(metrics.contains("turbohom_slow_queries_total 1\n"));
 
     handle.shutdown();
 }
