@@ -1,20 +1,18 @@
 //! Mutable builder that freezes into the CSR [`LabeledGraph`].
 //!
 //! The builder accepts vertices (with label sets) and labeled edges in any
-//! order, deduplicates exact duplicate edges, and on [`build`](LabeledGraphBuilder::build)
-//! lays out the grouped adjacency described in paper Section 4.2 for both
-//! directions.
+//! order and on [`build`](LabeledGraphBuilder::build) lays out the grouped
+//! adjacency described in paper Section 4.2 for both directions, dropping
+//! exact duplicate edges where the per-row sort leaves them adjacent.
 
 use crate::ids::{ELabel, VLabel, VertexId};
 use crate::labeled_graph::{AdjacencyDirection, ELabelGroup, LabeledGraph, TypeGroup};
-use std::collections::HashSet;
 
 /// Builder for [`LabeledGraph`].
 #[derive(Debug, Default, Clone)]
 pub struct LabeledGraphBuilder {
     vertex_labels: Vec<Vec<VLabel>>,
     edges: Vec<(VertexId, VertexId, ELabel)>,
-    edge_set: HashSet<(VertexId, VertexId, ELabel)>,
     max_vlabel: Option<u32>,
     max_elabel: Option<u32>,
 }
@@ -30,7 +28,6 @@ impl LabeledGraphBuilder {
         LabeledGraphBuilder {
             vertex_labels: Vec::with_capacity(vertices),
             edges: Vec::with_capacity(edges),
-            edge_set: HashSet::with_capacity(edges),
             max_vlabel: None,
             max_elabel: None,
         }
@@ -48,21 +45,6 @@ impl LabeledGraphBuilder {
         id
     }
 
-    /// Adds `extra` labels to an existing vertex (used by the type-aware
-    /// transformation when types are discovered after the vertex).
-    ///
-    /// # Panics
-    /// Panics if `v` has not been added to this builder.
-    pub fn add_labels(&mut self, v: VertexId, extra: &[VLabel]) {
-        for l in extra {
-            self.max_vlabel = Some(self.max_vlabel.map_or(l.0, |m| m.max(l.0)));
-        }
-        let labels = &mut self.vertex_labels[v.index()];
-        labels.extend_from_slice(extra);
-        labels.sort_unstable();
-        labels.dedup();
-    }
-
     /// Adds a directed labeled edge. Exact duplicates are ignored.
     ///
     /// # Panics
@@ -76,20 +58,8 @@ impl LabeledGraphBuilder {
             to.index() < self.vertex_labels.len(),
             "edge target {to} not added"
         );
-        if self.edge_set.insert((from, to, label)) {
-            self.max_elabel = Some(self.max_elabel.map_or(label.0, |m| m.max(label.0)));
-            self.edges.push((from, to, label));
-        }
-    }
-
-    /// The number of vertices added so far.
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_labels.len()
-    }
-
-    /// The number of distinct edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.max_elabel = Some(self.max_elabel.map_or(label.0, |m| m.max(label.0)));
+        self.edges.push((from, to, label));
     }
 
     /// Freezes the builder into an immutable [`LabeledGraph`].
@@ -123,7 +93,7 @@ impl LabeledGraphBuilder {
 
         LabeledGraph {
             num_vertices: n,
-            num_edges: self.edges.len(),
+            num_edges: outgoing.targets.len(),
             num_vlabels,
             num_elabels,
             label_offsets: label_offsets.into(),
@@ -135,9 +105,9 @@ impl LabeledGraphBuilder {
     }
 }
 
-/// Builds one adjacency direction with a counting-sort layout: one degree
+/// Builds one adjacency direction with a counting-sort layout: one counting
 /// pass, one prefix-sum placement pass into a single flat edge buffer, then a
-/// per-row sort. Compared to per-vertex `Vec` buckets this does O(1)
+/// per-row sort and dedup. Compared to per-vertex `Vec` buckets this does O(1)
 /// allocations for the edge rows and keeps each row contiguous in memory.
 /// With `swapped == true` the edges are interpreted target→source (the
 /// incoming direction).
@@ -147,7 +117,8 @@ fn build_direction(
     edges: &[(VertexId, VertexId, ELabel)],
     swapped: bool,
 ) -> AdjacencyDirection {
-    // Counting pass: the per-source edge counts double as the degree array.
+    // Counting pass: the per-source edge counts become the degree array
+    // once each row has dropped its duplicates.
     let mut degrees = vec![0u32; n];
     for &(f, t, _) in edges {
         let src = if swapped { t } else { f };
@@ -187,9 +158,19 @@ fn build_direction(
     for v in 0..n {
         let row = &mut rows[row_starts[v]..row_starts[v + 1]];
         // Sort by (edge label, target) so each edge-label group is contiguous
-        // and its target list is sorted. Duplicates were removed at insert
-        // time, so every run of equal edge labels is a strict sorted set.
+        // and its target list is sorted; exact duplicates are then adjacent
+        // and dropped, so every run of equal edge labels is a strict sorted
+        // set.
         row.sort_unstable();
+        let mut distinct = 0usize;
+        for i in 0..row.len() {
+            if i == 0 || row[i] != row[distinct - 1] {
+                row[distinct] = row[i];
+                distinct += 1;
+            }
+        }
+        let row = &row[..distinct];
+        degrees[v] = distinct as u32;
         let mut i = 0usize;
         while i < row.len() {
             let el = row[i].0;
@@ -278,16 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn add_labels_merges_into_existing_set() {
-        let mut b = LabeledGraphBuilder::new();
-        let v = b.add_vertex(vec![VLabel(2)]);
-        b.add_labels(v, &[VLabel(0), VLabel(2), VLabel(5)]);
-        let g = b.build();
-        assert_eq!(g.labels(v), &[VLabel(0), VLabel(2), VLabel(5)]);
-        assert_eq!(g.vertex_label_count(), 6);
-    }
-
-    #[test]
     #[should_panic(expected = "not added")]
     fn edge_with_unknown_endpoint_panics() {
         let mut b = LabeledGraphBuilder::new();
@@ -331,10 +302,68 @@ mod tests {
         b.add_edge(u, w, ELabel(0));
         b.add_edge(u, w, ELabel(0)); // duplicate
         b.add_edge(w, u, ELabel(0));
-        assert_eq!(b.vertex_count(), 2);
-        assert_eq!(b.edge_count(), 2);
         let g = b.build();
         assert_eq!(g.vertex_count(), 2);
         assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.neighbors(u, Direction::Outgoing, ELabel(0)), &[w]);
+        assert_eq!(g.degree(u, Direction::Outgoing), 1);
+        assert_eq!(g.degree(u, Direction::Incoming), 1);
+    }
+
+    #[test]
+    fn shuffled_and_repeated_edges_build_the_duplicate_free_graph() {
+        // 40 vertices with 0–2 labels, 300 distinct edges (parallel edges
+        // under different labels, self loops) from a fixed LCG.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut edges = std::collections::BTreeSet::new();
+        while edges.len() < 300 {
+            let (from, to) = (VertexId(next(40) as u32), VertexId(next(40) as u32));
+            edges.insert((from, to, ELabel(next(4) as u32)));
+        }
+        let edges: Vec<_> = edges.into_iter().collect();
+        let build = |edges: &[(VertexId, VertexId, ELabel)]| {
+            let mut b = LabeledGraphBuilder::new();
+            for v in 0..40u32 {
+                b.add_vertex((0..v % 3).map(|l| VLabel((v + l) % 5)).collect());
+            }
+            for &(from, to, label) in edges {
+                b.add_edge(from, to, label);
+            }
+            b.build()
+        };
+        let clean = build(&edges);
+
+        // Every edge twice (one copy adjacent, one far away), then shuffled.
+        let mut noisy: Vec<_> = edges
+            .iter()
+            .chain(&edges)
+            .chain(&edges[..50])
+            .copied()
+            .collect();
+        for i in (1..noisy.len()).rev() {
+            noisy.swap(i, next(i as u64 + 1) as usize);
+        }
+        let noisy = build(&noisy);
+
+        assert_eq!(noisy.edge_count(), 300);
+        assert_eq!(noisy.edge_count(), clean.edge_count());
+        assert_eq!(noisy.degree_order, clean.degree_order);
+        for (a, b) in [
+            (&noisy.outgoing, &clean.outgoing),
+            (&noisy.incoming, &clean.incoming),
+        ] {
+            assert_eq!(a.degrees, b.degrees);
+            assert_eq!(a.targets, b.targets);
+            assert_eq!(a.typed_targets, b.typed_targets);
+            assert_eq!(a.vertex_offsets, b.vertex_offsets);
+            assert_eq!(a.elabel_groups, b.elabel_groups);
+            assert_eq!(a.type_groups, b.type_groups);
+        }
     }
 }

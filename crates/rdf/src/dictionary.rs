@@ -7,22 +7,25 @@
 //! This also lets the benchmark harness exclude "dictionary look-up time"
 //! from elapsed times, as Section 7.1 of the paper prescribes.
 //!
-//! The dictionary has two physical representations behind one API:
+//! The dictionary is three flat arrays from the first [`Dictionary::encode`]
+//! on: a UTF-8 string arena that every term's bytes are appended to once,
+//! fixed-width [`TermRecord`]s pointing into it (indexed by id), and one
+//! lookup structure over the ids:
 //!
-//! * **Owned** — a `HashMap` + `Vec<Term>` pair, used while loading and
-//!   encoding new terms. It holds every string twice.
-//! * **Flat** — three flat arrays: a UTF-8 string arena, fixed-width
-//!   [`TermRecord`]s pointing into it, and a key-sorted id permutation for
-//!   binary-search lookups. [`Dictionary::freeze`] turns a loaded dictionary
-//!   into this form on the heap, and a snapshot stores exactly these arrays,
-//!   so a mapped dictionary reads them in place: heap and snapshot stores
-//!   share one read path. `encode` on the flat form transparently converts
-//!   back to owned first (ids unchanged).
+//! * **Hashed** while terms are being encoded — an open-addressing table of
+//!   ids, hashed over the arena bytes with a per-process keyed SipHash, never
+//!   stored.
+//! * **Sorted** once served — the ids in key order, for binary search.
+//!   [`Dictionary::freeze`] sorts the ids and drops the table, and a snapshot
+//!   stores exactly the arena, the records and this permutation, so a mapped
+//!   dictionary reads them in place: heap and snapshot stores share one read
+//!   path. `encode` on a sorted dictionary rebuilds the table from the
+//!   records (ids unchanged, no string copied).
 
 use crate::error::RdfError;
 use crate::term::{Term, TermRef};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// A dense identifier for a dictionary-encoded [`Term`].
@@ -122,7 +125,11 @@ fn term_ref_from_parts<'a>(kind: u32, lexical: &'a str, extra: &'a str) -> TermR
     }
 }
 
-fn record_key<'a>(arena: &'a [u8], r: &TermRecord) -> (u32, &'a [u8], &'a [u8]) {
+/// What both lookups compare and order terms by: kind code, lexical bytes,
+/// extra bytes.
+type Key<'a> = (u32, &'a [u8], &'a [u8]);
+
+fn record_key<'a>(arena: &'a [u8], r: &TermRecord) -> Key<'a> {
     (
         r.kind,
         &arena[r.lex_off as usize..(r.lex_off + r.lex_len) as usize],
@@ -130,116 +137,57 @@ fn record_key<'a>(arena: &'a [u8], r: &TermRecord) -> (u32, &'a [u8], &'a [u8]) 
     )
 }
 
-/// The flat representation: owned arrays after [`Dictionary::freeze`],
-/// views into a snapshot after [`Dictionary::read_sections`].
+/// Slots of the hash index over `terms` terms: a power of two filled to at
+/// most one half, so a linear probe always ends at an empty slot, after
+/// ≈ 1.5 slots on a hit and ≈ 2.5 on a miss.
+fn slots_for(terms: usize) -> usize {
+    (terms * 2).next_power_of_two().max(16)
+}
+
+/// What the hash index stores for the term `id`: `id + 1`, 0 being the empty
+/// slot.
 ///
-/// Invariant (what `term_ref` relies on): every record's two ranges lie
-/// inside `arena`, on UTF-8 boundaries, and hold valid UTF-8. `build` and
-/// `read_sections` are the only constructors and nothing mutates the arrays
-/// afterwards.
-#[derive(Debug, Clone)]
-struct FlatRepr {
-    arena: FlatVec<u8>,
-    records: FlatVec<TermRecord>,
-    /// Term ids sorted by `(kind, lexical, extra)` for binary-search lookup.
-    sorted: FlatVec<u64>,
+/// # Panics
+/// Panics if `id + 1` does not fit the index's 32-bit slots.
+fn slot_entry(id: usize) -> u32 {
+    u32::try_from(id + 1).expect("the dictionary's hash index addresses at most u32::MAX terms")
 }
 
-impl FlatRepr {
-    /// Lays `terms` (in id order) out as the three arrays. The arena is
-    /// sized in a first pass so it is allocated once, at its final size.
-    fn build(terms: &[Term]) -> Self {
-        let arena_len = terms
-            .iter()
-            .map(|t| {
-                let (_, lex, extra) = term_key(t);
-                lex.len() + extra.len()
-            })
-            .sum();
-        let mut arena: Vec<u8> = Vec::with_capacity(arena_len);
-        let mut records: Vec<TermRecord> = Vec::with_capacity(terms.len());
-        for term in terms {
-            let (kind, lex, extra) = term_key(term);
-            let lex_off = arena.len() as u64;
-            arena.extend_from_slice(lex.as_bytes());
-            let extra_off = arena.len() as u64;
-            arena.extend_from_slice(extra.as_bytes());
-            records.push(TermRecord {
-                kind,
-                reserved: 0,
-                lex_off,
-                lex_len: lex.len() as u64,
-                extra_off,
-                extra_len: extra.len() as u64,
-            });
-        }
-        let mut sorted: Vec<u64> = (0..terms.len() as u64).collect();
-        sorted.sort_unstable_by(|&a, &b| {
-            record_key(&arena, &records[a as usize]).cmp(&record_key(&arena, &records[b as usize]))
-        });
-        FlatRepr {
-            arena: arena.into(),
-            records: records.into(),
-            sorted: sorted.into(),
-        }
-    }
-
-    fn lookup_key(&self, kind: u32, lex: &[u8], extra: &[u8]) -> Option<TermId> {
-        let target = (kind, lex, extra);
-        self.sorted
-            .binary_search_by(|&id| {
-                record_key(&self.arena, &self.records[id as usize]).cmp(&target)
-            })
-            .ok()
-            .map(|pos| TermId(self.sorted[pos]))
-    }
-
-    fn lookup(&self, term: &Term) -> Option<TermId> {
-        let (kind, lex, extra) = term_key(term);
-        self.lookup_key(kind, lex.as_bytes(), extra.as_bytes())
-    }
-
-    fn term_ref(&self, index: usize) -> TermRef<'_> {
-        let (kind, lex, extra) = record_key(&self.arena, &self.records[index]);
-        // SAFETY: by the struct invariant both ranges hold valid UTF-8:
-        // `build` copied them from `&str`s, `read_sections` validated every
-        // record's ranges with `from_utf8`, and the arrays are immutable
-        // since (a mapped arena is a private read-only mapping, the premise
-        // `ByteStore` already rests on). Validating here instead would cost
-        // a pass over the string on every decoded cell of every result row.
-        let text = |bytes| unsafe { std::str::from_utf8_unchecked(bytes) };
-        term_ref_from_parts(kind, text(lex), text(extra))
-    }
-}
-
+/// The one structure that answers term → id.
 #[derive(Debug, Clone)]
-enum Repr {
-    Owned {
-        term_to_id: HashMap<Term, TermId>,
-        id_to_term: Vec<Term>,
-    },
-    Flat(FlatRepr),
+enum Lookup {
+    /// While encoding: open addressing with linear probing over slots of
+    /// `id + 1` (see [`slots_for`], [`slot_entry`]). Build-time state: never
+    /// serialised, and left to the memory ledger's `unaccounted` line.
+    Hashed(Vec<u32>),
+    /// Once frozen or mapped: term ids sorted by [`Key`] for binary search.
+    Sorted(FlatVec<u64>),
 }
 
 /// A bidirectional mapping between [`Term`]s and [`TermId`]s.
 ///
 /// Encoding is insert-or-get: encoding the same term twice yields the same
-/// id. Decoding is O(1) via a dense array in both representations; `id_of`
-/// is O(1) on the owned representation and O(log n) (binary search over the
-/// arena) on the flat one.
+/// id. Decoding is O(1) via the record array; `id_of` is O(1) while the
+/// dictionary is being encoded into and O(log n) (binary search over the
+/// arena) once it is frozen or mapped.
+///
+/// Invariant (what `term_ref` relies on): every record's two ranges lie
+/// inside `arena`, on UTF-8 boundaries, and hold valid UTF-8. `encode_key`
+/// and `read_sections` are the only places that add records, and nothing
+/// rewrites a byte either array already holds.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
-    repr: Repr,
+    arena: FlatVec<u8>,
+    records: FlatVec<TermRecord>,
+    lookup: Lookup,
+    /// Keys the hash index. Per process and random, so terms from outside
+    /// (`--ntriples`) cannot be chosen to collide.
+    hasher: RandomState,
 }
 
 impl Default for Dictionary {
     fn default() -> Self {
-        Dictionary {
-            repr: Repr::Owned {
-                term_to_id: HashMap::new(),
-                id_to_term: Vec::new(),
-            },
-        }
+        Self::with_capacity(0)
     }
 }
 
@@ -252,132 +200,170 @@ impl Dictionary {
     /// Creates an empty dictionary with capacity for `capacity` terms.
     pub fn with_capacity(capacity: usize) -> Self {
         Dictionary {
-            repr: Repr::Owned {
-                term_to_id: HashMap::with_capacity(capacity),
-                id_to_term: Vec::with_capacity(capacity),
-            },
+            arena: FlatVec::new(),
+            records: Vec::with_capacity(capacity).into(),
+            lookup: Lookup::Hashed(vec![0; slots_for(capacity)]),
+            hasher: RandomState::new(),
         }
     }
 
-    /// Returns `true` if this dictionary is in the flat form: frozen on the
-    /// heap or read in place from a snapshot.
+    /// Returns `true` if lookups go through the sorted ids: the dictionary
+    /// was frozen, or is read in place from a snapshot.
     pub fn is_frozen(&self) -> bool {
-        matches!(self.repr, Repr::Flat(_))
+        matches!(self.lookup, Lookup::Sorted(_))
     }
 
-    /// Ends loading: replaces the owned `HashMap` + `Vec<Term>` (every
-    /// string twice, one allocation each) by the flat arrays. Ids, lookups
-    /// and iteration order are unchanged; a later `encode` thaws. A no-op on
-    /// a dictionary that is already flat.
+    /// Ends loading: sorts the ids for binary search, drops the hash index
+    /// and the arrays' spare capacity. Ids, lookups and iteration order are
+    /// unchanged; a later `encode` builds the index again. A no-op on a
+    /// dictionary that is already frozen.
     pub fn freeze(&mut self) {
-        if let Repr::Owned { term_to_id, .. } = &mut self.repr {
-            // The map (half of the strings) goes first, so that the arena
-            // is allocated into memory the map gave back.
-            *term_to_id = HashMap::new();
-        }
-        if let Repr::Owned { id_to_term, .. } = &self.repr {
-            self.repr = Repr::Flat(FlatRepr::build(id_to_term));
-        }
-    }
-
-    /// Heap and mapped bytes of the three flat arrays. All zero while the
-    /// dictionary is still in its loading form, whose scattered per-term
-    /// allocations the ledger leaves to its `unaccounted` line.
-    pub fn memory(&self) -> [(&'static str, MemoryUse); 3] {
-        let (arena, records, sorted) = match &self.repr {
-            Repr::Flat(f) => ((&f.arena).into(), (&f.records).into(), (&f.sorted).into()),
-            Repr::Owned { .. } => Default::default(),
-        };
-        [("arena", arena), ("records", records), ("sorted", sorted)]
-    }
-
-    /// Converts the flat form into the owned representation (copy-on-write
-    /// step before any mutation).
-    fn make_owned(&mut self) {
-        if let Repr::Flat(v) = &self.repr {
-            let n = v.records.len();
-            let mut id_to_term = Vec::with_capacity(n);
-            let mut term_to_id = HashMap::with_capacity(n);
-            for i in 0..n {
-                let t = v.term_ref(i).to_term();
-                term_to_id.insert(t.clone(), TermId(i as u64));
-                id_to_term.push(t);
+        if let Lookup::Hashed(_) = self.lookup {
+            self.lookup = Lookup::Sorted(self.sorted_ids().into());
+            if !self.arena.is_view() {
+                self.arena.to_mut().shrink_to_fit();
+                self.records.to_mut().shrink_to_fit();
             }
-            self.repr = Repr::Owned {
-                term_to_id,
-                id_to_term,
-            };
         }
+    }
+
+    /// The ids in key order.
+    fn sorted_ids(&self) -> Vec<u64> {
+        let (arena, records): (&[u8], &[TermRecord]) = (&self.arena, &self.records);
+        let mut sorted: Vec<u64> = (0..records.len() as u64).collect();
+        sorted.sort_unstable_by(|&a, &b| {
+            record_key(arena, &records[a as usize]).cmp(&record_key(arena, &records[b as usize]))
+        });
+        sorted
+    }
+
+    /// Heap and mapped bytes of the three flat arrays; `sorted` is zero
+    /// until the dictionary is frozen.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 3] {
+        let sorted = match &self.lookup {
+            Lookup::Sorted(sorted) => sorted.into(),
+            Lookup::Hashed(_) => MemoryUse::default(),
+        };
+        [
+            ("arena", (&self.arena).into()),
+            ("records", (&self.records).into()),
+            ("sorted", sorted),
+        ]
+    }
+
+    /// Probes `table` for `key`: the id it is indexed under, or else the
+    /// empty slot that ends its probe sequence.
+    fn probe(&self, table: &[u32], key: Key<'_>) -> Result<TermId, usize> {
+        let mask = table.len() - 1;
+        let mut slot = self.hasher.hash_one(key) as usize & mask;
+        loop {
+            let Some(id) = table[slot].checked_sub(1) else {
+                return Err(slot);
+            };
+            if record_key(&self.arena, &self.records[id as usize]) == key {
+                return Ok(TermId(u64::from(id)));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// A hash index of `slots` slots over every record.
+    fn index(&self, slots: usize) -> Vec<u32> {
+        let mut table = vec![0; slots];
+        for (id, record) in self.records.iter().enumerate() {
+            // A snapshot may list one term under two ids: the first keeps it.
+            if let Err(slot) = self.probe(&table, record_key(&self.arena, record)) {
+                table[slot] = slot_entry(id);
+            }
+        }
+        table
+    }
+
+    fn lookup_key(&self, key: Key<'_>) -> Option<TermId> {
+        match &self.lookup {
+            Lookup::Hashed(table) => self.probe(table, key).ok(),
+            Lookup::Sorted(sorted) => sorted
+                .binary_search_by(|&id| {
+                    record_key(&self.arena, &self.records[id as usize]).cmp(&key)
+                })
+                .ok()
+                .map(|pos| TermId(sorted[pos])),
+        }
+    }
+
+    /// Insert-or-get by key parts: a new term's bytes are appended to the
+    /// arena, once, and its record indexed.
+    fn encode_key(&mut self, kind: u32, lex: &str, extra: &str) -> TermId {
+        let id = self.records.len();
+        // Frozen, mapped or about to fill past one half: index (again).
+        let slots = slots_for(id + 1);
+        if !matches!(&self.lookup, Lookup::Hashed(table) if table.len() >= slots) {
+            self.lookup = Lookup::Hashed(self.index(slots));
+        }
+        let Lookup::Hashed(table) = &self.lookup else {
+            unreachable!("indexed above");
+        };
+        let slot = match self.probe(table, (kind, lex.as_bytes(), extra.as_bytes())) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let entry = slot_entry(id);
+        let arena = self.arena.to_mut();
+        let lex_off = arena.len() as u64;
+        arena.extend_from_slice(lex.as_bytes());
+        let extra_off = arena.len() as u64;
+        arena.extend_from_slice(extra.as_bytes());
+        self.records.to_mut().push(TermRecord {
+            kind,
+            reserved: 0,
+            lex_off,
+            lex_len: lex.len() as u64,
+            extra_off,
+            extra_len: extra.len() as u64,
+        });
+        if let Lookup::Hashed(table) = &mut self.lookup {
+            table[slot] = entry;
+        }
+        TermId(id as u64)
     }
 
     /// Returns the id for `term`, inserting it if it is not yet present.
     pub fn encode(&mut self, term: &Term) -> TermId {
-        self.make_owned();
-        let Repr::Owned {
-            term_to_id,
-            id_to_term,
-        } = &mut self.repr
-        else {
-            unreachable!("make_owned converted the representation");
-        };
-        if let Some(&id) = term_to_id.get(term) {
-            return id;
-        }
-        let id = TermId(id_to_term.len() as u64);
-        id_to_term.push(term.clone());
-        term_to_id.insert(term.clone(), id);
-        id
-    }
-
-    /// Returns the id for `term`, inserting it if it is not yet present
-    /// (by-value variant that avoids a clone when the term is newly inserted).
-    pub fn encode_owned(&mut self, term: Term) -> TermId {
-        self.make_owned();
-        let Repr::Owned {
-            term_to_id,
-            id_to_term,
-        } = &mut self.repr
-        else {
-            unreachable!("make_owned converted the representation");
-        };
-        if let Some(&id) = term_to_id.get(&term) {
-            return id;
-        }
-        let id = TermId(id_to_term.len() as u64);
-        id_to_term.push(term.clone());
-        term_to_id.insert(term, id);
-        id
+        let (kind, lex, extra) = term_key(term);
+        self.encode_key(kind, lex, &extra)
     }
 
     /// Convenience: encodes an IRI string.
-    pub fn encode_iri(&mut self, iri: impl Into<String>) -> TermId {
-        self.encode_owned(Term::Iri(iri.into()))
+    pub fn encode_iri(&mut self, iri: &str) -> TermId {
+        self.encode_key(KIND_IRI, iri, "")
     }
 
     /// Returns the id of `term` if it has been encoded before.
     pub fn id_of(&self, term: &Term) -> Option<TermId> {
-        match &self.repr {
-            Repr::Owned { term_to_id, .. } => term_to_id.get(term).copied(),
-            Repr::Flat(v) => v.lookup(term),
-        }
+        let (kind, lex, extra) = term_key(term);
+        self.lookup_key((kind, lex.as_bytes(), extra.as_bytes()))
     }
 
-    /// Returns the id of the IRI `iri` if it has been encoded before.
+    /// Returns the id of the IRI `iri` if it has been encoded before
+    /// (straight against the arena bytes, nothing allocated).
     pub fn id_of_iri(&self, iri: &str) -> Option<TermId> {
-        match &self.repr {
-            Repr::Owned { term_to_id, .. } => term_to_id.get(&Term::Iri(iri.to_owned())).copied(),
-            // Zero-allocation lookup straight against the arena bytes.
-            Repr::Flat(v) => v.lookup_key(KIND_IRI, iri.as_bytes(), b""),
-        }
+        self.lookup_key((KIND_IRI, iri.as_bytes(), b""))
     }
 
     /// Returns a borrowed view of the term for `id`, if `id` is valid: no
-    /// string is copied, on the owned representation or on a snapshot view.
+    /// string is copied, on the heap or on a snapshot view.
     pub fn term_ref(&self, id: TermId) -> Option<TermRef<'_>> {
-        match &self.repr {
-            Repr::Owned { id_to_term, .. } => id_to_term.get(id.index()).map(TermRef::from),
-            Repr::Flat(v) => (id.index() < v.records.len()).then(|| v.term_ref(id.index())),
-        }
+        let (kind, lex, extra) = record_key(&self.arena, self.records.get(id.index())?);
+        // SAFETY: by the struct invariant both ranges hold valid UTF-8:
+        // `encode` and `encode_iri` appended them from `&str`s (through
+        // `encode_key`), `read_sections` validated every record's ranges
+        // with `from_utf8`, and no byte either array holds is rewritten
+        // afterwards (a mapped arena is a private read-only mapping, the
+        // premise `ByteStore` already rests on).
+        // Validating here instead would cost a pass over the string on every
+        // decoded cell of every result row.
+        let text = |bytes| unsafe { std::str::from_utf8_unchecked(bytes) };
+        Some(term_ref_from_parts(kind, text(lex), text(extra)))
     }
 
     /// Returns the term for `id`, if `id` is valid.
@@ -392,10 +378,7 @@ impl Dictionary {
 
     /// The number of distinct terms encoded.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Owned { id_to_term, .. } => id_to_term.len(),
-            Repr::Flat(v) => v.records.len(),
-        }
+        self.records.len()
     }
 
     /// Returns `true` if no terms have been encoded.
@@ -421,20 +404,15 @@ impl Dictionary {
     }
 
     /// Serializes the dictionary as snapshot sections (arena, records,
-    /// sorted permutation) — see `docs/STORAGE.md`. The flat form writes its
-    /// arrays as they are.
+    /// sorted permutation) — see `docs/STORAGE.md`. The arrays are written
+    /// as they are; a dictionary not yet frozen sorts its ids for the write.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        let built;
-        let flat = match &self.repr {
-            Repr::Flat(f) => f,
-            Repr::Owned { id_to_term, .. } => {
-                built = FlatRepr::build(id_to_term);
-                &built
-            }
-        };
-        w.section(TAG_DICT_ARENA, &flat.arena);
-        w.section(TAG_DICT_RECORDS, &flat.records);
-        w.section(TAG_DICT_SORTED, &flat.sorted);
+        w.section(TAG_DICT_ARENA, &self.arena);
+        w.section(TAG_DICT_RECORDS, &self.records);
+        match &self.lookup {
+            Lookup::Sorted(sorted) => w.section(TAG_DICT_SORTED, sorted),
+            Lookup::Hashed(_) => w.section(TAG_DICT_SORTED, &self.sorted_ids()),
+        }
     }
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
@@ -479,11 +457,10 @@ impl Dictionary {
             ));
         }
         Ok(Dictionary {
-            repr: Repr::Flat(FlatRepr {
-                arena,
-                records,
-                sorted,
-            }),
+            arena,
+            records,
+            lookup: Lookup::Sorted(sorted),
+            hasher: RandomState::new(),
         })
     }
 }
@@ -491,6 +468,7 @@ impl Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use turbohom_storage::Snapshot;
 
     #[test]
@@ -629,7 +607,11 @@ mod tests {
         let mut d = Dictionary::new();
         let terms = sample_terms();
         let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
-        assert!(d.memory().iter().all(|(_, m)| m.heap == 0));
+        // The arrays are on the ledger from the first `encode`; only the
+        // sorted ids wait for the freeze.
+        let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
+        assert!(arena > 0);
+        assert_eq!((records, sorted), ((terms.len() * 40) as u64, 0));
         d.freeze();
         assert!(d.is_frozen());
         let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
@@ -711,11 +693,99 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// Any interleaving of the dictionary's operations answers as the
+        /// owned form did — a `HashMap<Term, u64>` plus a `Vec<Term>`, kept
+        /// here as the model.
+        #[test]
+        fn interleaved_operations_match_the_owned_model(
+            ops in proptest::collection::vec(
+                (0usize..10, 0usize..6, "[a-cé ]{0,3}", "[a-b]{1,2}", "[a-b]{1,2}"),
+                1..120,
+            ),
+            case in 0u64..u64::MAX,
+        ) {
+            let mut dict = Dictionary::new();
+            let mut ids: HashMap<Term, u64> = HashMap::new();
+            let mut terms: Vec<Term> = Vec::new();
+            for (step, (op, kind, lex, dt, lang)) in ops.iter().enumerate() {
+                let term = term_of_kind(*kind, lex, dt, lang);
+                let known = ids.get(&term).map(|&id| TermId(id));
+                match op {
+                    0..=3 => {
+                        let expected = known.unwrap_or(TermId(terms.len() as u64));
+                        proptest::prop_assert_eq!(dict.encode(&term), expected, "step {}", step);
+                        if known.is_none() {
+                            ids.insert(term.clone(), expected.0);
+                            terms.push(term);
+                        }
+                    }
+                    4 | 5 => proptest::prop_assert_eq!(dict.id_of(&term), known, "step {}", step),
+                    6 => {
+                        let iri = format!("http://ex.org/{lex}");
+                        let known = ids.get(&Term::iri(iri.as_str())).map(|&id| TermId(id));
+                        proptest::prop_assert_eq!(dict.id_of_iri(&iri), known, "step {}", step);
+                    }
+                    7 => {
+                        // Any id up to one past the last.
+                        let id = (case as usize).wrapping_add(step) % (terms.len() + 2);
+                        proptest::prop_assert_eq!(
+                            dict.term_ref(TermId(id as u64)),
+                            terms.get(id).map(TermRef::from),
+                            "step {}", step
+                        );
+                    }
+                    8 => dict.freeze(),
+                    _ => dict = snapshot_view(&dict, &format!("model-{case:x}-{step}")),
+                }
+                proptest::prop_assert_eq!(dict.len(), terms.len(), "step {}", step);
+            }
+            let decoded: Vec<Term> = dict.iter().map(|(_, term)| term).collect();
+            proptest::prop_assert_eq!(&decoded, &terms);
+            for (id, term) in terms.iter().enumerate() {
+                proptest::prop_assert_eq!(dict.id_of(term), Some(TermId(id as u64)));
+            }
+        }
+    }
+
+    #[test]
+    fn the_hash_index_grows_through_many_doublings_and_after_a_freeze() {
+        // 16 slots hold 8 terms: 3,000 terms cross nine doublings, and the
+        // encodes after the freeze index 3,000 records and cross a tenth.
+        let term = |i: usize| term_of_kind(i % 6, &format!("shared/prefix/{i}"), "d", "l");
+        let mut d = Dictionary::new();
+        for i in 0..3_000 {
+            assert_eq!(d.encode(&term(i)).index(), i);
+            assert_eq!(d.encode(&term(i / 2)).index(), i / 2);
+        }
+        d.freeze();
+        for i in 0..5_000 {
+            assert_eq!(d.encode(&term(i)).index(), i);
+        }
+        for frozen in [false, true] {
+            assert_eq!(d.is_frozen(), frozen);
+            assert_eq!(d.len(), 5_000);
+            for i in 0..5_000 {
+                assert_eq!(d.id_of(&term(i)), Some(TermId(i as u64)));
+                assert_eq!(d.term(TermId(i as u64)), Some(term(i)));
+            }
+            assert_eq!(d.id_of(&term(5_000)), None);
+            d.freeze();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX terms")]
+    fn an_id_the_hash_index_cannot_hold_is_refused_not_wrapped() {
+        assert_eq!(slot_entry(u32::MAX as usize - 1), u32::MAX);
+        slot_entry(u32::MAX as usize);
+    }
+
     #[test]
     fn encode_on_a_view_copies_on_write() {
         let mut d = Dictionary::new();
         for t in sample_terms() {
-            d.encode_owned(t);
+            d.encode(&t);
         }
         let mut view = snapshot_view(&d, "cow");
         let before = view.len();

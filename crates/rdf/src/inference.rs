@@ -21,7 +21,6 @@
 //! triples in place, reporting per-rule statistics.
 
 use crate::dictionary::TermId;
-use crate::term::Term;
 use crate::triple::{Dataset, Triple};
 use crate::vocab;
 use std::collections::{BTreeMap, BTreeSet};
@@ -130,19 +129,14 @@ impl InferenceEngine {
     pub fn materialize(&self, dataset: &mut Dataset) -> InferenceStats {
         let mut stats = InferenceStats::default();
 
-        let rdf_type = dataset.dictionary.encode_owned(Term::iri(vocab::RDF_TYPE));
-        let subclassof = dataset
-            .dictionary
-            .encode_owned(Term::iri(vocab::RDFS_SUBCLASSOF));
-        let subpropertyof = dataset
-            .dictionary
-            .encode_owned(Term::iri(vocab::RDFS_SUBPROPERTYOF));
-        let domain = dataset
-            .dictionary
-            .encode_owned(Term::iri(vocab::RDFS_DOMAIN));
-        let range = dataset
-            .dictionary
-            .encode_owned(Term::iri(vocab::RDFS_RANGE));
+        let [rdf_type, subclassof, subpropertyof, domain, range] = [
+            vocab::RDF_TYPE,
+            vocab::RDFS_SUBCLASSOF,
+            vocab::RDFS_SUBPROPERTYOF,
+            vocab::RDFS_DOMAIN,
+            vocab::RDFS_RANGE,
+        ]
+        .map(|iri| dataset.dictionary.encode_iri(iri));
 
         // ---- 1. Hierarchy closures (rdfs11 / rdfs5) --------------------
         let subclass_closure = if self.config.class_hierarchy {

@@ -26,7 +26,7 @@ pub fn parse_ntriples(input: &str) -> Result<Dataset, RdfError> {
             line: lineno + 1,
             message,
         })?;
-        dataset.insert_owned(s, p, o);
+        dataset.insert(&s, &p, &o);
     }
     Ok(dataset)
 }
@@ -44,7 +44,8 @@ pub fn parse_ntriples_line(line: &str) -> Result<(Term, Term, Term), String> {
     cursor.skip_ws();
     cursor.expect('.')?;
     cursor.skip_ws();
-    if !cursor.at_end() {
+    // N-Triples 1.1: a comment may follow the terminator, nothing else may.
+    if !cursor.at_end() && cursor.peek() != Some('#') {
         return Err(format!(
             "unexpected trailing characters: {:?}",
             cursor.rest()
@@ -348,6 +349,33 @@ mod tests {
         for t in ds.triples.iter() {
             assert!(decoded_back.contains(&ds.decode(t)));
         }
+    }
+
+    #[test]
+    fn a_comment_may_follow_the_terminator_and_nothing_else_may() {
+        let doc = "<http://s> <http://p> <http://o> . # note\r\n\
+                   <http://s> <http://p> \"x\" .# no space, <not> \"parsed\" .\n\
+                   _:b <http://p> _:c.#tight\n";
+        let ds = parse_ntriples(doc).unwrap();
+        assert_eq!(ds.len(), 3);
+        assert_eq!(ds.dictionary.len(), 6);
+
+        // A `#` inside an IRI or a literal is part of the term.
+        let (s, _, o) =
+            parse_ntriples_line("<http://ex.org/a#b> <http://p> \"a # b\" . # c").unwrap();
+        assert_eq!(s, Term::iri("http://ex.org/a#b"));
+        assert_eq!(o, Term::literal("a # b"));
+
+        for bad in [
+            "<http://s> <http://p> <http://o> . x",
+            "<http://s> <http://p> <http://o> . <http://x> # c",
+            "<http://s> <http://p> <http://o> # c",
+            "<http://s> <http://p> # <http://o> .",
+        ] {
+            assert!(parse_ntriples_line(bad).is_err(), "{bad}");
+        }
+        let err = parse_ntriples_line("<http://s> <http://p> <http://o> . x").unwrap_err();
+        assert!(err.contains("unexpected trailing characters"), "{err}");
     }
 
     #[test]

@@ -189,22 +189,16 @@ impl Dataset {
         self.triples.insert(Triple::new(s, p, o))
     }
 
-    /// Inserts a decoded triple by value.
-    pub fn insert_owned(&mut self, s: Term, p: Term, o: Term) -> bool {
-        let s = self.dictionary.encode_owned(s);
-        let p = self.dictionary.encode_owned(p);
-        let o = self.dictionary.encode_owned(o);
+    /// Convenience for tests and generators: inserts a triple of IRIs.
+    pub fn insert_iris(&mut self, s: &str, p: &str, o: &str) -> bool {
+        let [s, p, o] = [s, p, o].map(|iri| self.dictionary.encode_iri(iri));
         self.triples.insert(Triple::new(s, p, o))
     }
 
-    /// Convenience for tests and generators: inserts a triple of IRIs.
-    pub fn insert_iris(&mut self, s: &str, p: &str, o: &str) -> bool {
-        self.insert_owned(Term::iri(s), Term::iri(p), Term::iri(o))
-    }
-
-    /// Ends loading: the dictionary becomes its three flat arrays (see
-    /// [`Dictionary::freeze`]) and the triple store drops its dedup set.
-    /// Every read is unchanged; an insert afterwards thaws what it needs.
+    /// Ends loading: the dictionary sorts its ids and drops its hash index
+    /// (see [`Dictionary::freeze`]) and the triple store drops its dedup
+    /// set. Every read is unchanged; an insert afterwards rebuilds what it
+    /// needs.
     pub fn freeze(&mut self) {
         self.dictionary.freeze();
         self.triples.freeze();

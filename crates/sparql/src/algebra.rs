@@ -232,11 +232,21 @@ pub struct Query {
 
 impl Query {
     /// The projected variable names for this query, resolving `SELECT *`
-    /// against the variables of the pattern.
+    /// against the variables of the pattern. A name listed twice
+    /// (`SELECT ?x ?x`) is projected once, where it first stands: a result
+    /// row is keyed by variable.
     pub fn projected_variables(&self) -> Vec<String> {
         match &self.selection {
             Selection::All => self.pattern.all_variables(),
-            Selection::Variables(vars) => vars.clone(),
+            Selection::Variables(vars) => {
+                let mut unique: Vec<String> = Vec::with_capacity(vars.len());
+                for var in vars {
+                    if !unique.contains(var) {
+                        unique.push(var.clone());
+                    }
+                }
+                unique
+            }
         }
     }
 
@@ -367,5 +377,11 @@ mod tests {
             offset: None,
         };
         assert_eq!(q2.projected_variables(), vec!["b"]);
+
+        let repeated = Query {
+            selection: Selection::Variables(vec!["b".into(), "a".into(), "b".into()]),
+            ..q2
+        };
+        assert_eq!(repeated.projected_variables(), vec!["b", "a"]);
     }
 }
