@@ -140,7 +140,7 @@ impl RegionRun<'_> {
             // With +REUSE the order is the one of the first non-empty region
             // in `starts` order, whichever worker gets to that region.
             if self.config.optimizations.reuse_matching_order && self.shared_order.is_none() {
-                agreed_order = self.probe_order();
+                agreed_order = probe_order(&self.explorer, self.query, self.tree, self.starts);
                 stats.matching_orders_computed += usize::from(agreed_order.is_some());
             }
             // Heavy regions first: a candidate region can only be as large as
@@ -191,18 +191,23 @@ impl RegionRun<'_> {
         }
         (result, agreed_order.or(own_order), shares)
     }
+}
 
-    /// Determines the matching order of the first non-empty region in
-    /// `starts` order. The exploration is not counted: whichever worker
-    /// claims that region explores, and counts, it again.
-    fn probe_order(&self) -> Option<MatchingOrder> {
-        let mut uncounted = MatchStats::default();
-        let mut region = CandidateRegion::default();
-        self.starts
-            .iter()
-            .any(|&vs| self.explorer.explore(&mut region, vs, &mut uncounted))
-            .then(|| MatchingOrder::determine(self.query, self.tree, &region))
-    }
+/// Determines the matching order of the first non-empty region in `starts`
+/// order. The exploration is not counted: whoever runs that region explores,
+/// and counts, it again.
+fn probe_order(
+    explorer: &RegionExplorer<'_>,
+    query: &TransformedQuery,
+    tree: &QueryTree,
+    starts: &[VertexId],
+) -> Option<MatchingOrder> {
+    let mut uncounted = MatchStats::default();
+    let mut region = CandidateRegion::default();
+    starts
+        .iter()
+        .any(|&vs| explorer.explore(&mut region, vs, &mut uncounted))
+        .then(|| MatchingOrder::determine(query, tree, &region))
 }
 
 /// Algorithm 1's loop body and what it accumulates. One worker runs the
@@ -518,6 +523,17 @@ impl<'a> TurboHomEngine<'a> {
         // variables) are applied to complete solutions afterwards
         // (Section 5.1).
         let (inline_filters, post_filters) = self.split_filters(query);
+        if query.graph.vertex_count() == 1
+            && query.graph.edge_count() == 0
+            && inline_filters[0].is_empty()
+            && post_filters.is_empty()
+        {
+            clock.lap(|c| &mut c.select);
+            let starts = &selection.start_vertices;
+            let (result, order) =
+                self.answer_from_starts(query, &tree, starts, preset_order, stats, clock);
+            return (result, order, Vec::new());
+        }
         // With expensive filters pending, the search must materialize
         // solutions and must not cut off at the limit prematurely.
         let mut search_config = self.config;
@@ -555,6 +571,53 @@ impl<'a> TurboHomEngine<'a> {
             result.rows.clear();
         }
         (result, computed_order, workers)
+    }
+
+    /// The answer to a query of one vertex and no edge that no FILTER
+    /// applies to — a type scan after the type-aware transformation: the
+    /// start vertices are the data vertices that carry its ID, labels and
+    /// filter demands, a region would hold its start vertex alone, and the
+    /// search would report it. So the list is appended (cut at the LIMIT, not
+    /// at all when only counting) and every counter reads what Algorithm 1's
+    /// loop would have left one region at a time; no pool is set up and
+    /// nothing is ranked by degree. With +REUSE and no preset the order is
+    /// still determined once, from the first region, for the plan to memoize.
+    fn answer_from_starts(
+        &self,
+        query: &TransformedQuery,
+        tree: &QueryTree,
+        starts: &[VertexId],
+        preset_order: Option<&MatchingOrder>,
+        mut stats: MatchStats,
+        clock: &mut StageClock,
+    ) -> (MatchResult, Option<MatchingOrder>) {
+        let n = (self.config.max_solutions).map_or(starts.len(), |limit| starts.len().min(limit));
+        let mut order = None;
+        if !self.config.optimizations.reuse_matching_order {
+            stats.matching_orders_computed += n;
+        } else if preset_order.is_none() {
+            let explorer = RegionExplorer::new(self.data, &self.config, query, tree);
+            order = probe_order(&explorer, query, tree, &starts[..n]);
+            stats.matching_orders_computed += usize::from(order.is_some());
+            clock.lap(|c| &mut c.order);
+        }
+        let kept = if self.config.count_only { 0 } else { n };
+        let mut rows = IdRows::with_capacity(1, kept);
+        for v in &starts[..kept] {
+            rows.push(&[v.0]);
+        }
+        stats.candidate_regions += n;
+        stats.nonempty_regions += n;
+        stats.candidate_vertices += n;
+        stats.solutions += n;
+        let result = MatchResult {
+            rows,
+            solution_count: n,
+            stats,
+            step_rows: vec![n as u64],
+            step_estimates: vec![n as u64],
+        };
+        (result, order)
     }
 
     /// Splits the query's filters into per-vertex inline filters and
@@ -1083,6 +1146,52 @@ mod tests {
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         let (_, _) = engine.execute_with_order(&tq, None, &trace, None).unwrap();
         assert!(trace.finish().spans.is_empty());
+    }
+
+    /// One labelled vertex, no edge: the start list is the answer, counted
+    /// as the regions it stands for, and a detailed trace still gets its
+    /// four stages.
+    #[test]
+    fn an_edge_free_query_is_answered_from_its_start_list() {
+        let ds = university_dataset();
+        let data = type_aware_transform(&ds);
+        let q = parse_query(
+            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+               PREFIX ub: <http://ub.org/>
+               SELECT ?x WHERE { ?x rdf:type ub:Student . ?x rdf:type ub:GraduateStudent . }"#,
+        )
+        .unwrap();
+        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        assert_eq!((tq.graph.vertex_count(), tq.graph.edge_count()), (1, 0));
+        let config = TurboHomConfig::default().with_threads(4);
+        let trace = Trace::detailed(14);
+        let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
+            .execute_with_order(&tq, None, &trace, None)
+            .unwrap();
+        assert_eq!(order.map(|o| o.order), Some(vec![0]));
+        assert_eq!((result.len(), result.rows.len()), (24, 24));
+        let expected = MatchStats {
+            candidate_regions: 24,
+            nonempty_regions: 24,
+            candidate_vertices: 24,
+            solutions: 24,
+            matching_orders_computed: 1,
+            ..MatchStats::default()
+        };
+        assert_eq!(result.stats, expected);
+        assert_eq!(
+            (result.step_rows, result.step_estimates),
+            (vec![24], vec![24])
+        );
+        let spans = trace.finish().spans;
+        let stages = [
+            "start_vertex",
+            "candidate_regions",
+            "matching_order",
+            "enumeration",
+        ];
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, stages, "no worker spans: no pool ran");
     }
 
     #[test]

@@ -236,7 +236,9 @@ impl<'s> IdResults<'s> {
     /// `out`, in pieces of at most about 64 KB: ids are resolved and escaped
     /// straight into `buffer`, whose contents are discarded and whose
     /// capacity (about 64 KB from the first use on) stays with the caller,
-    /// so a connection serialises every response through one allocation.
+    /// so a connection serialises every response through one allocation. A
+    /// row of more than 16 KB grows it for that response only: past 128 KB
+    /// it is cut back to 64 KB when the last piece has been handed on.
     /// `members`, when given, appends
     /// further top-level members (each with its leading comma) after the
     /// bindings have been handed to `out` and before the closing brace. The
@@ -275,16 +277,35 @@ fn json_string(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
     String::from_utf8(out).expect("the writer emits UTF-8")
 }
 
-/// The size the writer's buffer is brought to. A piece is handed on once it
-/// passes [`FLUSH_AT`], so the buffer only grows past this for a single row
-/// of more than 16 KB.
+/// The size the writer's buffer is brought to, and back to after a response
+/// that grew it past twice this. A piece is handed on once it passes
+/// [`FLUSH_AT`], so the buffer only grows past this for a single row of more
+/// than 16 KB.
 const BUFFER: usize = 64 * 1024;
 
 /// The fill at which the writer hands its buffer on.
 const FLUSH_AT: usize = 48 * 1024;
 
+/// Cells the writer resolves before it formats the first of them: as many
+/// whole rows as fit (one, for a wider row). Enough for the record and arena
+/// misses of a block to be outstanding together; 16 and 256 measured alike.
+const BLOCK: usize = 64;
+
+/// Rows per block of a result `width` cells wide.
+fn rows_per_block(width: usize) -> usize {
+    (BLOCK / width.max(1)).max(1)
+}
+
 /// The one SPARQL-JSON writer: a `head.vars` list and one binding object per
 /// row of every run in turn, unbound variables omitted.
+///
+/// Rows are taken a block at a time, in three passes. Pulling a block's cells
+/// resolves them — for an id row a read of the term's record, one short
+/// independent iteration per cell — then the first byte of every lexical form
+/// is read (and the byte a cache line on), then the block is formatted. The
+/// misses of a pass do not wait for one another, where formatting cell by
+/// cell waits for a record, then for the arena bytes it points at, once per
+/// row.
 fn write_sparql_json<'t, W, S, R, C>(
     out: &mut W,
     buf: &mut Vec<u8>,
@@ -316,28 +337,66 @@ where
         keys.push(key);
     }
     buf.extend_from_slice(b"]},\"results\":{\"bindings\":[");
+    let width = keys.len();
+    let rows_per_block = rows_per_block(width);
+    // The block lives on the stack; only a row wider than it takes a heap
+    // block of its own width.
+    let (mut narrow, mut wide) = ([None; BLOCK], Vec::new());
+    let block: &mut [Option<TermRef<'t>>] = if width <= BLOCK {
+        &mut narrow
+    } else {
+        wide.resize(width, None);
+        &mut wide
+    };
     let mut first_row = true;
-    for rows in runs {
-        for row in rows {
-            if !first_row {
-                buf.push(b',');
+    for mut rows in runs {
+        loop {
+            let mut pulled = 0;
+            while pulled < rows_per_block {
+                let Some(row) = rows.next() else { break };
+                let cells = &mut block[pulled * width..][..width];
+                let mut resolved = 0;
+                for (cell, term) in cells.iter_mut().zip(row) {
+                    *cell = term;
+                    resolved += 1;
+                }
+                // A row that ends early leaves the rest of its cells unbound.
+                cells[resolved..].fill(None);
+                pulled += 1;
             }
-            first_row = false;
-            buf.push(b'{');
-            let mut first = true;
-            for (key, term) in keys.iter().zip(row) {
-                let Some(term) = term else { continue };
-                if !first {
+            let mut touched = 0;
+            for term in block[..pulled * width].iter().flatten() {
+                let (TermRef::Iri(lexical)
+                | TermRef::BlankNode(lexical)
+                | TermRef::Literal { lexical, .. }) = term;
+                let lexical = lexical.as_bytes();
+                touched |= lexical.first().unwrap_or(&0) | lexical.get(64).unwrap_or(&0);
+            }
+            std::hint::black_box(touched);
+            for row in 0..pulled {
+                if !first_row {
                     buf.push(b',');
                 }
-                first = false;
-                buf.extend_from_slice(key);
-                append_term_json(buf, term);
+                first_row = false;
+                buf.push(b'{');
+                let mut first = true;
+                for (key, term) in keys.iter().zip(&block[row * width..]) {
+                    let Some(term) = *term else { continue };
+                    if !first {
+                        buf.push(b',');
+                    }
+                    first = false;
+                    buf.extend_from_slice(key);
+                    append_term_json(buf, term);
+                }
+                buf.push(b'}');
+                if buf.len() >= FLUSH_AT {
+                    out.write_all(buf)?;
+                    buf.clear();
+                }
             }
-            buf.push(b'}');
-            if buf.len() >= FLUSH_AT {
-                out.write_all(buf)?;
-                buf.clear();
+            if pulled < rows_per_block {
+                break;
             }
         }
     }
@@ -350,7 +409,13 @@ where
         members(buf);
     }
     buf.push(b'}');
-    out.write_all(buf)
+    let written = out.write_all(buf);
+    // One huge literal must not stay with the connection for its lifetime.
+    if buf.capacity() > 2 * BUFFER {
+        buf.clear();
+        buf.shrink_to(BUFFER);
+    }
+    written
 }
 
 /// Appends one RDF term as a SPARQL-JSON binding value object.
@@ -658,15 +723,31 @@ mod tests {
             }
         }
 
+        /// Results of 0, 1, 3 and 5 columns that end before, at and after a
+        /// block boundary and span more than three blocks, with a cell left
+        /// unbound in the first and in the last row of every block.
         #[test]
         fn the_writer_matches_the_reference_serialiser(
-            variables in proptest::collection::vec(text(), 0..4),
-            cells in proptest::collection::vec(proptest::option::of(term()), 0..24),
+            names in proptest::collection::vec(text(), 5),
+            pool in proptest::collection::vec(proptest::option::of(term()), 1..24),
+            width in 0..4usize,
+            count in 0..6usize,
         ) {
-            let width = variables.len().max(1);
-            let rows: Vec<Vec<Option<Term>>> = cells
-                .chunks_exact(width)
-                .map(|row| row[..variables.len()].to_vec())
+            let width = [0, 1, 3, 5][width];
+            let (blocks, beyond) = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 1)][count];
+            let variables = names[..width].to_vec();
+            let per_block = rows_per_block(width);
+            let count = (blocks * per_block).saturating_add_signed(beyond);
+            let mut cells = pool.iter().cycle().cloned();
+            let rows: Vec<Vec<Option<Term>>> = (0..count)
+                .map(|r| {
+                    let mut row: Vec<Option<Term>> = cells.by_ref().take(width).collect();
+                    let at_an_edge = r % per_block == 0 || r % per_block == per_block - 1;
+                    if let Some(cell) = row.get_mut(r % width.max(1)).filter(|_| at_an_edge) {
+                        *cell = None;
+                    }
+                    row
+                })
                 .collect();
             let mut owned = Dictionary::new();
             for term in rows.iter().flatten().flatten() {
@@ -805,6 +886,94 @@ mod tests {
                 reference::to_sparql_json(&variables, &kept)
             );
             assert_eq!(windowed.decode().rows, kept, "{offset} {limit:?}");
+        }
+    }
+
+    /// [`every_run_resolves_through_its_own_dictionary`]'s shape, grown past
+    /// the block: the first run ends in the middle of its second block, the
+    /// second (a column wider, other ids for the same terms) spans three.
+    #[test]
+    fn a_run_that_ends_mid_block_leaves_the_next_one_its_own_blocks() {
+        let term = |i: usize| Some(Term::iri(format!("http://ex/{i}")));
+        let per_block = rows_per_block(2);
+        let (mut first, mut second) = (Dictionary::new(), Dictionary::new());
+        for i in 0..8 {
+            first.encode(&term(i).unwrap());
+            second.encode(&term(7 - i).unwrap());
+        }
+        let variables = vec!["x".to_string(), "y".to_string()];
+        let from_first: Vec<ResultRow> = (0..per_block + per_block / 2)
+            .map(|r| vec![term(r % 8), (r % 3 > 0).then(|| term(r % 5)).flatten()])
+            .collect();
+        let from_second: Vec<ResultRow> = (0..2 * per_block + 1)
+            .map(|r| {
+                vec![
+                    (r % 4 > 0).then(|| term(r % 7)).flatten(),
+                    term(r % 8),
+                    term(0),
+                ]
+            })
+            .collect();
+        let results = IdResults::new(
+            variables.clone(),
+            vec![
+                run(&first, 0, 2, &from_first),
+                run(&second, 1, 3, &from_second),
+            ],
+        );
+        let expected: Vec<ResultRow> = from_first
+            .iter()
+            .chain(&from_second)
+            .map(|row| row[..2].to_vec())
+            .collect();
+        assert_eq!(
+            results.to_sparql_json(),
+            reference::to_sparql_json(&variables, &expected)
+        );
+        // A row wider than the block is a block of its own.
+        let wide: Vec<String> = (0..BLOCK + 3).map(|i| format!("v{i}")).collect();
+        let rows: Vec<ResultRow> = (0..3)
+            .map(|r| {
+                (0..wide.len())
+                    .map(|c| (c % 9 != r).then(|| term((r + c) % 8)).flatten())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            id_results(&first, &wide, &rows).to_sparql_json(),
+            reference::to_sparql_json(&wide, &rows)
+        );
+    }
+
+    /// One huge literal grows the buffer for its response only.
+    #[test]
+    fn a_buffer_grown_by_one_response_is_cut_back_after_it() {
+        let mut dictionary = Dictionary::new();
+        let huge = Term::literal("x".repeat(1 << 20));
+        let small = Term::iri("http://ex/small");
+        dictionary.encode(&huge);
+        dictionary.encode(&small);
+        let variables = vec!["v".to_string()];
+        let mut buffer = Vec::new();
+        for (term, grown) in [(&small, false), (&huge, true), (&small, false)] {
+            let rows = vec![vec![Some(term.clone())]];
+            let results = id_results(&dictionary, &variables, &rows);
+            let mut body = Vec::new();
+            results
+                .write_sparql_json(&mut body, &mut buffer, None)
+                .unwrap();
+            assert_eq!(
+                String::from_utf8(body).unwrap(),
+                reference::to_sparql_json(&variables, &rows)
+            );
+            // The piece that held the literal was over a megabyte ...
+            assert_eq!(results.to_sparql_json().len() > (1 << 20), grown);
+            // ... and the connection's buffer is back at its size either way.
+            assert!(
+                (BUFFER..=2 * BUFFER).contains(&buffer.capacity()),
+                "{} bytes kept",
+                buffer.capacity()
+            );
         }
     }
 

@@ -33,15 +33,39 @@ const ESCAPES: [u8; 256] = {
     table
 };
 
+/// Whether any of the eight bytes of `word` needs an escape: is below 0x20,
+/// a `"` or a `\`. Per lane, `x - n` borrows into the lane's high bit exactly
+/// when `x < n` (for `n` ≤ 0x80), and `& !x` drops the lanes whose own high
+/// bit was set — the bytes of multi-byte UTF-8, which pass. A borrow can
+/// spill into the lane above only out of a lane that is itself below `n`, so
+/// the test is exact for "any lane".
+#[inline]
+fn word_needs_escape(word: u64) -> bool {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    let below = |x: u64, n: u8| x.wrapping_sub(LANES * u64::from(n)) & !x;
+    let equals = |byte: u8| below(word ^ (LANES * u64::from(byte)), 1);
+    (below(word, 0x20) | equals(b'"') | equals(b'\\')) & (LANES * 0x80) != 0
+}
+
 /// Appends `s` to `out` escaped for embedding in a JSON string literal.
-/// Runs of bytes that need no escaping are copied with one
-/// `extend_from_slice`; nothing is allocated beyond `out`'s own growth.
+/// Eight bytes at a time are tested for "nothing here needs an escape", so a
+/// clean string is one `extend_from_slice`; from the first word that holds
+/// one (and in the last seven bytes) the table decides byte by byte, and the
+/// runs between escapes are copied whole. Nothing is allocated beyond `out`'s
+/// own growth.
 #[inline]
 pub fn escape_json_into(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
+    let clean = 8 * bytes
+        .chunks_exact(8)
+        .take_while(|word| {
+            let word = <[u8; 8]>::try_from(*word).expect("chunks of eight");
+            !word_needs_escape(u64::from_le_bytes(word))
+        })
+        .count();
     let mut run_start = 0;
-    for (i, &byte) in bytes.iter().enumerate() {
+    for (i, &byte) in bytes.iter().enumerate().skip(clean) {
         let escape = ESCAPES[byte as usize];
         if escape == 0 {
             continue;
@@ -287,6 +311,77 @@ mod tests {
         assert_eq!(escaped("plain ünïcode"), "plain ünïcode");
         assert_eq!(escaped("\r\tend\\"), "\\r\\tend\\\\");
         assert_eq!(escaped(""), "");
+    }
+
+    /// The escaper one byte at a time, as RFC 8259 section 7 reads: what
+    /// [`escape_json_into`] is compared against.
+    fn reference_escaped(s: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &byte in s.as_bytes() {
+            match byte {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                0..=0x1f => out.extend_from_slice(format!("\\u{byte:04x}").as_bytes()),
+                _ => out.push(byte),
+            }
+        }
+        out
+    }
+
+    /// Every place an escape can stand in a word, beside every kind of byte
+    /// that must pass: each escape-needing byte at each position of strings
+    /// of 0..=24 fillers — ASCII, 0x7f and multi-byte UTF-8, so that bytes
+    /// 0x80..=0xf4 sit in every lane — read from every offset 0..8 of a
+    /// padded backing string, so that the eight-byte words fall on every
+    /// boundary of the text and every alignment of the memory.
+    #[test]
+    fn the_word_test_agrees_with_a_byte_at_a_time_reference() {
+        let mut cases = 0;
+        for filler in ['a', '\u{7f}', 'é', '日', '😀'] {
+            for len in 0..=24usize {
+                // `None`: nothing to escape at this length.
+                let dirty = ['\0', '\u{1f}', '"', '\\', '\n'].map(Some);
+                for escape in dirty.into_iter().chain([None]) {
+                    let positions = if escape.is_some() { len } else { 1 };
+                    for position in 0..positions {
+                        let mut backing = "-".repeat(7);
+                        backing.extend((0..len).map(|i| match escape {
+                            Some(escape) if i == position => escape,
+                            _ => filler,
+                        }));
+                        for offset in 0..8 {
+                            let s = &backing[offset..];
+                            let mut out = b"kept".to_vec();
+                            escape_json_into(&mut out, s);
+                            assert_eq!(out[..4], *b"kept");
+                            assert_eq!(out[4..], reference_escaped(s), "{s:?}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 60_000, "{cases}");
+    }
+
+    /// Everything the escaper distinguishes: quotes, backslashes, the named
+    /// and the numbered control characters, non-ASCII, and plain letters.
+    const ALPHABET: [char; 16] = [
+        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', 'é', '日', '😀', ' ', '/', 'a', 'b', 'y',
+        'z',
+    ];
+
+    proptest! {
+        #[test]
+        fn any_text_escapes_like_the_reference(
+            indices in proptest::collection::vec(0..ALPHABET.len(), 0..=64),
+        ) {
+            let s: String = indices.into_iter().map(|i| ALPHABET[i]).collect();
+            prop_assert_eq!(escaped(&s).into_bytes(), reference_escaped(&s));
+        }
     }
 
     #[test]
