@@ -196,23 +196,21 @@ fn record_mode(args: &[String]) {
                 ),
             }
             // One extra traced run (outside the five measured) attributes the
-            // median to pipeline stages for the `stages_ms` column.
+            // median to pipeline stages for the `stages_ms` column; its plan
+            // explained, with the run's actuals attached, is the ANALYZE
+            // report whose max per-step estimate-vs-actual q-error is the
+            // `qerror` column (join baselines carry no per-step estimates →
+            // None).
             let trace = Trace::detailed(0);
             let traced_plan = store
                 .prepare_plan_traced(&q.sparql, kind, &trace)
                 .unwrap_or_else(|e| panic!("traced planning {} for {} failed: {e}", q.id, kind));
-            store
+            let mut analyzed = store.explain(&traced_plan);
+            let traced = store
                 .run_plan_traced(&traced_plan, Some(threads), &trace)
                 .unwrap_or_else(|e| panic!("traced {} failed on {}: {e}", kind.label(), q.id));
+            analyzed.attach_actuals(&traced);
             let report = trace.finish();
-            // One ANALYZE run (also outside the measured five) yields the
-            // max per-step estimate-vs-actual q-error for the `qerror`
-            // column. Join baselines carry no per-step estimates → None.
-            let qerror = store
-                .analyze(&q.sparql, kind, Some(threads))
-                .unwrap_or_else(|e| panic!("analyze {} for {} failed: {e}", q.id, kind))
-                .1
-                .max_qerror();
             record.queries.push(QueryRun {
                 id: q.id.clone(),
                 engine: kind.name().to_string(),
@@ -221,7 +219,7 @@ fn record_mode(args: &[String]) {
                 avg_ms: protocol_average(&runs).as_secs_f64() * 1000.0,
                 solutions: last.len(),
                 stats: last.stats,
-                qerror,
+                qerror: analyzed.max_qerror(),
                 stages_ms: {
                     let mut stages: Vec<(String, f64)> = report
                         .stages()

@@ -35,9 +35,9 @@ pub struct QueryRun {
     /// Per-stage wall-clock breakdown (stage name, milliseconds) from one
     /// traced run outside the five measured ones, in pipeline order.
     pub stages_ms: Vec<(String, f64)>,
-    /// Maximum per-step estimate-vs-actual q-error from one ANALYZE run
-    /// outside the five measured ones (`max(est/actual, actual/est)` over
-    /// the matching-order steps). `None` (member omitted) for the join
+    /// Maximum per-step estimate-vs-actual q-error of that traced run, its
+    /// actuals attached to its plan's EXPLAIN (`max(est/actual, actual/est)`
+    /// over the matching-order steps). `None` (member omitted) for the join
     /// baselines, which have no per-step estimates.
     pub qerror: Option<f64>,
 }

@@ -3,9 +3,10 @@
 //! and the sharded Q1 acceptance criterion (7 of 8 shards skipped with the
 //! deciding check named).
 
+use std::sync::Arc;
 use turbohom_bench::{lubm_store, sharded_lubm_store};
 use turbohom_datasets::lubm;
-use turbohom_engine::EngineKind;
+use turbohom_engine::{AnyStore, EngineKind, ExplainReport, IdResults, Trace};
 
 fn query(id: &str) -> String {
     lubm::queries()
@@ -14,6 +15,24 @@ fn query(id: &str) -> String {
         .unwrap_or_else(|| panic!("no LUBM query {id}"))
         .sparql
         .clone()
+}
+
+/// ANALYZE as the server composes it: the EXPLAIN report of a prepared plan
+/// with the actuals of one run of that plan attached.
+fn analyze<'s>(
+    store: &'s AnyStore,
+    sparql: &str,
+    kind: EngineKind,
+) -> (IdResults<'s>, ExplainReport) {
+    let plan = store
+        .prepare_plan_traced(sparql, kind, &Trace::disabled())
+        .unwrap();
+    let mut report = store.explain(&plan);
+    let results = store
+        .run_plan_traced(&plan, None, &Trace::disabled())
+        .unwrap();
+    report.attach_actuals(&results);
+    (results, report)
 }
 
 /// The explain tree is deterministic: same store, same query, same JSON —
@@ -28,8 +47,11 @@ fn explain_trees_for_q2_and_q7_match_the_golden_files() {
         ("Q7", include_str!("golden/lubm1_q7_explain.json")),
     ] {
         let got = store
-            .explain(&query(id), EngineKind::TurboHomPlusPlus)
-            .unwrap()
+            .explain(
+                &store
+                    .prepare_plan(&query(id), EngineKind::TurboHomPlusPlus)
+                    .unwrap(),
+            )
             .to_json();
         if std::env::var_os("BLESS").is_some() {
             let path = format!(
@@ -47,8 +69,11 @@ fn explain_trees_for_q2_and_q7_match_the_golden_files() {
         );
         // And explaining twice is identical (no hidden iteration-order leak).
         let again = store
-            .explain(&query(id), EngineKind::TurboHomPlusPlus)
-            .unwrap()
+            .explain(
+                &store
+                    .prepare_plan(&query(id), EngineKind::TurboHomPlusPlus)
+                    .unwrap(),
+            )
             .to_json();
         assert_eq!(got, again, "{id} explain is not deterministic");
     }
@@ -59,13 +84,14 @@ fn explain_trees_for_q2_and_q7_match_the_golden_files() {
 /// store flavors.
 #[test]
 fn analyze_actuals_match_result_sizes_for_every_engine() {
-    let single = lubm_store(1);
-    let sharded = sharded_lubm_store(1, 4);
+    let single_store = Arc::new(lubm_store(1));
+    let single = AnyStore::Single(Arc::clone(&single_store));
+    let sharded = AnyStore::Sharded(Arc::new(sharded_lubm_store(1, 4)));
     for q in &lubm::queries() {
         for kind in EngineKind::all() {
-            let expected = single.execute(&q.sparql, kind).unwrap().len();
+            let expected = single_store.execute(&q.sparql, kind).unwrap().len();
 
-            let (results, report) = single.analyze(&q.sparql, kind, None).unwrap();
+            let (results, report) = analyze(&single, &q.sparql, kind);
             assert!(report.analyzed, "{} {kind}", q.id);
             assert_eq!(report.store_flavor, "single");
             assert_eq!(
@@ -77,7 +103,7 @@ fn analyze_actuals_match_result_sizes_for_every_engine() {
             let actual = report.actual.as_ref().unwrap();
             assert_eq!(actual.solutions as usize, expected, "{} {kind}", q.id);
 
-            let (results, report) = sharded.analyze(&q.sparql, kind, None).unwrap();
+            let (results, report) = analyze(&sharded, &q.sparql, kind);
             assert!(report.analyzed, "{} {kind} sharded", q.id);
             assert_eq!(report.store_flavor, "sharded");
             assert_eq!(
@@ -104,9 +130,11 @@ fn analyze_actuals_match_result_sizes_for_every_engine() {
 #[test]
 fn q1_explain_at_8_shards_skips_7_and_names_the_deciding_check() {
     let sharded = sharded_lubm_store(1, 8);
-    let report = sharded
-        .explain(&query("Q1"), EngineKind::TurboHomPlusPlus)
-        .unwrap();
+    let report = sharded.explain(
+        &sharded
+            .prepare_plan(&query("Q1"), EngineKind::TurboHomPlusPlus)
+            .unwrap(),
+    );
     assert_eq!(report.store_flavor, "sharded");
     assert_eq!(report.shards.len(), 8);
     let live: Vec<_> = report

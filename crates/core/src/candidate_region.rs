@@ -210,7 +210,8 @@ pub struct RegionExplorer<'a> {
     data: &'a TransformedGraph,
     config: &'a TurboHomConfig,
     query: &'a TransformedQuery,
-    tree: &'a QueryTree,
+    /// The query tree the regions are grown along.
+    pub(crate) tree: QueryTree,
     filters: Vec<VertexFilter<'a>>,
     /// Per query vertex: the labels its adjacency list is selected by. `L(u)`
     /// itself, or under `+SUM` what of it the tree edge's predicate does not
@@ -227,7 +228,7 @@ impl<'a> RegionExplorer<'a> {
         data: &'a TransformedGraph,
         config: &'a TurboHomConfig,
         query: &'a TransformedQuery,
-        tree: &'a QueryTree,
+        tree: QueryTree,
     ) -> Self {
         let vertices = 0..query.graph.vertex_count();
         let filters = vertices
@@ -422,7 +423,7 @@ pub(crate) fn explore_candidate_region(
     stats: &mut MatchStats,
 ) -> Option<CandidateRegion> {
     let mut region = CandidateRegion::default();
-    RegionExplorer::new(data, config, query, tree)
+    RegionExplorer::new(data, config, query, tree.clone())
         .explore(&mut region, start, stats)
         .then_some(region)
 }
@@ -666,7 +667,7 @@ mod tests {
                 .unwrap()
         };
         let config = TurboHomConfig::default();
-        let explorer = RegionExplorer::new(&t, &config, &tq, &tree);
+        let explorer = RegionExplorer::new(&t, &config, &tq, tree);
         let mut stats = MatchStats::default();
         let mut region = CandidateRegion::default();
 

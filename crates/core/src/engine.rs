@@ -98,13 +98,13 @@ struct RegionRun<'r> {
     dictionary: &'r Dictionary,
     config: &'r TurboHomConfig,
     query: &'r TransformedQuery,
-    tree: &'r QueryTree,
-    explorer: RegionExplorer<'r>,
+    /// Grows the regions, along the query tree.
+    explorer: &'r RegionExplorer<'r>,
     layout: &'r RowLayout,
     inline_filters: &'r [Vec<&'r Expression>],
     starts: &'r [VertexId],
     /// The +REUSE order when it is known before the first region runs: the
-    /// plan cache's preset, or the one a pool agreed on up front.
+    /// plan cache's preset, or the one the prologue probed for a pool.
     shared_order: Option<&'r MatchingOrder>,
     /// The stopwatch every worker starts with: no time on it yet, running
     /// since the run's own last lap.
@@ -122,27 +122,20 @@ struct WorkerShare {
 impl RegionRun<'_> {
     /// Algorithm 1's outer loop, for any thread count. One thread (or one
     /// start vertex) walks `starts` in the given order on the calling
-    /// thread. A pool first agrees on the +REUSE order, then pulls the start
-    /// vertices heaviest-first in small morsels (see [`drive`]). `stats`
-    /// carries the counters of start-vertex selection into the result;
-    /// `clock` is the run's stopwatch, which the workers take over and hand
-    /// back. Also returns the shares of a pool's workers if the trace is
-    /// detailed.
+    /// thread. A pool pulls the start vertices heaviest-first in small
+    /// morsels (see [`drive`]), following the shared order under +REUSE.
+    /// `stats` carries the counters of the prologue into the result; `clock`
+    /// is the run's stopwatch, which the workers take over and hand back.
+    /// Also returns the order the first worker determined, and the shares of
+    /// a pool's workers if the trace is detailed.
     fn execute(
         self,
-        mut stats: MatchStats,
+        stats: MatchStats,
         clock: &mut StageClock,
     ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
         let threads = self.config.threads.min(self.starts.len());
-        let mut agreed_order = None;
         let mut ranked = None;
         if threads > 1 {
-            // With +REUSE the order is the one of the first non-empty region
-            // in `starts` order, whichever worker gets to that region.
-            if self.config.optimizations.reuse_matching_order && self.shared_order.is_none() {
-                agreed_order = probe_order(&self.explorer, self.query, self.tree, self.starts);
-                stats.matching_orders_computed += usize::from(agreed_order.is_some());
-            }
             // Heavy regions first: a candidate region can only be as large as
             // the adjacency of its start vertex, so total degree is a cheap,
             // effective size rank. Claimed early, the giant regions overlap
@@ -154,7 +147,6 @@ impl RegionRun<'_> {
             clock.lap(|c| &mut c.order);
         }
         let run = RegionRun {
-            shared_order: self.shared_order.or(agreed_order.as_ref()),
             starts: ranked.as_deref().unwrap_or(self.starts),
             handoff: StageClock::resume(clock.last),
             ..self
@@ -189,25 +181,8 @@ impl RegionRun<'_> {
             }
             own_order = own_order.or(worker.own_order);
         }
-        (result, agreed_order.or(own_order), shares)
+        (result, own_order, shares)
     }
-}
-
-/// Determines the matching order of the first non-empty region in `starts`
-/// order. The exploration is not counted: whoever runs that region explores,
-/// and counts, it again.
-fn probe_order(
-    explorer: &RegionExplorer<'_>,
-    query: &TransformedQuery,
-    tree: &QueryTree,
-    starts: &[VertexId],
-) -> Option<MatchingOrder> {
-    let mut uncounted = MatchStats::default();
-    let mut region = CandidateRegion::default();
-    starts
-        .iter()
-        .any(|&vs| explorer.explore(&mut region, vs, &mut uncounted))
-        .then(|| MatchingOrder::determine(query, tree, &region))
 }
 
 /// Algorithm 1's loop body and what it accumulates. One worker runs the
@@ -238,7 +213,7 @@ impl<'r> RegionWorker<'r> {
             run.inline_filters,
         );
         if let Some(shared) = run.shared_order {
-            searcher.set_order(run.tree, shared);
+            searcher.set_order(&run.explorer.tree, shared);
         }
         RegionWorker {
             shared: run,
@@ -281,8 +256,9 @@ impl Worker for RegionWorker<'_> {
             (None, Some(own)) if reuse => own,
             (None, _) => {
                 self.searcher.stats.matching_orders_computed += 1;
-                let determined = MatchingOrder::determine(run.query, run.tree, &self.region);
-                self.searcher.set_order(run.tree, &determined);
+                let tree = &run.explorer.tree;
+                let determined = MatchingOrder::determine(run.query, tree, &self.region);
+                self.searcher.set_order(tree, &determined);
                 if reuse {
                     self.own_order.insert(determined)
                 } else {
@@ -407,11 +383,10 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// The engine's guards, decided before it reads the data and in one place
-/// for [`TurboHomEngine::execute_with_order`] and for EXPLAIN: `Ok(true)` —
-/// the matcher runs; `Ok(false)` — a query constant does not occur in the
-/// data (or the query is empty), so the answer is empty; `Err` — refused.
-pub fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
+/// The engine's guards, decided before it reads the data: `Ok(true)` — the
+/// matcher runs; `Ok(false)` — a query constant does not occur in the data
+/// (or the query is empty), so the answer is empty; `Err` — refused.
+fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
     if query.unsatisfiable || query.graph.vertex_count() == 0 {
         Ok(false)
     } else if !query.graph.is_connected() {
@@ -421,6 +396,47 @@ pub fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
     } else {
         Ok(true)
     }
+}
+
+/// Whether the engine answers `query` from its start list (see
+/// [`TurboHomEngine::answer_from_starts`]): one vertex, no edge, no FILTER.
+fn answered_from_starts(query: &TransformedQuery) -> bool {
+    query.graph.vertex_count() == 1 && query.graph.edge_count() == 0 && query.filters.is_empty()
+}
+
+/// The required query vertex a cheap FILTER over that vertex's variable
+/// alone is evaluated at while matching; `None` for a FILTER applied to
+/// complete solutions afterwards (Section 5.1).
+fn inline_vertex(query: &TransformedQuery, filter: &Expression) -> Option<usize> {
+    let mut vars = filter.variables();
+    vars.sort();
+    vars.dedup();
+    if vars.len() != 1 || filter.is_expensive() {
+        return None;
+    }
+    (query.graph.vertex_of_variable(&vars[0])).filter(|&u| query.vertex_clause[u].is_none())
+}
+
+/// Whether a FILTER of `query` waits for complete solutions (a join
+/// condition, a regular expression, a filter over an OPTIONAL variable): a
+/// run of it then enumerates every solution and cuts its LIMIT afterwards.
+pub fn has_post_hoc_filters(query: &TransformedQuery) -> bool {
+    (query.filters.iter()).any(|filter| inline_vertex(query, filter).is_none())
+}
+
+/// Algorithm 1 before its first enumeration, as
+/// [`TurboHomEngine::explain`] reports it and a run starts from it.
+pub struct Prologue<'a> {
+    /// The start query vertex and the data vertices that start a candidate
+    /// region each.
+    pub selection: StartSelection<'a>,
+    /// What grows the regions, along the query tree rooted at the start
+    /// vertex; `None` when no region is grown (no start vertex, or a query
+    /// answered from its start list with nothing to probe).
+    pub explorer: Option<RegionExplorer<'a>>,
+    /// The first non-empty candidate region in start order and the matching
+    /// order determined on it, where they were asked for and one exists.
+    pub first: Option<(CandidateRegion, MatchingOrder)>,
 }
 
 /// The TurboHOM / TurboHOM++ execution engine over one transformed data graph.
@@ -445,15 +461,68 @@ impl<'a> TurboHomEngine<'a> {
         }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &TurboHomConfig {
-        &self.config
-    }
-
     /// Executes one (union-free) transformed query.
     pub fn execute(&self, query: &TransformedQuery) -> Result<MatchResult, EngineError> {
         self.execute_with_order(query, None, &Trace::disabled(), None)
             .map(|(result, _)| result)
+    }
+
+    /// What a run of `query` decides before it enumerates anything, its
+    /// first non-empty region probed: the plan EXPLAIN reports. `Ok(None)`:
+    /// the answer is empty without a look at the data; `Err`: refused.
+    pub fn explain<'s>(
+        &'s self,
+        query: &'s TransformedQuery,
+    ) -> Result<Option<Prologue<'s>>, EngineError> {
+        let mut clock = StageClock::start(false);
+        self.prologue(query, &mut MatchStats::default(), &mut clock, |_| true)
+    }
+
+    /// Algorithm 1 before its first enumeration, written once for the runs
+    /// and for EXPLAIN: the guards, the start query vertex with its data
+    /// vertices, the explorer over the query tree rooted there (unless no
+    /// region is going to be grown) and, when `probe` asks for it once the
+    /// start vertices are known, the first non-empty region in start order
+    /// with the matching order determined on it (+REUSE, Section 4.3). That
+    /// exploration is not counted: whoever runs the region explores, and
+    /// counts, it again.
+    fn prologue<'s>(
+        &'s self,
+        query: &'s TransformedQuery,
+        stats: &mut MatchStats,
+        clock: &mut StageClock,
+        probe: impl FnOnce(&StartSelection<'_>) -> bool,
+    ) -> Result<Option<Prologue<'s>>, EngineError> {
+        if !admit(query)? {
+            return Ok(None);
+        }
+        let selection = choose_start_vertex(self.data, &self.config, query, stats);
+        let starts = &selection.start_vertices;
+        let probing = !starts.is_empty() && probe(&selection);
+        let grows = !starts.is_empty() && !answered_from_starts(query);
+        let explorer = (probing || grows).then(|| {
+            let tree = QueryTree::build(&query.graph, selection.query_vertex);
+            debug_assert!(tree.spans(&query.graph));
+            RegionExplorer::new(self.data, &self.config, query, tree)
+        });
+        clock.lap(|c| &mut c.select);
+        let mut first = None;
+        if let Some(explorer) = explorer.as_ref().filter(|_| probing) {
+            let (mut region, mut uncounted) = (CandidateRegion::default(), MatchStats::default());
+            if starts
+                .iter()
+                .any(|&vs| explorer.explore(&mut region, vs, &mut uncounted))
+            {
+                let order = MatchingOrder::determine(query, &explorer.tree, &region);
+                first = Some((region, order));
+            }
+            clock.lap(|c| &mut c.order);
+        }
+        Ok(Some(Prologue {
+            selection,
+            explorer,
+            first,
+        }))
     }
 
     /// Executes like [`execute`](Self::execute), but additionally accepts a
@@ -480,41 +549,57 @@ impl<'a> TurboHomEngine<'a> {
         parent: Option<SpanId>,
     ) -> Result<(MatchResult, Option<MatchingOrder>), EngineError> {
         let mut clock = StageClock::start(trace.is_detailed());
-        if !admit(query)? {
-            return Ok((MatchResult::default(), None));
-        }
-
         let mut stats = MatchStats::default();
-        let selection = choose_start_vertex(self.data, &self.config, query, &mut stats);
-        let (result, computed_order, workers) = if selection.start_vertices.is_empty() {
-            clock.lap(|c| &mut c.select);
+        let reuse = self.config.optimizations.reuse_matching_order;
+        let preset_order = preset_order.filter(|_| reuse);
+        let from_starts = answered_from_starts(query);
+        // +REUSE takes the order of the first non-empty region in start
+        // order. A worker walking the starts in that order meets the region
+        // itself; a pool's workers do not, and the start-list answer explores
+        // no region, so for them the prologue probes it.
+        let probe = |selection: &StartSelection<'_>| {
+            let pool = self.config.threads.min(selection.start_vertices.len()) > 1;
+            reuse && preset_order.is_none() && (pool || from_starts)
+        };
+        let Some(prologue) = self.prologue(query, &mut stats, &mut clock, probe)? else {
+            return Ok((MatchResult::default(), None));
+        };
+        let probed = prologue.first.map(|(_, order)| order);
+        stats.matching_orders_computed += usize::from(probed.is_some());
+        let starts = &prologue.selection.start_vertices;
+        let (result, own_order, workers) = if starts.is_empty() {
             let result = MatchResult {
                 stats,
                 ..MatchResult::default()
             };
             (result, None, Vec::new())
+        } else if from_starts {
+            (self.answer_from_starts(starts, stats), None, Vec::new())
         } else {
-            self.run_regions(query, &selection, preset_order, stats, &mut clock)
+            let explorer = (prologue.explorer.as_ref())
+                .expect("the prologue explores a query with an edge or a FILTER");
+            let shared_order = preset_order.or(probed.as_ref());
+            self.run_regions(query, explorer, starts, shared_order, stats, &mut clock)
         };
         if trace.is_detailed() {
-            record_stage_spans(trace, parent, clock, &selection, &result.stats, &workers);
+            let selection = &prologue.selection;
+            record_stage_spans(trace, parent, clock, selection, &result.stats, &workers);
         }
-        Ok((result, computed_order))
+        Ok((result, probed.or(own_order)))
     }
 
-    /// Everything after the start vertices are known: the set-up they
-    /// decide (query tree, row layout, FILTER split, per-vertex filters),
-    /// the regions, the post-hoc FILTERs and the LIMIT.
+    /// Everything after the prologue: the set-up the regions share (row
+    /// layout, FILTER split), the regions, the post-hoc FILTERs and the
+    /// LIMIT.
     fn run_regions(
         &self,
         query: &TransformedQuery,
-        selection: &StartSelection<'_>,
-        preset_order: Option<&MatchingOrder>,
+        explorer: &RegionExplorer<'_>,
+        starts: &[VertexId],
+        shared_order: Option<&MatchingOrder>,
         stats: MatchStats,
         clock: &mut StageClock,
     ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
-        let tree = QueryTree::build(&query.graph, selection.query_vertex);
-        debug_assert!(tree.spans(&query.graph));
         let layout = RowLayout::of(&query.graph);
 
         // Split the FILTER expressions: cheap single-variable filters on
@@ -522,17 +607,13 @@ impl<'a> TurboHomEngine<'a> {
         // (join conditions, regular expressions, filters over OPTIONAL
         // variables) are applied to complete solutions afterwards
         // (Section 5.1).
-        let (inline_filters, post_filters) = self.split_filters(query);
-        if query.graph.vertex_count() == 1
-            && query.graph.edge_count() == 0
-            && inline_filters[0].is_empty()
-            && post_filters.is_empty()
-        {
-            clock.lap(|c| &mut c.select);
-            let starts = &selection.start_vertices;
-            let (result, order) =
-                self.answer_from_starts(query, &tree, starts, preset_order, stats, clock);
-            return (result, order, Vec::new());
+        let mut inline_filters = vec![Vec::new(); query.graph.vertex_count()];
+        let mut post_filters = Vec::new();
+        for filter in &query.filters {
+            match inline_vertex(query, filter) {
+                Some(u) => inline_filters[u].push(filter),
+                None => post_filters.push(filter),
+            }
         }
         // With expensive filters pending, the search must materialize
         // solutions and must not cut off at the limit prematurely.
@@ -542,23 +623,21 @@ impl<'a> TurboHomEngine<'a> {
             search_config.max_solutions = None;
         }
 
-        let explorer = RegionExplorer::new(self.data, &search_config, query, &tree);
         clock.lap(|c| &mut c.select);
         let run = RegionRun {
             data: self.data,
             dictionary: self.dictionary,
             config: &search_config,
             query,
-            tree: &tree,
             explorer,
             layout: &layout,
             inline_filters: &inline_filters,
-            starts: &selection.start_vertices,
-            shared_order: preset_order.filter(|_| self.config.optimizations.reuse_matching_order),
+            starts,
+            shared_order,
             handoff: StageClock::resume(clock.last),
             found: AtomicUsize::new(0),
         };
-        let (mut result, computed_order, workers) = run.execute(stats, clock);
+        let (mut result, own_order, workers) = run.execute(stats, clock);
 
         if !post_filters.is_empty() {
             self.apply_post_filters(query, &layout, &post_filters, &mut result);
@@ -570,7 +649,7 @@ impl<'a> TurboHomEngine<'a> {
         if self.config.count_only {
             result.rows.clear();
         }
-        (result, computed_order, workers)
+        (result, own_order, workers)
     }
 
     /// The answer to a query of one vertex and no edge that no FILTER
@@ -580,26 +659,13 @@ impl<'a> TurboHomEngine<'a> {
     /// search would report it. So the list is appended (cut at the LIMIT, not
     /// at all when only counting) and every counter reads what Algorithm 1's
     /// loop would have left one region at a time; no pool is set up and
-    /// nothing is ranked by degree. With +REUSE and no preset the order is
-    /// still determined once, from the first region, for the plan to memoize.
-    fn answer_from_starts(
-        &self,
-        query: &TransformedQuery,
-        tree: &QueryTree,
-        starts: &[VertexId],
-        preset_order: Option<&MatchingOrder>,
-        mut stats: MatchStats,
-        clock: &mut StageClock,
-    ) -> (MatchResult, Option<MatchingOrder>) {
+    /// nothing is ranked by degree. With +REUSE and no preset the prologue
+    /// has probed the order once, from the first region, for the plan to
+    /// memoize.
+    fn answer_from_starts(&self, starts: &[VertexId], mut stats: MatchStats) -> MatchResult {
         let n = (self.config.max_solutions).map_or(starts.len(), |limit| starts.len().min(limit));
-        let mut order = None;
         if !self.config.optimizations.reuse_matching_order {
             stats.matching_orders_computed += n;
-        } else if preset_order.is_none() {
-            let explorer = RegionExplorer::new(self.data, &self.config, query, tree);
-            order = probe_order(&explorer, query, tree, &starts[..n]);
-            stats.matching_orders_computed += usize::from(order.is_some());
-            clock.lap(|c| &mut c.order);
         }
         let kept = if self.config.count_only { 0 } else { n };
         let mut rows = IdRows::with_capacity(1, kept);
@@ -610,42 +676,13 @@ impl<'a> TurboHomEngine<'a> {
         stats.nonempty_regions += n;
         stats.candidate_vertices += n;
         stats.solutions += n;
-        let result = MatchResult {
+        MatchResult {
             rows,
             solution_count: n,
             stats,
             step_rows: vec![n as u64],
             step_estimates: vec![n as u64],
-        };
-        (result, order)
-    }
-
-    /// Splits the query's filters into per-vertex inline filters and
-    /// post-hoc filters.
-    fn split_filters<'q>(
-        &self,
-        query: &'q TransformedQuery,
-    ) -> (Vec<Vec<&'q Expression>>, Vec<&'q Expression>) {
-        let mut inline: Vec<Vec<&Expression>> = vec![Vec::new(); query.graph.vertex_count()];
-        let mut post: Vec<&Expression> = Vec::new();
-        for filter in &query.filters {
-            let mut vars = filter.variables();
-            vars.sort();
-            vars.dedup();
-            let single_required_vertex = if vars.len() == 1 && !filter.is_expensive() {
-                query
-                    .graph
-                    .vertex_of_variable(&vars[0])
-                    .filter(|&u| query.vertex_clause[u].is_none())
-            } else {
-                None
-            };
-            match single_required_vertex {
-                Some(u) => inline[u].push(filter),
-                None => post.push(filter),
-            }
         }
-        (inline, post)
     }
 
     /// Applies the expensive filters to the materialized solutions.
@@ -897,6 +934,57 @@ mod tests {
                     assert_eq!(limited.rows.len(), 5, "{case}");
                 }
             }
+        }
+    }
+
+    /// EXPLAIN reads the prologue a run starts from: the order it probes is
+    /// the one a cold run determines at any thread count, in the region that
+    /// run explores first after the empty ones.
+    #[test]
+    fn explain_probes_the_region_and_order_a_cold_run_starts_from() {
+        let ds = university_dataset_with_empty_regions();
+        let data = type_aware_transform(&ds);
+        let chain = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+            PREFIX ub: <http://ub.org/>
+            SELECT ?x ?d ?a WHERE {
+              ?x rdf:type ub:Student . ?x ub:memberOf ?d . ?d rdf:type ub:Department .
+              OPTIONAL { ?x ub:age ?a . }
+            }"#;
+        let scan = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+            PREFIX ub: <http://ub.org/>
+            SELECT ?d WHERE { ?d rdf:type ub:Department . }"#;
+        let run = |tq: &TransformedQuery, config: TurboHomConfig| {
+            TurboHomEngine::new(&data, &ds.dictionary, config)
+                .execute_with_order(tq, None, &Trace::disabled(), None)
+                .unwrap()
+        };
+        for (sparql, dead) in [(TRIANGLE, 3), (chain, 3), (scan, 0)] {
+            let q = parse_query(sparql).unwrap();
+            let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+            let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
+            let prologue = engine.explain(&tq).unwrap().expect("the query is admitted");
+            let (region, order) = prologue.first.as_ref().expect("a non-empty region");
+            let starts = &prologue.selection.start_vertices;
+            assert_eq!(
+                starts.iter().position(|&v| v == region.start_vertex),
+                Some(dead)
+            );
+            for threads in [1, 2, 4] {
+                let (_, cold) = run(&tq, TurboHomConfig::default().with_threads(threads));
+                let case = format!("{sparql} at {threads} threads");
+                assert_eq!(cold.map(|o| o.order), Some(order.order.clone()), "{case}");
+            }
+            // One thread that stops at the first solution explores the dead
+            // regions, then the probed one, and nothing after it.
+            let first_hit = TurboHomConfig {
+                max_solutions: Some(1),
+                ..TurboHomConfig::default()
+            };
+            let (hit, _) = run(&tq, first_hit);
+            let regions = (hit.stats.candidate_regions, hit.stats.nonempty_regions);
+            assert_eq!(regions, (dead + 1, 1), "{sparql}");
+            let row = hit.rows.iter().next().expect("one solution");
+            assert_eq!(row[prologue.selection.query_vertex], region.start_vertex.0);
         }
     }
 

@@ -19,20 +19,20 @@
 //!
 //! The public entry point is [`TurboHomEngine`].
 
-pub mod candidate_region;
+mod candidate_region;
 pub mod config;
 pub mod engine;
 pub mod filters;
 pub mod matching_order;
 pub mod morsel;
-pub mod query_tree;
+mod query_tree;
 pub mod result;
-pub mod start_vertex;
+mod start_vertex;
 pub mod stats;
 pub mod subgraph_search;
 
 pub use config::{MatchSemantics, OptimizationName, Optimizations, TurboHomConfig};
-pub use engine::{admit, EngineError, TurboHomEngine};
+pub use engine::{EngineError, Prologue, TurboHomEngine};
 pub use matching_order::MatchingOrder;
 pub use morsel::{drive, Morsel, MorselQueue, Worker};
 pub use result::{merge_step_counts, MatchResult, RowLayout};

@@ -640,7 +640,7 @@ mod tests {
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let inline = vec![Vec::new(); tq.graph.vertex_count()];
         let layout = RowLayout::of(&tq.graph);
-        let explorer = RegionExplorer::new(data, config, &tq, &tree);
+        let explorer = RegionExplorer::new(data, config, &tq, tree.clone());
         let mut region = CandidateRegion::default();
         let mut searcher =
             SubgraphSearcher::new(data, config, &tq, &layout, &ds.dictionary, &inline);
@@ -734,7 +734,7 @@ mod tests {
             let sel = choose_start_vertex(&data, &config, &tq, &mut MatchStats::default());
             assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("y").unwrap());
             let tree = QueryTree::build(&tq.graph, sel.query_vertex);
-            let explorer = RegionExplorer::new(&data, &config, &tq, &tree);
+            let explorer = RegionExplorer::new(&data, &config, &tq, tree.clone());
             let new_searcher =
                 || SubgraphSearcher::new(&data, &config, &tq, &layout, &ds.dictionary, &inline);
 

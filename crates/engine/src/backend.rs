@@ -24,8 +24,9 @@ const TAG_STORE_META: u64 = 0x0901;
 /// The store-level snapshot format sub-version. Bumped when the *composition*
 /// of component sections changes (the components themselves version their
 /// sections through their tags). 2: the permutation tables (tags `0x08xx`)
-/// are no longer stored.
-const STORE_FORMAT_SUB_VERSION: u64 = 2;
+/// are no longer stored. 3: nor are a graph's degree order (`0x0304`) and
+/// its inverse label index's unlabeled list (`0x0503`).
+const STORE_FORMAT_SUB_VERSION: u64 = 3;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not

@@ -1,40 +1,37 @@
 //! EXPLAIN / ANALYZE: structured plan introspection with
 //! estimate-vs-actual telemetry.
 //!
-//! [`Store::explain`] answers "what would this query do?" *without executing
-//! it*: the parsed BGP's transformed components, the chosen start vertex,
-//! the first non-empty candidate region's sizes, and the matching order with
-//! the per-step cardinality estimates (`|CR(u)|`, paper Section 4.3) that
-//! justified it. On a [`ShardedStore`] the report additionally carries one
-//! verdict per shard: pruned (naming the summary-graph check that fired —
-//! exact predicate/class probe or Bloom term probe), live, or routed away by
-//! the constant-anchor ownership rule.
+//! [`Store::explain`] answers "what would this prepared plan do?" *without
+//! executing it*: the transformed components, the chosen start vertex, the
+//! first non-empty candidate region's sizes, and the matching order with the
+//! per-step cardinality estimates (`|CR(u)|`, paper Section 4.3) that
+//! justified it — what the engine's prologue decides for a run. On a
+//! [`ShardedStore`] the report additionally carries one verdict per shard:
+//! pruned (naming the summary-graph check that fired — exact predicate/class
+//! probe or Bloom term probe), live, or routed away by the constant-anchor
+//! ownership rule.
 //!
-//! [`Store::analyze`] executes the query and annotates the same tree with
-//! actuals — rows produced per matching step, per-shard row counts, the
-//! matcher's counters — and computes the per-step **q-error**
-//! `max(estimate/actual, actual/estimate)`, the standard cardinality-
-//! estimation quality measure. A live shard that contributed zero rows is a
-//! *false-live*: the summary graph failed to prune it (Bloom false positive
-//! or a constant combination present but disconnected), which the service
-//! layer exports as `turbohom_summary_prune_errors_total`.
+//! ANALYZE is that report with the actuals of one run of the same plan
+//! attached ([`ExplainReport::attach_actuals`]): rows produced per matching
+//! step, per-shard row counts, the matcher's counters, and the per-step
+//! **q-error** `max(estimate/actual, actual/estimate)`, the standard
+//! cardinality-estimation quality measure. A live shard that contributed
+//! zero rows is a *false-live*: the summary graph failed to prune it (Bloom
+//! false positive or a constant combination present but disconnected),
+//! which the service layer exports as `turbohom_summary_prune_errors_total`.
 //!
 //! Reports serialize to a stable JSON document (`turbohom-explain/1`) that
 //! the HTTP server returns for `explain=1` and splices into the SPARQL-JSON
 //! body for `analyze=1`.
 
-use crate::error::StoreError;
-use crate::plan::{ComponentPlan, QueryPlan, Window};
+use crate::plan::{ComponentPlan, PlanMode, QueryPlan, Window};
 use crate::results::IdResults;
-use crate::sharded::{AnyStore, ShardedPlan, ShardedStore};
+use crate::sharded::{AnyPlan, AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
-use turbohom_core::candidate_region::{CandidateRegion, RegionExplorer};
-use turbohom_core::query_tree::QueryTree;
-use turbohom_core::start_vertex::choose_start_vertex;
-use turbohom_core::{admit, EngineError, MatchStats, MatchingOrder, TurboHomConfig};
+use turbohom_core::engine::has_post_hoc_filters;
+use turbohom_core::{EngineError, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
 use turbohom_partition::{Anchor, ShardVerdict};
-use turbohom_trace::Trace;
 
 /// Schema identifier embedded in every report.
 pub const EXPLAIN_SCHEMA: &str = "turbohom-explain/1";
@@ -61,8 +58,11 @@ pub struct ExplainReport {
     pub analyzed: bool,
     /// The query's `LIMIT`, if any.
     pub limit: Option<usize>,
-    /// `true` when the LIMIT is pushed into the enumerator (no `OFFSET`
-    /// shifts the window); `false` when absent or blocked.
+    /// `true` when an enumerator of the plan gets the LIMIT as its solution
+    /// cap; `false` when there is none, an `OFFSET` blocks it, or the plan
+    /// cuts the LIMIT from what it found (join baselines, components
+    /// combined by a cartesian product, a FILTER applied to complete
+    /// solutions, shards).
     pub limit_pushdown: bool,
     /// One entry per transformed connected component (single-store path;
     /// empty for join plans and sharded reports).
@@ -153,7 +153,8 @@ pub struct ShardExplain {
     pub term: Option<String>,
     /// The shard-local component plans, live only.
     pub components: Vec<ComponentExplain>,
-    /// Rows the shard contributed after the ownership filter (ANALYZE only).
+    /// Rows the shard contributed after the ownership filter, before the
+    /// window (ANALYZE only).
     pub rows: Option<u64>,
     /// `true` when the shard was live yet contributed zero rows — the
     /// summary graph failed to prune it (ANALYZE only).
@@ -187,6 +188,9 @@ pub struct ActualSummary {
 }
 
 impl ExplainReport {
+    /// An empty report of a plan for `engine` with `window`, its
+    /// `limit_pushdown` what the window allows: the explainer clears it where
+    /// no enumerator of the plan gets that LIMIT.
     fn new(engine: EngineKind, store_flavor: &'static str, window: Window) -> Self {
         ExplainReport {
             engine,
@@ -229,11 +233,14 @@ impl ExplainReport {
             .chain(self.shards.iter().flat_map(|s| s.components.iter()))
     }
 
-    /// Annotates the report with one execution's actuals. Per-step row
-    /// counts are attached when exactly one component carries a matching
-    /// order (the common case — the merged counters cannot be split across
-    /// several components); the summary counters are attached always.
-    fn attach_actuals(&mut self, results: &IdResults<'_>) {
+    /// Turns the EXPLAIN report of a plan into its ANALYZE report: attaches
+    /// the actuals of one run of that plan. Per-step row counts are attached
+    /// when exactly one component carries a matching order (the common case
+    /// — the merged counters cannot be split across several components);
+    /// the summary counters always; and on a sharded plan each live shard's
+    /// rows, counted before the window was cut (a shard a LIMIT empties was
+    /// not a pruning miss), with its false-live verdict.
+    pub fn attach_actuals(&mut self, results: &IdResults<'_>) {
         self.analyzed = true;
         let max_qerror = std::iter::zip(&results.step_estimates, &results.step_rows)
             .map(|(&e, &a)| qerror(e, a))
@@ -253,6 +260,14 @@ impl ExplainReport {
                 step.qerror = step.rows.map(|rows| qerror(step.estimate, rows));
             }
         }
+        let mut false_live = 0;
+        for run in &results.runs {
+            if let Some(shard) = self.shards.get_mut(run.shard) {
+                shard.rows = Some(run.contributed as u64);
+                shard.false_live = Some(run.contributed == 0);
+                false_live += u64::from(run.contributed == 0);
+            }
+        }
         self.actual = Some(ActualSummary {
             solutions: results.solution_count as u64,
             rows: results.row_count() as u64,
@@ -263,7 +278,7 @@ impl ExplainReport {
             morsels: results.stats.morsels as u64,
             steals: results.stats.morsels_stolen as u64,
             max_qerror,
-            false_live_shards: 0,
+            false_live_shards: false_live,
         });
     }
 
@@ -364,10 +379,9 @@ impl ToJson for ShardExplain {
     }
 }
 
-/// Builds the static plan tree of one transformed component by mirroring
-/// the engine prologue: guards, start-vertex choice, query tree, first
-/// non-empty candidate region, matching order — everything short of
-/// enumeration.
+/// The static plan tree of one transformed component: what the engine's
+/// prologue decides for a run of it — guards, start vertex, first non-empty
+/// candidate region, matching order — short of enumeration.
 fn explain_component(
     store: &Store,
     config: &TurboHomConfig,
@@ -375,16 +389,15 @@ fn explain_component(
     branch: usize,
     index: usize,
 ) -> ComponentExplain {
-    let (graph, graph_name) = if comp.use_direct() {
-        (store.direct_graph(), "direct")
-    } else {
-        (store.type_aware_graph(), "type-aware")
-    };
-    let tq = comp.transformed();
+    let tq = &comp.transformed;
     let mut ce = ComponentExplain {
         branch,
         component: index,
-        graph: graph_name,
+        graph: if comp.use_direct {
+            "direct"
+        } else {
+            "type-aware"
+        },
         vertices: tq.graph.vertex_count(),
         edges: tq.graph.edge_count(),
         note: None,
@@ -392,37 +405,32 @@ fn explain_component(
         region_candidates: None,
         steps: Vec::new(),
     };
-    ce.note = match admit(tq) {
-        Ok(true) => None,
-        Ok(false) => Some("unsatisfiable: a query constant does not occur in the data"),
+    let engine = TurboHomEngine::new(store.graph_of(comp), &store.dataset().dictionary, *config);
+    let verdict = engine.explain(tq);
+    ce.note = match &verdict {
+        Ok(Some(_)) => None,
+        Ok(None) => Some("unsatisfiable: a query constant does not occur in the data"),
         Err(EngineError::DisconnectedQuery) => Some("disconnected query graph"),
         Err(EngineError::NoRequiredPart) => Some("no required part (every vertex is OPTIONAL)"),
     };
-    if ce.note.is_some() {
+    let Ok(Some(prologue)) = verdict else {
         return ce;
-    }
-    let mut stats = MatchStats::default();
-    let selection = choose_start_vertex(graph, config, tq, &mut stats);
+    };
+    let selection = &prologue.selection;
     ce.start = Some(StartExplain {
         query_vertex: selection.query_vertex,
         variable: tq.graph.vertex(selection.query_vertex).variable.clone(),
         candidates: selection.start_vertices.len(),
     });
-    if selection.start_vertices.is_empty() {
-        ce.note = Some("start vertex has no candidate data vertices");
+    let (Some(explorer), Some((region, order))) = (&prologue.explorer, &prologue.first) else {
+        ce.note = Some(if selection.start_vertices.is_empty() {
+            "start vertex has no candidate data vertices"
+        } else {
+            "every candidate region is empty"
+        });
         return ce;
-    }
-    let tree = QueryTree::build(&tq.graph, selection.query_vertex);
-    // `+REUSE`: the order is determined from the first non-empty region.
-    let explorer = RegionExplorer::new(graph, config, tq, &tree);
-    let mut region = CandidateRegion::default();
-    let mut starts = selection.start_vertices.iter();
-    if !starts.any(|&s| explorer.explore(&mut region, s, &mut stats)) {
-        ce.note = Some("every candidate region is empty");
-        return ce;
-    }
+    };
     ce.region_candidates = Some(region.total_candidates());
-    let order = MatchingOrder::determine(tq, &tree, &region);
     ce.steps = order
         .order
         .iter()
@@ -441,61 +449,39 @@ fn explain_component(
     ce
 }
 
-/// All component plans of one prepared single-store plan, explained.
-fn explain_plan_components(store: &Store, plan: &QueryPlan) -> Vec<ComponentExplain> {
-    let Some((config, branches)) = plan.graph_parts() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (b, branch) in branches.iter().enumerate() {
-        for (c, comp) in branch.components().iter().enumerate() {
-            out.push(explain_component(store, config, comp, b, c));
-        }
-    }
-    out
-}
-
 impl Store {
-    /// Explains a query **without executing it**: the structured plan tree
-    /// the chosen engine would run (see the module docs for what it holds).
-    pub fn explain(&self, sparql: &str, kind: EngineKind) -> Result<ExplainReport, StoreError> {
-        Ok(self.explain_plan(&self.prepare_plan(sparql, kind)?))
-    }
-
-    /// Builds the EXPLAIN report for an already prepared plan.
-    fn explain_plan(&self, plan: &QueryPlan) -> ExplainReport {
+    /// Explains a prepared plan **without executing it**: the structured
+    /// plan tree the plan's engine runs (see the module docs for what it
+    /// holds).
+    pub fn explain(&self, plan: &QueryPlan) -> ExplainReport {
         let mut report = ExplainReport::new(plan.kind(), "single", plan.window);
-        report.components = explain_plan_components(self, plan);
+        // Only a graph plan's single-component branch hands the LIMIT to its
+        // enumerator (`run_branch_plan`), which keeps it unless a FILTER
+        // waits for complete solutions: the join baselines, a cartesian
+        // product of components and post-hoc FILTERs cut it from what was
+        // found.
+        let mut capped = false;
+        if let PlanMode::Graph { config, branches } = &plan.mode {
+            for (b, branch) in branches.iter().enumerate() {
+                capped |= matches!(branch.components.as_slice(),
+                    [comp] if !has_post_hoc_filters(&comp.transformed));
+                for (c, comp) in branch.components.iter().enumerate() {
+                    let component = explain_component(self, config, comp, b, c);
+                    report.components.push(component);
+                }
+            }
+        }
+        report.limit_pushdown &= capped;
         report
-    }
-
-    /// Executes a query and returns the results together with the EXPLAIN
-    /// tree annotated with actuals (per-step rows, q-errors, matcher
-    /// counters). The embedded-API counterpart of the server's `analyze=1`.
-    pub fn analyze(
-        &self,
-        sparql: &str,
-        kind: EngineKind,
-        threads: Option<usize>,
-    ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
-        let plan = self.prepare_plan(sparql, kind)?;
-        let mut report = self.explain_plan(&plan);
-        let results = self.run_plan_traced(&plan, threads, &Trace::disabled())?;
-        report.attach_actuals(&results);
-        Ok((results, report))
     }
 }
 
 impl ShardedStore {
-    /// Explains a query **without executing it**: per-shard summary
-    /// verdicts (naming the check that pruned each shard), the ownership
-    /// route, and the shard-local plan trees of the live shards.
-    pub fn explain(&self, sparql: &str, kind: EngineKind) -> Result<ExplainReport, StoreError> {
-        Ok(self.explain_plan(&self.prepare_plan(sparql, kind)?))
-    }
-
-    /// Builds the EXPLAIN report for an already prepared sharded plan.
-    fn explain_plan(&self, plan: &ShardedPlan) -> ExplainReport {
+    /// Explains a prepared sharded plan **without executing it**: the
+    /// per-shard verdicts it was prepared with (naming the check that pruned
+    /// each shard), the ownership route, and the shard-local plan trees of
+    /// the live shards.
+    pub fn explain(&self, plan: &ShardedPlan) -> ExplainReport {
         let mut report = ExplainReport::new(plan.kind(), "sharded", plan.window);
         report.anchor = Some(match plan.anchor() {
             Anchor::Variable(v) => format!("?{v}"),
@@ -516,7 +502,7 @@ impl ShardedStore {
             match verdict {
                 ShardVerdict::Live => {
                     if let Some(shard_plan) = &plan.per_shard[i] {
-                        se.components = explain_plan_components(self.shard(i), shard_plan);
+                        se.components = self.shard(i).explain(shard_plan).components;
                     }
                 }
                 // The deciding check is the ownership route on the anchor
@@ -536,37 +522,9 @@ impl ShardedStore {
             }
             report.shards.push(se);
         }
+        // The shard plans carry no window: the LIMIT is cut from the merge.
+        report.limit_pushdown = false;
         report
-    }
-
-    /// Executes a query and annotates the EXPLAIN tree with actuals,
-    /// including per-shard row counts and the false-live verdicts (a live
-    /// shard that contributed zero rows was a summary-pruning miss).
-    pub fn analyze(
-        &self,
-        sparql: &str,
-        kind: EngineKind,
-        threads: Option<usize>,
-    ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
-        let plan = self.prepare_plan(sparql, kind)?;
-        let mut report = self.explain_plan(&plan);
-        let mut results = self.scatter(&plan, threads, &Trace::disabled())?;
-        // What each live shard contributed, read before the window is cut
-        // (a shard a LIMIT empties was not a pruning miss).
-        let mut false_live = 0u64;
-        for run in &results.runs {
-            let rows = run.rows.len() as u64;
-            let se = &mut report.shards[run.shard];
-            se.rows = Some(rows);
-            se.false_live = Some(rows == 0);
-            false_live += u64::from(rows == 0);
-        }
-        results.apply_window(plan.window);
-        report.attach_actuals(&results);
-        if let Some(actual) = &mut report.actual {
-            actual.false_live_shards = false_live;
-        }
-        Ok((results, report))
     }
 }
 
@@ -580,24 +538,14 @@ impl AnyStore {
         }
     }
 
-    /// Dispatches [`Store::explain`] / [`ShardedStore::explain`].
-    pub fn explain(&self, sparql: &str, kind: EngineKind) -> Result<ExplainReport, StoreError> {
-        match self {
-            AnyStore::Single(s) => s.explain(sparql, kind),
-            AnyStore::Sharded(s) => s.explain(sparql, kind),
-        }
-    }
-
-    /// Dispatches [`Store::analyze`] / [`ShardedStore::analyze`].
-    pub fn analyze(
-        &self,
-        sparql: &str,
-        kind: EngineKind,
-        threads: Option<usize>,
-    ) -> Result<(IdResults<'_>, ExplainReport), StoreError> {
-        match self {
-            AnyStore::Single(s) => s.analyze(sparql, kind, threads),
-            AnyStore::Sharded(s) => s.analyze(sparql, kind, threads),
+    /// Dispatches [`Store::explain`] / [`ShardedStore::explain`]. Panics if
+    /// the plan came from the other store flavor, like
+    /// [`run_plan_traced`](Self::run_plan_traced).
+    pub fn explain(&self, plan: &AnyPlan) -> ExplainReport {
+        match (self, plan) {
+            (AnyStore::Single(s), AnyPlan::Single(p)) => s.explain(p),
+            (AnyStore::Sharded(s), AnyPlan::Sharded(p)) => s.explain(p),
+            _ => panic!("plan prepared by a different store flavor"),
         }
     }
 }
@@ -605,10 +553,12 @@ impl AnyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StoreError;
     use crate::sharded::ShardedOptions;
     use crate::store::StoreOptions;
     use std::sync::Arc;
     use turbohom_rdf::{vocab, Dataset};
+    use turbohom_trace::Trace;
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -649,10 +599,32 @@ mod tests {
                        PREFIX ub: <http://ub.org/>
                        SELECT ?x ?d WHERE { ?x rdf:type ub:Student . ?x ub:memberOf ?d . }"#;
 
+    /// EXPLAIN of a freshly prepared plan.
+    fn explain(store: &Store, sparql: &str, kind: EngineKind) -> ExplainReport {
+        store.explain(&store.prepare_plan(sparql, kind).unwrap())
+    }
+
+    /// EXPLAIN of a freshly prepared sharded plan.
+    fn sharded_explain(store: &ShardedStore, sparql: &str, kind: EngineKind) -> ExplainReport {
+        store.explain(&store.prepare_plan(sparql, kind).unwrap())
+    }
+
+    /// ANALYZE as the server composes it: the EXPLAIN report of a prepared
+    /// TurboHOM++ plan with the actuals of one run of that plan attached.
+    fn explain_and_run<'s>(store: &'s AnyStore, sparql: &str) -> (IdResults<'s>, ExplainReport) {
+        let trace = Trace::disabled();
+        let kind = EngineKind::TurboHomPlusPlus;
+        let plan = store.prepare_plan_traced(sparql, kind, &trace).unwrap();
+        let mut report = store.explain(&plan);
+        let results = store.run_plan_traced(&plan, None, &trace).unwrap();
+        report.attach_actuals(&results);
+        (results, report)
+    }
+
     #[test]
     fn explain_builds_a_static_plan_without_executing() {
         let store = sample_store();
-        let report = store.explain(Q, EngineKind::TurboHomPlusPlus).unwrap();
+        let report = explain(&store, Q, EngineKind::TurboHomPlusPlus);
         assert!(!report.analyzed);
         assert_eq!(report.store_flavor, "single");
         assert_eq!(report.plan_type, "graph");
@@ -687,12 +659,12 @@ mod tests {
         let store = sample_store();
         let gone = r#"PREFIX ub: <http://ub.org/>
                       SELECT ?x WHERE { ?x ub:nonexistent ?y . }"#;
-        let report = store.explain(gone, EngineKind::TurboHomPlusPlus).unwrap();
+        let report = explain(&store, gone, EngineKind::TurboHomPlusPlus);
         assert_eq!(report.components.len(), 1);
         assert!(report.components[0].note.unwrap().contains("unsatisfiable"));
         assert!(report.components[0].steps.is_empty());
         // Join baselines have no graph plan to explain.
-        let join = store.explain(Q, EngineKind::MergeJoin).unwrap();
+        let join = explain(&store, Q, EngineKind::MergeJoin);
         assert_eq!(join.plan_type, "join");
         assert!(join.components.is_empty());
     }
@@ -716,7 +688,7 @@ mod tests {
             ),
         ];
         for (sparql, note, outcome) in cases {
-            let report = store.explain(&sparql, kind).unwrap();
+            let report = explain(&store, &sparql, kind);
             assert_eq!(report.components[0].note, note, "{sparql}");
             let executed = store.execute(&sparql, kind).map(|r| r.len());
             match outcome {
@@ -736,25 +708,78 @@ mod tests {
     fn explain_reports_limit_pushdown_status() {
         let store = sample_store();
         let limited = format!("{Q} LIMIT 3");
-        let report = store
-            .explain(&limited, EngineKind::TurboHomPlusPlus)
-            .unwrap();
+        let report = explain(&store, &limited, EngineKind::TurboHomPlusPlus);
         assert_eq!(report.limit, Some(3));
         assert!(report.limit_pushdown);
         let offset = format!("{Q} LIMIT 3 OFFSET 1");
-        let report = store
-            .explain(&offset, EngineKind::TurboHomPlusPlus)
-            .unwrap();
+        let report = explain(&store, &offset, EngineKind::TurboHomPlusPlus);
         assert_eq!(report.limit, Some(3));
         assert!(!report.limit_pushdown);
+        // Where the LIMIT is cut from what was found, no enumerator gets it:
+        // the join baselines, a cartesian product of two components, and
+        // shard plans, which carry no window (the merge applies it).
+        for kind in [EngineKind::MergeJoin, EngineKind::HashJoin] {
+            let report = explain(&store, &limited, kind);
+            assert_eq!(
+                (report.limit, report.limit_pushdown),
+                (Some(3), false),
+                "{kind}"
+            );
+        }
+        let product = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                         PREFIX ub: <http://ub.org/>
+                         SELECT ?x ?u WHERE { ?x rdf:type ub:Student . ?u rdf:type ub:University . }
+                         LIMIT 2"#;
+        let report = explain(&store, product, EngineKind::TurboHomPlusPlus);
+        assert_eq!(report.components.len(), 2);
+        assert_eq!((report.limit, report.limit_pushdown), (Some(2), false));
+        // A FILTER evaluated while matching leaves the cap on; a regular
+        // expression or a filter over two variables waits for complete
+        // solutions, so the run finds them all before it cuts the LIMIT.
+        for (filter, pushed) in [
+            (r#"(str(?d) != "none")"#, true),
+            (r#"regex(str(?d), "dept0")"#, false),
+            ("(?x != ?d)", false),
+        ] {
+            let sparql = format!("{} FILTER {filter} }} LIMIT 1", Q.trim_end_matches('}'));
+            let report = explain(&store, &sparql, EngineKind::TurboHomPlusPlus);
+            assert_eq!(report.limit_pushdown, pushed, "{filter}");
+            assert_eq!(
+                store
+                    .execute(&sparql, EngineKind::TurboHomPlusPlus)
+                    .unwrap()
+                    .len(),
+                1
+            );
+        }
+        let constant = r#"PREFIX ub: <http://ub.org/>
+                          SELECT ?x WHERE { ?x ub:memberOf <http://ub.org/dept0> . } LIMIT 1"#;
+        for shards in [2, 4] {
+            let options = ShardedOptions {
+                shards,
+                inference: true,
+                threads: 1,
+                ..ShardedOptions::default()
+            };
+            let sharded = ShardedStore::from_dataset_with(sample_dataset(), options).unwrap();
+            for (sparql, anchor) in [
+                (limited.as_str(), "?x"),
+                (constant, "<http://ub.org/dept0>"),
+            ] {
+                let report = sharded_explain(&sharded, sparql, EngineKind::TurboHomPlusPlus);
+                assert_eq!(report.anchor.as_deref(), Some(anchor));
+                assert!(
+                    report.limit.is_some() && !report.limit_pushdown,
+                    "k={shards} {sparql}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn analyze_attaches_per_step_actuals_and_qerror() {
-        let store = sample_store();
-        let (results, report) = store
-            .analyze(Q, EngineKind::TurboHomPlusPlus, None)
-            .unwrap();
+    fn attach_actuals_adds_per_step_actuals_and_qerror() {
+        let store = AnyStore::Single(Arc::new(sample_store()));
+        let (results, report) = explain_and_run(&store, Q);
         assert_eq!(results.len(), 10);
         assert!(report.analyzed);
         let c = &report.components[0];
@@ -788,9 +813,7 @@ mod tests {
         // routed away before their summaries are probed.
         let routed = r#"PREFIX ub: <http://ub.org/>
                         SELECT ?x WHERE { ?x ub:memberOf <http://ub.org/dept0> . }"#;
-        let report = sharded
-            .explain(routed, EngineKind::TurboHomPlusPlus)
-            .unwrap();
+        let report = sharded_explain(&sharded, routed, EngineKind::TurboHomPlusPlus);
         assert_eq!(report.store_flavor, "sharded");
         assert_eq!(report.shards.len(), 4);
         let routed_away: Vec<_> = report
@@ -816,7 +839,7 @@ mod tests {
         // check, and the verdict names the term.
         let gone = r#"PREFIX ub: <http://ub.org/>
                       SELECT ?x WHERE { ?x ub:nonexistent ?y . }"#;
-        let report = sharded.explain(gone, EngineKind::TurboHomPlusPlus).unwrap();
+        let report = sharded_explain(&sharded, gone, EngineKind::TurboHomPlusPlus);
         for s in &report.shards {
             assert_eq!(s.verdict, "pruned");
             assert_eq!(s.check, Some("predicate"));
@@ -831,19 +854,19 @@ mod tests {
     #[test]
     fn sharded_analyze_reports_per_shard_rows_and_false_lives() {
         for shards in [3, 8] {
-            let sharded = ShardedStore::from_dataset_with(
-                sample_dataset(),
-                ShardedOptions {
-                    shards,
-                    inference: true,
-                    threads: 1,
-                    ..ShardedOptions::default()
-                },
-            )
-            .unwrap();
-            let (results, report) = sharded
-                .analyze(Q, EngineKind::TurboHomPlusPlus, None)
-                .unwrap();
+            let sharded = AnyStore::Sharded(Arc::new(
+                ShardedStore::from_dataset_with(
+                    sample_dataset(),
+                    ShardedOptions {
+                        shards,
+                        inference: true,
+                        threads: 1,
+                        ..ShardedOptions::default()
+                    },
+                )
+                .unwrap(),
+            ));
+            let (results, report) = explain_and_run(&sharded, Q);
             assert_eq!(results.len(), 10);
             // Every live shard got a row count; their sum is the result size
             // (the ownership filter makes the shard rows a partition).
@@ -867,9 +890,7 @@ mod tests {
             // Shard rows are what the shard contributed, not what a LIMIT
             // left of it: a shard the window empties is not a pruning miss.
             let limited = format!("{Q} LIMIT 1");
-            let (results, cut) = sharded
-                .analyze(&limited, EngineKind::TurboHomPlusPlus, None)
-                .unwrap();
+            let (results, cut) = explain_and_run(&sharded, &limited);
             assert_eq!((results.len(), results.row_count()), (1, 1));
             for (whole, cut) in report.shards.iter().zip(&cut.shards) {
                 assert_eq!((whole.rows, whole.false_live), (cut.rows, cut.false_live));
@@ -896,11 +917,11 @@ mod tests {
         assert_eq!(single.flavor_name(), "single");
         assert_eq!(sharded.flavor_name(), "sharded");
         for store in [&single, &sharded] {
-            let report = store.explain(Q, EngineKind::TurboHomPlusPlus).unwrap();
-            assert_eq!(report.store_flavor, store.flavor_name());
-            let (results, report) = store
-                .analyze(Q, EngineKind::TurboHomPlusPlus, None)
+            let plan = store
+                .prepare_plan_traced(Q, EngineKind::TurboHomPlusPlus, &Trace::disabled())
                 .unwrap();
+            assert_eq!(store.explain(&plan).store_flavor, store.flavor_name());
+            let (results, report) = explain_and_run(store, Q);
             assert_eq!(results.len(), 10);
             assert!(report.analyzed);
         }
@@ -941,17 +962,11 @@ mod tests {
             refused(store.plan_query(&parsed, kind).map(drop), "plan_query");
             let prepared = store.prepare(q).unwrap();
             refused(prepared.plan(kind).map(drop), "PreparedQuery::plan");
-            refused(prepared.execute(kind).map(drop), "PreparedQuery::execute");
             refused(store.prepare_plan(q, kind).map(drop), "prepare_plan");
             refused(store.execute(q, kind).map(drop), "execute");
-            refused(store.explain(q, kind).map(drop), "explain");
-            refused(store.analyze(q, kind, None).map(drop), "analyze");
             let plan = sharded.prepare_plan_traced(q, kind, &trace);
             refused(plan.map(drop), "sharded prepare_plan_traced");
             refused(sharded.execute(q, kind).map(drop), "sharded execute");
-            refused(sharded.explain(q, kind).map(drop), "sharded explain");
-            let analyzed = sharded.analyze(q, kind, None);
-            refused(analyzed.map(drop), "sharded analyze");
             // REDUCED permits duplicates: the plain answer is a right one.
             let plain = store.execute(Q, kind).unwrap();
             assert_eq!(store.execute(&reduced, kind).unwrap().rows, plain.rows);

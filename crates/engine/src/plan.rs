@@ -43,7 +43,7 @@ pub struct QueryPlan {
     kind: EngineKind,
     projected: Vec<String>,
     pub(crate) window: Window,
-    mode: PlanMode,
+    pub(crate) mode: PlanMode,
 }
 
 pub(crate) enum PlanMode {
@@ -65,7 +65,7 @@ pub(crate) enum PlanMode {
 pub(crate) struct BranchPlan {
     /// The connected components of the branch's required BGP (almost always
     /// exactly one).
-    components: Vec<ComponentPlan>,
+    pub(crate) components: Vec<ComponentPlan>,
     /// Branch filters re-applied after the cartesian combination; only used
     /// when there is more than one component (`split_components` drops them
     /// from the per-component groups).
@@ -75,8 +75,8 @@ pub(crate) struct BranchPlan {
 /// One connected component: a transformed query graph ready to match.
 pub(crate) struct ComponentPlan {
     /// Match over the direct graph instead of the type-aware one.
-    use_direct: bool,
-    transformed: TransformedQuery,
+    pub(crate) use_direct: bool,
+    pub(crate) transformed: TransformedQuery,
     /// The component's own variables (its output columns when the branch has
     /// several components; empty for single-component branches, which render
     /// straight onto the projection).
@@ -97,9 +97,8 @@ impl QueryPlan {
         &self.projected
     }
 
-    /// The `LIMIT` pushed into the enumerator, if any. `None` either means
-    /// the query has no `LIMIT` or that an `OFFSET` prevents the pushdown
-    /// (skipped rows must still be enumerated).
+    /// The `LIMIT` a run may stop at: the query's, unless an `OFFSET` makes
+    /// the skipped rows count too.
     pub fn pushed_limit(&self) -> Option<usize> {
         self.window.pushed_limit()
     }
@@ -124,35 +123,6 @@ impl QueryPlan {
                 .count(),
             PlanMode::Join { .. } => 0,
         }
-    }
-
-    /// The graph-engine half of the plan: the TurboHOM configuration and the
-    /// transformed branches (`None` for join-baseline plans). The EXPLAIN
-    /// builder walks these without executing anything.
-    pub(crate) fn graph_parts(&self) -> Option<(&TurboHomConfig, &[BranchPlan])> {
-        match &self.mode {
-            PlanMode::Graph { config, branches } => Some((config, branches)),
-            PlanMode::Join { .. } => None,
-        }
-    }
-}
-
-impl BranchPlan {
-    /// The branch's connected components.
-    pub(crate) fn components(&self) -> &[ComponentPlan] {
-        &self.components
-    }
-}
-
-impl ComponentPlan {
-    /// `true` when the component matches over the direct graph.
-    pub(crate) fn use_direct(&self) -> bool {
-        self.use_direct
-    }
-
-    /// The transformed query graph of this component.
-    pub(crate) fn transformed(&self) -> &TransformedQuery {
-        &self.transformed
     }
 }
 
@@ -219,37 +189,53 @@ impl Store {
     /// first plan that reads the direct graph or the permutation tables
     /// builds them here (see [`Store::take_first_use_builds`]).
     pub fn plan_query(&self, query: &Query, kind: EngineKind) -> Result<QueryPlan, StoreError> {
+        let strategy = match kind {
+            EngineKind::TurboHomPlusPlus => {
+                return self.plan_graph(query, self.default_config(), false)
+            }
+            EngineKind::TurboHom => {
+                return self.plan_graph(query, TurboHomConfig::turbohom(), true)
+            }
+            EngineKind::MergeJoin => JoinStrategy::SortMerge,
+            EngineKind::HashJoin => JoinStrategy::Hash,
+        };
         let window = window_of(query)?;
-        let projected = query.projected_variables();
         // Planning builds what the plan will read (the graph plans'
         // `transform_branch` does the same for the direct graph), so that
         // running a plan — cached or not — never does.
-        if matches!(kind, EngineKind::MergeJoin | EngineKind::HashJoin) {
-            self.permutations();
-        }
-        let mode = match kind {
-            EngineKind::TurboHomPlusPlus => PlanMode::Graph {
-                config: self.default_config(),
-                branches: self.plan_branches(query, false)?,
-            },
-            EngineKind::TurboHom => PlanMode::Graph {
-                config: TurboHomConfig::turbohom(),
-                branches: self.plan_branches(query, true)?,
-            },
-            EngineKind::MergeJoin => PlanMode::Join {
-                query: query.clone(),
-                strategy: JoinStrategy::SortMerge,
-            },
-            EngineKind::HashJoin => PlanMode::Join {
-                query: query.clone(),
-                strategy: JoinStrategy::Hash,
-            },
-        };
+        self.permutations();
         Ok(QueryPlan {
             kind,
-            projected,
+            projected: query.projected_variables(),
             window,
-            mode,
+            mode: PlanMode::Join {
+                query: query.clone(),
+                strategy,
+            },
+        })
+    }
+
+    /// The graph-engine plan of `query` with `config`: a TurboHOM plan, every
+    /// branch transformed for the direct graph, when `force_direct` is set,
+    /// else a TurboHOM++ one.
+    pub(crate) fn plan_graph(
+        &self,
+        query: &Query,
+        config: TurboHomConfig,
+        force_direct: bool,
+    ) -> Result<QueryPlan, StoreError> {
+        let window = window_of(query)?;
+        Ok(QueryPlan {
+            kind: match force_direct {
+                true => EngineKind::TurboHom,
+                false => EngineKind::TurboHomPlusPlus,
+            },
+            projected: query.projected_variables(),
+            window,
+            mode: PlanMode::Graph {
+                config,
+                branches: self.plan_branches(query, force_direct)?,
+            },
         })
     }
 
@@ -289,14 +275,7 @@ impl Store {
                     Some(t) => config.with_threads(t),
                     None => *config,
                 };
-                self.run_graph_plan(
-                    branches,
-                    config,
-                    &plan.projected,
-                    plan.pushed_limit(),
-                    trace,
-                    &mut materialise,
-                )?
+                self.run_graph_plan(branches, config, plan, trace, &mut materialise)?
             }
             PlanMode::Join { query, strategy } => {
                 self.run_baseline(query, *strategy, trace, &mut materialise)
@@ -313,9 +292,8 @@ impl Store {
         Ok(results)
     }
 
-    /// Expands the query's unions and transforms every branch (the prepare
-    /// half of `execute_turbohom`).
-    pub(crate) fn plan_branches(
+    /// Expands the query's unions and transforms every branch.
+    fn plan_branches(
         &self,
         query: &Query,
         force_direct: bool,
@@ -360,20 +338,21 @@ impl Store {
         })
     }
 
-    /// Runs pre-transformed branches with a pushed-down `LIMIT`: each branch
-    /// only enumerates the solutions still missing, and the branch loop stops
-    /// as soon as the limit is reached. The time spent turning matches into
-    /// term-id rows is added to `materialise`.
-    pub(crate) fn run_graph_plan(
+    /// Runs a graph plan's branches under `config` with the plan's pushed-down
+    /// `LIMIT`: each branch only enumerates the solutions still missing, and
+    /// the branch loop stops as soon as the limit is reached. The time spent
+    /// turning matches into term-id rows is added to `materialise`.
+    fn run_graph_plan(
         &self,
         branches: &[BranchPlan],
         config: TurboHomConfig,
-        projected: &[String],
-        limit: Option<usize>,
+        plan: &QueryPlan,
         trace: &Trace,
         materialise: &mut Duration,
     ) -> Result<IdResults<'_>, StoreError> {
-        let mut results = self.id_results(projected.to_vec(), IdRows::new(projected.len()));
+        let projected = &plan.projected;
+        let limit = plan.pushed_limit();
+        let mut results = self.id_results(projected.clone(), IdRows::new(projected.len()));
         for branch in branches {
             let remaining = limit.map(|l| l.saturating_sub(results.solution_count));
             if remaining == Some(0) {
@@ -389,6 +368,7 @@ impl Store {
     pub(crate) fn id_results(&self, variables: Vec<String>, rows: IdRows) -> IdResults<'_> {
         let run = Run {
             shard: 0,
+            contributed: rows.len(),
             rows,
             dictionary: &self.dataset().dictionary,
         };
@@ -532,7 +512,7 @@ impl Store {
     }
 
     /// The transformed graph a component matches over.
-    fn graph_of(&self, component: &ComponentPlan) -> &TransformedGraph {
+    pub(crate) fn graph_of(&self, component: &ComponentPlan) -> &TransformedGraph {
         if component.use_direct {
             self.direct_graph()
         } else {
@@ -640,6 +620,41 @@ mod tests {
             .run_plan_traced(&plan, Some(4), &Trace::disabled())
             .unwrap();
         assert_eq!(threaded.len(), cold.len());
+    }
+
+    /// One plan, one probe: EXPLAIN of a prepared plan shows, step by step,
+    /// the matching order the plan's first run memoizes — inline or in a
+    /// pool, for a join, a scan and a product of two components.
+    #[test]
+    fn explain_shows_the_order_the_first_run_memoizes() {
+        let store = sample_store();
+        let chain = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                       PREFIX ub: <http://ub.org/>
+                       SELECT * WHERE { ?x ub:memberOf ?d . ?d ub:subOrganizationOf ?u .
+                                        ?u rdf:type ub:University . }"#;
+        let scan = "SELECT ?x WHERE { ?x a <http://ub.org/Student> . }";
+        let product =
+            "SELECT * WHERE { ?x a <http://ub.org/Student> . ?u a <http://ub.org/University> . }";
+        for sparql in [Q, chain, scan, product] {
+            for threads in [1, 4] {
+                let plan = store
+                    .prepare_plan(sparql, EngineKind::TurboHomPlusPlus)
+                    .unwrap();
+                let explained: Vec<Vec<usize>> = (store.explain(&plan).components.iter())
+                    .map(|c| c.steps.iter().map(|step| step.query_vertex).collect())
+                    .collect();
+                store
+                    .run_plan_traced(&plan, Some(threads), &Trace::disabled())
+                    .unwrap();
+                let PlanMode::Graph { branches, .. } = &plan.mode else {
+                    unreachable!("a TurboHOM++ plan is a graph plan")
+                };
+                let memoized: Vec<Vec<usize>> = (branches.iter().flat_map(|b| &b.components))
+                    .map(|c| c.cached_order.lock().as_ref().unwrap().order.clone())
+                    .collect();
+                assert_eq!(explained, memoized, "{sparql} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -120,6 +120,9 @@ pub(crate) struct Run<'s> {
     /// further columns the producer matched on (an anchor the query did not
     /// project), which no reader looks at.
     pub(crate) rows: IdRows,
+    /// The rows the run held before the query's window was cut from it:
+    /// what its shard contributed (what ANALYZE reports per shard).
+    pub(crate) contributed: usize,
     /// The dictionary the cells are ids of.
     pub(crate) dictionary: &'s Dictionary,
 }
@@ -191,6 +194,7 @@ impl<'s> IdResults<'s> {
         let mut skip = offset;
         let mut room = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
         for run in &mut self.runs {
+            run.contributed = run.rows.len();
             run.rows.truncate(room);
             room -= run.rows.len();
             if skip > 0 {
@@ -690,6 +694,7 @@ mod tests {
         }
         Run {
             shard,
+            contributed: ids.len(),
             rows: ids,
             dictionary,
         }
@@ -790,6 +795,7 @@ mod tests {
         }
         let run = Run {
             shard: 0,
+            contributed: rows.len(),
             rows,
             dictionary: &dictionary,
         };

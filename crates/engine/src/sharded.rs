@@ -342,28 +342,14 @@ impl ShardedStore {
             .decode())
     }
 
-    /// Runs a sharded plan: `scatter`, then the plan's window cut from the
-    /// gathered runs under a `materialise` stage span.
+    /// Runs a sharded plan: scatters it across the live shards on a worker
+    /// pool and gathers their ownership-filtered runs, each left in the
+    /// buffer its shard filled, in ascending shard order, then cuts the
+    /// plan's window from them (each run keeps what its shard contributed
+    /// before the cut). Records an `execute` stage span with a
+    /// `shard_fanout` child plus one `shard_execute` roll-up per executed
+    /// shard, and the cut as `materialise`.
     pub fn run_plan_traced(
-        &self,
-        plan: &ShardedPlan,
-        threads: Option<usize>,
-        trace: &Trace,
-    ) -> Result<IdResults<'_>, StoreError> {
-        let mut results = self.scatter(plan, threads, trace)?;
-        let mut merge = trace.span("materialise");
-        results.apply_window(plan.window);
-        merge.counter("rows", results.row_count() as u64);
-        merge.finish();
-        Ok(results)
-    }
-
-    /// Scatters a sharded plan across the live shards on a worker pool and
-    /// gathers their ownership-filtered runs, each left in the buffer its
-    /// shard filled, in ascending shard order; no window is applied. Records
-    /// an `execute` stage span with a `shard_fanout` child plus one
-    /// `shard_execute` roll-up per executed shard.
-    pub(crate) fn scatter(
         &self,
         plan: &ShardedPlan,
         threads: Option<usize>,
@@ -425,6 +411,10 @@ impl ShardedStore {
         results.stats.shards_executed = plan.live.len();
         results.stats.shards_pruned = plan.pruned_shards();
         results.elapsed = start.elapsed().max(elapsed_max);
+        let mut merge = trace.span("materialise");
+        results.apply_window(plan.window);
+        merge.counter("rows", results.row_count() as u64);
+        merge.finish();
         Ok(results)
     }
 
@@ -526,11 +516,6 @@ impl ShardedPlan {
     /// The anchor the shardability analysis picked.
     pub fn anchor(&self) -> &Anchor {
         &self.anchor
-    }
-
-    /// The merge-time LIMIT, mirroring [`QueryPlan::pushed_limit`].
-    pub fn pushed_limit(&self) -> Option<usize> {
-        self.window.pushed_limit()
     }
 }
 
@@ -638,24 +623,6 @@ pub enum AnyPlan {
     Single(Arc<QueryPlan>),
     /// Plan against a sharded store.
     Sharded(Arc<ShardedPlan>),
-}
-
-impl AnyPlan {
-    /// The engine the plan was prepared for.
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            AnyPlan::Single(p) => p.kind(),
-            AnyPlan::Sharded(p) => p.kind(),
-        }
-    }
-
-    /// The projected variable names, in output order.
-    pub fn projected_variables(&self) -> &[String] {
-        match self {
-            AnyPlan::Single(p) => p.projected_variables(),
-            AnyPlan::Sharded(p) => p.projected_variables(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -836,7 +803,6 @@ mod tests {
             let gathered = sharded.execute(QUERIES[0], kind).unwrap();
             let q = format!("{} LIMIT 4 OFFSET 7", QUERIES[0]);
             let plan = sharded.prepare_plan(&q, kind).unwrap();
-            assert_eq!(plan.pushed_limit(), None);
             let r = sharded.run_plan(&plan).unwrap();
             assert_eq!(r.solution_count, 3, "{kind}");
             assert_eq!(r.rows, gathered.rows[7..], "{kind}");
@@ -1061,9 +1027,9 @@ mod tests {
             let plan = store
                 .prepare_plan_traced(QUERIES[0], EngineKind::TurboHomPlusPlus, &trace)
                 .unwrap();
-            assert_eq!(plan.kind(), EngineKind::TurboHomPlusPlus);
-            assert_eq!(plan.projected_variables(), ["x", "d"]);
+            assert_eq!(store.explain(&plan).engine, EngineKind::TurboHomPlusPlus);
             let r = store.run_plan_traced(&plan, None, &trace).unwrap();
+            assert_eq!(r.variables, ["x", "d"]);
             bodies.push(canonical_json(r.decode()));
         }
         assert_eq!(bodies[0], bodies[1]);

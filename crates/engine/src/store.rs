@@ -3,7 +3,7 @@
 
 use crate::backend::{Backend, MemoryRow, StructureBuild};
 use crate::error::StoreError;
-use crate::plan::{window_of, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::results::{IdResults, QueryResults};
 use std::fmt;
 use std::path::Path;
@@ -332,30 +332,16 @@ impl Store {
     }
 
     /// Executes with an explicit TurboHOM configuration (used by the
-    /// optimization-ablation and parallel-speed-up experiments).
-    /// `force_direct` runs over the direct transformation regardless of the
-    /// query shape.
+    /// optimization-ablation and parallel-speed-up experiments): a graph
+    /// plan with `config`, run like any other. `force_direct` runs over the
+    /// direct transformation regardless of the query shape.
     pub fn execute_turbohom(
         &self,
         sparql: &str,
         config: TurboHomConfig,
         force_direct: bool,
     ) -> Result<QueryResults, StoreError> {
-        let query = parse_query(sparql)?;
-        let window = window_of(&query)?;
-        let branches = self.plan_branches(&query, force_direct)?;
-        let started = Instant::now();
-        let mut results = self.run_graph_plan(
-            &branches,
-            config,
-            &query.projected_variables(),
-            window.pushed_limit(),
-            &Trace::disabled(),
-            &mut Duration::default(),
-        )?;
-        results.apply_window(window);
-        results.elapsed = started.elapsed();
-        Ok(results.decode())
+        self.run_plan(&self.plan_graph(&parse_query(sparql)?, config, force_direct)?)
     }
 
     // ---- internal execution paths -------------------------------------
@@ -427,22 +413,9 @@ pub struct PreparedQuery<'s> {
 }
 
 impl<'s> PreparedQuery<'s> {
-    /// The parsed query.
-    pub fn query(&self) -> &Query {
-        &self.query
-    }
-
     /// Builds the full execution plan for the chosen engine.
     pub fn plan(&self, kind: EngineKind) -> Result<QueryPlan, StoreError> {
         self.store.plan_query(&self.query, kind)
-    }
-
-    /// Executes the query with the chosen engine. This builds (and discards)
-    /// a plan so every engine gets the plan-level treatment — in particular
-    /// the `LIMIT` pushdown; callers executing repeatedly should hold a
-    /// [`plan`](Self::plan) instead.
-    pub fn execute(&self, kind: EngineKind) -> Result<QueryResults, StoreError> {
-        self.store.run_plan(&self.plan(kind)?)
     }
 }
 
@@ -660,8 +633,9 @@ mod tests {
                    SELECT ?x WHERE { ?x ub:memberOf <http://ub.org/dept0> . }"#,
             )
             .unwrap();
-        let a = prepared.execute(EngineKind::TurboHomPlusPlus).unwrap();
-        let b = prepared.execute(EngineKind::HashJoin).unwrap();
+        let run = |kind| store.run_plan(&prepared.plan(kind).unwrap()).unwrap();
+        let a = run(EngineKind::TurboHomPlusPlus);
+        let b = run(EngineKind::HashJoin);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.len(), 3);
         assert!(a.elapsed >= std::time::Duration::ZERO);

@@ -242,21 +242,24 @@ fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
 }
 
 #[test]
-fn a_sub_version_1_snapshot_is_refused_with_a_version_mismatch() {
-    // What a parent build wrote first: the store meta section with
-    // sub-version 1 (the permutation tables still followed the graphs).
-    let path = temp_path("subversion1.snap");
-    let mut w = turbohom_storage::SnapshotWriter::new();
-    w.section::<u64>(0x0901, &[1, 0, 3]);
-    w.write_to(&path).unwrap();
-    let err = Store::from_snapshot(&path).unwrap_err();
-    assert_eq!(
-        err,
-        StoreError::Snapshot(SnapshotError::VersionMismatch {
-            found: 1,
-            expected: 2
-        })
-    );
+fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
+    // What older builds wrote first: the store meta section with sub-version
+    // 1 (the permutation tables still followed the graphs) or 2 (the graphs
+    // still held their degree order and unlabeled list).
+    let path = temp_path("subversion.snap");
+    for found in [1, 2] {
+        let mut w = turbohom_storage::SnapshotWriter::new();
+        w.section::<u64>(0x0901, &[found, 0, 3]);
+        w.write_to(&path).unwrap();
+        let err = Store::from_snapshot(&path).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Snapshot(SnapshotError::VersionMismatch {
+                found: found as u32,
+                expected: 3
+            })
+        );
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -80,17 +80,6 @@ impl LabeledGraphBuilder {
         let outgoing = build_direction(n, &self.vertex_labels, &self.edges, false);
         let incoming = build_direction(n, &self.vertex_labels, &self.edges, true);
 
-        // Degree-descending start order (ties broken by ascending id, since
-        // the sort is stable): the parallel scheduler visits candidate-region
-        // start vertices heaviest-first so the expensive regions are claimed
-        // early and only cheap tails remain to steal.
-        let mut degree_order: Vec<VertexId> = (0..n as u32).map(VertexId).collect();
-        degree_order.sort_by_key(|v| {
-            std::cmp::Reverse(
-                outgoing.degrees[v.index()] as u64 + incoming.degrees[v.index()] as u64,
-            )
-        });
-
         LabeledGraph {
             num_vertices: n,
             num_edges: outgoing.targets.len(),
@@ -100,7 +89,6 @@ impl LabeledGraphBuilder {
             labels: labels.into(),
             outgoing,
             incoming,
-            degree_order: degree_order.into(),
         }
     }
 }
@@ -353,7 +341,6 @@ mod tests {
 
         assert_eq!(noisy.edge_count(), 300);
         assert_eq!(noisy.edge_count(), clean.edge_count());
-        assert_eq!(noisy.degree_order, clean.degree_order);
         for (a, b) in [
             (&noisy.outgoing, &clean.outgoing),
             (&noisy.incoming, &clean.incoming),

@@ -9,34 +9,25 @@
 use crate::ids::{VLabel, VertexId};
 use crate::labeled_graph::LabeledGraph;
 use crate::ops;
-use turbohom_storage::{FlatCsr, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatCsr, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (component 0x05).
 const TAG_INV_OFFSETS: u64 = 0x0501;
 const TAG_INV_VERTICES: u64 = 0x0502;
-const TAG_INV_UNLABELED: u64 = 0x0503;
 
 /// Vertex label → sorted vertex list index.
 #[derive(Debug, Clone, Default)]
 pub struct InverseLabelIndex {
     lists: FlatCsr<VertexId>,
-    /// Vertices with an empty label set (useful for diagnostics).
-    unlabeled: FlatVec<VertexId>,
 }
 
 impl InverseLabelIndex {
     /// Builds the index from a graph.
     pub fn build(graph: &LabeledGraph) -> Self {
         let mut lists: Vec<Vec<VertexId>> = vec![Vec::new(); graph.vertex_label_count()];
-        let mut unlabeled = Vec::new();
         for v in graph.vertices() {
-            let ls = graph.labels(v);
-            if ls.is_empty() {
-                unlabeled.push(v);
-            } else {
-                for &l in ls {
-                    lists[l.index()].push(v);
-                }
+            for &l in graph.labels(v) {
+                lists[l.index()].push(v);
             }
         }
         // Vertices are visited in increasing id order, so the lists are
@@ -44,7 +35,6 @@ impl InverseLabelIndex {
         debug_assert!(lists.iter().all(|l| ops::is_sorted_set(l)));
         InverseLabelIndex {
             lists: FlatCsr::from_rows(&lists),
-            unlabeled: unlabeled.into(),
         }
     }
 
@@ -88,11 +78,6 @@ impl InverseLabelIndex {
         }
     }
 
-    /// Vertices with an empty label set.
-    pub fn unlabeled_vertices(&self) -> &[VertexId] {
-        &self.unlabeled
-    }
-
     /// Number of distinct labels indexed.
     pub fn label_count(&self) -> usize {
         self.lists.num_rows()
@@ -100,14 +85,13 @@ impl InverseLabelIndex {
 
     /// Bytes of the index's arrays.
     pub fn memory(&self) -> MemoryUse {
-        MemoryUse::from(&self.lists) + (&self.unlabeled).into()
+        MemoryUse::from(&self.lists)
     }
 
     /// Serializes the index as snapshot sections.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
         w.section(TAG_INV_OFFSETS, self.lists.offsets());
         w.section(TAG_INV_VERTICES, self.lists.data());
-        w.section(TAG_INV_UNLABELED, &self.unlabeled);
     }
 
     /// Reconstructs the index reading its arrays in place from a snapshot.
@@ -116,10 +100,7 @@ impl InverseLabelIndex {
             cur.next_section(TAG_INV_OFFSETS)?,
             cur.next_section(TAG_INV_VERTICES)?,
         )?;
-        Ok(InverseLabelIndex {
-            lists,
-            unlabeled: cur.next_section(TAG_INV_UNLABELED)?,
-        })
+        Ok(InverseLabelIndex { lists })
     }
 }
 
@@ -154,6 +135,7 @@ mod tests {
         );
         assert_eq!(idx.vertices_with_label(VLabel(2)), &[VertexId(4)]);
         assert_eq!(idx.frequency(VLabel(0)), 3);
+        assert_eq!(idx.label_count(), 3);
     }
 
     #[test]
@@ -182,12 +164,5 @@ mod tests {
         let (_, idx) = sample();
         assert_eq!(idx.vertices_with_all_labels(&[]), None);
         assert_eq!(idx.frequency_of_set(&[]), None);
-    }
-
-    #[test]
-    fn unlabeled_vertices_tracked() {
-        let (_, idx) = sample();
-        assert_eq!(idx.unlabeled_vertices(), &[VertexId(3)]);
-        assert_eq!(idx.label_count(), 3);
     }
 }

@@ -22,21 +22,8 @@ use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, Sn
 const TAG_GRAPH_META: u64 = 0x0301;
 const TAG_GRAPH_LABEL_OFFSETS: u64 = 0x0302;
 const TAG_GRAPH_LABELS: u64 = 0x0303;
-const TAG_GRAPH_DEGREE_ORDER: u64 = 0x0304;
 const TAG_DIR_OUTGOING: u64 = 0x0310;
 const TAG_DIR_INCOMING: u64 = 0x0320;
-
-/// A neighbor type: the pair (edge label, neighbor vertex label).
-///
-/// `vertex_label == None` encodes the paper's `_` group — the neighbor has an
-/// empty label set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NeighborType {
-    /// The label of the connecting edge.
-    pub edge_label: ELabel,
-    /// The label of the neighbor, or `None` if the neighbor carries no label.
-    pub vertex_label: Option<VLabel>,
-}
 
 /// Per-edge-label adjacency group of one vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,16 +66,6 @@ impl TypeGroup {
         match vl {
             None => 0,
             Some(l) => l.0 + 1,
-        }
-    }
-
-    /// Decodes the stored key back into an optional neighbor label.
-    #[inline]
-    pub(crate) fn vlabel(&self) -> Option<VLabel> {
-        if self.vlabel_key == 0 {
-            None
-        } else {
-            Some(VLabel(self.vlabel_key - 1))
         }
     }
 }
@@ -228,8 +205,6 @@ pub struct LabeledGraph {
     pub(crate) labels: FlatVec<VLabel>,
     pub(crate) outgoing: AdjacencyDirection,
     pub(crate) incoming: AdjacencyDirection,
-    /// All vertices sorted by descending total degree (ties by ascending id).
-    pub(crate) degree_order: FlatVec<VertexId>,
 }
 
 impl LabeledGraph {
@@ -304,43 +279,6 @@ impl LabeledGraph {
         self.degree(v, Direction::Outgoing) + self.degree(v, Direction::Incoming)
     }
 
-    /// All vertices ordered by descending total degree (ties broken by
-    /// ascending id). Precomputed at build time; the morsel scheduler uses it
-    /// to rank candidate-region start vertices so heavy regions are claimed
-    /// first.
-    pub fn vertices_by_degree_desc(&self) -> &[VertexId] {
-        &self.degree_order
-    }
-
-    /// Number of distinct neighbor types (edge label, neighbor label) of `v`
-    /// in `direction` — the quantity the homomorphism-adjusted degree filter
-    /// compares against (Section 2.2, "Modifying TurboISO").
-    pub fn neighbor_type_count(&self, v: VertexId, direction: Direction) -> usize {
-        let d = self.dir(direction);
-        let groups = d.elabel_groups_of(v);
-        groups
-            .iter()
-            .map(|g| (g.type_end - g.type_start) as usize)
-            .sum()
-    }
-
-    /// Iterates the neighbor types of `v` in `direction`.
-    pub fn neighbor_types(
-        &self,
-        v: VertexId,
-        direction: Direction,
-    ) -> impl Iterator<Item = NeighborType> + '_ {
-        let d = self.dir(direction);
-        d.elabel_groups_of(v).iter().flat_map(move |g| {
-            d.type_groups[g.type_start as usize..g.type_end as usize]
-                .iter()
-                .map(move |tg| NeighborType {
-                    edge_label: g.elabel,
-                    vertex_label: tg.vlabel(),
-                })
-        })
-    }
-
     /// The neighbors of `v` over edge label `el` in `direction`
     /// (sorted, duplicate free). This is `adj(v, el)`.
     pub fn neighbors(&self, v: VertexId, direction: Direction, el: ELabel) -> &[VertexId] {
@@ -366,30 +304,6 @@ impl LabeledGraph {
             Some(g) => {
                 let tgs = &d.type_groups[g.type_start as usize..g.type_end as usize];
                 match tgs.binary_search_by_key(&TypeGroup::key_of(Some(vl)), |tg| tg.vlabel_key) {
-                    Ok(i) => {
-                        let tg = &tgs[i];
-                        &d.typed_targets[tg.start as usize..tg.end as usize]
-                    }
-                    Err(_) => &[],
-                }
-            }
-            None => &[],
-        }
-    }
-
-    /// Neighbors of `v` over edge label `el` that carry **no** label (the
-    /// `(el, _)` group of Figure 9).
-    pub fn neighbors_unlabeled(
-        &self,
-        v: VertexId,
-        direction: Direction,
-        el: ELabel,
-    ) -> &[VertexId] {
-        let d = self.dir(direction);
-        match d.find_elabel_group(v, el) {
-            Some(g) => {
-                let tgs = &d.type_groups[g.type_start as usize..g.type_end as usize];
-                match tgs.binary_search_by_key(&TypeGroup::key_of(None), |tg| tg.vlabel_key) {
                     Ok(i) => {
                         let tg = &tgs[i];
                         &d.typed_targets[tg.start as usize..tg.end as usize]
@@ -471,11 +385,9 @@ impl LabeledGraph {
     }
 
     /// Bytes of the graph's arrays: the two adjacency directions (`csr`) and
-    /// the vertex label sets plus the degree order (`labels`).
+    /// the vertex label sets (`labels`).
     pub fn memory(&self) -> [(&'static str, MemoryUse); 2] {
-        let labels = MemoryUse::from(&self.label_offsets)
-            + (&self.labels).into()
-            + (&self.degree_order).into();
+        let labels = MemoryUse::from(&self.label_offsets) + (&self.labels).into();
         [
             ("csr", self.outgoing.memory() + self.incoming.memory()),
             ("labels", labels),
@@ -483,7 +395,7 @@ impl LabeledGraph {
     }
 
     /// Serializes the graph as snapshot sections: a meta array, the vertex
-    /// label CSR, both adjacency directions and the degree order.
+    /// label CSR and both adjacency directions.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
         let meta: [u64; 4] = [
             self.num_vertices as u64,
@@ -496,7 +408,6 @@ impl LabeledGraph {
         w.section(TAG_GRAPH_LABELS, &self.labels);
         self.outgoing.write_sections(w, TAG_DIR_OUTGOING);
         self.incoming.write_sections(w, TAG_DIR_INCOMING);
-        w.section(TAG_GRAPH_DEGREE_ORDER, &self.degree_order);
     }
 
     /// Reconstructs a graph reading all arrays in place from a snapshot,
@@ -520,14 +431,6 @@ impl LabeledGraph {
         }
         let outgoing = AdjacencyDirection::read_sections(cur, TAG_DIR_OUTGOING, num_vertices)?;
         let incoming = AdjacencyDirection::read_sections(cur, TAG_DIR_INCOMING, num_vertices)?;
-        let degree_order: FlatVec<VertexId> = cur.next_section(TAG_GRAPH_DEGREE_ORDER)?;
-        if degree_order.len() != num_vertices
-            || degree_order.iter().any(|v| v.index() >= num_vertices)
-        {
-            return Err(SnapshotError::Malformed(
-                "graph degree order is not a vertex permutation".into(),
-            ));
-        }
         Ok(LabeledGraph {
             num_vertices,
             num_edges: meta[1] as usize,
@@ -537,7 +440,6 @@ impl LabeledGraph {
             labels,
             outgoing,
             incoming,
-            degree_order,
         })
     }
 }
@@ -637,31 +539,10 @@ mod tests {
             g.neighbors_typed(VertexId(0), Direction::Outgoing, ELabel(1), VLabel(3)),
             &[VertexId(2)]
         );
-        // adj(v0, (d, _)) = {v3} — unlabeled neighbor group.
-        assert_eq!(
-            g.neighbors_unlabeled(VertexId(0), Direction::Outgoing, ELabel(3)),
-            &[VertexId(3)]
-        );
         // No such group: adj(v0, (a, D)) = ∅.
         assert!(g
             .neighbors_typed(VertexId(0), Direction::Outgoing, ELabel(0), VLabel(3))
             .is_empty());
-    }
-
-    #[test]
-    fn neighbor_types_enumeration() {
-        let g = figure7_graph();
-        let types: Vec<NeighborType> = g.neighbor_types(VertexId(0), Direction::Outgoing).collect();
-        assert_eq!(types.len(), 4);
-        assert!(types.contains(&NeighborType {
-            edge_label: ELabel(0),
-            vertex_label: Some(VLabel(2))
-        }));
-        assert!(types.contains(&NeighborType {
-            edge_label: ELabel(3),
-            vertex_label: None
-        }));
-        assert_eq!(g.neighbor_type_count(VertexId(0), Direction::Outgoing), 4);
     }
 
     #[test]
@@ -691,7 +572,6 @@ mod tests {
             g.neighbors_typed(u, Direction::Outgoing, ELabel(0), VLabel(1)),
             &[w]
         );
-        assert_eq!(g.neighbor_type_count(u, Direction::Outgoing), 2);
         assert_eq!(g.degree(u, Direction::Outgoing), 1);
     }
 
@@ -761,28 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_order_is_descending_and_complete() {
-        let g = figure7_graph();
-        let order = g.vertices_by_degree_desc();
-        assert_eq!(order.len(), g.vertex_count());
-        // v0 has total degree 4, strictly the largest.
-        assert_eq!(order[0], VertexId(0));
-        // Degrees are non-increasing along the order.
-        for w in order.windows(2) {
-            assert!(g.total_degree(w[0]) >= g.total_degree(w[1]));
-        }
-        // Every vertex appears exactly once.
-        let mut seen: Vec<VertexId> = order.to_vec();
-        seen.sort();
-        let all: Vec<VertexId> = g.vertices().collect();
-        assert_eq!(seen, all);
-        // Ties are broken by ascending id (stable sort): v1 (deg 2) and
-        // v2 (deg 2) stay in id order.
-        let pos = |v: VertexId| order.iter().position(|&x| x == v).unwrap();
-        assert!(pos(VertexId(1)) < pos(VertexId(2)));
-    }
-
-    #[test]
     fn snapshot_round_trip_preserves_every_access_path() {
         let g = figure7_graph();
         let mut w = turbohom_storage::SnapshotWriter::new();
@@ -805,28 +663,20 @@ mod tests {
             assert_eq!(l.labels(v), g.labels(v));
             assert_eq!(l.total_degree(v), g.total_degree(v));
             for dir in [Direction::Outgoing, Direction::Incoming] {
-                let types: Vec<NeighborType> = g.neighbor_types(v, dir).collect();
-                let ltypes: Vec<NeighborType> = l.neighbor_types(v, dir).collect();
-                assert_eq!(types, ltypes);
-                for t in types {
-                    assert_eq!(
-                        l.neighbors(v, dir, t.edge_label),
-                        g.neighbors(v, dir, t.edge_label)
-                    );
-                    match t.vertex_label {
-                        Some(vl) => assert_eq!(
-                            l.neighbors_typed(v, dir, t.edge_label, vl),
-                            g.neighbors_typed(v, dir, t.edge_label, vl)
-                        ),
-                        None => assert_eq!(
-                            l.neighbors_unlabeled(v, dir, t.edge_label),
-                            g.neighbors_unlabeled(v, dir, t.edge_label)
-                        ),
+                let labels: Vec<ELabel> = g.incident_edge_labels(v, dir).collect();
+                let llabels: Vec<ELabel> = l.incident_edge_labels(v, dir).collect();
+                assert_eq!(labels, llabels);
+                for el in labels {
+                    assert_eq!(l.neighbors(v, dir, el), g.neighbors(v, dir, el));
+                    for vl in 0..g.vertex_label_count() as u32 {
+                        assert_eq!(
+                            l.neighbors_typed(v, dir, el, VLabel(vl)),
+                            g.neighbors_typed(v, dir, el, VLabel(vl))
+                        );
                     }
                 }
             }
         }
-        assert_eq!(l.vertices_by_degree_desc(), g.vertices_by_degree_desc());
         for el in 0..g.edge_label_count() as u32 {
             assert_eq!(lidx.subjects(ELabel(el)), idx.subjects(ELabel(el)));
             assert_eq!(lidx.objects(ELabel(el)), idx.objects(ELabel(el)));
@@ -838,7 +688,6 @@ mod tests {
                 inv.vertices_with_label(VLabel(vl))
             );
         }
-        assert_eq!(linv.unlabeled_vertices(), inv.unlabeled_vertices());
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod query_graph;
 pub use builder::LabeledGraphBuilder;
 pub use ids::{Direction, ELabel, VLabel, VertexId};
 pub use inverse_label::InverseLabelIndex;
-pub use labeled_graph::{GraphStats, LabeledGraph, NeighborType};
+pub use labeled_graph::{GraphStats, LabeledGraph};
 pub use predicate_index::{signature_bit, PredicateIndex};
 pub use query_graph::{QueryEdge, QueryGraph, QueryVertex};

@@ -528,10 +528,10 @@ impl QueryService {
         );
     }
 
-    /// Builds the EXPLAIN plan tree for a query **without executing it**
-    /// (the `explain=1` request path). Bypasses the plan cache — EXPLAIN
-    /// should show what a cold request would decide — and records no
-    /// success metrics since nothing ran; failures still count as errors.
+    /// Builds the EXPLAIN plan tree of a prepared plan **without executing
+    /// it** (the `explain=1` request path). Bypasses the plan cache — EXPLAIN
+    /// should show what a cold request would decide — and records no success
+    /// metrics since nothing ran; failures still count as errors.
     pub fn explain(
         &self,
         sparql: &str,
@@ -547,48 +547,42 @@ impl QueryService {
             },
         );
         let start = Instant::now();
-        let fp = match fingerprint(sparql) {
-            Ok(fp) => fp,
-            Err(e) => {
-                self.record_query_error(engine, trace_id, e.to_string());
-                return Err(e.into());
-            }
-        };
-        let explained = self.store.explain(sparql, engine);
-        self.journal_first_use_builds(trace_id);
-        match explained {
-            Ok(report) => {
-                let elapsed = start.elapsed();
-                self.journal_event(
-                    Some(trace_id),
-                    JournalEvent::QueryCompleted {
-                        engine,
-                        mode: "explain",
-                        cache_hit: false,
-                        solutions: 0,
-                        total_ms: elapsed.as_secs_f64() * 1000.0,
-                        shards: None,
-                        slow: None,
-                    },
-                );
-                Ok(ExplainResponse {
-                    report,
-                    engine,
-                    fingerprint: fp.hash,
-                    trace_id,
-                    elapsed,
-                })
-            }
-            Err(e) => {
-                self.record_query_error(engine, trace_id, e.to_string());
-                Err(e)
-            }
-        }
+        let explained = fingerprint(sparql)
+            .map_err(StoreError::from)
+            .and_then(|fp| {
+                let planned = self
+                    .store
+                    .prepare_plan_traced(sparql, engine, &Trace::disabled());
+                self.journal_first_use_builds(trace_id);
+                Ok((fp, self.store.explain(&planned?)))
+            });
+        let (fp, report) =
+            explained.inspect_err(|e| self.record_query_error(engine, trace_id, e.to_string()))?;
+        let elapsed = start.elapsed();
+        self.journal_event(
+            Some(trace_id),
+            JournalEvent::QueryCompleted {
+                engine,
+                mode: "explain",
+                cache_hit: false,
+                solutions: 0,
+                total_ms: elapsed.as_secs_f64() * 1000.0,
+                shards: None,
+                slow: None,
+            },
+        );
+        Ok(ExplainResponse {
+            report,
+            engine,
+            fingerprint: fp.hash,
+            trace_id,
+            elapsed,
+        })
     }
 
-    /// The `analyze=1` request path: execute outside the plan cache,
-    /// annotate the plan tree with actuals, and feed the estimate-vs-actual
-    /// telemetry (q-error histogram, false-live counter).
+    /// The `analyze=1` request path: explain a plan prepared outside the
+    /// plan cache, run it, attach the run's actuals, and feed the estimate-
+    /// vs-actual telemetry (q-error histogram, false-live counter).
     fn run_analyze(
         &self,
         sparql: &str,
@@ -597,9 +591,16 @@ impl QueryService {
         trace_id: u64,
     ) -> Result<Executed<'_>, StoreError> {
         let fp = fingerprint(sparql)?;
-        let analyzed = self.store.analyze(sparql, engine, threads);
+        let planned = self
+            .store
+            .prepare_plan_traced(sparql, engine, &Trace::disabled());
         self.journal_first_use_builds(trace_id);
-        let (results, report) = analyzed?;
+        let plan = planned?;
+        let mut report = self.store.explain(&plan);
+        let results = self
+            .store
+            .run_plan_traced(&plan, threads, &Trace::disabled())?;
+        report.attach_actuals(&results);
         self.metrics.record_qerrors(&report.step_qerrors());
         self.metrics.record_false_lives(report.false_live_shards());
         Ok((results, false, fp, Some(report)))
