@@ -107,7 +107,7 @@ impl Relation {
 mod tests {
     use super::*;
 
-    fn id(n: u64) -> Option<TermId> {
+    fn id(n: u32) -> Option<TermId> {
         Some(TermId(n))
     }
 

@@ -13,7 +13,9 @@ use std::thread::ThreadId;
 use std::time::Instant;
 use turbohom_baseline::PermutationIndexes;
 use turbohom_rdf::{Dataset, InferenceConfig, InferenceEngine};
-use turbohom_storage::{MemoryUse, Snapshot, SnapshotError, SnapshotWriter};
+use turbohom_storage::{
+    process_resident_bytes, MemoryUse, Snapshot, SnapshotError, SnapshotWriter,
+};
 use turbohom_transform::{direct_transform, type_aware_transform, TransformedGraph};
 
 /// Engine-level snapshot meta section: format sub-version, inference flag,
@@ -25,8 +27,10 @@ const TAG_STORE_META: u64 = 0x0901;
 /// of component sections changes (the components themselves version their
 /// sections through their tags). 2: the permutation tables (tags `0x08xx`)
 /// are no longer stored. 3: nor are a graph's degree order (`0x0304`) and
-/// its inverse label index's unlabeled list (`0x0503`).
-const STORE_FORMAT_SUB_VERSION: u64 = 3;
+/// its inverse label index's unlabeled list (`0x0503`). 4: term ids are
+/// 32 bits wide (the triples `0x0201`, the dictionary's sorted ids `0x0103`
+/// and the mappings' reverse arrays `0x0602`/`0x0604`/`0x0606`).
+const STORE_FORMAT_SUB_VERSION: u64 = 4;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not
@@ -52,6 +56,10 @@ pub struct StructureBuild {
     pub ms: f64,
     /// Bytes the built structure holds.
     pub bytes: u64,
+    /// The process's resident high-water mark (`VmHWM`) right after the
+    /// build, 0 where `/proc` is missing. Read against the served peak, it
+    /// says which build set that peak.
+    pub peak_bytes: u64,
 }
 
 /// Where a store's arrays live.
@@ -97,6 +105,7 @@ fn timed<T>(structure: &'static str, build: impl FnOnce() -> (T, u64)) -> (T, St
         structure,
         ms,
         bytes,
+        peak_bytes: process_resident_bytes().1,
     };
     (built, record)
 }

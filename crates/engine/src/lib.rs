@@ -39,8 +39,8 @@ pub use turbohom_partition::{Anchor, DEFAULT_HALO};
 pub use turbohom_core::MatchStats;
 // Re-exported so callers matching on `StoreError::Snapshot` (the server's
 // startup diagnostics, the corruption tests) and readers of the memory
-// ledger need no direct storage dependency.
-pub use turbohom_storage::{MemoryUse, SnapshotError};
+// ledger and the process's resident set need no direct storage dependency.
+pub use turbohom_storage::{process_resident_bytes, MemoryUse, SnapshotError};
 // Re-exported so callers of the `*_traced` plan methods
 // (the service, the benchmark recorder) need no direct trace dependency.
 pub use turbohom_trace::{format_trace_id, SpanId, SpanRecord, Trace, TraceReport};

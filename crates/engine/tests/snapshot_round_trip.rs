@@ -234,7 +234,7 @@ fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
     snap.execute(QUERIES[0], EngineKind::HashJoin).unwrap();
     assert_eq!(
         bytes_of(&snap, "permutations"),
-        6 * 24 * snap.triple_count() as u64
+        6 * 12 * snap.triple_count() as u64
     );
     let built: Vec<_> = snap.builds().iter().map(|b| b.structure).collect();
     assert_eq!(built, ["permutations"]);
@@ -244,10 +244,11 @@ fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
 #[test]
 fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // What older builds wrote first: the store meta section with sub-version
-    // 1 (the permutation tables still followed the graphs) or 2 (the graphs
-    // still held their degree order and unlabeled list).
+    // 1 (the permutation tables still followed the graphs), 2 (the graphs
+    // still held their degree order and unlabeled list) or 3 (term ids were
+    // 64 bits wide).
     let path = temp_path("subversion.snap");
-    for found in [1, 2] {
+    for found in [1, 2, 3] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -256,7 +257,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 3
+                expected: 4
             })
         );
     }

@@ -1,20 +1,28 @@
-//! Mutable builder that freezes into the CSR [`LabeledGraph`].
+//! Lays out the CSR [`LabeledGraph`] (paper Section 4.2).
 //!
-//! The builder accepts vertices (with label sets) and labeled edges in any
-//! order and on [`build`](LabeledGraphBuilder::build) lays out the grouped
-//! adjacency described in paper Section 4.2 for both directions, dropping
-//! exact duplicate edges where the per-row sort leaves them adjacent.
+//! [`layout`] is the one function that does it. It takes the vertex count,
+//! the vertex label sets as a CSR and an edge source it can walk more than
+//! once, and lays out the grouped adjacency of both directions in counted
+//! passes: every array the graph keeps is allocated at its final length, and
+//! the only scratch is one row buffer both directions reuse. Exact duplicate
+//! edges are dropped where the per-row sort leaves them adjacent.
+//!
+//! The data-graph transformations feed [`layout`] straight from the triples;
+//! [`LabeledGraphBuilder`] collects the vertices and edges of a small graph
+//! (tests, examples) in any order and feeds it the same way.
 
 use crate::ids::{ELabel, VLabel, VertexId};
 use crate::labeled_graph::{AdjacencyDirection, ELabelGroup, LabeledGraph, TypeGroup};
 
-/// Builder for [`LabeledGraph`].
+/// What an edge source hands every edge to: `sink(from, to, label)` is the
+/// edge `from --label--> to`.
+pub type EdgeSink<'a> = dyn FnMut(VertexId, VertexId, ELabel) + 'a;
+
+/// Builder for [`LabeledGraph`]: a thin feeder into [`layout`].
 #[derive(Debug, Default, Clone)]
 pub struct LabeledGraphBuilder {
     vertex_labels: Vec<Vec<VLabel>>,
     edges: Vec<(VertexId, VertexId, ELabel)>,
-    max_vlabel: Option<u32>,
-    max_elabel: Option<u32>,
 }
 
 impl LabeledGraphBuilder {
@@ -23,23 +31,10 @@ impl LabeledGraphBuilder {
         Self::default()
     }
 
-    /// Creates a builder with capacity hints.
-    pub fn with_capacity(vertices: usize, edges: usize) -> Self {
-        LabeledGraphBuilder {
-            vertex_labels: Vec::with_capacity(vertices),
-            edges: Vec::with_capacity(edges),
-            max_vlabel: None,
-            max_elabel: None,
-        }
-    }
-
     /// Adds a vertex with the given label set and returns its id.
     pub fn add_vertex(&mut self, mut labels: Vec<VLabel>) -> VertexId {
         labels.sort_unstable();
         labels.dedup();
-        for l in &labels {
-            self.max_vlabel = Some(self.max_vlabel.map_or(l.0, |m| m.max(l.0)));
-        }
         let id = VertexId(self.vertex_labels.len() as u32);
         self.vertex_labels.push(labels);
         id
@@ -58,97 +53,130 @@ impl LabeledGraphBuilder {
             to.index() < self.vertex_labels.len(),
             "edge target {to} not added"
         );
-        self.max_elabel = Some(self.max_elabel.map_or(label.0, |m| m.max(label.0)));
         self.edges.push((from, to, label));
     }
 
     /// Freezes the builder into an immutable [`LabeledGraph`].
     pub fn build(self) -> LabeledGraph {
-        let n = self.vertex_labels.len();
-        let num_vlabels = self.max_vlabel.map_or(0, |m| m as usize + 1);
-        let num_elabels = self.max_elabel.map_or(0, |m| m as usize + 1);
-
-        // Vertex label CSR.
-        let mut label_offsets = Vec::with_capacity(n + 1);
-        let mut labels = Vec::new();
+        let mut label_offsets = Vec::with_capacity(self.vertex_labels.len() + 1);
         label_offsets.push(0u32);
         for ls in &self.vertex_labels {
-            labels.extend_from_slice(ls);
-            label_offsets.push(labels.len() as u32);
+            label_offsets.push(label_offsets[label_offsets.len() - 1] + ls.len() as u32);
         }
-
-        let outgoing = build_direction(n, &self.vertex_labels, &self.edges, false);
-        let incoming = build_direction(n, &self.vertex_labels, &self.edges, true);
-
-        LabeledGraph {
-            num_vertices: n,
-            num_edges: outgoing.targets.len(),
-            num_vlabels,
-            num_elabels,
-            label_offsets: label_offsets.into(),
-            labels: labels.into(),
-            outgoing,
-            incoming,
-        }
+        let labels = self.vertex_labels.concat();
+        layout(
+            self.vertex_labels.len(),
+            label_offsets,
+            labels,
+            |sink: &mut EdgeSink<'_>| {
+                for &(from, to, label) in &self.edges {
+                    sink(from, to, label);
+                }
+            },
+        )
     }
 }
 
-/// Builds one adjacency direction with a counting-sort layout: one counting
-/// pass, one prefix-sum placement pass into a single flat edge buffer, then a
-/// per-row sort and dedup. Compared to per-vertex `Vec` buckets this does O(1)
-/// allocations for the edge rows and keeps each row contiguous in memory.
-/// With `swapped == true` the edges are interpreted target→source (the
-/// incoming direction).
-fn build_direction(
-    n: usize,
-    vertex_labels: &[Vec<VLabel>],
-    edges: &[(VertexId, VertexId, ELabel)],
-    swapped: bool,
+/// Lays out the graph over `num_vertices` vertices whose label sets are the
+/// CSR `label_offsets`/`labels` (`label_offsets[v]..label_offsets[v + 1]` of
+/// `labels` is vertex `v`'s set, sorted and duplicate free) and whose edges
+/// are what `edges` hands its sink, each `from --label--> to`.
+///
+/// `edges` is walked four times (a count and a placement per direction) and
+/// must hand over the same edges, in any order, each time. The label space
+/// sizes follow the largest label used: a vertex label on some vertex, an
+/// edge label on some edge.
+///
+/// # Panics
+/// Panics if `label_offsets` does not have one entry per vertex plus one, if
+/// an edge names a vertex outside `0..num_vertices`, or if a direction would
+/// hold more than `u32::MAX` edges.
+pub fn layout(
+    num_vertices: usize,
+    label_offsets: Vec<u32>,
+    labels: Vec<VLabel>,
+    edges: impl Fn(&mut EdgeSink<'_>),
+) -> LabeledGraph {
+    assert_eq!(
+        label_offsets.len(),
+        num_vertices + 1,
+        "one label set per vertex"
+    );
+    debug_assert!((0..num_vertices).all(|v| {
+        let set = &labels[label_offsets[v] as usize..label_offsets[v + 1] as usize];
+        set.windows(2).all(|w| w[0] < w[1])
+    }));
+    let num_vlabels = labels.iter().max().map_or(0, |l| l.index() + 1);
+    // The row buffer both directions reuse; dropped before returning.
+    let mut rows = Vec::new();
+    let label_sets = (&label_offsets[..], &labels[..]);
+    let [outgoing, incoming] = [false, true]
+        .map(|incoming| lay_out_direction(label_sets, num_vlabels, &edges, &mut rows, incoming));
+    drop(rows);
+    let num_elabels = (outgoing.elabel_groups.iter())
+        .map(|g| g.elabel.index() + 1)
+        .max()
+        .unwrap_or(0);
+    LabeledGraph {
+        num_vertices,
+        num_edges: outgoing.targets.len(),
+        num_vlabels,
+        num_elabels,
+        label_offsets: label_offsets.into(),
+        labels: labels.into(),
+        outgoing,
+        incoming,
+    }
+}
+
+/// Lays out one adjacency direction; with `incoming` every edge is read
+/// target→source. Six steps:
+///
+/// 1. count the degrees;
+/// 2. take prefix sums into `u32` row bounds;
+/// 3. place the `(edge label, neighbor)` pairs into `rows`;
+/// 4. sort and dedup each row in place, which makes every edge-label run a
+///    strict sorted set;
+/// 5. count the edge-label groups, type groups and typed entries;
+/// 6. allocate every array at its final length and fill it.
+fn lay_out_direction(
+    (label_offsets, labels): (&[u32], &[VLabel]),
+    num_vlabels: usize,
+    edges: &dyn Fn(&mut EdgeSink<'_>),
+    rows: &mut Vec<(ELabel, VertexId)>,
+    incoming: bool,
 ) -> AdjacencyDirection {
-    // Counting pass: the per-source edge counts become the degree array
-    // once each row has dropped its duplicates.
+    let n = label_offsets.len() - 1;
+    // The vertex whose row an edge lands in, and the neighbor it records.
+    let orient = |from: VertexId, to: VertexId| if incoming { (to, from) } else { (from, to) };
+
     let mut degrees = vec![0u32; n];
-    for &(f, t, _) in edges {
-        let src = if swapped { t } else { f };
-        degrees[src.index()] += 1;
-    }
+    edges(&mut |from, to, _| degrees[orient(from, to).0.index()] += 1);
 
-    // Prefix sums give every vertex a contiguous row in one flat buffer.
-    let mut row_starts = Vec::with_capacity(n + 1);
-    let mut total = 0usize;
-    row_starts.push(0usize);
+    // `bounds[v]` starts as the end of row `v`; placing an edge moves it back
+    // by one, so afterwards it is the row's start and `bounds[v + 1]` its end.
+    let mut bounds = Vec::with_capacity(n + 1);
+    let mut total = 0u32;
     for &d in &degrees {
-        total += d as usize;
-        row_starts.push(total);
+        total = total
+            .checked_add(d)
+            .expect("a direction holds at most u32::MAX edges");
+        bounds.push(total);
     }
+    bounds.push(total);
 
-    // Placement pass.
-    let mut rows: Vec<(ELabel, VertexId)> = vec![(ELabel(0), VertexId(0)); total];
-    let mut cursors = row_starts.clone();
-    for &(f, t, l) in edges {
-        let (src, dst) = if swapped { (t, f) } else { (f, t) };
-        let c = &mut cursors[src.index()];
-        rows[*c] = (l, dst);
-        *c += 1;
-    }
+    rows.clear();
+    rows.resize(total as usize, (ELabel(0), VertexId(0)));
+    edges(&mut |from, to, label| {
+        let (v, neighbor) = orient(from, to);
+        bounds[v.index()] -= 1;
+        rows[bounds[v.index()] as usize] = (label, neighbor);
+    });
 
-    let mut vertex_offsets = Vec::with_capacity(n + 1);
-    let mut elabel_groups: Vec<ELabelGroup> = Vec::new();
-    let mut type_groups: Vec<TypeGroup> = Vec::new();
-    let mut targets: Vec<VertexId> = Vec::with_capacity(total);
-    let mut typed_targets: Vec<VertexId> = Vec::new();
-    // Scratch reused across rows. The key maps `None` to 0 and `Some(l)` to
-    // `l + 1`, preserving the `Option<VLabel>` ordering (`None < Some`) that
-    // the typed-group binary searches rely on.
-    let mut typed_scratch: Vec<(u32, VertexId)> = Vec::new();
-
-    vertex_offsets.push(0u32);
+    // Sorted by (edge label, neighbor), exact duplicates are adjacent. A row
+    // keeps its start; its degree becomes its distinct length.
     for v in 0..n {
-        let row = &mut rows[row_starts[v]..row_starts[v + 1]];
-        // Sort by (edge label, target) so each edge-label group is contiguous
-        // and its target list is sorted; exact duplicates are then adjacent
-        // and dropped, so every run of equal edge labels is a strict sorted
-        // set.
+        let row = &mut rows[bounds[v] as usize..bounds[v + 1] as usize];
         row.sort_unstable();
         let mut distinct = 0usize;
         for i in 0..row.len() {
@@ -157,62 +185,90 @@ fn build_direction(
                 distinct += 1;
             }
         }
-        let row = &row[..distinct];
         degrees[v] = distinct as u32;
-        let mut i = 0usize;
-        while i < row.len() {
-            let el = row[i].0;
-            let mut j = i;
-            while j < row.len() && row[j].0 == el {
-                j += 1;
-            }
-            let target_start = targets.len() as u32;
-            targets.extend(row[i..j].iter().map(|&(_, t)| t));
-            let target_end = targets.len() as u32;
+    }
+    let rows = &rows[..];
+    let groups_of = |v: usize| {
+        let row = &rows[bounds[v] as usize..][..degrees[v] as usize];
+        row.chunk_by(|a, b| a.0 == b.0)
+    };
+    // A neighbor lands in one type group per label it carries, or in the
+    // `_` group when it carries none.
+    let for_each_key = |t: VertexId, f: &mut dyn FnMut(u32)| {
+        let set = &labels[label_offsets[t.index()] as usize..label_offsets[t.index() + 1] as usize];
+        if set.is_empty() {
+            f(TypeGroup::key_of(None));
+        }
+        for &l in set {
+            f(TypeGroup::key_of(Some(l)));
+        }
+    };
 
-            // Type groups: neighbor label → sorted targets. A neighbor with
-            // multiple labels lands in several groups; an unlabeled neighbor
-            // lands in the `None` group.
-            typed_scratch.clear();
-            for &(_, t) in &row[i..j] {
-                let nls = &vertex_labels[t.index()];
-                if nls.is_empty() {
-                    typed_scratch.push((0, t));
-                } else {
-                    for &nl in nls {
-                        typed_scratch.push((nl.0 + 1, t));
+    // `last_group[key]` is the last edge-label group a key was counted in.
+    let mut last_group = vec![usize::MAX; num_vlabels + 1];
+    let (mut num_groups, mut num_type_groups, mut num_typed) = (0usize, 0usize, 0usize);
+    for v in 0..n {
+        for group in groups_of(v) {
+            for &(_, t) in group {
+                for_each_key(t, &mut |key| {
+                    num_typed += 1;
+                    if last_group[key as usize] != num_groups {
+                        last_group[key as usize] = num_groups;
+                        num_type_groups += 1;
                     }
-                }
+                });
+            }
+            num_groups += 1;
+        }
+    }
+    drop(last_group);
+    // Every range below is stored as `u32`: the casts are lossless.
+    assert!(
+        u32::try_from(num_groups.max(num_type_groups).max(num_typed)).is_ok(),
+        "a direction holds at most u32::MAX groups and typed entries"
+    );
+
+    let mut vertex_offsets = Vec::with_capacity(n + 1);
+    let mut elabel_groups = Vec::with_capacity(num_groups);
+    let mut type_groups = Vec::with_capacity(num_type_groups);
+    let mut targets = Vec::with_capacity(degrees.iter().map(|&d| d as usize).sum());
+    let mut typed_targets = Vec::with_capacity(num_typed);
+    // One edge-label group's (key, neighbor) pairs, reused across groups.
+    let mut typed_scratch: Vec<(u32, VertexId)> = Vec::new();
+    vertex_offsets.push(0u32);
+    for v in 0..n {
+        for group in groups_of(v) {
+            let target_start = targets.len() as u32;
+            targets.extend(group.iter().map(|&(_, t)| t));
+            typed_scratch.clear();
+            for &(_, t) in group {
+                for_each_key(t, &mut |key| typed_scratch.push((key, t)));
             }
             typed_scratch.sort_unstable();
             let type_start = type_groups.len() as u32;
-            let mut k = 0usize;
-            while k < typed_scratch.len() {
-                let key = typed_scratch[k].0;
+            for run in typed_scratch.chunk_by(|a, b| a.0 == b.0) {
                 let start = typed_targets.len() as u32;
-                while k < typed_scratch.len() && typed_scratch[k].0 == key {
-                    typed_targets.push(typed_scratch[k].1);
-                    k += 1;
-                }
+                typed_targets.extend(run.iter().map(|&(_, t)| t));
                 type_groups.push(TypeGroup {
-                    vlabel_key: key,
+                    vlabel_key: run[0].0,
                     start,
                     end: typed_targets.len() as u32,
                 });
             }
-            let type_end = type_groups.len() as u32;
-
             elabel_groups.push(ELabelGroup {
-                elabel: el,
+                elabel: group[0].0,
                 target_start,
-                target_end,
+                target_end: targets.len() as u32,
                 type_start,
-                type_end,
+                type_end: type_groups.len() as u32,
             });
-            i = j;
         }
         vertex_offsets.push(elabel_groups.len() as u32);
     }
+    debug_assert_eq!(
+        [elabel_groups.len(), type_groups.len(), typed_targets.len()],
+        [num_groups, num_type_groups, num_typed]
+    );
 
     AdjacencyDirection {
         vertex_offsets: vertex_offsets.into(),
@@ -228,6 +284,7 @@ fn build_direction(
 mod tests {
     use super::*;
     use crate::ids::Direction;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn empty_graph_builds() {
@@ -352,5 +409,92 @@ mod tests {
             assert_eq!(a.elabel_groups, b.elabel_groups);
             assert_eq!(a.type_groups, b.type_groups);
         }
+    }
+
+    #[test]
+    fn layout_equals_a_reference_grouped_through_ordered_maps() {
+        // 30 vertices with 0–2 labels, 200 edges (repeats, self loops,
+        // parallel edges under other labels) from a fixed LCG.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let labels: Vec<Vec<VLabel>> = (0..30u32)
+            .map(|v| (0..v % 3).map(|l| VLabel((v + 2 * l) % 7)).collect())
+            .collect();
+        let edges: Vec<(VertexId, VertexId, ELabel)> = (0..200)
+            .map(|_| {
+                let [from, to] = [next(30), next(30)].map(|v| VertexId(v as u32));
+                (from, to, ELabel(next(5) as u32))
+            })
+            .collect();
+        let mut b = LabeledGraphBuilder::new();
+        for ls in &labels {
+            b.add_vertex(ls.clone());
+        }
+        for &(from, to, label) in &edges {
+            b.add_edge(from, to, label);
+        }
+        let g = b.build();
+
+        for (dir, incoming) in [(&g.outgoing, false), (&g.incoming, true)] {
+            // Per vertex: edge label → neighbor set, and per (edge label,
+            // neighbor label or 0 for none) → neighbor set.
+            type Groups<K> = Vec<BTreeMap<K, BTreeSet<VertexId>>>;
+            let mut plain: Groups<ELabel> = vec![BTreeMap::new(); 30];
+            let mut typed: Groups<(ELabel, u32)> = vec![BTreeMap::new(); 30];
+            for &(from, to, el) in &edges {
+                let (v, w) = if incoming { (to, from) } else { (from, to) };
+                plain[v.index()].entry(el).or_default().insert(w);
+                let mut keys: Vec<u32> = labels[w.index()].iter().map(|l| l.0 + 1).collect();
+                if keys.is_empty() {
+                    keys.push(0);
+                }
+                for key in keys {
+                    typed[v.index()].entry((el, key)).or_default().insert(w);
+                }
+            }
+            let (mut targets, mut typed_targets, mut type_groups) = (vec![], vec![], vec![]);
+            let (mut groups, mut offsets) = (vec![], vec![0u32]);
+            for v in 0..30 {
+                for (&el, neighbors) in &plain[v] {
+                    let target_start = targets.len() as u32;
+                    targets.extend(neighbors);
+                    let type_start = type_groups.len() as u32;
+                    for (&(_, key), ns) in typed[v].range((el, 0)..=(el, u32::MAX)) {
+                        let start = typed_targets.len() as u32;
+                        typed_targets.extend(ns);
+                        let end = typed_targets.len() as u32;
+                        type_groups.push(TypeGroup {
+                            vlabel_key: key,
+                            start,
+                            end,
+                        });
+                    }
+                    groups.push(ELabelGroup {
+                        elabel: el,
+                        target_start,
+                        target_end: targets.len() as u32,
+                        type_start,
+                        type_end: type_groups.len() as u32,
+                    });
+                }
+                offsets.push(groups.len() as u32);
+            }
+            let degrees: Vec<u32> = (0..30)
+                .map(|v| plain[v].values().map(|ns| ns.len() as u32).sum())
+                .collect();
+            assert_eq!(&*dir.vertex_offsets, &offsets[..]);
+            assert_eq!(&*dir.elabel_groups, &groups[..]);
+            assert_eq!(&*dir.type_groups, &type_groups[..]);
+            assert_eq!(&*dir.targets, &targets[..]);
+            assert_eq!(&*dir.typed_targets, &typed_targets[..]);
+            assert_eq!(&*dir.degrees, &degrees[..]);
+        }
+        assert_eq!(g.vertex_label_count(), 7);
+        assert_eq!(g.edge_label_count(), 5);
     }
 }

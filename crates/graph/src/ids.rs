@@ -11,7 +11,7 @@ use std::fmt;
 use turbohom_storage::Pod;
 
 /// A data-graph vertex id (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct VertexId(pub u32);
 
@@ -34,7 +34,7 @@ impl fmt::Display for VertexId {
 
 /// A vertex label id (dense, 0-based). Under the type-aware transformation
 /// a vertex label corresponds to an RDF class (e.g. `GraduateStudent`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct VLabel(pub u32);
 

@@ -22,20 +22,18 @@ pub struct InverseLabelIndex {
 }
 
 impl InverseLabelIndex {
-    /// Builds the index from a graph.
+    /// Builds the index from a graph: counts each label's vertices, then
+    /// fills the lists. Vertices are visited in increasing id order, so the
+    /// lists come out sorted.
     pub fn build(graph: &LabeledGraph) -> Self {
-        let mut lists: Vec<Vec<VertexId>> = vec![Vec::new(); graph.vertex_label_count()];
-        for v in graph.vertices() {
-            for &l in graph.labels(v) {
-                lists[l.index()].push(v);
+        let lists = FlatCsr::counted(graph.vertex_label_count(), |sink| {
+            for v in graph.vertices() {
+                for &l in graph.labels(v) {
+                    sink(l.index(), v);
+                }
             }
-        }
-        // Vertices are visited in increasing id order, so the lists are
-        // already sorted; assert in debug builds.
-        debug_assert!(lists.iter().all(|l| ops::is_sorted_set(l)));
-        InverseLabelIndex {
-            lists: FlatCsr::from_rows(&lists),
-        }
+        });
+        InverseLabelIndex { lists }
     }
 
     /// The sorted vertices carrying `label` (empty slice if the label is

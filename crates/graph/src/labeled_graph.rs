@@ -71,7 +71,7 @@ impl TypeGroup {
 }
 
 /// Adjacency structure of one direction (outgoing or incoming).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct AdjacencyDirection {
     /// `vertex_offsets[v] .. vertex_offsets[v+1]` is the range of
     /// `elabel_groups` belonging to vertex `v`.
@@ -193,8 +193,10 @@ pub struct GraphStats {
 
 /// The immutable, CSR-encoded labeled directed graph.
 ///
-/// Construct one through [`LabeledGraphBuilder`](crate::builder::LabeledGraphBuilder).
-#[derive(Debug, Clone, Default)]
+/// Construct one with [`layout`](crate::builder::layout), or through
+/// [`LabeledGraphBuilder`](crate::builder::LabeledGraphBuilder). Two graphs
+/// are equal when every array is.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabeledGraph {
     pub(crate) num_vertices: usize,
     pub(crate) num_edges: usize,

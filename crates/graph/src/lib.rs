@@ -7,7 +7,8 @@
 //!   stored **grouped by neighbor type** — the pair *(edge label, neighbor
 //!   vertex label)* — in both directions, which is exactly the layout that
 //!   makes `ExploreCandidateRegion` and the `+INT` intersection-based
-//!   `IsJoinable` test cheap.
+//!   `IsJoinable` test cheap. [`layout`] lays it out in counted passes from
+//!   any edge source that can be walked more than once.
 //! * [`InverseLabelIndex`] — the "inverse vertex label list": vertex label →
 //!   sorted list of vertices carrying it.
 //! * [`PredicateIndex`] — edge label → (sorted subject list, sorted object
@@ -30,7 +31,7 @@ pub mod ops;
 pub mod predicate_index;
 pub mod query_graph;
 
-pub use builder::LabeledGraphBuilder;
+pub use builder::{layout, EdgeSink, LabeledGraphBuilder};
 pub use ids::{Direction, ELabel, VLabel, VertexId};
 pub use inverse_label::InverseLabelIndex;
 pub use labeled_graph::{GraphStats, LabeledGraph};

@@ -19,7 +19,6 @@
 
 use crate::ids::{Direction, ELabel, VLabel, VertexId};
 use crate::labeled_graph::LabeledGraph;
-use crate::ops;
 use turbohom_storage::{FlatCsr, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (component 0x04).
@@ -81,8 +80,11 @@ impl SchemaSummary {
                 })? |= signature_bit(el, side);
             }
         }
-        let mut implied_labels = Vec::with_capacity(rows.len());
+        // The implied-label CSR, appended to row by row.
+        let mut label_offsets = Vec::with_capacity(rows.len() + 1);
+        let mut implied_labels = Vec::new();
         let mut common_signatures = Vec::with_capacity(rows.len());
+        label_offsets.push(0u64);
         for &(_, _, endpoints) in &rows {
             // Nobody arrives over a predicate without edges: nothing is
             // claimed of it.
@@ -96,11 +98,14 @@ impl SchemaSummary {
                     labels.retain(|&l| graph.has_label(v, l));
                 }
             }
-            implied_labels.push(labels);
+            implied_labels.extend_from_slice(&labels);
+            label_offsets.push(implied_labels.len() as u64);
             common_signatures.push(common);
         }
+        let implied_labels = FlatCsr::from_parts(label_offsets.into(), implied_labels.into())
+            .expect("offsets were appended in order");
         Ok(SchemaSummary {
-            implied_labels: FlatCsr::from_rows(&implied_labels),
+            implied_labels,
             common_signatures: common_signatures.into(),
             signatures: signatures.into(),
         })
@@ -118,27 +123,31 @@ pub struct PredicateIndex {
 }
 
 impl PredicateIndex {
-    /// Builds the index from a graph.
+    /// Builds the index from a graph. A predicate's subjects are the
+    /// vertices with an outgoing edge-label group of it, its objects those
+    /// with an incoming one: each list is counted, then filled, in
+    /// increasing vertex order, so it comes out sorted and distinct.
     pub fn build(graph: &LabeledGraph) -> Self {
         let k = graph.edge_label_count();
-        let mut subjects: Vec<Vec<VertexId>> = vec![Vec::new(); k];
-        let mut objects: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+        let endpoints = |side: Direction| {
+            FlatCsr::counted(k, |sink| {
+                for v in graph.vertices() {
+                    for el in graph.incident_edge_labels(v, side) {
+                        sink(el.index(), v);
+                    }
+                }
+            })
+        };
+        let (subjects, objects) = (
+            endpoints(Direction::Outgoing),
+            endpoints(Direction::Incoming),
+        );
         let mut edge_counts = vec![0u64; k];
         for v in graph.vertices() {
             for el in graph.incident_edge_labels(v, Direction::Outgoing) {
-                let ns = graph.neighbors(v, Direction::Outgoing, el);
-                if !ns.is_empty() {
-                    subjects[el.index()].push(v);
-                    edge_counts[el.index()] += ns.len() as u64;
-                    objects[el.index()].extend_from_slice(ns);
-                }
+                edge_counts[el.index()] += graph.neighbors(v, Direction::Outgoing, el).len() as u64;
             }
         }
-        for list in objects.iter_mut() {
-            ops::canonicalize(list);
-        }
-        debug_assert!(subjects.iter().all(|l| ops::is_sorted_set(l)));
-        let (subjects, objects) = (FlatCsr::from_rows(&subjects), FlatCsr::from_rows(&objects));
         let summary = SchemaSummary::derive(&subjects, &objects, graph)
             .expect("the endpoints were read off the graph");
         PredicateIndex {

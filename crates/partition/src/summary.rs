@@ -365,7 +365,7 @@ mod tests {
                     assert_eq!(summary.owns(id), owner == shard, "k={shards} {term}");
                 }
                 // An id past the dictionary is owned by nobody.
-                let past = data.dictionary.len() as u64;
+                let past = data.dictionary.len() as u32;
                 assert!((past..past + 130).all(|id| !summary.owns(TermId(id))));
             }
         }

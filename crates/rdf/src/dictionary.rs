@@ -32,12 +32,14 @@ use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, Sn
 ///
 /// Ids are assigned sequentially starting from 0 in insertion order, so they
 /// double as indices into side arrays (the labeled graph uses them to index
-/// vertex metadata directly).
+/// vertex metadata directly). They are 32 bits wide, as the graph's vertex
+/// ids and the id-row cells are: the dictionary refuses the 2³²-th term (see
+/// `slot_entry`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
-pub struct TermId(pub u64);
+pub struct TermId(pub u32);
 
-// Safety: repr(transparent) over u64 — no padding, no niches.
+// Safety: repr(transparent) over u32 — no padding, no niches.
 unsafe impl Pod for TermId {}
 
 impl TermId {
@@ -161,7 +163,7 @@ enum Lookup {
     /// serialised, and left to the memory ledger's `unaccounted` line.
     Hashed(Vec<u32>),
     /// Once frozen or mapped: term ids sorted by [`Key`] for binary search.
-    Sorted(FlatVec<u64>),
+    Sorted(FlatVec<u32>),
 }
 
 /// A bidirectional mapping between [`Term`]s and [`TermId`]s.
@@ -228,9 +230,9 @@ impl Dictionary {
     }
 
     /// The ids in key order.
-    fn sorted_ids(&self) -> Vec<u64> {
+    fn sorted_ids(&self) -> Vec<u32> {
         let (arena, records): (&[u8], &[TermRecord]) = (&self.arena, &self.records);
-        let mut sorted: Vec<u64> = (0..records.len() as u64).collect();
+        let mut sorted: Vec<u32> = (0..records.len() as u32).collect();
         sorted.sort_unstable_by(|&a, &b| {
             record_key(arena, &records[a as usize]).cmp(&record_key(arena, &records[b as usize]))
         });
@@ -261,7 +263,7 @@ impl Dictionary {
                 return Err(slot);
             };
             if record_key(&self.arena, &self.records[id as usize]) == key {
-                return Ok(TermId(u64::from(id)));
+                return Ok(TermId(id));
             }
             slot = (slot + 1) & mask;
         }
@@ -324,7 +326,7 @@ impl Dictionary {
         if let Lookup::Hashed(table) = &mut self.lookup {
             table[slot] = entry;
         }
-        TermId(id as u64)
+        TermId(entry - 1)
     }
 
     /// Returns the id for `term`, inserting it if it is not yet present.
@@ -388,7 +390,7 @@ impl Dictionary {
 
     /// Iterates over `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, Term)> + '_ {
-        (0..self.len() as u64).map(move |i| {
+        (0..self.len() as u32).map(move |i| {
             let id = TermId(i);
             (id, self.term(id).expect("ids below len are valid"))
         })
@@ -421,7 +423,7 @@ impl Dictionary {
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let arena: FlatVec<u8> = cur.next_section(TAG_DICT_ARENA)?;
         let records: FlatVec<TermRecord> = cur.next_section(TAG_DICT_RECORDS)?;
-        let sorted: FlatVec<u64> = cur.next_section(TAG_DICT_SORTED)?;
+        let sorted: FlatVec<u32> = cur.next_section(TAG_DICT_SORTED)?;
         if sorted.len() != records.len() {
             return Err(SnapshotError::Malformed(
                 "dictionary sort permutation length mismatch".into(),
@@ -451,7 +453,7 @@ impl Dictionary {
             }
         }
         let n = records.len() as u64;
-        if sorted.iter().any(|&id| id >= n) {
+        if sorted.iter().any(|&id| u64::from(id) >= n) {
             return Err(SnapshotError::Malformed(
                 "dictionary sort permutation references an invalid id".into(),
             ));
@@ -487,7 +489,7 @@ mod tests {
             .map(|i| d.encode(&Term::iri(format!("http://ex.org/{i}"))))
             .collect();
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(id.0, i as u64);
+            assert_eq!(id.index(), i);
         }
         assert_eq!(d.len(), 10);
     }
@@ -538,7 +540,7 @@ mod tests {
         d.encode_iri("http://a");
         d.encode_iri("http://b");
         d.encode_iri("http://c");
-        let collected: Vec<u64> = d.iter().map(|(id, _)| id.0).collect();
+        let collected: Vec<u32> = d.iter().map(|(id, _)| id.0).collect();
         assert_eq!(collected, vec![0, 1, 2]);
     }
 
@@ -597,7 +599,7 @@ mod tests {
         assert_eq!(view.id_of_iri("http://ex.org/a"), Some(ids[0]));
         assert_eq!(view.id_of_iri("http://ex.org/zzz"), None);
         assert!(view.id_of(&Term::literal("missing")).is_none());
-        assert!(view.term(TermId(terms.len() as u64)).is_none());
+        assert!(view.term(TermId(terms.len() as u32)).is_none());
         let collected: Vec<Term> = view.iter().map(|(_, t)| t).collect();
         assert_eq!(collected, terms);
     }
@@ -616,7 +618,7 @@ mod tests {
         assert!(d.is_frozen());
         let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
         assert_eq!(records, (terms.len() * 40) as u64);
-        assert_eq!(sorted, (terms.len() * 8) as u64);
+        assert_eq!(sorted, (terms.len() * 4) as u64);
         assert!(arena > 0);
         for (t, id) in terms.iter().zip(&ids) {
             assert_eq!(d.term(*id).as_ref(), Some(t));
@@ -683,7 +685,7 @@ mod tests {
                     proptest::prop_assert_eq!(flat.term_ref(*id), owned.term_ref(*id));
                 }
                 proptest::prop_assert_eq!(flat.id_of(&absent), None);
-                proptest::prop_assert_eq!(flat.term_ref(TermId(owned.len() as u64)), None);
+                proptest::prop_assert_eq!(flat.term_ref(TermId(owned.len() as u32)), None);
             }
             let mut thawed = frozen.clone();
             proptest::prop_assert_eq!(thawed.encode(&absent).index(), owned.len());
@@ -695,7 +697,7 @@ mod tests {
 
     proptest::proptest! {
         /// Any interleaving of the dictionary's operations answers as the
-        /// owned form did — a `HashMap<Term, u64>` plus a `Vec<Term>`, kept
+        /// owned form did — a `HashMap<Term, u32>` plus a `Vec<Term>`, kept
         /// here as the model.
         #[test]
         fn interleaved_operations_match_the_owned_model(
@@ -706,14 +708,14 @@ mod tests {
             case in 0u64..u64::MAX,
         ) {
             let mut dict = Dictionary::new();
-            let mut ids: HashMap<Term, u64> = HashMap::new();
+            let mut ids: HashMap<Term, u32> = HashMap::new();
             let mut terms: Vec<Term> = Vec::new();
             for (step, (op, kind, lex, dt, lang)) in ops.iter().enumerate() {
                 let term = term_of_kind(*kind, lex, dt, lang);
                 let known = ids.get(&term).map(|&id| TermId(id));
                 match op {
                     0..=3 => {
-                        let expected = known.unwrap_or(TermId(terms.len() as u64));
+                        let expected = known.unwrap_or(TermId(terms.len() as u32));
                         proptest::prop_assert_eq!(dict.encode(&term), expected, "step {}", step);
                         if known.is_none() {
                             ids.insert(term.clone(), expected.0);
@@ -730,7 +732,7 @@ mod tests {
                         // Any id up to one past the last.
                         let id = (case as usize).wrapping_add(step) % (terms.len() + 2);
                         proptest::prop_assert_eq!(
-                            dict.term_ref(TermId(id as u64)),
+                            dict.term_ref(TermId(id as u32)),
                             terms.get(id).map(TermRef::from),
                             "step {}", step
                         );
@@ -743,7 +745,7 @@ mod tests {
             let decoded: Vec<Term> = dict.iter().map(|(_, term)| term).collect();
             proptest::prop_assert_eq!(&decoded, &terms);
             for (id, term) in terms.iter().enumerate() {
-                proptest::prop_assert_eq!(dict.id_of(term), Some(TermId(id as u64)));
+                proptest::prop_assert_eq!(dict.id_of(term), Some(TermId(id as u32)));
             }
         }
     }
@@ -766,8 +768,8 @@ mod tests {
             assert_eq!(d.is_frozen(), frozen);
             assert_eq!(d.len(), 5_000);
             for i in 0..5_000 {
-                assert_eq!(d.id_of(&term(i)), Some(TermId(i as u64)));
-                assert_eq!(d.term(TermId(i as u64)), Some(term(i)));
+                assert_eq!(d.id_of(&term(i)), Some(TermId(i as u32)));
+                assert_eq!(d.term(TermId(i as u32)), Some(term(i)));
             }
             assert_eq!(d.id_of(&term(5_000)), None);
             d.freeze();

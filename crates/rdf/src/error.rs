@@ -10,7 +10,7 @@ pub enum RdfError {
     /// Carries the 1-based line number and a human readable description.
     Parse { line: usize, message: String },
     /// A term id was looked up that is not present in the dictionary.
-    UnknownTermId(u64),
+    UnknownTermId(u32),
     /// A term was expected to be present in the dictionary but is not.
     UnknownTerm(String),
     /// An IRI failed basic well-formedness checks (empty, embedded spaces, …).

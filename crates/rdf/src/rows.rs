@@ -51,20 +51,16 @@ impl IdRows {
         }
     }
 
-    /// The cell of a bound term id.
-    ///
-    /// # Panics
-    /// Panics if the id does not fit a cell; the graph layer's vertex ids are
-    /// `u32` as well, so such a dictionary cannot have been loaded.
+    /// The cell of a bound term id. No dictionary holds the id [`UNBOUND`]:
+    /// it refuses the 2³²-th term.
     pub fn cell(id: TermId) -> u32 {
-        let cell = u32::try_from(id.0).expect("term ids fit a u32 id-row cell");
-        debug_assert_ne!(cell, UNBOUND);
-        cell
+        debug_assert_ne!(id.0, UNBOUND);
+        id.0
     }
 
     /// The term id in a cell, `None` for [`UNBOUND`].
     pub fn term_id(cell: u32) -> Option<TermId> {
-        (cell != UNBOUND).then_some(TermId(u64::from(cell)))
+        (cell != UNBOUND).then_some(TermId(cell))
     }
 
     /// Cells per row.

@@ -27,7 +27,7 @@ pub struct Triple {
     pub o: TermId,
 }
 
-// Safety: repr(C) of three repr(transparent) u64 ids — no padding, no niches.
+// Safety: repr(C) of three repr(transparent) u32 ids — no padding, no niches.
 unsafe impl Pod for Triple {}
 
 impl Triple {
@@ -272,9 +272,9 @@ impl Dataset {
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let dictionary = Dictionary::read_sections(cur)?;
         let triples = TripleStore::read_sections(cur)?;
-        let num_terms = dictionary.len() as u64;
+        let num_terms = dictionary.len();
         for t in triples.iter() {
-            if t.s.0 >= num_terms || t.p.0 >= num_terms || t.o.0 >= num_terms {
+            if [t.s, t.p, t.o].iter().any(|id| id.index() >= num_terms) {
                 return Err(SnapshotError::Malformed(
                     "triple references a term id outside the dictionary".into(),
                 ));
@@ -291,7 +291,7 @@ impl Dataset {
 mod tests {
     use super::*;
 
-    fn id(n: u64) -> TermId {
+    fn id(n: u32) -> TermId {
         TermId(n)
     }
 
@@ -310,7 +310,7 @@ mod tests {
         s.insert(Triple::new(id(2), id(0), id(1)));
         s.insert(Triple::new(id(0), id(0), id(1)));
         s.insert(Triple::new(id(1), id(0), id(1)));
-        let subjects: Vec<u64> = s.iter().map(|t| t.s.0).collect();
+        let subjects: Vec<u32> = s.iter().map(|t| t.s.0).collect();
         assert_eq!(subjects, vec![2, 0, 1]);
     }
 

@@ -110,11 +110,13 @@ pub enum JournalEvent {
         triples: usize,
         /// Whether the store is served from a memory-mapped snapshot.
         mapped: bool,
-        /// Milliseconds spent building each structure (`freeze`,
-        /// `type_aware`, `direct`, `permutations`) before the service
-        /// started, summed over shards (0 for a structure not built yet, or
-        /// mapped instead of built). Rendered as `<structure>_ms` members.
-        build_ms: [(&'static str, f64); 4],
+        /// Per structure (`freeze`, `type_aware`, `direct`, `permutations`)
+        /// built before the service started: the milliseconds it took,
+        /// summed over shards, and the process's resident high-water mark
+        /// right after it, the highest over shards (both 0 for a structure
+        /// not built yet, or mapped instead of built). Rendered as
+        /// `<structure>_ms` and `<structure>_peak_bytes` members.
+        builds: [(&'static str, f64, u64); 4],
     },
     /// A derived structure was built by the first plan that reads it; the
     /// entry's trace id is the request that caused (and waited for) it.
@@ -127,6 +129,8 @@ pub enum JournalEvent {
         ms: f64,
         /// Bytes the built structure holds.
         bytes: u64,
+        /// The process's resident high-water mark right after the build.
+        peak_bytes: u64,
     },
 }
 
@@ -200,14 +204,15 @@ impl JournalEvent {
                 backend,
                 triples,
                 mapped,
-                build_ms,
+                builds,
             } => {
                 w.field("store", flavor)
                     .field("backend", backend)
                     .field("triples", triples)
                     .field("mapped", mapped);
-                for (structure, ms) in build_ms {
-                    w.field(&format!("{structure}_ms"), Fixed3(*ms));
+                for (structure, ms, peak_bytes) in builds {
+                    w.field(&format!("{structure}_ms"), Fixed3(*ms))
+                        .field(&format!("{structure}_peak_bytes"), peak_bytes);
                 }
             }
             JournalEvent::StructureBuilt {
@@ -215,11 +220,13 @@ impl JournalEvent {
                 shard,
                 ms,
                 bytes,
+                peak_bytes,
             } => {
                 w.field("structure", structure)
                     .field("shard", shard)
                     .field("ms", Fixed3(*ms))
-                    .field("bytes", bytes);
+                    .field("bytes", bytes)
+                    .field("peak_bytes", peak_bytes);
             }
         }
     }
@@ -495,11 +502,11 @@ mod tests {
                 backend: "heap",
                 triples: 42,
                 mapped: false,
-                build_ms: [
-                    ("freeze", 1.0),
-                    ("type_aware", 2.0),
-                    ("direct", 0.0),
-                    ("permutations", 0.0),
+                builds: [
+                    ("freeze", 1.0, 50 << 20),
+                    ("type_aware", 2.0, 110 << 20),
+                    ("direct", 0.0, 0),
+                    ("permutations", 0.0, 0),
                 ],
             },
         );
@@ -517,7 +524,7 @@ mod tests {
         assert!(lines[0].contains("\"trace\":null"));
         assert!(lines[0].contains("\"event\":\"store_loaded\""));
         assert!(lines[0].contains("\"triples\":42"));
-        assert!(lines[0].contains("\"type_aware_ms\":2.000"));
+        assert!(lines[0].contains("\"type_aware_ms\":2.000,\"type_aware_peak_bytes\":115343360,"));
         assert!(lines[1].contains("\"trace\":\"000000000000002a\""));
         assert!(lines[1].contains("\"event\":\"query_admitted\""));
         assert!(lines[1].contains("\"mode\":\"analyze\""));
@@ -560,13 +567,14 @@ mod tests {
                 backend: "heap",
                 triples: 9,
                 mapped: false,
-                build_ms: [("freeze", 0.0); 4],
+                builds: [("freeze", 0.0, 0); 4],
             },
             JournalEvent::StructureBuilt {
                 structure: "permutations",
                 shard: 2,
                 ms: 700.0,
                 bytes: 144,
+                peak_bytes: 4096,
             },
         ];
         let journal = EventJournal::new(None);

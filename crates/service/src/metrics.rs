@@ -522,24 +522,6 @@ pub(crate) fn escape_label(value: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// The process's resident set and its high-water mark in bytes (`VmRSS`
-/// and `VmHWM` of `/proc/self/status`); zeros where that file is missing.
-pub(crate) fn process_resident_bytes() -> (u64, u64) {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let field = |name: &str| {
-        let line = status.lines().find_map(|l| l.strip_prefix(name));
-        let kb = line.and_then(|rest| {
-            rest.trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse::<u64>()
-                .ok()
-        });
-        kb.unwrap_or(0) * 1024
-    };
-    (field("VmRSS:"), field("VmHWM:"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

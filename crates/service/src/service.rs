@@ -342,12 +342,14 @@ impl QueryService {
             config,
             store,
         };
-        let builds: Vec<_> = (service.store.stores().iter())
+        let built: Vec<_> = (service.store.stores().iter())
             .flat_map(|store| store.builds())
             .collect();
-        let build_ms = ["freeze", "type_aware", "direct", "permutations"].map(|structure| {
-            let of_structure = builds.iter().filter(|b| b.structure == structure);
-            (structure, of_structure.fold(0.0, |ms, b| ms + b.ms))
+        let builds = ["freeze", "type_aware", "direct", "permutations"].map(|structure| {
+            let of_structure = built.iter().filter(|b| b.structure == structure);
+            of_structure.fold((structure, 0.0, 0), |(_, ms, peak), b| {
+                (structure, ms + b.ms, peak.max(b.peak_bytes))
+            })
         });
         service.journal.record(
             None,
@@ -357,7 +359,7 @@ impl QueryService {
                 backend: service.store.backend_name(),
                 triples: service.store.triple_count(),
                 mapped: service.store.is_mapped(),
-                build_ms,
+                builds,
             },
         );
         service
@@ -626,6 +628,7 @@ impl QueryService {
                         shard,
                         ms: build.ms,
                         bytes: build.bytes,
+                        peak_bytes: build.peak_bytes,
                     },
                 );
             }
@@ -837,7 +840,7 @@ impl QueryService {
             .map(|(_, rows)| ledger_total(rows))
             .map(|m| m.heap + m.mapped)
             .sum();
-        let (resident, peak) = crate::metrics::process_resident_bytes();
+        let (resident, peak) = turbohom_engine::process_resident_bytes();
         let shard_triples: usize = shards.iter().map(|(triples, _)| triples).sum();
         BytesSnapshot {
             resident,
@@ -1307,6 +1310,44 @@ mod tests {
                 >= 3
         );
         assert!(svc.prometheus().contains("turbohom_journal_events_total"));
+    }
+
+    #[test]
+    fn each_build_reports_the_peak_it_reached() {
+        let svc = service();
+        let merge_join = QueryOptions {
+            engine: Some(EngineKind::MergeJoin),
+            ..QueryOptions::default()
+        };
+        svc.query(Q, merge_join).unwrap();
+        let events = svc.journal().to_jsonl();
+        let line = |event: &str| {
+            let tag = format!("\"event\":\"{event}\"");
+            events
+                .lines()
+                .find(|l| l.contains(&tag))
+                .unwrap()
+                .to_owned()
+        };
+        let (loaded, built) = (line("store_loaded"), line("structure_built"));
+        let member = |line: &str, key: &str| -> u64 {
+            let (_, rest) = line.split_once(&format!("\"{key}\":")).unwrap();
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+            digits.unwrap().parse().unwrap()
+        };
+        // A structure not built yet reports no peak; a built one reports
+        // the high-water mark wherever `/proc` has one. (The kernel samples
+        // the resident set it folds into `VmHWM`, so two reads are not
+        // ordered, and nothing here compares them.)
+        assert_eq!(member(&loaded, "direct_peak_bytes"), 0);
+        let peaks = [
+            member(&loaded, "freeze_peak_bytes"),
+            member(&loaded, "type_aware_peak_bytes"),
+            member(&built, "peak_bytes"),
+        ];
+        if cfg!(target_os = "linux") {
+            assert!(peaks.iter().all(|&peak| peak > 0), "{loaded}\n{built}");
+        }
     }
 
     #[test]

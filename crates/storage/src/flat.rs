@@ -193,6 +193,43 @@ impl<T: Pod> FlatCsr<T> {
         }
     }
 
+    /// Builds `num_rows` rows in two walks over one input: `walk` hands its
+    /// sink `(row, value)` pairs, once to count each row's length and once
+    /// to place the values, so both arrays are allocated at their final
+    /// length. A row keeps its values in the order they arrive.
+    pub fn counted(num_rows: usize, walk: impl Fn(&mut dyn FnMut(usize, T))) -> Self
+    where
+        T: Default,
+    {
+        let mut offsets = vec![0u64; num_rows + 1];
+        walk(&mut |row, _| offsets[row + 1] += 1);
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut data = vec![T::default(); offsets[num_rows] as usize];
+        // Each row's cursor starts at its offset and ends at the next one.
+        let mut next: Vec<u64> = offsets[..num_rows].to_vec();
+        walk(&mut |row, value| {
+            data[next[row] as usize] = value;
+            next[row] += 1;
+        });
+        FlatCsr {
+            offsets: offsets.into(),
+            data: data.into(),
+        }
+    }
+
+    /// Sorts every row in place (copying a viewed data array first).
+    pub fn sort_rows(&mut self)
+    where
+        T: Ord,
+    {
+        let data = self.data.to_mut();
+        for w in self.offsets.windows(2) {
+            data[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+    }
+
     /// Reassembles from the two flat arrays, validating the CSR invariants
     /// (non-empty offsets, monotone, last offset covering `data`).
     pub fn from_parts(offsets: FlatVec<u64>, data: FlatVec<T>) -> Result<Self, SnapshotError> {
@@ -298,6 +335,25 @@ impl std::iter::Sum for MemoryUse {
     }
 }
 
+/// The process's resident set and its high-water mark in bytes (`VmRSS`
+/// and `VmHWM` of `/proc/self/status`); zeros where that file is missing.
+/// What the ledger's lines add up to is read against these.
+pub fn process_resident_bytes() -> (u64, u64) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let field = |name: &str| {
+        let line = status.lines().find_map(|l| l.strip_prefix(name));
+        let kb = line.and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        });
+        kb.unwrap_or(0) * 1024
+    };
+    (field("VmRSS:"), field("VmHWM:"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +414,22 @@ mod tests {
         assert_eq!(csr.total_len(), 3);
         let rebuilt = FlatCsr::from_parts(csr.offsets().clone(), csr.data().clone()).unwrap();
         assert_eq!(rebuilt, csr);
+    }
+
+    #[test]
+    fn counted_csr_equals_the_one_built_from_rows() {
+        let pairs = [(2usize, 7u32), (0, 1), (2, 8), (0, 2), (2, 9)];
+        let mut csr = FlatCsr::counted(4, |sink| pairs.iter().rev().for_each(|&(r, v)| sink(r, v)));
+        assert_eq!(
+            csr,
+            FlatCsr::from_rows(&[vec![2, 1], vec![], vec![9, 8, 7], vec![]])
+        );
+        csr.sort_rows();
+        assert_eq!(
+            csr,
+            FlatCsr::from_rows(&[vec![1, 2], vec![], vec![7, 8, 9], vec![]])
+        );
+        assert_eq!(FlatCsr::<u32>::counted(0, |_| {}).num_rows(), 0);
     }
 
     #[test]

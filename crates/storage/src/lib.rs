@@ -26,7 +26,7 @@ pub mod pod;
 pub mod snapshot;
 
 pub use bytes::ByteStore;
-pub use flat::{FlatCsr, FlatVec, MemoryUse};
+pub use flat::{process_resident_bytes, FlatCsr, FlatVec, MemoryUse};
 pub use hash::{fnv1a, FNV_OFFSET};
 pub use pod::Pod;
 pub use snapshot::{SectionCursor, Snapshot, SnapshotError, SnapshotWriter};

@@ -34,7 +34,7 @@ pub enum TransformKind {
 /// inverses). All six directions are dense flat arrays (the forward ones
 /// indexed by term id with a sentinel for unmapped terms), so the whole
 /// structure serializes into a snapshot and reads back in place.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphMappings {
     /// RDF term → data vertex (`UNMAPPED` sentinel when absent).
     term_to_vertex: FlatVec<u32>,
@@ -206,7 +206,7 @@ impl TransformedGraph {
         kind: TransformKind,
         graph: LabeledGraph,
         mappings: GraphMappings,
-        simple_labels: Option<Vec<Vec<VLabel>>>,
+        simple_labels: Option<FlatCsr<VLabel>>,
     ) -> Self {
         let inverse_labels = InverseLabelIndex::build(&graph);
         let predicates = PredicateIndex::build(&graph);
@@ -216,7 +216,7 @@ impl TransformedGraph {
             inverse_labels,
             predicates,
             mappings,
-            simple_labels: simple_labels.map(|rows| FlatCsr::from_rows(&rows)),
+            simple_labels,
         }
     }
 
@@ -399,7 +399,7 @@ mod tests {
         b.add_edge(v1, v2, el);
         let graph = b.build();
 
-        let simple = vec![vec![VLabel(0)], vec![VLabel(1)], vec![]];
+        let simple = FlatCsr::from_rows(&[vec![VLabel(0)], vec![VLabel(1)], vec![]]);
         let original =
             TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings, Some(simple));
 

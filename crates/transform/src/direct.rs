@@ -8,7 +8,7 @@
 //! identity label and cheaper to index.
 
 use crate::common::{GraphMappings, TransformKind, TransformedGraph};
-use turbohom_graph::LabeledGraphBuilder;
+use turbohom_graph::layout;
 use turbohom_rdf::Dataset;
 
 /// Applies the direct transformation to `dataset`.
@@ -23,19 +23,17 @@ pub fn direct_transform(dataset: &Dataset) -> TransformedGraph {
         mappings.intern_elabel(t.p);
     }
 
-    let mut builder =
-        LabeledGraphBuilder::with_capacity(mappings.vertex_to_term.len(), dataset.len());
-    for _ in 0..mappings.vertex_to_term.len() {
-        builder.add_vertex(Vec::new());
-    }
-    for t in dataset.triples.iter() {
-        let s = mappings.vertex_of(t.s).expect("interned above");
-        let o = mappings.vertex_of(t.o).expect("interned above");
-        let p = mappings.elabel_of(t.p).expect("interned above");
-        builder.add_edge(s, o, p);
-    }
+    // Then lay the graph out straight from the triples; no vertex has a label.
+    let n = mappings.vertex_to_term.len();
+    let vertex = |term| mappings.vertex_of(term).expect("interned above");
+    let graph = layout(n, vec![0; n + 1], Vec::new(), |sink| {
+        for t in dataset.triples.iter() {
+            let p = mappings.elabel_of(t.p).expect("interned above");
+            sink(vertex(t.s), vertex(t.o), p);
+        }
+    });
 
-    TransformedGraph::assemble(TransformKind::Direct, builder.build(), mappings, None)
+    TransformedGraph::assemble(TransformKind::Direct, graph, mappings, None)
 }
 
 #[cfg(test)]

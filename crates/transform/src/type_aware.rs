@@ -12,11 +12,15 @@
 //! queries under the simple entailment regime can be answered (Section 4.2).
 
 use crate::common::{GraphMappings, TransformKind, TransformedGraph};
-use std::collections::{HashMap, HashSet};
-use turbohom_graph::{LabeledGraphBuilder, VLabel};
+use turbohom_graph::{layout, VLabel};
 use turbohom_rdf::{Dataset, TermId};
+use turbohom_storage::FlatCsr;
 
 /// Applies the type-aware transformation to `dataset`.
+///
+/// Every array is sized by a count before it is filled, and the graph is laid
+/// out straight from the triples through the mappings: what loading keeps
+/// beyond the served arrays is the layout's one row buffer.
 pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     let rdf_type = dataset.rdf_type_id();
     let subclassof = dataset.subclassof_id();
@@ -24,34 +28,7 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     let is_type_pred = |p: TermId| Some(p) == rdf_type;
     let is_subclass_pred = |p: TermId| Some(p) == subclassof;
 
-    // ---- Pass 1: collect the schema hierarchy and direct type assertions.
-    let mut subclass_edges: HashMap<TermId, Vec<TermId>> = HashMap::new();
-    let mut direct_types: HashMap<TermId, Vec<TermId>> = HashMap::new();
-    for t in dataset.triples.iter() {
-        if is_subclass_pred(t.p) {
-            subclass_edges.entry(t.s).or_default().push(t.o);
-        } else if is_type_pred(t.p) {
-            direct_types.entry(t.s).or_default().push(t.o);
-        }
-    }
-
-    // Transitive superclass closure (schema graphs are tiny; DFS per class).
-    let superclasses = |class: TermId| -> Vec<TermId> {
-        let mut out = Vec::new();
-        let mut seen: HashSet<TermId> = HashSet::new();
-        let mut stack: Vec<TermId> = subclass_edges.get(&class).cloned().unwrap_or_default();
-        while let Some(c) = stack.pop() {
-            if c != class && seen.insert(c) {
-                out.push(c);
-                if let Some(next) = subclass_edges.get(&c) {
-                    stack.extend(next.iter().copied());
-                }
-            }
-        }
-        out
-    };
-
-    // ---- Pass 2: intern ids deterministically (triple insertion order).
+    // ---- Pass 1: intern ids deterministically (triple insertion order).
     let mut mappings = GraphMappings::default();
     for t in dataset.triples.iter() {
         if is_type_pred(t.p) {
@@ -67,55 +44,83 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
             mappings.intern_elabel(t.p);
         }
     }
-
-    // ---- Pass 3: compute per-vertex label sets (full closure and Lsimple).
     let n = mappings.vertex_to_term.len();
-    let mut full_labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
-    let mut simple_labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
-    for (&subject, types) in &direct_types {
-        let v = mappings
-            .vertex_of(subject)
-            .expect("typed subjects are interned as vertices");
-        let mut full: HashSet<TermId> = HashSet::new();
-        for &class in types {
-            full.insert(class);
-            for sup in superclasses(class) {
-                full.insert(sup);
-            }
-            let l = mappings.intern_vlabel(class);
-            if !simple_labels[v.index()].contains(&l) {
-                simple_labels[v.index()].push(l);
-            }
-        }
-        for class in full {
-            let l = mappings.intern_vlabel(class);
-            if !full_labels[v.index()].contains(&l) {
-                full_labels[v.index()].push(l);
-            }
-        }
-    }
-    for l in simple_labels.iter_mut() {
-        l.sort_unstable();
-    }
+    let num_classes = mappings.vlabel_to_term.len();
+    let vertex = |term| mappings.vertex_of(term).expect("interned above");
+    let vlabel = |term| mappings.vlabel_of(term).expect("interned above");
 
-    // ---- Pass 4: build the CSR graph from the non-schema triples.
-    let mut builder = LabeledGraphBuilder::with_capacity(n, dataset.len());
-    for labels in full_labels.into_iter() {
-        builder.add_vertex(labels);
-    }
-    for t in dataset.triples.iter() {
-        if is_type_pred(t.p) || is_subclass_pred(t.p) {
-            continue;
+    // ---- Pass 2: Lsimple, every vertex's directly asserted classes, counted
+    // over the `rdf:type` triples. The triples are distinct, so each row is.
+    let mut simple_labels = FlatCsr::counted(n, |sink| {
+        for t in dataset.triples.iter().filter(|t| is_type_pred(t.p)) {
+            sink(vertex(t.s).index(), vlabel(t.o));
         }
-        let s = mappings.vertex_of(t.s).expect("interned above");
-        let o = mappings.vertex_of(t.o).expect("interned above");
-        let p = mappings.elabel_of(t.p).expect("interned above");
-        builder.add_edge(s, o, p);
+    });
+    simple_labels.sort_rows();
+
+    // ---- Pass 3: every class's closure — itself and what it reaches over
+    // `rdfs:subClassOf` — once per class (schema graphs are tiny).
+    let superclasses = FlatCsr::counted(num_classes, |sink| {
+        for t in dataset.triples.iter().filter(|t| is_subclass_pred(t.p)) {
+            sink(vlabel(t.s).index(), vlabel(t.o));
+        }
+    });
+    let mut closures = FlatCsr::counted(num_classes, |sink| {
+        // `reached[c]` is the last class whose walk reached `c`.
+        let mut reached = vec![usize::MAX; num_classes];
+        let mut stack = Vec::new();
+        for class in 0..num_classes {
+            stack.push(VLabel(class as u32));
+            while let Some(c) = stack.pop() {
+                if reached[c.index()] != class {
+                    reached[c.index()] = class;
+                    sink(class, c);
+                    stack.extend_from_slice(superclasses.row(c.index()));
+                }
+            }
+        }
+    });
+    closures.sort_rows();
+    drop(superclasses);
+
+    // ---- Pass 4: every vertex's label set, the union of its direct classes'
+    // closures, written into one flat array: counted, then filled.
+    let union_of = |v: usize, set: &mut Vec<VLabel>| {
+        set.clear();
+        for c in simple_labels.row(v) {
+            set.extend_from_slice(closures.row(c.index()));
+        }
+        set.sort_unstable();
+        set.dedup();
+    };
+    let mut set = Vec::new();
+    let mut label_offsets = Vec::with_capacity(n + 1);
+    label_offsets.push(0u32);
+    for v in 0..n {
+        union_of(v, &mut set);
+        let end = label_offsets[v].checked_add(set.len() as u32);
+        label_offsets.push(end.expect("the label sets hold at most u32::MAX labels"));
     }
+    let mut labels = Vec::with_capacity(label_offsets[n] as usize);
+    for v in 0..n {
+        union_of(v, &mut set);
+        labels.extend_from_slice(&set);
+    }
+    drop((set, closures));
+
+    // ---- Pass 5: lay out the CSR straight from the non-schema triples.
+    let graph = layout(n, label_offsets, labels, |sink| {
+        for t in dataset.triples.iter() {
+            if !is_type_pred(t.p) && !is_subclass_pred(t.p) {
+                let p = mappings.elabel_of(t.p).expect("interned above");
+                sink(vertex(t.s), vertex(t.o), p);
+            }
+        }
+    });
 
     TransformedGraph::assemble(
         TransformKind::TypeAware,
-        builder.build(),
+        graph,
         mappings,
         Some(simple_labels),
     )
@@ -124,7 +129,9 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbohom_graph::Direction;
+    use std::collections::{HashMap, HashSet};
+    use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
+    use turbohom_graph::{Direction, LabeledGraph, LabeledGraphBuilder, VertexId};
     use turbohom_rdf::{vocab, Term};
 
     fn ub(l: &str) -> String {
@@ -285,14 +292,35 @@ mod tests {
         assert_eq!(t.inverse_labels.vertices_with_label(university), &[univ1]);
     }
 
-    #[test]
-    fn deep_class_hierarchy_is_folded_transitively() {
+    fn deep_hierarchy() -> Dataset {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("A"), vocab::RDFS_SUBCLASSOF, &ub("B"));
         ds.insert_iris(&ub("B"), vocab::RDFS_SUBCLASSOF, &ub("C"));
         ds.insert_iris(&ub("C"), vocab::RDFS_SUBCLASSOF, &ub("D"));
         ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("A"));
         ds.insert_iris(&ub("x"), &ub("knows"), &ub("y"));
+        ds
+    }
+
+    fn cyclic_hierarchy() -> Dataset {
+        let mut ds = Dataset::new();
+        ds.insert_iris(&ub("A"), vocab::RDFS_SUBCLASSOF, &ub("B"));
+        ds.insert_iris(&ub("B"), vocab::RDFS_SUBCLASSOF, &ub("A"));
+        ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("A"));
+        ds.insert_iris(&ub("x"), &ub("p"), &ub("y"));
+        ds
+    }
+
+    fn class_as_vertex() -> Dataset {
+        let mut ds = Dataset::new();
+        ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("Curious"));
+        ds.insert_iris(&ub("Curious"), &ub("definedBy"), &ub("ontology1"));
+        ds
+    }
+
+    #[test]
+    fn deep_class_hierarchy_is_folded_transitively() {
+        let ds = deep_hierarchy();
         let t = type_aware_transform(&ds);
         let x = vertex(&t, &ds, &Term::iri(ub("x")));
         assert_eq!(t.graph.labels(x).len(), 4);
@@ -301,11 +329,7 @@ mod tests {
 
     #[test]
     fn cyclic_hierarchy_terminates() {
-        let mut ds = Dataset::new();
-        ds.insert_iris(&ub("A"), vocab::RDFS_SUBCLASSOF, &ub("B"));
-        ds.insert_iris(&ub("B"), vocab::RDFS_SUBCLASSOF, &ub("A"));
-        ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("A"));
-        ds.insert_iris(&ub("x"), &ub("p"), &ub("y"));
+        let ds = cyclic_hierarchy();
         let t = type_aware_transform(&ds);
         let x = vertex(&t, &ds, &Term::iri(ub("x")));
         assert_eq!(t.graph.labels(x).len(), 2);
@@ -327,13 +351,180 @@ mod tests {
     fn class_used_as_entity_is_both_label_and_vertex() {
         // A class that also participates in a non-schema triple (common in
         // BTC-style data) must be a vertex *and* a label.
-        let mut ds = Dataset::new();
-        ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("Curious"));
-        ds.insert_iris(&ub("Curious"), &ub("definedBy"), &ub("ontology1"));
+        let ds = class_as_vertex();
         let t = type_aware_transform(&ds);
         let curious_id = ds.dictionary.id_of_iri(&ub("Curious")).unwrap();
         assert!(t.mappings.vertex_of(curious_id).is_some());
         assert!(t.mappings.vlabel_of(curious_id).is_some());
+    }
+
+    /// The type-aware graph built the straightforward way: a label `Vec`
+    /// per vertex, each type triple's class walked up the hierarchy on its
+    /// own, and an edge list through `LabeledGraphBuilder`.
+    fn reference_type_aware(dataset: &Dataset) -> TransformedGraph {
+        let rdf_type = dataset.rdf_type_id();
+        let subclassof = dataset.subclassof_id();
+        let mut subclass_edges: HashMap<TermId, Vec<TermId>> = HashMap::new();
+        let mut direct_types: HashMap<TermId, Vec<TermId>> = HashMap::new();
+        for t in dataset.triples.iter() {
+            if Some(t.p) == subclassof {
+                subclass_edges.entry(t.s).or_default().push(t.o);
+            } else if Some(t.p) == rdf_type {
+                direct_types.entry(t.s).or_default().push(t.o);
+            }
+        }
+        let superclasses = |class: TermId| -> Vec<TermId> {
+            let mut out = Vec::new();
+            let mut seen = HashSet::new();
+            let mut stack = subclass_edges.get(&class).cloned().unwrap_or_default();
+            while let Some(c) = stack.pop() {
+                if c != class && seen.insert(c) {
+                    out.push(c);
+                    stack.extend(subclass_edges.get(&c).into_iter().flatten().copied());
+                }
+            }
+            out
+        };
+        let mut mappings = GraphMappings::default();
+        for t in dataset.triples.iter() {
+            if Some(t.p) == rdf_type {
+                mappings.intern_vertex(t.s);
+                mappings.intern_vlabel(t.o);
+            } else if Some(t.p) == subclassof {
+                mappings.intern_vlabel(t.s);
+                mappings.intern_vlabel(t.o);
+            } else {
+                mappings.intern_vertex(t.s);
+                mappings.intern_vertex(t.o);
+                mappings.intern_elabel(t.p);
+            }
+        }
+        let n = mappings.vertex_to_term.len();
+        let mut full_labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
+        let mut simple_labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
+        for (&subject, types) in &direct_types {
+            let v = mappings.vertex_of(subject).unwrap().index();
+            for &class in types {
+                let l = mappings.vlabel_of(class).unwrap();
+                if !simple_labels[v].contains(&l) {
+                    simple_labels[v].push(l);
+                }
+                for c in std::iter::once(class).chain(superclasses(class)) {
+                    let l = mappings.vlabel_of(c).unwrap();
+                    if !full_labels[v].contains(&l) {
+                        full_labels[v].push(l);
+                    }
+                }
+            }
+            simple_labels[v].sort_unstable();
+        }
+        let mut builder = LabeledGraphBuilder::new();
+        for labels in full_labels {
+            builder.add_vertex(labels);
+        }
+        for t in dataset.triples.iter() {
+            if Some(t.p) != rdf_type && Some(t.p) != subclassof {
+                let [s, o] = [t.s, t.o].map(|term| mappings.vertex_of(term).unwrap());
+                builder.add_edge(s, o, mappings.elabel_of(t.p).unwrap());
+            }
+        }
+        let simple_labels = Some(FlatCsr::from_rows(&simple_labels));
+        TransformedGraph::assemble(
+            TransformKind::TypeAware,
+            builder.build(),
+            mappings,
+            simple_labels,
+        )
+    }
+
+    /// The direct graph built the same straightforward way.
+    fn reference_direct(dataset: &Dataset) -> TransformedGraph {
+        let mut mappings = GraphMappings::default();
+        for t in dataset.triples.iter() {
+            mappings.intern_vertex(t.s);
+            mappings.intern_vertex(t.o);
+            mappings.intern_elabel(t.p);
+        }
+        let mut builder = LabeledGraphBuilder::new();
+        for _ in 0..mappings.vertex_to_term.len() {
+            builder.add_vertex(Vec::new());
+        }
+        for t in dataset.triples.iter() {
+            let [s, o] = [t.s, t.o].map(|term| mappings.vertex_of(term).unwrap());
+            builder.add_edge(s, o, mappings.elabel_of(t.p).unwrap());
+        }
+        TransformedGraph::assemble(TransformKind::Direct, builder.build(), mappings, None)
+    }
+
+    /// What the two indexes hold, read off the graph with per-row `Vec`s:
+    /// per label its vertices, per predicate its subjects, its distinct
+    /// objects and its edge count.
+    #[allow(clippy::type_complexity)]
+    fn reference_indexes(
+        g: &LabeledGraph,
+    ) -> (
+        Vec<Vec<VertexId>>,
+        Vec<(Vec<VertexId>, Vec<VertexId>, usize)>,
+    ) {
+        let mut by_label = vec![Vec::new(); g.vertex_label_count()];
+        let mut by_predicate = vec![(Vec::new(), Vec::new(), 0); g.edge_label_count()];
+        for v in g.vertices() {
+            for &l in g.labels(v) {
+                by_label[l.index()].push(v);
+            }
+            for el in g.incident_edge_labels(v, Direction::Outgoing) {
+                let objects = g.neighbors(v, Direction::Outgoing, el);
+                let row = &mut by_predicate[el.index()];
+                row.0.push(v);
+                row.1.extend_from_slice(objects);
+                row.2 += objects.len();
+            }
+        }
+        for (_, objects, _) in &mut by_predicate {
+            objects.sort_unstable();
+            objects.dedup();
+        }
+        (by_label, by_predicate)
+    }
+
+    #[test]
+    fn counted_layouts_equal_the_reference_built_from_vecs_and_an_edge_list() {
+        let lubm = LubmGenerator::new(LubmConfig::scale(1)).generate();
+        let fixtures = [
+            ("figure 3", figure3_dataset()),
+            ("deep hierarchy", deep_hierarchy()),
+            ("cyclic hierarchy", cyclic_hierarchy()),
+            ("class as vertex", class_as_vertex()),
+            ("LUBM(1)", lubm),
+        ];
+        for (name, ds) in &fixtures {
+            let pairs = [
+                (type_aware_transform(ds), reference_type_aware(ds)),
+                (crate::direct::direct_transform(ds), reference_direct(ds)),
+            ];
+            for (built, reference) in pairs {
+                let what = format!("{name}, {:?}", built.kind);
+                // Label CSR, both adjacency directions (every array) and
+                // the label-space sizes.
+                assert!(built.graph == reference.graph, "{what}: graph");
+                assert!(
+                    built.simple_labels == reference.simple_labels,
+                    "{what}: Lsimple"
+                );
+                assert!(built.mappings == reference.mappings, "{what}: mappings");
+                let (by_label, by_predicate) = reference_indexes(&reference.graph);
+                for (l, vertices) in by_label.iter().enumerate() {
+                    let found = built.inverse_labels.vertices_with_label(VLabel(l as u32));
+                    assert_eq!(found, vertices, "{what}: label {l}");
+                }
+                for (p, (subjects, objects, edges)) in by_predicate.iter().enumerate() {
+                    let el = turbohom_graph::ELabel(p as u32);
+                    assert_eq!(built.predicates.subjects(el), subjects, "{what}: {el}");
+                    assert_eq!(built.predicates.objects(el), objects, "{what}: {el}");
+                    assert_eq!(built.predicates.edge_count(el), *edges, "{what}: {el}");
+                }
+            }
+        }
     }
 
     #[test]
