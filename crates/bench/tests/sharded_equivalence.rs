@@ -1,22 +1,38 @@
-//! LUBM(1) sharded scatter-gather differential: for every shard count the
-//! coordinator must return the single-store path's rows, rendered to the same
-//! bytes, for every benchmark query on every engine.
+//! LUBM(1) sharded scatter-gather differential: for every shard count and
+//! halo radius the coordinator must refuse a query as not shardable or return
+//! the single-store path's rows, rendered to the same bytes, for every
+//! benchmark query on every engine.
 
 use turbohom_bench::{canonical_json, lubm_store, sharded_lubm_store};
 use turbohom_datasets::lubm;
-use turbohom_engine::EngineKind;
+use turbohom_engine::{EngineKind, ShardedOptions, ShardedStore, StoreError, DEFAULT_HALO};
 
 #[test]
 fn lubm1_sharded_matches_single_store_for_every_benchmark_query() {
     let single = lubm_store(1);
-    for shards in [1usize, 4, 8] {
-        let sharded = sharded_lubm_store(1, shards);
+    let radii = [4usize, 8]
+        .into_iter()
+        .flat_map(|k| [0, 1, 2].map(|halo| (k, halo)));
+    for (shards, halo) in [(1, DEFAULT_HALO)].into_iter().chain(radii) {
+        let dataset = lubm::LubmGenerator::new(lubm::LubmConfig::scale(1)).generate();
+        let options = ShardedOptions {
+            shards,
+            halo,
+            ..ShardedOptions::default()
+        };
+        let sharded = ShardedStore::from_dataset_with(dataset, options).unwrap();
         assert_eq!(sharded.shard_count(), shards);
         assert_eq!(sharded.triple_count(), single.triple_count());
         for q in &lubm::queries() {
             for kind in EngineKind::all() {
                 let a = single.execute(&q.sparql, kind).unwrap();
-                let b = sharded.execute(&q.sparql, kind).unwrap();
+                // Halo 0 holds no join; a radius of 1 or more refuses none.
+                let b = match sharded.execute(&q.sparql, kind) {
+                    Err(StoreError::NotShardable(_)) if halo == 0 => continue,
+                    outcome => outcome.unwrap_or_else(|e| {
+                        panic!("{kind} k={shards} halo={halo} refused {}: {e}", q.id)
+                    }),
+                };
                 assert_eq!(
                     canonical_json(a),
                     canonical_json(b),

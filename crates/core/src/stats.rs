@@ -78,11 +78,11 @@ match_stats! {
     /// Morsels obtained by stealing from another worker's range.
     morsels_stolen,
     /// Shards that actually executed the query (stays zero on the
-    /// single-store path; the sharded coordinator sets it to the live-set
-    /// size after summary pruning).
+    /// single-store path; the sharded coordinator sets it to the number of
+    /// live shards).
     shards_executed,
-    /// Shards skipped entirely by summary-graph pruning before any
-    /// candidate-region computation ran.
+    /// Shards a constant anchor routed the query away from: they were
+    /// neither planned nor executed.
     shards_pruned,
 }
 

@@ -6,19 +6,15 @@
 //! first non-empty candidate region's sizes, and the matching order with the
 //! per-step cardinality estimates (`|CR(u)|`, paper Section 4.3) that
 //! justified it — what the engine's prologue decides for a run. On a
-//! [`ShardedStore`] the report additionally carries one verdict per shard:
-//! pruned (naming the summary-graph check that fired — exact predicate/class
-//! probe or Bloom term probe), live, or routed away by the constant-anchor
-//! ownership rule.
+//! [`ShardedStore`] the report additionally carries the anchor and one
+//! verdict per shard: live, or routed away by the constant-anchor ownership
+//! rule.
 //!
 //! ANALYZE is that report with the actuals of one run of the same plan
 //! attached ([`ExplainReport::attach_actuals`]): rows produced per matching
 //! step, per-shard row counts, the matcher's counters, and the per-step
 //! **q-error** `max(estimate/actual, actual/estimate)`, the standard
-//! cardinality-estimation quality measure. A live shard that contributed
-//! zero rows is a *false-live*: the summary graph failed to prune it (Bloom
-//! false positive or a constant combination present but disconnected),
-//! which the service layer exports as `turbohom_summary_prune_errors_total`.
+//! cardinality-estimation quality measure.
 //!
 //! Reports serialize to a stable JSON document (`turbohom-explain/1`) that
 //! the HTTP server returns for `explain=1` and splices into the SPARQL-JSON
@@ -31,7 +27,7 @@ use crate::store::{EngineKind, Store};
 use turbohom_core::engine::has_post_hoc_filters;
 use turbohom_core::{EngineError, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
-use turbohom_partition::{Anchor, ShardVerdict};
+use turbohom_partition::Anchor;
 
 /// Schema identifier embedded in every report.
 pub const EXPLAIN_SCHEMA: &str = "turbohom-explain/1";
@@ -141,24 +137,14 @@ pub struct ShardExplain {
     pub shard: usize,
     /// Triples in the shard (including halo replicas).
     pub triples: usize,
-    /// `"live"`, `"pruned"` or `"routed-away"`.
+    /// `"live"`, or `"routed-away"` when the constant anchor is another
+    /// shard's.
     pub verdict: &'static str,
-    /// The check that kept the shard from executing: the summary check that
-    /// pruned it (`"predicate"`, `"class"`, `"term"`) or `"ownership-route"`.
-    pub check: Option<&'static str>,
-    /// How that check probes (`"exact"` or `"bloom"`), set with `check`.
-    pub probe: Option<&'static str>,
-    /// The query constant that check decided on: the one no summary entry
-    /// matched, or the anchor that another shard owns.
-    pub term: Option<String>,
     /// The shard-local component plans, live only.
     pub components: Vec<ComponentExplain>,
     /// Rows the shard contributed after the ownership filter, before the
     /// window (ANALYZE only).
     pub rows: Option<u64>,
-    /// `true` when the shard was live yet contributed zero rows — the
-    /// summary graph failed to prune it (ANALYZE only).
-    pub false_live: Option<bool>,
 }
 
 /// Execution actuals attached by ANALYZE.
@@ -183,8 +169,6 @@ pub struct ActualSummary {
     pub steals: u64,
     /// The worst per-step q-error, if step telemetry was recorded.
     pub max_qerror: Option<f64>,
-    /// Live shards that contributed zero rows (sharded ANALYZE only).
-    pub false_live_shards: u64,
 }
 
 impl ExplainReport {
@@ -222,11 +206,6 @@ impl ExplainReport {
             .collect()
     }
 
-    /// Number of live shards that contributed zero rows (ANALYZE only).
-    pub fn false_live_shards(&self) -> u64 {
-        self.actual.as_ref().map_or(0, |a| a.false_live_shards)
-    }
-
     fn all_components(&self) -> impl Iterator<Item = &ComponentExplain> {
         self.components
             .iter()
@@ -238,8 +217,7 @@ impl ExplainReport {
     /// when exactly one component carries a matching order (the common case
     /// — the merged counters cannot be split across several components);
     /// the summary counters always; and on a sharded plan each live shard's
-    /// rows, counted before the window was cut (a shard a LIMIT empties was
-    /// not a pruning miss), with its false-live verdict.
+    /// rows, counted before the window was cut.
     pub fn attach_actuals(&mut self, results: &IdResults<'_>) {
         self.analyzed = true;
         let max_qerror = std::iter::zip(&results.step_estimates, &results.step_rows)
@@ -260,12 +238,9 @@ impl ExplainReport {
                 step.qerror = step.rows.map(|rows| qerror(step.estimate, rows));
             }
         }
-        let mut false_live = 0;
         for run in &results.runs {
             if let Some(shard) = self.shards.get_mut(run.shard) {
                 shard.rows = Some(run.contributed as u64);
-                shard.false_live = Some(run.contributed == 0);
-                false_live += u64::from(run.contributed == 0);
             }
         }
         self.actual = Some(ActualSummary {
@@ -278,7 +253,6 @@ impl ExplainReport {
             morsels: results.stats.morsels as u64,
             steals: results.stats.morsels_stolen as u64,
             max_qerror,
-            false_live_shards: false_live,
         });
     }
 
@@ -314,7 +288,6 @@ impl ToJson for ActualSummary {
             .field("morsels", self.morsels)
             .field("steals", self.steals)
             .field("max_qerror", self.max_qerror)
-            .field("false_live_shards", self.false_live_shards)
             .end_object();
     }
 }
@@ -366,15 +339,11 @@ impl ToJson for ShardExplain {
             .field("shard", self.shard)
             .field("triples", self.triples)
             .field("verdict", self.verdict)
-            .field_some("check", self.check)
-            .field_some("probe", self.probe)
-            .field_some("term", self.term.as_deref())
             .field_some(
                 "components",
                 Some(&self.components).filter(|c| !c.is_empty()),
             )
             .field_some("rows", self.rows)
-            .field_some("false_live", self.false_live)
             .end_object();
     }
 }
@@ -478,49 +447,29 @@ impl Store {
 
 impl ShardedStore {
     /// Explains a prepared sharded plan **without executing it**: the
-    /// per-shard verdicts it was prepared with (naming the check that pruned
-    /// each shard), the ownership route, and the shard-local plan trees of
-    /// the live shards.
+    /// anchor, each shard's verdict (live, or routed away from by a
+    /// constant anchor) and the shard-local plan trees of the live shards.
     pub fn explain(&self, plan: &ShardedPlan) -> ExplainReport {
         let mut report = ExplainReport::new(plan.kind(), "sharded", plan.window);
         report.anchor = Some(match plan.anchor() {
             Anchor::Variable(v) => format!("?{v}"),
             Anchor::Constant(t) => t.to_string(),
         });
-        for (i, verdict) in plan.verdicts.iter().enumerate() {
-            let mut se = ShardExplain {
+        for i in 0..self.shard_count() {
+            let slot = plan.live_shards().iter().position(|&live| live == i);
+            report.shards.push(ShardExplain {
                 shard: i,
                 triples: self.shard(i).triple_count(),
-                verdict: "live",
-                check: None,
-                probe: None,
-                term: None,
-                components: Vec::new(),
+                verdict: if slot.is_some() {
+                    "live"
+                } else {
+                    "routed-away"
+                },
+                components: slot.map_or_else(Vec::new, |slot| {
+                    self.shard(i).explain(&plan.per_shard[slot]).components
+                }),
                 rows: None,
-                false_live: None,
-            };
-            match verdict {
-                ShardVerdict::Live => {
-                    if let Some(shard_plan) = &plan.per_shard[i] {
-                        se.components = self.shard(i).explain(shard_plan).components;
-                    }
-                }
-                // The deciding check is the ownership route on the anchor
-                // term, an exact computation.
-                ShardVerdict::RoutedAway => {
-                    se.verdict = "routed-away";
-                    se.check = Some("ownership-route");
-                    se.probe = Some("exact");
-                    se.term = report.anchor.clone();
-                }
-                ShardVerdict::Pruned { check, term } => {
-                    se.verdict = "pruned";
-                    se.check = Some(check.name());
-                    se.probe = Some(check.mode());
-                    se.term = Some(term.clone());
-                }
-            }
-            report.shards.push(se);
+            });
         }
         // The shard plans carry no window: the LIMIT is cut from the merge.
         report.limit_pushdown = false;
@@ -798,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_explain_names_the_deciding_check_per_shard() {
+    fn sharded_explain_gives_each_shard_its_route() {
         let sharded = ShardedStore::from_dataset_with(
             sample_dataset(),
             ShardedOptions {
@@ -810,22 +759,20 @@ mod tests {
         )
         .unwrap();
         // Constant anchor: exactly one shard owns dept0, the rest are
-        // routed away before their summaries are probed.
+        // routed away.
         let routed = r#"PREFIX ub: <http://ub.org/>
                         SELECT ?x WHERE { ?x ub:memberOf <http://ub.org/dept0> . }"#;
         let report = sharded_explain(&sharded, routed, EngineKind::TurboHomPlusPlus);
         assert_eq!(report.store_flavor, "sharded");
         assert_eq!(report.shards.len(), 4);
-        let routed_away: Vec<_> = report
-            .shards
-            .iter()
-            .filter(|s| s.verdict == "routed-away")
-            .collect();
-        assert_eq!(routed_away.len(), 3);
-        for s in &routed_away {
-            assert_eq!(s.check, Some("ownership-route"));
-            assert_eq!(s.term.as_deref(), Some("<http://ub.org/dept0>"));
-        }
+        let verdicts = |report: &ExplainReport, verdict| {
+            report
+                .shards
+                .iter()
+                .filter(|s| s.verdict == verdict)
+                .count()
+        };
+        assert_eq!(verdicts(&report, "routed-away"), 3);
         let live: Vec<_> = report
             .shards
             .iter()
@@ -834,25 +781,25 @@ mod tests {
         assert_eq!(live.len(), 1);
         assert!(!live[0].components.is_empty());
         assert_eq!(report.anchor.as_deref(), Some("<http://ub.org/dept0>"));
+        let json = report.to_json();
+        assert!(json.contains("\"anchor\":\"<http://ub.org/dept0>\""));
+        assert!(json.contains("\"verdict\":\"routed-away\"}"));
 
-        // An absent predicate: every shard is pruned by the exact predicate
-        // check, and the verdict names the term.
+        // An absent predicate: every shard is live, and each shard's own
+        // plan notes the constant missing from its dictionary.
         let gone = r#"PREFIX ub: <http://ub.org/>
                       SELECT ?x WHERE { ?x ub:nonexistent ?y . }"#;
         let report = sharded_explain(&sharded, gone, EngineKind::TurboHomPlusPlus);
+        assert_eq!(verdicts(&report, "live"), 4);
         for s in &report.shards {
-            assert_eq!(s.verdict, "pruned");
-            assert_eq!(s.check, Some("predicate"));
-            assert_eq!(s.probe, Some("exact"));
-            assert_eq!(s.term.as_deref(), Some("<http://ub.org/nonexistent>"));
+            assert_eq!(s.components.len(), 1, "shard {}", s.shard);
+            let note = s.components[0].note.unwrap_or_default();
+            assert!(note.contains("unsatisfiable"), "shard {}", s.shard);
         }
-        let json = report.to_json();
-        assert!(json.contains("\"verdict\":\"pruned\""));
-        assert!(json.contains("\"check\":\"predicate\""));
     }
 
     #[test]
-    fn sharded_analyze_reports_per_shard_rows_and_false_lives() {
+    fn sharded_analyze_reports_per_shard_rows() {
         for shards in [3, 8] {
             let sharded = AnyStore::Sharded(Arc::new(
                 ShardedStore::from_dataset_with(
@@ -878,24 +825,16 @@ mod tests {
             assert!(!live.is_empty());
             let total: u64 = live.iter().map(|s| s.rows.unwrap()).sum();
             assert_eq!(total as usize, results.row_count(), "k={shards}");
-            // A live shard is false-live exactly when it contributed nothing,
-            // and the summary counts those.
-            for s in &live {
-                assert_eq!(s.false_live, Some(s.rows == Some(0)), "shard {}", s.shard);
-            }
-            let false_lives = live.iter().filter(|s| s.rows == Some(0)).count() as u64;
-            assert_eq!(report.false_live_shards(), false_lives, "k={shards}");
             let skipped = report.shards.iter().filter(|s| s.verdict != "live");
             assert!(skipped.into_iter().all(|s| s.rows.is_none()));
             // Shard rows are what the shard contributed, not what a LIMIT
-            // left of it: a shard the window empties is not a pruning miss.
+            // left of it.
             let limited = format!("{Q} LIMIT 1");
             let (results, cut) = explain_and_run(&sharded, &limited);
             assert_eq!((results.len(), results.row_count()), (1, 1));
             for (whole, cut) in report.shards.iter().zip(&cut.shards) {
-                assert_eq!((whole.rows, whole.false_live), (cut.rows, cut.false_live));
+                assert_eq!(whole.rows, cut.rows);
             }
-            assert_eq!(cut.false_live_shards(), false_lives);
         }
     }
 
@@ -982,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_anchor_and_term_are_escaped() {
+    fn hostile_anchor_is_escaped() {
         let hostile = "\"a\\\"b\"\n\u{1}é } ]";
         let window = Window {
             offset: 0,
@@ -993,13 +932,9 @@ mod tests {
         report.shards.push(ShardExplain {
             shard: 1,
             triples: 9,
-            verdict: "pruned",
-            check: Some("term"),
-            probe: Some("bloom"),
-            term: Some(hostile.to_string()),
+            verdict: "routed-away",
             components: Vec::new(),
             rows: None,
-            false_live: None,
         });
         let escaped = r#""\"a\\\"b\"\n\u0001é } ]""#;
         assert_eq!(
@@ -1008,7 +943,7 @@ mod tests {
                 "{{\"schema\":\"turbohom-explain/1\",\"mode\":\"explain\",\"engine\":\"turbohom\",\
                  \"store\":\"sharded\",\"plan\":\"graph\",\"limit\":3,\"limit_pushdown\":true,\
                  \"anchor\":{escaped},\"components\":[],\"shards\":[{{\"shard\":1,\"triples\":9,\
-                 \"verdict\":\"pruned\",\"check\":\"term\",\"probe\":\"bloom\",\"term\":{escaped}}}]}}"
+                 \"verdict\":\"routed-away\"}}]}}"
             )
         );
     }

@@ -7,20 +7,17 @@
 //! distributed join — each shard answers it locally and the coordinator
 //! only hands their rows on, shard after shard.
 //!
-//! Two pruning layers run before any shard executes:
-//!
-//! 1. **Summary pruning** (plan time): the query's constant footprint is
-//!    matched against each shard's summary graph; shards that provably hold
-//!    no result are never planned, let alone executed.
-//! 2. **Ownership routing** (plan time): a constant anchor sends the query
-//!    to its owner shard alone. A variable anchor fans out to the surviving
-//!    shards; each keeps only the rows whose anchor binding it owns (a bit
-//!    its summary holds per term id), which makes the runs an exact multiset
-//!    partition of the single-store answer — no deduplication. The gathered
-//!    result is the shards' runs in ascending shard order, each left where
-//!    its shard put it, in its own enumeration order and over its own
-//!    dictionary: the same rows as a single store returns, with the same
-//!    rendering, in another order.
+//! **Ownership routing** decides at plan time which shards run: a constant
+//! anchor sends the query to its owner shard alone. A variable anchor fans
+//! out to every shard; each keeps only the rows whose anchor binding it owns
+//! (one bit of its [`OwnedTerms`] per term id), which makes the runs an exact
+//! multiset partition of the single-store answer — no deduplication. The
+//! gathered result is the shards' runs in ascending shard order, each left
+//! where its shard put it, in its own enumeration order and over its own
+//! dictionary: the same rows as a single store returns, with the same
+//! rendering, in another order. A shard that lacks one of the query's
+//! constants costs nothing more than its transform: the constant is missing
+//! from its dictionary, so the plan is unsatisfiable and explores nothing.
 //!
 //! Queries outside the sharded scope (UNION, disconnected patterns, triples
 //! beyond the halo radius) fail with [`StoreError::NotShardable`]; the
@@ -36,8 +33,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use turbohom_core::{drive, merge_step_counts, Worker};
 use turbohom_partition::{
-    analyze_query, labeled_footprint, partition_dataset, summary_verdict, Anchor, Manifest,
-    Ownership, PartitionConfig, ShardSummary, ShardVerdict, DEFAULT_HALO,
+    analyze_query, partition_dataset, Anchor, Manifest, OwnedTerms, Ownership, PartitionConfig,
+    DEFAULT_HALO,
 };
 use turbohom_rdf::{parse_ntriples, Dataset, IdRows, InferenceConfig, InferenceEngine};
 use turbohom_sparql::{parse_query, Selection};
@@ -69,12 +66,13 @@ impl Default for ShardedOptions {
     }
 }
 
-/// A coordinator over `k` shard [`Store`]s plus their summary graphs.
+/// A coordinator over `k` shard [`Store`]s, each with the bit set of the
+/// terms it owns.
 ///
 /// `Send + Sync` like `Store`; services share one behind an `Arc`.
 pub struct ShardedStore {
     shards: Vec<Arc<Store>>,
-    summaries: Vec<ShardSummary>,
+    owned: Vec<OwnedTerms>,
     halo: usize,
     global_triples: usize,
     snapshot_path: Option<PathBuf>,
@@ -115,9 +113,9 @@ impl ShardedStore {
             threads: options.threads,
         };
         let mut shards = Vec::with_capacity(parts.shards.len());
-        let mut summaries = Vec::with_capacity(parts.shards.len());
+        let mut owned = Vec::with_capacity(parts.shards.len());
         for (i, shard_dataset) in parts.shards.into_iter().enumerate() {
-            summaries.push(ShardSummary::build(&shard_dataset, &parts.ownership, i));
+            owned.push(OwnedTerms::build(&shard_dataset, &parts.ownership, i));
             shards.push(Arc::new(Store::from_dataset_with(
                 shard_dataset,
                 store_options,
@@ -125,7 +123,7 @@ impl ShardedStore {
         }
         Ok(ShardedStore {
             shards,
-            summaries,
+            owned,
             halo: options.halo,
             global_triples: parts.global_triples,
             snapshot_path: None,
@@ -178,7 +176,7 @@ impl ShardedStore {
 
     /// Boots a sharded store from a manifest written by
     /// [`save_snapshots`](Self::save_snapshots): maps every shard snapshot
-    /// and rebuilds the summaries by scanning the shard datasets. A shard
+    /// and rebuilds each shard's owned-term bits from its dictionary. A shard
     /// file that does not hold the triple count the manifest records for its
     /// position is refused: the ownership filter of shard `i` is only right
     /// over shard `i`'s data.
@@ -187,7 +185,7 @@ impl ShardedStore {
         let manifest = Manifest::parse(&text).map_err(SnapshotError::Malformed)?;
         let ownership = Ownership::new(manifest.shards);
         let mut shards = Vec::with_capacity(manifest.shards);
-        let mut summaries = Vec::with_capacity(manifest.shards);
+        let mut owned = Vec::with_capacity(manifest.shards);
         for (i, file) in manifest.shard_files.iter().enumerate() {
             let shard = Store::from_snapshot_with(&path.with_file_name(file), threads)?;
             let (found, recorded) = (shard.triple_count() as u64, manifest.shard_triples[i]);
@@ -198,12 +196,12 @@ impl ShardedStore {
                 ))
                 .into());
             }
-            summaries.push(ShardSummary::build(shard.dataset(), &ownership, i));
+            owned.push(OwnedTerms::build(shard.dataset(), &ownership, i));
             shards.push(Arc::new(shard));
         }
         Ok(ShardedStore {
             shards,
-            summaries,
+            owned,
             halo: manifest.halo,
             global_triples: manifest.global_triples as usize,
             snapshot_path: Some(path.to_path_buf()),
@@ -255,9 +253,8 @@ impl ShardedStore {
         self.prepare_plan_traced(sparql, kind, &Trace::disabled())
     }
 
-    /// Like [`prepare_plan`](Self::prepare_plan), recording `parse`,
-    /// `summary_prune` (with `live`/`pruned` counters) and `transform`
-    /// stage spans.
+    /// Like [`prepare_plan`](Self::prepare_plan), recording `parse` and
+    /// `transform` stage spans.
     pub fn prepare_plan_traced(
         &self,
         sparql: &str,
@@ -268,32 +265,9 @@ impl ShardedStore {
             let _span = trace.span("parse");
             parse_query(sparql)?
         };
-        // Before any pruning: the refusal must not depend on the data.
+        // Before routing: the refusal must not depend on the data.
         let window = window_of(&query)?;
         let shard_query = analyze_query(&query, self.halo).map_err(StoreError::NotShardable)?;
-
-        // Layer 1: ownership routing, then summary pruning, decide every
-        // shard's verdict once; EXPLAIN renders what is decided here.
-        let mut span = trace.span("summary_prune");
-        let fp = labeled_footprint(&query);
-        let route = match &shard_query.anchor {
-            Anchor::Constant(term) => Some(Ownership::new(self.shards.len()).owner(term)),
-            Anchor::Variable(_) => None,
-        };
-        let mut verdicts = Vec::with_capacity(self.summaries.len());
-        for (i, summary) in self.summaries.iter().enumerate() {
-            verdicts.push(match route {
-                // The anchor's owner is another shard: no summary is probed.
-                Some(owner) if owner != i => ShardVerdict::RoutedAway,
-                _ => summary_verdict(summary, &fp),
-            });
-        }
-        let live: Vec<usize> = (0..verdicts.len())
-            .filter(|&i| verdicts[i] == ShardVerdict::Live)
-            .collect();
-        span.counter("live", live.len() as u64);
-        span.counter("pruned", (verdicts.len() - live.len()) as u64);
-        span.finish();
 
         // The per-shard query: no LIMIT/OFFSET (the coordinator applies the
         // window after the merge), and the anchor variable added to the
@@ -302,24 +276,26 @@ impl ShardedStore {
         let mut shard_sparql = query.clone();
         shard_sparql.limit = None;
         shard_sparql.offset = None;
-        let anchor_column = match &shard_query.anchor {
-            Anchor::Constant(_) => None,
+        // A constant anchor routes to its owner shard; a variable one runs on
+        // every shard, which filters on its column.
+        let (live, anchor_column) = match &shard_query.anchor {
+            Anchor::Constant(term) => (vec![Ownership::new(self.shards.len()).owner(term)], None),
             Anchor::Variable(var) => {
                 let mut projected = query.projected_variables();
                 if !projected.contains(var) {
                     projected.push(var.clone());
                     shard_sparql.selection = Selection::Variables(projected.clone());
                 }
-                Some(projected.iter().position(|v| v == var).unwrap())
+                let column = projected.iter().position(|v| v == var).unwrap();
+                ((0..self.shards.len()).collect(), Some(column))
             }
         };
 
         let mut span = trace.span("transform");
-        let mut per_shard: Vec<Option<Arc<QueryPlan>>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        for &i in &live {
-            per_shard[i] = Some(Arc::new(self.shards[i].plan_query(&shard_sparql, kind)?));
-        }
+        let per_shard = live
+            .iter()
+            .map(|&i| self.shards[i].plan_query(&shard_sparql, kind))
+            .collect::<Result<Vec<_>, _>>()?;
         span.counter("shard_plans", live.len() as u64);
         span.finish();
 
@@ -329,9 +305,9 @@ impl ShardedStore {
             window,
             anchor: shard_query.anchor,
             anchor_column,
-            per_shard,
-            verdicts,
+            shards: self.shards.len(),
             live,
+            per_shard,
         })
     }
 
@@ -430,23 +406,24 @@ impl ShardedStore {
     fn run_shard(
         &self,
         plan: &ShardedPlan,
-        shard_id: usize,
+        slot: usize,
         threads: Option<usize>,
     ) -> Result<IdResults<'_>, StoreError> {
-        let shard_plan = plan.per_shard[shard_id]
-            .as_ref()
-            .expect("live shards have plans");
+        let shard_id = plan.live[slot];
         // Shard spans would tangle with the coordinator's tree (they run on
         // pool threads); durations are re-attached as roll-ups instead.
-        let mut results =
-            self.shards[shard_id].run_plan_traced(shard_plan, threads, &Trace::disabled())?;
+        let mut results = self.shards[shard_id].run_plan_traced(
+            &plan.per_shard[slot],
+            threads,
+            &Trace::disabled(),
+        )?;
         if let Some(col) = plan.anchor_column {
-            let summary = &self.summaries[shard_id];
+            let owned = &self.owned[shard_id];
             // The anchor comes from a required triple, so it is bound in
             // every row; an absent binding defaults to shard 0.
-            results.rows_mut().retain(|row| {
-                IdRows::term_id(row[col]).map_or(shard_id == 0, |id| summary.owns(id))
-            });
+            results
+                .rows_mut()
+                .retain(|row| IdRows::term_id(row[col]).map_or(shard_id == 0, |id| owned.owns(id)));
             results.solution_count = results.row_count();
         }
         Ok(results)
@@ -464,15 +441,14 @@ struct ShardWorker<'s, 'p> {
 
 impl Worker for ShardWorker<'_, '_> {
     fn run(&mut self, slot: usize) -> bool {
-        let shard_id = self.plan.live[slot];
-        let result = self.store.run_shard(self.plan, shard_id, self.threads);
+        let result = self.store.run_shard(self.plan, slot, self.threads);
         self.done.push((slot, result));
         true
     }
 }
 
-/// A prepared sharded plan: one verdict per shard, decided by ownership
-/// routing and summary pruning, plus one single-store plan per live shard.
+/// A prepared sharded plan: the shards ownership routing leaves live, and
+/// one single-store plan for each of them.
 pub struct ShardedPlan {
     kind: EngineKind,
     projected: Vec<String>,
@@ -483,12 +459,13 @@ pub struct ShardedPlan {
     /// constant anchors, which route instead of filtering). It lies past the
     /// projected columns when the query did not ask for the variable.
     anchor_column: Option<usize>,
-    /// The single-store plan of every live shard, by shard index.
-    pub(crate) per_shard: Vec<Option<Arc<QueryPlan>>>,
-    /// Every shard's verdict, by shard index (what EXPLAIN renders).
-    pub(crate) verdicts: Vec<ShardVerdict>,
-    /// The shards whose verdict is [`ShardVerdict::Live`], ascending.
+    /// Number of shards of the store the plan was prepared on.
+    shards: usize,
+    /// The anchor's owner for a constant anchor, every shard otherwise;
+    /// ascending.
     live: Vec<usize>,
+    /// The single-store plan of each live shard, in the order of `live`.
+    pub(crate) per_shard: Vec<QueryPlan>,
 }
 
 impl ShardedPlan {
@@ -502,15 +479,14 @@ impl ShardedPlan {
         &self.projected
     }
 
-    /// The shards that will execute (after summary pruning and constant
-    /// routing), in ascending order.
+    /// The shards that will execute, in ascending order.
     pub fn live_shards(&self) -> &[usize] {
         &self.live
     }
 
-    /// Number of shards skipped before execution.
+    /// Number of shards a constant anchor routed the query away from.
     pub fn pruned_shards(&self) -> usize {
-        self.verdicts.len() - self.live.len()
+        self.shards - self.live.len()
     }
 
     /// The anchor the shardability analysis picked.
@@ -642,8 +618,8 @@ mod tests {
         format!("http://ub.org/{l}")
     }
 
-    /// A dataset with enough structure to exercise routing, pruning and
-    /// halo replication: students in two departments of one university.
+    /// A dataset with enough structure to exercise routing, the ownership
+    /// filter and halo replication: students in two departments of one university.
     fn sample_dataset() -> Dataset {
         let mut ds = Dataset::new();
         ds.insert_iris(
@@ -711,7 +687,17 @@ mod tests {
            SELECT ?d ?u WHERE {
              ?d rdf:type ub:Department .
              OPTIONAL { ?d ub:subOrganizationOf ?u . } }"#,
+        // A predicate no shard holds.
+        r#"PREFIX ub: <http://ub.org/>
+           SELECT ?x WHERE { ?x ub:nonexistent ?y . }"#,
+        // A class no shard holds.
+        r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+           PREFIX ub: <http://ub.org/>
+           SELECT ?x ?d WHERE { ?x rdf:type ub:Professor . ?x ub:memberOf ?d . }"#,
     ];
+
+    /// The entries of [`QUERIES`] whose constants no shard holds.
+    const ABSENT: std::ops::Range<usize> = 5..7;
 
     #[test]
     fn sharded_results_are_the_single_store_rows_with_the_same_rendering() {
@@ -748,20 +734,21 @@ mod tests {
     }
 
     #[test]
-    fn summary_pruning_skips_shards_without_the_constants() {
-        let sharded = sharded(4);
-        // A predicate absent everywhere: every shard is pruned, the result
-        // is empty without executing anything.
-        let q = r#"PREFIX ub: <http://ub.org/>
-                   SELECT ?x WHERE { ?x ub:nonexistent ?y . }"#;
-        let plan = sharded
-            .prepare_plan(q, EngineKind::TurboHomPlusPlus)
-            .unwrap();
-        assert!(plan.live_shards().is_empty());
-        assert_eq!(plan.pruned_shards(), 4);
-        let r = sharded.run_plan(&plan).unwrap();
-        assert!(r.rows.is_empty());
-        assert_eq!(r.stats.shards_pruned, 4);
+    fn absent_constants_cost_nothing_on_any_shard() {
+        // Every shard runs, and each one's own transform finds the constant
+        // missing from its dictionary: no candidate region is computed.
+        for k in [1, 3, 4] {
+            let sharded = sharded(k);
+            for q in &QUERIES[ABSENT] {
+                for kind in EngineKind::all() {
+                    let r = sharded.execute(q, kind).unwrap();
+                    assert!(r.rows.is_empty(), "k={k} {kind} {q}");
+                    assert_eq!(r.stats.shards_pruned, 0, "k={k} {kind} {q}");
+                    assert_eq!(r.stats.shards_executed, k, "k={k} {kind} {q}");
+                    assert_eq!(r.stats.candidate_regions, 0, "k={k} {kind} {q}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -842,7 +829,7 @@ mod tests {
     }
 
     #[test]
-    fn order_by_is_refused_even_when_every_shard_is_pruned() {
+    fn order_by_is_refused_even_when_no_shard_holds_the_predicate() {
         let sharded = sharded(4);
         for pattern in ["?x ub:memberOf ?d", "?x ub:nonexistent ?d"] {
             let q = format!(
@@ -875,16 +862,8 @@ mod tests {
             .filter(|s| s.parent.is_none())
             .map(|s| s.name)
             .collect();
-        assert_eq!(
-            names,
-            [
-                "parse",
-                "summary_prune",
-                "transform",
-                "execute",
-                "materialise"
-            ]
-        );
+        // The single store's root stages.
+        assert_eq!(names, ["parse", "transform", "execute", "materialise"]);
         let execute = report.spans.iter().find(|s| s.name == "execute").unwrap();
         let fanout = report
             .spans
@@ -892,6 +871,8 @@ mod tests {
             .find(|s| s.name == "shard_fanout")
             .unwrap();
         assert_eq!(fanout.parent, Some(execute.id));
+        assert!(fanout.counters.contains(&("live", 3)));
+        assert!(fanout.counters.contains(&("pruned", 0)));
         // The gather is the sharded `materialise`.
         let merge = report
             .spans
@@ -906,13 +887,6 @@ mod tests {
             .collect();
         assert_eq!(rollups.len(), plan.live_shards().len());
         assert!(rollups.iter().all(|s| s.parent == Some(execute.id)));
-        let prune = report
-            .spans
-            .iter()
-            .find(|s| s.name == "summary_prune")
-            .unwrap();
-        assert!(prune.counters.iter().any(|(n, _)| *n == "live"));
-        assert!(prune.counters.iter().any(|(n, _)| *n == "pruned"));
     }
 
     #[test]

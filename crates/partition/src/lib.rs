@@ -1,23 +1,22 @@
-//! Data-graph partitioning and summary-graph pruning for sharded execution.
+//! Data-graph partitioning and query routing for sharded execution.
 //!
 //! The paper's TurboHOM++ wins by shrinking the search space *before*
 //! enumeration; this crate extends the same idea to scale-out (ROADMAP
-//! item 4, following Gai et al.'s partition-based summary-graph method):
+//! item 1):
 //!
 //! * [`partition_dataset`] deterministically splits a [`Dataset`] into `k`
 //!   partitions by term ownership ([`Ownership`]: `hash % k`), replicating a
 //!   bounded *halo* of boundary adjacency into each partition so that a
 //!   connected query never needs a distributed join.
-//! * [`ShardSummary`] is the per-partition summary graph: the exact predicate
-//!   and class signatures, a Bloom filter over all subject/object terms and
-//!   the bit set of the shard's term ids that the shard owns.
-//!   A query's constant [footprint](labeled_footprint) is matched against the
-//!   summaries first ([`summary_verdict`]), and whole partitions are skipped
-//!   before any candidate-region computation runs.
+//! * [`OwnedTerms`] is the bit set of a shard's term ids that the shard
+//!   owns: what the scatter-gather ownership filter reads per row.
 //! * [`analyze_query`] decides whether a query is shardable at all (single
 //!   union-free branch, every triple within the halo radius of an anchor)
 //!   and picks the anchor term that makes scatter-gather results an *exact*
-//!   multiset partition of the single-store answer.
+//!   multiset partition of the single-store answer. A constant anchor
+//!   routes the query to its owner shard alone. A shard missing one of the
+//!   query's constants needs no check here: its own transform finds the
+//!   constant absent from its dictionary and explores nothing.
 //! * [`Manifest`] describes a saved set of per-shard snapshots so a sharded
 //!   store can be booted from disk.
 //!
@@ -28,17 +27,12 @@
 mod manifest;
 mod partitioner;
 mod query;
-mod summary;
 
 pub use manifest::{Manifest, MANIFEST_FORMAT};
 pub use partitioner::{
-    partition_dataset, Ownership, PartitionConfig, PartitionedDataset, DEFAULT_HALO,
+    partition_dataset, OwnedTerms, Ownership, PartitionConfig, PartitionedDataset, DEFAULT_HALO,
 };
 pub use query::{analyze_query, Anchor, ShardQuery};
-pub use summary::{
-    labeled_footprint, summary_verdict, Bloom, LabeledConstant, LabeledFootprint, PruneCheck,
-    ShardSummary, ShardVerdict,
-};
 
 use turbohom_rdf::{vocab, TermRef};
 use turbohom_storage::{fnv1a, FNV_OFFSET};

@@ -4,9 +4,9 @@
 //! Saving a sharded store to `base` writes one ordinary snapshot per shard
 //! (`base.shard{i}.snap`, the same container format `docs/STORAGE.md`
 //! specifies) plus this manifest at `base` itself. Booting reads the
-//! manifest, maps each shard snapshot, and rebuilds the summaries by
-//! scanning the shard datasets — summaries are derived data and are never
-//! persisted, and ownership is `hash % shards`.
+//! manifest, maps each shard snapshot, and rebuilds each shard's
+//! [`OwnedTerms`](crate::OwnedTerms) from its dictionary — derived data,
+//! never persisted, since ownership is `hash % shards`.
 //!
 //! The file is JSON with a fixed schema identified by [`MANIFEST_FORMAT`],
 //! written with the workspace's `JsonWriter` and read back by a scanner of

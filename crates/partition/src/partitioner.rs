@@ -18,7 +18,7 @@
 
 use crate::term_hash;
 use std::collections::VecDeque;
-use turbohom_rdf::{Dataset, Term, TermRef};
+use turbohom_rdf::{Dataset, Term, TermId, TermRef};
 
 /// Default halo radius: every term within two linkage hops of an owned term
 /// is replicated. Radius 2 covers star and short-path queries (all LUBM
@@ -48,6 +48,35 @@ impl Ownership {
     /// The shard owning `term` (a `&Term` or a borrowed `TermRef`).
     pub fn owner<'a>(&self, term: impl Into<TermRef<'a>>) -> usize {
         self.owner_of_hash(term_hash(term))
+    }
+}
+
+/// One bit per term id of a shard's dictionary: set when the shard owns the
+/// term. The scatter-gather ownership filter reads it once per row instead
+/// of hashing the row's anchor binding.
+#[derive(Debug, Clone)]
+pub struct OwnedTerms {
+    bits: Vec<u64>,
+}
+
+impl OwnedTerms {
+    /// Hashes every term of shard `shard`'s dictionary once. Derived data:
+    /// built at boot, never persisted.
+    pub fn build(dataset: &Dataset, ownership: &Ownership, shard: usize) -> OwnedTerms {
+        let mut bits = vec![0u64; dataset.dictionary.len().div_ceil(64)];
+        for (id, term) in dataset.dictionary.iter() {
+            if ownership.owner(&term) == shard {
+                bits[id.index() / 64] |= 1 << (id.index() % 64);
+            }
+        }
+        OwnedTerms { bits }
+    }
+
+    /// Does the shard own the term with this id of its dictionary? What
+    /// [`Ownership::owner`] says of the term, looked up instead of hashed.
+    pub fn owns(&self, id: TermId) -> bool {
+        let word = self.bits.get(id.index() / 64);
+        word.is_some_and(|w| w >> (id.index() % 64) & 1 == 1)
     }
 }
 
@@ -267,6 +296,26 @@ mod tests {
                     "edge a{j}→a{} missing from shard owning a{i}",
                     j + 1
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn owns_is_the_ownership_of_every_term_of_every_lubm_shard() {
+        use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
+        let dataset = LubmGenerator::new(LubmConfig::scale(1)).generate();
+        for shards in [2, 4, 8] {
+            let halo = DEFAULT_HALO;
+            let parts = partition_dataset(&dataset, &PartitionConfig { shards, halo });
+            for (shard, data) in parts.shards.iter().enumerate() {
+                let owned = OwnedTerms::build(data, &parts.ownership, shard);
+                for (id, term) in data.dictionary.iter() {
+                    let owner = parts.ownership.owner(&term);
+                    assert_eq!(owned.owns(id), owner == shard, "k={shards} {term}");
+                }
+                // An id past the dictionary is owned by nobody.
+                let past = data.dictionary.len() as u32;
+                assert!((past..past + 130).all(|id| !owned.owns(TermId(id))));
             }
         }
     }

@@ -21,11 +21,10 @@ const BUCKETS: usize = 40;
 /// root span names the service layer records on every request's trace;
 /// `serialise` and `write` come from the HTTP layer, which streams the
 /// results, so they stay at zero for embedded use.
-pub const STAGES: [&str; 9] = [
+pub const STAGES: [&str; 8] = [
     "fingerprint",
     "cache_lookup",
     "parse",
-    "summary_prune",
     "transform",
     "execute",
     "materialise",
@@ -261,9 +260,6 @@ pub struct ServiceMetrics {
     stages: StageTotals,
     /// Per-step estimate-vs-actual q-errors from `analyze=1` requests.
     qerror: QErrorHistogram,
-    /// Live shards that contributed zero rows (summary-pruning misses),
-    /// exported as `turbohom_summary_prune_errors_total`.
-    summary_prune_errors: AtomicU64,
     started: Instant,
 }
 
@@ -281,7 +277,6 @@ impl ServiceMetrics {
             http: HttpMetrics::default(),
             stages: StageTotals::default(),
             qerror: QErrorHistogram::default(),
-            summary_prune_errors: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -296,19 +291,6 @@ impl ServiceMetrics {
     /// The q-error histogram.
     pub fn qerror(&self) -> &QErrorHistogram {
         &self.qerror
-    }
-
-    /// Counts `n` false-live shards (live verdict, zero rows) from one
-    /// `analyze=1` request.
-    pub fn record_false_lives(&self, n: u64) {
-        if n > 0 {
-            self.summary_prune_errors.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Total summary-pruning misses observed by `analyze=1` requests.
-    pub fn summary_prune_errors(&self) -> u64 {
-        self.summary_prune_errors.load(Ordering::Relaxed)
     }
 
     /// The HTTP front-end's connection counters.
@@ -378,8 +360,8 @@ impl ServiceMetrics {
     /// format (version 0.0.4): uptime, per-engine counters (labeled with
     /// `store` — the `"single"`/`"sharded"` flavor, so dashboards never
     /// blur the two execution paths), per-stage time totals, one latency
-    /// histogram per engine, the `analyze=1` q-error histogram, the
-    /// summary-prune-error counter and the HTTP connection series. The
+    /// histogram per engine, the `analyze=1` q-error histogram and the HTTP
+    /// connection series. The
     /// service layer appends its own cache/store series after this.
     pub fn render_prometheus(&self, out: &mut String, store: &str) {
         scalar(
@@ -462,14 +444,6 @@ impl ServiceMetrics {
         );
         self.qerror
             .render_prometheus(out, "turbohom_estimate_qerror");
-
-        scalar(
-            out,
-            "turbohom_summary_prune_errors_total",
-            "counter",
-            "Live shards that contributed zero rows (summary-pruning misses seen by analyze=1).",
-            self.summary_prune_errors(),
-        );
 
         for (name, kind, help, value) in [
             (
@@ -649,7 +623,6 @@ mod tests {
         );
         m.record_error(EngineKind::HashJoin);
         m.record_qerrors(&[1.0, 3.0]);
-        m.record_false_lives(2);
         let mut out = String::new();
         m.render_prometheus(&mut out, "single");
         for family in [
@@ -666,7 +639,6 @@ mod tests {
             "turbohom_stage_seconds_total",
             "turbohom_query_latency_seconds",
             "turbohom_estimate_qerror",
-            "turbohom_summary_prune_errors_total",
         ] {
             assert!(
                 out.contains(&format!("# TYPE {family} ")),
@@ -681,7 +653,6 @@ mod tests {
             "turbohom_query_latency_seconds_count{engine=\"turbohom++\",store=\"single\"} 1"
         ));
         assert!(out.contains("turbohom_estimate_qerror_count 2"));
-        assert!(out.contains("turbohom_summary_prune_errors_total 2"));
         // Every non-comment line is `name{labels} value` or `name value`.
         for line in out.lines().filter(|l| !l.starts_with('#')) {
             let (series, value) = line.rsplit_once(' ').unwrap();

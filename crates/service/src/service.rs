@@ -70,8 +70,7 @@ pub struct QueryOptions {
     /// ANALYZE mode: execute the query outside the plan cache and return
     /// the EXPLAIN tree annotated with actuals (per-step rows, q-errors,
     /// per-shard rows) in [`QueryResponse::explain`]. The per-step q-errors
-    /// feed the `turbohom_estimate_qerror` histogram and false-live shards
-    /// feed `turbohom_summary_prune_errors_total`.
+    /// feed the `turbohom_estimate_qerror` histogram.
     pub analyze: bool,
 }
 
@@ -584,7 +583,7 @@ impl QueryService {
 
     /// The `analyze=1` request path: explain a plan prepared outside the
     /// plan cache, run it, attach the run's actuals, and feed the estimate-
-    /// vs-actual telemetry (q-error histogram, false-live counter).
+    /// vs-actual telemetry (the q-error histogram).
     fn run_analyze(
         &self,
         sparql: &str,
@@ -604,7 +603,6 @@ impl QueryService {
             .run_plan_traced(&plan, threads, &Trace::disabled())?;
         report.attach_actuals(&results);
         self.metrics.record_qerrors(&report.step_qerrors());
-        self.metrics.record_false_lives(report.false_live_shards());
         Ok((results, false, fp, Some(report)))
     }
 
@@ -1277,7 +1275,6 @@ mod tests {
         let exposition = svc.prometheus();
         assert!(exposition.contains("# TYPE turbohom_estimate_qerror histogram"));
         assert!(exposition.contains("turbohom_estimate_qerror_count"));
-        assert!(exposition.contains("turbohom_summary_prune_errors_total 0"));
         // … and the run still counted as a normal successful query.
         assert_eq!(
             svc.stats().engines[EngineKind::TurboHomPlusPlus.index()].queries,

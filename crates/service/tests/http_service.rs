@@ -849,7 +849,6 @@ fn analyze_over_http_splices_actuals_and_feeds_qerror_metrics() {
     assert!(metrics.contains("# TYPE turbohom_estimate_qerror histogram"));
     assert!(metrics.contains("turbohom_estimate_qerror_count"));
     assert!(!metrics.contains("turbohom_estimate_qerror_count 0\n"));
-    assert!(metrics.contains("turbohom_summary_prune_errors_total"));
 
     handle.shutdown();
 }
