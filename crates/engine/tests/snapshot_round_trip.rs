@@ -245,10 +245,11 @@ fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
 fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // What older builds wrote first: the store meta section with sub-version
     // 1 (the permutation tables still followed the graphs), 2 (the graphs
-    // still held their degree order and unlabeled list) or 3 (term ids were
-    // 64 bits wide).
+    // still held their degree order and unlabeled list), 3 (term ids were
+    // 64 bits wide) or 4 (the graphs still held a type group for unlabeled
+    // neighbors).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3] {
+    for found in [1, 2, 3, 4] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -257,7 +258,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 4
+                expected: 5
             })
         );
     }

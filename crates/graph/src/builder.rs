@@ -192,31 +192,24 @@ fn lay_out_direction(
         let row = &rows[bounds[v] as usize..][..degrees[v] as usize];
         row.chunk_by(|a, b| a.0 == b.0)
     };
-    // A neighbor lands in one type group per label it carries, or in the
-    // `_` group when it carries none.
-    let for_each_key = |t: VertexId, f: &mut dyn FnMut(u32)| {
-        let set = &labels[label_offsets[t.index()] as usize..label_offsets[t.index() + 1] as usize];
-        if set.is_empty() {
-            f(TypeGroup::key_of(None));
-        }
-        for &l in set {
-            f(TypeGroup::key_of(Some(l)));
-        }
+    // A neighbor lands in one type group per label it carries.
+    let label_set = |t: VertexId| {
+        &labels[label_offsets[t.index()] as usize..label_offsets[t.index() + 1] as usize]
     };
 
-    // `last_group[key]` is the last edge-label group a key was counted in.
-    let mut last_group = vec![usize::MAX; num_vlabels + 1];
+    // `last_group[l]` is the last edge-label group label `l` was counted in.
+    let mut last_group = vec![usize::MAX; num_vlabels];
     let (mut num_groups, mut num_type_groups, mut num_typed) = (0usize, 0usize, 0usize);
     for v in 0..n {
         for group in groups_of(v) {
             for &(_, t) in group {
-                for_each_key(t, &mut |key| {
+                for &l in label_set(t) {
                     num_typed += 1;
-                    if last_group[key as usize] != num_groups {
-                        last_group[key as usize] = num_groups;
+                    if last_group[l.index()] != num_groups {
+                        last_group[l.index()] = num_groups;
                         num_type_groups += 1;
                     }
-                });
+                }
             }
             num_groups += 1;
         }
@@ -233,8 +226,8 @@ fn lay_out_direction(
     let mut type_groups = Vec::with_capacity(num_type_groups);
     let mut targets = Vec::with_capacity(degrees.iter().map(|&d| d as usize).sum());
     let mut typed_targets = Vec::with_capacity(num_typed);
-    // One edge-label group's (key, neighbor) pairs, reused across groups.
-    let mut typed_scratch: Vec<(u32, VertexId)> = Vec::new();
+    // One edge-label group's (label, neighbor) pairs, reused across groups.
+    let mut typed_scratch: Vec<(VLabel, VertexId)> = Vec::new();
     vertex_offsets.push(0u32);
     for v in 0..n {
         for group in groups_of(v) {
@@ -242,7 +235,7 @@ fn lay_out_direction(
             targets.extend(group.iter().map(|&(_, t)| t));
             typed_scratch.clear();
             for &(_, t) in group {
-                for_each_key(t, &mut |key| typed_scratch.push((key, t)));
+                typed_scratch.extend(label_set(t).iter().map(|&l| (l, t)));
             }
             typed_scratch.sort_unstable();
             let type_start = type_groups.len() as u32;
@@ -250,7 +243,7 @@ fn lay_out_direction(
                 let start = typed_targets.len() as u32;
                 typed_targets.extend(run.iter().map(|&(_, t)| t));
                 type_groups.push(TypeGroup {
-                    vlabel_key: run[0].0,
+                    vlabel: run[0].0,
                     start,
                     end: typed_targets.len() as u32,
                 });
@@ -442,19 +435,15 @@ mod tests {
 
         for (dir, incoming) in [(&g.outgoing, false), (&g.incoming, true)] {
             // Per vertex: edge label → neighbor set, and per (edge label,
-            // neighbor label or 0 for none) → neighbor set.
+            // neighbor label) → neighbor set.
             type Groups<K> = Vec<BTreeMap<K, BTreeSet<VertexId>>>;
             let mut plain: Groups<ELabel> = vec![BTreeMap::new(); 30];
-            let mut typed: Groups<(ELabel, u32)> = vec![BTreeMap::new(); 30];
+            let mut typed: Groups<(ELabel, VLabel)> = vec![BTreeMap::new(); 30];
             for &(from, to, el) in &edges {
                 let (v, w) = if incoming { (to, from) } else { (from, to) };
                 plain[v.index()].entry(el).or_default().insert(w);
-                let mut keys: Vec<u32> = labels[w.index()].iter().map(|l| l.0 + 1).collect();
-                if keys.is_empty() {
-                    keys.push(0);
-                }
-                for key in keys {
-                    typed[v.index()].entry((el, key)).or_default().insert(w);
+                for &l in &labels[w.index()] {
+                    typed[v.index()].entry((el, l)).or_default().insert(w);
                 }
             }
             let (mut targets, mut typed_targets, mut type_groups) = (vec![], vec![], vec![]);
@@ -464,15 +453,13 @@ mod tests {
                     let target_start = targets.len() as u32;
                     targets.extend(neighbors);
                     let type_start = type_groups.len() as u32;
-                    for (&(_, key), ns) in typed[v].range((el, 0)..=(el, u32::MAX)) {
+                    for (&(_, vlabel), ns) in
+                        typed[v].range((el, VLabel(0))..=(el, VLabel(u32::MAX)))
+                    {
                         let start = typed_targets.len() as u32;
                         typed_targets.extend(ns);
                         let end = typed_targets.len() as u32;
-                        type_groups.push(TypeGroup {
-                            vlabel_key: key,
-                            start,
-                            end,
-                        });
+                        type_groups.push(TypeGroup { vlabel, start, end });
                     }
                     groups.push(ELabelGroup {
                         elabel: el,
@@ -496,5 +483,37 @@ mod tests {
         }
         assert_eq!(g.vertex_label_count(), 7);
         assert_eq!(g.edge_label_count(), 5);
+    }
+
+    #[test]
+    fn type_groups_hold_only_neighbors_carrying_their_label() {
+        // u{L1} -p-> a{}, u -p-> w{L0, L2}, w -q-> a.
+        let mut b = LabeledGraphBuilder::new();
+        let u = b.add_vertex(vec![VLabel(1)]);
+        let a = b.add_vertex(vec![]);
+        let w = b.add_vertex(vec![VLabel(0), VLabel(2)]);
+        b.add_edge(u, a, ELabel(0));
+        b.add_edge(u, w, ELabel(0));
+        b.add_edge(w, a, ELabel(1));
+        let g = b.build();
+
+        for dir in [&g.outgoing, &g.incoming] {
+            for group in dir.elabel_groups.iter() {
+                let targets = &dir.targets[group.target_start as usize..group.target_end as usize];
+                let type_groups =
+                    &dir.type_groups[group.type_start as usize..group.type_end as usize];
+                let mut typed_entries = 0;
+                for tg in type_groups {
+                    let typed = &dir.typed_targets[tg.start as usize..tg.end as usize];
+                    assert!(typed.iter().all(|&t| g.has_label(t, tg.vlabel)));
+                    typed_entries += typed.len();
+                }
+                let label_total: usize = targets.iter().map(|&t| g.labels(t).len()).sum();
+                assert_eq!(typed_entries, label_total);
+            }
+        }
+        // The unlabeled neighbor is reached over its edge label alone.
+        assert_eq!(g.neighbors(u, Direction::Outgoing, ELabel(0)), &[a, w]);
+        assert_eq!(g.outgoing.typed_targets.len(), 2);
     }
 }

@@ -12,7 +12,9 @@
 //! Both are contiguous slices in this representation: adjacency is laid out
 //! per vertex, grouped first by edge label and inside each edge-label group
 //! by neighbor vertex label. A neighbor carrying several labels appears once
-//! per label in the *typed* groups but only once in the per-edge-label slice.
+//! per label in the *typed* groups but only once in the per-edge-label slice;
+//! a neighbor carrying none is in no typed group, and only `adj(v, el)`
+//! reaches it.
 
 use crate::ids::{Direction, ELabel, VLabel, VertexId};
 use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
@@ -41,34 +43,20 @@ pub(crate) struct ELabelGroup {
 // Safety: repr(C) of five u32 fields — no padding, no niches.
 unsafe impl Pod for ELabelGroup {}
 
-/// Per-(edge label, neighbor vertex label) adjacency group of one vertex.
-///
-/// The neighbor label is stored as a raw key — `0` for the paper's `_` group
-/// (no label) and `l + 1` for `VLabel(l)` — so the struct is Pod and the key
-/// order matches the `Option<VLabel>` order (`None < Some`) the binary
-/// searches rely on.
+/// Per-(edge label, neighbor vertex label) adjacency group of one vertex: the
+/// neighbors over the edge label that carry `vlabel`. The type groups of one
+/// edge-label group are sorted by `vlabel`, which the lookups search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub(crate) struct TypeGroup {
-    pub(crate) vlabel_key: u32,
+    pub(crate) vlabel: VLabel,
     /// Range into `AdjacencyDirection::typed_targets`.
     pub(crate) start: u32,
     pub(crate) end: u32,
 }
 
-// Safety: repr(C) of three u32 fields — no padding, no niches.
+// Safety: repr(C) of three u32-wide fields — no padding, no niches.
 unsafe impl Pod for TypeGroup {}
-
-impl TypeGroup {
-    /// Encodes an optional neighbor label as the stored key.
-    #[inline]
-    pub(crate) fn key_of(vl: Option<VLabel>) -> u32 {
-        match vl {
-            None => 0,
-            Some(l) => l.0 + 1,
-        }
-    }
-}
 
 /// Adjacency structure of one direction (outgoing or incoming).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -110,6 +98,15 @@ impl AdjacencyDirection {
             .binary_search_by_key(&el, |g| g.elabel)
             .ok()
             .map(|i| &groups[i])
+    }
+
+    /// The neighbors in edge-label group `g` that carry `vl`.
+    fn typed_targets_of(&self, g: &ELabelGroup, vl: VLabel) -> &[VertexId] {
+        let tgs = &self.type_groups[g.type_start as usize..g.type_end as usize];
+        match tgs.binary_search_by_key(&vl, |tg| tg.vlabel) {
+            Ok(i) => &self.typed_targets[tgs[i].start as usize..tgs[i].end as usize],
+            Err(_) => &[],
+        }
     }
 
     /// Writes the six arrays of this direction under `base` tags.
@@ -303,16 +300,7 @@ impl LabeledGraph {
     ) -> &[VertexId] {
         let d = self.dir(direction);
         match d.find_elabel_group(v, el) {
-            Some(g) => {
-                let tgs = &d.type_groups[g.type_start as usize..g.type_end as usize];
-                match tgs.binary_search_by_key(&TypeGroup::key_of(Some(vl)), |tg| tg.vlabel_key) {
-                    Ok(i) => {
-                        let tg = &tgs[i];
-                        &d.typed_targets[tg.start as usize..tg.end as usize]
-                    }
-                    Err(_) => &[],
-                }
-            }
+            Some(g) => d.typed_targets_of(g, vl),
             None => &[],
         }
     }
@@ -340,16 +328,10 @@ impl LabeledGraph {
         vl: VLabel,
     ) -> Vec<VertexId> {
         let d = self.dir(direction);
-        let mut slices: Vec<&[VertexId]> = Vec::new();
-        for g in d.elabel_groups_of(v) {
-            let tgs = &d.type_groups[g.type_start as usize..g.type_end as usize];
-            if let Ok(i) =
-                tgs.binary_search_by_key(&TypeGroup::key_of(Some(vl)), |tg| tg.vlabel_key)
-            {
-                let tg = &tgs[i];
-                slices.push(&d.typed_targets[tg.start as usize..tg.end as usize]);
-            }
-        }
+        let slices: Vec<&[VertexId]> = (d.elabel_groups_of(v).iter())
+            .map(|g| d.typed_targets_of(g, vl))
+            .filter(|s| !s.is_empty())
+            .collect();
         crate::ops::union_k(&slices)
     }
 

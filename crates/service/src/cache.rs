@@ -30,12 +30,10 @@ struct Entry {
     last_used: u64,
 }
 
-/// What [`PlanCache::insert_tracked`] did.
+/// What [`PlanCache::insert`] did.
 pub struct InsertOutcome {
-    /// The plan now cached under the key (the first writer wins a race).
-    pub plan: AnyPlan,
     /// Whether this call stored the plan (false on races, existing entries
-    /// and zero-capacity caches).
+    /// and zero-capacity caches: the first writer wins).
     pub inserted: bool,
     /// The entry evicted to make room, if any.
     pub evicted: Option<PlanKey>,
@@ -97,33 +95,22 @@ impl PlanCache {
         }
     }
 
-    /// Inserts a plan, evicting the least-recently-used entry when full.
-    /// Returns the plan that is now cached under `key` (an insert racing
-    /// with another thread keeps the first plan, so callers agree).
-    pub fn insert(&self, key: PlanKey, plan: AnyPlan) -> AnyPlan {
-        self.insert_tracked(key, plan).plan
-    }
-
-    /// Like [`insert`](Self::insert), but also reports what happened so the
-    /// caller can journal it: whether this call stored the plan, and which
-    /// entry (if any) was evicted to make room.
-    pub fn insert_tracked(&self, key: PlanKey, plan: AnyPlan) -> InsertOutcome {
+    /// Inserts a plan, evicting the least-recently-used entry when full, and
+    /// reports what happened so the caller can journal it. An insert under a
+    /// key that is already cached (a racing thread's) keeps the first plan.
+    pub fn insert(&self, key: PlanKey, plan: AnyPlan) -> InsertOutcome {
+        let not_inserted = InsertOutcome {
+            inserted: false,
+            evicted: None,
+        };
         if self.capacity == 0 {
-            return InsertOutcome {
-                plan,
-                inserted: false,
-                evicted: None,
-            };
+            return not_inserted;
         }
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if let Some(existing) = inner.maps[key.kind.index()].get(&key.canonical) {
-            return InsertOutcome {
-                plan: existing.plan.clone(),
-                inserted: false,
-                evicted: None,
-            };
+        if inner.maps[key.kind.index()].contains_key(&key.canonical) {
+            return not_inserted;
         }
         let mut evicted = None;
         if inner.len() >= self.capacity {
@@ -149,12 +136,11 @@ impl PlanCache {
         inner.maps[key.kind.index()].insert(
             key.canonical,
             Entry {
-                plan: plan.clone(),
+                plan,
                 last_used: tick,
             },
         );
         InsertOutcome {
-            plan,
             inserted: true,
             evicted,
         }
@@ -220,7 +206,7 @@ mod tests {
         let cache = PlanCache::new(4);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
         assert!(cache.get(q, EngineKind::TurboHomPlusPlus).is_none());
-        cache.insert(key(q), plan_for(&store, q));
+        assert!(cache.insert(key(q), plan_for(&store, q)).inserted);
         assert!(cache.get(q, EngineKind::TurboHomPlusPlus).is_some());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -232,7 +218,7 @@ mod tests {
         let store = store();
         let cache = PlanCache::new(4);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
-        cache.insert(key(q), plan_for(&store, q));
+        assert!(cache.insert(key(q), plan_for(&store, q)).inserted);
         assert!(cache.get(q, EngineKind::MergeJoin).is_none());
     }
 
@@ -242,10 +228,10 @@ mod tests {
         let cache = PlanCache::new(2);
         let (a, b, c) = ("q-a", "q-b", "q-c");
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
-        cache.insert(key(a), plan_for(&store, q));
-        cache.insert(key(b), plan_for(&store, q));
+        assert!(cache.insert(key(a), plan_for(&store, q)).inserted);
+        assert!(cache.insert(key(b), plan_for(&store, q)).inserted);
         assert!(cache.get(a, EngineKind::TurboHomPlusPlus).is_some()); // refresh a → b is now LRU
-        cache.insert(key(c), plan_for(&store, q));
+        assert!(cache.insert(key(c), plan_for(&store, q)).inserted);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(a, EngineKind::TurboHomPlusPlus).is_some());
         assert!(cache.get(b, EngineKind::TurboHomPlusPlus).is_none());
@@ -258,9 +244,11 @@ mod tests {
         let store = store();
         let cache = PlanCache::new(2);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
-        let first = cache.insert(key(q), plan_for(&store, q));
-        let second = cache.insert(key(q), plan_for(&store, q));
-        let (AnyPlan::Single(a), AnyPlan::Single(b)) = (&first, &second) else {
+        let first = plan_for(&store, q);
+        assert!(cache.insert(key(q), first.clone()).inserted);
+        assert!(!cache.insert(key(q), plan_for(&store, q)).inserted);
+        let cached = cache.get(q, EngineKind::TurboHomPlusPlus).unwrap();
+        let (AnyPlan::Single(a), AnyPlan::Single(b)) = (&first, &cached) else {
             panic!("single-store plans expected");
         };
         assert!(Arc::ptr_eq(a, b));
@@ -268,18 +256,18 @@ mod tests {
     }
 
     #[test]
-    fn tracked_insert_reports_the_evicted_key() {
+    fn insert_reports_the_evicted_key() {
         let store = store();
         let cache = PlanCache::new(1);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
-        let first = cache.insert_tracked(key("a"), plan_for(&store, q));
+        let first = cache.insert(key("a"), plan_for(&store, q));
         assert!(first.inserted);
         assert!(first.evicted.is_none());
-        let second = cache.insert_tracked(key("b"), plan_for(&store, q));
+        let second = cache.insert(key("b"), plan_for(&store, q));
         assert!(second.inserted);
         assert_eq!(second.evicted.unwrap().canonical, "a");
         // Re-inserting under an existing key stores (and evicts) nothing.
-        let repeat = cache.insert_tracked(key("b"), plan_for(&store, q));
+        let repeat = cache.insert(key("b"), plan_for(&store, q));
         assert!(!repeat.inserted);
         assert!(repeat.evicted.is_none());
     }
@@ -289,7 +277,7 @@ mod tests {
         let store = store();
         let cache = PlanCache::new(0);
         let q = "SELECT ?x WHERE { ?x <http://p> ?y . }";
-        cache.insert(key(q), plan_for(&store, q));
+        assert!(!cache.insert(key(q), plan_for(&store, q)).inserted);
         assert!(cache.get(q, EngineKind::TurboHomPlusPlus).is_none());
         assert!(cache.is_empty());
     }

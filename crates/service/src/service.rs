@@ -674,7 +674,7 @@ impl QueryService {
             canonical: fp.canonical.clone(),
             kind: engine,
         };
-        let outcome = self.cache.insert_tracked(key, plan);
+        let outcome = self.cache.insert(key, plan);
         if let Some(victim) = outcome.evicted {
             self.journal_event(
                 Some(trace_id),
