@@ -111,30 +111,17 @@ fn push_f64(out: &mut Vec<u8>, v: f64) {
     }
 }
 
+/// Writes `{"name":value,...}`, one member per `MatchStats::counters()` entry,
+/// in the table's order.
 fn push_stats(out: &mut Vec<u8>, s: &MatchStats) {
-    out.extend_from_slice(
-        format!(
-            "{{\"candidate_regions\":{},\"nonempty_regions\":{},\"candidate_vertices\":{},\
-         \"explored_vertices\":{},\"signature_pruned\":{},\"isjoinable_probes\":{},\
-         \"intersection_ops\":{},\"search_recursions\":{},\"matching_orders_computed\":{},\"solutions\":{},\
-         \"morsels\":{},\"morsels_stolen\":{},\"shards_executed\":{},\"shards_pruned\":{}}}",
-            s.candidate_regions,
-            s.nonempty_regions,
-            s.candidate_vertices,
-            s.explored_vertices,
-            s.signature_pruned,
-            s.isjoinable_probes,
-            s.intersection_ops,
-            s.search_recursions,
-            s.matching_orders_computed,
-            s.solutions,
-            s.morsels,
-            s.morsels_stolen,
-            s.shards_executed,
-            s.shards_pruned,
-        )
-        .as_bytes(),
-    );
+    out.push(b'{');
+    for (i, (name, value)) in s.counters().into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(format!("\"{name}\":{value}").as_bytes());
+    }
+    out.push(b'}');
 }
 
 impl BenchRecord {
@@ -215,8 +202,21 @@ mod tests {
         let zero_stats =
             "{\"candidate_regions\":0,\"nonempty_regions\":0,\"candidate_vertices\":0,\
             \"explored_vertices\":0,\"signature_pruned\":0,\"isjoinable_probes\":0,\
-            \"intersection_ops\":0,\"search_recursions\":0,\"matching_orders_computed\":0,\"solutions\":0,\
+            \"intersection_ops\":0,\"search_recursions\":0,\"degree_filtered\":0,\"nlf_filtered\":0,\
+            \"matching_orders_computed\":0,\"filtered_inline\":0,\"filtered_post\":0,\"solutions\":0,\
             \"morsels\":0,\"morsels_stolen\":0,\"shards_executed\":0,\"shards_pruned\":0}";
+        // Every matcher counter, named as the table names it, in its order.
+        let members: Vec<&str> = zero_stats
+            .trim_matches(['{', '}'])
+            .split(',')
+            .map(|member| member.split('"').nth(1).unwrap())
+            .collect();
+        let table: Vec<&str> = MatchStats::default()
+            .counters()
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(members, table);
         let q1_stats = zero_stats
             .replace("\"candidate_regions\":0", "\"candidate_regions\":7")
             .replace("\"intersection_ops\":0", "\"intersection_ops\":3")

@@ -14,7 +14,7 @@ use std::time::Instant;
 use turbohom_baseline::PermutationIndexes;
 use turbohom_rdf::{Dataset, InferenceConfig, InferenceEngine};
 use turbohom_storage::{
-    process_resident_bytes, MemoryUse, Snapshot, SnapshotError, SnapshotWriter,
+    process_resident_bytes, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter,
 };
 use turbohom_transform::{direct_transform, type_aware_transform, TransformedGraph};
 
@@ -141,13 +141,12 @@ impl Backend {
         }
     }
 
-    /// Opens `path` and reconstructs the dataset and both graphs in place;
-    /// also returns whether the snapshot was written with inference enabled
+    /// Reads one store's sections from `cur`, which the snapshot file at
+    /// `path` backs, and reconstructs the dataset and both graphs in place;
+    /// also returns whether the store was written with inference enabled
     /// (the closure is already materialized in the stored triples).
-    pub fn open(path: &Path) -> Result<(Self, bool), StoreError> {
-        let snapshot = Snapshot::open(path)?;
-        let mut cur = snapshot.cursor();
-        let meta: turbohom_storage::FlatVec<u64> = cur.next_section(TAG_STORE_META)?;
+    pub fn read(cur: &mut SectionCursor<'_>, path: &Path) -> Result<(Self, bool), StoreError> {
+        let meta: FlatVec<u64> = cur.next_section(TAG_STORE_META)?;
         if meta.len() != 3 {
             return Err(SnapshotError::Malformed("store meta section length".into()).into());
         }
@@ -159,7 +158,7 @@ impl Backend {
             .into());
         }
         let triple_count = meta[2] as usize;
-        let dataset = Dataset::read_sections(&mut cur)?;
+        let dataset = Dataset::read_sections(cur)?;
         if dataset.len() != triple_count {
             return Err(SnapshotError::Malformed(format!(
                 "snapshot holds {} triples, meta says {triple_count}",
@@ -167,8 +166,8 @@ impl Backend {
             ))
             .into());
         }
-        let type_aware = TransformedGraph::read_sections(&mut cur)?;
-        let direct = TransformedGraph::read_sections(&mut cur)?;
+        let type_aware = TransformedGraph::read_sections(cur)?;
+        let direct = TransformedGraph::read_sections(cur)?;
         let backend = Backend {
             dataset,
             type_aware,
@@ -176,27 +175,25 @@ impl Backend {
             permutations: OnceLock::new(),
             origin: Origin::Snapshot {
                 path: path.to_path_buf(),
-                mapped: snapshot.is_mapped(),
+                mapped: cur.is_mapped(),
             },
             builds: Mutex::new(Vec::new()),
         };
         Ok((backend, meta[1] != 0))
     }
 
-    /// Writes the dataset and both graphs (building the direct one if no
-    /// plan has yet) to a snapshot file; returns the bytes written.
-    pub fn save(&self, inference: bool, path: &Path) -> Result<u64, StoreError> {
-        let mut w = SnapshotWriter::new();
+    /// Writes the store meta, the dataset and both graphs (building the
+    /// direct one if no plan has yet) into `w`.
+    pub fn write(&self, inference: bool, w: &mut SnapshotWriter) {
         let meta: [u64; 3] = [
             STORE_FORMAT_SUB_VERSION,
             inference as u64,
             self.dataset.len() as u64,
         ];
         w.section(TAG_STORE_META, &meta);
-        self.dataset.write_sections(&mut w);
-        self.type_aware.write_sections(&mut w);
-        self.direct(false).write_sections(&mut w);
-        Ok(w.write_to(path)?)
+        self.dataset.write_sections(w);
+        self.type_aware.write_sections(w);
+        self.direct(false).write_sections(w);
     }
 
     /// `"heap"` or `"snapshot"`.

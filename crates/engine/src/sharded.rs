@@ -27,19 +27,22 @@ use crate::error::StoreError;
 use crate::plan::{window_of, QueryPlan, Window};
 use crate::results::{IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
-use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use turbohom_core::{drive, merge_step_counts, Worker};
 use turbohom_partition::{
-    analyze_query, partition_dataset, Anchor, Manifest, OwnedTerms, Ownership, PartitionConfig,
-    DEFAULT_HALO,
+    analyze_query, partition_dataset, Anchor, OwnedTerms, Ownership, PartitionConfig, DEFAULT_HALO,
 };
 use turbohom_rdf::{parse_ntriples, Dataset, IdRows, InferenceConfig, InferenceEngine};
 use turbohom_sparql::{parse_query, Selection};
-use turbohom_storage::SnapshotError;
+use turbohom_storage::{FlatVec, SectionCursor, Snapshot, SnapshotError, SnapshotWriter};
 use turbohom_trace::Trace;
+
+/// The shard layout section that opens a sharded snapshot (component 0x0A):
+/// `[shards, halo, global_triples, triples of shard 0 … k−1]`. Each shard's
+/// store sections follow it, in shard order.
+const TAG_SHARD_LAYOUT: u64 = 0x0A01;
 
 /// Construction options for a [`ShardedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +78,6 @@ pub struct ShardedStore {
     owned: Vec<OwnedTerms>,
     halo: usize,
     global_triples: usize,
-    snapshot_path: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for ShardedStore {
@@ -126,7 +128,6 @@ impl ShardedStore {
             owned,
             halo: options.halo,
             global_triples: parts.global_triples,
-            snapshot_path: None,
         })
     }
 
@@ -135,64 +136,57 @@ impl ShardedStore {
         Self::from_dataset_with(parse_ntriples(input)?, options)
     }
 
-    /// Writes one snapshot per shard (`<base>.shard<i>.snap` next to `base`)
-    /// plus a manifest at `base` itself, and returns the total bytes
-    /// written. [`from_manifest`](Self::from_manifest) boots from the
-    /// manifest path.
-    pub fn save_snapshots(&self, base: &Path) -> Result<u64, StoreError> {
-        let file_name = base
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| SnapshotError::Io("snapshot path has no file name".into()))?;
-        let mut total = 0u64;
-        let mut shard_files = Vec::with_capacity(self.shards.len());
-        let mut shard_triples = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let name = format!("{file_name}.shard{i}.snap");
-            total += shard.save_snapshot(&base.with_file_name(&name))?;
-            shard_files.push(name);
-            shard_triples.push(shard.triple_count() as u64);
+    /// Writes the store to one snapshot file — the shard layout, then every
+    /// shard's sections as [`Store::save_snapshot`] writes them — and
+    /// returns the bytes written. [`from_snapshot`](Self::from_snapshot)
+    /// reads it back.
+    pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
+        let mut w = SnapshotWriter::new();
+        let layout: Vec<u64> = [self.shards.len(), self.halo, self.global_triples]
+            .into_iter()
+            .chain(self.shards.iter().map(|s| s.triple_count()))
+            .map(|n| n as u64)
+            .collect();
+        w.section(TAG_SHARD_LAYOUT, &layout);
+        for shard in &self.shards {
+            shard.write_sections(&mut w);
         }
-        let manifest = Manifest {
-            shards: self.shards.len(),
-            halo: self.halo,
-            shard_files,
-            shard_triples,
-            global_triples: self.global_triples as u64,
-        };
-        let text = manifest.to_json();
-        std::fs::write(base, &text).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Ok(total + text.len() as u64)
+        Ok(w.write_to(path)?)
     }
 
-    /// Returns `true` if `path` looks like a shard manifest rather than a
-    /// binary snapshot (manifests are JSON; snapshots start with magic
-    /// bytes). Reads at most the first 64 bytes of the file.
-    pub fn is_manifest(path: &Path) -> bool {
-        let mut head = Vec::with_capacity(64);
-        let read = std::fs::File::open(path).and_then(|f| f.take(64).read_to_end(&mut head));
-        read.is_ok() && head.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{')
+    /// Opens a file written by [`save_snapshot`](Self::save_snapshot): maps
+    /// it once, reads the shard stores in order as views into that one
+    /// mapping, and rebuilds each shard's owned-term bits from its
+    /// dictionary.
+    pub fn from_snapshot(path: &Path, threads: usize) -> Result<Self, StoreError> {
+        let snapshot = Snapshot::open(path)?;
+        Self::read_sections(&mut snapshot.cursor(), path, threads)
     }
 
-    /// Boots a sharded store from a manifest written by
-    /// [`save_snapshots`](Self::save_snapshots): maps every shard snapshot
-    /// and rebuilds each shard's owned-term bits from its dictionary. A shard
-    /// file that does not hold the triple count the manifest records for its
-    /// position is refused: the ownership filter of shard `i` is only right
-    /// over shard `i`'s data.
-    pub fn from_manifest(path: &Path, threads: usize) -> Result<Self, StoreError> {
-        let text = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        let manifest = Manifest::parse(&text).map_err(SnapshotError::Malformed)?;
-        let ownership = Ownership::new(manifest.shards);
-        let mut shards = Vec::with_capacity(manifest.shards);
-        let mut owned = Vec::with_capacity(manifest.shards);
-        for (i, file) in manifest.shard_files.iter().enumerate() {
-            let shard = Store::from_snapshot_with(&path.with_file_name(file), threads)?;
-            let (found, recorded) = (shard.triple_count() as u64, manifest.shard_triples[i]);
+    /// Reads the shard layout and the shard stores from `cur`. A shard that
+    /// does not hold the triple count the layout records for its position
+    /// is refused: the ownership filter of shard `i` is only right over
+    /// shard `i`'s data.
+    fn read_sections(
+        cur: &mut SectionCursor<'_>,
+        path: &Path,
+        threads: usize,
+    ) -> Result<Self, StoreError> {
+        let layout: FlatVec<u64> = cur.next_section(TAG_SHARD_LAYOUT)?;
+        let count = layout.len().saturating_sub(3);
+        if count == 0 || layout[0] != count as u64 {
+            let message = format!("a shard layout of {} entries", layout.len());
+            return Err(SnapshotError::Malformed(message).into());
+        }
+        let ownership = Ownership::new(count);
+        let mut shards = Vec::with_capacity(count);
+        let mut owned = Vec::with_capacity(count);
+        for (i, &recorded) in layout[3..].iter().enumerate() {
+            let shard = Store::read_sections(cur, path, threads)?;
+            let found = shard.triple_count() as u64;
             if found != recorded {
                 return Err(SnapshotError::Malformed(format!(
-                    "shard {i}: `{file}` holds {found} triples, \
-                     the manifest's `shard_triples` records {recorded}"
+                    "shard {i} holds {found} triples, the shard layout records {recorded}"
                 ))
                 .into());
             }
@@ -202,9 +196,8 @@ impl ShardedStore {
         Ok(ShardedStore {
             shards,
             owned,
-            halo: manifest.halo,
-            global_triples: manifest.global_triples as usize,
-            snapshot_path: Some(path.to_path_buf()),
+            halo: layout[1] as usize,
+            global_triples: layout[2] as usize,
         })
     }
 
@@ -231,21 +224,22 @@ impl ShardedStore {
 
     /// `"sharded-heap"` or `"sharded-snapshot"`.
     pub fn backend_name(&self) -> &'static str {
-        if self.snapshot_path.is_some() {
+        if self.snapshot_path().is_some() {
             "sharded-snapshot"
         } else {
             "sharded-heap"
         }
     }
 
-    /// The manifest file backing this store, if it was booted from one.
+    /// The snapshot file backing this store (and every shard), if it was
+    /// opened from one.
     pub fn snapshot_path(&self) -> Option<&Path> {
-        self.snapshot_path.as_deref()
+        self.shards[0].snapshot_path()
     }
 
     /// `true` when every shard reads from a memory-mapped snapshot.
     pub fn is_mapped(&self) -> bool {
-        !self.shards.is_empty() && self.shards.iter().all(|s| s.is_mapped())
+        self.shards.iter().all(|s| s.is_mapped())
     }
 
     /// Parses a SPARQL query and builds the sharded plan for `kind`.
@@ -506,6 +500,30 @@ pub enum AnyStore {
 }
 
 impl AnyStore {
+    /// Opens a snapshot file of either flavor: a file whose first section is
+    /// a shard layout is a sharded store, any other a single one.
+    pub fn from_snapshot(path: &Path, threads: usize) -> Result<Self, StoreError> {
+        let snapshot = Snapshot::open(path)?;
+        let mut cur = snapshot.cursor();
+        let store = match snapshot.sections().next() {
+            Some((TAG_SHARD_LAYOUT, _)) => AnyStore::Sharded(Arc::new(
+                ShardedStore::read_sections(&mut cur, path, threads)?,
+            )),
+            _ => AnyStore::Single(Arc::new(Store::read_sections(&mut cur, path, threads)?)),
+        };
+        Ok(store)
+    }
+
+    /// Writes the store to one snapshot file that
+    /// [`from_snapshot`](Self::from_snapshot) opens as the same flavor;
+    /// returns the bytes written.
+    pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
+        match self {
+            AnyStore::Single(s) => s.save_snapshot(path),
+            AnyStore::Sharded(s) => s.save_snapshot(path),
+        }
+    }
+
     /// Prepares a plan, recording stage spans into `trace`.
     pub fn prepare_plan_traced(
         &self,
@@ -557,7 +575,7 @@ impl AnyStore {
         }
     }
 
-    /// The snapshot (or manifest) file backing this store, if any.
+    /// The snapshot file backing this store, if any.
     pub fn snapshot_path(&self) -> Option<&Path> {
         match self {
             AnyStore::Single(s) => s.snapshot_path(),
@@ -889,65 +907,64 @@ mod tests {
         assert!(rollups.iter().all(|s| s.parent == Some(execute.id)));
     }
 
-    #[test]
-    fn is_manifest_looks_at_the_head_of_the_file_only() {
-        let dir = std::env::temp_dir().join(format!("turbohom-sniff-test-{}", std::process::id()));
+    /// A directory of its own under the system temp dir.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("turbohom-sharded-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let sniff = |name: &str, bytes: &[u8]| {
-            let path = dir.join(name);
-            std::fs::write(&path, bytes).unwrap();
-            ShardedStore::is_manifest(&path)
-        };
-        // A snapshot far larger than the 64-byte window: magic first, and
-        // braces beyond the window that a whole-file scan would also skip.
-        let mut snapshot = b"TURBOSNP".to_vec();
-        snapshot.resize(4096, b'{');
-        assert!(!sniff("store.snap", &snapshot));
-        assert!(sniff("manifest", b" \n\t{\"version\": 1}"));
-        assert!(sniff("manifest-bare", b"{}"));
-        // Whitespace filling the whole window is not a manifest, whatever
-        // comes after it.
-        let mut padded = vec![b' '; 64];
-        padded.push(b'{');
-        assert!(!sniff("padded", &padded));
-        assert!(!sniff("empty", b""));
-        assert!(!ShardedStore::is_manifest(&dir.join("missing")));
-        std::fs::remove_dir_all(&dir).ok();
+        dir
     }
 
     #[test]
-    fn snapshot_manifest_round_trip() {
-        let dir = std::env::temp_dir().join(format!("turbohom-shard-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("sample.shards");
-        let built = sharded(3);
-        built.save_snapshots(&base).unwrap();
-        assert!(ShardedStore::is_manifest(&base));
-        assert!(!ShardedStore::is_manifest(
-            &base.with_file_name("sample.shards.shard0.snap")
-        ));
-
-        let booted = ShardedStore::from_manifest(&base, 1).unwrap();
-        assert_eq!(booted.shard_count(), 3);
-        assert_eq!(booted.triple_count(), built.triple_count());
-        assert_eq!(booted.backend_name(), "sharded-snapshot");
-        assert!(booted.is_mapped());
-        for q in QUERIES {
-            let a = built.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
-            let b = booted.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
-            assert_eq!(canonical_json(a), canonical_json(b));
+    fn a_sharded_store_saves_one_file_that_answers_like_the_heap_store() {
+        let dir = scratch_dir("round-trip");
+        for k in [1, 3] {
+            let path = dir.join(format!("sample-{k}.snap"));
+            let built = sharded(k);
+            let bytes = built.save_snapshot(&path).unwrap();
+            assert_eq!(bytes, std::fs::metadata(&path).unwrap().len(), "k={k}");
+            let AnyStore::Sharded(booted) = AnyStore::from_snapshot(&path, 1).unwrap() else {
+                panic!("k={k}: the file did not open as a sharded store");
+            };
+            assert_eq!(booted.shard_count(), k);
+            assert_eq!(booted.halo(), DEFAULT_HALO);
+            assert_eq!(booted.triple_count(), built.triple_count());
+            assert_eq!(booted.backend_name(), "sharded-snapshot");
+            assert_eq!(booted.snapshot_path(), Some(path.as_path()));
+            assert!(booted.is_mapped(), "k={k}");
+            for q in QUERIES {
+                for kind in EngineKind::all() {
+                    let expect = built.execute(q, kind).unwrap();
+                    let got = booted.execute(q, kind).unwrap();
+                    assert_eq!(
+                        canonical_json(got),
+                        canonical_json(expect),
+                        "k={k} {kind} {q}"
+                    );
+                }
+            }
         }
+        // One file a save, and nothing beside it.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        // A single store's file opens as the single flavor.
+        let path = dir.join("single.snap");
+        single_store().save_snapshot(&path).unwrap();
+        assert!(matches!(
+            AnyStore::from_snapshot(&path, 1).unwrap(),
+            AnyStore::Single(_)
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The manifest is input from outside: a recorded triple count that a
-    /// shard file does not hold, or the files of two shards swapped (every
-    /// ownership filter would run over another shard's data), is refused.
+    /// A shard layout whose triple count for a position is not what the
+    /// shard there holds — a wrong count, or two shards written in each
+    /// other's places (every ownership filter would run over another shard's
+    /// data) — is refused naming the shard; a truncated file, a flipped
+    /// payload byte and the JSON manifest earlier builds saved are refused
+    /// too, each with a typed error.
     #[test]
-    fn from_manifest_checks_every_shard_against_its_recorded_triple_count() {
-        let dir = std::env::temp_dir().join(format!("turbohom-tamper-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("sample.shards");
+    fn a_damaged_sharded_snapshot_is_refused_with_a_typed_error() {
+        let dir = scratch_dir("refusals");
         // Without a halo the shards of the sample differ in size.
         let options = ShardedOptions {
             shards: 3,
@@ -955,33 +972,66 @@ mod tests {
             ..ShardedOptions::default()
         };
         let built = ShardedStore::from_dataset_with(sample_dataset(), options).unwrap();
-        built.save_snapshots(&base).unwrap();
-        let manifest = Manifest::parse(&std::fs::read_to_string(&base).unwrap()).unwrap();
-        let refusal = |tampered: &Manifest| {
-            std::fs::write(&base, tampered.to_json()).unwrap();
-            match ShardedStore::from_manifest(&base, 1) {
-                Err(StoreError::Snapshot(SnapshotError::Malformed(message))) => message,
-                other => panic!("expected a refusal, got {:?}", other.err()),
+        let counts: Vec<u64> = built
+            .shards
+            .iter()
+            .map(|s| s.triple_count() as u64)
+            .collect();
+        // The layout with `counts`, then the shards in `order`.
+        let write = |counts: &[u64], order: [usize; 3]| {
+            let mut w = SnapshotWriter::new();
+            let layout: Vec<u64> = [3, 0, built.global_triples as u64]
+                .into_iter()
+                .chain(counts.iter().copied())
+                .collect();
+            w.section(TAG_SHARD_LAYOUT, &layout);
+            for i in order {
+                built.shards[i].write_sections(&mut w);
             }
+            let path = dir.join("written.snap");
+            w.write_to(&path).unwrap();
+            path
         };
-        let mut miscounted = manifest.clone();
-        miscounted.shard_triples[1] += 1;
-        let message = refusal(&miscounted);
+        let refusal = |path: &Path| match AnyStore::from_snapshot(path, 1) {
+            Err(StoreError::Snapshot(e)) => e,
+            Err(other) => panic!("expected a snapshot error, got {other:?}"),
+            Ok(_) => panic!("a damaged file opened"),
+        };
+        let malformed = |path: &Path| match refusal(path) {
+            SnapshotError::Malformed(message) => message,
+            other => panic!("expected a malformed file, got {other:?}"),
+        };
+
+        let mut miscounted = counts.clone();
+        miscounted[1] += 1;
+        let message = malformed(&write(&miscounted, [0, 1, 2]));
         assert!(
-            message.contains("shard 1") && message.contains("shard_triples"),
+            message.contains("shard 1") && message.contains("shard layout"),
             "{message}"
         );
         let (a, b) = (0..3)
             .flat_map(|a| (a + 1..3).map(move |b| (a, b)))
-            .find(|&(a, b)| manifest.shard_triples[a] != manifest.shard_triples[b])
+            .find(|&(a, b)| counts[a] != counts[b])
             .expect("two shards of the sample differ in size");
-        let mut swapped = manifest.clone();
-        swapped.shard_files.swap(a, b);
-        let message = refusal(&swapped);
+        let mut order = [0, 1, 2];
+        order.swap(a, b);
+        let message = malformed(&write(&counts, order));
         assert!(message.contains(&format!("shard {a}")), "{message}");
-        // Untouched, it boots.
-        std::fs::write(&base, manifest.to_json()).unwrap();
-        assert_eq!(ShardedStore::from_manifest(&base, 1).unwrap().halo(), 0);
+
+        // Untouched, it opens.
+        let path = write(&counts, [0, 1, 2]);
+        assert_eq!(ShardedStore::from_snapshot(&path, 1).unwrap().halo(), 0);
+        let good = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &good[..good.len() - 9]).unwrap();
+        assert!(matches!(refusal(&path), SnapshotError::Truncated(_)));
+        // A byte of the layout's halo entry, the first payload section.
+        let mut flipped = good;
+        flipped[turbohom_storage::snapshot::HEADER_LEN + 8] ^= 0xFF;
+        std::fs::write(&path, &flipped).unwrap();
+        assert_eq!(refusal(&path), SnapshotError::ChecksumMismatch("payload"));
+        let manifest = r#"{"format":"turbohom-shards/2","shards":3,"halo":0,"shard_files":["written.snap.shard0.snap","written.snap.shard1.snap","written.snap.shard2.snap"],"shard_triples":[5,6,7],"global_triples":9}"#;
+        std::fs::write(&path, manifest).unwrap();
+        assert_eq!(refusal(&path), SnapshotError::BadMagic);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,15 +2,14 @@
 //!
 //! Every document the system emits off the result path — EXPLAIN reports,
 //! traces, journal lines, the slow-query log, `/stats`, `/healthz`, error
-//! bodies, shard manifests — is built with a [`JsonWriter`]: it places the
-//! commas, quotes and escapes every string, and prints numbers in the three
-//! formats those documents use. The SPARQL-JSON result writer in
-//! `turbohom-engine` shares only [`escape_json_into`]; its structure is fixed
-//! and it is the measured hot path.
+//! bodies — is built with a [`JsonWriter`]: it places the commas, quotes and
+//! escapes every string, and prints numbers in the three formats those
+//! documents use. The SPARQL-JSON result writer in `turbohom-engine` shares
+//! only [`escape_json_into`]; its structure is fixed and it is the measured
+//! hot path.
 //!
 //! The output carries no whitespace. The crate depends on `std` alone, so the
-//! tracer and the partitioner — which share no other ancestor — can both
-//! link it.
+//! tracer, which sits below the engine, can link it.
 
 use std::fmt::Display;
 use std::io::Write;

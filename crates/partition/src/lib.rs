@@ -17,18 +17,18 @@
 //!   routes the query to its owner shard alone. A shard missing one of the
 //!   query's constants needs no check here: its own transform finds the
 //!   constant absent from its dictionary and explores nothing.
-//! * [`Manifest`] describes a saved set of per-shard snapshots so a sharded
-//!   store can be booted from disk.
 //!
 //! Everything here is deliberately independent of the engine crates: it
 //! speaks [`Dataset`]/[`Term`] on the data side and the SPARQL algebra on
-//! the query side, so the coordinator in `turbohom-engine` stays thin.
+//! the query side, so the coordinator in `turbohom-engine` stays thin. A
+//! sharded store persists as one ordinary snapshot file (`docs/STORAGE.md`),
+//! which the engine writes and reads; nothing here is saved, since ownership
+//! is `hash % k` and the owned-term bits are rebuilt from each shard's
+//! dictionary.
 
-mod manifest;
 mod partitioner;
 mod query;
 
-pub use manifest::{Manifest, MANIFEST_FORMAT};
 pub use partitioner::{
     partition_dataset, OwnedTerms, Ownership, PartitionConfig, PartitionedDataset, DEFAULT_HALO,
 };
@@ -76,7 +76,7 @@ mod tests {
     fn term_hash_is_the_hash_of_the_rendering() {
         let a = Term::iri("http://ex.org/a");
         assert_eq!(term_hash(&a), fnv1a(FNV_OFFSET, b"<http://ex.org/a>"));
-        // Saved manifests route by this value: it must never change.
+        // Saved sharded snapshots route by this value: it must never change.
         assert_eq!(term_hash(&a), 0x282f_4643_dfc8_a3aa);
         // Different term kinds with the same inner text hash differently.
         assert_ne!(term_hash(&Term::iri("x")), term_hash(&Term::literal("x")));

@@ -54,8 +54,10 @@ fn usage() -> &'static str {
      \x20 --bind ADDR       listen address (default 127.0.0.1:7878)\n\
      \x20 --lubm N          serve a generated LUBM store at scale N (default 1)\n\
      \x20 --ntriples FILE   serve an N-Triples file instead of LUBM\n\
-     \x20 --snapshot FILE   serve a snapshot file (memory-mapped, zero-copy)\n\
-     \x20 --save-snapshot F write the loaded store to a snapshot file and exit\n\
+     \x20 --snapshot FILE   serve a snapshot file, single-store or sharded\n\
+     \x20                   (memory-mapped, zero-copy)\n\
+     \x20 --save-snapshot F write the loaded store (every shard of it) to one\n\
+     \x20                   snapshot file and exit\n\
      \x20 --inference       materialize the RDFS closure at load time\n\
      \x20 --threads N       default worker threads per query (default 1)\n\
      \x20 --shards N        partition the data across N shard stores and run\n\
@@ -156,7 +158,7 @@ fn run() -> Result<(), String> {
     }
     if args.snapshot.is_some() && args.shards > 1 {
         return Err("--shards cannot be combined with --snapshot \
-                    (the manifest records the shard layout)"
+                    (a sharded snapshot records its shard layout)"
             .into());
     }
 
@@ -170,22 +172,11 @@ fn run() -> Result<(), String> {
         threads: args.threads.max(1),
         halo: args.halo,
     };
-    let single = |store: Store| AnyStore::Single(Arc::new(store));
-    let sharded = |store: ShardedStore| AnyStore::Sharded(Arc::new(store));
     let load_started = std::time::Instant::now();
-    let (store, load_phase) = if let Some(path) = &args.snapshot {
-        let file = std::path::Path::new(path);
-        if ShardedStore::is_manifest(file) {
-            eprintln!("mapping shard manifest {path} ...");
-            let store = ShardedStore::from_manifest(file, options.threads)
-                .map_err(|e| format!("cannot load shard manifest {path}: {e}"))?;
-            (sharded(store), "sharded_map")
-        } else {
-            eprintln!("mapping snapshot {path} ...");
-            let store = Store::from_snapshot_with(file, options.threads)
-                .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
-            (single(store), "map")
-        }
+    let store = if let Some(path) = &args.snapshot {
+        eprintln!("mapping snapshot {path} ...");
+        AnyStore::from_snapshot(std::path::Path::new(path), options.threads)
+            .map_err(|e| format!("cannot load snapshot {path}: {e}"))?
     } else {
         let dataset = if let Some(path) = &args.ntriples {
             eprintln!("loading N-Triples from {path} ...");
@@ -199,10 +190,9 @@ fn run() -> Result<(), String> {
         if args.shards > 1 {
             let store = ShardedStore::from_dataset_with(dataset, sharded_options)
                 .map_err(|e| format!("cannot partition the dataset: {e}"))?;
-            (sharded(store), "sharded_parse_build")
+            AnyStore::Sharded(Arc::new(store))
         } else {
-            let store = Store::from_dataset_with(dataset, options);
-            (single(store), "parse_build")
+            AnyStore::Single(Arc::new(Store::from_dataset_with(dataset, options)))
         }
     };
     // Whatever plans of the default engine read beyond the type-aware graph
@@ -214,7 +204,7 @@ fn run() -> Result<(), String> {
         format!(", {} shards, halo {}", s.shard_count(), s.halo())
     });
     eprintln!(
-        "store ready: {} triples in {load_ms:.1} ms ({load_phase}, {} backend{}{shard_note})",
+        "store ready: {} triples in {load_ms:.1} ms ({} backend{}{shard_note})",
         store.triple_count(),
         store.backend_name(),
         if store.is_mapped() { ", mmap" } else { "" },
@@ -222,16 +212,12 @@ fn run() -> Result<(), String> {
 
     if let Some(path) = &args.save_snapshot {
         let started = std::time::Instant::now();
-        let saved = match &store {
-            AnyStore::Single(s) => s.save_snapshot(std::path::Path::new(path)),
-            AnyStore::Sharded(s) => s.save_snapshots(std::path::Path::new(path)),
-        };
-        let bytes = saved.map_err(|e| format!("cannot save snapshot {path}: {e}"))?;
+        let bytes = store
+            .save_snapshot(std::path::Path::new(path))
+            .map_err(|e| format!("cannot save snapshot {path}: {e}"))?;
         println!(
-            "snapshot saved: {path} ({bytes} bytes, {} triples, {} file{}, {:.1} ms)",
+            "snapshot saved: {path} ({bytes} bytes, {} triples{shard_note}, {:.1} ms)",
             store.triple_count(),
-            store.sharded().map_or(1, |s| s.shard_count() + 1),
-            store.sharded().map_or("", |_| "s"),
             started.elapsed().as_secs_f64() * 1000.0,
         );
         return Ok(());

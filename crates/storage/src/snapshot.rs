@@ -366,6 +366,11 @@ impl SectionCursor<'_> {
     pub fn position(&self) -> usize {
         self.next
     }
+
+    /// Whether the sections are views into a memory mapping.
+    pub fn is_mapped(&self) -> bool {
+        self.snapshot.is_mapped()
+    }
 }
 
 #[cfg(test)]
