@@ -11,7 +11,7 @@ use crate::permutation::PermutationIndexes;
 use crate::relation::Relation;
 use std::collections::HashMap;
 use turbohom_rdf::{Dataset, TermId};
-use turbohom_sparql::{EvalContext, Expression, GroupPattern, Query, SparqlTerm, TriplePattern};
+use turbohom_sparql::{Expression, GroupPattern, Query, SparqlTerm, TriplePattern};
 
 /// Physical join operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,25 +298,18 @@ impl<'a> BaselineEngine<'a> {
         out
     }
 
-    /// Keeps the rows that satisfy `filter`.
-    fn apply_filter(&self, relation: Relation, filter: &Expression) -> Relation {
-        let vars = relation.vars.clone();
-        let rows = relation
-            .rows
-            .into_iter()
-            .filter(|row| {
-                let mut ctx = EvalContext::new();
-                for (i, var) in vars.iter().enumerate() {
-                    if let Some(id) = row[i] {
-                        if let Some(term) = self.dataset.dictionary.term(id) {
-                            ctx.insert(var.clone(), term.clone());
-                        }
-                    }
-                }
-                filter.evaluate_bool(&ctx)
-            })
-            .collect();
-        Relation { vars, rows }
+    /// Keeps the rows that satisfy `filter`, which reads the dictionary's
+    /// view of the cells it asks for.
+    fn apply_filter(&self, mut relation: Relation, filter: &Expression) -> Relation {
+        let (vars, dictionary) = (&relation.vars, &self.dataset.dictionary);
+        relation.rows.retain(|row| {
+            let bindings = |name: &str| {
+                let column = vars.iter().position(|var| var == name)?;
+                row[column].and_then(|id| dictionary.term_ref(id))
+            };
+            filter.evaluate_bool(&bindings)
+        });
+        relation
     }
 }
 

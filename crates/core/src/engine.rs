@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use turbohom_graph::{ELabel, VertexId};
 use turbohom_rdf::{Dictionary, IdRows, UNBOUND};
-use turbohom_sparql::{EvalContext, Expression};
+use turbohom_sparql::Expression;
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
@@ -49,7 +49,7 @@ fn accumulate_estimates(dst: &mut Vec<u64>, order: &MatchingOrder, region: &Cand
 /// time from the stopwatch's start to its last lap. Exploration,
 /// matching-order determination and enumeration interleave per candidate
 /// region, so their times are accumulated here and emitted as rolled-up
-/// spans at the end of the run.
+/// spans at the end of the run; so are the post-hoc FILTERs'.
 #[derive(Debug, Clone, Copy)]
 struct StageClock {
     /// When the previous lap ended. `None` unless the trace is detailed: the
@@ -59,6 +59,7 @@ struct StageClock {
     explore: Duration,
     order: Duration,
     search: Duration,
+    filter: Duration,
 }
 
 impl StageClock {
@@ -69,6 +70,7 @@ impl StageClock {
             explore: Duration::ZERO,
             order: Duration::ZERO,
             search: Duration::ZERO,
+            filter: Duration::ZERO,
         }
     }
 
@@ -286,14 +288,15 @@ impl Worker for RegionWorker<'_> {
 }
 
 /// Emits the detailed stage spans: `start_vertex`, `candidate_regions`,
-/// `matching_order` and `enumeration` rollups under `parent`, plus one
-/// `worker` span per pool worker (child of `enumeration`, as long as the
-/// worker's regions took) carrying its share of the counters.
+/// `matching_order`, `post_filters` (only when the query has post-hoc
+/// FILTERs) and `enumeration` rollups under `parent`, plus one `worker` span
+/// per pool worker (child of `enumeration`, as long as the worker's regions
+/// took) carrying its share of the counters.
 ///
 /// `enumeration` is written last and lasts until then: it takes in what
-/// follows the last region — merging the workers, post-hoc FILTERs, freeing
-/// what the run was set up with, writing its three siblings — so that the
-/// four add up to the matcher's whole time.
+/// follows the last region, but for the post-hoc FILTERs — merging the
+/// workers, LIMIT, freeing what the run was set up with, writing its
+/// siblings — so that they all add up to the matcher's whole time.
 fn record_stage_spans(
     trace: &Trace,
     parent: Option<SpanId>,
@@ -301,6 +304,7 @@ fn record_stage_spans(
     selection: &StartSelection<'_>,
     stats: &MatchStats,
     pool: &[WorkerShare],
+    post_filters: bool,
 ) {
     trace.record_rollup(
         "start_vertex",
@@ -327,6 +331,14 @@ fn record_stage_spans(
         clock.order,
         &[("orders_computed", stats.matching_orders_computed as u64)],
     );
+    if post_filters {
+        trace.record_rollup(
+            "post_filters",
+            parent,
+            clock.filter,
+            &[("filtered", stats.filtered_post as u64)],
+        );
+    }
     clock.lap(|c| &mut c.search);
     let enumeration = trace.record_rollup(
         "enumeration",
@@ -583,7 +595,16 @@ impl<'a> TurboHomEngine<'a> {
         };
         if trace.is_detailed() {
             let selection = &prologue.selection;
-            record_stage_spans(trace, parent, clock, selection, &result.stats, &workers);
+            let post_filters = has_post_hoc_filters(query);
+            record_stage_spans(
+                trace,
+                parent,
+                clock,
+                selection,
+                &result.stats,
+                &workers,
+                post_filters,
+            );
         }
         Ok((result, probed.or(own_order)))
     }
@@ -640,7 +661,9 @@ impl<'a> TurboHomEngine<'a> {
         let (mut result, own_order, workers) = run.execute(stats, clock);
 
         if !post_filters.is_empty() {
+            clock.lap(|c| &mut c.search);
             self.apply_post_filters(query, &layout, &post_filters, &mut result);
+            clock.lap(|c| &mut c.filter);
         }
         if let Some(limit) = self.config.max_solutions {
             result.rows.truncate(limit);
@@ -685,7 +708,10 @@ impl<'a> TurboHomEngine<'a> {
         }
     }
 
-    /// Applies the expensive filters to the materialized solutions.
+    /// Applies the expensive filters to the materialized solutions. Each
+    /// variable's term is looked up in its row only when a filter reads it:
+    /// a vertex column through its data vertex, a variable-predicate column
+    /// through its edge label, both as the dictionary's borrowed view.
     fn apply_post_filters(
         &self,
         query: &TransformedQuery,
@@ -693,49 +719,34 @@ impl<'a> TurboHomEngine<'a> {
         filters: &[&Expression],
         result: &mut MatchResult,
     ) {
+        let (graph, mappings) = (&query.graph, &self.data.mappings);
+        // Per variable, its column and whether that holds an edge label.
+        let vertices = (graph.vertices().iter().enumerate())
+            .filter_map(|(u, qv)| Some((qv.variable.as_deref()?, layout.vertex_column(u), false)));
+        let edges = layout.variable_edges().iter().filter_map(|&e| {
+            let variable = graph.edge(e).variable.as_deref()?;
+            Some((variable, layout.edge_column(e)?, true))
+        });
+        let columns: Vec<(&str, usize, bool)> = vertices.chain(edges).collect();
         let before = result.rows.len();
         result.rows.retain(|row| {
-            let ctx = self.binding_context(query, layout, row);
-            filters.iter().all(|f| f.evaluate_bool(&ctx))
+            // A variable in two columns reads the last one bound.
+            let bindings = |name: &str| {
+                let mut candidates = columns.iter().rev().filter(|(v, ..)| *v == name);
+                candidates.find_map(|&(_, column, edge)| {
+                    let cell = row[column];
+                    let id = match (cell, edge) {
+                        (UNBOUND, _) => None,
+                        (_, false) => mappings.term_of_vertex(VertexId(cell)),
+                        (_, true) => mappings.term_of_elabel(ELabel(cell)),
+                    };
+                    id.and_then(|id| self.dictionary.term_ref(id))
+                })
+            };
+            filters.iter().all(|f| f.evaluate_bool(&bindings))
         });
         result.stats.filtered_post += before - result.rows.len();
         result.solution_count = result.rows.len();
-    }
-
-    /// Builds the variable → term context of one solution row (vertex
-    /// variables and variable predicates).
-    fn binding_context(
-        &self,
-        query: &TransformedQuery,
-        layout: &RowLayout,
-        row: &[u32],
-    ) -> EvalContext {
-        let mappings = &self.data.mappings;
-        let mut ctx = EvalContext::new();
-        let mut bind = |var: &Option<String>, id: Option<turbohom_rdf::TermId>| {
-            if let (Some(var), Some(term)) = (var, id.and_then(|id| self.dictionary.term(id))) {
-                ctx.insert(var.clone(), term);
-            }
-        };
-        for (u, qv) in query.graph.vertices().iter().enumerate() {
-            let cell = row[layout.vertex_column(u)];
-            if cell != UNBOUND {
-                bind(&qv.variable, mappings.term_of_vertex(VertexId(cell)));
-            }
-        }
-        for (&e, &cell) in layout
-            .variable_edges()
-            .iter()
-            .zip(&row[query.graph.vertex_count()..])
-        {
-            if cell != UNBOUND {
-                bind(
-                    &query.graph.edge(e).variable,
-                    mappings.term_of_elabel(ELabel(cell)),
-                );
-            }
-        }
-        ctx
     }
 }
 
@@ -1234,6 +1245,54 @@ mod tests {
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         let (_, _) = engine.execute_with_order(&tq, None, &trace, None).unwrap();
         assert!(trace.finish().spans.is_empty());
+    }
+
+    /// A join condition waits for complete solutions: its time is its own
+    /// child of `execute`, between the per-region three and `enumeration`,
+    /// and the children still fit in `execute`.
+    #[test]
+    fn a_detailed_trace_times_the_post_hoc_filters_apart() {
+        let ds = university_dataset();
+        let data = type_aware_transform(&ds);
+        let q = parse_query(
+            r#"PREFIX ub: <http://ub.org/>
+               SELECT ?a ?b WHERE {
+                 ?a ub:memberOf ?d . ?b ub:memberOf ?d . ?a ub:age ?agea . ?b ub:age ?ageb .
+                 FILTER (?agea > ?ageb)
+               }"#,
+        )
+        .unwrap();
+        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
+        let trace = Trace::detailed(15);
+        let root = trace.span("execute");
+        let root_id = root.id();
+        let (result, _) = engine
+            .execute_with_order(&tq, None, &trace, root_id)
+            .unwrap();
+        root.finish();
+        assert_eq!(result.len(), 36);
+        let spans = trace.finish().spans;
+        let children: Vec<_> = spans.iter().filter(|s| s.parent == root_id).collect();
+        let names: Vec<&str> = children.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "start_vertex",
+                "candidate_regions",
+                "matching_order",
+                "post_filters",
+                "enumeration"
+            ]
+        );
+        assert_eq!(
+            children[3].counters,
+            [("filtered", result.stats.filtered_post as u64)]
+        );
+        assert_eq!(result.stats.filtered_post, 6 * 16 - 36);
+        let execute = spans.iter().find(|s| s.name == "execute").unwrap();
+        let tiled: u64 = children.iter().map(|s| s.duration_ns).sum();
+        assert!(tiled <= execute.duration_ns, "{tiled} of {execute:?}");
     }
 
     /// One labelled vertex, no edge: the start list is the answer, counted

@@ -28,8 +28,8 @@ use crate::result::RowLayout;
 use crate::stats::MatchStats;
 use std::collections::HashSet;
 use turbohom_graph::{ops, Direction, ELabel, VLabel, VertexId};
-use turbohom_rdf::{Dictionary, IdRows, Term};
-use turbohom_sparql::{EvalContext, Expression};
+use turbohom_rdf::{Dictionary, IdRows};
+use turbohom_sparql::Expression;
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
 /// A non-tree edge between the query vertex of a step and a query vertex
@@ -432,7 +432,7 @@ impl<'a> SubgraphSearcher<'a> {
     }
 
     /// Evaluates the cheap filters registered for query vertex `u` against
-    /// the candidate data vertex `v`.
+    /// the candidate data vertex `v`, over the dictionary's view of its term.
     fn inline_filters_pass(&self, u: usize, v: VertexId) -> bool {
         let filters = &self.inline_filters[u];
         if filters.is_empty() {
@@ -441,19 +441,12 @@ impl<'a> SubgraphSearcher<'a> {
         let Some(var) = &self.query.graph.vertex(u).variable else {
             return true;
         };
-        let Some(term) = self.term_of(v) else {
+        let id = self.data.mappings.term_of_vertex(v);
+        let Some(term) = id.and_then(|id| self.dictionary.term_ref(id)) else {
             return true;
         };
-        let mut ctx = EvalContext::new();
-        ctx.insert(var.clone(), term);
-        filters.iter().all(|f| f.evaluate_bool(&ctx))
-    }
-
-    fn term_of(&self, v: VertexId) -> Option<Term> {
-        self.data
-            .mappings
-            .term_of_vertex(v)
-            .and_then(|tid| self.dictionary.term(tid))
+        let bindings = |name: &str| (name == var).then_some(term);
+        filters.iter().all(|f| f.evaluate_bool(&bindings))
     }
 
     /// Reports the current complete mapping as one or more solutions

@@ -33,7 +33,7 @@ use turbohom_core::{
 };
 use turbohom_graph::{ELabel, VertexId};
 use turbohom_rdf::{IdRows, TermId, UNBOUND};
-use turbohom_sparql::{EvalContext, Expression, GroupPattern, Query};
+use turbohom_sparql::{Expression, GroupPattern, Query};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformKind, TransformedGraph, TransformedQuery};
 
@@ -468,17 +468,20 @@ impl Store {
                 return IdRows::new(projected.len());
             }
         }
-        // FILTER expressions evaluate over owned terms.
-        let dictionary = &self.dataset().dictionary;
-        combined.retain(|row| {
-            let mut ctx = EvalContext::new();
-            for (var, &cell) in all_vars.iter().zip(row) {
-                if let Some(term) = term_of(dictionary, cell) {
-                    ctx.insert((*var).clone(), term.to_term());
-                }
-            }
-            branch.filters.iter().all(|f| f.evaluate_bool(&ctx))
-        });
+        // FILTER expressions read the dictionary's view of the cells they ask
+        // for; a variable in two columns reads the last one bound.
+        if !branch.filters.is_empty() {
+            let dictionary = &self.dataset().dictionary;
+            combined.retain(|row| {
+                let bindings = |name: &str| {
+                    let mut cells = all_vars.iter().zip(row).rev();
+                    cells.find_map(|(var, &cell)| {
+                        (*var == name).then(|| term_of(dictionary, cell))?
+                    })
+                };
+                branch.filters.iter().all(|f| f.evaluate_bool(&bindings))
+            });
+        }
         let mut rows = IdRows::unbound(projected.len(), combined.len());
         for (column, var) in projected.iter().enumerate() {
             if let Some(source) = all_vars.iter().position(|v| *v == var) {

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use turbohom_core::TurboHomConfig;
 use turbohom_engine::{EngineKind, Store, Trace};
-use turbohom_rdf::{vocab, Dataset};
+use turbohom_rdf::{vocab, Dataset, Term};
 
 struct Counting;
 
@@ -199,4 +199,72 @@ fn matching_and_serialising_allocate_nothing_per_region_or_row() {
         counts[0] <= 512 && counts[1] <= counts[0] + 16,
         "{counts:?} allocations for the count-only run over 1k and 16k two-triangle regions"
     );
+}
+
+/// `n` students, each with a score and a label that are its number.
+fn labelled_student_store(n: usize) -> Store {
+    let mut dataset = Dataset::new();
+    let (score, label) = (
+        Term::iri("http://ex.org/score"),
+        Term::iri("http://ex.org/label"),
+    );
+    for i in 0..n {
+        let student = format!("http://ex.org/student{i}");
+        dataset.insert_iris(&student, vocab::RDF_TYPE, "http://ex.org/Student");
+        let student = Term::iri(student);
+        dataset.insert(&student, &score, &Term::integer(i as i64));
+        dataset.insert(
+            &student,
+            &label,
+            &Term::literal(format!("student number {i}")),
+        );
+    }
+    Store::from_dataset(dataset)
+}
+
+#[test]
+fn filters_allocate_nothing_per_row() {
+    let _alone = alone();
+    let prologue = "PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Student . ";
+    let shapes = [
+        // Cheap: evaluated at ?s while matching.
+        (
+            "an inline numeric FILTER",
+            "?x ex:score ?s . FILTER (?s >= 800) }",
+        ),
+        // Expensive: evaluated over the complete solutions.
+        (
+            "a post-hoc regex FILTER",
+            "?x ex:label ?l . FILTER regex(?l, \"number 1.*7\") }",
+        ),
+        // BSBM Q5's shape: the product of two components, filtered after.
+        (
+            "a two-variable FILTER over two components",
+            "?x ex:score ?s . <http://ex.org/student500> ex:score ?mid . FILTER (?s < ?mid) }",
+        ),
+    ];
+    let stores = [1_000usize, 16_000].map(|n| (n, labelled_student_store(n)));
+    for (shape, body) in shapes {
+        let query = format!("{prologue}{body}");
+        let counts = stores.each_ref().map(|(n, store)| {
+            let plan = store
+                .prepare_plan(&query, EngineKind::TurboHomPlusPlus)
+                .unwrap();
+            // Warm the plan's memoized matching orders.
+            let rows = store.run_plan(&plan).unwrap().len();
+            assert!(rows > 0 && rows < *n, "{shape}: {rows} of {n} rows kept");
+            let (count, _) = allocations(|| {
+                let results = store
+                    .run_plan_traced(&plan, None, &Trace::disabled())
+                    .unwrap();
+                assert_eq!(results.row_count(), rows);
+            });
+            count
+        });
+        // Sixteen times the rows: four more doublings of the row buffers.
+        assert!(
+            counts[1] <= counts[0] + 12,
+            "{shape}: {counts:?} allocations over 1k and 16k rows"
+        );
+    }
 }

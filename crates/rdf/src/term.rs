@@ -124,14 +124,6 @@ impl Term {
         }
     }
 
-    /// Attempts to interpret a literal as an `f64`.
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            Term::Literal { lexical, .. } => lexical.trim().parse::<f64>().ok(),
-            _ => None,
-        }
-    }
-
     /// Validates basic well-formedness of the term.
     ///
     /// IRIs must be non-empty and free of whitespace and angle brackets;
@@ -208,7 +200,10 @@ impl fmt::Display for Term {
 /// live in a dictionary (its `Term`s, or the string arena of a snapshot).
 ///
 /// The result path filters and serialises through these views, so no `Term`
-/// is cloned between the enumerator and the socket. Variant and field order
+/// is cloned between the enumerator and the socket: a FILTER expression
+/// reads the views its variables are bound to through a lookup
+/// (`turbohom_sparql::Expression::evaluate`), the writer the views of every
+/// cell. Variant and field order
 /// mirror [`Term`] exactly, which makes the derived ordering identical to
 /// `Term`'s derived `Ord`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -332,7 +327,6 @@ mod tests {
     fn integer_helpers() {
         let t = Term::integer(17);
         assert_eq!(t.as_integer(), Some(17));
-        assert_eq!(t.as_double(), Some(17.0));
         assert!(Term::iri("x").as_integer().is_none());
     }
 

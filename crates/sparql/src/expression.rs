@@ -6,9 +6,17 @@
 //! matching produces solutions (Section 5.1, BSBM Q5/Q6). The engine makes
 //! that split by inspecting [`Expression::is_expensive`]; the evaluation
 //! itself is shared and lives here.
+//!
+//! An expression is evaluated over borrowed terms: the caller hands
+//! [`Expression::evaluate`] a lookup from a variable name to the
+//! [`TermRef`] bound to it (a view into the dictionary), asked only for the
+//! variables the expression reads, and gets back a [`Value`] that borrows
+//! from those views and from the expression's constants. Nothing is copied
+//! per row; a `REGEX` pattern is compiled once, when the query is parsed.
 
-use std::collections::HashMap;
-use turbohom_rdf::Term;
+use std::borrow::Cow;
+use turbohom_rdf::vocab::{XSD_BOOLEAN, XSD_STRING};
+use turbohom_rdf::{Term, TermRef};
 
 /// A FILTER expression tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,8 +35,8 @@ pub enum Expression {
     Not(Box<Expression>),
     /// Arithmetic.
     Arithmetic(Box<Expression>, ArithOp, Box<Expression>),
-    /// `REGEX(expr, pattern [, flags])`. Only the `i` flag is honoured.
-    Regex(Box<Expression>, String, Option<String>),
+    /// `REGEX(expr, pattern [, flags])`, the pattern compiled.
+    Regex(Box<Expression>, Regex),
     /// `BOUND(?var)`.
     Bound(String),
     /// `LANG(expr) = "tag"` shorthand is not needed by the benchmarks, but
@@ -68,12 +76,13 @@ pub enum ArithOp {
     Div,
 }
 
-/// A runtime value during expression evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+/// A runtime value during expression evaluation, borrowing its terms from
+/// the bindings and the expression.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value<'t> {
     /// An RDF term (IRI, literal, blank node).
-    Term(Term),
-    /// A numeric value (literals parsed as numbers, arithmetic results).
+    Term(TermRef<'t>),
+    /// A numeric value (arithmetic results).
     Number(f64),
     /// A boolean.
     Boolean(bool),
@@ -81,45 +90,88 @@ pub enum Value {
     Unbound,
 }
 
-impl Value {
-    /// The effective boolean value per SPARQL semantics (simplified):
-    /// booleans are themselves, numbers are `!= 0`, non-empty strings are
-    /// true, unbound is an error treated as `false`.
+/// The XML Schema namespace.
+const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+
+/// Whether `datatype` is `xsd:integer`, `xsd:decimal`, `xsd:float`,
+/// `xsd:double` or one of the types derived from `xsd:integer`.
+fn is_numeric_datatype(datatype: &str) -> bool {
+    datatype.strip_prefix(XSD).is_some_and(|local| {
+        matches!(
+            local,
+            "integer"
+                | "decimal"
+                | "float"
+                | "double"
+                | "int"
+                | "long"
+                | "short"
+                | "byte"
+                | "nonNegativeInteger"
+                | "positiveInteger"
+                | "nonPositiveInteger"
+                | "negativeInteger"
+                | "unsignedLong"
+                | "unsignedInt"
+                | "unsignedShort"
+                | "unsignedByte"
+        )
+    })
+}
+
+impl<'t> Value<'t> {
+    /// The effective boolean value (SPARQL 1.1 §17.2.2): booleans are
+    /// themselves; an `xsd:boolean` literal is its value; a number, or a
+    /// literal of a numeric datatype, is false when zero or NaN; an invalid
+    /// lexical form of either datatype is false; any other literal is true
+    /// when non-empty; an IRI or blank node is true; unbound is an error,
+    /// treated as `false`.
     pub fn as_bool(&self) -> bool {
-        match self {
-            Value::Boolean(b) => *b,
-            Value::Number(n) => *n != 0.0,
-            Value::Term(Term::Literal { lexical, .. }) => !lexical.is_empty(),
+        let nonzero = |n: f64| n != 0.0 && !n.is_nan();
+        match *self {
+            Value::Boolean(b) => b,
+            Value::Number(n) => nonzero(n),
+            Value::Term(TermRef::Literal {
+                lexical,
+                datatype: Some(datatype),
+                ..
+            }) if datatype == XSD_BOOLEAN => matches!(lexical.trim(), "true" | "1"),
+            Value::Term(TermRef::Literal {
+                lexical,
+                datatype: Some(datatype),
+                ..
+            }) if is_numeric_datatype(datatype) => lexical.trim().parse::<f64>().is_ok_and(nonzero),
+            Value::Term(TermRef::Literal { lexical, .. }) => !lexical.is_empty(),
             Value::Term(_) => true,
             Value::Unbound => false,
         }
     }
 
-    /// Attempts a numeric view of the value.
+    /// Attempts a numeric view of the value: a literal's lexical form is
+    /// parsed where it lies.
     pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            Value::Boolean(b) => Some(if *b { 1.0 } else { 0.0 }),
-            Value::Term(t) => t.as_double(),
-            Value::Unbound => None,
+        match *self {
+            Value::Number(n) => Some(n),
+            Value::Boolean(b) => Some(if b { 1.0 } else { 0.0 }),
+            Value::Term(TermRef::Literal { lexical, .. }) => lexical.trim().parse().ok(),
+            Value::Term(_) | Value::Unbound => None,
         }
     }
 
-    /// A string view used for string comparison and REGEX.
-    pub fn as_string(&self) -> Option<String> {
-        match self {
-            Value::Term(Term::Literal { lexical, .. }) => Some(lexical.clone()),
-            Value::Term(Term::Iri(iri)) => Some(iri.clone()),
-            Value::Term(Term::BlankNode(b)) => Some(format!("_:{b}")),
-            Value::Number(n) => Some(n.to_string()),
-            Value::Boolean(b) => Some(b.to_string()),
+    /// A string view used for string comparison and REGEX: borrowed, except
+    /// for a blank node's `_:` form and a number.
+    pub fn as_string(&self) -> Option<Cow<'t, str>> {
+        match *self {
+            Value::Term(TermRef::Literal { lexical: s, .. } | TermRef::Iri(s)) => {
+                Some(Cow::Borrowed(s))
+            }
+            Value::Term(TermRef::BlankNode(b)) => Some(Cow::Owned(format!("_:{b}"))),
+            Value::Number(n) => Some(Cow::Owned(n.to_string())),
+            Value::Boolean(b) => Some(Cow::Borrowed(if b { "true" } else { "false" })),
             Value::Unbound => None,
         }
     }
 }
-
-/// The variable bindings an expression is evaluated against.
-pub type EvalContext = HashMap<String, Term>;
 
 impl Expression {
     /// The variables referenced by this expression.
@@ -134,18 +186,17 @@ impl Expression {
         match self {
             Expression::Variable(v) | Expression::Bound(v) => out.push(v.clone()),
             Expression::Constant(_) => {}
-            Expression::Compare(a, _, b) | Expression::And(a, b) | Expression::Or(a, b) => {
+            Expression::Compare(a, _, b)
+            | Expression::And(a, b)
+            | Expression::Or(a, b)
+            | Expression::Arithmetic(a, _, b) => {
                 a.collect_variables(out);
                 b.collect_variables(out);
             }
-            Expression::Arithmetic(a, _, b) => {
-                a.collect_variables(out);
-                b.collect_variables(out);
-            }
-            Expression::Not(e) | Expression::Lang(e) | Expression::Datatype(e) => {
-                e.collect_variables(out)
-            }
-            Expression::Regex(e, _, _) => e.collect_variables(out),
+            Expression::Not(e)
+            | Expression::Lang(e)
+            | Expression::Datatype(e)
+            | Expression::Regex(e, _) => e.collect_variables(out),
         }
     }
 
@@ -177,15 +228,16 @@ impl Expression {
         }
     }
 
-    /// Evaluates the expression under `bindings`.
-    pub fn evaluate(&self, bindings: &EvalContext) -> Value {
+    /// Evaluates the expression. `bindings` maps a variable to the term bound
+    /// to it (`None`: unbound); it is asked once per variable reference.
+    pub fn evaluate<'t, B>(&'t self, bindings: &B) -> Value<'t>
+    where
+        B: Fn(&str) -> Option<TermRef<'t>>,
+    {
         match self {
-            Expression::Variable(v) => match bindings.get(v) {
-                Some(term) => Value::Term(term.clone()),
-                None => Value::Unbound,
-            },
-            Expression::Constant(t) => Value::Term(t.clone()),
-            Expression::Bound(v) => Value::Boolean(bindings.contains_key(v)),
+            Expression::Variable(v) => bindings(v).map_or(Value::Unbound, Value::Term),
+            Expression::Constant(t) => Value::Term(TermRef::from(t)),
+            Expression::Bound(v) => Value::Boolean(bindings(v).is_some()),
             Expression::Compare(a, op, b) => {
                 let av = a.evaluate(bindings);
                 let bv = b.evaluate(bindings);
@@ -195,12 +247,12 @@ impl Expression {
                 Value::Boolean(compare(&av, *op, &bv))
             }
             Expression::And(a, b) => {
-                Value::Boolean(a.evaluate(bindings).as_bool() && b.evaluate(bindings).as_bool())
+                Value::Boolean(a.evaluate_bool(bindings) && b.evaluate_bool(bindings))
             }
             Expression::Or(a, b) => {
-                Value::Boolean(a.evaluate(bindings).as_bool() || b.evaluate(bindings).as_bool())
+                Value::Boolean(a.evaluate_bool(bindings) || b.evaluate_bool(bindings))
             }
-            Expression::Not(e) => Value::Boolean(!e.evaluate(bindings).as_bool()),
+            Expression::Not(e) => Value::Boolean(!e.evaluate_bool(bindings)),
             Expression::Arithmetic(a, op, b) => {
                 match (
                     a.evaluate(bindings).as_number(),
@@ -220,30 +272,26 @@ impl Expression {
                     _ => Value::Unbound,
                 }
             }
-            Expression::Regex(e, pattern, flags) => {
-                let value = e.evaluate(bindings);
-                match value.as_string() {
-                    Some(s) => {
-                        let case_insensitive =
-                            flags.as_deref().map(|f| f.contains('i')).unwrap_or(false);
-                        Value::Boolean(regex_match(&s, pattern, case_insensitive))
-                    }
-                    None => Value::Boolean(false),
-                }
+            Expression::Regex(e, regex) => Value::Boolean(
+                (e.evaluate(bindings).as_string()).is_some_and(|text| regex.is_match(&text)),
+            ),
+            Expression::Lang(e) => {
+                let lexical = match e.evaluate(bindings) {
+                    Value::Term(TermRef::Literal {
+                        language: Some(lang),
+                        ..
+                    }) => lang,
+                    _ => "",
+                };
+                Value::Term(TermRef::Literal {
+                    lexical,
+                    datatype: None,
+                    language: None,
+                })
             }
-            Expression::Lang(e) => match e.evaluate(bindings) {
-                Value::Term(Term::Literal {
-                    language: Some(lang),
-                    ..
-                }) => Value::Term(Term::literal(lang)),
-                _ => Value::Term(Term::literal("")),
-            },
             Expression::Datatype(e) => match e.evaluate(bindings) {
-                Value::Term(Term::Literal {
-                    datatype: Some(dt), ..
-                }) => Value::Term(Term::iri(dt)),
-                Value::Term(Term::Literal { .. }) => {
-                    Value::Term(Term::iri(turbohom_rdf::vocab::XSD_STRING))
+                Value::Term(TermRef::Literal { datatype, .. }) => {
+                    Value::Term(TermRef::Iri(datatype.unwrap_or(XSD_STRING)))
                 }
                 _ => Value::Unbound,
             },
@@ -251,14 +299,17 @@ impl Expression {
     }
 
     /// Evaluates the expression to its effective boolean value.
-    pub fn evaluate_bool(&self, bindings: &EvalContext) -> bool {
+    pub fn evaluate_bool<'t, B>(&'t self, bindings: &B) -> bool
+    where
+        B: Fn(&str) -> Option<TermRef<'t>>,
+    {
         self.evaluate(bindings).as_bool()
     }
 }
 
 /// Compares two values: numerically when both sides have a numeric view,
 /// otherwise by string form.
-fn compare(a: &Value, op: CompareOp, b: &Value) -> bool {
+fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
     if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
         return match op {
             CompareOp::Eq => x == y,
@@ -269,9 +320,8 @@ fn compare(a: &Value, op: CompareOp, b: &Value) -> bool {
             CompareOp::Ge => x >= y,
         };
     }
-    let (x, y) = match (a.as_string(), b.as_string()) {
-        (Some(x), Some(y)) => (x, y),
-        _ => return false,
+    let (Some(x), Some(y)) = (a.as_string(), b.as_string()) else {
+        return false;
     };
     match op {
         CompareOp::Eq => x == y,
@@ -283,121 +333,147 @@ fn compare(a: &Value, op: CompareOp, b: &Value) -> bool {
     }
 }
 
-/// A small regular-expression matcher supporting the constructs the BSBM
-/// queries use: literal characters, `.`, `.*`, `.+`, `^`, `$`, and
-/// case-insensitive matching. Unanchored patterns match anywhere in the
-/// string (standard regex "search" semantics).
-pub fn regex_match(text: &str, pattern: &str, case_insensitive: bool) -> bool {
-    let (text, pattern) = if case_insensitive {
-        (text.to_lowercase(), pattern.to_lowercase())
-    } else {
-        (text.to_string(), pattern.to_string())
-    };
-    let anchored_start = pattern.starts_with('^');
-    let anchored_end = pattern.ends_with('$') && !pattern.ends_with("\\$");
-    let core: &str = {
-        let s = pattern.strip_prefix('^').unwrap_or(&pattern);
-        let s = if anchored_end {
-            s.strip_suffix('$').unwrap_or(s)
-        } else {
-            s
-        };
-        s
-    };
-    let tokens = tokenize_regex(core);
-    let text_chars: Vec<char> = text.chars().collect();
-    if anchored_start {
-        matches_here(&tokens, 0, &text_chars, 0, anchored_end)
-    } else {
-        (0..=text_chars.len())
-            .any(|start| matches_here(&tokens, 0, &text_chars, start, anchored_end))
-    }
-}
-
+/// A compiled `REGEX` pattern in the small dialect the BSBM queries use:
+/// literal characters (`\` escapes the next one), `.`, the quantifiers `*`
+/// and `+`, the anchors `^` and `$`, and the `i` flag. An unanchored pattern
+/// matches anywhere in the text (search semantics).
 #[derive(Debug, Clone, PartialEq)]
-enum RegexToken {
-    Literal(char),
-    AnyChar,
-    Star(Box<RegexToken>),
-    Plus(Box<RegexToken>),
-}
-
-fn tokenize_regex(pattern: &str) -> Vec<RegexToken> {
-    let chars: Vec<char> = pattern.chars().collect();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < chars.len() {
-        let base = match chars[i] {
-            '.' => RegexToken::AnyChar,
-            '\\' if i + 1 < chars.len() => {
-                i += 1;
-                RegexToken::Literal(chars[i])
-            }
-            c => RegexToken::Literal(c),
-        };
-        i += 1;
-        if i < chars.len() && chars[i] == '*' {
-            tokens.push(RegexToken::Star(Box::new(base)));
-            i += 1;
-        } else if i < chars.len() && chars[i] == '+' {
-            tokens.push(RegexToken::Plus(Box::new(base)));
-            i += 1;
-        } else {
-            tokens.push(base);
-        }
-    }
-    tokens
-}
-
-fn single_matches(token: &RegexToken, c: char) -> bool {
-    match token {
-        RegexToken::Literal(l) => *l == c,
-        RegexToken::AnyChar => true,
-        _ => unreachable!("quantified tokens handled by caller"),
-    }
-}
-
-fn matches_here(
-    tokens: &[RegexToken],
-    ti: usize,
-    text: &[char],
-    pos: usize,
+pub struct Regex {
+    case_insensitive: bool,
+    anchored_start: bool,
     anchored_end: bool,
-) -> bool {
-    if ti == tokens.len() {
-        return !anchored_end || pos == text.len();
+    /// The literal characters every match starts with: a search skips to
+    /// their occurrences.
+    prefix: String,
+    /// What follows the prefix.
+    atoms: Vec<Atom>,
+}
+
+/// One character class, matched once or (`repeated`) zero or more times.
+/// `x+` compiles to `x` followed by a repeated `x`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Atom {
+    /// `None`: any character.
+    char: Option<char>,
+    repeated: bool,
+}
+
+impl Atom {
+    fn admits(self, c: char) -> bool {
+        self.char.is_none_or(|own| own == c)
     }
-    match &tokens[ti] {
-        RegexToken::Star(inner) => {
-            // Zero or more occurrences of `inner`.
-            let mut p = pos;
-            loop {
-                if matches_here(tokens, ti + 1, text, p, anchored_end) {
-                    return true;
+}
+
+impl Regex {
+    /// Compiles `pattern`; of `flags`, only `i` (case-insensitive) is
+    /// honoured. Only an unescaped `$` at the very end is the end anchor, and
+    /// only a `^` at the very start the start anchor.
+    pub fn new(pattern: &str, flags: Option<&str>) -> Regex {
+        let case_insensitive = flags.is_some_and(|f| f.contains('i'));
+        let folded = if case_insensitive {
+            Cow::Owned(pattern.to_lowercase())
+        } else {
+            Cow::Borrowed(pattern)
+        };
+        let (anchored_start, body) = match folded.strip_prefix('^') {
+            Some(rest) => (true, rest),
+            None => (false, &*folded),
+        };
+        let mut anchored_end = false;
+        let mut atoms = Vec::new();
+        let mut chars = body.chars().peekable();
+        while let Some(c) = chars.next() {
+            let char = match c {
+                '.' => None,
+                '\\' => Some(chars.next().unwrap_or('\\')),
+                '$' if chars.peek().is_none() => {
+                    anchored_end = true;
+                    break;
                 }
-                if p < text.len() && single_matches(inner, text[p]) {
-                    p += 1;
-                } else {
-                    return false;
-                }
+                c => Some(c),
+            };
+            let once = Atom {
+                char,
+                repeated: false,
+            };
+            let many = Atom {
+                char,
+                repeated: true,
+            };
+            match chars.next_if(|&q| q == '*' || q == '+') {
+                Some('*') => atoms.push(many),
+                Some(_) => atoms.extend([once, many]),
+                None => atoms.push(once),
             }
         }
-        RegexToken::Plus(inner) => {
-            if pos < text.len() && single_matches(inner, text[pos]) {
-                let star = RegexToken::Star(inner.clone());
-                let mut rest = vec![star];
-                rest.extend_from_slice(&tokens[ti + 1..]);
-                matches_here(&rest, 0, text, pos + 1, anchored_end)
-            } else {
-                false
-            }
+        let literal = |atom: &Atom| atom.char.filter(|_| !atom.repeated);
+        let prefix: String = atoms.iter().map_while(literal).collect();
+        atoms.drain(..prefix.chars().count());
+        Regex {
+            case_insensitive,
+            anchored_start,
+            anchored_end,
+            prefix,
+            atoms,
         }
-        simple => {
-            if pos < text.len() && single_matches(simple, text[pos]) {
-                matches_here(tokens, ti + 1, text, pos + 1, anchored_end)
-            } else {
-                false
+    }
+
+    /// Whether the pattern matches somewhere in `text` (at its start, when
+    /// anchored there). Only the `i` flag allocates: it lowercases the text.
+    pub fn is_match(&self, text: &str) -> bool {
+        if self.case_insensitive {
+            self.search(&text.to_lowercase())
+        } else {
+            self.search(text)
+        }
+    }
+
+    fn search(&self, text: &str) -> bool {
+        let after_prefix =
+            |start: usize| self.matches_at(&self.atoms, text, start + self.prefix.len());
+        if self.anchored_start {
+            return text.starts_with(&self.prefix) && after_prefix(0);
+        }
+        let Some(first) = self.prefix.chars().next() else {
+            return (0..=text.len())
+                .filter(|&i| text.is_char_boundary(i))
+                .any(|i| self.matches_at(&self.atoms, text, i));
+        };
+        // Every occurrence of the prefix, overlapping ones included.
+        let mut from = 0;
+        while let Some(found) = text[from..].find(&self.prefix) {
+            let start = from + found;
+            if after_prefix(start) {
+                return true;
             }
+            from = start + first.len_utf8();
+        }
+        false
+    }
+
+    /// Whether `atoms` match `text` from byte `pos` on (to its end, when
+    /// anchored there).
+    fn matches_at(&self, mut atoms: &[Atom], text: &str, mut pos: usize) -> bool {
+        loop {
+            let Some((&atom, rest)) = atoms.split_first() else {
+                return !self.anchored_end || pos == text.len();
+            };
+            if atom.repeated {
+                loop {
+                    if self.matches_at(rest, text, pos) {
+                        return true;
+                    }
+                    match text[pos..].chars().next() {
+                        Some(c) if atom.admits(c) => pos += c.len_utf8(),
+                        _ => return false,
+                    }
+                }
+            }
+            match text[pos..].chars().next() {
+                Some(c) if atom.admits(c) => pos += c.len_utf8(),
+                _ => return false,
+            }
+            atoms = rest;
         }
     }
 }
@@ -405,13 +481,6 @@ fn matches_here(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx(pairs: &[(&str, Term)]) -> EvalContext {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect()
-    }
 
     fn num(n: i64) -> Expression {
         Expression::Constant(Term::integer(n))
@@ -421,94 +490,79 @@ mod tests {
         Expression::Variable(name.to_string())
     }
 
-    #[test]
-    fn numeric_comparisons() {
-        let bindings = ctx(&[("x", Term::integer(5)), ("y", Term::integer(9))]);
-        let e = Expression::Compare(Box::new(var("x")), CompareOp::Lt, Box::new(var("y")));
-        assert!(e.evaluate_bool(&bindings));
-        let e2 = Expression::Compare(Box::new(var("x")), CompareOp::Ge, Box::new(num(5)));
-        assert!(e2.evaluate_bool(&bindings));
-        let e3 = Expression::Compare(Box::new(var("x")), CompareOp::Gt, Box::new(var("y")));
-        assert!(!e3.evaluate_bool(&bindings));
-    }
-
-    #[test]
-    fn string_comparison_falls_back_lexicographically() {
-        let bindings = ctx(&[
-            ("a", Term::literal("apple")),
-            ("b", Term::literal("banana")),
-        ]);
-        let e = Expression::Compare(Box::new(var("a")), CompareOp::Lt, Box::new(var("b")));
-        assert!(e.evaluate_bool(&bindings));
-        let eq = Expression::Compare(
-            Box::new(var("a")),
-            CompareOp::Eq,
-            Box::new(Expression::Constant(Term::literal("apple"))),
-        );
-        assert!(eq.evaluate_bool(&bindings));
-    }
-
-    #[test]
-    fn unbound_comparisons_are_false_and_bound_detects_them() {
-        let bindings = ctx(&[("x", Term::integer(1))]);
-        let cmp = Expression::Compare(Box::new(var("missing")), CompareOp::Eq, Box::new(num(1)));
-        assert!(!cmp.evaluate_bool(&bindings));
-        assert!(Expression::Bound("x".into()).evaluate_bool(&bindings));
-        assert!(!Expression::Bound("missing".into()).evaluate_bool(&bindings));
-        let not_bound = Expression::Not(Box::new(Expression::Bound("missing".into())));
-        assert!(not_bound.evaluate_bool(&bindings));
-    }
-
-    #[test]
-    fn logical_connectives() {
-        let t = Expression::Constant(Term::literal("x"));
-        let f = Expression::Compare(Box::new(num(1)), CompareOp::Eq, Box::new(num(2)));
-        let bindings = EvalContext::new();
-        assert!(Expression::And(Box::new(t.clone()), Box::new(t.clone())).evaluate_bool(&bindings));
-        assert!(!Expression::And(Box::new(t.clone()), Box::new(f.clone())).evaluate_bool(&bindings));
-        assert!(Expression::Or(Box::new(f.clone()), Box::new(t.clone())).evaluate_bool(&bindings));
-        assert!(!Expression::Or(Box::new(f.clone()), Box::new(f)).evaluate_bool(&bindings));
-    }
-
-    #[test]
-    fn arithmetic_and_division_by_zero() {
-        let bindings = ctx(&[("x", Term::integer(10))]);
-        let sum = Expression::Arithmetic(Box::new(var("x")), ArithOp::Add, Box::new(num(5)));
-        assert_eq!(sum.evaluate(&bindings).as_number(), Some(15.0));
-        let prod = Expression::Arithmetic(Box::new(var("x")), ArithOp::Mul, Box::new(num(3)));
-        let cmp = Expression::Compare(Box::new(prod), CompareOp::Eq, Box::new(num(30)));
-        assert!(cmp.evaluate_bool(&bindings));
-        let div0 = Expression::Arithmetic(Box::new(var("x")), ArithOp::Div, Box::new(num(0)));
-        assert_eq!(div0.evaluate(&bindings), Value::Unbound);
+    /// The lookup a caller hands [`Expression::evaluate`], over named terms.
+    fn lookup<'t>(bindings: &'t [(&'t str, Term)]) -> impl Fn(&str) -> Option<TermRef<'t>> {
+        move |name| {
+            let bound = bindings.iter().find(|(v, _)| *v == name);
+            bound.map(|(_, term)| TermRef::from(term))
+        }
     }
 
     #[test]
     fn regex_literal_and_wildcards() {
-        assert!(regex_match("ProductType123", "Type", false));
-        assert!(regex_match("ProductType123", "^Product", false));
-        assert!(!regex_match("ProductType123", "^Type", false));
-        assert!(regex_match("ProductType123", "123$", false));
-        assert!(regex_match("abcdef", "a.c", false));
-        assert!(regex_match("abbbbc", "ab*c", false));
-        assert!(regex_match("ac", "ab*c", false));
-        assert!(!regex_match("ac", "ab+c", false));
-        assert!(regex_match("abc", "ab+c", false));
-        assert!(regex_match("word and more", "word.*more", false));
-        assert!(regex_match("HELLO", "hello", true));
-        assert!(!regex_match("HELLO", "hello", false));
-        assert!(regex_match("x", "", false));
-        assert!(regex_match("", "^$", false));
+        let is_match = |text: &str, pattern: &str, ci: bool| {
+            Regex::new(pattern, ci.then_some("i")).is_match(text)
+        };
+        assert!(is_match("ProductType123", "Type", false));
+        assert!(is_match("ProductType123", "^Product", false));
+        assert!(!is_match("ProductType123", "^Type", false));
+        assert!(is_match("ProductType123", "123$", false));
+        assert!(is_match("abcdef", "a.c", false));
+        assert!(is_match("abbbbc", "ab*c", false));
+        assert!(is_match("ac", "ab*c", false));
+        assert!(!is_match("ac", "ab+c", false));
+        assert!(is_match("abc", "ab+c", false));
+        assert!(is_match("word and more", "word.*more", false));
+        assert!(is_match("HELLO", "hello", true));
+        assert!(!is_match("HELLO", "hello", false));
+        assert!(is_match("x", "", false));
+        assert!(is_match("", "^$", false));
+        // The prefix `aa` occurs at 0, where the rest fails, and again at 1.
+        assert!(is_match("aaab", "aa.$", false));
+        assert!(is_match("bréf", "é.$", false));
     }
 
     #[test]
-    fn regex_expression_evaluation() {
-        let bindings = ctx(&[("label", Term::literal("great product alpha"))]);
-        let e = Expression::Regex(Box::new(var("label")), "alpha".into(), None);
-        assert!(e.evaluate_bool(&bindings));
-        let e_ci = Expression::Regex(Box::new(var("label")), "ALPHA".into(), Some("i".into()));
-        assert!(e_ci.evaluate_bool(&bindings));
-        let e_miss = Expression::Regex(Box::new(var("label")), "beta".into(), None);
-        assert!(!e_miss.evaluate_bool(&bindings));
+    fn an_escaped_backslash_before_the_final_dollar_leaves_it_the_anchor() {
+        // `regex(?x, "a\\\\$")`: an escaped backslash, then the end anchor.
+        let anchored = Regex::new(r"a\\$", None);
+        assert!(anchored.is_match(r"xa\"));
+        assert!(!anchored.is_match(r"a\$"));
+        // An escaped dollar stays a literal one.
+        let dollar = Regex::new(r"a\$", None);
+        assert!(dollar.is_match("a$b"));
+        assert!(!dollar.is_match("a"));
+    }
+
+    #[test]
+    fn the_effective_boolean_value_of_booleans_and_numbers_is_their_value() {
+        use turbohom_rdf::vocab::{XSD_DOUBLE, XSD_INTEGER};
+        let decimal = "http://www.w3.org/2001/XMLSchema#decimal";
+        for (lexical, datatype, expected) in [
+            ("true", XSD_BOOLEAN, true),
+            ("1", XSD_BOOLEAN, true),
+            ("false", XSD_BOOLEAN, false),
+            ("0", XSD_BOOLEAN, false),
+            ("yes", XSD_BOOLEAN, false),
+            ("42", XSD_INTEGER, true),
+            ("0", XSD_INTEGER, false),
+            ("-0", XSD_INTEGER, false),
+            ("forty", XSD_INTEGER, false),
+            ("0.5", decimal, true),
+            ("0.0", decimal, false),
+            ("INF", XSD_DOUBLE, true),
+            ("0E0", XSD_DOUBLE, false),
+            ("NaN", XSD_DOUBLE, false),
+        ] {
+            let flag = [("flag", Term::typed_literal(lexical, datatype))];
+            let kept = var("flag").evaluate_bool(&lookup(&flag));
+            assert_eq!(kept, expected, "FILTER(?flag) over {}", flag[0].1);
+        }
+        // A string is true unless empty, whatever it spells.
+        let strings = [("f", Term::literal("false")), ("e", Term::literal(""))];
+        assert!(var("f").evaluate_bool(&lookup(&strings)));
+        assert!(!var("e").evaluate_bool(&lookup(&strings)));
+        assert!(!Value::Number(f64::NAN).as_bool());
     }
 
     #[test]
@@ -520,7 +574,7 @@ mod tests {
         let sel = Expression::Compare(Box::new(var("price")), CompareOp::Lt, Box::new(num(100)));
         assert!(!sel.is_expensive());
         // Regex → expensive (BSBM Q6 style).
-        let re = Expression::Regex(Box::new(var("label")), "x".into(), None);
+        let re = regex(var("label"), "x", None);
         assert!(re.is_expensive());
         // Same variable twice is still cheap.
         let twice = Expression::And(
@@ -553,22 +607,223 @@ mod tests {
         assert_eq!(vars, vec!["a", "b", "c"]);
     }
 
+    /// `REGEX(target, pattern [, flags])`.
+    fn regex(target: Expression, pattern: &str, flags: Option<&str>) -> Expression {
+        Expression::Regex(Box::new(target), Regex::new(pattern, flags))
+    }
+
+    /// Evaluates `e` under `bindings` and renders the value: `bool …`,
+    /// `number …`, `term …` (N-Triples) or `unbound`.
+    fn render(e: &Expression, bindings: &[(&str, Term)]) -> String {
+        match e.evaluate(&lookup(bindings)) {
+            Value::Term(term) => format!("term {term}"),
+            Value::Number(n) => format!("number {n}"),
+            Value::Boolean(b) => format!("bool {b}"),
+            Value::Unbound => "unbound".to_string(),
+        }
+    }
+
+    fn cmp(a: Expression, op: CompareOp, b: Expression) -> Expression {
+        Expression::Compare(Box::new(a), op, Box::new(b))
+    }
+
+    fn arith(a: Expression, op: ArithOp, b: Expression) -> Expression {
+        Expression::Arithmetic(Box::new(a), op, Box::new(b))
+    }
+
+    fn lit(lexical: &str) -> Expression {
+        Expression::Constant(Term::literal(lexical))
+    }
+
+    fn bound(name: &str) -> Expression {
+        Expression::Bound(name.to_string())
+    }
+
+    fn not(e: Expression) -> Expression {
+        Expression::Not(Box::new(e))
+    }
+
+    /// One case per behaviour of every [`Expression`] variant, rendered by
+    /// [`render`]: the semantics the evaluator is held to.
     #[test]
-    fn lang_and_datatype_accessors() {
-        let bindings = ctx(&[
-            ("l", Term::lang_literal("chat", "fr")),
+    fn every_variant_evaluates_as_pinned() {
+        use turbohom_rdf::vocab::XSD_INTEGER;
+        let bindings = [
+            ("x", Term::integer(5)),
+            ("y", Term::integer(9)),
+            ("five", Term::literal("5")),
+            ("a", Term::literal("apple")),
+            ("b", Term::literal("banana")),
+            ("iri", Term::iri("http://ex.org/a")),
+            ("blank", Term::blank("b")),
+            ("label", Term::literal("great product alpha")),
+            ("fr", Term::lang_literal("chat", "fr")),
+            ("typed", Term::typed_literal("5", XSD_INTEGER)),
+        ];
+        let yes = || cmp(num(1), CompareOp::Eq, num(1));
+        let no = || cmp(num(1), CompareOp::Eq, num(2));
+        let x_plus_1 = || arith(var("x"), ArithOp::Add, num(1));
+        let x_half = || arith(var("x"), ArithOp::Div, num(2));
+        let integer = format!("<{XSD_INTEGER}>");
+        let string = format!("<{}>", turbohom_rdf::vocab::XSD_STRING);
+        let cases: Vec<(Expression, String)> = vec![
+            // Variables and constants.
+            (var("x"), format!("term \"5\"^^{integer}")),
+            (var("missing"), "unbound".into()),
+            (lit("x"), "term \"x\"".into()),
+            // Numeric comparison, plain and typed literals alike.
+            (cmp(var("x"), CompareOp::Lt, var("y")), "bool true".into()),
+            (cmp(var("x"), CompareOp::Ge, num(5)), "bool true".into()),
+            (cmp(var("x"), CompareOp::Gt, var("y")), "bool false".into()),
+            (cmp(var("x"), CompareOp::Ne, num(5)), "bool false".into()),
+            (cmp(var("x"), CompareOp::Le, num(4)), "bool false".into()),
             (
-                "d",
-                Term::typed_literal("5", turbohom_rdf::vocab::XSD_INTEGER),
+                cmp(var("five"), CompareOp::Eq, var("typed")),
+                "bool true".into(),
             ),
-            ("p", Term::literal("plain")),
-        ]);
-        let lang = Expression::Lang(Box::new(var("l"))).evaluate(&bindings);
-        assert_eq!(lang, Value::Term(Term::literal("fr")));
-        let dt = Expression::Datatype(Box::new(var("d"))).evaluate(&bindings);
-        assert_eq!(dt, Value::Term(Term::iri(turbohom_rdf::vocab::XSD_INTEGER)));
-        let dts = Expression::Datatype(Box::new(var("p"))).evaluate(&bindings);
-        assert_eq!(dts, Value::Term(Term::iri(turbohom_rdf::vocab::XSD_STRING)));
+            // String comparison.
+            (cmp(var("a"), CompareOp::Lt, var("b")), "bool true".into()),
+            (cmp(var("a"), CompareOp::Gt, var("b")), "bool false".into()),
+            (
+                cmp(var("a"), CompareOp::Eq, lit("apple")),
+                "bool true".into(),
+            ),
+            (
+                cmp(var("fr"), CompareOp::Eq, lit("chat")),
+                "bool true".into(),
+            ),
+            // The string fallback: an IRI, a blank node, a number, a boolean.
+            (
+                cmp(
+                    var("iri"),
+                    CompareOp::Eq,
+                    Expression::Constant(Term::iri("http://ex.org/a")),
+                ),
+                "bool true".into(),
+            ),
+            (
+                cmp(var("iri"), CompareOp::Eq, lit("http://ex.org/a")),
+                "bool true".into(),
+            ),
+            (
+                cmp(var("iri"), CompareOp::Lt, lit("http://ex.org/b")),
+                "bool true".into(),
+            ),
+            (
+                cmp(var("blank"), CompareOp::Eq, lit("_:b")),
+                "bool true".into(),
+            ),
+            (
+                cmp(var("blank"), CompareOp::Ne, lit("b")),
+                "bool true".into(),
+            ),
+            (cmp(x_plus_1(), CompareOp::Eq, lit("6")), "bool true".into()),
+            (
+                cmp(x_plus_1(), CompareOp::Lt, lit("7a")),
+                "bool true".into(),
+            ),
+            (
+                cmp(x_half(), CompareOp::Lt, lit("2.5x")),
+                "bool true".into(),
+            ),
+            (
+                cmp(bound("x"), CompareOp::Eq, lit("true")),
+                "bool true".into(),
+            ),
+            // Unbound operands.
+            (
+                cmp(var("missing"), CompareOp::Eq, num(1)),
+                "bool false".into(),
+            ),
+            (
+                cmp(var("missing"), CompareOp::Ne, num(1)),
+                "bool false".into(),
+            ),
+            (
+                not(cmp(var("missing"), CompareOp::Eq, num(1))),
+                "bool true".into(),
+            ),
+            (
+                arith(var("x"), ArithOp::Add, var("missing")),
+                "unbound".into(),
+            ),
+            (arith(var("a"), ArithOp::Add, num(1)), "unbound".into()),
+            // BOUND and !BOUND.
+            (bound("x"), "bool true".into()),
+            (bound("missing"), "bool false".into()),
+            (not(bound("missing")), "bool true".into()),
+            // Arithmetic, division by zero included.
+            (arith(var("x"), ArithOp::Sub, num(7)), "number -2".into()),
+            (arith(var("x"), ArithOp::Mul, num(3)), "number 15".into()),
+            (x_half(), "number 2.5".into()),
+            (arith(var("x"), ArithOp::Div, num(0)), "unbound".into()),
+            // Connectives.
+            (
+                Expression::And(Box::new(yes()), Box::new(no())),
+                "bool false".into(),
+            ),
+            (
+                Expression::Or(Box::new(no()), Box::new(yes())),
+                "bool true".into(),
+            ),
+            (
+                Expression::Or(Box::new(no()), Box::new(no())),
+                "bool false".into(),
+            ),
+            (
+                Expression::And(Box::new(lit("x")), Box::new(yes())),
+                "bool true".into(),
+            ),
+            // LANG and DATATYPE of plain, typed and language-tagged literals.
+            (Expression::Lang(Box::new(var("fr"))), "term \"fr\"".into()),
+            (Expression::Lang(Box::new(var("a"))), "term \"\"".into()),
+            (Expression::Lang(Box::new(var("typed"))), "term \"\"".into()),
+            (Expression::Lang(Box::new(var("iri"))), "term \"\"".into()),
+            (
+                cmp(
+                    Expression::Lang(Box::new(var("fr"))),
+                    CompareOp::Eq,
+                    lit("fr"),
+                ),
+                "bool true".into(),
+            ),
+            (
+                Expression::Datatype(Box::new(var("typed"))),
+                format!("term {integer}"),
+            ),
+            (
+                Expression::Datatype(Box::new(var("a"))),
+                format!("term {string}"),
+            ),
+            (
+                Expression::Datatype(Box::new(var("fr"))),
+                format!("term {string}"),
+            ),
+            (Expression::Datatype(Box::new(var("iri"))), "unbound".into()),
+            (
+                Expression::Datatype(Box::new(var("missing"))),
+                "unbound".into(),
+            ),
+            // REGEX on a literal, an IRI, a blank node, a number and
+            // nothing, with and without the `i` flag.
+            (regex(var("label"), "alpha", None), "bool true".into()),
+            (
+                regex(var("label"), "^great.*alpha$", None),
+                "bool true".into(),
+            ),
+            (regex(var("label"), "beta", None), "bool false".into()),
+            (regex(var("label"), "ALPHA", Some("i")), "bool true".into()),
+            (regex(var("label"), "ALPHA", None), "bool false".into()),
+            (regex(var("fr"), "^ch", None), "bool true".into()),
+            (regex(var("iri"), "ex.org/a$", None), "bool true".into()),
+            (regex(var("iri"), "^HTTP://", Some("i")), "bool true".into()),
+            (regex(var("blank"), "^_:b$", None), "bool true".into()),
+            (regex(x_plus_1(), "^6$", None), "bool true".into()),
+            (regex(var("missing"), "", None), "bool false".into()),
+        ];
+        for (e, expected) in &cases {
+            assert_eq!(&render(e, &bindings), expected, "{e:?}");
+        }
     }
 
     #[test]
@@ -577,12 +832,14 @@ mod tests {
         assert!(!Value::Unbound.as_bool());
         assert!(Value::Number(2.0).as_bool());
         assert!(!Value::Number(0.0).as_bool());
-        assert_eq!(Value::Term(Term::integer(7)).as_number(), Some(7.0));
+        let seven = Term::integer(7);
+        assert_eq!(Value::Term(TermRef::from(&seven)).as_number(), Some(7.0));
         assert_eq!(Value::Boolean(true).as_number(), Some(1.0));
         assert_eq!(Value::Unbound.as_string(), None);
-        assert_eq!(
-            Value::Term(Term::iri("http://x")).as_string(),
-            Some("http://x".to_string())
-        );
+        // Views borrow; only a blank node's `_:` form and a number allocate.
+        let iri = Value::Term(TermRef::Iri("http://x")).as_string();
+        assert!(matches!(iri, Some(Cow::Borrowed("http://x"))));
+        let blank = Value::Term(TermRef::BlankNode("b")).as_string();
+        assert!(matches!(blank, Some(Cow::Owned(s)) if s == "_:b"));
     }
 }

@@ -18,7 +18,9 @@
 //!
 //! The produced [`Query`] / [`GroupPattern`] algebra is consumed by the
 //! transformation crate (to build query graphs) and by the baseline engines
-//! directly.
+//! directly. FILTER expressions are evaluated here ([`Expression::evaluate`])
+//! over borrowed terms: the caller looks up the `TermRef` a variable is bound
+//! to, and a `REGEX` pattern is compiled once, at parse time ([`Regex`]).
 
 pub mod algebra;
 pub mod expression;
@@ -27,7 +29,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use algebra::{GroupPattern, Query, Selection, SparqlTerm, TriplePattern};
-pub use expression::{EvalContext, Expression, Value};
+pub use expression::{Expression, Regex, Value};
 pub use fingerprint::{fingerprint, QueryFingerprint};
 pub use lexer::{Lexer, Token};
 pub use parser::{parse_query, ParseError};

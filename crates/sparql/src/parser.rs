@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the SPARQL subset.
 
 use crate::algebra::{GroupPattern, Query, Selection, SparqlTerm, TriplePattern};
-use crate::expression::{ArithOp, CompareOp, Expression};
+use crate::expression::{ArithOp, CompareOp, Expression, Regex};
 use crate::lexer::{Lexer, Token, TokenKind};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -575,7 +575,8 @@ impl<'a> Parser<'a> {
                     None
                 };
                 self.expect_punct(')')?;
-                Ok(Expression::Regex(Box::new(target), pattern, flags))
+                let regex = Regex::new(&pattern, flags.as_deref());
+                Ok(Expression::Regex(Box::new(target), regex))
             }
             "BOUND" => {
                 self.bump();
@@ -630,6 +631,7 @@ fn number_literal(text: &str) -> Term {
 mod tests {
     use super::*;
     use crate::expression::CompareOp;
+    use turbohom_rdf::TermRef;
 
     const LUBM_Q1: &str = r#"
         PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -744,9 +746,9 @@ mod tests {
         .unwrap();
         assert_eq!(q.pattern.filters.len(), 1);
         match &q.pattern.filters[0] {
-            Expression::Regex(_, pattern, flags) => {
-                assert_eq!(pattern, "alpha.*beta");
-                assert_eq!(flags.as_deref(), Some("i"));
+            Expression::Regex(_, regex) => {
+                assert_eq!(*regex, Regex::new("alpha.*beta", Some("i")));
+                assert_ne!(*regex, Regex::new("alpha.*beta", None));
             }
             other => panic!("unexpected filter {other:?}"),
         }
@@ -844,11 +846,10 @@ mod tests {
         .unwrap();
         assert_eq!(q.pattern.filters.len(), 1);
         // 2*3+1=7 > 5 → for v=3 the filter holds.
-        let mut ctx = crate::expression::EvalContext::new();
-        ctx.insert("v".into(), Term::integer(3));
-        assert!(q.pattern.filters[0].evaluate_bool(&ctx));
-        ctx.insert("v".into(), Term::integer(1));
-        assert!(!q.pattern.filters[0].evaluate_bool(&ctx));
+        let (three, one) = (Term::integer(3), Term::integer(1));
+        let v = |term| move |name: &str| (name == "v").then(|| TermRef::from(term));
+        assert!(q.pattern.filters[0].evaluate_bool(&v(&three)));
+        assert!(!q.pattern.filters[0].evaluate_bool(&v(&one)));
     }
 
     #[test]
@@ -858,11 +859,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.pattern.filters.len(), 1);
-        let mut ctx = crate::expression::EvalContext::new();
-        assert!(q.pattern.filters[0].evaluate_bool(&ctx)); // ?z unbound → !BOUND holds
-        ctx.insert("z".into(), Term::integer(0));
-        assert!(q.pattern.filters[0].evaluate_bool(&ctx)); // 0 > -5
-        ctx.insert("z".into(), Term::integer(-10));
-        assert!(!q.pattern.filters[0].evaluate_bool(&ctx));
+        let (zero, minus_ten) = (Term::integer(0), Term::integer(-10));
+        let z = |term| move |name: &str| (name == "z").then_some(term).flatten().map(TermRef::from);
+        assert!(q.pattern.filters[0].evaluate_bool(&z(None::<&Term>))); // ?z unbound → !BOUND holds
+        assert!(q.pattern.filters[0].evaluate_bool(&z(Some(&zero)))); // 0 > -5
+        assert!(!q.pattern.filters[0].evaluate_bool(&z(Some(&minus_ten))));
     }
 }
