@@ -16,7 +16,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use turbohom_graph::{ELabel, VertexId};
-use turbohom_rdf::{Dictionary, IdRows, UNBOUND};
+use turbohom_rdf::{Dictionary, IdRows, TermRef, UNBOUND};
 use turbohom_sparql::Expression;
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
@@ -103,7 +103,7 @@ struct RegionRun<'r> {
     /// Grows the regions, along the query tree.
     explorer: &'r RegionExplorer<'r>,
     layout: &'r RowLayout,
-    inline_filters: &'r [Vec<&'r Expression>],
+    filters: &'r FilterSplit<'r>,
     starts: &'r [VertexId],
     /// The +REUSE order when it is known before the first region runs: the
     /// plan cache's preset, or the one the prologue probed for a pool.
@@ -212,7 +212,7 @@ impl<'r> RegionWorker<'r> {
             run.query,
             run.layout,
             run.dictionary,
-            run.inline_filters,
+            run.filters,
         );
         if let Some(shared) = run.shared_order {
             searcher.set_order(&run.explorer.tree, shared);
@@ -229,9 +229,10 @@ impl<'r> RegionWorker<'r> {
 }
 
 impl Worker for RegionWorker<'_> {
-    /// One iteration of Algorithm 1 for the start vertex at `index`: explore
-    /// its candidate region, fix or reuse the matching order, search. Stops
-    /// (without exploring) once the run has found `max_solutions`.
+    /// One iteration of Algorithm 1 for the start vertex at `index`: test
+    /// its inline FILTERs, explore its candidate region, fix or reuse the
+    /// matching order, search. Stops (without exploring) once the run has
+    /// found `max_solutions`.
     fn run(&mut self, index: usize) -> bool {
         let run = self.shared;
         let limit = run.config.max_solutions;
@@ -240,6 +241,13 @@ impl Worker for RegionWorker<'_> {
         }
         let vs = run.starts[index];
         self.searcher.stats.candidate_regions += 1;
+        // A start vertex its own FILTERs turn down grows no region.
+        let root = run.explorer.tree.root;
+        if !self.searcher.inline_filters_pass(root, vs) {
+            self.searcher.stats.filtered_inline += 1;
+            self.clock.lap(|c| &mut c.explore);
+            return true;
+        }
         let alive = run
             .explorer
             .explore(&mut self.region, vs, &mut self.searcher.stats);
@@ -412,18 +420,25 @@ fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
 
 /// Whether the engine answers `query` from its start list (see
 /// [`TurboHomEngine::answer_from_starts`]): one vertex, no edge, no FILTER.
-fn answered_from_starts(query: &TransformedQuery) -> bool {
-    query.graph.vertex_count() == 1 && query.graph.edge_count() == 0 && query.filters.is_empty()
+fn answered_from_starts(query: &TransformedQuery, filters: &FilterSplit<'_>) -> bool {
+    query.graph.vertex_count() == 1 && query.graph.edge_count() == 0 && filters.is_empty()
 }
 
-/// The required query vertex a cheap FILTER over that vertex's variable
-/// alone is evaluated at while matching; `None` for a FILTER applied to
-/// complete solutions afterwards (Section 5.1).
-fn inline_vertex(query: &TransformedQuery, filter: &Expression) -> Option<usize> {
+/// The required query vertex a cheap FILTER is evaluated at while matching:
+/// that of its one variable `outer` does not bind (a variable bound outside
+/// the query graph counts as a constant), when no regular expression is in
+/// it; `None` for a FILTER applied to complete solutions afterwards
+/// (Section 5.1).
+fn inline_vertex(
+    query: &TransformedQuery,
+    filter: &Expression,
+    outer: &[(&str, TermRef<'_>)],
+) -> Option<usize> {
     let mut vars = filter.variables();
+    vars.retain(|v| outer.iter().all(|(bound, _)| bound != v));
     vars.sort();
     vars.dedup();
-    if vars.len() != 1 || filter.is_expensive() {
+    if vars.len() != 1 || filter.contains_regex() {
         return None;
     }
     (query.graph.vertex_of_variable(&vars[0])).filter(|&u| query.vertex_clause[u].is_none())
@@ -433,7 +448,102 @@ fn inline_vertex(query: &TransformedQuery, filter: &Expression) -> Option<usize>
 /// condition, a regular expression, a filter over an OPTIONAL variable): a
 /// run of it then enumerates every solution and cuts its LIMIT afterwards.
 pub fn has_post_hoc_filters(query: &TransformedQuery) -> bool {
-    (query.filters.iter()).any(|filter| inline_vertex(query, filter).is_none())
+    (query.filters.iter()).any(|filter| inline_vertex(query, filter, &[]).is_none())
+}
+
+/// What one run filters its matches by: the FILTER expressions, and the
+/// terms of the variables bound outside the query graph, which the
+/// expressions read as constants. A plan's query graph brings its own
+/// FILTERs ([`RunFilters::of`]); one matched under a disconnected branch's
+/// one-row constant side also brings the branch's, and that row.
+#[derive(Debug, Clone, Copy)]
+pub struct RunFilters<'f> {
+    /// The query graph's own FILTERs (its `TransformedQuery::filters`).
+    pub own: &'f [Expression],
+    /// The FILTERs of the branch the query graph is a component of.
+    pub branch: &'f [Expression],
+    /// Variables bound outside the query graph, with their terms.
+    pub outer: &'f [(&'f str, TermRef<'f>)],
+}
+
+impl<'f> RunFilters<'f> {
+    /// A run of `query` by its own FILTERs alone.
+    pub fn of(query: &'f TransformedQuery) -> Self {
+        RunFilters {
+            own: &query.filters,
+            branch: &[],
+            outer: &[],
+        }
+    }
+}
+
+/// One run's FILTERs split by where they are evaluated (Section 5.1):
+/// cheap ones inline, by the query vertex whose binding decides them, the
+/// rest on complete solutions. Both read the outer bindings.
+pub struct FilterSplit<'f> {
+    /// Per query vertex, the FILTERs evaluated when it is bound.
+    pub(crate) inline: Vec<Vec<&'f Expression>>,
+    /// The FILTERs applied to complete solutions.
+    pub(crate) post: Vec<&'f Expression>,
+    /// Variables bound outside the query graph, with their terms.
+    outer: &'f [(&'f str, TermRef<'f>)],
+}
+
+impl<'f> FilterSplit<'f> {
+    /// Splits `filters` for a run of `query`.
+    pub(crate) fn new(query: &TransformedQuery, filters: RunFilters<'f>) -> Self {
+        let mut split = FilterSplit {
+            inline: vec![Vec::new(); query.graph.vertex_count()],
+            post: Vec::new(),
+            outer: filters.outer,
+        };
+        for filter in filters.own.iter().chain(filters.branch) {
+            match inline_vertex(query, filter, filters.outer) {
+                Some(u) => split.inline[u].push(filter),
+                None => split.post.push(filter),
+            }
+        }
+        split
+    }
+
+    /// Whether no FILTER is split at all.
+    fn is_empty(&self) -> bool {
+        self.post.is_empty() && self.inline.iter().all(Vec::is_empty)
+    }
+
+    /// The term an outer binding gives `name`.
+    fn outer(&self, name: &str) -> Option<TermRef<'f>> {
+        (self.outer.iter()).find_map(|&(bound, term)| (bound == name).then_some(term))
+    }
+
+    /// Evaluates the inline FILTERs of query vertex `u` on its candidate
+    /// data vertex `v`, over the dictionary's view of `v`'s term and the
+    /// outer bindings.
+    pub(crate) fn inline_pass(
+        &self,
+        data: &TransformedGraph,
+        dictionary: &Dictionary,
+        query: &TransformedQuery,
+        u: usize,
+        v: VertexId,
+    ) -> bool {
+        let filters = &self.inline[u];
+        if filters.is_empty() {
+            return true;
+        }
+        let Some(var) = &query.graph.vertex(u).variable else {
+            return true;
+        };
+        let id = data.mappings.term_of_vertex(v);
+        let Some(term) = id.and_then(|id| dictionary.term_ref(id)) else {
+            return true;
+        };
+        let bindings = |name: &str| match name == var {
+            true => Some(term),
+            false => self.outer(name),
+        };
+        filters.iter().all(|f| f.evaluate_bool(&bindings))
+    }
 }
 
 /// Algorithm 1 before its first enumeration, as
@@ -473,21 +583,30 @@ impl<'a> TurboHomEngine<'a> {
         }
     }
 
-    /// Executes one (union-free) transformed query.
+    /// Executes one (union-free) transformed query by its own FILTERs.
     pub fn execute(&self, query: &TransformedQuery) -> Result<MatchResult, EngineError> {
-        self.execute_with_order(query, None, &Trace::disabled(), None)
+        let filters = RunFilters::of(query);
+        self.execute_with_order(query, None, filters, &Trace::disabled(), None)
             .map(|(result, _)| result)
     }
 
-    /// What a run of `query` decides before it enumerates anything, its
-    /// first non-empty region probed: the plan EXPLAIN reports. `Ok(None)`:
-    /// the answer is empty without a look at the data; `Err`: refused.
+    /// What a run of `query` by its own FILTERs decides before it
+    /// enumerates anything, its first non-empty region probed: the plan
+    /// EXPLAIN reports. `Ok(None)`: the answer is empty without a look at
+    /// the data; `Err`: refused.
     pub fn explain<'s>(
         &'s self,
         query: &'s TransformedQuery,
     ) -> Result<Option<Prologue<'s>>, EngineError> {
         let mut clock = StageClock::start(false);
-        self.prologue(query, &mut MatchStats::default(), &mut clock, |_| true)
+        let filters = FilterSplit::new(query, RunFilters::of(query));
+        self.prologue(
+            query,
+            &filters,
+            &mut MatchStats::default(),
+            &mut clock,
+            |_| true,
+        )
     }
 
     /// Algorithm 1 before its first enumeration, written once for the runs
@@ -495,12 +614,13 @@ impl<'a> TurboHomEngine<'a> {
     /// vertices, the explorer over the query tree rooted there (unless no
     /// region is going to be grown) and, when `probe` asks for it once the
     /// start vertices are known, the first non-empty region in start order
-    /// with the matching order determined on it (+REUSE, Section 4.3). That
-    /// exploration is not counted: whoever runs the region explores, and
-    /// counts, it again.
+    /// whose start vertex passes its inline FILTERs, with the matching order
+    /// determined on it (+REUSE, Section 4.3). That exploration is not
+    /// counted: whoever runs the region explores, and counts, it again.
     fn prologue<'s>(
         &'s self,
         query: &'s TransformedQuery,
+        filters: &FilterSplit<'_>,
         stats: &mut MatchStats,
         clock: &mut StageClock,
         probe: impl FnOnce(&StartSelection<'_>) -> bool,
@@ -511,7 +631,7 @@ impl<'a> TurboHomEngine<'a> {
         let selection = choose_start_vertex(self.data, &self.config, query, stats);
         let starts = &selection.start_vertices;
         let probing = !starts.is_empty() && probe(&selection);
-        let grows = !starts.is_empty() && !answered_from_starts(query);
+        let grows = !starts.is_empty() && !answered_from_starts(query, filters);
         let explorer = (probing || grows).then(|| {
             let tree = QueryTree::build(&query.graph, selection.query_vertex);
             debug_assert!(tree.spans(&query.graph));
@@ -521,10 +641,11 @@ impl<'a> TurboHomEngine<'a> {
         let mut first = None;
         if let Some(explorer) = explorer.as_ref().filter(|_| probing) {
             let (mut region, mut uncounted) = (CandidateRegion::default(), MatchStats::default());
-            if starts
-                .iter()
-                .any(|&vs| explorer.explore(&mut region, vs, &mut uncounted))
-            {
+            let root = selection.query_vertex;
+            if starts.iter().any(|&vs| {
+                filters.inline_pass(self.data, self.dictionary, query, root, vs)
+                    && explorer.explore(&mut region, vs, &mut uncounted)
+            }) {
                 let order = MatchingOrder::determine(query, &explorer.tree, &region);
                 first = Some((region, order));
             }
@@ -547,6 +668,10 @@ impl<'a> TurboHomEngine<'a> {
     /// at all — `MatchStats::matching_orders_computed` stays `0` — and the
     /// returned order is `None` (the caller already holds it).
     ///
+    /// The run applies `filters`: the query's own FILTERs, or for a
+    /// component matched under a constant side, the branch's as well with
+    /// that side's row bound (see [`RunFilters`]).
+    ///
     /// Spans go into `trace` (under `parent`). A
     /// [detailed](Trace::is_detailed) trace times start-vertex selection,
     /// candidate-region exploration, matching-order determination and
@@ -557,6 +682,7 @@ impl<'a> TurboHomEngine<'a> {
         &self,
         query: &TransformedQuery,
         preset_order: Option<&MatchingOrder>,
+        filters: RunFilters<'_>,
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<(MatchResult, Option<MatchingOrder>), EngineError> {
@@ -564,7 +690,13 @@ impl<'a> TurboHomEngine<'a> {
         let mut stats = MatchStats::default();
         let reuse = self.config.optimizations.reuse_matching_order;
         let preset_order = preset_order.filter(|_| reuse);
-        let from_starts = answered_from_starts(query);
+        // Split the FILTER expressions: cheap single-variable filters on
+        // required vertices are evaluated inline while matching; the rest
+        // (join conditions, regular expressions, filters over OPTIONAL
+        // variables) are applied to complete solutions afterwards
+        // (Section 5.1).
+        let filters = FilterSplit::new(query, filters);
+        let from_starts = answered_from_starts(query, &filters);
         // +REUSE takes the order of the first non-empty region in start
         // order. A worker walking the starts in that order meets the region
         // itself; a pool's workers do not, and the start-list answer explores
@@ -573,10 +705,11 @@ impl<'a> TurboHomEngine<'a> {
             let pool = self.config.threads.min(selection.start_vertices.len()) > 1;
             reuse && preset_order.is_none() && (pool || from_starts)
         };
-        let Some(prologue) = self.prologue(query, &mut stats, &mut clock, probe)? else {
+        let Some(mut prologue) = self.prologue(query, &filters, &mut stats, &mut clock, probe)?
+        else {
             return Ok((MatchResult::default(), None));
         };
-        let probed = prologue.first.map(|(_, order)| order);
+        let probed = prologue.first.take().map(|(_, order)| order);
         stats.matching_orders_computed += usize::from(probed.is_some());
         let starts = &prologue.selection.start_vertices;
         let (result, own_order, workers) = if starts.is_empty() {
@@ -588,14 +721,14 @@ impl<'a> TurboHomEngine<'a> {
         } else if from_starts {
             (self.answer_from_starts(starts, stats), None, Vec::new())
         } else {
-            let explorer = (prologue.explorer.as_ref())
-                .expect("the prologue explores a query with an edge or a FILTER");
             let shared_order = preset_order.or(probed.as_ref());
-            self.run_regions(query, explorer, starts, shared_order, stats, &mut clock)
+            self.run_regions(query, &filters, &prologue, shared_order, stats, &mut clock)
         };
+        // Freed before `enumeration` is written, which takes it in.
+        let post_filters = !filters.post.is_empty();
+        drop(filters);
         if trace.is_detailed() {
             let selection = &prologue.selection;
-            let post_filters = has_post_hoc_filters(query);
             record_stage_spans(
                 trace,
                 parent,
@@ -610,36 +743,23 @@ impl<'a> TurboHomEngine<'a> {
     }
 
     /// Everything after the prologue: the set-up the regions share (row
-    /// layout, FILTER split), the regions, the post-hoc FILTERs and the
-    /// LIMIT.
+    /// layout), the regions, the post-hoc FILTERs and the LIMIT.
     fn run_regions(
         &self,
         query: &TransformedQuery,
-        explorer: &RegionExplorer<'_>,
-        starts: &[VertexId],
+        filters: &FilterSplit<'_>,
+        prologue: &Prologue<'_>,
         shared_order: Option<&MatchingOrder>,
         stats: MatchStats,
         clock: &mut StageClock,
     ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
+        let explorer = (prologue.explorer.as_ref())
+            .expect("the prologue explores a query with an edge or a FILTER");
         let layout = RowLayout::of(&query.graph);
-
-        // Split the FILTER expressions: cheap single-variable filters on
-        // required vertices are evaluated inline while matching; the rest
-        // (join conditions, regular expressions, filters over OPTIONAL
-        // variables) are applied to complete solutions afterwards
-        // (Section 5.1).
-        let mut inline_filters = vec![Vec::new(); query.graph.vertex_count()];
-        let mut post_filters = Vec::new();
-        for filter in &query.filters {
-            match inline_vertex(query, filter) {
-                Some(u) => inline_filters[u].push(filter),
-                None => post_filters.push(filter),
-            }
-        }
         // With expensive filters pending, the search must materialize
         // solutions and must not cut off at the limit prematurely.
         let mut search_config = self.config;
-        if !post_filters.is_empty() {
+        if !filters.post.is_empty() {
             search_config.count_only = false;
             search_config.max_solutions = None;
         }
@@ -652,17 +772,17 @@ impl<'a> TurboHomEngine<'a> {
             query,
             explorer,
             layout: &layout,
-            inline_filters: &inline_filters,
-            starts,
+            filters,
+            starts: &prologue.selection.start_vertices,
             shared_order,
             handoff: StageClock::resume(clock.last),
             found: AtomicUsize::new(0),
         };
         let (mut result, own_order, workers) = run.execute(stats, clock);
 
-        if !post_filters.is_empty() {
+        if !filters.post.is_empty() {
             clock.lap(|c| &mut c.search);
-            self.apply_post_filters(query, &layout, &post_filters, &mut result);
+            self.apply_post_filters(query, &layout, filters, &mut result);
             clock.lap(|c| &mut c.filter);
         }
         if let Some(limit) = self.config.max_solutions {
@@ -711,12 +831,13 @@ impl<'a> TurboHomEngine<'a> {
     /// Applies the expensive filters to the materialized solutions. Each
     /// variable's term is looked up in its row only when a filter reads it:
     /// a vertex column through its data vertex, a variable-predicate column
-    /// through its edge label, both as the dictionary's borrowed view.
+    /// through its edge label, both as the dictionary's borrowed view; a
+    /// variable without a column, in the outer bindings.
     fn apply_post_filters(
         &self,
         query: &TransformedQuery,
         layout: &RowLayout,
-        filters: &[&Expression],
+        filters: &FilterSplit<'_>,
         result: &mut MatchResult,
     ) {
         let (graph, mappings) = (&query.graph, &self.data.mappings);
@@ -733,7 +854,7 @@ impl<'a> TurboHomEngine<'a> {
             // A variable in two columns reads the last one bound.
             let bindings = |name: &str| {
                 let mut candidates = columns.iter().rev().filter(|(v, ..)| *v == name);
-                candidates.find_map(|&(_, column, edge)| {
+                let column = candidates.find_map(|&(_, column, edge)| {
                     let cell = row[column];
                     let id = match (cell, edge) {
                         (UNBOUND, _) => None,
@@ -741,9 +862,10 @@ impl<'a> TurboHomEngine<'a> {
                         (_, true) => mappings.term_of_elabel(ELabel(cell)),
                     };
                     id.and_then(|id| self.dictionary.term_ref(id))
-                })
+                });
+                column.or_else(|| filters.outer(name))
             };
-            filters.iter().all(|f| f.evaluate_bool(&bindings))
+            filters.post.iter().all(|f| f.evaluate_bool(&bindings))
         });
         result.stats.filtered_post += before - result.rows.len();
         result.solution_count = result.rows.len();
@@ -886,7 +1008,7 @@ mod tests {
         let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
         let run = |config: TurboHomConfig, preset: Option<&MatchingOrder>| {
             TurboHomEngine::new(&data, &ds.dictionary, config)
-                .execute_with_order(&tq, preset, &Trace::disabled(), None)
+                .execute_with_order(&tq, preset, RunFilters::of(&tq), &Trace::disabled(), None)
                 .unwrap()
         };
         let (cold, cached_order) = run(TurboHomConfig::default(), None);
@@ -966,7 +1088,7 @@ mod tests {
             SELECT ?d WHERE { ?d rdf:type ub:Department . }"#;
         let run = |tq: &TransformedQuery, config: TurboHomConfig| {
             TurboHomEngine::new(&data, &ds.dictionary, config)
-                .execute_with_order(tq, None, &Trace::disabled(), None)
+                .execute_with_order(tq, None, RunFilters::of(tq), &Trace::disabled(), None)
                 .unwrap()
         };
         for (sparql, dead) in [(TRIANGLE, 3), (chain, 3), (scan, 0)] {
@@ -1136,13 +1258,19 @@ mod tests {
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         // Cold run: computes the order once (+REUSE) and hands it back.
         let (cold, order) = engine
-            .execute_with_order(&tq, None, &Trace::disabled(), None)
+            .execute_with_order(&tq, None, RunFilters::of(&tq), &Trace::disabled(), None)
             .unwrap();
         assert_eq!(cold.stats.matching_orders_computed, 1);
         let order = order.expect("cold run must surface the computed order");
         // Warm run: the preset is used, no order is determined at all.
         let (warm, recomputed) = engine
-            .execute_with_order(&tq, Some(&order), &Trace::disabled(), None)
+            .execute_with_order(
+                &tq,
+                Some(&order),
+                RunFilters::of(&tq),
+                &Trace::disabled(),
+                None,
+            )
             .unwrap();
         assert_eq!(warm.stats.matching_orders_computed, 0);
         assert!(recomputed.is_none());
@@ -1159,7 +1287,13 @@ mod tests {
             TurboHomConfig::default().with_threads(4),
         );
         let (par, recomputed) = par_engine
-            .execute_with_order(&tq, Some(&order), &Trace::disabled(), None)
+            .execute_with_order(
+                &tq,
+                Some(&order),
+                RunFilters::of(&tq),
+                &Trace::disabled(),
+                None,
+            )
             .unwrap();
         assert_eq!(par.stats.matching_orders_computed, 0);
         assert!(recomputed.is_none());
@@ -1179,7 +1313,7 @@ mod tests {
         let root = trace.span("execute");
         let root_id = root.id();
         let (result, _) = engine
-            .execute_with_order(&tq, None, &trace, root_id)
+            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, root_id)
             .unwrap();
         root.finish();
         let report = trace.finish();
@@ -1218,7 +1352,9 @@ mod tests {
             TurboHomConfig::default().with_threads(3),
         );
         let trace = Trace::detailed(12);
-        let (result, _) = engine.execute_with_order(&tq, None, &trace, None).unwrap();
+        let (result, _) = engine
+            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, None)
+            .unwrap();
         assert_eq!(result.len(), 24);
         let report = trace.finish();
         let enum_id = report
@@ -1243,7 +1379,9 @@ mod tests {
         // An untraced (or coarse) run records nothing from the core.
         let trace = Trace::new(13);
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-        let (_, _) = engine.execute_with_order(&tq, None, &trace, None).unwrap();
+        let (_, _) = engine
+            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, None)
+            .unwrap();
         assert!(trace.finish().spans.is_empty());
     }
 
@@ -1268,7 +1406,7 @@ mod tests {
         let root = trace.span("execute");
         let root_id = root.id();
         let (result, _) = engine
-            .execute_with_order(&tq, None, &trace, root_id)
+            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, root_id)
             .unwrap();
         root.finish();
         assert_eq!(result.len(), 36);
@@ -1313,7 +1451,7 @@ mod tests {
         let config = TurboHomConfig::default().with_threads(4);
         let trace = Trace::detailed(14);
         let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
-            .execute_with_order(&tq, None, &trace, None)
+            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, None)
             .unwrap();
         assert_eq!(order.map(|o| o.order), Some(vec![0]));
         assert_eq!((result.len(), result.rows.len()), (24, 24));

@@ -22,6 +22,7 @@
 
 use crate::candidate_region::CandidateRegion;
 use crate::config::{MatchSemantics, TurboHomConfig};
+use crate::engine::FilterSplit;
 use crate::matching_order::MatchingOrder;
 use crate::query_tree::QueryTree;
 use crate::result::RowLayout;
@@ -29,7 +30,6 @@ use crate::stats::MatchStats;
 use std::collections::HashSet;
 use turbohom_graph::{ops, Direction, ELabel, VLabel, VertexId};
 use turbohom_rdf::{Dictionary, IdRows};
-use turbohom_sparql::Expression;
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
 /// A non-tree edge between the query vertex of a step and a query vertex
@@ -86,8 +86,9 @@ pub struct SubgraphSearcher<'a> {
     query: &'a TransformedQuery,
     layout: &'a RowLayout,
     dictionary: &'a Dictionary,
-    /// Cheap filters applied when the keyed query vertex gets bound.
-    inline_filters: &'a [Vec<&'a Expression>],
+    /// The run's FILTERs: the cheap ones are applied when their query
+    /// vertex gets bound.
+    filters: &'a FilterSplit<'a>,
     plan: SearchPlan,
     /// All `None` between regions: every binding is undone on the way back.
     mapping: Vec<Option<VertexId>>,
@@ -115,9 +116,9 @@ pub struct SubgraphSearcher<'a> {
 }
 
 impl<'a> SubgraphSearcher<'a> {
-    /// Creates a searcher. `inline_filters` must contain, for every query
-    /// vertex, the cheap FILTER expressions to evaluate as soon as that
-    /// vertex is bound (the engine computes this split). Solutions are
+    /// Creates a searcher. `filters` holds, for every query vertex, the
+    /// cheap FILTER expressions to evaluate as soon as that vertex is bound
+    /// (the engine computes this split). Solutions are
     /// appended to [`rows`](Self::rows) in `layout`. A matching order has to
     /// be [set](Self::set_order) before the first region is searched.
     pub fn new(
@@ -126,17 +127,17 @@ impl<'a> SubgraphSearcher<'a> {
         query: &'a TransformedQuery,
         layout: &'a RowLayout,
         dictionary: &'a Dictionary,
-        inline_filters: &'a [Vec<&'a Expression>],
+        filters: &'a FilterSplit<'a>,
     ) -> Self {
         let n = query.graph.vertex_count();
-        debug_assert_eq!(inline_filters.len(), n);
+        debug_assert_eq!(filters.inline.len(), n);
         SubgraphSearcher {
             data,
             config,
             query,
             layout,
             dictionary,
-            inline_filters,
+            filters,
             plan: SearchPlan::default(),
             mapping: vec![None; n],
             used: HashSet::new(),
@@ -206,7 +207,9 @@ impl<'a> SubgraphSearcher<'a> {
 
     /// Runs the search over one candidate region whose starting data vertex
     /// is `start`. The matching-order root is bound to `start` and the
-    /// remaining vertices are enumerated.
+    /// remaining vertices are enumerated. The caller has tested the root's
+    /// inline FILTERs on `start` ([`inline_filters_pass`](Self::inline_filters_pass))
+    /// before it grew the region.
     pub fn search_region(&mut self, region: &CandidateRegion, start: VertexId) {
         if self.limit_reached {
             return;
@@ -215,10 +218,6 @@ impl<'a> SubgraphSearcher<'a> {
         let step = self.plan.steps[0];
         let root = step.u;
         if !self.self_loops_hold(step, start) {
-            return;
-        }
-        if !self.inline_filters_pass(root, start) {
-            self.stats.filtered_inline += 1;
             return;
         }
         self.mapping[root] = Some(start);
@@ -432,21 +431,10 @@ impl<'a> SubgraphSearcher<'a> {
     }
 
     /// Evaluates the cheap filters registered for query vertex `u` against
-    /// the candidate data vertex `v`, over the dictionary's view of its term.
-    fn inline_filters_pass(&self, u: usize, v: VertexId) -> bool {
-        let filters = &self.inline_filters[u];
-        if filters.is_empty() {
-            return true;
-        }
-        let Some(var) = &self.query.graph.vertex(u).variable else {
-            return true;
-        };
-        let id = self.data.mappings.term_of_vertex(v);
-        let Some(term) = id.and_then(|id| self.dictionary.term_ref(id)) else {
-            return true;
-        };
-        let bindings = |name: &str| (name == var).then_some(term);
-        filters.iter().all(|f| f.evaluate_bool(&bindings))
+    /// the candidate data vertex `v`, over the dictionary's view of its term
+    /// and the outer bindings.
+    pub(crate) fn inline_filters_pass(&self, u: usize, v: VertexId) -> bool {
+        (self.filters).inline_pass(self.data, self.dictionary, self.query, u, v)
     }
 
     /// Reports the current complete mapping as one or more solutions
@@ -540,6 +528,7 @@ mod tests {
     use super::*;
     use crate::candidate_region::{explore_candidate_region, RegionExplorer};
     use crate::config::Optimizations;
+    use crate::engine::RunFilters;
     use crate::result::{merge_step_counts, MatchResult};
     use crate::start_vertex::choose_start_vertex;
     use turbohom_rdf::{vocab, Dataset, UNBOUND};
@@ -631,12 +620,12 @@ mod tests {
             sel.start_vertices = data.inverse_labels.vertices_with_label(label).into();
         }
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
-        let inline = vec![Vec::new(); tq.graph.vertex_count()];
+        let filters = FilterSplit::new(&tq, RunFilters::of(&tq));
         let layout = RowLayout::of(&tq.graph);
         let explorer = RegionExplorer::new(data, config, &tq, tree.clone());
         let mut region = CandidateRegion::default();
         let mut searcher =
-            SubgraphSearcher::new(data, config, &tq, &layout, &ds.dictionary, &inline);
+            SubgraphSearcher::new(data, config, &tq, &layout, &ds.dictionary, &filters);
         let mut order: Option<MatchingOrder> = None;
         for &start in sel.start_vertices.iter() {
             stats.candidate_regions += 1;
@@ -717,7 +706,7 @@ mod tests {
         )
         .unwrap();
         let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
-        let inline = vec![Vec::new(); tq.graph.vertex_count()];
+        let filters = FilterSplit::new(&tq, RunFilters::of(&tq));
         let layout = RowLayout::of(&tq.graph);
         for config in [
             TurboHomConfig::default(),
@@ -729,7 +718,7 @@ mod tests {
             let tree = QueryTree::build(&tq.graph, sel.query_vertex);
             let explorer = RegionExplorer::new(&data, &config, &tq, tree.clone());
             let new_searcher =
-                || SubgraphSearcher::new(&data, &config, &tq, &layout, &ds.dictionary, &inline);
+                || SubgraphSearcher::new(&data, &config, &tq, &layout, &ds.dictionary, &filters);
 
             let mut region = CandidateRegion::default();
             let mut reused = new_searcher();

@@ -56,9 +56,10 @@ pub struct ExplainReport {
     pub limit: Option<usize>,
     /// `true` when an enumerator of the plan gets the LIMIT as its solution
     /// cap; `false` when there is none, an `OFFSET` blocks it, or the plan
-    /// cuts the LIMIT from what it found (join baselines, components
-    /// combined by a cartesian product, a FILTER applied to complete
-    /// solutions, shards).
+    /// may cut the LIMIT from what it found (join baselines, a branch of
+    /// several components — a run binds one-row constant sides and caps the
+    /// bound match, which a plan cannot foresee — a FILTER applied to
+    /// complete solutions, shards).
     pub limit_pushdown: bool,
     /// One entry per transformed connected component (single-store path;
     /// empty for join plans and sharded reports).
@@ -424,11 +425,13 @@ impl Store {
     /// holds).
     pub fn explain(&self, plan: &QueryPlan) -> ExplainReport {
         let mut report = ExplainReport::new(plan.kind(), "single", plan.window);
-        // Only a graph plan's single-component branch hands the LIMIT to its
-        // enumerator (`run_branch_plan`), which keeps it unless a FILTER
-        // waits for complete solutions: the join baselines, a cartesian
-        // product of components and post-hoc FILTERs cut it from what was
-        // found.
+        // Only a graph plan's single-component branch is known to hand the
+        // LIMIT to its enumerator (`run_branch_plan`), which keeps it unless
+        // a FILTER waits for complete solutions: the join baselines, a
+        // cartesian product of components and post-hoc FILTERs cut it from
+        // what was found. A branch of several components hands it on only
+        // when a run finds every constant side to be one row, which a plan
+        // cannot know, so it reads `false`.
         let mut capped = false;
         if let PlanMode::Graph { config, branches } = &plan.mode {
             for (b, branch) in branches.iter().enumerate() {

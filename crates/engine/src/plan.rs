@@ -29,10 +29,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_baseline::JoinStrategy;
 use turbohom_core::{
-    merge_step_counts, MatchResult, MatchingOrder, RowLayout, TurboHomConfig, TurboHomEngine,
+    merge_step_counts, MatchResult, MatchingOrder, RowLayout, RunFilters, TurboHomConfig,
+    TurboHomEngine,
 };
 use turbohom_graph::{ELabel, VertexId};
-use turbohom_rdf::{IdRows, TermId, UNBOUND};
+use turbohom_rdf::{IdRows, TermId, TermRef, UNBOUND};
 use turbohom_sparql::{Expression, GroupPattern, Query};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformKind, TransformedGraph, TransformedQuery};
@@ -66,10 +67,17 @@ pub(crate) struct BranchPlan {
     /// The connected components of the branch's required BGP (almost always
     /// exactly one).
     pub(crate) components: Vec<ComponentPlan>,
-    /// Branch filters re-applied after the cartesian combination; only used
-    /// when there is more than one component (`split_components` drops them
-    /// from the per-component groups).
+    /// Branch filters of a branch with more than one component
+    /// (`split_components` drops them from the per-component groups): read
+    /// by the component matched under the others' constant rows, or else
+    /// applied to the cartesian combination.
     filters: Vec<Expression>,
+    /// Of a branch with more than one component, the one matched last with
+    /// the one row each other component yields bound (see
+    /// `Store::run_components`): the one component without a required
+    /// constant query vertex, when no variable is in two components. `None`:
+    /// the branch is a cartesian product of its components.
+    bind_into: Option<usize>,
 }
 
 /// One connected component: a transformed query graph ready to match.
@@ -84,6 +92,30 @@ pub(crate) struct ComponentPlan {
     /// The `+REUSE` matching order memoized by the first run (`Arc` so the
     /// warm path clones a pointer, not the order itself).
     cached_order: Mutex<Option<Arc<MatchingOrder>>>,
+}
+
+impl ComponentPlan {
+    /// Whether a constant is one of the component's required query
+    /// vertices: its start list is that constant, and its match a lookup.
+    fn anchored(&self) -> bool {
+        let query = &self.transformed;
+        let mut vertices = query.graph.vertices().iter().zip(&query.vertex_clause);
+        vertices.any(|(vertex, clause)| vertex.bound.is_some() && clause.is_none())
+    }
+}
+
+/// The component a branch of several binds its constant sides into (see
+/// [`BranchPlan::bind_into`]).
+fn bind_target(components: &[ComponentPlan]) -> Option<usize> {
+    let mut unanchored = (components.iter().enumerate()).filter(|(_, c)| !c.anchored());
+    let (Some((target, _)), None) = (unanchored.next(), unanchored.next()) else {
+        return None;
+    };
+    let mut vars: Vec<&String> = components.iter().flat_map(|c| &c.vars).collect();
+    let named = vars.len();
+    vars.sort_unstable();
+    vars.dedup();
+    (vars.len() == named).then_some(target)
 }
 
 impl QueryPlan {
@@ -140,6 +172,49 @@ impl Window {
     pub(crate) fn pushed_limit(&self) -> Option<usize> {
         self.limit.filter(|_| self.offset == 0)
     }
+}
+
+/// How a branch's rows come about, once its constant sides are matched
+/// (see `Store::run_components`).
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// The rows of the component at this index, matched with the constant
+    /// sides' one row each bound.
+    Bound(usize),
+    /// The cartesian product of every component's rows.
+    Product,
+    /// A constant side has no row.
+    Empty,
+}
+
+/// `config` with the LIMIT still missing as its solution cap, under its own
+/// cap if it has one.
+fn capped(config: TurboHomConfig, limit: Option<usize>) -> TurboHomConfig {
+    let max_solutions = match (config.max_solutions, limit) {
+        (Some(cap), Some(limit)) => Some(cap.min(limit)),
+        (cap, limit) => cap.or(limit),
+    };
+    TurboHomConfig {
+        max_solutions,
+        ..config
+    }
+}
+
+/// Adds a match's counters, per-step rows and estimates to `results`.
+fn absorb_counts(results: &mut IdResults<'_>, result: &MatchResult) {
+    results.stats.merge(&result.stats);
+    merge_step_counts(&mut results.step_rows, &result.step_rows);
+    merge_step_counts(&mut results.step_estimates, &result.step_estimates);
+}
+
+/// What a run records as `materialise`, summed over its branches: the time
+/// spent turning matches into term-id rows and, within it, the FILTER pass
+/// over a cartesian product of components (its time and the rows it
+/// removed) when one ran.
+#[derive(Debug, Default)]
+struct Materialise {
+    took: Duration,
+    product_filters: Option<(Duration, usize)>,
 }
 
 /// The query's window. `ORDER BY` and `DISTINCT` are refused here, for every
@@ -256,8 +331,9 @@ impl Store {
     /// and `materialise`, the projection of the matches to term ids. With a
     /// [detailed](Trace::is_detailed) trace the matching engine additionally
     /// records `candidate_regions`, `matching_order`, `enumeration` and
-    /// per-worker spans as children of `execute` (the join baselines only
-    /// get the two stage spans).
+    /// per-worker spans as children of `execute`, and the FILTER pass over a
+    /// cartesian product of components is `materialise`'s `post_filters`
+    /// child (the join baselines only get the two stage spans).
     pub fn run_plan_traced(
         &self,
         plan: &QueryPlan,
@@ -268,7 +344,7 @@ impl Store {
             return Err(StoreError::InvalidThreadCount(0));
         }
         let started = Instant::now();
-        let mut materialise = Duration::ZERO;
+        let mut materialise = Materialise::default();
         let mut results = match &plan.mode {
             PlanMode::Graph { config, branches } => {
                 let config = match threads {
@@ -278,17 +354,21 @@ impl Store {
                 self.run_graph_plan(branches, config, plan, trace, &mut materialise)?
             }
             PlanMode::Join { query, strategy } => {
-                self.run_baseline(query, *strategy, trace, &mut materialise)
+                self.run_baseline(query, *strategy, trace, &mut materialise.took)
             }
         };
         results.apply_window(plan.window);
         results.elapsed = started.elapsed();
-        trace.record_rollup(
+        let span = trace.record_rollup(
             "materialise",
             None,
-            materialise,
+            materialise.took,
             &[("rows", results.row_count() as u64)],
         );
+        let product_filters = materialise.product_filters.filter(|_| trace.is_detailed());
+        if let Some((took, filtered)) = product_filters {
+            trace.record_rollup("post_filters", span, took, &[("filtered", filtered as u64)]);
+        }
         Ok(results)
     }
 
@@ -305,6 +385,7 @@ impl Store {
                 branches.push(BranchPlan {
                     components: vec![self.plan_component(&branch, force_direct, Vec::new())?],
                     filters: Vec::new(),
+                    bind_into: None,
                 });
             } else {
                 let components = components
@@ -312,6 +393,7 @@ impl Store {
                     .map(|c| self.plan_component(c, force_direct, c.all_variables()))
                     .collect::<Result<Vec<_>, _>>()?;
                 branches.push(BranchPlan {
+                    bind_into: bind_target(&components),
                     components,
                     filters: collect_filters(&branch),
                 });
@@ -348,7 +430,7 @@ impl Store {
         config: TurboHomConfig,
         plan: &QueryPlan,
         trace: &Trace,
-        materialise: &mut Duration,
+        materialise: &mut Materialise,
     ) -> Result<IdResults<'_>, StoreError> {
         let projected = &plan.projected;
         let limit = plan.pushed_limit();
@@ -375,80 +457,211 @@ impl Store {
         IdResults::new(variables, vec![run])
     }
 
-    /// Runs one branch and appends its rows to `results`. Connected branches
-    /// go straight to the matching engine; a branch whose required BGP falls
-    /// apart into several connected components (e.g. BSBM Q5, which compares
-    /// two unrelated products through a FILTER) is evaluated component by
-    /// component, the partial results are combined by a cartesian product,
-    /// and the branch filters are applied to the combined rows.
+    /// Runs one branch and appends its rows to `results`. A connected branch
+    /// goes straight to the matching engine, its LIMIT the search's solution
+    /// cap (unless a FILTER waits for complete solutions, which the engine
+    /// sees to); one that falls apart into several is
+    /// [`run_components`](Self::run_components).
     fn run_branch_plan(
         &self,
         branch: &BranchPlan,
         config: TurboHomConfig,
         limit: Option<usize>,
         trace: &Trace,
-        materialise: &mut Duration,
+        materialise: &mut Materialise,
         results: &mut IdResults<'_>,
     ) -> Result<(), StoreError> {
-        let config = match (branch.components.as_slice(), limit) {
-            // Single connected component: the limit goes straight into the
-            // enumerator as a solution cap, so search stops early.
-            ([_], Some(l)) => TurboHomConfig {
-                max_solutions: Some(config.max_solutions.map_or(l, |m| m.min(l))),
-                ..config
-            },
-            _ => config,
+        let [component] = branch.components.as_slice() else {
+            return self.run_components(branch, config, limit, trace, materialise, results);
         };
+        let config = capped(config, limit);
         // `execute` is the matcher alone; folding what it found into
         // `results` is part of materialising them.
-        let mut matched = Vec::with_capacity(branch.components.len());
         let mut span = trace.span("execute");
-        for component in &branch.components {
-            matched.push(self.match_component(component, config, trace, span.id())?);
+        let filters = RunFilters::of(&component.transformed);
+        let result = self.match_component(component, config, filters, trace, span.id())?;
+        span.counter("solutions", result.solution_count as u64);
+        span.finish();
+
+        let projecting = Instant::now();
+        absorb_counts(results, &result);
+        self.append_rows(component, &result, &[], results);
+        materialise.took += projecting.elapsed();
+        Ok(())
+    }
+
+    /// Runs a branch whose required BGP falls apart into several connected
+    /// components (e.g. BSBM Q5, which compares one product's property
+    /// values with every product's through FILTERs). When all components but
+    /// one hold a constant ([`BranchPlan::bind_into`]), those are matched
+    /// first:
+    ///
+    /// - one yields no row: the branch is empty, and nothing else is matched;
+    /// - each yields one row: those rows are bound, and the last component
+    ///   is matched once, under the branch FILTERs and capped by the LIMIT. A
+    ///   FILTER whose one unbound variable is a required vertex of it runs
+    ///   inline there (Section 5.1's split, the bound variables counted as
+    ///   constants), the rest post hoc. The product of one-row sides with its
+    ///   rows is its rows, in enumeration order;
+    /// - otherwise every component is matched, and the cartesian product of
+    ///   their rows is filtered and cut at the LIMIT.
+    fn run_components(
+        &self,
+        branch: &BranchPlan,
+        config: TurboHomConfig,
+        limit: Option<usize>,
+        trace: &Trace,
+        materialise: &mut Materialise,
+        results: &mut IdResults<'_>,
+    ) -> Result<(), StoreError> {
+        let components = branch.components.as_slice();
+        let mut matched: Vec<Option<MatchResult>> = components.iter().map(|_| None).collect();
+        // A constant side is matched for its rows, whole.
+        let whole = TurboHomConfig {
+            count_only: false,
+            max_solutions: None,
+            ..config
+        };
+        let mut span = trace.span("execute");
+        let mut shape = branch.bind_into.map_or(Shape::Product, Shape::Bound);
+        if let Shape::Bound(target) = shape {
+            for (i, component) in components.iter().enumerate().filter(|&(i, _)| i != target) {
+                let filters = RunFilters::of(&component.transformed);
+                let side = self.match_component(component, whole, filters, trace, span.id())?;
+                let rows = side.rows.len();
+                matched[i] = Some(side);
+                if rows == 0 {
+                    shape = Shape::Empty;
+                    break;
+                }
+                if rows > 1 {
+                    shape = Shape::Product;
+                }
+            }
         }
-        let solutions: usize = matched.iter().map(|m| m.solution_count).sum();
+        let mut constants = Vec::new();
+        match shape {
+            Shape::Bound(target) => {
+                let component = &components[target];
+                constants = self.constant_row(components, &matched);
+                let dictionary = &self.dataset().dictionary;
+                let outer: Vec<(&str, TermRef<'_>)> = (constants.iter())
+                    .filter_map(|&(var, cell)| Some((var, term_of(dictionary, cell)?)))
+                    .collect();
+                let filters = RunFilters {
+                    own: &component.transformed.filters,
+                    branch: &branch.filters,
+                    outer: &outer,
+                };
+                let capped = capped(config, limit);
+                let result = self.match_component(component, capped, filters, trace, span.id())?;
+                matched[target] = Some(result);
+            }
+            Shape::Product => {
+                for (component, slot) in components.iter().zip(&mut matched) {
+                    if slot.is_none() {
+                        let filters = RunFilters::of(&component.transformed);
+                        let result =
+                            self.match_component(component, config, filters, trace, span.id())?;
+                        *slot = Some(result);
+                    }
+                }
+            }
+            Shape::Empty => {}
+        }
+        let solutions: usize = matched.iter().flatten().map(|m| m.solution_count).sum();
         span.counter("solutions", solutions as u64);
         span.finish();
 
         let projecting = Instant::now();
-        for result in &matched {
-            results.stats.merge(&result.stats);
-            merge_step_counts(&mut results.step_rows, &result.step_rows);
-            merge_step_counts(&mut results.step_estimates, &result.step_estimates);
+        for result in matched.iter().flatten() {
+            absorb_counts(results, result);
         }
-        if let ([component], [result]) = (branch.components.as_slice(), matched.as_slice()) {
-            let mut rows = self.project(component, &result.rows, &results.variables);
-            results.rows_mut().append(&mut rows);
-            results.solution_count += result.solution_count;
-        } else {
-            let parts: Vec<IdRows> = branch
-                .components
-                .iter()
-                .zip(&matched)
-                .map(|(component, result)| self.project(component, &result.rows, &component.vars))
-                .collect();
-            let mut rows = self.combine_components(branch, &parts, &results.variables);
-            // A limit cannot be pushed below the cartesian combination
-            // (dropping partial rows early would drop combinations), so it
-            // applies here.
-            if let Some(l) = limit {
-                rows.truncate(l);
+        match shape {
+            Shape::Empty => {}
+            Shape::Bound(target) => {
+                let result = matched[target].as_ref().expect("the bound component ran");
+                self.append_rows(&components[target], result, &constants, results);
             }
-            results.solution_count += rows.len();
-            results.rows_mut().append(&mut rows);
+            Shape::Product => {
+                let parts: Vec<IdRows> = (components.iter().zip(&matched))
+                    .map(|(component, result)| {
+                        let result = result.as_ref().expect("every component ran");
+                        self.project(component, &result.rows, &component.vars)
+                    })
+                    .collect();
+                let (mut rows, filtered) =
+                    self.combine_components(branch, &parts, &results.variables);
+                if let Some((took, removed)) = filtered {
+                    results.stats.filtered_post += removed;
+                    let pass = (materialise.product_filters).get_or_insert((Duration::ZERO, 0));
+                    pass.0 += took;
+                    pass.1 += removed;
+                }
+                // A limit cannot be pushed below the cartesian combination
+                // (dropping partial rows early would drop combinations), so
+                // it applies here.
+                if let Some(l) = limit {
+                    rows.truncate(l);
+                }
+                results.solution_count += rows.len();
+                results.rows_mut().append(&mut rows);
+            }
         }
-        *materialise += projecting.elapsed();
+        materialise.took += projecting.elapsed();
         Ok(())
     }
 
+    /// Appends `result`'s rows, projected from `component`, to `results`,
+    /// with each column a constant side binds set to its one term.
+    fn append_rows(
+        &self,
+        component: &ComponentPlan,
+        result: &MatchResult,
+        constants: &[(&str, u32)],
+        results: &mut IdResults<'_>,
+    ) {
+        let mut rows = self.project(component, &result.rows, &results.variables);
+        for (column, var) in results.variables.iter().enumerate() {
+            if let Some(&(_, cell)) = constants.iter().find(|(bound, _)| bound == var) {
+                rows.set_column(column, cell);
+            }
+        }
+        results.rows_mut().append(&mut rows);
+        results.solution_count += result.solution_count;
+    }
+
+    /// The one row of every constant side in `matched` (all but the bound
+    /// component): each variable it binds, with its term id.
+    fn constant_row<'p>(
+        &self,
+        components: &'p [ComponentPlan],
+        matched: &[Option<MatchResult>],
+    ) -> Vec<(&'p str, u32)> {
+        let mut cells = Vec::new();
+        for (component, side) in components.iter().zip(matched) {
+            let Some(side) = side else { continue };
+            let row = self.project(component, &side.rows, &component.vars);
+            let bound = component.vars.iter().zip(row.row(0));
+            cells.extend(
+                bound
+                    .filter(|&(_, &cell)| cell != UNBOUND)
+                    .map(|(var, &cell)| (var.as_str(), cell)),
+            );
+        }
+        cells
+    }
+
     /// Combines the per-component rows of a disconnected branch: cartesian
-    /// product, branch filters, projection onto `projected`.
+    /// product, branch filters, projection onto `projected`. Also returns,
+    /// when the filters ran, how long they took and how many rows they
+    /// removed.
     fn combine_components(
         &self,
         branch: &BranchPlan,
         parts: &[IdRows],
         projected: &[String],
-    ) -> IdRows {
+    ) -> (IdRows, Option<(Duration, usize)>) {
         let all_vars: Vec<&String> = branch.components.iter().flat_map(|c| &c.vars).collect();
         // The join's identity: no columns, one row.
         let mut combined = IdRows::unbound(0, 1);
@@ -465,12 +678,15 @@ impl Store {
             }
             combined = next;
             if combined.is_empty() {
-                return IdRows::new(projected.len());
+                return (IdRows::new(projected.len()), None);
             }
         }
         // FILTER expressions read the dictionary's view of the cells they ask
         // for; a variable in two columns reads the last one bound.
+        let mut filtered = None;
         if !branch.filters.is_empty() {
+            let filtering = Instant::now();
+            let before = combined.len();
             let dictionary = &self.dataset().dictionary;
             combined.retain(|row| {
                 let bindings = |name: &str| {
@@ -481,6 +697,7 @@ impl Store {
                 };
                 branch.filters.iter().all(|f| f.evaluate_bool(&bindings))
             });
+            filtered = Some((filtering.elapsed(), before - combined.len()));
         }
         let mut rows = IdRows::unbound(projected.len(), combined.len());
         for (column, var) in projected.iter().enumerate() {
@@ -488,23 +705,25 @@ impl Store {
                 rows.fill_column(column, &combined, source, |id| id);
             }
         }
-        rows
+        (rows, filtered)
     }
 
-    /// Runs the matcher over one transformed component, reusing (or
-    /// memoizing) its matching order.
+    /// Runs the matcher over one transformed component by `filters`, reusing
+    /// (or memoizing) its matching order.
     fn match_component(
         &self,
         component: &ComponentPlan,
         config: TurboHomConfig,
+        filters: RunFilters<'_>,
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<MatchResult, StoreError> {
         let engine =
             TurboHomEngine::new(self.graph_of(component), &self.dataset().dictionary, config);
         let preset = component.cached_order.lock().clone();
+        let transformed = &component.transformed;
         let (result, computed) =
-            engine.execute_with_order(&component.transformed, preset.as_deref(), trace, parent)?;
+            engine.execute_with_order(transformed, preset.as_deref(), filters, trace, parent)?;
         if let Some(order) = computed {
             let mut slot = component.cached_order.lock();
             if slot.is_none() {
@@ -689,6 +908,30 @@ mod tests {
         );
         // Both component orders get memoized on the first run.
         assert_eq!(plan.cached_order_count(), 2);
+    }
+
+    /// The FILTERs of a cartesian product count the rows they remove, and a
+    /// detailed trace times them as a child of `materialise`, where they run.
+    #[test]
+    fn a_product_counts_and_times_its_filters() {
+        let store = sample_store();
+        let q = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                   PREFIX ub: <http://ub.org/>
+                   SELECT ?a ?b WHERE {
+                     ?a rdf:type ub:Student . ?b rdf:type ub:University .
+                     FILTER (?a != ub:student0)
+                   }"#;
+        let plan = store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap();
+        assert_eq!(plan.component_count(), 2);
+        let trace = Trace::detailed(1);
+        let r = store.run_plan_traced(&plan, None, &trace).unwrap();
+        assert_eq!((r.len(), r.stats.filtered_post), (3, 1));
+        let spans = trace.finish().spans;
+        let materialise = spans.iter().find(|s| s.name == "materialise").unwrap();
+        let filters = spans.iter().find(|s| s.name == "post_filters").unwrap();
+        assert_eq!(filters.parent, Some(materialise.id));
+        assert_eq!(filters.counters, [("filtered", 1)]);
+        assert!(filters.duration_ns <= materialise.duration_ns);
     }
 
     #[test]

@@ -132,6 +132,14 @@ impl IdRows {
         }
     }
 
+    /// Sets `column` of every row to `cell`.
+    pub fn set_column(&mut self, column: usize, cell: u32) {
+        assert!(column < self.stride);
+        for slot in self.cells.iter_mut().skip(column).step_by(self.stride) {
+            *slot = cell;
+        }
+    }
+
     /// Moves every row of `other` (same stride) to the end of `self`.
     pub fn append(&mut self, other: &mut IdRows) {
         assert_eq!(

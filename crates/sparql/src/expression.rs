@@ -214,7 +214,9 @@ impl Expression {
         vars.len() > 1 || self.contains_regex()
     }
 
-    fn contains_regex(&self) -> bool {
+    /// Whether a `REGEX` occurs anywhere in the expression: what keeps a
+    /// FILTER expensive whatever its variables are bound to.
+    pub fn contains_regex(&self) -> bool {
         match self {
             Expression::Regex(..) => true,
             Expression::Compare(a, _, b)

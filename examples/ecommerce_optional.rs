@@ -44,6 +44,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // Q5's constant side (one product's two values) yields one row, so the
+    // other component is matched once with it bound: its join-condition
+    // FILTERs run inline, and no row is left for a FILTER after the match.
+    let q5 = &bsbm::queries()[4];
+    let stats = store
+        .execute(&q5.sparql, EngineKind::TurboHomPlusPlus)?
+        .stats;
+    println!(
+        "\n{}: filtered_inline {} filtered_post {}",
+        q5.id, stats.filtered_inline, stats.filtered_post
+    );
+    assert!(
+        stats.filtered_inline > 0 && stats.filtered_post == 0,
+        "{} fell back to the cartesian product of its components",
+        q5.id
+    );
+
     // Show what OPTIONAL answers look like: offers and (possibly missing)
     // ratings for one product.
     let q7 = &bsbm::queries()[6];
