@@ -204,7 +204,7 @@ mod tests {
             \"explored_vertices\":0,\"signature_pruned\":0,\"isjoinable_probes\":0,\
             \"intersection_ops\":0,\"search_recursions\":0,\"degree_filtered\":0,\"nlf_filtered\":0,\
             \"matching_orders_computed\":0,\"filtered_inline\":0,\"filtered_post\":0,\"solutions\":0,\
-            \"morsels\":0,\"morsels_stolen\":0,\"shards_executed\":0,\"shards_pruned\":0}";
+            \"morsels\":0,\"shards_executed\":0,\"shards_pruned\":0}";
         // Every matcher counter, named as the table names it, in its order.
         let members: Vec<&str> = zero_stats
             .trim_matches(['{', '}'])

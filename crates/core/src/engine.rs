@@ -6,7 +6,7 @@
 use crate::candidate_region::{CandidateRegion, RegionExplorer};
 use crate::config::TurboHomConfig;
 use crate::matching_order::MatchingOrder;
-use crate::morsel::{drive, Morsel, Worker};
+use crate::morsel::{drive, Worker};
 use crate::query_tree::QueryTree;
 use crate::result::{merge_step_counts, MatchResult, RowLayout};
 use crate::start_vertex::{choose_start_vertex, StartSelection};
@@ -124,8 +124,9 @@ struct WorkerShare {
 impl RegionRun<'_> {
     /// Algorithm 1's outer loop, for any thread count. One thread (or one
     /// start vertex) walks `starts` in the given order on the calling
-    /// thread. A pool pulls the start vertices heaviest-first in small
-    /// morsels (see [`drive`]), following the shared order under +REUSE.
+    /// thread. A pool deals the start vertices heaviest-first in small
+    /// chunks from one cursor (see [`drive`]), following the shared order
+    /// under +REUSE.
     /// `stats` carries the counters of the prologue into the result; `clock`
     /// is the run's stopwatch, which the workers take over and hand back.
     /// Also returns the order the first worker determined, and the shares of
@@ -289,9 +290,8 @@ impl Worker for RegionWorker<'_> {
         true
     }
 
-    fn claimed(&mut self, morsel: &Morsel) {
+    fn claimed(&mut self) {
         self.searcher.stats.morsels += 1;
-        self.searcher.stats.morsels_stolen += usize::from(morsel.stolen);
     }
 }
 
@@ -366,7 +366,6 @@ fn record_stage_spans(
             &[
                 ("worker", w as u64),
                 ("morsels", worker.stats.morsels as u64),
-                ("morsels_stolen", worker.stats.morsels_stolen as u64),
                 ("regions", worker.stats.candidate_regions as u64),
                 ("solutions", worker.solutions as u64),
             ],
@@ -995,7 +994,6 @@ mod tests {
     fn counters(result: &MatchResult) -> MatchStats {
         MatchStats {
             morsels: 0,
-            morsels_stolen: 0,
             ..result.stats
         }
     }

@@ -34,6 +34,6 @@ pub mod subgraph_search;
 pub use config::{MatchSemantics, OptimizationName, Optimizations, TurboHomConfig};
 pub use engine::{EngineError, Prologue, RunFilters, TurboHomEngine};
 pub use matching_order::MatchingOrder;
-pub use morsel::{drive, Morsel, MorselQueue, Worker};
+pub use morsel::{drive, Worker};
 pub use result::{merge_step_counts, MatchResult, RowLayout};
 pub use stats::MatchStats;

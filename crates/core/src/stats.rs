@@ -72,11 +72,9 @@ match_stats! {
     filtered_post,
     /// Number of solutions reported.
     solutions,
-    /// Morsels (contiguous runs of candidate-region start vertices) executed
-    /// by the work-stealing scheduler.
+    /// Chunks (contiguous runs of candidate-region start vertices) a pool's
+    /// workers claimed from its shared cursor; zero when the run is inline.
     morsels,
-    /// Morsels obtained by stealing from another worker's range.
-    morsels_stolen,
     /// Shards that actually executed the query (stays zero on the
     /// single-store path; the sharded coordinator sets it to the number of
     /// live shards).

@@ -164,10 +164,8 @@ pub struct ActualSummary {
     /// Start vertices and candidates turned down by their predicate
     /// signature (+SUM).
     pub signature_pruned: u64,
-    /// Morsels dispatched across workers.
+    /// Chunks of start vertices the pool's workers claimed.
     pub morsels: u64,
-    /// Morsels obtained by work stealing.
-    pub steals: u64,
     /// The worst per-step q-error, if step telemetry was recorded.
     pub max_qerror: Option<f64>,
 }
@@ -252,7 +250,6 @@ impl ExplainReport {
             recursions: results.stats.search_recursions as u64,
             signature_pruned: results.stats.signature_pruned as u64,
             morsels: results.stats.morsels as u64,
-            steals: results.stats.morsels_stolen as u64,
             max_qerror,
         });
     }
@@ -287,7 +284,6 @@ impl ToJson for ActualSummary {
             .field("recursions", self.recursions)
             .field("signature_pruned", self.signature_pruned)
             .field("morsels", self.morsels)
-            .field("steals", self.steals)
             .field("max_qerror", self.max_qerror)
             .end_object();
     }

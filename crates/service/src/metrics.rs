@@ -634,7 +634,6 @@ mod tests {
             "turbohom_signature_pruned_total",
             "turbohom_degree_filtered_total",
             "turbohom_morsels_total",
-            "turbohom_morsels_stolen_total",
             "turbohom_shards_pruned_total",
             "turbohom_stage_seconds_total",
             "turbohom_query_latency_seconds",
@@ -695,7 +694,6 @@ mod tests {
             intersection_ops: 7,
             signature_pruned: 5,
             morsels: 4,
-            morsels_stolen: 1,
             ..MatchStats::default()
         };
         m.record_success(

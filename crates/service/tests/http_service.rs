@@ -473,115 +473,149 @@ fn profile_mode_returns_stage_timings_that_cover_the_request() {
     handle.shutdown();
 }
 
-/// One `profile=1` request for `q`: the profile block is there, names every
-/// stage from the fingerprint to the socket write, and its stages add up to
-/// the request.
+/// Two `profile=1` requests for `q`, a cold one and a warm one. The profile
+/// block is there and names every stage from the fingerprint to the socket
+/// write (parse and transform only when cold). Its `stages` are the root
+/// spans summed by name; the stages that run inside the process follow one
+/// another, and together they take no longer than the request.
 fn profile_covers_the_request(addr: std::net::SocketAddr, q: &str) {
     let request = format!(
         "GET /query?query={}&profile=1&threads=2 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
         urlencode(q),
     );
-    // The stage-sum invariant below is about the tracer, not the OS
-    // scheduler: when the whole workspace test suite runs in parallel, a
-    // preemption *between* two spans can open a gap the roll-up honestly
-    // doesn't cover. Take the best of a few attempts before judging.
-    let (mut headers, mut body) = (String::new(), String::new());
-    let (mut stage_sum, mut total_us) = (0.0f64, f64::MAX);
-    for attempt in 0..5 {
-        let (status, h, b) = http_request(addr, &request);
-        assert_eq!(status, "HTTP/1.1 200 OK", "{b}");
-        assert!(h.contains("X-Trace-Id: "), "{h}");
+    for cold in [true, false] {
+        let (status, headers, body) = http_request(addr, &request);
+        assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
 
         // The SPARQL-JSON body gained a top-level profile block with the
         // span tree and per-stage timings, before its closing brace.
-        assert!(b.contains("\"head\"") && b.contains("\"results\""));
-        assert!(b.ends_with("}}"), "{b}");
-        let profile_at = b.find(",\"profile\":{").expect("profile block present");
-        let profile = &b[profile_at..];
-        let cold: &[&str] = if attempt == 0 {
-            &["parse", "transform"]
+        assert!(body.contains("\"head\"") && body.contains("\"results\""));
+        assert!(body.ends_with("}}"), "{body}");
+        let profile_at = body.find(",\"profile\":{").expect("profile block present");
+        let profile = &body[profile_at..];
+        let spans = spans(profile);
+        // Detailed spans from the matching core, parented under execute.
+        for detail in ["candidate_regions", "matching_order", "enumeration"] {
+            assert!(spans.iter().any(|s| s.name == detail), "missing {detail}");
+        }
+
+        let stages_start = profile.find("\"stages\":{").unwrap() + "\"stages\":{".len();
+        let stages_end = stages_start + profile[stages_start..].find('}').unwrap();
+        let stages: Vec<(&str, f64)> = profile[stages_start..stages_end]
+            .split(',')
+            .map(|pair| {
+                let (name, us) = pair.split_once(':').unwrap();
+                (name.trim_matches('"'), us.parse().unwrap())
+            })
+            .collect();
+        let in_process: &[&str] = if cold {
+            &[
+                "fingerprint",
+                "cache_lookup",
+                "parse",
+                "transform",
+                "execute",
+                "materialise",
+            ]
         } else {
-            &[]
+            &["fingerprint", "cache_lookup", "execute", "materialise"]
         };
-        for stage in [
-            "fingerprint",
-            "cache_lookup",
-            "execute",
-            "materialise",
-            "serialise",
-            "write",
-        ]
-        .iter()
-        .chain(cold)
-        {
+        for stage in in_process.iter().chain(&["serialise", "write"]) {
             assert!(
-                profile.contains(&format!("\"{stage}\":")),
+                stages.iter().any(|(name, _)| name == stage),
                 "missing {stage}"
             );
         }
-        // Detailed spans from the matching core, parented under execute.
-        assert!(profile.contains("\"candidate_regions\""));
-        assert!(profile.contains("\"matching_order\""));
-        assert!(profile.contains("\"enumeration\""));
+        assert_eq!(
+            stages.iter().any(|(name, _)| *name == "parse"),
+            cold,
+            "a plan-cache hit neither parses nor transforms"
+        );
 
-        total_us = json_number(profile, "total_us");
-        let stages_start = profile.find("\"stages\":{").unwrap() + "\"stages\":{".len();
-        let stages_end = stages_start + profile[stages_start..].find('}').unwrap();
-        stage_sum = profile[stages_start..stages_end]
-            .split(',')
-            .map(|pair| pair.split_once(':').unwrap().1.parse::<f64>().unwrap())
-            .sum();
-        headers = h;
-        body = b;
-        if stage_sum >= 0.9 * total_us {
-            break;
+        // Each stage is the sum of its root spans, up to the rounding of
+        // every number to the nanosecond.
+        let roots: Vec<&Span> = spans.iter().filter(|s| s.parent.is_none()).collect();
+        for &(stage, us) in &stages {
+            let of_stage: Vec<f64> = roots
+                .iter()
+                .filter(|s| s.name == stage)
+                .map(|s| s.dur_us)
+                .collect();
+            let sum: f64 = of_stage.iter().sum();
+            let rounding = 0.001 * (of_stage.len() + 1) as f64;
+            assert!(
+                (us - sum).abs() <= rounding,
+                "{stage}: {us} µs vs its spans' {sum} µs"
+            );
         }
+
+        // The in-process stages start one after another, in pipeline order.
+        let starts: Vec<f64> = in_process
+            .iter()
+            .map(|&stage| roots.iter().find(|s| s.name == stage).unwrap().start_us)
+            .collect();
+        assert!(
+            starts.windows(2).all(|pair| pair[0] <= pair[1]),
+            "{in_process:?} start at {starts:?} µs"
+        );
+
+        // The stages add up to no more than the request.
+        let total_us = json_number(profile, "total_us");
+        let stage_sum: f64 = stages.iter().map(|(_, us)| us).sum();
+        assert!(
+            stage_sum <= 1.01 * total_us,
+            "stage sum {stage_sum}µs vs total {total_us}µs"
+        );
+
+        // The trace id in the header matches the one in the body.
+        let header_id = headers
+            .lines()
+            .find_map(|l| l.strip_prefix("X-Trace-Id: "))
+            .unwrap();
+        assert!(profile.contains(&format!("\"trace_id\":\"{header_id}\"")));
     }
+}
 
-    // Acceptance check: the stage timings sum to (within 10% of) the total
-    // request latency — the stages *are* the request, so the roll-up may
-    // only miss inter-span gaps.
-    assert!(
-        stage_sum >= 0.9 * total_us && stage_sum <= 1.01 * total_us,
-        "stage sum {stage_sum}µs vs total {total_us}µs"
-    );
-    let profile = &body[body.find("\"profile\":{").unwrap()..];
+/// One span of a `profile=1` body.
+struct Span<'a> {
+    id: u64,
+    parent: Option<u64>,
+    name: &'a str,
+    start_us: f64,
+    dur_us: f64,
+}
 
-    // The trace id in the header matches the one in the body.
-    let header_id = headers
-        .lines()
-        .find_map(|l| l.strip_prefix("X-Trace-Id: "))
-        .unwrap();
-    assert!(profile.contains(&format!("\"trace_id\":\"{header_id}\"")));
+/// The span list of a `profile=1` body, in id order.
+fn spans(body: &str) -> Vec<Span<'_>> {
+    let spans_at = body.find("\"spans\":[").expect("span list present");
+    // One piece per span: `{"id":N,"parent":P,"name":"…","start_us":S,"dur_us":D,…}`.
+    body[spans_at..]
+        .split("{\"id\":")
+        .skip(1)
+        .map(|span| {
+            let parent = span.split_once("\"parent\":").unwrap().1;
+            let name = span.split_once("\"name\":\"").unwrap().1;
+            Span {
+                id: span[..span.find(',').unwrap()].parse().unwrap(),
+                parent: parent[..parent.find(',').unwrap()].parse().ok(),
+                name: &name[..name.find('"').unwrap()],
+                start_us: json_number(span, "start_us"),
+                dur_us: json_number(span, "dur_us"),
+            }
+        })
+        .collect()
 }
 
 /// The share of the `execute` spans of a `profile=1` body that their child
 /// spans account for, and the names of those children.
 fn execute_coverage(body: &str) -> (f64, Vec<String>) {
-    let spans_at = body.find("\"spans\":[").expect("span list present");
-    // One piece per span: `{"id":N,"parent":P,"name":"…",…,"dur_us":D,…}`.
-    let spans: Vec<(u64, Option<u64>, &str, f64)> = body[spans_at..]
-        .split("{\"id\":")
-        .skip(1)
-        .map(|span| {
-            let id = span[..span.find(',').unwrap()].parse().unwrap();
-            let parent = span.split_once("\"parent\":").unwrap().1;
-            let parent = parent[..parent.find(',').unwrap()].parse().ok();
-            let name = span.split_once("\"name\":\"").unwrap().1;
-            let name = &name[..name.find('"').unwrap()];
-            (id, parent, name, json_number(span, "dur_us"))
-        })
-        .collect();
+    let spans = spans(body);
     let (mut execute, mut children, mut names) = (0.0, 0.0, Vec::new());
-    for &(id, _, name, dur) in &spans {
-        if name == "execute" {
-            execute += dur;
-            for &(_, parent, child, dur) in &spans {
-                if parent == Some(id) {
-                    children += dur;
-                    names.push(child.to_string());
-                }
-            }
+    for span in spans.iter().filter(|s| s.name == "execute") {
+        execute += span.dur_us;
+        for child in spans.iter().filter(|s| s.parent == Some(span.id)) {
+            children += child.dur_us;
+            names.push(child.name.to_string());
         }
     }
     (children / execute, names)

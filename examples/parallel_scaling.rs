@@ -2,10 +2,10 @@
 //!
 //! The two most expensive LUBM queries (Q2 and Q9) are executed with an
 //! increasing number of threads. One thread runs the candidate regions on
-//! the calling thread; more threads pull them in small morsels and steal
-//! from each other (Section 5.2). Each line also reports how many morsels
-//! ran and how many were obtained by stealing — the observable evidence of
-//! rebalancing even on hosts with few cores.
+//! the calling thread; more threads claim them in small chunks from one
+//! shared cursor (Section 5.2). Each line also reports how many chunks
+//! (morsels) the pool claimed. It panics unless every thread count finds
+//! the same number of solutions and every pool claimed at least one chunk.
 //!
 //! ```bash
 //! cargo run --release --example parallel_scaling [scale]
@@ -33,6 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for query in &queries {
         println!("\n{} — {}", query.id, query.description);
         let mut baseline = None;
+        let mut solutions = None;
         for &threads in &thread_counts {
             let config = TurboHomConfig::turbohom_plus_plus().with_threads(threads);
             let result = store.execute_turbohom(&query.sparql, config, false)?;
@@ -44,13 +45,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 Some(base) => base.as_secs_f64() / elapsed.as_secs_f64().max(1e-9),
             };
-            let stats = &result.stats;
+            let morsels = result.stats.morsels;
             println!(
-                "  {threads:>2} thread(s): {:>12.3?}  ({} solutions, speed-up ×{speedup:.2}, {} morsels, {} stolen)",
+                "  {threads:>2} thread(s): {:>12.3?}  ({} solutions, speed-up ×{speedup:.2}, {morsels} morsels)",
                 elapsed,
                 result.len(),
-                stats.morsels,
-                stats.morsels_stolen
+            );
+            let expected = *solutions.get_or_insert(result.len());
+            assert_eq!(
+                result.len(),
+                expected,
+                "{} at {threads} threads finds another number of solutions",
+                query.id
+            );
+            assert!(
+                threads == 1 || morsels > 0,
+                "{} at {threads} threads claimed no morsels",
+                query.id
             );
         }
     }
