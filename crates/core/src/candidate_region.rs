@@ -21,12 +21,18 @@
 //! the untyped list is the typed one, three dependent loads sooner), and a
 //! candidate is asked for the predicates the query needs of it — one AND
 //! against its 64-bit signature — before the region descends into it.
+//!
+//! A candidate, the start vertex included, must also pass the inline FILTERs
+//! of its query vertex ([`FilterSplit`]) to be let in, so a region holds
+//! only what the search can bind, and a region a FILTER empties is dead.
 
 use crate::config::{MatchSemantics, TurboHomConfig};
+use crate::engine::{FilterSplit, RunFilters};
 use crate::filters::{self, VertexFilter};
 use crate::query_tree::QueryTree;
 use crate::stats::MatchStats;
 use turbohom_graph::{signature_bit, VLabel, VertexId};
+use turbohom_rdf::Dictionary;
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
 /// Where one candidate list `CR(u, v)` lies in the pool.
@@ -204,14 +210,18 @@ impl CandidateRegion {
 }
 
 /// What every candidate region of one run is grown from: the data, the
-/// query with its tree, and the filter of each query vertex, derived here
-/// once.
+/// query with its tree, the run's FILTERs, and the filter of each query
+/// vertex, derived here once.
 pub struct RegionExplorer<'a> {
     data: &'a TransformedGraph,
+    dictionary: &'a Dictionary,
     config: &'a TurboHomConfig,
     query: &'a TransformedQuery,
     /// The query tree the regions are grown along.
     pub(crate) tree: QueryTree,
+    /// The run's FILTERs: the inline ones are tested here, the post-hoc
+    /// ones wait for complete solutions.
+    pub(crate) split: FilterSplit<'a>,
     filters: Vec<VertexFilter<'a>>,
     /// Per query vertex: the labels its adjacency list is selected by. `L(u)`
     /// itself, or under `+SUM` what of it the tree edge's predicate does not
@@ -223,12 +233,15 @@ pub struct RegionExplorer<'a> {
 }
 
 impl<'a> RegionExplorer<'a> {
-    /// Prepares the exploration of `query`'s regions along `tree`.
+    /// Prepares the exploration of `query`'s regions along `tree` under
+    /// `run_filters`, whose terms the `dictionary` gives.
     pub fn new(
         data: &'a TransformedGraph,
+        dictionary: &'a Dictionary,
         config: &'a TurboHomConfig,
         query: &'a TransformedQuery,
         tree: QueryTree,
+        run_filters: RunFilters<'a>,
     ) -> Self {
         let vertices = 0..query.graph.vertex_count();
         let filters = vertices
@@ -283,9 +296,11 @@ impl<'a> RegionExplorer<'a> {
             .collect();
         RegionExplorer {
             data,
+            dictionary,
             config,
             query,
             tree,
+            split: FilterSplit::new(query, run_filters),
             filters,
             lookup_labels,
             need,
@@ -312,6 +327,14 @@ impl<'a> RegionExplorer<'a> {
         lacks
     }
 
+    /// Whether `v` passes the inline FILTERs of query vertex `u`; one that
+    /// fails is counted.
+    fn passes_filters(&self, u: usize, v: VertexId, stats: &mut MatchStats) -> bool {
+        let pass = (self.split).inline_pass(self.data, self.dictionary, self.query, u, v);
+        stats.filtered_inline += usize::from(!pass);
+        pass
+    }
+
     /// Grows in `region` the candidate region rooted at `start`. Returns
     /// `false` if some *required* query vertex has no candidates anywhere in
     /// the region, which means the region cannot contribute any solution and
@@ -324,7 +347,10 @@ impl<'a> RegionExplorer<'a> {
         stats: &mut MatchStats,
     ) -> bool {
         region.reset(self.query.graph.vertex_count(), start);
-        if self.lacks_needed_edge(self.need[self.tree.root], start, stats) {
+        let root = self.tree.root;
+        if self.lacks_needed_edge(self.need[root], start, stats)
+            || !self.passes_filters(root, start, stats)
+        {
             return false;
         }
         region.counts[self.tree.root] = 1;
@@ -362,13 +388,16 @@ impl<'a> RegionExplorer<'a> {
             // The adjacency list is selected by the child's labels (those
             // the predicate implies included), so a neighbor is checked one
             // by one only if the ID attribute, a filter, the simple
-            // entailment regime or its signature can still turn it down.
+            // entailment regime, its signature or an inline FILTER can still
+            // turn it down.
             let filter = &self.filters[child];
             let checked = filter.can_reject();
             let need = self.need[child];
             let asked = need != 0;
+            let filtered = !self.split.inline[child].is_empty();
             let from;
-            if !checked && !asked && !injective && self.tree.children[child].is_empty() {
+            if !checked && !asked && !filtered && !injective && self.tree.children[child].is_empty()
+            {
                 from = region.pool.len();
                 region.pool.extend_from_slice(&raw);
             } else {
@@ -378,6 +407,9 @@ impl<'a> RegionExplorer<'a> {
                         continue;
                     }
                     if checked && !filter.qualifies(self.data, c, stats) {
+                        continue;
+                    }
+                    if filtered && !self.passes_filters(child, c, stats) {
                         continue;
                     }
                     if injective {
@@ -416,6 +448,7 @@ impl<'a> RegionExplorer<'a> {
 #[cfg(test)]
 pub(crate) fn explore_candidate_region(
     data: &TransformedGraph,
+    dictionary: &Dictionary,
     config: &TurboHomConfig,
     query: &TransformedQuery,
     tree: &QueryTree,
@@ -423,7 +456,8 @@ pub(crate) fn explore_candidate_region(
     stats: &mut MatchStats,
 ) -> Option<CandidateRegion> {
     let mut region = CandidateRegion::default();
-    RegionExplorer::new(data, config, query, tree.clone())
+    let filters = RunFilters::of(query);
+    RegionExplorer::new(data, dictionary, config, query, tree.clone(), filters)
         .explore(&mut region, start, stats)
         .then_some(region)
 }
@@ -484,7 +518,7 @@ mod tests {
 
     #[test]
     fn region_counts_match_figure2_structure() {
-        let (_, t, tq) = setup(100);
+        let (ds, t, tq) = setup(100);
         let config = TurboHomConfig::default();
         let mut stats = MatchStats::default();
         let sel = start_vertex::choose_start_vertex(&t, &config, &tq, &mut stats);
@@ -493,8 +527,9 @@ mod tests {
         let a = tq.graph.vertex_of_variable("a").unwrap();
         assert_eq!(sel.query_vertex, a);
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
+        let start = sel.start_vertices[0];
         let region =
-            explore_candidate_region(&t, &config, &tq, &tree, sel.start_vertices[0], &mut stats)
+            explore_candidate_region(&t, &ds.dictionary, &config, &tq, &tree, start, &mut stats)
                 .expect("region exists");
         let x = tq.graph.vertex_of_variable("x").unwrap();
         let y = tq.graph.vertex_of_variable("y").unwrap();
@@ -552,7 +587,10 @@ mod tests {
         let sel = start_vertex::choose_start_vertex(&t2, &config, &tq2, &mut stats);
         let tree = QueryTree::build(&tq2.graph, sel.query_vertex);
         for &vs in sel.start_vertices.iter() {
-            assert!(explore_candidate_region(&t2, &config, &tq2, &tree, vs, &mut stats).is_none());
+            let dictionary = &ds2.dictionary;
+            let region =
+                explore_candidate_region(&t2, dictionary, &config, &tq2, &tree, vs, &mut stats);
+            assert!(region.is_none());
         }
     }
 
@@ -584,7 +622,8 @@ mod tests {
             .mappings
             .vertex_of(ds.dictionary.id_of_iri(&ub("p1")).unwrap())
             .unwrap();
-        let region = explore_candidate_region(&t, &config, &tq, &tree, start, &mut stats);
+        let region =
+            explore_candidate_region(&t, &ds.dictionary, &config, &tq, &tree, start, &mut stats);
         assert!(region.is_some());
         let region = region.unwrap();
         let r = tq.graph.vertex_of_variable("r").unwrap();
@@ -613,24 +652,18 @@ mod tests {
             .vertex_of(ds.dictionary.id_of_iri(&ub("a")).unwrap())
             .unwrap();
         let mut stats = MatchStats::default();
+        let mut explore = |config: &TurboHomConfig| {
+            explore_candidate_region(&t, &ds.dictionary, config, &tq, &tree, a, &mut stats)
+        };
 
         // Homomorphism: z may map back onto a (the path a→b→a is allowed).
-        let hom =
-            explore_candidate_region(&t, &TurboHomConfig::default(), &tq, &tree, a, &mut stats)
-                .unwrap();
+        let hom = explore(&TurboHomConfig::default()).unwrap();
         assert_eq!(hom.count(z), 1);
 
         // Isomorphism: revisiting a on the exploration path is pruned, so the
         // region dies (z has no candidate distinct from a and b... b is the
         // y-mapping, a is on the path).
-        let iso = explore_candidate_region(
-            &t,
-            &TurboHomConfig::isomorphism(),
-            &tq,
-            &tree,
-            a,
-            &mut stats,
-        );
+        let iso = explore(&TurboHomConfig::isomorphism());
         assert!(iso.is_none());
     }
 
@@ -667,7 +700,8 @@ mod tests {
                 .unwrap()
         };
         let config = TurboHomConfig::default();
-        let explorer = RegionExplorer::new(&t, &config, &tq, tree);
+        let filters = RunFilters::of(&tq);
+        let explorer = RegionExplorer::new(&t, &ds.dictionary, &config, &tq, tree, filters);
         let mut stats = MatchStats::default();
         let mut region = CandidateRegion::default();
 

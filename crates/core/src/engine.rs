@@ -97,13 +97,11 @@ impl StageClock {
 /// solution counter that makes LIMIT stop all workers.
 struct RegionRun<'r> {
     data: &'r TransformedGraph,
-    dictionary: &'r Dictionary,
     config: &'r TurboHomConfig,
     query: &'r TransformedQuery,
-    /// Grows the regions, along the query tree.
+    /// Grows the regions, along the query tree, under the inline FILTERs.
     explorer: &'r RegionExplorer<'r>,
     layout: &'r RowLayout,
-    filters: &'r FilterSplit<'r>,
     starts: &'r [VertexId],
     /// The +REUSE order when it is known before the first region runs: the
     /// plan cache's preset, or the one the prologue probed for a pool.
@@ -207,14 +205,7 @@ struct RegionWorker<'r> {
 
 impl<'r> RegionWorker<'r> {
     fn new(run: &'r RegionRun<'r>) -> Self {
-        let mut searcher = SubgraphSearcher::new(
-            run.data,
-            run.config,
-            run.query,
-            run.layout,
-            run.dictionary,
-            run.filters,
-        );
+        let mut searcher = SubgraphSearcher::new(run.data, run.config, run.query, run.layout);
         if let Some(shared) = run.shared_order {
             searcher.set_order(&run.explorer.tree, shared);
         }
@@ -230,10 +221,9 @@ impl<'r> RegionWorker<'r> {
 }
 
 impl Worker for RegionWorker<'_> {
-    /// One iteration of Algorithm 1 for the start vertex at `index`: test
-    /// its inline FILTERs, explore its candidate region, fix or reuse the
-    /// matching order, search. Stops (without exploring) once the run has
-    /// found `max_solutions`.
+    /// One iteration of Algorithm 1 for the start vertex at `index`: explore
+    /// its candidate region, fix or reuse the matching order, search. Stops
+    /// (without exploring) once the run has found `max_solutions`.
     fn run(&mut self, index: usize) -> bool {
         let run = self.shared;
         let limit = run.config.max_solutions;
@@ -242,13 +232,6 @@ impl Worker for RegionWorker<'_> {
         }
         let vs = run.starts[index];
         self.searcher.stats.candidate_regions += 1;
-        // A start vertex its own FILTERs turn down grows no region.
-        let root = run.explorer.tree.root;
-        if !self.searcher.inline_filters_pass(root, vs) {
-            self.searcher.stats.filtered_inline += 1;
-            self.clock.lap(|c| &mut c.explore);
-            return true;
-        }
         let alive = run
             .explorer
             .explore(&mut self.region, vs, &mut self.searcher.stats);
@@ -419,15 +402,17 @@ fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
 
 /// Whether the engine answers `query` from its start list (see
 /// [`TurboHomEngine::answer_from_starts`]): one vertex, no edge, no FILTER.
-fn answered_from_starts(query: &TransformedQuery, filters: &FilterSplit<'_>) -> bool {
-    query.graph.vertex_count() == 1 && query.graph.edge_count() == 0 && filters.is_empty()
+fn answered_from_starts(query: &TransformedQuery, filters: &RunFilters<'_>) -> bool {
+    let unfiltered = filters.own.is_empty() && filters.branch.is_empty();
+    query.graph.vertex_count() == 1 && query.graph.edge_count() == 0 && unfiltered
 }
 
-/// The required query vertex a cheap FILTER is evaluated at while matching:
-/// that of its one variable `outer` does not bind (a variable bound outside
-/// the query graph counts as a constant), when no regular expression is in
-/// it; `None` for a FILTER applied to complete solutions afterwards
-/// (Section 5.1).
+/// The required query vertex a FILTER is evaluated at while its regions
+/// grow: that of its one variable `outer` does not bind (a variable bound
+/// outside the query graph counts as a constant); `None` for a FILTER
+/// applied to complete solutions afterwards (Section 5.1). Unlike the
+/// paper's split, a regular expression is not held back: compiled once, it
+/// costs about what a comparison does.
 fn inline_vertex(
     query: &TransformedQuery,
     filter: &Expression,
@@ -437,15 +422,15 @@ fn inline_vertex(
     vars.retain(|v| outer.iter().all(|(bound, _)| bound != v));
     vars.sort();
     vars.dedup();
-    if vars.len() != 1 || filter.contains_regex() {
+    if vars.len() != 1 {
         return None;
     }
     (query.graph.vertex_of_variable(&vars[0])).filter(|&u| query.vertex_clause[u].is_none())
 }
 
 /// Whether a FILTER of `query` waits for complete solutions (a join
-/// condition, a regular expression, a filter over an OPTIONAL variable): a
-/// run of it then enumerates every solution and cuts its LIMIT afterwards.
+/// condition, a filter over an OPTIONAL variable): a run of it then
+/// enumerates every solution and cuts its LIMIT afterwards.
 pub fn has_post_hoc_filters(query: &TransformedQuery) -> bool {
     (query.filters.iter()).any(|filter| inline_vertex(query, filter, &[]).is_none())
 }
@@ -476,11 +461,12 @@ impl<'f> RunFilters<'f> {
     }
 }
 
-/// One run's FILTERs split by where they are evaluated (Section 5.1):
-/// cheap ones inline, by the query vertex whose binding decides them, the
-/// rest on complete solutions. Both read the outer bindings.
+/// One run's FILTERs split by where they are evaluated (Section 5.1): those
+/// of one required query vertex inline, where the regions admit its
+/// candidates, the rest on complete solutions. Both read the outer bindings.
 pub struct FilterSplit<'f> {
-    /// Per query vertex, the FILTERs evaluated when it is bound.
+    /// Per query vertex, the FILTERs a candidate of it must pass to enter a
+    /// region.
     pub(crate) inline: Vec<Vec<&'f Expression>>,
     /// The FILTERs applied to complete solutions.
     pub(crate) post: Vec<&'f Expression>,
@@ -503,11 +489,6 @@ impl<'f> FilterSplit<'f> {
             }
         }
         split
-    }
-
-    /// Whether no FILTER is split at all.
-    fn is_empty(&self) -> bool {
-        self.post.is_empty() && self.inline.iter().all(Vec::is_empty)
     }
 
     /// The term an outer binding gives `name`.
@@ -552,8 +533,9 @@ pub struct Prologue<'a> {
     /// region each.
     pub selection: StartSelection<'a>,
     /// What grows the regions, along the query tree rooted at the start
-    /// vertex; `None` when no region is grown (no start vertex, or a query
-    /// answered from its start list with nothing to probe).
+    /// vertex, with the run's FILTERs split for it; `None` when no region is
+    /// grown (no start vertex, or a query answered from its start list with
+    /// nothing to probe).
     pub explorer: Option<RegionExplorer<'a>>,
     /// The first non-empty candidate region in start order and the matching
     /// order determined on it, where they were asked for and one exists.
@@ -598,10 +580,9 @@ impl<'a> TurboHomEngine<'a> {
         query: &'s TransformedQuery,
     ) -> Result<Option<Prologue<'s>>, EngineError> {
         let mut clock = StageClock::start(false);
-        let filters = FilterSplit::new(query, RunFilters::of(query));
         self.prologue(
             query,
-            &filters,
+            RunFilters::of(query),
             &mut MatchStats::default(),
             &mut clock,
             |_| true,
@@ -610,16 +591,16 @@ impl<'a> TurboHomEngine<'a> {
 
     /// Algorithm 1 before its first enumeration, written once for the runs
     /// and for EXPLAIN: the guards, the start query vertex with its data
-    /// vertices, the explorer over the query tree rooted there (unless no
-    /// region is going to be grown) and, when `probe` asks for it once the
-    /// start vertices are known, the first non-empty region in start order
-    /// whose start vertex passes its inline FILTERs, with the matching order
-    /// determined on it (+REUSE, Section 4.3). That exploration is not
-    /// counted: whoever runs the region explores, and counts, it again.
+    /// vertices, the explorer over the query tree rooted there under
+    /// `filters` (unless no region is going to be grown) and, when `probe`
+    /// asks for it once the start vertices are known, the first non-empty
+    /// region in start order, with the matching order determined on it
+    /// (+REUSE, Section 4.3). That exploration is not counted: whoever runs
+    /// the region explores, and counts, it again.
     fn prologue<'s>(
         &'s self,
         query: &'s TransformedQuery,
-        filters: &FilterSplit<'_>,
+        filters: RunFilters<'s>,
         stats: &mut MatchStats,
         clock: &mut StageClock,
         probe: impl FnOnce(&StartSelection<'_>) -> bool,
@@ -630,21 +611,27 @@ impl<'a> TurboHomEngine<'a> {
         let selection = choose_start_vertex(self.data, &self.config, query, stats);
         let starts = &selection.start_vertices;
         let probing = !starts.is_empty() && probe(&selection);
-        let grows = !starts.is_empty() && !answered_from_starts(query, filters);
+        let grows = !starts.is_empty() && !answered_from_starts(query, &filters);
         let explorer = (probing || grows).then(|| {
             let tree = QueryTree::build(&query.graph, selection.query_vertex);
             debug_assert!(tree.spans(&query.graph));
-            RegionExplorer::new(self.data, &self.config, query, tree)
+            RegionExplorer::new(
+                self.data,
+                self.dictionary,
+                &self.config,
+                query,
+                tree,
+                filters,
+            )
         });
         clock.lap(|c| &mut c.select);
         let mut first = None;
         if let Some(explorer) = explorer.as_ref().filter(|_| probing) {
             let (mut region, mut uncounted) = (CandidateRegion::default(), MatchStats::default());
-            let root = selection.query_vertex;
-            if starts.iter().any(|&vs| {
-                filters.inline_pass(self.data, self.dictionary, query, root, vs)
-                    && explorer.explore(&mut region, vs, &mut uncounted)
-            }) {
+            if starts
+                .iter()
+                .any(|&vs| explorer.explore(&mut region, vs, &mut uncounted))
+            {
                 let order = MatchingOrder::determine(query, &explorer.tree, &region);
                 first = Some((region, order));
             }
@@ -689,12 +676,6 @@ impl<'a> TurboHomEngine<'a> {
         let mut stats = MatchStats::default();
         let reuse = self.config.optimizations.reuse_matching_order;
         let preset_order = preset_order.filter(|_| reuse);
-        // Split the FILTER expressions: cheap single-variable filters on
-        // required vertices are evaluated inline while matching; the rest
-        // (join conditions, regular expressions, filters over OPTIONAL
-        // variables) are applied to complete solutions afterwards
-        // (Section 5.1).
-        let filters = FilterSplit::new(query, filters);
         let from_starts = answered_from_starts(query, &filters);
         // +REUSE takes the order of the first non-empty region in start
         // order. A worker walking the starts in that order meets the region
@@ -704,7 +685,7 @@ impl<'a> TurboHomEngine<'a> {
             let pool = self.config.threads.min(selection.start_vertices.len()) > 1;
             reuse && preset_order.is_none() && (pool || from_starts)
         };
-        let Some(mut prologue) = self.prologue(query, &filters, &mut stats, &mut clock, probe)?
+        let Some(mut prologue) = self.prologue(query, filters, &mut stats, &mut clock, probe)?
         else {
             return Ok((MatchResult::default(), None));
         };
@@ -721,11 +702,11 @@ impl<'a> TurboHomEngine<'a> {
             (self.answer_from_starts(starts, stats), None, Vec::new())
         } else {
             let shared_order = preset_order.or(probed.as_ref());
-            self.run_regions(query, &filters, &prologue, shared_order, stats, &mut clock)
+            self.run_regions(query, &prologue, shared_order, stats, &mut clock)
         };
         // Freed before `enumeration` is written, which takes it in.
-        let post_filters = !filters.post.is_empty();
-        drop(filters);
+        let explorer = prologue.explorer.take();
+        let post_filters = explorer.is_some_and(|explorer| !explorer.split.post.is_empty());
         if trace.is_detailed() {
             let selection = &prologue.selection;
             record_stage_spans(
@@ -746,7 +727,6 @@ impl<'a> TurboHomEngine<'a> {
     fn run_regions(
         &self,
         query: &TransformedQuery,
-        filters: &FilterSplit<'_>,
         prologue: &Prologue<'_>,
         shared_order: Option<&MatchingOrder>,
         stats: MatchStats,
@@ -754,6 +734,7 @@ impl<'a> TurboHomEngine<'a> {
     ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
         let explorer = (prologue.explorer.as_ref())
             .expect("the prologue explores a query with an edge or a FILTER");
+        let filters = &explorer.split;
         let layout = RowLayout::of(&query.graph);
         // With expensive filters pending, the search must materialize
         // solutions and must not cut off at the limit prematurely.
@@ -766,12 +747,10 @@ impl<'a> TurboHomEngine<'a> {
         clock.lap(|c| &mut c.select);
         let run = RegionRun {
             data: self.data,
-            dictionary: self.dictionary,
             config: &search_config,
             query,
             explorer,
             layout: &layout,
-            filters,
             starts: &prologue.selection.start_vertices,
             shared_order,
             handoff: StageClock::resume(clock.last),

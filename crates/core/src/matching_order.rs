@@ -294,6 +294,7 @@ mod tests {
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let region = crate::candidate_region::explore_candidate_region(
             t,
+            &ds.dictionary,
             &config,
             &tq,
             &tree,

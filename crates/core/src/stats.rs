@@ -66,7 +66,8 @@ match_stats! {
     nlf_filtered,
     /// Matching orders computed (`+REUSE` keeps this at 1).
     matching_orders_computed,
-    /// Solutions rejected by cheap (inline) FILTERs.
+    /// Start vertices and candidates rejected by inline FILTERs (those of
+    /// one required query vertex) while the regions grew.
     filtered_inline,
     /// Solutions rejected by expensive (post-hoc) FILTERs.
     filtered_post,

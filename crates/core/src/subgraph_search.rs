@@ -22,14 +22,13 @@
 
 use crate::candidate_region::CandidateRegion;
 use crate::config::{MatchSemantics, TurboHomConfig};
-use crate::engine::FilterSplit;
 use crate::matching_order::MatchingOrder;
 use crate::query_tree::QueryTree;
 use crate::result::RowLayout;
 use crate::stats::MatchStats;
 use std::collections::HashSet;
 use turbohom_graph::{ops, Direction, ELabel, VLabel, VertexId};
-use turbohom_rdf::{Dictionary, IdRows};
+use turbohom_rdf::IdRows;
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
 /// A non-tree edge between the query vertex of a step and a query vertex
@@ -85,10 +84,6 @@ pub struct SubgraphSearcher<'a> {
     config: &'a TurboHomConfig,
     query: &'a TransformedQuery,
     layout: &'a RowLayout,
-    dictionary: &'a Dictionary,
-    /// The run's FILTERs: the cheap ones are applied when their query
-    /// vertex gets bound.
-    filters: &'a FilterSplit<'a>,
     plan: SearchPlan,
     /// All `None` between regions: every binding is undone on the way back.
     mapping: Vec<Option<VertexId>>,
@@ -116,28 +111,21 @@ pub struct SubgraphSearcher<'a> {
 }
 
 impl<'a> SubgraphSearcher<'a> {
-    /// Creates a searcher. `filters` holds, for every query vertex, the
-    /// cheap FILTER expressions to evaluate as soon as that vertex is bound
-    /// (the engine computes this split). Solutions are
-    /// appended to [`rows`](Self::rows) in `layout`. A matching order has to
-    /// be [set](Self::set_order) before the first region is searched.
+    /// Creates a searcher. Solutions are appended to [`rows`](Self::rows) in
+    /// `layout`. A matching order has to be [set](Self::set_order) before
+    /// the first region is searched.
     pub fn new(
         data: &'a TransformedGraph,
         config: &'a TurboHomConfig,
         query: &'a TransformedQuery,
         layout: &'a RowLayout,
-        dictionary: &'a Dictionary,
-        filters: &'a FilterSplit<'a>,
     ) -> Self {
         let n = query.graph.vertex_count();
-        debug_assert_eq!(filters.inline.len(), n);
         SubgraphSearcher {
             data,
             config,
             query,
             layout,
-            dictionary,
-            filters,
             plan: SearchPlan::default(),
             mapping: vec![None; n],
             used: HashSet::new(),
@@ -207,9 +195,8 @@ impl<'a> SubgraphSearcher<'a> {
 
     /// Runs the search over one candidate region whose starting data vertex
     /// is `start`. The matching-order root is bound to `start` and the
-    /// remaining vertices are enumerated. The caller has tested the root's
-    /// inline FILTERs on `start` ([`inline_filters_pass`](Self::inline_filters_pass))
-    /// before it grew the region.
+    /// remaining vertices are enumerated. Every candidate, `start` included,
+    /// has passed its inline FILTERs while the region grew.
     pub fn search_region(&mut self, region: &CandidateRegion, start: VertexId) {
         if self.limit_reached {
             return;
@@ -319,11 +306,6 @@ impl<'a> SubgraphSearcher<'a> {
             if !self.self_loops_hold(step, v) {
                 continue;
             }
-            // Cheap inline filters.
-            if !self.inline_filters_pass(u, v) {
-                self.stats.filtered_inline += 1;
-                continue;
-            }
 
             self.mapping[u] = Some(v);
             self.step_rows[depth] += 1;
@@ -428,13 +410,6 @@ impl<'a> SubgraphSearcher<'a> {
                 !self.data.graph.edge_labels_between(s, o).is_empty()
             }
         }
-    }
-
-    /// Evaluates the cheap filters registered for query vertex `u` against
-    /// the candidate data vertex `v`, over the dictionary's view of its term
-    /// and the outer bindings.
-    pub(crate) fn inline_filters_pass(&self, u: usize, v: VertexId) -> bool {
-        (self.filters).inline_pass(self.data, self.dictionary, self.query, u, v)
     }
 
     /// Reports the current complete mapping as one or more solutions
@@ -620,12 +595,12 @@ mod tests {
             sel.start_vertices = data.inverse_labels.vertices_with_label(label).into();
         }
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
-        let filters = FilterSplit::new(&tq, RunFilters::of(&tq));
         let layout = RowLayout::of(&tq.graph);
-        let explorer = RegionExplorer::new(data, config, &tq, tree.clone());
+        let filters = RunFilters::of(&tq);
+        let explorer =
+            RegionExplorer::new(data, &ds.dictionary, config, &tq, tree.clone(), filters);
         let mut region = CandidateRegion::default();
-        let mut searcher =
-            SubgraphSearcher::new(data, config, &tq, &layout, &ds.dictionary, &filters);
+        let mut searcher = SubgraphSearcher::new(data, config, &tq, &layout);
         let mut order: Option<MatchingOrder> = None;
         for &start in sel.start_vertices.iter() {
             stats.candidate_regions += 1;
@@ -706,7 +681,6 @@ mod tests {
         )
         .unwrap();
         let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
-        let filters = FilterSplit::new(&tq, RunFilters::of(&tq));
         let layout = RowLayout::of(&tq.graph);
         for config in [
             TurboHomConfig::default(),
@@ -716,9 +690,11 @@ mod tests {
             let sel = choose_start_vertex(&data, &config, &tq, &mut MatchStats::default());
             assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("y").unwrap());
             let tree = QueryTree::build(&tq.graph, sel.query_vertex);
-            let explorer = RegionExplorer::new(&data, &config, &tq, tree.clone());
-            let new_searcher =
-                || SubgraphSearcher::new(&data, &config, &tq, &layout, &ds.dictionary, &filters);
+            let dictionary = &ds.dictionary;
+            let filters = RunFilters::of(&tq);
+            let explorer =
+                RegionExplorer::new(&data, dictionary, &config, &tq, tree.clone(), filters);
+            let new_searcher = || SubgraphSearcher::new(&data, &config, &tq, &layout);
 
             let mut region = CandidateRegion::default();
             let mut reused = new_searcher();
@@ -729,8 +705,15 @@ mod tests {
             let mut solutions_per_region = Vec::new();
             for &start in sel.start_vertices.iter() {
                 let mut fresh = new_searcher();
-                let fresh_region =
-                    explore_candidate_region(&data, &config, &tq, &tree, start, &mut fresh.stats);
+                let fresh_region = explore_candidate_region(
+                    &data,
+                    dictionary,
+                    &config,
+                    &tq,
+                    &tree,
+                    start,
+                    &mut fresh.stats,
+                );
                 let alive = explorer.explore(&mut region, start, &mut reused.stats);
                 assert_eq!(alive, fresh_region.is_some(), "{config:?} {start}");
                 if let Some(fresh_region) = &fresh_region {

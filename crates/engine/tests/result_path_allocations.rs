@@ -227,15 +227,19 @@ fn filters_allocate_nothing_per_row() {
     let _alone = alone();
     let prologue = "PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x a ex:Student . ";
     let shapes = [
-        // Cheap: evaluated at ?s while matching.
+        // Cheap: evaluated at ?s, ?l while the regions grow.
         (
             "an inline numeric FILTER",
             "?x ex:score ?s . FILTER (?s >= 800) }",
         ),
+        (
+            "an inline regex FILTER",
+            "?x ex:label ?l . FILTER regex(?l, \"number 1.*7\") }",
+        ),
         // Expensive: evaluated over the complete solutions.
         (
-            "a post-hoc regex FILTER",
-            "?x ex:label ?l . FILTER regex(?l, \"number 1.*7\") }",
+            "a post-hoc FILTER over two variables",
+            "?x ex:score ?s . ?x ex:label ?l . FILTER (?s >= 800 || regex(?l, \"7$\")) }",
         ),
         // BSBM Q5's shape: the product of two components, filtered after.
         (

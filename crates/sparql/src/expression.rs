@@ -4,8 +4,8 @@
 //! applied while matching) from *expensive* ones (join conditions over two
 //! variables, regular expressions) that are applied after the basic pattern
 //! matching produces solutions (Section 5.1, BSBM Q5/Q6). The engine makes
-//! that split by inspecting [`Expression::is_expensive`]; the evaluation
-//! itself is shared and lives here.
+//! that split by the variables a filter reads; the evaluation itself is
+//! shared and lives here.
 //!
 //! An expression is evaluated over borrowed terms: the caller hands
 //! [`Expression::evaluate`] a lookup from a variable name to the
@@ -197,36 +197,6 @@ impl Expression {
             | Expression::Lang(e)
             | Expression::Datatype(e)
             | Expression::Regex(e, _) => e.collect_variables(out),
-        }
-    }
-
-    /// Returns `true` if the filter is "expensive" in the paper's sense:
-    /// it references more than one variable (a join condition) or uses a
-    /// regular expression. Expensive filters are applied after pattern
-    /// matching; cheap ones during matching (Section 5.1).
-    pub fn is_expensive(&self) -> bool {
-        if matches!(self, Expression::Regex(..)) {
-            return true;
-        }
-        let mut vars = self.variables();
-        vars.sort();
-        vars.dedup();
-        vars.len() > 1 || self.contains_regex()
-    }
-
-    /// Whether a `REGEX` occurs anywhere in the expression: what keeps a
-    /// FILTER expensive whatever its variables are bound to.
-    pub fn contains_regex(&self) -> bool {
-        match self {
-            Expression::Regex(..) => true,
-            Expression::Compare(a, _, b)
-            | Expression::And(a, b)
-            | Expression::Or(a, b)
-            | Expression::Arithmetic(a, _, b) => a.contains_regex() || b.contains_regex(),
-            Expression::Not(e) | Expression::Lang(e) | Expression::Datatype(e) => {
-                e.contains_regex()
-            }
-            _ => false,
         }
     }
 
@@ -565,33 +535,6 @@ mod tests {
         assert!(var("f").evaluate_bool(&lookup(&strings)));
         assert!(!var("e").evaluate_bool(&lookup(&strings)));
         assert!(!Value::Number(f64::NAN).as_bool());
-    }
-
-    #[test]
-    fn expensive_classification() {
-        // Join condition over two variables → expensive (BSBM Q5 style).
-        let join = Expression::Compare(Box::new(var("r2")), CompareOp::Gt, Box::new(var("r1")));
-        assert!(join.is_expensive());
-        // Single-variable selection → cheap.
-        let sel = Expression::Compare(Box::new(var("price")), CompareOp::Lt, Box::new(num(100)));
-        assert!(!sel.is_expensive());
-        // Regex → expensive (BSBM Q6 style).
-        let re = regex(var("label"), "x", None);
-        assert!(re.is_expensive());
-        // Same variable twice is still cheap.
-        let twice = Expression::And(
-            Box::new(Expression::Compare(
-                Box::new(var("p")),
-                CompareOp::Gt,
-                Box::new(num(1)),
-            )),
-            Box::new(Expression::Compare(
-                Box::new(var("p")),
-                CompareOp::Lt,
-                Box::new(num(9)),
-            )),
-        );
-        assert!(!twice.is_expensive());
     }
 
     #[test]
