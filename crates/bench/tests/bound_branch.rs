@@ -3,10 +3,10 @@
 //! constant side first and, when it yields one row, matches the other
 //! component once with that row bound, its join-condition FILTERs turned into
 //! inline checks. These tests hold that bound run to the join baselines on
-//! heap and snapshot stores at one and two threads, to the order of the
-//! unfiltered component at one thread, and to the counters that show the
-//! mechanism; a side of no row or of two rows takes the empty answer or the
-//! cartesian product instead.
+//! heap and snapshot stores at one and two threads, to the unfiltered
+//! component filtered by hand, and to the counters that show the mechanism;
+//! a side of no row or of two rows takes the empty answer or the cartesian
+//! product instead.
 
 use turbohom_bench::{bsbm_store, canonical_json};
 use turbohom_datasets::bsbm::{self, BSBM, INST};
@@ -127,8 +127,8 @@ fn integer(cell: &Option<Term>) -> i64 {
 }
 
 /// The products [`every_product`] enumerates at one thread whose values
-/// `keep` accepts against `product`'s, in that order; `None` unless
-/// `product` has exactly one pair of values.
+/// `keep` accepts against `product`'s; `None` unless `product` has exactly
+/// one pair of values.
 fn filtered_by_hand(
     store: &Store,
     product: &str,
@@ -148,9 +148,8 @@ fn filtered_by_hand(
 }
 
 /// Every engine returns the same rows on both stores at one and two threads;
-/// at one thread a bound TurboHOM++ run returns the hand-filtered products in
-/// enumeration order. Returns the TurboHOM++ result at one thread on the heap
-/// store.
+/// at one thread a bound TurboHOM++ run returns the hand-filtered products.
+/// Returns the TurboHOM++ result at one thread on the heap store.
 fn check(stores: &[Store; 2], product: &str, filters: Filters) -> QueryResults {
     let sparql = q5(product, filters.0);
     let expected = canonical_json(stores[0].execute(&sparql, EngineKind::MergeJoin).unwrap());
@@ -162,9 +161,16 @@ fn check(stores: &[Store; 2], product: &str, filters: Filters) -> QueryResults {
             }
         }
         let got = run(store, &sparql, PLUS, 1);
-        if let Some(in_order) = filtered_by_hand(store, product, filters.1) {
-            let rows: Vec<Term> = got.rows.iter().map(|r| r[0].clone().unwrap()).collect();
-            assert_eq!(rows, in_order, "{flavour} {sparql}");
+        if let Some(mut by_hand) = filtered_by_hand(store, product, filters.1) {
+            // The bound run chooses its start vertex through its inline
+            // FILTERs, the unfiltered component without any, and enumeration
+            // order is only defined for one start vertex: the rows are
+            // compared as a multiset (since start-vertex selection counts
+            // inline FILTERs).
+            let mut rows: Vec<Term> = got.rows.iter().map(|r| r[0].clone().unwrap()).collect();
+            rows.sort();
+            by_hand.sort();
+            assert_eq!(rows, by_hand, "{flavour} {sparql}");
         }
     }
     stores[0].execute(&sparql, PLUS).unwrap()
@@ -260,12 +266,16 @@ fn bsbm_q5_checks_its_join_conditions_inline() {
     assert!(bound.stats.nonempty_regions < grown);
     assert!(!bound.is_empty() && bound.len() < every.len());
 
-    // The LIMIT reaches the bound match: its first rows, found with less
-    // search. EXPLAIN cannot know the bind, which is decided by a run.
+    // The LIMIT reaches the bound match: five of its rows, found with less
+    // search. EXPLAIN cannot know the bind, which is decided by a run. A
+    // capped run chooses its start vertex without counting inline FILTERs,
+    // so its rows come in another order than the unlimited run's (since
+    // start-vertex selection counts them).
     let limited = format!("{} LIMIT 5", query.sparql);
     let plan = store.prepare_plan(&limited, PLUS).unwrap();
     assert!(!store.explain(&plan).limit_pushdown);
     let first = store.run_plan(&plan).unwrap();
-    assert_eq!(first.rows, bound.rows[..5]);
+    assert_eq!(first.rows.len(), 5);
+    assert!(first.rows.iter().all(|row| bound.rows.contains(row)));
     assert!(first.stats.search_recursions < bound.stats.search_recursions);
 }

@@ -22,17 +22,18 @@
 //! candidate is asked for the predicates the query needs of it — one AND
 //! against its 64-bit signature — before the region descends into it.
 //!
-//! A candidate, the start vertex included, must also pass the inline FILTERs
-//! of its query vertex ([`FilterSplit`]) to be let in, so a region holds
-//! only what the search can bind, and a region a FILTER empties is dead.
+//! A candidate must also pass the inline FILTERs of its query vertex
+//! ([`FilterSplit`]) to be let in, so a region holds only what the search can
+//! bind, and a region a FILTER empties is dead. The start vertex has passed
+//! its own when start-vertex selection tested them; otherwise it is tested
+//! here too.
 
 use crate::config::{MatchSemantics, TurboHomConfig};
-use crate::engine::{FilterSplit, RunFilters};
+use crate::engine::FilterSplit;
 use crate::filters::{self, VertexFilter};
 use crate::query_tree::QueryTree;
 use crate::stats::MatchStats;
 use turbohom_graph::{signature_bit, VLabel, VertexId};
-use turbohom_rdf::Dictionary;
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
 /// Where one candidate list `CR(u, v)` lies in the pool.
@@ -214,7 +215,6 @@ impl CandidateRegion {
 /// vertex, derived here once.
 pub struct RegionExplorer<'a> {
     data: &'a TransformedGraph,
-    dictionary: &'a Dictionary,
     config: &'a TurboHomConfig,
     query: &'a TransformedQuery,
     /// The query tree the regions are grown along.
@@ -233,15 +233,14 @@ pub struct RegionExplorer<'a> {
 }
 
 impl<'a> RegionExplorer<'a> {
-    /// Prepares the exploration of `query`'s regions along `tree` under
-    /// `run_filters`, whose terms the `dictionary` gives.
+    /// Prepares the exploration of `query`'s regions along `tree` under the
+    /// run's FILTERs, `split`.
     pub fn new(
         data: &'a TransformedGraph,
-        dictionary: &'a Dictionary,
         config: &'a TurboHomConfig,
         query: &'a TransformedQuery,
         tree: QueryTree,
-        run_filters: RunFilters<'a>,
+        split: FilterSplit<'a>,
     ) -> Self {
         let vertices = 0..query.graph.vertex_count();
         let filters = vertices
@@ -296,11 +295,10 @@ impl<'a> RegionExplorer<'a> {
             .collect();
         RegionExplorer {
             data,
-            dictionary,
             config,
             query,
             tree,
-            split: FilterSplit::new(query, run_filters),
+            split,
             filters,
             lookup_labels,
             need,
@@ -327,14 +325,6 @@ impl<'a> RegionExplorer<'a> {
         lacks
     }
 
-    /// Whether `v` passes the inline FILTERs of query vertex `u`; one that
-    /// fails is counted.
-    fn passes_filters(&self, u: usize, v: VertexId, stats: &mut MatchStats) -> bool {
-        let pass = (self.split).inline_pass(self.data, self.dictionary, self.query, u, v);
-        stats.filtered_inline += usize::from(!pass);
-        pass
-    }
-
     /// Grows in `region` the candidate region rooted at `start`. Returns
     /// `false` if some *required* query vertex has no candidates anywhere in
     /// the region, which means the region cannot contribute any solution and
@@ -349,7 +339,7 @@ impl<'a> RegionExplorer<'a> {
         region.reset(self.query.graph.vertex_count(), start);
         let root = self.tree.root;
         if self.lacks_needed_edge(self.need[root], start, stats)
-            || !self.passes_filters(root, start, stats)
+            || !self.split.passes(root, start, stats)
         {
             return false;
         }
@@ -409,7 +399,7 @@ impl<'a> RegionExplorer<'a> {
                     if checked && !filter.qualifies(self.data, c, stats) {
                         continue;
                     }
-                    if filtered && !self.passes_filters(child, c, stats) {
+                    if filtered && !self.split.passes(child, c, stats) {
                         continue;
                     }
                     if injective {
@@ -448,7 +438,7 @@ impl<'a> RegionExplorer<'a> {
 #[cfg(test)]
 pub(crate) fn explore_candidate_region(
     data: &TransformedGraph,
-    dictionary: &Dictionary,
+    dictionary: &turbohom_rdf::Dictionary,
     config: &TurboHomConfig,
     query: &TransformedQuery,
     tree: &QueryTree,
@@ -456,8 +446,8 @@ pub(crate) fn explore_candidate_region(
     stats: &mut MatchStats,
 ) -> Option<CandidateRegion> {
     let mut region = CandidateRegion::default();
-    let filters = RunFilters::of(query);
-    RegionExplorer::new(data, dictionary, config, query, tree.clone(), filters)
+    let split = FilterSplit::of(data, dictionary, query);
+    RegionExplorer::new(data, config, query, tree.clone(), split)
         .explore(&mut region, start, stats)
         .then_some(region)
 }
@@ -521,7 +511,7 @@ mod tests {
         let (ds, t, tq) = setup(100);
         let config = TurboHomConfig::default();
         let mut stats = MatchStats::default();
-        let sel = start_vertex::choose_start_vertex(&t, &config, &tq, &mut stats);
+        let sel = start_vertex::choose_start_vertex(&t, &config, &tq, None, &mut stats);
         // The A vertex has one candidate region.
         assert_eq!(sel.start_vertices.len(), 1);
         let a = tq.graph.vertex_of_variable("a").unwrap();
@@ -584,7 +574,7 @@ mod tests {
         assert!(!tq2.unsatisfiable);
         let config = TurboHomConfig::default();
         let mut stats = MatchStats::default();
-        let sel = start_vertex::choose_start_vertex(&t2, &config, &tq2, &mut stats);
+        let sel = start_vertex::choose_start_vertex(&t2, &config, &tq2, None, &mut stats);
         let tree = QueryTree::build(&tq2.graph, sel.query_vertex);
         for &vs in sel.start_vertices.iter() {
             let dictionary = &ds2.dictionary;
@@ -700,8 +690,8 @@ mod tests {
                 .unwrap()
         };
         let config = TurboHomConfig::default();
-        let filters = RunFilters::of(&tq);
-        let explorer = RegionExplorer::new(&t, &ds.dictionary, &config, &tq, tree, filters);
+        let split = FilterSplit::of(&t, &ds.dictionary, &tq);
+        let explorer = RegionExplorer::new(&t, &config, &tq, tree, split);
         let mut stats = MatchStats::default();
         let mut region = CandidateRegion::default();
 

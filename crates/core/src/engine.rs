@@ -12,6 +12,7 @@ use crate::result::{merge_step_counts, MatchResult, RowLayout};
 use crate::start_vertex::{choose_start_vertex, StartSelection};
 use crate::stats::MatchStats;
 use crate::subgraph_search::SubgraphSearcher;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -408,18 +409,13 @@ fn answered_from_starts(query: &TransformedQuery, filters: &RunFilters<'_>) -> b
 }
 
 /// The required query vertex a FILTER is evaluated at while its regions
-/// grow: that of its one variable `outer` does not bind (a variable bound
-/// outside the query graph counts as a constant); `None` for a FILTER
-/// applied to complete solutions afterwards (Section 5.1). Unlike the
-/// paper's split, a regular expression is not held back: compiled once, it
-/// costs about what a comparison does.
-fn inline_vertex(
-    query: &TransformedQuery,
-    filter: &Expression,
-    outer: &[(&str, TermRef<'_>)],
-) -> Option<usize> {
+/// grow: that of its one variable (one bound outside the query graph is
+/// bound into the FILTER first); `None` for a FILTER applied to complete
+/// solutions afterwards (Section 5.1). Unlike the paper's split, a regular
+/// expression is not held back: compiled once, it costs about what a
+/// comparison does.
+fn inline_vertex(query: &TransformedQuery, filter: &Expression) -> Option<usize> {
     let mut vars = filter.variables();
-    vars.retain(|v| outer.iter().all(|(bound, _)| bound != v));
     vars.sort();
     vars.dedup();
     if vars.len() != 1 {
@@ -432,7 +428,7 @@ fn inline_vertex(
 /// condition, a filter over an OPTIONAL variable): a run of it then
 /// enumerates every solution and cuts its LIMIT afterwards.
 pub fn has_post_hoc_filters(query: &TransformedQuery) -> bool {
-    (query.filters.iter()).any(|filter| inline_vertex(query, filter, &[]).is_none())
+    (query.filters.iter()).any(|filter| inline_vertex(query, filter).is_none())
 }
 
 /// What one run filters its matches by: the FILTER expressions, and the
@@ -462,67 +458,80 @@ impl<'f> RunFilters<'f> {
 }
 
 /// One run's FILTERs split by where they are evaluated (Section 5.1): those
-/// of one required query vertex inline, where the regions admit its
-/// candidates, the rest on complete solutions. Both read the outer bindings.
+/// of one required query vertex inline, where the start vertices are chosen
+/// and the regions admit its candidates, the rest on complete solutions.
+/// Each is bound to the run's outer bindings once, here
+/// ([`Expression::bind`]).
 pub struct FilterSplit<'f> {
-    /// Per query vertex, the FILTERs a candidate of it must pass to enter a
-    /// region.
-    pub(crate) inline: Vec<Vec<&'f Expression>>,
+    data: &'f TransformedGraph,
+    dictionary: &'f Dictionary,
+    query: &'f TransformedQuery,
+    /// Per query vertex, the FILTERs a candidate of it must pass to start or
+    /// enter a region.
+    pub(crate) inline: Vec<Vec<Cow<'f, Expression>>>,
     /// The FILTERs applied to complete solutions.
-    pub(crate) post: Vec<&'f Expression>,
-    /// Variables bound outside the query graph, with their terms.
-    outer: &'f [(&'f str, TermRef<'f>)],
+    pub(crate) post: Vec<Cow<'f, Expression>>,
 }
 
 impl<'f> FilterSplit<'f> {
-    /// Splits `filters` for a run of `query`.
-    pub(crate) fn new(query: &TransformedQuery, filters: RunFilters<'f>) -> Self {
+    /// Splits `filters` for a run of `query` over `data`, whose terms the
+    /// `dictionary` gives.
+    pub(crate) fn new(
+        data: &'f TransformedGraph,
+        dictionary: &'f Dictionary,
+        query: &'f TransformedQuery,
+        filters: RunFilters<'f>,
+    ) -> Self {
         let mut split = FilterSplit {
+            data,
+            dictionary,
+            query,
             inline: vec![Vec::new(); query.graph.vertex_count()],
             post: Vec::new(),
-            outer: filters.outer,
         };
         for filter in filters.own.iter().chain(filters.branch) {
-            match inline_vertex(query, filter, filters.outer) {
-                Some(u) => split.inline[u].push(filter),
-                None => split.post.push(filter),
+            // Parsed FILTERs come folded: only outer bindings add to that.
+            let bound = match filters.outer {
+                [] => Cow::Borrowed(filter),
+                outer => Cow::Owned(filter.bind(outer)),
+            };
+            match inline_vertex(query, &bound) {
+                Some(u) => split.inline[u].push(bound),
+                None => split.post.push(bound),
             }
         }
         split
     }
 
-    /// The term an outer binding gives `name`.
-    fn outer(&self, name: &str) -> Option<TermRef<'f>> {
-        (self.outer.iter()).find_map(|&(bound, term)| (bound == name).then_some(term))
+    /// The split of a run of `query` by its own FILTERs.
+    #[cfg(test)]
+    pub(crate) fn of(
+        data: &'f TransformedGraph,
+        dictionary: &'f Dictionary,
+        query: &'f TransformedQuery,
+    ) -> Self {
+        FilterSplit::new(data, dictionary, query, RunFilters::of(query))
     }
 
-    /// Evaluates the inline FILTERs of query vertex `u` on its candidate
-    /// data vertex `v`, over the dictionary's view of `v`'s term and the
-    /// outer bindings.
-    pub(crate) fn inline_pass(
-        &self,
-        data: &TransformedGraph,
-        dictionary: &Dictionary,
-        query: &TransformedQuery,
-        u: usize,
-        v: VertexId,
-    ) -> bool {
+    /// Whether data vertex `v` passes the inline FILTERs of query vertex
+    /// `u`, over the dictionary's view of its term; one that fails is
+    /// counted.
+    pub(crate) fn passes(&self, u: usize, v: VertexId, stats: &mut MatchStats) -> bool {
         let filters = &self.inline[u];
         if filters.is_empty() {
             return true;
         }
-        let Some(var) = &query.graph.vertex(u).variable else {
+        let Some(var) = &self.query.graph.vertex(u).variable else {
             return true;
         };
-        let id = data.mappings.term_of_vertex(v);
-        let Some(term) = id.and_then(|id| dictionary.term_ref(id)) else {
+        let id = self.data.mappings.term_of_vertex(v);
+        let Some(term) = id.and_then(|id| self.dictionary.term_ref(id)) else {
             return true;
         };
-        let bindings = |name: &str| match name == var {
-            true => Some(term),
-            false => self.outer(name),
-        };
-        filters.iter().all(|f| f.evaluate_bool(&bindings))
+        let bindings = |name: &str| (name == var).then_some(term);
+        let pass = filters.iter().all(|f| f.evaluate_bool(&bindings));
+        stats.filtered_inline += usize::from(!pass);
+        pass
     }
 }
 
@@ -590,9 +599,10 @@ impl<'a> TurboHomEngine<'a> {
     }
 
     /// Algorithm 1 before its first enumeration, written once for the runs
-    /// and for EXPLAIN: the guards, the start query vertex with its data
-    /// vertices, the explorer over the query tree rooted there under
-    /// `filters` (unless no region is going to be grown) and, when `probe`
+    /// and for EXPLAIN: the guards, `filters` split and bound for the run, the
+    /// start query vertex with its data vertices (those that pass its inline
+    /// FILTERs, unless the run is capped), the explorer over the query tree
+    /// rooted there (unless no region is going to be grown) and, when `probe`
     /// asks for it once the start vertices are known, the first non-empty
     /// region in start order, with the matching order determined on it
     /// (+REUSE, Section 4.3). That exploration is not counted: whoever runs
@@ -608,21 +618,21 @@ impl<'a> TurboHomEngine<'a> {
         if !admit(query)? {
             return Ok(None);
         }
-        let selection = choose_start_vertex(self.data, &self.config, query, stats);
+        let mut split = FilterSplit::new(self.data, self.dictionary, query, filters);
+        // A capped search stops early: a FILTER pass over whole start lists
+        // would cost it more than it saves.
+        let counted = self.config.max_solutions.is_none().then_some(&split);
+        let selection = choose_start_vertex(self.data, &self.config, query, counted, stats);
+        if selection.filtered {
+            split.inline[selection.query_vertex].clear();
+        }
         let starts = &selection.start_vertices;
         let probing = !starts.is_empty() && probe(&selection);
         let grows = !starts.is_empty() && !answered_from_starts(query, &filters);
         let explorer = (probing || grows).then(|| {
             let tree = QueryTree::build(&query.graph, selection.query_vertex);
             debug_assert!(tree.spans(&query.graph));
-            RegionExplorer::new(
-                self.data,
-                self.dictionary,
-                &self.config,
-                query,
-                tree,
-                filters,
-            )
+            RegionExplorer::new(self.data, &self.config, query, tree, split)
         });
         clock.lap(|c| &mut c.select);
         let mut first = None;
@@ -809,8 +819,7 @@ impl<'a> TurboHomEngine<'a> {
     /// Applies the expensive filters to the materialized solutions. Each
     /// variable's term is looked up in its row only when a filter reads it:
     /// a vertex column through its data vertex, a variable-predicate column
-    /// through its edge label, both as the dictionary's borrowed view; a
-    /// variable without a column, in the outer bindings.
+    /// through its edge label, both as the dictionary's borrowed view.
     fn apply_post_filters(
         &self,
         query: &TransformedQuery,
@@ -832,7 +841,7 @@ impl<'a> TurboHomEngine<'a> {
             // A variable in two columns reads the last one bound.
             let bindings = |name: &str| {
                 let mut candidates = columns.iter().rev().filter(|(v, ..)| *v == name);
-                let column = candidates.find_map(|&(_, column, edge)| {
+                candidates.find_map(|&(_, column, edge)| {
                     let cell = row[column];
                     let id = match (cell, edge) {
                         (UNBOUND, _) => None,
@@ -840,8 +849,7 @@ impl<'a> TurboHomEngine<'a> {
                         (_, true) => mappings.term_of_elabel(ELabel(cell)),
                     };
                     id.and_then(|id| self.dictionary.term_ref(id))
-                });
-                column.or_else(|| filters.outer(name))
+                })
             };
             filters.post.iter().all(|f| f.evaluate_bool(&bindings))
         });

@@ -290,7 +290,7 @@ mod tests {
         let tq = transform_query(&q.pattern, t, &ds.dictionary).unwrap();
         let config = TurboHomConfig::default();
         let mut stats = MatchStats::default();
-        let sel = start_vertex::choose_start_vertex(t, &config, &tq, &mut stats);
+        let sel = start_vertex::choose_start_vertex(t, &config, &tq, None, &mut stats);
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let region = crate::candidate_region::explore_candidate_region(
             t,

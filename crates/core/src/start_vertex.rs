@@ -11,10 +11,15 @@
 //! candidates of a query vertex are then a list of the inverse vertex label
 //! list or of the predicate index, and `freq` is already its length. Only
 //! the winner's list is handed out, borrowed from the index. A list is
-//! walked (and copied) only when the ID attribute, the degree or NLF filter
-//! or the simple entailment regime has to look at each vertex.
+//! walked (and copied) only when the ID attribute, the degree or NLF filter,
+//! the simple entailment regime or an inline FILTER has to look at each
+//! vertex. Inline FILTERs are filters of the refinement like the others: a
+//! label that few values of a REGEX pass starts fewer regions than the
+//! class of the things it labels. A vertex whose FILTERs are counted stops
+//! counting once it cannot win, and the winner's list has passed them.
 
 use crate::config::TurboHomConfig;
+use crate::engine::FilterSplit;
 use crate::filters::VertexFilter;
 use crate::stats::MatchStats;
 use std::borrow::Cow;
@@ -36,6 +41,9 @@ pub struct StartSelection<'a> {
     pub start_vertices: Cow<'a, [VertexId]>,
     /// How many query vertices were eligible and ranked.
     pub ranked: usize,
+    /// Whether the start vertices have passed the inline FILTERs of the
+    /// chosen query vertex.
+    pub filtered: bool,
 }
 
 /// For a (required) query vertex without label or ID: the shortest list the
@@ -98,7 +106,8 @@ fn listed_vertices<'a>(
 }
 
 /// Chooses the starting query vertex and enumerates its starting data
-/// vertices.
+/// vertices; a candidate's count is taken through its inline FILTERs in
+/// `filters` where given, and those that turn a vertex down are counted.
 ///
 /// Only vertices of the *required* part of the query are eligible: the
 /// OPTIONAL strategy of Section 5.1 demands that "TurboHOM++ selects a start
@@ -107,6 +116,7 @@ pub fn choose_start_vertex<'a>(
     data: &'a TransformedGraph,
     config: &TurboHomConfig,
     query: &TransformedQuery,
+    filters: Option<&FilterSplit<'_>>,
     stats: &mut MatchStats,
 ) -> StartSelection<'a> {
     // Coarse ranking: freq / deg, lower is better.
@@ -124,27 +134,40 @@ pub fn choose_start_vertex<'a>(
     // Refine the top-k by exact candidate counting. A vertex that has to be
     // checked one by one keeps the list the check produced, for the case
     // that it wins.
-    let mut best: Option<(usize, usize, Option<Vec<VertexId>>)> = None;
+    let mut best: Option<(usize, usize, Option<Vec<VertexId>>, bool)> = None;
     for &(_, u, freq) in ranked.iter().take(TOP_K) {
         let filter = VertexFilter::new(config, &query.graph, u);
-        let (count, qualified) = if filter.can_reject() {
-            let qualified: Vec<VertexId> = listed_vertices(data, query, u)
-                .iter()
-                .copied()
-                .filter(|&v| filter.qualifies(data, v, stats))
-                .collect();
+        let inline = filters.filter(|split| !split.inline[u].is_empty());
+        let (count, qualified) = if filter.can_reject() || inline.is_some() {
+            // Counting FILTERs stops where the vertex can no longer win.
+            let enough = match (inline, &best) {
+                (Some(_), Some((_, fewest, ..))) => *fewest,
+                _ => usize::MAX,
+            };
+            let listed = listed_vertices(data, query, u);
+            let mut qualified = Vec::with_capacity(listed.len().min(enough));
+            for &v in listed.iter() {
+                if qualified.len() == enough {
+                    break;
+                }
+                if filter.qualifies(data, v, stats)
+                    && inline.is_none_or(|split| split.passes(u, v, stats))
+                {
+                    qualified.push(v);
+                }
+            }
             (qualified.len(), Some(qualified))
         } else {
             (freq, None)
         };
-        if best.as_ref().is_none_or(|&(_, fewest, _)| count < fewest) {
-            best = Some((u, count, qualified));
+        if best.as_ref().is_none_or(|&(_, fewest, ..)| count < fewest) {
+            best = Some((u, count, qualified, inline.is_some()));
         }
-        if best.as_ref().is_some_and(|&(_, fewest, _)| fewest == 0) {
+        if best.as_ref().is_some_and(|&(_, fewest, ..)| fewest == 0) {
             break;
         }
     }
-    let (query_vertex, count, qualified) = best.expect("at least one eligible vertex");
+    let (query_vertex, count, qualified, filtered) = best.expect("at least one eligible vertex");
     let start_vertices = match qualified {
         Some(qualified) => Cow::Owned(qualified),
         None => listed_vertices(data, query, query_vertex),
@@ -154,13 +177,14 @@ pub fn choose_start_vertex<'a>(
         query_vertex,
         start_vertices,
         ranked: ranked.len(),
+        filtered,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbohom_rdf::{vocab, Dataset};
+    use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
     use turbohom_transform::{transform_query, type_aware_transform};
 
@@ -340,7 +364,7 @@ mod tests {
                }"#,
         );
         let mut stats = MatchStats::default();
-        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, &mut stats);
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, None, &mut stats);
         let chosen_var = tq.graph.vertex(sel.query_vertex).variable.clone();
         assert_eq!(chosen_var.as_deref(), Some("y"));
         assert_eq!(sel.start_vertices.len(), 1);
@@ -356,7 +380,7 @@ mod tests {
                SELECT ?d WHERE { <http://ub.org/student0_0> ub:memberOf ?d . }"#,
         );
         let mut stats = MatchStats::default();
-        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, &mut stats);
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, None, &mut stats);
         assert!(tq.graph.vertex(sel.query_vertex).bound.is_some());
         assert_eq!(sel.start_vertices.len(), 1);
     }
@@ -373,7 +397,7 @@ mod tests {
                SELECT ?x ?y WHERE { ?x ub:subOrganizationOf ?y . }"#,
         );
         let mut stats = MatchStats::default();
-        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, &mut stats);
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, None, &mut stats);
         // Either end qualifies; whichever is chosen, the candidate set must
         // come from the predicate index, not the whole vertex set.
         assert!(sel.start_vertices.len() <= 2);
@@ -396,7 +420,7 @@ mod tests {
                }"#,
         );
         let mut stats = MatchStats::default();
-        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq2, &mut stats);
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq2, None, &mut stats);
         assert_eq!(tq2.vertex_clause[sel.query_vertex], None);
         // The bound dept0 vertex is in the OPTIONAL clause, so the start is
         // the Student vertex with its 10 candidates.
@@ -417,7 +441,7 @@ mod tests {
         let mut stats = MatchStats::default();
         // The two departments that have members beat the ten students, and
         // nothing has to be checked: the list is the predicate index's own.
-        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, &mut stats);
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, None, &mut stats);
         assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("d").unwrap());
         assert_eq!(sel.start_vertices.len(), 2);
         assert_eq!(sel.ranked, 2);
@@ -441,9 +465,166 @@ mod tests {
             vertices_rebuilt.add_edge(e.clone());
         }
         tq.graph = vertices_rebuilt;
-        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, &mut stats);
+        let sel = choose_start_vertex(&t, &TurboHomConfig::default(), &tq, None, &mut stats);
         assert_eq!(sel.query_vertex, u);
         assert!(sel.start_vertices.is_empty());
+    }
+
+    /// Twenty students of two departments and ten courses, each with a name
+    /// literal (`student7`, `course3`); the names are inserted a course's
+    /// first, then a student's, alternating, and then the other students'.
+    fn named_data() -> (Dataset, TransformedGraph) {
+        let mut ds = Dataset::new();
+        let name = |ds: &mut Dataset, entity: &str| {
+            let literal = Term::literal(entity);
+            ds.insert(&Term::iri(ub(entity)), &Term::iri(ub("name")), &literal);
+        };
+        for i in 0..20 {
+            if i < 10 {
+                name(&mut ds, &format!("course{i}"));
+            }
+            let student = format!("student{i}");
+            ds.insert_iris(&ub(&student), vocab::RDF_TYPE, &ub("Student"));
+            ds.insert_iris(
+                &ub(&student),
+                &ub("memberOf"),
+                &ub(&format!("dept{}", i % 2)),
+            );
+            name(&mut ds, &student);
+        }
+        let t = type_aware_transform(&ds);
+        (ds, t)
+    }
+
+    /// The lexical form of data vertex `v`'s term.
+    fn lexical(ds: &Dataset, t: &TransformedGraph, v: VertexId) -> String {
+        let id = t.mappings.term_of_vertex(v).unwrap();
+        ds.dictionary
+            .term(id)
+            .unwrap()
+            .as_literal()
+            .unwrap()
+            .to_string()
+    }
+
+    /// Inline FILTERs are filters of the refinement: the eleven names a REGEX
+    /// keeps beat the twenty students, and the list they leave is the start
+    /// list; each of the nineteen names it turns down is counted.
+    #[test]
+    fn the_filtered_vertex_with_the_fewest_survivors_wins_with_its_filtered_list() {
+        let (ds, t) = named_data();
+        let tq = transformed(
+            &ds,
+            &t,
+            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+               PREFIX ub: <http://ub.org/>
+               SELECT ?x ?n WHERE { ?x rdf:type ub:Student . ?x ub:name ?n .
+                                    FILTER regex(?n, "^student1") }"#,
+        );
+        let n = tq.graph.vertex_of_variable("n").unwrap();
+        let config = TurboHomConfig::default();
+        let split = FilterSplit::of(&t, &ds.dictionary, &tq);
+        let mut stats = MatchStats::default();
+        let sel = choose_start_vertex(&t, &config, &tq, Some(&split), &mut stats);
+        assert_eq!((sel.query_vertex, sel.filtered), (n, true));
+        let listed = listed_vertices(&t, &tq, n);
+        let kept: Vec<VertexId> = (listed.iter().copied())
+            .filter(|&v| lexical(&ds, &t, v).starts_with("student1"))
+            .collect();
+        assert_eq!(kept.len(), 11);
+        assert_eq!(&*sel.start_vertices, &kept[..]);
+        let expected = MatchStats {
+            filtered_inline: 30 - 11,
+            ..MatchStats::default()
+        };
+        assert_eq!(stats, expected);
+
+        // Without the FILTERs to count, the students win, as they did before
+        // selection counted inline FILTERs.
+        let sel = choose_start_vertex(&t, &config, &tq, None, &mut MatchStats::default());
+        let x = tq.graph.vertex_of_variable("x").unwrap();
+        assert_eq!((sel.query_vertex, sel.start_vertices.len()), (x, 20));
+        assert!(!sel.filtered);
+    }
+
+    /// A FILTERed vertex stops counting once it has as many survivors as the
+    /// best vertex so far, here the one department: at the first name the
+    /// REGEX keeps, with only the names before it counted as turned down.
+    #[test]
+    fn a_losing_filtered_vertex_stops_counting_at_the_best_count() {
+        let (ds, t) = named_data();
+        let tq = transformed(
+            &ds,
+            &t,
+            r#"PREFIX ub: <http://ub.org/>
+               SELECT ?x ?n WHERE { ?x ub:memberOf ub:dept0 . ?x ub:name ?n .
+                                    FILTER regex(?n, "^student") }"#,
+        );
+        let n = tq.graph.vertex_of_variable("n").unwrap();
+        let split = FilterSplit::of(&t, &ds.dictionary, &tq);
+        let mut stats = MatchStats::default();
+        let config = TurboHomConfig::default();
+        let sel = choose_start_vertex(&t, &config, &tq, Some(&split), &mut stats);
+        assert!(tq.graph.vertex(sel.query_vertex).bound.is_some());
+        assert_eq!(sel.start_vertices.len(), 1);
+        assert!(!sel.filtered);
+        let listed = listed_vertices(&t, &tq, n);
+        let names: Vec<String> = listed.iter().map(|&v| lexical(&ds, &t, v)).collect();
+        let before_first = names.iter().position(|l| l.starts_with("student"));
+        let rejected = names.iter().filter(|l| l.starts_with("course")).count();
+        assert_eq!(rejected, 10);
+        // A full walk would have turned down all ten courses.
+        assert!(before_first < Some(rejected), "{names:?}");
+        assert_eq!(Some(stats.filtered_inline), before_first);
+    }
+
+    /// A capped run chooses without its inline FILTERs: the search stops at
+    /// the LIMIT, so a FILTER pass over whole start lists would cost more
+    /// than it saves. The explorer then tests them on each start vertex.
+    #[test]
+    fn a_capped_run_chooses_its_start_vertex_unfiltered() {
+        let (ds, t) = named_data();
+        let tq = transformed(
+            &ds,
+            &t,
+            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+               PREFIX ub: <http://ub.org/>
+               SELECT ?x ?n WHERE { ?x rdf:type ub:Student . ?x ub:name ?n .
+                                    FILTER regex(?n, "^student1") }"#,
+        );
+        let variable = |config: TurboHomConfig| {
+            let engine = crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config);
+            let prologue = engine.explain(&tq).unwrap().unwrap();
+            let selection = prologue.selection;
+            let u = selection.query_vertex;
+            (
+                tq.graph.vertex(u).variable.clone().unwrap(),
+                selection.start_vertices.len(),
+            )
+        };
+        assert_eq!(variable(TurboHomConfig::default()), ("n".to_string(), 11));
+        let capped = TurboHomConfig {
+            max_solutions: Some(5),
+            ..TurboHomConfig::default()
+        };
+        assert_eq!(variable(capped), ("x".to_string(), 20));
+        let run = |config: TurboHomConfig| {
+            crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config)
+                .execute(&tq)
+                .unwrap()
+        };
+        let (all, first) = (run(TurboHomConfig::default()), run(capped));
+        assert_eq!((all.len(), first.len()), (11, 5));
+        assert!(first
+            .rows
+            .iter()
+            .all(|row| all.rows.iter().any(|r| r == row)));
+        // Every student before the fifth kept one was turned down in its
+        // region, none in selection.
+        assert_eq!(
+            first.stats.filtered_inline,
+            first.stats.candidate_regions - 5
+        );
     }
 
     /// Classes `C0..C3` with `C1 ⊑ C0` (so the closure and `Lsimple`
@@ -513,7 +694,7 @@ mod tests {
                 let (mut expected_stats, mut stats) = (MatchStats::default(), MatchStats::default());
                 let (query_vertex, start_vertices) =
                     reference::choose_start_vertex(&t, &config, &tq, &mut expected_stats);
-                let sel = choose_start_vertex(&t, &config, &tq, &mut stats);
+                let sel = choose_start_vertex(&t, &config, &tq, None, &mut stats);
                 proptest::prop_assert_eq!(sel.query_vertex, query_vertex, "{} {:?}", text, config);
                 proptest::prop_assert_eq!(&*sel.start_vertices, &start_vertices[..], "{} {:?}", text, config);
                 proptest::prop_assert_eq!(stats, expected_stats, "{} {:?}", text, config);

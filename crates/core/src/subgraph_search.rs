@@ -503,7 +503,7 @@ mod tests {
     use super::*;
     use crate::candidate_region::{explore_candidate_region, RegionExplorer};
     use crate::config::Optimizations;
-    use crate::engine::RunFilters;
+    use crate::engine::FilterSplit;
     use crate::result::{merge_step_counts, MatchResult};
     use crate::start_vertex::choose_start_vertex;
     use turbohom_rdf::{vocab, Dataset, UNBOUND};
@@ -585,7 +585,7 @@ mod tests {
         let tq = transform_query(&q.pattern, data, &ds.dictionary).unwrap();
         assert!(!tq.unsatisfiable, "query should be satisfiable");
         let mut stats = MatchStats::default();
-        let mut sel = choose_start_vertex(data, config, &tq, &mut stats);
+        let mut sel = choose_start_vertex(data, config, &tq, None, &mut stats);
         if let Some(root) = root {
             let u = tq.graph.vertex_of_variable(root).unwrap();
             let [label] = tq.graph.vertex(u).labels[..] else {
@@ -596,9 +596,8 @@ mod tests {
         }
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let layout = RowLayout::of(&tq.graph);
-        let filters = RunFilters::of(&tq);
-        let explorer =
-            RegionExplorer::new(data, &ds.dictionary, config, &tq, tree.clone(), filters);
+        let split = FilterSplit::of(data, &ds.dictionary, &tq);
+        let explorer = RegionExplorer::new(data, config, &tq, tree.clone(), split);
         let mut region = CandidateRegion::default();
         let mut searcher = SubgraphSearcher::new(data, config, &tq, &layout);
         let mut order: Option<MatchingOrder> = None;
@@ -687,13 +686,12 @@ mod tests {
             TurboHomConfig::turbohom(),
             TurboHomConfig::isomorphism(),
         ] {
-            let sel = choose_start_vertex(&data, &config, &tq, &mut MatchStats::default());
+            let sel = choose_start_vertex(&data, &config, &tq, None, &mut MatchStats::default());
             assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("y").unwrap());
             let tree = QueryTree::build(&tq.graph, sel.query_vertex);
             let dictionary = &ds.dictionary;
-            let filters = RunFilters::of(&tq);
-            let explorer =
-                RegionExplorer::new(&data, dictionary, &config, &tq, tree.clone(), filters);
+            let split = FilterSplit::of(&data, dictionary, &tq);
+            let explorer = RegionExplorer::new(&data, &config, &tq, tree.clone(), split);
             let new_searcher = || SubgraphSearcher::new(&data, &config, &tq, &layout);
 
             let mut region = CandidateRegion::default();

@@ -606,21 +606,11 @@ fn spans(body: &str) -> Vec<Span<'_>> {
         .collect()
 }
 
-/// The share of the `execute` spans of a `profile=1` body that their child
-/// spans account for, and the names of those children.
-fn execute_coverage(body: &str) -> (f64, Vec<String>) {
-    let spans = spans(body);
-    let (mut execute, mut children, mut names) = (0.0, 0.0, Vec::new());
-    for span in spans.iter().filter(|s| s.name == "execute") {
-        execute += span.dur_us;
-        for child in spans.iter().filter(|s| s.parent == Some(span.id)) {
-            children += child.dur_us;
-            names.push(child.name.to_string());
-        }
-    }
-    (children / execute, names)
-}
-
+/// The matcher's stages are the children of `execute`, in the order they are
+/// written. Each is the laps of one stopwatch credited to it, which ran
+/// inside `execute` and never two at once: every child lies within
+/// `execute`, and together they take no longer than it (the rollups are
+/// back-dated from when they are written, so they are not laid end to end).
 #[test]
 fn the_children_of_execute_account_for_it() {
     let (_service, handle) = lubm_service();
@@ -632,30 +622,49 @@ fn the_children_of_execute_account_for_it() {
             "GET /query?query={}&profile=1 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
             urlencode(q),
         );
-        // As in `profile_covers_the_request`: a preemption between two spans
-        // opens a gap no span covers, so the best of a few attempts counts.
-        let mut best = 0.0f64;
-        for _ in 0..8 {
-            let (status, _, body) = http_request(addr, &request);
-            assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
-            let (covered, children) = execute_coverage(&body);
-            for stage in [
+        let (status, _, body) = http_request(addr, &request);
+        assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+        let spans = spans(&body);
+        let [execute] = &spans
+            .iter()
+            .filter(|s| s.name == "execute")
+            .collect::<Vec<_>>()[..]
+        else {
+            panic!("one execute span: {body}");
+        };
+        let children: Vec<&Span> = (spans.iter())
+            .filter(|s| s.parent == Some(execute.id))
+            .collect();
+        let names: Vec<&str> = children.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
                 "start_vertex",
                 "candidate_regions",
                 "matching_order",
-                "enumeration",
-            ] {
-                assert!(children.iter().any(|c| c == stage), "missing {stage}");
-            }
-            best = best.max(covered);
-            if best >= 0.9 {
-                break;
-            }
+                "enumeration"
+            ]
+        );
+        // Every number is rounded to the nanosecond.
+        let rounding = 0.002;
+        let end = execute.start_us + execute.dur_us;
+        for child in &children {
+            assert!(
+                child.start_us + rounding >= execute.start_us
+                    && child.start_us + child.dur_us <= end + rounding,
+                "{} at {} µs for {} µs, outside execute at {} µs for {} µs",
+                child.name,
+                child.start_us,
+                child.dur_us,
+                execute.start_us,
+                execute.dur_us
+            );
         }
+        let sum: f64 = children.iter().map(|s| s.dur_us).sum();
         assert!(
-            (0.9..=1.01).contains(&best),
-            "the children of execute cover {:.0} % of it",
-            best * 100.0
+            sum <= execute.dur_us + rounding * children.len() as f64,
+            "the children of execute take {sum} µs of its {} µs",
+            execute.dur_us
         );
     }
     handle.shutdown();

@@ -13,6 +13,13 @@
 //! variables the expression reads, and gets back a [`Value`] that borrows
 //! from those views and from the expression's constants. Nothing is copied
 //! per row; a `REGEX` pattern is compiled once, when the query is parsed.
+//!
+//! What does not depend on the row is worked out before the first one:
+//! [`Expression::bind`] puts the terms of variables bound outside the match
+//! in place of those variables and folds every subtree that reads no
+//! variable into its value ([`Folded`]), each term with its numeric view.
+//! The parser hands out its FILTERs folded so; a run binds them again to its
+//! outer bindings, once.
 
 use std::borrow::Cow;
 use turbohom_rdf::vocab::{XSD_BOOLEAN, XSD_STRING};
@@ -23,8 +30,12 @@ use turbohom_rdf::{Term, TermRef};
 pub enum Expression {
     /// A variable reference, e.g. `?price`.
     Variable(String),
-    /// A constant RDF term (IRI or literal).
+    /// A constant RDF term (IRI or literal), as written.
     Constant(Term),
+    /// A value known before any row is: a constant, a variable bound
+    /// outside the match, or what a subtree reading neither evaluates to
+    /// (see [`Expression::bind`]).
+    Folded(Folded),
     /// Comparison.
     Compare(Box<Expression>, CompareOp, Box<Expression>),
     /// Logical conjunction.
@@ -88,6 +99,41 @@ pub enum Value<'t> {
     Boolean(bool),
     /// An unbound variable (OPTIONAL may leave variables unbound).
     Unbound,
+}
+
+/// What [`Expression::evaluate`] gave a subtree, kept in its place by
+/// [`Expression::bind`]: a value of the same kind, owned.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Folded {
+    /// A term, with its numeric view ([`Value::as_number`]) taken once.
+    Term(Term, Option<f64>),
+    /// A number.
+    Number(f64),
+    /// A boolean.
+    Boolean(bool),
+    /// No value.
+    Unbound,
+}
+
+impl Folded {
+    /// `value`, owned.
+    fn of(value: Value<'_>) -> Folded {
+        match value {
+            Value::Term(term) => Folded::Term(term.to_term(), value.as_number()),
+            Value::Number(n) => Folded::Number(n),
+            Value::Boolean(b) => Folded::Boolean(b),
+            Value::Unbound => Folded::Unbound,
+        }
+    }
+
+    fn value(&self) -> Value<'_> {
+        match self {
+            Folded::Term(term, _) => Value::Term(TermRef::from(term)),
+            Folded::Number(n) => Value::Number(*n),
+            Folded::Boolean(b) => Value::Boolean(*b),
+            Folded::Unbound => Value::Unbound,
+        }
+    }
 }
 
 /// The XML Schema namespace.
@@ -185,7 +231,7 @@ impl Expression {
     fn collect_variables(&self, out: &mut Vec<String>) {
         match self {
             Expression::Variable(v) | Expression::Bound(v) => out.push(v.clone()),
-            Expression::Constant(_) => {}
+            Expression::Constant(_) | Expression::Folded(_) => {}
             Expression::Compare(a, _, b)
             | Expression::And(a, b)
             | Expression::Or(a, b)
@@ -209,6 +255,7 @@ impl Expression {
         match self {
             Expression::Variable(v) => bindings(v).map_or(Value::Unbound, Value::Term),
             Expression::Constant(t) => Value::Term(TermRef::from(t)),
+            Expression::Folded(folded) => folded.value(),
             Expression::Bound(v) => Value::Boolean(bindings(v).is_some()),
             Expression::Compare(a, op, b) => {
                 let av = a.evaluate(bindings);
@@ -216,7 +263,8 @@ impl Expression {
                 if matches!(av, Value::Unbound) || matches!(bv, Value::Unbound) {
                     return Value::Boolean(false);
                 }
-                Value::Boolean(compare(&av, *op, &bv))
+                let numbers = (a.number_of(&av), b.number_of(&bv));
+                Value::Boolean(compare(&av, *op, &bv, numbers))
             }
             Expression::And(a, b) => {
                 Value::Boolean(a.evaluate_bool(bindings) && b.evaluate_bool(bindings))
@@ -226,10 +274,8 @@ impl Expression {
             }
             Expression::Not(e) => Value::Boolean(!e.evaluate_bool(bindings)),
             Expression::Arithmetic(a, op, b) => {
-                match (
-                    a.evaluate(bindings).as_number(),
-                    b.evaluate(bindings).as_number(),
-                ) {
+                let (av, bv) = (a.evaluate(bindings), b.evaluate(bindings));
+                match (a.number_of(&av), b.number_of(&bv)) {
                     (Some(x), Some(y)) => Value::Number(match op {
                         ArithOp::Add => x + y,
                         ArithOp::Sub => x - y,
@@ -277,12 +323,62 @@ impl Expression {
     {
         self.evaluate(bindings).as_bool()
     }
+
+    /// The numeric view of `value`, which this expression evaluated to; a
+    /// folded term's was taken when it was folded.
+    fn number_of(&self, value: &Value<'_>) -> Option<f64> {
+        match self {
+            Expression::Folded(Folded::Term(_, number)) => *number,
+            _ => value.as_number(),
+        }
+    }
+
+    /// This expression with each variable `outer` binds replaced by its term,
+    /// and each subtree that then reads no variable by its value
+    /// ([`Folded`]). Under the bindings of the other variables it evaluates
+    /// to what this one evaluates to under those and `outer`.
+    pub fn bind(&self, outer: &[(&str, TermRef<'_>)]) -> Expression {
+        let term = |name: &str| (outer.iter()).find_map(|&(bound, t)| (bound == name).then_some(t));
+        let bind = |e: &Expression| Box::new(e.bind(outer));
+        let bound = match self {
+            Expression::Variable(v) => match term(v) {
+                Some(t) => Expression::Folded(Folded::of(Value::Term(t))),
+                None => self.clone(),
+            },
+            Expression::Bound(v) => match term(v) {
+                Some(_) => Expression::Folded(Folded::Boolean(true)),
+                None => self.clone(),
+            },
+            Expression::Constant(t) => Expression::Folded(Folded::of(Value::Term(t.into()))),
+            Expression::Folded(_) => self.clone(),
+            Expression::Compare(a, op, b) => Expression::Compare(bind(a), *op, bind(b)),
+            Expression::And(a, b) => Expression::And(bind(a), bind(b)),
+            Expression::Or(a, b) => Expression::Or(bind(a), bind(b)),
+            Expression::Not(e) => Expression::Not(bind(e)),
+            Expression::Arithmetic(a, op, b) => Expression::Arithmetic(bind(a), *op, bind(b)),
+            Expression::Regex(e, regex) => Expression::Regex(bind(e), regex.clone()),
+            Expression::Lang(e) => Expression::Lang(bind(e)),
+            Expression::Datatype(e) => Expression::Datatype(bind(e)),
+        };
+        match bound {
+            Expression::Folded(_) => bound,
+            _ if bound.variables().is_empty() => {
+                Expression::Folded(Folded::of(bound.evaluate(&|_| None)))
+            }
+            _ => bound,
+        }
+    }
 }
 
-/// Compares two values: numerically when both sides have a numeric view,
-/// otherwise by string form.
-fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
-    if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
+/// Compares two values: numerically when both sides have a numeric view
+/// (`numbers`), otherwise by string form.
+fn compare(
+    a: &Value<'_>,
+    op: CompareOp,
+    b: &Value<'_>,
+    numbers: (Option<f64>, Option<f64>),
+) -> bool {
+    if let (Some(x), Some(y)) = numbers {
         return match op {
             CompareOp::Eq => x == y,
             CompareOp::Ne => x != y,
@@ -406,19 +502,21 @@ impl Regex {
         if self.anchored_start {
             return text.starts_with(&self.prefix) && after_prefix(0);
         }
-        let Some(first) = self.prefix.chars().next() else {
+        let (bytes, prefix) = (text.as_bytes(), self.prefix.as_bytes());
+        let Some(&first) = prefix.first() else {
             return (0..=text.len())
                 .filter(|&i| text.is_char_boundary(i))
                 .any(|i| self.matches_at(&self.atoms, text, i));
         };
-        // Every occurrence of the prefix, overlapping ones included.
+        // Every occurrence of the prefix, overlapping ones included: a scan
+        // for its first byte, which begins a character wherever it occurs.
         let mut from = 0;
-        while let Some(found) = text[from..].find(&self.prefix) {
+        while let Some(found) = bytes[from..].iter().position(|&b| b == first) {
             let start = from + found;
-            if after_prefix(start) {
+            if bytes[start..].starts_with(prefix) && after_prefix(start) {
                 return true;
             }
-            from = start + first.len_utf8();
+            from = start + 1;
         }
         false
     }

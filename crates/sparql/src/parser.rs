@@ -295,8 +295,10 @@ impl<'a> Parser<'a> {
                 }
                 TokenKind::Word(w) if w.eq_ignore_ascii_case("FILTER") => {
                     self.bump();
+                    // Constants and what is computed from them alone are
+                    // folded once, here, each with its numeric view.
                     let expr = self.parse_expression()?;
-                    group.filters.push(expr);
+                    group.filters.push(expr.bind(&[]));
                     let _ = self.eat_punct('.');
                 }
                 TokenKind::Punct('.') | TokenKind::Punct(';') => {

@@ -47,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Q5's constant side (one product's two values) yields one row, so the
     // other component is matched once with it bound: its join-condition
     // FILTERs run inline, and no row is left for a FILTER after the match.
-    // Q6's REGEX reads one variable: it runs inline, while regions grow.
+    // Q6's REGEX reads one variable: it runs inline, where the start vertex
+    // is chosen.
     let queries = bsbm::queries();
     for (query, fallback) in [
         (&queries[4], "the cartesian product of its components"),
@@ -66,6 +67,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             query.id
         );
     }
+
+    // Q6's start-vertex selection counts the labels its REGEX keeps, fewer
+    // than the products: every region starts from a label that matches and
+    // holds one solution.
+    let q6 = &queries[5];
+    let plan = store.prepare_plan(&q6.sparql, EngineKind::TurboHomPlusPlus)?;
+    let explained = store.explain(&plan);
+    let start = explained.components[0].start.as_ref();
+    let variable = start.and_then(|start| start.variable.as_deref());
+    let stats = store.run_plan(&plan)?.stats;
+    println!(
+        "Q6: starts at ?{} with {} candidate regions for {} solutions",
+        variable.unwrap_or("?"),
+        stats.candidate_regions,
+        stats.solutions
+    );
+    assert!(
+        variable == Some("label") && stats.candidate_regions == stats.solutions,
+        "Q6 did not start from the labels its REGEX keeps"
+    );
 
     // Show what OPTIONAL answers look like: offers and (possibly missing)
     // ratings for one product.
