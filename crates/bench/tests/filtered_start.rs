@@ -2,7 +2,8 @@
 //! inline FILTERs (the refinement of Section 4.2 with one more filter). BSBM
 //! Q6's REGEX keeps a few labels of many, so its regions start from those
 //! labels and not from every product; under a LIMIT the choice stays the
-//! unfiltered one, and a plan's cold and warm runs agree.
+//! unfiltered one, EXPLAIN shows the choice of the run it explains, and a
+//! plan's cold and warm runs agree.
 
 use turbohom_bench::{bsbm_store, canonical_json};
 use turbohom_datasets::bsbm::{self, BSBM};
@@ -14,6 +15,17 @@ fn q6() -> String {
     let q6 = &bsbm::queries()[5];
     assert_eq!(q6.id, "Q6");
     q6.sparql.clone()
+}
+
+/// The start EXPLAIN reports for `sparql`: its variable and candidates.
+fn explained_start(store: &Store, sparql: &str) -> (String, usize) {
+    let report = store.explain(&store.prepare_plan(sparql, PLUS).unwrap());
+    let [component] = report.components.as_slice() else {
+        panic!("one component")
+    };
+    let start = component.start.as_ref().unwrap();
+    assert_eq!(component.steps[0].query_vertex, start.query_vertex);
+    (start.variable.clone().unwrap(), start.candidates)
 }
 
 /// Runs `sparql` at one thread under a detailed trace: its results and the
@@ -47,11 +59,21 @@ fn q6_starts_from_the_labels_its_regex_keeps_unless_capped() {
     assert!(!all.is_empty() && all.len() < products);
     assert_eq!(candidates, all.len() as u64);
     assert_eq!(all.stats.candidate_regions, all.len());
+    assert_eq!(
+        explained_start(&store, &sparql),
+        ("label".into(), all.len())
+    );
 
     // Capped: the start list is every product, each region grown until ten
     // are found, and each dead one had its label turned down.
-    let (first, candidates) = run_traced(&store, &format!("{sparql} LIMIT 10"));
+    let limited = format!("{sparql} LIMIT 10");
+    let (first, candidates) = run_traced(&store, &limited);
     assert_eq!(candidates, products as u64);
+    // EXPLAIN shows the capped run's start, not the uncapped one's.
+    assert_eq!(
+        explained_start(&store, &limited),
+        ("product".into(), products)
+    );
     assert_eq!(first.len(), 10);
     let stats = first.stats;
     assert!(stats.candidate_regions > 10);

@@ -580,21 +580,24 @@ mod tests {
 
     /// A capped run chooses without its inline FILTERs: the search stops at
     /// the LIMIT, so a FILTER pass over whole start lists would cost more
-    /// than it saves. The explorer then tests them on each start vertex.
+    /// than it saves. The explorer then tests them on each start vertex. A
+    /// post-hoc FILTER lifts the cap from the search, which then counts.
     #[test]
     fn a_capped_run_chooses_its_start_vertex_unfiltered() {
         let (ds, t) = named_data();
-        let tq = transformed(
-            &ds,
-            &t,
-            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-               PREFIX ub: <http://ub.org/>
-               SELECT ?x ?n WHERE { ?x rdf:type ub:Student . ?x ub:name ?n .
-                                    FILTER regex(?n, "^student1") }"#,
-        );
-        let variable = |config: TurboHomConfig| {
+        let query = |post: &str| {
+            let sparql = format!(
+                r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                   PREFIX ub: <http://ub.org/>
+                   SELECT ?x ?n WHERE {{ ?x rdf:type ub:Student . ?x ub:name ?n .
+                                         FILTER regex(?n, "^student1") {post} }}"#
+            );
+            transformed(&ds, &t, &sparql)
+        };
+        let (tq, post_hoc) = (query(""), query("FILTER (?x != ?n)"));
+        let variable = |tq: &TransformedQuery, config: TurboHomConfig| {
             let engine = crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config);
-            let prologue = engine.explain(&tq).unwrap().unwrap();
+            let prologue = engine.explain(tq).unwrap().unwrap();
             let selection = prologue.selection;
             let u = selection.query_vertex;
             (
@@ -602,12 +605,14 @@ mod tests {
                 selection.start_vertices.len(),
             )
         };
-        assert_eq!(variable(TurboHomConfig::default()), ("n".to_string(), 11));
+        let n = ("n".to_string(), 11);
+        assert_eq!(variable(&tq, TurboHomConfig::default()), n);
         let capped = TurboHomConfig {
             max_solutions: Some(5),
             ..TurboHomConfig::default()
         };
-        assert_eq!(variable(capped), ("x".to_string(), 20));
+        assert_eq!(variable(&tq, capped), ("x".to_string(), 20));
+        assert_eq!(variable(&post_hoc, capped), n);
         let run = |config: TurboHomConfig| {
             crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config)
                 .execute(&tq)

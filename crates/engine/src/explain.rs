@@ -20,7 +20,7 @@
 //! the HTTP server returns for `explain=1` and splices into the SPARQL-JSON
 //! body for `analyze=1`.
 
-use crate::plan::{ComponentPlan, PlanMode, QueryPlan, Window};
+use crate::plan::{capped, ComponentPlan, PlanMode, QueryPlan, Window};
 use crate::results::IdResults;
 use crate::sharded::{AnyPlan, AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
@@ -427,19 +427,26 @@ impl Store {
         // cartesian product of components and post-hoc FILTERs cut it from
         // what was found. A branch of several components hands it on only
         // when a run finds every constant side to be one row, which a plan
-        // cannot know, so it reads `false`.
-        let mut capped = false;
+        // cannot know, so it reads `false`. A single-component branch is
+        // explained under the cap its run gets: start-vertex selection reads
+        // it.
+        let mut pushed = false;
         if let PlanMode::Graph { config, branches } = &plan.mode {
             for (b, branch) in branches.iter().enumerate() {
-                capped |= matches!(branch.components.as_slice(),
-                    [comp] if !has_post_hoc_filters(&comp.transformed));
+                let config = match branch.components.as_slice() {
+                    [comp] => {
+                        pushed |= !has_post_hoc_filters(&comp.transformed);
+                        capped(*config, plan.pushed_limit())
+                    }
+                    _ => *config,
+                };
                 for (c, comp) in branch.components.iter().enumerate() {
-                    let component = explain_component(self, config, comp, b, c);
+                    let component = explain_component(self, &config, comp, b, c);
                     report.components.push(component);
                 }
             }
         }
-        report.limit_pushdown &= capped;
+        report.limit_pushdown &= pushed;
         report
     }
 }

@@ -189,7 +189,7 @@ enum Shape {
 
 /// `config` with the LIMIT still missing as its solution cap, under its own
 /// cap if it has one.
-fn capped(config: TurboHomConfig, limit: Option<usize>) -> TurboHomConfig {
+pub(crate) fn capped(config: TurboHomConfig, limit: Option<usize>) -> TurboHomConfig {
     let max_solutions = match (config.max_solutions, limit) {
         (Some(cap), Some(limit)) => Some(cap.min(limit)),
         (cap, limit) => cap.or(limit),
@@ -779,7 +779,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::store::StoreOptions;
-    use turbohom_rdf::{vocab, Dataset};
+    use turbohom_rdf::{vocab, Dataset, Term};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -876,6 +876,54 @@ mod tests {
                     .collect();
                 assert_eq!(explained, memoized, "{sparql} at {threads} threads");
             }
+        }
+    }
+
+    /// BSBM Q6's shape: six products labelled `item0`..`item5` and three
+    /// departments labelled too, so that the nine labels outnumber the
+    /// products and a REGEX keeps one of them. Uncapped, selection counts
+    /// the REGEX and starts at that label; capped by the LIMIT, it starts at
+    /// the products. EXPLAIN shows the start and order of the run either way.
+    #[test]
+    fn explain_of_a_filtered_branch_starts_where_its_run_does() {
+        let mut ds = Dataset::new();
+        let label = |ds: &mut Dataset, entity: &str, text: &str| {
+            let (label, text) = (Term::iri(ub("label")), Term::literal(text));
+            ds.insert(&Term::iri(ub(entity)), &label, &text);
+        };
+        for i in 0..6 {
+            let product = format!("product{i}");
+            ds.insert_iris(&ub(&product), vocab::RDF_TYPE, &ub("Product"));
+            label(&mut ds, &product, &format!("item{i}"));
+        }
+        for d in 0..3 {
+            label(&mut ds, &format!("dept{d}"), &format!("department{d}"));
+        }
+        let store = Store::from_dataset(ds);
+        let sparql = r#"PREFIX ub: <http://ub.org/>
+                        SELECT ?p ?l WHERE { ?p a ub:Product . ?p ub:label ?l .
+                                             FILTER regex(?l, "^item1") }"#;
+        for (window, start, candidates) in [("", "l", 1), (" LIMIT 1", "p", 6)] {
+            let sparql = format!("{sparql}{window}");
+            let plan = store
+                .prepare_plan(&sparql, EngineKind::TurboHomPlusPlus)
+                .unwrap();
+            let report = store.explain(&plan);
+            let [component] = report.components.as_slice() else {
+                panic!("{sparql}: one component")
+            };
+            let chosen = component.start.as_ref().unwrap();
+            let chosen = (chosen.variable.as_deref(), chosen.candidates);
+            assert_eq!(chosen, (Some(start), candidates), "{sparql}");
+            let explained: Vec<usize> = (component.steps.iter())
+                .map(|step| step.query_vertex)
+                .collect();
+            assert_eq!(store.run_plan(&plan).unwrap().len(), 1, "{sparql}");
+            let PlanMode::Graph { branches, .. } = &plan.mode else {
+                unreachable!("a TurboHOM++ plan is a graph plan")
+            };
+            let cached = branches[0].components[0].cached_order.lock();
+            assert_eq!(explained, cached.as_ref().unwrap().order, "{sparql}");
         }
     }
 

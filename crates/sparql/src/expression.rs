@@ -14,12 +14,12 @@
 //! from those views and from the expression's constants. Nothing is copied
 //! per row; a `REGEX` pattern is compiled once, when the query is parsed.
 //!
-//! What does not depend on the row is worked out before the first one:
-//! [`Expression::bind`] puts the terms of variables bound outside the match
-//! in place of those variables and folds every subtree that reads no
-//! variable into its value ([`Folded`]), each term with its numeric view.
-//! The parser hands out its FILTERs folded so; a run binds them again to its
-//! outer bindings, once.
+//! What does not depend on the row is worked out before the first one: a
+//! constant is held as its value ([`Folded`]), a term with its numeric view,
+//! and [`Expression::bind`] puts the terms of variables bound outside the
+//! match in place of those variables and folds every subtree that reads no
+//! variable into its value. The parser hands out its FILTERs folded so; a
+//! run binds them again to its outer bindings, once.
 
 use std::borrow::Cow;
 use turbohom_rdf::vocab::{XSD_BOOLEAN, XSD_STRING};
@@ -30,11 +30,10 @@ use turbohom_rdf::{Term, TermRef};
 pub enum Expression {
     /// A variable reference, e.g. `?price`.
     Variable(String),
-    /// A constant RDF term (IRI or literal), as written.
-    Constant(Term),
-    /// A value known before any row is: a constant, a variable bound
-    /// outside the match, or what a subtree reading neither evaluates to
-    /// (see [`Expression::bind`]).
+    /// A value known before any row is: a constant RDF term
+    /// ([`Expression::constant`]), a variable bound outside the match, or
+    /// what a subtree reading neither evaluates to (see
+    /// [`Expression::bind`]).
     Folded(Folded),
     /// Comparison.
     Compare(Box<Expression>, CompareOp, Box<Expression>),
@@ -220,6 +219,13 @@ impl<'t> Value<'t> {
 }
 
 impl Expression {
+    /// The constant RDF term `term` (IRI or literal), folded with its
+    /// numeric view.
+    pub fn constant(term: Term) -> Expression {
+        let number = Value::Term(TermRef::from(&term)).as_number();
+        Expression::Folded(Folded::Term(term, number))
+    }
+
     /// The variables referenced by this expression.
     pub fn variables(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -231,7 +237,7 @@ impl Expression {
     fn collect_variables(&self, out: &mut Vec<String>) {
         match self {
             Expression::Variable(v) | Expression::Bound(v) => out.push(v.clone()),
-            Expression::Constant(_) | Expression::Folded(_) => {}
+            Expression::Folded(_) => {}
             Expression::Compare(a, _, b)
             | Expression::And(a, b)
             | Expression::Or(a, b)
@@ -254,7 +260,6 @@ impl Expression {
     {
         match self {
             Expression::Variable(v) => bindings(v).map_or(Value::Unbound, Value::Term),
-            Expression::Constant(t) => Value::Term(TermRef::from(t)),
             Expression::Folded(folded) => folded.value(),
             Expression::Bound(v) => Value::Boolean(bindings(v).is_some()),
             Expression::Compare(a, op, b) => {
@@ -349,7 +354,6 @@ impl Expression {
                 Some(_) => Expression::Folded(Folded::Boolean(true)),
                 None => self.clone(),
             },
-            Expression::Constant(t) => Expression::Folded(Folded::of(Value::Term(t.into()))),
             Expression::Folded(_) => self.clone(),
             Expression::Compare(a, op, b) => Expression::Compare(bind(a), *op, bind(b)),
             Expression::And(a, b) => Expression::And(bind(a), bind(b)),
@@ -553,7 +557,7 @@ mod tests {
     use super::*;
 
     fn num(n: i64) -> Expression {
-        Expression::Constant(Term::integer(n))
+        Expression::constant(Term::integer(n))
     }
 
     fn var(name: &str) -> Expression {
@@ -675,7 +679,7 @@ mod tests {
     }
 
     fn lit(lexical: &str) -> Expression {
-        Expression::Constant(Term::literal(lexical))
+        Expression::constant(Term::literal(lexical))
     }
 
     fn bound(name: &str) -> Expression {
@@ -740,7 +744,7 @@ mod tests {
                 cmp(
                     var("iri"),
                     CompareOp::Eq,
-                    Expression::Constant(Term::iri("http://ex.org/a")),
+                    Expression::constant(Term::iri("http://ex.org/a")),
                 ),
                 "bool true".into(),
             ),

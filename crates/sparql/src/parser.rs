@@ -295,8 +295,8 @@ impl<'a> Parser<'a> {
                 }
                 TokenKind::Word(w) if w.eq_ignore_ascii_case("FILTER") => {
                     self.bump();
-                    // Constants and what is computed from them alone are
-                    // folded once, here, each with its numeric view.
+                    // What is computed from constants alone is folded
+                    // once, here.
                     let expr = self.parse_expression()?;
                     group.filters.push(expr.bind(&[]));
                     let _ = self.eat_punct('.');
@@ -490,7 +490,7 @@ impl<'a> Parser<'a> {
         } else if self.eat_operator("-") {
             let inner = self.parse_unary()?;
             Ok(Expression::Arithmetic(
-                Box::new(Expression::Constant(Term::integer(0))),
+                Box::new(Expression::constant(Term::integer(0))),
                 ArithOp::Sub,
                 Box::new(inner),
             ))
@@ -515,21 +515,21 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Number(n) => {
                 self.bump();
-                Ok(Expression::Constant(number_literal(n)))
+                Ok(Expression::constant(number_literal(n)))
             }
             TokenKind::StringLiteral(s) => {
                 self.bump();
                 let term = self.finish_literal(s)?;
-                Ok(Expression::Constant(term))
+                Ok(Expression::constant(term))
             }
             TokenKind::Iri(iri) => {
                 self.bump();
-                Ok(Expression::Constant(Term::Iri(iri.to_string())))
+                Ok(Expression::constant(Term::Iri(iri.to_string())))
             }
             TokenKind::PrefixedName(prefix, local) => {
                 self.bump();
                 let base = self.resolve_prefix(prefix)?;
-                Ok(Expression::Constant(Term::Iri(format!("{base}{local}"))))
+                Ok(Expression::constant(Term::Iri(format!("{base}{local}"))))
             }
             TokenKind::Word(w) => self.parse_function_call(w),
             other => self.error(format!("expected an expression, found `{other}`")),
@@ -541,14 +541,14 @@ impl<'a> Parser<'a> {
         match upper.as_str() {
             "TRUE" => {
                 self.bump();
-                Ok(Expression::Constant(Term::typed_literal(
+                Ok(Expression::constant(Term::typed_literal(
                     "true",
                     vocab::XSD_BOOLEAN,
                 )))
             }
             "FALSE" => {
                 self.bump();
-                Ok(Expression::Constant(Term::typed_literal(
+                Ok(Expression::constant(Term::typed_literal(
                     "false",
                     vocab::XSD_BOOLEAN,
                 )))

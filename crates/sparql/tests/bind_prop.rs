@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use turbohom_rdf::vocab::{XSD_BOOLEAN, XSD_DOUBLE, XSD_INTEGER, XSD_STRING};
 use turbohom_rdf::{Term, TermRef};
 use turbohom_sparql::expression::{ArithOp, CompareOp};
-use turbohom_sparql::{Expression, Regex, Value};
+use turbohom_sparql::{Expression, Folded, Regex, Value};
 
 fn reference<'t, B>(e: &'t Expression, bindings: &B) -> Value<'t>
 where
@@ -18,7 +18,8 @@ where
 {
     match e {
         Expression::Variable(v) => bindings(v).map_or(Value::Unbound, Value::Term),
-        Expression::Constant(t) => Value::Term(TermRef::from(t)),
+        // A generated expression holds no folded value but a constant.
+        Expression::Folded(Folded::Term(t, _)) => Value::Term(TermRef::from(t)),
         Expression::Folded(_) => unreachable!("generated expressions are as written"),
         Expression::Bound(v) => Value::Boolean(bindings(v).is_some()),
         Expression::Compare(a, op, b) => {
@@ -179,7 +180,7 @@ fn build(tape: &mut Tape, depth: u32) -> Expression {
         1 => Expression::Bound(variable(tape)),
         2 => {
             let terms = terms();
-            Expression::Constant(terms[tape.pick(terms.len())].clone())
+            Expression::constant(terms[tape.pick(terms.len())].clone())
         }
         3 => {
             let a = sub(tape);
@@ -252,13 +253,13 @@ fn a_folded_sum_stays_a_number() {
     let sum = Expression::Arithmetic(
         Box::new(Expression::Variable("orig".into())),
         ArithOp::Add,
-        Box::new(Expression::Constant(Term::integer(300))),
+        Box::new(Expression::constant(Term::integer(300))),
     );
     let bound = sum.bind(&[("orig", TermRef::from(&orig))]);
     assert_eq!(bound.evaluate(&|_| None), Value::Number(1500.0));
     assert!(matches!(bound, Expression::Folded(_)));
     // A literal that spells a number stays a literal of its datatype.
-    let five = Expression::Constant(Term::literal("5")).bind(&[]);
+    let five = Expression::constant(Term::literal("5")).bind(&[]);
     let datatype = Expression::Datatype(Box::new(five.clone())).bind(&[]);
     assert_eq!(
         datatype.evaluate(&|_| None),
