@@ -159,11 +159,8 @@ fn lubm1_type_scans_are_answered_from_their_start_list() {
     let counted = store.execute_turbohom(&scan, count_only, false).unwrap();
     assert_eq!((counted.len(), counted.rows.len()), (n, 0));
     assert_answered_from_the_start_list(&counted, n, 1, "count_only");
-    let limited = TurboHomConfig {
-        max_solutions: Some(9),
-        ..count_only
-    };
-    let counted = store.execute_turbohom(&scan, limited, false).unwrap();
+    let limited = format!("{scan} LIMIT 9");
+    let counted = store.execute_turbohom(&limited, count_only, false).unwrap();
     assert_eq!((counted.len(), counted.rows.len()), (9, 0));
     assert_answered_from_the_start_list(&counted, 9, 1, "count_only, 9 at most");
     let plan = store.prepare_plan(&scan, PLUS).unwrap();

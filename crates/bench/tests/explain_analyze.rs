@@ -1,12 +1,13 @@
 //! EXPLAIN/ANALYZE integration on LUBM(1): golden plan trees (stable
 //! matching order + estimates), cross-engine actual-vs-result agreement,
-//! and the sharded Q1 acceptance criterion (7 of 8 shards skipped with the
-//! deciding check named).
+//! the sharded Q1 acceptance criterion (7 of 8 shards skipped with the
+//! deciding check named), and `limit_pushdown` on LUBM(1) and BSBM(1) against
+//! what a run under the LIMIT does.
 
 use std::sync::Arc;
-use turbohom_bench::{lubm_store, sharded_lubm_store};
-use turbohom_datasets::lubm;
-use turbohom_engine::{AnyStore, EngineKind, ExplainReport, IdResults, Trace};
+use turbohom_bench::{bsbm_store, lubm_store, sharded_lubm_store};
+use turbohom_datasets::{bsbm, lubm};
+use turbohom_engine::{AnyStore, EngineKind, ExplainReport, IdResults, Store, Trace};
 
 fn query(id: &str) -> String {
     lubm::queries()
@@ -162,4 +163,129 @@ fn q1_explain_at_8_shards_skips_7_and_names_the_deciding_check() {
     assert!(!report.analyzed);
     assert!(report.actual.is_none());
     assert!(report.shards.iter().all(|s| s.rows.is_none()));
+}
+
+/// One run of `sparql` at one thread under a detailed trace: its candidate
+/// regions, non-empty ones and the `candidates` counter of its last
+/// `start_vertex` span (that of the component a branch binds into).
+fn regions_and_start(store: &Store, sparql: &str) -> (usize, usize, u64) {
+    let plan = store
+        .prepare_plan(sparql, EngineKind::TurboHomPlusPlus)
+        .unwrap();
+    let trace = Trace::detailed(1);
+    let stats = store.run_plan_traced(&plan, Some(1), &trace).unwrap().stats;
+    let spans = trace.finish().spans;
+    let start = spans.iter().rev().find(|s| s.name == "start_vertex");
+    let counters = &start.expect("a start_vertex span").counters;
+    let candidates = counters.iter().find(|(name, _)| *name == "candidates");
+    (
+        stats.candidate_regions,
+        stats.nonempty_regions,
+        candidates.unwrap().1,
+    )
+}
+
+/// EXPLAIN's `limit_pushdown` is what the run it explains does: where it
+/// reads `true`, a `LIMIT 1` run explores fewer candidate regions than the
+/// unlimited one; where it reads `false` for a branch of one component, as
+/// many. Either way the run starts where the report says it does, so an
+/// EXPLAIN that chose its start vertex without the run's cap fails here.
+#[test]
+fn limit_pushdown_is_what_the_run_does() {
+    let (lubm, bsbm) = (lubm_store(1), bsbm_store(1));
+    let (ub, bsbm_prefixes) = (
+        "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> \
+         PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>",
+        format!(
+            "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> PREFIX bsbm: <{}>",
+            bsbm::BSBM
+        ),
+    );
+    let bsbm_query = |id: &str| {
+        let found = bsbm::queries().into_iter().find(|q| q.id == id);
+        found.unwrap_or_else(|| panic!("no BSBM query {id}")).sparql
+    };
+    // (shape, store, query, window, what EXPLAIN says, one component)
+    let cases = [
+        ("scan", &lubm, query("Q6"), "LIMIT 1", true, true),
+        ("join", &lubm, query("Q9"), "LIMIT 1", true, true),
+        (
+            "inline FILTER",
+            &bsbm,
+            format!(
+                "{bsbm_prefixes} SELECT ?product ?p1 WHERE {{ ?product rdf:type bsbm:Product . \
+                 ?product bsbm:propertyNum1 ?p1 . FILTER (?p1 > 1000) }}"
+            ),
+            "LIMIT 1",
+            true,
+            true,
+        ),
+        (
+            "one-variable REGEX",
+            &bsbm,
+            bsbm_query("Q6"),
+            "LIMIT 1",
+            true,
+            true,
+        ),
+        (
+            "two-variable FILTER",
+            &bsbm,
+            format!(
+                "{bsbm_prefixes} SELECT ?product WHERE {{ ?product bsbm:propertyNum1 ?p1 . \
+                 ?product bsbm:propertyNum2 ?p2 . FILTER (?p1 < ?p2) }}"
+            ),
+            "LIMIT 1",
+            false,
+            true,
+        ),
+        (
+            "two-component product",
+            &lubm,
+            format!(
+                "{ub} SELECT ?u ?d WHERE {{ ?u rdf:type ub:University . \
+                 ?d rdf:type ub:ResearchGroup . }}"
+            ),
+            "LIMIT 1",
+            false,
+            false,
+        ),
+        (
+            "bound branch",
+            &bsbm,
+            bsbm_query("Q5"),
+            "LIMIT 1",
+            false,
+            false,
+        ),
+        (
+            "OFFSET 1",
+            &lubm,
+            query("Q9"),
+            "LIMIT 1 OFFSET 1",
+            false,
+            true,
+        ),
+    ];
+    for (shape, store, sparql, window, pushdown, one_component) in cases {
+        let (regions, nonempty, _) = regions_and_start(store, &sparql);
+        assert!(nonempty > 1, "{shape}: {nonempty} non-empty regions");
+        let windowed = format!("{sparql} {window}");
+        let plan = store
+            .prepare_plan(&windowed, EngineKind::TurboHomPlusPlus)
+            .unwrap();
+        let report = store.explain(&plan);
+        assert_eq!(report.limit_pushdown, pushdown, "{shape}");
+        let (capped, _, candidates) = regions_and_start(store, &windowed);
+        if pushdown {
+            assert!(capped < regions, "{shape}: {capped} of {regions} regions");
+        } else if one_component {
+            assert_eq!(capped, regions, "{shape}");
+        }
+        let [component] = report.components.as_slice() else {
+            continue;
+        };
+        let start = component.start.as_ref().expect("a start vertex");
+        assert_eq!(start.candidates as u64, candidates, "{shape}: start");
+    }
 }

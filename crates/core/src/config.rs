@@ -140,8 +140,6 @@ pub struct TurboHomConfig {
     /// When `true`, solutions are counted but not materialized (useful for
     /// the largest benchmark runs).
     pub count_only: bool,
-    /// Stop after this many solutions (`None` = unbounded).
-    pub max_solutions: Option<usize>,
     /// Match against the simple-entailment label sets (`Lsimple`) instead of
     /// the inferred closure (Section 4.2).
     pub simple_entailment: bool,
@@ -154,7 +152,6 @@ impl Default for TurboHomConfig {
             optimizations: Optimizations::all(),
             threads: 1,
             count_only: false,
-            max_solutions: None,
             simple_entailment: false,
         }
     }

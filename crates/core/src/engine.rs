@@ -94,11 +94,12 @@ impl StageClock {
 }
 
 /// What every worker of one run reads: the query, its search structures,
-/// the start vertices in the order they are handed out, and the run-wide
-/// solution counter that makes LIMIT stop all workers.
+/// the start vertices in the order they are handed out, the search's cap
+/// and the run-wide solution counter that makes it stop all workers.
 struct RegionRun<'r> {
     data: &'r TransformedGraph,
     config: &'r TurboHomConfig,
+    cap: SearchCap,
     query: &'r TransformedQuery,
     /// Grows the regions, along the query tree, under the inline FILTERs.
     explorer: &'r RegionExplorer<'r>,
@@ -206,7 +207,8 @@ struct RegionWorker<'r> {
 
 impl<'r> RegionWorker<'r> {
     fn new(run: &'r RegionRun<'r>) -> Self {
-        let mut searcher = SubgraphSearcher::new(run.data, run.config, run.query, run.layout);
+        let mut searcher =
+            SubgraphSearcher::new(run.data, run.config, run.cap, run.query, run.layout);
         if let Some(shared) = run.shared_order {
             searcher.set_order(&run.explorer.tree, shared);
         }
@@ -224,10 +226,11 @@ impl<'r> RegionWorker<'r> {
 impl Worker for RegionWorker<'_> {
     /// One iteration of Algorithm 1 for the start vertex at `index`: explore
     /// its candidate region, fix or reuse the matching order, search. Stops
-    /// (without exploring) once the run has found `max_solutions`.
+    /// (without exploring) once the run has found as many solutions as the
+    /// search's cap.
     fn run(&mut self, index: usize) -> bool {
         let run = self.shared;
-        let limit = run.config.max_solutions;
+        let limit = run.cap.solutions;
         if limit.is_some_and(|limit| run.found.load(Ordering::Relaxed) >= limit) {
             return false;
         }
@@ -403,7 +406,7 @@ fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
 
 /// Whether the engine answers `query` from its start list (see
 /// [`TurboHomEngine::answer_from_starts`]): one vertex, no edge, no FILTER.
-fn answered_from_starts(query: &TransformedQuery, filters: &RunFilters<'_>) -> bool {
+fn answered_from_starts(query: &TransformedQuery, filters: &RunInput<'_>) -> bool {
     let unfiltered = filters.own.is_empty() && filters.branch.is_empty();
     query.graph.vertex_count() == 1 && query.graph.edge_count() == 0 && unfiltered
 }
@@ -424,37 +427,48 @@ fn inline_vertex(query: &TransformedQuery, filter: &Expression) -> Option<usize>
     (query.graph.vertex_of_variable(&vars[0])).filter(|&u| query.vertex_clause[u].is_none())
 }
 
-/// Whether a FILTER of `query` waits for complete solutions (a join
-/// condition, a filter over an OPTIONAL variable): a run of it then
-/// enumerates every solution and cuts its LIMIT afterwards.
-pub fn has_post_hoc_filters(query: &TransformedQuery) -> bool {
-    (query.filters.iter()).any(|filter| inline_vertex(query, filter).is_none())
-}
-
-/// What one run filters its matches by: the FILTER expressions, and the
-/// terms of the variables bound outside the query graph, which the
-/// expressions read as constants. A plan's query graph brings its own
-/// FILTERs ([`RunFilters::of`]); one matched under a disconnected branch's
+/// What one run of a query graph takes besides the graph: the FILTER
+/// expressions it filters its matches by, the terms of the variables bound
+/// outside the query graph, which the expressions read as constants, and
+/// the LIMIT its answer is cut at. A plan's query graph brings its own
+/// FILTERs ([`RunInput::of`]); one matched under a disconnected branch's
 /// one-row constant side also brings the branch's, and that row.
 #[derive(Debug, Clone, Copy)]
-pub struct RunFilters<'f> {
+pub struct RunInput<'f> {
     /// The query graph's own FILTERs (its `TransformedQuery::filters`).
     pub own: &'f [Expression],
     /// The FILTERs of the branch the query graph is a component of.
     pub branch: &'f [Expression],
     /// Variables bound outside the query graph, with their terms.
     pub outer: &'f [(&'f str, TermRef<'f>)],
+    /// The most solutions the run answers with; whether its search stops
+    /// there is the prologue's to decide ([`SearchCap`]).
+    pub limit: Option<usize>,
 }
 
-impl<'f> RunFilters<'f> {
-    /// A run of `query` by its own FILTERs alone.
+impl<'f> RunInput<'f> {
+    /// A run of `query` by its own FILTERs alone, without a LIMIT.
     pub fn of(query: &'f TransformedQuery) -> Self {
-        RunFilters {
+        RunInput {
             own: &query.filters,
             branch: &[],
             outer: &[],
+            limit: None,
         }
     }
+}
+
+/// What a run's search does with the solutions it finds, decided once per
+/// run by its prologue. A FILTER that waits for complete solutions (Section
+/// 5.1) needs all of them, as rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SearchCap {
+    /// How many solutions it stops at: the run's LIMIT, unless a post-hoc
+    /// FILTER waits.
+    pub solutions: Option<usize>,
+    /// Whether it keeps rows: unless the run only counts, and always for a
+    /// post-hoc FILTER.
+    pub keeps_rows: bool,
 }
 
 /// One run's FILTERs split by where they are evaluated (Section 5.1): those
@@ -480,7 +494,7 @@ impl<'f> FilterSplit<'f> {
         data: &'f TransformedGraph,
         dictionary: &'f Dictionary,
         query: &'f TransformedQuery,
-        filters: RunFilters<'f>,
+        filters: RunInput<'f>,
     ) -> Self {
         let mut split = FilterSplit {
             data,
@@ -510,7 +524,17 @@ impl<'f> FilterSplit<'f> {
         dictionary: &'f Dictionary,
         query: &'f TransformedQuery,
     ) -> Self {
-        FilterSplit::new(data, dictionary, query, RunFilters::of(query))
+        FilterSplit::new(data, dictionary, query, RunInput::of(query))
+    }
+
+    /// What the search of a run with this split and `limit` does (see
+    /// [`SearchCap`]) under `config`.
+    pub(crate) fn search_cap(&self, config: &TurboHomConfig, limit: Option<usize>) -> SearchCap {
+        let waits = !self.post.is_empty();
+        SearchCap {
+            solutions: limit.filter(|_| !waits),
+            keeps_rows: waits || !config.count_only,
+        }
     }
 
     /// Whether data vertex `v` passes the inline FILTERs of query vertex
@@ -538,6 +562,16 @@ impl<'f> FilterSplit<'f> {
 /// Algorithm 1 before its first enumeration, as
 /// [`TurboHomEngine::explain`] reports it and a run starts from it.
 pub struct Prologue<'a> {
+    /// What the search does with the run's LIMIT and its solutions, decided
+    /// for every run, admitted or not.
+    pub cap: SearchCap,
+    /// The guards' verdict, and where an admitted run starts: `Ok(None)` —
+    /// the answer is empty without a look at the data; `Err` — refused.
+    pub start: Result<Option<Start<'a>>, EngineError>,
+}
+
+/// Where the search of an admitted run starts.
+pub struct Start<'a> {
     /// The start query vertex and the data vertices that start a candidate
     /// region each.
     pub selection: StartSelection<'a>,
@@ -575,65 +609,57 @@ impl<'a> TurboHomEngine<'a> {
 
     /// Executes one (union-free) transformed query by its own FILTERs.
     pub fn execute(&self, query: &TransformedQuery) -> Result<MatchResult, EngineError> {
-        let filters = RunFilters::of(query);
-        self.execute_with_order(query, None, filters, &Trace::disabled(), None)
+        let input = RunInput::of(query);
+        self.execute_with_order(query, None, input, &Trace::disabled(), None)
             .map(|(result, _)| result)
     }
 
-    /// What a run of `query` by its own FILTERs decides before it
-    /// enumerates anything, its first non-empty region probed: the plan
-    /// EXPLAIN reports. `Ok(None)`: the answer is empty without a look at
-    /// the data; `Err`: refused.
-    pub fn explain<'s>(
-        &'s self,
-        query: &'s TransformedQuery,
-    ) -> Result<Option<Prologue<'s>>, EngineError> {
-        let mut clock = StageClock::start(false);
-        self.prologue(
-            query,
-            RunFilters::of(query),
-            &mut MatchStats::default(),
-            &mut clock,
-            |_| true,
-        )
+    /// What a run of `query` with `input` decides before it enumerates
+    /// anything, its first non-empty region probed: the plan EXPLAIN
+    /// reports.
+    pub fn explain<'s>(&'s self, query: &'s TransformedQuery, input: RunInput<'s>) -> Prologue<'s> {
+        let (mut stats, mut clock) = (MatchStats::default(), StageClock::start(false));
+        self.prologue(query, input, &mut stats, &mut clock, |_| true)
     }
 
     /// Algorithm 1 before its first enumeration, written once for the runs
-    /// and for EXPLAIN: the guards, `filters` split and bound for the run, the
-    /// start query vertex with its data vertices (those that pass its inline
-    /// FILTERs, unless the run is capped), the explorer over the query tree
-    /// rooted there (unless no region is going to be grown) and, when `probe`
-    /// asks for it once the start vertices are known, the first non-empty
-    /// region in start order, with the matching order determined on it
-    /// (+REUSE, Section 4.3). That exploration is not counted: whoever runs
-    /// the region explores, and counts, it again.
+    /// and for EXPLAIN: `input`'s FILTERs split and bound for the run, the
+    /// search's cap decided from them and its LIMIT, the guards, the start
+    /// query vertex with its data vertices (those that pass its inline
+    /// FILTERs, unless the search is capped), the explorer over the query
+    /// tree rooted there (unless no region is going to be grown) and, when
+    /// `probe` asks for it once the start vertices are known, the first
+    /// non-empty region in start order, with the matching order determined
+    /// on it (+REUSE, Section 4.3). That exploration is not counted: whoever
+    /// runs the region explores, and counts, it again.
     fn prologue<'s>(
         &'s self,
         query: &'s TransformedQuery,
-        filters: RunFilters<'s>,
+        input: RunInput<'s>,
         stats: &mut MatchStats,
         clock: &mut StageClock,
         probe: impl FnOnce(&StartSelection<'_>) -> bool,
-    ) -> Result<Option<Prologue<'s>>, EngineError> {
-        if !admit(query)? {
-            return Ok(None);
+    ) -> Prologue<'s> {
+        let mut split = FilterSplit::new(self.data, self.dictionary, query, input);
+        let cap = split.search_cap(&self.config, input.limit);
+        let verdict = admit(query);
+        if verdict != Ok(true) {
+            let start = verdict.map(|_| None);
+            return Prologue { cap, start };
         }
-        let mut split = FilterSplit::new(self.data, self.dictionary, query, filters);
-        // A search capped at the LIMIT (which a post-hoc FILTER lifts, see
-        // `run_regions`) stops early: a FILTER pass over whole start lists
+        // A capped search stops early: a FILTER pass over whole start lists
         // costs it more than it saves. At BSBM(200), one thread, minimum of
         // 15 runs: Q6 `LIMIT 10` took 0.17-1.31 ms choosing unfiltered and
         // 1.8-3.0 ms choosing filtered, `regex(?label, "number") LIMIT 10`
         // 0.006 ms against 1.8-2.1 ms.
-        let capped = self.config.max_solutions.is_some() && split.post.is_empty();
-        let counted = (!capped).then_some(&split);
+        let counted = cap.solutions.is_none().then_some(&split);
         let selection = choose_start_vertex(self.data, &self.config, query, counted, stats);
         if selection.filtered {
             split.inline[selection.query_vertex].clear();
         }
         let starts = &selection.start_vertices;
         let probing = !starts.is_empty() && probe(&selection);
-        let grows = !starts.is_empty() && !answered_from_starts(query, &filters);
+        let grows = !starts.is_empty() && !answered_from_starts(query, &input);
         let explorer = (probing || grows).then(|| {
             let tree = QueryTree::build(&query.graph, selection.query_vertex);
             debug_assert!(tree.spans(&query.graph));
@@ -652,11 +678,15 @@ impl<'a> TurboHomEngine<'a> {
             }
             clock.lap(|c| &mut c.order);
         }
-        Ok(Some(Prologue {
+        let start = Start {
             selection,
             explorer,
             first,
-        }))
+        };
+        Prologue {
+            cap,
+            start: Ok(Some(start)),
+        }
     }
 
     /// Executes like [`execute`](Self::execute), but additionally accepts a
@@ -669,9 +699,10 @@ impl<'a> TurboHomEngine<'a> {
     /// at all — `MatchStats::matching_orders_computed` stays `0` — and the
     /// returned order is `None` (the caller already holds it).
     ///
-    /// The run applies `filters`: the query's own FILTERs, or for a
+    /// The run applies `input`'s FILTERs: the query's own, or for a
     /// component matched under a constant side, the branch's as well with
-    /// that side's row bound (see [`RunFilters`]).
+    /// that side's row bound; and answers with at most `input`'s LIMIT of
+    /// solutions (see [`RunInput`]).
     ///
     /// Spans go into `trace` (under `parent`). A
     /// [detailed](Trace::is_detailed) trace times start-vertex selection,
@@ -683,7 +714,7 @@ impl<'a> TurboHomEngine<'a> {
         &self,
         query: &TransformedQuery,
         preset_order: Option<&MatchingOrder>,
-        filters: RunFilters<'_>,
+        input: RunInput<'_>,
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<(MatchResult, Option<MatchingOrder>), EngineError> {
@@ -691,7 +722,7 @@ impl<'a> TurboHomEngine<'a> {
         let mut stats = MatchStats::default();
         let reuse = self.config.optimizations.reuse_matching_order;
         let preset_order = preset_order.filter(|_| reuse);
-        let from_starts = answered_from_starts(query, &filters);
+        let from_starts = answered_from_starts(query, &input);
         // +REUSE takes the order of the first non-empty region in start
         // order. A worker walking the starts in that order meets the region
         // itself; a pool's workers do not, and the start-list answer explores
@@ -700,30 +731,40 @@ impl<'a> TurboHomEngine<'a> {
             let pool = self.config.threads.min(selection.start_vertices.len()) > 1;
             reuse && preset_order.is_none() && (pool || from_starts)
         };
-        let Some(mut prologue) = self.prologue(query, filters, &mut stats, &mut clock, probe)?
-        else {
+        let Prologue { cap, start } = self.prologue(query, input, &mut stats, &mut clock, probe);
+        let Some(mut start) = start? else {
             return Ok((MatchResult::default(), None));
         };
-        let probed = prologue.first.take().map(|(_, order)| order);
+        let probed = start.first.take().map(|(_, order)| order);
         stats.matching_orders_computed += usize::from(probed.is_some());
-        let starts = &prologue.selection.start_vertices;
-        let (result, own_order, workers) = if starts.is_empty() {
+        let starts = &start.selection.start_vertices;
+        let (mut result, own_order, workers) = if starts.is_empty() {
             let result = MatchResult {
                 stats,
                 ..MatchResult::default()
             };
             (result, None, Vec::new())
         } else if from_starts {
-            (self.answer_from_starts(starts, stats), None, Vec::new())
+            let answer = self.answer_from_starts(starts, cap, stats);
+            (answer, None, Vec::new())
         } else {
             let shared_order = preset_order.or(probed.as_ref());
-            self.run_regions(query, &prologue, shared_order, stats, &mut clock)
+            self.run_regions(query, &start, cap, shared_order, stats, &mut clock)
         };
+        // The LIMIT is cut here: a pool's workers may together overshoot the
+        // cap, and post-hoc FILTERs lift it from the search.
+        if let Some(limit) = input.limit {
+            result.rows.truncate(limit);
+            result.solution_count = result.solution_count.min(limit);
+        }
+        if self.config.count_only {
+            result.rows.clear();
+        }
         // Freed before `enumeration` is written, which takes it in.
-        let explorer = prologue.explorer.take();
+        let explorer = start.explorer.take();
         let post_filters = explorer.is_some_and(|explorer| !explorer.split.post.is_empty());
         if trace.is_detailed() {
-            let selection = &prologue.selection;
+            let selection = &start.selection;
             record_stage_spans(
                 trace,
                 parent,
@@ -737,36 +778,32 @@ impl<'a> TurboHomEngine<'a> {
         Ok((result, probed.or(own_order)))
     }
 
-    /// Everything after the prologue: the set-up the regions share (row
-    /// layout), the regions, the post-hoc FILTERs and the LIMIT.
+    /// Everything after the prologue but the LIMIT: the set-up the regions
+    /// share (row layout), the regions, searched under `cap`, and the
+    /// post-hoc FILTERs.
     fn run_regions(
         &self,
         query: &TransformedQuery,
-        prologue: &Prologue<'_>,
+        start: &Start<'_>,
+        cap: SearchCap,
         shared_order: Option<&MatchingOrder>,
         stats: MatchStats,
         clock: &mut StageClock,
     ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
-        let explorer = (prologue.explorer.as_ref())
+        let explorer = (start.explorer.as_ref())
             .expect("the prologue explores a query with an edge or a FILTER");
         let filters = &explorer.split;
         let layout = RowLayout::of(&query.graph);
-        // With expensive filters pending, the search must materialize
-        // solutions and must not cut off at the limit prematurely.
-        let mut search_config = self.config;
-        if !filters.post.is_empty() {
-            search_config.count_only = false;
-            search_config.max_solutions = None;
-        }
 
         clock.lap(|c| &mut c.select);
         let run = RegionRun {
             data: self.data,
-            config: &search_config,
+            config: &self.config,
+            cap,
             query,
             explorer,
             layout: &layout,
-            starts: &prologue.selection.start_vertices,
+            starts: &start.selection.start_vertices,
             shared_order,
             handoff: StageClock::resume(clock.last),
             found: AtomicUsize::new(0),
@@ -778,13 +815,6 @@ impl<'a> TurboHomEngine<'a> {
             self.apply_post_filters(query, &layout, filters, &mut result);
             clock.lap(|c| &mut c.filter);
         }
-        if let Some(limit) = self.config.max_solutions {
-            result.rows.truncate(limit);
-            result.solution_count = result.solution_count.min(limit);
-        }
-        if self.config.count_only {
-            result.rows.clear();
-        }
         (result, own_order, workers)
     }
 
@@ -792,18 +822,25 @@ impl<'a> TurboHomEngine<'a> {
     /// applies to — a type scan after the type-aware transformation: the
     /// start vertices are the data vertices that carry its ID, labels and
     /// filter demands, a region would hold its start vertex alone, and the
-    /// search would report it. So the list is appended (cut at the LIMIT, not
-    /// at all when only counting) and every counter reads what Algorithm 1's
-    /// loop would have left one region at a time; no pool is set up and
-    /// nothing is ranked by degree. With +REUSE and no preset the prologue
-    /// has probed the order once, from the first region, for the plan to
-    /// memoize.
-    fn answer_from_starts(&self, starts: &[VertexId], mut stats: MatchStats) -> MatchResult {
-        let n = (self.config.max_solutions).map_or(starts.len(), |limit| starts.len().min(limit));
+    /// search would report it. So the list is appended (cut at the search's
+    /// cap, not at all unless it keeps rows) and every counter reads what
+    /// Algorithm 1's loop would have left one region at a time; no pool is
+    /// set up and nothing is ranked by degree. With +REUSE and no preset the
+    /// prologue has probed the order once, from the first region, for the
+    /// plan to memoize.
+    fn answer_from_starts(
+        &self,
+        starts: &[VertexId],
+        cap: SearchCap,
+        mut stats: MatchStats,
+    ) -> MatchResult {
+        let n = cap
+            .solutions
+            .map_or(starts.len(), |limit| starts.len().min(limit));
         if !self.config.optimizations.reuse_matching_order {
             stats.matching_orders_computed += n;
         }
-        let kept = if self.config.count_only { 0 } else { n };
+        let kept = if cap.keeps_rows { n } else { 0 };
         let mut rows = IdRows::with_capacity(1, kept);
         for v in &starts[..kept] {
             rows.push(&[v.0]);
@@ -996,12 +1033,16 @@ mod tests {
         let data = type_aware_transform(&ds);
         let q = parse_query(TRIANGLE).unwrap();
         let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
-        let run = |config: TurboHomConfig, preset: Option<&MatchingOrder>| {
+        let run = |config: TurboHomConfig, preset: Option<&MatchingOrder>, limit: Option<usize>| {
+            let input = RunInput {
+                limit,
+                ..RunInput::of(&tq)
+            };
             TurboHomEngine::new(&data, &ds.dictionary, config)
-                .execute_with_order(&tq, preset, RunFilters::of(&tq), &Trace::disabled(), None)
+                .execute_with_order(&tq, preset, input, &Trace::disabled(), None)
                 .unwrap()
         };
-        let (cold, cached_order) = run(TurboHomConfig::default(), None);
+        let (cold, cached_order) = run(TurboHomConfig::default(), None, None);
         // Empty regions come before the first hit, so a pool that counted
         // its search for the shared order would report more regions.
         assert!(cold.stats.candidate_regions > cold.stats.nonempty_regions);
@@ -1023,7 +1064,7 @@ mod tests {
                     optimizations.reuse_matching_order,
                     preset.is_some()
                 );
-                let (seq, seq_order) = run(config, preset);
+                let (seq, seq_order) = run(config, preset, None);
                 assert_eq!(seq.len(), 24, "{case}");
                 assert_eq!(
                     seq.stats.morsels, 0,
@@ -1037,7 +1078,7 @@ mod tests {
                 assert_eq!(seq.stats.matching_orders_computed, orders, "{case}");
                 for threads in [1, 2, 4, 8] {
                     let case = format!("{case}, threads = {threads}");
-                    let (par, par_order) = run(config.with_threads(threads), preset);
+                    let (par, par_order) = run(config.with_threads(threads), preset, None);
                     assert_eq!(sorted_rows(&par), sorted_rows(&seq), "{case}");
                     assert_eq!(par.len(), seq.len(), "{case}");
                     assert_eq!(par.step_rows, seq.step_rows, "{case}");
@@ -1048,11 +1089,7 @@ mod tests {
                         seq_order.as_ref().map(|o| o.order.clone()),
                         "{case}"
                     );
-                    let limited = TurboHomConfig {
-                        max_solutions: Some(5),
-                        ..config.with_threads(threads)
-                    };
-                    let (limited, _) = run(limited, preset);
+                    let (limited, _) = run(config.with_threads(threads), preset, Some(5));
                     assert_eq!(limited.len(), 5, "{case}");
                     assert_eq!(limited.rows.len(), 5, "{case}");
                 }
@@ -1076,38 +1113,39 @@ mod tests {
         let scan = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
             PREFIX ub: <http://ub.org/>
             SELECT ?d WHERE { ?d rdf:type ub:Department . }"#;
-        let run = |tq: &TransformedQuery, config: TurboHomConfig| {
+        let run = |tq: &TransformedQuery, config: TurboHomConfig, limit: Option<usize>| {
+            let input = RunInput {
+                limit,
+                ..RunInput::of(tq)
+            };
             TurboHomEngine::new(&data, &ds.dictionary, config)
-                .execute_with_order(tq, None, RunFilters::of(tq), &Trace::disabled(), None)
+                .execute_with_order(tq, None, input, &Trace::disabled(), None)
                 .unwrap()
         };
         for (sparql, dead) in [(TRIANGLE, 3), (chain, 3), (scan, 0)] {
             let q = parse_query(sparql).unwrap();
             let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
             let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-            let prologue = engine.explain(&tq).unwrap().expect("the query is admitted");
-            let (region, order) = prologue.first.as_ref().expect("a non-empty region");
-            let starts = &prologue.selection.start_vertices;
+            let prologue = engine.explain(&tq, RunInput::of(&tq));
+            let start = prologue.start.unwrap().expect("the query is admitted");
+            let (region, order) = start.first.as_ref().expect("a non-empty region");
+            let starts = &start.selection.start_vertices;
             assert_eq!(
                 starts.iter().position(|&v| v == region.start_vertex),
                 Some(dead)
             );
             for threads in [1, 2, 4] {
-                let (_, cold) = run(&tq, TurboHomConfig::default().with_threads(threads));
+                let (_, cold) = run(&tq, TurboHomConfig::default().with_threads(threads), None);
                 let case = format!("{sparql} at {threads} threads");
                 assert_eq!(cold.map(|o| o.order), Some(order.order.clone()), "{case}");
             }
             // One thread that stops at the first solution explores the dead
             // regions, then the probed one, and nothing after it.
-            let first_hit = TurboHomConfig {
-                max_solutions: Some(1),
-                ..TurboHomConfig::default()
-            };
-            let (hit, _) = run(&tq, first_hit);
+            let (hit, _) = run(&tq, TurboHomConfig::default(), Some(1));
             let regions = (hit.stats.candidate_regions, hit.stats.nonempty_regions);
             assert_eq!(regions, (dead + 1, 1), "{sparql}");
             let row = hit.rows.iter().next().expect("one solution");
-            assert_eq!(row[prologue.selection.query_vertex], region.start_vertex.0);
+            assert_eq!(row[start.selection.query_vertex], region.start_vertex.0);
         }
     }
 
@@ -1248,7 +1286,7 @@ mod tests {
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         // Cold run: computes the order once (+REUSE) and hands it back.
         let (cold, order) = engine
-            .execute_with_order(&tq, None, RunFilters::of(&tq), &Trace::disabled(), None)
+            .execute_with_order(&tq, None, RunInput::of(&tq), &Trace::disabled(), None)
             .unwrap();
         assert_eq!(cold.stats.matching_orders_computed, 1);
         let order = order.expect("cold run must surface the computed order");
@@ -1257,7 +1295,7 @@ mod tests {
             .execute_with_order(
                 &tq,
                 Some(&order),
-                RunFilters::of(&tq),
+                RunInput::of(&tq),
                 &Trace::disabled(),
                 None,
             )
@@ -1280,7 +1318,7 @@ mod tests {
             .execute_with_order(
                 &tq,
                 Some(&order),
-                RunFilters::of(&tq),
+                RunInput::of(&tq),
                 &Trace::disabled(),
                 None,
             )
@@ -1303,7 +1341,7 @@ mod tests {
         let root = trace.span("execute");
         let root_id = root.id();
         let (result, _) = engine
-            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, root_id)
+            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, root_id)
             .unwrap();
         root.finish();
         let report = trace.finish();
@@ -1343,7 +1381,7 @@ mod tests {
         );
         let trace = Trace::detailed(12);
         let (result, _) = engine
-            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, None)
+            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, None)
             .unwrap();
         assert_eq!(result.len(), 24);
         let report = trace.finish();
@@ -1370,7 +1408,7 @@ mod tests {
         let trace = Trace::new(13);
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         let (_, _) = engine
-            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, None)
+            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, None)
             .unwrap();
         assert!(trace.finish().spans.is_empty());
     }
@@ -1396,7 +1434,7 @@ mod tests {
         let root = trace.span("execute");
         let root_id = root.id();
         let (result, _) = engine
-            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, root_id)
+            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, root_id)
             .unwrap();
         root.finish();
         assert_eq!(result.len(), 36);
@@ -1441,7 +1479,7 @@ mod tests {
         let config = TurboHomConfig::default().with_threads(4);
         let trace = Trace::detailed(14);
         let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
-            .execute_with_order(&tq, None, RunFilters::of(&tq), &trace, None)
+            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, None)
             .unwrap();
         assert_eq!(order.map(|o| o.order), Some(vec![0]));
         assert_eq!((result.len(), result.rows.len()), (24, 24));

@@ -32,7 +32,7 @@ pub mod stats;
 pub mod subgraph_search;
 
 pub use config::{MatchSemantics, OptimizationName, Optimizations, TurboHomConfig};
-pub use engine::{EngineError, Prologue, RunFilters, TurboHomEngine};
+pub use engine::{EngineError, Prologue, RunInput, TurboHomEngine};
 pub use matching_order::MatchingOrder;
 pub use morsel::{drive, Worker};
 pub use result::{merge_step_counts, MatchResult, RowLayout};

@@ -595,10 +595,15 @@ mod tests {
             transformed(&ds, &t, &sparql)
         };
         let (tq, post_hoc) = (query(""), query("FILTER (?x != ?n)"));
-        let variable = |tq: &TransformedQuery, config: TurboHomConfig| {
-            let engine = crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config);
-            let prologue = engine.explain(tq).unwrap().unwrap();
-            let selection = prologue.selection;
+        fn input(tq: &TransformedQuery, limit: Option<usize>) -> crate::engine::RunInput<'_> {
+            let own = crate::engine::RunInput::of(tq);
+            crate::engine::RunInput { limit, ..own }
+        }
+        let config = TurboHomConfig::default();
+        let engine = crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config);
+        let variable = |tq: &TransformedQuery, limit: Option<usize>| {
+            let prologue = engine.explain(tq, input(tq, limit));
+            let selection = prologue.start.unwrap().unwrap().selection;
             let u = selection.query_vertex;
             (
                 tq.graph.vertex(u).variable.clone().unwrap(),
@@ -606,19 +611,15 @@ mod tests {
             )
         };
         let n = ("n".to_string(), 11);
-        assert_eq!(variable(&tq, TurboHomConfig::default()), n);
-        let capped = TurboHomConfig {
-            max_solutions: Some(5),
-            ..TurboHomConfig::default()
+        assert_eq!(variable(&tq, None), n);
+        assert_eq!(variable(&tq, Some(5)), ("x".to_string(), 20));
+        assert_eq!(variable(&post_hoc, Some(5)), n);
+        let run = |limit| {
+            let trace = turbohom_trace::Trace::disabled();
+            let found = engine.execute_with_order(&tq, None, input(&tq, limit), &trace, None);
+            found.unwrap().0
         };
-        assert_eq!(variable(&tq, capped), ("x".to_string(), 20));
-        assert_eq!(variable(&post_hoc, capped), n);
-        let run = |config: TurboHomConfig| {
-            crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config)
-                .execute(&tq)
-                .unwrap()
-        };
-        let (all, first) = (run(TurboHomConfig::default()), run(capped));
+        let (all, first) = (run(None), run(Some(5)));
         assert_eq!((all.len(), first.len()), (11, 5));
         assert!(first
             .rows

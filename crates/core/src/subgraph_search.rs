@@ -22,6 +22,7 @@
 
 use crate::candidate_region::CandidateRegion;
 use crate::config::{MatchSemantics, TurboHomConfig};
+use crate::engine::SearchCap;
 use crate::matching_order::MatchingOrder;
 use crate::query_tree::QueryTree;
 use crate::result::RowLayout;
@@ -82,6 +83,7 @@ struct SearchPlan {
 pub struct SubgraphSearcher<'a> {
     data: &'a TransformedGraph,
     config: &'a TurboHomConfig,
+    cap: SearchCap,
     query: &'a TransformedQuery,
     layout: &'a RowLayout,
     plan: SearchPlan,
@@ -90,7 +92,7 @@ pub struct SubgraphSearcher<'a> {
     /// Empty between regions, for the same reason.
     used: HashSet<VertexId>,
     /// The solutions of every region searched so far, one row per solution
-    /// in `layout` (untouched in count-only mode).
+    /// in `layout` (left empty unless the cap keeps rows).
     pub rows: IdRows,
     /// Number of solutions found so far (also counts in count-only mode).
     pub solution_count: usize,
@@ -111,12 +113,13 @@ pub struct SubgraphSearcher<'a> {
 }
 
 impl<'a> SubgraphSearcher<'a> {
-    /// Creates a searcher. Solutions are appended to [`rows`](Self::rows) in
-    /// `layout`. A matching order has to be [set](Self::set_order) before
-    /// the first region is searched.
+    /// Creates a searcher that stops at `cap`. Solutions are appended to
+    /// [`rows`](Self::rows) in `layout` if it keeps rows. A matching order
+    /// has to be [set](Self::set_order) before the first region is searched.
     pub fn new(
         data: &'a TransformedGraph,
         config: &'a TurboHomConfig,
+        cap: SearchCap,
         query: &'a TransformedQuery,
         layout: &'a RowLayout,
     ) -> Self {
@@ -124,6 +127,7 @@ impl<'a> SubgraphSearcher<'a> {
         SubgraphSearcher {
             data,
             config,
+            cap,
             query,
             layout,
             plan: SearchPlan::default(),
@@ -188,7 +192,8 @@ impl<'a> SubgraphSearcher<'a> {
         self.step_rows.resize(order.len(), 0);
     }
 
-    /// Returns `true` once the configured solution limit has been hit.
+    /// Returns `true` once the search has found as many solutions as its
+    /// cap.
     pub fn limit_reached(&self) -> bool {
         self.limit_reached
     }
@@ -437,9 +442,7 @@ impl<'a> SubgraphSearcher<'a> {
             .product::<usize>()
             .max(1);
 
-        let remaining = self
-            .config
-            .max_solutions
+        let remaining = (self.cap.solutions)
             .map(|m| m.saturating_sub(self.solution_count))
             .unwrap_or(usize::MAX);
         let to_emit = combinations.min(remaining);
@@ -452,14 +455,10 @@ impl<'a> SubgraphSearcher<'a> {
 
         self.solution_count += to_emit;
         self.stats.solutions += to_emit;
-        if self
-            .config
-            .max_solutions
-            .is_some_and(|m| self.solution_count >= m)
-        {
+        if (self.cap.solutions).is_some_and(|m| self.solution_count >= m) {
             self.limit_reached = true;
         }
-        if self.config.count_only {
+        if !self.cap.keeps_rows {
             return to_emit;
         }
 
@@ -526,7 +525,7 @@ mod tests {
         sparql: &str,
         config: &TurboHomConfig,
     ) -> (usize, IdRows, MatchStats) {
-        let found = run_from(ds, data, sparql, config, None);
+        let found = run_from(ds, data, sparql, config, None, None);
         (found.count, found.rows, found.stats)
     }
 
@@ -573,13 +572,15 @@ mod tests {
     }
 
     /// [`run`] with the query tree rooted at `root` (a variable) instead of
-    /// where start-vertex selection would put it.
+    /// where start-vertex selection would put it, and the search capped as
+    /// a run with `limit` would cap it.
     fn run_from(
         ds: &Dataset,
         data: &TransformedGraph,
         sparql: &str,
         config: &TurboHomConfig,
         root: Option<&str>,
+        limit: Option<usize>,
     ) -> Found {
         let q = parse_query(sparql).unwrap();
         let tq = transform_query(&q.pattern, data, &ds.dictionary).unwrap();
@@ -597,9 +598,10 @@ mod tests {
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let layout = RowLayout::of(&tq.graph);
         let split = FilterSplit::of(data, &ds.dictionary, &tq);
+        let cap = split.search_cap(config, limit);
         let explorer = RegionExplorer::new(data, config, &tq, tree.clone(), split);
         let mut region = CandidateRegion::default();
-        let mut searcher = SubgraphSearcher::new(data, config, &tq, &layout);
+        let mut searcher = SubgraphSearcher::new(data, config, cap, &tq, &layout);
         let mut order: Option<MatchingOrder> = None;
         for &start in sel.start_vertices.iter() {
             stats.candidate_regions += 1;
@@ -691,8 +693,9 @@ mod tests {
             let tree = QueryTree::build(&tq.graph, sel.query_vertex);
             let dictionary = &ds.dictionary;
             let split = FilterSplit::of(&data, dictionary, &tq);
+            let cap = split.search_cap(&config, None);
             let explorer = RegionExplorer::new(&data, &config, &tq, tree.clone(), split);
-            let new_searcher = || SubgraphSearcher::new(&data, &config, &tq, &layout);
+            let new_searcher = || SubgraphSearcher::new(&data, &config, cap, &tq, &layout);
 
             let mut region = CandidateRegion::default();
             let mut reused = new_searcher();
@@ -960,26 +963,24 @@ mod tests {
     }
 
     #[test]
-    fn max_solutions_limit_stops_early() {
+    fn a_capped_search_stops_early() {
         let mut ds = Dataset::new();
         for i in 0..50 {
             ds.insert_iris(&ub(&format!("s{i}")), vocab::RDF_TYPE, &ub("Student"));
         }
         let data = type_aware_transform(&ds);
-        let config = TurboHomConfig {
-            max_solutions: Some(7),
-            ..TurboHomConfig::default()
-        };
-        let (count, solutions, _) = run(
+        let found = run_from(
             &ds,
             &data,
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                PREFIX ub: <http://ub.org/>
                SELECT ?x WHERE { ?x rdf:type ub:Student . }"#,
-            &config,
+            &TurboHomConfig::default(),
+            None,
+            Some(7),
         );
-        assert_eq!(count, 7);
-        assert_eq!(solutions.len(), 7);
+        assert_eq!(found.count, 7);
+        assert_eq!(found.rows.len(), 7);
     }
 
     #[test]
@@ -1064,13 +1065,13 @@ mod tests {
         // Every advisor subject is a Student, every teacherOf and
         // takesCourse object a Course: nothing is left to select by.
         let data = type_aware_transform(&ds);
-        let regular = run_from(&ds, &data, &q9, &config, Some("Y"));
+        let regular = run_from(&ds, &data, &q9, &config, Some("Y"), None);
         assert_eq!(regular.named(&ds, &data), triangles);
         assert!(regular.lookup_labels_of("X").is_empty());
         assert!(regular.lookup_labels_of("Z").is_empty());
         assert_eq!(regular.join_types, [None]);
         // Without the switch the typed groups are read, to the same rows.
-        let typed = run_from(&ds, &data, &q9, &without_summary(), Some("Y"));
+        let typed = run_from(&ds, &data, &q9, &without_summary(), Some("Y"), None);
         assert_eq!(typed.named(&ds, &data), triangles);
         assert_eq!(typed.lookup_labels_of("X").len(), 1);
         assert!(typed.join_types[0].is_some());
@@ -1082,7 +1083,7 @@ mod tests {
         ds.insert_iris(&ub("visitor"), &ub("takesCourse"), &ub("reading_group"));
         ds.insert_iris(&ub("prof0"), &ub("teacherOf"), &ub("reading_group"));
         let data = type_aware_transform(&ds);
-        let irregular = run_from(&ds, &data, &q9, &config, Some("Y"));
+        let irregular = run_from(&ds, &data, &q9, &config, Some("Y"), None);
         assert_eq!(irregular.named(&ds, &data), triangles);
         assert_eq!(
             irregular.lookup_labels_of("X"),
@@ -1131,8 +1132,8 @@ mod tests {
                ?U rdf:type ub:University . ?S ub:degreeFrom ?U . ?D ub:subOrganizationOf ?U .
                ?S ub:advisor ?P . ?P ub:worksFor ?D . }}"
         );
-        let on = run_from(&ds, &data, &j2, &TurboHomConfig::default(), Some("U"));
-        let off = run_from(&ds, &data, &j2, &without_summary(), Some("U"));
+        let on = run_from(&ds, &data, &j2, &TurboHomConfig::default(), Some("U"), None);
+        let off = run_from(&ds, &data, &j2, &without_summary(), Some("U"), None);
         assert_eq!(on.count, 3 * 8);
         assert_eq!(on.named(&ds, &data), off.named(&ds, &data));
         // Per university the three groups (no `worksFor` member) and the two
@@ -1169,8 +1170,8 @@ mod tests {
                ?p ub:price ?x . OPTIONAL {{ ?p ub:rating ?r . ?r ub:by ?who . }} }}"
         );
         for (query, bound_cells) in [(&leaf, [2, 3, 3]), (&inner, [2, 2, 4])] {
-            let on = run_from(&ds, &data, query, &TurboHomConfig::default(), None);
-            let off = run_from(&ds, &data, query, &without_summary(), None);
+            let on = run_from(&ds, &data, query, &TurboHomConfig::default(), None, None);
+            let off = run_from(&ds, &data, query, &without_summary(), None, None);
             // Every product is returned, rated or not.
             assert_eq!(on.count, 3, "{query}");
             let mut bound: Vec<usize> = on.rows.iter().map(bound_count).collect();
@@ -1180,7 +1181,7 @@ mod tests {
         }
         // Inside the clause the signature does ask: the anonymous rating
         // lacks the `by` edge its own clause needs of it.
-        let on = run_from(&ds, &data, &inner, &TurboHomConfig::default(), None);
+        let on = run_from(&ds, &data, &inner, &TurboHomConfig::default(), None, None);
         assert_eq!(on.stats.signature_pruned, 1);
     }
 
@@ -1207,8 +1208,8 @@ mod tests {
 
         let query =
             format!("{UB_PREFIXES} SELECT ?b ?c WHERE {{ ub:a ub:link ?b . ?b ub:p3 ?c . }}");
-        let on = run_from(&ds, &data, &query, &TurboHomConfig::default(), None);
-        let off = run_from(&ds, &data, &query, &without_summary(), None);
+        let on = run_from(&ds, &data, &query, &TurboHomConfig::default(), None, None);
+        let off = run_from(&ds, &data, &query, &without_summary(), None, None);
         assert_eq!(on.count, 1);
         assert_eq!(on.named(&ds, &data), off.named(&ds, &data));
         // Only the vertex with neither predicate is turned down by its

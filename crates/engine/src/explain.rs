@@ -20,12 +20,11 @@
 //! the HTTP server returns for `explain=1` and splices into the SPARQL-JSON
 //! body for `analyze=1`.
 
-use crate::plan::{capped, ComponentPlan, PlanMode, QueryPlan, Window};
+use crate::plan::{ComponentPlan, PlanMode, QueryPlan, Window};
 use crate::results::IdResults;
 use crate::sharded::{AnyPlan, AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
-use turbohom_core::engine::has_post_hoc_filters;
-use turbohom_core::{EngineError, TurboHomConfig, TurboHomEngine};
+use turbohom_core::{EngineError, RunInput, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
 use turbohom_partition::Anchor;
 
@@ -346,15 +345,17 @@ impl ToJson for ShardExplain {
 }
 
 /// The static plan tree of one transformed component: what the engine's
-/// prologue decides for a run of it — guards, start vertex, first non-empty
-/// candidate region, matching order — short of enumeration.
+/// prologue decides for a run of it with `limit` — guards, start vertex,
+/// first non-empty candidate region, matching order — short of
+/// enumeration. Also returns whether that run's search stops at the LIMIT.
 fn explain_component(
     store: &Store,
     config: &TurboHomConfig,
     comp: &ComponentPlan,
+    limit: Option<usize>,
     branch: usize,
     index: usize,
-) -> ComponentExplain {
+) -> (ComponentExplain, bool) {
     let tq = &comp.transformed;
     let mut ce = ComponentExplain {
         branch,
@@ -372,29 +373,31 @@ fn explain_component(
         steps: Vec::new(),
     };
     let engine = TurboHomEngine::new(store.graph_of(comp), &store.dataset().dictionary, *config);
-    let verdict = engine.explain(tq);
-    ce.note = match &verdict {
+    let own = RunInput::of(tq);
+    let prologue = engine.explain(tq, RunInput { limit, ..own });
+    let pushed = prologue.cap.solutions.is_some();
+    ce.note = match &prologue.start {
         Ok(Some(_)) => None,
         Ok(None) => Some("unsatisfiable: a query constant does not occur in the data"),
         Err(EngineError::DisconnectedQuery) => Some("disconnected query graph"),
         Err(EngineError::NoRequiredPart) => Some("no required part (every vertex is OPTIONAL)"),
     };
-    let Ok(Some(prologue)) = verdict else {
-        return ce;
+    let Ok(Some(start)) = prologue.start else {
+        return (ce, pushed);
     };
-    let selection = &prologue.selection;
+    let selection = &start.selection;
     ce.start = Some(StartExplain {
         query_vertex: selection.query_vertex,
         variable: tq.graph.vertex(selection.query_vertex).variable.clone(),
         candidates: selection.start_vertices.len(),
     });
-    let (Some(explorer), Some((region, order))) = (&prologue.explorer, &prologue.first) else {
+    let (Some(explorer), Some((region, order))) = (&start.explorer, &start.first) else {
         ce.note = Some(if selection.start_vertices.is_empty() {
             "start vertex has no candidate data vertices"
         } else {
             "every candidate region is empty"
         });
-        return ce;
+        return (ce, pushed);
     };
     ce.region_candidates = Some(region.total_candidates());
     ce.steps = order
@@ -412,7 +415,7 @@ fn explain_component(
             qerror: None,
         })
         .collect();
-    ce
+    (ce, pushed)
 }
 
 impl Store {
@@ -421,27 +424,24 @@ impl Store {
     /// holds).
     pub fn explain(&self, plan: &QueryPlan) -> ExplainReport {
         let mut report = ExplainReport::new(plan.kind(), "single", plan.window);
-        // Only a graph plan's single-component branch is known to hand the
-        // LIMIT to its enumerator (`run_branch_plan`), which keeps it unless
-        // a FILTER waits for complete solutions: the join baselines, a
-        // cartesian product of components and post-hoc FILTERs cut it from
-        // what was found. A branch of several components hands it on only
-        // when a run finds every constant side to be one row, which a plan
-        // cannot know, so it reads `false`. A single-component branch is
-        // explained under the cap its run gets: start-vertex selection reads
-        // it.
+        // Only a graph plan's branch of one component is known to hand the
+        // LIMIT to a run: the join baselines and a cartesian product of
+        // components cut it from what was found. A branch of several
+        // components hands it on only when a run finds every constant side
+        // to be one row, which a plan cannot know, so its components are
+        // explained without it. Whether a run's search stops at the LIMIT
+        // (a FILTER that waits for complete solutions lifts it) is its
+        // prologue's to decide, and start-vertex selection reads it.
         let mut pushed = false;
         if let PlanMode::Graph { config, branches } = &plan.mode {
             for (b, branch) in branches.iter().enumerate() {
-                let config = match branch.components.as_slice() {
-                    [comp] => {
-                        pushed |= !has_post_hoc_filters(&comp.transformed);
-                        capped(*config, plan.pushed_limit())
-                    }
-                    _ => *config,
+                let limit = match branch.components.as_slice() {
+                    [_] => plan.pushed_limit(),
+                    _ => None,
                 };
                 for (c, comp) in branch.components.iter().enumerate() {
-                    let component = explain_component(self, &config, comp, b, c);
+                    let (component, capped) = explain_component(self, config, comp, limit, b, c);
+                    pushed |= capped;
                     report.components.push(component);
                 }
             }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_baseline::JoinStrategy;
 use turbohom_core::{
-    merge_step_counts, MatchResult, MatchingOrder, RowLayout, RunFilters, TurboHomConfig,
+    merge_step_counts, MatchResult, MatchingOrder, RowLayout, RunInput, TurboHomConfig,
     TurboHomEngine,
 };
 use turbohom_graph::{ELabel, VertexId};
@@ -72,11 +72,11 @@ pub(crate) struct BranchPlan {
     /// by the component matched under the others' constant rows, or else
     /// applied to the cartesian combination.
     filters: Vec<Expression>,
-    /// Of a branch with more than one component, the one matched last with
-    /// the one row each other component yields bound (see
-    /// `Store::run_components`): the one component without a required
-    /// constant query vertex, when no variable is in two components. `None`:
-    /// the branch is a cartesian product of its components.
+    /// The component matched last with the one row each other component
+    /// yields bound (see `Store::run_components`): the only one, or of
+    /// several the one without a required constant query vertex, when no
+    /// variable is in two components. `None`: the branch is a cartesian
+    /// product of its components.
     bind_into: Option<usize>,
 }
 
@@ -104,12 +104,15 @@ impl ComponentPlan {
     }
 }
 
-/// The component a branch of several binds its constant sides into (see
-/// [`BranchPlan::bind_into`]).
+/// The component a branch binds its constant sides into (see
+/// [`BranchPlan::bind_into`]); a branch of one component is a bound branch
+/// with nothing to bind.
 fn bind_target(components: &[ComponentPlan]) -> Option<usize> {
     let mut unanchored = (components.iter().enumerate()).filter(|(_, c)| !c.anchored());
-    let (Some((target, _)), None) = (unanchored.next(), unanchored.next()) else {
-        return None;
+    let target = match (components, unanchored.next(), unanchored.next()) {
+        ([_], ..) => 0,
+        (_, Some((target, _)), None) => target,
+        _ => return None,
     };
     let mut vars: Vec<&String> = components.iter().flat_map(|c| &c.vars).collect();
     let named = vars.len();
@@ -185,19 +188,6 @@ enum Shape {
     Product,
     /// A constant side has no row.
     Empty,
-}
-
-/// `config` with the LIMIT still missing as its solution cap, under its own
-/// cap if it has one.
-pub(crate) fn capped(config: TurboHomConfig, limit: Option<usize>) -> TurboHomConfig {
-    let max_solutions = match (config.max_solutions, limit) {
-        (Some(cap), Some(limit)) => Some(cap.min(limit)),
-        (cap, limit) => cap.or(limit),
-    };
-    TurboHomConfig {
-        max_solutions,
-        ..config
-    }
 }
 
 /// Adds a match's counters, per-step rows and estimates to `results`.
@@ -380,24 +370,23 @@ impl Store {
     ) -> Result<Vec<BranchPlan>, StoreError> {
         let mut branches = Vec::new();
         for branch in query.pattern.expand_unions() {
-            let components = split_components(&branch);
-            if components.len() <= 1 {
-                branches.push(BranchPlan {
-                    components: vec![self.plan_component(&branch, force_direct, Vec::new())?],
-                    filters: Vec::new(),
-                    bind_into: None,
-                });
-            } else {
-                let components = components
-                    .iter()
-                    .map(|c| self.plan_component(c, force_direct, c.all_variables()))
-                    .collect::<Result<Vec<_>, _>>()?;
-                branches.push(BranchPlan {
-                    bind_into: bind_target(&components),
-                    components,
-                    filters: collect_filters(&branch),
-                });
-            }
+            let (components, filters) = match split_components(&branch).as_slice() {
+                [] | [_] => {
+                    let only = self.plan_component(&branch, force_direct, Vec::new())?;
+                    (vec![only], Vec::new())
+                }
+                groups => {
+                    let components = (groups.iter())
+                        .map(|c| self.plan_component(c, force_direct, c.all_variables()))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    (components, collect_filters(&branch))
+                }
+            };
+            branches.push(BranchPlan {
+                bind_into: bind_target(&components),
+                components,
+                filters,
+            });
         }
         Ok(branches)
     }
@@ -421,9 +410,10 @@ impl Store {
     }
 
     /// Runs a graph plan's branches under `config` with the plan's pushed-down
-    /// `LIMIT`: each branch only enumerates the solutions still missing, and
-    /// the branch loop stops as soon as the limit is reached. The time spent
-    /// turning matches into term-id rows is added to `materialise`.
+    /// `LIMIT`: each branch is a run that answers with the solutions still
+    /// missing, and the branch loop stops as soon as the limit is reached.
+    /// The time spent turning matches into term-id rows is added to
+    /// `materialise`.
     fn run_graph_plan(
         &self,
         branches: &[BranchPlan],
@@ -440,7 +430,7 @@ impl Store {
             if remaining == Some(0) {
                 break;
             }
-            self.run_branch_plan(branch, config, remaining, trace, materialise, &mut results)?;
+            self.run_components(branch, config, remaining, trace, materialise, &mut results)?;
         }
         Ok(results)
     }
@@ -457,54 +447,25 @@ impl Store {
         IdResults::new(variables, vec![run])
     }
 
-    /// Runs one branch and appends its rows to `results`. A connected branch
-    /// goes straight to the matching engine, its LIMIT the search's solution
-    /// cap (unless a FILTER waits for complete solutions, which the engine
-    /// sees to); one that falls apart into several is
-    /// [`run_components`](Self::run_components).
-    fn run_branch_plan(
-        &self,
-        branch: &BranchPlan,
-        config: TurboHomConfig,
-        limit: Option<usize>,
-        trace: &Trace,
-        materialise: &mut Materialise,
-        results: &mut IdResults<'_>,
-    ) -> Result<(), StoreError> {
-        let [component] = branch.components.as_slice() else {
-            return self.run_components(branch, config, limit, trace, materialise, results);
-        };
-        let config = capped(config, limit);
-        // `execute` is the matcher alone; folding what it found into
-        // `results` is part of materialising them.
-        let mut span = trace.span("execute");
-        let filters = RunFilters::of(&component.transformed);
-        let result = self.match_component(component, config, filters, trace, span.id())?;
-        span.counter("solutions", result.solution_count as u64);
-        span.finish();
-
-        let projecting = Instant::now();
-        absorb_counts(results, &result);
-        self.append_rows(component, &result, &[], results);
-        materialise.took += projecting.elapsed();
-        Ok(())
-    }
-
-    /// Runs a branch whose required BGP falls apart into several connected
-    /// components (e.g. BSBM Q5, which compares one product's property
-    /// values with every product's through FILTERs). When all components but
-    /// one hold a constant ([`BranchPlan::bind_into`]), those are matched
-    /// first:
+    /// Runs one branch and appends its rows to `results`. When the branch
+    /// binds into one of its components ([`BranchPlan::bind_into`]; e.g.
+    /// BSBM Q5, which compares one product's property values with every
+    /// product's through FILTERs), the others, which hold a constant, are
+    /// matched first:
     ///
     /// - one yields no row: the branch is empty, and nothing else is matched;
-    /// - each yields one row: those rows are bound, and the last component
-    ///   is matched once, under the branch FILTERs and capped by the LIMIT. A
-    ///   FILTER whose one unbound variable is a required vertex of it runs
-    ///   inline there (Section 5.1's split, the bound variables counted as
-    ///   constants), the rest post hoc. The product of one-row sides with its
-    ///   rows is its rows, in enumeration order;
+    /// - each yields one row (a branch of one component has no other): those
+    ///   rows are bound, and the bound component is matched once, a run
+    ///   under the branch FILTERs with the LIMIT. A FILTER whose one unbound
+    ///   variable is a required vertex of it runs inline there (Section
+    ///   5.1's split, the bound variables counted as constants), the rest
+    ///   post hoc. The product of one-row sides with its rows is its rows,
+    ///   in enumeration order;
     /// - otherwise every component is matched, and the cartesian product of
     ///   their rows is filtered and cut at the LIMIT.
+    ///
+    /// `execute` is the matcher alone; folding what it found into `results`
+    /// is part of materialising them.
     fn run_components(
         &self,
         branch: &BranchPlan,
@@ -519,15 +480,14 @@ impl Store {
         // A constant side is matched for its rows, whole.
         let whole = TurboHomConfig {
             count_only: false,
-            max_solutions: None,
             ..config
         };
         let mut span = trace.span("execute");
         let mut shape = branch.bind_into.map_or(Shape::Product, Shape::Bound);
         if let Shape::Bound(target) = shape {
             for (i, component) in components.iter().enumerate().filter(|&(i, _)| i != target) {
-                let filters = RunFilters::of(&component.transformed);
-                let side = self.match_component(component, whole, filters, trace, span.id())?;
+                let input = RunInput::of(&component.transformed);
+                let side = self.match_component(component, whole, input, trace, span.id())?;
                 let rows = side.rows.len();
                 matched[i] = Some(side);
                 if rows == 0 {
@@ -548,21 +508,21 @@ impl Store {
                 let outer: Vec<(&str, TermRef<'_>)> = (constants.iter())
                     .filter_map(|&(var, cell)| Some((var, term_of(dictionary, cell)?)))
                     .collect();
-                let filters = RunFilters {
+                let input = RunInput {
                     own: &component.transformed.filters,
                     branch: &branch.filters,
                     outer: &outer,
+                    limit,
                 };
-                let capped = capped(config, limit);
-                let result = self.match_component(component, capped, filters, trace, span.id())?;
+                let result = self.match_component(component, config, input, trace, span.id())?;
                 matched[target] = Some(result);
             }
             Shape::Product => {
                 for (component, slot) in components.iter().zip(&mut matched) {
                     if slot.is_none() {
-                        let filters = RunFilters::of(&component.transformed);
+                        let input = RunInput::of(&component.transformed);
                         let result =
-                            self.match_component(component, config, filters, trace, span.id())?;
+                            self.match_component(component, config, input, trace, span.id())?;
                         *slot = Some(result);
                     }
                 }
@@ -708,13 +668,13 @@ impl Store {
         (rows, filtered)
     }
 
-    /// Runs the matcher over one transformed component by `filters`, reusing
+    /// Runs the matcher over one transformed component with `input`, reusing
     /// (or memoizing) its matching order.
     fn match_component(
         &self,
         component: &ComponentPlan,
         config: TurboHomConfig,
-        filters: RunFilters<'_>,
+        input: RunInput<'_>,
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<MatchResult, StoreError> {
@@ -723,7 +683,7 @@ impl Store {
         let preset = component.cached_order.lock().clone();
         let transformed = &component.transformed;
         let (result, computed) =
-            engine.execute_with_order(transformed, preset.as_deref(), filters, trace, parent)?;
+            engine.execute_with_order(transformed, preset.as_deref(), input, trace, parent)?;
         if let Some(order) = computed {
             let mut slot = component.cached_order.lock();
             if slot.is_none() {

@@ -10,8 +10,8 @@
 //!    [`AnyStore::run_plan_traced`]
 //!    (no parsing, no transformation, and — via the plan's memoized
 //!    matching order — no order determination either),
-//! 4. **miss** → [`Store::prepare_plan`] (parse + transform), run it, and
-//!    cache the plan for the next request.
+//! 4. **miss** → [`AnyStore::prepare_plan_traced`] (parse + transform), run
+//!    it, and cache the plan for the next request.
 //!
 //! The service counts how many times the expensive prepare half actually
 //! ran ([`StatsSnapshot::plans_prepared`]), which is what the warm-path
@@ -329,8 +329,12 @@ impl QueryService {
     }
 
     /// Creates a service over either store flavor (the server uses this to
-    /// boot `--shards=k`).
+    /// boot `--shards=k`). A `max_threads` of 0 is taken as 1.
     pub fn with_any_store(store: AnyStore, config: ServiceConfig) -> Self {
+        let config = ServiceConfig {
+            max_threads: config.max_threads.max(1),
+            ..config
+        };
         let service = QueryService {
             cache: PlanCache::new(config.plan_cache_capacity),
             metrics: ServiceMetrics::new(),
@@ -993,6 +997,24 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.results.len(), 3);
+    }
+
+    /// `clamp(1, 0)` panics: a bound of 0 is raised to 1 when the service
+    /// is built, and a request that names a thread count runs on one.
+    #[test]
+    fn a_thread_bound_of_zero_is_one() {
+        let store = service().store().clone();
+        let config = ServiceConfig {
+            max_threads: 0,
+            ..ServiceConfig::default()
+        };
+        let svc = QueryService::with_any_store(store, config);
+        assert_eq!(svc.config().max_threads, 1);
+        let options = QueryOptions {
+            threads: Some(4),
+            ..QueryOptions::default()
+        };
+        assert_eq!(svc.query(Q, options).unwrap().results.len(), 3);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Quickstart: load a few triples, ask a SPARQL query, print the answers.
+//! Quickstart: load a few triples, ask a SPARQL query, print the answers of
+//! two engines. Panics unless both find the same one solution.
 //!
 //! ```bash
 //! cargo run --example quickstart
@@ -52,6 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the same query with the paper's engine and with the RDF-3X-style
     // baseline; both must agree.
+    let mut answers = Vec::new();
     for kind in [EngineKind::TurboHomPlusPlus, EngineKind::MergeJoin] {
         // What only this engine reads (the baseline's permutation tables)
         // is otherwise built by its first plan.
@@ -63,6 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             results.len(),
             results.elapsed
         );
+        let mut rows = Vec::new();
         for binding in results.iter_bindings() {
             let row: Vec<String> = results
                 .variables
@@ -78,7 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 })
                 .collect();
             println!("  {}", row.join("  "));
+            rows.push(row);
         }
+        rows.sort();
+        answers.push(rows);
     }
+    // The triangle has one solution, and both engines find the same one.
+    assert_eq!(answers[0].len(), 1, "expected one solution");
+    assert_eq!(answers[0], answers[1], "the two engines disagree");
     Ok(())
 }
