@@ -305,7 +305,7 @@ impl<'a> BaselineEngine<'a> {
         relation.rows.retain(|row| {
             let bindings = |name: &str| {
                 let column = vars.iter().position(|var| var == name)?;
-                row[column].and_then(|id| dictionary.term_ref(id))
+                row[column].and_then(|id| dictionary.term_and_view(id))
             };
             filter.evaluate_bool(&bindings)
         });

@@ -17,8 +17,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use turbohom_graph::{ELabel, VertexId};
-use turbohom_rdf::{Dictionary, IdRows, TermRef, UNBOUND};
-use turbohom_sparql::Expression;
+use turbohom_rdf::{Dictionary, IdRows, UNBOUND};
+use turbohom_sparql::{Binding, Expression};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
 
@@ -439,8 +439,9 @@ pub struct RunInput<'f> {
     pub own: &'f [Expression],
     /// The FILTERs of the branch the query graph is a component of.
     pub branch: &'f [Expression],
-    /// Variables bound outside the query graph, with their terms.
-    pub outer: &'f [(&'f str, TermRef<'f>)],
+    /// Variables bound outside the query graph, with their terms and those
+    /// terms' numeric views.
+    pub outer: &'f [(&'f str, Binding<'f>)],
     /// The most solutions the run answers with; whether its search stops
     /// there is the prologue's to decide ([`SearchCap`]).
     pub limit: Option<usize>,
@@ -549,7 +550,7 @@ impl<'f> FilterSplit<'f> {
             return true;
         };
         let id = self.data.mappings.term_of_vertex(v);
-        let Some(term) = id.and_then(|id| self.dictionary.term_ref(id)) else {
+        let Some(term) = id.and_then(|id| self.dictionary.term_and_view(id)) else {
             return true;
         };
         let bindings = |name: &str| (name == var).then_some(term);
@@ -890,7 +891,7 @@ impl<'a> TurboHomEngine<'a> {
                         (_, false) => mappings.term_of_vertex(VertexId(cell)),
                         (_, true) => mappings.term_of_elabel(ELabel(cell)),
                     };
-                    id.and_then(|id| self.dictionary.term_ref(id))
+                    id.and_then(|id| self.dictionary.term_and_view(id))
                 })
             };
             filters.post.iter().all(|f| f.evaluate_bool(&bindings))

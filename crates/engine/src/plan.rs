@@ -22,7 +22,7 @@
 //! ([`StoreError::OrderByUnsupported`]): no engine applies it.
 
 use crate::error::StoreError;
-use crate::results::{term_of, IdResults, QueryResults, Run};
+use crate::results::{IdResults, QueryResults, Run};
 use crate::store::{branch_needs_direct, collect_filters, split_components, EngineKind, Store};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -33,8 +33,8 @@ use turbohom_core::{
     TurboHomEngine,
 };
 use turbohom_graph::{ELabel, VertexId};
-use turbohom_rdf::{IdRows, TermId, TermRef, UNBOUND};
-use turbohom_sparql::{Expression, GroupPattern, Query};
+use turbohom_rdf::{Dictionary, IdRows, TermId, UNBOUND};
+use turbohom_sparql::{Binding, Expression, GroupPattern, Query};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformKind, TransformedGraph, TransformedQuery};
 
@@ -188,6 +188,12 @@ enum Shape {
     Product,
     /// A constant side has no row.
     Empty,
+}
+
+/// The term in a cell of an id row with its numeric view, as a FILTER reads
+/// it; `None` when unbound.
+fn binding_of(dictionary: &Dictionary, cell: u32) -> Option<Binding<'_>> {
+    IdRows::term_id(cell).and_then(|id| dictionary.term_and_view(id))
 }
 
 /// Adds a match's counters, per-step rows and estimates to `results`.
@@ -505,8 +511,8 @@ impl Store {
                 let component = &components[target];
                 constants = self.constant_row(components, &matched);
                 let dictionary = &self.dataset().dictionary;
-                let outer: Vec<(&str, TermRef<'_>)> = (constants.iter())
-                    .filter_map(|&(var, cell)| Some((var, term_of(dictionary, cell)?)))
+                let outer: Vec<(&str, Binding<'_>)> = (constants.iter())
+                    .filter_map(|&(var, cell)| Some((var, binding_of(dictionary, cell)?)))
                     .collect();
                 let input = RunInput {
                     own: &component.transformed.filters,
@@ -652,7 +658,7 @@ impl Store {
                 let bindings = |name: &str| {
                     let mut cells = all_vars.iter().zip(row).rev();
                     cells.find_map(|(var, &cell)| {
-                        (*var == name).then(|| term_of(dictionary, cell))?
+                        (*var == name).then(|| binding_of(dictionary, cell))?
                     })
                 };
                 branch.filters.iter().all(|f| f.evaluate_bool(&bindings))

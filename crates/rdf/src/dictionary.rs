@@ -10,7 +10,18 @@
 //! The dictionary is three flat arrays from the first [`Dictionary::encode`]
 //! on: a UTF-8 string arena that every term's bytes are appended to once,
 //! fixed-width [`TermRecord`]s pointing into it (indexed by id), and one
-//! lookup structure over the ids:
+//! lookup structure over the ids.
+//!
+//! A record is 32 bytes: the kind code, `u32` offsets and lengths of the
+//! lexical form and of the extra string (datatype IRI and/or language tag),
+//! and the term's numeric view ([`TermRef::numeric_view`]), taken once when
+//! the term is encoded, with a flag bit in the kind saying whether it has one
+//! (so the literal `"NaN"` keeps its NaN). A FILTER comparison reads the view
+//! from the record ([`Dictionary::term_and_view`]) and no byte of the arena,
+//! so no string is parsed while a query runs. Offsets are 32 bits: the arena
+//! refuses to grow past `u32::MAX` bytes, as the ids refuse the 2³²-th term.
+//!
+//! The lookup structure is one of two:
 //!
 //! * **Hashed** while terms are being encoded — an open-addressing table of
 //!   ids, hashed over the arena bytes with a per-process keyed SipHash, never
@@ -61,7 +72,7 @@ const TAG_DICT_ARENA: u64 = 0x0101;
 const TAG_DICT_RECORDS: u64 = 0x0102;
 const TAG_DICT_SORTED: u64 = 0x0103;
 
-/// Term kind codes stored in [`TermRecord::kind`].
+/// Term kind codes stored in the low bits of [`TermRecord::kind`].
 const KIND_IRI: u32 = 0;
 const KIND_BLANK: u32 = 1;
 const KIND_PLAIN: u32 = 2;
@@ -71,23 +82,46 @@ const KIND_LANG: u32 = 4;
 /// constructible even though `validate` rejects it, so the snapshot must
 /// round-trip it); `extra` stores `datatype \0 language`.
 const KIND_TYPED_LANG: u32 = 5;
+/// The bit of [`TermRecord::kind`] set when the term has a numeric view.
+const NUMERIC: u32 = 1 << 8;
 
 /// Fixed-width description of one term: a kind code plus two `(offset, len)`
 /// ranges into the string arena (lexical form and the kind-dependent extra
-/// string — datatype IRI and/or language tag).
+/// string — datatype IRI and/or language tag), and the term's numeric view.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TermRecord {
+    /// The kind code, with [`NUMERIC`] set when the term has a numeric view.
     kind: u32,
+    lex_off: u32,
+    lex_len: u32,
+    extra_off: u32,
+    extra_len: u32,
     reserved: u32,
-    lex_off: u64,
-    lex_len: u64,
-    extra_off: u64,
-    extra_len: u64,
+    /// The numeric view's `f64::to_bits` under [`NUMERIC`], else 0.
+    number: u64,
 }
 
-// Safety: repr(C), all fields u32/u64 with no padding (4+4 then 8-aligned).
+// Safety: repr(C), five u32s, a u32 and a u64 at offset 24: no padding.
 unsafe impl Pod for TermRecord {}
+
+impl TermRecord {
+    /// The kind code, without the [`NUMERIC`] bit.
+    fn code(&self) -> u32 {
+        self.kind & !NUMERIC
+    }
+
+    /// The stored numeric view.
+    fn view(&self) -> Option<f64> {
+        (self.kind & NUMERIC != 0).then(|| f64::from_bits(self.number))
+    }
+}
+
+/// What a record stores of the numeric view `number`: its [`NUMERIC`] bit and
+/// its bits. Two views store alike exactly when they are equal bit for bit.
+fn stored_view(number: Option<f64>) -> (u32, u64) {
+    number.map_or((0, 0), |n| (NUMERIC, n.to_bits()))
+}
 
 /// Decomposes a term into its snapshot key: `(kind, lexical, extra)`.
 fn term_key(term: &Term) -> (u32, &str, Cow<'_, str>) {
@@ -132,10 +166,13 @@ fn term_ref_from_parts<'a>(kind: u32, lexical: &'a str, extra: &'a str) -> TermR
 type Key<'a> = (u32, &'a [u8], &'a [u8]);
 
 fn record_key<'a>(arena: &'a [u8], r: &TermRecord) -> Key<'a> {
+    // Both ranges end inside the arena (the `Dictionary` invariant), so the
+    // sums fit a `usize`.
+    let range = |off: u32, len: u32| off as usize..off as usize + len as usize;
     (
-        r.kind,
-        &arena[r.lex_off as usize..(r.lex_off + r.lex_len) as usize],
-        &arena[r.extra_off as usize..(r.extra_off + r.extra_len) as usize],
+        r.code(),
+        &arena[range(r.lex_off, r.lex_len)],
+        &arena[range(r.extra_off, r.extra_len)],
     )
 }
 
@@ -153,6 +190,14 @@ fn slots_for(terms: usize) -> usize {
 /// Panics if `id + 1` does not fit the index's 32-bit slots.
 fn slot_entry(id: usize) -> u32 {
     u32::try_from(id + 1).expect("the dictionary's hash index addresses at most u32::MAX terms")
+}
+
+/// An arena offset as a record stores it.
+///
+/// # Panics
+/// Panics if `offset` does not fit the records' 32-bit offsets.
+fn arena_offset(offset: usize) -> u32 {
+    u32::try_from(offset).expect("the dictionary's records address at most u32::MAX arena bytes")
 }
 
 /// The one structure that answers term → id.
@@ -310,18 +355,22 @@ impl Dictionary {
             Err(slot) => slot,
         };
         let entry = slot_entry(id);
+        let lex_off = self.arena.len();
+        let extra_off = lex_off + lex.len();
+        // Refused before the arena grows; every offset below fits if the end does.
+        arena_offset(extra_off + extra.len());
+        let (numeric, number) = stored_view(term_ref_from_parts(kind, lex, extra).numeric_view());
         let arena = self.arena.to_mut();
-        let lex_off = arena.len() as u64;
         arena.extend_from_slice(lex.as_bytes());
-        let extra_off = arena.len() as u64;
         arena.extend_from_slice(extra.as_bytes());
         self.records.to_mut().push(TermRecord {
-            kind,
+            kind: kind | numeric,
+            lex_off: arena_offset(lex_off),
+            lex_len: arena_offset(lex.len()),
+            extra_off: arena_offset(extra_off),
+            extra_len: arena_offset(extra.len()),
             reserved: 0,
-            lex_off,
-            lex_len: lex.len() as u64,
-            extra_off,
-            extra_len: extra.len() as u64,
+            number,
         });
         if let Lookup::Hashed(table) = &mut self.lookup {
             table[slot] = entry;
@@ -355,7 +404,26 @@ impl Dictionary {
     /// Returns a borrowed view of the term for `id`, if `id` is valid: no
     /// string is copied, on the heap or on a snapshot view.
     pub fn term_ref(&self, id: TermId) -> Option<TermRef<'_>> {
-        let (kind, lex, extra) = record_key(&self.arena, self.records.get(id.index())?);
+        self.records
+            .get(id.index())
+            .map(|record| self.decode(record))
+    }
+
+    /// Returns the term for `id` with its numeric view
+    /// ([`TermRef::numeric_view`]), both from the term's one record: what a
+    /// FILTER reads of a bound variable. No string is copied or parsed.
+    pub fn term_and_view(&self, id: TermId) -> Option<(TermRef<'_>, Option<f64>)> {
+        let record = self.records.get(id.index())?;
+        Some((self.decode(record), record.view()))
+    }
+
+    /// The term `record` describes, borrowed from the arena. Inlined into
+    /// both readers: the result writer resolves a cell per call of
+    /// `term_ref`, and a call more per cell keeps fewer record misses in
+    /// flight.
+    #[inline(always)]
+    fn decode(&self, record: &TermRecord) -> TermRef<'_> {
+        let (kind, lex, extra) = record_key(&self.arena, record);
         // SAFETY: by the struct invariant both ranges hold valid UTF-8:
         // `encode` and `encode_iri` appended them from `&str`s (through
         // `encode_key`), `read_sections` validated every record's ranges
@@ -365,7 +433,7 @@ impl Dictionary {
         // Validating here instead would cost a pass over the string on every
         // decoded cell of every result row.
         let text = |bytes| unsafe { std::str::from_utf8_unchecked(bytes) };
-        Some(term_ref_from_parts(kind, text(lex), text(extra)))
+        term_ref_from_parts(kind, text(lex), text(extra))
     }
 
     /// Returns the term for `id`, if `id` is valid.
@@ -419,7 +487,8 @@ impl Dictionary {
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
     /// validating every record's arena ranges and their UTF-8 so later reads
-    /// cannot panic.
+    /// cannot panic, and its numeric view against its lexical form's, bit for
+    /// bit, so a FILTER over the view answers as over the text.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let arena: FlatVec<u8> = cur.next_section(TAG_DICT_ARENA)?;
         let records: FlatVec<TermRecord> = cur.next_section(TAG_DICT_RECORDS)?;
@@ -430,25 +499,28 @@ impl Dictionary {
             ));
         }
         let arena_len = arena.len() as u64;
+        let within = |off: u32, len: u32| u64::from(off) + u64::from(len) <= arena_len;
         for (i, r) in records.iter().enumerate() {
-            let lex_ok = r
-                .lex_off
-                .checked_add(r.lex_len)
-                .is_some_and(|end| end <= arena_len);
-            let extra_ok = r
-                .extra_off
-                .checked_add(r.extra_len)
-                .is_some_and(|end| end <= arena_len);
-            if !lex_ok || !extra_ok || r.kind > KIND_TYPED_LANG {
+            if !within(r.lex_off, r.lex_len)
+                || !within(r.extra_off, r.extra_len)
+                || r.code() > KIND_TYPED_LANG
+            {
                 return Err(SnapshotError::Malformed(format!(
                     "dictionary record {i} is out of bounds or has a bad kind"
                 )));
             }
             // `term_ref` hands these ranges out as `&str`.
-            let (_, lex, extra) = record_key(&arena, r);
-            if std::str::from_utf8(lex).is_err() || std::str::from_utf8(extra).is_err() {
+            let (kind, lex, extra) = record_key(&arena, r);
+            let (Ok(lex), Ok(extra)) = (std::str::from_utf8(lex), std::str::from_utf8(extra))
+            else {
                 return Err(SnapshotError::Malformed(format!(
                     "dictionary record {i} is not UTF-8"
+                )));
+            };
+            let view = term_ref_from_parts(kind, lex, extra).numeric_view();
+            if (r.kind & NUMERIC, r.number) != stored_view(view) {
+                return Err(SnapshotError::Malformed(format!(
+                    "dictionary record {i}'s numeric view is not its lexical form's"
                 )));
             }
         }
@@ -613,11 +685,11 @@ mod tests {
         // sorted ids wait for the freeze.
         let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
         assert!(arena > 0);
-        assert_eq!((records, sorted), ((terms.len() * 40) as u64, 0));
+        assert_eq!((records, sorted), ((terms.len() * 32) as u64, 0));
         d.freeze();
         assert!(d.is_frozen());
         let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
-        assert_eq!(records, (terms.len() * 40) as u64);
+        assert_eq!(records, (terms.len() * 32) as u64);
         assert_eq!(sorted, (terms.len() * 4) as u64);
         assert!(arena > 0);
         for (t, id) in terms.iter().zip(&ids) {
@@ -781,6 +853,134 @@ mod tests {
     fn an_id_the_hash_index_cannot_hold_is_refused_not_wrapped() {
         assert_eq!(slot_entry(u32::MAX as usize - 1), u32::MAX);
         slot_entry(u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX arena bytes")]
+    fn an_arena_the_records_cannot_address_is_refused_not_wrapped() {
+        assert_eq!(arena_offset(u32::MAX as usize), u32::MAX);
+        arena_offset(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn a_record_is_32_bytes_and_keeps_its_terms_numeric_view() {
+        assert_eq!(std::mem::size_of::<TermRecord>(), 32);
+        let mut d = Dictionary::new();
+        let terms = [
+            Term::typed_literal(" 42 ", crate::vocab::XSD_INTEGER),
+            Term::literal("NaN"),
+            Term::lang_literal("-0", "en"),
+            Term::literal("abc"),
+            Term::iri("http://ex.org/1"),
+            Term::blank("1"),
+        ];
+        let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
+        let view = snapshot_view(&d, "views");
+        for flat in [&d, &view] {
+            let views: Vec<Option<u64>> = (ids.iter())
+                .map(|&id| flat.term_and_view(id).unwrap().1.map(f64::to_bits))
+                .collect();
+            let expected = [Some(42.0), Some(f64::NAN), Some(-0.0), None, None, None];
+            assert_eq!(views, expected.map(|n| n.map(f64::to_bits)));
+        }
+    }
+
+    /// Reads a dictionary from sections holding `arena` and `records` (and
+    /// the identity as their order).
+    fn read_records(arena: &[u8], records: &[TermRecord]) -> Result<Dictionary, SnapshotError> {
+        let mut w = SnapshotWriter::new();
+        w.section(TAG_DICT_ARENA, arena);
+        w.section(TAG_DICT_RECORDS, records);
+        w.section(
+            TAG_DICT_SORTED,
+            &(0..records.len() as u32).collect::<Vec<_>>(),
+        );
+        let path =
+            std::env::temp_dir().join(format!("turbohom-dict-{}-records.snap", std::process::id()));
+        w.write_to(&path).unwrap();
+        let read = Dictionary::read_sections(&mut Snapshot::open(&path).unwrap().cursor());
+        std::fs::remove_file(&path).unwrap();
+        read
+    }
+
+    #[test]
+    fn a_snapshot_record_whose_view_or_range_is_wrong_is_refused() {
+        let mut d = Dictionary::new();
+        d.encode(&Term::typed_literal("12", crate::vocab::XSD_INTEGER));
+        let (arena, record) = (d.arena.to_vec(), d.records[0]);
+        assert_eq!(record.view(), Some(12.0));
+        assert!(read_records(&arena, &[record]).is_ok());
+        let malformed = |record: TermRecord, what: &str| {
+            let err = read_records(&arena, &[record]).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Malformed(m) if m.contains(what)),
+                "{err:?}"
+            );
+        };
+        let view = "numeric view is not its lexical form's";
+        // Another number, the same number one bit off, no view, and a view
+        // on the datatype IRI's kind.
+        malformed(
+            TermRecord {
+                number: 13f64.to_bits(),
+                ..record
+            },
+            view,
+        );
+        malformed(
+            TermRecord {
+                number: record.number ^ 1,
+                ..record
+            },
+            view,
+        );
+        malformed(
+            TermRecord {
+                kind: KIND_TYPED,
+                ..record
+            },
+            view,
+        );
+        malformed(
+            TermRecord {
+                kind: KIND_IRI | NUMERIC,
+                ..record
+            },
+            view,
+        );
+        malformed(
+            TermRecord {
+                kind: KIND_TYPED,
+                number: 0,
+                ..record
+            },
+            view,
+        );
+        // A range that runs one byte past the arena (the datatype IRI ends
+        // it), or past `u32::MAX`; and a bad kind code.
+        let bounds = "out of bounds";
+        malformed(
+            TermRecord {
+                extra_len: record.extra_len + 1,
+                ..record
+            },
+            bounds,
+        );
+        malformed(
+            TermRecord {
+                lex_off: u32::MAX,
+                lex_len: 2,
+                ..record
+            },
+            bounds,
+        );
+        malformed(
+            TermRecord {
+                kind: 6 | NUMERIC,
+                ..record
+            },
+            bounds,
+        );
     }
 
     #[test]

@@ -242,6 +242,18 @@ impl<'a> From<&'a Term> for TermRef<'a> {
 }
 
 impl TermRef<'_> {
+    /// The term's numeric view, which a FILTER compares it by when the other
+    /// side has one too: a literal's lexical form, trimmed and parsed as an
+    /// `f64` (whatever its datatype or language tag; `"NaN"` is NaN); none for
+    /// a form that does not parse, an IRI or a blank node. The dictionary
+    /// stores it with each term, so query execution reads it and never parses.
+    pub fn numeric_view(self) -> Option<f64> {
+        match self {
+            TermRef::Literal { lexical, .. } => lexical.trim().parse().ok(),
+            TermRef::Iri(_) | TermRef::BlankNode(_) => None,
+        }
+    }
+
     /// Copies the view into an owned [`Term`].
     pub fn to_term(self) -> Term {
         match self {

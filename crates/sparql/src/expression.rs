@@ -9,10 +9,12 @@
 //!
 //! An expression is evaluated over borrowed terms: the caller hands
 //! [`Expression::evaluate`] a lookup from a variable name to the
-//! [`TermRef`] bound to it (a view into the dictionary), asked only for the
-//! variables the expression reads, and gets back a [`Value`] that borrows
-//! from those views and from the expression's constants. Nothing is copied
-//! per row; a `REGEX` pattern is compiled once, when the query is parsed.
+//! [`TermRef`] bound to it (a view into the dictionary) and that term's
+//! numeric view ([`TermRef::numeric_view`], which the dictionary stores with
+//! the term: `Dictionary::term_and_view`), asked only for the variables the
+//! expression reads, and gets back a [`Value`] that borrows from those views
+//! and from the expression's constants. Nothing is copied or parsed per row;
+//! a `REGEX` pattern is compiled once, when the query is parsed.
 //!
 //! What does not depend on the row is worked out before the first one: a
 //! constant is held as its value ([`Folded`]), a term with its numeric view,
@@ -86,12 +88,18 @@ pub enum ArithOp {
     Div,
 }
 
+/// A term bound to a variable, with its numeric view
+/// ([`TermRef::numeric_view`]): what an [`Expression::evaluate`] lookup
+/// hands over.
+pub type Binding<'t> = (TermRef<'t>, Option<f64>);
+
 /// A runtime value during expression evaluation, borrowing its terms from
 /// the bindings and the expression.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value<'t> {
-    /// An RDF term (IRI, literal, blank node).
-    Term(TermRef<'t>),
+    /// An RDF term (IRI, literal, blank node), with its numeric view
+    /// ([`TermRef::numeric_view`]).
+    Term(TermRef<'t>, Option<f64>),
     /// A numeric value (arithmetic results).
     Number(f64),
     /// A boolean.
@@ -104,7 +112,7 @@ pub enum Value<'t> {
 /// [`Expression::bind`]: a value of the same kind, owned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Folded {
-    /// A term, with its numeric view ([`Value::as_number`]) taken once.
+    /// A term, with its numeric view ([`TermRef::numeric_view`]).
     Term(Term, Option<f64>),
     /// A number.
     Number(f64),
@@ -118,7 +126,7 @@ impl Folded {
     /// `value`, owned.
     fn of(value: Value<'_>) -> Folded {
         match value {
-            Value::Term(term) => Folded::Term(term.to_term(), value.as_number()),
+            Value::Term(term, number) => Folded::Term(term.to_term(), number),
             Value::Number(n) => Folded::Number(n),
             Value::Boolean(b) => Folded::Boolean(b),
             Value::Unbound => Folded::Unbound,
@@ -127,7 +135,7 @@ impl Folded {
 
     fn value(&self) -> Value<'_> {
         match self {
-            Folded::Term(term, _) => Value::Term(TermRef::from(term)),
+            Folded::Term(term, number) => Value::Term(TermRef::from(term), *number),
             Folded::Number(n) => Value::Number(*n),
             Folded::Boolean(b) => Value::Boolean(*b),
             Folded::Unbound => Value::Unbound,
@@ -165,6 +173,11 @@ fn is_numeric_datatype(datatype: &str) -> bool {
 }
 
 impl<'t> Value<'t> {
+    /// `term` with its numeric view, taken here.
+    pub fn term(term: TermRef<'t>) -> Value<'t> {
+        Value::Term(term, term.numeric_view())
+    }
+
     /// The effective boolean value (SPARQL 1.1 §17.2.2): booleans are
     /// themselves; an `xsd:boolean` literal is its value; a number, or a
     /// literal of a numeric datatype, is false when zero or NaN; an invalid
@@ -176,30 +189,35 @@ impl<'t> Value<'t> {
         match *self {
             Value::Boolean(b) => b,
             Value::Number(n) => nonzero(n),
-            Value::Term(TermRef::Literal {
-                lexical,
-                datatype: Some(datatype),
-                ..
-            }) if datatype == XSD_BOOLEAN => matches!(lexical.trim(), "true" | "1"),
-            Value::Term(TermRef::Literal {
-                lexical,
-                datatype: Some(datatype),
-                ..
-            }) if is_numeric_datatype(datatype) => lexical.trim().parse::<f64>().is_ok_and(nonzero),
-            Value::Term(TermRef::Literal { lexical, .. }) => !lexical.is_empty(),
-            Value::Term(_) => true,
+            Value::Term(
+                TermRef::Literal {
+                    lexical,
+                    datatype: Some(datatype),
+                    ..
+                },
+                _,
+            ) if datatype == XSD_BOOLEAN => matches!(lexical.trim(), "true" | "1"),
+            Value::Term(
+                TermRef::Literal {
+                    datatype: Some(datatype),
+                    ..
+                },
+                number,
+            ) if is_numeric_datatype(datatype) => number.is_some_and(nonzero),
+            Value::Term(TermRef::Literal { lexical, .. }, _) => !lexical.is_empty(),
+            Value::Term(..) => true,
             Value::Unbound => false,
         }
     }
 
-    /// Attempts a numeric view of the value: a literal's lexical form is
-    /// parsed where it lies.
+    /// The numeric view of the value: a term's, which it carries; a number
+    /// itself; a boolean 1 or 0.
     pub fn as_number(&self) -> Option<f64> {
         match *self {
             Value::Number(n) => Some(n),
             Value::Boolean(b) => Some(if b { 1.0 } else { 0.0 }),
-            Value::Term(TermRef::Literal { lexical, .. }) => lexical.trim().parse().ok(),
-            Value::Term(_) | Value::Unbound => None,
+            Value::Term(_, number) => number,
+            Value::Unbound => None,
         }
     }
 
@@ -207,10 +225,10 @@ impl<'t> Value<'t> {
     /// for a blank node's `_:` form and a number.
     pub fn as_string(&self) -> Option<Cow<'t, str>> {
         match *self {
-            Value::Term(TermRef::Literal { lexical: s, .. } | TermRef::Iri(s)) => {
+            Value::Term(TermRef::Literal { lexical: s, .. } | TermRef::Iri(s), _) => {
                 Some(Cow::Borrowed(s))
             }
-            Value::Term(TermRef::BlankNode(b)) => Some(Cow::Owned(format!("_:{b}"))),
+            Value::Term(TermRef::BlankNode(b), _) => Some(Cow::Owned(format!("_:{b}"))),
             Value::Number(n) => Some(Cow::Owned(n.to_string())),
             Value::Boolean(b) => Some(Cow::Borrowed(if b { "true" } else { "false" })),
             Value::Unbound => None,
@@ -222,7 +240,7 @@ impl Expression {
     /// The constant RDF term `term` (IRI or literal), folded with its
     /// numeric view.
     pub fn constant(term: Term) -> Expression {
-        let number = Value::Term(TermRef::from(&term)).as_number();
+        let number = TermRef::from(&term).numeric_view();
         Expression::Folded(Folded::Term(term, number))
     }
 
@@ -253,13 +271,16 @@ impl Expression {
     }
 
     /// Evaluates the expression. `bindings` maps a variable to the term bound
-    /// to it (`None`: unbound); it is asked once per variable reference.
+    /// to it and that term's numeric view (`None`: unbound); it is asked once
+    /// per variable reference.
     pub fn evaluate<'t, B>(&'t self, bindings: &B) -> Value<'t>
     where
-        B: Fn(&str) -> Option<TermRef<'t>>,
+        B: Fn(&str) -> Option<Binding<'t>>,
     {
         match self {
-            Expression::Variable(v) => bindings(v).map_or(Value::Unbound, Value::Term),
+            Expression::Variable(v) => {
+                bindings(v).map_or(Value::Unbound, |(term, number)| Value::Term(term, number))
+            }
             Expression::Folded(folded) => folded.value(),
             Expression::Bound(v) => Value::Boolean(bindings(v).is_some()),
             Expression::Compare(a, op, b) => {
@@ -268,8 +289,7 @@ impl Expression {
                 if matches!(av, Value::Unbound) || matches!(bv, Value::Unbound) {
                     return Value::Boolean(false);
                 }
-                let numbers = (a.number_of(&av), b.number_of(&bv));
-                Value::Boolean(compare(&av, *op, &bv, numbers))
+                Value::Boolean(compare(&av, *op, &bv))
             }
             Expression::And(a, b) => {
                 Value::Boolean(a.evaluate_bool(bindings) && b.evaluate_bool(bindings))
@@ -280,7 +300,7 @@ impl Expression {
             Expression::Not(e) => Value::Boolean(!e.evaluate_bool(bindings)),
             Expression::Arithmetic(a, op, b) => {
                 let (av, bv) = (a.evaluate(bindings), b.evaluate(bindings));
-                match (a.number_of(&av), b.number_of(&bv)) {
+                match (av.as_number(), bv.as_number()) {
                     (Some(x), Some(y)) => Value::Number(match op {
                         ArithOp::Add => x + y,
                         ArithOp::Sub => x - y,
@@ -300,21 +320,24 @@ impl Expression {
             ),
             Expression::Lang(e) => {
                 let lexical = match e.evaluate(bindings) {
-                    Value::Term(TermRef::Literal {
-                        language: Some(lang),
-                        ..
-                    }) => lang,
+                    Value::Term(
+                        TermRef::Literal {
+                            language: Some(lang),
+                            ..
+                        },
+                        _,
+                    ) => lang,
                     _ => "",
                 };
-                Value::Term(TermRef::Literal {
+                Value::term(TermRef::Literal {
                     lexical,
                     datatype: None,
                     language: None,
                 })
             }
             Expression::Datatype(e) => match e.evaluate(bindings) {
-                Value::Term(TermRef::Literal { datatype, .. }) => {
-                    Value::Term(TermRef::Iri(datatype.unwrap_or(XSD_STRING)))
+                Value::Term(TermRef::Literal { datatype, .. }, _) => {
+                    Value::Term(TermRef::Iri(datatype.unwrap_or(XSD_STRING)), None)
                 }
                 _ => Value::Unbound,
             },
@@ -324,30 +347,21 @@ impl Expression {
     /// Evaluates the expression to its effective boolean value.
     pub fn evaluate_bool<'t, B>(&'t self, bindings: &B) -> bool
     where
-        B: Fn(&str) -> Option<TermRef<'t>>,
+        B: Fn(&str) -> Option<Binding<'t>>,
     {
         self.evaluate(bindings).as_bool()
     }
 
-    /// The numeric view of `value`, which this expression evaluated to; a
-    /// folded term's was taken when it was folded.
-    fn number_of(&self, value: &Value<'_>) -> Option<f64> {
-        match self {
-            Expression::Folded(Folded::Term(_, number)) => *number,
-            _ => value.as_number(),
-        }
-    }
-
-    /// This expression with each variable `outer` binds replaced by its term,
-    /// and each subtree that then reads no variable by its value
-    /// ([`Folded`]). Under the bindings of the other variables it evaluates
-    /// to what this one evaluates to under those and `outer`.
-    pub fn bind(&self, outer: &[(&str, TermRef<'_>)]) -> Expression {
+    /// This expression with each variable `outer` binds replaced by its term
+    /// and numeric view, and each subtree that then reads no variable by its
+    /// value ([`Folded`]). Under the bindings of the other variables it
+    /// evaluates to what this one evaluates to under those and `outer`.
+    pub fn bind(&self, outer: &[(&str, Binding<'_>)]) -> Expression {
         let term = |name: &str| (outer.iter()).find_map(|&(bound, t)| (bound == name).then_some(t));
         let bind = |e: &Expression| Box::new(e.bind(outer));
         let bound = match self {
             Expression::Variable(v) => match term(v) {
-                Some(t) => Expression::Folded(Folded::of(Value::Term(t))),
+                Some((t, number)) => Expression::Folded(Folded::of(Value::Term(t, number))),
                 None => self.clone(),
             },
             Expression::Bound(v) => match term(v) {
@@ -374,15 +388,10 @@ impl Expression {
     }
 }
 
-/// Compares two values: numerically when both sides have a numeric view
-/// (`numbers`), otherwise by string form.
-fn compare(
-    a: &Value<'_>,
-    op: CompareOp,
-    b: &Value<'_>,
-    numbers: (Option<f64>, Option<f64>),
-) -> bool {
-    if let (Some(x), Some(y)) = numbers {
+/// Compares two values: numerically when both sides have a numeric view,
+/// otherwise by string form.
+fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
+    if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
         return match op {
             CompareOp::Eq => x == y,
             CompareOp::Ne => x != y,
@@ -418,7 +427,7 @@ pub struct Regex {
     /// their occurrences.
     prefix: String,
     /// What follows the prefix.
-    atoms: Vec<Atom>,
+    pieces: Vec<Piece>,
 }
 
 /// One character class, matched once or (`repeated`) zero or more times.
@@ -428,6 +437,17 @@ struct Atom {
     /// `None`: any character.
     char: Option<char>,
     repeated: bool,
+}
+
+/// A step of a compiled pattern after its prefix.
+#[derive(Debug, Clone, PartialEq)]
+enum Piece {
+    /// One [`Atom`].
+    Atom(Atom),
+    /// `.*` and the literal characters after it: the match goes on after an
+    /// occurrence of those characters, which a search skips to, rather than
+    /// retrying them at every position `.*` can reach.
+    Seek(String),
 }
 
 impl Atom {
@@ -480,13 +500,30 @@ impl Regex {
         }
         let literal = |atom: &Atom| atom.char.filter(|_| !atom.repeated);
         let prefix: String = atoms.iter().map_while(literal).collect();
-        atoms.drain(..prefix.chars().count());
+        let mut rest = &atoms[prefix.chars().count()..];
+        let mut pieces = Vec::new();
+        while let Some((&atom, after)) = rest.split_first() {
+            rest = after;
+            let seek: String = match atom {
+                Atom {
+                    char: None,
+                    repeated: true,
+                } => after.iter().map_while(literal).collect(),
+                _ => String::new(),
+            };
+            if seek.is_empty() {
+                pieces.push(Piece::Atom(atom));
+            } else {
+                rest = &after[seek.chars().count()..];
+                pieces.push(Piece::Seek(seek));
+            }
+        }
         Regex {
             case_insensitive,
             anchored_start,
             anchored_end,
             prefix,
-            atoms,
+            pieces,
         }
     }
 
@@ -502,35 +539,31 @@ impl Regex {
 
     fn search(&self, text: &str) -> bool {
         let after_prefix =
-            |start: usize| self.matches_at(&self.atoms, text, start + self.prefix.len());
+            |start: usize| self.matches_at(&self.pieces, text, start + self.prefix.len());
         if self.anchored_start {
             return text.starts_with(&self.prefix) && after_prefix(0);
         }
-        let (bytes, prefix) = (text.as_bytes(), self.prefix.as_bytes());
-        let Some(&first) = prefix.first() else {
+        if self.prefix.is_empty() {
             return (0..=text.len())
                 .filter(|&i| text.is_char_boundary(i))
-                .any(|i| self.matches_at(&self.atoms, text, i));
-        };
-        // Every occurrence of the prefix, overlapping ones included: a scan
-        // for its first byte, which begins a character wherever it occurs.
-        let mut from = 0;
-        while let Some(found) = bytes[from..].iter().position(|&b| b == first) {
-            let start = from + found;
-            if bytes[start..].starts_with(prefix) && after_prefix(start) {
-                return true;
-            }
-            from = start + 1;
+                .any(|i| self.matches_at(&self.pieces, text, i));
         }
-        false
+        occurrences(text, &self.prefix, 0).any(after_prefix)
     }
 
-    /// Whether `atoms` match `text` from byte `pos` on (to its end, when
+    /// Whether `pieces` match `text` from byte `pos` on (to its end, when
     /// anchored there).
-    fn matches_at(&self, mut atoms: &[Atom], text: &str, mut pos: usize) -> bool {
+    fn matches_at(&self, mut pieces: &[Piece], text: &str, mut pos: usize) -> bool {
         loop {
-            let Some((&atom, rest)) = atoms.split_first() else {
+            let Some((piece, rest)) = pieces.split_first() else {
                 return !self.anchored_end || pos == text.len();
+            };
+            let atom = match piece {
+                Piece::Atom(atom) => *atom,
+                Piece::Seek(literal) => {
+                    return occurrences(text, literal, pos)
+                        .any(|at| self.matches_at(rest, text, at + literal.len()));
+                }
             };
             if atom.repeated {
                 loop {
@@ -547,9 +580,30 @@ impl Regex {
                 Some(c) if atom.admits(c) => pos += c.len_utf8(),
                 _ => return false,
             }
-            atoms = rest;
+            pieces = rest;
         }
     }
+}
+
+/// Where the non-empty `needle` occurs in `text` from byte `from` on,
+/// overlapping occurrences included: a scan for its first byte, which begins
+/// a character wherever it occurs.
+fn occurrences<'a>(
+    text: &'a str,
+    needle: &'a str,
+    mut from: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let (bytes, needle) = (text.as_bytes(), needle.as_bytes());
+    std::iter::from_fn(move || {
+        while let Some(found) = bytes[from..].iter().position(|&b| b == needle[0]) {
+            let start = from + found;
+            from = start + 1;
+            if bytes[start..].starts_with(needle) {
+                return Some(start);
+            }
+        }
+        None
+    })
 }
 
 #[cfg(test)]
@@ -565,10 +619,10 @@ mod tests {
     }
 
     /// The lookup a caller hands [`Expression::evaluate`], over named terms.
-    fn lookup<'t>(bindings: &'t [(&'t str, Term)]) -> impl Fn(&str) -> Option<TermRef<'t>> {
+    fn lookup<'t>(bindings: &'t [(&'t str, Term)]) -> impl Fn(&str) -> Option<Binding<'t>> {
         move |name| {
             let bound = bindings.iter().find(|(v, _)| *v == name);
-            bound.map(|(_, term)| TermRef::from(term))
+            bound.map(|(_, term)| (TermRef::from(term), TermRef::from(term).numeric_view()))
         }
     }
 
@@ -594,6 +648,24 @@ mod tests {
         // The prefix `aa` occurs at 0, where the rest fails, and again at 1.
         assert!(is_match("aaab", "aa.$", false));
         assert!(is_match("bréf", "é.$", false));
+    }
+
+    #[test]
+    fn a_wildcard_run_then_literals_seeks_their_occurrences() {
+        let is_match = |text: &str, pattern: &str| Regex::new(pattern, None).is_match(text);
+        assert!(is_match("solid red number 12", "solid.*number 12"));
+        assert!(!is_match("solid red number 1", "solid.*number 12"));
+        // The occurrence that matches overlaps one that does not.
+        assert!(is_match("xaaab", "x.*aab$"));
+        assert!(is_match("a-b-c", "^a.*b.*c$"));
+        assert!(!is_match("a-c-b", "^a.*b.*c$"));
+        assert!(is_match("aé€b", ".*€b"));
+        // `.*` before anything but a literal is not a seek.
+        assert!(is_match("abc", "a.*.c"));
+        assert!(is_match("abbc", "a.*b*c$"));
+        assert!(is_match("abc", "a.*"));
+        let seek = Regex::new("solid.*number 12", None);
+        assert_eq!(seek.pieces, [Piece::Seek("number 12".into())]);
     }
 
     #[test]
@@ -663,7 +735,7 @@ mod tests {
     /// `number …`, `term …` (N-Triples) or `unbound`.
     fn render(e: &Expression, bindings: &[(&str, Term)]) -> String {
         match e.evaluate(&lookup(bindings)) {
-            Value::Term(term) => format!("term {term}"),
+            Value::Term(term, _) => format!("term {term}"),
             Value::Number(n) => format!("number {n}"),
             Value::Boolean(b) => format!("bool {b}"),
             Value::Unbound => "unbound".to_string(),
@@ -880,13 +952,13 @@ mod tests {
         assert!(Value::Number(2.0).as_bool());
         assert!(!Value::Number(0.0).as_bool());
         let seven = Term::integer(7);
-        assert_eq!(Value::Term(TermRef::from(&seven)).as_number(), Some(7.0));
+        assert_eq!(Value::term(TermRef::from(&seven)).as_number(), Some(7.0));
         assert_eq!(Value::Boolean(true).as_number(), Some(1.0));
         assert_eq!(Value::Unbound.as_string(), None);
         // Views borrow; only a blank node's `_:` form and a number allocate.
-        let iri = Value::Term(TermRef::Iri("http://x")).as_string();
+        let iri = Value::term(TermRef::Iri("http://x")).as_string();
         assert!(matches!(iri, Some(Cow::Borrowed("http://x"))));
-        let blank = Value::Term(TermRef::BlankNode("b")).as_string();
+        let blank = Value::term(TermRef::BlankNode("b")).as_string();
         assert!(matches!(blank, Some(Cow::Owned(s)) if s == "_:b"));
     }
 }

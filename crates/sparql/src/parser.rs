@@ -847,7 +847,10 @@ mod tests {
         assert_eq!(q.pattern.filters.len(), 1);
         // 2*3+1=7 > 5 → for v=3 the filter holds.
         let (three, one) = (Term::integer(3), Term::integer(1));
-        let v = |term| move |name: &str| (name == "v").then(|| TermRef::from(term));
+        let v = |term| {
+            let term = TermRef::from(term);
+            move |name: &str| (name == "v").then(|| (term, term.numeric_view()))
+        };
         assert!(q.pattern.filters[0].evaluate_bool(&v(&three)));
         assert!(!q.pattern.filters[0].evaluate_bool(&v(&one)));
     }
@@ -860,7 +863,11 @@ mod tests {
         .unwrap();
         assert_eq!(q.pattern.filters.len(), 1);
         let (zero, minus_ten) = (Term::integer(0), Term::integer(-10));
-        let z = |term| move |name: &str| (name == "z").then_some(term).flatten().map(TermRef::from);
+        let binding = |term| {
+            let term = TermRef::from(term);
+            (term, term.numeric_view())
+        };
+        let z = |term| move |name: &str| (name == "z").then_some(term).flatten().map(binding);
         assert!(q.pattern.filters[0].evaluate_bool(&z(None::<&Term>))); // ?z unbound → !BOUND holds
         assert!(q.pattern.filters[0].evaluate_bool(&z(Some(&zero)))); // 0 > -5
         assert!(!q.pattern.filters[0].evaluate_bool(&z(Some(&minus_ten))));

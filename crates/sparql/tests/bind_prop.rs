@@ -4,22 +4,23 @@
 //! others, to what the evaluator that folded nothing gave the whole
 //! expression under all of them. That evaluator is kept below as the
 //! reference; it reads values through the public `Value` views, which binding
-//! does not touch.
+//! does not touch, and takes every term's numeric view from its text
+//! (`Value::term`), not from the lookup or the fold.
 
 use proptest::prelude::*;
 use turbohom_rdf::vocab::{XSD_BOOLEAN, XSD_DOUBLE, XSD_INTEGER, XSD_STRING};
 use turbohom_rdf::{Term, TermRef};
 use turbohom_sparql::expression::{ArithOp, CompareOp};
-use turbohom_sparql::{Expression, Folded, Regex, Value};
+use turbohom_sparql::{Binding, Expression, Folded, Regex, Value};
 
 fn reference<'t, B>(e: &'t Expression, bindings: &B) -> Value<'t>
 where
-    B: Fn(&str) -> Option<TermRef<'t>>,
+    B: Fn(&str) -> Option<Binding<'t>>,
 {
     match e {
-        Expression::Variable(v) => bindings(v).map_or(Value::Unbound, Value::Term),
+        Expression::Variable(v) => bindings(v).map_or(Value::Unbound, |(t, _)| Value::term(t)),
         // A generated expression holds no folded value but a constant.
-        Expression::Folded(Folded::Term(t, _)) => Value::Term(TermRef::from(t)),
+        Expression::Folded(Folded::Term(t, _)) => Value::term(TermRef::from(t)),
         Expression::Folded(_) => unreachable!("generated expressions are as written"),
         Expression::Bound(v) => Value::Boolean(bindings(v).is_some()),
         Expression::Compare(a, op, b) => {
@@ -61,21 +62,24 @@ where
         ),
         Expression::Lang(e) => {
             let lexical = match reference(e, bindings) {
-                Value::Term(TermRef::Literal {
-                    language: Some(lang),
-                    ..
-                }) => lang,
+                Value::Term(
+                    TermRef::Literal {
+                        language: Some(lang),
+                        ..
+                    },
+                    _,
+                ) => lang,
                 _ => "",
             };
-            Value::Term(TermRef::Literal {
+            Value::term(TermRef::Literal {
                 lexical,
                 datatype: None,
                 language: None,
             })
         }
         Expression::Datatype(e) => match reference(e, bindings) {
-            Value::Term(TermRef::Literal { datatype, .. }) => {
-                Value::Term(TermRef::Iri(datatype.unwrap_or(XSD_STRING)))
+            Value::Term(TermRef::Literal { datatype, .. }, _) => {
+                Value::term(TermRef::Iri(datatype.unwrap_or(XSD_STRING)))
             }
             _ => Value::Unbound,
         },
@@ -110,7 +114,7 @@ fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
 /// (NaN included).
 fn render(value: Value<'_>) -> String {
     match value {
-        Value::Term(term) => format!("term {term}"),
+        Value::Term(term, _) => format!("term {term}"),
         Value::Number(n) => format!("number {n}"),
         Value::Boolean(b) => format!("bool {b}"),
         Value::Unbound => "unbound".to_string(),
@@ -204,8 +208,8 @@ fn build(tape: &mut Tape, depth: u32) -> Expression {
     }
 }
 
-/// The term `set` binds `name` to.
-fn lookup<'t>(set: &[(&str, TermRef<'t>)], name: &str) -> Option<TermRef<'t>> {
+/// The term `set` binds `name` to, with its numeric view.
+fn lookup<'t>(set: &[(&str, Binding<'t>)], name: &str) -> Option<Binding<'t>> {
     set.iter().find_map(|&(v, t)| (v == name).then_some(t))
 }
 
@@ -221,10 +225,13 @@ proptest! {
     ) {
         let e = build(&mut Tape { choices, at: 0 }, 4);
         let terms = terms();
-        let bound_by = |kind: u8| -> Vec<(&str, TermRef<'_>)> {
+        let bound_by = |kind: u8| -> Vec<(&str, Binding<'_>)> {
             (VARIABLES.iter().zip(&how))
                 .filter(|(_, &(k, _))| k == kind)
-                .map(|(&v, &(_, t))| (v, TermRef::from(&terms[t % terms.len()])))
+                .map(|(&v, &(_, t))| {
+                    let term = TermRef::from(&terms[t % terms.len()]);
+                    (v, (term, term.numeric_view()))
+                })
                 .collect()
         };
         let (outer, row) = (bound_by(1), bound_by(2));
@@ -255,7 +262,8 @@ fn a_folded_sum_stays_a_number() {
         ArithOp::Add,
         Box::new(Expression::constant(Term::integer(300))),
     );
-    let bound = sum.bind(&[("orig", TermRef::from(&orig))]);
+    let orig = TermRef::from(&orig);
+    let bound = sum.bind(&[("orig", (orig, orig.numeric_view()))]);
     assert_eq!(bound.evaluate(&|_| None), Value::Number(1500.0));
     assert!(matches!(bound, Expression::Folded(_)));
     // A literal that spells a number stays a literal of its datatype.
@@ -263,7 +271,7 @@ fn a_folded_sum_stays_a_number() {
     let datatype = Expression::Datatype(Box::new(five.clone())).bind(&[]);
     assert_eq!(
         datatype.evaluate(&|_| None),
-        Value::Term(TermRef::Iri(XSD_STRING))
+        Value::Term(TermRef::Iri(XSD_STRING), None)
     );
     assert_eq!(render(five.evaluate(&|_| None)), "term \"5\"");
 }

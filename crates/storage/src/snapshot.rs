@@ -33,8 +33,9 @@ use std::sync::Arc;
 
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"TURBOSNP";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version: 2 since the dictionary's term records shrank to
+/// 32 bytes and carry each term's numeric view; a version-1 file is refused.
+pub const VERSION: u32 = 2;
 /// Endianness probe value (reads back differently on a big-endian machine).
 const ENDIAN_PROBE: u32 = 0x0A0B_0C0D;
 /// Fixed header size in bytes; payload sections start here.
@@ -397,7 +398,9 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         assert_eq!(word(40), 0x8fe5_c427_02da_daeb, "payload checksum");
-        assert_eq!(word(48), 0x6283_9b51_1d96_5083, "header checksum");
+        // The header checksum covers the version field: version 1 read
+        // 0x6283_9b51_1d96_5083.
+        assert_eq!(word(48), 0xc877_9671_ebbb_ec90, "header checksum");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -479,6 +482,22 @@ mod tests {
             Err(SnapshotError::VersionMismatch {
                 found: 0xFE,
                 expected: VERSION
+            })
+        ));
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&m).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_file_is_refused() {
+        // Version 1 held the dictionary's 40-byte term records.
+        let path = sample_file("version1");
+        let m = mangle(&path, 8, |_| 1);
+        assert!(matches!(
+            Snapshot::open(&m),
+            Err(SnapshotError::VersionMismatch {
+                found: 1,
+                expected: 2
             })
         ));
         std::fs::remove_file(&path).unwrap();
