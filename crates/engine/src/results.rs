@@ -94,12 +94,13 @@ impl QueryResults {
 
     /// Serializes the results in the W3C SPARQL 1.1 Query Results JSON
     /// format (`application/sparql-results+json`): a `head.vars` list and
-    /// one binding object per row, unbound variables omitted.
+    /// one binding object per row, unbound variables omitted. A decoded term
+    /// carries no JSON-plain bit, so every string is escaped.
     pub fn to_sparql_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| row.iter().map(|term| term.as_ref().map(TermRef::from)));
+        let rows = self.rows.iter().map(|row| {
+            row.iter()
+                .map(|term| term.as_ref().map(|term| (TermRef::from(term), false)))
+        });
         let runs = std::iter::once(rows);
         json_string(|out| write_sparql_json(out, &mut Vec::new(), &self.variables, runs, None))
     }
@@ -237,8 +238,12 @@ impl<'s> IdResults<'s> {
     }
 
     /// Writes the results in the W3C SPARQL 1.1 Query Results JSON format to
-    /// `out`, in pieces of at most about 64 KB: ids are resolved and escaped
-    /// straight into `buffer`, whose contents are discarded and whose
+    /// `out`, in pieces of at most about 64 KB.
+    ///
+    /// The resolve pass reads one record per cell: the term and its
+    /// JSON-plain bit ([`Dictionary::term_and_plain`]). A plain term's strings
+    /// are copied into `buffer` whole, any other's escaped; no byte of a
+    /// plain term is tested. `buffer`'s contents are discarded and its
     /// capacity (about 64 KB from the first use on) stays with the caller,
     /// so a connection serialises every response through one allocation. A
     /// row of more than 16 KB grows it for that response only: past 128 KB
@@ -255,7 +260,8 @@ impl<'s> IdResults<'s> {
     ) -> io::Result<()> {
         let width = self.variables.len();
         let runs = self.runs.iter().map(|run| {
-            let cell = move |&cell| term_of(run.dictionary, cell);
+            let cell =
+                move |&cell| IdRows::term_id(cell).and_then(|id| run.dictionary.term_and_plain(id));
             run.rows
                 .iter()
                 .map(move |row| row[..width].iter().map(cell))
@@ -267,11 +273,6 @@ impl<'s> IdResults<'s> {
     pub fn to_sparql_json(&self) -> String {
         json_string(|out| self.write_sparql_json(out, &mut Vec::new(), None))
     }
-}
-
-/// The term in a cell of an id row, `None` when unbound.
-pub(crate) fn term_of(dictionary: &Dictionary, cell: u32) -> Option<TermRef<'_>> {
-    IdRows::term_id(cell).and_then(|id| dictionary.term_ref(id))
 }
 
 /// Collects what `write` writes into a `String`.
@@ -303,6 +304,9 @@ fn rows_per_block(width: usize) -> usize {
 /// The one SPARQL-JSON writer: a `head.vars` list and one binding object per
 /// row of every run in turn, unbound variables omitted.
 ///
+/// A cell is a term and whether its strings need no JSON escape: such a
+/// term's strings are copied whole, any other's escaped byte by byte.
+///
 /// Rows are taken a block at a time, in three passes. Pulling a block's cells
 /// resolves them — for an id row a read of the term's record, one short
 /// independent iteration per cell — then the first byte of every lexical form
@@ -321,7 +325,7 @@ where
     W: Write,
     S: Iterator<Item = R>,
     R: Iterator<Item = C>,
-    C: Iterator<Item = Option<TermRef<'t>>>,
+    C: Iterator<Item = Option<(TermRef<'t>, bool)>>,
 {
     buf.clear();
     buf.reserve(BUFFER);
@@ -346,7 +350,7 @@ where
     // The block lives on the stack; only a row wider than it takes a heap
     // block of its own width.
     let (mut narrow, mut wide) = ([None; BLOCK], Vec::new());
-    let block: &mut [Option<TermRef<'t>>] = if width <= BLOCK {
+    let block: &mut [Option<(TermRef<'t>, bool)>] = if width <= BLOCK {
         &mut narrow
     } else {
         wide.resize(width, None);
@@ -369,7 +373,7 @@ where
                 pulled += 1;
             }
             let mut touched = 0;
-            for term in block[..pulled * width].iter().flatten() {
+            for (term, _) in block[..pulled * width].iter().flatten() {
                 let (TermRef::Iri(lexical)
                 | TermRef::BlankNode(lexical)
                 | TermRef::Literal { lexical, .. }) = term;
@@ -385,13 +389,13 @@ where
                 buf.push(b'{');
                 let mut first = true;
                 for (key, term) in keys.iter().zip(&block[row * width..]) {
-                    let Some(term) = *term else { continue };
+                    let Some((term, plain)) = *term else { continue };
                     if !first {
                         buf.push(b',');
                     }
                     first = false;
                     buf.extend_from_slice(key);
-                    append_term_json(buf, term);
+                    append_term_json(buf, term, plain);
                 }
                 buf.push(b'}');
                 if buf.len() >= FLUSH_AT {
@@ -422,17 +426,25 @@ where
     written
 }
 
-/// Appends one RDF term as a SPARQL-JSON binding value object.
-fn append_term_json(out: &mut Vec<u8>, term: TermRef<'_>) {
+/// Appends one RDF term as a SPARQL-JSON binding value object: its strings
+/// copied as they are when `plain` (none needs an escape), else escaped.
+fn append_term_json(out: &mut Vec<u8>, term: TermRef<'_>, plain: bool) {
+    let text = |out: &mut Vec<u8>, s: &str| {
+        if plain {
+            out.extend_from_slice(s.as_bytes());
+        } else {
+            escape_json_into(out, s);
+        }
+    };
     match term {
         TermRef::Iri(iri) => {
             out.extend_from_slice(b"{\"type\":\"uri\",\"value\":\"");
-            escape_json_into(out, iri);
+            text(out, iri);
             out.extend_from_slice(b"\"}");
         }
         TermRef::BlankNode(label) => {
             out.extend_from_slice(b"{\"type\":\"bnode\",\"value\":\"");
-            escape_json_into(out, label);
+            text(out, label);
             out.extend_from_slice(b"\"}");
         }
         TermRef::Literal {
@@ -441,16 +453,16 @@ fn append_term_json(out: &mut Vec<u8>, term: TermRef<'_>) {
             language,
         } => {
             out.extend_from_slice(b"{\"type\":\"literal\",\"value\":\"");
-            escape_json_into(out, lexical);
+            text(out, lexical);
             out.push(b'"');
             if let Some(lang) = language {
                 out.extend_from_slice(b",\"xml:lang\":\"");
-                escape_json_into(out, lang);
+                text(out, lang);
                 out.push(b'"');
             }
             if let Some(dt) = datatype {
                 out.extend_from_slice(b",\"datatype\":\"");
-                escape_json_into(out, dt);
+                text(out, dt);
                 out.push(b'"');
             }
             out.push(b'}');
@@ -626,16 +638,27 @@ mod tests {
         }
     }
 
-    /// Everything the escaper distinguishes: quotes, backslashes, the named
-    /// and the numbered control characters, non-ASCII, and plain letters.
-    const ALPHABET: [char; 16] = [
-        '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', 'é', '日', '😀', ' ', '/', 'a', 'b', 'y',
-        'z',
-    ];
+    /// What passes unescaped: ASCII, 0x7f and multi-byte UTF-8.
+    const CLEAN: [char; 8] = ['a', 'z', '0', ' ', '/', '\u{7f}', 'é', '😀'];
 
+    /// Text up to 24 characters long: clean, or with up to three characters
+    /// that need an escape (`"`, `\`, any byte below 0x20) at generated
+    /// places.
     fn text() -> impl Strategy<Value = String> {
-        proptest::collection::vec(0..ALPHABET.len(), 0..8)
-            .prop_map(|indices| indices.into_iter().map(|i| ALPHABET[i]).collect())
+        let clean = proptest::collection::vec(0..CLEAN.len(), 0..24);
+        let dirty = proptest::collection::vec((0..0x22u8, 0..24usize), 0..4);
+        (clean, dirty).prop_map(|(clean, dirty)| {
+            let mut chars: Vec<char> = clean.into_iter().map(|i| CLEAN[i]).collect();
+            for (byte, at) in dirty {
+                let escape = match byte {
+                    0x20 => '"',
+                    0x21 => '\\',
+                    control => char::from(control),
+                };
+                chars.insert(at.min(chars.len()), escape);
+            }
+            chars.into_iter().collect()
+        })
     }
 
     /// A term of any of the six kinds the dictionary distinguishes.
@@ -730,7 +753,10 @@ mod tests {
 
         /// Results of 0, 1, 3 and 5 columns that end before, at and after a
         /// block boundary and span more than three blocks, with a cell left
-        /// unbound in the first and in the last row of every block.
+        /// unbound in the first and in the last row of every block. Terms
+        /// the dictionary marks JSON-plain are copied and the rest escaped:
+        /// the body is the reference's either way, and no term is marked
+        /// plain whose strings the reference would change.
         #[test]
         fn the_writer_matches_the_reference_serialiser(
             names in proptest::collection::vec(text(), 5),
@@ -738,6 +764,10 @@ mod tests {
             width in 0..4usize,
             count in 0..6usize,
         ) {
+            // A term of each verdict in every case.
+            let clean_and_dirty = [Term::iri("http://ex.org/clean"), Term::literal("\"q\"")];
+            let pool: Vec<Option<Term>> =
+                clean_and_dirty.clone().map(Some).into_iter().chain(pool).collect();
             let width = [0, 1, 3, 5][width];
             let (blocks, beyond) = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 1)][count];
             let variables = names[..width].to_vec();
@@ -758,7 +788,27 @@ mod tests {
             for term in rows.iter().flatten().flatten() {
                 owned.encode(term);
             }
+            for term in &clean_and_dirty {
+                owned.encode(term);
+            }
             let view = snapshot_view(&owned, 1);
+            let plain = |dictionary: &Dictionary, term: &Term| {
+                dictionary.term_and_plain(dictionary.id_of(term).unwrap()).unwrap().1
+            };
+            for dictionary in [&owned, &view] {
+                prop_assert!(plain(dictionary, &clean_and_dirty[0]));
+                prop_assert!(!plain(dictionary, &clean_and_dirty[1]));
+                for term in rows.iter().flatten().flatten().filter(|t| plain(dictionary, t)) {
+                    // The term alone, its strings copied as they are.
+                    let mut copied = br#"{"head":{"vars":["t"]},"#.to_vec();
+                    copied.extend_from_slice(br#""results":{"bindings":[{"t":"#);
+                    append_term_json(&mut copied, TermRef::from(term), true);
+                    copied.extend_from_slice(b"}]}}");
+                    let alone = vec![Some(term.clone())];
+                    let alone = reference::to_sparql_json(&["t".into()], &[alone]);
+                    prop_assert_eq!(copied, alone.into_bytes(), "{}", term);
+                }
+            }
             let expected = reference::to_sparql_json(&variables, &rows);
             let decoded = QueryResults {
                 variables: variables.clone(),
@@ -986,6 +1036,18 @@ mod tests {
     #[test]
     fn unknown_ids_read_as_unbound() {
         let dictionary = Dictionary::new();
-        assert_eq!(term_of(&dictionary, IdRows::cell(TermId(7))), None);
+        let mut rows = IdRows::new(1);
+        rows.push(&[IdRows::cell(TermId(7))]);
+        let run = Run {
+            shard: 0,
+            contributed: rows.len(),
+            rows,
+            dictionary: &dictionary,
+        };
+        let results = IdResults::new(vec!["x".into()], vec![run]);
+        assert_eq!(
+            results.to_sparql_json(),
+            r#"{"head":{"vars":["x"]},"results":{"bindings":[{}]}}"#
+        );
     }
 }

@@ -6,7 +6,8 @@
 //! escapes every string, and prints numbers in the three formats those
 //! documents use. The SPARQL-JSON result writer in `turbohom-engine` shares
 //! only [`escape_json_into`]; its structure is fixed and it is the measured
-//! hot path.
+//! hot path. The dictionary in `turbohom-rdf` records per term whether
+//! [`is_json_plain`] holds, so that writer copies such a term whole.
 //!
 //! The output carries no whitespace. The crate depends on `std` alone, so the
 //! tracer, which sits below the engine, can link it.
@@ -46,6 +47,31 @@ fn word_needs_escape(word: u64) -> bool {
     (below(word, 0x20) | equals(b'"') | equals(b'\\')) & (LANES * 0x80) != 0
 }
 
+/// How many leading eight-byte words of `bytes` hold nothing that needs an
+/// escape.
+#[inline]
+fn clean_words(bytes: &[u8]) -> usize {
+    bytes
+        .chunks_exact(8)
+        .take_while(|word| {
+            let word = <[u8; 8]>::try_from(*word).expect("chunks of eight");
+            !word_needs_escape(u64::from_le_bytes(word))
+        })
+        .count()
+}
+
+/// Whether `s` stands for itself inside a JSON string literal: what
+/// [`escape_json_into`] copies unchanged. It makes the escaper's own
+/// decisions — the word test while words are clean, the table from there —
+/// so the two cannot disagree. The dictionary asks this once per term, when
+/// it is encoded.
+pub fn is_json_plain(s: &str) -> bool {
+    let bytes = s.as_bytes();
+    bytes[8 * clean_words(bytes)..]
+        .iter()
+        .all(|&byte| ESCAPES[byte as usize] == 0)
+}
+
 /// Appends `s` to `out` escaped for embedding in a JSON string literal.
 /// Eight bytes at a time are tested for "nothing here needs an escape", so a
 /// clean string is one `extend_from_slice`; from the first word that holds
@@ -56,13 +82,7 @@ fn word_needs_escape(word: u64) -> bool {
 pub fn escape_json_into(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let bytes = s.as_bytes();
-    let clean = 8 * bytes
-        .chunks_exact(8)
-        .take_while(|word| {
-            let word = <[u8; 8]>::try_from(*word).expect("chunks of eight");
-            !word_needs_escape(u64::from_le_bytes(word))
-        })
-        .count();
+    let clean = 8 * clean_words(bytes);
     let mut run_start = 0;
     for (i, &byte) in bytes.iter().enumerate().skip(clean) {
         let escape = ESCAPES[byte as usize];
@@ -380,7 +400,46 @@ mod tests {
         ) {
             let s: String = indices.into_iter().map(|i| ALPHABET[i]).collect();
             prop_assert_eq!(escaped(&s).into_bytes(), reference_escaped(&s));
+            prop_assert_eq!(is_json_plain(&s), escaped(&s) == s);
         }
+    }
+
+    /// What must pass: ASCII, 0x7f and multi-byte UTF-8 of every width.
+    const CLEAN: [char; 8] = ['a', 'z', ' ', '/', '\u{7f}', 'é', '日', '😀'];
+
+    /// A byte that needs an escape, as a char: `"`, `\` or one below 0x20.
+    fn dirty(index: u8) -> char {
+        match index {
+            0x20 => '"',
+            0x21 => '\\',
+            control => char::from(control),
+        }
+    }
+
+    proptest! {
+        /// Strings longer than eight bytes, clean, and with an escape-needing
+        /// byte inserted at each offset 0..=16 in turn: `is_json_plain` holds
+        /// exactly when the escaper hands the string back unchanged.
+        #[test]
+        fn plain_is_exactly_what_the_escaper_leaves_alone(
+            fillers in proptest::collection::vec(0..CLEAN.len(), 16..41),
+            escape in 0u8..0x22,
+        ) {
+            let clean: Vec<char> = fillers.into_iter().map(|i| CLEAN[i]).collect();
+            let mut cases: Vec<String> = vec![clean.iter().collect()];
+            for offset in 0..=16 {
+                let mut chars = clean.clone();
+                chars.insert(offset, dirty(escape));
+                cases.push(chars.into_iter().collect());
+            }
+            for s in &cases {
+                prop_assert!(s.len() > 8);
+                prop_assert_eq!(is_json_plain(s), escaped(s) == *s, "{:?}", s);
+            }
+            prop_assert!(is_json_plain(&cases[0]));
+            prop_assert!(cases[1..].iter().all(|s| !is_json_plain(s)));
+        }
+
     }
 
     #[test]

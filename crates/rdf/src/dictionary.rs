@@ -18,8 +18,13 @@
 //! the term is encoded, with a flag bit in the kind saying whether it has one
 //! (so the literal `"NaN"` keeps its NaN). A FILTER comparison reads the view
 //! from the record ([`Dictionary::term_and_view`]) and no byte of the arena,
-//! so no string is parsed while a query runs. Offsets are 32 bits: the arena
-//! refuses to grow past `u32::MAX` bytes, as the ids refuse the 2³²-th term.
+//! so no string is parsed while a query runs. A second flag bit says whether
+//! both strings are JSON-plain ([`is_json_plain`]: no `"`, `\` or control
+//! byte), decided once as well: the result writer copies such a term's
+//! strings whole ([`Dictionary::term_and_plain`]) and escapes only the rest,
+//! so no byte of a clean term is tested while a result is written. Offsets are
+//! 32 bits: the arena refuses to grow past `u32::MAX` bytes, as the ids refuse
+//! the 2³²-th term.
 //!
 //! The lookup structure is one of two:
 //!
@@ -37,6 +42,7 @@ use crate::error::RdfError;
 use crate::term::{Term, TermRef};
 use std::borrow::Cow;
 use std::hash::{BuildHasher, RandomState};
+use turbohom_json::is_json_plain;
 use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// A dense identifier for a dictionary-encoded [`Term`].
@@ -84,6 +90,9 @@ const KIND_LANG: u32 = 4;
 const KIND_TYPED_LANG: u32 = 5;
 /// The bit of [`TermRecord::kind`] set when the term has a numeric view.
 const NUMERIC: u32 = 1 << 8;
+/// The bit of [`TermRecord::kind`] set when neither the lexical form nor the
+/// extra string needs a JSON escape.
+const PLAIN: u32 = 1 << 9;
 
 /// Fixed-width description of one term: a kind code plus two `(offset, len)`
 /// ranges into the string arena (lexical form and the kind-dependent extra
@@ -91,7 +100,8 @@ const NUMERIC: u32 = 1 << 8;
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TermRecord {
-    /// The kind code, with [`NUMERIC`] set when the term has a numeric view.
+    /// The kind code, with [`NUMERIC`] set when the term has a numeric view
+    /// and [`PLAIN`] when its strings need no JSON escape.
     kind: u32,
     lex_off: u32,
     lex_len: u32,
@@ -106,9 +116,14 @@ struct TermRecord {
 unsafe impl Pod for TermRecord {}
 
 impl TermRecord {
-    /// The kind code, without the [`NUMERIC`] bit.
+    /// The kind code, without the [`NUMERIC`] and [`PLAIN`] bits.
     fn code(&self) -> u32 {
-        self.kind & !NUMERIC
+        self.kind & !(NUMERIC | PLAIN)
+    }
+
+    /// Whether the term's strings need no JSON escape.
+    fn is_plain(&self) -> bool {
+        self.kind & PLAIN != 0
     }
 
     /// The stored numeric view.
@@ -121,6 +136,16 @@ impl TermRecord {
 /// its bits. Two views store alike exactly when they are equal bit for bit.
 fn stored_view(number: Option<f64>) -> (u32, u64) {
     number.map_or((0, 0), |n| (NUMERIC, n.to_bits()))
+}
+
+/// What a record stores of a term whose strings are `lexical` and `extra`:
+/// [`PLAIN`] when neither needs a JSON escape, else 0.
+fn stored_plain(lexical: &str, extra: &str) -> u32 {
+    if is_json_plain(lexical) && is_json_plain(extra) {
+        PLAIN
+    } else {
+        0
+    }
 }
 
 /// Decomposes a term into its snapshot key: `(kind, lexical, extra)`.
@@ -364,7 +389,7 @@ impl Dictionary {
         arena.extend_from_slice(lex.as_bytes());
         arena.extend_from_slice(extra.as_bytes());
         self.records.to_mut().push(TermRecord {
-            kind: kind | numeric,
+            kind: kind | numeric | stored_plain(lex, extra),
             lex_off: arena_offset(lex_off),
             lex_len: arena_offset(lex.len()),
             extra_off: arena_offset(extra_off),
@@ -409,6 +434,16 @@ impl Dictionary {
             .map(|record| self.decode(record))
     }
 
+    /// Returns the term for `id` and whether its strings need no JSON escape,
+    /// both from the term's one record: what the result writer reads of a
+    /// cell. Inlined into the writer's resolve pass, where a call more per
+    /// cell keeps fewer record misses in flight.
+    #[inline(always)]
+    pub fn term_and_plain(&self, id: TermId) -> Option<(TermRef<'_>, bool)> {
+        let record = self.records.get(id.index())?;
+        Some((self.decode(record), record.is_plain()))
+    }
+
     /// Returns the term for `id` with its numeric view
     /// ([`TermRef::numeric_view`]), both from the term's one record: what a
     /// FILTER reads of a bound variable. No string is copied or parsed.
@@ -418,9 +453,9 @@ impl Dictionary {
     }
 
     /// The term `record` describes, borrowed from the arena. Inlined into
-    /// both readers: the result writer resolves a cell per call of
-    /// `term_ref`, and a call more per cell keeps fewer record misses in
-    /// flight.
+    /// every reader: the result writer resolves a cell per call of
+    /// `term_and_plain`, and a call more per cell keeps fewer record misses
+    /// in flight.
     #[inline(always)]
     fn decode(&self, record: &TermRecord) -> TermRef<'_> {
         let (kind, lex, extra) = record_key(&self.arena, record);
@@ -487,8 +522,11 @@ impl Dictionary {
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
     /// validating every record's arena ranges and their UTF-8 so later reads
-    /// cannot panic, and its numeric view against its lexical form's, bit for
-    /// bit, so a FILTER over the view answers as over the text.
+    /// cannot panic, its numeric view against its lexical form's, bit for
+    /// bit, so a FILTER over the view answers as over the text, and its
+    /// [`PLAIN`] bit against its strings, so a crafted file cannot have the
+    /// result writer copy a quote or a control byte into a body unescaped.
+    /// All three read the record's strings in the one pass.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let arena: FlatVec<u8> = cur.next_section(TAG_DICT_ARENA)?;
         let records: FlatVec<TermRecord> = cur.next_section(TAG_DICT_RECORDS)?;
@@ -521,6 +559,11 @@ impl Dictionary {
             if (r.kind & NUMERIC, r.number) != stored_view(view) {
                 return Err(SnapshotError::Malformed(format!(
                     "dictionary record {i}'s numeric view is not its lexical form's"
+                )));
+            }
+            if r.kind & PLAIN != stored_plain(lex, extra) {
+                return Err(SnapshotError::Malformed(format!(
+                    "dictionary record {i}'s JSON-plain bit is not its text's"
                 )));
             }
         }
@@ -886,8 +929,10 @@ mod tests {
     }
 
     /// Reads a dictionary from sections holding `arena` and `records` (and
-    /// the identity as their order).
+    /// the identity as their order), through a file of its own.
     fn read_records(arena: &[u8], records: &[TermRecord]) -> Result<Dictionary, SnapshotError> {
+        static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let file = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut w = SnapshotWriter::new();
         w.section(TAG_DICT_ARENA, arena);
         w.section(TAG_DICT_RECORDS, records);
@@ -895,8 +940,10 @@ mod tests {
             TAG_DICT_SORTED,
             &(0..records.len() as u32).collect::<Vec<_>>(),
         );
-        let path =
-            std::env::temp_dir().join(format!("turbohom-dict-{}-records.snap", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "turbohom-dict-{}-records-{file}.snap",
+            std::process::id()
+        ));
         w.write_to(&path).unwrap();
         let read = Dictionary::read_sections(&mut Snapshot::open(&path).unwrap().cursor());
         std::fs::remove_file(&path).unwrap();
@@ -936,21 +983,21 @@ mod tests {
         );
         malformed(
             TermRecord {
-                kind: KIND_TYPED,
+                kind: KIND_TYPED | PLAIN,
                 ..record
             },
             view,
         );
         malformed(
             TermRecord {
-                kind: KIND_IRI | NUMERIC,
+                kind: KIND_IRI | NUMERIC | PLAIN,
                 ..record
             },
             view,
         );
         malformed(
             TermRecord {
-                kind: KIND_TYPED,
+                kind: KIND_TYPED | PLAIN,
                 number: 0,
                 ..record
             },
@@ -976,11 +1023,47 @@ mod tests {
         );
         malformed(
             TermRecord {
-                kind: 6 | NUMERIC,
+                kind: 6 | NUMERIC | PLAIN,
                 ..record
             },
             bounds,
         );
+    }
+
+    /// The encoder sets [`PLAIN`] exactly on terms whose lexical form and
+    /// extra string need no JSON escape, and a snapshot record that claims
+    /// otherwise, either way, is refused.
+    #[test]
+    fn a_snapshot_record_whose_plain_bit_is_wrong_is_refused() {
+        let mut d = Dictionary::new();
+        let terms = [
+            (Term::literal("clean é日😀 text"), true),
+            (Term::iri("http://ex.org/a"), true),
+            (Term::literal(""), true),
+            (Term::literal("say \"hi\""), false),
+            (Term::literal("back\\slash"), false),
+            (Term::literal("bell\u{7}"), false),
+            (Term::lang_literal("tagged", "e\u{1}n"), false),
+            (Term::typed_literal("1", "http://ex.org/\"dt"), false),
+            (Term::blank("b\n0"), false),
+        ];
+        for (term, _) in &terms {
+            d.encode(term);
+        }
+        let arena = d.arena.to_vec();
+        assert!(read_records(&arena, &d.records).is_ok());
+        for (record, (term, plain)) in d.records.iter().zip(&terms) {
+            assert_eq!(record.is_plain(), *plain, "{term}");
+            let flipped = TermRecord {
+                kind: record.kind ^ PLAIN,
+                ..*record
+            };
+            let err = read_records(&arena, &[flipped]).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Malformed(m) if m.contains("JSON-plain bit")),
+                "{term}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! offset  0  magic            8 bytes  b"TURBOSNP"
-//! offset  8  version          u32      format version (currently 1)
+//! offset  8  version          u32      format version (currently 3)
 //! offset 12  endian probe     u32      0x0A0B0C0D as written by the producer
 //! offset 16  section count    u64
 //! offset 24  table offset     u64      byte offset of the section table
@@ -33,9 +33,10 @@ use std::sync::Arc;
 
 /// Magic bytes at offset 0.
 pub const MAGIC: [u8; 8] = *b"TURBOSNP";
-/// Current format version: 2 since the dictionary's term records shrank to
-/// 32 bytes and carry each term's numeric view; a version-1 file is refused.
-pub const VERSION: u32 = 2;
+/// Current format version: 3 since the dictionary's term records carry a
+/// bit saying whether the term's strings need a JSON escape (2 shrank them to
+/// 32 bytes with each term's numeric view); an older file is refused.
+pub const VERSION: u32 = 3;
 /// Endianness probe value (reads back differently on a big-endian machine).
 const ENDIAN_PROBE: u32 = 0x0A0B_0C0D;
 /// Fixed header size in bytes; payload sections start here.
@@ -399,8 +400,8 @@ mod tests {
         let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         assert_eq!(word(40), 0x8fe5_c427_02da_daeb, "payload checksum");
         // The header checksum covers the version field: version 1 read
-        // 0x6283_9b51_1d96_5083.
-        assert_eq!(word(48), 0xc877_9671_ebbb_ec90, "header checksum");
+        // 0x6283_9b51_1d96_5083, version 2 0xc877_9671_ebbb_ec90.
+        assert_eq!(word(48), 0xdfcb_fc22_f5fc_7425, "header checksum");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -490,18 +491,21 @@ mod tests {
 
     #[test]
     fn a_version_1_file_is_refused() {
-        // Version 1 held the dictionary's 40-byte term records.
+        // Version 1 held the dictionary's 40-byte term records, version 2
+        // 32-byte records without the JSON-plain bit.
         let path = sample_file("version1");
-        let m = mangle(&path, 8, |_| 1);
-        assert!(matches!(
-            Snapshot::open(&m),
-            Err(SnapshotError::VersionMismatch {
-                found: 1,
-                expected: 2
-            })
-        ));
+        for old in [1, 2] {
+            let m = mangle(&path, 8, |_| old);
+            assert!(matches!(
+                Snapshot::open(&m),
+                Err(SnapshotError::VersionMismatch {
+                    found,
+                    expected: 3
+                }) if found == u32::from(old)
+            ));
+            std::fs::remove_file(&m).unwrap();
+        }
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&m).unwrap();
     }
 
     #[test]
