@@ -377,9 +377,8 @@ impl<'a> RegionExplorer<'a> {
 
             // The adjacency list is selected by the child's labels (those
             // the predicate implies included), so a neighbor is checked one
-            // by one only if the ID attribute, a filter, the simple
-            // entailment regime, its signature or an inline FILTER can still
-            // turn it down.
+            // by one only if the ID attribute, a filter, its signature or an
+            // inline FILTER can still turn it down.
             let filter = &self.filters[child];
             let checked = filter.can_reject();
             let need = self.need[child];

@@ -140,9 +140,6 @@ pub struct TurboHomConfig {
     /// When `true`, solutions are counted but not materialized (useful for
     /// the largest benchmark runs).
     pub count_only: bool,
-    /// Match against the simple-entailment label sets (`Lsimple`) instead of
-    /// the inferred closure (Section 4.2).
-    pub simple_entailment: bool,
 }
 
 impl Default for TurboHomConfig {
@@ -152,7 +149,6 @@ impl Default for TurboHomConfig {
             optimizations: Optimizations::all(),
             threads: 1,
             count_only: false,
-            simple_entailment: false,
         }
     }
 }

@@ -1522,37 +1522,4 @@ mod tests {
         assert_eq!(result.len(), 1);
         assert_eq!(result.stats.candidate_regions, 1);
     }
-
-    #[test]
-    fn simple_entailment_restricts_matches() {
-        let ds = {
-            let mut ds = Dataset::new();
-            ds.insert_iris(&ub("g1"), vocab::RDF_TYPE, &ub("GraduateStudent"));
-            ds.insert_iris(
-                &ub("GraduateStudent"),
-                vocab::RDFS_SUBCLASSOF,
-                &ub("Student"),
-            );
-            ds.insert_iris(&ub("u1"), vocab::RDF_TYPE, &ub("Student"));
-            ds.insert_iris(&ub("g1"), &ub("knows"), &ub("u1"));
-            ds.insert_iris(&ub("u1"), &ub("knows"), &ub("g1"));
-            ds
-        };
-        let data = type_aware_transform(&ds);
-        let query = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-                       PREFIX ub: <http://ub.org/>
-                       SELECT ?x WHERE { ?x rdf:type ub:Student . ?x ub:knows ?y . }"#;
-        let full = execute(&ds, &data, query, TurboHomConfig::default());
-        assert_eq!(full.len(), 2);
-        let simple = execute(
-            &ds,
-            &data,
-            query,
-            TurboHomConfig {
-                simple_entailment: true,
-                ..TurboHomConfig::default()
-            },
-        );
-        assert_eq!(simple.len(), 1);
-    }
 }

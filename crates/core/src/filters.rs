@@ -24,34 +24,6 @@ use std::borrow::Cow;
 use turbohom_graph::{ops, Direction, ELabel, QueryGraph, VLabel, VertexId};
 use turbohom_transform::TransformedGraph;
 
-/// Returns the label set of `v` the engine should match against: the full
-/// inferred closure normally, `Lsimple` under the simple entailment regime.
-pub fn effective_labels<'a>(
-    data: &'a TransformedGraph,
-    config: &TurboHomConfig,
-    v: VertexId,
-) -> &'a [VLabel] {
-    if config.simple_entailment {
-        data.simple_labels_of(v)
-    } else {
-        data.graph.labels(v)
-    }
-}
-
-/// Checks `L(u) ⊆ L'(v)` for the configured entailment regime.
-pub fn satisfies_labels(
-    data: &TransformedGraph,
-    config: &TurboHomConfig,
-    v: VertexId,
-    required: &[VLabel],
-) -> bool {
-    if required.is_empty() {
-        return true;
-    }
-    let labels = effective_labels(data, config, v);
-    required.iter().all(|l| labels.binary_search(l).is_ok())
-}
-
 /// Retrieves the adjacent candidate vertices of `v` along a query edge with
 /// edge label `el` (or a variable predicate when `None`) in `direction`,
 /// constrained to carry all of `labels` (Section 4.2's
@@ -99,7 +71,7 @@ type NeighborConstraint<'q> = (Direction, Option<ELabel>, &'q [VLabel]);
 /// filters, all derived from the query once instead of per data candidate.
 #[derive(Debug, Clone)]
 pub struct VertexFilter<'q> {
-    config: TurboHomConfig,
+    semantics: MatchSemantics,
     bound: Option<VertexId>,
     labels: &'q [VLabel],
     /// The degree filter's demand — the least number of (outgoing, incoming)
@@ -142,7 +114,7 @@ impl<'q> VertexFilter<'q> {
         }
         let qv = query.vertex(u);
         VertexFilter {
-            config: *config,
+            semantics: config.semantics,
             bound: qv.bound,
             labels: &qv.labels,
             min_degree,
@@ -151,15 +123,12 @@ impl<'q> VertexFilter<'q> {
     }
 
     /// Whether [`qualifies`](Self::qualifies) can turn down a data vertex
-    /// that is known to carry the query vertex's labels in the full
-    /// closure — a member of the inverse label list, of the predicate index
-    /// or of a typed adjacency group. When it cannot, such a list is the
-    /// candidate list and its length the candidate count.
+    /// that is known to carry the query vertex's labels — a member of the
+    /// inverse label list, of the predicate index or of a typed adjacency
+    /// group. When it cannot, such a list is the candidate list and its
+    /// length the candidate count.
     pub fn can_reject(&self) -> bool {
-        self.bound.is_some()
-            || self.min_degree.is_some()
-            || !self.neighbors.is_empty()
-            || (self.config.simple_entailment && !self.labels.is_empty())
+        self.bound.is_some() || self.min_degree.is_some() || !self.neighbors.is_empty()
     }
 
     /// Applies the degree filter to data vertex `v`.
@@ -191,7 +160,7 @@ impl<'q> VertexFilter<'q> {
     pub fn nlf_filter(&self, data: &TransformedGraph, v: VertexId, stats: &mut MatchStats) -> bool {
         let pass = self.neighbors.iter().all(|((dir, el, labels), count)| {
             let matching = adjacent_candidates(data, v, *dir, *el, labels);
-            match self.config.semantics {
+            match self.semantics {
                 MatchSemantics::Isomorphism => matching.len() >= *count,
                 MatchSemantics::Homomorphism => !matching.is_empty(),
             }
@@ -212,7 +181,7 @@ impl<'q> VertexFilter<'q> {
         if self.bound.is_some_and(|bound| bound != v) {
             return false;
         }
-        satisfies_labels(data, &self.config, v, self.labels)
+        data.graph.has_all_labels(v, self.labels)
             && self.degree_filter(data, v, stats)
             && self.nlf_filter(data, v, stats)
     }
@@ -351,7 +320,7 @@ pub(crate) mod reference {
                 return false;
             }
         }
-        if !satisfies_labels(data, config, v, &qv.labels) {
+        if !data.graph.has_all_labels(v, &qv.labels) {
             return false;
         }
         degree_filter(data, config, query, u, v, stats)
@@ -676,10 +645,6 @@ mod tests {
             TurboHomConfig::default(),
             TurboHomConfig::turbohom(),
             TurboHomConfig::isomorphism().with_optimizations(none),
-            TurboHomConfig {
-                simple_entailment: true,
-                ..TurboHomConfig::turbohom()
-            },
         ];
         for query in &queries {
             for config in &configs {
@@ -698,28 +663,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn simple_entailment_restricts_labels() {
-        // s1 gets type GraduateStudent, Student only via subClassOf closure.
-        let mut ds = Dataset::new();
-        ds.insert_iris(&ub("g1"), vocab::RDF_TYPE, &ub("GraduateStudent"));
-        ds.insert_iris(
-            &ub("GraduateStudent"),
-            vocab::RDFS_SUBCLASSOF,
-            &ub("Student"),
-        );
-        ds.insert_iris(&ub("g1"), &ub("memberOf"), &ub("dept1"));
-        let t = type_aware_transform(&ds);
-        let g1 = vid(&ds, &t, "g1");
-        let student = vl(&ds, &t, "Student");
-        let config_full = TurboHomConfig::default();
-        let config_simple = TurboHomConfig {
-            simple_entailment: true,
-            ..TurboHomConfig::default()
-        };
-        assert!(satisfies_labels(&t, &config_full, g1, &[student]));
-        assert!(!satisfies_labels(&t, &config_simple, g1, &[student]));
     }
 }

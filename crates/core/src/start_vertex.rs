@@ -11,12 +11,12 @@
 //! candidates of a query vertex are then a list of the inverse vertex label
 //! list or of the predicate index, and `freq` is already its length. Only
 //! the winner's list is handed out, borrowed from the index. A list is
-//! walked (and copied) only when the ID attribute, the degree or NLF filter,
-//! the simple entailment regime or an inline FILTER has to look at each
-//! vertex. Inline FILTERs are filters of the refinement like the others: a
-//! label that few values of a REGEX pass starts fewer regions than the
-//! class of the things it labels. A vertex whose FILTERs are counted stops
-//! counting once it cannot win, and the winner's list has passed them.
+//! walked (and copied) only when the ID attribute, the degree or NLF filter
+//! or an inline FILTER has to look at each vertex. Inline FILTERs are
+//! filters of the refinement like the others: a label that few values of a
+//! REGEX pass starts fewer regions than the class of the things it labels.
+//! A vertex whose FILTERs are counted stops counting once it cannot win,
+//! and the winner's list has passed them.
 
 use crate::config::TurboHomConfig;
 use crate::engine::FilterSplit;
@@ -633,9 +633,9 @@ mod tests {
         );
     }
 
-    /// Classes `C0..C3` with `C1 ⊑ C0` (so the closure and `Lsimple`
-    /// differ), predicates `p0..p2`, 24 entities of which every fifth has no
-    /// class, and edges drawn by a fixed rule.
+    /// Classes `C0..C3` with a `C1 ⊑ C0` schema triple, predicates
+    /// `p0..p2`, 24 entities of which every fifth has no class, and edges
+    /// drawn by a fixed rule.
     fn property_data() -> (Dataset, TransformedGraph) {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("C1"), vocab::RDFS_SUBCLASSOF, &ub("C0"));
@@ -694,7 +694,6 @@ mod tests {
             for config in [
                 TurboHomConfig::default(),
                 TurboHomConfig::turbohom(),
-                TurboHomConfig { simple_entailment: true, ..TurboHomConfig::default() },
                 TurboHomConfig::isomorphism().with_optimizations(none),
             ] {
                 let (mut expected_stats, mut stats) = (MatchStats::default(), MatchStats::default());

@@ -64,7 +64,10 @@ pub struct LubmConfig {
     /// well as inferred triples" for LUBM.
     pub with_inference: bool,
     /// Additionally materialize the RDFS closure (type inheritance, property
-    /// hierarchy propagation) directly in the generated dataset.
+    /// hierarchy propagation) directly in the generated dataset. This is the
+    /// only way the class hierarchy applies to the generated data, for all
+    /// four engines: without it (and without `StoreOptions::inference`) a
+    /// class matches its asserted instances alone.
     pub materialize_rdfs: bool,
     /// PRNG seed: identical configs generate identical datasets.
     pub seed: u64,

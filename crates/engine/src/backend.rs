@@ -31,8 +31,10 @@ const TAG_STORE_META: u64 = 0x0901;
 /// 32 bits wide (the triples `0x0201`, the dictionary's sorted ids `0x0103`
 /// and the mappings' reverse arrays `0x0602`/`0x0604`/`0x0606`). 5: a
 /// graph's type groups hold only labeled neighbors (each direction's
-/// `0x03x1`/`0x03x2`/`0x03x4`).
-const STORE_FORMAT_SUB_VERSION: u64 = 5;
+/// `0x03x1`/`0x03x2`/`0x03x4`). 6: a transformed graph keeps no
+/// simple-entailment label sets (`0x0702`/`0x0703`), and its meta (`0x0701`)
+/// is its kind alone.
+const STORE_FORMAT_SUB_VERSION: u64 = 6;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not

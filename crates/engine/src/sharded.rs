@@ -50,7 +50,9 @@ pub struct ShardedOptions {
     /// Number of shards (clamped to at least 1).
     pub shards: usize,
     /// Materialize the RDFS closure *globally* before partitioning, so every
-    /// shard sees exactly the triples the equivalent single store would.
+    /// shard sees exactly the triples the equivalent single store would. As
+    /// for a single store, this is the only way the class hierarchy applies,
+    /// for all four engines.
     pub inference: bool,
     /// Worker threads per shard execution (the per-shard TurboHOM++ setting).
     pub threads: usize,

@@ -128,7 +128,9 @@ impl std::str::FromStr for EngineKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Materialize the RDFS closure (subClassOf/subPropertyOf/domain/range)
-    /// before building the graphs — the paper's LUBM loading protocol.
+    /// before building the graphs — the paper's LUBM loading protocol. This
+    /// is the only way the class hierarchy applies, for all four engines:
+    /// without it a class matches its asserted instances alone.
     pub inference: bool,
     /// Number of worker threads used by the TurboHOM++ engine.
     pub threads: usize,

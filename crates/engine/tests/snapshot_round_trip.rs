@@ -135,7 +135,7 @@ fn ledger_line(tag: u64, graph: &'static str) -> Option<(&'static str, &'static 
         0x0102 => ("dictionary", "records"),
         0x0103 => ("dictionary", "sorted"),
         0x0201 => ("triples", ""),
-        0x0302..=0x0304 | 0x0702 | 0x0703 => (graph, "labels"),
+        0x0302..=0x0304 => (graph, "labels"),
         0x0310..=0x032f => (graph, "csr"),
         0x0400..=0x04ff => (graph, "predicate_index"),
         0x0500..=0x05ff => (graph, "inverse_labels"),
@@ -246,10 +246,11 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // What older builds wrote first: the store meta section with sub-version
     // 1 (the permutation tables still followed the graphs), 2 (the graphs
     // still held their degree order and unlabeled list), 3 (term ids were
-    // 64 bits wide) or 4 (the graphs still held a type group for unlabeled
-    // neighbors).
+    // 64 bits wide), 4 (the graphs still held a type group for unlabeled
+    // neighbors) or 5 (the type-aware graph still held its simple-entailment
+    // label sets).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4] {
+    for found in [1, 2, 3, 4, 5] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -258,7 +259,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 5
+                expected: 6
             })
         );
     }

@@ -58,7 +58,9 @@ fn usage() -> &'static str {
      \x20                   (memory-mapped, zero-copy)\n\
      \x20 --save-snapshot F write the loaded store (every shard of it) to one\n\
      \x20                   snapshot file and exit\n\
-     \x20 --inference       materialize the RDFS closure at load time\n\
+     \x20 --inference       materialize the RDFS closure at load time: the\n\
+     \x20                   only way the class hierarchy applies, for every\n\
+     \x20                   engine\n\
      \x20 --threads N       default worker threads per query (default 1)\n\
      \x20 --shards N        partition the data across N shard stores and run\n\
      \x20                   queries scatter-gather (default 1 = single store)\n\

@@ -3,7 +3,7 @@
 use std::fmt;
 use turbohom_graph::{ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex, VLabel, VertexId};
 use turbohom_rdf::TermId;
-use turbohom_storage::{FlatCsr, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
+use turbohom_storage::{FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (components 0x06 mappings, 0x07 transformed graph).
 const TAG_MAP_TERM_TO_VERTEX: u64 = 0x0601;
@@ -13,8 +13,6 @@ const TAG_MAP_VLABEL_TO_TERM: u64 = 0x0604;
 const TAG_MAP_TERM_TO_ELABEL: u64 = 0x0605;
 const TAG_MAP_ELABEL_TO_TERM: u64 = 0x0606;
 const TAG_TRANSFORM_META: u64 = 0x0701;
-const TAG_SIMPLE_LABEL_OFFSETS: u64 = 0x0702;
-const TAG_SIMPLE_LABELS: u64 = 0x0703;
 
 /// Sentinel in the dense term→graph-id arrays for "not mapped".
 const UNMAPPED: u32 = u32::MAX;
@@ -194,20 +192,11 @@ pub struct TransformedGraph {
     pub predicates: PredicateIndex,
     /// Term ↔ graph id mappings.
     pub mappings: GraphMappings,
-    /// For the type-aware transformation: the *directly asserted* label set
-    /// of every vertex (`Lsimple`, Section 4.2) as a CSR, used under the
-    /// simple entailment regime. `None` for the direct transformation.
-    pub simple_labels: Option<FlatCsr<VLabel>>,
 }
 
 impl TransformedGraph {
     /// Builds the derived indexes for `graph` and assembles the bundle.
-    pub fn assemble(
-        kind: TransformKind,
-        graph: LabeledGraph,
-        mappings: GraphMappings,
-        simple_labels: Option<FlatCsr<VLabel>>,
-    ) -> Self {
+    pub fn assemble(kind: TransformKind, graph: LabeledGraph, mappings: GraphMappings) -> Self {
         let inverse_labels = InverseLabelIndex::build(&graph);
         let predicates = PredicateIndex::build(&graph);
         TransformedGraph {
@@ -216,61 +205,40 @@ impl TransformedGraph {
             inverse_labels,
             predicates,
             mappings,
-            simple_labels,
-        }
-    }
-
-    /// The simple-entailment label set of `v`: the directly asserted types
-    /// when available, the full label set otherwise.
-    pub fn simple_labels_of(&self, v: VertexId) -> &[VLabel] {
-        match &self.simple_labels {
-            Some(per_vertex) => per_vertex.row(v.index()),
-            None => self.graph.labels(v),
         }
     }
 
     /// Bytes of every array of the bundle, by part: the graph's `csr` and
-    /// `labels` (the simple label sets counted with the latter), the two
-    /// indexes and the mappings.
+    /// `labels`, the two indexes and the mappings.
     pub fn memory(&self) -> [(&'static str, MemoryUse); 5] {
-        let [csr, (labels, label_bytes)] = self.graph.memory();
-        let simple = self.simple_labels.as_ref().map(MemoryUse::from);
+        let [csr, labels] = self.graph.memory();
         [
             csr,
-            (labels, label_bytes + simple.unwrap_or_default()),
+            labels,
             ("inverse_labels", self.inverse_labels.memory()),
             ("predicate_index", self.predicates.memory()),
             ("mappings", self.mappings.memory()),
         ]
     }
 
-    /// Serializes the whole bundle (meta, graph, indexes, mappings, simple
-    /// labels) as snapshot sections.
+    /// Serializes the whole bundle (meta, graph, indexes, mappings) as
+    /// snapshot sections.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        let meta: [u64; 2] = [
-            match self.kind {
-                TransformKind::Direct => 0,
-                TransformKind::TypeAware => 1,
-            },
-            self.simple_labels.is_some() as u64,
-        ];
+        let meta: [u64; 1] = [match self.kind {
+            TransformKind::Direct => 0,
+            TransformKind::TypeAware => 1,
+        }];
         w.section(TAG_TRANSFORM_META, &meta);
         self.graph.write_sections(w);
         self.inverse_labels.write_sections(w);
         self.predicates.write_sections(w);
         self.mappings.write_sections(w);
-        let (offsets, labels): (&[u64], &[VLabel]) = match &self.simple_labels {
-            Some(sl) => (sl.offsets(), sl.data()),
-            None => (&[], &[]),
-        };
-        w.section(TAG_SIMPLE_LABEL_OFFSETS, offsets);
-        w.section(TAG_SIMPLE_LABELS, labels);
     }
 
     /// Reconstructs the bundle reading everything in place from a snapshot.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let meta: FlatVec<u64> = cur.next_section(TAG_TRANSFORM_META)?;
-        if meta.len() != 2 {
+        if meta.len() != 1 {
             return Err(SnapshotError::Malformed(
                 "transformed graph meta section length".into(),
             ));
@@ -288,20 +256,6 @@ impl TransformedGraph {
         let inverse_labels = InverseLabelIndex::read_sections(cur)?;
         let predicates = PredicateIndex::read_sections(cur, &graph)?;
         let mappings = GraphMappings::read_sections(cur)?;
-        let sl = FlatCsr::from_parts(
-            cur.next_section(TAG_SIMPLE_LABEL_OFFSETS)?,
-            cur.next_section(TAG_SIMPLE_LABELS)?,
-        )?;
-        let simple_labels = if meta[1] != 0 {
-            if sl.num_rows() != graph.vertex_count() {
-                return Err(SnapshotError::Malformed(
-                    "simple label CSR does not cover every vertex".into(),
-                ));
-            }
-            Some(sl)
-        } else {
-            None
-        };
         if mappings.vertex_to_term.len() != graph.vertex_count() {
             return Err(SnapshotError::Malformed(
                 "mappings do not cover every vertex".into(),
@@ -313,7 +267,6 @@ impl TransformedGraph {
             inverse_labels,
             predicates,
             mappings,
-            simple_labels,
         })
     }
 }
@@ -399,9 +352,7 @@ mod tests {
         b.add_edge(v1, v2, el);
         let graph = b.build();
 
-        let simple = FlatCsr::from_rows(&[vec![VLabel(0)], vec![VLabel(1)], vec![]]);
-        let original =
-            TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings, Some(simple));
+        let original = TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings);
 
         let mut w = SnapshotWriter::new();
         original.write_sections(&mut w);
@@ -420,7 +371,6 @@ mod tests {
         assert_eq!(loaded.graph.edge_count(), 2);
         for v in loaded.graph.vertices() {
             assert_eq!(loaded.graph.labels(v), original.graph.labels(v));
-            assert_eq!(loaded.simple_labels_of(v), original.simple_labels_of(v));
             assert_eq!(
                 loaded.mappings.term_of_vertex(v),
                 original.mappings.term_of_vertex(v)

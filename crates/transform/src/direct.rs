@@ -33,7 +33,7 @@ pub fn direct_transform(dataset: &Dataset) -> TransformedGraph {
         }
     });
 
-    TransformedGraph::assemble(TransformKind::Direct, graph, mappings, None)
+    TransformedGraph::assemble(TransformKind::Direct, graph, mappings)
 }
 
 #[cfg(test)]
@@ -148,16 +148,6 @@ mod tests {
             let el = t.mappings.elabel_of(term).expect("interned");
             assert_eq!(el.index(), i);
             assert_eq!(t.mappings.term_of_elabel(el), Some(term));
-        }
-    }
-
-    #[test]
-    fn simple_labels_fall_back_to_graph_labels() {
-        let ds = figure3_dataset();
-        let t = direct_transform(&ds);
-        assert!(t.simple_labels.is_none());
-        for v in t.graph.vertices() {
-            assert_eq!(t.simple_labels_of(v), t.graph.labels(v));
         }
     }
 

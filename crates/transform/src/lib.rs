@@ -11,10 +11,10 @@
 //!   on (Figure 6 / Table 7 "direct transformation" rows).
 //! * the **type-aware transformation** ([`type_aware_transform`]): triples
 //!   with `rdf:type` / `rdfs:subClassOf` predicates are folded into vertex
-//!   *label sets* (following the class hierarchy transitively), so the data
-//!   and query graphs shrink and simplify — the paper's key idea
-//!   (Definition 3). The simple-entailment label set `Lsimple` (directly
-//!   asserted types only) is retained alongside.
+//!   *label sets* (a vertex's `rdf:type` objects), so the data and query
+//!   graphs shrink and simplify — the paper's key idea (Definition 3). The
+//!   class hierarchy reaches the labels only through RDFS materialization at
+//!   load, the same way it reaches every other engine.
 //!
 //! [`transform_query`] turns a parsed SPARQL [`GroupPattern`]
 //! (including nested OPTIONAL clauses) into a [`QueryGraph`] under either

@@ -1,20 +1,20 @@
 //! The type-aware transformation (paper Section 4.1, Definition 3).
 //!
 //! Triples whose predicate is `rdf:type` or `rdfs:subClassOf` are not turned
-//! into edges. Instead, the classes an entity belongs to — following
-//! `rdf:type` once and `rdfs:subClassOf` transitively — become the entity
-//! vertex's *label set*. The class terms themselves stop being vertices
-//! (unless they also participate in ordinary triples), which is what shrinks
-//! the data and query graphs: `|V'| = |V| − |V_type|` in the paper's
-//! notation.
+//! into edges. Instead, the classes an entity is asserted to belong to — the
+//! objects of its `rdf:type` triples — become the entity vertex's *label
+//! set*. The class terms themselves stop being vertices (unless they also
+//! participate in ordinary triples), which is what shrinks the data and
+//! query graphs: `|V'| = |V| − |V_type|` in the paper's notation.
 //!
-//! The directly asserted types are retained separately as `Lsimple` so that
-//! queries under the simple entailment regime can be answered (Section 4.2).
+//! The class hierarchy is not folded in here: it enters the data once, when
+//! RDFS materialization (`InferenceEngine`) adds the implied `rdf:type`
+//! triples at load, so every engine and both transformations answer under
+//! the same entailment.
 
 use crate::common::{GraphMappings, TransformKind, TransformedGraph};
 use turbohom_graph::{layout, VLabel};
 use turbohom_rdf::{Dataset, TermId};
-use turbohom_storage::FlatCsr;
 
 /// Applies the type-aware transformation to `dataset`.
 ///
@@ -45,70 +45,38 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
         }
     }
     let n = mappings.vertex_to_term.len();
-    let num_classes = mappings.vlabel_to_term.len();
     let vertex = |term| mappings.vertex_of(term).expect("interned above");
     let vlabel = |term| mappings.vlabel_of(term).expect("interned above");
 
-    // ---- Pass 2: Lsimple, every vertex's directly asserted classes, counted
-    // over the `rdf:type` triples. The triples are distinct, so each row is.
-    let mut simple_labels = FlatCsr::counted(n, |sink| {
-        for t in dataset.triples.iter().filter(|t| is_type_pred(t.p)) {
-            sink(vertex(t.s).index(), vlabel(t.o));
-        }
-    });
-    simple_labels.sort_rows();
-
-    // ---- Pass 3: every class's closure — itself and what it reaches over
-    // `rdfs:subClassOf` — once per class (schema graphs are tiny).
-    let superclasses = FlatCsr::counted(num_classes, |sink| {
-        for t in dataset.triples.iter().filter(|t| is_subclass_pred(t.p)) {
-            sink(vlabel(t.s).index(), vlabel(t.o));
-        }
-    });
-    let mut closures = FlatCsr::counted(num_classes, |sink| {
-        // `reached[c]` is the last class whose walk reached `c`.
-        let mut reached = vec![usize::MAX; num_classes];
-        let mut stack = Vec::new();
-        for class in 0..num_classes {
-            stack.push(VLabel(class as u32));
-            while let Some(c) = stack.pop() {
-                if reached[c.index()] != class {
-                    reached[c.index()] = class;
-                    sink(class, c);
-                    stack.extend_from_slice(superclasses.row(c.index()));
-                }
-            }
-        }
-    });
-    closures.sort_rows();
-    drop(superclasses);
-
-    // ---- Pass 4: every vertex's label set, the union of its direct classes'
-    // closures, written into one flat array: counted, then filled.
-    let union_of = |v: usize, set: &mut Vec<VLabel>| {
-        set.clear();
-        for c in simple_labels.row(v) {
-            set.extend_from_slice(closures.row(c.index()));
-        }
-        set.sort_unstable();
-        set.dedup();
+    // ---- Pass 2: every vertex's label set, the objects of its `rdf:type`
+    // triples, counted then filled and each row sorted. The triples are
+    // distinct, so each row is. Counted here rather than by `FlatCsr::counted`
+    // because the graph keeps `u32` offsets: converting that CSR's `u64` ones
+    // and copying its labels raised the LUBM(640) load peak by 0.4 MB.
+    let type_rows = || {
+        let triples = dataset.triples.iter().filter(|t| is_type_pred(t.p));
+        triples.map(|t| (vertex(t.s).index(), vlabel(t.o)))
     };
-    let mut set = Vec::new();
-    let mut label_offsets = Vec::with_capacity(n + 1);
-    label_offsets.push(0u32);
-    for v in 0..n {
-        union_of(v, &mut set);
-        let end = label_offsets[v].checked_add(set.len() as u32);
-        label_offsets.push(end.expect("the label sets hold at most u32::MAX labels"));
+    let mut label_offsets = vec![0u32; n + 1];
+    for (v, _) in type_rows() {
+        label_offsets[v + 1] += 1;
     }
-    let mut labels = Vec::with_capacity(label_offsets[n] as usize);
     for v in 0..n {
-        union_of(v, &mut set);
-        labels.extend_from_slice(&set);
+        let end = label_offsets[v].checked_add(label_offsets[v + 1]);
+        label_offsets[v + 1] = end.expect("the label sets hold at most u32::MAX labels");
     }
-    drop((set, closures));
+    let mut labels = vec![VLabel::default(); label_offsets[n] as usize];
+    let mut next = label_offsets[..n].to_vec();
+    for (v, l) in type_rows() {
+        labels[next[v] as usize] = l;
+        next[v] += 1;
+    }
+    drop(next);
+    for w in label_offsets.windows(2) {
+        labels[w[0] as usize..w[1] as usize].sort_unstable();
+    }
 
-    // ---- Pass 5: lay out the CSR straight from the non-schema triples.
+    // ---- Pass 3: lay out the CSR straight from the non-schema triples.
     let graph = layout(n, label_offsets, labels, |sink| {
         for t in dataset.triples.iter() {
             if !is_type_pred(t.p) && !is_subclass_pred(t.p) {
@@ -118,21 +86,15 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
         }
     });
 
-    TransformedGraph::assemble(
-        TransformKind::TypeAware,
-        graph,
-        mappings,
-        Some(simple_labels),
-    )
+    TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
     use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
     use turbohom_graph::{Direction, LabeledGraph, LabeledGraphBuilder, VertexId};
-    use turbohom_rdf::{vocab, Term};
+    use turbohom_rdf::{vocab, InferenceConfig, InferenceEngine, Term};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -189,37 +151,32 @@ mod tests {
         assert_eq!(t.graph.edge_label_count(), 5);
     }
 
-    #[test]
-    fn type_closure_becomes_label_set() {
-        let ds = figure3_dataset();
-        let t = type_aware_transform(&ds);
-        let student1 = vertex(&t, &ds, &Term::iri(ub("student1")));
-        // L(student1) = {GraduateStudent, Student} — Student via subClassOf.
-        let grad = t
-            .mappings
-            .vlabel_of(ds.dictionary.id_of_iri(&ub("GraduateStudent")).unwrap())
-            .unwrap();
-        let student = t
-            .mappings
-            .vlabel_of(ds.dictionary.id_of_iri(&ub("Student")).unwrap())
-            .unwrap();
-        assert!(t.graph.has_label(student1, grad));
-        assert!(t.graph.has_label(student1, student));
-        assert_eq!(t.graph.labels(student1).len(), 2);
+    /// `ds` with the RDFS closure materialized into its triples.
+    fn materialized(mut ds: Dataset) -> Dataset {
+        InferenceEngine::new(InferenceConfig::full()).materialize(&mut ds);
+        ds
+    }
+
+    fn vl(t: &TransformedGraph, ds: &Dataset, class: &str) -> VLabel {
+        let term = ds.dictionary.id_of_iri(&ub(class)).unwrap();
+        t.mappings.vlabel_of(term).unwrap()
     }
 
     #[test]
-    fn simple_labels_only_keep_direct_assertions() {
+    fn type_closure_becomes_label_set() {
+        // Without materialization L(student1) is its asserted type alone.
         let ds = figure3_dataset();
         let t = type_aware_transform(&ds);
         let student1 = vertex(&t, &ds, &Term::iri(ub("student1")));
-        let grad = t
-            .mappings
-            .vlabel_of(ds.dictionary.id_of_iri(&ub("GraduateStudent")).unwrap())
-            .unwrap();
-        let simple = t.simple_labels_of(student1);
-        assert_eq!(simple, &[grad]);
-        assert!(simple.len() < t.graph.labels(student1).len());
+        assert_eq!(t.graph.labels(student1), &[vl(&t, &ds, "GraduateStudent")]);
+
+        // L(student1) = {GraduateStudent, Student} — Student via subClassOf.
+        let ds = materialized(figure3_dataset());
+        let t = type_aware_transform(&ds);
+        let student1 = vertex(&t, &ds, &Term::iri(ub("student1")));
+        assert!(t.graph.has_label(student1, vl(&t, &ds, "GraduateStudent")));
+        assert!(t.graph.has_label(student1, vl(&t, &ds, "Student")));
+        assert_eq!(t.graph.labels(student1).len(), 2);
     }
 
     #[test]
@@ -279,16 +236,13 @@ mod tests {
     fn inverse_label_index_reflects_closure() {
         let ds = figure3_dataset();
         let t = type_aware_transform(&ds);
-        let student = t
-            .mappings
-            .vlabel_of(ds.dictionary.id_of_iri(&ub("Student")).unwrap())
-            .unwrap();
-        assert_eq!(t.inverse_labels.frequency(student), 1);
-        let university = t
-            .mappings
-            .vlabel_of(ds.dictionary.id_of_iri(&ub("University")).unwrap())
-            .unwrap();
+        assert_eq!(t.inverse_labels.frequency(vl(&t, &ds, "Student")), 0);
+
+        let ds = materialized(figure3_dataset());
+        let t = type_aware_transform(&ds);
+        assert_eq!(t.inverse_labels.frequency(vl(&t, &ds, "Student")), 1);
         let univ1 = vertex(&t, &ds, &Term::iri(ub("univ1")));
+        let university = vl(&t, &ds, "University");
         assert_eq!(t.inverse_labels.vertices_with_label(university), &[univ1]);
     }
 
@@ -318,21 +272,36 @@ mod tests {
         ds
     }
 
+    /// The classes labelling `x`, built without and with materialization.
+    fn classes_of_x(ds: Dataset) -> [Vec<Term>; 2] {
+        [ds.clone(), materialized(ds)].map(|ds| {
+            let t = type_aware_transform(&ds);
+            let x = vertex(&t, &ds, &Term::iri(ub("x")));
+            let class = |&l| {
+                t.mappings
+                    .term_of_vlabel(l)
+                    .and_then(|c| ds.dictionary.term(c))
+            };
+            t.graph
+                .labels(x)
+                .iter()
+                .map(|l| class(l).unwrap())
+                .collect()
+        })
+    }
+
     #[test]
     fn deep_class_hierarchy_is_folded_transitively() {
-        let ds = deep_hierarchy();
-        let t = type_aware_transform(&ds);
-        let x = vertex(&t, &ds, &Term::iri(ub("x")));
-        assert_eq!(t.graph.labels(x).len(), 4);
-        assert_eq!(t.simple_labels_of(x).len(), 1);
+        let [asserted, closed] = classes_of_x(deep_hierarchy());
+        assert_eq!(asserted, [Term::iri(ub("A"))]);
+        assert_eq!(closed.len(), 4);
     }
 
     #[test]
     fn cyclic_hierarchy_terminates() {
-        let ds = cyclic_hierarchy();
-        let t = type_aware_transform(&ds);
-        let x = vertex(&t, &ds, &Term::iri(ub("x")));
-        assert_eq!(t.graph.labels(x).len(), 2);
+        let [asserted, closed] = classes_of_x(cyclic_hierarchy());
+        assert_eq!(asserted, [Term::iri(ub("A"))]);
+        assert_eq!(closed.len(), 2);
     }
 
     #[test]
@@ -359,32 +328,11 @@ mod tests {
     }
 
     /// The type-aware graph built the straightforward way: a label `Vec`
-    /// per vertex, each type triple's class walked up the hierarchy on its
-    /// own, and an edge list through `LabeledGraphBuilder`.
+    /// per vertex holding its asserted types, and an edge list through
+    /// `LabeledGraphBuilder`.
     fn reference_type_aware(dataset: &Dataset) -> TransformedGraph {
         let rdf_type = dataset.rdf_type_id();
         let subclassof = dataset.subclassof_id();
-        let mut subclass_edges: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        let mut direct_types: HashMap<TermId, Vec<TermId>> = HashMap::new();
-        for t in dataset.triples.iter() {
-            if Some(t.p) == subclassof {
-                subclass_edges.entry(t.s).or_default().push(t.o);
-            } else if Some(t.p) == rdf_type {
-                direct_types.entry(t.s).or_default().push(t.o);
-            }
-        }
-        let superclasses = |class: TermId| -> Vec<TermId> {
-            let mut out = Vec::new();
-            let mut seen = HashSet::new();
-            let mut stack = subclass_edges.get(&class).cloned().unwrap_or_default();
-            while let Some(c) = stack.pop() {
-                if c != class && seen.insert(c) {
-                    out.push(c);
-                    stack.extend(subclass_edges.get(&c).into_iter().flatten().copied());
-                }
-            }
-            out
-        };
         let mut mappings = GraphMappings::default();
         for t in dataset.triples.iter() {
             if Some(t.p) == rdf_type {
@@ -400,26 +348,13 @@ mod tests {
             }
         }
         let n = mappings.vertex_to_term.len();
-        let mut full_labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
-        let mut simple_labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
-        for (&subject, types) in &direct_types {
-            let v = mappings.vertex_of(subject).unwrap().index();
-            for &class in types {
-                let l = mappings.vlabel_of(class).unwrap();
-                if !simple_labels[v].contains(&l) {
-                    simple_labels[v].push(l);
-                }
-                for c in std::iter::once(class).chain(superclasses(class)) {
-                    let l = mappings.vlabel_of(c).unwrap();
-                    if !full_labels[v].contains(&l) {
-                        full_labels[v].push(l);
-                    }
-                }
-            }
-            simple_labels[v].sort_unstable();
+        let mut labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
+        for t in dataset.triples.iter().filter(|t| Some(t.p) == rdf_type) {
+            let v = mappings.vertex_of(t.s).unwrap().index();
+            labels[v].push(mappings.vlabel_of(t.o).unwrap());
         }
         let mut builder = LabeledGraphBuilder::new();
-        for labels in full_labels {
+        for labels in labels {
             builder.add_vertex(labels);
         }
         for t in dataset.triples.iter() {
@@ -428,13 +363,7 @@ mod tests {
                 builder.add_edge(s, o, mappings.elabel_of(t.p).unwrap());
             }
         }
-        let simple_labels = Some(FlatCsr::from_rows(&simple_labels));
-        TransformedGraph::assemble(
-            TransformKind::TypeAware,
-            builder.build(),
-            mappings,
-            simple_labels,
-        )
+        TransformedGraph::assemble(TransformKind::TypeAware, builder.build(), mappings)
     }
 
     /// The direct graph built the same straightforward way.
@@ -453,7 +382,7 @@ mod tests {
             let [s, o] = [t.s, t.o].map(|term| mappings.vertex_of(term).unwrap());
             builder.add_edge(s, o, mappings.elabel_of(t.p).unwrap());
         }
-        TransformedGraph::assemble(TransformKind::Direct, builder.build(), mappings, None)
+        TransformedGraph::assemble(TransformKind::Direct, builder.build(), mappings)
     }
 
     /// What the two indexes hold, read off the graph with per-row `Vec`s:
@@ -507,10 +436,6 @@ mod tests {
                 // Label CSR, both adjacency directions (every array) and
                 // the label-space sizes.
                 assert!(built.graph == reference.graph, "{what}: graph");
-                assert!(
-                    built.simple_labels == reference.simple_labels,
-                    "{what}: Lsimple"
-                );
                 assert!(built.mappings == reference.mappings, "{what}: mappings");
                 let (by_label, by_predicate) = reference_indexes(&reference.graph);
                 for (l, vertices) in by_label.iter().enumerate() {

@@ -264,33 +264,83 @@ fn a_self_loop_on_the_start_vertex_is_verified() {
     }
 }
 
+/// The sorted answer of `sparql` on every engine over `store`; panics unless
+/// they are all the same rows.
+fn agreed_rows(store: &Store, sparql: &str, what: &str) -> Vec<ResultRow> {
+    let answers = EngineKind::all().map(|kind| {
+        let mut rows = store.execute(sparql, kind).unwrap().rows;
+        rows.sort();
+        (kind.label(), rows)
+    });
+    for (label, rows) in &answers[1..] {
+        assert_eq!(
+            rows, &answers[0].1,
+            "{what}: {label} against {}",
+            answers[0].0
+        );
+    }
+    answers[0].1.clone()
+}
+
 #[test]
-fn simple_entailment_returns_a_subset() {
-    use turbohom::core::TurboHomConfig;
-    // Load the *raw* triples (no materialized closure) so the difference
-    // between the entailment regimes is visible: the full regime folds the
-    // subClassOf hierarchy into the label sets, the simple regime only sees
-    // the directly asserted types.
-    let config = lubm::LubmConfig {
+fn the_class_hierarchy_applies_only_through_materialization() {
+    // Entailment is decided in one place, RDFS materialization at load: a
+    // class's instances reach every engine from the heap and from a mapped
+    // snapshot alike — its asserted ones without inference, those of its
+    // subclasses too with it.
+    let probe = "<http://x/a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/C> .\n\
+                 <http://x/C> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://x/D> .\n\
+                 <http://x/a> <http://x/p> <http://x/b> .\n";
+    let bsbm = bsbm::BsbmConfig::scale(1);
+    let raw_lubm = lubm::LubmConfig {
         materialize_rdfs: false,
         ..lubm::LubmConfig::scale(1)
     };
-    let dataset = lubm::LubmGenerator::new(config).generate();
-    let store = Store::from_dataset(dataset);
-    // Q6 (all students): nobody is asserted to be a plain `Student`, but
-    // everyone is one through the class hierarchy.
-    let q6 = &lubm::queries()[5];
-    let full = store
-        .execute(&q6.sparql, EngineKind::TurboHomPlusPlus)
-        .unwrap();
-    let simple_config = TurboHomConfig {
-        simple_entailment: true,
-        ..TurboHomConfig::default()
-    };
-    let simple = store
-        .execute_turbohom(&q6.sparql, simple_config, false)
-        .unwrap();
-    assert!(!full.is_empty());
-    assert_eq!(simple.len(), 0);
-    assert!(simple.len() < full.len());
+    // Each case with its rows under inference (`None`: some).
+    let cases = [
+        (
+            "probe",
+            turbohom::rdf::parse_ntriples(probe).unwrap(),
+            "SELECT ?x { ?x a <http://x/D> }".to_string(),
+            Some(1),
+        ),
+        (
+            "BSBM(1) ProductTypeRoot",
+            bsbm::BsbmGenerator::new(bsbm).generate(),
+            format!("SELECT ?p {{ ?p a <{}ProductTypeRoot> }}", bsbm::BSBM),
+            Some(bsbm.products()),
+        ),
+        (
+            "raw LUBM(1) Q6",
+            lubm::LubmGenerator::new(raw_lubm).generate(),
+            lubm::queries()[5].sparql.clone(),
+            None,
+        ),
+    ];
+    let path =
+        std::env::temp_dir().join(format!("turbohom-entailment-{}.snap", std::process::id()));
+    for (name, dataset, sparql, closed) in cases {
+        for inference in [false, true] {
+            let options = StoreOptions {
+                inference,
+                threads: 1,
+            };
+            let heap = Store::from_dataset_with(dataset.clone(), options);
+            heap.save_snapshot(&path).unwrap();
+            let mapped = Store::from_snapshot(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let what = format!("{name}, inference {inference}");
+            let rows = agreed_rows(&heap, &sparql, &what);
+            assert_eq!(
+                agreed_rows(&mapped, &sparql, &what),
+                rows,
+                "{what}: snapshot"
+            );
+            match (inference, closed) {
+                (false, _) => assert!(rows.is_empty(), "{what}"),
+                (true, Some(n)) => assert_eq!(rows.len(), n, "{what}"),
+                (true, None) => assert!(!rows.is_empty(), "{what}"),
+            }
+        }
+    }
 }
