@@ -125,7 +125,8 @@ pub fn lubm_store(scale: usize) -> Store {
 }
 
 /// Builds the LUBM store partitioned across `shards` shard stores (hash
-/// ownership, default halo — the configuration the differential tests run).
+/// ownership at the one halo radius — the configuration the differential
+/// tests run).
 pub fn sharded_lubm_store(scale: usize, shards: usize) -> ShardedStore {
     let dataset = lubm::LubmGenerator::new(lubm::LubmConfig::scale(scale)).generate();
     ShardedStore::from_dataset_with(

@@ -1,38 +1,26 @@
-//! LUBM(1) sharded scatter-gather differential: for every shard count and
-//! halo radius the coordinator must refuse a query as not shardable or return
-//! the single-store path's rows, rendered to the same bytes, for every
-//! benchmark query on every engine.
+//! LUBM(1) sharded scatter-gather differential: for every shard count the
+//! coordinator must return the single-store path's rows, rendered to the same
+//! bytes, for every benchmark query on every engine, and refuse what lies
+//! beyond its halo radius.
 
 use turbohom_bench::{canonical_json, lubm_store, sharded_lubm_store};
 use turbohom_datasets::lubm;
-use turbohom_engine::{EngineKind, ShardedOptions, ShardedStore, StoreError, DEFAULT_HALO};
+use turbohom_engine::{EngineKind, StoreError, HALO};
 
 #[test]
 fn lubm1_sharded_matches_single_store_for_every_benchmark_query() {
     let single = lubm_store(1);
-    let radii = [4usize, 8]
-        .into_iter()
-        .flat_map(|k| [0, 1, 2].map(|halo| (k, halo)));
-    for (shards, halo) in [(1, DEFAULT_HALO)].into_iter().chain(radii) {
-        let dataset = lubm::LubmGenerator::new(lubm::LubmConfig::scale(1)).generate();
-        let options = ShardedOptions {
-            shards,
-            halo,
-            ..ShardedOptions::default()
-        };
-        let sharded = ShardedStore::from_dataset_with(dataset, options).unwrap();
+    for shards in [1, 4, 8] {
+        let sharded = sharded_lubm_store(1, shards);
         assert_eq!(sharded.shard_count(), shards);
         assert_eq!(sharded.triple_count(), single.triple_count());
         for q in &lubm::queries() {
             for kind in EngineKind::all() {
                 let a = single.execute(&q.sparql, kind).unwrap();
-                // Halo 0 holds no join; a radius of 1 or more refuses none.
-                let b = match sharded.execute(&q.sparql, kind) {
-                    Err(StoreError::NotShardable(_)) if halo == 0 => continue,
-                    outcome => outcome.unwrap_or_else(|e| {
-                        panic!("{kind} k={shards} halo={halo} refused {}: {e}", q.id)
-                    }),
-                };
+                // The halo covers every benchmark query: none is refused.
+                let b = sharded
+                    .execute(&q.sparql, kind)
+                    .unwrap_or_else(|e| panic!("{kind} k={shards} refused {}: {e}", q.id));
                 assert_eq!(
                     canonical_json(a),
                     canonical_json(b),
@@ -90,4 +78,58 @@ fn one_live_shard_runs_inline_and_four_fan_out_to_the_same_rows() {
         );
     }
     assert_eq!(live_counts, [1, 4]);
+}
+
+#[test]
+fn a_chain_wider_than_the_halo_is_refused_and_one_at_its_radius_is_answered() {
+    // A path of eight terms, the course constant at one end: from its middle
+    // term `?d` every edge but the last has an endpoint within two hops, and
+    // no term covers all seven edges.
+    const PATH: [&str; 7] = [
+        "?s1 ub:takesCourse <http://www.Department0.University0.edu/GraduateCourse0> .",
+        "?s1 ub:advisor ?p1 .",
+        "?p1 ub:worksFor ?d .",
+        "?p2 ub:worksFor ?d .",
+        "?p2 ub:teacherOf ?c .",
+        "?s2 ub:takesCourse ?c .",
+        "?s2 ub:advisor ?p3 .",
+    ];
+    let query = |triples: &[&str]| {
+        let prefix = format!("PREFIX ub: <{}>", lubm::UB);
+        format!("{prefix} SELECT ?s1 ?s2 WHERE {{ {} }}", triples.join(" "))
+    };
+    assert_eq!(HALO, 2);
+    let single = lubm_store(1);
+    let sharded = sharded_lubm_store(1, 4);
+    let kind = EngineKind::TurboHomPlusPlus;
+
+    let wide = query(&PATH);
+    let answered = single.execute(&wide, kind).unwrap();
+    assert!(!answered.is_empty(), "the single store finds no chain");
+    for kind in EngineKind::all() {
+        match sharded.execute(&wide, kind) {
+            Err(StoreError::NotShardable(reason)) => {
+                assert!(reason.contains("halo radius 2"), "{kind}: {reason}")
+            }
+            other => panic!(
+                "{kind}: a chain wider than the halo was not refused: {:?}",
+                other.map(|r| r.len())
+            ),
+        }
+    }
+
+    // One edge shorter, the chain lies within the radius of `?d`.
+    let narrow = query(&PATH[..6]);
+    let expected = single.execute(&narrow, kind).unwrap();
+    assert!(!expected.is_empty());
+    let plan = sharded.prepare_plan(&narrow, kind).unwrap();
+    assert_eq!(
+        plan.live_shards().len(),
+        4,
+        "a variable anchor runs everywhere"
+    );
+    assert_eq!(
+        canonical_json(sharded.run_plan(&plan).unwrap()),
+        canonical_json(expected)
+    );
 }

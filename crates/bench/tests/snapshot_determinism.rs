@@ -2,11 +2,10 @@
 //! independently of each other save the same bytes. (RDFS inference used to
 //! insert its triples in hash-map iteration order, which the ID-triple table
 //! of the snapshot then kept: 326 of 310,200 bytes differed between two runs
-//! of `turbohom-server --lubm 1 --save-snapshot`.) A sharded store is one
-//! file too, and the same holds for it.
+//! of `turbohom-server --lubm 1 --save-snapshot`.)
 
 use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
-use turbohom_engine::{ShardedOptions, ShardedStore, Store, StoreOptions};
+use turbohom_engine::{Store, StoreOptions};
 
 #[test]
 fn independently_built_lubm1_stores_save_byte_identical_snapshots() {
@@ -35,27 +34,4 @@ fn independently_built_lubm1_stores_save_byte_identical_snapshots() {
             "two LUBM(1) snapshots differ (inference at load: {inference})"
         );
     }
-}
-
-#[test]
-fn independently_built_sharded_lubm1_stores_save_byte_identical_files() {
-    let dir = std::env::temp_dir().join("turbohom-bench-tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let [first, second] = [1, 2].map(|copy| {
-        let dataset = LubmGenerator::new(LubmConfig::scale(1)).generate();
-        let options = ShardedOptions {
-            shards: 4,
-            ..ShardedOptions::default()
-        };
-        let path = dir.join(format!("lubm1-determinism-sharded-{copy}.snap"));
-        ShardedStore::from_dataset_with(dataset, options)
-            .unwrap()
-            .save_snapshot(&path)
-            .unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        bytes
-    });
-    assert!(!first.is_empty());
-    assert!(first == second, "two 4-shard LUBM(1) snapshots differ");
 }

@@ -13,7 +13,7 @@
 use crate::BenchmarkQuery;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use turbohom_rdf::{vocab, Dataset, InferenceConfig, InferenceEngine, Term};
+use turbohom_rdf::{vocab, Dataset, InferenceEngine, Term};
 
 /// The univ-bench ontology namespace.
 pub const UB: &str = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
@@ -140,7 +140,7 @@ impl LubmGenerator {
             }
         }
         if cfg.materialize_rdfs {
-            InferenceEngine::new(InferenceConfig::full()).materialize(&mut ds);
+            InferenceEngine::default().materialize(&mut ds);
         }
         ds
     }

@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use std::thread::ThreadId;
 use std::time::Instant;
 use turbohom_baseline::PermutationIndexes;
-use turbohom_rdf::{Dataset, InferenceConfig, InferenceEngine};
+use turbohom_rdf::{Dataset, InferenceEngine};
 use turbohom_storage::{
     process_resident_bytes, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter,
 };
@@ -121,7 +121,7 @@ impl Backend {
     /// built into — and runs the type-aware transformation.
     pub fn build(mut dataset: Dataset, inference: bool) -> Self {
         if inference {
-            InferenceEngine::new(InferenceConfig::full()).materialize(&mut dataset);
+            InferenceEngine::default().materialize(&mut dataset);
         }
         let ((), freeze) = timed("freeze", || {
             dataset.freeze();

@@ -715,7 +715,6 @@ mod tests {
                 shards,
                 inference: true,
                 threads: 1,
-                ..ShardedOptions::default()
             };
             let sharded = ShardedStore::from_dataset_with(sample_dataset(), options).unwrap();
             for (sparql, anchor) in [
@@ -761,7 +760,6 @@ mod tests {
                 shards: 4,
                 inference: true,
                 threads: 1,
-                ..ShardedOptions::default()
             },
         )
         .unwrap();
@@ -815,7 +813,6 @@ mod tests {
                         shards,
                         inference: true,
                         threads: 1,
-                        ..ShardedOptions::default()
                     },
                 )
                 .unwrap(),
@@ -855,7 +852,6 @@ mod tests {
                     shards: 2,
                     inference: true,
                     threads: 1,
-                    ..ShardedOptions::default()
                 },
             )
             .unwrap(),
@@ -895,7 +891,6 @@ mod tests {
                 shards: 3,
                 inference: true,
                 threads: 1,
-                ..ShardedOptions::default()
             },
         )
         .unwrap();

@@ -22,6 +22,10 @@
 //! Queries outside the sharded scope (UNION, disconnected patterns, triples
 //! beyond the halo radius) fail with [`StoreError::NotShardable`]; the
 //! single-store path still handles them.
+//!
+//! A sharded store is built from triples at boot, at the one halo radius
+//! `turbohom_partition::HALO`, and never saved: a snapshot file holds one
+//! [`Store`].
 
 use crate::error::StoreError;
 use crate::plan::{window_of, QueryPlan, Window};
@@ -31,18 +35,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use turbohom_core::{drive, merge_step_counts, Worker};
-use turbohom_partition::{
-    analyze_query, partition_dataset, Anchor, OwnedTerms, Ownership, PartitionConfig, DEFAULT_HALO,
-};
-use turbohom_rdf::{parse_ntriples, Dataset, IdRows, InferenceConfig, InferenceEngine};
+use turbohom_partition::{analyze_query, partition_dataset, Anchor, OwnedTerms, Ownership};
+use turbohom_rdf::{Dataset, IdRows, InferenceEngine};
 use turbohom_sparql::{parse_query, Selection};
-use turbohom_storage::{FlatVec, SectionCursor, Snapshot, SnapshotError, SnapshotWriter};
 use turbohom_trace::Trace;
-
-/// The shard layout section that opens a sharded snapshot (component 0x0A):
-/// `[shards, halo, global_triples, triples of shard 0 … k−1]`. Each shard's
-/// store sections follow it, in shard order.
-const TAG_SHARD_LAYOUT: u64 = 0x0A01;
 
 /// Construction options for a [`ShardedStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +52,6 @@ pub struct ShardedOptions {
     pub inference: bool,
     /// Worker threads per shard execution (the per-shard TurboHOM++ setting).
     pub threads: usize,
-    /// Boundary replication radius (linkage hops).
-    pub halo: usize,
 }
 
 impl Default for ShardedOptions {
@@ -66,7 +60,6 @@ impl Default for ShardedOptions {
             shards: 4,
             inference: false,
             threads: 1,
-            halo: DEFAULT_HALO,
         }
     }
 }
@@ -78,7 +71,6 @@ impl Default for ShardedOptions {
 pub struct ShardedStore {
     shards: Vec<Arc<Store>>,
     owned: Vec<OwnedTerms>,
-    halo: usize,
     global_triples: usize,
 }
 
@@ -86,7 +78,6 @@ impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
             .field("shards", &self.shards.len())
-            .field("halo", &self.halo)
             .field("global_triples", &self.global_triples)
             .finish()
     }
@@ -102,13 +93,9 @@ impl ShardedStore {
         options: ShardedOptions,
     ) -> Result<Self, StoreError> {
         if options.inference {
-            InferenceEngine::new(InferenceConfig::full()).materialize(&mut dataset);
+            InferenceEngine::default().materialize(&mut dataset);
         }
-        let config = PartitionConfig {
-            shards: options.shards,
-            halo: options.halo,
-        };
-        let parts = partition_dataset(&dataset, &config);
+        let parts = partition_dataset(&dataset, options.shards);
         // The shards hold everything from here on; keeping the global
         // dataset alive under the k store builds would set the peak.
         drop(dataset);
@@ -128,78 +115,7 @@ impl ShardedStore {
         Ok(ShardedStore {
             shards,
             owned,
-            halo: options.halo,
             global_triples: parts.global_triples,
-        })
-    }
-
-    /// Parses an N-Triples document, then partitions it.
-    pub fn from_ntriples_with(input: &str, options: ShardedOptions) -> Result<Self, StoreError> {
-        Self::from_dataset_with(parse_ntriples(input)?, options)
-    }
-
-    /// Writes the store to one snapshot file — the shard layout, then every
-    /// shard's sections as [`Store::save_snapshot`] writes them — and
-    /// returns the bytes written. [`from_snapshot`](Self::from_snapshot)
-    /// reads it back.
-    pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
-        let mut w = SnapshotWriter::new();
-        let layout: Vec<u64> = [self.shards.len(), self.halo, self.global_triples]
-            .into_iter()
-            .chain(self.shards.iter().map(|s| s.triple_count()))
-            .map(|n| n as u64)
-            .collect();
-        w.section(TAG_SHARD_LAYOUT, &layout);
-        for shard in &self.shards {
-            shard.write_sections(&mut w);
-        }
-        Ok(w.write_to(path)?)
-    }
-
-    /// Opens a file written by [`save_snapshot`](Self::save_snapshot): maps
-    /// it once, reads the shard stores in order as views into that one
-    /// mapping, and rebuilds each shard's owned-term bits from its
-    /// dictionary.
-    pub fn from_snapshot(path: &Path, threads: usize) -> Result<Self, StoreError> {
-        let snapshot = Snapshot::open(path)?;
-        Self::read_sections(&mut snapshot.cursor(), path, threads)
-    }
-
-    /// Reads the shard layout and the shard stores from `cur`. A shard that
-    /// does not hold the triple count the layout records for its position
-    /// is refused: the ownership filter of shard `i` is only right over
-    /// shard `i`'s data.
-    fn read_sections(
-        cur: &mut SectionCursor<'_>,
-        path: &Path,
-        threads: usize,
-    ) -> Result<Self, StoreError> {
-        let layout: FlatVec<u64> = cur.next_section(TAG_SHARD_LAYOUT)?;
-        let count = layout.len().saturating_sub(3);
-        if count == 0 || layout[0] != count as u64 {
-            let message = format!("a shard layout of {} entries", layout.len());
-            return Err(SnapshotError::Malformed(message).into());
-        }
-        let ownership = Ownership::new(count);
-        let mut shards = Vec::with_capacity(count);
-        let mut owned = Vec::with_capacity(count);
-        for (i, &recorded) in layout[3..].iter().enumerate() {
-            let shard = Store::read_sections(cur, path, threads)?;
-            let found = shard.triple_count() as u64;
-            if found != recorded {
-                return Err(SnapshotError::Malformed(format!(
-                    "shard {i} holds {found} triples, the shard layout records {recorded}"
-                ))
-                .into());
-            }
-            owned.push(OwnedTerms::build(shard.dataset(), &ownership, i));
-            shards.push(Arc::new(shard));
-        }
-        Ok(ShardedStore {
-            shards,
-            owned,
-            halo: layout[1] as usize,
-            global_triples: layout[2] as usize,
         })
     }
 
@@ -213,35 +129,10 @@ impl ShardedStore {
         &self.shards[i]
     }
 
-    /// The boundary replication radius the shards were built with.
-    pub fn halo(&self) -> usize {
-        self.halo
-    }
-
     /// Triples in the original, unpartitioned dataset (after inference).
     /// Shard-local counts are higher in total because of halo replication.
     pub fn triple_count(&self) -> usize {
         self.global_triples
-    }
-
-    /// `"sharded-heap"` or `"sharded-snapshot"`.
-    pub fn backend_name(&self) -> &'static str {
-        if self.snapshot_path().is_some() {
-            "sharded-snapshot"
-        } else {
-            "sharded-heap"
-        }
-    }
-
-    /// The snapshot file backing this store (and every shard), if it was
-    /// opened from one.
-    pub fn snapshot_path(&self) -> Option<&Path> {
-        self.shards[0].snapshot_path()
-    }
-
-    /// `true` when every shard reads from a memory-mapped snapshot.
-    pub fn is_mapped(&self) -> bool {
-        self.shards.iter().all(|s| s.is_mapped())
     }
 
     /// Parses a SPARQL query and builds the sharded plan for `kind`.
@@ -263,7 +154,7 @@ impl ShardedStore {
         };
         // Before routing: the refusal must not depend on the data.
         let window = window_of(&query)?;
-        let shard_query = analyze_query(&query, self.halo).map_err(StoreError::NotShardable)?;
+        let shard_query = analyze_query(&query).map_err(StoreError::NotShardable)?;
 
         // The per-shard query: no LIMIT/OFFSET (the coordinator applies the
         // window after the merge), and the anchor variable added to the
@@ -502,30 +393,6 @@ pub enum AnyStore {
 }
 
 impl AnyStore {
-    /// Opens a snapshot file of either flavor: a file whose first section is
-    /// a shard layout is a sharded store, any other a single one.
-    pub fn from_snapshot(path: &Path, threads: usize) -> Result<Self, StoreError> {
-        let snapshot = Snapshot::open(path)?;
-        let mut cur = snapshot.cursor();
-        let store = match snapshot.sections().next() {
-            Some((TAG_SHARD_LAYOUT, _)) => AnyStore::Sharded(Arc::new(
-                ShardedStore::read_sections(&mut cur, path, threads)?,
-            )),
-            _ => AnyStore::Single(Arc::new(Store::read_sections(&mut cur, path, threads)?)),
-        };
-        Ok(store)
-    }
-
-    /// Writes the store to one snapshot file that
-    /// [`from_snapshot`](Self::from_snapshot) opens as the same flavor;
-    /// returns the bytes written.
-    pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
-        match self {
-            AnyStore::Single(s) => s.save_snapshot(path),
-            AnyStore::Sharded(s) => s.save_snapshot(path),
-        }
-    }
-
     /// Prepares a plan, recording stage spans into `trace`.
     pub fn prepare_plan_traced(
         &self,
@@ -568,12 +435,12 @@ impl AnyStore {
         }
     }
 
-    /// Backend label for diagnostics (`"heap"`, `"snapshot"`,
-    /// `"sharded-heap"`, `"sharded-snapshot"`).
+    /// Backend label for diagnostics (`"heap"`, `"snapshot"` or
+    /// `"sharded-heap"`: a sharded store is always built from triples).
     pub fn backend_name(&self) -> &'static str {
         match self {
             AnyStore::Single(s) => s.backend_name(),
-            AnyStore::Sharded(s) => s.backend_name(),
+            AnyStore::Sharded(_) => "sharded-heap",
         }
     }
 
@@ -581,15 +448,15 @@ impl AnyStore {
     pub fn snapshot_path(&self) -> Option<&Path> {
         match self {
             AnyStore::Single(s) => s.snapshot_path(),
-            AnyStore::Sharded(s) => s.snapshot_path(),
+            AnyStore::Sharded(_) => None,
         }
     }
 
-    /// `true` when the store reads from memory-mapped snapshot(s).
+    /// `true` when the store reads from a memory-mapped snapshot.
     pub fn is_mapped(&self) -> bool {
         match self {
             AnyStore::Single(s) => s.is_mapped(),
-            AnyStore::Sharded(s) => s.is_mapped(),
+            AnyStore::Sharded(_) => false,
         }
     }
 
@@ -602,7 +469,7 @@ impl AnyStore {
     }
 
     /// The sharded store (`None` on the single-store path), for what only
-    /// it has: shard count, halo.
+    /// it has: the shard count.
     pub fn sharded(&self) -> Option<&ShardedStore> {
         match self {
             AnyStore::Single(_) => None,
@@ -678,7 +545,6 @@ mod tests {
                 shards,
                 inference: true,
                 threads: 1,
-                halo: DEFAULT_HALO,
             },
         )
         .unwrap()
@@ -909,134 +775,6 @@ mod tests {
         assert!(rollups.iter().all(|s| s.parent == Some(execute.id)));
     }
 
-    /// A directory of its own under the system temp dir.
-    fn scratch_dir(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("turbohom-sharded-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn a_sharded_store_saves_one_file_that_answers_like_the_heap_store() {
-        let dir = scratch_dir("round-trip");
-        for k in [1, 3] {
-            let path = dir.join(format!("sample-{k}.snap"));
-            let built = sharded(k);
-            let bytes = built.save_snapshot(&path).unwrap();
-            assert_eq!(bytes, std::fs::metadata(&path).unwrap().len(), "k={k}");
-            let AnyStore::Sharded(booted) = AnyStore::from_snapshot(&path, 1).unwrap() else {
-                panic!("k={k}: the file did not open as a sharded store");
-            };
-            assert_eq!(booted.shard_count(), k);
-            assert_eq!(booted.halo(), DEFAULT_HALO);
-            assert_eq!(booted.triple_count(), built.triple_count());
-            assert_eq!(booted.backend_name(), "sharded-snapshot");
-            assert_eq!(booted.snapshot_path(), Some(path.as_path()));
-            assert!(booted.is_mapped(), "k={k}");
-            for q in QUERIES {
-                for kind in EngineKind::all() {
-                    let expect = built.execute(q, kind).unwrap();
-                    let got = booted.execute(q, kind).unwrap();
-                    assert_eq!(
-                        canonical_json(got),
-                        canonical_json(expect),
-                        "k={k} {kind} {q}"
-                    );
-                }
-            }
-        }
-        // One file a save, and nothing beside it.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
-        // A single store's file opens as the single flavor.
-        let path = dir.join("single.snap");
-        single_store().save_snapshot(&path).unwrap();
-        assert!(matches!(
-            AnyStore::from_snapshot(&path, 1).unwrap(),
-            AnyStore::Single(_)
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A shard layout whose triple count for a position is not what the
-    /// shard there holds — a wrong count, or two shards written in each
-    /// other's places (every ownership filter would run over another shard's
-    /// data) — is refused naming the shard; a truncated file, a flipped
-    /// payload byte and the JSON manifest earlier builds saved are refused
-    /// too, each with a typed error.
-    #[test]
-    fn a_damaged_sharded_snapshot_is_refused_with_a_typed_error() {
-        let dir = scratch_dir("refusals");
-        // Without a halo the shards of the sample differ in size.
-        let options = ShardedOptions {
-            shards: 3,
-            halo: 0,
-            ..ShardedOptions::default()
-        };
-        let built = ShardedStore::from_dataset_with(sample_dataset(), options).unwrap();
-        let counts: Vec<u64> = built
-            .shards
-            .iter()
-            .map(|s| s.triple_count() as u64)
-            .collect();
-        // The layout with `counts`, then the shards in `order`.
-        let write = |counts: &[u64], order: [usize; 3]| {
-            let mut w = SnapshotWriter::new();
-            let layout: Vec<u64> = [3, 0, built.global_triples as u64]
-                .into_iter()
-                .chain(counts.iter().copied())
-                .collect();
-            w.section(TAG_SHARD_LAYOUT, &layout);
-            for i in order {
-                built.shards[i].write_sections(&mut w);
-            }
-            let path = dir.join("written.snap");
-            w.write_to(&path).unwrap();
-            path
-        };
-        let refusal = |path: &Path| match AnyStore::from_snapshot(path, 1) {
-            Err(StoreError::Snapshot(e)) => e,
-            Err(other) => panic!("expected a snapshot error, got {other:?}"),
-            Ok(_) => panic!("a damaged file opened"),
-        };
-        let malformed = |path: &Path| match refusal(path) {
-            SnapshotError::Malformed(message) => message,
-            other => panic!("expected a malformed file, got {other:?}"),
-        };
-
-        let mut miscounted = counts.clone();
-        miscounted[1] += 1;
-        let message = malformed(&write(&miscounted, [0, 1, 2]));
-        assert!(
-            message.contains("shard 1") && message.contains("shard layout"),
-            "{message}"
-        );
-        let (a, b) = (0..3)
-            .flat_map(|a| (a + 1..3).map(move |b| (a, b)))
-            .find(|&(a, b)| counts[a] != counts[b])
-            .expect("two shards of the sample differ in size");
-        let mut order = [0, 1, 2];
-        order.swap(a, b);
-        let message = malformed(&write(&counts, order));
-        assert!(message.contains(&format!("shard {a}")), "{message}");
-
-        // Untouched, it opens.
-        let path = write(&counts, [0, 1, 2]);
-        assert_eq!(ShardedStore::from_snapshot(&path, 1).unwrap().halo(), 0);
-        let good = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &good[..good.len() - 9]).unwrap();
-        assert!(matches!(refusal(&path), SnapshotError::Truncated(_)));
-        // A byte of the layout's halo entry, the first payload section.
-        let mut flipped = good;
-        flipped[turbohom_storage::snapshot::HEADER_LEN + 8] ^= 0xFF;
-        std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(refusal(&path), SnapshotError::ChecksumMismatch("payload"));
-        let manifest = r#"{"format":"turbohom-shards/2","shards":3,"halo":0,"shard_files":["written.snap.shard0.snap","written.snap.shard1.snap","written.snap.shard2.snap"],"shard_triples":[5,6,7],"global_triples":9}"#;
-        std::fs::write(&path, manifest).unwrap();
-        assert_eq!(refusal(&path), SnapshotError::BadMagic);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn any_store_dispatches_both_flavors() {
         let single = AnyStore::Single(Arc::new(single_store()));
@@ -1044,7 +782,6 @@ mod tests {
         assert!(single.sharded().is_none());
         let behind = sharded_store.sharded().expect("the sharded flavor");
         assert_eq!(behind.shard_count(), 2);
-        assert_eq!(behind.halo(), DEFAULT_HALO);
         assert_eq!(sharded_store.backend_name(), "sharded-heap");
         assert_eq!(single.triple_count(), sharded_store.triple_count());
         let trace = Trace::disabled();

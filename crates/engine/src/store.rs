@@ -12,7 +12,7 @@ use turbohom_baseline::{HashJoinEngine, JoinStrategy, MergeJoinEngine, Permutati
 use turbohom_core::TurboHomConfig;
 use turbohom_rdf::{parse_ntriples, Dataset, IdRows};
 use turbohom_sparql::{parse_query, GroupPattern, Query, SparqlTerm};
-use turbohom_storage::{SectionCursor, Snapshot, SnapshotWriter};
+use turbohom_storage::{Snapshot, SnapshotWriter};
 use turbohom_trace::Trace;
 use turbohom_transform::{transform_query, TransformError, TransformedGraph, TransformedQuery};
 
@@ -207,20 +207,10 @@ impl Store {
     /// worker-thread count.
     pub fn from_snapshot_with(path: &Path, threads: usize) -> Result<Self, StoreError> {
         let snapshot = Snapshot::open(path)?;
-        Self::read_sections(&mut snapshot.cursor(), path, threads)
-    }
-
-    /// Reads one store's sections from `cur` (the file at `path`): the
-    /// single-store file is one store, the sharded file one per shard.
-    pub(crate) fn read_sections(
-        cur: &mut SectionCursor<'_>,
-        path: &Path,
-        threads: usize,
-    ) -> Result<Self, StoreError> {
         if threads == 0 {
             return Err(StoreError::InvalidThreadCount(0));
         }
-        let (backend, inference) = Backend::read(cur, path)?;
+        let (backend, inference) = Backend::read(&mut snapshot.cursor(), path)?;
         Ok(Store {
             backend,
             options: StoreOptions { inference, threads },
@@ -236,13 +226,8 @@ impl Store {
     /// written.
     pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
         let mut w = SnapshotWriter::new();
-        self.write_sections(&mut w);
+        self.backend.write(self.options.inference, &mut w);
         Ok(w.write_to(path)?)
-    }
-
-    /// Writes this store's sections into `w`, store meta first.
-    pub(crate) fn write_sections(&self, w: &mut SnapshotWriter) {
-        self.backend.write(self.options.inference, w);
     }
 
     /// The backend serving this store (`"heap"` or `"snapshot"`).

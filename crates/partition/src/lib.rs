@@ -6,8 +6,8 @@
 //!
 //! * [`partition_dataset`] deterministically splits a [`Dataset`] into `k`
 //!   partitions by term ownership ([`Ownership`]: `hash % k`), replicating a
-//!   bounded *halo* of boundary adjacency into each partition so that a
-//!   connected query never needs a distributed join.
+//!   *halo* of boundary adjacency, [`HALO`] linkage hops deep, into each
+//!   partition so that a connected query never needs a distributed join.
 //! * [`OwnedTerms`] is the bit set of a shard's term ids that the shard
 //!   owns: what the scatter-gather ownership filter reads per row.
 //! * [`analyze_query`] decides whether a query is shardable at all (single
@@ -20,18 +20,14 @@
 //!
 //! Everything here is deliberately independent of the engine crates: it
 //! speaks [`Dataset`]/[`Term`] on the data side and the SPARQL algebra on
-//! the query side, so the coordinator in `turbohom-engine` stays thin. A
-//! sharded store persists as one ordinary snapshot file (`docs/STORAGE.md`),
-//! which the engine writes and reads; nothing here is saved, since ownership
-//! is `hash % k` and the owned-term bits are rebuilt from each shard's
-//! dictionary.
+//! the query side, so the coordinator in `turbohom-engine` stays thin.
+//! Nothing here is saved: a sharded store is partitioned from triples at
+//! boot.
 
 mod partitioner;
 mod query;
 
-pub use partitioner::{
-    partition_dataset, OwnedTerms, Ownership, PartitionConfig, PartitionedDataset, DEFAULT_HALO,
-};
+pub use partitioner::{partition_dataset, OwnedTerms, Ownership, PartitionedDataset, HALO};
 pub use query::{analyze_query, Anchor, ShardQuery};
 
 use turbohom_rdf::{vocab, TermRef};
@@ -76,7 +72,8 @@ mod tests {
     fn term_hash_is_the_hash_of_the_rendering() {
         let a = Term::iri("http://ex.org/a");
         assert_eq!(term_hash(&a), fnv1a(FNV_OFFSET, b"<http://ex.org/a>"));
-        // Saved sharded snapshots route by this value: it must never change.
+        // Pinned, so that a change to the rendering or the hash, which moves
+        // every term to another shard, shows here first.
         assert_eq!(term_hash(&a), 0x282f_4643_dfc8_a3aa);
         // Different term kinds with the same inner text hash differently.
         assert_ne!(term_hash(&Term::iri("x")), term_hash(&Term::literal("x")));

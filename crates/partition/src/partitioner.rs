@@ -10,20 +10,21 @@
 //! * every other triple with at least one endpoint within the halo.
 //!
 //! The *halo* of shard `S` is the set of terms within linkage distance
-//! `halo` of the terms `S` owns, where the linkage graph connects the
+//! [`HALO`] of the terms `S` owns, where the linkage graph connects the
 //! subject and object of every non-type, non-schema triple. Replicating the
 //! halo is the boundary-adjacency rule that lets a connected query of
-//! radius ≤ `halo` around its anchor execute entirely inside the anchor
+//! radius ≤ [`HALO`] around its anchor execute entirely inside the anchor
 //! owner's shard — scatter-gather never needs a distributed join.
 
 use crate::term_hash;
 use std::collections::VecDeque;
 use turbohom_rdf::{Dataset, Term, TermId, TermRef};
 
-/// Default halo radius: every term within two linkage hops of an owned term
-/// is replicated. Radius 2 covers star and short-path queries (all LUBM
-/// benchmark shapes); what it replicates is measured in `docs/SHARDING.md`.
-pub const DEFAULT_HALO: usize = 2;
+/// The halo radius: every term within two linkage hops of an owned term is
+/// replicated. Radius 2 covers star and short-path queries (all LUBM
+/// benchmark shapes); what it and the radii below it replicate is measured
+/// in `docs/SHARDING.md`.
+pub const HALO: usize = 2;
 
 /// The term → shard assignment: `owner = hash(term) % k`. Stateless, so a
 /// booted store rebuilds it from the shard count alone.
@@ -80,24 +81,6 @@ impl OwnedTerms {
     }
 }
 
-/// Configuration for [`partition_dataset`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionConfig {
-    /// Number of partitions (clamped to at least 1).
-    pub shards: usize,
-    /// Boundary replication radius (linkage hops).
-    pub halo: usize,
-}
-
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig {
-            shards: 4,
-            halo: DEFAULT_HALO,
-        }
-    }
-}
-
 /// The result of partitioning: one dataset per shard plus the ownership
 /// assignment needed to route queries and filter scatter-gather results.
 #[derive(Debug)]
@@ -111,13 +94,13 @@ pub struct PartitionedDataset {
     pub global_triples: usize,
 }
 
-/// Deterministically partitions `dataset` into `config.shards` shard
-/// datasets. The dataset must already contain whatever inferred triples the
-/// store should serve — inference runs once globally *before* partitioning,
-/// never per shard (per-shard RDFS closure would be incomplete at the
-/// boundary).
-pub fn partition_dataset(dataset: &Dataset, config: &PartitionConfig) -> PartitionedDataset {
-    let ownership = Ownership::new(config.shards);
+/// Deterministically partitions `dataset` into `shards` shard datasets (at
+/// least one), each with the halo of radius [`HALO`]. The dataset must
+/// already contain whatever inferred triples the store should serve —
+/// inference runs once globally *before* partitioning, never per shard
+/// (per-shard RDFS closure would be incomplete at the boundary).
+pub fn partition_dataset(dataset: &Dataset, shards: usize) -> PartitionedDataset {
+    let ownership = Ownership::new(shards);
     let n = dataset.dictionary.len();
 
     // Decode every term once, in id order; everything below works over
@@ -142,7 +125,7 @@ pub fn partition_dataset(dataset: &Dataset, config: &PartitionConfig) -> Partiti
         }
     }
 
-    // Per shard: owned seeds → multi-source BFS to `halo` hops → halo set.
+    // Per shard: owned seeds → multi-source BFS to `HALO` hops → halo set.
     let mut shards: Vec<Dataset> = (0..ownership.shards).map(|_| Dataset::new()).collect();
     let mut in_halo = vec![false; n];
     let mut queue: VecDeque<(u32, usize)> = VecDeque::new();
@@ -156,7 +139,7 @@ pub fn partition_dataset(dataset: &Dataset, config: &PartitionConfig) -> Partiti
             }
         }
         while let Some((id, depth)) = queue.pop_front() {
-            if depth == config.halo {
+            if depth == HALO {
                 continue;
             }
             for &next in &adjacency[id as usize] {
@@ -216,7 +199,7 @@ mod tests {
     #[test]
     fn single_shard_partition_is_the_whole_dataset() {
         let ds = chain_dataset();
-        let parts = partition_dataset(&ds, &PartitionConfig { shards: 1, halo: 2 });
+        let parts = partition_dataset(&ds, 1);
         assert_eq!(parts.shards.len(), 1);
         assert_eq!(parts.shards[0].len(), ds.len());
         assert_eq!(parts.global_triples, ds.len());
@@ -225,7 +208,7 @@ mod tests {
     #[test]
     fn every_triple_lands_on_its_subject_owner_shard() {
         let ds = chain_dataset();
-        let parts = partition_dataset(&ds, &PartitionConfig { shards: 4, halo: 2 });
+        let parts = partition_dataset(&ds, 4);
         assert_eq!(parts.shards.len(), 4);
         for t in ds.triples.iter() {
             let (s, p, o) = ds.decode(t);
@@ -252,7 +235,7 @@ mod tests {
     #[test]
     fn schema_triples_are_replicated_everywhere() {
         let ds = chain_dataset();
-        let parts = partition_dataset(&ds, &PartitionConfig { shards: 3, halo: 1 });
+        let parts = partition_dataset(&ds, 3);
         for shard in &parts.shards {
             let c = shard.dictionary.id_of(&Term::iri("http://ex/C")).unwrap();
             let sub = shard
@@ -269,7 +252,7 @@ mod tests {
     #[test]
     fn halo_replicates_neighbours_of_owned_terms() {
         let ds = chain_dataset();
-        let parts = partition_dataset(&ds, &PartitionConfig { shards: 4, halo: 2 });
+        let parts = partition_dataset(&ds, 4);
         // Every shard that owns a chain vertex a_i must also hold the edge
         // a_i → a_{i+1} *and* the next edge out (its endpoint is 1 hop away,
         // the following one 2 hops — both within the halo).
@@ -305,8 +288,7 @@ mod tests {
         use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
         let dataset = LubmGenerator::new(LubmConfig::scale(1)).generate();
         for shards in [2, 4, 8] {
-            let halo = DEFAULT_HALO;
-            let parts = partition_dataset(&dataset, &PartitionConfig { shards, halo });
+            let parts = partition_dataset(&dataset, shards);
             for (shard, data) in parts.shards.iter().enumerate() {
                 let owned = OwnedTerms::build(data, &parts.ownership, shard);
                 for (id, term) in data.dictionary.iter() {
@@ -323,9 +305,8 @@ mod tests {
     #[test]
     fn ownership_is_deterministic_across_builds() {
         let ds = chain_dataset();
-        let config = PartitionConfig { shards: 8, halo: 2 };
-        let a = partition_dataset(&ds, &config);
-        let b = partition_dataset(&ds, &config);
+        let a = partition_dataset(&ds, 8);
+        let b = partition_dataset(&ds, 8);
         assert_eq!(a.ownership, b.ownership);
         for (x, y) in a.shards.iter().zip(&b.shards) {
             assert_eq!(x.len(), y.len());

@@ -4,7 +4,8 @@
 //! match can be assigned to exactly one shard that holds all of its triples.
 //! The assignment is by the match's **anchor** binding: the match belongs to
 //! `owner(binding(anchor))`. That shard holds the whole match as long as
-//! every triple of the pattern lies within the halo radius of the anchor —
+//! every triple of the pattern lies within the halo radius ([`HALO`]) of the
+//! anchor —
 //! which is precisely what [`analyze_query`] verifies, using the *pattern*
 //! linkage graph as a conservative stand-in for the data linkage graph:
 //!
@@ -28,6 +29,7 @@
 //! rejected with a human-readable reason; the caller falls back to
 //! single-store semantics or reports the error.
 
+use crate::HALO;
 use std::collections::{HashMap, VecDeque};
 use turbohom_rdf::{vocab, Term};
 use turbohom_sparql::{GroupPattern, Query, SparqlTerm, TriplePattern};
@@ -90,11 +92,11 @@ fn classify(t: &TriplePattern) -> TripleClass {
     }
 }
 
-/// Decides whether `query` can execute exactly over shards built with halo
-/// radius `halo`, and which anchor to use. Constant anchors are preferred
+/// Decides whether `query` can execute exactly over shards built with the
+/// halo radius [`HALO`], and which anchor to use. Constant anchors are preferred
 /// (they route to a single shard); among variables, projected ones are
 /// preferred (no projection surgery needed on the per-shard queries).
-pub fn analyze_query(query: &Query, halo: usize) -> Result<ShardQuery, String> {
+pub fn analyze_query(query: &Query) -> Result<ShardQuery, String> {
     let pattern = &query.pattern;
     if !pattern.unions.is_empty() || has_nested_union(pattern) {
         return Err("UNION alternatives are out of scope for sharded execution".into());
@@ -145,21 +147,21 @@ pub fn analyze_query(query: &Query, halo: usize) -> Result<ShardQuery, String> {
     }
 
     for c in &constants {
-        if check_anchor(pattern, Node::Const(c), halo) {
+        if check_group(pattern, &Vec::new(), Node::Const(c)) {
             return Ok(ShardQuery {
                 anchor: Anchor::Constant((*c).clone()),
             });
         }
     }
     for v in &ordered_vars {
-        if check_anchor(pattern, Node::Var(v), halo) {
+        if check_group(pattern, &Vec::new(), Node::Var(v)) {
             return Ok(ShardQuery {
                 anchor: Anchor::Variable((*v).to_string()),
             });
         }
     }
     Err(format!(
-        "no anchor covers every triple within halo radius {halo} \
+        "no anchor covers every triple within halo radius {HALO} \
          (the pattern is disconnected or wider than the halo)"
     ))
 }
@@ -171,20 +173,11 @@ fn has_nested_union(group: &GroupPattern) -> bool {
         .any(|g| !g.unions.is_empty() || has_nested_union(g))
 }
 
-/// Checks every obligation of the pattern (required part and, recursively,
-/// each optional group) against BFS distances from `anchor`.
-fn check_anchor(pattern: &GroupPattern, anchor: Node<'_>, halo: usize) -> bool {
-    check_group(pattern, &Vec::new(), anchor, halo)
-}
-
 type Edges<'a> = Vec<(Node<'a>, Node<'a>)>;
 
-fn check_group<'a>(
-    group: &'a GroupPattern,
-    inherited: &Edges<'a>,
-    anchor: Node<'a>,
-    halo: usize,
-) -> bool {
+/// Checks every obligation of `group` (its own triples and, recursively,
+/// each optional group's) against BFS distances from `anchor`.
+fn check_group<'a>(group: &'a GroupPattern, inherited: &Edges<'a>, anchor: Node<'a>) -> bool {
     // This group's linkage edges: inherited (required + ancestor optionals)
     // plus its own plain triples. Sibling optional groups are *not*
     // inherited — they may be unmatched while this group matches.
@@ -195,7 +188,7 @@ fn check_group<'a>(
         }
     }
     let dist = bfs(anchor, &edges);
-    let within = |n: Node<'a>| dist.get(&n).is_some_and(|&d| d <= halo);
+    let within = |n: Node<'a>| dist.get(&n).is_some_and(|&d| d <= HALO);
     for t in &group.triples {
         let ok = match classify(t) {
             TripleClass::Schema => true,
@@ -209,7 +202,7 @@ fn check_group<'a>(
     group
         .optionals
         .iter()
-        .all(|opt| check_group(opt, &edges, anchor, halo))
+        .all(|opt| check_group(opt, &edges, anchor))
 }
 
 fn bfs<'a>(start: Node<'a>, edges: &Edges<'a>) -> HashMap<Node<'a>, usize> {
@@ -249,7 +242,7 @@ mod tests {
                                ?x <http://ex/advisor> ?y . }",
         )
         .unwrap();
-        let sq = analyze_query(&q, 2).unwrap();
+        let sq = analyze_query(&q).unwrap();
         assert_eq!(sq.anchor, Anchor::Constant(Term::iri("http://ex/d1")));
     }
 
@@ -257,7 +250,7 @@ mod tests {
     fn variable_anchor_prefers_projected_variables() {
         let q =
             parse_query("SELECT ?y WHERE { ?x <http://ex/p> ?y . ?y <http://ex/q> ?z . }").unwrap();
-        let sq = analyze_query(&q, 2).unwrap();
+        let sq = analyze_query(&q).unwrap();
         assert_eq!(sq.anchor, Anchor::Variable("y".into()));
     }
 
@@ -267,7 +260,7 @@ mod tests {
             "SELECT ?x WHERE {{ ?x <{TYPE}> <http://ex/Student> . }}"
         ))
         .unwrap();
-        let sq = analyze_query(&q, 2).unwrap();
+        let sq = analyze_query(&q).unwrap();
         assert_eq!(sq.anchor, Anchor::Variable("x".into()));
     }
 
@@ -277,7 +270,7 @@ mod tests {
             "SELECT ?x WHERE { { ?x <http://ex/a> ?y . } UNION { ?x <http://ex/b> ?y . } }",
         )
         .unwrap();
-        let err = analyze_query(&q, 2).unwrap_err();
+        let err = analyze_query(&q).unwrap_err();
         assert!(err.contains("UNION"));
     }
 
@@ -285,25 +278,30 @@ mod tests {
     fn disconnected_patterns_are_rejected() {
         let q = parse_query("SELECT ?a ?b WHERE { ?a <http://ex/p> ?x . ?b <http://ex/q> ?y . }")
             .unwrap();
-        assert!(analyze_query(&q, 2).is_err());
+        assert!(analyze_query(&q).is_err());
+    }
+
+    /// A path over `nodes` variables `?a`, `?b`, … joined by `ex:p`.
+    fn chain(nodes: u8) -> Query {
+        let var = |i: u8| char::from(b'a' + i);
+        let triples: String = (1..nodes)
+            .map(|i| format!("?{} <http://ex/p> ?{} . ", var(i - 1), var(i)))
+            .collect();
+        parse_query(&format!("SELECT ?a WHERE {{ {triples}}}")).unwrap()
     }
 
     #[test]
     fn chains_wider_than_the_halo_are_rejected() {
-        // A 7-node path. Under the min-distance rule an edge is satisfied
-        // when *either* endpoint is within the halo, so the middle anchor d
-        // covers the whole path at halo 2 (the far edges f–g and a–b each
-        // have an endpoint 2 hops away); at halo 1 no anchor covers both
-        // ends.
-        let q = parse_query(
-            "SELECT ?a WHERE { ?a <http://ex/p> ?b . ?b <http://ex/p> ?c . \
-                               ?c <http://ex/p> ?d . ?d <http://ex/p> ?e . \
-                               ?e <http://ex/p> ?f . ?f <http://ex/p> ?g . }",
-        )
-        .unwrap();
-        let sq = analyze_query(&q, 2).unwrap();
+        // Under the min-distance rule an edge is satisfied when *either*
+        // endpoint is within the halo, so the middle anchor d of a 7-node
+        // path covers the whole path at halo 2 (the far edges f–g and a–b
+        // each have an endpoint 2 hops away); an 8-node path has an edge
+        // with no endpoint within 2 hops of any anchor.
+        assert_eq!(HALO, 2);
+        let sq = analyze_query(&chain(7)).unwrap();
         assert_eq!(sq.anchor, Anchor::Variable("d".into()));
-        assert!(analyze_query(&q, 1).is_err());
+        let err = analyze_query(&chain(8)).unwrap_err();
+        assert!(err.contains("halo radius 2"), "{err}");
     }
 
     #[test]
@@ -315,29 +313,36 @@ mod tests {
             "SELECT ?x ?y WHERE {{ ?x <{TYPE}> <http://ex/C> . ?y <{TYPE}> <http://ex/C> . }}"
         ))
         .unwrap();
-        assert!(analyze_query(&q, 4).is_err());
+        assert!(analyze_query(&q).is_err());
     }
 
     #[test]
     fn optionals_count_toward_the_distance_check() {
-        let q = parse_query(
-            "SELECT ?x WHERE { ?x <http://ex/p> ?y . \
-               OPTIONAL { ?y <http://ex/q> ?z . ?z <http://ex/q> ?w . } }",
-        )
-        .unwrap();
-        // From x at halo 2 the deepest optional edge z–w still has z at
-        // distance 2, so the projected anchor x works; at halo 1 the check
-        // shifts to y (z–w has z at distance 1); at halo 0 nothing covers
-        // the required triple and the optional together.
+        // `?x p ?y` plus an OPTIONAL path of `hops` edges out of y.
+        let q = |hops: usize| {
+            let optional: String = (0..hops)
+                .map(|i| match i {
+                    0 => "?y <http://ex/q> ?z0 . ".to_string(),
+                    _ => format!("?z{} <http://ex/q> ?z{i} . ", i - 1),
+                })
+                .collect();
+            let sparql =
+                format!("SELECT ?x WHERE {{ ?x <http://ex/p> ?y . OPTIONAL {{ {optional}}} }}");
+            parse_query(&sparql).unwrap()
+        };
+        // Two optional hops: from x the deepest optional edge still has an
+        // endpoint at distance 2, so the projected anchor x works. Three:
+        // the check shifts to y. Four: neither required-pattern anchor
+        // covers the required triple and the optional together.
         assert_eq!(
-            analyze_query(&q, 2).unwrap().anchor,
+            analyze_query(&q(2)).unwrap().anchor,
             Anchor::Variable("x".into())
         );
         assert_eq!(
-            analyze_query(&q, 1).unwrap().anchor,
+            analyze_query(&q(3)).unwrap().anchor,
             Anchor::Variable("y".into())
         );
-        assert!(analyze_query(&q, 0).is_err());
+        assert!(analyze_query(&q(4)).is_err());
     }
 
     #[test]
@@ -352,17 +357,15 @@ mod tests {
         .unwrap();
         // Anchoring on a: b is 1 away (first optional's own edge), but the
         // second optional sees only required+own edges, where b is
-        // unreachable → rejected at halo 1.
-        assert!(analyze_query(&q, 1).is_err());
-        // With halo 2 anchored on a … still rejected: the second optional
-        // never inherits the sibling edge a–b, so b stays unreachable.
-        assert!(analyze_query(&q, 2).is_err());
+        // unreachable: it never inherits the sibling edge a–b, so no halo
+        // radius covers it.
+        assert!(analyze_query(&q).is_err());
     }
 
     #[test]
     fn variable_predicates_need_the_subject_nearby() {
         let q = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }").unwrap();
-        let sq = analyze_query(&q, 2).unwrap();
+        let sq = analyze_query(&q).unwrap();
         // Only the subject qualifies as an anchor; o is not reachable via
         // linkage but the obligation is on the subject alone.
         assert_eq!(sq.anchor, Anchor::Variable("s".into()));

@@ -25,59 +25,6 @@ use crate::triple::{Dataset, Triple};
 use crate::vocab;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Which RDFS rules to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InferenceConfig {
-    /// Transitive closure of `rdfs:subClassOf` (rdfs11) and type inheritance (rdfs9).
-    pub class_hierarchy: bool,
-    /// Transitive closure of `rdfs:subPropertyOf` (rdfs5) and property propagation (rdfs7).
-    pub property_hierarchy: bool,
-    /// `rdfs:domain` entailment (rdfs2).
-    pub domain: bool,
-    /// `rdfs:range` entailment (rdfs3).
-    pub range: bool,
-}
-
-impl Default for InferenceConfig {
-    fn default() -> Self {
-        InferenceConfig {
-            class_hierarchy: true,
-            property_hierarchy: true,
-            domain: true,
-            range: true,
-        }
-    }
-}
-
-impl InferenceConfig {
-    /// All rules enabled (the LUBM loading setup).
-    pub fn full() -> Self {
-        Self::default()
-    }
-
-    /// Only the class hierarchy rules — the minimum the type-aware
-    /// transformation relies on.
-    pub fn class_only() -> Self {
-        InferenceConfig {
-            class_hierarchy: true,
-            property_hierarchy: false,
-            domain: false,
-            range: false,
-        }
-    }
-
-    /// No rules at all (loading "original triples only", as the paper does
-    /// for BTC2012).
-    pub fn none() -> Self {
-        InferenceConfig {
-            class_hierarchy: false,
-            property_hierarchy: false,
-            domain: false,
-            range: false,
-        }
-    }
-}
-
 /// Counts of triples added by each rule family.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct InferenceStats {
@@ -107,24 +54,11 @@ impl InferenceStats {
     }
 }
 
-/// The forward-chaining engine.
-#[derive(Debug, Clone)]
-pub struct InferenceEngine {
-    config: InferenceConfig,
-}
-
-impl Default for InferenceEngine {
-    fn default() -> Self {
-        InferenceEngine::new(InferenceConfig::default())
-    }
-}
+/// The forward-chaining engine: it applies all six rules above.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InferenceEngine {}
 
 impl InferenceEngine {
-    /// Creates an engine with the given rule configuration.
-    pub fn new(config: InferenceConfig) -> Self {
-        InferenceEngine { config }
-    }
-
     /// Materializes the entailed triples into `dataset`, returning statistics.
     pub fn materialize(&self, dataset: &mut Dataset) -> InferenceStats {
         let mut stats = InferenceStats::default();
@@ -139,40 +73,26 @@ impl InferenceEngine {
         .map(|iri| dataset.dictionary.encode_iri(iri));
 
         // ---- 1. Hierarchy closures (rdfs11 / rdfs5) --------------------
-        let subclass_closure = if self.config.class_hierarchy {
-            let edges = collect_pairs(dataset, subclassof);
-            transitive_closure(&edges)
-        } else {
-            Pairs::new()
-        };
-        let subproperty_closure = if self.config.property_hierarchy {
-            let edges = collect_pairs(dataset, subpropertyof);
-            transitive_closure(&edges)
-        } else {
-            Pairs::new()
-        };
+        let subclass_closure = transitive_closure(&collect_pairs(dataset, subclassof));
+        let subproperty_closure = transitive_closure(&collect_pairs(dataset, subpropertyof));
 
-        if self.config.class_hierarchy {
-            for (&sub, supers) in &subclass_closure {
-                for &sup in supers {
-                    if dataset.triples.insert(Triple::new(sub, subclassof, sup)) {
-                        stats.subclass_closure += 1;
-                    }
+        for (&sub, supers) in &subclass_closure {
+            for &sup in supers {
+                if dataset.triples.insert(Triple::new(sub, subclassof, sup)) {
+                    stats.subclass_closure += 1;
                 }
             }
         }
-        if self.config.property_hierarchy {
-            for (&sub, supers) in &subproperty_closure {
-                for &sup in supers {
-                    if dataset.triples.insert(Triple::new(sub, subpropertyof, sup)) {
-                        stats.subproperty_closure += 1;
-                    }
+        for (&sub, supers) in &subproperty_closure {
+            for &sup in supers {
+                if dataset.triples.insert(Triple::new(sub, subpropertyof, sup)) {
+                    stats.subproperty_closure += 1;
                 }
             }
         }
 
         // ---- 2. Property propagation (rdfs7) ---------------------------
-        if self.config.property_hierarchy && !subproperty_closure.is_empty() {
+        if !subproperty_closure.is_empty() {
             let originals: Vec<Triple> = dataset.triples.iter().copied().collect();
             for t in originals {
                 if t.p == rdf_type || t.p == subclassof || t.p == subpropertyof {
@@ -189,36 +109,30 @@ impl InferenceEngine {
         }
 
         // ---- 3. Domain / range (rdfs2 / rdfs3) -------------------------
-        if self.config.domain || self.config.range {
-            let domains = collect_pairs(dataset, domain);
-            let ranges = collect_pairs(dataset, range);
-            if !domains.is_empty() || !ranges.is_empty() {
-                let snapshot: Vec<Triple> = dataset.triples.iter().copied().collect();
-                for t in snapshot {
-                    if t.p == rdf_type
-                        || t.p == subclassof
-                        || t.p == subpropertyof
-                        || t.p == domain
-                        || t.p == range
-                    {
-                        continue;
-                    }
-                    if self.config.domain {
-                        if let Some(classes) = domains.get(&t.p) {
-                            for &c in classes {
-                                if dataset.triples.insert(Triple::new(t.s, rdf_type, c)) {
-                                    stats.domain += 1;
-                                }
-                            }
+        let domains = collect_pairs(dataset, domain);
+        let ranges = collect_pairs(dataset, range);
+        if !domains.is_empty() || !ranges.is_empty() {
+            let snapshot: Vec<Triple> = dataset.triples.iter().copied().collect();
+            for t in snapshot {
+                if t.p == rdf_type
+                    || t.p == subclassof
+                    || t.p == subpropertyof
+                    || t.p == domain
+                    || t.p == range
+                {
+                    continue;
+                }
+                if let Some(classes) = domains.get(&t.p) {
+                    for &c in classes {
+                        if dataset.triples.insert(Triple::new(t.s, rdf_type, c)) {
+                            stats.domain += 1;
                         }
                     }
-                    if self.config.range {
-                        if let Some(classes) = ranges.get(&t.p) {
-                            for &c in classes {
-                                if dataset.triples.insert(Triple::new(t.o, rdf_type, c)) {
-                                    stats.range += 1;
-                                }
-                            }
+                }
+                if let Some(classes) = ranges.get(&t.p) {
+                    for &c in classes {
+                        if dataset.triples.insert(Triple::new(t.o, rdf_type, c)) {
+                            stats.range += 1;
                         }
                     }
                 }
@@ -228,7 +142,7 @@ impl InferenceEngine {
         // ---- 4. Type inheritance (rdfs9) -------------------------------
         // Runs last so that domain/range-derived types are also lifted to
         // their superclasses.
-        if self.config.class_hierarchy && !subclass_closure.is_empty() {
+        if !subclass_closure.is_empty() {
             let typed: Vec<Triple> = dataset
                 .triples
                 .iter()
@@ -406,26 +320,6 @@ mod tests {
         let second = InferenceEngine::default().materialize(&mut ds);
         assert_eq!(second.total(), 0);
         assert_eq!(ds.len(), size_after_first);
-    }
-
-    #[test]
-    fn disabled_rules_do_nothing() {
-        let mut ds = schema_dataset();
-        let before = ds.len();
-        let stats = InferenceEngine::new(InferenceConfig::none()).materialize(&mut ds);
-        assert_eq!(stats.total(), 0);
-        assert_eq!(ds.len(), before);
-    }
-
-    #[test]
-    fn class_only_config_skips_properties() {
-        let mut ds = schema_dataset();
-        let stats = InferenceEngine::new(InferenceConfig::class_only()).materialize(&mut ds);
-        assert!(stats.subclass_closure > 0);
-        assert!(stats.type_inheritance > 0);
-        assert_eq!(stats.property_propagation, 0);
-        assert_eq!(stats.domain, 0);
-        assert_eq!(stats.range, 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod vocab;
 
 pub use dictionary::{Dictionary, TermId};
 pub use error::RdfError;
-pub use inference::{InferenceConfig, InferenceEngine, InferenceStats};
+pub use inference::{InferenceEngine, InferenceStats};
 pub use ntriples::{parse_ntriples, parse_ntriples_line, serialize_ntriples};
 pub use rows::{IdRows, UNBOUND};
 pub use term::{Term, TermRef};

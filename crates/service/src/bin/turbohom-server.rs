@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
 use turbohom_engine::{
-    AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions, DEFAULT_HALO,
+    AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions, HALO,
 };
 use turbohom_rdf::parse_ntriples;
 use turbohom_service::{HttpServer, QueryService, ServiceConfig};
@@ -39,7 +39,6 @@ struct Args {
     inference: bool,
     threads: usize,
     shards: usize,
-    halo: usize,
     cache: usize,
     engine: EngineKind,
     slow_ms: Option<f64>,
@@ -54,17 +53,16 @@ fn usage() -> &'static str {
      \x20 --bind ADDR       listen address (default 127.0.0.1:7878)\n\
      \x20 --lubm N          serve a generated LUBM store at scale N (default 1)\n\
      \x20 --ntriples FILE   serve an N-Triples file instead of LUBM\n\
-     \x20 --snapshot FILE   serve a snapshot file, single-store or sharded\n\
-     \x20                   (memory-mapped, zero-copy)\n\
-     \x20 --save-snapshot F write the loaded store (every shard of it) to one\n\
-     \x20                   snapshot file and exit\n\
+     \x20 --snapshot FILE   serve a snapshot file (memory-mapped, zero-copy)\n\
+     \x20 --save-snapshot F write the loaded store to one snapshot file and\n\
+     \x20                   exit (a single store only: not with --shards)\n\
      \x20 --inference       materialize the RDFS closure at load time: the\n\
      \x20                   only way the class hierarchy applies, for every\n\
      \x20                   engine\n\
      \x20 --threads N       default worker threads per query (default 1)\n\
-     \x20 --shards N        partition the data across N shard stores and run\n\
-     \x20                   queries scatter-gather (default 1 = single store)\n\
-     \x20 --halo N          boundary replication radius in triples (default 2)\n\
+     \x20 --shards N        partition the data across N shard stores (halo 2)\n\
+     \x20                   and run queries scatter-gather (default 1 = single\n\
+     \x20                   store; built from triples at boot, never saved)\n\
      \x20 --cache N         plan-cache capacity (default 256)\n\
      \x20 --engine NAME     default engine: turbohom++ | turbohom | mergejoin | hashjoin\n\
      \x20 --slow-ms MS      keep queries at or above MS milliseconds in\n\
@@ -92,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
         inference: false,
         threads: 1,
         shards: 1,
-        halo: DEFAULT_HALO,
         cache: 256,
         engine: EngineKind::TurboHomPlusPlus,
         slow_ms: Some(500.0),
@@ -114,7 +111,6 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => {
                 args.shards = number::<NonZeroUsize>(flag, value()?, "an integer >= 1")?.get()
             }
-            "--halo" => args.halo = number(flag, value()?, "an integer")?,
             "--cache" => args.cache = number(flag, value()?, "an integer")?,
             "--engine" => {
                 args.engine = value()?.parse::<EngineKind>().map_err(|e| e.to_string())?
@@ -158,10 +154,11 @@ fn run() -> Result<(), String> {
     if args.snapshot.is_some() && (args.ntriples.is_some() || args.save_snapshot.is_some()) {
         return Err("--snapshot cannot be combined with --ntriples or --save-snapshot".into());
     }
-    if args.snapshot.is_some() && args.shards > 1 {
-        return Err("--shards cannot be combined with --snapshot \
-                    (a sharded snapshot records its shard layout)"
-            .into());
+    if args.shards > 1 && (args.snapshot.is_some() || args.save_snapshot.is_some()) {
+        let why = "a sharded store is built from triples at boot and never saved";
+        return Err(format!(
+            "--shards cannot be combined with --snapshot or --save-snapshot ({why})"
+        ));
     }
 
     let options = StoreOptions {
@@ -172,13 +169,13 @@ fn run() -> Result<(), String> {
         shards: args.shards,
         inference: args.inference,
         threads: args.threads.max(1),
-        halo: args.halo,
     };
     let load_started = std::time::Instant::now();
     let store = if let Some(path) = &args.snapshot {
         eprintln!("mapping snapshot {path} ...");
-        AnyStore::from_snapshot(std::path::Path::new(path), options.threads)
-            .map_err(|e| format!("cannot load snapshot {path}: {e}"))?
+        let store = Store::from_snapshot_with(std::path::Path::new(path), options.threads)
+            .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
+        AnyStore::Single(Arc::new(store))
     } else {
         let dataset = if let Some(path) = &args.ntriples {
             eprintln!("loading N-Triples from {path} ...");
@@ -203,7 +200,7 @@ fn run() -> Result<(), String> {
     store.stores().iter().for_each(|s| s.warm(args.engine));
     let load_ms = load_started.elapsed().as_secs_f64() * 1000.0;
     let shard_note = store.sharded().map_or(String::new(), |s| {
-        format!(", {} shards, halo {}", s.shard_count(), s.halo())
+        format!(", {} shards, halo {HALO}", s.shard_count())
     });
     eprintln!(
         "store ready: {} triples in {load_ms:.1} ms ({} backend{}{shard_note})",
@@ -214,11 +211,12 @@ fn run() -> Result<(), String> {
 
     if let Some(path) = &args.save_snapshot {
         let started = std::time::Instant::now();
-        let bytes = store
+        // One store: a sharded one was refused above.
+        let bytes = store.stores()[0]
             .save_snapshot(std::path::Path::new(path))
             .map_err(|e| format!("cannot save snapshot {path}: {e}"))?;
         println!(
-            "snapshot saved: {path} ({bytes} bytes, {} triples{shard_note}, {:.1} ms)",
+            "snapshot saved: {path} ({bytes} bytes, {} triples, {:.1} ms)",
             store.triple_count(),
             started.elapsed().as_secs_f64() * 1000.0,
         );

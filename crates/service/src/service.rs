@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_engine::{
     AnyStore, EngineKind, ExplainReport, IdResults, MatchStats, MemoryRow, MemoryUse, Store,
-    StoreError, Trace, TraceReport,
+    StoreError, Trace, TraceReport, HALO,
 };
 use turbohom_json::{Fixed3, JsonWriter, ToJson};
 use turbohom_sparql::{fingerprint, QueryFingerprint};
@@ -809,7 +809,7 @@ impl QueryService {
             out.push_str(&format!(
                 "turbohom_shards{{shards=\"{}\",halo=\"{}\"}} 1\n",
                 sharded.shard_count(),
-                sharded.halo(),
+                HALO,
             ));
         }
         for (name, help, value) in [

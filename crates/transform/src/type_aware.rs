@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
     use turbohom_graph::{Direction, LabeledGraph, LabeledGraphBuilder, VertexId};
-    use turbohom_rdf::{vocab, InferenceConfig, InferenceEngine, Term};
+    use turbohom_rdf::{vocab, InferenceEngine, Term};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -153,7 +153,7 @@ mod tests {
 
     /// `ds` with the RDFS closure materialized into its triples.
     fn materialized(mut ds: Dataset) -> Dataset {
-        InferenceEngine::new(InferenceConfig::full()).materialize(&mut ds);
+        InferenceEngine::default().materialize(&mut ds);
         ds
     }
 
