@@ -445,7 +445,7 @@ pub(crate) fn explore_candidate_region(
     stats: &mut MatchStats,
 ) -> Option<CandidateRegion> {
     let mut region = CandidateRegion::default();
-    let split = FilterSplit::of(data, dictionary, query);
+    let split = FilterSplit::of(dictionary, query);
     RegionExplorer::new(data, config, query, tree.clone(), split)
         .explore(&mut region, start, stats)
         .then_some(region)
@@ -607,10 +607,7 @@ mod tests {
         let mut stats = MatchStats::default();
         let p = tq.graph.vertex_of_variable("p").unwrap();
         let tree = QueryTree::build(&tq.graph, p);
-        let start = t
-            .mappings
-            .vertex_of(ds.dictionary.id_of_iri(&ub("p1")).unwrap())
-            .unwrap();
+        let start = VertexId::of_term(ds.dictionary.id_of_iri(&ub("p1")).unwrap());
         let region =
             explore_candidate_region(&t, &ds.dictionary, &config, &tq, &tree, start, &mut stats);
         assert!(region.is_some());
@@ -636,10 +633,7 @@ mod tests {
         let x = tq.graph.vertex_of_variable("x").unwrap();
         let z = tq.graph.vertex_of_variable("z").unwrap();
         let tree = QueryTree::build(&tq.graph, x);
-        let a = t
-            .mappings
-            .vertex_of(ds.dictionary.id_of_iri(&ub("a")).unwrap())
-            .unwrap();
+        let a = VertexId::of_term(ds.dictionary.id_of_iri(&ub("a")).unwrap());
         let mut stats = MatchStats::default();
         let mut explore = |config: &TurboHomConfig| {
             explore_candidate_region(&t, &ds.dictionary, config, &tq, &tree, a, &mut stats)
@@ -683,13 +677,9 @@ mod tests {
         let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
         let [a, b, c, d] = ["a", "b", "c", "d"].map(|v| tq.graph.vertex_of_variable(v).unwrap());
         let tree = QueryTree::build(&tq.graph, a);
-        let vertex = |name: &str| {
-            t.mappings
-                .vertex_of(ds.dictionary.id_of_iri(&ub(name)).unwrap())
-                .unwrap()
-        };
+        let vertex = |name: &str| VertexId::of_term(ds.dictionary.id_of_iri(&ub(name)).unwrap());
         let config = TurboHomConfig::default();
-        let split = FilterSplit::of(&t, &ds.dictionary, &tq);
+        let split = FilterSplit::of(&ds.dictionary, &tq);
         let explorer = RegionExplorer::new(&t, &config, &tq, tree, split);
         let mut stats = MatchStats::default();
         let mut region = CandidateRegion::default();

@@ -478,7 +478,6 @@ pub struct SearchCap {
 /// Each is bound to the run's outer bindings once, here
 /// ([`Expression::bind`]).
 pub struct FilterSplit<'f> {
-    data: &'f TransformedGraph,
     dictionary: &'f Dictionary,
     query: &'f TransformedQuery,
     /// Per query vertex, the FILTERs a candidate of it must pass to start or
@@ -489,16 +488,14 @@ pub struct FilterSplit<'f> {
 }
 
 impl<'f> FilterSplit<'f> {
-    /// Splits `filters` for a run of `query` over `data`, whose terms the
+    /// Splits `filters` for a run of `query`, whose data terms the
     /// `dictionary` gives.
     pub(crate) fn new(
-        data: &'f TransformedGraph,
         dictionary: &'f Dictionary,
         query: &'f TransformedQuery,
         filters: RunInput<'f>,
     ) -> Self {
         let mut split = FilterSplit {
-            data,
             dictionary,
             query,
             inline: vec![Vec::new(); query.graph.vertex_count()],
@@ -520,12 +517,8 @@ impl<'f> FilterSplit<'f> {
 
     /// The split of a run of `query` by its own FILTERs.
     #[cfg(test)]
-    pub(crate) fn of(
-        data: &'f TransformedGraph,
-        dictionary: &'f Dictionary,
-        query: &'f TransformedQuery,
-    ) -> Self {
-        FilterSplit::new(data, dictionary, query, RunInput::of(query))
+    pub(crate) fn of(dictionary: &'f Dictionary, query: &'f TransformedQuery) -> Self {
+        FilterSplit::new(dictionary, query, RunInput::of(query))
     }
 
     /// What the search of a run with this split and `limit` does (see
@@ -549,8 +542,7 @@ impl<'f> FilterSplit<'f> {
         let Some(var) = &self.query.graph.vertex(u).variable else {
             return true;
         };
-        let id = self.data.mappings.term_of_vertex(v);
-        let Some(term) = id.and_then(|id| self.dictionary.term_and_view(id)) else {
+        let Some(term) = self.dictionary.term_and_view(v.term()) else {
             return true;
         };
         let bindings = |name: &str| (name == var).then_some(term);
@@ -641,7 +633,7 @@ impl<'a> TurboHomEngine<'a> {
         clock: &mut StageClock,
         probe: impl FnOnce(&StartSelection<'_>) -> bool,
     ) -> Prologue<'s> {
-        let mut split = FilterSplit::new(self.data, self.dictionary, query, input);
+        let mut split = FilterSplit::new(self.dictionary, query, input);
         let cap = split.search_cap(&self.config, input.limit);
         let verdict = admit(query);
         if verdict != Ok(true) {
@@ -861,8 +853,8 @@ impl<'a> TurboHomEngine<'a> {
 
     /// Applies the expensive filters to the materialized solutions. Each
     /// variable's term is looked up in its row only when a filter reads it:
-    /// a vertex column through its data vertex, a variable-predicate column
-    /// through its edge label, both as the dictionary's borrowed view.
+    /// a vertex column is its term, a variable-predicate column maps through
+    /// its edge label, both read as the dictionary's borrowed view.
     fn apply_post_filters(
         &self,
         query: &TransformedQuery,
@@ -888,7 +880,7 @@ impl<'a> TurboHomEngine<'a> {
                     let cell = row[column];
                     let id = match (cell, edge) {
                         (UNBOUND, _) => None,
-                        (_, false) => mappings.term_of_vertex(VertexId(cell)),
+                        (_, false) => Some(VertexId(cell).term()),
                         (_, true) => mappings.term_of_elabel(ELabel(cell)),
                     };
                     id.and_then(|id| self.dictionary.term_and_view(id))

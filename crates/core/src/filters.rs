@@ -356,10 +356,8 @@ mod tests {
         (ds, t)
     }
 
-    fn vid(ds: &Dataset, t: &TransformedGraph, name: &str) -> VertexId {
-        t.mappings
-            .vertex_of(ds.dictionary.id_of_iri(&ub(name)).unwrap())
-            .unwrap()
+    fn vid(ds: &Dataset, name: &str) -> VertexId {
+        VertexId::of_term(ds.dictionary.id_of_iri(&ub(name)).unwrap())
     }
 
     fn vl(ds: &Dataset, t: &TransformedGraph, name: &str) -> VLabel {
@@ -377,7 +375,7 @@ mod tests {
     #[test]
     fn adjacent_candidates_respect_labels_and_direction() {
         let (ds, t) = data();
-        let dept = vid(&ds, &t, "dept1");
+        let dept = vid(&ds, "dept1");
         let member_of = el(&ds, &t, "memberOf");
         let student = vl(&ds, &t, "Student");
         // Students pointing at dept1 via memberOf (incoming at dept1).
@@ -455,16 +453,8 @@ mod tests {
             ],
         );
         // s1 has both; s2 only memberOf.
-        assert!(VertexFilter::new(&config, &q, 0).degree_filter(
-            &t,
-            vid(&ds, &t, "s1"),
-            &mut stats
-        ));
-        assert!(!VertexFilter::new(&config, &q, 0).degree_filter(
-            &t,
-            vid(&ds, &t, "s2"),
-            &mut stats
-        ));
+        assert!(VertexFilter::new(&config, &q, 0).degree_filter(&t, vid(&ds, "s1"), &mut stats));
+        assert!(!VertexFilter::new(&config, &q, 0).degree_filter(&t, vid(&ds, "s2"), &mut stats));
         assert_eq!(stats.degree_filtered, 1);
     }
 
@@ -486,7 +476,7 @@ mod tests {
                 (Direction::Outgoing, None, vec![]),
             ],
         );
-        let s2 = vid(&ds, &t, "s2");
+        let s2 = vid(&ds, "s2");
         assert!(VertexFilter::new(&config, &q, 0).degree_filter(&t, s2, &mut stats));
         let isomorphism = TurboHomConfig {
             semantics: MatchSemantics::Isomorphism,
@@ -511,11 +501,7 @@ mod tests {
                 ),
             ],
         );
-        assert!(VertexFilter::new(&config, &q, 0).degree_filter(
-            &t,
-            vid(&ds, &t, "s2"),
-            &mut stats
-        ));
+        assert!(VertexFilter::new(&config, &q, 0).degree_filter(&t, vid(&ds, "s2"), &mut stats));
         assert_eq!(stats.degree_filtered, 0);
     }
 
@@ -539,8 +525,8 @@ mod tests {
                 (Direction::Outgoing, Some(takes), vec![course_l]),
             ],
         );
-        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, &t, "s1"), &mut stats));
-        assert!(!VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, &t, "s2"), &mut stats));
+        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, "s1"), &mut stats));
+        assert!(!VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, "s2"), &mut stats));
         assert_eq!(stats.nlf_filtered, 1);
     }
 
@@ -563,11 +549,7 @@ mod tests {
                 (Direction::Incoming, Some(member_of), vec![student_l]),
             ],
         );
-        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(
-            &t,
-            vid(&ds, &t, "dept1"),
-            &mut stats
-        ));
+        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, "dept1"), &mut stats));
         // Under homomorphism the same check also passes trivially, but a
         // query needing three distinct students fails under isomorphism.
         let q3 = one_vertex_query(
@@ -578,11 +560,7 @@ mod tests {
                 (Direction::Incoming, Some(member_of), vec![student_l]),
             ],
         );
-        assert!(!VertexFilter::new(&config, &q3, 0).nlf_filter(
-            &t,
-            vid(&ds, &t, "dept1"),
-            &mut stats
-        ));
+        assert!(!VertexFilter::new(&config, &q3, 0).nlf_filter(&t, vid(&ds, "dept1"), &mut stats));
     }
 
     #[test]
@@ -591,8 +569,8 @@ mod tests {
         let mut stats = MatchStats::default();
         let config = TurboHomConfig::default();
         let student_l = vl(&ds, &t, "Student");
-        let s1 = vid(&ds, &t, "s1");
-        let dept = vid(&ds, &t, "dept1");
+        let s1 = vid(&ds, "s1");
+        let dept = vid(&ds, "dept1");
 
         let mut q = QueryGraph::new();
         q.add_vertex(QueryVertex {

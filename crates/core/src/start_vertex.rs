@@ -448,10 +448,7 @@ mod tests {
         assert!(matches!(sel.start_vertices, Cow::Borrowed(_)));
         // Pin the student vertex to a non-Student vertex: it is the most
         // selective start, and the label check leaves it no candidate.
-        let univ = t
-            .mappings
-            .vertex_of(ds.dictionary.id_of_iri(&ub("univ0")).unwrap())
-            .unwrap();
+        let univ = VertexId::of_term(ds.dictionary.id_of_iri(&ub("univ0")).unwrap());
         let graph = std::mem::take(&mut tq.graph);
         let mut vertices_rebuilt = turbohom_graph::QueryGraph::new();
         for (i, v) in graph.vertices().iter().enumerate() {
@@ -497,10 +494,9 @@ mod tests {
     }
 
     /// The lexical form of data vertex `v`'s term.
-    fn lexical(ds: &Dataset, t: &TransformedGraph, v: VertexId) -> String {
-        let id = t.mappings.term_of_vertex(v).unwrap();
+    fn lexical(ds: &Dataset, v: VertexId) -> String {
         ds.dictionary
-            .term(id)
+            .term(v.term())
             .unwrap()
             .as_literal()
             .unwrap()
@@ -523,13 +519,13 @@ mod tests {
         );
         let n = tq.graph.vertex_of_variable("n").unwrap();
         let config = TurboHomConfig::default();
-        let split = FilterSplit::of(&t, &ds.dictionary, &tq);
+        let split = FilterSplit::of(&ds.dictionary, &tq);
         let mut stats = MatchStats::default();
         let sel = choose_start_vertex(&t, &config, &tq, Some(&split), &mut stats);
         assert_eq!((sel.query_vertex, sel.filtered), (n, true));
         let listed = listed_vertices(&t, &tq, n);
         let kept: Vec<VertexId> = (listed.iter().copied())
-            .filter(|&v| lexical(&ds, &t, v).starts_with("student1"))
+            .filter(|&v| lexical(&ds, v).starts_with("student1"))
             .collect();
         assert_eq!(kept.len(), 11);
         assert_eq!(&*sel.start_vertices, &kept[..]);
@@ -561,7 +557,7 @@ mod tests {
                                     FILTER regex(?n, "^student") }"#,
         );
         let n = tq.graph.vertex_of_variable("n").unwrap();
-        let split = FilterSplit::of(&t, &ds.dictionary, &tq);
+        let split = FilterSplit::of(&ds.dictionary, &tq);
         let mut stats = MatchStats::default();
         let config = TurboHomConfig::default();
         let sel = choose_start_vertex(&t, &config, &tq, Some(&split), &mut stats);
@@ -569,7 +565,7 @@ mod tests {
         assert_eq!(sel.start_vertices.len(), 1);
         assert!(!sel.filtered);
         let listed = listed_vertices(&t, &tq, n);
-        let names: Vec<String> = listed.iter().map(|&v| lexical(&ds, &t, v)).collect();
+        let names: Vec<String> = listed.iter().map(|&v| lexical(&ds, v)).collect();
         let before_first = names.iter().position(|l| l.starts_with("student"));
         let rejected = names.iter().filter(|l| l.starts_with("course")).count();
         assert_eq!(rejected, 10);

@@ -543,18 +543,16 @@ mod tests {
 
     impl Found {
         /// The rows as sorted lists of IRIs (unbound: the empty string).
-        fn named(&self, ds: &Dataset, data: &TransformedGraph) -> Vec<Vec<String>> {
+        fn named(&self, ds: &Dataset) -> Vec<Vec<String>> {
             let name = |cell: u32| match cell {
                 UNBOUND => String::new(),
-                v => {
-                    let term = data.mappings.term_of_vertex(VertexId(v)).unwrap();
-                    ds.dictionary
-                        .term(term)
-                        .unwrap()
-                        .as_iri()
-                        .unwrap()
-                        .to_string()
-                }
+                v => ds
+                    .dictionary
+                    .term(VertexId(v).term())
+                    .unwrap()
+                    .as_iri()
+                    .unwrap()
+                    .to_string(),
             };
             let mut rows: Vec<Vec<String>> = self
                 .rows
@@ -597,7 +595,7 @@ mod tests {
         }
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let layout = RowLayout::of(&tq.graph);
-        let split = FilterSplit::of(data, &ds.dictionary, &tq);
+        let split = FilterSplit::of(&ds.dictionary, &tq);
         let cap = split.search_cap(config, limit);
         let explorer = RegionExplorer::new(data, config, &tq, tree.clone(), split);
         let mut region = CandidateRegion::default();
@@ -692,7 +690,7 @@ mod tests {
             assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("y").unwrap());
             let tree = QueryTree::build(&tq.graph, sel.query_vertex);
             let dictionary = &ds.dictionary;
-            let split = FilterSplit::of(&data, dictionary, &tq);
+            let split = FilterSplit::of(dictionary, &tq);
             let cap = split.search_cap(&config, None);
             let explorer = RegionExplorer::new(&data, &config, &tq, tree.clone(), split);
             let new_searcher = || SubgraphSearcher::new(&data, &config, cap, &tq, &layout);
@@ -1066,13 +1064,13 @@ mod tests {
         // takesCourse object a Course: nothing is left to select by.
         let data = type_aware_transform(&ds);
         let regular = run_from(&ds, &data, &q9, &config, Some("Y"), None);
-        assert_eq!(regular.named(&ds, &data), triangles);
+        assert_eq!(regular.named(&ds), triangles);
         assert!(regular.lookup_labels_of("X").is_empty());
         assert!(regular.lookup_labels_of("Z").is_empty());
         assert_eq!(regular.join_types, [None]);
         // Without the switch the typed groups are read, to the same rows.
         let typed = run_from(&ds, &data, &q9, &without_summary(), Some("Y"), None);
-        assert_eq!(typed.named(&ds, &data), triangles);
+        assert_eq!(typed.named(&ds), triangles);
         assert_eq!(typed.lookup_labels_of("X").len(), 1);
         assert!(typed.join_types[0].is_some());
 
@@ -1084,7 +1082,7 @@ mod tests {
         ds.insert_iris(&ub("prof0"), &ub("teacherOf"), &ub("reading_group"));
         let data = type_aware_transform(&ds);
         let irregular = run_from(&ds, &data, &q9, &config, Some("Y"), None);
-        assert_eq!(irregular.named(&ds, &data), triangles);
+        assert_eq!(irregular.named(&ds), triangles);
         assert_eq!(
             irregular.lookup_labels_of("X"),
             typed.lookup_labels_of("X"),
@@ -1135,7 +1133,7 @@ mod tests {
         let on = run_from(&ds, &data, &j2, &TurboHomConfig::default(), Some("U"), None);
         let off = run_from(&ds, &data, &j2, &without_summary(), Some("U"), None);
         assert_eq!(on.count, 3 * 8);
-        assert_eq!(on.named(&ds, &data), off.named(&ds, &data));
+        assert_eq!(on.named(&ds), off.named(&ds));
         // Per university the three groups (no `worksFor` member) and the two
         // professors (degree holders without an `advisor`) die at the
         // signature. The groups used to be carried into the enumeration,
@@ -1177,7 +1175,7 @@ mod tests {
             let mut bound: Vec<usize> = on.rows.iter().map(bound_count).collect();
             bound.sort_unstable();
             assert_eq!(bound, bound_cells, "{query}");
-            assert_eq!(on.named(&ds, &data), off.named(&ds, &data), "{query}");
+            assert_eq!(on.named(&ds), off.named(&ds), "{query}");
         }
         // Inside the clause the signature does ask: the anonymous rating
         // lacks the `by` edge its own clause needs of it.
@@ -1211,7 +1209,7 @@ mod tests {
         let on = run_from(&ds, &data, &query, &TurboHomConfig::default(), None, None);
         let off = run_from(&ds, &data, &query, &without_summary(), None, None);
         assert_eq!(on.count, 1);
-        assert_eq!(on.named(&ds, &data), off.named(&ds, &data));
+        assert_eq!(on.named(&ds), off.named(&ds));
         // Only the vertex with neither predicate is turned down by its
         // signature; the one with the colliding predicate is kept and found
         // to have no p3 edge by the lookup, as without the switch.

@@ -33,8 +33,9 @@ const TAG_STORE_META: u64 = 0x0901;
 /// graph's type groups hold only labeled neighbors (each direction's
 /// `0x03x1`/`0x03x2`/`0x03x4`). 6: a transformed graph keeps no
 /// simple-entailment label sets (`0x0702`/`0x0703`), and its meta (`0x0701`)
-/// is its kind alone.
-const STORE_FORMAT_SUB_VERSION: u64 = 6;
+/// is its kind alone. 7: a data vertex's id is its term id, so a graph keeps
+/// no vertex mapping (`0x0601`/`0x0602`) and has one row per dictionary term.
+const STORE_FORMAT_SUB_VERSION: u64 = 7;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not
@@ -170,6 +171,16 @@ impl Backend {
         }
         let type_aware = TransformedGraph::read_sections(cur)?;
         let direct = TransformedGraph::read_sections(cur)?;
+        // A matched vertex is read as the term of its id, by the writer and
+        // the FILTERs alike: every row must be a term.
+        let terms = dataset.dictionary.len();
+        for graph in [&type_aware, &direct] {
+            let (kind, rows) = (graph.kind, graph.graph.vertex_count());
+            if rows != terms {
+                let what = format!("{kind:?} graph has {rows} vertex rows, {terms} terms");
+                return Err(SnapshotError::Malformed(what).into());
+            }
+        }
         let backend = Backend {
             dataset,
             type_aware,

@@ -32,7 +32,7 @@ use turbohom_core::{
     merge_step_counts, MatchResult, MatchingOrder, RowLayout, RunInput, TurboHomConfig,
     TurboHomEngine,
 };
-use turbohom_graph::{ELabel, VertexId};
+use turbohom_graph::ELabel;
 use turbohom_rdf::{Dictionary, IdRows, TermId, UNBOUND};
 use turbohom_sparql::{Binding, Expression, GroupPattern, Query};
 use turbohom_trace::{SpanId, Trace};
@@ -711,7 +711,8 @@ impl Store {
     /// Projects the matcher's rows (data-graph ids in the component's
     /// [`RowLayout`]) to term-id rows over `out_vars`. Where a variable lives
     /// is resolved once per column, and the column is then filled in one
-    /// pass; a variable the component does not bind stays unbound.
+    /// pass (a data vertex is its term: only edge labels map); a variable
+    /// the component does not bind stays unbound.
     fn project(&self, component: &ComponentPlan, matched: &IdRows, out_vars: &[String]) -> IdRows {
         let query = &component.transformed.graph;
         let mappings = &self.graph_of(component).mappings;
@@ -723,9 +724,7 @@ impl Store {
         }
         for (column, var) in out_vars.iter().enumerate() {
             if let Some(u) = query.vertex_of_variable(var) {
-                rows.fill_column(column, matched, layout.vertex_column(u), |v| {
-                    cell(mappings.term_of_vertex(VertexId(v)))
-                });
+                rows.fill_column(column, matched, layout.vertex_column(u), |v| v);
             } else if let Some(source) = query
                 .edges()
                 .iter()

@@ -247,10 +247,10 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // 1 (the permutation tables still followed the graphs), 2 (the graphs
     // still held their degree order and unlabeled list), 3 (term ids were
     // 64 bits wide), 4 (the graphs still held a type group for unlabeled
-    // neighbors) or 5 (the type-aware graph still held its simple-entailment
-    // label sets).
+    // neighbors), 5 (the type-aware graph still held its simple-entailment
+    // label sets) or 6 (each graph still mapped its vertices to terms).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4, 5] {
+    for found in [1, 2, 3, 4, 5, 6] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -259,10 +259,44 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 6
+                expected: 7
             })
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
+    // A vertex is read as the term of the same id: the store meta and the
+    // dataset of one store, then the graphs of a store with one term more.
+    let small = sample_store();
+    let mut larger = turbohom_rdf::Dataset::new();
+    for (id, term) in small.dataset().dictionary.iter() {
+        // Encoded in id order, every term keeps its id.
+        assert_eq!(larger.dictionary.encode(&term), id);
+    }
+    larger.insert_iris(&ub("extra"), &ub("memberOf"), &ub("dept0"));
+    let graph = turbohom_transform::type_aware_transform(&larger);
+    assert_eq!(
+        graph.graph.vertex_count(),
+        small.dataset().dictionary.len() + 1
+    );
+
+    let mut w = turbohom_storage::SnapshotWriter::new();
+    let triples = small.triple_count() as u64;
+    w.section::<u64>(0x0901, &[7, 1, triples]);
+    small.dataset().write_sections(&mut w);
+    graph.write_sections(&mut w);
+    graph.write_sections(&mut w);
+    let path = temp_path("rows.snap");
+    w.write_to(&path).unwrap();
+    let err = Store::from_snapshot(&path).unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Snapshot(SnapshotError::Malformed(m))
+            if m.contains("vertex rows")),
+        "{err:?}"
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -1,16 +1,20 @@
 //! Identifier newtypes for the labeled-graph layer.
 //!
-//! The graph layer deliberately does **not** reuse the RDF
-//! [`TermId`](turbohom_rdf::TermId): the type-aware transformation removes
-//! type/class terms from the vertex space and assigns dense vertex ids,
-//! dense vertex-label ids and dense edge-label ids. Keeping them as distinct
-//! newtypes prevents the classic "mixed up id spaces" bug family at compile
-//! time.
+//! A data vertex's id *is* its RDF term's [`TermId`]: both transformations
+//! lay out one row per dictionary term, so `FV` of Definition 3 is the
+//! identity, and a matched row is a row of term ids. A term that is no
+//! subject or object (a predicate, or a class used only as a type) keeps an
+//! empty row. [`VertexId::of_term`] and [`VertexId::term`] are the one place
+//! that knows it. Vertex labels and edge labels stay dense ids of their own:
+//! the label CSR and +SUM's signature bits need small numbers. The three
+//! remain distinct newtypes, which keeps the "mixed up id spaces" bug family
+//! a compile error.
 
 use std::fmt;
+use turbohom_rdf::TermId;
 use turbohom_storage::Pod;
 
-/// A data-graph vertex id (dense, 0-based).
+/// A data-graph vertex id: the [`TermId`] of the vertex's term.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct VertexId(pub u32);
@@ -23,6 +27,18 @@ impl VertexId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The data vertex of an RDF term.
+    #[inline]
+    pub fn of_term(term: TermId) -> VertexId {
+        VertexId(term.0)
+    }
+
+    /// The RDF term of a data vertex.
+    #[inline]
+    pub fn term(self) -> TermId {
+        TermId(self.0)
     }
 }
 
@@ -114,6 +130,8 @@ mod tests {
     #[test]
     fn index_round_trip() {
         assert_eq!(VertexId(7).index(), 7);
+        assert_eq!(VertexId::of_term(TermId(7)), VertexId(7));
+        assert_eq!(VertexId(7).term(), TermId(7));
         assert_eq!(VLabel(7).index(), 7);
         assert_eq!(ELabel(7).index(), 7);
     }

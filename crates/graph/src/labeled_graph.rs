@@ -178,7 +178,8 @@ impl AdjacencyDirection {
 /// Summary statistics of a labeled graph, used by the Table 1 experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphStats {
-    /// Number of vertices.
+    /// Number of vertices: the rows with an edge or a label (the paper's
+    /// `|V|`; a term that is neither subject nor object has an empty row).
     pub vertices: usize,
     /// Number of edges.
     pub edges: usize,
@@ -207,7 +208,8 @@ pub struct LabeledGraph {
 }
 
 impl LabeledGraph {
-    /// Number of vertices.
+    /// Number of vertex rows: one per dictionary term under both
+    /// transformations, empty or not.
     pub fn vertex_count(&self) -> usize {
         self.num_vertices
     }
@@ -229,8 +231,9 @@ impl LabeledGraph {
 
     /// Summary statistics (Table 1 in the paper).
     pub fn stats(&self) -> GraphStats {
+        let occupied = |v: VertexId| !self.labels(v).is_empty() || self.total_degree(v) > 0;
         GraphStats {
-            vertices: self.num_vertices,
+            vertices: self.vertices().filter(|&v| occupied(v)).count(),
             edges: self.num_edges,
             vertex_labels: self.num_vlabels,
             edge_labels: self.num_elabels,

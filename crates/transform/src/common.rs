@@ -1,13 +1,12 @@
 //! Shared types of the data-graph transformations.
 
 use std::fmt;
-use turbohom_graph::{ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex, VLabel, VertexId};
+use turbohom_graph::{ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex, VLabel};
 use turbohom_rdf::TermId;
 use turbohom_storage::{FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (components 0x06 mappings, 0x07 transformed graph).
-const TAG_MAP_TERM_TO_VERTEX: u64 = 0x0601;
-const TAG_MAP_VERTEX_TO_TERM: u64 = 0x0602;
+/// `0x0601`/`0x0602` are retired: a data vertex's id is its term id.
 const TAG_MAP_TERM_TO_VLABEL: u64 = 0x0603;
 const TAG_MAP_VLABEL_TO_TERM: u64 = 0x0604;
 const TAG_MAP_TERM_TO_ELABEL: u64 = 0x0605;
@@ -26,18 +25,15 @@ pub enum TransformKind {
     TypeAware,
 }
 
-/// Bidirectional mappings between RDF term ids and graph-level ids.
+/// Bidirectional mappings between RDF term ids and label ids.
 ///
-/// These are the `FV`, `FVL`, `FEL` functions of Definition 3 (and their
-/// inverses). All six directions are dense flat arrays (the forward ones
-/// indexed by term id with a sentinel for unmapped terms), so the whole
-/// structure serializes into a snapshot and reads back in place.
+/// These are the `FVL` and `FEL` functions of Definition 3 (and their
+/// inverses); `FV` is the identity ([`VertexId::of_term`](turbohom_graph::VertexId::of_term)).
+/// All four directions are dense flat arrays (the forward ones indexed by
+/// term id with a sentinel for unmapped terms), so the whole structure
+/// serializes into a snapshot and reads back in place.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphMappings {
-    /// RDF term → data vertex (`UNMAPPED` sentinel when absent).
-    term_to_vertex: FlatVec<u32>,
-    /// Data vertex → RDF term (dense).
-    pub vertex_to_term: FlatVec<TermId>,
     /// RDF class term → vertex label (empty for the direct transformation).
     term_to_vlabel: FlatVec<u32>,
     /// Vertex label → RDF class term (dense).
@@ -61,16 +57,6 @@ fn forward_set(arr: &mut FlatVec<u32>, term: TermId, value: u32) {
 }
 
 impl GraphMappings {
-    /// Looks up the data vertex of an RDF term.
-    pub fn vertex_of(&self, term: TermId) -> Option<VertexId> {
-        forward_get(&self.term_to_vertex, term).map(VertexId)
-    }
-
-    /// Looks up the RDF term of a data vertex.
-    pub fn term_of_vertex(&self, v: VertexId) -> Option<TermId> {
-        self.vertex_to_term.get(v.index()).copied()
-    }
-
     /// Looks up the vertex label of an RDF class term.
     pub fn vlabel_of(&self, term: TermId) -> Option<VLabel> {
         forward_get(&self.term_to_vlabel, term).map(VLabel)
@@ -89,17 +75,6 @@ impl GraphMappings {
     /// Looks up the RDF predicate term of an edge label.
     pub fn term_of_elabel(&self, l: ELabel) -> Option<TermId> {
         self.elabel_to_term.get(l.index()).copied()
-    }
-
-    /// Interns a term as a data vertex, returning the existing id if present.
-    pub(crate) fn intern_vertex(&mut self, term: TermId) -> VertexId {
-        if let Some(v) = self.vertex_of(term) {
-            return v;
-        }
-        let v = VertexId(self.vertex_to_term.len() as u32);
-        forward_set(&mut self.term_to_vertex, term, v.0);
-        self.vertex_to_term.to_mut().push(term);
-        v
     }
 
     /// Interns a class term as a vertex label.
@@ -124,20 +99,16 @@ impl GraphMappings {
         l
     }
 
-    /// Bytes of the six mapping arrays.
+    /// Bytes of the four mapping arrays.
     pub fn memory(&self) -> MemoryUse {
-        MemoryUse::from(&self.term_to_vertex)
-            + (&self.vertex_to_term).into()
-            + (&self.term_to_vlabel).into()
+        MemoryUse::from(&self.term_to_vlabel)
             + (&self.vlabel_to_term).into()
             + (&self.term_to_elabel).into()
             + (&self.elabel_to_term).into()
     }
 
-    /// Serializes all six mapping arrays as snapshot sections.
+    /// Serializes all four mapping arrays as snapshot sections.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        w.section(TAG_MAP_TERM_TO_VERTEX, &self.term_to_vertex);
-        w.section(TAG_MAP_VERTEX_TO_TERM, &self.vertex_to_term);
         w.section(TAG_MAP_TERM_TO_VLABEL, &self.term_to_vlabel);
         w.section(TAG_MAP_VLABEL_TO_TERM, &self.vlabel_to_term);
         w.section(TAG_MAP_TERM_TO_ELABEL, &self.term_to_elabel);
@@ -148,15 +119,12 @@ impl GraphMappings {
     /// and reverse arrays agree so lookups stay total.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let m = GraphMappings {
-            term_to_vertex: cur.next_section(TAG_MAP_TERM_TO_VERTEX)?,
-            vertex_to_term: cur.next_section(TAG_MAP_VERTEX_TO_TERM)?,
             term_to_vlabel: cur.next_section(TAG_MAP_TERM_TO_VLABEL)?,
             vlabel_to_term: cur.next_section(TAG_MAP_VLABEL_TO_TERM)?,
             term_to_elabel: cur.next_section(TAG_MAP_TERM_TO_ELABEL)?,
             elabel_to_term: cur.next_section(TAG_MAP_ELABEL_TO_TERM)?,
         };
         for (fwd, rev, what) in [
-            (&m.term_to_vertex, &m.vertex_to_term, "vertex"),
             (&m.term_to_vlabel, &m.vlabel_to_term, "vertex label"),
             (&m.term_to_elabel, &m.elabel_to_term, "edge label"),
         ] {
@@ -190,7 +158,7 @@ pub struct TransformedGraph {
     pub inverse_labels: InverseLabelIndex,
     /// The predicate index (Section 4.2).
     pub predicates: PredicateIndex,
-    /// Term ↔ graph id mappings.
+    /// Term ↔ label id mappings.
     pub mappings: GraphMappings,
 }
 
@@ -256,11 +224,6 @@ impl TransformedGraph {
         let inverse_labels = InverseLabelIndex::read_sections(cur)?;
         let predicates = PredicateIndex::read_sections(cur, &graph)?;
         let mappings = GraphMappings::read_sections(cur)?;
-        if mappings.vertex_to_term.len() != graph.vertex_count() {
-            return Err(SnapshotError::Malformed(
-                "mappings do not cover every vertex".into(),
-            ));
-        }
         Ok(TransformedGraph {
             kind,
             graph,
@@ -310,18 +273,9 @@ mod tests {
     #[test]
     fn interning_is_idempotent_and_dense() {
         let mut m = GraphMappings::default();
-        let v0 = m.intern_vertex(TermId(10));
-        let v1 = m.intern_vertex(TermId(20));
-        let v0b = m.intern_vertex(TermId(10));
-        assert_eq!(v0, v0b);
-        assert_eq!(v0, VertexId(0));
-        assert_eq!(v1, VertexId(1));
-        assert_eq!(m.term_of_vertex(v1), Some(TermId(20)));
-        assert_eq!(m.vertex_of(TermId(20)), Some(v1));
-        assert_eq!(m.vertex_of(TermId(99)), None);
-
         let l0 = m.intern_vlabel(TermId(5));
         assert_eq!(l0, VLabel(0));
+        assert_eq!(m.intern_vlabel(TermId(5)), l0);
         assert_eq!(m.term_of_vlabel(l0), Some(TermId(5)));
         assert_eq!(m.vlabel_of(TermId(6)), None);
 
@@ -333,13 +287,11 @@ mod tests {
 
     #[test]
     fn transformed_graph_snapshot_round_trip() {
-        use turbohom_graph::LabeledGraphBuilder;
+        use turbohom_graph::{LabeledGraphBuilder, VertexId};
         use turbohom_storage::{Snapshot, SnapshotWriter};
 
         let mut mappings = GraphMappings::default();
-        let v0 = mappings.intern_vertex(TermId(10));
-        let v1 = mappings.intern_vertex(TermId(11));
-        let v2 = mappings.intern_vertex(TermId(12));
+        let [v0, v1, v2] = [0, 1, 2].map(|t| VertexId::of_term(TermId(t)));
         let el = mappings.intern_elabel(TermId(20));
         mappings.intern_vlabel(TermId(30));
         mappings.intern_vlabel(TermId(31));
@@ -371,12 +323,8 @@ mod tests {
         assert_eq!(loaded.graph.edge_count(), 2);
         for v in loaded.graph.vertices() {
             assert_eq!(loaded.graph.labels(v), original.graph.labels(v));
-            assert_eq!(
-                loaded.mappings.term_of_vertex(v),
-                original.mappings.term_of_vertex(v)
-            );
         }
-        assert_eq!(loaded.mappings.vertex_of(TermId(11)), Some(v1));
+        assert!(loaded.mappings == original.mappings);
         assert_eq!(loaded.mappings.elabel_of(TermId(20)), Some(el));
         assert_eq!(
             loaded.predicates.subjects(el),

@@ -8,28 +8,26 @@
 //! identity label and cheaper to index.
 
 use crate::common::{GraphMappings, TransformKind, TransformedGraph};
-use turbohom_graph::layout;
+use turbohom_graph::{layout, VertexId};
 use turbohom_rdf::Dataset;
 
 /// Applies the direct transformation to `dataset`.
 pub fn direct_transform(dataset: &Dataset) -> TransformedGraph {
     let mut mappings = GraphMappings::default();
 
-    // First pass: intern every subject and object as a vertex, predicates as
-    // edge labels (iteration order fixes the id assignment deterministically).
+    // First pass: intern predicates as edge labels (iteration order fixes
+    // the id assignment deterministically). A vertex is its term's id.
     for t in dataset.triples.iter() {
-        mappings.intern_vertex(t.s);
-        mappings.intern_vertex(t.o);
         mappings.intern_elabel(t.p);
     }
 
-    // Then lay the graph out straight from the triples; no vertex has a label.
-    let n = mappings.vertex_to_term.len();
-    let vertex = |term| mappings.vertex_of(term).expect("interned above");
+    // Then lay out one row per dictionary term straight from the triples; no
+    // vertex has a label, and a term that is only a predicate has no edge.
+    let n = dataset.dictionary.len();
     let graph = layout(n, vec![0; n + 1], Vec::new(), |sink| {
         for t in dataset.triples.iter() {
             let p = mappings.elabel_of(t.p).expect("interned above");
-            sink(vertex(t.s), vertex(t.o), p);
+            sink(VertexId::of_term(t.s), VertexId::of_term(t.o), p);
         }
     });
 
@@ -82,7 +80,7 @@ mod tests {
         let ds = figure3_dataset();
         let t = direct_transform(&ds);
         assert_eq!(t.kind, TransformKind::Direct);
-        assert_eq!(t.graph.vertex_count(), 9);
+        assert_eq!(t.graph.stats().vertices, 9);
         assert_eq!(t.graph.edge_count(), 9);
         assert_eq!(t.graph.edge_label_count(), 7);
         // No vertex labels under the direct transformation.
@@ -97,11 +95,8 @@ mod tests {
         let ds = figure3_dataset();
         let t = direct_transform(&ds);
         let dict = &ds.dictionary;
-        let vertex = |iri: &str| {
-            t.mappings
-                .vertex_of(dict.id_of_iri(&format!("http://ub.org/{iri}")).unwrap())
-                .unwrap()
-        };
+        let vertex =
+            |iri: &str| VertexId::of_term(dict.id_of_iri(&format!("http://ub.org/{iri}")).unwrap());
         let elabel = |iri: &str| {
             t.mappings
                 .elabel_of(dict.id_of_iri(&format!("http://ub.org/{iri}")).unwrap())
@@ -140,10 +135,7 @@ mod tests {
     fn mapping_round_trips() {
         let ds = figure3_dataset();
         let t = direct_transform(&ds);
-        for v in t.graph.vertices() {
-            let term = t.mappings.term_of_vertex(v).unwrap();
-            assert_eq!(t.mappings.vertex_of(term), Some(v));
-        }
+        assert_eq!(t.graph.vertex_count(), ds.dictionary.len());
         for (i, &term) in t.mappings.elabel_to_term.iter().enumerate() {
             let el = t.mappings.elabel_of(term).expect("interned");
             assert_eq!(el.index(), i);
@@ -167,7 +159,7 @@ mod tests {
             .dictionary
             .id_of(&turbohom_rdf::Term::literal("012-345-6789"))
             .unwrap();
-        let phone_v = t.mappings.vertex_of(phone).unwrap();
+        let phone_v = VertexId::of_term(phone);
         assert_eq!(t.graph.degree(phone_v, Direction::Incoming), 1);
         assert_eq!(t.graph.degree(phone_v, Direction::Outgoing), 0);
     }

@@ -125,14 +125,10 @@ impl<'a> QueryBuilder<'a> {
                     i
                 } else {
                     let i = self.vertices.len();
-                    let bound = self
-                        .dictionary
-                        .id_of(t)
-                        .and_then(|id| self.data.mappings.vertex_of(id));
-                    let bound = match bound {
-                        Some(b) => Some(b),
+                    let bound = match self.dictionary.id_of(t) {
+                        Some(term) => Some(VertexId::of_term(term)),
                         None => {
-                            // The constant does not exist as a data vertex.
+                            // The constant is no term of the data.
                             // In the required part this makes the whole query
                             // unsatisfiable; inside an OPTIONAL clause it only
                             // means that clause can never match. Either way
@@ -425,10 +421,7 @@ mod tests {
             .iter()
             .find(|v| v.bound.is_some())
             .unwrap();
-        let expected = data
-            .mappings
-            .vertex_of(ds.dictionary.id_of_iri(&ub("student1")).unwrap())
-            .unwrap();
+        let expected = VertexId::of_term(ds.dictionary.id_of_iri(&ub("student1")).unwrap());
         assert_eq!(student_vertex.bound, Some(expected));
     }
 

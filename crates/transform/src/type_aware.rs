@@ -5,7 +5,8 @@
 //! objects of its `rdf:type` triples — become the entity vertex's *label
 //! set*. The class terms themselves stop being vertices (unless they also
 //! participate in ordinary triples), which is what shrinks the data and
-//! query graphs: `|V'| = |V| − |V_type|` in the paper's notation.
+//! query graphs: `|V'| = |V| − |V_type|` in the paper's notation. A vertex's
+//! id is its term id, so such a class keeps an empty row: no edge, no label.
 //!
 //! The class hierarchy is not folded in here: it enters the data once, when
 //! RDFS materialization (`InferenceEngine`) adds the implied `rdf:type`
@@ -13,7 +14,7 @@
 //! the same entailment.
 
 use crate::common::{GraphMappings, TransformKind, TransformedGraph};
-use turbohom_graph::{layout, VLabel};
+use turbohom_graph::{layout, VLabel, VertexId};
 use turbohom_rdf::{Dataset, TermId};
 
 /// Applies the type-aware transformation to `dataset`.
@@ -28,24 +29,21 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     let is_type_pred = |p: TermId| Some(p) == rdf_type;
     let is_subclass_pred = |p: TermId| Some(p) == subclassof;
 
-    // ---- Pass 1: intern ids deterministically (triple insertion order).
+    // ---- Pass 1: intern the vertex and edge labels deterministically
+    // (triple insertion order). A vertex needs no id of its own: it is its
+    // term, one row per dictionary term.
     let mut mappings = GraphMappings::default();
     for t in dataset.triples.iter() {
         if is_type_pred(t.p) {
-            mappings.intern_vertex(t.s);
             mappings.intern_vlabel(t.o);
         } else if is_subclass_pred(t.p) {
-            // Classes get labels but not vertices.
             mappings.intern_vlabel(t.s);
             mappings.intern_vlabel(t.o);
         } else {
-            mappings.intern_vertex(t.s);
-            mappings.intern_vertex(t.o);
             mappings.intern_elabel(t.p);
         }
     }
-    let n = mappings.vertex_to_term.len();
-    let vertex = |term| mappings.vertex_of(term).expect("interned above");
+    let n = dataset.dictionary.len();
     let vlabel = |term| mappings.vlabel_of(term).expect("interned above");
 
     // ---- Pass 2: every vertex's label set, the objects of its `rdf:type`
@@ -55,7 +53,7 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     // and copying its labels raised the LUBM(640) load peak by 0.4 MB.
     let type_rows = || {
         let triples = dataset.triples.iter().filter(|t| is_type_pred(t.p));
-        triples.map(|t| (vertex(t.s).index(), vlabel(t.o)))
+        triples.map(|t| (t.s.index(), vlabel(t.o)))
     };
     let mut label_offsets = vec![0u32; n + 1];
     for (v, _) in type_rows() {
@@ -81,7 +79,7 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
         for t in dataset.triples.iter() {
             if !is_type_pred(t.p) && !is_subclass_pred(t.p) {
                 let p = mappings.elabel_of(t.p).expect("interned above");
-                sink(vertex(t.s), vertex(t.o), p);
+                sink(VertexId::of_term(t.s), VertexId::of_term(t.o), p);
             }
         }
     });
@@ -93,7 +91,7 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
 mod tests {
     use super::*;
     use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
-    use turbohom_graph::{Direction, LabeledGraph, LabeledGraphBuilder, VertexId};
+    use turbohom_graph::{Direction, LabeledGraph, LabeledGraphBuilder};
     use turbohom_rdf::{vocab, InferenceEngine, Term};
 
     fn ub(l: &str) -> String {
@@ -131,10 +129,8 @@ mod tests {
         ds
     }
 
-    fn vertex(t: &TransformedGraph, ds: &Dataset, term: &Term) -> turbohom_graph::VertexId {
-        t.mappings
-            .vertex_of(ds.dictionary.id_of(term).unwrap())
-            .unwrap()
+    fn vertex(ds: &Dataset, term: &Term) -> VertexId {
+        VertexId::of_term(ds.dictionary.id_of(term).unwrap())
     }
 
     #[test]
@@ -145,7 +141,7 @@ mod tests {
         let ds = figure3_dataset();
         let t = type_aware_transform(&ds);
         assert_eq!(t.kind, TransformKind::TypeAware);
-        assert_eq!(t.graph.vertex_count(), 5);
+        assert_eq!(t.graph.stats().vertices, 5);
         assert_eq!(t.graph.edge_count(), 5);
         assert_eq!(t.graph.vertex_label_count(), 4);
         assert_eq!(t.graph.edge_label_count(), 5);
@@ -167,13 +163,13 @@ mod tests {
         // Without materialization L(student1) is its asserted type alone.
         let ds = figure3_dataset();
         let t = type_aware_transform(&ds);
-        let student1 = vertex(&t, &ds, &Term::iri(ub("student1")));
+        let student1 = vertex(&ds, &Term::iri(ub("student1")));
         assert_eq!(t.graph.labels(student1), &[vl(&t, &ds, "GraduateStudent")]);
 
         // L(student1) = {GraduateStudent, Student} — Student via subClassOf.
         let ds = materialized(figure3_dataset());
         let t = type_aware_transform(&ds);
-        let student1 = vertex(&t, &ds, &Term::iri(ub("student1")));
+        let student1 = vertex(&ds, &Term::iri(ub("student1")));
         assert!(t.graph.has_label(student1, vl(&t, &ds, "GraduateStudent")));
         assert!(t.graph.has_label(student1, vl(&t, &ds, "Student")));
         assert_eq!(t.graph.labels(student1).len(), 2);
@@ -185,8 +181,9 @@ mod tests {
         let t = type_aware_transform(&ds);
         for class in ["GraduateStudent", "Student", "University", "Department"] {
             let id = ds.dictionary.id_of_iri(&ub(class)).unwrap();
+            let row = VertexId::of_term(id);
             assert!(
-                t.mappings.vertex_of(id).is_none(),
+                t.graph.total_degree(row) == 0 && t.graph.labels(row).is_empty(),
                 "{class} must not be a vertex"
             );
             assert!(
@@ -200,9 +197,9 @@ mod tests {
     fn non_schema_topology_is_preserved() {
         let ds = figure3_dataset();
         let t = type_aware_transform(&ds);
-        let student1 = vertex(&t, &ds, &Term::iri(ub("student1")));
-        let univ1 = vertex(&t, &ds, &Term::iri(ub("univ1")));
-        let dept = vertex(&t, &ds, &Term::iri(ub("dept1.univ1")));
+        let student1 = vertex(&ds, &Term::iri(ub("student1")));
+        let univ1 = vertex(&ds, &Term::iri(ub("univ1")));
+        let dept = vertex(&ds, &Term::iri(ub("dept1.univ1")));
         let el = |name: &str| {
             t.mappings
                 .elabel_of(ds.dictionary.id_of_iri(&ub(name)).unwrap())
@@ -229,7 +226,7 @@ mod tests {
             aware.graph.edge_count(),
             direct.graph.edge_count() - schema_triples
         );
-        assert!(aware.graph.vertex_count() < direct.graph.vertex_count());
+        assert!(aware.graph.stats().vertices < direct.graph.stats().vertices);
     }
 
     #[test]
@@ -241,7 +238,7 @@ mod tests {
         let ds = materialized(figure3_dataset());
         let t = type_aware_transform(&ds);
         assert_eq!(t.inverse_labels.frequency(vl(&t, &ds, "Student")), 1);
-        let univ1 = vertex(&t, &ds, &Term::iri(ub("univ1")));
+        let univ1 = vertex(&ds, &Term::iri(ub("univ1")));
         let university = vl(&t, &ds, "University");
         assert_eq!(t.inverse_labels.vertices_with_label(university), &[univ1]);
     }
@@ -276,7 +273,7 @@ mod tests {
     fn classes_of_x(ds: Dataset) -> [Vec<Term>; 2] {
         [ds.clone(), materialized(ds)].map(|ds| {
             let t = type_aware_transform(&ds);
-            let x = vertex(&t, &ds, &Term::iri(ub("x")));
+            let x = vertex(&ds, &Term::iri(ub("x")));
             let class = |&l| {
                 t.mappings
                     .term_of_vlabel(l)
@@ -309,9 +306,9 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("lonely"), vocab::RDF_TYPE, &ub("Thing"));
         let t = type_aware_transform(&ds);
-        assert_eq!(t.graph.vertex_count(), 1);
+        assert_eq!(t.graph.stats().vertices, 1);
         assert_eq!(t.graph.edge_count(), 0);
-        let lonely = vertex(&t, &ds, &Term::iri(ub("lonely")));
+        let lonely = vertex(&ds, &Term::iri(ub("lonely")));
         assert_eq!(t.graph.labels(lonely).len(), 1);
         assert_eq!(t.graph.degree(lonely, Direction::Outgoing), 0);
     }
@@ -323,7 +320,7 @@ mod tests {
         let ds = class_as_vertex();
         let t = type_aware_transform(&ds);
         let curious_id = ds.dictionary.id_of_iri(&ub("Curious")).unwrap();
-        assert!(t.mappings.vertex_of(curious_id).is_some());
+        assert!(t.graph.total_degree(VertexId::of_term(curious_id)) > 0);
         assert!(t.mappings.vlabel_of(curious_id).is_some());
     }
 
@@ -336,22 +333,17 @@ mod tests {
         let mut mappings = GraphMappings::default();
         for t in dataset.triples.iter() {
             if Some(t.p) == rdf_type {
-                mappings.intern_vertex(t.s);
                 mappings.intern_vlabel(t.o);
             } else if Some(t.p) == subclassof {
                 mappings.intern_vlabel(t.s);
                 mappings.intern_vlabel(t.o);
             } else {
-                mappings.intern_vertex(t.s);
-                mappings.intern_vertex(t.o);
                 mappings.intern_elabel(t.p);
             }
         }
-        let n = mappings.vertex_to_term.len();
-        let mut labels: Vec<Vec<VLabel>> = vec![Vec::new(); n];
+        let mut labels: Vec<Vec<VLabel>> = vec![Vec::new(); dataset.dictionary.len()];
         for t in dataset.triples.iter().filter(|t| Some(t.p) == rdf_type) {
-            let v = mappings.vertex_of(t.s).unwrap().index();
-            labels[v].push(mappings.vlabel_of(t.o).unwrap());
+            labels[t.s.index()].push(mappings.vlabel_of(t.o).unwrap());
         }
         let mut builder = LabeledGraphBuilder::new();
         for labels in labels {
@@ -359,7 +351,7 @@ mod tests {
         }
         for t in dataset.triples.iter() {
             if Some(t.p) != rdf_type && Some(t.p) != subclassof {
-                let [s, o] = [t.s, t.o].map(|term| mappings.vertex_of(term).unwrap());
+                let [s, o] = [t.s, t.o].map(VertexId::of_term);
                 builder.add_edge(s, o, mappings.elabel_of(t.p).unwrap());
             }
         }
@@ -370,16 +362,14 @@ mod tests {
     fn reference_direct(dataset: &Dataset) -> TransformedGraph {
         let mut mappings = GraphMappings::default();
         for t in dataset.triples.iter() {
-            mappings.intern_vertex(t.s);
-            mappings.intern_vertex(t.o);
             mappings.intern_elabel(t.p);
         }
         let mut builder = LabeledGraphBuilder::new();
-        for _ in 0..mappings.vertex_to_term.len() {
+        for _ in 0..dataset.dictionary.len() {
             builder.add_vertex(Vec::new());
         }
         for t in dataset.triples.iter() {
-            let [s, o] = [t.s, t.o].map(|term| mappings.vertex_of(term).unwrap());
+            let [s, o] = [t.s, t.o].map(VertexId::of_term);
             builder.add_edge(s, o, mappings.elabel_of(t.p).unwrap());
         }
         TransformedGraph::assemble(TransformKind::Direct, builder.build(), mappings)

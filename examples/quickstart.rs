@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "loaded {} triples ({} vertices / {} edges after the type-aware transformation)",
         store.triple_count(),
-        store.type_aware_graph().graph.vertex_count(),
+        store.type_aware_graph().graph.stats().vertices,
         store.type_aware_graph().graph.edge_count(),
     );
 

@@ -291,6 +291,14 @@ fn the_class_hierarchy_applies_only_through_materialization() {
     let probe = "<http://x/a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/C> .\n\
                  <http://x/C> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://x/D> .\n\
                  <http://x/a> <http://x/p> <http://x/b> .\n";
+    // A load whose interning order is no vertex order: the literal comes
+    // before the IRI subject `b`, and the class `C` is a type object first
+    // and the subject of an ordinary triple only after `b`.
+    let out_of_order = "<http://x/a> <http://x/name> \"alpha\" .\n\
+                 <http://x/a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/C> .\n\
+                 <http://x/b> <http://x/knows> <http://x/a> .\n\
+                 <http://x/C> <http://x/label> \"Class C\" .\n\
+                 <http://x/C> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://x/D> .\n";
     let bsbm = bsbm::BsbmConfig::scale(1);
     let raw_lubm = lubm::LubmConfig {
         materialize_rdfs: false,
@@ -302,6 +310,14 @@ fn the_class_hierarchy_applies_only_through_materialization() {
             "probe",
             turbohom::rdf::parse_ntriples(probe).unwrap(),
             "SELECT ?x { ?x a <http://x/D> }".to_string(),
+            Some(1),
+        ),
+        (
+            "out-of-order interning",
+            turbohom::rdf::parse_ntriples(out_of_order).unwrap(),
+            "SELECT ?x ?n ?y ?l { ?x a <http://x/D> . ?x <http://x/name> ?n . \
+             ?y <http://x/knows> ?x . <http://x/C> <http://x/label> ?l }"
+                .to_string(),
             Some(1),
         ),
         (
