@@ -35,7 +35,10 @@ const TAG_STORE_META: u64 = 0x0901;
 /// simple-entailment label sets (`0x0702`/`0x0703`), and its meta (`0x0701`)
 /// is its kind alone. 7: a data vertex's id is its term id, so a graph keeps
 /// no vertex mapping (`0x0601`/`0x0602`) and has one row per dictionary term.
-const STORE_FORMAT_SUB_VERSION: u64 = 7;
+/// 8: a graph stores a type group only where it filters; each edge-label
+/// group (`0x03x1`) names the label set all its targets carry (`0x03x6`/
+/// `0x03x7`) and ends where the next one starts.
+const STORE_FORMAT_SUB_VERSION: u64 = 8;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not

@@ -248,9 +248,10 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // still held their degree order and unlabeled list), 3 (term ids were
     // 64 bits wide), 4 (the graphs still held a type group for unlabeled
     // neighbors), 5 (the type-aware graph still held its simple-entailment
-    // label sets) or 6 (each graph still mapped its vertices to terms).
+    // label sets), 6 (each graph still mapped its vertices to terms) or 7
+    // (each graph still stored the type groups that filter nothing).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4, 5, 6] {
+    for found in [1, 2, 3, 4, 5, 6, 7] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -259,7 +260,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 7
+                expected: 8
             })
         );
     }
@@ -285,7 +286,7 @@ fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
 
     let mut w = turbohom_storage::SnapshotWriter::new();
     let triples = small.triple_count() as u64;
-    w.section::<u64>(0x0901, &[7, 1, triples]);
+    w.section::<u64>(0x0901, &[8, 1, triples]);
     small.dataset().write_sections(&mut w);
     graph.write_sections(&mut w);
     graph.write_sections(&mut w);

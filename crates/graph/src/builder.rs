@@ -3,9 +3,10 @@
 //! [`layout`] is the one function that does it. It takes the vertex count,
 //! the vertex label sets as a CSR and an edge source it can walk more than
 //! once, and lays out the grouped adjacency of both directions in counted
-//! passes: every array the graph keeps is allocated at its final length, and
-//! the only scratch is one row buffer both directions reuse. Exact duplicate
-//! edges are dropped where the per-row sort leaves them adjacent.
+//! passes: every array the graph keeps is allocated at its final length but
+//! the small table of interned common label sets, and the only large
+//! scratch is one row buffer both directions reuse. Exact duplicate edges are
+//! dropped where the per-row sort leaves them adjacent.
 //!
 //! The data-graph transformations feed [`layout`] straight from the triples;
 //! [`LabeledGraphBuilder`] collects the vertices and edges of a small graph
@@ -13,6 +14,7 @@
 
 use crate::ids::{ELabel, VLabel, VertexId};
 use crate::labeled_graph::{AdjacencyDirection, ELabelGroup, LabeledGraph, TypeGroup};
+use std::collections::HashMap;
 
 /// What an edge source hands every edge to: `sink(from, to, label)` is the
 /// edge `from --label--> to`.
@@ -113,7 +115,9 @@ pub fn layout(
     let [outgoing, incoming] = [false, true]
         .map(|incoming| lay_out_direction(label_sets, num_vlabels, &edges, &mut rows, incoming));
     drop(rows);
-    let num_elabels = (outgoing.elabel_groups.iter())
+    // The last group is the sentinel.
+    let groups = &outgoing.elabel_groups[..outgoing.elabel_groups.len() - 1];
+    let num_elabels = (groups.iter())
         .map(|g| g.elabel.index() + 1)
         .max()
         .unwrap_or(0);
@@ -137,8 +141,10 @@ pub fn layout(
 /// 3. place the `(edge label, neighbor)` pairs into `rows`;
 /// 4. sort and dedup each row in place, which makes every edge-label run a
 ///    strict sorted set;
-/// 5. count the edge-label groups, type groups and typed entries;
-/// 6. allocate every array at its final length and fill it.
+/// 5. count the edge-label groups, and the type groups and typed entries
+///    that filter;
+/// 6. allocate every array at its final length and fill it, interning each
+///    group's common label set.
 fn lay_out_direction(
     (label_offsets, labels): (&[u32], &[VLabel]),
     num_vlabels: usize,
@@ -192,29 +198,38 @@ fn lay_out_direction(
         let row = &rows[bounds[v] as usize..][..degrees[v] as usize];
         row.chunk_by(|a, b| a.0 == b.0)
     };
-    // A neighbor lands in one type group per label it carries.
     let label_set = |t: VertexId| {
         &labels[label_offsets[t.index()] as usize..label_offsets[t.index() + 1] as usize]
     };
 
-    // `last_group[l]` is the last edge-label group label `l` was counted in.
-    let mut last_group = vec![usize::MAX; num_vlabels];
+    // A neighbor lands in the type group of each label it carries, and a
+    // group is stored only when some but not all targets carry its label.
+    // `count[l]` is how many targets of the current group carry `l`, and
+    // `touched` the labels with a non-zero count.
+    let mut count = vec![0u32; num_vlabels];
+    let mut touched = Vec::new();
     let (mut num_groups, mut num_type_groups, mut num_typed) = (0usize, 0usize, 0usize);
     for v in 0..n {
         for group in groups_of(v) {
             for &(_, t) in group {
                 for &l in label_set(t) {
-                    num_typed += 1;
-                    if last_group[l.index()] != num_groups {
-                        last_group[l.index()] = num_groups;
-                        num_type_groups += 1;
+                    if count[l.index()] == 0 {
+                        touched.push(l);
                     }
+                    count[l.index()] += 1;
+                }
+            }
+            for l in touched.drain(..) {
+                let carriers = std::mem::take(&mut count[l.index()]) as usize;
+                if carriers < group.len() {
+                    num_type_groups += 1;
+                    num_typed += carriers;
                 }
             }
             num_groups += 1;
         }
     }
-    drop(last_group);
+    drop(count);
     // Every range below is stored as `u32`: the casts are lossless.
     assert!(
         u32::try_from(num_groups.max(num_type_groups).max(num_typed)).is_ok(),
@@ -222,12 +237,15 @@ fn lay_out_direction(
     );
 
     let mut vertex_offsets = Vec::with_capacity(n + 1);
-    let mut elabel_groups = Vec::with_capacity(num_groups);
+    let mut elabel_groups = Vec::with_capacity(num_groups + 1);
     let mut type_groups = Vec::with_capacity(num_type_groups);
     let mut targets = Vec::with_capacity(degrees.iter().map(|&d| d as usize).sum());
     let mut typed_targets = Vec::with_capacity(num_typed);
-    // One edge-label group's (label, neighbor) pairs, reused across groups.
+    let mut common_sets = CommonSets::new();
+    // One edge-label group's (label, neighbor) pairs and common set, reused
+    // across groups.
     let mut typed_scratch: Vec<(VLabel, VertexId)> = Vec::new();
+    let mut common_scratch: Vec<VLabel> = Vec::new();
     vertex_offsets.push(0u32);
     for v in 0..n {
         for group in groups_of(v) {
@@ -239,7 +257,14 @@ fn lay_out_direction(
             }
             typed_scratch.sort_unstable();
             let type_start = type_groups.len() as u32;
+            common_scratch.clear();
             for run in typed_scratch.chunk_by(|a, b| a.0 == b.0) {
+                // Targets are distinct, so a run as long as the group is
+                // every target.
+                if run.len() == group.len() {
+                    common_scratch.push(run[0].0);
+                    continue;
+                }
                 let start = typed_targets.len() as u32;
                 typed_targets.extend(run.iter().map(|&(_, t)| t));
                 type_groups.push(TypeGroup {
@@ -251,16 +276,21 @@ fn lay_out_direction(
             elabel_groups.push(ELabelGroup {
                 elabel: group[0].0,
                 target_start,
-                target_end: targets.len() as u32,
                 type_start,
-                type_end: type_groups.len() as u32,
+                common: common_sets.id(&common_scratch),
             });
         }
         vertex_offsets.push(elabel_groups.len() as u32);
     }
+    elabel_groups.push(ELabelGroup {
+        elabel: ELabel(0),
+        target_start: targets.len() as u32,
+        type_start: type_groups.len() as u32,
+        common: 0,
+    });
     debug_assert_eq!(
         [elabel_groups.len(), type_groups.len(), typed_targets.len()],
-        [num_groups, num_type_groups, num_typed]
+        [num_groups + 1, num_type_groups, num_typed]
     );
 
     AdjacencyDirection {
@@ -270,6 +300,43 @@ fn lay_out_direction(
         targets: targets.into(),
         typed_targets: typed_targets.into(),
         degrees: degrees.into(),
+        common_offsets: common_sets.offsets.into(),
+        common_labels: common_sets.labels.into(),
+    }
+}
+
+/// The common label sets of one direction, interned: id `c` is
+/// `labels[offsets[c]..offsets[c + 1]]`. Id 0 is the empty set, and the
+/// others are numbered in the order [`id`](Self::id) first meets them, so a
+/// layout writes the same bytes in every process.
+struct CommonSets {
+    offsets: Vec<u32>,
+    labels: Vec<VLabel>,
+    ids: HashMap<Vec<VLabel>, u32>,
+}
+
+impl CommonSets {
+    fn new() -> Self {
+        CommonSets {
+            offsets: vec![0, 0],
+            labels: Vec::new(),
+            ids: HashMap::new(),
+        }
+    }
+
+    /// The id of `set`, interning it if it is new.
+    fn id(&mut self, set: &[VLabel]) -> u32 {
+        if set.is_empty() {
+            return 0;
+        }
+        if let Some(&id) = self.ids.get(set) {
+            return id;
+        }
+        let id = self.offsets.len() as u32 - 1;
+        self.labels.extend_from_slice(set);
+        self.offsets.push(self.labels.len() as u32);
+        self.ids.insert(set.to_vec(), id);
+        id
     }
 }
 
@@ -401,6 +468,8 @@ mod tests {
             assert_eq!(a.vertex_offsets, b.vertex_offsets);
             assert_eq!(a.elabel_groups, b.elabel_groups);
             assert_eq!(a.type_groups, b.type_groups);
+            assert_eq!(a.common_offsets, b.common_offsets);
+            assert_eq!(a.common_labels, b.common_labels);
         }
     }
 
@@ -448,28 +517,51 @@ mod tests {
             }
             let (mut targets, mut typed_targets, mut type_groups) = (vec![], vec![], vec![]);
             let (mut groups, mut offsets) = (vec![], vec![0u32]);
+            // Common sets in the order first met, the empty set first.
+            let mut common_sets: Vec<Vec<VLabel>> = vec![vec![]];
             for v in 0..30 {
                 for (&el, neighbors) in &plain[v] {
                     let target_start = targets.len() as u32;
                     targets.extend(neighbors);
                     let type_start = type_groups.len() as u32;
+                    let mut common = vec![];
                     for (&(_, vlabel), ns) in
                         typed[v].range((el, VLabel(0))..=(el, VLabel(u32::MAX)))
                     {
+                        if ns == neighbors {
+                            common.push(vlabel);
+                            continue;
+                        }
                         let start = typed_targets.len() as u32;
                         typed_targets.extend(ns);
                         let end = typed_targets.len() as u32;
                         type_groups.push(TypeGroup { vlabel, start, end });
                     }
+                    let id = match common_sets.iter().position(|set| *set == common) {
+                        Some(id) => id,
+                        None => {
+                            common_sets.push(common);
+                            common_sets.len() - 1
+                        }
+                    };
                     groups.push(ELabelGroup {
                         elabel: el,
                         target_start,
-                        target_end: targets.len() as u32,
                         type_start,
-                        type_end: type_groups.len() as u32,
+                        common: id as u32,
                     });
                 }
                 offsets.push(groups.len() as u32);
+            }
+            groups.push(ELabelGroup {
+                elabel: ELabel(0),
+                target_start: targets.len() as u32,
+                type_start: type_groups.len() as u32,
+                common: 0,
+            });
+            let mut common_offsets = vec![0u32];
+            for set in &common_sets {
+                common_offsets.push(common_offsets[common_offsets.len() - 1] + set.len() as u32);
             }
             let degrees: Vec<u32> = (0..30)
                 .map(|v| plain[v].values().map(|ns| ns.len() as u32).sum())
@@ -480,6 +572,8 @@ mod tests {
             assert_eq!(&*dir.targets, &targets[..]);
             assert_eq!(&*dir.typed_targets, &typed_targets[..]);
             assert_eq!(&*dir.degrees, &degrees[..]);
+            assert_eq!(&*dir.common_offsets, &common_offsets[..]);
+            assert_eq!(&*dir.common_labels, &common_sets.concat()[..]);
         }
         assert_eq!(g.vertex_label_count(), 7);
         assert_eq!(g.edge_label_count(), 5);
@@ -498,22 +592,42 @@ mod tests {
         let g = b.build();
 
         for dir in [&g.outgoing, &g.incoming] {
-            for group in dir.elabel_groups.iter() {
-                let targets = &dir.targets[group.target_start as usize..group.target_end as usize];
+            for i in 0..dir.elabel_groups.len() - 1 {
+                let targets = dir.targets_of(i);
+                let (group, next) = (&dir.elabel_groups[i], &dir.elabel_groups[i + 1]);
+                let c = group.common as usize;
+                let common = &dir.common_labels
+                    [dir.common_offsets[c] as usize..dir.common_offsets[c + 1] as usize];
                 let type_groups =
-                    &dir.type_groups[group.type_start as usize..group.type_end as usize];
-                let mut typed_entries = 0;
+                    &dir.type_groups[group.type_start as usize..next.type_start as usize];
                 for tg in type_groups {
+                    // A stored group is a strict, non-empty subset.
                     let typed = &dir.typed_targets[tg.start as usize..tg.end as usize];
+                    assert!(!typed.is_empty() && typed.len() < targets.len());
+                    assert!(typed.iter().all(|t| targets.contains(t)));
                     assert!(typed.iter().all(|&t| g.has_label(t, tg.vlabel)));
-                    typed_entries += typed.len();
                 }
-                let label_total: usize = targets.iter().map(|&t| g.labels(t).len()).sum();
-                assert_eq!(typed_entries, label_total);
+                // The common set plus the stored groups a target is in are
+                // exactly its labels.
+                for &t in targets {
+                    let mut labels = common.to_vec();
+                    labels.extend(type_groups.iter().filter_map(|tg| {
+                        let typed = &dir.typed_targets[tg.start as usize..tg.end as usize];
+                        typed.contains(&t).then_some(tg.vlabel)
+                    }));
+                    labels.sort_unstable();
+                    assert_eq!(labels, g.labels(t));
+                }
             }
         }
         // The unlabeled neighbor is reached over its edge label alone.
         assert_eq!(g.neighbors(u, Direction::Outgoing, ELabel(0)), &[a, w]);
         assert_eq!(g.outgoing.typed_targets.len(), 2);
+        // Each incoming group's targets all carry the same labels.
+        assert!(g.incoming.typed_targets.is_empty());
+        assert_eq!(
+            g.neighbors_typed(a, Direction::Incoming, ELabel(1), VLabel(2)),
+            &[w]
+        );
     }
 }

@@ -11,12 +11,15 @@
 //!
 //! Both are contiguous slices in this representation: adjacency is laid out
 //! per vertex, grouped first by edge label and inside each edge-label group
-//! by neighbor vertex label. A neighbor carrying several labels appears once
-//! per label in the *typed* groups but only once in the per-edge-label slice;
-//! a neighbor carrying none is in no typed group, and only `adj(v, el)`
-//! reaches it.
+//! by neighbor vertex label. A typed group is stored only where it filters:
+//! when some but not all of the edge-label group's neighbors carry its label.
+//! The labels that every neighbor carries form the group's *common set*, and
+//! `adj(v, (el, vl))` for one of them is the per-edge-label slice itself. A
+//! label that is in neither is carried by no neighbor, and the answer is
+//! empty.
 
 use crate::ids::{Direction, ELabel, VLabel, VertexId};
+use std::ops::Range;
 use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (component 0x03). The two adjacency directions use
@@ -27,25 +30,29 @@ const TAG_GRAPH_LABELS: u64 = 0x0303;
 const TAG_DIR_OUTGOING: u64 = 0x0310;
 const TAG_DIR_INCOMING: u64 = 0x0320;
 
-/// Per-edge-label adjacency group of one vertex.
+/// Per-edge-label adjacency group of one vertex. A group ends where the next
+/// one starts; one sentinel group closes each direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub(crate) struct ELabelGroup {
     pub(crate) elabel: ELabel,
-    /// Range into `AdjacencyDirection::targets` (deduplicated neighbors).
+    /// Start in `AdjacencyDirection::targets` (deduplicated neighbors).
     pub(crate) target_start: u32,
-    pub(crate) target_end: u32,
-    /// Range into `AdjacencyDirection::type_groups`.
+    /// Start in `AdjacencyDirection::type_groups`.
     pub(crate) type_start: u32,
-    pub(crate) type_end: u32,
+    /// Id of the set of labels every target carries, a range of
+    /// `AdjacencyDirection::common_labels`.
+    pub(crate) common: u32,
 }
 
-// Safety: repr(C) of five u32 fields — no padding, no niches.
+// Safety: repr(C) of four u32 fields — no padding, no niches.
 unsafe impl Pod for ELabelGroup {}
 
 /// Per-(edge label, neighbor vertex label) adjacency group of one vertex: the
-/// neighbors over the edge label that carry `vlabel`. The type groups of one
-/// edge-label group are sorted by `vlabel`, which the lookups search.
+/// neighbors over the edge label that carry `vlabel`, stored only when they
+/// are a strict, non-empty subset of the edge-label group's targets. The type
+/// groups of one edge-label group are sorted by `vlabel`, which the lookups
+/// search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub(crate) struct TypeGroup {
@@ -64,16 +71,22 @@ pub(crate) struct AdjacencyDirection {
     /// `vertex_offsets[v] .. vertex_offsets[v+1]` is the range of
     /// `elabel_groups` belonging to vertex `v`.
     pub(crate) vertex_offsets: FlatVec<u32>,
+    /// The edge-label groups, then the sentinel whose starts are the lengths
+    /// of `targets` and `type_groups`.
     pub(crate) elabel_groups: FlatVec<ELabelGroup>,
     pub(crate) type_groups: FlatVec<TypeGroup>,
     /// Neighbors per (vertex, edge label), sorted, duplicate free.
     pub(crate) targets: FlatVec<VertexId>,
-    /// Neighbors per (vertex, edge label, neighbor label), sorted. A neighbor
-    /// with k labels appears in k type groups.
+    /// Neighbors per stored type group, sorted.
     pub(crate) typed_targets: FlatVec<VertexId>,
     /// Total number of edges incident in this direction per vertex
     /// (counting parallel edges with different labels separately).
     pub(crate) degrees: FlatVec<u32>,
+    /// `common_offsets[c] .. common_offsets[c+1]` of `common_labels` is the
+    /// sorted common set with id `c`. Id 0 is the empty set; the others are
+    /// numbered in the order the layout first meets them.
+    pub(crate) common_offsets: FlatVec<u32>,
+    pub(crate) common_labels: FlatVec<VLabel>,
 }
 
 impl AdjacencyDirection {
@@ -84,32 +97,49 @@ impl AdjacencyDirection {
             + (&self.targets).into()
             + (&self.typed_targets).into()
             + (&self.degrees).into()
+            + (&self.common_offsets).into()
+            + (&self.common_labels).into()
     }
 
-    fn elabel_groups_of(&self, v: VertexId) -> &[ELabelGroup] {
-        let start = self.vertex_offsets[v.index()] as usize;
-        let end = self.vertex_offsets[v.index() + 1] as usize;
-        &self.elabel_groups[start..end]
+    /// The indices in `elabel_groups` of vertex `v`'s groups.
+    fn group_range(&self, v: VertexId) -> Range<usize> {
+        self.vertex_offsets[v.index()] as usize..self.vertex_offsets[v.index() + 1] as usize
     }
 
-    fn find_elabel_group(&self, v: VertexId, el: ELabel) -> Option<&ELabelGroup> {
-        let groups = self.elabel_groups_of(v);
-        groups
+    fn find_elabel_group(&self, v: VertexId, el: ELabel) -> Option<usize> {
+        let range = self.group_range(v);
+        let start = range.start;
+        self.elabel_groups[range]
             .binary_search_by_key(&el, |g| g.elabel)
             .ok()
-            .map(|i| &groups[i])
+            .map(|i| start + i)
     }
 
-    /// The neighbors in edge-label group `g` that carry `vl`.
-    fn typed_targets_of(&self, g: &ELabelGroup, vl: VLabel) -> &[VertexId] {
-        let tgs = &self.type_groups[g.type_start as usize..g.type_end as usize];
+    /// The neighbors in edge-label group `i`.
+    pub(crate) fn targets_of(&self, i: usize) -> &[VertexId] {
+        let groups = &self.elabel_groups;
+        &self.targets[groups[i].target_start as usize..groups[i + 1].target_start as usize]
+    }
+
+    /// The neighbors in edge-label group `i` that carry `vl`: all of them if
+    /// `vl` is in the group's common set, else its stored type group, else
+    /// none.
+    fn typed_targets_of(&self, i: usize, vl: VLabel) -> &[VertexId] {
+        let (g, next) = (&self.elabel_groups[i], &self.elabel_groups[i + 1]);
+        let c = g.common as usize;
+        let common = &self.common_labels
+            [self.common_offsets[c] as usize..self.common_offsets[c + 1] as usize];
+        if common.contains(&vl) {
+            return self.targets_of(i);
+        }
+        let tgs = &self.type_groups[g.type_start as usize..next.type_start as usize];
         match tgs.binary_search_by_key(&vl, |tg| tg.vlabel) {
             Ok(i) => &self.typed_targets[tgs[i].start as usize..tgs[i].end as usize],
             Err(_) => &[],
         }
     }
 
-    /// Writes the six arrays of this direction under `base` tags.
+    /// Writes the eight arrays of this direction under `base` tags.
     fn write_sections(&self, w: &mut SnapshotWriter, base: u64) {
         w.section(base, &self.vertex_offsets);
         w.section(base + 1, &self.elabel_groups);
@@ -117,6 +147,8 @@ impl AdjacencyDirection {
         w.section(base + 3, &self.targets);
         w.section(base + 4, &self.typed_targets);
         w.section(base + 5, &self.degrees);
+        w.section(base + 6, &self.common_offsets);
+        w.section(base + 7, &self.common_labels);
     }
 
     /// Reads one direction back and validates every stored range so the
@@ -133,28 +165,44 @@ impl AdjacencyDirection {
             targets: cur.next_section(base + 3)?,
             typed_targets: cur.next_section(base + 4)?,
             degrees: cur.next_section(base + 5)?,
+            common_offsets: cur.next_section(base + 6)?,
+            common_labels: cur.next_section(base + 7)?,
         };
         let malformed = |what: &str| SnapshotError::Malformed(format!("adjacency: {what}"));
         if dir.vertex_offsets.len() != num_vertices + 1 || dir.degrees.len() != num_vertices {
             return Err(malformed("per-vertex array length mismatch"));
         }
-        let num_groups = dir.elabel_groups.len() as u32;
+        let Some(sentinel) = dir.elabel_groups.last() else {
+            return Err(malformed("no sentinel edge-label group"));
+        };
+        let num_groups = dir.elabel_groups.len() as u32 - 1;
         if dir.vertex_offsets.first() != Some(&0)
             || dir.vertex_offsets.windows(2).any(|w| w[0] > w[1])
             || dir.vertex_offsets.last().copied().unwrap_or(0) != num_groups
         {
             return Err(malformed("vertex offsets are not monotone"));
         }
-        let num_targets = dir.targets.len() as u32;
-        let num_type_groups = dir.type_groups.len() as u32;
-        for g in dir.elabel_groups.iter() {
-            if g.target_start > g.target_end
-                || g.target_end > num_targets
-                || g.type_start > g.type_end
-                || g.type_end > num_type_groups
-            {
-                return Err(malformed("edge-label group range out of bounds"));
-            }
+        if dir
+            .elabel_groups
+            .windows(2)
+            .any(|w| w[0].target_start > w[1].target_start || w[0].type_start > w[1].type_start)
+        {
+            return Err(malformed("edge-label group starts are not monotone"));
+        }
+        if sentinel.target_start as usize != dir.targets.len()
+            || sentinel.type_start as usize != dir.type_groups.len()
+        {
+            return Err(malformed("the sentinel group does not end the arrays"));
+        }
+        if dir.common_offsets.first() != Some(&0)
+            || dir.common_offsets.windows(2).any(|w| w[0] > w[1])
+            || dir.common_offsets.last().copied().unwrap_or(0) as usize != dir.common_labels.len()
+        {
+            return Err(malformed("common-set offsets are not monotone"));
+        }
+        let num_common = dir.common_offsets.len() as u32 - 1;
+        if dir.elabel_groups.iter().any(|g| g.common >= num_common) {
+            return Err(malformed("common-set id out of range"));
         }
         let num_typed = dir.typed_targets.len() as u32;
         for tg in dir.type_groups.iter() {
@@ -286,7 +334,7 @@ impl LabeledGraph {
     pub fn neighbors(&self, v: VertexId, direction: Direction, el: ELabel) -> &[VertexId] {
         let d = self.dir(direction);
         match d.find_elabel_group(v, el) {
-            Some(g) => &d.targets[g.target_start as usize..g.target_end as usize],
+            Some(i) => d.targets_of(i),
             None => &[],
         }
     }
@@ -303,7 +351,7 @@ impl LabeledGraph {
     ) -> &[VertexId] {
         let d = self.dir(direction);
         match d.find_elabel_group(v, el) {
-            Some(g) => d.typed_targets_of(g, vl),
+            Some(i) => d.typed_targets_of(i, vl),
             None => &[],
         }
     }
@@ -313,11 +361,7 @@ impl LabeledGraph {
     /// groups.
     pub fn all_neighbors(&self, v: VertexId, direction: Direction) -> Vec<VertexId> {
         let d = self.dir(direction);
-        let slices: Vec<&[VertexId]> = d
-            .elabel_groups_of(v)
-            .iter()
-            .map(|g| &d.targets[g.target_start as usize..g.target_end as usize])
-            .collect();
+        let slices: Vec<&[VertexId]> = d.group_range(v).map(|i| d.targets_of(i)).collect();
         crate::ops::union_k(&slices)
     }
 
@@ -331,8 +375,8 @@ impl LabeledGraph {
         vl: VLabel,
     ) -> Vec<VertexId> {
         let d = self.dir(direction);
-        let slices: Vec<&[VertexId]> = (d.elabel_groups_of(v).iter())
-            .map(|g| d.typed_targets_of(g, vl))
+        let slices: Vec<&[VertexId]> = (d.group_range(v))
+            .map(|i| d.typed_targets_of(i, vl))
             .filter(|s| !s.is_empty())
             .collect();
         crate::ops::union_k(&slices)
@@ -344,10 +388,8 @@ impl LabeledGraph {
         v: VertexId,
         direction: Direction,
     ) -> impl Iterator<Item = ELabel> + '_ {
-        self.dir(direction)
-            .elabel_groups_of(v)
-            .iter()
-            .map(|g| g.elabel)
+        let d = self.dir(direction);
+        d.elabel_groups[d.group_range(v)].iter().map(|g| g.elabel)
     }
 
     /// Returns `true` if the edge `from --el--> to` exists.
@@ -359,15 +401,9 @@ impl LabeledGraph {
     /// predicates: the `Me` edge-label mapping of Definition 2).
     pub fn edge_labels_between(&self, from: VertexId, to: VertexId) -> Vec<ELabel> {
         let d = &self.outgoing;
-        d.elabel_groups_of(from)
-            .iter()
-            .filter(|g| {
-                crate::ops::contains_sorted(
-                    &d.targets[g.target_start as usize..g.target_end as usize],
-                    to,
-                )
-            })
-            .map(|g| g.elabel)
+        d.group_range(from)
+            .filter(|&i| crate::ops::contains_sorted(d.targets_of(i), to))
+            .map(|i| d.elabel_groups[i].elabel)
             .collect()
     }
 
@@ -675,6 +711,82 @@ mod tests {
                 inv.vertices_with_label(VLabel(vl))
             );
         }
+    }
+
+    /// Writes `g` as snapshot sections and reads it back.
+    fn read_back(g: &LabeledGraph, name: &str) -> Result<LabeledGraph, SnapshotError> {
+        let mut w = turbohom_storage::SnapshotWriter::new();
+        g.write_sections(&mut w);
+        let path =
+            std::env::temp_dir().join(format!("turbohom-{name}-{}.snap", std::process::id()));
+        w.write_to(&path).unwrap();
+        let snap = turbohom_storage::Snapshot::open(&path).unwrap();
+        let read = LabeledGraph::read_sections(&mut snap.cursor());
+        std::fs::remove_file(&path).unwrap();
+        read
+    }
+
+    /// Reads back the Figure 7 graph after `corrupt` changed its arrays and
+    /// expects a `Malformed` error naming `what`.
+    fn assert_refused(name: &str, what: &str, corrupt: impl FnOnce(&mut LabeledGraph)) {
+        let mut g = figure7_graph();
+        assert!(read_back(&g, name).is_ok());
+        corrupt(&mut g);
+        match read_back(&g, name) {
+            Err(SnapshotError::Malformed(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn edge_label_group_starts_that_decrease_are_refused() {
+        // v0's four outgoing groups start at targets 0, 1, 2 and 3.
+        assert_refused("decreasing-target", "starts are not monotone", |g| {
+            g.outgoing.elabel_groups.to_mut()[0].target_start = 2;
+        });
+        assert_refused("decreasing-type", "starts are not monotone", |g| {
+            g.incoming.elabel_groups.to_mut()[0].type_start = 1;
+        });
+    }
+
+    #[test]
+    fn a_sentinel_that_does_not_end_the_arrays_is_refused() {
+        // Short of the targets: every start is still monotone.
+        assert_refused("short-sentinel", "sentinel", |g| {
+            let groups = g.outgoing.elabel_groups.to_mut();
+            groups.last_mut().unwrap().target_start -= 1;
+        });
+        assert_refused("long-sentinel", "sentinel", |g| {
+            let groups = g.incoming.elabel_groups.to_mut();
+            groups.last_mut().unwrap().type_start += 1;
+        });
+        assert_refused("no-sentinel", "sentinel", |g| {
+            g.outgoing.elabel_groups = FlatVec::new();
+        });
+    }
+
+    #[test]
+    fn a_common_set_id_out_of_range_is_refused() {
+        assert_refused("common-id", "common-set id", |g| {
+            let sets = g.incoming.common_offsets.len() as u32 - 1;
+            g.incoming.elabel_groups.to_mut()[0].common = sets;
+        });
+    }
+
+    #[test]
+    fn common_set_offsets_that_are_not_monotone_are_refused() {
+        // v1's incoming groups are reached from v0 {A, B} and v2 {D}: the
+        // sets are {}, {A, B} and {D}.
+        assert_refused("common-decreasing", "common-set offsets", |g| {
+            assert_eq!(&*g.incoming.common_offsets, &[0, 0, 2, 3]);
+            g.incoming.common_offsets.to_mut()[1] = 3;
+        });
+        assert_refused("common-short", "common-set offsets", |g| {
+            g.incoming.common_labels.to_mut().push(VLabel(0));
+        });
+        assert_refused("common-empty", "common-set offsets", |g| {
+            g.outgoing.common_offsets = FlatVec::new();
+        });
     }
 
     #[test]

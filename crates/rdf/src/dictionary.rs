@@ -201,11 +201,12 @@ fn record_key<'a>(arena: &'a [u8], r: &TermRecord) -> Key<'a> {
     )
 }
 
-/// Slots of the hash index over `terms` terms: a power of two filled to at
-/// most one half, so a linear probe always ends at an empty slot, after
+/// Slots of an open-addressed hash index over `entries` entries (the
+/// dictionary's terms, the triple store's triples): a power of two filled to
+/// at most one half, so a linear probe always ends at an empty slot, after
 /// ≈ 1.5 slots on a hit and ≈ 2.5 on a miss.
-fn slots_for(terms: usize) -> usize {
-    (terms * 2).next_power_of_two().max(16)
+pub(crate) fn slots_for(entries: usize) -> usize {
+    (entries * 2).next_power_of_two().max(16)
 }
 
 /// What the hash index stores for the term `id`: `id + 1`, 0 being the empty

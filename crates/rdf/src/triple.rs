@@ -6,10 +6,11 @@
 //! the transformations, the baseline engines and the dataset generators all
 //! exchange `Dataset`s.
 
-use crate::dictionary::{Dictionary, TermId};
+use crate::dictionary::{slots_for, Dictionary, TermId};
 use crate::term::Term;
 use crate::vocab;
 use std::collections::HashSet;
+use std::hash::{BuildHasher, RandomState};
 use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tag (component 0x02).
@@ -42,11 +43,17 @@ impl Triple {
 /// The triples live in a [`FlatVec`], so a store loaded from a snapshot
 /// reads them in place. The dedup set exists only while the store is being
 /// populated: [`freeze`](Self::freeze) drops it, a snapshot never stores it,
-/// and the first mutation afterwards rebuilds it from the triples.
+/// and the first insert afterwards rebuilds it from the triples.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
     triples: FlatVec<Triple>,
-    seen: HashSet<Triple>,
+    /// The dedup set: open addressing with linear probing over slots of
+    /// `index + 1` into `triples`, 0 being the empty slot (see
+    /// [`slots_for`]). Either empty or indexing every triple.
+    seen: Vec<u32>,
+    /// Keys the dedup set. Per process and random, so triples from outside
+    /// cannot be chosen to collide.
+    hasher: RandomState,
 }
 
 impl TripleStore {
@@ -59,40 +66,70 @@ impl TripleStore {
     pub fn with_capacity(capacity: usize) -> Self {
         TripleStore {
             triples: Vec::with_capacity(capacity).into(),
-            seen: HashSet::with_capacity(capacity),
+            seen: vec![0; slots_for(capacity)],
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// Probes `self.seen` for `triple`: its index in `triples`, or else the
+    /// empty slot that ends its probe sequence.
+    fn probe(&self, triple: &Triple) -> Result<usize, usize> {
+        let mask = self.seen.len() - 1;
+        let mut slot = self.hasher.hash_one(triple) as usize & mask;
+        loop {
+            let Some(index) = self.seen[slot].checked_sub(1) else {
+                return Err(slot);
+            };
+            if self.triples[index as usize] == *triple {
+                return Ok(index as usize);
+            }
+            slot = (slot + 1) & mask;
         }
     }
 
     /// Inserts a triple. Returns `true` if it was not already present.
+    ///
+    /// # Panics
+    /// Panics if the store would hold `u32::MAX` triples.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        if self.seen.len() != self.triples.len() {
-            // Frozen or snapshot-backed store: build the dedup set on first
-            // mutation.
-            self.seen = self.triples.iter().copied().collect();
+        let len = self.triples.len();
+        let entry =
+            u32::try_from(len + 1).expect("a triple store holds fewer than u32::MAX triples");
+        let slots = slots_for(len + 1);
+        if self.seen.len() < slots {
+            // Frozen, snapshot-backed or about to fill past one half: index
+            // every triple again, the old table dropped first.
+            self.seen = Vec::new();
+            self.seen = vec![0; slots];
+            for index in 0..len {
+                if let Err(slot) = self.probe(&self.triples[index]) {
+                    self.seen[slot] = index as u32 + 1;
+                }
+            }
         }
-        if self.seen.insert(triple) {
-            self.triples.to_mut().push(triple);
-            true
-        } else {
-            false
+        match self.probe(&triple) {
+            Ok(_) => false,
+            Err(slot) => {
+                self.seen[slot] = entry;
+                self.triples.to_mut().push(triple);
+                true
+            }
         }
     }
 
-    /// Ends loading: drops the dedup set (about twice the triples' own
-    /// size) and the triple array's spare capacity.
+    /// Ends loading: drops the dedup set and the triple array's spare
+    /// capacity.
     pub fn freeze(&mut self) {
-        self.seen = HashSet::new();
+        self.seen = Vec::new();
         if !self.triples.is_view() {
             self.triples.to_mut().shrink_to_fit();
         }
     }
 
-    /// Bytes of the triple array and (an estimate from its capacity: one
-    /// triple plus one control byte per bucket) of the dedup set.
+    /// Bytes of the triple array and of the dedup set.
     pub fn memory(&self) -> [(&'static str, MemoryUse); 2] {
-        let bucket = std::mem::size_of::<Triple>() as u64 + 1;
         let dedup = MemoryUse {
-            heap: self.seen.capacity() as u64 * 8 / 7 * bucket,
+            heap: std::mem::size_of_val(&self.seen[..]) as u64,
             mapped: 0,
         };
         [("triples", (&self.triples).into()), ("dedup_set", dedup)]
@@ -100,12 +137,12 @@ impl TripleStore {
 
     /// Returns `true` if the exact triple is present.
     pub fn contains(&self, triple: &Triple) -> bool {
-        if self.seen.len() == self.triples.len() {
-            self.seen.contains(triple)
-        } else {
-            // Frozen or snapshot-backed store before any mutation: no hash
+        if self.seen.is_empty() {
+            // Frozen or snapshot-backed store before any insert: no dedup
             // set.
             self.triples.iter().any(|t| t == triple)
+        } else {
+            self.probe(triple).is_ok()
         }
     }
 
@@ -138,7 +175,7 @@ impl TripleStore {
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         Ok(TripleStore {
             triples: cur.next_section(TAG_TRIPLES)?,
-            seen: HashSet::new(),
+            ..TripleStore::default()
         })
     }
 }
@@ -302,6 +339,34 @@ mod tests {
         assert!(!s.insert(Triple::new(id(0), id(1), id(2))));
         assert!(s.insert(Triple::new(id(0), id(1), id(3))));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn the_dedup_set_grows_through_many_doublings_and_after_a_freeze() {
+        // 16 slots hold 8 triples: 3,000 triples cross nine doublings, and
+        // the inserts after the freeze index 3,000 triples and cross a tenth.
+        let triple = |i: u32| Triple::new(id(i % 7), id(i % 3), id(i));
+        let mut s = TripleStore::new();
+        for i in 0..3_000 {
+            assert!(s.insert(triple(i)));
+            assert!(!s.insert(triple(i / 2)));
+        }
+        // The ledger line is the table: 8,192 slots of 4 bytes.
+        assert_eq!(s.memory()[1].1.heap, 8_192 * 4);
+        s.freeze();
+        assert_eq!(s.memory()[1].1.heap, 0);
+        assert!(s.contains(&triple(2_999)));
+        assert!(!s.contains(&triple(3_000)));
+        for i in 0..5_000 {
+            assert_eq!(s.insert(triple(i)), i >= 3_000);
+        }
+        assert_eq!(s.len(), 5_000);
+        for i in 0..5_000 {
+            assert!(s.contains(&triple(i)));
+        }
+        assert!(!s.contains(&triple(5_000)));
+        let order: Vec<Triple> = s.iter().copied().collect();
+        assert_eq!(order, (0..5_000).map(triple).collect::<Vec<_>>());
     }
 
     #[test]
