@@ -124,9 +124,8 @@ pub fn lubm_store(scale: usize) -> Store {
     Store::from_dataset_with(dataset, StoreOptions::default())
 }
 
-/// Builds the LUBM store partitioned across `shards` shard stores (hash
-/// ownership at the one halo radius — the configuration the differential
-/// tests run).
+/// Builds the LUBM store with its terms' ownership split `shards` ways (the
+/// configuration the differential tests run).
 pub fn sharded_lubm_store(scale: usize, shards: usize) -> ShardedStore {
     let dataset = lubm::LubmGenerator::new(lubm::LubmConfig::scale(scale)).generate();
     ShardedStore::from_dataset_with(
@@ -136,7 +135,7 @@ pub fn sharded_lubm_store(scale: usize, shards: usize) -> ShardedStore {
             ..ShardedOptions::default()
         },
     )
-    .expect("LUBM partitions cleanly")
+    .expect("a LUBM store shards cleanly")
 }
 
 /// A larger LUBM configuration used for the parallel-speed-up experiment

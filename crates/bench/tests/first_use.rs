@@ -49,7 +49,6 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
         bytes.accounted as i64 + bytes.unaccounted,
         bytes.resident as i64
     );
-    assert_eq!(bytes.replication_factor, 1.0);
 
     // One baseline request builds the permutations, under its trace id.
     let q1 = &lubm::queries()[0].sparql;
@@ -98,7 +97,7 @@ fn eight_threads_racing_the_first_baseline_query_build_once() {
     });
     assert!(rows.iter().all(|&n| n == rows[0]), "{rows:?}");
     assert_eq!(structures_built(&service).len(), 1);
-    let builds = service.store().stores()[0].builds();
+    let builds = service.store().store().builds();
     let permutations = builds.iter().filter(|b| b.structure == "permutations");
     assert_eq!(permutations.count(), 1);
 }

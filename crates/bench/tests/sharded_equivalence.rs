@@ -1,31 +1,77 @@
 //! LUBM(1) sharded scatter-gather differential: for every shard count the
 //! coordinator must return the single-store path's rows, rendered to the same
-//! bytes, for every benchmark query on every engine, and refuse what lies
-//! beyond its halo radius.
+//! bytes, for every benchmark query on every engine, with the shards' own
+//! rows partitioning that answer, all over the one store.
 
+use std::sync::Arc;
 use turbohom_bench::{canonical_json, lubm_store, sharded_lubm_store};
 use turbohom_datasets::lubm;
-use turbohom_engine::{EngineKind, StoreError, HALO};
+use turbohom_engine::{EngineKind, Trace};
+
+/// A path of eight terms, the course constant at one end.
+const PATH: [&str; 7] = [
+    "?s1 ub:takesCourse <http://www.Department0.University0.edu/GraduateCourse0> .",
+    "?s1 ub:advisor ?p1 .",
+    "?p1 ub:worksFor ?d .",
+    "?p2 ub:worksFor ?d .",
+    "?p2 ub:teacherOf ?c .",
+    "?s2 ub:takesCourse ?c .",
+    "?s2 ub:advisor ?p3 .",
+];
+
+/// Two components that share no variable, each with its own constant.
+const DISCONNECTED: [&str; 2] = [
+    "?a ub:worksFor <http://www.Department0.University0.edu> .",
+    "?b ub:headOf <http://www.Department1.University0.edu> .",
+];
+
+fn query(projection: &str, triples: &[&str]) -> String {
+    let prefix = format!("PREFIX ub: <{}>", lubm::UB);
+    format!(
+        "{prefix} SELECT {projection} WHERE {{ {} }}",
+        triples.join(" ")
+    )
+}
 
 #[test]
-fn lubm1_sharded_matches_single_store_for_every_benchmark_query() {
+fn ownership_partitions_the_single_store_rows_at_every_k() {
     let single = lubm_store(1);
-    for shards in [1, 4, 8] {
+    let mut queries: Vec<(String, String)> = lubm::queries()
+        .into_iter()
+        .map(|q| (q.id, q.sparql))
+        .collect();
+    queries.push(("chain".into(), query("?s1 ?s2", &PATH)));
+    queries.push(("disconnected".into(), query("?a ?b", &DISCONNECTED)));
+    for shards in [1, 2, 3, 4, 8] {
         let sharded = sharded_lubm_store(1, shards);
         assert_eq!(sharded.shard_count(), shards);
         assert_eq!(sharded.triple_count(), single.triple_count());
-        for q in &lubm::queries() {
+        assert!(Arc::ptr_eq(sharded.shard(0), sharded.shard(shards - 1)));
+        for (id, sparql) in &queries {
             for kind in EngineKind::all() {
-                let a = single.execute(&q.sparql, kind).unwrap();
-                // The halo covers every benchmark query: none is refused.
-                let b = sharded
-                    .execute(&q.sparql, kind)
-                    .unwrap_or_else(|e| panic!("{kind} k={shards} refused {}: {e}", q.id));
+                let expected = single.execute(sparql, kind).unwrap();
+                assert!(
+                    !expected.is_empty() || id.starts_with('Q'),
+                    "{kind}: the single store finds no {id}"
+                );
+                let plan = sharded
+                    .prepare_plan(sparql, kind)
+                    .unwrap_or_else(|e| panic!("{kind} k={shards} refused {id}: {e}"));
+                let mut report = sharded.explain(&plan);
+                let results = sharded
+                    .run_plan_traced(&plan, None, &Trace::disabled())
+                    .unwrap();
+                report.attach_actuals(&results);
+                let contributed: u64 = report.shards.iter().filter_map(|s| s.rows).sum();
                 assert_eq!(
-                    canonical_json(a),
-                    canonical_json(b),
-                    "{kind} disagrees between single store and k={shards} on {}",
-                    q.id
+                    contributed as usize,
+                    expected.rows.len(),
+                    "{kind} k={shards} {id}: the shards' rows do not add up"
+                );
+                assert_eq!(
+                    canonical_json(results.decode()),
+                    canonical_json(expected),
+                    "{kind} disagrees between single store and k={shards} on {id}"
                 );
             }
         }
@@ -81,55 +127,27 @@ fn one_live_shard_runs_inline_and_four_fan_out_to_the_same_rows() {
 }
 
 #[test]
-fn a_chain_wider_than_the_halo_is_refused_and_one_at_its_radius_is_answered() {
-    // A path of eight terms, the course constant at one end: from its middle
-    // term `?d` every edge but the last has an endpoint within two hops, and
-    // no term covers all seven edges.
-    const PATH: [&str; 7] = [
-        "?s1 ub:takesCourse <http://www.Department0.University0.edu/GraduateCourse0> .",
-        "?s1 ub:advisor ?p1 .",
-        "?p1 ub:worksFor ?d .",
-        "?p2 ub:worksFor ?d .",
-        "?p2 ub:teacherOf ?c .",
-        "?s2 ub:takesCourse ?c .",
-        "?s2 ub:advisor ?p3 .",
-    ];
-    let query = |triples: &[&str]| {
-        let prefix = format!("PREFIX ub: <{}>", lubm::UB);
-        format!("{prefix} SELECT ?s1 ?s2 WHERE {{ {} }}", triples.join(" "))
-    };
-    assert_eq!(HALO, 2);
+fn a_chain_wider_than_two_hops_is_answered_with_the_single_store_rows() {
+    // Every shard sees the whole store, so a chain of any width is answered,
+    // routed by the course constant to its owner shard.
     let single = lubm_store(1);
     let sharded = sharded_lubm_store(1, 4);
-    let kind = EngineKind::TurboHomPlusPlus;
-
-    let wide = query(&PATH);
-    let answered = single.execute(&wide, kind).unwrap();
-    assert!(!answered.is_empty(), "the single store finds no chain");
-    for kind in EngineKind::all() {
-        match sharded.execute(&wide, kind) {
-            Err(StoreError::NotShardable(reason)) => {
-                assert!(reason.contains("halo radius 2"), "{kind}: {reason}")
-            }
-            other => panic!(
-                "{kind}: a chain wider than the halo was not refused: {:?}",
-                other.map(|r| r.len())
-            ),
+    for triples in [&PATH[..], &PATH[..6]] {
+        let sparql = query("?s1 ?s2", triples);
+        for kind in EngineKind::all() {
+            let expected = single.execute(&sparql, kind).unwrap();
+            assert!(
+                !expected.is_empty(),
+                "{kind}: the single store finds no chain"
+            );
+            let plan = sharded.prepare_plan(&sparql, kind).unwrap();
+            assert_eq!(plan.live_shards().len(), 1, "{kind}: a constant anchor");
+            assert_eq!(
+                canonical_json(sharded.run_plan(&plan).unwrap()),
+                canonical_json(expected),
+                "{kind} on {} edges",
+                triples.len()
+            );
         }
     }
-
-    // One edge shorter, the chain lies within the radius of `?d`.
-    let narrow = query(&PATH[..6]);
-    let expected = single.execute(&narrow, kind).unwrap();
-    assert!(!expected.is_empty());
-    let plan = sharded.prepare_plan(&narrow, kind).unwrap();
-    assert_eq!(
-        plan.live_shards().len(),
-        4,
-        "a variable anchor runs everywhere"
-    );
-    assert_eq!(
-        canonical_json(sharded.run_plan(&plan).unwrap()),
-        canonical_json(expected)
-    );
 }

@@ -26,9 +26,9 @@ pub enum StoreError {
     /// cannot execute anything; callers that want the store default should
     /// pass `None`, so this is rejected instead of silently clamped.
     InvalidThreadCount(usize),
-    /// The query falls outside the sharded executor's scope (UNION, a
-    /// disconnected pattern, or a triple beyond the halo radius). The inner
-    /// message says which rule failed; single-store execution still works.
+    /// The query falls outside the sharded executor's scope: it has no
+    /// anchor bound in every row (a UNION, or only schema triples). The
+    /// inner message says which; single-store execution still works.
     NotShardable(String),
     /// The query has an `ORDER BY`. No engine sorts: rows leave in
     /// enumeration order, so the clause is refused rather than ignored.

@@ -22,11 +22,10 @@
 
 use crate::plan::{ComponentPlan, PlanMode, QueryPlan, Window};
 use crate::results::IdResults;
-use crate::sharded::{AnyPlan, AnyStore, ShardedPlan, ShardedStore};
+use crate::sharded::{Anchor, AnyPlan, AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
 use turbohom_core::{EngineError, RunInput, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
-use turbohom_partition::Anchor;
 
 /// Schema identifier embedded in every report.
 pub const EXPLAIN_SCHEMA: &str = "turbohom-explain/1";
@@ -135,7 +134,7 @@ pub struct StepExplain {
 pub struct ShardExplain {
     /// Shard index.
     pub shard: usize,
-    /// Triples in the shard (including halo replicas).
+    /// Triples in the store the shard runs over (the one store's).
     pub triples: usize,
     /// `"live"`, or `"routed-away"` when the constant anchor is another
     /// shard's.
@@ -465,7 +464,7 @@ impl ShardedStore {
             let slot = plan.live_shards().iter().position(|&live| live == i);
             report.shards.push(ShardExplain {
                 shard: i,
-                triples: self.shard(i).triple_count(),
+                triples: self.triple_count(),
                 verdict: if slot.is_some() {
                     "live"
                 } else {
@@ -791,7 +790,7 @@ mod tests {
         assert!(json.contains("\"verdict\":\"routed-away\"}"));
 
         // An absent predicate: every shard is live, and each shard's own
-        // plan notes the constant missing from its dictionary.
+        // plan notes the constant missing from the dictionary.
         let gone = r#"PREFIX ub: <http://ub.org/>
                       SELECT ?x WHERE { ?x ub:nonexistent ?y . }"#;
         let report = sharded_explain(&sharded, gone, EngineKind::TurboHomPlusPlus);

@@ -26,14 +26,11 @@ pub use explain::{
 };
 pub use plan::QueryPlan;
 pub use results::{ExtraMembers, IdResults, QueryResults, ResultRow};
-pub use sharded::{AnyPlan, AnyStore, ShardedOptions, ShardedPlan, ShardedStore};
+pub use sharded::{Anchor, AnyPlan, AnyStore, ShardedOptions, ShardedPlan, ShardedStore};
 pub use store::{EngineKind, ParseEngineKindError, PreparedQuery, Store, StoreOptions};
 // Re-exported where it lived before it moved to the JSON crate (the bench
 // recorder still builds its record with it).
 pub use turbohom_json::escape_json_into;
-// Re-exported so readers of a sharded plan and of its halo (the service's
-// `turbohom_shards` gauge, the tests) need no direct partition dependency.
-pub use turbohom_partition::{Anchor, HALO};
 // Re-exported so harnesses consuming `QueryResults::stats` (the benchmark
 // flight recorder, the service metrics) need no direct core dependency.
 pub use turbohom_core::MatchStats;

@@ -448,9 +448,8 @@ impl Store {
             shard: 0,
             contributed: rows.len(),
             rows,
-            dictionary: &self.dataset().dictionary,
         };
-        IdResults::new(variables, vec![run])
+        IdResults::new(&self.dataset().dictionary, variables, vec![run])
     }
 
     /// Runs one branch and appends its rows to `results`. When the branch

@@ -1,11 +1,11 @@
 //! Uniform query results across all engines.
 //!
 //! A result stays a table of integer ids from the enumerator to the moment
-//! it is written out: [`IdResults`] is one flat [`IdRows`] buffer of term ids
-//! per store that produced rows, each with the dictionary its ids resolve
-//! through. It is serialised through
-//! borrowed [`TermRef`] views, so no `Term` is cloned unless an embedder asks
-//! for the decoded view, [`QueryResults`], with [`IdResults::decode`]. Both
+//! it is written out: [`IdResults`] is the dictionary its ids resolve through
+//! and one flat [`IdRows`] buffer of term ids per run that produced rows. It
+//! is serialised through borrowed [`TermRef`] views, so no `Term` is cloned
+//! unless an embedder asks for the decoded view, [`QueryResults`], with
+//! [`IdResults::decode`]. Both
 //! views serialise through the one SPARQL-JSON writer in this module.
 //!
 //! Rows are in enumeration order: stable for one store at one worker thread,
@@ -110,11 +110,11 @@ impl QueryResults {
 /// SPARQL-JSON document (see [`IdResults::write_sparql_json`]).
 pub type ExtraMembers<'a> = &'a mut dyn FnMut(&mut Vec<u8>);
 
-/// The rows one store produced, where it put them: a single store's result
+/// The rows one run produced, where it put them: a single store's result
 /// is one run, a sharded store's one run per live shard in ascending shard
 /// order.
 #[derive(Debug, Clone)]
-pub(crate) struct Run<'s> {
+pub(crate) struct Run {
     /// The shard that produced the rows (0 on a single store).
     pub(crate) shard: usize,
     /// One row per solution: a term-id cell per variable, then whatever
@@ -124,16 +124,14 @@ pub(crate) struct Run<'s> {
     /// The rows the run held before the query's window was cut from it:
     /// what its shard contributed (what ANALYZE reports per shard).
     pub(crate) contributed: usize,
-    /// The dictionary the cells are ids of.
-    pub(crate) dictionary: &'s Dictionary,
 }
 
 /// The result of executing one SPARQL query, as term ids.
 ///
-/// Rows are kept in one flat buffer per producing store and resolved through
-/// that store's dictionary only when they are compared, serialised or
-/// decoded, so memory per in-flight query is bounded by the id buffers rather
-/// than by rendered text. The value borrows the store that produced it.
+/// Rows are kept in one flat buffer per run and resolved through the
+/// store's dictionary only when they are compared, serialised or decoded,
+/// so memory per in-flight query is bounded by the id buffers rather than by
+/// rendered text. The value borrows the store that produced it.
 #[derive(Debug, Clone)]
 pub struct IdResults<'s> {
     /// The projected variable names (without `?`).
@@ -151,14 +149,18 @@ pub struct IdResults<'s> {
     /// Per matching-order position estimates; see
     /// [`QueryResults::step_estimates`].
     pub step_estimates: Vec<u64>,
+    /// The dictionary every cell is an id of.
+    dictionary: &'s Dictionary,
     /// The rows, run after run.
-    pub(crate) runs: Vec<Run<'s>>,
+    pub(crate) runs: Vec<Run>,
 }
 
 impl<'s> IdResults<'s> {
-    /// Results over `variables` holding `runs`, with every counter at zero.
-    pub(crate) fn new(variables: Vec<String>, runs: Vec<Run<'s>>) -> Self {
+    /// Results over `variables` holding `runs` of ids of `dictionary`, with
+    /// every counter at zero.
+    pub(crate) fn new(dictionary: &'s Dictionary, variables: Vec<String>, runs: Vec<Run>) -> Self {
         IdResults {
+            dictionary,
             variables,
             solution_count: runs.iter().map(|run| run.rows.len()).sum(),
             elapsed: Duration::ZERO,
@@ -221,7 +223,7 @@ impl<'s> IdResults<'s> {
             rows.extend(run.rows.iter().map(|row| {
                 row[..width]
                     .iter()
-                    .map(|&cell| IdRows::term_id(cell).and_then(|id| run.dictionary.term(id)))
+                    .map(|&cell| IdRows::term_id(cell).and_then(|id| self.dictionary.term(id)))
                     .collect()
             }));
         }
@@ -258,10 +260,9 @@ impl<'s> IdResults<'s> {
         buffer: &mut Vec<u8>,
         members: Option<ExtraMembers<'_>>,
     ) -> io::Result<()> {
-        let width = self.variables.len();
+        let (width, dictionary) = (self.variables.len(), self.dictionary);
+        let cell = move |&cell| IdRows::term_id(cell).and_then(|id| dictionary.term_and_plain(id));
         let runs = self.runs.iter().map(|run| {
-            let cell =
-                move |&cell| IdRows::term_id(cell).and_then(|id| run.dictionary.term_and_plain(id));
             run.rows
                 .iter()
                 .map(move |row| row[..width].iter().map(cell))
@@ -700,12 +701,7 @@ mod tests {
 
     /// `rows` as ids of `dictionary`, in a run of stride `width` that shard
     /// `shard` produced.
-    fn run<'s>(
-        dictionary: &'s Dictionary,
-        shard: usize,
-        width: usize,
-        rows: &[Vec<Option<Term>>],
-    ) -> Run<'s> {
+    fn run(dictionary: &Dictionary, shard: usize, width: usize, rows: &[Vec<Option<Term>>]) -> Run {
         let mut ids = IdRows::new(width);
         for row in rows {
             let cells = ids.push_unbound();
@@ -719,7 +715,6 @@ mod tests {
             shard,
             contributed: ids.len(),
             rows: ids,
-            dictionary,
         }
     }
 
@@ -730,7 +725,7 @@ mod tests {
         rows: &[Vec<Option<Term>>],
     ) -> IdResults<'s> {
         let run = run(dictionary, 0, variables.len(), rows);
-        IdResults::new(variables.to_vec(), vec![run])
+        IdResults::new(dictionary, variables.to_vec(), vec![run])
     }
 
     proptest! {
@@ -847,9 +842,8 @@ mod tests {
             shard: 0,
             contributed: rows.len(),
             rows,
-            dictionary: &dictionary,
         };
-        let results = IdResults::new(vec!["x".into()], vec![run]);
+        let results = IdResults::new(&dictionary, vec!["x".into()], vec![run]);
         let mut pieces = Pieces(Vec::new());
         let mut tail = |out: &mut Vec<u8>| out.extend_from_slice(b",\"extra\":1");
         results
@@ -879,17 +873,14 @@ mod tests {
         assert_eq!(broken.0, 1);
     }
 
-    /// Two shards whose dictionaries give the same ids to different terms,
-    /// the second run one column wider than the variables.
+    /// Two runs of two shards over the one dictionary, the second one column
+    /// wider than the variables.
     #[test]
-    fn every_run_resolves_through_its_own_dictionary() {
+    fn runs_resolve_through_the_one_dictionary() {
         let term = |name: &str| Some(Term::iri(format!("http://ex/{name}")));
-        let (mut first, mut second) = (Dictionary::new(), Dictionary::new());
-        for name in ["a", "b", "c"] {
-            first.encode(&term(name).unwrap());
-        }
-        for name in ["c", "anchor", "a", "d"] {
-            second.encode(&term(name).unwrap());
+        let mut dictionary = Dictionary::new();
+        for name in ["a", "b", "c", "anchor", "d"] {
+            dictionary.encode(&term(name).unwrap());
         }
         let variables = vec!["x".to_string(), "y".to_string()];
         let from_first = vec![vec![term("a"), term("b")], vec![term("c"), None]];
@@ -899,10 +890,11 @@ mod tests {
         ];
         let gathered = || {
             IdResults::new(
+                &dictionary,
                 variables.clone(),
                 vec![
-                    run(&first, 1, 2, &from_first),
-                    run(&second, 5, 3, &from_second),
+                    run(&dictionary, 1, 2, &from_first),
+                    run(&dictionary, 5, 3, &from_second),
                 ],
             )
         };
@@ -945,17 +937,16 @@ mod tests {
         }
     }
 
-    /// [`every_run_resolves_through_its_own_dictionary`]'s shape, grown past
-    /// the block: the first run ends in the middle of its second block, the
-    /// second (a column wider, other ids for the same terms) spans three.
+    /// [`runs_resolve_through_the_one_dictionary`]'s shape, grown past the
+    /// block: the first run ends in the middle of its second block, the
+    /// second (a column wider) spans three.
     #[test]
     fn a_run_that_ends_mid_block_leaves_the_next_one_its_own_blocks() {
         let term = |i: usize| Some(Term::iri(format!("http://ex/{i}")));
         let per_block = rows_per_block(2);
-        let (mut first, mut second) = (Dictionary::new(), Dictionary::new());
+        let mut dictionary = Dictionary::new();
         for i in 0..8 {
-            first.encode(&term(i).unwrap());
-            second.encode(&term(7 - i).unwrap());
+            dictionary.encode(&term(i).unwrap());
         }
         let variables = vec!["x".to_string(), "y".to_string()];
         let from_first: Vec<ResultRow> = (0..per_block + per_block / 2)
@@ -971,10 +962,11 @@ mod tests {
             })
             .collect();
         let results = IdResults::new(
+            &dictionary,
             variables.clone(),
             vec![
-                run(&first, 0, 2, &from_first),
-                run(&second, 1, 3, &from_second),
+                run(&dictionary, 0, 2, &from_first),
+                run(&dictionary, 1, 3, &from_second),
             ],
         );
         let expected: Vec<ResultRow> = from_first
@@ -996,7 +988,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            id_results(&first, &wide, &rows).to_sparql_json(),
+            id_results(&dictionary, &wide, &rows).to_sparql_json(),
             reference::to_sparql_json(&wide, &rows)
         );
     }
@@ -1042,9 +1034,8 @@ mod tests {
             shard: 0,
             contributed: rows.len(),
             rows,
-            dictionary: &dictionary,
         };
-        let results = IdResults::new(vec!["x".into()], vec![run]);
+        let results = IdResults::new(&dictionary, vec!["x".into()], vec![run]);
         assert_eq!(
             results.to_sparql_json(),
             r#"{"head":{"vars":["x"]},"results":{"bindings":[{}]}}"#

@@ -1,31 +1,26 @@
-//! Sharded scatter-gather execution: a [`ShardedStore`] coordinator over
-//! `k` independent [`Store`] shards.
+//! Sharded scatter-gather execution: a [`ShardedStore`] is one [`Store`]
+//! and, for each of `k` shards, the bits of the term ids the shard owns.
 //!
-//! The data graph is partitioned once at load time (`turbohom-partition`):
-//! every term has one owner shard, and each shard additionally replicates a
-//! bounded *halo* of boundary adjacency, so a connected query never needs a
-//! distributed join — each shard answers it locally and the coordinator
-//! only hands their rows on, shard after shard.
+//! Every term has one owner shard, `term_hash(term) % k` over its N-Triples
+//! rendering. Every shard runs over the same store, so nothing is
+//! partitioned and no query needs a distributed join: a shard answers the
+//! whole query and keeps the rows it owns.
 //!
 //! **Ownership routing** decides at plan time which shards run: a constant
 //! anchor sends the query to its owner shard alone. A variable anchor fans
 //! out to every shard; each keeps only the rows whose anchor binding it owns
-//! (one bit of its [`OwnedTerms`] per term id), which makes the runs an exact
-//! multiset partition of the single-store answer — no deduplication. The
-//! gathered result is the shards' runs in ascending shard order, each left
-//! where its shard put it, in its own enumeration order and over its own
-//! dictionary: the same rows as a single store returns, with the same
-//! rendering, in another order. A shard that lacks one of the query's
-//! constants costs nothing more than its transform: the constant is missing
-//! from its dictionary, so the plan is unsatisfiable and explores nothing.
+//! (one bit per term id), which makes the runs an exact multiset partition
+//! of the single-store answer — no deduplication. The gathered result is the
+//! shards' runs in ascending shard order, each left where its shard put it,
+//! in its own enumeration order: the same rows as the store returns, with
+//! the same rendering, in another order.
 //!
-//! Queries outside the sharded scope (UNION, disconnected patterns, triples
-//! beyond the halo radius) fail with [`StoreError::NotShardable`]; the
+//! Queries without an anchor bound in every row (UNION, or a pattern of
+//! schema triples only) fail with [`StoreError::NotShardable`]; the
 //! single-store path still handles them.
 //!
-//! A sharded store is built from triples at boot, at the one halo radius
-//! `turbohom_partition::HALO`, and never saved: a snapshot file holds one
-//! [`Store`].
+//! A sharded store is built from triples at boot and never saved: a
+//! snapshot file holds one [`Store`].
 
 use crate::error::StoreError;
 use crate::plan::{window_of, QueryPlan, Window};
@@ -35,9 +30,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use turbohom_core::{drive, merge_step_counts, Worker};
-use turbohom_partition::{analyze_query, partition_dataset, Anchor, OwnedTerms, Ownership};
-use turbohom_rdf::{Dataset, IdRows, InferenceEngine};
-use turbohom_sparql::{parse_query, Selection};
+use turbohom_rdf::{vocab, Dataset, Dictionary, IdRows, Term, TermId, TermRef};
+use turbohom_sparql::{parse_query, GroupPattern, Query, Selection, SparqlTerm};
+use turbohom_storage::{fnv1a, FNV_OFFSET};
 use turbohom_trace::Trace;
 
 /// Construction options for a [`ShardedStore`].
@@ -45,10 +40,8 @@ use turbohom_trace::Trace;
 pub struct ShardedOptions {
     /// Number of shards (clamped to at least 1).
     pub shards: usize,
-    /// Materialize the RDFS closure *globally* before partitioning, so every
-    /// shard sees exactly the triples the equivalent single store would. As
-    /// for a single store, this is the only way the class hierarchy applies,
-    /// for all four engines.
+    /// Materialize the RDFS closure at load, as for a single store: the
+    /// only way the class hierarchy applies, for all four engines.
     pub inference: bool,
     /// Worker threads per shard execution (the per-shard TurboHOM++ setting).
     pub threads: usize,
@@ -64,75 +57,175 @@ impl Default for ShardedOptions {
     }
 }
 
-/// A coordinator over `k` shard [`Store`]s, each with the bit set of the
-/// terms it owns.
+/// The ownership hash of a term (a `&Term` or a borrowed `TermRef`, which
+/// render alike): FNV-1a over its N-Triples rendering, fed to the hash piece
+/// by piece as it is rendered. Independent of term ids, so every process
+/// agrees on which shard owns a term.
+fn term_hash<'a>(term: impl Into<TermRef<'a>>) -> u64 {
+    use std::fmt::Write;
+    struct Fnv(u64);
+    impl Write for Fnv {
+        fn write_str(&mut self, piece: &str) -> std::fmt::Result {
+            self.0 = fnv1a(self.0, piece.as_bytes());
+            Ok(())
+        }
+    }
+    let mut hash = Fnv(FNV_OFFSET);
+    let _ = write!(hash, "{}", term.into());
+    hash.0
+}
+
+/// The shard of `shards` that owns `term`: `term_hash(term) % shards`.
+fn owner<'a>(term: impl Into<TermRef<'a>>, shards: usize) -> usize {
+    (term_hash(term) % shards as u64) as usize
+}
+
+/// Each shard's ownership bits, one per term id of `dictionary`: set when
+/// the shard owns the term. Built in one pass that hashes every term once,
+/// at boot; never persisted. The ownership filter reads a bit per row
+/// instead of hashing the row's anchor binding.
+fn owned_bits(dictionary: &Dictionary, shards: usize) -> Vec<Vec<u64>> {
+    let mut owned = vec![vec![0u64; dictionary.len().div_ceil(64)]; shards];
+    for i in 0..dictionary.len() {
+        let term = dictionary.term_ref(TermId(i as u32));
+        let term = term.expect("ids below len are valid");
+        owned[owner(term, shards)][i / 64] |= 1 << (i % 64);
+    }
+    owned
+}
+
+/// Does the shard with ownership `bits` own the term with this id? What
+/// [`owner`] says of the term, looked up instead of hashed.
+fn owns(bits: &[u64], id: TermId) -> bool {
+    let word = bits.get(id.index() / 64);
+    word.is_some_and(|w| w >> (id.index() % 64) & 1 == 1)
+}
+
+/// The term whose binding assigns each match to exactly one shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Anchor {
+    /// A constant anchor: the query routes to `owner(term)` alone.
+    Constant(Term),
+    /// A variable anchor: every shard executes, keeping only rows whose
+    /// anchor binding it owns.
+    Variable(String),
+}
+
+/// `true` for the RDFS schema predicates (`rdfs:subClassOf`,
+/// `rdfs:subPropertyOf`, `rdfs:domain`, `rdfs:range`), whose triples never
+/// offer an anchor.
+fn is_schema_predicate(iri: &str) -> bool {
+    [
+        vocab::RDFS_SUBCLASSOF,
+        vocab::RDFS_SUBPROPERTYOF,
+        vocab::RDFS_DOMAIN,
+        vocab::RDFS_RANGE,
+    ]
+    .contains(&iri)
+}
+
+/// Picks the anchor of `query`, or says why it has none. The candidates
+/// are the required triples' subjects and, for a triple whose predicate is
+/// a constant other than `rdf:type` and the schema predicates, its object
+/// (a type object is a class, and a schema triple binds nothing per match).
+/// The first constant wins: it routes to a single shard. Otherwise the
+/// first projected variable, in projection order (no projection surgery on
+/// the per-shard queries), then the first variable in appearance order.
+fn choose_anchor(query: &Query) -> Result<Anchor, String> {
+    let pattern = &query.pattern;
+    if !pattern.unions.is_empty() || has_nested_union(pattern) {
+        return Err("UNION alternatives are out of scope for sharded execution".into());
+    }
+    let mut constants: Vec<&Term> = Vec::new();
+    let mut variables: Vec<&str> = Vec::new();
+    for t in &pattern.triples {
+        let (subject, object) = (Some(&t.subject), Some(&t.object));
+        let positions = match t.predicate.as_constant().map(|p| p.as_iri()) {
+            Some(Some(iri)) if is_schema_predicate(iri) => [None, None],
+            Some(Some(vocab::RDF_TYPE)) | None => [subject, None],
+            Some(_) => [subject, object],
+        };
+        for position in positions.into_iter().flatten() {
+            match position {
+                SparqlTerm::Constant(c) if !constants.contains(&c) => constants.push(c),
+                SparqlTerm::Variable(v) if !variables.contains(&v.as_str()) => variables.push(v),
+                _ => {}
+            }
+        }
+    }
+    if let Some(c) = constants.first() {
+        return Ok(Anchor::Constant((*c).clone()));
+    }
+    let projected = query.projected_variables();
+    let first = projected
+        .iter()
+        .map(String::as_str)
+        .find(|v| variables.contains(v))
+        .or(variables.first().copied());
+    first
+        .map(|v| Anchor::Variable(v.to_string()))
+        .ok_or_else(|| "no usable anchor: the required pattern has only schema triples".into())
+}
+
+fn has_nested_union(group: &GroupPattern) -> bool {
+    group
+        .optionals
+        .iter()
+        .any(|g| !g.unions.is_empty() || has_nested_union(g))
+}
+
+/// One [`Store`] and, for each shard, the bits of the term ids it owns.
 ///
 /// `Send + Sync` like `Store`; services share one behind an `Arc`.
 pub struct ShardedStore {
-    shards: Vec<Arc<Store>>,
-    owned: Vec<OwnedTerms>,
-    global_triples: usize,
+    store: Arc<Store>,
+    /// Per shard, its [`owned_bits`].
+    owned: Vec<Vec<u64>>,
 }
 
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
-            .field("global_triples", &self.global_triples)
+            .field("shards", &self.owned.len())
+            .field("triples", &self.store.triple_count())
             .finish()
     }
 }
 
 impl ShardedStore {
-    /// Partitions a dataset and builds one store per shard. When
-    /// `options.inference` is set the RDFS closure is materialized *before*
-    /// partitioning (the shard stores are then built without inference), so
-    /// sharded answers match a single inferred store exactly.
+    /// Builds the one store (materializing the RDFS closure when
+    /// `options.inference` is set) and every shard's ownership bits.
     pub fn from_dataset_with(
-        mut dataset: Dataset,
+        dataset: Dataset,
         options: ShardedOptions,
     ) -> Result<Self, StoreError> {
-        if options.inference {
-            InferenceEngine::default().materialize(&mut dataset);
-        }
-        let parts = partition_dataset(&dataset, options.shards);
-        // The shards hold everything from here on; keeping the global
-        // dataset alive under the k store builds would set the peak.
-        drop(dataset);
-        let store_options = StoreOptions {
-            inference: false,
-            threads: options.threads,
-        };
-        let mut shards = Vec::with_capacity(parts.shards.len());
-        let mut owned = Vec::with_capacity(parts.shards.len());
-        for (i, shard_dataset) in parts.shards.into_iter().enumerate() {
-            owned.push(OwnedTerms::build(&shard_dataset, &parts.ownership, i));
-            shards.push(Arc::new(Store::from_dataset_with(
-                shard_dataset,
-                store_options,
-            )));
-        }
+        let store = Store::from_dataset_with(
+            dataset,
+            StoreOptions {
+                inference: options.inference,
+                threads: options.threads,
+            },
+        );
+        let owned = owned_bits(&store.dataset().dictionary, options.shards.max(1));
         Ok(ShardedStore {
-            shards,
+            store: Arc::new(store),
             owned,
-            global_triples: parts.global_triples,
         })
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.owned.len()
     }
 
-    /// One shard's store (panics if out of range).
-    pub fn shard(&self, i: usize) -> &Arc<Store> {
-        &self.shards[i]
+    /// The store shard `i` runs over: the one store, whichever shard.
+    pub fn shard(&self, _i: usize) -> &Arc<Store> {
+        &self.store
     }
 
-    /// Triples in the original, unpartitioned dataset (after inference).
-    /// Shard-local counts are higher in total because of halo replication.
+    /// Triples in the store (after inference).
     pub fn triple_count(&self) -> usize {
-        self.global_triples
+        self.store.triple_count()
     }
 
     /// Parses a SPARQL query and builds the sharded plan for `kind`.
@@ -154,7 +247,7 @@ impl ShardedStore {
         };
         // Before routing: the refusal must not depend on the data.
         let window = window_of(&query)?;
-        let shard_query = analyze_query(&query).map_err(StoreError::NotShardable)?;
+        let anchor = choose_anchor(&query).map_err(StoreError::NotShardable)?;
 
         // The per-shard query: no LIMIT/OFFSET (the coordinator applies the
         // window after the merge), and the anchor variable added to the
@@ -165,8 +258,9 @@ impl ShardedStore {
         shard_sparql.offset = None;
         // A constant anchor routes to its owner shard; a variable one runs on
         // every shard, which filters on its column.
-        let (live, anchor_column) = match &shard_query.anchor {
-            Anchor::Constant(term) => (vec![Ownership::new(self.shards.len()).owner(term)], None),
+        let shards = self.shard_count();
+        let (live, anchor_column) = match &anchor {
+            Anchor::Constant(term) => (vec![owner(term, shards)], None),
             Anchor::Variable(var) => {
                 let mut projected = query.projected_variables();
                 if !projected.contains(var) {
@@ -174,14 +268,14 @@ impl ShardedStore {
                     shard_sparql.selection = Selection::Variables(projected.clone());
                 }
                 let column = projected.iter().position(|v| v == var).unwrap();
-                ((0..self.shards.len()).collect(), Some(column))
+                ((0..shards).collect(), Some(column))
             }
         };
 
         let mut span = trace.span("transform");
         let per_shard = live
             .iter()
-            .map(|&i| self.shards[i].plan_query(&shard_sparql, kind))
+            .map(|_| self.store.plan_query(&shard_sparql, kind))
             .collect::<Result<Vec<_>, _>>()?;
         span.counter("shard_plans", live.len() as u64);
         span.finish();
@@ -190,9 +284,9 @@ impl ShardedStore {
             kind,
             projected: query.projected_variables(),
             window,
-            anchor: shard_query.anchor,
+            anchor,
             anchor_column,
-            shards: self.shards.len(),
+            shards,
             live,
             per_shard,
         })
@@ -250,7 +344,11 @@ impl ShardedStore {
 
         // Shard durations are recorded as roll-ups so a pool never skews the
         // span tree (the work happened on worker threads).
-        let mut results = IdResults::new(plan.projected.clone(), Vec::with_capacity(done.len()));
+        let mut results = IdResults::new(
+            &self.store.dataset().dictionary,
+            plan.projected.clone(),
+            Vec::with_capacity(done.len()),
+        );
         let mut elapsed_max = std::time::Duration::ZERO;
         for (&shard_id, result) in plan.live.iter().zip(done) {
             let mut shard = result.expect("the driver runs every live shard")?;
@@ -299,18 +397,17 @@ impl ShardedStore {
         let shard_id = plan.live[slot];
         // Shard spans would tangle with the coordinator's tree (they run on
         // pool threads); durations are re-attached as roll-ups instead.
-        let mut results = self.shards[shard_id].run_plan_traced(
-            &plan.per_shard[slot],
-            threads,
-            &Trace::disabled(),
-        )?;
+        let shard_plan = &plan.per_shard[slot];
+        let mut results = self
+            .store
+            .run_plan_traced(shard_plan, threads, &Trace::disabled())?;
         if let Some(col) = plan.anchor_column {
             let owned = &self.owned[shard_id];
             // The anchor comes from a required triple, so it is bound in
             // every row; an absent binding defaults to shard 0.
-            results
-                .rows_mut()
-                .retain(|row| IdRows::term_id(row[col]).map_or(shard_id == 0, |id| owned.owns(id)));
+            results.rows_mut().retain(|row| {
+                IdRows::term_id(row[col]).map_or(shard_id == 0, |id| owns(owned, id))
+            });
             results.solution_count = results.row_count();
         }
         Ok(results)
@@ -351,7 +448,9 @@ pub struct ShardedPlan {
     /// The anchor's owner for a constant anchor, every shard otherwise;
     /// ascending.
     live: Vec<usize>,
-    /// The single-store plan of each live shard, in the order of `live`.
+    /// One plan over the store per live shard, in the order of `live`:
+    /// each memoizes its own matching order, so concurrent shard runs never
+    /// race to compute one.
     pub(crate) per_shard: Vec<QueryPlan>,
 }
 
@@ -376,7 +475,7 @@ impl ShardedPlan {
         self.shards - self.live.len()
     }
 
-    /// The anchor the shardability analysis picked.
+    /// The anchor the plan routes and filters by.
     pub fn anchor(&self) -> &Anchor {
         &self.anchor
     }
@@ -427,7 +526,7 @@ impl AnyStore {
         }
     }
 
-    /// Triples loaded (the original dataset's count on the sharded path).
+    /// Triples loaded.
     pub fn triple_count(&self) -> usize {
         match self {
             AnyStore::Single(s) => s.triple_count(),
@@ -460,11 +559,11 @@ impl AnyStore {
         }
     }
 
-    /// The stores behind this one: the single store, or the shards in order.
-    pub fn stores(&self) -> &[Arc<Store>] {
+    /// The one store behind either flavor.
+    pub fn store(&self) -> &Arc<Store> {
         match self {
-            AnyStore::Single(s) => std::slice::from_ref(s),
-            AnyStore::Sharded(s) => &s.shards,
+            AnyStore::Single(s) => s,
+            AnyStore::Sharded(s) => &s.store,
         }
     }
 
@@ -491,7 +590,6 @@ pub enum AnyPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbohom_rdf::vocab;
 
     /// `turbohom_bench::canonical_json`, which this crate's unit tests cannot
     /// link: the body with its rows sorted, for comparing results whose
@@ -505,8 +603,8 @@ mod tests {
         format!("http://ub.org/{l}")
     }
 
-    /// A dataset with enough structure to exercise routing, the ownership
-    /// filter and halo replication: students in two departments of one university.
+    /// A dataset with enough structure to exercise routing and the ownership
+    /// filter: students in two departments of one university.
     fn sample_dataset() -> Dataset {
         let mut ds = Dataset::new();
         ds.insert_iris(
@@ -621,8 +719,8 @@ mod tests {
 
     #[test]
     fn absent_constants_cost_nothing_on_any_shard() {
-        // Every shard runs, and each one's own transform finds the constant
-        // missing from its dictionary: no candidate region is computed.
+        // Every shard runs, and each one's plan finds the constant missing
+        // from the dictionary: no candidate region is computed.
         for k in [1, 3, 4] {
             let sharded = sharded(k);
             for q in &QUERIES[ABSENT] {
@@ -638,7 +736,8 @@ mod tests {
     }
 
     #[test]
-    fn union_and_disconnected_queries_are_not_shardable() {
+    fn union_is_not_shardable_and_a_disconnected_query_is_answered() {
+        let single = single_store();
         let sharded = sharded(2);
         let union = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                        PREFIX ub: <http://ub.org/>
@@ -652,10 +751,12 @@ mod tests {
                               SELECT ?a ?b WHERE {
                                 ?a ub:memberOf <http://ub.org/dept0> .
                                 ?b ub:memberOf <http://ub.org/dept1> . }"#;
-        assert!(matches!(
-            sharded.execute(disconnected, EngineKind::TurboHomPlusPlus),
-            Err(StoreError::NotShardable(_))
-        ));
+        for kind in EngineKind::all() {
+            let got = sharded.execute(disconnected, kind).unwrap();
+            assert_eq!(got.len(), 25, "{kind}");
+            let expect = single.execute(disconnected, kind).unwrap();
+            assert_eq!(canonical_json(got), canonical_json(expect), "{kind}");
+        }
     }
 
     #[test]
@@ -796,5 +897,103 @@ mod tests {
             bodies.push(canonical_json(r.decode()));
         }
         assert_eq!(bodies[0], bodies[1]);
+    }
+
+    #[test]
+    fn term_hash_is_the_hash_of_the_rendering() {
+        let a = Term::iri("http://ex.org/a");
+        assert_eq!(term_hash(&a), fnv1a(FNV_OFFSET, b"<http://ex.org/a>"));
+        // Pinned, so that a change to the rendering or the hash, which moves
+        // every term to another shard, shows here first.
+        assert_eq!(term_hash(&a), 0x282f_4643_dfc8_a3aa);
+        // Different term kinds with the same inner text hash differently.
+        assert_ne!(term_hash(&Term::iri("x")), term_hash(&Term::literal("x")));
+        // A rendering made of several pieces hashes like the whole string.
+        let tagged = Term::lang_literal("hi \"there\"", "en");
+        assert_eq!(
+            term_hash(&tagged),
+            fnv1a(FNV_OFFSET, tagged.to_string().as_bytes())
+        );
+    }
+
+    #[test]
+    fn owns_is_the_ownership_of_every_term_of_the_lubm_dictionary() {
+        use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
+        let dataset = LubmGenerator::new(LubmConfig::scale(1)).generate();
+        let dictionary = &dataset.dictionary;
+        for shards in [1, 2, 4, 8] {
+            let owned = owned_bits(dictionary, shards);
+            assert_eq!(owned.len(), shards);
+            for (id, term) in dictionary.iter() {
+                let owners: Vec<usize> = (0..shards).filter(|&i| owns(&owned[i], id)).collect();
+                assert_eq!(owners, [owner(&term, shards)], "k={shards} {term}");
+            }
+            // An id past the dictionary is owned by nobody.
+            let past = dictionary.len() as u32;
+            for bits in &owned {
+                assert!((past..past + 130).all(|id| !owns(bits, TermId(id))));
+            }
+        }
+    }
+
+    #[test]
+    fn schema_predicates_are_recognized() {
+        assert!(is_schema_predicate(vocab::RDFS_SUBCLASSOF));
+        assert!(is_schema_predicate(vocab::RDFS_SUBPROPERTYOF));
+        assert!(is_schema_predicate(vocab::RDFS_DOMAIN));
+        assert!(is_schema_predicate(vocab::RDFS_RANGE));
+        assert!(!is_schema_predicate(vocab::RDF_TYPE));
+        assert!(!is_schema_predicate("http://ex.org/p"));
+    }
+
+    fn anchor_of(sparql: &str) -> Result<Anchor, String> {
+        choose_anchor(&parse_query(sparql).unwrap())
+    }
+
+    #[test]
+    fn constant_anchor_is_preferred() {
+        let anchor = anchor_of(
+            "SELECT ?x WHERE { ?x <http://ex/memberOf> <http://ex/d1> . \
+                               ?x <http://ex/advisor> ?y . }",
+        );
+        assert_eq!(anchor, Ok(Anchor::Constant(Term::iri("http://ex/d1"))));
+    }
+
+    #[test]
+    fn variable_anchor_prefers_projected_variables() {
+        let anchor = anchor_of("SELECT ?y WHERE { ?x <http://ex/p> ?y . ?y <http://ex/q> ?z . }");
+        assert_eq!(anchor, Ok(Anchor::Variable("y".into())));
+        // Unprojected, the first candidate in appearance order.
+        let anchor = anchor_of("SELECT ?z WHERE { ?x <http://ex/p> ?y . ?y <http://ex/q> ?z . }");
+        assert_eq!(anchor, Ok(Anchor::Variable("z".into())));
+        let anchor = anchor_of(&format!(
+            "SELECT ?c WHERE {{ ?x <{}> ?c . ?x <http://ex/q> ?z . }}",
+            vocab::RDF_TYPE
+        ));
+        assert_eq!(anchor, Ok(Anchor::Variable("x".into())));
+    }
+
+    #[test]
+    fn type_and_variable_predicate_triples_offer_their_subject_only() {
+        let anchor = anchor_of(&format!(
+            "SELECT ?x WHERE {{ ?x <{}> <http://ex/Student> . }}",
+            vocab::RDF_TYPE
+        ));
+        assert_eq!(anchor, Ok(Anchor::Variable("x".into())));
+        let anchor = anchor_of("SELECT ?o WHERE { ?s ?p ?o . }");
+        assert_eq!(anchor, Ok(Anchor::Variable("s".into())));
+    }
+
+    #[test]
+    fn union_and_schema_only_patterns_have_no_anchor() {
+        let union = anchor_of(
+            "SELECT ?x WHERE { { ?x <http://ex/a> ?y . } UNION { ?x <http://ex/b> ?y . } }",
+        );
+        assert!(union.unwrap_err().contains("UNION"));
+        let schema = anchor_of(&format!(
+            "SELECT ?c WHERE {{ ?c <{}> <http://ex/D> . }}",
+            vocab::RDFS_SUBCLASSOF
+        ));
+        assert!(schema.unwrap_err().contains("only schema triples"));
     }
 }

@@ -24,9 +24,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
-use turbohom_engine::{
-    AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions, HALO,
-};
+use turbohom_engine::{AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions};
 use turbohom_rdf::parse_ntriples;
 use turbohom_service::{HttpServer, QueryService, ServiceConfig};
 
@@ -60,9 +58,10 @@ fn usage() -> &'static str {
      \x20                   only way the class hierarchy applies, for every\n\
      \x20                   engine\n\
      \x20 --threads N       default worker threads per query (default 1)\n\
-     \x20 --shards N        partition the data across N shard stores (halo 2)\n\
-     \x20                   and run queries scatter-gather (default 1 = single\n\
-     \x20                   store; built from triples at boot, never saved)\n\
+     \x20 --shards N        split the ownership of the terms of the one store\n\
+     \x20                   N ways and run queries scatter-gather over it\n\
+     \x20                   (default 1 = no shards; built from triples at\n\
+     \x20                   boot, never saved)\n\
      \x20 --cache N         plan-cache capacity (default 256)\n\
      \x20 --engine NAME     default engine: turbohom++ | turbohom | mergejoin | hashjoin\n\
      \x20 --slow-ms MS      keep queries at or above MS milliseconds in\n\
@@ -188,7 +187,7 @@ fn run() -> Result<(), String> {
         };
         if args.shards > 1 {
             let store = ShardedStore::from_dataset_with(dataset, sharded_options)
-                .map_err(|e| format!("cannot partition the dataset: {e}"))?;
+                .map_err(|e| format!("cannot shard the store: {e}"))?;
             AnyStore::Sharded(Arc::new(store))
         } else {
             AnyStore::Single(Arc::new(Store::from_dataset_with(dataset, options)))
@@ -197,10 +196,10 @@ fn run() -> Result<(), String> {
     // Whatever plans of the default engine read beyond the type-aware graph
     // is built now, not by the first request. (Another engine named by a
     // request's `engine=` still builds on first use.)
-    store.stores().iter().for_each(|s| s.warm(args.engine));
+    store.store().warm(args.engine);
     let load_ms = load_started.elapsed().as_secs_f64() * 1000.0;
     let shard_note = store.sharded().map_or(String::new(), |s| {
-        format!(", {} shards, halo {HALO}", s.shard_count())
+        format!(", {} shards of one store", s.shard_count())
     });
     eprintln!(
         "store ready: {} triples in {load_ms:.1} ms ({} backend{}{shard_note})",
@@ -211,8 +210,9 @@ fn run() -> Result<(), String> {
 
     if let Some(path) = &args.save_snapshot {
         let started = std::time::Instant::now();
-        // One store: a sharded one was refused above.
-        let bytes = store.stores()[0]
+        // A single store: a sharded one was refused above.
+        let bytes = store
+            .store()
             .save_snapshot(std::path::Path::new(path))
             .map_err(|e| format!("cannot save snapshot {path}: {e}"))?;
         println!(

@@ -111,10 +111,9 @@ pub enum JournalEvent {
         /// Whether the store is served from a memory-mapped snapshot.
         mapped: bool,
         /// Per structure (`freeze`, `type_aware`, `direct`, `permutations`)
-        /// built before the service started: the milliseconds it took,
-        /// summed over shards, and the process's resident high-water mark
-        /// right after it, the highest over shards (both 0 for a structure
-        /// not built yet, or mapped instead of built). Rendered as
+        /// built before the service started: the milliseconds it took, and
+        /// the process's resident high-water mark right after it (both 0 for
+        /// a structure not built yet, or mapped instead of built). Rendered as
         /// `<structure>_ms` and `<structure>_peak_bytes` members.
         builds: [(&'static str, f64, u64); 4],
     },
@@ -123,8 +122,6 @@ pub enum JournalEvent {
     StructureBuilt {
         /// `direct` or `permutations`.
         structure: &'static str,
-        /// The shard whose store built it (0 on a single store).
-        shard: usize,
         /// Wall-clock milliseconds the build took.
         ms: f64,
         /// Bytes the built structure holds.
@@ -217,13 +214,11 @@ impl JournalEvent {
             }
             JournalEvent::StructureBuilt {
                 structure,
-                shard,
                 ms,
                 bytes,
                 peak_bytes,
             } => {
                 w.field("structure", structure)
-                    .field("shard", shard)
                     .field("ms", Fixed3(*ms))
                     .field("bytes", bytes)
                     .field("peak_bytes", peak_bytes);
@@ -571,7 +566,6 @@ mod tests {
             },
             JournalEvent::StructureBuilt {
                 structure: "permutations",
-                shard: 2,
                 ms: 700.0,
                 bytes: 144,
                 peak_bytes: 4096,

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_engine::{
     AnyStore, EngineKind, ExplainReport, IdResults, MatchStats, MemoryRow, MemoryUse, Store,
-    StoreError, Trace, TraceReport, HALO,
+    StoreError, Trace, TraceReport,
 };
 use turbohom_json::{Fixed3, JsonWriter, ToJson};
 use turbohom_sparql::{fingerprint, QueryFingerprint};
@@ -171,7 +171,7 @@ pub struct StatsSnapshot {
     pub bytes: BytesSnapshot,
 }
 
-/// The `bytes` block of `/stats`: every store's memory ledger, and what the
+/// The `bytes` block of `/stats`: the store's memory ledger, and what the
 /// process holds beyond it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BytesSnapshot {
@@ -185,10 +185,7 @@ pub struct BytesSnapshot {
     /// returned, plan cache, thread stacks. Negative when mapped pages the
     /// ledger counts are not resident.
     pub unaccounted: i64,
-    /// Σ shard triples ÷ dataset triples (1 on a single store): what halo
-    /// replication costs.
-    pub replication_factor: f64,
-    /// Triples and ledger of each store (one entry on a single store).
+    /// Triples and ledger of the one store (one entry, sharded or not).
     pub shards: Vec<(usize, Vec<MemoryRow>)>,
 }
 
@@ -202,8 +199,7 @@ impl ToJson for BytesSnapshot {
             .field("resident", self.resident)
             .field("peak", self.peak)
             .field("accounted", self.accounted)
-            .field("unaccounted", self.unaccounted)
-            .field("replication_factor", Fixed3(self.replication_factor));
+            .field("unaccounted", self.unaccounted);
         w.key("shards").begin_array();
         for (i, (triples, rows)) in self.shards.iter().enumerate() {
             let total = ledger_total(rows);
@@ -345,9 +341,7 @@ impl QueryService {
             config,
             store,
         };
-        let built: Vec<_> = (service.store.stores().iter())
-            .flat_map(|store| store.builds())
-            .collect();
+        let built = service.store.store().builds();
         let builds = ["freeze", "type_aware", "direct", "permutations"].map(|structure| {
             let of_structure = built.iter().filter(|b| b.structure == structure);
             of_structure.fold((structure, 0.0, 0), |(_, ms, peak), b| {
@@ -621,19 +615,16 @@ impl QueryService {
     /// planning just built (none, except for the first plan that reads the
     /// direct graph or the permutation tables).
     fn journal_first_use_builds(&self, trace_id: u64) {
-        for (shard, store) in self.store.stores().iter().enumerate() {
-            for build in store.take_first_use_builds() {
-                self.journal_event(
-                    Some(trace_id),
-                    JournalEvent::StructureBuilt {
-                        structure: build.structure,
-                        shard,
-                        ms: build.ms,
-                        bytes: build.bytes,
-                        peak_bytes: build.peak_bytes,
-                    },
-                );
-            }
+        for build in self.store.store().take_first_use_builds() {
+            self.journal_event(
+                Some(trace_id),
+                JournalEvent::StructureBuilt {
+                    structure: build.structure,
+                    ms: build.ms,
+                    bytes: build.bytes,
+                    peak_bytes: build.peak_bytes,
+                },
+            );
         }
     }
 
@@ -771,18 +762,16 @@ impl QueryService {
             "gauge",
             "Bytes of each array group of each store component (the /stats bytes ledger; direct and permutations are one zero line until a plan reads them).",
         );
-        for (shard, (_, rows)) in bytes.shards.iter().enumerate() {
-            for MemoryRow {
-                component,
-                part,
-                bytes,
-            } in rows
-            {
-                for (kind, value) in [("heap", bytes.heap), ("mapped", bytes.mapped)] {
-                    out.push_str(&format!(
-                        "turbohom_memory_bytes{{component=\"{component}\",part=\"{part}\",kind=\"{kind}\",shard=\"{shard}\"}} {value}\n"
-                    ));
-                }
+        for MemoryRow {
+            component,
+            part,
+            bytes,
+        } in bytes.shards.iter().flat_map(|(_, rows)| rows)
+        {
+            for (kind, value) in [("heap", bytes.heap), ("mapped", bytes.mapped)] {
+                out.push_str(&format!(
+                    "turbohom_memory_bytes{{component=\"{component}\",part=\"{part}\",kind=\"{kind}\"}} {value}\n"
+                ));
             }
         }
         scalar(
@@ -807,9 +796,8 @@ impl QueryService {
                 "Sharded-execution topology (1 = active; labels carry the configuration).",
             );
             out.push_str(&format!(
-                "turbohom_shards{{shards=\"{}\",halo=\"{}\"}} 1\n",
+                "turbohom_shards{{shards=\"{}\"}} 1\n",
                 sharded.shard_count(),
-                HALO,
             ));
         }
         for (name, help, value) in [
@@ -829,28 +817,20 @@ impl QueryService {
         out
     }
 
-    /// Walks every store's memory ledger and reads the process's resident
-    /// set beside it (the `bytes` block of `/stats`).
+    /// Walks the store's memory ledger and reads the process's resident set
+    /// beside it (the `bytes` block of `/stats`).
     pub fn bytes(&self) -> BytesSnapshot {
-        let stores = self.store.stores();
-        let shards: Vec<(usize, Vec<MemoryRow>)> = stores
-            .iter()
-            .map(|s| (s.triple_count(), s.memory()))
-            .collect();
-        let accounted: u64 = shards
-            .iter()
-            .map(|(_, rows)| ledger_total(rows))
-            .map(|m| m.heap + m.mapped)
-            .sum();
+        let store = self.store.store();
+        let rows = store.memory();
+        let accounted = ledger_total(&rows);
+        let accounted = accounted.heap + accounted.mapped;
         let (resident, peak) = turbohom_engine::process_resident_bytes();
-        let shard_triples: usize = shards.iter().map(|(triples, _)| triples).sum();
         BytesSnapshot {
             resident,
             peak,
             accounted,
             unaccounted: resident as i64 - accounted as i64,
-            replication_factor: shard_triples as f64 / self.store.triple_count().max(1) as f64,
-            shards,
+            shards: vec![(store.triple_count(), rows)],
         }
     }
 

@@ -190,7 +190,9 @@ fn concurrent_clients_get_results_identical_to_the_embedded_api() {
     let expected: Vec<String> = queries
         .iter()
         .map(|q| {
-            let results = service.store().stores()[0]
+            let results = service
+                .store()
+                .store()
                 .execute(&q.sparql, EngineKind::TurboHomPlusPlus)
                 .unwrap();
             assert!(!results.is_empty(), "{} should have solutions", q.id);
@@ -430,6 +432,31 @@ fn distinct_is_refused_and_reduced_is_answered() {
     assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     assert_eq!(body, plain);
 
+    handle.shutdown();
+}
+
+#[test]
+fn a_regex_outside_the_dialect_is_a_400() {
+    let (service, handle) = lubm_service();
+    let addr = handle.addr();
+    let errors = || service.stats().engines[0].errors;
+    let before = errors();
+    // An alternation would match nothing if taken as literal text; it is
+    // refused at parse time instead, before anything runs.
+    let query = format!(
+        "PREFIX ub: <{}> SELECT ?X ?N WHERE {{ ?X ub:name ?N . FILTER regex(?N, \"Course1|Course2\") }}",
+        lubm::UB
+    );
+    let (status, _, body) = get_query(addr, &query, "turbohom++");
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(
+        body.starts_with("{\"error\":\"") && body.contains("REGEX pattern uses `|`"),
+        "{body}"
+    );
+    assert_eq!(errors(), before + 1);
+    // The same pattern with the bar escaped is answered.
+    let (status, _, body) = get_query(addr, &query.replace('|', "\\\\|"), "turbohom++");
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     handle.shutdown();
 }
 
@@ -875,7 +902,9 @@ fn analyze_over_http_splices_actuals_and_feeds_qerror_metrics() {
     assert!(body.contains("\"mode\":\"analyze\""));
     assert!(body.contains("\"actual\""));
     // The actuals match what the embedded API returns for the same query.
-    let want = service.store().stores()[0]
+    let want = service
+        .store()
+        .store()
         .execute(q, EngineKind::TurboHomPlusPlus)
         .unwrap()
         .len();

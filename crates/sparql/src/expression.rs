@@ -417,7 +417,9 @@ fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
 /// A compiled `REGEX` pattern in the small dialect the BSBM queries use:
 /// literal characters (`\` escapes the next one), `.`, the quantifiers `*`
 /// and `+`, the anchors `^` and `$`, and the `i` flag. An unanchored pattern
-/// matches anywhere in the text (search semantics).
+/// matches anywhere in the text (search semantics). A pattern or flag
+/// outside the dialect is refused ([`RegexError`]), never matched as
+/// literal text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regex {
     case_insensitive: bool,
@@ -456,11 +458,41 @@ impl Atom {
     }
 }
 
+/// Why a `REGEX` pattern or its flags lie outside the dialect [`Regex`]
+/// compiles.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RegexError {
+    /// An unescaped metacharacter of a construct the dialect lacks
+    /// (alternation, `?`, groups, classes, counted repetition).
+    Unsupported(char),
+    /// A flag other than `i`.
+    Flag(char),
+}
+
+impl std::fmt::Display for RegexError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RegexError::Unsupported(c) => write!(
+                f,
+                "REGEX pattern uses `{c}`, outside the supported dialect \
+                 (literals, `\\` escapes, `.`, `*`, `+`, `^` and `$`)"
+            ),
+            RegexError::Flag(c) => write!(f, "REGEX flag `{c}` is not supported (only `i` is)"),
+        }
+    }
+}
+
+impl std::error::Error for RegexError {}
+
 impl Regex {
-    /// Compiles `pattern`; of `flags`, only `i` (case-insensitive) is
-    /// honoured. Only an unescaped `$` at the very end is the end anchor, and
-    /// only a `^` at the very start the start anchor.
-    pub fn new(pattern: &str, flags: Option<&str>) -> Regex {
+    /// Compiles `pattern` with `flags`, of which only `i` (case-insensitive)
+    /// exists. Only an unescaped `$` at the very end is the end anchor, and
+    /// only a `^` at the very start the start anchor. An unescaped `|`, `?`,
+    /// `(`, `)`, `[`, `]`, `{` or `}`, or another flag, is an error.
+    pub fn new(pattern: &str, flags: Option<&str>) -> Result<Regex, RegexError> {
+        if let Some(flag) = flags.unwrap_or_default().chars().find(|&f| f != 'i') {
+            return Err(RegexError::Flag(flag));
+        }
         let case_insensitive = flags.is_some_and(|f| f.contains('i'));
         let folded = if case_insensitive {
             Cow::Owned(pattern.to_lowercase())
@@ -481,6 +513,9 @@ impl Regex {
                 '$' if chars.peek().is_none() => {
                     anchored_end = true;
                     break;
+                }
+                '|' | '?' | '(' | ')' | '[' | ']' | '{' | '}' => {
+                    return Err(RegexError::Unsupported(c))
                 }
                 c => Some(c),
             };
@@ -518,13 +553,13 @@ impl Regex {
                 pieces.push(Piece::Seek(seek));
             }
         }
-        Regex {
+        Ok(Regex {
             case_insensitive,
             anchored_start,
             anchored_end,
             prefix,
             pieces,
-        }
+        })
     }
 
     /// Whether the pattern matches somewhere in `text` (at its start, when
@@ -629,7 +664,9 @@ mod tests {
     #[test]
     fn regex_literal_and_wildcards() {
         let is_match = |text: &str, pattern: &str, ci: bool| {
-            Regex::new(pattern, ci.then_some("i")).is_match(text)
+            Regex::new(pattern, ci.then_some("i"))
+                .unwrap()
+                .is_match(text)
         };
         assert!(is_match("ProductType123", "Type", false));
         assert!(is_match("ProductType123", "^Product", false));
@@ -652,7 +689,8 @@ mod tests {
 
     #[test]
     fn a_wildcard_run_then_literals_seeks_their_occurrences() {
-        let is_match = |text: &str, pattern: &str| Regex::new(pattern, None).is_match(text);
+        let is_match =
+            |text: &str, pattern: &str| Regex::new(pattern, None).unwrap().is_match(text);
         assert!(is_match("solid red number 12", "solid.*number 12"));
         assert!(!is_match("solid red number 1", "solid.*number 12"));
         // The occurrence that matches overlaps one that does not.
@@ -664,18 +702,18 @@ mod tests {
         assert!(is_match("abc", "a.*.c"));
         assert!(is_match("abbc", "a.*b*c$"));
         assert!(is_match("abc", "a.*"));
-        let seek = Regex::new("solid.*number 12", None);
+        let seek = Regex::new("solid.*number 12", None).unwrap();
         assert_eq!(seek.pieces, [Piece::Seek("number 12".into())]);
     }
 
     #[test]
     fn an_escaped_backslash_before_the_final_dollar_leaves_it_the_anchor() {
         // `regex(?x, "a\\\\$")`: an escaped backslash, then the end anchor.
-        let anchored = Regex::new(r"a\\$", None);
+        let anchored = Regex::new(r"a\\$", None).unwrap();
         assert!(anchored.is_match(r"xa\"));
         assert!(!anchored.is_match(r"a\$"));
         // An escaped dollar stays a literal one.
-        let dollar = Regex::new(r"a\$", None);
+        let dollar = Regex::new(r"a\$", None).unwrap();
         assert!(dollar.is_match("a$b"));
         assert!(!dollar.is_match("a"));
     }
@@ -728,7 +766,7 @@ mod tests {
 
     /// `REGEX(target, pattern [, flags])`.
     fn regex(target: Expression, pattern: &str, flags: Option<&str>) -> Expression {
-        Expression::Regex(Box::new(target), Regex::new(pattern, flags))
+        Expression::Regex(Box::new(target), Regex::new(pattern, flags).unwrap())
     }
 
     /// Evaluates `e` under `bindings` and renders the value: `bool …`,

@@ -29,7 +29,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use algebra::{GroupPattern, Query, Selection, SparqlTerm, TriplePattern};
-pub use expression::{Binding, Expression, Folded, Regex, Value};
+pub use expression::{Binding, Expression, Folded, Regex, RegexError, Value};
 pub use fingerprint::{fingerprint, QueryFingerprint};
 pub use lexer::{Lexer, Token};
 pub use parser::{parse_query, ParseError};

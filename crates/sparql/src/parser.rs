@@ -558,6 +558,7 @@ impl<'a> Parser<'a> {
                 self.expect_punct('(')?;
                 let target = self.parse_expression()?;
                 self.expect_punct(',')?;
+                let pattern_offset = self.offset();
                 let pattern = match self.bump() {
                     TokenKind::StringLiteral(s) => s.into_owned(),
                     other => {
@@ -577,7 +578,10 @@ impl<'a> Parser<'a> {
                     None
                 };
                 self.expect_punct(')')?;
-                let regex = Regex::new(&pattern, flags.as_deref());
+                let regex = Regex::new(&pattern, flags.as_deref()).map_err(|e| ParseError {
+                    message: e.to_string(),
+                    offset: pattern_offset,
+                })?;
                 Ok(Expression::Regex(Box::new(target), regex))
             }
             "BOUND" => {
@@ -747,11 +751,76 @@ mod tests {
         assert_eq!(q.pattern.filters.len(), 1);
         match &q.pattern.filters[0] {
             Expression::Regex(_, regex) => {
-                assert_eq!(*regex, Regex::new("alpha.*beta", Some("i")));
-                assert_ne!(*regex, Regex::new("alpha.*beta", None));
+                assert_eq!(*regex, Regex::new("alpha.*beta", Some("i")).unwrap());
+                assert_ne!(*regex, Regex::new("alpha.*beta", None).unwrap());
             }
             other => panic!("unexpected filter {other:?}"),
         }
+    }
+
+    /// The parse error of `FILTER regex(?l, <pattern> [, <flags>])`, after
+    /// checking that it points at the pattern string.
+    fn regex_refusal(pattern: &str, flags: Option<&str>) -> String {
+        let flags = flags.map_or(String::new(), |f| format!(", \"{f}\""));
+        let query = format!(
+            "SELECT ?p WHERE {{ ?p <http://ex.org/label> ?l . FILTER regex(?l, \"{pattern}\"{flags}) }}"
+        );
+        let error = parse_query(&query).unwrap_err();
+        assert_eq!(error.offset, query.find(&format!("\"{pattern}")).unwrap());
+        error.message
+    }
+
+    #[test]
+    fn a_regex_alternation_is_refused() {
+        assert!(regex_refusal("20|30", None).contains("`|`"));
+    }
+
+    #[test]
+    fn a_regex_optional_quantifier_is_refused() {
+        assert!(regex_refusal("a?", None).contains("`?`"));
+    }
+
+    #[test]
+    fn a_regex_group_is_refused() {
+        assert!(regex_refusal("(ab)+", None).contains("`(`"));
+        assert!(regex_refusal("ab)", None).contains("`)`"));
+    }
+
+    #[test]
+    fn a_regex_character_class_is_refused() {
+        assert!(regex_refusal("[ab]", None).contains("`[`"));
+        assert!(regex_refusal("ab]", None).contains("`]`"));
+    }
+
+    #[test]
+    fn a_regex_counted_repetition_is_refused() {
+        assert!(regex_refusal("a{2}", None).contains("`{`"));
+        assert!(regex_refusal("a}", None).contains("`}`"));
+    }
+
+    #[test]
+    fn a_regex_flag_other_than_i_is_refused() {
+        assert!(regex_refusal("alpha", Some("s")).contains("flag `s`"));
+        assert!(regex_refusal("alpha", Some("ix")).contains("flag `x`"));
+    }
+
+    #[test]
+    fn escaped_metacharacters_and_the_benchmark_patterns_compile() {
+        let query = |pattern: &str| {
+            format!("SELECT ?l WHERE {{ ?p <http://ex.org/label> ?l . FILTER regex(?l, \"{pattern}\", \"i\") }}")
+        };
+        // `\\|` in the query text is the pattern `\|`: a literal bar.
+        for pattern in [
+            r"20\\|30",
+            r"a\\?",
+            r"\\(\\[\\{\\}\\]\\)",
+            "alpha.*number",
+            "^solid.*number 12$",
+        ] {
+            assert!(parse_query(&query(pattern)).is_ok(), "{pattern}");
+        }
+        let bar = Regex::new(r"20\|30", None).unwrap();
+        assert!(bar.is_match("20|30") && !bar.is_match("20"));
     }
 
     #[test]

@@ -203,7 +203,7 @@ fn build(tape: &mut Tape, depth: u32) -> Expression {
             let target = sub(tape);
             let pattern = PATTERNS[tape.pick(PATTERNS.len())];
             let flags = (tape.pick(2) == 1).then_some("i");
-            Expression::Regex(target, Regex::new(pattern, flags))
+            Expression::Regex(target, Regex::new(pattern, flags).unwrap())
         }
     }
 }
