@@ -11,6 +11,12 @@ use turbohom_service::{QueryOptions, QueryService};
 const VARIABLE_PREDICATE: &str =
     "SELECT ?p ?o WHERE { <http://www.Department0.University0.edu/FullProfessor0> ?p ?o . }";
 
+/// `?x rdf:type ?c`: the one kind of pattern, with a type pattern inside an
+/// OPTIONAL, that a TurboHOM++ plan reads the direct graph for.
+const VARIABLE_CLASS: &str = "SELECT ?c WHERE { \
+    <http://www.Department0.University0.edu/FullProfessor0> \
+    <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?c . }";
+
 fn component_bytes(service: &QueryService, component: &str) -> u64 {
     let bytes = service.bytes();
     let rows = bytes.shards.iter().flat_map(|(_, rows)| rows);
@@ -40,6 +46,9 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
     for q in lubm::queries() {
         service.query(&q.sparql, QueryOptions::default()).unwrap();
     }
+    // A variable predicate reads the type edges off the type-aware graph.
+    let response = service.query(VARIABLE_PREDICATE, QueryOptions::default());
+    assert!(response.unwrap().results.row_count() > 0);
     assert_eq!(component_bytes(&service, "direct"), 0);
     assert_eq!(component_bytes(&service, "permutations"), 0);
     assert!(component_bytes(&service, "type_aware") > 0);
@@ -64,10 +73,10 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
     let trace = turbohom_engine::format_trace_id(merge.trace_id);
     assert!(built[0].contains(&format!("\"trace\":\"{trace}\"")));
 
-    // One variable-predicate query builds the direct graph; the second
+    // One variable-class query builds the direct graph; the second
     // baseline engine reuses the tables the first one built.
     service
-        .query(VARIABLE_PREDICATE, QueryOptions::default())
+        .query(VARIABLE_CLASS, QueryOptions::default())
         .unwrap();
     service
         .query(q1, with_engine(EngineKind::HashJoin))
@@ -109,6 +118,10 @@ fn explain_and_warm_account_for_their_builds_too() {
     service
         .explain(VARIABLE_PREDICATE, QueryOptions::default())
         .unwrap();
+    assert!(structures_built(&service).is_empty());
+    service
+        .explain(VARIABLE_CLASS, QueryOptions::default())
+        .unwrap();
     assert_eq!(structures_built(&service).len(), 1);
 
     // A warmed store has nothing left to build on first use, and its
@@ -118,9 +131,9 @@ fn explain_and_warm_account_for_their_builds_too() {
     store.warm(EngineKind::HashJoin);
     let service = QueryService::new(Arc::new(store));
     for kind in EngineKind::all() {
-        service
-            .query(VARIABLE_PREDICATE, with_engine(kind))
-            .unwrap();
+        for q in [VARIABLE_PREDICATE, VARIABLE_CLASS] {
+            service.query(q, with_engine(kind)).unwrap();
+        }
     }
     assert!(structures_built(&service).is_empty());
     let loaded = service.journal().to_jsonl();

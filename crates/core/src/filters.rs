@@ -50,15 +50,7 @@ pub fn adjacent_candidates<'a>(
                 .collect();
             Cow::Owned(ops::intersect_k(&slices))
         }
-        (None, []) => Cow::Owned(g.all_neighbors(v, direction)),
-        (None, _) => {
-            let lists: Vec<Vec<VertexId>> = labels
-                .iter()
-                .map(|&l| g.neighbors_with_label_any_edge(v, direction, l))
-                .collect();
-            let slices: Vec<&[VertexId]> = lists.iter().map(|l| l.as_slice()).collect();
-            Cow::Owned(ops::intersect_k(&slices))
-        }
+        (None, _) => Cow::Owned(data.neighbors_any_edge(v, direction, labels)),
     }
 }
 
@@ -75,7 +67,8 @@ pub struct VertexFilter<'q> {
     bound: Option<VertexId>,
     labels: &'q [VLabel],
     /// The degree filter's demand — the least number of (outgoing, incoming)
-    /// incident edges — or `None` when the filter is off.
+    /// incident edges with a constant predicate (a variable one may take a
+    /// folded edge, which no CSR holds) — or `None` when the filter is off.
     min_degree: Option<(usize, usize)>,
     /// The NLF filter's demand — the distinct neighbor constraints, each
     /// with how often the query vertex has it. Empty when the filter is off.
@@ -98,12 +91,13 @@ impl<'q> VertexFilter<'q> {
         }
         let min_degree = config.optimizations.degree_filter.then(|| {
             let count = |direction: Direction| {
-                let incident = neighbors.iter().filter(|((d, _, _), _)| *d == direction);
+                let incident = (neighbors.iter())
+                    .filter(|((d, label, _), _)| *d == direction && label.is_some());
                 match config.semantics {
                     // v needs at least as many incident edges as u.
                     MatchSemantics::Isomorphism => incident.map(|(_, times)| *times).sum(),
                     MatchSemantics::Homomorphism => {
-                        homomorphic_degree(incident.map(|((_, label, _), _)| *label))
+                        homomorphic_degree(incident.filter_map(|((_, label, _), _)| *label))
                     }
                 }
             };
@@ -188,17 +182,14 @@ impl<'q> VertexFilter<'q> {
 }
 
 /// The incident edges, in one direction, a data vertex needs to be the image
-/// of a query vertex whose edges in that direction carry `labels`, under
-/// homomorphism. Query edges may share a data edge unless their predicates
-/// differ, so it is one edge per distinct constant predicate — a variable
-/// predicate is content with any of them — and one if there are only
-/// variable ones.
-fn homomorphic_degree(labels: impl Iterator<Item = Option<ELabel>>) -> usize {
-    let mut any = false;
-    let mut constant: Vec<ELabel> = labels.inspect(|_| any = true).flatten().collect();
-    constant.sort_unstable();
-    constant.dedup();
-    constant.len().max(usize::from(any))
+/// of a query vertex whose edges in that direction carry the constant
+/// predicates `labels`, under homomorphism: query edges may share a data
+/// edge unless their predicates differ, so one per distinct predicate.
+fn homomorphic_degree(labels: impl Iterator<Item = ELabel>) -> usize {
+    let mut labels: Vec<ELabel> = labels.collect();
+    labels.sort_unstable();
+    labels.dedup();
+    labels.len()
 }
 
 /// The filters as they were before [`VertexFilter`]: everything is derived
@@ -222,34 +213,20 @@ pub(crate) mod reference {
         if !config.optimizations.degree_filter {
             return true;
         }
-        let pass = match config.semantics {
-            MatchSemantics::Isomorphism => {
-                // v needs at least as many incident edges per direction as u.
-                let (mut q_out, mut q_in) = (0usize, 0usize);
-                for &(ei, dir) in query.incident_edges(u) {
-                    let _ = ei;
-                    match dir {
-                        Direction::Outgoing => q_out += 1,
-                        Direction::Incoming => q_in += 1,
-                    }
-                }
-                data.graph.degree(v, Direction::Outgoing) >= q_out
-                    && data.graph.degree(v, Direction::Incoming) >= q_in
-            }
-            MatchSemantics::Homomorphism => {
-                // Homomorphism flavour: v needs an edge per distinct constant
-                // predicate of u's edges in the direction, one at least.
-                let demand = |direction: Direction| {
-                    let labels = query
-                        .neighbor_constraints(u)
-                        .filter(move |(dir, _, _)| *dir == direction)
-                        .map(|(_, el, _)| el);
-                    homomorphic_degree(labels)
-                };
-                data.graph.degree(v, Direction::Outgoing) >= demand(Direction::Outgoing)
-                    && data.graph.degree(v, Direction::Incoming) >= demand(Direction::Incoming)
+        // v needs, per direction, the CSR edges u's constant predicates ask
+        // for: as many as u has edges, or one per distinct predicate.
+        let demand = |direction: Direction| {
+            let labels = (query.neighbor_constraints(u))
+                .filter(|(dir, _, _)| *dir == direction)
+                .filter_map(|(_, el, _)| el);
+            match config.semantics {
+                MatchSemantics::Isomorphism => labels.count(),
+                MatchSemantics::Homomorphism => homomorphic_degree(labels),
             }
         };
+        let pass = [Direction::Outgoing, Direction::Incoming]
+            .into_iter()
+            .all(|d| data.graph.degree(v, d) >= demand(d));
         if !pass {
             stats.degree_filtered += 1;
         }
@@ -459,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn degree_filter_homomorphism_lets_a_variable_predicate_share_an_edge() {
+    fn degree_filter_asks_nothing_of_a_variable_predicate() {
         let (ds, t) = data();
         let mut stats = MatchStats::default();
         let config = TurboHomConfig {
@@ -467,8 +444,8 @@ mod tests {
             ..TurboHomConfig::default()
         };
         let member_of = el(&ds, &t, "memberOf");
-        // `?x memberOf ?y . ?x ?p ?z`: both edges can be the one memberOf
-        // edge of s2, under homomorphism only.
+        // `?x memberOf ?y . ?x ?p ?z`: `?p` may be a folded `rdf:type` edge
+        // the CSR does not count, so only the memberOf edge is asked for.
         let q = one_vertex_query(
             vec![],
             vec![
@@ -476,13 +453,23 @@ mod tests {
                 (Direction::Outgoing, None, vec![]),
             ],
         );
-        let s2 = vid(&ds, "s2");
-        assert!(VertexFilter::new(&config, &q, 0).degree_filter(&t, s2, &mut stats));
         let isomorphism = TurboHomConfig {
             semantics: MatchSemantics::Isomorphism,
             ..config
         };
-        assert!(!VertexFilter::new(&isomorphism, &q, 0).degree_filter(&t, s2, &mut stats));
+        let passes = |config: &TurboHomConfig, v: &str, stats: &mut MatchStats| {
+            VertexFilter::new(config, &q, 0).degree_filter(&t, vid(&ds, v), stats)
+        };
+        // s2 has its memberOf edge (and, for `?p`, its `rdf:type` edge).
+        assert!(passes(&config, "s2", &mut stats));
+        assert!(passes(&isomorphism, "s2", &mut stats));
+        // dept1's one edge is its `rdf:type` edge, which no CSR holds.
+        assert!(!passes(&config, "dept1", &mut stats));
+        assert!(!passes(&isomorphism, "dept1", &mut stats));
+        // Two variable predicates: dept1's type edge can be both.
+        let q = one_vertex_query(vec![], vec![(Direction::Outgoing, None, vec![]); 2]);
+        let filter = VertexFilter::new(&isomorphism, &q, 0);
+        assert!(filter.degree_filter(&t, vid(&ds, "dept1"), &mut stats));
     }
 
     #[test]

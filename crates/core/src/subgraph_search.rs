@@ -361,7 +361,7 @@ impl<'a> SubgraphSearcher<'a> {
         // Variable predicates: the union of the endpoint's adjacency groups.
         for join in joins {
             if let (Some(w), None) = (self.mapping[join.other], join.label) {
-                let any_edge = data.graph.all_neighbors(w, join.direction);
+                let any_edge = data.neighbors_any_edge(w, join.direction, &[]);
                 ops::intersect_adaptive_into(out, &any_edge, &mut self.scratch);
                 std::mem::swap(out, &mut self.scratch);
             }
@@ -375,7 +375,7 @@ impl<'a> SubgraphSearcher<'a> {
             .iter()
             .all(|label| match label {
                 Some(el) => self.data.graph.has_edge(v, v, *el),
-                None => !self.data.graph.edge_labels_between(v, v).is_empty(),
+                None => !self.data.edge_labels_between(v, v).is_empty(),
             })
     }
 
@@ -408,11 +408,8 @@ impl<'a> SubgraphSearcher<'a> {
                 ops::contains_sorted(self.data.graph.neighbors(from, direction, el), candidate)
             }
             None => {
-                let (s, o) = match direction {
-                    Direction::Outgoing => (from, candidate),
-                    Direction::Incoming => (candidate, from),
-                };
-                !self.data.graph.edge_labels_between(s, o).is_empty()
+                let any_edge = self.data.neighbors_any_edge(from, direction, &[]);
+                ops::contains_sorted(&any_edge, candidate)
             }
         }
     }
@@ -428,7 +425,7 @@ impl<'a> SubgraphSearcher<'a> {
         for (i, &ei) in self.layout.variable_edges().iter().enumerate() {
             let e = self.query.graph.edge(ei);
             if let (Some(s), Some(o)) = (self.mapping[e.from], self.mapping[e.to]) {
-                let labels = self.data.graph.edge_labels_between(s, o);
+                let labels = self.data.edge_labels_between(s, o);
                 if labels.is_empty() {
                     // Defensive: the search guaranteed at least one edge.
                     return 0;

@@ -20,7 +20,7 @@ use turbohom_transform::{direct_transform, type_aware_transform, TransformedGrap
 
 /// Engine-level snapshot meta section: format sub-version, inference flag,
 /// triple count (component 0x09; the component sections of the dataset and
-/// the two graphs follow).
+/// the type-aware graph follow).
 const TAG_STORE_META: u64 = 0x0901;
 
 /// The store-level snapshot format sub-version. Bumped when the *composition*
@@ -37,8 +37,10 @@ const TAG_STORE_META: u64 = 0x0901;
 /// no vertex mapping (`0x0601`/`0x0602`) and has one row per dictionary term.
 /// 8: a graph stores a type group only where it filters; each edge-label
 /// group (`0x03x1`) names the label set all its targets carry (`0x03x6`/
-/// `0x03x7`) and ends where the next one starts.
-const STORE_FORMAT_SUB_VERSION: u64 = 8;
+/// `0x03x7`) and ends where the next one starts. 9: only the type-aware graph
+/// is stored, without its kind (`0x0701`) and with its subclass pairs
+/// (`0x0704`/`0x0705`).
+const STORE_FORMAT_SUB_VERSION: u64 = 9;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not
@@ -148,7 +150,7 @@ impl Backend {
     }
 
     /// Reads one store's sections from `cur`, which the snapshot file at
-    /// `path` backs, and reconstructs the dataset and both graphs in place;
+    /// `path` backs, and reconstructs the dataset and the graph in place;
     /// also returns whether the store was written with inference enabled
     /// (the closure is already materialized in the stored triples).
     pub fn read(cur: &mut SectionCursor<'_>, path: &Path) -> Result<(Self, bool), StoreError> {
@@ -173,21 +175,17 @@ impl Backend {
             .into());
         }
         let type_aware = TransformedGraph::read_sections(cur)?;
-        let direct = TransformedGraph::read_sections(cur)?;
         // A matched vertex is read as the term of its id, by the writer and
         // the FILTERs alike: every row must be a term.
-        let terms = dataset.dictionary.len();
-        for graph in [&type_aware, &direct] {
-            let (kind, rows) = (graph.kind, graph.graph.vertex_count());
-            if rows != terms {
-                let what = format!("{kind:?} graph has {rows} vertex rows, {terms} terms");
-                return Err(SnapshotError::Malformed(what).into());
-            }
+        let (rows, terms) = (type_aware.graph.vertex_count(), dataset.dictionary.len());
+        if rows != terms {
+            let what = format!("the graph has {rows} vertex rows, {terms} terms");
+            return Err(SnapshotError::Malformed(what).into());
         }
         let backend = Backend {
             dataset,
             type_aware,
-            direct: direct.into(),
+            direct: OnceLock::new(),
             permutations: OnceLock::new(),
             origin: Origin::Snapshot {
                 path: path.to_path_buf(),
@@ -198,8 +196,7 @@ impl Backend {
         Ok((backend, meta[1] != 0))
     }
 
-    /// Writes the store meta, the dataset and both graphs (building the
-    /// direct one if no plan has yet) into `w`.
+    /// Writes the store meta, the dataset and the type-aware graph into `w`.
     pub fn write(&self, inference: bool, w: &mut SnapshotWriter) {
         let meta: [u64; 3] = [
             STORE_FORMAT_SUB_VERSION,
@@ -209,7 +206,6 @@ impl Backend {
         w.section(TAG_STORE_META, &meta);
         self.dataset.write_sections(w);
         self.type_aware.write_sections(w);
-        self.direct(false).write_sections(w);
     }
 
     /// `"heap"` or `"snapshot"`.

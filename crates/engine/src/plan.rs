@@ -23,7 +23,7 @@
 
 use crate::error::StoreError;
 use crate::results::{IdResults, QueryResults, Run};
-use crate::store::{branch_needs_direct, collect_filters, split_components, EngineKind, Store};
+use crate::store::{collect_filters, split_components, EngineKind, Store};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -404,8 +404,7 @@ impl Store {
         force_direct: bool,
         vars: Vec<String>,
     ) -> Result<ComponentPlan, StoreError> {
-        let use_direct = force_direct || branch_needs_direct(group);
-        let (graph, transformed) = self.transform_branch(group, use_direct)?;
+        let (graph, transformed) = self.transform_branch(group, force_direct)?;
         Ok(ComponentPlan {
             // `transform_branch` may have fallen back to the direct graph.
             use_direct: graph.kind == TransformKind::Direct,

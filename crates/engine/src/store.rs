@@ -146,8 +146,8 @@ impl Default for StoreOptions {
 }
 
 /// An RDF store: the dataset, the type-aware graph every TurboHOM++ plan
-/// matches over, and — each built by the first plan that reads it — the
-/// direct graph and the six permutation tables.
+/// matches over, and — each built by the first plan that reads it, on
+/// either backend — the direct graph and the six permutation tables.
 ///
 /// The arrays are either owned heap memory (built from parsed triples) or
 /// zero-copy views into a memory-mapped snapshot file (see
@@ -206,10 +206,10 @@ impl Store {
     /// Like [`from_snapshot`](Self::from_snapshot) with an explicit
     /// worker-thread count.
     pub fn from_snapshot_with(path: &Path, threads: usize) -> Result<Self, StoreError> {
-        let snapshot = Snapshot::open(path)?;
         if threads == 0 {
             return Err(StoreError::InvalidThreadCount(0));
         }
+        let snapshot = Snapshot::open(path)?;
         let (backend, inference) = Backend::read(&mut snapshot.cursor(), path)?;
         Ok(Store {
             backend,
@@ -217,13 +217,12 @@ impl Store {
         })
     }
 
-    /// Writes the store's contents (dictionary, triples, both transformed
-    /// graphs with their indexes — the direct one is built first if no plan
-    /// has read it yet) to a versioned, checksummed snapshot file that
-    /// [`from_snapshot`](Self::from_snapshot) reads back without copying.
-    /// The permutation tables are not stored; a join baseline sorts them
-    /// out of the mapped triples on first use. Returns the number of bytes
-    /// written.
+    /// Writes the store's contents (dictionary, triples, the type-aware
+    /// graph with its indexes) to a versioned, checksummed snapshot file
+    /// that [`from_snapshot`](Self::from_snapshot) reads back without
+    /// copying. The direct graph and the permutation tables are not stored:
+    /// the first plan that reads one builds it from the mapped triples.
+    /// Returns the number of bytes written.
     pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
         let mut w = SnapshotWriter::new();
         self.backend.write(self.options.inference, &mut w);
@@ -261,8 +260,10 @@ impl Store {
     }
 
     /// The direct transformed graph (Section 3.2), built now if nothing has
-    /// read it before. Planning a query forces what the plan will read, so
-    /// running a plan never builds.
+    /// read it before: only the `turbohom` ablation and the type patterns
+    /// the type-aware graph cannot fold (`?x rdf:type ?c`, a type pattern
+    /// inside an OPTIONAL) read it. Planning a query forces what the plan
+    /// will read, so running a plan never builds.
     pub fn direct_graph(&self) -> &TransformedGraph {
         self.backend.direct(true)
     }
@@ -276,8 +277,9 @@ impl Store {
     /// Builds, ahead of any request, what plans for `kind` read beyond the
     /// type-aware graph: the direct graph for [`EngineKind::TurboHom`], the
     /// permutation tables for the join baselines. (A TurboHOM++ plan reads
-    /// the direct graph only for a variable predicate or class; that stays a
-    /// first-use build.) Call it before timing anything.
+    /// the direct graph only for a variable class or a type pattern inside
+    /// an OPTIONAL; that stays a first-use build.) Call it before timing
+    /// anything.
     pub fn warm(&self, kind: EngineKind) {
         match kind {
             EngineKind::TurboHomPlusPlus => {}
@@ -360,21 +362,15 @@ impl Store {
         use_direct: bool,
     ) -> Result<(&TransformedGraph, TransformedQuery), StoreError> {
         let dictionary = &self.dataset().dictionary;
-        if use_direct {
-            let tq = transform_query(branch, self.direct_graph(), dictionary)?;
-            return Ok((self.direct_graph(), tq));
-        }
-        match transform_query(branch, self.type_aware_graph(), dictionary) {
-            Ok(tq) => Ok((self.type_aware_graph(), tq)),
-            Err(
-                TransformError::VariableTypeUnsupported
-                | TransformError::VariableSubclassUnsupported,
-            ) => {
-                let tq = transform_query(branch, self.direct_graph(), dictionary)?;
-                Ok((self.direct_graph(), tq))
+        if !use_direct {
+            match transform_query(branch, self.type_aware_graph(), dictionary) {
+                Ok(tq) => return Ok((self.type_aware_graph(), tq)),
+                Err(TransformError::SchemaPatternUnsupported) => {}
+                Err(e) => return Err(e.into()),
             }
-            Err(e) => Err(e.into()),
         }
+        let tq = transform_query(branch, self.direct_graph(), dictionary)?;
+        Ok((self.direct_graph(), tq))
     }
 
     /// Evaluates the query with a join baseline (an `execute` stage span)
@@ -423,19 +419,6 @@ impl<'s> PreparedQuery<'s> {
     pub fn plan(&self, kind: EngineKind) -> Result<QueryPlan, StoreError> {
         self.store.plan_query(&self.query, kind)
     }
-}
-
-/// Returns `true` if the branch contains a variable in predicate position
-/// (anywhere, including OPTIONAL clauses). Such queries must run over the
-/// direct transformation: in the type-aware graph the `rdf:type` edges no
-/// longer exist, so a variable predicate would silently miss them.
-pub(crate) fn branch_needs_direct(branch: &GroupPattern) -> bool {
-    branch
-        .triples
-        .iter()
-        .any(|t| matches!(t.predicate, SparqlTerm::Variable(_)))
-        || branch.optionals.iter().any(branch_needs_direct)
-        || branch.unions.iter().flatten().any(branch_needs_direct)
 }
 
 /// All FILTER expressions of a branch, including those inside OPTIONALs
@@ -620,10 +603,12 @@ mod tests {
     }
 
     #[test]
-    fn variable_predicate_falls_back_to_direct_graph() {
+    fn variable_predicate_matches_the_type_aware_graph() {
         let store = sample_store();
         let q = "SELECT ?p ?o WHERE { <http://ub.org/student0> ?p ?o . }";
         let graph = store.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
+        // The type edges come from the labels: nothing built the direct graph.
+        assert!(store.builds().iter().all(|b| b.structure != "direct"));
         let join = store.execute(q, EngineKind::MergeJoin).unwrap();
         // Both must see the rdf:type triples (2 after inference) + memberOf.
         assert_eq!(graph.len(), join.len());

@@ -126,11 +126,12 @@ fn saving_from_a_snapshot_store_round_trips_again() {
 }
 
 /// The ledger line a snapshot section belongs to (`None` for the meta
-/// sections, whose few counts live in struct fields, not arrays). Both
-/// graphs write the same tags; `graph` says which one is being read.
-fn ledger_line(tag: u64, graph: &'static str) -> Option<(&'static str, &'static str)> {
+/// sections, whose few counts live in struct fields, not arrays).
+fn ledger_line(tag: u64) -> Option<(&'static str, &'static str)> {
+    let graph = "type_aware";
     Some(match tag {
-        0x0901 | 0x0701 | 0x0301 => return None,
+        0x0901 | 0x0301 => return None,
+        0x0704 | 0x0705 => (graph, "csr"),
         0x0101 => ("dictionary", "arena"),
         0x0102 => ("dictionary", "records"),
         0x0103 => ("dictionary", "sorted"),
@@ -163,13 +164,10 @@ fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
     heap.save_snapshot(&path).unwrap();
 
     let mut sections: Vec<((&str, &str), u64)> = Vec::new();
-    let mut graphs = ["type_aware", "direct"].into_iter();
-    let mut graph = "";
+    let mut graphs = 0;
     for (tag, len) in turbohom_storage::Snapshot::open(&path).unwrap().sections() {
-        if tag == 0x0701 {
-            graph = graphs.next().expect("a snapshot stores two graphs");
-        }
-        if let Some(line) = ledger_line(tag, graph) {
+        graphs += usize::from(tag == 0x0301);
+        if let Some(line) = ledger_line(tag) {
             match sections.iter_mut().find(|(l, _)| *l == line) {
                 Some((_, bytes)) => *bytes += len,
                 None => sections.push((line, len)),
@@ -177,13 +175,15 @@ fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
         }
     }
 
-    // Saving built the direct graph; nothing has read the permutations.
+    assert_eq!(graphs, 1, "a snapshot stores one graph");
+
+    // Nothing has read the direct graph or the permutations.
     let mapped = Store::from_snapshot(&path).unwrap();
     assert!(mapped.is_mapped());
     for (store, on_heap) in [(&heap, true), (&mapped, false)] {
         let mut ledger = store.memory();
         let unbuilt = |row: &turbohom_engine::MemoryRow| {
-            ["dedup_set", "permutations"].contains(&row.component)
+            ["dedup_set", "direct", "permutations"].contains(&row.component)
         };
         for row in ledger.iter().filter(|row| unbuilt(row)) {
             assert_eq!((row.bytes.heap, row.bytes.mapped), (0, 0), "{row:?}");
@@ -202,7 +202,6 @@ fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
                 ("type_aware", "predicate_index") => {
                     derived_summary_bytes(store.type_aware_graph())
                 }
-                ("direct", "predicate_index") => derived_summary_bytes(store.direct_graph()),
                 _ => 0,
             };
             assert!(derived > 0 || line.1 != "predicate_index");
@@ -227,8 +226,7 @@ fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
         let of_component = rows.iter().filter(|row| row.component == component);
         of_component.map(|r| r.bytes.heap + r.bytes.mapped).sum()
     };
-    // The direct graph came out of the file; nothing was built at open.
-    assert!(bytes_of(&snap, "direct") > 0);
+    // Nothing was built at open.
     assert_eq!(bytes_of(&snap, "permutations"), 0);
     assert!(snap.builds().is_empty());
     snap.execute(QUERIES[0], EngineKind::HashJoin).unwrap();
@@ -242,16 +240,62 @@ fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
 }
 
 #[test]
+fn a_snapshot_holds_no_direct_graph_and_turbohom_builds_it_from_the_map() {
+    let path = temp_path("direct.snap");
+    let heap = sample_store();
+    heap.save_snapshot(&path).unwrap();
+    let snap = Store::from_snapshot(&path).unwrap();
+    let direct_bytes = |store: &Store| -> u64 {
+        let rows = store
+            .memory()
+            .into_iter()
+            .filter(|row| row.component == "direct");
+        rows.map(|r| r.bytes.heap + r.bytes.mapped).sum()
+    };
+    // TurboHOM++ plans with a variable predicate read the type-aware graph
+    // alone, the folded `rdf:type` and `rdfs:subClassOf` triples included.
+    let everything = "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }";
+    for q in [QUERIES[2], everything] {
+        let mut a = heap.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
+        let mut b = snap.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
+        let merge = heap.execute(q, EngineKind::MergeJoin).unwrap();
+        assert_eq!(b.len(), merge.len(), "{q}");
+        a.rows.sort();
+        b.rows.sort();
+        assert_eq!(a.to_sparql_json(), b.to_sparql_json(), "{q}");
+    }
+    assert_eq!(direct_bytes(&snap), 0);
+    assert!(snap.builds().is_empty());
+    // A `turbohom` plan builds it, from the mapped triples, once.
+    snap.execute(QUERIES[2], EngineKind::TurboHom).unwrap();
+    assert!(direct_bytes(&snap) > 0);
+    let built: Vec<_> = snap.builds().iter().map(|b| b.structure).collect();
+    assert_eq!(built, ["direct"]);
+    let (from_map, from_heap) = (snap.direct_graph(), heap.direct_graph());
+    assert!(from_map.graph == from_heap.graph);
+    assert!(from_map.mappings == from_heap.mappings);
+    for q in QUERIES {
+        let mut a = heap.execute(q, EngineKind::TurboHom).unwrap();
+        let mut b = snap.execute(q, EngineKind::TurboHom).unwrap();
+        a.rows.sort();
+        b.rows.sort();
+        assert_eq!(a.to_sparql_json(), b.to_sparql_json(), "{q}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // What older builds wrote first: the store meta section with sub-version
     // 1 (the permutation tables still followed the graphs), 2 (the graphs
     // still held their degree order and unlabeled list), 3 (term ids were
     // 64 bits wide), 4 (the graphs still held a type group for unlabeled
     // neighbors), 5 (the type-aware graph still held its simple-entailment
-    // label sets), 6 (each graph still mapped its vertices to terms) or 7
-    // (each graph still stored the type groups that filter nothing).
+    // label sets), 6 (each graph still mapped its vertices to terms), 7
+    // (each graph still stored the type groups that filter nothing) or 8
+    // (the direct graph followed the type-aware one).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4, 5, 6, 7] {
+    for found in [1, 2, 3, 4, 5, 6, 7, 8] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -260,7 +304,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 8
+                expected: 9
             })
         );
     }
@@ -270,7 +314,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
 #[test]
 fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
     // A vertex is read as the term of the same id: the store meta and the
-    // dataset of one store, then the graphs of a store with one term more.
+    // dataset of one store, then the graph of a store with one term more.
     let small = sample_store();
     let mut larger = turbohom_rdf::Dataset::new();
     for (id, term) in small.dataset().dictionary.iter() {
@@ -286,9 +330,8 @@ fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
 
     let mut w = turbohom_storage::SnapshotWriter::new();
     let triples = small.triple_count() as u64;
-    w.section::<u64>(0x0901, &[8, 1, triples]);
+    w.section::<u64>(0x0901, &[9, 1, triples]);
     small.dataset().write_sections(&mut w);
-    graph.write_sections(&mut w);
     graph.write_sections(&mut w);
     let path = temp_path("rows.snap");
     w.write_to(&path).unwrap();
@@ -427,4 +470,10 @@ fn a_predicate_index_endpoint_that_is_no_vertex_is_refused_not_indexed() {
 fn missing_file_is_an_io_error() {
     let err = Store::from_snapshot(&temp_path("does-not-exist.snap")).unwrap_err();
     assert!(matches!(err, StoreError::Snapshot(SnapshotError::Io(_))));
+}
+
+#[test]
+fn zero_threads_are_refused_before_the_file_is_opened() {
+    let err = Store::from_snapshot_with(&temp_path("does-not-exist.snap"), 0).unwrap_err();
+    assert_eq!(err, StoreError::InvalidThreadCount(0));
 }

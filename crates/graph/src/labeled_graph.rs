@@ -356,55 +356,25 @@ impl LabeledGraph {
         }
     }
 
-    /// All neighbors of `v` in `direction` regardless of edge label
-    /// (sorted, duplicate free). Allocates, since it unions the per-label
-    /// groups.
-    pub fn all_neighbors(&self, v: VertexId, direction: Direction) -> Vec<VertexId> {
-        let d = self.dir(direction);
-        let slices: Vec<&[VertexId]> = d.group_range(v).map(|i| d.targets_of(i)).collect();
-        crate::ops::union_k(&slices)
-    }
-
-    /// Neighbors of `v` in `direction` with vertex label `vl`, over **any**
-    /// edge label (used when the query edge label is blank but the neighbor
-    /// label is known). Allocates.
-    pub fn neighbors_with_label_any_edge(
+    /// The adjacency of `v` in `direction` one edge-label group at a time:
+    /// each edge label with its neighbors over it that carry `vl` (all of
+    /// them for `None`), sorted and duplicate free.
+    pub fn groups(
         &self,
         v: VertexId,
         direction: Direction,
-        vl: VLabel,
-    ) -> Vec<VertexId> {
+        vl: Option<VLabel>,
+    ) -> impl Iterator<Item = (ELabel, &[VertexId])> + '_ {
         let d = self.dir(direction);
-        let slices: Vec<&[VertexId]> = (d.group_range(v))
-            .map(|i| d.typed_targets_of(i, vl))
-            .filter(|s| !s.is_empty())
-            .collect();
-        crate::ops::union_k(&slices)
-    }
-
-    /// Edge labels present on edges incident to `v` in `direction`.
-    pub fn incident_edge_labels(
-        &self,
-        v: VertexId,
-        direction: Direction,
-    ) -> impl Iterator<Item = ELabel> + '_ {
-        let d = self.dir(direction);
-        d.elabel_groups[d.group_range(v)].iter().map(|g| g.elabel)
+        d.group_range(v).map(move |i| {
+            let targets = vl.map_or_else(|| d.targets_of(i), |vl| d.typed_targets_of(i, vl));
+            (d.elabel_groups[i].elabel, targets)
+        })
     }
 
     /// Returns `true` if the edge `from --el--> to` exists.
     pub fn has_edge(&self, from: VertexId, to: VertexId, el: ELabel) -> bool {
         crate::ops::contains_sorted(self.neighbors(from, Direction::Outgoing, el), to)
-    }
-
-    /// Returns all edge labels on edges `from --?--> to` (needed for variable
-    /// predicates: the `Me` edge-label mapping of Definition 2).
-    pub fn edge_labels_between(&self, from: VertexId, to: VertexId) -> Vec<ELabel> {
-        let d = &self.outgoing;
-        d.group_range(from)
-            .filter(|&i| crate::ops::contains_sorted(d.targets_of(i), to))
-            .map(|i| d.elabel_groups[i].elabel)
-            .collect()
     }
 
     /// Bytes of the graph's arrays: the two adjacency directions (`csr`) and
@@ -598,22 +568,41 @@ mod tests {
         assert_eq!(g.degree(u, Direction::Outgoing), 1);
     }
 
-    #[test]
-    fn all_neighbors_unions_across_edge_labels() {
-        let g = figure7_graph();
-        assert_eq!(
-            g.all_neighbors(VertexId(0), Direction::Outgoing),
-            vec![VertexId(1), VertexId(2), VertexId(3), VertexId(4)]
-        );
-        assert_eq!(
-            g.all_neighbors(VertexId(1), Direction::Incoming),
-            vec![VertexId(0), VertexId(2)]
-        );
-        assert!(g.all_neighbors(VertexId(4), Direction::Outgoing).is_empty());
+    /// The edge labels of `v`'s groups in `direction` with their neighbors
+    /// carrying `vl`, collected.
+    fn groups_of(
+        g: &LabeledGraph,
+        v: VertexId,
+        direction: Direction,
+        vl: Option<VLabel>,
+    ) -> Vec<(ELabel, Vec<VertexId>)> {
+        (g.groups(v, direction, vl))
+            .map(|(el, targets)| (el, targets.to_vec()))
+            .collect()
     }
 
     #[test]
-    fn neighbors_with_label_any_edge_unions_edge_labels() {
+    fn groups_list_each_edge_label_with_its_neighbors() {
+        let g = figure7_graph();
+        let [v0, v1, v2, v3, v4] = [0, 1, 2, 3, 4].map(VertexId);
+        assert_eq!(
+            groups_of(&g, v0, Direction::Outgoing, None),
+            vec![
+                (ELabel(0), vec![v1]),
+                (ELabel(1), vec![v2]),
+                (ELabel(3), vec![v3]),
+                (ELabel(4), vec![v4])
+            ]
+        );
+        assert_eq!(
+            groups_of(&g, v1, Direction::Incoming, None),
+            vec![(ELabel(0), vec![v0]), (ELabel(2), vec![v2])]
+        );
+        assert!(groups_of(&g, v4, Direction::Outgoing, None).is_empty());
+    }
+
+    #[test]
+    fn typed_groups_keep_the_neighbors_carrying_the_label() {
         // u -p-> a{L0}, u -q-> b{L0}, u -p-> c{L1}
         let mut b = LabeledGraphBuilder::new();
         let u = b.add_vertex(vec![]);
@@ -625,26 +614,21 @@ mod tests {
         b.add_edge(u, c, ELabel(0));
         let g = b.build();
         assert_eq!(
-            g.neighbors_with_label_any_edge(u, Direction::Outgoing, VLabel(0)),
-            vec![a, bb]
+            groups_of(&g, u, Direction::Outgoing, Some(VLabel(0))),
+            vec![(ELabel(0), vec![a]), (ELabel(1), vec![bb])]
         );
         assert_eq!(
-            g.neighbors_with_label_any_edge(u, Direction::Outgoing, VLabel(1)),
-            vec![c]
+            groups_of(&g, u, Direction::Outgoing, Some(VLabel(1))),
+            vec![(ELabel(0), vec![c]), (ELabel(1), vec![])]
         );
     }
 
     #[test]
-    fn edge_existence_and_labels_between() {
+    fn edge_existence() {
         let g = figure7_graph();
         assert!(g.has_edge(VertexId(0), VertexId(1), ELabel(0)));
         assert!(!g.has_edge(VertexId(1), VertexId(0), ELabel(0)));
         assert!(!g.has_edge(VertexId(0), VertexId(1), ELabel(1)));
-        assert_eq!(
-            g.edge_labels_between(VertexId(0), VertexId(1)),
-            vec![ELabel(0)]
-        );
-        assert!(g.edge_labels_between(VertexId(1), VertexId(0)).is_empty());
     }
 
     #[test]
@@ -657,9 +641,10 @@ mod tests {
         b.add_edge(u, w, ELabel(1)); // exact duplicate, dropped
         let g = b.build();
         assert_eq!(g.edge_count(), 2);
-        let mut labels = g.edge_labels_between(u, w);
-        labels.sort();
-        assert_eq!(labels, vec![ELabel(0), ELabel(1)]);
+        assert_eq!(
+            groups_of(&g, u, Direction::Outgoing, None),
+            vec![(ELabel(0), vec![w]), (ELabel(1), vec![w])]
+        );
         assert_eq!(g.degree(u, Direction::Outgoing), 2);
     }
 
@@ -686,8 +671,8 @@ mod tests {
             assert_eq!(l.labels(v), g.labels(v));
             assert_eq!(l.total_degree(v), g.total_degree(v));
             for dir in [Direction::Outgoing, Direction::Incoming] {
-                let labels: Vec<ELabel> = g.incident_edge_labels(v, dir).collect();
-                let llabels: Vec<ELabel> = l.incident_edge_labels(v, dir).collect();
+                let labels: Vec<ELabel> = g.groups(v, dir, None).map(|(el, _)| el).collect();
+                let llabels: Vec<ELabel> = l.groups(v, dir, None).map(|(el, _)| el).collect();
                 assert_eq!(labels, llabels);
                 for el in labels {
                     assert_eq!(l.neighbors(v, dir, el), g.neighbors(v, dir, el));
@@ -790,11 +775,10 @@ mod tests {
     }
 
     #[test]
-    fn incident_edge_labels_are_sorted_unique() {
+    fn group_labels_are_sorted_unique() {
         let g = figure7_graph();
-        let labels: Vec<ELabel> = g
-            .incident_edge_labels(VertexId(0), Direction::Outgoing)
-            .collect();
+        let groups = g.groups(VertexId(0), Direction::Outgoing, None);
+        let labels: Vec<ELabel> = groups.map(|(el, _)| el).collect();
         assert_eq!(labels, vec![ELabel(0), ELabel(1), ELabel(3), ELabel(4)]);
     }
 }

@@ -132,7 +132,7 @@ impl PredicateIndex {
         let endpoints = |side: Direction| {
             FlatCsr::counted(k, |sink| {
                 for v in graph.vertices() {
-                    for el in graph.incident_edge_labels(v, side) {
+                    for (el, _) in graph.groups(v, side, None) {
                         sink(el.index(), v);
                     }
                 }
@@ -144,8 +144,8 @@ impl PredicateIndex {
         );
         let mut edge_counts = vec![0u64; k];
         for v in graph.vertices() {
-            for el in graph.incident_edge_labels(v, Direction::Outgoing) {
-                edge_counts[el.index()] += graph.neighbors(v, Direction::Outgoing, el).len() as u64;
+            for (el, objects) in graph.groups(v, Direction::Outgoing, None) {
+                edge_counts[el.index()] += objects.len() as u64;
             }
         }
         let summary = SchemaSummary::derive(&subjects, &objects, graph)

@@ -141,11 +141,6 @@ impl QueryGraph {
         &self.edges
     }
 
-    /// The incidence list of vertex `u`: `(edge index, direction from u)`.
-    pub fn incident_edges(&self, u: usize) -> &[(usize, Direction)] {
-        &self.incidence[u]
-    }
-
     /// The degree of query vertex `u` (in + out).
     pub fn degree(&self, u: usize) -> usize {
         self.incidence[u].len()

@@ -1,17 +1,20 @@
 //! Shared types of the data-graph transformations.
 
 use std::fmt;
-use turbohom_graph::{ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex, VLabel};
+use turbohom_graph::{ops, Direction, ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex};
+use turbohom_graph::{VLabel, VertexId};
 use turbohom_rdf::TermId;
 use turbohom_storage::{FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (components 0x06 mappings, 0x07 transformed graph).
-/// `0x0601`/`0x0602` are retired: a data vertex's id is its term id.
+/// `0x0601`/`0x0602` are retired: a data vertex's id is its term id; and so
+/// is the kind (`0x0701`): a snapshot holds the type-aware graph alone.
 const TAG_MAP_TERM_TO_VLABEL: u64 = 0x0603;
 const TAG_MAP_VLABEL_TO_TERM: u64 = 0x0604;
 const TAG_MAP_TERM_TO_ELABEL: u64 = 0x0605;
 const TAG_MAP_ELABEL_TO_TERM: u64 = 0x0606;
-const TAG_TRANSFORM_META: u64 = 0x0701;
+const TAG_SCHEMA_OUT: u64 = 0x0704;
+const TAG_SCHEMA_IN: u64 = 0x0705;
 
 /// Sentinel in the dense term→graph-id arrays for "not mapped".
 const UNMAPPED: u32 = u32::MAX;
@@ -160,6 +163,9 @@ pub struct TransformedGraph {
     pub predicates: PredicateIndex,
     /// Term ↔ label id mappings.
     pub mappings: GraphMappings,
+    /// The folded `rdfs:subClassOf` triples as sorted `subclass << 32 |
+    /// superclass` vertex pairs, and reversed (none in the direct graph).
+    pub schema: [FlatVec<u64>; 2],
 }
 
 impl TransformedGraph {
@@ -173,15 +179,79 @@ impl TransformedGraph {
             inverse_labels,
             predicates,
             mappings,
+            schema: Default::default(),
         }
+    }
+
+    /// The edge labels of `rdfs:subClassOf` and `rdf:type` where the data
+    /// has such triples: the type-aware transformation interns them in that
+    /// order past the CSR's labels (the direct graph maps none past them).
+    fn folded_labels(&self) -> [Option<ELabel>; 2] {
+        let n = self.graph.edge_label_count() as u32;
+        let next = n + u32::from(!self.schema[0].is_empty());
+        let mapped = self.mappings.elabel_to_term.len() as u32;
+        [(n, next), (next, mapped)].map(|(l, end)| (l < end).then_some(ELabel(l)))
+    }
+
+    /// The other ends of `v`'s folded edges in `direction`, sorted: its
+    /// subclass pairs, then its type edges — its labels' classes going out,
+    /// the vertices labelled with its class coming in.
+    fn folded(&self, v: VertexId, direction: Direction) -> [Vec<VertexId>; 2] {
+        let (pairs, key) = (&self.schema[direction as usize], u64::from(v.0));
+        let start = pairs.partition_point(|&pair| pair >> 32 < key);
+        let schema = pairs[start..].iter().take_while(|&&pair| pair >> 32 == key);
+        let mut types: Vec<VertexId> = match direction {
+            Direction::Outgoing => (self.graph.labels(v).iter())
+                .map(|&l| VertexId::of_term(self.mappings.vlabel_to_term[l.index()]))
+                .collect(),
+            Direction::Incoming => (self.mappings.vlabel_of(v.term())).map_or(Vec::new(), |l| {
+                self.inverse_labels.vertices_with_label(l).to_vec()
+            }),
+        };
+        types.sort_unstable();
+        [schema.map(|&pair| VertexId(pair as u32)).collect(), types]
+    }
+
+    /// The neighbors of `v` in `direction` over any edge label, the folded
+    /// ones included, that carry all of `labels`: the range of a variable
+    /// predicate (sorted, duplicate free).
+    pub fn neighbors_any_edge(
+        &self,
+        v: VertexId,
+        direction: Direction,
+        labels: &[VLabel],
+    ) -> Vec<VertexId> {
+        let folded = self.folded(v, direction);
+        let csr = self.graph.groups(v, direction, labels.first().copied());
+        let lists: Vec<&[VertexId]> = (csr.map(|(_, ends)| ends))
+            .chain(folded.iter().map(Vec::as_slice))
+            .collect();
+        let mut all = ops::union_k(&lists);
+        all.retain(|&w| self.graph.has_all_labels(w, labels));
+        all
+    }
+
+    /// The labels of the edges `from --?--> to`, the folded ones included:
+    /// the `Me` edge-label mapping of Definition 2 for a variable predicate.
+    pub fn edge_labels_between(&self, from: VertexId, to: VertexId) -> Vec<ELabel> {
+        let mut labels: Vec<ELabel> = (self.graph.groups(from, Direction::Outgoing, None))
+            .filter(|(_, ends)| ops::contains_sorted(ends, to))
+            .map(|(el, _)| el)
+            .collect();
+        let folded = self.folded(from, Direction::Outgoing);
+        for (ends, el) in folded.iter().zip(self.folded_labels()) {
+            labels.extend(el.filter(|_| ops::contains_sorted(ends, to)));
+        }
+        labels
     }
 
     /// Bytes of every array of the bundle, by part: the graph's `csr` and
     /// `labels`, the two indexes and the mappings.
     pub fn memory(&self) -> [(&'static str, MemoryUse); 5] {
-        let [csr, labels] = self.graph.memory();
+        let [(csr, adjacency), labels] = self.graph.memory();
+        let schema = MemoryUse::from(&self.schema[0]) + (&self.schema[1]).into();
         [
-            csr,
+            (csr, adjacency + schema),
             labels,
             ("inverse_labels", self.inverse_labels.memory()),
             ("predicate_index", self.predicates.memory()),
@@ -189,47 +259,43 @@ impl TransformedGraph {
         ]
     }
 
-    /// Serializes the whole bundle (meta, graph, indexes, mappings) as
-    /// snapshot sections.
+    /// Serializes a type-aware bundle (graph, indexes, mappings, schema
+    /// pairs) as snapshot sections.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        let meta: [u64; 1] = [match self.kind {
-            TransformKind::Direct => 0,
-            TransformKind::TypeAware => 1,
-        }];
-        w.section(TAG_TRANSFORM_META, &meta);
         self.graph.write_sections(w);
         self.inverse_labels.write_sections(w);
         self.predicates.write_sections(w);
         self.mappings.write_sections(w);
+        w.section(TAG_SCHEMA_OUT, &self.schema[0]);
+        w.section(TAG_SCHEMA_IN, &self.schema[1]);
     }
 
-    /// Reconstructs the bundle reading everything in place from a snapshot.
+    /// Reconstructs a type-aware bundle reading everything in place from a
+    /// snapshot.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
-        let meta: FlatVec<u64> = cur.next_section(TAG_TRANSFORM_META)?;
-        if meta.len() != 1 {
-            return Err(SnapshotError::Malformed(
-                "transformed graph meta section length".into(),
-            ));
-        }
-        let kind = match meta[0] {
-            0 => TransformKind::Direct,
-            1 => TransformKind::TypeAware,
-            k => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown transform kind {k}"
-                )))
-            }
-        };
         let graph = LabeledGraph::read_sections(cur)?;
         let inverse_labels = InverseLabelIndex::read_sections(cur)?;
         let predicates = PredicateIndex::read_sections(cur, &graph)?;
         let mappings = GraphMappings::read_sections(cur)?;
+        let schema = [
+            cur.next_section(TAG_SCHEMA_OUT)?,
+            cur.next_section(TAG_SCHEMA_IN)?,
+        ];
+        // The folded edges are read as vertices: both ends must be rows.
+        let rows = graph.vertex_count() as u64;
+        let outside = |&pair: &u64| pair >> 32 >= rows || u64::from(pair as u32) >= rows;
+        if schema.iter().flat_map(|pairs| pairs.iter()).any(outside) {
+            return Err(SnapshotError::Malformed(
+                "schema edge endpoint is not a vertex".into(),
+            ));
+        }
         Ok(TransformedGraph {
-            kind,
+            kind: TransformKind::TypeAware,
             graph,
             inverse_labels,
             predicates,
             mappings,
+            schema,
         })
     }
 }
@@ -237,13 +303,11 @@ impl TransformedGraph {
 /// Errors the transformations can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransformError {
-    /// The query contains `?x rdf:type ?class` with a variable class, which
-    /// the type-aware transformation cannot fold (the engine falls back to
-    /// the direct transformation for such queries).
-    VariableTypeUnsupported,
-    /// The query contains a triple whose predicate is `rdfs:subClassOf` with
-    /// a variable; same fallback applies.
-    VariableSubclassUnsupported,
+    /// The query has a schema pattern the type-aware graph cannot match:
+    /// `?x rdf:type ?class` with a variable class, a type pattern inside an
+    /// OPTIONAL, or an `rdfs:subClassOf` pattern, whose edges no CSR holds
+    /// (the engine falls back to the direct transformation for such queries).
+    SchemaPatternUnsupported,
     /// A blank node appeared where the transformation cannot handle it.
     UnsupportedTerm(String),
 }
@@ -251,13 +315,10 @@ pub enum TransformError {
 impl fmt::Display for TransformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransformError::VariableTypeUnsupported => write!(
+            TransformError::SchemaPatternUnsupported => write!(
                 f,
-                "type-aware transformation cannot fold `rdf:type` with a variable class"
-            ),
-            TransformError::VariableSubclassUnsupported => write!(
-                f,
-                "type-aware transformation cannot fold `rdfs:subClassOf` with a variable"
+                "type-aware transformation cannot match a variable `rdf:type` class, \
+                 an OPTIONAL type pattern or an `rdfs:subClassOf` pattern"
             ),
             TransformError::UnsupportedTerm(t) => write!(f, "unsupported term in query: {t}"),
         }
@@ -338,7 +399,7 @@ mod tests {
 
     #[test]
     fn transform_error_messages() {
-        assert!(TransformError::VariableTypeUnsupported
+        assert!(TransformError::SchemaPatternUnsupported
             .to_string()
             .contains("rdf:type"));
         assert!(TransformError::UnsupportedTerm("x".into())

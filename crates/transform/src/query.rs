@@ -194,9 +194,10 @@ impl<'a> QueryBuilder<'a> {
                     return self.fold_type_pattern(pattern, clause);
                 }
                 if pred == vocab::RDFS_SUBCLASSOF {
-                    // Schema triples are not represented in the type-aware
-                    // graph at all; the engine falls back to the direct graph.
-                    return Err(TransformError::VariableSubclassUnsupported);
+                    // No CSR edge carries the label: the subclass pairs
+                    // serve variable predicates only, and the engine falls
+                    // back to the direct graph.
+                    return Err(TransformError::SchemaPatternUnsupported);
                 }
             }
         }
@@ -246,12 +247,12 @@ impl<'a> QueryBuilder<'a> {
     ) -> Result<(), TransformError> {
         let class = match &pattern.object {
             SparqlTerm::Constant(t) => t,
-            SparqlTerm::Variable(_) => return Err(TransformError::VariableTypeUnsupported),
+            SparqlTerm::Variable(_) => return Err(TransformError::SchemaPatternUnsupported),
         };
         if clause.is_some() {
             // Folding a label would silently turn an optional constraint into
             // a required one; let the engine fall back to the direct graph.
-            return Err(TransformError::VariableTypeUnsupported);
+            return Err(TransformError::SchemaPatternUnsupported);
         }
         let s = self.vertex_for(&pattern.subject, clause);
         let vlabel = self
@@ -455,7 +456,7 @@ mod tests {
         .unwrap();
         assert!(matches!(
             transform_query(&q.pattern, &data, &ds.dictionary),
-            Err(TransformError::VariableTypeUnsupported)
+            Err(TransformError::SchemaPatternUnsupported)
         ));
         // ... but accepted under the direct transformation.
         let direct = direct_transform(&ds);
@@ -590,7 +591,7 @@ mod tests {
         .unwrap();
         assert!(matches!(
             transform_query(&q.pattern, &data, &ds.dictionary),
-            Err(TransformError::VariableSubclassUnsupported)
+            Err(TransformError::SchemaPatternUnsupported)
         ));
     }
 }

@@ -8,6 +8,10 @@
 //! query graphs: `|V'| = |V| − |V_type|` in the paper's notation. A vertex's
 //! id is its term id, so such a class keeps an empty row: no edge, no label.
 //!
+//! A variable predicate still ranges over the folded triples: both schema
+//! predicates are edge labels, interned after the others, and
+//! [`TransformedGraph::neighbors_any_edge`] reads them back.
+//!
 //! The class hierarchy is not folded in here: it enters the data once, when
 //! RDFS materialization (`InferenceEngine`) adds the implied `rdf:type`
 //! triples at load, so every engine and both transformations answer under
@@ -30,18 +34,24 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     let is_subclass_pred = |p: TermId| Some(p) == subclassof;
 
     // ---- Pass 1: intern the vertex and edge labels deterministically
-    // (triple insertion order). A vertex needs no id of its own: it is its
-    // term, one row per dictionary term.
+    // (triple insertion order, the schema predicates last). A vertex needs
+    // no id of its own: it is its term, one row per dictionary term.
     let mut mappings = GraphMappings::default();
+    let mut folded = [None, None]; // `rdfs:subClassOf`, then `rdf:type`
     for t in dataset.triples.iter() {
         if is_type_pred(t.p) {
             mappings.intern_vlabel(t.o);
+            folded[1] = Some(t.p);
         } else if is_subclass_pred(t.p) {
             mappings.intern_vlabel(t.s);
             mappings.intern_vlabel(t.o);
+            folded[0] = Some(t.p);
         } else {
             mappings.intern_elabel(t.p);
         }
+    }
+    for p in folded.into_iter().flatten() {
+        mappings.intern_elabel(p);
     }
     let n = dataset.dictionary.len();
     let vlabel = |term| mappings.vlabel_of(term).expect("interned above");
@@ -84,14 +94,24 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
         }
     });
 
-    TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings)
+    let mut t = TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings);
+    t.schema = [false, true].map(|reversed| {
+        let subclass = dataset.triples.iter().filter(|t| is_subclass_pred(t.p));
+        let ends = subclass.map(|t| if reversed { [t.o, t.s] } else { [t.s, t.o] });
+        let mut pairs: Vec<u64> = ends
+            .map(|[a, b]| u64::from(a.0) << 32 | u64::from(b.0))
+            .collect();
+        pairs.sort_unstable();
+        pairs.into()
+    });
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
-    use turbohom_graph::{Direction, LabeledGraph, LabeledGraphBuilder};
+    use turbohom_graph::{Direction, ELabel, LabeledGraph, LabeledGraphBuilder};
     use turbohom_rdf::{vocab, InferenceEngine, Term};
 
     fn ub(l: &str) -> String {
@@ -137,7 +157,8 @@ mod tests {
     fn figure7_vertex_and_edge_counts() {
         // Figure 7d: 5 vertices (student1, univ1, dept1.univ1, two literals),
         // 5 edges, 4 vertex labels (GraduateStudent, Student, University,
-        // Department), 5 edge labels.
+        // Department), 5 edge labels. `rdfs:subClassOf` and `rdf:type` are
+        // two more edge labels that no CSR edge carries.
         let ds = figure3_dataset();
         let t = type_aware_transform(&ds);
         assert_eq!(t.kind, TransformKind::TypeAware);
@@ -145,6 +166,7 @@ mod tests {
         assert_eq!(t.graph.edge_count(), 5);
         assert_eq!(t.graph.vertex_label_count(), 4);
         assert_eq!(t.graph.edge_label_count(), 5);
+        assert_eq!(t.mappings.elabel_to_term.len(), 5 + 2);
     }
 
     /// `ds` with the RDFS closure materialized into its triples.
@@ -210,9 +232,20 @@ mod tests {
             .has_edge(student1, univ1, el("undergraduateDegreeFrom")));
         assert!(t.graph.has_edge(student1, dept, el("memberOf")));
         assert!(t.graph.has_edge(dept, univ1, el("subOrganizationOf")));
-        // No rdf:type edge label exists at all.
-        let rdf_type_id = ds.dictionary.id_of_iri(vocab::RDF_TYPE).unwrap();
-        assert!(t.mappings.elabel_of(rdf_type_id).is_none());
+        // The schema predicates are the last edge labels: no CSR edge
+        // carries them, and the subclass pair is kept apart.
+        let [subclassof, rdf_type] = [vocab::RDFS_SUBCLASSOF, vocab::RDF_TYPE].map(|p| {
+            t.mappings
+                .elabel_of(ds.dictionary.id_of_iri(p).unwrap())
+                .unwrap()
+        });
+        assert_eq!(subclassof.index(), t.graph.edge_label_count());
+        assert_eq!(rdf_type.index(), t.graph.edge_label_count() + 1);
+        let [graduate, student] =
+            ["GraduateStudent", "Student"].map(|class| vertex(&ds, &Term::iri(ub(class))));
+        let pair = |a: VertexId, b: VertexId| u64::from(a.0) << 32 | u64::from(b.0);
+        assert_eq!(&t.schema[0][..], [pair(graduate, student)]);
+        assert_eq!(&t.schema[1][..], [pair(student, graduate)]);
     }
 
     #[test]
@@ -227,6 +260,44 @@ mod tests {
             direct.graph.edge_count() - schema_triples
         );
         assert!(aware.graph.stats().vertices < direct.graph.stats().vertices);
+    }
+
+    #[test]
+    fn type_edges_are_read_from_the_labels() {
+        let ds = figure3_dataset();
+        let direct = crate::direct::direct_transform(&ds);
+        let aware = type_aware_transform(&ds);
+        // Every vertex's variable-predicate range and every edge's labels,
+        // as terms, are the direct graph's.
+        let term = |t: &TransformedGraph, el: ELabel| t.mappings.term_of_elabel(el).unwrap();
+        for v in direct.graph.vertices() {
+            for dir in [Direction::Outgoing, Direction::Incoming] {
+                let range = aware.neighbors_any_edge(v, dir, &[]);
+                assert_eq!(range, direct.neighbors_any_edge(v, dir, &[]), "{v} {dir:?}");
+                if dir == Direction::Incoming {
+                    continue;
+                }
+                for w in range {
+                    let [mut a, mut d] = [&aware, &direct].map(|t| {
+                        let labels = t.edge_labels_between(v, w).into_iter();
+                        labels.map(|el| term(t, el)).collect::<Vec<_>>()
+                    });
+                    a.sort_unstable();
+                    d.sort_unstable();
+                    assert_eq!(a, d, "{v} -> {w}");
+                }
+            }
+        }
+        let student1 = vertex(&ds, &Term::iri(ub("student1")));
+        let graduate = vertex(&ds, &Term::iri(ub("GraduateStudent")));
+        let l = vl(&aware, &ds, "GraduateStudent");
+        assert_eq!(
+            aware.neighbors_any_edge(graduate, Direction::Incoming, &[l]),
+            [student1]
+        );
+        assert!(aware
+            .neighbors_any_edge(student1, Direction::Outgoing, &[l])
+            .is_empty());
     }
 
     #[test]
@@ -341,6 +412,11 @@ mod tests {
                 mappings.intern_elabel(t.p);
             }
         }
+        for p in [subclassof, rdf_type].into_iter().flatten() {
+            if dataset.count_predicate(p) > 0 {
+                mappings.intern_elabel(p);
+            }
+        }
         let mut labels: Vec<Vec<VLabel>> = vec![Vec::new(); dataset.dictionary.len()];
         for t in dataset.triples.iter().filter(|t| Some(t.p) == rdf_type) {
             labels[t.s.index()].push(mappings.vlabel_of(t.o).unwrap());
@@ -355,7 +431,17 @@ mod tests {
                 builder.add_edge(s, o, mappings.elabel_of(t.p).unwrap());
             }
         }
-        TransformedGraph::assemble(TransformKind::TypeAware, builder.build(), mappings)
+        let mut t = TransformedGraph::assemble(TransformKind::TypeAware, builder.build(), mappings);
+        let mut pairs = [Vec::new(), Vec::new()];
+        for t in dataset.triples.iter().filter(|t| Some(t.p) == subclassof) {
+            pairs[0].push((u64::from(t.s.0) << 32) + u64::from(t.o.0));
+            pairs[1].push((u64::from(t.o.0) << 32) + u64::from(t.s.0));
+        }
+        t.schema = pairs.map(|mut pairs| {
+            pairs.sort();
+            pairs.into()
+        });
+        t
     }
 
     /// The direct graph built the same straightforward way.
@@ -391,8 +477,7 @@ mod tests {
             for &l in g.labels(v) {
                 by_label[l.index()].push(v);
             }
-            for el in g.incident_edge_labels(v, Direction::Outgoing) {
-                let objects = g.neighbors(v, Direction::Outgoing, el);
+            for (el, objects) in g.groups(v, Direction::Outgoing, None) {
                 let row = &mut by_predicate[el.index()];
                 row.0.push(v);
                 row.1.extend_from_slice(objects);
@@ -427,6 +512,7 @@ mod tests {
                 // the label-space sizes.
                 assert!(built.graph == reference.graph, "{what}: graph");
                 assert!(built.mappings == reference.mappings, "{what}: mappings");
+                assert_eq!(built.schema, reference.schema, "{what}: schema");
                 let (by_label, by_predicate) = reference_indexes(&reference.graph);
                 for (l, vertices) in by_label.iter().enumerate() {
                     let found = built.inverse_labels.vertices_with_label(VLabel(l as u32));
