@@ -1,6 +1,8 @@
 //! A store holds what its queries read: the direct graph and the six
 //! permutation tables are built by the first plan that needs them, once,
 //! and the memory ledger and the event journal say when that happened.
+//! No TurboHOM++ plan needs either: only the `turbohom` ablation reads the
+//! direct graph.
 
 use std::sync::{Arc, Barrier};
 use turbohom_bench::lubm_store;
@@ -11,11 +13,20 @@ use turbohom_service::{QueryOptions, QueryService};
 const VARIABLE_PREDICATE: &str =
     "SELECT ?p ?o WHERE { <http://www.Department0.University0.edu/FullProfessor0> ?p ?o . }";
 
-/// `?x rdf:type ?c`: the one kind of pattern, with a type pattern inside an
-/// OPTIONAL, that a TurboHOM++ plan reads the direct graph for.
-const VARIABLE_CLASS: &str = "SELECT ?c WHERE { \
-    <http://www.Department0.University0.edu/FullProfessor0> \
-    <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?c . }";
+/// The schema patterns a type-aware query graph cannot fold into its
+/// labels: a variable class, a type pattern inside an OPTIONAL and a
+/// constant `rdfs:subClassOf` pattern. TurboHOM++ matches each of them as an
+/// edge on the type-aware graph.
+const SCHEMA_PATTERNS: [&str; 3] = [
+    "SELECT ?c WHERE { <http://www.Department0.University0.edu/FullProfessor0> \
+     <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?c . }",
+    "SELECT ?x WHERE { ?x <http://swat.cse.lehigh.edu/onto/univ-bench.owl#worksFor> \
+     <http://www.Department0.University0.edu> . OPTIONAL { ?x \
+     <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> \
+     <http://swat.cse.lehigh.edu/onto/univ-bench.owl#FullProfessor> . } }",
+    "SELECT ?c WHERE { ?c <http://www.w3.org/2000/01/rdf-schema#subClassOf> \
+     <http://swat.cse.lehigh.edu/onto/univ-bench.owl#Professor> . }",
+];
 
 fn component_bytes(service: &QueryService, component: &str) -> u64 {
     let bytes = service.bytes();
@@ -46,9 +57,12 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
     for q in lubm::queries() {
         service.query(&q.sparql, QueryOptions::default()).unwrap();
     }
-    // A variable predicate reads the type edges off the type-aware graph.
-    let response = service.query(VARIABLE_PREDICATE, QueryOptions::default());
-    assert!(response.unwrap().results.row_count() > 0);
+    // A variable predicate and the schema patterns read the type edges and
+    // the subclass pairs off the type-aware graph.
+    for q in [VARIABLE_PREDICATE].iter().chain(&SCHEMA_PATTERNS) {
+        let response = service.query(q, QueryOptions::default());
+        assert!(response.unwrap().results.row_count() > 0, "{q}");
+    }
     assert_eq!(component_bytes(&service, "direct"), 0);
     assert_eq!(component_bytes(&service, "permutations"), 0);
     assert!(component_bytes(&service, "type_aware") > 0);
@@ -73,10 +87,10 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
     let trace = turbohom_engine::format_trace_id(merge.trace_id);
     assert!(built[0].contains(&format!("\"trace\":\"{trace}\"")));
 
-    // One variable-class query builds the direct graph; the second
-    // baseline engine reuses the tables the first one built.
+    // One `turbohom` query builds the direct graph; the second baseline
+    // engine reuses the tables the first one built.
     service
-        .query(VARIABLE_CLASS, QueryOptions::default())
+        .query(VARIABLE_PREDICATE, with_engine(EngineKind::TurboHom))
         .unwrap();
     service
         .query(q1, with_engine(EngineKind::HashJoin))
@@ -115,12 +129,12 @@ fn eight_threads_racing_the_first_baseline_query_build_once() {
 fn explain_and_warm_account_for_their_builds_too() {
     // EXPLAIN plans without executing, and planning is what builds.
     let service = QueryService::new(Arc::new(lubm_store(1)));
-    service
-        .explain(VARIABLE_PREDICATE, QueryOptions::default())
-        .unwrap();
+    for q in [VARIABLE_PREDICATE].iter().chain(&SCHEMA_PATTERNS) {
+        service.explain(q, QueryOptions::default()).unwrap();
+    }
     assert!(structures_built(&service).is_empty());
     service
-        .explain(VARIABLE_CLASS, QueryOptions::default())
+        .explain(VARIABLE_PREDICATE, with_engine(EngineKind::TurboHom))
         .unwrap();
     assert_eq!(structures_built(&service).len(), 1);
 
@@ -131,7 +145,7 @@ fn explain_and_warm_account_for_their_builds_too() {
     store.warm(EngineKind::HashJoin);
     let service = QueryService::new(Arc::new(store));
     for kind in EngineKind::all() {
-        for q in [VARIABLE_PREDICATE, VARIABLE_CLASS] {
+        for q in [VARIABLE_PREDICATE].iter().chain(&SCHEMA_PATTERNS) {
             service.query(q, with_engine(kind)).unwrap();
         }
     }

@@ -30,7 +30,7 @@
 
 use crate::config::{MatchSemantics, TurboHomConfig};
 use crate::engine::FilterSplit;
-use crate::filters::{self, VertexFilter};
+use crate::filters::VertexFilter;
 use crate::query_tree::QueryTree;
 use crate::stats::MatchStats;
 use turbohom_graph::{signature_bit, VLabel, VertexId};
@@ -245,14 +245,14 @@ impl<'a> RegionExplorer<'a> {
         let vertices = 0..query.graph.vertex_count();
         let filters = vertices
             .clone()
-            .map(|u| VertexFilter::new(config, &query.graph, u))
+            .map(|u| VertexFilter::new(data, config, query, u))
             .collect();
         let summary = config.optimizations.schema_summary;
         // What arriving over the tree edge proves of a candidate of `u`: it
         // is on the child's side of an edge with that predicate.
         let arrival = |u: usize| {
             let edge = tree.parent[u].filter(|_| summary)?;
-            let predicate = query.graph.edge(edge.edge).label?;
+            let predicate = data.csr_label(query.graph.edge(edge.edge).label)?;
             Some((predicate, edge.direction.reverse()))
         };
         let lookup_labels = vertices
@@ -271,21 +271,14 @@ impl<'a> RegionExplorer<'a> {
                 if !summary {
                     return 0;
                 }
-                // An edge of `u` demands a data edge of `u`'s image whenever
-                // the vertex at its other end is matched with `u`: always if
-                // that one is required, together with `u` if both are in
-                // one OPTIONAL clause. An edge into a clause `u` is not part
-                // of demands nothing of `u`.
+                // Ask for the predicate of every edge `u` demands, and then
+                // only what the summary cannot prove.
                 let mut need = 0;
-                for (other, ei, side) in query.graph.neighbors(u) {
-                    let clause = query.vertex_clause[other];
-                    if let Some(predicate) = query.graph.edge(ei).label {
-                        if clause.is_none() || clause == query.vertex_clause[u] {
-                            need |= signature_bit(predicate, side);
-                        }
+                for (_, ei, side) in query.demands(u) {
+                    if let Some(predicate) = data.csr_label(query.graph.edge(ei).label) {
+                        need |= signature_bit(predicate, side);
                     }
                 }
-                // Ask only what the summary cannot prove.
                 if let Some((predicate, side)) = arrival(u) {
                     let common = data.predicates.common_signature(predicate, side);
                     need &= !(signature_bit(predicate, side) | common);
@@ -371,8 +364,7 @@ impl<'a> RegionExplorer<'a> {
             let edge = self.tree.parent[child].expect("child has a parent tree edge");
             let label = self.query.graph.edge(edge.edge).label;
             let lookup_labels = &self.lookup_labels[child];
-            let raw =
-                filters::adjacent_candidates(self.data, v, edge.direction, label, lookup_labels);
+            let raw = self.data.adjacent(v, edge.direction, label, lookup_labels);
             stats.explored_vertices += raw.len();
 
             // The adjacency list is selected by the child's labels (those

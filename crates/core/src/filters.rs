@@ -1,4 +1,4 @@
-//! Candidate retrieval and the degree / NLF filters.
+//! The degree / NLF filters.
 //!
 //! These are the pruning devices of `ExploreCandidateRegion` (paper
 //! Section 2.2 and 4.2). Both filters exist in two flavours:
@@ -20,42 +20,12 @@
 
 use crate::config::{MatchSemantics, TurboHomConfig};
 use crate::stats::MatchStats;
-use std::borrow::Cow;
-use turbohom_graph::{ops, Direction, ELabel, QueryGraph, VLabel, VertexId};
-use turbohom_transform::TransformedGraph;
+use turbohom_graph::{Direction, ELabel, VLabel, VertexId};
+use turbohom_transform::{TransformedGraph, TransformedQuery};
 
-/// Retrieves the adjacent candidate vertices of `v` along a query edge with
-/// edge label `el` (or a variable predicate when `None`) in `direction`,
-/// constrained to carry all of `labels` (Section 4.2's
-/// `ExploreCandidateRegion` inductive case).
-///
-/// The list is sorted and duplicate free. With a constant predicate and at
-/// most one label it is a slice of the data graph's adjacency, borrowed; only
-/// a multi-label vertex or a variable predicate builds a list of its own.
-pub fn adjacent_candidates<'a>(
-    data: &'a TransformedGraph,
-    v: VertexId,
-    direction: Direction,
-    el: Option<ELabel>,
-    labels: &[VLabel],
-) -> Cow<'a, [VertexId]> {
-    let g = &data.graph;
-    match (el, labels) {
-        (Some(el), []) => Cow::Borrowed(g.neighbors(v, direction, el)),
-        (Some(el), [label]) => Cow::Borrowed(g.neighbors_typed(v, direction, el, *label)),
-        (Some(el), _) => {
-            let slices: Vec<&[VertexId]> = labels
-                .iter()
-                .map(|&l| g.neighbors_typed(v, direction, el, l))
-                .collect();
-            Cow::Owned(ops::intersect_k(&slices))
-        }
-        (None, _) => Cow::Owned(data.neighbors_any_edge(v, direction, labels)),
-    }
-}
-
-/// A neighbor constraint of a query vertex: direction, optional edge label
-/// and the required neighbor label set.
+/// A neighbor constraint of a query vertex: direction, the edge label the
+/// CSR holds (`None`: a variable or folded predicate) and the required
+/// neighbor label set.
 type NeighborConstraint<'q> = (Direction, Option<ELabel>, &'q [VLabel]);
 
 /// What a data vertex must satisfy to be a candidate of one query vertex:
@@ -67,8 +37,9 @@ pub struct VertexFilter<'q> {
     bound: Option<VertexId>,
     labels: &'q [VLabel],
     /// The degree filter's demand — the least number of (outgoing, incoming)
-    /// incident edges with a constant predicate (a variable one may take a
-    /// folded edge, which no CSR holds) — or `None` when the filter is off.
+    /// incident edges with a predicate the CSR holds (a variable one may
+    /// take a folded edge, which it does not) — or `None` when the filter is
+    /// off.
     min_degree: Option<(usize, usize)>,
     /// The NLF filter's demand — the distinct neighbor constraints, each
     /// with how often the query vertex has it. Empty when the filter is off.
@@ -76,13 +47,20 @@ pub struct VertexFilter<'q> {
 }
 
 impl<'q> VertexFilter<'q> {
-    /// Derives the filter of query vertex `u`.
-    pub fn new(config: &TurboHomConfig, query: &'q QueryGraph, u: usize) -> Self {
-        // The distinct neighbor constraints of `u`, with multiplicity. Both
-        // filters are off in TurboHOM++, which then derives nothing.
-        let mut neighbors: Vec<(NeighborConstraint, usize)> = Vec::new();
+    /// Derives the filter of query vertex `u` over `data`.
+    pub fn new(
+        data: &TransformedGraph,
+        config: &TurboHomConfig,
+        query: &'q TransformedQuery,
+        u: usize,
+    ) -> Self {
+        // The distinct neighbor constraints `u` demands, with multiplicity.
+        // Both filters are off in TurboHOM++, which then derives nothing.
+        let (graph, mut neighbors) = (&query.graph, Vec::new());
         if config.optimizations.degree_filter || config.optimizations.nlf_filter {
-            for constraint in query.neighbor_constraints(u) {
+            for (other, ei, dir) in query.demands(u) {
+                let el = data.csr_label(graph.edge(ei).label);
+                let constraint = (dir, el, graph.vertex(other).labels.as_slice());
                 match neighbors.iter_mut().find(|(c, _)| *c == constraint) {
                     Some(entry) => entry.1 += 1,
                     None => neighbors.push((constraint, 1)),
@@ -106,7 +84,7 @@ impl<'q> VertexFilter<'q> {
         if !config.optimizations.nlf_filter {
             neighbors.clear();
         }
-        let qv = query.vertex(u);
+        let qv = graph.vertex(u);
         VertexFilter {
             semantics: config.semantics,
             bound: qv.bound,
@@ -153,7 +131,7 @@ impl<'q> VertexFilter<'q> {
     /// matching neighbor suffices.
     pub fn nlf_filter(&self, data: &TransformedGraph, v: VertexId, stats: &mut MatchStats) -> bool {
         let pass = self.neighbors.iter().all(|((dir, el, labels), count)| {
-            let matching = adjacent_candidates(data, v, *dir, *el, labels);
+            let matching = data.adjacent(v, *dir, *el, labels);
             match self.semantics {
                 MatchSemantics::Isomorphism => matching.len() >= *count,
                 MatchSemantics::Homomorphism => !matching.is_empty(),
@@ -199,13 +177,26 @@ fn homomorphic_degree(labels: impl Iterator<Item = ELabel>) -> usize {
 pub(crate) mod reference {
     use super::*;
 
+    /// What `u`'s edges that demand one of its image's ask: direction, the
+    /// edge label the CSR holds and the neighbor's labels.
+    fn constraints<'q>(
+        data: &'q TransformedGraph,
+        query: &'q TransformedQuery,
+        u: usize,
+    ) -> impl Iterator<Item = (Direction, Option<ELabel>, &'q [VLabel])> + 'q {
+        query.demands(u).map(|(other, ei, dir)| {
+            let el = data.csr_label(query.graph.edge(ei).label);
+            (dir, el, query.graph.vertex(other).labels.as_slice())
+        })
+    }
+
     /// Applies the degree filter to data vertex `v` for query vertex `u`.
     ///
     /// Returns `true` if `v` passes (or the filter is disabled in `config`).
     pub fn degree_filter(
         data: &TransformedGraph,
         config: &TurboHomConfig,
-        query: &QueryGraph,
+        query: &TransformedQuery,
         u: usize,
         v: VertexId,
         stats: &mut MatchStats,
@@ -216,7 +207,7 @@ pub(crate) mod reference {
         // v needs, per direction, the CSR edges u's constant predicates ask
         // for: as many as u has edges, or one per distinct predicate.
         let demand = |direction: Direction| {
-            let labels = (query.neighbor_constraints(u))
+            let labels = (constraints(data, query, u))
                 .filter(|(dir, _, _)| *dir == direction)
                 .filter_map(|(_, el, _)| el);
             match config.semantics {
@@ -246,7 +237,7 @@ pub(crate) mod reference {
     pub fn nlf_filter(
         data: &TransformedGraph,
         config: &TurboHomConfig,
-        query: &QueryGraph,
+        query: &TransformedQuery,
         u: usize,
         v: VertexId,
         stats: &mut MatchStats,
@@ -255,17 +246,17 @@ pub(crate) mod reference {
             return true;
         }
         // Group u's neighbor constraints and count how often each occurs.
-        let mut constraints: Vec<(NeighborConstraint, usize)> = Vec::new();
-        for (dir, el, labels) in query.neighbor_constraints(u) {
+        let mut grouped: Vec<(NeighborConstraint, usize)> = Vec::new();
+        for (dir, el, labels) in constraints(data, query, u) {
             let key = (dir, el, labels.to_vec());
-            if let Some(entry) = constraints.iter_mut().find(|(k, _)| *k == key) {
+            if let Some(entry) = grouped.iter_mut().find(|(k, _)| *k == key) {
                 entry.1 += 1;
             } else {
-                constraints.push((key, 1));
+                grouped.push((key, 1));
             }
         }
-        let pass = constraints.iter().all(|((dir, el, labels), count)| {
-            let matching = adjacent_candidates(data, v, *dir, *el, labels);
+        let pass = grouped.iter().all(|((dir, el, labels), count)| {
+            let matching = data.adjacent(v, *dir, *el, labels);
             match config.semantics {
                 MatchSemantics::Isomorphism => matching.len() >= *count,
                 MatchSemantics::Homomorphism => !matching.is_empty(),
@@ -282,7 +273,7 @@ pub(crate) mod reference {
     pub fn qualifies(
         data: &TransformedGraph,
         config: &TurboHomConfig,
-        query: &QueryGraph,
+        query: &TransformedQuery,
         u: usize,
         v: VertexId,
         stats: &mut MatchStats,
@@ -291,7 +282,7 @@ pub(crate) mod reference {
             // Sentinel ids (constants absent from the data) never qualify.
             return false;
         }
-        let qv = query.vertex(u);
+        let qv = query.graph.vertex(u);
         if let Some(bound) = qv.bound {
             if bound != v {
                 return false;
@@ -308,7 +299,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbohom_graph::{QueryEdge, QueryVertex};
+    use turbohom_graph::{QueryEdge, QueryGraph, QueryVertex};
     use turbohom_rdf::{vocab, Dataset};
     use turbohom_transform::type_aware_transform;
 
@@ -350,41 +341,51 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_candidates_respect_labels_and_direction() {
+    fn adjacency_respects_labels_and_direction() {
         let (ds, t) = data();
         let dept = vid(&ds, "dept1");
         let member_of = el(&ds, &t, "memberOf");
         let student = vl(&ds, &t, "Student");
         // Students pointing at dept1 via memberOf (incoming at dept1).
-        let cands = adjacent_candidates(&t, dept, Direction::Incoming, Some(member_of), &[student]);
+        let cands = t.adjacent(dept, Direction::Incoming, Some(member_of), &[student]);
         assert_eq!(cands.len(), 2);
         // Wrong direction: nothing.
-        assert!(
-            adjacent_candidates(&t, dept, Direction::Outgoing, Some(member_of), &[student])
-                .is_empty()
-        );
+        assert!(t
+            .adjacent(dept, Direction::Outgoing, Some(member_of), &[student])
+            .is_empty());
         // No label constraint: still the two students.
         assert_eq!(
-            adjacent_candidates(&t, dept, Direction::Incoming, Some(member_of), &[]).len(),
+            t.adjacent(dept, Direction::Incoming, Some(member_of), &[])
+                .len(),
             2
         );
         // Variable predicate: students + professor.
-        assert_eq!(
-            adjacent_candidates(&t, dept, Direction::Incoming, None, &[]).len(),
-            3
-        );
+        assert_eq!(t.adjacent(dept, Direction::Incoming, None, &[]).len(), 3);
         // Variable predicate constrained to Professor.
         let professor = vl(&ds, &t, "Professor");
         assert_eq!(
-            adjacent_candidates(&t, dept, Direction::Incoming, None, &[professor]).len(),
+            t.adjacent(dept, Direction::Incoming, None, &[professor])
+                .len(),
             1
         );
+    }
+
+    /// `graph` as a query without OPTIONAL clauses.
+    fn required(graph: QueryGraph) -> TransformedQuery {
+        TransformedQuery {
+            vertex_clause: vec![None; graph.vertex_count()],
+            edge_clause: vec![None; graph.edge_count()],
+            graph,
+            unsatisfiable: false,
+            clause_parents: Vec::new(),
+            filters: Vec::new(),
+        }
     }
 
     fn one_vertex_query(
         labels: Vec<VLabel>,
         neighbors: Vec<(Direction, Option<ELabel>, Vec<VLabel>)>,
-    ) -> QueryGraph {
+    ) -> TransformedQuery {
         let mut q = QueryGraph::new();
         let u = q.add_vertex(QueryVertex {
             labels,
@@ -408,7 +409,7 @@ mod tests {
                 variable: None,
             });
         }
-        q
+        required(q)
     }
 
     #[test]
@@ -430,8 +431,16 @@ mod tests {
             ],
         );
         // s1 has both; s2 only memberOf.
-        assert!(VertexFilter::new(&config, &q, 0).degree_filter(&t, vid(&ds, "s1"), &mut stats));
-        assert!(!VertexFilter::new(&config, &q, 0).degree_filter(&t, vid(&ds, "s2"), &mut stats));
+        assert!(VertexFilter::new(&t, &config, &q, 0).degree_filter(
+            &t,
+            vid(&ds, "s1"),
+            &mut stats
+        ));
+        assert!(!VertexFilter::new(&t, &config, &q, 0).degree_filter(
+            &t,
+            vid(&ds, "s2"),
+            &mut stats
+        ));
         assert_eq!(stats.degree_filtered, 1);
     }
 
@@ -458,7 +467,7 @@ mod tests {
             ..config
         };
         let passes = |config: &TurboHomConfig, v: &str, stats: &mut MatchStats| {
-            VertexFilter::new(config, &q, 0).degree_filter(&t, vid(&ds, v), stats)
+            VertexFilter::new(&t, config, &q, 0).degree_filter(&t, vid(&ds, v), stats)
         };
         // s2 has its memberOf edge (and, for `?p`, its `rdf:type` edge).
         assert!(passes(&config, "s2", &mut stats));
@@ -468,7 +477,7 @@ mod tests {
         assert!(!passes(&isomorphism, "dept1", &mut stats));
         // Two variable predicates: dept1's type edge can be both.
         let q = one_vertex_query(vec![], vec![(Direction::Outgoing, None, vec![]); 2]);
-        let filter = VertexFilter::new(&isomorphism, &q, 0);
+        let filter = VertexFilter::new(&t, &isomorphism, &q, 0);
         assert!(filter.degree_filter(&t, vid(&ds, "dept1"), &mut stats));
     }
 
@@ -488,7 +497,11 @@ mod tests {
                 ),
             ],
         );
-        assert!(VertexFilter::new(&config, &q, 0).degree_filter(&t, vid(&ds, "s2"), &mut stats));
+        assert!(VertexFilter::new(&t, &config, &q, 0).degree_filter(
+            &t,
+            vid(&ds, "s2"),
+            &mut stats
+        ));
         assert_eq!(stats.degree_filtered, 0);
     }
 
@@ -512,8 +525,8 @@ mod tests {
                 (Direction::Outgoing, Some(takes), vec![course_l]),
             ],
         );
-        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, "s1"), &mut stats));
-        assert!(!VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, "s2"), &mut stats));
+        assert!(VertexFilter::new(&t, &config, &q, 0).nlf_filter(&t, vid(&ds, "s1"), &mut stats));
+        assert!(!VertexFilter::new(&t, &config, &q, 0).nlf_filter(&t, vid(&ds, "s2"), &mut stats));
         assert_eq!(stats.nlf_filtered, 1);
     }
 
@@ -536,7 +549,11 @@ mod tests {
                 (Direction::Incoming, Some(member_of), vec![student_l]),
             ],
         );
-        assert!(VertexFilter::new(&config, &q, 0).nlf_filter(&t, vid(&ds, "dept1"), &mut stats));
+        assert!(VertexFilter::new(&t, &config, &q, 0).nlf_filter(
+            &t,
+            vid(&ds, "dept1"),
+            &mut stats
+        ));
         // Under homomorphism the same check also passes trivially, but a
         // query needing three distinct students fails under isomorphism.
         let q3 = one_vertex_query(
@@ -547,7 +564,42 @@ mod tests {
                 (Direction::Incoming, Some(member_of), vec![student_l]),
             ],
         );
-        assert!(!VertexFilter::new(&config, &q3, 0).nlf_filter(&t, vid(&ds, "dept1"), &mut stats));
+        assert!(!VertexFilter::new(&t, &config, &q3, 0).nlf_filter(
+            &t,
+            vid(&ds, "dept1"),
+            &mut stats
+        ));
+    }
+
+    #[test]
+    fn an_edge_into_an_optional_clause_demands_nothing() {
+        let (ds, t) = data();
+        let mut stats = MatchStats::default();
+        let config = TurboHomConfig::turbohom();
+        let member_of = el(&ds, &t, "memberOf");
+        let takes = el(&ds, &t, "takesCourse");
+        // `?x memberOf ?d OPTIONAL { ?x takesCourse ?c }`: s2 takes no
+        // course, and is an answer all the same.
+        let mut q = one_vertex_query(
+            vec![],
+            vec![
+                (Direction::Outgoing, Some(member_of), vec![]),
+                (Direction::Outgoing, Some(takes), vec![]),
+            ],
+        );
+        let s2 = vid(&ds, "s2");
+        assert!(!VertexFilter::new(&t, &config, &q, 0).qualifies(&t, s2, &mut stats));
+        q.vertex_clause[2] = Some(0);
+        q.edge_clause[1] = Some(0);
+        q.clause_parents.push(None);
+        assert!(VertexFilter::new(&t, &config, &q, 0).qualifies(&t, s2, &mut stats));
+        let mut expected = MatchStats::default();
+        assert!(reference::qualifies(&t, &config, &q, 0, s2, &mut expected));
+        // The clause's own vertex still demands its edge to ?x.
+        let c1 = vid(&ds, "c1");
+        assert!(VertexFilter::new(&t, &config, &q, 2).qualifies(&t, c1, &mut stats));
+        let dept = vid(&ds, "dept1");
+        assert!(!VertexFilter::new(&t, &config, &q, 2).qualifies(&t, dept, &mut stats));
     }
 
     #[test]
@@ -565,9 +617,10 @@ mod tests {
             bound: Some(s1),
             variable: None,
         });
-        assert!(VertexFilter::new(&config, &q, 0).qualifies(&t, s1, &mut stats));
+        let q = required(q);
+        assert!(VertexFilter::new(&t, &config, &q, 0).qualifies(&t, s1, &mut stats));
         // Wrong vertex for a bound query vertex.
-        assert!(!VertexFilter::new(&config, &q, 0).qualifies(&t, dept, &mut stats));
+        assert!(!VertexFilter::new(&t, &config, &q, 0).qualifies(&t, dept, &mut stats));
 
         let mut q2 = QueryGraph::new();
         q2.add_vertex(QueryVertex {
@@ -575,8 +628,9 @@ mod tests {
             bound: None,
             variable: None,
         });
-        assert!(VertexFilter::new(&config, &q2, 0).qualifies(&t, s1, &mut stats));
-        assert!(!VertexFilter::new(&config, &q2, 0).qualifies(&t, dept, &mut stats));
+        let q2 = required(q2);
+        assert!(VertexFilter::new(&t, &config, &q2, 0).qualifies(&t, s1, &mut stats));
+        assert!(!VertexFilter::new(&t, &config, &q2, 0).qualifies(&t, dept, &mut stats));
     }
 
     #[test]
@@ -613,8 +667,8 @@ mod tests {
         ];
         for query in &queries {
             for config in &configs {
-                for u in 0..query.vertex_count() {
-                    let filter = VertexFilter::new(config, query, u);
+                for u in 0..query.graph.vertex_count() {
+                    let filter = VertexFilter::new(&t, config, query, u);
                     for v in t.graph.vertices().chain([VertexId(u32::MAX)]) {
                         let (mut expected, mut got) =
                             (MatchStats::default(), MatchStats::default());

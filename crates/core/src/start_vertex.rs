@@ -47,8 +47,8 @@ pub struct StartSelection<'a> {
 }
 
 /// For a (required) query vertex without label or ID: the shortest list the
-/// predicate index has for one of its incident edges with a constant
-/// predicate (Section 4.2), if it has such an edge. An edge into an OPTIONAL
+/// predicate index has for one of its incident edges with a predicate it
+/// holds (Section 4.2), if it has such an edge. An edge into an OPTIONAL
 /// clause demands nothing of the vertex, so its list is not one of them.
 fn shortest_incidence_list<'a>(
     data: &'a TransformedGraph,
@@ -56,11 +56,9 @@ fn shortest_incidence_list<'a>(
     u: usize,
 ) -> Option<&'a [VertexId]> {
     query
-        .graph
-        .neighbors(u)
-        .filter(|&(other, _, _)| query.vertex_clause[other].is_none())
+        .demands(u)
         .filter_map(|(_, ei, dir)| {
-            let el = query.graph.edge(ei).label?;
+            let el = data.csr_label(query.graph.edge(ei).label)?;
             Some(data.predicates.endpoints(el, dir))
         })
         .min_by_key(|endpoints| endpoints.len())
@@ -136,7 +134,7 @@ pub fn choose_start_vertex<'a>(
     // that it wins.
     let mut best: Option<(usize, usize, Option<Vec<VertexId>>, bool)> = None;
     for &(_, u, freq) in ranked.iter().take(TOP_K) {
-        let filter = VertexFilter::new(config, &query.graph, u);
+        let filter = VertexFilter::new(data, config, query, u);
         let inline = filters.filter(|split| !split.inline[u].is_empty());
         let (count, qualified) = if filter.can_reject() || inline.is_some() {
             // Counting FILTERs stops where the vertex can no longer win.
@@ -268,7 +266,7 @@ mod tests {
             };
             let mut out: Vec<VertexId> = base
                 .into_iter()
-                .filter(|&v| filters::reference::qualifies(data, config, &query.graph, u, v, stats))
+                .filter(|&v| filters::reference::qualifies(data, config, query, u, v, stats))
                 .collect();
             ops::canonicalize(&mut out);
             out

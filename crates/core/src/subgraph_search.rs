@@ -27,6 +27,7 @@ use crate::matching_order::MatchingOrder;
 use crate::query_tree::QueryTree;
 use crate::result::RowLayout;
 use crate::stats::MatchStats;
+use std::borrow::Cow;
 use std::collections::HashSet;
 use turbohom_graph::{ops, Direction, ELabel, VLabel, VertexId};
 use turbohom_rdf::IdRows;
@@ -109,7 +110,7 @@ pub struct SubgraphSearcher<'a> {
     /// recursions, so one buffer serves every depth.
     scratch: Vec<VertexId>,
     /// The adjacency lists one +INT step intersects; likewise.
-    join_lists: Vec<&'a [VertexId]>,
+    join_lists: Vec<Cow<'a, [VertexId]>>,
 }
 
 impl<'a> SubgraphSearcher<'a> {
@@ -168,7 +169,7 @@ impl<'a> SubgraphSearcher<'a> {
                 if other == u {
                     plan.self_loops.push(e.label);
                 } else if order.position[other] < depth {
-                    let implied: &[VLabel] = match e.label {
+                    let implied: &[VLabel] = match self.data.csr_label(e.label) {
                         Some(el) if summary => self.data.predicates.implied_labels(el, dir_from_u),
                         _ => &[],
                     };
@@ -328,20 +329,16 @@ impl<'a> SubgraphSearcher<'a> {
     }
 
     /// +INT: intersects `base` with the adjacency list of every matched
-    /// endpoint of `step`'s joins, into `out`.
+    /// endpoint of `step`'s joins, into `out`, shortest list first to keep
+    /// the intermediate results minimal.
     fn intersect_joins(&mut self, base: &[VertexId], step: Step, out: &mut Vec<VertexId>) {
         let data = self.data;
-        let joins = &self.plan.joins[step.joins.0..step.joins.1];
-
-        // Constant predicates: slices of the data graph, shortest first to
-        // keep the intermediate results minimal.
         self.join_lists.clear();
-        for join in joins {
-            if let (Some(w), Some(el)) = (self.mapping[join.other], join.label) {
-                self.join_lists.push(match join.typed {
-                    Some(vl) => data.graph.neighbors_typed(w, join.direction, el, vl),
-                    None => data.graph.neighbors(w, join.direction, el),
-                });
+        for join in &self.plan.joins[step.joins.0..step.joins.1] {
+            if let Some(w) = self.mapping[join.other] {
+                let typed = join.typed.as_slice();
+                self.join_lists
+                    .push(data.adjacent(w, join.direction, join.label, typed));
             }
         }
         self.join_lists.sort_unstable_by_key(|list| list.len());
@@ -358,25 +355,13 @@ impl<'a> SubgraphSearcher<'a> {
                 out.extend_from_slice(base);
             }
         }
-        // Variable predicates: the union of the endpoint's adjacency groups.
-        for join in joins {
-            if let (Some(w), None) = (self.mapping[join.other], join.label) {
-                let any_edge = data.neighbors_any_edge(w, join.direction, &[]);
-                ops::intersect_adaptive_into(out, &any_edge, &mut self.scratch);
-                std::mem::swap(out, &mut self.scratch);
-            }
-        }
     }
 
     /// Every self loop of `step`'s query vertex requires an edge v → v,
     /// carrying the loop's label (or any label, for a variable predicate).
     fn self_loops_hold(&self, step: Step, v: VertexId) -> bool {
-        self.plan.self_loops[step.self_loops.0..step.self_loops.1]
-            .iter()
-            .all(|label| match label {
-                Some(el) => self.data.graph.has_edge(v, v, *el),
-                None => !self.data.edge_labels_between(v, v).is_empty(),
-            })
+        let loops = &self.plan.self_loops[step.self_loops.0..step.self_loops.1];
+        loops.iter().all(|&label| self.data.has_edge(v, v, label))
     }
 
     /// `IsJoinable` without +INT: probes `candidate` against every matched
@@ -385,33 +370,16 @@ impl<'a> SubgraphSearcher<'a> {
         for join in &self.plan.joins[step.joins.0..step.joins.1] {
             if let Some(w) = self.mapping[join.other] {
                 self.stats.isjoinable_probes += 1;
-                if !self.edge_exists(w, join.direction, join.label, candidate) {
+                let (from, to) = match join.direction {
+                    Direction::Outgoing => (w, candidate),
+                    Direction::Incoming => (candidate, w),
+                };
+                if !self.data.has_edge(from, to, join.label) {
                     return false;
                 }
             }
         }
         true
-    }
-
-    /// One `IsJoinable` probe: is there an edge between `from` (an already
-    /// matched data vertex) and `candidate`, in `direction` as seen from
-    /// `from`, carrying `label` (or any label when `None`)?
-    fn edge_exists(
-        &self,
-        from: VertexId,
-        direction: Direction,
-        label: Option<ELabel>,
-        candidate: VertexId,
-    ) -> bool {
-        match label {
-            Some(el) => {
-                ops::contains_sorted(self.data.graph.neighbors(from, direction, el), candidate)
-            }
-            None => {
-                let any_edge = self.data.neighbors_any_edge(from, direction, &[]);
-                ops::contains_sorted(&any_edge, candidate)
-            }
-        }
     }
 
     /// Reports the current complete mapping as one or more solutions

@@ -109,7 +109,7 @@ mod tests {
         }
         .into();
         assert!(e.to_string().contains("SPARQL"));
-        let e: StoreError = TransformError::SchemaPatternUnsupported.into();
+        let e: StoreError = TransformError::UnsupportedTerm("UNION".into()).into();
         assert!(e.to_string().contains("transformation"));
         let e: StoreError = EngineError::DisconnectedQuery.into();
         assert!(e.to_string().contains("engine"));

@@ -26,6 +26,7 @@ use crate::sharded::{Anchor, AnyPlan, AnyStore, ShardedPlan, ShardedStore};
 use crate::store::{EngineKind, Store};
 use turbohom_core::{EngineError, RunInput, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
+use turbohom_transform::{TransformKind, TransformedGraph};
 
 /// Schema identifier embedded in every report.
 pub const EXPLAIN_SCHEMA: &str = "turbohom-explain/1";
@@ -349,6 +350,7 @@ impl ToJson for ShardExplain {
 /// enumeration. Also returns whether that run's search stops at the LIMIT.
 fn explain_component(
     store: &Store,
+    graph: &TransformedGraph,
     config: &TurboHomConfig,
     comp: &ComponentPlan,
     limit: Option<usize>,
@@ -359,10 +361,9 @@ fn explain_component(
     let mut ce = ComponentExplain {
         branch,
         component: index,
-        graph: if comp.use_direct {
-            "direct"
-        } else {
-            "type-aware"
+        graph: match graph.kind {
+            TransformKind::Direct => "direct",
+            TransformKind::TypeAware => "type-aware",
         },
         vertices: tq.graph.vertex_count(),
         edges: tq.graph.edge_count(),
@@ -371,7 +372,7 @@ fn explain_component(
         region_candidates: None,
         steps: Vec::new(),
     };
-    let engine = TurboHomEngine::new(store.graph_of(comp), &store.dataset().dictionary, *config);
+    let engine = TurboHomEngine::new(graph, &store.dataset().dictionary, *config);
     let own = RunInput::of(tq);
     let prologue = engine.explain(tq, RunInput { limit, ..own });
     let pushed = prologue.cap.solutions.is_some();
@@ -433,13 +434,15 @@ impl Store {
         // prologue's to decide, and start-vertex selection reads it.
         let mut pushed = false;
         if let PlanMode::Graph { config, branches } = &plan.mode {
+            let graph = self.graph_of(plan.kind());
             for (b, branch) in branches.iter().enumerate() {
                 let limit = match branch.components.as_slice() {
                     [_] => plan.pushed_limit(),
                     _ => None,
                 };
                 for (c, comp) in branch.components.iter().enumerate() {
-                    let (component, capped) = explain_component(self, config, comp, limit, b, c);
+                    let (component, capped) =
+                        explain_component(self, graph, config, comp, limit, b, c);
                     pushed |= capped;
                     report.components.push(component);
                 }

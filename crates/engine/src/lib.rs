@@ -2,8 +2,8 @@
 //!
 //! A [`Store`] owns one RDF dataset and the derived structures the engines
 //! read: the type-aware labeled graph with its indexes (TurboHOM++), and —
-//! each built by the first plan that needs it — the direct graph (TurboHOM,
-//! variable predicates) and the six permutation indexes (the join-based
+//! each built by the first plan that needs it — the direct graph (the
+//! TurboHOM ablation) and the six permutation indexes (the join-based
 //! baselines). A SPARQL query can then be executed with any
 //! [`EngineKind`] and returns uniform results: [`IdResults`], one flat buffer
 //! of term ids that a server serialises without copying a term, and

@@ -36,7 +36,7 @@ use turbohom_graph::ELabel;
 use turbohom_rdf::{Dictionary, IdRows, TermId, UNBOUND};
 use turbohom_sparql::{Binding, Expression, GroupPattern, Query};
 use turbohom_trace::{SpanId, Trace};
-use turbohom_transform::{TransformKind, TransformedGraph, TransformedQuery};
+use turbohom_transform::{transform_query, TransformedGraph, TransformedQuery};
 
 /// A fully prepared query: parsed, union-expanded, component-split and
 /// transformed for one [`EngineKind`] against one [`Store`].
@@ -82,8 +82,6 @@ pub(crate) struct BranchPlan {
 
 /// One connected component: a transformed query graph ready to match.
 pub(crate) struct ComponentPlan {
-    /// Match over the direct graph instead of the type-aware one.
-    pub(crate) use_direct: bool,
     pub(crate) transformed: TransformedQuery,
     /// The component's own variables (its output columns when the branch has
     /// several components; empty for single-component branches, which render
@@ -288,7 +286,7 @@ impl Store {
 
     /// The graph-engine plan of `query` with `config`: a TurboHOM plan, every
     /// branch transformed for the direct graph, when `force_direct` is set,
-    /// else a TurboHOM++ one.
+    /// else a TurboHOM++ one over the type-aware graph.
     pub(crate) fn plan_graph(
         &self,
         query: &Query,
@@ -296,18 +294,28 @@ impl Store {
         force_direct: bool,
     ) -> Result<QueryPlan, StoreError> {
         let window = window_of(query)?;
+        let kind = match force_direct {
+            true => EngineKind::TurboHom,
+            false => EngineKind::TurboHomPlusPlus,
+        };
         Ok(QueryPlan {
-            kind: match force_direct {
-                true => EngineKind::TurboHom,
-                false => EngineKind::TurboHomPlusPlus,
-            },
+            kind,
             projected: query.projected_variables(),
             window,
             mode: PlanMode::Graph {
                 config,
-                branches: self.plan_branches(query, force_direct)?,
+                branches: self.plan_branches(query, self.graph_of(kind))?,
             },
         })
+    }
+
+    /// The transformed graph a graph plan of `kind` matches over: the direct
+    /// graph for the `turbohom` ablation, the type-aware one for TurboHOM++.
+    pub(crate) fn graph_of(&self, kind: EngineKind) -> &TransformedGraph {
+        match kind {
+            EngineKind::TurboHom => self.direct_graph(),
+            _ => self.type_aware_graph(),
+        }
     }
 
     /// Runs a prepared plan with its built-in configuration and decodes the
@@ -368,22 +376,22 @@ impl Store {
         Ok(results)
     }
 
-    /// Expands the query's unions and transforms every branch.
+    /// Expands the query's unions and transforms every branch for `graph`.
     fn plan_branches(
         &self,
         query: &Query,
-        force_direct: bool,
+        graph: &TransformedGraph,
     ) -> Result<Vec<BranchPlan>, StoreError> {
         let mut branches = Vec::new();
         for branch in query.pattern.expand_unions() {
             let (components, filters) = match split_components(&branch).as_slice() {
                 [] | [_] => {
-                    let only = self.plan_component(&branch, force_direct, Vec::new())?;
+                    let only = self.plan_component(&branch, graph, Vec::new())?;
                     (vec![only], Vec::new())
                 }
                 groups => {
                     let components = (groups.iter())
-                        .map(|c| self.plan_component(c, force_direct, c.all_variables()))
+                        .map(|c| self.plan_component(c, graph, c.all_variables()))
                         .collect::<Result<Vec<_>, _>>()?;
                     (components, collect_filters(&branch))
                 }
@@ -397,18 +405,15 @@ impl Store {
         Ok(branches)
     }
 
-    /// Transforms one connected, union-free group.
+    /// Transforms one connected, union-free group for `graph`.
     fn plan_component(
         &self,
         group: &GroupPattern,
-        force_direct: bool,
+        graph: &TransformedGraph,
         vars: Vec<String>,
     ) -> Result<ComponentPlan, StoreError> {
-        let (graph, transformed) = self.transform_branch(group, force_direct)?;
         Ok(ComponentPlan {
-            // `transform_branch` may have fallen back to the direct graph.
-            use_direct: graph.kind == TransformKind::Direct,
-            transformed,
+            transformed: transform_query(group, graph, &self.dataset().dictionary)?,
             vars,
             cached_order: Mutex::new(None),
         })
@@ -428,14 +433,12 @@ impl Store {
         materialise: &mut Materialise,
     ) -> Result<IdResults<'_>, StoreError> {
         let projected = &plan.projected;
-        let limit = plan.pushed_limit();
         let mut results = self.id_results(projected.clone(), IdRows::new(projected.len()));
         for branch in branches {
-            let remaining = limit.map(|l| l.saturating_sub(results.solution_count));
-            if remaining == Some(0) {
+            if (plan.pushed_limit()).is_some_and(|l| results.solution_count >= l) {
                 break;
             }
-            self.run_components(branch, config, remaining, trace, materialise, &mut results)?;
+            self.run_components(plan, branch, config, trace, materialise, &mut results)?;
         }
         Ok(results)
     }
@@ -472,13 +475,15 @@ impl Store {
     /// is part of materialising them.
     fn run_components(
         &self,
+        plan: &QueryPlan,
         branch: &BranchPlan,
         config: TurboHomConfig,
-        limit: Option<usize>,
         trace: &Trace,
         materialise: &mut Materialise,
         results: &mut IdResults<'_>,
     ) -> Result<(), StoreError> {
+        let graph = self.graph_of(plan.kind);
+        let limit = (plan.pushed_limit()).map(|l| l.saturating_sub(results.solution_count));
         let components = branch.components.as_slice();
         let mut matched: Vec<Option<MatchResult>> = components.iter().map(|_| None).collect();
         // A constant side is matched for its rows, whole.
@@ -487,11 +492,12 @@ impl Store {
             ..config
         };
         let mut span = trace.span("execute");
+        let parent = span.id();
         let mut shape = branch.bind_into.map_or(Shape::Product, Shape::Bound);
         if let Shape::Bound(target) = shape {
             for (i, component) in components.iter().enumerate().filter(|&(i, _)| i != target) {
                 let input = RunInput::of(&component.transformed);
-                let side = self.match_component(component, whole, input, trace, span.id())?;
+                let side = self.match_component(graph, component, whole, input, trace, parent)?;
                 let rows = side.rows.len();
                 matched[i] = Some(side);
                 if rows == 0 {
@@ -507,7 +513,7 @@ impl Store {
         match shape {
             Shape::Bound(target) => {
                 let component = &components[target];
-                constants = self.constant_row(components, &matched);
+                constants = self.constant_row(graph, components, &matched);
                 let dictionary = &self.dataset().dictionary;
                 let outer: Vec<(&str, Binding<'_>)> = (constants.iter())
                     .filter_map(|&(var, cell)| Some((var, binding_of(dictionary, cell)?)))
@@ -518,7 +524,8 @@ impl Store {
                     outer: &outer,
                     limit,
                 };
-                let result = self.match_component(component, config, input, trace, span.id())?;
+                let result =
+                    self.match_component(graph, component, config, input, trace, parent)?;
                 matched[target] = Some(result);
             }
             Shape::Product => {
@@ -526,7 +533,7 @@ impl Store {
                     if slot.is_none() {
                         let input = RunInput::of(&component.transformed);
                         let result =
-                            self.match_component(component, config, input, trace, span.id())?;
+                            self.match_component(graph, component, config, input, trace, parent)?;
                         *slot = Some(result);
                     }
                 }
@@ -545,13 +552,13 @@ impl Store {
             Shape::Empty => {}
             Shape::Bound(target) => {
                 let result = matched[target].as_ref().expect("the bound component ran");
-                self.append_rows(&components[target], result, &constants, results);
+                self.append_rows(graph, &components[target], result, &constants, results);
             }
             Shape::Product => {
                 let parts: Vec<IdRows> = (components.iter().zip(&matched))
                     .map(|(component, result)| {
                         let result = result.as_ref().expect("every component ran");
-                        self.project(component, &result.rows, &component.vars)
+                        self.project(graph, component, &result.rows, &component.vars)
                     })
                     .collect();
                 let (mut rows, filtered) =
@@ -580,12 +587,13 @@ impl Store {
     /// with each column a constant side binds set to its one term.
     fn append_rows(
         &self,
+        graph: &TransformedGraph,
         component: &ComponentPlan,
         result: &MatchResult,
         constants: &[(&str, u32)],
         results: &mut IdResults<'_>,
     ) {
-        let mut rows = self.project(component, &result.rows, &results.variables);
+        let mut rows = self.project(graph, component, &result.rows, &results.variables);
         for (column, var) in results.variables.iter().enumerate() {
             if let Some(&(_, cell)) = constants.iter().find(|(bound, _)| bound == var) {
                 rows.set_column(column, cell);
@@ -599,13 +607,14 @@ impl Store {
     /// component): each variable it binds, with its term id.
     fn constant_row<'p>(
         &self,
+        graph: &TransformedGraph,
         components: &'p [ComponentPlan],
         matched: &[Option<MatchResult>],
     ) -> Vec<(&'p str, u32)> {
         let mut cells = Vec::new();
         for (component, side) in components.iter().zip(matched) {
             let Some(side) = side else { continue };
-            let row = self.project(component, &side.rows, &component.vars);
+            let row = self.project(graph, component, &side.rows, &component.vars);
             let bound = component.vars.iter().zip(row.row(0));
             cells.extend(
                 bound
@@ -676,14 +685,14 @@ impl Store {
     /// (or memoizing) its matching order.
     fn match_component(
         &self,
+        graph: &TransformedGraph,
         component: &ComponentPlan,
         config: TurboHomConfig,
         input: RunInput<'_>,
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<MatchResult, StoreError> {
-        let engine =
-            TurboHomEngine::new(self.graph_of(component), &self.dataset().dictionary, config);
+        let engine = TurboHomEngine::new(graph, &self.dataset().dictionary, config);
         let preset = component.cached_order.lock().clone();
         let transformed = &component.transformed;
         let (result, computed) =
@@ -697,23 +706,20 @@ impl Store {
         Ok(result)
     }
 
-    /// The transformed graph a component matches over.
-    pub(crate) fn graph_of(&self, component: &ComponentPlan) -> &TransformedGraph {
-        if component.use_direct {
-            self.direct_graph()
-        } else {
-            self.type_aware_graph()
-        }
-    }
-
-    /// Projects the matcher's rows (data-graph ids in the component's
+    /// Projects the matcher's rows (`graph` ids in the component's
     /// [`RowLayout`]) to term-id rows over `out_vars`. Where a variable lives
     /// is resolved once per column, and the column is then filled in one
     /// pass (a data vertex is its term: only edge labels map); a variable
     /// the component does not bind stays unbound.
-    fn project(&self, component: &ComponentPlan, matched: &IdRows, out_vars: &[String]) -> IdRows {
+    fn project(
+        &self,
+        graph: &TransformedGraph,
+        component: &ComponentPlan,
+        matched: &IdRows,
+        out_vars: &[String],
+    ) -> IdRows {
         let query = &component.transformed.graph;
-        let mappings = &self.graph_of(component).mappings;
+        let mappings = &graph.mappings;
         let layout = RowLayout::of(query);
         let cell = |id: Option<TermId>| id.map_or(UNBOUND, IdRows::cell);
         let mut rows = IdRows::unbound(out_vars.len(), matched.len());

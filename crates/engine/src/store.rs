@@ -14,7 +14,7 @@ use turbohom_rdf::{parse_ntriples, Dataset, IdRows};
 use turbohom_sparql::{parse_query, GroupPattern, Query, SparqlTerm};
 use turbohom_storage::{Snapshot, SnapshotWriter};
 use turbohom_trace::Trace;
-use turbohom_transform::{transform_query, TransformError, TransformedGraph, TransformedQuery};
+use turbohom_transform::TransformedGraph;
 
 /// Which execution engine to use for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -260,10 +260,9 @@ impl Store {
     }
 
     /// The direct transformed graph (Section 3.2), built now if nothing has
-    /// read it before: only the `turbohom` ablation and the type patterns
-    /// the type-aware graph cannot fold (`?x rdf:type ?c`, a type pattern
-    /// inside an OPTIONAL) read it. Planning a query forces what the plan
-    /// will read, so running a plan never builds.
+    /// read it before: only the `turbohom` ablation reads it (a TurboHOM++
+    /// plan matches every query on the type-aware graph). Planning a query
+    /// forces what the plan will read, so running a plan never builds.
     pub fn direct_graph(&self) -> &TransformedGraph {
         self.backend.direct(true)
     }
@@ -276,10 +275,8 @@ impl Store {
 
     /// Builds, ahead of any request, what plans for `kind` read beyond the
     /// type-aware graph: the direct graph for [`EngineKind::TurboHom`], the
-    /// permutation tables for the join baselines. (A TurboHOM++ plan reads
-    /// the direct graph only for a variable class or a type pattern inside
-    /// an OPTIONAL; that stays a first-use build.) Call it before timing
-    /// anything.
+    /// permutation tables for the join baselines, nothing for TurboHOM++.
+    /// Call it before timing anything.
     pub fn warm(&self, kind: EngineKind) {
         match kind {
             EngineKind::TurboHomPlusPlus => {}
@@ -341,8 +338,9 @@ impl Store {
 
     /// Executes with an explicit TurboHOM configuration (used by the
     /// optimization-ablation and parallel-speed-up experiments): a graph
-    /// plan with `config`, run like any other. `force_direct` runs over the
-    /// direct transformation regardless of the query shape.
+    /// plan with `config`, run like any other. `force_direct` runs it over
+    /// the direct transformation (a `turbohom` plan) instead of the
+    /// type-aware one.
     pub fn execute_turbohom(
         &self,
         sparql: &str,
@@ -353,25 +351,6 @@ impl Store {
     }
 
     // ---- internal execution paths -------------------------------------
-
-    /// Transforms one union-free branch, falling back to the direct graph
-    /// when the type-aware transformation cannot express the query.
-    pub(crate) fn transform_branch(
-        &self,
-        branch: &GroupPattern,
-        use_direct: bool,
-    ) -> Result<(&TransformedGraph, TransformedQuery), StoreError> {
-        let dictionary = &self.dataset().dictionary;
-        if !use_direct {
-            match transform_query(branch, self.type_aware_graph(), dictionary) {
-                Ok(tq) => return Ok((self.type_aware_graph(), tq)),
-                Err(TransformError::SchemaPatternUnsupported) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let tq = transform_query(branch, self.direct_graph(), dictionary)?;
-        Ok((self.direct_graph(), tq))
-    }
 
     /// Evaluates the query with a join baseline (an `execute` stage span)
     /// and lays the relation out as term-id rows over the projected

@@ -158,22 +158,6 @@ impl QueryGraph {
         })
     }
 
-    /// The distinct neighbor-type constraints of query vertex `u`:
-    /// `(direction, edge label, neighbor's label set)` per incident edge.
-    /// Used by the degree and NLF filters.
-    pub fn neighbor_constraints(
-        &self,
-        u: usize,
-    ) -> impl Iterator<Item = (Direction, Option<ELabel>, &[VLabel])> + '_ {
-        self.neighbors(u).map(move |(other, ei, dir)| {
-            (
-                dir,
-                self.edges[ei].label,
-                self.vertices[other].labels.as_slice(),
-            )
-        })
-    }
-
     /// Returns `true` if the query graph is connected (ignoring direction).
     /// Disconnected query graphs correspond to cartesian products, which the
     /// matcher rejects up front.
@@ -278,16 +262,6 @@ mod tests {
         let n1: Vec<(usize, usize, Direction)> = q.neighbors(1).collect();
         assert!(n1.contains(&(0, 0, Direction::Incoming)));
         assert!(n1.contains(&(2, 2, Direction::Incoming)));
-    }
-
-    #[test]
-    fn neighbor_constraints_expose_labels() {
-        let q = figure8_query();
-        let cons: Vec<_> = q.neighbor_constraints(0).collect();
-        assert_eq!(cons.len(), 2);
-        assert!(cons.iter().any(|(d, el, ls)| *d == Direction::Outgoing
-            && *el == Some(ELabel(0))
-            && *ls == [VLabel(2)]));
     }
 
     #[test]

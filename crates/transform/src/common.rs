@@ -1,5 +1,6 @@
 //! Shared types of the data-graph transformations.
 
+use std::borrow::Cow;
 use std::fmt;
 use turbohom_graph::{ops, Direction, ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex};
 use turbohom_graph::{VLabel, VertexId};
@@ -193,14 +194,29 @@ impl TransformedGraph {
         [(n, next), (next, mapped)].map(|(l, end)| (l < end).then_some(ELabel(l)))
     }
 
-    /// The other ends of `v`'s folded edges in `direction`, sorted: its
-    /// subclass pairs, then its type edges — its labels' classes going out,
-    /// the vertices labelled with its class coming in.
-    fn folded(&self, v: VertexId, direction: Direction) -> [Vec<VertexId>; 2] {
-        let (pairs, key) = (&self.schema[direction as usize], u64::from(v.0));
-        let start = pairs.partition_point(|&pair| pair >> 32 < key);
-        let schema = pairs[start..].iter().take_while(|&&pair| pair >> 32 == key);
+    /// The label the CSR, the predicate index and the `+SUM` summary hold
+    /// for a query edge labelled `el`: `el`, unless it is a folded label,
+    /// which none of them holds and which then prunes like a variable
+    /// predicate (`None`).
+    #[inline]
+    pub fn csr_label(&self, el: Option<ELabel>) -> Option<ELabel> {
+        let folded = self.graph.edge_label_count()..self.mappings.elabel_to_term.len();
+        el.filter(|el| !folded.contains(&el.index()))
+    }
+
+    /// The other ends of `v`'s folded edges labelled `el` in `direction`,
+    /// sorted: its subclass pairs, or its type edges — its labels' classes
+    /// going out, the vertices labelled with its class coming in.
+    fn folded(&self, v: VertexId, direction: Direction, el: ELabel) -> Vec<VertexId> {
+        let [subclass, rdf_type] = self.folded_labels();
+        if Some(el) == subclass {
+            let (pairs, key) = (&self.schema[direction as usize], u64::from(v.0));
+            let start = pairs.partition_point(|&pair| pair >> 32 < key);
+            let pairs = pairs[start..].iter().take_while(|&&pair| pair >> 32 == key);
+            return pairs.map(|&pair| VertexId(pair as u32)).collect();
+        }
         let mut types: Vec<VertexId> = match direction {
+            _ if Some(el) != rdf_type => return Vec::new(),
             Direction::Outgoing => (self.graph.labels(v).iter())
                 .map(|&l| VertexId::of_term(self.mappings.vlabel_to_term[l.index()]))
                 .collect(),
@@ -209,26 +225,68 @@ impl TransformedGraph {
             }),
         };
         types.sort_unstable();
-        [schema.map(|&pair| VertexId(pair as u32)).collect(), types]
+        types
     }
 
-    /// The neighbors of `v` in `direction` over any edge label, the folded
-    /// ones included, that carry all of `labels`: the range of a variable
-    /// predicate (sorted, duplicate free).
-    pub fn neighbors_any_edge(
+    /// The neighbors of `v` in `direction` over the edges labelled `el` —
+    /// over any label, the folded ones included, when `el` is `None` — that
+    /// carry all of `labels` (Section 4.2's `ExploreCandidateRegion`
+    /// inductive case): sorted and duplicate free. A CSR label and at most
+    /// one vertex label borrow a slice of the adjacency; anything else builds
+    /// a list of its own.
+    #[inline]
+    pub fn adjacent(
         &self,
         v: VertexId,
         direction: Direction,
+        el: Option<ELabel>,
+        labels: &[VLabel],
+    ) -> Cow<'_, [VertexId]> {
+        let g = &self.graph;
+        match (self.csr_label(el), labels) {
+            (Some(el), []) => Cow::Borrowed(g.neighbors(v, direction, el)),
+            (Some(el), [label]) => Cow::Borrowed(g.neighbors_typed(v, direction, el, *label)),
+            (Some(el), _) => {
+                let typed = (labels.iter()).map(|&l| g.neighbors_typed(v, direction, el, l));
+                Cow::Owned(ops::intersect_k(&typed.collect::<Vec<_>>()))
+            }
+            (None, _) => Cow::Owned(self.adjacent_off_csr(v, direction, el, labels)),
+        }
+    }
+
+    /// [`adjacent`](Self::adjacent) over a folded label, or over every label
+    /// when `el` is `None`.
+    fn adjacent_off_csr(
+        &self,
+        v: VertexId,
+        direction: Direction,
+        el: Option<ELabel>,
         labels: &[VLabel],
     ) -> Vec<VertexId> {
-        let folded = self.folded(v, direction);
-        let csr = self.graph.groups(v, direction, labels.first().copied());
-        let lists: Vec<&[VertexId]> = (csr.map(|(_, ends)| ends))
-            .chain(folded.iter().map(Vec::as_slice))
-            .collect();
-        let mut all = ops::union_k(&lists);
+        let mut all = match el {
+            Some(folded) => self.folded(v, direction, folded),
+            None => {
+                let folded =
+                    (self.folded_labels()).map(|l| l.map(|l| self.folded(v, direction, l)));
+                let csr = self.graph.groups(v, direction, labels.first().copied());
+                let lists: Vec<&[VertexId]> = (csr.map(|(_, ends)| ends))
+                    .chain(folded.iter().flatten().map(Vec::as_slice))
+                    .collect();
+                ops::union_k(&lists)
+            }
+        };
         all.retain(|&w| self.graph.has_all_labels(w, labels));
         all
+    }
+
+    /// Whether the edge `from --el--> to` exists — with any label, the
+    /// folded ones included, when `el` is `None` (`IsJoinable`'s probe).
+    pub fn has_edge(&self, from: VertexId, to: VertexId, el: Option<ELabel>) -> bool {
+        match self.csr_label(el) {
+            Some(el) => self.graph.has_edge(from, to, el),
+            None => (self.edge_labels_between(from, to).into_iter())
+                .any(|l| el.is_none_or(|el| el == l)),
+        }
     }
 
     /// The labels of the edges `from --?--> to`, the folded ones included:
@@ -238,9 +296,10 @@ impl TransformedGraph {
             .filter(|(_, ends)| ops::contains_sorted(ends, to))
             .map(|(el, _)| el)
             .collect();
-        let folded = self.folded(from, Direction::Outgoing);
-        for (ends, el) in folded.iter().zip(self.folded_labels()) {
-            labels.extend(el.filter(|_| ops::contains_sorted(ends, to)));
+        for el in self.folded_labels().into_iter().flatten() {
+            if ops::contains_sorted(&self.folded(from, Direction::Outgoing, el), to) {
+                labels.push(el);
+            }
         }
         labels
     }
@@ -303,11 +362,6 @@ impl TransformedGraph {
 /// Errors the transformations can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransformError {
-    /// The query has a schema pattern the type-aware graph cannot match:
-    /// `?x rdf:type ?class` with a variable class, a type pattern inside an
-    /// OPTIONAL, or an `rdfs:subClassOf` pattern, whose edges no CSR holds
-    /// (the engine falls back to the direct transformation for such queries).
-    SchemaPatternUnsupported,
     /// A blank node appeared where the transformation cannot handle it.
     UnsupportedTerm(String),
 }
@@ -315,11 +369,6 @@ pub enum TransformError {
 impl fmt::Display for TransformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransformError::SchemaPatternUnsupported => write!(
-                f,
-                "type-aware transformation cannot match a variable `rdf:type` class, \
-                 an OPTIONAL type pattern or an `rdfs:subClassOf` pattern"
-            ),
             TransformError::UnsupportedTerm(t) => write!(f, "unsupported term in query: {t}"),
         }
     }
@@ -399,9 +448,6 @@ mod tests {
 
     #[test]
     fn transform_error_messages() {
-        assert!(TransformError::SchemaPatternUnsupported
-            .to_string()
-            .contains("rdf:type"));
         assert!(TransformError::UnsupportedTerm("x".into())
             .to_string()
             .contains('x'));

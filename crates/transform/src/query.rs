@@ -2,9 +2,13 @@
 //!
 //! Under the **direct** transformation every triple pattern becomes a query
 //! edge and every distinct term/variable becomes a query vertex (Figure 5b).
-//! Under the **type-aware** transformation, `?x rdf:type <Class>` patterns
-//! are folded into the label set of `?x`'s query vertex and produce no edge
-//! (Figure 8) — the reduction that makes candidate regions smaller.
+//! Under the **type-aware** transformation, a required `?x rdf:type <Class>`
+//! pattern is folded into the label set of `?x`'s query vertex and produces
+//! no edge (Figure 8) — the reduction that makes candidate regions smaller.
+//! Every other schema pattern — a variable class, a type pattern inside an
+//! OPTIONAL, an `rdfs:subClassOf` pattern — is an ordinary query edge whose
+//! label is the folded predicate's, which the data graph reads back from its
+//! labels and subclass pairs.
 //!
 //! OPTIONAL clauses are part of the same query graph: their vertices and
 //! edges are annotated with a *clause id* so the matcher can apply the
@@ -19,7 +23,7 @@
 
 use crate::common::{TransformError, TransformKind, TransformedGraph};
 use std::collections::HashMap;
-use turbohom_graph::{ELabel, QueryEdge, QueryGraph, QueryVertex, VLabel, VertexId};
+use turbohom_graph::{Direction, ELabel, QueryEdge, QueryGraph, QueryVertex, VLabel, VertexId};
 use turbohom_rdf::{vocab, Dictionary, Term};
 use turbohom_sparql::{Expression, GroupPattern, SparqlTerm};
 
@@ -53,6 +57,19 @@ impl TransformedQuery {
     /// Returns `true` if the query has any OPTIONAL clause.
     pub fn has_optionals(&self) -> bool {
         !self.clause_parents.is_empty()
+    }
+
+    /// The edges of query vertex `u` that demand a data edge of `u`'s image,
+    /// as `(other end, edge, direction from u)`: those whose other end is
+    /// matched whenever `u` is — a required vertex, or one of `u`'s own
+    /// OPTIONAL clause. An edge into a clause `u` is not part of demands
+    /// nothing of `u`.
+    pub fn demands(&self, u: usize) -> impl Iterator<Item = (usize, usize, Direction)> + '_ {
+        let clause = self.vertex_clause[u];
+        (self.graph.neighbors(u)).filter(move |&(other, ..)| {
+            let theirs = self.vertex_clause[other];
+            theirs.is_none() || theirs == clause
+        })
     }
 }
 
@@ -171,7 +188,7 @@ impl<'a> QueryBuilder<'a> {
             ));
         }
         for pattern in &group.triples {
-            self.add_triple(pattern, clause)?;
+            self.add_triple(pattern, clause);
         }
         self.filters.extend(group.filters.iter().cloned());
         for optional in &group.optionals {
@@ -182,26 +199,19 @@ impl<'a> QueryBuilder<'a> {
         Ok(())
     }
 
-    fn add_triple(
-        &mut self,
-        pattern: &turbohom_sparql::TriplePattern,
-        clause: Option<usize>,
-    ) -> Result<(), TransformError> {
-        let type_aware = self.data.kind == TransformKind::TypeAware;
-        if type_aware {
-            if let Some(pred) = pattern.predicate.as_constant().and_then(Term::as_iri) {
-                if pred == vocab::RDF_TYPE {
-                    return self.fold_type_pattern(pattern, clause);
-                }
-                if pred == vocab::RDFS_SUBCLASSOF {
-                    // No CSR edge carries the label: the subclass pairs
-                    // serve variable predicates only, and the engine falls
-                    // back to the direct graph.
-                    return Err(TransformError::SchemaPatternUnsupported);
-                }
+    fn add_triple(&mut self, pattern: &turbohom_sparql::TriplePattern, clause: Option<usize>) {
+        let predicate = pattern.predicate.as_constant().and_then(Term::as_iri);
+        if self.data.kind == TransformKind::TypeAware
+            && predicate == Some(vocab::RDF_TYPE)
+            && clause.is_none()
+        {
+            if let SparqlTerm::Constant(class) = &pattern.object {
+                return self.fold_type_pattern(&pattern.subject, class);
             }
         }
-        // Ordinary pattern: subject --predicate--> object.
+        // Ordinary pattern: subject --predicate--> object. A schema
+        // predicate the type-aware graph folds is one too: its edge label
+        // names the folded triples.
         let s = self.vertex_for(&pattern.subject, clause);
         let o = self.vertex_for(&pattern.object, clause);
         let (label, variable) = match &pattern.predicate {
@@ -235,26 +245,12 @@ impl<'a> QueryBuilder<'a> {
             variable,
             clause,
         });
-        Ok(())
     }
 
-    /// Folds `?x rdf:type <Class>` into the label set of `?x` (type-aware
-    /// transformation only).
-    fn fold_type_pattern(
-        &mut self,
-        pattern: &turbohom_sparql::TriplePattern,
-        clause: Option<usize>,
-    ) -> Result<(), TransformError> {
-        let class = match &pattern.object {
-            SparqlTerm::Constant(t) => t,
-            SparqlTerm::Variable(_) => return Err(TransformError::SchemaPatternUnsupported),
-        };
-        if clause.is_some() {
-            // Folding a label would silently turn an optional constraint into
-            // a required one; let the engine fall back to the direct graph.
-            return Err(TransformError::SchemaPatternUnsupported);
-        }
-        let s = self.vertex_for(&pattern.subject, clause);
+    /// Folds a required `?x rdf:type <Class>` into the label set of `?x`
+    /// (type-aware transformation only).
+    fn fold_type_pattern(&mut self, subject: &SparqlTerm, class: &Term) {
+        let s = self.vertex_for(subject, None);
         let vlabel = self
             .dictionary
             .id_of(class)
@@ -270,7 +266,6 @@ impl<'a> QueryBuilder<'a> {
                 self.unsatisfiable = true;
             }
         }
-        Ok(())
     }
 
     fn finish(self) -> TransformedQuery {
@@ -445,24 +440,55 @@ mod tests {
         }
     }
 
+    /// The edge label `pred` is interned as in `data`.
+    fn elabel(ds: &Dataset, data: &TransformedGraph, pred: &str) -> ELabel {
+        let term = ds.dictionary.id_of_iri(pred).unwrap();
+        data.mappings.elabel_of(term).unwrap()
+    }
+
     #[test]
-    fn variable_class_is_rejected_under_type_aware() {
+    fn unfoldable_type_patterns_are_edges_with_the_folded_label() {
         let ds = dataset();
         let data = type_aware_transform(&ds);
+        let rdf_type = elabel(&ds, &data, vocab::RDF_TYPE);
+        // No CSR edge carries the label: it names the folded triples.
+        assert_eq!(data.csr_label(Some(rdf_type)), None);
+        for (q, edges) in [
+            // A variable class.
+            (
+                r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                   SELECT ?x ?t WHERE { ?x rdf:type ?t . }"#,
+                1,
+            ),
+            // A constant class inside an OPTIONAL: folding it into ?x's
+            // labels would make the optional constraint a required one.
+            (
+                r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                   PREFIX ub: <http://ub.org/>
+                   SELECT ?x WHERE { ?x ub:memberOf ?d . OPTIONAL { ?x rdf:type ub:Student . } }"#,
+                2,
+            ),
+        ] {
+            let q = parse_query(q).unwrap();
+            let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+            assert!(!tq.unsatisfiable);
+            assert_eq!(tq.graph.edge_count(), edges);
+            let edge = tq.graph.edge(edges - 1);
+            assert_eq!(edge.label, Some(rdf_type));
+            assert!(edge.variable.is_none());
+            assert!(tq.graph.vertices().iter().all(|v| v.labels.is_empty()));
+        }
+        // The direct transformation has no folded label.
         let q = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                SELECT ?x ?t WHERE { ?x rdf:type ?t . }"#,
         )
         .unwrap();
-        assert!(matches!(
-            transform_query(&q.pattern, &data, &ds.dictionary),
-            Err(TransformError::SchemaPatternUnsupported)
-        ));
-        // ... but accepted under the direct transformation.
         let direct = direct_transform(&ds);
         let tq = transform_query(&q.pattern, &direct, &ds.dictionary).unwrap();
-        assert!(!tq.unsatisfiable);
-        assert_eq!(tq.graph.edge_count(), 1);
+        let label = tq.graph.edge(0).label;
+        assert_eq!(label, Some(elabel(&ds, &direct, vocab::RDF_TYPE)));
+        assert_eq!(direct.csr_label(label), label);
     }
 
     #[test]
@@ -581,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn subclassof_query_falls_back() {
+    fn subclassof_pattern_is_an_edge_with_the_folded_label() {
         let ds = dataset();
         let data = type_aware_transform(&ds);
         let q = parse_query(
@@ -589,9 +615,11 @@ mod tests {
                SELECT ?c WHERE { ?c rdfs:subClassOf <http://ub.org/Student> . }"#,
         )
         .unwrap();
-        assert!(matches!(
-            transform_query(&q.pattern, &data, &ds.dictionary),
-            Err(TransformError::SchemaPatternUnsupported)
-        ));
+        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        assert_eq!(tq.graph.vertex_count(), 2);
+        assert_eq!(tq.graph.edge_count(), 1);
+        let label = tq.graph.edge(0).label;
+        assert_eq!(label, Some(elabel(&ds, &data, vocab::RDFS_SUBCLASSOF)));
+        assert_eq!(data.csr_label(label), None);
     }
 }

@@ -8,9 +8,11 @@
 //! query graphs: `|V'| = |V| − |V_type|` in the paper's notation. A vertex's
 //! id is its term id, so such a class keeps an empty row: no edge, no label.
 //!
-//! A variable predicate still ranges over the folded triples: both schema
-//! predicates are edge labels, interned after the others, and
-//! [`TransformedGraph::neighbors_any_edge`] reads them back.
+//! No triple is lost: both schema predicates are edge labels, interned after
+//! the others, and [`TransformedGraph::adjacent`] reads their triples back —
+//! from the label sets and from the sorted subclass pairs — for a query edge
+//! that carries one of them or a variable predicate. Only a required
+//! `?x rdf:type <Class>` folds into a query vertex's labels.
 //!
 //! The class hierarchy is not folded in here: it enters the data once, when
 //! RDFS materialization (`InferenceEngine`) adds the implied `rdf:type`
@@ -272,8 +274,8 @@ mod tests {
         let term = |t: &TransformedGraph, el: ELabel| t.mappings.term_of_elabel(el).unwrap();
         for v in direct.graph.vertices() {
             for dir in [Direction::Outgoing, Direction::Incoming] {
-                let range = aware.neighbors_any_edge(v, dir, &[]);
-                assert_eq!(range, direct.neighbors_any_edge(v, dir, &[]), "{v} {dir:?}");
+                let range = aware.adjacent(v, dir, None, &[]).into_owned();
+                assert_eq!(range, *direct.adjacent(v, dir, None, &[]), "{v} {dir:?}");
                 if dir == Direction::Incoming {
                     continue;
                 }
@@ -292,11 +294,11 @@ mod tests {
         let graduate = vertex(&ds, &Term::iri(ub("GraduateStudent")));
         let l = vl(&aware, &ds, "GraduateStudent");
         assert_eq!(
-            aware.neighbors_any_edge(graduate, Direction::Incoming, &[l]),
+            *aware.adjacent(graduate, Direction::Incoming, None, &[l]),
             [student1]
         );
         assert!(aware
-            .neighbors_any_edge(student1, Direction::Outgoing, &[l])
+            .adjacent(student1, Direction::Outgoing, None, &[l])
             .is_empty());
     }
 
