@@ -32,6 +32,12 @@ use turbohom_core::{OptimizationName, Optimizations, TurboHomConfig};
 use turbohom_datasets::{bsbm, btc, lubm, yago};
 use turbohom_engine::{EngineKind, Store, Trace};
 
+/// Every experiment this harness runs, in the order `all` runs them.
+const EXPERIMENTS: [&str; 10] = [
+    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "figure6", "figure15",
+    "figure16",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "record") {
@@ -58,14 +64,14 @@ fn main() {
         .filter(|a| !a.starts_with('-'))
         .map(|a| a.to_lowercase())
         .collect();
+    if let Some(other) =
+        (requested.iter()).find(|a| *a != "all" && !EXPERIMENTS.contains(&a.as_str()))
+    {
+        eprintln!("unknown experiment `{other}` (expected table1..table7, figure6, figure15, figure16, all)");
+        std::process::exit(2);
+    }
     if requested.is_empty() || requested.iter().any(|a| a == "all") {
-        requested = vec![
-            "table1", "table2", "table3", "table4", "table5", "table6", "table7", "figure6",
-            "figure15", "figure16",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        requested = EXPERIMENTS.map(String::from).into();
     }
 
     println!("TurboHOM++ reproduction — experiment harness");
@@ -103,7 +109,7 @@ fn main() {
                 figure15(name, store)
             }
             "figure16" => figure16(),
-            other => eprintln!("unknown experiment `{other}` (expected table1..table7, figure6, figure15, figure16, all)"),
+            other => unreachable!("`{other}` was checked against the experiments"),
         }
     }
 }

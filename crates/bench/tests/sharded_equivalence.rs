@@ -1,12 +1,13 @@
-//! LUBM(1) sharded scatter-gather differential: for every shard count the
-//! coordinator must return the single-store path's rows, rendered to the same
-//! bytes, for every benchmark query on every engine, with the shards' own
-//! rows partitioning that answer, all over the one store.
+//! LUBM(1) sharded differential: for every shard count a sharded query must
+//! return the single-store path's rows, rendered to the same bytes, for
+//! every benchmark query on every engine, with the shards' row counts
+//! partitioning that answer, all over the one store.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use turbohom_bench::{canonical_json, lubm_store, sharded_lubm_store};
-use turbohom_datasets::lubm;
-use turbohom_engine::{EngineKind, Trace};
+use turbohom_datasets::{lubm, BenchmarkQuery};
+use turbohom_engine::{Anchor, EngineKind, MatchStats, StoreError, Trace};
 
 /// A path of eight terms, the course constant at one end.
 const PATH: [&str; 7] = [
@@ -78,6 +79,57 @@ fn ownership_partitions_the_single_store_rows_at_every_k() {
     }
 }
 
+/// At one thread a sharded query is the single store's run: for every
+/// LUBM(1) benchmark query, on every engine and at every shard count, the
+/// same body byte for byte and the same matcher counters but the two shard
+/// counters. A query whose anchor had to be appended to the projection is
+/// compared canonically instead, and named here: no benchmark query, so one
+/// that projects only a class is added.
+#[test]
+fn a_sharded_query_is_the_single_store_run_at_one_thread() {
+    let single = lubm_store(1);
+    let trace = Trace::disabled();
+    let counters = |stats: &MatchStats| {
+        let mut counters = stats.counters().to_vec();
+        counters.retain(|(name, _)| !["shards_executed", "shards_pruned"].contains(name));
+        counters
+    };
+    let mut appended = BTreeSet::new();
+    for shards in [1, 2, 3, 4, 8] {
+        let sharded = sharded_lubm_store(1, shards);
+        let mut queries = lubm::queries();
+        let classes = query("?C", &["?X a ?C .", "?X ub:headOf ?D ."]);
+        queries.push(BenchmarkQuery::new("classes", "heads' classes", &classes));
+        for q in queries {
+            for kind in EngineKind::all() {
+                let what = format!("{kind} k={shards} {}", q.id);
+                let plan = match sharded.prepare_plan(&q.sparql, kind) {
+                    Err(StoreError::NotShardable(_)) => continue,
+                    plan => plan.unwrap_or_else(|e| panic!("{what}: {e}")),
+                };
+                let got = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
+                let alone = single.prepare_plan(&q.sparql, kind).unwrap();
+                let expected = single.run_plan_traced(&alone, Some(1), &trace).unwrap();
+                assert!(
+                    q.id.starts_with('Q') || !expected.is_empty(),
+                    "{what}: no row"
+                );
+                assert_eq!(counters(&got.stats), counters(&expected.stats), "{what}");
+                let anchor_appended = matches!(plan.anchor(),
+                    Anchor::Variable(v) if !plan.projected_variables().contains(v));
+                if anchor_appended {
+                    appended.insert(q.id.clone());
+                    let (got, expected) = (got.decode(), expected.decode());
+                    assert_eq!(canonical_json(got), canonical_json(expected), "{what}");
+                } else {
+                    assert_eq!(got.to_sparql_json(), expected.to_sparql_json(), "{what}");
+                }
+            }
+        }
+    }
+    assert_eq!(appended, BTreeSet::from(["classes".to_string()]));
+}
+
 #[test]
 fn lubm1_selective_queries_prune_shards_at_k8() {
     // The ISSUE 9 acceptance criterion: at k=8 at least one selective query
@@ -102,9 +154,9 @@ fn lubm1_selective_queries_prune_shards_at_k8() {
 }
 
 #[test]
-fn one_live_shard_runs_inline_and_four_fan_out_to_the_same_rows() {
-    // The fan-out runs a single live shard on the calling thread and hands
-    // several to a pool; both must gather what the single store returns.
+fn one_live_shard_and_four_answer_the_same_rows() {
+    // A constant anchor leaves one shard live, a variable one all four;
+    // both answer what the single store returns.
     let single = lubm_store(1);
     let sharded = sharded_lubm_store(1, 4);
     let kind = EngineKind::TurboHomPlusPlus;

@@ -34,6 +34,5 @@ pub mod subgraph_search;
 pub use config::{MatchSemantics, OptimizationName, Optimizations, TurboHomConfig};
 pub use engine::{EngineError, Prologue, RunInput, TurboHomEngine};
 pub use matching_order::MatchingOrder;
-pub use morsel::{drive, Worker};
 pub use result::{merge_step_counts, MatchResult, RowLayout};
 pub use stats::MatchStats;

@@ -140,10 +140,10 @@ pub struct ShardExplain {
     /// `"live"`, or `"routed-away"` when the constant anchor is another
     /// shard's.
     pub verdict: &'static str,
-    /// The shard-local component plans, live only.
+    /// The components of the plan every live shard shares, live only.
     pub components: Vec<ComponentExplain>,
-    /// Rows the shard contributed after the ownership filter, before the
-    /// window (ANALYZE only).
+    /// Rows whose anchor the shard owns (all of them on a constant anchor's
+    /// owner), counted before the window was cut (ANALYZE only).
     pub rows: Option<u64>,
 }
 
@@ -236,10 +236,8 @@ impl ExplainReport {
                 step.qerror = step.rows.map(|rows| qerror(step.estimate, rows));
             }
         }
-        for run in &results.runs {
-            if let Some(shard) = self.shards.get_mut(run.shard) {
-                shard.rows = Some(run.contributed as u64);
-            }
+        for (shard, rows) in self.shards.iter_mut().zip(&results.shard_rows) {
+            shard.rows = rows.map(|rows| rows as u64);
         }
         self.actual = Some(ActualSummary {
             solutions: results.solution_count as u64,
@@ -456,30 +454,26 @@ impl Store {
 impl ShardedStore {
     /// Explains a prepared sharded plan **without executing it**: the
     /// anchor, each shard's verdict (live, or routed away from by a
-    /// constant anchor) and the shard-local plan trees of the live shards.
+    /// constant anchor) and, on every live shard, the components of the one
+    /// plan they share.
     pub fn explain(&self, plan: &ShardedPlan) -> ExplainReport {
         let mut report = ExplainReport::new(plan.kind(), "sharded", plan.window);
         report.anchor = Some(match plan.anchor() {
             Anchor::Variable(v) => format!("?{v}"),
             Anchor::Constant(t) => t.to_string(),
         });
+        let components = self.shard(0).explain(&plan.plan).components;
         for i in 0..self.shard_count() {
-            let slot = plan.live_shards().iter().position(|&live| live == i);
+            let live = plan.live_shards().contains(&i);
             report.shards.push(ShardExplain {
                 shard: i,
                 triples: self.triple_count(),
-                verdict: if slot.is_some() {
-                    "live"
-                } else {
-                    "routed-away"
-                },
-                components: slot.map_or_else(Vec::new, |slot| {
-                    self.shard(i).explain(&plan.per_shard[slot]).components
-                }),
+                verdict: if live { "live" } else { "routed-away" },
+                components: if live { components.clone() } else { Vec::new() },
                 rows: None,
             });
         }
-        // The shard plans carry no window: the LIMIT is cut from the merge.
+        // The plan carries no window: the LIMIT is cut after the run.
         report.limit_pushdown = false;
         report
     }

@@ -22,7 +22,7 @@
 //! ([`StoreError::OrderByUnsupported`]): no engine applies it.
 
 use crate::error::StoreError;
-use crate::results::{IdResults, QueryResults, Run};
+use crate::results::{IdResults, QueryResults};
 use crate::store::{collect_filters, split_components, EngineKind, Store};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -344,6 +344,22 @@ impl Store {
         threads: Option<usize>,
         trace: &Trace,
     ) -> Result<IdResults<'_>, StoreError> {
+        self.run_plan_then(plan, threads, trace, |results| {
+            results.apply_window(plan.window)
+        })
+    }
+
+    /// [`run_plan_traced`](Self::run_plan_traced) with `finish` in place of
+    /// cutting the plan's window: what a run does last with its rows (on a
+    /// sharded store, counting each shard's rows, then cutting the query's
+    /// window), timed as part of `materialise`.
+    pub(crate) fn run_plan_then(
+        &self,
+        plan: &QueryPlan,
+        threads: Option<usize>,
+        trace: &Trace,
+        finish: impl FnOnce(&mut IdResults<'_>),
+    ) -> Result<IdResults<'_>, StoreError> {
         if threads == Some(0) {
             return Err(StoreError::InvalidThreadCount(0));
         }
@@ -361,7 +377,9 @@ impl Store {
                 self.run_baseline(query, *strategy, trace, &mut materialise.took)
             }
         };
-        results.apply_window(plan.window);
+        let finishing = Instant::now();
+        finish(&mut results);
+        materialise.took += finishing.elapsed();
         results.elapsed = started.elapsed();
         let span = trace.record_rollup(
             "materialise",
@@ -443,15 +461,10 @@ impl Store {
         Ok(results)
     }
 
-    /// A result over `variables` of one run: `rows`, whose cells are ids of
+    /// A result over `variables` holding `rows`, whose cells are ids of
     /// this store's dictionary.
     pub(crate) fn id_results(&self, variables: Vec<String>, rows: IdRows) -> IdResults<'_> {
-        let run = Run {
-            shard: 0,
-            contributed: rows.len(),
-            rows,
-        };
-        IdResults::new(&self.dataset().dictionary, variables, vec![run])
+        IdResults::new(&self.dataset().dictionary, variables, rows)
     }
 
     /// Runs one branch and appends its rows to `results`. When the branch
@@ -576,7 +589,7 @@ impl Store {
                     rows.truncate(l);
                 }
                 results.solution_count += rows.len();
-                results.rows_mut().append(&mut rows);
+                results.rows.append(&mut rows);
             }
         }
         materialise.took += projecting.elapsed();
@@ -599,7 +612,7 @@ impl Store {
                 rows.set_column(column, cell);
             }
         }
-        results.rows_mut().append(&mut rows);
+        results.rows.append(&mut rows);
         results.solution_count += result.solution_count;
     }
 

@@ -2,16 +2,16 @@
 //!
 //! A result stays a table of integer ids from the enumerator to the moment
 //! it is written out: [`IdResults`] is the dictionary its ids resolve through
-//! and one flat [`IdRows`] buffer of term ids per run that produced rows. It
-//! is serialised through borrowed [`TermRef`] views, so no `Term` is cloned
-//! unless an embedder asks for the decoded view, [`QueryResults`], with
-//! [`IdResults::decode`]. Both
-//! views serialise through the one SPARQL-JSON writer in this module.
+//! and one flat [`IdRows`] buffer of term ids, whichever store flavour ran
+//! the query. It is serialised through borrowed [`TermRef`] views, so no
+//! `Term` is cloned unless an embedder asks for the decoded view,
+//! [`QueryResults`], with [`IdResults::decode`]. Both views serialise through
+//! the one SPARQL-JSON writer in this module.
 //!
 //! Rows are in enumeration order: stable for one store at one worker thread,
-//! unspecified otherwise. Nothing here sorts them (`ORDER BY` is refused at
-//! plan time), so whoever compares results across thread counts, store
-//! flavours or shard counts sorts the decoded rows first.
+//! whatever its shard count, and unspecified otherwise. Nothing here sorts
+//! them (`ORDER BY` is refused at plan time), so whoever compares results
+//! across thread counts or engines sorts the decoded rows first.
 
 use crate::plan::Window;
 use std::collections::HashMap;
@@ -101,8 +101,7 @@ impl QueryResults {
             row.iter()
                 .map(|term| term.as_ref().map(|term| (TermRef::from(term), false)))
         });
-        let runs = std::iter::once(rows);
-        json_string(|out| write_sparql_json(out, &mut Vec::new(), &self.variables, runs, None))
+        json_string(|out| write_sparql_json(out, &mut Vec::new(), &self.variables, rows, None))
     }
 }
 
@@ -110,25 +109,9 @@ impl QueryResults {
 /// SPARQL-JSON document (see [`IdResults::write_sparql_json`]).
 pub type ExtraMembers<'a> = &'a mut dyn FnMut(&mut Vec<u8>);
 
-/// The rows one run produced, where it put them: a single store's result
-/// is one run, a sharded store's one run per live shard in ascending shard
-/// order.
-#[derive(Debug, Clone)]
-pub(crate) struct Run {
-    /// The shard that produced the rows (0 on a single store).
-    pub(crate) shard: usize,
-    /// One row per solution: a term-id cell per variable, then whatever
-    /// further columns the producer matched on (an anchor the query did not
-    /// project), which no reader looks at.
-    pub(crate) rows: IdRows,
-    /// The rows the run held before the query's window was cut from it:
-    /// what its shard contributed (what ANALYZE reports per shard).
-    pub(crate) contributed: usize,
-}
-
 /// The result of executing one SPARQL query, as term ids.
 ///
-/// Rows are kept in one flat buffer per run and resolved through the
+/// Rows are kept in one flat buffer and resolved through the
 /// store's dictionary only when they are compared, serialised or decoded,
 /// so memory per in-flight query is bounded by the id buffers rather than by
 /// rendered text. The value borrows the store that produced it.
@@ -151,23 +134,30 @@ pub struct IdResults<'s> {
     pub step_estimates: Vec<u64>,
     /// The dictionary every cell is an id of.
     dictionary: &'s Dictionary,
-    /// The rows, run after run.
-    pub(crate) runs: Vec<Run>,
+    /// One row per solution: a term-id cell per variable, then whatever
+    /// further columns the run matched on (a sharded store's anchor the
+    /// query did not project), which no reader looks at.
+    pub(crate) rows: IdRows,
+    /// On a sharded store, per shard, the rows whose anchor it owns before
+    /// the window was cut (`None` for a shard the query was routed away
+    /// from): what ANALYZE reports per shard. Empty on a single store.
+    pub(crate) shard_rows: Vec<Option<usize>>,
 }
 
 impl<'s> IdResults<'s> {
-    /// Results over `variables` holding `runs` of ids of `dictionary`, with
+    /// Results over `variables` holding `rows` of ids of `dictionary`, with
     /// every counter at zero.
-    pub(crate) fn new(dictionary: &'s Dictionary, variables: Vec<String>, runs: Vec<Run>) -> Self {
+    pub(crate) fn new(dictionary: &'s Dictionary, variables: Vec<String>, rows: IdRows) -> Self {
         IdResults {
             dictionary,
             variables,
-            solution_count: runs.iter().map(|run| run.rows.len()).sum(),
+            solution_count: rows.len(),
             elapsed: Duration::ZERO,
             stats: MatchStats::default(),
             step_rows: Vec::new(),
             step_estimates: Vec::new(),
-            runs,
+            rows,
+            shard_rows: Vec::new(),
         }
     }
 
@@ -183,31 +173,20 @@ impl<'s> IdResults<'s> {
 
     /// Number of materialised rows (0 in count-only mode).
     pub fn row_count(&self) -> usize {
-        self.runs.iter().map(|run| run.rows.len()).sum()
-    }
-
-    /// The rows of a single store's result (its one run).
-    pub(crate) fn rows_mut(&mut self) -> &mut IdRows {
-        &mut self.runs[0].rows
+        self.rows.len()
     }
 
     /// Applies the query's window: drops the first `offset` rows, then keeps
-    /// at most `limit`, counting through the runs in order.
+    /// at most `limit`.
     pub(crate) fn apply_window(&mut self, Window { offset, limit }: Window) {
-        let mut skip = offset;
-        let mut room = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
-        for run in &mut self.runs {
-            run.contributed = run.rows.len();
-            run.rows.truncate(room);
-            room -= run.rows.len();
-            if skip > 0 {
-                let (before, mut seen) = (run.rows.len(), 0);
-                run.rows.retain(|_| {
-                    seen += 1;
-                    seen > skip
-                });
-                skip -= before - run.rows.len();
-            }
+        self.rows
+            .truncate(limit.map_or(usize::MAX, |limit| offset.saturating_add(limit)));
+        if offset > 0 {
+            let mut seen = 0;
+            self.rows.retain(|_| {
+                seen += 1;
+                seen > offset
+            });
         }
         let kept = self.solution_count.saturating_sub(offset);
         self.solution_count = limit.map_or(kept, |limit| kept.min(limit));
@@ -218,15 +197,14 @@ impl<'s> IdResults<'s> {
     pub fn decode(self) -> QueryResults {
         let started = Instant::now();
         let width = self.variables.len();
-        let mut rows: Vec<ResultRow> = Vec::with_capacity(self.row_count());
-        for run in &self.runs {
-            rows.extend(run.rows.iter().map(|row| {
+        let rows = (self.rows.iter())
+            .map(|row| {
                 row[..width]
                     .iter()
                     .map(|&cell| IdRows::term_id(cell).and_then(|id| self.dictionary.term(id)))
                     .collect()
-            }));
-        }
+            })
+            .collect();
         QueryResults {
             variables: self.variables,
             rows,
@@ -262,12 +240,8 @@ impl<'s> IdResults<'s> {
     ) -> io::Result<()> {
         let (width, dictionary) = (self.variables.len(), self.dictionary);
         let cell = move |&cell| IdRows::term_id(cell).and_then(|id| dictionary.term_and_plain(id));
-        let runs = self.runs.iter().map(|run| {
-            run.rows
-                .iter()
-                .map(move |row| row[..width].iter().map(cell))
-        });
-        write_sparql_json(out, buffer, &self.variables, runs, members)
+        let rows = self.rows.iter().map(|row| row[..width].iter().map(cell));
+        write_sparql_json(out, buffer, &self.variables, rows, members)
     }
 
     /// Serializes the results as one SPARQL 1.1 Query Results JSON string.
@@ -303,7 +277,7 @@ fn rows_per_block(width: usize) -> usize {
 }
 
 /// The one SPARQL-JSON writer: a `head.vars` list and one binding object per
-/// row of every run in turn, unbound variables omitted.
+/// row, unbound variables omitted.
 ///
 /// A cell is a term and whether its strings need no JSON escape: such a
 /// term's strings are copied whole, any other's escaped byte by byte.
@@ -315,16 +289,15 @@ fn rows_per_block(width: usize) -> usize {
 /// misses of a pass do not wait for one another, where formatting cell by
 /// cell waits for a record, then for the arena bytes it points at, once per
 /// row.
-fn write_sparql_json<'t, W, S, R, C>(
+fn write_sparql_json<'t, W, R, C>(
     out: &mut W,
     buf: &mut Vec<u8>,
     variables: &[String],
-    runs: S,
+    mut rows: R,
     members: Option<ExtraMembers<'_>>,
 ) -> io::Result<()>
 where
     W: Write,
-    S: Iterator<Item = R>,
     R: Iterator<Item = C>,
     C: Iterator<Item = Option<(TermRef<'t>, bool)>>,
 {
@@ -358,55 +331,53 @@ where
         &mut wide
     };
     let mut first_row = true;
-    for mut rows in runs {
-        loop {
-            let mut pulled = 0;
-            while pulled < rows_per_block {
-                let Some(row) = rows.next() else { break };
-                let cells = &mut block[pulled * width..][..width];
-                let mut resolved = 0;
-                for (cell, term) in cells.iter_mut().zip(row) {
-                    *cell = term;
-                    resolved += 1;
-                }
-                // A row that ends early leaves the rest of its cells unbound.
-                cells[resolved..].fill(None);
-                pulled += 1;
+    loop {
+        let mut pulled = 0;
+        while pulled < rows_per_block {
+            let Some(row) = rows.next() else { break };
+            let cells = &mut block[pulled * width..][..width];
+            let mut resolved = 0;
+            for (cell, term) in cells.iter_mut().zip(row) {
+                *cell = term;
+                resolved += 1;
             }
-            let mut touched = 0;
-            for (term, _) in block[..pulled * width].iter().flatten() {
-                let (TermRef::Iri(lexical)
-                | TermRef::BlankNode(lexical)
-                | TermRef::Literal { lexical, .. }) = term;
-                let lexical = lexical.as_bytes();
-                touched |= lexical.first().unwrap_or(&0) | lexical.get(64).unwrap_or(&0);
+            // A row that ends early leaves the rest of its cells unbound.
+            cells[resolved..].fill(None);
+            pulled += 1;
+        }
+        let mut touched = 0;
+        for (term, _) in block[..pulled * width].iter().flatten() {
+            let (TermRef::Iri(lexical)
+            | TermRef::BlankNode(lexical)
+            | TermRef::Literal { lexical, .. }) = term;
+            let lexical = lexical.as_bytes();
+            touched |= lexical.first().unwrap_or(&0) | lexical.get(64).unwrap_or(&0);
+        }
+        std::hint::black_box(touched);
+        for row in 0..pulled {
+            if !first_row {
+                buf.push(b',');
             }
-            std::hint::black_box(touched);
-            for row in 0..pulled {
-                if !first_row {
+            first_row = false;
+            buf.push(b'{');
+            let mut first = true;
+            for (key, term) in keys.iter().zip(&block[row * width..]) {
+                let Some((term, plain)) = *term else { continue };
+                if !first {
                     buf.push(b',');
                 }
-                first_row = false;
-                buf.push(b'{');
-                let mut first = true;
-                for (key, term) in keys.iter().zip(&block[row * width..]) {
-                    let Some((term, plain)) = *term else { continue };
-                    if !first {
-                        buf.push(b',');
-                    }
-                    first = false;
-                    buf.extend_from_slice(key);
-                    append_term_json(buf, term, plain);
-                }
-                buf.push(b'}');
-                if buf.len() >= FLUSH_AT {
-                    out.write_all(buf)?;
-                    buf.clear();
-                }
+                first = false;
+                buf.extend_from_slice(key);
+                append_term_json(buf, term, plain);
             }
-            if pulled < rows_per_block {
-                break;
+            buf.push(b'}');
+            if buf.len() >= FLUSH_AT {
+                out.write_all(buf)?;
+                buf.clear();
             }
+        }
+        if pulled < rows_per_block {
+            break;
         }
     }
     buf.extend_from_slice(b"]}");
@@ -699,9 +670,8 @@ mod tests {
         view
     }
 
-    /// `rows` as ids of `dictionary`, in a run of stride `width` that shard
-    /// `shard` produced.
-    fn run(dictionary: &Dictionary, shard: usize, width: usize, rows: &[Vec<Option<Term>>]) -> Run {
+    /// `rows` as ids of `dictionary`, in a buffer of stride `width`.
+    fn ids(dictionary: &Dictionary, width: usize, rows: &[Vec<Option<Term>>]) -> IdRows {
         let mut ids = IdRows::new(width);
         for row in rows {
             let cells = ids.push_unbound();
@@ -711,21 +681,17 @@ mod tests {
                 }
             }
         }
-        Run {
-            shard,
-            contributed: ids.len(),
-            rows: ids,
-        }
+        ids
     }
 
-    /// `rows` over `dictionary` as id-backed results of a single store.
+    /// `rows` over `dictionary` as id-backed results.
     fn id_results<'s>(
         dictionary: &'s Dictionary,
         variables: &[String],
         rows: &[Vec<Option<Term>>],
     ) -> IdResults<'s> {
-        let run = run(dictionary, 0, variables.len(), rows);
-        IdResults::new(dictionary, variables.to_vec(), vec![run])
+        let rows = ids(dictionary, variables.len(), rows);
+        IdResults::new(dictionary, variables.to_vec(), rows)
     }
 
     proptest! {
@@ -838,12 +804,7 @@ mod tests {
         for _ in 0..10_000 {
             rows.push(&[IdRows::cell(id)]);
         }
-        let run = Run {
-            shard: 0,
-            contributed: rows.len(),
-            rows,
-        };
-        let results = IdResults::new(&dictionary, vec!["x".into()], vec![run]);
+        let results = IdResults::new(&dictionary, vec!["x".into()], rows);
         let mut pieces = Pieces(Vec::new());
         let mut tail = |out: &mut Vec<u8>| out.extend_from_slice(b",\"extra\":1");
         results
@@ -873,45 +834,33 @@ mod tests {
         assert_eq!(broken.0, 1);
     }
 
-    /// Two runs of two shards over the one dictionary, the second one column
-    /// wider than the variables.
+    /// Rows a column wider than the variables (a sharded store's anchor the
+    /// query did not project): the extra column is never read.
     #[test]
-    fn runs_resolve_through_the_one_dictionary() {
+    fn rows_wider_than_the_variables_resolve_through_the_dictionary() {
         let term = |name: &str| Some(Term::iri(format!("http://ex/{name}")));
         let mut dictionary = Dictionary::new();
         for name in ["a", "b", "c", "anchor", "d"] {
             dictionary.encode(&term(name).unwrap());
         }
         let variables = vec!["x".to_string(), "y".to_string()];
-        let from_first = vec![vec![term("a"), term("b")], vec![term("c"), None]];
-        let from_second = vec![
+        let rows = vec![
+            vec![term("a"), term("b"), term("anchor")],
+            vec![term("c"), None, term("anchor")],
             vec![term("c"), term("d"), term("anchor")],
-            vec![term("a"), term("c"), term("anchor")],
+            vec![term("a"), term("c"), None],
         ];
-        let gathered = || {
-            IdResults::new(
-                &dictionary,
-                variables.clone(),
-                vec![
-                    run(&dictionary, 1, 2, &from_first),
-                    run(&dictionary, 5, 3, &from_second),
-                ],
-            )
-        };
-        let expected: Vec<ResultRow> = from_first
-            .iter()
-            .chain(&from_second)
-            .map(|row| row[..2].to_vec())
-            .collect();
-        let results = gathered();
-        assert_eq!((results.len(), results.row_count()), (4, 4));
+        let results = || IdResults::new(&dictionary, variables.clone(), ids(&dictionary, 3, &rows));
+        let expected: Vec<ResultRow> = rows.iter().map(|row| row[..2].to_vec()).collect();
+        let all = results();
+        assert_eq!((all.len(), all.row_count()), (4, 4));
         assert_eq!(
-            results.to_sparql_json(),
+            all.to_sparql_json(),
             reference::to_sparql_json(&variables, &expected)
         );
-        assert_eq!(results.decode().rows, expected);
-        // A window that starts inside the first run and ends inside the
-        // second, one that ends inside the first, one that skips it whole.
+        assert_eq!(all.decode().rows, expected);
+        // A window inside the rows, one at the start, one to the end and
+        // two past it.
         for (offset, limit) in [
             (1, Some(2)),
             (0, Some(1)),
@@ -919,7 +868,7 @@ mod tests {
             (3, Some(5)),
             (9, None),
         ] {
-            let mut windowed = gathered();
+            let mut windowed = results();
             windowed.apply_window(Window { offset, limit });
             let kept: Vec<ResultRow> = expected
                 .iter()
@@ -937,11 +886,50 @@ mod tests {
         }
     }
 
-    /// [`runs_resolve_through_the_one_dictionary`]'s shape, grown past the
-    /// block: the first run ends in the middle of its second block, the
-    /// second (a column wider) spans three.
+    /// The window's edges: an offset past the end, `LIMIT 0`, an `OFFSET`
+    /// without a `LIMIT`, an `offset + limit` past `usize::MAX`, and a
+    /// count-only result, whose solution count exceeds its rows.
     #[test]
-    fn a_run_that_ends_mid_block_leaves_the_next_one_its_own_blocks() {
+    fn the_window_is_cut_from_the_one_buffer_at_its_edges() {
+        let dictionary = Dictionary::new();
+        let windowed = |rows: usize, solutions: usize, offset, limit| {
+            let mut results = IdResults::new(&dictionary, Vec::new(), IdRows::unbound(1, rows));
+            results.solution_count = solutions;
+            results.apply_window(Window { offset, limit });
+            (results.row_count(), results.len())
+        };
+        assert_eq!(windowed(5, 5, 7, None), (0, 0));
+        assert_eq!(windowed(5, 5, 7, Some(2)), (0, 0));
+        assert_eq!(windowed(5, 5, 0, Some(0)), (0, 0));
+        assert_eq!(windowed(5, 5, 2, Some(0)), (0, 0));
+        assert_eq!(windowed(5, 5, 2, None), (3, 3));
+        assert_eq!(windowed(5, 5, 5, None), (0, 0));
+        assert_eq!(windowed(5, 5, 3, Some(usize::MAX)), (2, 2));
+        assert_eq!(windowed(5, 5, usize::MAX, Some(usize::MAX)), (0, 0));
+        // Count-only: no rows, and the window is cut from the count.
+        assert_eq!(windowed(0, 9, 2, Some(4)), (0, 4));
+        assert_eq!(windowed(0, 9, 7, Some(4)), (0, 2));
+        assert_eq!(windowed(0, 9, 3, None), (0, 6));
+        assert_eq!(windowed(0, 9, 10, None), (0, 0));
+        // The rows kept are the ones after the offset, in order.
+        let mut results = IdResults::new(&dictionary, Vec::new(), IdRows::new(1));
+        for cell in 0..5 {
+            results.rows.push(&[cell]);
+        }
+        results.solution_count = 5;
+        results.apply_window(Window {
+            offset: 1,
+            limit: Some(usize::MAX),
+        });
+        let cells: Vec<&[u32]> = results.rows.iter().collect();
+        assert_eq!(cells, [[1], [2], [3], [4]]);
+    }
+
+    /// Rows a column wider than the variables, grown past the block: the
+    /// writer resolves them a block at a time and still writes the
+    /// reference's body.
+    #[test]
+    fn rows_that_span_several_blocks_are_written_like_the_reference() {
         let term = |i: usize| Some(Term::iri(format!("http://ex/{i}")));
         let per_block = rows_per_block(2);
         let mut dictionary = Dictionary::new();
@@ -949,10 +937,7 @@ mod tests {
             dictionary.encode(&term(i).unwrap());
         }
         let variables = vec!["x".to_string(), "y".to_string()];
-        let from_first: Vec<ResultRow> = (0..per_block + per_block / 2)
-            .map(|r| vec![term(r % 8), (r % 3 > 0).then(|| term(r % 5)).flatten()])
-            .collect();
-        let from_second: Vec<ResultRow> = (0..2 * per_block + 1)
+        let rows: Vec<ResultRow> = (0..2 * per_block + 1)
             .map(|r| {
                 vec![
                     (r % 4 > 0).then(|| term(r % 7)).flatten(),
@@ -961,19 +946,8 @@ mod tests {
                 ]
             })
             .collect();
-        let results = IdResults::new(
-            &dictionary,
-            variables.clone(),
-            vec![
-                run(&dictionary, 0, 2, &from_first),
-                run(&dictionary, 1, 3, &from_second),
-            ],
-        );
-        let expected: Vec<ResultRow> = from_first
-            .iter()
-            .chain(&from_second)
-            .map(|row| row[..2].to_vec())
-            .collect();
+        let results = IdResults::new(&dictionary, variables.clone(), ids(&dictionary, 3, &rows));
+        let expected: Vec<ResultRow> = rows.iter().map(|row| row[..2].to_vec()).collect();
         assert_eq!(
             results.to_sparql_json(),
             reference::to_sparql_json(&variables, &expected)
@@ -1030,12 +1004,7 @@ mod tests {
         let dictionary = Dictionary::new();
         let mut rows = IdRows::new(1);
         rows.push(&[IdRows::cell(TermId(7))]);
-        let run = Run {
-            shard: 0,
-            contributed: rows.len(),
-            rows,
-        };
-        let results = IdResults::new(&dictionary, vec!["x".into()], vec![run]);
+        let results = IdResults::new(&dictionary, vec!["x".into()], rows);
         assert_eq!(
             results.to_sparql_json(),
             r#"{"head":{"vars":["x"]},"results":{"bindings":[{}]}}"#

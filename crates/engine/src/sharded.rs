@@ -1,19 +1,19 @@
-//! Sharded scatter-gather execution: a [`ShardedStore`] is one [`Store`]
-//! and, for each of `k` shards, the bits of the term ids the shard owns.
+//! Sharded execution: a [`ShardedStore`] is one [`Store`] and, for each of
+//! `k` shards, the bits of the term ids the shard owns.
 //!
 //! Every term has one owner shard, `term_hash(term) % k` over its N-Triples
-//! rendering. Every shard runs over the same store, so nothing is
-//! partitioned and no query needs a distributed join: a shard answers the
-//! whole query and keeps the rows it owns.
+//! rendering. Every shard is the same store, so nothing is partitioned and
+//! no query needs a distributed join.
 //!
-//! **Ownership routing** decides at plan time which shards run: a constant
-//! anchor sends the query to its owner shard alone. A variable anchor fans
-//! out to every shard; each keeps only the rows whose anchor binding it owns
-//! (one bit per term id), which makes the runs an exact multiset partition
-//! of the single-store answer — no deduplication. The gathered result is the
-//! shards' runs in ascending shard order, each left where its shard put it,
-//! in its own enumeration order: the same rows as the store returns, with
-//! the same rendering, in another order.
+//! **Ownership routing** decides at plan time which shards are live: a
+//! constant anchor routes the query to its owner shard alone, a variable
+//! anchor leaves every shard live. Either way the query is transformed once
+//! and run once over the store, with the request's worker threads: the rows
+//! are the single store's, in its enumeration order, with its rendering. The
+//! run then counts each live shard's rows — the owner of a constant anchor
+//! counts every row, and under a variable anchor a row counts for the shard
+//! that owns its anchor binding (one bit per term id), so the counts
+//! partition the answer — and cuts the query's window last.
 //!
 //! Queries without an anchor bound in every row (UNION, or a pattern of
 //! schema triples only) fail with [`StoreError::NotShardable`]; the
@@ -28,8 +28,6 @@ use crate::results::{IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
-use turbohom_core::{drive, merge_step_counts, Worker};
 use turbohom_rdf::{vocab, Dataset, Dictionary, IdRows, Term, TermId, TermRef};
 use turbohom_sparql::{parse_query, GroupPattern, Query, Selection, SparqlTerm};
 use turbohom_storage::{fnv1a, FNV_OFFSET};
@@ -43,7 +41,7 @@ pub struct ShardedOptions {
     /// Materialize the RDFS closure at load, as for a single store: the
     /// only way the class hierarchy applies, for all four engines.
     pub inference: bool,
-    /// Worker threads per shard execution (the per-shard TurboHOM++ setting).
+    /// Worker threads per query (the TurboHOM++ setting of the one store).
     pub threads: usize,
 }
 
@@ -106,7 +104,7 @@ fn owns(bits: &[u64], id: TermId) -> bool {
 pub enum Anchor {
     /// A constant anchor: the query routes to `owner(term)` alone.
     Constant(Term),
-    /// A variable anchor: every shard executes, keeping only rows whose
+    /// A variable anchor: every shard is live, and counts the rows whose
     /// anchor binding it owns.
     Variable(String),
 }
@@ -130,7 +128,7 @@ fn is_schema_predicate(iri: &str) -> bool {
 /// (a type object is a class, and a schema triple binds nothing per match).
 /// The first constant wins: it routes to a single shard. Otherwise the
 /// first projected variable, in projection order (no projection surgery on
-/// the per-shard queries), then the first variable in appearance order.
+/// the query), then the first variable in appearance order.
 fn choose_anchor(query: &Query) -> Result<Anchor, String> {
     let pattern = &query.pattern;
     if !pattern.unions.is_empty() || has_nested_union(pattern) {
@@ -249,15 +247,15 @@ impl ShardedStore {
         let window = window_of(&query)?;
         let anchor = choose_anchor(&query).map_err(StoreError::NotShardable)?;
 
-        // The per-shard query: no LIMIT/OFFSET (the coordinator applies the
-        // window after the merge), and the anchor variable added to the
-        // projection when the filter needs a column the query did not ask
-        // for (no reader of the result looks past the query's own columns).
-        let mut shard_sparql = query.clone();
-        shard_sparql.limit = None;
-        shard_sparql.offset = None;
-        // A constant anchor routes to its owner shard; a variable one runs on
-        // every shard, which filters on its column.
+        // The query the store runs: no LIMIT/OFFSET (the window is cut after
+        // the shards' rows are counted), and the anchor variable added to
+        // the projection when the count needs a column the query did not
+        // ask for (no reader of the result looks past the query's own
+        // columns). A constant anchor routes to its owner shard; a variable
+        // one leaves every shard live, each counting by its column.
+        let mut routed = query.clone();
+        routed.limit = None;
+        routed.offset = None;
         let shards = self.shard_count();
         let (live, anchor_column) = match &anchor {
             Anchor::Constant(term) => (vec![owner(term, shards)], None),
@@ -265,7 +263,7 @@ impl ShardedStore {
                 let mut projected = query.projected_variables();
                 if !projected.contains(var) {
                     projected.push(var.clone());
-                    shard_sparql.selection = Selection::Variables(projected.clone());
+                    routed.selection = Selection::Variables(projected.clone());
                 }
                 let column = projected.iter().position(|v| v == var).unwrap();
                 ((0..shards).collect(), Some(column))
@@ -273,22 +271,18 @@ impl ShardedStore {
         };
 
         let mut span = trace.span("transform");
-        let per_shard = live
-            .iter()
-            .map(|_| self.store.plan_query(&shard_sparql, kind))
-            .collect::<Result<Vec<_>, _>>()?;
-        span.counter("shard_plans", live.len() as u64);
+        let plan = self.store.plan_query(&routed, kind)?;
+        span.counter("components", plan.component_count() as u64);
         span.finish();
 
         Ok(ShardedPlan {
-            kind,
             projected: query.projected_variables(),
             window,
             anchor,
             anchor_column,
             shards,
             live,
-            per_shard,
+            plan,
         })
     }
 
@@ -299,84 +293,46 @@ impl ShardedStore {
             .decode())
     }
 
-    /// Runs a sharded plan: scatters it across the live shards on a worker
-    /// pool and gathers their ownership-filtered runs, each left in the
-    /// buffer its shard filled, in ascending shard order, then cuts the
-    /// plan's window from them (each run keeps what its shard contributed
-    /// before the cut). Records an `execute` stage span with a
-    /// `shard_fanout` child plus one `shard_execute` roll-up per executed
-    /// shard, and the cut as `materialise`.
+    /// Runs a sharded plan: its one query plan, once over the store with
+    /// `threads`, then counts each live shard's rows and cuts the query's
+    /// window. Records the single store's `execute` and `materialise`
+    /// stage spans; the count and the cut are timed under `materialise`.
     pub fn run_plan_traced(
         &self,
         plan: &ShardedPlan,
         threads: Option<usize>,
         trace: &Trace,
     ) -> Result<IdResults<'_>, StoreError> {
-        if threads == Some(0) {
-            return Err(StoreError::InvalidThreadCount(0));
-        }
-        let start = Instant::now();
-        let mut span = trace.span("execute");
-        let parent = span.id();
-
-        let mut fanout = trace.span_under("shard_fanout", parent);
-        fanout.counter("live", plan.live.len() as u64);
-        fanout.counter("pruned", plan.pruned_shards() as u64);
-        // One worker per core, at most one per live shard: a plan with a
-        // single live shard runs right here, on the request's thread.
-        let workers = plan
-            .live
-            .len()
-            .min(std::thread::available_parallelism().map_or(4, |n| n.get()));
-        // Whichever worker ran a shard, its outcome lands at the shard's slot.
-        let mut done: Vec<_> = plan.live.iter().map(|_| None).collect();
-        for worker in drive(plan.live.len(), workers, || ShardWorker {
-            store: self,
-            plan,
-            threads,
-            done: Vec::new(),
-        }) {
-            for (slot, result) in worker.done {
-                done[slot] = Some(result);
-            }
-        }
-        fanout.finish();
-
-        // Shard durations are recorded as roll-ups so a pool never skews the
-        // span tree (the work happened on worker threads).
-        let mut results = IdResults::new(
-            &self.store.dataset().dictionary,
-            plan.projected.clone(),
-            Vec::with_capacity(done.len()),
-        );
-        let mut elapsed_max = std::time::Duration::ZERO;
-        for (&shard_id, result) in plan.live.iter().zip(done) {
-            let mut shard = result.expect("the driver runs every live shard")?;
-            let mut run = shard.runs.pop().expect("a store's result is one run");
-            run.shard = shard_id;
-            trace.record_rollup(
-                "shard_execute",
-                parent,
-                shard.elapsed,
-                &[("shard", shard_id as u64), ("rows", run.rows.len() as u64)],
-            );
-            elapsed_max = elapsed_max.max(shard.elapsed);
-            results.stats.merge(&shard.stats);
-            merge_step_counts(&mut results.step_rows, &shard.step_rows);
-            merge_step_counts(&mut results.step_estimates, &shard.step_estimates);
-            results.solution_count += run.rows.len();
-            results.runs.push(run);
-        }
-        span.counter("solutions", results.solution_count as u64);
-        span.finish();
+        let mut results = self
+            .store
+            .run_plan_then(&plan.plan, threads, trace, |results| {
+                results.shard_rows = self.shard_rows(plan, &results.rows);
+                results.apply_window(plan.window);
+            })?;
+        results.variables.truncate(plan.projected.len());
         results.stats.shards_executed = plan.live.len();
         results.stats.shards_pruned = plan.pruned_shards();
-        results.elapsed = start.elapsed().max(elapsed_max);
-        let mut merge = trace.span("materialise");
-        results.apply_window(plan.window);
-        merge.counter("rows", results.row_count() as u64);
-        merge.finish();
         Ok(results)
+    }
+
+    /// Per shard, the rows of `rows` it counts (`None` for a shard the
+    /// plan routed away from): every row for a constant anchor's owner,
+    /// else the rows whose anchor binding the shard owns. The anchor comes
+    /// from a required triple, so it is bound in every row; an absent
+    /// binding counts for shard 0.
+    fn shard_rows(&self, plan: &ShardedPlan, rows: &IdRows) -> Vec<Option<usize>> {
+        let Some(column) = plan.anchor_column else {
+            let mut counts = vec![None; self.shard_count()];
+            counts[plan.live[0]] = Some(rows.len());
+            return counts;
+        };
+        let mut counts = vec![0; self.shard_count()];
+        for row in rows.iter() {
+            let owner = IdRows::term_id(row[column])
+                .and_then(|id| self.owned.iter().position(|bits| owns(bits, id)));
+            counts[owner.unwrap_or(0)] += 1;
+        }
+        counts.into_iter().map(Some).collect()
     }
 
     /// Parses and executes in one call (tests and examples; services cache
@@ -384,80 +340,34 @@ impl ShardedStore {
     pub fn execute(&self, sparql: &str, kind: EngineKind) -> Result<QueryResults, StoreError> {
         self.run_plan(&self.prepare_plan(sparql, kind)?)
     }
-
-    /// Runs one shard's plan and applies the ownership filter for variable
-    /// anchors: each shard keeps exactly the rows whose anchor binding it
-    /// owns, so the gathered rows partition the global multiset.
-    fn run_shard(
-        &self,
-        plan: &ShardedPlan,
-        slot: usize,
-        threads: Option<usize>,
-    ) -> Result<IdResults<'_>, StoreError> {
-        let shard_id = plan.live[slot];
-        // Shard spans would tangle with the coordinator's tree (they run on
-        // pool threads); durations are re-attached as roll-ups instead.
-        let shard_plan = &plan.per_shard[slot];
-        let mut results = self
-            .store
-            .run_plan_traced(shard_plan, threads, &Trace::disabled())?;
-        if let Some(col) = plan.anchor_column {
-            let owned = &self.owned[shard_id];
-            // The anchor comes from a required triple, so it is bound in
-            // every row; an absent binding defaults to shard 0.
-            results.rows_mut().retain(|row| {
-                IdRows::term_id(row[col]).map_or(shard_id == 0, |id| owns(owned, id))
-            });
-            results.solution_count = results.row_count();
-        }
-        Ok(results)
-    }
-}
-
-/// One worker of the shard fan-out: runs the live shards it is handed.
-struct ShardWorker<'s, 'p> {
-    store: &'s ShardedStore,
-    plan: &'p ShardedPlan,
-    threads: Option<usize>,
-    /// `(index into plan.live, that shard's outcome)` per shard run.
-    done: Vec<(usize, Result<IdResults<'s>, StoreError>)>,
-}
-
-impl Worker for ShardWorker<'_, '_> {
-    fn run(&mut self, slot: usize) -> bool {
-        let result = self.store.run_shard(self.plan, slot, self.threads);
-        self.done.push((slot, result));
-        true
-    }
 }
 
 /// A prepared sharded plan: the shards ownership routing leaves live, and
-/// one single-store plan for each of them.
+/// the one single-store plan they share.
 pub struct ShardedPlan {
-    kind: EngineKind,
     projected: Vec<String>,
-    /// Applied after the merge; the per-shard plans carry neither modifier.
+    /// Cut after the shards' rows are counted; the plan carries neither
+    /// modifier.
     pub(crate) window: Window,
     anchor: Anchor,
-    /// Column of the anchor variable in the per-shard output (`None` for
-    /// constant anchors, which route instead of filtering). It lies past the
-    /// projected columns when the query did not ask for the variable.
+    /// Column of the anchor variable in the plan's output (`None` for
+    /// constant anchors, which route instead of counting by column). It lies
+    /// past the projected columns when the query did not ask for the
+    /// variable.
     anchor_column: Option<usize>,
     /// Number of shards of the store the plan was prepared on.
     shards: usize,
     /// The anchor's owner for a constant anchor, every shard otherwise;
     /// ascending.
     live: Vec<usize>,
-    /// One plan over the store per live shard, in the order of `live`:
-    /// each memoizes its own matching order, so concurrent shard runs never
-    /// race to compute one.
-    pub(crate) per_shard: Vec<QueryPlan>,
+    /// The query transformed once, over the one store.
+    pub(crate) plan: QueryPlan,
 }
 
 impl ShardedPlan {
-    /// The engine the per-shard plans were prepared for.
+    /// The engine the plan was prepared for.
     pub fn kind(&self) -> EngineKind {
-        self.kind
+        self.plan.kind()
     }
 
     /// The projected variable names, in output order.
@@ -487,7 +397,7 @@ impl ShardedPlan {
 pub enum AnyStore {
     /// The classic single-store path.
     Single(Arc<Store>),
-    /// The sharded scatter-gather path.
+    /// The sharded path: one store, its shards routed and counted.
     Sharded(Arc<ShardedStore>),
 }
 
@@ -784,21 +694,16 @@ mod tests {
     }
 
     #[test]
-    fn a_window_across_two_runs_is_a_slice_of_the_unlimited_answer() {
+    fn a_window_is_a_slice_of_the_unlimited_answer() {
         let sharded = sharded(3);
         let kind = EngineKind::TurboHomPlusPlus;
         let plan = sharded.prepare_plan(QUERIES[0], kind).unwrap();
         let trace = Trace::disabled();
-        let unlimited = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
-        let lengths: Vec<usize> = unlimited.runs.iter().map(|run| run.rows.len()).collect();
-        assert!(
-            lengths.len() >= 2 && lengths[0] >= 2 && lengths[1] >= 2,
-            "the sample no longer fills two runs: {lengths:?}"
-        );
-        let all = unlimited.decode().rows;
-        // From the last row of the first run to the first of the second, and
-        // from inside the first run to the end of the second.
-        for (offset, limit) in [(lengths[0] - 1, 2), (1, lengths[0] + lengths[1] - 1)] {
+        let all = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
+        let all = all.decode().rows;
+        assert_eq!(all.len(), 10);
+        // Across the middle of the answer, and from inside it to its end.
+        for (offset, limit) in [(4, 2), (1, 9)] {
             let q = format!("{} LIMIT {limit} OFFSET {offset}", QUERIES[0]);
             let plan = sharded.prepare_plan(&q, kind).unwrap();
             let windowed = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
@@ -835,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_traces_record_fanout_materialise_and_rollups() {
+    fn sharded_traces_record_the_single_store_stages() {
         let sharded = sharded(3);
         let trace = Trace::new(7);
         let plan = sharded
@@ -851,29 +756,14 @@ mod tests {
             .collect();
         // The single store's root stages.
         assert_eq!(names, ["parse", "transform", "execute", "materialise"]);
-        let execute = report.spans.iter().find(|s| s.name == "execute").unwrap();
-        let fanout = report
-            .spans
-            .iter()
-            .find(|s| s.name == "shard_fanout")
-            .unwrap();
-        assert_eq!(fanout.parent, Some(execute.id));
-        assert!(fanout.counters.contains(&("live", 3)));
-        assert!(fanout.counters.contains(&("pruned", 0)));
-        // The gather is the sharded `materialise`.
-        let merge = report
+        // The ownership count and the window cut are timed under
+        // `materialise`, which counts the rows the cut left.
+        let materialise = report
             .spans
             .iter()
             .find(|s| s.name == "materialise")
             .unwrap();
-        assert!(merge.counters.contains(&("rows", 10)));
-        let rollups: Vec<_> = report
-            .spans
-            .iter()
-            .filter(|s| s.name == "shard_execute")
-            .collect();
-        assert_eq!(rollups.len(), plan.live_shards().len());
-        assert!(rollups.iter().all(|s| s.parent == Some(execute.id)));
+        assert!(materialise.counters.contains(&("rows", 10)));
     }
 
     #[test]

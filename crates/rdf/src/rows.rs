@@ -2,10 +2,9 @@
 //!
 //! A query result is a table of integer ids until the moment it is written
 //! out: the matcher appends data-graph ids, the join baselines and the
-//! projection append dictionary [`TermId`]s, the sharded gather appends a
-//! shard index next to them. One run owns one `Vec<u32>`: rows have a fixed
-//! stride, an unbound cell is [`UNBOUND`], and nothing is allocated per row
-//! or per cell.
+//! projection append dictionary [`TermId`]s. One result owns one `Vec<u32>`:
+//! rows have a fixed stride, an unbound cell is [`UNBOUND`], and nothing is
+//! allocated per row or per cell.
 
 use crate::dictionary::TermId;
 

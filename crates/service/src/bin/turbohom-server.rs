@@ -59,7 +59,7 @@ fn usage() -> &'static str {
      \x20                   engine\n\
      \x20 --threads N       default worker threads per query (default 1)\n\
      \x20 --shards N        split the ownership of the terms of the one store\n\
-     \x20                   N ways and run queries scatter-gather over it\n\
+     \x20                   N ways and route queries by it\n\
      \x20                   (default 1 = no shards; built from triples at\n\
      \x20                   boot, never saved)\n\
      \x20 --cache N         plan-cache capacity (default 256)\n\

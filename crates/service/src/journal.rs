@@ -72,8 +72,8 @@ pub enum JournalEvent {
         solutions: usize,
         /// Total request latency in milliseconds.
         total_ms: f64,
-        /// On a sharded store, the scatter decision: shards ownership
-        /// routing skipped, and shards that executed.
+        /// On a sharded store, the routing decision: shards ownership
+        /// routing skipped, and shards left live.
         shards: Option<(usize, usize)>,
         /// Present when the request crossed the slow threshold: the entry
         /// is then kept in the slow ring as well.

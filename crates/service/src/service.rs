@@ -301,7 +301,7 @@ impl ToJson for EngineStats {
 }
 
 /// A concurrent SPARQL query service over one shared store — a single
-/// [`Store`] or a sharded scatter-gather store ([`AnyStore`]).
+/// [`Store`] or a sharded store ([`AnyStore`]).
 pub struct QueryService {
     store: AnyStore,
     config: ServiceConfig,

@@ -221,6 +221,15 @@ impl<'t> Value<'t> {
         }
     }
 
+    /// Whether the value is an IRI or a blank node: a term that is never
+    /// RDFterm-equal to a literal.
+    fn is_node(&self) -> bool {
+        matches!(
+            self,
+            Value::Term(TermRef::Iri(_) | TermRef::BlankNode(_), _)
+        )
+    }
+
     /// A string view used for string comparison and REGEX: borrowed, except
     /// for a blank node's `_:` form and a number.
     pub fn as_string(&self) -> Option<Cow<'t, str>> {
@@ -389,7 +398,9 @@ impl Expression {
 }
 
 /// Compares two values: numerically when both sides have a numeric view,
-/// otherwise by string form.
+/// otherwise by string form. `=` and `!=` between an IRI or a blank node and
+/// a literal follow RDFterm-equal (SPARQL 1.1 §17.4.1.7): such terms are
+/// never equal.
 fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
     if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
         return match op {
@@ -404,6 +415,13 @@ fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
     let (Some(x), Some(y)) = (a.as_string(), b.as_string()) else {
         return false;
     };
+    if a.is_node() != b.is_node() {
+        match op {
+            CompareOp::Eq => return false,
+            CompareOp::Ne => return true,
+            _ => {}
+        }
+    }
     match op {
         CompareOp::Eq => x == y,
         CompareOp::Ne => x != y,
@@ -858,8 +876,14 @@ mod tests {
                 ),
                 "bool true".into(),
             ),
+            // RDFterm-equal (SPARQL 1.1 §17.4.1.7): an IRI or a blank node
+            // is never equal to a literal, whatever their strings.
             (
                 cmp(var("iri"), CompareOp::Eq, lit("http://ex.org/a")),
+                "bool false".into(),
+            ),
+            (
+                cmp(var("iri"), CompareOp::Ne, lit("http://ex.org/a")),
                 "bool true".into(),
             ),
             (
@@ -868,7 +892,7 @@ mod tests {
             ),
             (
                 cmp(var("blank"), CompareOp::Eq, lit("_:b")),
-                "bool true".into(),
+                "bool false".into(),
             ),
             (
                 cmp(var("blank"), CompareOp::Ne, lit("b")),
@@ -981,6 +1005,39 @@ mod tests {
         for (e, expected) in &cases {
             assert_eq!(&render(e, &bindings), expected, "{e:?}");
         }
+    }
+
+    /// SPARQL 1.1 §17.4.1.7 (RDFterm-equal): an IRI or a blank node and a
+    /// literal are different terms, so `=` is false and `!=` is true between
+    /// them even where their strings agree, in either operand order. Two
+    /// terms of one kind still compare by their strings; an unbound side is
+    /// no term, and neither operator holds.
+    #[test]
+    fn an_iri_or_a_blank_node_is_never_equal_to_a_literal() {
+        let bindings = [
+            ("iri", Term::iri("http://x/d1")),
+            ("same", Term::iri("http://x/d1")),
+            ("blank", Term::blank("b1")),
+            ("text", Term::literal("http://x/d1")),
+            ("label", Term::literal("_:b1")),
+            ("number", Term::integer(1)),
+        ];
+        let holds = |a: &str, op, b: &str| render(&cmp(var(a), op, var(b)), &bindings);
+        for (node, literal) in [
+            ("iri", "text"),
+            ("blank", "label"),
+            ("iri", "number"),
+            ("blank", "number"),
+        ] {
+            for (a, b) in [(node, literal), (literal, node)] {
+                assert_eq!(holds(a, CompareOp::Eq, b), "bool false", "{a} = {b}");
+                assert_eq!(holds(a, CompareOp::Ne, b), "bool true", "{a} != {b}");
+            }
+        }
+        assert_eq!(holds("iri", CompareOp::Eq, "same"), "bool true");
+        assert_eq!(holds("iri", CompareOp::Ne, "blank"), "bool true");
+        assert_eq!(holds("text", CompareOp::Eq, "text"), "bool true");
+        assert_eq!(holds("iri", CompareOp::Ne, "missing"), "bool false");
     }
 
     #[test]

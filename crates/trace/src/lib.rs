@@ -509,8 +509,8 @@ mod tests {
         {
             let parent = trace.span("execute");
             {
-                let mut child = trace.span_under("shard_execute", parent.id());
-                child.counter("shard", 3);
+                let mut child = trace.span_under("worker", parent.id());
+                child.counter("worker", 3);
                 child.counter("rows", 7);
             }
         }
@@ -544,6 +544,6 @@ mod tests {
         let child_span = &report.spans[1];
         assert_eq!(parent_span.name, "execute");
         assert_eq!(child_span.parent, Some(parent_span.id));
-        assert!(json.contains("\"counters\":{\"shard\":3,\"rows\":7}"));
+        assert!(json.contains("\"counters\":{\"worker\":3,\"rows\":7}"));
     }
 }

@@ -360,3 +360,26 @@ fn the_class_hierarchy_applies_only_through_materialization() {
         }
     }
 }
+
+#[test]
+fn an_iri_is_never_equal_to_a_literal_on_any_engine() {
+    // RDFterm-equal (SPARQL 1.1 §17.4.1.7): the IRI `d1` and the literal
+    // spelling it are different terms, so `=` keeps no row and `!=` every
+    // row, on all four engines alike.
+    let store = Store::from_ntriples(
+        "<http://x/s1> <http://x/memberOf> <http://x/d1> .\n\
+         <http://x/s2> <http://x/memberOf> <http://x/d1> .\n\
+         <http://x/s3> <http://x/memberOf> <http://x/d1> .\n",
+    )
+    .unwrap();
+    let pattern = "SELECT ?x WHERE { ?x <http://x/memberOf> ?d";
+    for (filter, rows) in [
+        ("?d = \"http://x/d1\"", 0),
+        ("\"http://x/d1\" = ?d", 0),
+        ("?d != \"http://x/d1\"", 3),
+        ("?d = <http://x/d1>", 3),
+    ] {
+        let sparql = format!("{pattern} FILTER({filter}) }}");
+        assert_eq!(agreed_rows(&store, &sparql, filter).len(), rows, "{filter}");
+    }
+}
