@@ -10,7 +10,7 @@
 use crate::permutation::PermutationIndexes;
 use crate::relation::Relation;
 use std::collections::HashMap;
-use turbohom_rdf::{Dataset, TermId};
+use turbohom_rdf::{Dictionary, TermId};
 use turbohom_sparql::{Expression, GroupPattern, Query, SparqlTerm, TriplePattern};
 
 /// Physical join operator.
@@ -37,9 +37,10 @@ pub struct BaselineStats {
     pub solutions: usize,
 }
 
-/// A join-based SPARQL engine over one dataset.
+/// A join-based SPARQL engine over one dictionary and its permutation
+/// tables.
 pub struct BaselineEngine<'a> {
-    dataset: &'a Dataset,
+    dictionary: &'a Dictionary,
     indexes: &'a PermutationIndexes,
     strategy: JoinStrategy,
 }
@@ -52,9 +53,12 @@ impl MergeJoinEngine {
     /// [`BaselineEngine`] runner rather than `Self` — `MergeJoinEngine` and
     /// `HashJoinEngine` are facade names for the two join strategies.
     #[allow(clippy::new_ret_no_self)]
-    pub fn new<'a>(dataset: &'a Dataset, indexes: &'a PermutationIndexes) -> BaselineEngine<'a> {
+    pub fn new<'a>(
+        dictionary: &'a Dictionary,
+        indexes: &'a PermutationIndexes,
+    ) -> BaselineEngine<'a> {
         BaselineEngine {
-            dataset,
+            dictionary,
             indexes,
             strategy: JoinStrategy::SortMerge,
         }
@@ -69,9 +73,12 @@ impl HashJoinEngine {
     /// [`BaselineEngine`] runner rather than `Self`, like
     /// [`MergeJoinEngine::new`].
     #[allow(clippy::new_ret_no_self)]
-    pub fn new<'a>(dataset: &'a Dataset, indexes: &'a PermutationIndexes) -> BaselineEngine<'a> {
+    pub fn new<'a>(
+        dictionary: &'a Dictionary,
+        indexes: &'a PermutationIndexes,
+    ) -> BaselineEngine<'a> {
         BaselineEngine {
-            dataset,
+            dictionary,
             indexes,
             strategy: JoinStrategy::Hash,
         }
@@ -155,7 +162,7 @@ impl<'a> BaselineEngine<'a> {
         let resolve = |term: &SparqlTerm| -> Result<Option<TermId>, ()> {
             match term {
                 SparqlTerm::Variable(_) => Ok(None),
-                SparqlTerm::Constant(t) => match self.dataset.dictionary.id_of(t) {
+                SparqlTerm::Constant(t) => match self.dictionary.id_of(t) {
                     Some(id) => Ok(Some(id)),
                     None => Err(()),
                 },
@@ -301,7 +308,7 @@ impl<'a> BaselineEngine<'a> {
     /// Keeps the rows that satisfy `filter`, which reads the dictionary's
     /// view of the cells it asks for.
     fn apply_filter(&self, mut relation: Relation, filter: &Expression) -> Relation {
-        let (vars, dictionary) = (&relation.vars, &self.dataset.dictionary);
+        let (vars, dictionary) = (&relation.vars, self.dictionary);
         relation.rows.retain(|row| {
             let bindings = |name: &str| {
                 let column = vars.iter().position(|var| var == name)?;
@@ -387,7 +394,7 @@ fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbohom_rdf::{vocab, Term};
+    use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
 
     fn ub(l: &str) -> String {
@@ -439,8 +446,8 @@ mod tests {
     ) -> (Relation, BaselineStats) {
         let query = parse_query(q).unwrap();
         let engine = match strategy {
-            JoinStrategy::SortMerge => MergeJoinEngine::new(ds, idx),
-            JoinStrategy::Hash => HashJoinEngine::new(ds, idx),
+            JoinStrategy::SortMerge => MergeJoinEngine::new(&ds.dictionary, idx),
+            JoinStrategy::Hash => HashJoinEngine::new(&ds.dictionary, idx),
         };
         engine.execute(&query)
     }
@@ -448,7 +455,7 @@ mod tests {
     #[test]
     fn triangle_query_counts_24_solutions_with_both_strategies() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         for strategy in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
             let (rel, stats) = run(&ds, &idx, strategy, TRIANGLE);
             assert_eq!(rel.len(), 24, "{strategy:?}");
@@ -461,7 +468,7 @@ mod tests {
     #[test]
     fn merge_and_hash_join_produce_identical_row_sets() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (mut a, _) = run(&ds, &idx, JoinStrategy::SortMerge, TRIANGLE);
         let (mut b, _) = run(&ds, &idx, JoinStrategy::Hash, TRIANGLE);
         a.deduplicate();
@@ -472,7 +479,7 @@ mod tests {
     #[test]
     fn bound_subject_query() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -486,7 +493,7 @@ mod tests {
     #[test]
     fn unknown_constant_yields_empty_result() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -500,7 +507,7 @@ mod tests {
     #[test]
     fn optional_keeps_unmatched_rows_with_nulls() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -522,7 +529,7 @@ mod tests {
     #[test]
     fn filter_on_numeric_literals() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -537,7 +544,7 @@ mod tests {
     #[test]
     fn join_condition_filter() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -556,7 +563,7 @@ mod tests {
     #[test]
     fn union_concatenates_branches() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -574,7 +581,7 @@ mod tests {
     #[test]
     fn variable_predicate_scan() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -590,7 +597,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("a"), &ub("knows"), &ub("a"));
         ds.insert_iris(&ub("a"), &ub("knows"), &ub("b"));
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,
@@ -603,8 +610,8 @@ mod tests {
     #[test]
     fn empty_bgp_returns_unit() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
-        let engine = MergeJoinEngine::new(&ds, &idx);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
+        let engine = MergeJoinEngine::new(&ds.dictionary, &idx);
         let query =
             parse_query("SELECT ?x WHERE { OPTIONAL { ?x <http://ub.org/email> ?m . } }").unwrap();
         let (rel, _) = engine.execute(&query);
@@ -615,7 +622,7 @@ mod tests {
     #[test]
     fn cartesian_product_when_patterns_share_nothing() {
         let ds = dataset();
-        let idx = PermutationIndexes::build(&ds);
+        let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,
             &idx,

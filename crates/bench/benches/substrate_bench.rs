@@ -61,9 +61,9 @@ fn transformations(c: &mut Criterion) {
     configure(&mut group);
     group.bench_with_input(
         BenchmarkId::new("direct_transform", dataset.len()),
-        &dataset,
-        |b, ds| {
-            b.iter(|| direct_transform(ds).graph.edge_count());
+        &type_aware_transform(&dataset),
+        |b, aware| {
+            b.iter(|| direct_transform(aware).graph.edge_count());
         },
     );
     group.bench_with_input(

@@ -30,10 +30,13 @@ fn an_unknown_experiment_is_refused_before_any_workload_is_built() {
 
 #[test]
 fn an_unknown_engine_is_refused_likewise() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["--engines=nosuchengine", "table3"])
-        .output()
-        .expect("the experiments binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(!String::from_utf8_lossy(&out.stdout).contains("building"));
+    // `turbohom--` is a misspelling, not `turbohom` with its dashes dropped.
+    for engines in ["--engines=nosuchengine", "--engines=turbohom--"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args([engines, "table3"])
+            .output()
+            .expect("the experiments binary runs");
+        assert_eq!(out.status.code(), Some(2), "{engines}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("building"));
+    }
 }

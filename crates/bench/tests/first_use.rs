@@ -2,7 +2,8 @@
 //! permutation tables are built by the first plan that needs them, once,
 //! and the memory ledger and the event journal say when that happened.
 //! No TurboHOM++ plan needs either: only the `turbohom` ablation reads the
-//! direct graph.
+//! direct graph. No plan at all decodes the triples back into a dataset:
+//! the `triples` line stays 0 and no `triples` build is journaled.
 
 use std::sync::{Arc, Barrier};
 use turbohom_bench::lubm_store;
@@ -65,8 +66,14 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
     }
     assert_eq!(component_bytes(&service, "direct"), 0);
     assert_eq!(component_bytes(&service, "permutations"), 0);
+    assert_eq!(component_bytes(&service, "triples"), 0);
     assert!(component_bytes(&service, "type_aware") > 0);
     assert!(structures_built(&service).is_empty());
+    let decoded = |service: &QueryService| {
+        let builds = service.store().store().builds();
+        builds.iter().any(|b| b.structure == "triples")
+    };
+    assert!(!decoded(&service));
     let bytes = service.bytes();
     assert_eq!(
         bytes.accounted as i64 + bytes.unaccounted,
@@ -99,6 +106,9 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
     let built = structures_built(&service);
     assert_eq!(built.len(), 2, "{built:?}");
     assert!(built[1].contains("\"structure\":\"direct\""));
+    // Both read the type-aware graph's triples, not a decoded dataset.
+    assert_eq!(component_bytes(&service, "triples"), 0);
+    assert!(!decoded(&service));
 }
 
 #[test]

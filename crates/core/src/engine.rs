@@ -1240,7 +1240,7 @@ mod tests {
     fn direct_and_type_aware_transformations_agree() {
         let ds = university_dataset();
         let aware = type_aware_transform(&ds);
-        let direct = turbohom_transform::direct_transform(&ds);
+        let direct = turbohom_transform::direct_transform(&aware);
         let a = execute(&ds, &aware, TRIANGLE, TurboHomConfig::default());
         let q = parse_query(TRIANGLE).unwrap();
         let tq = transform_query(&q.pattern, &direct, &ds.dictionary).unwrap();

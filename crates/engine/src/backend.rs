@@ -1,9 +1,10 @@
-//! What a [`Store`](crate::Store) holds: the dataset, the type-aware graph,
-//! and the two derived structures only some plans read — the direct graph
-//! and the six permutation tables — each built by the first plan that reads
-//! it. The arrays are owned heap memory when the store was built from
-//! triples and zero-copy views into a memory-mapped file when it was opened
-//! from a snapshot; every read path is the same for both.
+//! What a [`Store`](crate::Store) holds: the dictionary, the type-aware
+//! graph — which holds every triple — and the two derived structures only
+//! some plans read — the direct graph and the six permutation tables — each
+//! built from the graph's triples by the first plan that reads it. The
+//! arrays are owned heap memory when the store was built from triples and
+//! zero-copy views into a memory-mapped file when it was opened from a
+//! snapshot; every read path is the same for both.
 
 use crate::error::StoreError;
 use parking_lot::Mutex;
@@ -12,15 +13,15 @@ use std::sync::OnceLock;
 use std::thread::ThreadId;
 use std::time::Instant;
 use turbohom_baseline::PermutationIndexes;
-use turbohom_rdf::{Dataset, InferenceEngine};
+use turbohom_rdf::{Dataset, Dictionary, InferenceEngine};
 use turbohom_storage::{
     process_resident_bytes, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter,
 };
 use turbohom_transform::{direct_transform, type_aware_transform, TransformedGraph};
 
 /// Engine-level snapshot meta section: format sub-version, inference flag,
-/// triple count (component 0x09; the component sections of the dataset and
-/// the type-aware graph follow).
+/// triple count (component 0x09; the component sections of the dictionary
+/// and the type-aware graph follow).
 const TAG_STORE_META: u64 = 0x0901;
 
 /// The store-level snapshot format sub-version. Bumped when the *composition*
@@ -39,16 +40,16 @@ const TAG_STORE_META: u64 = 0x0901;
 /// group (`0x03x1`) names the label set all its targets carry (`0x03x6`/
 /// `0x03x7`) and ends where the next one starts. 9: only the type-aware graph
 /// is stored, without its kind (`0x0701`) and with its subclass pairs
-/// (`0x0704`/`0x0705`).
-const STORE_FORMAT_SUB_VERSION: u64 = 9;
+/// (`0x0704`/`0x0705`). 10: no triple table (`0x0201`): the type-aware graph
+/// holds every triple.
+const STORE_FORMAT_SUB_VERSION: u64 = 10;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not
 /// been built is a single line with an empty `part` and zero bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryRow {
-    /// `dictionary`, `triples`, `dedup_set`, `type_aware`, `direct` or
-    /// `permutations`.
+    /// `dictionary`, `triples`, `type_aware`, `direct` or `permutations`.
     pub component: &'static str,
     /// The array group inside the component (`arena`, `csr`, `spo`, …).
     pub part: &'static str,
@@ -57,10 +58,11 @@ pub struct MemoryRow {
 }
 
 /// One structure a store built: `freeze` and `type_aware` at load, `direct`
-/// and `permutations` for the first plan that reads them.
+/// and `permutations` for the first plan that reads them, `triples` for the
+/// first caller of [`Store::dataset`](crate::Store::dataset).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructureBuild {
-    /// `freeze`, `type_aware`, `direct` or `permutations`.
+    /// `freeze`, `type_aware`, `direct`, `permutations` or `triples`.
     pub structure: &'static str,
     /// Wall-clock milliseconds the build took.
     pub ms: f64,
@@ -79,8 +81,10 @@ enum Origin {
 }
 
 pub(crate) struct Backend {
-    pub dataset: Dataset,
+    pub dictionary: Dictionary,
     pub type_aware: TransformedGraph,
+    /// The triples decoded back into a dataset: no request reads it.
+    dataset: OnceLock<Dataset>,
     direct: OnceLock<TransformedGraph>,
     permutations: OnceLock<PermutationIndexes>,
     origin: Origin,
@@ -124,7 +128,8 @@ impl Backend {
     /// Builds what every plan reads: materializes the RDFS closure when
     /// `inference` is set, freezes the dataset — before the graph build, so
     /// that the memory the loading form gives back is what the graph is
-    /// built into — and runs the type-aware transformation.
+    /// built into — and runs the type-aware transformation. Then the triple
+    /// table goes: the graph holds every triple.
     pub fn build(mut dataset: Dataset, inference: bool) -> Self {
         if inference {
             InferenceEngine::default().materialize(&mut dataset);
@@ -139,9 +144,11 @@ impl Backend {
             let bytes = total(graph.memory());
             (graph, bytes)
         });
+        debug_assert_eq!(type_aware.triple_count(), dataset.len());
         Backend {
-            dataset,
+            dictionary: dataset.dictionary,
             type_aware,
+            dataset: OnceLock::new(),
             direct: OnceLock::new(),
             permutations: OnceLock::new(),
             origin: Origin::Heap,
@@ -150,9 +157,9 @@ impl Backend {
     }
 
     /// Reads one store's sections from `cur`, which the snapshot file at
-    /// `path` backs, and reconstructs the dataset and the graph in place;
+    /// `path` backs, and reconstructs the dictionary and the graph in place;
     /// also returns whether the store was written with inference enabled
-    /// (the closure is already materialized in the stored triples).
+    /// (the closure is already materialized in the stored graph).
     pub fn read(cur: &mut SectionCursor<'_>, path: &Path) -> Result<(Self, bool), StoreError> {
         let meta: FlatVec<u64> = cur.next_section(TAG_STORE_META)?;
         if meta.len() != 3 {
@@ -165,26 +172,36 @@ impl Backend {
             }
             .into());
         }
-        let triple_count = meta[2] as usize;
-        let dataset = Dataset::read_sections(cur)?;
-        if dataset.len() != triple_count {
-            return Err(SnapshotError::Malformed(format!(
-                "snapshot holds {} triples, meta says {triple_count}",
-                dataset.len()
-            ))
-            .into());
-        }
+        let dictionary = Dictionary::read_sections(cur)?;
         let type_aware = TransformedGraph::read_sections(cur)?;
         // A matched vertex is read as the term of its id, by the writer and
-        // the FILTERs alike: every row must be a term.
-        let (rows, terms) = (type_aware.graph.vertex_count(), dataset.dictionary.len());
+        // the FILTERs alike: every row must be a term, and so must every
+        // label's class or predicate.
+        let (rows, terms) = (type_aware.graph.vertex_count(), dictionary.len());
         if rows != terms {
             let what = format!("the graph has {rows} vertex rows, {terms} terms");
             return Err(SnapshotError::Malformed(what).into());
         }
+        let mappings = &type_aware.mappings;
+        let mut label_terms = mappings
+            .vlabel_to_term
+            .iter()
+            .chain(&*mappings.elabel_to_term);
+        if label_terms.any(|t| t.index() >= terms) {
+            let what = "a label's term is outside the dictionary".to_string();
+            return Err(SnapshotError::Malformed(what).into());
+        }
+        // The count the store was saved with, against the one the arrays
+        // hold: edges, label entries and subclass pairs.
+        let (saved, held) = (meta[2], type_aware.triple_count() as u64);
+        if saved != held {
+            let what = format!("the graph holds {held} triples, meta says {saved}");
+            return Err(SnapshotError::Malformed(what).into());
+        }
         let backend = Backend {
-            dataset,
+            dictionary,
             type_aware,
+            dataset: OnceLock::new(),
             direct: OnceLock::new(),
             permutations: OnceLock::new(),
             origin: Origin::Snapshot {
@@ -196,15 +213,16 @@ impl Backend {
         Ok((backend, meta[1] != 0))
     }
 
-    /// Writes the store meta, the dataset and the type-aware graph into `w`.
+    /// Writes the store meta, the dictionary and the type-aware graph into
+    /// `w`.
     pub fn write(&self, inference: bool, w: &mut SnapshotWriter) {
         let meta: [u64; 3] = [
             STORE_FORMAT_SUB_VERSION,
             inference as u64,
-            self.dataset.len() as u64,
+            self.type_aware.triple_count() as u64,
         ];
         w.section(TAG_STORE_META, &meta);
-        self.dataset.write_sections(w);
+        self.dictionary.write_sections(w);
         self.type_aware.write_sections(w);
     }
 
@@ -229,13 +247,42 @@ impl Backend {
         matches!(self.origin, Origin::Snapshot { mapped: true, .. })
     }
 
+    /// The triples decoded back into a dataset with a copy of the
+    /// dictionary, built here if this is its first reader.
+    pub fn dataset(&self) -> &Dataset {
+        self.dataset.get_or_init(|| {
+            self.record("triples", true, || {
+                let mut dataset = Dataset {
+                    dictionary: self.dictionary.clone(),
+                    triples: self.type_aware.triples().collect(),
+                };
+                dataset.triples.freeze();
+                let bytes = Self::decoded_bytes(&dataset).heap;
+                (dataset, bytes)
+            })
+        })
+    }
+
+    /// What a decoded dataset adds to the store: its triple array, and the
+    /// heap arrays of its dictionary copy (a mapped array is shared).
+    fn decoded_bytes(dataset: &Dataset) -> MemoryUse {
+        let [(_, triples), _] = dataset.triples.memory();
+        let heap = dataset
+            .dictionary
+            .memory()
+            .iter()
+            .map(|(_, m)| m.heap)
+            .sum();
+        triples + MemoryUse { heap, mapped: 0 }
+    }
+
     /// The direct transformed graph, built here if this is its first reader.
     /// `first_use` says a request is that reader (a plan being prepared), as
     /// opposed to a warm-up or a save.
     pub fn direct(&self, first_use: bool) -> &TransformedGraph {
         self.direct.get_or_init(|| {
             self.record("direct", first_use, || {
-                let graph = direct_transform(&self.dataset);
+                let graph = direct_transform(&self.type_aware);
                 let bytes = total(graph.memory());
                 (graph, bytes)
             })
@@ -246,7 +293,7 @@ impl Backend {
     pub fn permutations(&self, first_use: bool) -> &PermutationIndexes {
         self.permutations.get_or_init(|| {
             self.record("permutations", first_use, || {
-                let tables = PermutationIndexes::build(&self.dataset);
+                let tables = PermutationIndexes::build(self.type_aware.triples());
                 let bytes = total(tables.memory());
                 (tables, bytes)
             })
@@ -291,8 +338,9 @@ impl Backend {
             part: "",
             bytes,
         };
-        let mut ledger: Vec<MemoryRow> = rows("dictionary", self.dataset.dictionary.memory())
-            .chain(self.dataset.triples.memory().map(whole))
+        let decoded = self.dataset.get().map(Self::decoded_bytes);
+        let mut ledger: Vec<MemoryRow> = rows("dictionary", self.dictionary.memory())
+            .chain([whole(("triples", decoded.unwrap_or_default()))])
             .chain(rows("type_aware", self.type_aware.memory()))
             .collect();
         match self.direct.get() {

@@ -370,7 +370,7 @@ fn explain_component(
         region_candidates: None,
         steps: Vec::new(),
     };
-    let engine = TurboHomEngine::new(graph, &store.dataset().dictionary, *config);
+    let engine = TurboHomEngine::new(graph, store.dictionary(), *config);
     let own = RunInput::of(tq);
     let prologue = engine.explain(tq, RunInput { limit, ..own });
     let pushed = prologue.cap.solutions.is_some();

@@ -431,7 +431,7 @@ impl Store {
         vars: Vec<String>,
     ) -> Result<ComponentPlan, StoreError> {
         Ok(ComponentPlan {
-            transformed: transform_query(group, graph, &self.dataset().dictionary)?,
+            transformed: transform_query(group, graph, self.dictionary())?,
             vars,
             cached_order: Mutex::new(None),
         })
@@ -464,7 +464,7 @@ impl Store {
     /// A result over `variables` holding `rows`, whose cells are ids of
     /// this store's dictionary.
     pub(crate) fn id_results(&self, variables: Vec<String>, rows: IdRows) -> IdResults<'_> {
-        IdResults::new(&self.dataset().dictionary, variables, rows)
+        IdResults::new(self.dictionary(), variables, rows)
     }
 
     /// Runs one branch and appends its rows to `results`. When the branch
@@ -527,7 +527,7 @@ impl Store {
             Shape::Bound(target) => {
                 let component = &components[target];
                 constants = self.constant_row(graph, components, &matched);
-                let dictionary = &self.dataset().dictionary;
+                let dictionary = self.dictionary();
                 let outer: Vec<(&str, Binding<'_>)> = (constants.iter())
                     .filter_map(|&(var, cell)| Some((var, binding_of(dictionary, cell)?)))
                     .collect();
@@ -673,7 +673,7 @@ impl Store {
         if !branch.filters.is_empty() {
             let filtering = Instant::now();
             let before = combined.len();
-            let dictionary = &self.dataset().dictionary;
+            let dictionary = self.dictionary();
             combined.retain(|row| {
                 let bindings = |name: &str| {
                     let mut cells = all_vars.iter().zip(row).rev();
@@ -705,7 +705,7 @@ impl Store {
         trace: &Trace,
         parent: Option<SpanId>,
     ) -> Result<MatchResult, StoreError> {
-        let engine = TurboHomEngine::new(graph, &self.dataset().dictionary, config);
+        let engine = TurboHomEngine::new(graph, self.dictionary(), config);
         let preset = component.cached_order.lock().clone();
         let transformed = &component.transformed;
         let (result, computed) =

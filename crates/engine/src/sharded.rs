@@ -204,7 +204,7 @@ impl ShardedStore {
                 threads: options.threads,
             },
         );
-        let owned = owned_bits(&store.dataset().dictionary, options.shards.max(1));
+        let owned = owned_bits(store.dictionary(), options.shards.max(1));
         Ok(ShardedStore {
             store: Arc::new(store),
             owned,

@@ -1,5 +1,6 @@
-//! The [`Store`]: one RDF dataset plus every derived structure the engines
-//! need, and the uniform query entry point.
+//! The [`Store`]: one RDF dataset — its dictionary and the type-aware graph
+//! that holds its triples — plus every derived structure the engines need,
+//! and the uniform query entry point.
 
 use crate::backend::{Backend, MemoryRow, StructureBuild};
 use crate::error::StoreError;
@@ -10,7 +11,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 use turbohom_baseline::{HashJoinEngine, JoinStrategy, MergeJoinEngine, PermutationIndexes};
 use turbohom_core::TurboHomConfig;
-use turbohom_rdf::{parse_ntriples, Dataset, IdRows};
+use turbohom_rdf::{parse_ntriples, Dataset, Dictionary, IdRows};
 use turbohom_sparql::{parse_query, GroupPattern, Query, SparqlTerm};
 use turbohom_storage::{Snapshot, SnapshotWriter};
 use turbohom_trace::Trace;
@@ -106,21 +107,33 @@ impl std::error::Error for ParseEngineKindError {}
 impl std::str::FromStr for EngineKind {
     type Err = ParseEngineKindError;
 
-    /// Parses an engine name case-insensitively, ignoring `-`, `_`, spaces
-    /// and parentheses so the experiment-table labels round-trip too.
+    /// Parses an engine name case-insensitively: its
+    /// [`name`](EngineKind::name), its [`label`](EngineKind::label) or one
+    /// of a few aliases, spelled exactly (nothing is stripped, so a
+    /// misspelling such as `turbohom--` is refused, not read as `turbohom`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let key: String = s
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric() || *c == '+')
-            .map(|c| c.to_ascii_lowercase())
-            .collect();
-        match key.as_str() {
-            "turbohom++" | "turbohomplusplus" => Ok(EngineKind::TurboHomPlusPlus),
-            "turbohom" | "turbohomdirect" => Ok(EngineKind::TurboHom),
-            "mergejoin" | "mergejoinrdf3xlike" | "sortmerge" | "rdf3x" => Ok(EngineKind::MergeJoin),
-            "hashjoin" | "hashjoinsystemy" | "hash" => Ok(EngineKind::HashJoin),
-            _ => Err(ParseEngineKindError { input: s.into() }),
-        }
+        const ALIASES: [(&str, EngineKind); 7] = [
+            ("turbohomplusplus", EngineKind::TurboHomPlusPlus),
+            ("turbohom_plus_plus", EngineKind::TurboHomPlusPlus),
+            ("merge-join", EngineKind::MergeJoin),
+            ("sortmerge", EngineKind::MergeJoin),
+            ("rdf3x", EngineKind::MergeJoin),
+            ("hash-join", EngineKind::HashJoin),
+            ("hash", EngineKind::HashJoin),
+        ];
+        let key = s.to_ascii_lowercase();
+        let named = EngineKind::all()
+            .into_iter()
+            .find(|kind| key == kind.name() || key == kind.label().to_ascii_lowercase());
+        let aliased = || {
+            ALIASES
+                .iter()
+                .find(|(alias, _)| key == *alias)
+                .map(|&(_, kind)| kind)
+        };
+        named
+            .or_else(aliased)
+            .ok_or_else(|| ParseEngineKindError { input: s.into() })
     }
 }
 
@@ -145,9 +158,10 @@ impl Default for StoreOptions {
     }
 }
 
-/// An RDF store: the dataset, the type-aware graph every TurboHOM++ plan
-/// matches over, and — each built by the first plan that reads it, on
-/// either backend — the direct graph and the six permutation tables.
+/// An RDF store: the dictionary, the type-aware graph every TurboHOM++ plan
+/// matches over — which holds every triple, so no triple table is kept —
+/// and, each built from the graph's triples by the first plan that reads
+/// it, on either backend, the direct graph and the six permutation tables.
 ///
 /// The arrays are either owned heap memory (built from parsed triples) or
 /// zero-copy views into a memory-mapped snapshot file (see
@@ -217,11 +231,11 @@ impl Store {
         })
     }
 
-    /// Writes the store's contents (dictionary, triples, the type-aware
-    /// graph with its indexes) to a versioned, checksummed snapshot file
-    /// that [`from_snapshot`](Self::from_snapshot) reads back without
-    /// copying. The direct graph and the permutation tables are not stored:
-    /// the first plan that reads one builds it from the mapped triples.
+    /// Writes the store's contents (the dictionary and the type-aware graph
+    /// with its indexes) to a versioned, checksummed snapshot file that
+    /// [`from_snapshot`](Self::from_snapshot) reads back without copying.
+    /// The direct graph and the permutation tables are not stored: the first
+    /// plan that reads one builds it from the mapped graph's triples.
     /// Returns the number of bytes written.
     pub fn save_snapshot(&self, path: &Path) -> Result<u64, StoreError> {
         let mut w = SnapshotWriter::new();
@@ -244,14 +258,22 @@ impl Store {
         self.backend.is_mapped()
     }
 
-    /// The underlying dataset.
+    /// The term dictionary: what every plan and result reads of the data
+    /// besides the graph.
+    pub fn dictionary(&self) -> &Dictionary {
+        &self.backend.dictionary
+    }
+
+    /// The triples as a dataset, decoded from the type-aware graph the first
+    /// time anything asks (a `triples` build in [`builds`](Self::builds) and
+    /// the memory ledger). No query reads it: it is for tests and tools.
     pub fn dataset(&self) -> &Dataset {
-        &self.backend.dataset
+        self.backend.dataset()
     }
 
     /// Number of triples loaded (after inference, if enabled).
     pub fn triple_count(&self) -> usize {
-        self.backend.dataset.len()
+        self.backend.type_aware.triple_count()
     }
 
     /// The type-aware transformed graph (Section 4.1).
@@ -290,14 +312,15 @@ impl Store {
     }
 
     /// The memory ledger: heap and mapped bytes of every array group the
-    /// store holds right now (`direct` and `permutations` are one zero line
-    /// each until a plan has read them).
+    /// store holds right now (`triples`, `direct` and `permutations` are one
+    /// zero line each until something has read them).
     pub fn memory(&self) -> Vec<MemoryRow> {
         self.backend.memory()
     }
 
     /// Every structure build so far with its duration: `freeze` and
-    /// `type_aware` at load, then the first-use builds.
+    /// `type_aware` at load, then the first-use builds (`direct`,
+    /// `permutations`, `triples`).
     pub fn builds(&self) -> Vec<StructureBuild> {
         self.backend.builds()
     }
@@ -364,8 +387,8 @@ impl Store {
     ) -> IdResults<'_> {
         let projected = query.projected_variables();
         let engine = match strategy {
-            JoinStrategy::SortMerge => MergeJoinEngine::new(self.dataset(), self.permutations()),
-            JoinStrategy::Hash => HashJoinEngine::new(self.dataset(), self.permutations()),
+            JoinStrategy::SortMerge => MergeJoinEngine::new(self.dictionary(), self.permutations()),
+            JoinStrategy::Hash => HashJoinEngine::new(self.dictionary(), self.permutations()),
         };
         let mut span = trace.span("execute");
         let (relation, _stats) = engine.execute(query);
@@ -693,6 +716,18 @@ mod tests {
         );
         let err = "sparqlotron".parse::<EngineKind>().unwrap_err();
         assert!(err.to_string().contains("sparqlotron"));
+        // Nothing is stripped: a misspelt name is refused, not read as the
+        // name it resembles.
+        for misspelt in [
+            "turbohom--",
+            "turbo-hom",
+            "merge join!",
+            "turbohom++ ",
+            "hash join",
+        ] {
+            let err = misspelt.parse::<EngineKind>().unwrap_err();
+            assert!(err.to_string().contains(misspelt), "{misspelt}");
+        }
     }
 
     #[test]

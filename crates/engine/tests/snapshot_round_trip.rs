@@ -135,7 +135,6 @@ fn ledger_line(tag: u64) -> Option<(&'static str, &'static str)> {
         0x0101 => ("dictionary", "arena"),
         0x0102 => ("dictionary", "records"),
         0x0103 => ("dictionary", "sorted"),
-        0x0201 => ("triples", ""),
         0x0302..=0x0304 => (graph, "labels"),
         0x0310..=0x032f => (graph, "csr"),
         0x0400..=0x04ff => (graph, "predicate_index"),
@@ -183,7 +182,7 @@ fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
     for (store, on_heap) in [(&heap, true), (&mapped, false)] {
         let mut ledger = store.memory();
         let unbuilt = |row: &turbohom_engine::MemoryRow| {
-            ["dedup_set", "direct", "permutations"].contains(&row.component)
+            ["triples", "direct", "permutations"].contains(&row.component)
         };
         for row in ledger.iter().filter(|row| unbuilt(row)) {
             assert_eq!((row.bytes.heap, row.bytes.mapped), (0, 0), "{row:?}");
@@ -292,10 +291,11 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // 64 bits wide), 4 (the graphs still held a type group for unlabeled
     // neighbors), 5 (the type-aware graph still held its simple-entailment
     // label sets), 6 (each graph still mapped its vertices to terms), 7
-    // (each graph still stored the type groups that filter nothing) or 8
-    // (the direct graph followed the type-aware one).
+    // (each graph still stored the type groups that filter nothing), 8
+    // (the direct graph followed the type-aware one) or 9 (the triple table
+    // followed the dictionary).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4, 5, 6, 7, 8] {
+    for found in [1, 2, 3, 4, 5, 6, 7, 8, 9] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -304,7 +304,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 9
+                expected: 10
             })
         );
     }
@@ -314,24 +314,21 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
 #[test]
 fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
     // A vertex is read as the term of the same id: the store meta and the
-    // dataset of one store, then the graph of a store with one term more.
+    // dictionary of one store, then the graph of a store with one term more.
     let small = sample_store();
     let mut larger = turbohom_rdf::Dataset::new();
-    for (id, term) in small.dataset().dictionary.iter() {
+    for (id, term) in small.dictionary().iter() {
         // Encoded in id order, every term keeps its id.
         assert_eq!(larger.dictionary.encode(&term), id);
     }
     larger.insert_iris(&ub("extra"), &ub("memberOf"), &ub("dept0"));
     let graph = turbohom_transform::type_aware_transform(&larger);
-    assert_eq!(
-        graph.graph.vertex_count(),
-        small.dataset().dictionary.len() + 1
-    );
+    assert_eq!(graph.graph.vertex_count(), small.dictionary().len() + 1);
 
     let mut w = turbohom_storage::SnapshotWriter::new();
     let triples = small.triple_count() as u64;
-    w.section::<u64>(0x0901, &[9, 1, triples]);
-    small.dataset().write_sections(&mut w);
+    w.section::<u64>(0x0901, &[10, 1, triples]);
+    small.dictionary().write_sections(&mut w);
     graph.write_sections(&mut w);
     let path = temp_path("rows.snap");
     w.write_to(&path).unwrap();
@@ -341,6 +338,39 @@ fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
             if m.contains("vertex rows")),
         "{err:?}"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_meta_triple_count_that_is_not_the_graphs_is_refused() {
+    // The graph holds every triple: its edges, its label entries and its
+    // subclass pairs. A meta count one off from their sum is refused.
+    let store = sample_store();
+    let graph = store.type_aware_graph();
+    let held = graph.graph.edge_count() + graph.graph.label_entry_count() + graph.schema[0].len();
+    assert_eq!(store.triple_count(), held);
+    let path = temp_path("count.snap");
+    for saved in [held - 1, held + 1] {
+        let mut w = turbohom_storage::SnapshotWriter::new();
+        w.section::<u64>(0x0901, &[10, 1, saved as u64]);
+        store.dictionary().write_sections(&mut w);
+        graph.write_sections(&mut w);
+        w.write_to(&path).unwrap();
+        let err = Store::from_snapshot(&path).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Snapshot(SnapshotError::Malformed(format!(
+                "the graph holds {held} triples, meta says {saved}"
+            )))
+        );
+    }
+    // The same sections with the right count open.
+    let mut w = turbohom_storage::SnapshotWriter::new();
+    w.section::<u64>(0x0901, &[10, 1, held as u64]);
+    store.dictionary().write_sections(&mut w);
+    graph.write_sections(&mut w);
+    w.write_to(&path).unwrap();
+    assert_eq!(Store::from_snapshot(&path).unwrap().triple_count(), held);
     std::fs::remove_file(&path).ok();
 }
 
@@ -463,6 +493,29 @@ fn a_predicate_index_endpoint_that_is_no_vertex_is_refused_not_indexed() {
     let first = heap.type_aware_graph().predicates.subjects(ELabel(0))[0];
     overwrite_first_u32(&mut bytes, 0x0402, first.0);
     assert_eq!(bytes, original);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_graph_label_outside_its_range_is_refused_not_decoded() {
+    // The matcher and `triples()` read every vertex and edge label through
+    // the mappings; the labels are bytes from outside.
+    let path = temp_path("labels.snap");
+    sample_store().save_snapshot(&path).unwrap();
+    let original = std::fs::read(&path).unwrap();
+    // The vertex labels (0x0303) and the outgoing edge-label groups, whose
+    // first word is the group's label (0x0311).
+    for (tag, what) in [(0x0303, "vertex label"), (0x0311, "edge label")] {
+        let mut bytes = original.clone();
+        overwrite_first_u32(&mut bytes, tag, 1000);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Store::from_snapshot(&path).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Snapshot(SnapshotError::Malformed(m))
+                if m.contains(what) && m.contains("out of range")),
+            "{tag:#x} gave {err:?}"
+        );
+    }
     std::fs::remove_file(&path).ok();
 }
 

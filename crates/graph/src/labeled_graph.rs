@@ -267,6 +267,11 @@ impl LabeledGraph {
         self.num_edges
     }
 
+    /// Number of entries of all vertex label sets together.
+    pub fn label_entry_count(&self) -> usize {
+        self.labels.len()
+    }
+
     /// Number of distinct vertex labels.
     pub fn vertex_label_count(&self) -> usize {
         self.num_vlabels
@@ -422,13 +427,32 @@ impl LabeledGraph {
                 "graph label offsets are not monotone".into(),
             ));
         }
+        let (num_vlabels, num_elabels) = (meta[2] as usize, meta[3] as usize);
+        if labels.iter().any(|l| l.index() >= num_vlabels) {
+            return Err(SnapshotError::Malformed(
+                "graph vertex label out of range".into(),
+            ));
+        }
         let outgoing = AdjacencyDirection::read_sections(cur, TAG_DIR_OUTGOING, num_vertices)?;
         let incoming = AdjacencyDirection::read_sections(cur, TAG_DIR_INCOMING, num_vertices)?;
+        for dir in [&outgoing, &incoming] {
+            if dir.targets.len() as u64 != meta[1] {
+                return Err(SnapshotError::Malformed(
+                    "graph edge count is not its adjacency's".into(),
+                ));
+            }
+            let groups = &dir.elabel_groups[..dir.elabel_groups.len() - 1];
+            if groups.iter().any(|g| g.elabel.index() >= num_elabels) {
+                return Err(SnapshotError::Malformed(
+                    "graph edge label out of range".into(),
+                ));
+            }
+        }
         Ok(LabeledGraph {
             num_vertices,
             num_edges: meta[1] as usize,
-            num_vlabels: meta[2] as usize,
-            num_elabels: meta[3] as usize,
+            num_vlabels,
+            num_elabels,
             label_offsets,
             labels,
             outgoing,

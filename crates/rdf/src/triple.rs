@@ -11,10 +11,7 @@ use crate::term::Term;
 use crate::vocab;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, RandomState};
-use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
-
-/// Snapshot section tag (component 0x02).
-const TAG_TRIPLES: u64 = 0x0201;
+use turbohom_storage::{MemoryUse, Pod};
 
 /// A dictionary-encoded RDF triple `(subject, predicate, object)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,13 +37,13 @@ impl Triple {
 
 /// An append-only, deduplicated collection of encoded triples.
 ///
-/// The triples live in a [`FlatVec`], so a store loaded from a snapshot
-/// reads them in place. The dedup set exists only while the store is being
-/// populated: [`freeze`](Self::freeze) drops it, a snapshot never stores it,
-/// and the first insert afterwards rebuilds it from the triples.
+/// The dedup set exists only while the store is being populated:
+/// [`freeze`](Self::freeze) drops it, and the first insert afterwards
+/// rebuilds it from the triples. A snapshot stores no triple table: the
+/// type-aware graph holds every triple.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
-    triples: FlatVec<Triple>,
+    triples: Vec<Triple>,
     /// The dedup set: open addressing with linear probing over slots of
     /// `index + 1` into `triples`, 0 being the empty slot (see
     /// [`slots_for`]). Either empty or indexing every triple.
@@ -65,7 +62,7 @@ impl TripleStore {
     /// Creates an empty store with capacity for `capacity` triples.
     pub fn with_capacity(capacity: usize) -> Self {
         TripleStore {
-            triples: Vec::with_capacity(capacity).into(),
+            triples: Vec::with_capacity(capacity),
             seen: vec![0; slots_for(capacity)],
             hasher: RandomState::new(),
         }
@@ -97,7 +94,7 @@ impl TripleStore {
             u32::try_from(len + 1).expect("a triple store holds fewer than u32::MAX triples");
         let slots = slots_for(len + 1);
         if self.seen.len() < slots {
-            // Frozen, snapshot-backed or about to fill past one half: index
+            // Frozen or about to fill past one half: index
             // every triple again, the old table dropped first.
             self.seen = Vec::new();
             self.seen = vec![0; slots];
@@ -111,7 +108,7 @@ impl TripleStore {
             Ok(_) => false,
             Err(slot) => {
                 self.seen[slot] = entry;
-                self.triples.to_mut().push(triple);
+                self.triples.push(triple);
                 true
             }
         }
@@ -121,9 +118,7 @@ impl TripleStore {
     /// capacity.
     pub fn freeze(&mut self) {
         self.seen = Vec::new();
-        if !self.triples.is_view() {
-            self.triples.to_mut().shrink_to_fit();
-        }
+        self.triples.shrink_to_fit();
     }
 
     /// Bytes of the triple array and of the dedup set.
@@ -132,14 +127,17 @@ impl TripleStore {
             heap: std::mem::size_of_val(&self.seen[..]) as u64,
             mapped: 0,
         };
-        [("triples", (&self.triples).into()), ("dedup_set", dedup)]
+        let triples = MemoryUse {
+            heap: std::mem::size_of_val(&self.triples[..]) as u64,
+            mapped: 0,
+        };
+        [("triples", triples), ("dedup_set", dedup)]
     }
 
     /// Returns `true` if the exact triple is present.
     pub fn contains(&self, triple: &Triple) -> bool {
         if self.seen.is_empty() {
-            // Frozen or snapshot-backed store before any insert: no dedup
-            // set.
+            // Frozen store before any insert: no dedup set.
             self.triples.iter().any(|t| t == triple)
         } else {
             self.probe(triple).is_ok()
@@ -164,19 +162,6 @@ impl TripleStore {
     /// Returns the triples as a slice (insertion order).
     pub fn as_slice(&self) -> &[Triple] {
         &self.triples
-    }
-
-    /// Serializes the store as a snapshot section.
-    pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        w.section(TAG_TRIPLES, self.as_slice());
-    }
-
-    /// Reconstructs a store reading its triples in place from a snapshot.
-    pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
-        Ok(TripleStore {
-            triples: cur.next_section(TAG_TRIPLES)?,
-            ..TripleStore::default()
-        })
     }
 }
 
@@ -297,31 +282,6 @@ impl Dataset {
                 .expect("object id not in dictionary"),
         )
     }
-
-    /// Serializes dictionary and triples as snapshot sections.
-    pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        self.dictionary.write_sections(w);
-        self.triples.write_sections(w);
-    }
-
-    /// Reconstructs a dataset from snapshot sections, validating that every
-    /// triple's ids resolve against the dictionary.
-    pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
-        let dictionary = Dictionary::read_sections(cur)?;
-        let triples = TripleStore::read_sections(cur)?;
-        let num_terms = dictionary.len();
-        for t in triples.iter() {
-            if [t.s, t.p, t.o].iter().any(|id| id.index() >= num_terms) {
-                return Err(SnapshotError::Malformed(
-                    "triple references a term id outside the dictionary".into(),
-                ));
-            }
-        }
-        Ok(Dataset {
-            dictionary,
-            triples,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -427,36 +387,6 @@ mod tests {
         assert_eq!(s, Term::iri("http://s"));
         assert_eq!(p, Term::iri("http://p"));
         assert_eq!(o, Term::literal("o"));
-    }
-
-    #[test]
-    fn dataset_snapshot_round_trip_and_mutation_after_load() {
-        let mut d = Dataset::new();
-        d.insert_iris("http://a", "http://p", "http://b");
-        d.insert_iris("http://b", "http://p", "http://c");
-        d.insert(
-            &Term::iri("http://a"),
-            &Term::iri("http://q"),
-            &Term::literal("x"),
-        );
-        let mut w = turbohom_storage::SnapshotWriter::new();
-        d.write_sections(&mut w);
-        let path =
-            std::env::temp_dir().join(format!("turbohom-dataset-{}.snap", std::process::id()));
-        w.write_to(&path).unwrap();
-        let snap = turbohom_storage::Snapshot::open(&path).unwrap();
-        let mut loaded = Dataset::read_sections(&mut snap.cursor()).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(loaded.len(), d.len());
-        assert_eq!(loaded.triples.as_slice(), d.triples.as_slice());
-        for t in d.triples.iter() {
-            assert!(loaded.triples.contains(t));
-            assert_eq!(loaded.decode(t), d.decode(t));
-        }
-        // Duplicate insert after load is still rejected; a new one lands.
-        assert!(!loaded.insert_iris("http://a", "http://p", "http://b"));
-        assert!(loaded.insert_iris("http://c", "http://p", "http://a"));
-        assert_eq!(loaded.len(), d.len() + 1);
     }
 
     #[test]

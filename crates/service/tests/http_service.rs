@@ -365,10 +365,13 @@ fn post_bodies_and_error_statuses() {
         assert!(body.contains(iri), "{iri} missing from {body}");
     }
 
-    // Unknown engine → 400.
-    let (status, _, body) = get_query(addr, "SELECT ?s WHERE { ?s ?p ?o . }", "sparqlotron");
-    assert_eq!(status, "HTTP/1.1 400 Bad Request");
-    assert!(body.contains("sparqlotron"));
+    // Unknown engine → 400, a misspelt one too (`turbohom--` is not
+    // `turbohom`: nothing is stripped from the name).
+    for engine in ["sparqlotron", "turbohom--"] {
+        let (status, _, body) = get_query(addr, "SELECT ?s WHERE { ?s ?p ?o . }", engine);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{engine}");
+        assert!(body.contains(engine), "{body}");
+    }
 
     // Unknown path → 404; bad method → 405.
     let (status, _, _) = http_request(

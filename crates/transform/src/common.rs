@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::fmt;
 use turbohom_graph::{ops, Direction, ELabel, InverseLabelIndex, LabeledGraph, PredicateIndex};
 use turbohom_graph::{VLabel, VertexId};
-use turbohom_rdf::TermId;
+use turbohom_rdf::{TermId, Triple};
 use turbohom_storage::{FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (components 0x06 mappings, 0x07 transformed graph).
@@ -304,6 +304,42 @@ impl TransformedGraph {
         labels
     }
 
+    /// Every triple the graph holds, each once: the CSR's out-edges (their
+    /// predicates through the mappings), then each label row as `rdf:type`
+    /// triples, then the subclass pairs as `rdfs:subClassOf` triples. The
+    /// type-aware transformation drops no triple, so this is the loaded
+    /// triple set; the direct graph yields its edges alone.
+    pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
+        let g = &self.graph;
+        let predicate = |el: ELabel| self.mappings.elabel_to_term[el.index()];
+        let [subclass, rdf_type] = self.folded_labels().map(|l| l.map(predicate));
+        let edges = g.vertices().flat_map(move |v| {
+            g.groups(v, Direction::Outgoing, None)
+                .flat_map(move |(el, ends)| {
+                    let p = predicate(el);
+                    ends.iter().map(move |w| Triple::new(v.term(), p, w.term()))
+                })
+        });
+        let types = rdf_type.into_iter().flat_map(move |p| {
+            g.vertices().flat_map(move |v| {
+                let classes = g.labels(v).iter();
+                classes
+                    .map(move |l| Triple::new(v.term(), p, self.mappings.vlabel_to_term[l.index()]))
+            })
+        });
+        let subclasses = subclass.into_iter().flat_map(move |p| {
+            let pairs = self.schema[0].iter();
+            pairs.map(move |&pair| Triple::new(TermId((pair >> 32) as u32), p, TermId(pair as u32)))
+        });
+        edges.chain(types).chain(subclasses)
+    }
+
+    /// How many triples [`triples`](Self::triples) yields, from the array
+    /// lengths: the CSR's edges, the label entries and the subclass pairs.
+    pub fn triple_count(&self) -> usize {
+        self.graph.edge_count() + self.graph.label_entry_count() + self.schema[0].len()
+    }
+
     /// Bytes of every array of the bundle, by part: the graph's `csr` and
     /// `labels`, the two indexes and the mappings.
     pub fn memory(&self) -> [(&'static str, MemoryUse); 5] {
@@ -346,6 +382,18 @@ impl TransformedGraph {
         if schema.iter().flat_map(|pairs| pairs.iter()).any(outside) {
             return Err(SnapshotError::Malformed(
                 "schema edge endpoint is not a vertex".into(),
+            ));
+        }
+        // Every label resolves to a term, and the two folded edge labels
+        // follow the CSR's exactly when their triples exist: the subclass
+        // pairs and the label rows are then read back as triples.
+        let folded =
+            usize::from(!schema[0].is_empty()) + usize::from(graph.label_entry_count() > 0);
+        if graph.vertex_label_count() > mappings.vlabel_to_term.len()
+            || graph.edge_label_count() + folded != mappings.elabel_to_term.len()
+        {
+            return Err(SnapshotError::Malformed(
+                "the label mappings do not cover the graph's labels".into(),
             ));
         }
         Ok(TransformedGraph {
@@ -403,6 +451,9 @@ mod tests {
         let mut mappings = GraphMappings::default();
         let [v0, v1, v2] = [0, 1, 2].map(|t| VertexId::of_term(TermId(t)));
         let el = mappings.intern_elabel(TermId(20));
+        // The label rows' predicate, `rdf:type`: the folded label past the
+        // CSR's.
+        mappings.intern_elabel(TermId(21));
         mappings.intern_vlabel(TermId(30));
         mappings.intern_vlabel(TermId(31));
 

@@ -9,23 +9,23 @@
 
 use crate::common::{GraphMappings, TransformKind, TransformedGraph};
 use turbohom_graph::{layout, VertexId};
-use turbohom_rdf::Dataset;
 
-/// Applies the direct transformation to `dataset`.
-pub fn direct_transform(dataset: &Dataset) -> TransformedGraph {
+/// Applies the direct transformation to the triples `type_aware` holds
+/// (see [`TransformedGraph::triples`]).
+pub fn direct_transform(type_aware: &TransformedGraph) -> TransformedGraph {
+    // The edge labels are the type-aware graph's, in its order: its CSR's,
+    // then `rdfs:subClassOf` and `rdf:type`, which are edges here. A vertex
+    // is its term's id.
     let mut mappings = GraphMappings::default();
-
-    // First pass: intern predicates as edge labels (iteration order fixes
-    // the id assignment deterministically). A vertex is its term's id.
-    for t in dataset.triples.iter() {
-        mappings.intern_elabel(t.p);
+    for &p in type_aware.mappings.elabel_to_term.iter() {
+        mappings.intern_elabel(p);
     }
 
     // Then lay out one row per dictionary term straight from the triples; no
     // vertex has a label, and a term that is only a predicate has no edge.
-    let n = dataset.dictionary.len();
+    let n = type_aware.graph.vertex_count();
     let graph = layout(n, vec![0; n + 1], Vec::new(), |sink| {
-        for t in dataset.triples.iter() {
+        for t in type_aware.triples() {
             let p = mappings.elabel_of(t.p).expect("interned above");
             sink(VertexId::of_term(t.s), VertexId::of_term(t.o), p);
         }
@@ -37,8 +37,9 @@ pub fn direct_transform(dataset: &Dataset) -> TransformedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::type_aware_transform;
     use turbohom_graph::Direction;
-    use turbohom_rdf::vocab;
+    use turbohom_rdf::{vocab, Dataset};
 
     /// The RDF graph of paper Figure 3.
     fn figure3_dataset() -> Dataset {
@@ -78,7 +79,7 @@ mod tests {
         // Department, student1, univ1, dept1.univ1, and the two literals) and
         // 9 edges, 7 distinct edge labels.
         let ds = figure3_dataset();
-        let t = direct_transform(&ds);
+        let t = direct_transform(&type_aware_transform(&ds));
         assert_eq!(t.kind, TransformKind::Direct);
         assert_eq!(t.graph.stats().vertices, 9);
         assert_eq!(t.graph.edge_count(), 9);
@@ -93,7 +94,7 @@ mod tests {
     #[test]
     fn topology_is_preserved() {
         let ds = figure3_dataset();
-        let t = direct_transform(&ds);
+        let t = direct_transform(&type_aware_transform(&ds));
         let dict = &ds.dictionary;
         let vertex =
             |iri: &str| VertexId::of_term(dict.id_of_iri(&format!("http://ub.org/{iri}")).unwrap());
@@ -122,7 +123,7 @@ mod tests {
     #[test]
     fn predicate_index_covers_all_predicates() {
         let ds = figure3_dataset();
-        let t = direct_transform(&ds);
+        let t = direct_transform(&type_aware_transform(&ds));
         let rdf_type = t
             .mappings
             .elabel_of(ds.dictionary.id_of_iri(vocab::RDF_TYPE).unwrap())
@@ -134,7 +135,7 @@ mod tests {
     #[test]
     fn mapping_round_trips() {
         let ds = figure3_dataset();
-        let t = direct_transform(&ds);
+        let t = direct_transform(&type_aware_transform(&ds));
         assert_eq!(t.graph.vertex_count(), ds.dictionary.len());
         for (i, &term) in t.mappings.elabel_to_term.iter().enumerate() {
             let el = t.mappings.elabel_of(term).expect("interned");
@@ -146,7 +147,7 @@ mod tests {
     #[test]
     fn empty_dataset_produces_empty_graph() {
         let ds = Dataset::new();
-        let t = direct_transform(&ds);
+        let t = direct_transform(&type_aware_transform(&ds));
         assert_eq!(t.graph.vertex_count(), 0);
         assert_eq!(t.graph.edge_count(), 0);
     }
@@ -154,7 +155,7 @@ mod tests {
     #[test]
     fn literals_become_vertices() {
         let ds = figure3_dataset();
-        let t = direct_transform(&ds);
+        let t = direct_transform(&type_aware_transform(&ds));
         let phone = ds
             .dictionary
             .id_of(&turbohom_rdf::Term::literal("012-345-6789"))

@@ -385,7 +385,7 @@ mod tests {
     fn direct_query_matches_figure5_shape() {
         let ds = dataset();
         let q = parse_query(TRIANGLE_QUERY).unwrap();
-        let data = direct_transform(&ds);
+        let data = direct_transform(&type_aware_transform(&ds));
         let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
         assert!(!tq.unsatisfiable);
         assert_eq!(tq.graph.vertex_count(), 6);
@@ -484,7 +484,7 @@ mod tests {
                SELECT ?x ?t WHERE { ?x rdf:type ?t . }"#,
         )
         .unwrap();
-        let direct = direct_transform(&ds);
+        let direct = direct_transform(&type_aware_transform(&ds));
         let tq = transform_query(&q.pattern, &direct, &ds.dictionary).unwrap();
         let label = tq.graph.edge(0).label;
         assert_eq!(label, Some(elabel(&ds, &direct, vocab::RDF_TYPE)));

@@ -254,7 +254,7 @@ mod tests {
     fn edge_reduction_matches_schema_triple_count() {
         // |E_type-aware| = |E_direct| − (#type triples + #subClassOf triples).
         let ds = figure3_dataset();
-        let direct = crate::direct::direct_transform(&ds);
+        let direct = crate::direct::direct_transform(&type_aware_transform(&ds));
         let aware = type_aware_transform(&ds);
         let schema_triples = 4; // 3 rdf:type + 1 subClassOf
         assert_eq!(
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn type_edges_are_read_from_the_labels() {
         let ds = figure3_dataset();
-        let direct = crate::direct::direct_transform(&ds);
+        let direct = crate::direct::direct_transform(&type_aware_transform(&ds));
         let aware = type_aware_transform(&ds);
         // Every vertex's variable-predicate range and every edge's labels,
         // as terms, are the direct graph's.
@@ -446,11 +446,12 @@ mod tests {
         t
     }
 
-    /// The direct graph built the same straightforward way.
+    /// The direct graph built the same straightforward way, its edge labels
+    /// interned in the type-aware graph's order.
     fn reference_direct(dataset: &Dataset) -> TransformedGraph {
         let mut mappings = GraphMappings::default();
-        for t in dataset.triples.iter() {
-            mappings.intern_elabel(t.p);
+        for &p in reference_type_aware(dataset).mappings.elabel_to_term.iter() {
+            mappings.intern_elabel(p);
         }
         let mut builder = LabeledGraphBuilder::new();
         for _ in 0..dataset.dictionary.len() {
@@ -506,7 +507,10 @@ mod tests {
         for (name, ds) in &fixtures {
             let pairs = [
                 (type_aware_transform(ds), reference_type_aware(ds)),
-                (crate::direct::direct_transform(ds), reference_direct(ds)),
+                (
+                    crate::direct::direct_transform(&type_aware_transform(ds)),
+                    reference_direct(ds),
+                ),
             ];
             for (built, reference) in pairs {
                 let what = format!("{name}, {:?}", built.kind);

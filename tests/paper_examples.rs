@@ -68,8 +68,8 @@ fn figure2_matching_order_effect_shows_in_stats() {
 #[test]
 fn figure3_transformation_sizes() {
     let ds = micro::figure3();
-    let direct = direct_transform(&ds);
     let aware = type_aware_transform(&ds);
+    let direct = direct_transform(&aware);
     assert_eq!(direct.graph.stats().vertices, 9);
     assert_eq!(direct.graph.edge_count(), 9);
     assert_eq!(aware.graph.stats().vertices, 5);
@@ -110,7 +110,7 @@ fn figure8_query_graph_shape() {
         ds
     };
     let aware = type_aware_transform(&ds);
-    let direct = direct_transform(&ds);
+    let direct = direct_transform(&aware);
     let query = parse_query(&micro::figure3_query().sparql).unwrap();
     let tq_aware = transform_query(&query.pattern, &aware, &ds.dictionary).unwrap();
     let tq_direct = transform_query(&query.pattern, &direct, &ds.dictionary).unwrap();
