@@ -7,7 +7,9 @@
 use std::sync::Arc;
 use turbohom_bench::{bsbm_store, lubm_store, sharded_lubm_store};
 use turbohom_datasets::{bsbm, lubm};
-use turbohom_engine::{AnyStore, EngineKind, ExplainReport, IdResults, Store, Trace};
+use turbohom_engine::{
+    AnyStore, ComponentExplain, EngineKind, ExplainReport, IdResults, Store, Trace,
+};
 
 fn query(id: &str) -> String {
     lubm::queries()
@@ -28,8 +30,9 @@ fn analyze<'s>(
     let plan = store
         .prepare_plan_traced(sparql, kind, &Trace::disabled())
         .unwrap();
-    let mut report = store.explain(&plan);
+    let mut report = store.store().explain(&plan);
     let results = store
+        .store()
         .run_plan_traced(&plan, None, &Trace::disabled())
         .unwrap();
     report.attach_actuals(&results);
@@ -92,7 +95,8 @@ fn analyze_actuals_match_result_sizes_for_every_engine() {
         for kind in EngineKind::all() {
             let expected = single_store.execute(&q.sparql, kind).unwrap().len();
 
-            let (results, report) = analyze(&single, &q.sparql, kind);
+            let (results, single_report) = analyze(&single, &q.sparql, kind);
+            let report = &single_report;
             assert!(report.analyzed, "{} {kind}", q.id);
             assert_eq!(report.store_flavor, "single");
             assert_eq!(
@@ -122,6 +126,22 @@ fn analyze_actuals_match_result_sizes_for_every_engine() {
             // Shard row counts partition the result set.
             let shard_rows: u64 = report.shards.iter().filter_map(|s| s.rows).sum();
             assert_eq!(shard_rows as usize, expected, "{} {kind} shard rows", q.id);
+            // Each live shard's copy of the plan's components carries the
+            // one run's per-step rows: the single store's.
+            let step_rows = |components: &[ComponentExplain]| -> Vec<Vec<Option<u64>>> {
+                let steps = |c: &ComponentExplain| c.steps.iter().map(|s| s.rows).collect();
+                components.iter().map(steps).collect()
+            };
+            let expected_steps = step_rows(&single_report.components);
+            for shard in report.shards.iter().filter(|s| s.verdict == "live") {
+                assert_eq!(
+                    step_rows(&shard.components),
+                    expected_steps,
+                    "{} {kind} shard {} step rows",
+                    q.id,
+                    shard.shard
+                );
+            }
         }
     }
 }
@@ -131,7 +151,7 @@ fn analyze_actuals_match_result_sizes_for_every_engine() {
 #[test]
 fn q1_explain_at_8_shards_skips_7_and_names_the_deciding_check() {
     let sharded = sharded_lubm_store(1, 8);
-    let report = sharded.explain(
+    let report = sharded.shard(0).explain(
         &sharded
             .prepare_plan(&query("Q1"), EngineKind::TurboHomPlusPlus)
             .unwrap(),

@@ -85,7 +85,7 @@ fn the_lubm_queries_under_turbohom_plus_plus_build_nothing() {
     let merge = service
         .query(q1, with_engine(EngineKind::MergeJoin))
         .unwrap();
-    let triples = service.store().triple_count() as u64;
+    let triples = service.store().store().triple_count() as u64;
     assert_eq!(component_bytes(&service, "permutations"), 6 * 12 * triples);
     assert_eq!(component_bytes(&service, "direct"), 0);
     let built = structures_built(&service);

@@ -58,8 +58,9 @@ fn ownership_partitions_the_single_store_rows_at_every_k() {
                 let plan = sharded
                     .prepare_plan(sparql, kind)
                     .unwrap_or_else(|e| panic!("{kind} k={shards} refused {id}: {e}"));
-                let mut report = sharded.explain(&plan);
+                let mut report = sharded.shard(0).explain(&plan);
                 let results = sharded
+                    .shard(0)
                     .run_plan_traced(&plan, None, &Trace::disabled())
                     .unwrap();
                 report.attach_actuals(&results);
@@ -107,7 +108,8 @@ fn a_sharded_query_is_the_single_store_run_at_one_thread() {
                     Err(StoreError::NotShardable(_)) => continue,
                     plan => plan.unwrap_or_else(|e| panic!("{what}: {e}")),
                 };
-                let got = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
+                let got = sharded.shard(0).run_plan_traced(&plan, Some(1), &trace);
+                let got = got.unwrap();
                 let alone = single.prepare_plan(&q.sparql, kind).unwrap();
                 let expected = single.run_plan_traced(&alone, Some(1), &trace).unwrap();
                 assert!(
@@ -116,7 +118,7 @@ fn a_sharded_query_is_the_single_store_run_at_one_thread() {
                 );
                 assert_eq!(counters(&got.stats), counters(&expected.stats), "{what}");
                 let anchor_appended = matches!(plan.anchor(),
-                    Anchor::Variable(v) if !plan.projected_variables().contains(v));
+                    Some(Anchor::Variable(v)) if !plan.projected_variables().contains(v));
                 if anchor_appended {
                     appended.insert(q.id.clone());
                     let (got, expected) = (got.decode(), expected.decode());

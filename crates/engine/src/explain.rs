@@ -5,10 +5,11 @@
 //! executing it*: the transformed components, the chosen start vertex, the
 //! first non-empty candidate region's sizes, and the matching order with the
 //! per-step cardinality estimates (`|CR(u)|`, paper Section 4.3) that
-//! justified it — what the engine's prologue decides for a run. On a
-//! [`ShardedStore`] the report additionally carries the anchor and one
-//! verdict per shard: live, or routed away by the constant-anchor ownership
-//! rule.
+//! justified it — what the engine's prologue decides for a run. For a plan
+//! a [`ShardedStore`](crate::ShardedStore) routed, the report instead
+//! carries the anchor and one verdict per shard — live, or routed away by
+//! the constant-anchor ownership rule — with the components on every live
+//! shard.
 //!
 //! ANALYZE is that report with the actuals of one run of the same plan
 //! attached ([`ExplainReport::attach_actuals`]): rows produced per matching
@@ -22,7 +23,7 @@
 
 use crate::plan::{ComponentPlan, PlanMode, QueryPlan, Window};
 use crate::results::IdResults;
-use crate::sharded::{Anchor, AnyPlan, AnyStore, ShardedPlan, ShardedStore};
+use crate::sharded::Anchor;
 use crate::store::{EngineKind, Store};
 use turbohom_core::{EngineError, RunInput, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
@@ -197,37 +198,35 @@ impl ExplainReport {
     }
 
     /// Every per-step q-error recorded by ANALYZE, in matching-order
-    /// position order (what the service feeds its q-error histogram).
+    /// position order (what the service feeds its q-error histogram), each
+    /// step once: a routed plan's live shards hold copies of one component.
     pub fn step_qerrors(&self) -> Vec<f64> {
-        self.all_components()
+        let mut copies = self.shards.iter().map(|s| &s.components);
+        let components = copies.find(|c| !c.is_empty()).unwrap_or(&self.components);
+        (components.iter())
             .flat_map(|c| c.steps.iter().filter_map(|s| s.qerror))
             .collect()
     }
 
-    fn all_components(&self) -> impl Iterator<Item = &ComponentExplain> {
-        self.components
-            .iter()
-            .chain(self.shards.iter().flat_map(|s| s.components.iter()))
-    }
-
     /// Turns the EXPLAIN report of a plan into its ANALYZE report: attaches
     /// the actuals of one run of that plan. Per-step row counts are attached
-    /// when exactly one component carries a matching order (the common case
-    /// — the merged counters cannot be split across several components);
-    /// the summary counters always; and on a sharded plan each live shard's
-    /// rows, counted before the window was cut.
+    /// when exactly one component of the plan carries a matching order (the
+    /// common case — the merged counters cannot be split across several
+    /// components), to each live shard's copy of it on a routed plan; the
+    /// summary counters always; and on a routed plan each live shard's rows,
+    /// counted before the window was cut.
     pub fn attach_actuals(&mut self, results: &IdResults<'_>) {
         self.analyzed = true;
         let max_qerror = std::iter::zip(&results.step_estimates, &results.step_rows)
             .map(|(&e, &a)| qerror(e, a))
             .reduce(f64::max);
-        let mut with_steps: Vec<&mut ComponentExplain> = self
-            .components
-            .iter_mut()
-            .chain(self.shards.iter_mut().flat_map(|s| s.components.iter_mut()))
-            .filter(|c| !c.steps.is_empty())
-            .collect();
-        if let [component] = with_steps.as_mut_slice() {
+        let copies = std::iter::once(&mut self.components)
+            .chain(self.shards.iter_mut().map(|s| &mut s.components));
+        for components in copies {
+            let mut with_steps = components.iter_mut().filter(|c| !c.steps.is_empty());
+            let (Some(component), None) = (with_steps.next(), with_steps.next()) else {
+                continue;
+            };
             for step in component.steps.iter_mut() {
                 if let Some(&estimate) = results.step_estimates.get(step.position) {
                     step.estimate = estimate;
@@ -421,7 +420,8 @@ impl Store {
     /// plan tree the plan's engine runs (see the module docs for what it
     /// holds).
     pub fn explain(&self, plan: &QueryPlan) -> ExplainReport {
-        let mut report = ExplainReport::new(plan.kind(), "single", plan.window);
+        let flavor = plan.routing.as_ref().map_or("single", |_| "sharded");
+        let mut report = ExplainReport::new(plan.kind(), flavor, plan.window);
         // Only a graph plan's branch of one component is known to hand the
         // LIMIT to a run: the join baselines and a cartesian product of
         // components cut it from what was found. A branch of several
@@ -446,58 +446,29 @@ impl Store {
                 }
             }
         }
+        // A routed plan hands no LIMIT to a run (its rows are counted per
+        // shard before the cut), so no component was capped.
         report.limit_pushdown &= pushed;
-        report
-    }
-}
-
-impl ShardedStore {
-    /// Explains a prepared sharded plan **without executing it**: the
-    /// anchor, each shard's verdict (live, or routed away from by a
-    /// constant anchor) and, on every live shard, the components of the one
-    /// plan they share.
-    pub fn explain(&self, plan: &ShardedPlan) -> ExplainReport {
-        let mut report = ExplainReport::new(plan.kind(), "sharded", plan.window);
-        report.anchor = Some(match plan.anchor() {
-            Anchor::Variable(v) => format!("?{v}"),
-            Anchor::Constant(t) => t.to_string(),
-        });
-        let components = self.shard(0).explain(&plan.plan).components;
-        for i in 0..self.shard_count() {
-            let live = plan.live_shards().contains(&i);
-            report.shards.push(ShardExplain {
-                shard: i,
-                triples: self.triple_count(),
-                verdict: if live { "live" } else { "routed-away" },
-                components: if live { components.clone() } else { Vec::new() },
-                rows: None,
+        if let Some(routing) = &plan.routing {
+            report.anchor = Some(match &routing.anchor {
+                Anchor::Variable(v) => format!("?{v}"),
+                Anchor::Constant(t) => t.to_string(),
             });
+            let components = std::mem::take(&mut report.components);
+            report.shards = (0..routing.shards())
+                .map(|shard| {
+                    let live = routing.live.contains(&shard);
+                    ShardExplain {
+                        shard,
+                        triples: self.triple_count(),
+                        verdict: if live { "live" } else { "routed-away" },
+                        components: if live { components.clone() } else { Vec::new() },
+                        rows: None,
+                    }
+                })
+                .collect();
         }
-        // The plan carries no window: the LIMIT is cut after the run.
-        report.limit_pushdown = false;
         report
-    }
-}
-
-impl AnyStore {
-    /// `"single"` or `"sharded"` (the store-flavor label on per-engine
-    /// metrics and EXPLAIN reports).
-    pub fn flavor_name(&self) -> &'static str {
-        match self {
-            AnyStore::Single(_) => "single",
-            AnyStore::Sharded(_) => "sharded",
-        }
-    }
-
-    /// Dispatches [`Store::explain`] / [`ShardedStore::explain`]. Panics if
-    /// the plan came from the other store flavor, like
-    /// [`run_plan_traced`](Self::run_plan_traced).
-    pub fn explain(&self, plan: &AnyPlan) -> ExplainReport {
-        match (self, plan) {
-            (AnyStore::Single(s), AnyPlan::Single(p)) => s.explain(p),
-            (AnyStore::Sharded(s), AnyPlan::Sharded(p)) => s.explain(p),
-            _ => panic!("plan prepared by a different store flavor"),
-        }
     }
 }
 
@@ -505,7 +476,7 @@ impl AnyStore {
 mod tests {
     use super::*;
     use crate::error::StoreError;
-    use crate::sharded::ShardedOptions;
+    use crate::sharded::{AnyStore, ShardedOptions, ShardedStore};
     use crate::store::StoreOptions;
     use std::sync::Arc;
     use turbohom_rdf::{vocab, Dataset};
@@ -555,9 +526,11 @@ mod tests {
         store.explain(&store.prepare_plan(sparql, kind).unwrap())
     }
 
-    /// EXPLAIN of a freshly prepared sharded plan.
+    /// EXPLAIN of a freshly prepared routed plan.
     fn sharded_explain(store: &ShardedStore, sparql: &str, kind: EngineKind) -> ExplainReport {
-        store.explain(&store.prepare_plan(sparql, kind).unwrap())
+        store
+            .shard(0)
+            .explain(&store.prepare_plan(sparql, kind).unwrap())
     }
 
     /// ANALYZE as the server composes it: the EXPLAIN report of a prepared
@@ -566,8 +539,8 @@ mod tests {
         let trace = Trace::disabled();
         let kind = EngineKind::TurboHomPlusPlus;
         let plan = store.prepare_plan_traced(sparql, kind, &trace).unwrap();
-        let mut report = store.explain(&plan);
-        let results = store.run_plan_traced(&plan, None, &trace).unwrap();
+        let mut report = store.store().explain(&plan);
+        let results = store.store().run_plan_traced(&plan, None, &trace).unwrap();
         report.attach_actuals(&results);
         (results, report)
     }
@@ -668,7 +641,7 @@ mod tests {
         assert!(!report.limit_pushdown);
         // Where the LIMIT is cut from what was found, no enumerator gets it:
         // the join baselines, a cartesian product of two components, and
-        // shard plans, which carry no window (the merge applies it).
+        // routed plans, whose run counts each shard's rows before the cut.
         for kind in [EngineKind::MergeJoin, EngineKind::HashJoin] {
             let report = explain(&store, &limited, kind);
             assert_eq!(
@@ -825,6 +798,17 @@ mod tests {
             assert!(!live.is_empty());
             let total: u64 = live.iter().map(|s| s.rows.unwrap()).sum();
             assert_eq!(total as usize, results.row_count(), "k={shards}");
+            // Each live shard's copy of the one component carries the one
+            // run's per-step rows: the single store's, each step once in the
+            // q-errors.
+            let (_, single) = explain_and_run(&AnyStore::Single(Arc::new(sample_store())), Q);
+            let steps = |c: &ComponentExplain| c.steps.iter().map(|s| s.rows).collect::<Vec<_>>();
+            let expected = steps(&single.components[0]);
+            assert!(expected.iter().all(Option::is_some));
+            for shard in &live {
+                assert_eq!(steps(&shard.components[0]), expected, "k={shards}");
+            }
+            assert_eq!(report.step_qerrors(), single.step_qerrors(), "k={shards}");
             let skipped = report.shards.iter().filter(|s| s.verdict != "live");
             assert!(skipped.into_iter().all(|s| s.rows.is_none()));
             // Shard rows are what the shard contributed, not what a LIMIT
@@ -858,7 +842,8 @@ mod tests {
             let plan = store
                 .prepare_plan_traced(Q, EngineKind::TurboHomPlusPlus, &Trace::disabled())
                 .unwrap();
-            assert_eq!(store.explain(&plan).store_flavor, store.flavor_name());
+            let report = store.store().explain(&plan);
+            assert_eq!(report.store_flavor, store.flavor_name());
             let (results, report) = explain_and_run(store, Q);
             assert_eq!(results.len(), 10);
             assert!(report.analyzed);

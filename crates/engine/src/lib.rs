@@ -26,7 +26,7 @@ pub use explain::{
 };
 pub use plan::QueryPlan;
 pub use results::{ExtraMembers, IdResults, QueryResults, ResultRow};
-pub use sharded::{Anchor, AnyPlan, AnyStore, ShardedOptions, ShardedPlan, ShardedStore};
+pub use sharded::{Anchor, AnyStore, ShardedOptions, ShardedStore};
 pub use store::{EngineKind, ParseEngineKindError, PreparedQuery, Store, StoreOptions};
 // Re-exported where it lived before it moved to the JSON crate (the bench
 // recorder still builds its record with it).
@@ -55,7 +55,5 @@ const _: () = {
     assert_send_sync::<IdResults<'static>>();
     assert_send_sync::<StoreError>();
     assert_send_sync::<ShardedStore>();
-    assert_send_sync::<ShardedPlan>();
     assert_send_sync::<AnyStore>();
-    assert_send_sync::<AnyPlan>();
 };

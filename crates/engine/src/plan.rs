@@ -23,6 +23,7 @@
 
 use crate::error::StoreError;
 use crate::results::{IdResults, QueryResults};
+use crate::sharded::{Anchor, Routing};
 use crate::store::{collect_filters, split_components, EngineKind, Store};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -39,12 +40,18 @@ use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{transform_query, TransformedGraph, TransformedQuery};
 
 /// A fully prepared query: parsed, union-expanded, component-split and
-/// transformed for one [`EngineKind`] against one [`Store`].
+/// transformed for one [`EngineKind`] against one [`Store`]. A plan a
+/// [`ShardedStore`](crate::ShardedStore) prepared also carries its routing:
+/// the anchor, the live shards and the ownership bits its run counts each
+/// shard's rows by.
 pub struct QueryPlan {
     kind: EngineKind,
+    /// The run's columns: the query's projection, then on a routed plan the
+    /// anchor variable when the query did not ask for it.
     projected: Vec<String>,
     pub(crate) window: Window,
     pub(crate) mode: PlanMode,
+    pub(crate) routing: Option<Routing>,
 }
 
 pub(crate) enum PlanMode {
@@ -127,13 +134,36 @@ impl QueryPlan {
 
     /// The projected variable names, in output order.
     pub fn projected_variables(&self) -> &[String] {
-        &self.projected
+        let width = self
+            .routing
+            .as_ref()
+            .map_or(self.projected.len(), |r| r.width);
+        &self.projected[..width]
     }
 
     /// The `LIMIT` a run may stop at: the query's, unless an `OFFSET` makes
-    /// the skipped rows count too.
+    /// the skipped rows count too, or the plan is routed (its run counts
+    /// each shard's rows before it cuts the window).
     pub fn pushed_limit(&self) -> Option<usize> {
-        self.window.pushed_limit()
+        self.window
+            .pushed_limit()
+            .filter(|_| self.routing.is_none())
+    }
+
+    /// The shards a routed plan runs for, in ascending order (none on an
+    /// unrouted plan).
+    pub fn live_shards(&self) -> &[usize] {
+        self.routing.as_ref().map_or(&[], |r| &r.live)
+    }
+
+    /// Number of shards a constant anchor routed the query away from.
+    pub fn pruned_shards(&self) -> usize {
+        self.routing.as_ref().map_or(0, Routing::pruned)
+    }
+
+    /// The anchor a routed plan counts its shards' rows by.
+    pub fn anchor(&self) -> Option<&Anchor> {
+        self.routing.as_ref().map(|r| &r.anchor)
     }
 
     /// Number of transformed connected components across all branches
@@ -227,6 +257,12 @@ pub(crate) fn window_of(query: &Query) -> Result<Window, StoreError> {
     })
 }
 
+/// Parses a SPARQL query, recording a `parse` stage span into `trace`.
+pub(crate) fn parse_traced(sparql: &str, trace: &Trace) -> Result<Query, StoreError> {
+    let _span = trace.span("parse");
+    Ok(turbohom_sparql::parse_query(sparql)?)
+}
+
 impl Store {
     /// Parses a SPARQL query and builds the full execution plan for `kind`.
     pub fn prepare_plan(&self, sparql: &str, kind: EngineKind) -> Result<QueryPlan, StoreError> {
@@ -241,12 +277,19 @@ impl Store {
         kind: EngineKind,
         trace: &Trace,
     ) -> Result<QueryPlan, StoreError> {
-        let query = {
-            let _span = trace.span("parse");
-            turbohom_sparql::parse_query(sparql)?
-        };
+        self.plan_traced(&parse_traced(sparql, trace)?, kind, trace)
+    }
+
+    /// [`plan_query`](Self::plan_query), recorded as a `transform` stage
+    /// span into `trace`.
+    pub(crate) fn plan_traced(
+        &self,
+        query: &Query,
+        kind: EngineKind,
+        trace: &Trace,
+    ) -> Result<QueryPlan, StoreError> {
         let mut span = trace.span("transform");
-        let plan = self.plan_query(&query, kind)?;
+        let plan = self.plan_query(query, kind)?;
         span.counter("components", plan.component_count() as u64);
         span.finish();
         Ok(plan)
@@ -281,6 +324,7 @@ impl Store {
                 query: query.clone(),
                 strategy,
             },
+            routing: None,
         })
     }
 
@@ -306,6 +350,7 @@ impl Store {
                 config,
                 branches: self.plan_branches(query, self.graph_of(kind))?,
             },
+            routing: None,
         })
     }
 
@@ -326,13 +371,15 @@ impl Store {
             .decode())
     }
 
-    /// The run half behind every entry point: runs a prepared plan,
-    /// optionally overriding the worker-thread count for this run only (the
-    /// join baselines are single-threaded and ignore the override), and
+    /// The one run of every plan, behind every entry point: runs a prepared
+    /// plan, optionally overriding the worker-thread count for this run only
+    /// (the join baselines are single-threaded and ignore the override), and
     /// returns the result as term ids (what a server serialises from; see
-    /// [`IdResults`]), rows in enumeration order. Records two stage spans
-    /// into `trace`: `execute`, the matching (one span per union branch),
-    /// and `materialise`, the projection of the matches to term ids. With a
+    /// [`IdResults`]), rows in enumeration order. A routed plan's run counts
+    /// each live shard's rows before it cuts the query's window. Records two
+    /// stage spans into `trace`: `execute`, the matching (one span per union
+    /// branch), and `materialise`, the projection of the matches to term ids,
+    /// the shard count and the window cut. With a
     /// [detailed](Trace::is_detailed) trace the matching engine additionally
     /// records `candidate_regions`, `matching_order`, `enumeration` and
     /// per-worker spans as children of `execute`, and the FILTER pass over a
@@ -343,22 +390,6 @@ impl Store {
         plan: &QueryPlan,
         threads: Option<usize>,
         trace: &Trace,
-    ) -> Result<IdResults<'_>, StoreError> {
-        self.run_plan_then(plan, threads, trace, |results| {
-            results.apply_window(plan.window)
-        })
-    }
-
-    /// [`run_plan_traced`](Self::run_plan_traced) with `finish` in place of
-    /// cutting the plan's window: what a run does last with its rows (on a
-    /// sharded store, counting each shard's rows, then cutting the query's
-    /// window), timed as part of `materialise`.
-    pub(crate) fn run_plan_then(
-        &self,
-        plan: &QueryPlan,
-        threads: Option<usize>,
-        trace: &Trace,
-        finish: impl FnOnce(&mut IdResults<'_>),
     ) -> Result<IdResults<'_>, StoreError> {
         if threads == Some(0) {
             return Err(StoreError::InvalidThreadCount(0));
@@ -378,7 +409,11 @@ impl Store {
             }
         };
         let finishing = Instant::now();
-        finish(&mut results);
+        if let Some(routing) = &plan.routing {
+            routing.count(&mut results);
+        }
+        results.apply_window(plan.window);
+        results.variables.truncate(plan.projected_variables().len());
         materialise.took += finishing.elapsed();
         results.elapsed = started.elapsed();
         let span = trace.record_rollup(

@@ -8,12 +8,14 @@
 //! **Ownership routing** decides at plan time which shards are live: a
 //! constant anchor routes the query to its owner shard alone, a variable
 //! anchor leaves every shard live. Either way the query is transformed once
-//! and run once over the store, with the request's worker threads: the rows
-//! are the single store's, in its enumeration order, with its rendering. The
-//! run then counts each live shard's rows — the owner of a constant anchor
-//! counts every row, and under a variable anchor a row counts for the shard
-//! that owns its anchor binding (one bit per term id), so the counts
-//! partition the answer — and cuts the query's window last.
+//! into an ordinary [`QueryPlan`] that carries its routing, and
+//! [`Store::run_plan_traced`] runs it once over the store, with the
+//! request's worker threads: the rows are the single store's, in its
+//! enumeration order, with its rendering. The run then counts each live
+//! shard's rows — the owner of a constant anchor counts every row, and under
+//! a variable anchor a row counts for the shard that owns its anchor binding
+//! (one bit per term id), so the counts partition the answer — and cuts the
+//! query's window last.
 //!
 //! Queries without an anchor bound in every row (UNION, or a pattern of
 //! schema triples only) fail with [`StoreError::NotShardable`]; the
@@ -23,13 +25,12 @@
 //! snapshot file holds one [`Store`].
 
 use crate::error::StoreError;
-use crate::plan::{window_of, QueryPlan, Window};
+use crate::plan::{parse_traced, window_of, QueryPlan};
 use crate::results::{IdResults, QueryResults};
 use crate::store::{EngineKind, Store, StoreOptions};
-use std::path::Path;
 use std::sync::Arc;
 use turbohom_rdf::{vocab, Dataset, Dictionary, IdRows, Term, TermId, TermRef};
-use turbohom_sparql::{parse_query, GroupPattern, Query, Selection, SparqlTerm};
+use turbohom_sparql::{GroupPattern, Query, Selection, SparqlTerm};
 use turbohom_storage::{fnv1a, FNV_OFFSET};
 use turbohom_trace::Trace;
 
@@ -172,13 +173,66 @@ fn has_nested_union(group: &GroupPattern) -> bool {
         .any(|g| !g.unions.is_empty() || has_nested_union(g))
 }
 
+/// How a sharded store routes a [`QueryPlan`]: what the one run of the plan
+/// counts per shard before it cuts the query's window.
+pub(crate) struct Routing {
+    pub(crate) anchor: Anchor,
+    /// Column of the anchor variable in the run's rows (`None` for constant
+    /// anchors, which route instead of counting by column). It lies past the
+    /// query's own columns when the query did not ask for the variable.
+    anchor_column: Option<usize>,
+    /// How many of the run's columns are the query's own projection.
+    pub(crate) width: usize,
+    /// The anchor's owner for a constant anchor, every shard otherwise;
+    /// ascending.
+    pub(crate) live: Vec<usize>,
+    /// Per shard, its [`owned_bits`]: the store's, shared.
+    owned: Arc<[Vec<u64>]>,
+}
+
+impl Routing {
+    /// Number of shards of the store the plan was prepared on.
+    pub(crate) fn shards(&self) -> usize {
+        self.owned.len()
+    }
+
+    /// Number of shards a constant anchor routed the query away from.
+    pub(crate) fn pruned(&self) -> usize {
+        self.shards() - self.live.len()
+    }
+
+    /// Counts each live shard's rows of a run and says how many shards ran
+    /// and were pruned. A constant anchor's owner counts every row; else a
+    /// row counts for the shard that owns its anchor binding. The anchor
+    /// comes from a required triple, so it is bound in every row; an absent
+    /// binding counts for shard 0. A shard routed away from counts `None`.
+    pub(crate) fn count(&self, results: &mut IdResults<'_>) {
+        let mut counts = vec![0; self.shards()];
+        match self.anchor_column {
+            None => counts[self.live[0]] = results.rows.len(),
+            Some(column) => {
+                for row in results.rows.iter() {
+                    let owner = IdRows::term_id(row[column])
+                        .and_then(|id| self.owned.iter().position(|bits| owns(bits, id)));
+                    counts[owner.unwrap_or(0)] += 1;
+                }
+            }
+        }
+        let counts = counts.into_iter().enumerate();
+        let live = counts.map(|(i, n)| self.live.contains(&i).then_some(n));
+        results.shard_rows = live.collect();
+        results.stats.shards_executed = self.live.len();
+        results.stats.shards_pruned = self.pruned();
+    }
+}
+
 /// One [`Store`] and, for each shard, the bits of the term ids it owns.
 ///
 /// `Send + Sync` like `Store`; services share one behind an `Arc`.
 pub struct ShardedStore {
     store: Arc<Store>,
     /// Per shard, its [`owned_bits`].
-    owned: Vec<Vec<u64>>,
+    owned: Arc<[Vec<u64>]>,
 }
 
 impl std::fmt::Debug for ShardedStore {
@@ -204,7 +258,7 @@ impl ShardedStore {
                 threads: options.threads,
             },
         );
-        let owned = owned_bits(store.dictionary(), options.shards.max(1));
+        let owned = owned_bits(store.dictionary(), options.shards.max(1)).into();
         Ok(ShardedStore {
             store: Arc::new(store),
             owned,
@@ -226,113 +280,55 @@ impl ShardedStore {
         self.store.triple_count()
     }
 
-    /// Parses a SPARQL query and builds the sharded plan for `kind`.
-    pub fn prepare_plan(&self, sparql: &str, kind: EngineKind) -> Result<ShardedPlan, StoreError> {
+    /// Parses a SPARQL query and builds its routed plan for `kind`.
+    pub fn prepare_plan(&self, sparql: &str, kind: EngineKind) -> Result<QueryPlan, StoreError> {
         self.prepare_plan_traced(sparql, kind, &Trace::disabled())
     }
 
     /// Like [`prepare_plan`](Self::prepare_plan), recording `parse` and
-    /// `transform` stage spans.
+    /// `transform` stage spans. The plan is the store's plan of the query
+    /// with the anchor variable added to the projection when the count needs
+    /// a column the query did not ask for (no reader of the result looks
+    /// past the query's own columns), and the routing set: a constant anchor
+    /// routes to its owner shard, a variable one leaves every shard live,
+    /// each counting by its column.
     pub fn prepare_plan_traced(
         &self,
         sparql: &str,
         kind: EngineKind,
         trace: &Trace,
-    ) -> Result<ShardedPlan, StoreError> {
-        let query = {
-            let _span = trace.span("parse");
-            parse_query(sparql)?
-        };
+    ) -> Result<QueryPlan, StoreError> {
+        let mut query = parse_traced(sparql, trace)?;
         // Before routing: the refusal must not depend on the data.
-        let window = window_of(&query)?;
+        window_of(&query)?;
         let anchor = choose_anchor(&query).map_err(StoreError::NotShardable)?;
-
-        // The query the store runs: no LIMIT/OFFSET (the window is cut after
-        // the shards' rows are counted), and the anchor variable added to
-        // the projection when the count needs a column the query did not
-        // ask for (no reader of the result looks past the query's own
-        // columns). A constant anchor routes to its owner shard; a variable
-        // one leaves every shard live, each counting by its column.
-        let mut routed = query.clone();
-        routed.limit = None;
-        routed.offset = None;
-        let shards = self.shard_count();
+        let mut projected = query.projected_variables();
+        let width = projected.len();
         let (live, anchor_column) = match &anchor {
-            Anchor::Constant(term) => (vec![owner(term, shards)], None),
+            Anchor::Constant(term) => (vec![owner(term, self.shard_count())], None),
             Anchor::Variable(var) => {
-                let mut projected = query.projected_variables();
-                if !projected.contains(var) {
+                let column = projected.iter().position(|v| v == var).unwrap_or_else(|| {
                     projected.push(var.clone());
-                    routed.selection = Selection::Variables(projected.clone());
-                }
-                let column = projected.iter().position(|v| v == var).unwrap();
-                ((0..shards).collect(), Some(column))
+                    query.selection = Selection::Variables(projected);
+                    width
+                });
+                ((0..self.shard_count()).collect(), Some(column))
             }
         };
-
-        let mut span = trace.span("transform");
-        let plan = self.store.plan_query(&routed, kind)?;
-        span.counter("components", plan.component_count() as u64);
-        span.finish();
-
-        Ok(ShardedPlan {
-            projected: query.projected_variables(),
-            window,
+        let mut plan = self.store.plan_traced(&query, kind, trace)?;
+        plan.routing = Some(Routing {
             anchor,
             anchor_column,
-            shards,
+            width,
             live,
-            plan,
-        })
+            owned: Arc::clone(&self.owned),
+        });
+        Ok(plan)
     }
 
-    /// Runs a sharded plan and decodes the result.
-    pub fn run_plan(&self, plan: &ShardedPlan) -> Result<QueryResults, StoreError> {
-        Ok(self
-            .run_plan_traced(plan, None, &Trace::disabled())?
-            .decode())
-    }
-
-    /// Runs a sharded plan: its one query plan, once over the store with
-    /// `threads`, then counts each live shard's rows and cuts the query's
-    /// window. Records the single store's `execute` and `materialise`
-    /// stage spans; the count and the cut are timed under `materialise`.
-    pub fn run_plan_traced(
-        &self,
-        plan: &ShardedPlan,
-        threads: Option<usize>,
-        trace: &Trace,
-    ) -> Result<IdResults<'_>, StoreError> {
-        let mut results = self
-            .store
-            .run_plan_then(&plan.plan, threads, trace, |results| {
-                results.shard_rows = self.shard_rows(plan, &results.rows);
-                results.apply_window(plan.window);
-            })?;
-        results.variables.truncate(plan.projected.len());
-        results.stats.shards_executed = plan.live.len();
-        results.stats.shards_pruned = plan.pruned_shards();
-        Ok(results)
-    }
-
-    /// Per shard, the rows of `rows` it counts (`None` for a shard the
-    /// plan routed away from): every row for a constant anchor's owner,
-    /// else the rows whose anchor binding the shard owns. The anchor comes
-    /// from a required triple, so it is bound in every row; an absent
-    /// binding counts for shard 0.
-    fn shard_rows(&self, plan: &ShardedPlan, rows: &IdRows) -> Vec<Option<usize>> {
-        let Some(column) = plan.anchor_column else {
-            let mut counts = vec![None; self.shard_count()];
-            counts[plan.live[0]] = Some(rows.len());
-            return counts;
-        };
-        let mut counts = vec![0; self.shard_count()];
-        for row in rows.iter() {
-            let owner = IdRows::term_id(row[column])
-                .and_then(|id| self.owned.iter().position(|bits| owns(bits, id)));
-            counts[owner.unwrap_or(0)] += 1;
-        }
-        counts.into_iter().map(Some).collect()
+    /// Runs a routed plan and decodes the result.
+    pub fn run_plan(&self, plan: &QueryPlan) -> Result<QueryResults, StoreError> {
+        self.store.run_plan(plan)
     }
 
     /// Parses and executes in one call (tests and examples; services cache
@@ -342,57 +338,10 @@ impl ShardedStore {
     }
 }
 
-/// A prepared sharded plan: the shards ownership routing leaves live, and
-/// the one single-store plan they share.
-pub struct ShardedPlan {
-    projected: Vec<String>,
-    /// Cut after the shards' rows are counted; the plan carries neither
-    /// modifier.
-    pub(crate) window: Window,
-    anchor: Anchor,
-    /// Column of the anchor variable in the plan's output (`None` for
-    /// constant anchors, which route instead of counting by column). It lies
-    /// past the projected columns when the query did not ask for the
-    /// variable.
-    anchor_column: Option<usize>,
-    /// Number of shards of the store the plan was prepared on.
-    shards: usize,
-    /// The anchor's owner for a constant anchor, every shard otherwise;
-    /// ascending.
-    live: Vec<usize>,
-    /// The query transformed once, over the one store.
-    pub(crate) plan: QueryPlan,
-}
-
-impl ShardedPlan {
-    /// The engine the plan was prepared for.
-    pub fn kind(&self) -> EngineKind {
-        self.plan.kind()
-    }
-
-    /// The projected variable names, in output order.
-    pub fn projected_variables(&self) -> &[String] {
-        &self.projected
-    }
-
-    /// The shards that will execute, in ascending order.
-    pub fn live_shards(&self) -> &[usize] {
-        &self.live
-    }
-
-    /// Number of shards a constant anchor routed the query away from.
-    pub fn pruned_shards(&self) -> usize {
-        self.shards - self.live.len()
-    }
-
-    /// The anchor the plan routes and filters by.
-    pub fn anchor(&self) -> &Anchor {
-        &self.anchor
-    }
-}
-
-/// Either a single [`Store`] or a [`ShardedStore`], behind one dispatch
-/// surface so the service layer stays agnostic.
+/// Either a single [`Store`] or a [`ShardedStore`], behind one preparing
+/// surface so the service layer stays agnostic: whichever prepared it,
+/// [`Store::run_plan_traced`] on [`store`](Self::store) runs a plan, and
+/// [`Store::explain`] explains it.
 #[derive(Clone)]
 pub enum AnyStore {
     /// The classic single-store path.
@@ -402,45 +351,17 @@ pub enum AnyStore {
 }
 
 impl AnyStore {
-    /// Prepares a plan, recording stage spans into `trace`.
+    /// Prepares a plan (routed on the sharded flavor), recording stage spans
+    /// into `trace`.
     pub fn prepare_plan_traced(
         &self,
         sparql: &str,
         kind: EngineKind,
         trace: &Trace,
-    ) -> Result<AnyPlan, StoreError> {
+    ) -> Result<QueryPlan, StoreError> {
         match self {
-            AnyStore::Single(s) => Ok(AnyPlan::Single(Arc::new(
-                s.prepare_plan_traced(sparql, kind, trace)?,
-            ))),
-            AnyStore::Sharded(s) => Ok(AnyPlan::Sharded(Arc::new(
-                s.prepare_plan_traced(sparql, kind, trace)?,
-            ))),
-        }
-    }
-
-    /// Runs a prepared plan, recording execution spans into `trace`; the
-    /// result comes back as term ids. Panics if the plan came from the other
-    /// store flavor (the service keys its cache per store, so plans never
-    /// cross).
-    pub fn run_plan_traced(
-        &self,
-        plan: &AnyPlan,
-        threads: Option<usize>,
-        trace: &Trace,
-    ) -> Result<IdResults<'_>, StoreError> {
-        match (self, plan) {
-            (AnyStore::Single(s), AnyPlan::Single(p)) => s.run_plan_traced(p, threads, trace),
-            (AnyStore::Sharded(s), AnyPlan::Sharded(p)) => s.run_plan_traced(p, threads, trace),
-            _ => panic!("plan prepared by a different store flavor"),
-        }
-    }
-
-    /// Triples loaded.
-    pub fn triple_count(&self) -> usize {
-        match self {
-            AnyStore::Single(s) => s.triple_count(),
-            AnyStore::Sharded(s) => s.triple_count(),
+            AnyStore::Single(s) => s.prepare_plan_traced(sparql, kind, trace),
+            AnyStore::Sharded(s) => s.prepare_plan_traced(sparql, kind, trace),
         }
     }
 
@@ -453,23 +374,17 @@ impl AnyStore {
         }
     }
 
-    /// The snapshot file backing this store, if any.
-    pub fn snapshot_path(&self) -> Option<&Path> {
+    /// `"single"` or `"sharded"` (the store-flavor label on per-engine
+    /// metrics and EXPLAIN reports).
+    pub fn flavor_name(&self) -> &'static str {
         match self {
-            AnyStore::Single(s) => s.snapshot_path(),
-            AnyStore::Sharded(_) => None,
+            AnyStore::Single(_) => "single",
+            AnyStore::Sharded(_) => "sharded",
         }
     }
 
-    /// `true` when the store reads from a memory-mapped snapshot.
-    pub fn is_mapped(&self) -> bool {
-        match self {
-            AnyStore::Single(s) => s.is_mapped(),
-            AnyStore::Sharded(_) => false,
-        }
-    }
-
-    /// The one store behind either flavor.
+    /// The one store behind either flavor: what runs and explains every
+    /// plan.
     pub fn store(&self) -> &Arc<Store> {
         match self {
             AnyStore::Single(s) => s,
@@ -487,19 +402,10 @@ impl AnyStore {
     }
 }
 
-/// A prepared plan for either store flavor (what the service's plan cache
-/// holds).
-#[derive(Clone)]
-pub enum AnyPlan {
-    /// Plan against a single store.
-    Single(Arc<QueryPlan>),
-    /// Plan against a sharded store.
-    Sharded(Arc<ShardedPlan>),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbohom_sparql::parse_query;
 
     /// `turbohom_bench::canonical_json`, which this crate's unit tests cannot
     /// link: the body with its rows sorted, for comparing results whose
@@ -618,7 +524,7 @@ mod tests {
         let plan = sharded
             .prepare_plan(QUERIES[1], EngineKind::TurboHomPlusPlus)
             .unwrap();
-        assert!(matches!(plan.anchor(), Anchor::Constant(_)));
+        assert!(matches!(plan.anchor(), Some(Anchor::Constant(_))));
         assert!(plan.live_shards().len() <= 1);
         assert!(plan.pruned_shards() >= 3);
         let r = sharded.run_plan(&plan).unwrap();
@@ -670,23 +576,26 @@ mod tests {
     }
 
     #[test]
-    fn limit_and_offset_apply_after_the_merge() {
+    fn limit_and_offset_apply_after_the_shard_count() {
         let single = single_store();
         let sharded = sharded(3);
         for kind in EngineKind::all() {
             let all = single.execute(QUERIES[0], kind).unwrap();
             assert_eq!(all.rows.len(), 10);
             // Any 4 rows of the full answer are a valid LIMIT answer.
-            let r = sharded
-                .execute(&format!("{} LIMIT 4", QUERIES[0]), kind)
+            let plan = sharded
+                .prepare_plan(&format!("{} LIMIT 4", QUERIES[0]), kind)
                 .unwrap();
+            assert_eq!(plan.pushed_limit(), None, "{kind}");
+            let r = sharded.run_plan(&plan).unwrap();
             assert_eq!((r.rows.len(), r.solution_count), (4, 4), "{kind}");
             assert!(r.rows.iter().all(|row| all.rows.contains(row)), "{kind}");
-            // The window is cut from the gathered rows, whichever shard
-            // they came from.
+            // The window is cut from the counted rows, whichever shard
+            // counts them.
             let gathered = sharded.execute(QUERIES[0], kind).unwrap();
             let q = format!("{} LIMIT 4 OFFSET 7", QUERIES[0]);
             let plan = sharded.prepare_plan(&q, kind).unwrap();
+            assert_eq!(plan.pushed_limit(), None, "{kind}");
             let r = sharded.run_plan(&plan).unwrap();
             assert_eq!(r.solution_count, 3, "{kind}");
             assert_eq!(r.rows, gathered.rows[7..], "{kind}");
@@ -699,14 +608,20 @@ mod tests {
         let kind = EngineKind::TurboHomPlusPlus;
         let plan = sharded.prepare_plan(QUERIES[0], kind).unwrap();
         let trace = Trace::disabled();
-        let all = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
+        let all = sharded
+            .shard(0)
+            .run_plan_traced(&plan, Some(1), &trace)
+            .unwrap();
         let all = all.decode().rows;
         assert_eq!(all.len(), 10);
         // Across the middle of the answer, and from inside it to its end.
         for (offset, limit) in [(4, 2), (1, 9)] {
             let q = format!("{} LIMIT {limit} OFFSET {offset}", QUERIES[0]);
             let plan = sharded.prepare_plan(&q, kind).unwrap();
-            let windowed = sharded.run_plan_traced(&plan, Some(1), &trace).unwrap();
+            let windowed = sharded
+                .shard(0)
+                .run_plan_traced(&plan, Some(1), &trace)
+                .unwrap();
             assert_eq!(windowed.len(), limit, "{offset} {limit}");
             let body = windowed.to_sparql_json();
             let rows = windowed.decode().rows;
@@ -746,7 +661,10 @@ mod tests {
         let plan = sharded
             .prepare_plan_traced(QUERIES[0], EngineKind::TurboHomPlusPlus, &trace)
             .unwrap();
-        sharded.run_plan_traced(&plan, None, &trace).unwrap();
+        sharded
+            .shard(0)
+            .run_plan_traced(&plan, None, &trace)
+            .unwrap();
         let report = trace.finish();
         let names: Vec<_> = report
             .spans
@@ -774,15 +692,17 @@ mod tests {
         let behind = sharded_store.sharded().expect("the sharded flavor");
         assert_eq!(behind.shard_count(), 2);
         assert_eq!(sharded_store.backend_name(), "sharded-heap");
-        assert_eq!(single.triple_count(), sharded_store.triple_count());
+        let triples = |s: &AnyStore| s.store().triple_count();
+        assert_eq!(triples(&single), triples(&sharded_store));
         let trace = Trace::disabled();
         let mut bodies = Vec::new();
         for store in [&single, &sharded_store] {
             let plan = store
                 .prepare_plan_traced(QUERIES[0], EngineKind::TurboHomPlusPlus, &trace)
                 .unwrap();
-            assert_eq!(store.explain(&plan).engine, EngineKind::TurboHomPlusPlus);
-            let r = store.run_plan_traced(&plan, None, &trace).unwrap();
+            let one = store.store();
+            assert_eq!(one.explain(&plan).engine, EngineKind::TurboHomPlusPlus);
+            let r = one.run_plan_traced(&plan, None, &trace).unwrap();
             assert_eq!(r.variables, ["x", "d"]);
             bodies.push(canonical_json(r.decode()));
         }

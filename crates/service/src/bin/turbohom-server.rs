@@ -196,28 +196,28 @@ fn run() -> Result<(), String> {
     // Whatever plans of the default engine read beyond the type-aware graph
     // is built now, not by the first request. (Another engine named by a
     // request's `engine=` still builds on first use.)
-    store.store().warm(args.engine);
+    let one = store.store();
+    one.warm(args.engine);
     let load_ms = load_started.elapsed().as_secs_f64() * 1000.0;
     let shard_note = store.sharded().map_or(String::new(), |s| {
         format!(", {} shards of one store", s.shard_count())
     });
     eprintln!(
         "store ready: {} triples in {load_ms:.1} ms ({} backend{}{shard_note})",
-        store.triple_count(),
+        one.triple_count(),
         store.backend_name(),
-        if store.is_mapped() { ", mmap" } else { "" },
+        if one.is_mapped() { ", mmap" } else { "" },
     );
 
     if let Some(path) = &args.save_snapshot {
         let started = std::time::Instant::now();
         // A single store: a sharded one was refused above.
-        let bytes = store
-            .store()
+        let bytes = one
             .save_snapshot(std::path::Path::new(path))
             .map_err(|e| format!("cannot save snapshot {path}: {e}"))?;
         println!(
             "snapshot saved: {path} ({bytes} bytes, {} triples, {:.1} ms)",
-            store.triple_count(),
+            one.triple_count(),
             started.elapsed().as_secs_f64() * 1000.0,
         );
         return Ok(());

@@ -6,14 +6,15 @@
 //! collision can never hand back the wrong plan (the full canonical text is
 //! compared on lookup). There is one map per engine, keyed by the text alone,
 //! so a lookup probes with the `&str` it was handed and a hit copies nothing.
-//! Values are [`AnyPlan`] handles (an `Arc`'d plan for either store flavor),
-//! shared with in-flight requests so eviction never invalidates a running
-//! query.
+//! Values are `Arc`'d [`QueryPlan`]s — on a sharded store, plans carrying
+//! their routing — shared with in-flight requests so eviction never
+//! invalidates a running query.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use turbohom_engine::{AnyPlan, EngineKind};
+use std::sync::Arc;
+use turbohom_engine::{EngineKind, QueryPlan};
 
 /// The cache key: canonical query text + engine.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -25,7 +26,7 @@ pub struct PlanKey {
 }
 
 struct Entry {
-    plan: AnyPlan,
+    plan: Arc<QueryPlan>,
     /// Logical timestamp of the last hit (monotone per-cache counter).
     last_used: u64,
 }
@@ -78,7 +79,7 @@ impl PlanCache {
 
     /// Looks up the plan cached for `canonical` under engine `kind`,
     /// refreshing its recency on a hit.
-    pub fn get(&self, canonical: &str, kind: EngineKind) -> Option<AnyPlan> {
+    pub fn get(&self, canonical: &str, kind: EngineKind) -> Option<Arc<QueryPlan>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -98,7 +99,7 @@ impl PlanCache {
     /// Inserts a plan, evicting the least-recently-used entry when full, and
     /// reports what happened so the caller can journal it. An insert under a
     /// key that is already cached (a racing thread's) keeps the first plan.
-    pub fn insert(&self, key: PlanKey, plan: AnyPlan) -> InsertOutcome {
+    pub fn insert(&self, key: PlanKey, plan: Arc<QueryPlan>) -> InsertOutcome {
         let not_inserted = InsertOutcome {
             inserted: false,
             evicted: None,
@@ -180,13 +181,10 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use turbohom_engine::Store;
 
-    fn plan_for(store: &Store, q: &str) -> AnyPlan {
-        AnyPlan::Single(Arc::new(
-            store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap(),
-        ))
+    fn plan_for(store: &Store, q: &str) -> Arc<QueryPlan> {
+        Arc::new(store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap())
     }
 
     fn key(s: &str) -> PlanKey {
@@ -248,10 +246,7 @@ mod tests {
         assert!(cache.insert(key(q), first.clone()).inserted);
         assert!(!cache.insert(key(q), plan_for(&store, q)).inserted);
         let cached = cache.get(q, EngineKind::TurboHomPlusPlus).unwrap();
-        let (AnyPlan::Single(a), AnyPlan::Single(b)) = (&first, &cached) else {
-            panic!("single-store plans expected");
-        };
-        assert!(Arc::ptr_eq(a, b));
+        assert!(Arc::ptr_eq(&first, &cached));
         assert_eq!(cache.len(), 1);
     }
 

@@ -700,11 +700,14 @@ fn respond<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<'s> {
     Reply::Buffered(match (request.method, request.path) {
         ("GET" | "HEAD", "/healthz") => {
             let store = service.store();
-            let snapshot = store.snapshot_path().map(|p| p.display().to_string());
+            let snapshot = store
+                .store()
+                .snapshot_path()
+                .map(|p| p.display().to_string());
             let body = turbohom_json::document(|w| {
                 w.begin_object()
                     .field("status", "ok")
-                    .field("triples", store.triple_count())
+                    .field("triples", store.store().triple_count())
                     .field("uptime_secs", Fixed3(service.uptime().as_secs_f64()))
                     .field("engine", service.config().default_engine.name())
                     .field("dataset", service.dataset_label())

@@ -7,11 +7,12 @@
 //! 2. look the `(canonical, engine)` key up in the LRU plan cache (probed
 //!    with the borrowed text: a hit copies nothing),
 //! 3. **hit** → jump straight to enumeration via
-//!    [`AnyStore::run_plan_traced`]
+//!    [`Store::run_plan_traced`], the one run of every plan, routed or not
 //!    (no parsing, no transformation, and — via the plan's memoized
 //!    matching order — no order determination either),
-//! 4. **miss** → [`AnyStore::prepare_plan_traced`] (parse + transform), run
-//!    it, and cache the plan for the next request.
+//! 4. **miss** → [`AnyStore::prepare_plan_traced`] (parse + transform, and
+//!    on a sharded store the routing), run it, and cache the plan for the
+//!    next request.
 //!
 //! The service counts how many times the expensive prepare half actually
 //! ran ([`StatsSnapshot::plans_prepared`]), which is what the warm-path
@@ -354,8 +355,8 @@ impl QueryService {
             JournalEvent::StoreLoaded {
                 flavor: service.store.flavor_name(),
                 backend: service.store.backend_name(),
-                triples: service.store.triple_count(),
-                mapped: service.store.is_mapped(),
+                triples: service.store.store().triple_count(),
+                mapped: service.store.store().is_mapped(),
                 builds,
             },
         );
@@ -553,7 +554,7 @@ impl QueryService {
                     .store
                     .prepare_plan_traced(sparql, engine, &Trace::disabled());
                 self.journal_first_use_builds(trace_id);
-                Ok((fp, self.store.explain(&planned?)))
+                Ok((fp, self.store.store().explain(&planned?)))
             });
         let (fp, report) =
             explained.inspect_err(|e| self.record_query_error(engine, trace_id, e.to_string()))?;
@@ -595,10 +596,9 @@ impl QueryService {
             .prepare_plan_traced(sparql, engine, &Trace::disabled());
         self.journal_first_use_builds(trace_id);
         let plan = planned?;
-        let mut report = self.store.explain(&plan);
-        let results = self
-            .store
-            .run_plan_traced(&plan, threads, &Trace::disabled())?;
+        let store = self.store.store();
+        let mut report = store.explain(&plan);
+        let results = store.run_plan_traced(&plan, threads, &Trace::disabled())?;
         report.attach_actuals(&results);
         self.metrics.record_qerrors(&report.step_qerrors());
         Ok((results, false, fp, Some(report)))
@@ -656,7 +656,7 @@ impl QueryService {
         };
         if let Some(plan) = cached {
             // Warm path: straight to enumeration.
-            let results = self.store.run_plan_traced(&plan, threads, trace)?;
+            let results = self.store.store().run_plan_traced(&plan, threads, trace)?;
             return Ok((results, true, fp, None));
         }
         // Cold path: parse + transform, run, then publish the plan.
@@ -664,12 +664,12 @@ impl QueryService {
         self.journal_first_use_builds(trace_id);
         let plan = prepared?;
         self.plans_prepared.fetch_add(1, Ordering::Relaxed);
-        let results = self.store.run_plan_traced(&plan, threads, trace)?;
+        let results = self.store.store().run_plan_traced(&plan, threads, trace)?;
         let key = PlanKey {
             canonical: fp.canonical.clone(),
             kind: engine,
         };
-        let outcome = self.cache.insert(key, plan);
+        let outcome = self.cache.insert(key, Arc::new(plan));
         if let Some(victim) = outcome.evicted {
             self.journal_event(
                 Some(trace_id),
@@ -734,7 +734,7 @@ impl QueryService {
                 "turbohom_triples",
                 "gauge",
                 "Triples in the underlying store.",
-                self.store.triple_count() as u64,
+                self.store.store().triple_count() as u64,
             ),
         ] {
             scalar(&mut out, name, kind, help, value);
@@ -745,7 +745,7 @@ impl QueryService {
             "gauge",
             "Active storage backend (1 = active; the snapshot label is the file path, empty for the heap backend).",
         );
-        let snapshot = self.store.snapshot_path();
+        let snapshot = self.store.store().snapshot_path();
         out.push_str(&format!(
             "turbohom_storage_backend{{backend=\"{}\",snapshot=\"{}\"}} 1\n",
             self.store.backend_name(),
@@ -858,7 +858,7 @@ impl QueryService {
         StatsSnapshot {
             uptime_seconds: self.metrics.uptime().as_secs_f64(),
             store_flavor: self.store.flavor_name(),
-            triples: self.store.triple_count(),
+            triples: self.store.store().triple_count(),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_evictions: self.cache.evictions(),
@@ -1347,6 +1347,55 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(peaks.iter().all(|&peak| peak > 0), "{loaded}\n{built}");
         }
+    }
+
+    /// A sharded service caches routed plans: a cache hit answers with the
+    /// cold request's body and routing, and journals the shards both times.
+    #[test]
+    fn a_sharded_service_serves_routed_plans_from_its_cache() {
+        use turbohom_engine::{ShardedOptions, ShardedStore};
+        let mut ds = Dataset::new();
+        for d in 0..2 {
+            for i in 0..3 {
+                let s = ub(&format!("student{d}_{i}"));
+                ds.insert_iris(&s, &ub("memberOf"), &ub(&format!("dept{d}")));
+            }
+        }
+        let options = ShardedOptions {
+            shards: 4,
+            ..ShardedOptions::default()
+        };
+        let sharded = ShardedStore::from_dataset_with(ds, options).unwrap();
+        let svc = QueryService::with_any_store(
+            AnyStore::Sharded(Arc::new(sharded)),
+            ServiceConfig::default(),
+        );
+        let constant = "SELECT ?x WHERE { ?x <http://ub.org/memberOf> <http://ub.org/dept0> . }";
+        let variable = "SELECT ?x ?d WHERE { ?x <http://ub.org/memberOf> ?d . }";
+        for (sparql, rows, pruned, executed) in [(constant, 3, 3, 1), (variable, 6, 0, 4)] {
+            let cold = svc.query(sparql, QueryOptions::default()).unwrap();
+            let warm = svc.query(sparql, QueryOptions::default()).unwrap();
+            assert_eq!((cold.cache_hit, warm.cache_hit), (false, true), "{sparql}");
+            assert_eq!(cold.results.len(), rows, "{sparql}");
+            let body = cold.results.to_sparql_json();
+            assert_eq!(warm.results.to_sparql_json(), body, "{sparql}");
+            let events = svc.journal().to_jsonl();
+            for response in [&cold, &warm] {
+                let stats = &response.results.stats;
+                let routed = (stats.shards_pruned, stats.shards_executed);
+                assert_eq!(routed, (pruned, executed), "{sparql}");
+                let trace = format!(
+                    "\"trace\":\"{}\"",
+                    crate::format_trace_id(response.trace_id)
+                );
+                let completed = (events.lines())
+                    .find(|l| l.contains(&trace) && l.contains("\"event\":\"query_completed\""))
+                    .unwrap_or_else(|| panic!("no query_completed for {sparql}: {events}"));
+                let shards = format!("\"shards_pruned\":{pruned},\"shards_executed\":{executed}");
+                assert!(completed.contains(&shards), "{completed}");
+            }
+        }
+        assert_eq!(svc.stats().plans_prepared, 2);
     }
 
     #[test]
