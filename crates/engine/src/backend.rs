@@ -41,8 +41,10 @@ const TAG_STORE_META: u64 = 0x0901;
 /// `0x03x7`) and ends where the next one starts. 9: only the type-aware graph
 /// is stored, without its kind (`0x0701`) and with its subclass pairs
 /// (`0x0704`/`0x0705`). 10: no triple table (`0x0201`): the type-aware graph
-/// holds every triple.
-const STORE_FORMAT_SUB_VERSION: u64 = 10;
+/// holds every triple. 11: the dictionary stores each IRI namespace and
+/// datatype IRI once, in a shared table (`0x0104`/`0x0105`) its records
+/// (`0x0102`) index, and its arena (`0x0101`) only the rest.
+const STORE_FORMAT_SUB_VERSION: u64 = 11;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not

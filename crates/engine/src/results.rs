@@ -285,7 +285,9 @@ fn rows_per_block(width: usize) -> usize {
 /// Rows are taken a block at a time, in three passes. Pulling a block's cells
 /// resolves them — for an id row a read of the term's record, one short
 /// independent iteration per cell — then the first byte of every lexical form
-/// is read (and the byte a cache line on), then the block is formatted. The
+/// (an IRI's local name) is read (and the byte a cache line on), then the
+/// block is formatted. An IRI's namespace and a datatype IRI are read from
+/// the dictionary's small shared table, which stays in cache. The
 /// misses of a pass do not wait for one another, where formatting cell by
 /// cell waits for a record, then for the arena bytes it points at, once per
 /// row.
@@ -347,10 +349,11 @@ where
         }
         let mut touched = 0;
         for (term, _) in block[..pulled * width].iter().flatten() {
-            let (TermRef::Iri(lexical)
-            | TermRef::BlankNode(lexical)
-            | TermRef::Literal { lexical, .. }) = term;
-            let lexical = lexical.as_bytes();
+            let lexical = match term {
+                TermRef::Iri(iri) => iri.local(),
+                TermRef::BlankNode(lexical) | TermRef::Literal { lexical, .. } => lexical,
+            }
+            .as_bytes();
             touched |= lexical.first().unwrap_or(&0) | lexical.get(64).unwrap_or(&0);
         }
         std::hint::black_box(touched);
@@ -399,7 +402,8 @@ where
 }
 
 /// Appends one RDF term as a SPARQL-JSON binding value object: its strings
-/// copied as they are when `plain` (none needs an escape), else escaped.
+/// (an IRI's two pieces one after the other) copied as they are when `plain`
+/// (none needs an escape), else escaped.
 fn append_term_json(out: &mut Vec<u8>, term: TermRef<'_>, plain: bool) {
     let text = |out: &mut Vec<u8>, s: &str| {
         if plain {
@@ -411,7 +415,8 @@ fn append_term_json(out: &mut Vec<u8>, term: TermRef<'_>, plain: bool) {
     match term {
         TermRef::Iri(iri) => {
             out.extend_from_slice(b"{\"type\":\"uri\",\"value\":\"");
-            text(out, iri);
+            text(out, iri.namespace());
+            text(out, iri.local());
             out.extend_from_slice(b"\"}");
         }
         TermRef::BlankNode(label) => {

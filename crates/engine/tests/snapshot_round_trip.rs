@@ -135,6 +135,7 @@ fn ledger_line(tag: u64) -> Option<(&'static str, &'static str)> {
         0x0101 => ("dictionary", "arena"),
         0x0102 => ("dictionary", "records"),
         0x0103 => ("dictionary", "sorted"),
+        0x0104 | 0x0105 => ("dictionary", "shared"),
         0x0302..=0x0304 => (graph, "labels"),
         0x0310..=0x032f => (graph, "csr"),
         0x0400..=0x04ff => (graph, "predicate_index"),
@@ -292,10 +293,11 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // neighbors), 5 (the type-aware graph still held its simple-entailment
     // label sets), 6 (each graph still mapped its vertices to terms), 7
     // (each graph still stored the type groups that filter nothing), 8
-    // (the direct graph followed the type-aware one) or 9 (the triple table
-    // followed the dictionary).
+    // (the direct graph followed the type-aware one), 9 (the triple table
+    // followed the dictionary) or 10 (the dictionary stored every IRI and
+    // datatype IRI whole).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4, 5, 6, 7, 8, 9] {
+    for found in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -304,7 +306,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 10
+                expected: 11
             })
         );
     }
@@ -327,7 +329,7 @@ fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
 
     let mut w = turbohom_storage::SnapshotWriter::new();
     let triples = small.triple_count() as u64;
-    w.section::<u64>(0x0901, &[10, 1, triples]);
+    w.section::<u64>(0x0901, &[11, 1, triples]);
     small.dictionary().write_sections(&mut w);
     graph.write_sections(&mut w);
     let path = temp_path("rows.snap");
@@ -352,7 +354,7 @@ fn a_meta_triple_count_that_is_not_the_graphs_is_refused() {
     let path = temp_path("count.snap");
     for saved in [held - 1, held + 1] {
         let mut w = turbohom_storage::SnapshotWriter::new();
-        w.section::<u64>(0x0901, &[10, 1, saved as u64]);
+        w.section::<u64>(0x0901, &[11, 1, saved as u64]);
         store.dictionary().write_sections(&mut w);
         graph.write_sections(&mut w);
         w.write_to(&path).unwrap();
@@ -366,7 +368,7 @@ fn a_meta_triple_count_that_is_not_the_graphs_is_refused() {
     }
     // The same sections with the right count open.
     let mut w = turbohom_storage::SnapshotWriter::new();
-    w.section::<u64>(0x0901, &[10, 1, held as u64]);
+    w.section::<u64>(0x0901, &[11, 1, held as u64]);
     store.dictionary().write_sections(&mut w);
     graph.write_sections(&mut w);
     w.write_to(&path).unwrap();
@@ -448,14 +450,20 @@ fn corrupted_payload_is_a_typed_error() {
 /// with `value` and re-checksums the file, so that the loader gets past the
 /// container's checks and reads the mangled section as it would a good one.
 fn overwrite_first_u32(bytes: &mut [u8], tag: u64, value: u32) {
+    overwrite_u32(bytes, tag, 0, value);
+}
+
+/// [`overwrite_first_u32`] for the four bytes `at` bytes into the first
+/// section tagged `tag` that holds them.
+fn overwrite_u32(bytes: &mut [u8], tag: u64, at: usize, value: u32) {
     let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     let (count, table) = (word(bytes, 16) as usize, word(bytes, 24) as usize);
-    let at = (0..count)
+    let start = (0..count)
         .map(|i| table + 24 * i)
-        .find(|&entry| word(bytes, entry) == tag && word(bytes, entry + 16) >= 4)
+        .find(|&entry| word(bytes, entry) == tag && word(bytes, entry + 16) >= at as u64 + 4)
         .map(|entry| word(bytes, entry + 8) as usize)
-        .unwrap_or_else(|| panic!("no non-empty section {tag:#x}"));
-    bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        .unwrap_or_else(|| panic!("no section {tag:#x} of {} bytes", at + 4));
+    bytes[start + at..start + at + 4].copy_from_slice(&value.to_le_bytes());
     let fnv = turbohom_storage::fnv1a;
     let payload = fnv(turbohom_storage::FNV_OFFSET, &bytes[64..table]);
     bytes[40..48].copy_from_slice(&payload.to_le_bytes());
@@ -464,6 +472,51 @@ fn overwrite_first_u32(bytes: &mut [u8], tag: u64, value: u32) {
         &bytes[table..table + 24 * count],
     );
     bytes[48..56].copy_from_slice(&header.to_le_bytes());
+}
+
+#[test]
+fn a_dictionary_shared_string_or_iri_split_that_is_wrong_is_refused() {
+    // The dictionary's first term is `http://ub.org/GraduateStudent`: its
+    // record (0x0102) names shared string 1, the namespace
+    // `http://ub.org/` (0x0104), and the arena (0x0101) starts with its
+    // local name. Shared string 0 is the empty string (0x0105 holds
+    // `{off, len, plain}` per string).
+    let path = temp_path("shared.snap");
+    sample_store().save_snapshot(&path).unwrap();
+    let original = std::fs::read(&path).unwrap();
+    let word = |text: &[u8; 4]| u32::from_le_bytes(*text);
+    let split = "not split after its last '/' or '#'";
+    for (tag, at, value, what) in [
+        // The record's shared-string index (its sixth u32), past the table.
+        (0x0102, 20, 1000, "shared string index is out of range"),
+        // `http://ub.orgx`: a namespace that ends in neither '/' nor '#'.
+        (0x0104, 10, word(b"orgx"), split),
+        // `G/aduateStudent`: a local name that holds a '/'.
+        (0x0101, 0, word(b"G/ad"), split),
+        // The empty string marked as needing a JSON escape.
+        (
+            0x0105,
+            8,
+            0,
+            "shared string 0's JSON-plain bit is not its text's",
+        ),
+    ] {
+        let mut bytes = original.clone();
+        overwrite_u32(&mut bytes, tag, at, value);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Store::from_snapshot(&path).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Snapshot(SnapshotError::Malformed(m)) if m.contains(what)),
+            "{tag:#x}+{at} gave {err:?}"
+        );
+    }
+    // Each patch overwrote what the comments say it did.
+    for (tag, at, text) in [(0x0104, 10, b"org/"), (0x0101, 0, b"Grad")] {
+        let mut bytes = original.clone();
+        overwrite_u32(&mut bytes, tag, at, word(text));
+        assert_eq!(bytes, original);
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

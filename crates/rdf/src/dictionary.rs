@@ -7,41 +7,60 @@
 //! This also lets the benchmark harness exclude "dictionary look-up time"
 //! from elapsed times, as Section 7.1 of the paper prescribes.
 //!
-//! The dictionary is three flat arrays from the first [`Dictionary::encode`]
-//! on: a UTF-8 string arena that every term's bytes are appended to once,
-//! fixed-width [`TermRecord`]s pointing into it (indexed by id), and one
-//! lookup structure over the ids.
+//! The dictionary is flat arrays from the first [`Dictionary::encode`] on: a
+//! UTF-8 string arena, fixed-width [`TermRecord`]s pointing into it (indexed
+//! by id), a small table of shared strings, and one lookup structure over the
+//! ids.
+//!
+//! Strings that many terms repeat are stored once, in the shared table, as
+//! HDT's dictionary does (Fernández et al., JWS 2013): an IRI is stored as
+//! its namespace (everything up to its last `/` or `#`, [`IriRef::split`]),
+//! shared, plus its local name in the arena; a typed literal's datatype IRI
+//! is shared whole. The arena holds only local names, lexical forms and
+//! language tags. At LUBM(640) 146,603 IRIs share 1,924 namespaces; at
+//! BSBM(200) 106,081 IRIs share 5, and 41,999 typed literals 2 datatypes.
 //!
 //! A record is 32 bytes: the kind code, `u32` offsets and lengths of the
-//! lexical form and of the extra string (datatype IRI and/or language tag),
-//! and the term's numeric view ([`TermRef::numeric_view`]), taken once when
-//! the term is encoded, with a flag bit in the kind saying whether it has one
-//! (so the literal `"NaN"` keeps its NaN). A FILTER comparison reads the view
-//! from the record ([`Dictionary::term_and_view`]) and no byte of the arena,
-//! so no string is parsed while a query runs. A second flag bit says whether
-//! both strings are JSON-plain ([`is_json_plain`]: no `"`, `\` or control
-//! byte), decided once as well: the result writer copies such a term's
+//! lexical form (an IRI's local name) and of the extra string (language
+//! tag), the index of its shared string (namespace or datatype IRI), and the
+//! term's numeric view ([`TermRef::numeric_view`]), taken once when the term
+//! is encoded, with a flag bit in the kind saying whether it has one (so the
+//! literal `"NaN"` keeps its NaN). A FILTER comparison reads the view from
+//! the record ([`Dictionary::term_and_view`]) and no byte of the arena, so no
+//! string is parsed while a query runs. A second flag bit says whether all
+//! of the term's strings are JSON-plain ([`is_json_plain`]: no `"`, `\` or
+//! control byte), decided once as well, from a bit each shared string
+//! carries and the arena strings: the result writer copies such a term's
 //! strings whole ([`Dictionary::term_and_plain`]) and escapes only the rest,
-//! so no byte of a clean term is tested while a result is written. Offsets are
-//! 32 bits: the arena refuses to grow past `u32::MAX` bytes, as the ids refuse
-//! the 2³²-th term.
+//! so no byte of a clean term is tested while a result is written. Offsets
+//! are 32 bits: the arena refuses to grow past `u32::MAX` bytes, as the ids
+//! refuse the 2³²-th term.
+//!
+//! Lookups and the sorted ids order terms as if nothing were shared: by kind,
+//! the whole lexical form, then the whole extra string (datatype IRI, then
+//! language tag), each compared piece by piece across the shared and the
+//! arena part. Two records that share their shared string compare by their
+//! arena strings alone.
 //!
 //! The lookup structure is one of two:
 //!
 //! * **Hashed** while terms are being encoded — an open-addressing table of
-//!   ids, hashed over the arena bytes with a per-process keyed SipHash, never
-//!   stored.
+//!   ids, hashed over the key's pieces with a per-process keyed SipHash,
+//!   never stored. SipHash takes its input as a stream, so a split key hashes
+//!   as the whole one: encoding a known IRI hashes it once, whole, and
+//!   compares it once; only a new IRI looks up its namespace.
 //! * **Sorted** once served — the ids in key order, for binary search.
 //!   [`Dictionary::freeze`] sorts the ids and drops the table, and a snapshot
-//!   stores exactly the arena, the records and this permutation, so a mapped
-//!   dictionary reads them in place: heap and snapshot stores share one read
-//!   path. `encode` on a sorted dictionary rebuilds the table from the
-//!   records (ids unchanged, no string copied).
+//!   stores exactly the arena, the records, this permutation and the shared
+//!   table, so a mapped dictionary reads them in place: heap and snapshot
+//!   stores share one read path. `encode` on a sorted dictionary rebuilds the
+//!   table from the records (ids unchanged, no string copied).
 
 use crate::error::RdfError;
-use crate::term::{Term, TermRef};
+use crate::term::{cmp_pieces, ends_namespace, IriRef, Term, TermRef};
 use std::borrow::Cow;
-use std::hash::{BuildHasher, RandomState};
+use std::cmp::Ordering;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use turbohom_json::is_json_plain;
 use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, SnapshotWriter};
 
@@ -77,6 +96,8 @@ impl std::fmt::Display for TermId {
 const TAG_DICT_ARENA: u64 = 0x0101;
 const TAG_DICT_RECORDS: u64 = 0x0102;
 const TAG_DICT_SORTED: u64 = 0x0103;
+const TAG_DICT_SHARED_ARENA: u64 = 0x0104;
+const TAG_DICT_SHARED_RECORDS: u64 = 0x0105;
 
 /// Term kind codes stored in the low bits of [`TermRecord::kind`].
 const KIND_IRI: u32 = 0;
@@ -86,17 +107,26 @@ const KIND_TYPED: u32 = 3;
 const KIND_LANG: u32 = 4;
 /// Literal carrying both a datatype and a language tag (publicly
 /// constructible even though `validate` rejects it, so the snapshot must
-/// round-trip it); `extra` stores `datatype \0 language`.
+/// round-trip it); its extra string is `\0` and the tag, so that it orders
+/// after the datatype as `datatype \0 language`.
 const KIND_TYPED_LANG: u32 = 5;
 /// The bit of [`TermRecord::kind`] set when the term has a numeric view.
 const NUMERIC: u32 = 1 << 8;
-/// The bit of [`TermRecord::kind`] set when neither the lexical form nor the
-/// extra string needs a JSON escape.
+/// The bit of [`TermRecord::kind`] set when none of the term's strings needs
+/// a JSON escape.
 const PLAIN: u32 = 1 << 9;
 
-/// Fixed-width description of one term: a kind code plus two `(offset, len)`
-/// ranges into the string arena (lexical form and the kind-dependent extra
-/// string — datatype IRI and/or language tag), and the term's numeric view.
+/// Whether terms of kind `code` keep a string in the shared table: an IRI its
+/// namespace, a typed literal its datatype IRI. Every other record names the
+/// shared empty string, index 0.
+fn shares(code: u32) -> bool {
+    matches!(code, KIND_IRI | KIND_TYPED | KIND_TYPED_LANG)
+}
+
+/// Fixed-width description of one term: a kind code, two `(offset, len)`
+/// ranges into the string arena (lexical form — an IRI's local name — and
+/// the kind-dependent extra string, a language tag), the index of its shared
+/// string and the term's numeric view.
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TermRecord {
@@ -107,7 +137,10 @@ struct TermRecord {
     lex_len: u32,
     extra_off: u32,
     extra_len: u32,
-    reserved: u32,
+    /// The index of the term's shared string ([`shares`]): an IRI's
+    /// namespace, a typed literal's datatype IRI; 0, the empty string, for
+    /// the other kinds.
+    shared: u32,
     /// The numeric view's `f64::to_bits` under [`NUMERIC`], else 0.
     number: u64,
 }
@@ -132,52 +165,74 @@ impl TermRecord {
     }
 }
 
+/// One string of the shared table: its range in the shared arena and whether
+/// it needs no JSON escape (1) or does (0).
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SharedRecord {
+    off: u32,
+    len: u32,
+    plain: u32,
+}
+
+// Safety: repr(C), three u32s: no padding.
+unsafe impl Pod for SharedRecord {}
+
 /// What a record stores of the numeric view `number`: its [`NUMERIC`] bit and
 /// its bits. Two views store alike exactly when they are equal bit for bit.
 fn stored_view(number: Option<f64>) -> (u32, u64) {
     number.map_or((0, 0), |n| (NUMERIC, n.to_bits()))
 }
 
-/// What a record stores of a term whose strings are `lexical` and `extra`:
-/// [`PLAIN`] when neither needs a JSON escape, else 0.
-fn stored_plain(lexical: &str, extra: &str) -> u32 {
-    if is_json_plain(lexical) && is_json_plain(extra) {
+/// What a record stores of a term whose arena strings are `lexical` and
+/// `extra` and whose shared string is JSON-plain when `shared_plain`:
+/// [`PLAIN`] when none needs a JSON escape, else 0.
+fn stored_plain(shared_plain: bool, lexical: &str, extra: &str) -> u32 {
+    if shared_plain && is_json_plain(lexical) && is_json_plain(extra) {
         PLAIN
     } else {
         0
     }
 }
 
-/// Decomposes a term into its snapshot key: `(kind, lexical, extra)`.
-fn term_key(term: &Term) -> (u32, &str, Cow<'_, str>) {
+/// A term as the dictionary stores it before its IRI is split: the kind
+/// code, the lexical form (an IRI whole), the datatype IRI (empty if none)
+/// and the extra string (see [`KIND_TYPED_LANG`]).
+fn term_parts(term: &Term) -> (u32, &str, &str, Cow<'_, str>) {
     match term {
-        Term::Iri(s) => (KIND_IRI, s, Cow::Borrowed("")),
-        Term::BlankNode(s) => (KIND_BLANK, s, Cow::Borrowed("")),
+        Term::Iri(s) => (KIND_IRI, s, "", Cow::Borrowed("")),
+        Term::BlankNode(s) => (KIND_BLANK, s, "", Cow::Borrowed("")),
         Term::Literal {
             lexical,
             datatype,
             language,
         } => match (datatype, language) {
-            (None, None) => (KIND_PLAIN, lexical, Cow::Borrowed("")),
-            (Some(dt), None) => (KIND_TYPED, lexical, Cow::Borrowed(dt.as_str())),
-            (None, Some(l)) => (KIND_LANG, lexical, Cow::Borrowed(l.as_str())),
-            (Some(dt), Some(l)) => (KIND_TYPED_LANG, lexical, Cow::Owned(format!("{dt}\0{l}"))),
+            (None, None) => (KIND_PLAIN, lexical, "", Cow::Borrowed("")),
+            (Some(dt), None) => (KIND_TYPED, lexical, dt, Cow::Borrowed("")),
+            (None, Some(l)) => (KIND_LANG, lexical, "", Cow::Borrowed(l.as_str())),
+            (Some(dt), Some(l)) => (KIND_TYPED_LANG, lexical, dt, Cow::Owned(format!("\0{l}"))),
         },
     }
 }
 
-/// Rebuilds a borrowed term from its stored key parts.
-fn term_ref_from_parts<'a>(kind: u32, lexical: &'a str, extra: &'a str) -> TermRef<'a> {
+/// Rebuilds a borrowed term from its stored parts: the shared string, the
+/// lexical form and the extra string.
+fn term_ref_from_parts<'a>(
+    kind: u32,
+    shared: &'a str,
+    lexical: &'a str,
+    extra: &'a str,
+) -> TermRef<'a> {
     let (datatype, language) = match kind {
-        KIND_IRI => return TermRef::Iri(lexical),
+        KIND_IRI => return TermRef::Iri(IriRef::new(shared, lexical)),
         KIND_BLANK => return TermRef::BlankNode(lexical),
         KIND_PLAIN => (None, None),
-        KIND_TYPED => (Some(extra), None),
+        KIND_TYPED => (Some(shared), None),
         KIND_LANG => (None, Some(extra)),
-        _ => {
-            let (dt, lang) = extra.split_once('\0').unwrap_or((extra, ""));
-            (Some(dt), Some(lang))
-        }
+        _ => (
+            Some(shared),
+            Some(extra.strip_prefix('\0').unwrap_or(extra)),
+        ),
     };
     TermRef::Literal {
         lexical,
@@ -186,30 +241,61 @@ fn term_ref_from_parts<'a>(kind: u32, lexical: &'a str, extra: &'a str) -> TermR
     }
 }
 
-/// What both lookups compare and order terms by: kind code, lexical bytes,
-/// extra bytes.
-type Key<'a> = (u32, &'a [u8], &'a [u8]);
+/// What both lookups compare and order terms by: the kind code, the lexical
+/// bytes, the extra bytes. Each string comes in two pieces (an IRI's
+/// namespace and local name; a datatype IRI and the language tag after it)
+/// and is compared and hashed as the one string they spell.
+#[derive(Clone, Copy)]
+struct Key<'a> {
+    kind: u32,
+    lexical: [&'a [u8]; 2],
+    extra: [&'a [u8]; 2],
+}
 
-fn record_key<'a>(arena: &'a [u8], r: &TermRecord) -> Key<'a> {
-    // Both ranges end inside the arena (the `Dictionary` invariant), so the
-    // sums fit a `usize`.
-    let range = |off: u32, len: u32| off as usize..off as usize + len as usize;
-    (
-        r.code(),
-        &arena[range(r.lex_off, r.lex_len)],
-        &arena[range(r.extra_off, r.extra_len)],
-    )
+impl<'a> Key<'a> {
+    /// The key of a term given whole: `lexical` is an IRI's whole text.
+    fn whole(kind: u32, lexical: &'a str, datatype: &'a str, extra: &'a str) -> Self {
+        Key {
+            kind,
+            lexical: [b"", lexical.as_bytes()],
+            extra: [datatype.as_bytes(), extra.as_bytes()],
+        }
+    }
+
+    fn cmp(&self, other: &Key<'_>) -> Ordering {
+        self.kind
+            .cmp(&other.kind)
+            .then_with(|| cmp_pieces(self.lexical, other.lexical))
+            .then_with(|| cmp_pieces(self.extra, other.extra))
+    }
+
+    /// The key's hash under `hasher`: the same wherever its strings split.
+    /// An empty piece is not written: it would hash alike, but each `write`
+    /// costs SipHash ≈ 10 ns, and most keys have two empty pieces.
+    fn hash(&self, hasher: &RandomState) -> u64 {
+        let mut state = hasher.build_hasher();
+        state.write_u32(self.kind);
+        for [first, second] in [self.lexical, self.extra] {
+            state.write_usize(first.len() + second.len());
+            for piece in [first, second] {
+                if !piece.is_empty() {
+                    state.write(piece);
+                }
+            }
+        }
+        state.finish()
+    }
 }
 
 /// Slots of an open-addressed hash index over `entries` entries (the
-/// dictionary's terms, the triple store's triples): a power of two filled to
-/// at most one half, so a linear probe always ends at an empty slot, after
-/// ≈ 1.5 slots on a hit and ≈ 2.5 on a miss.
+/// dictionary's terms, its shared strings): a power of two filled to at most
+/// one half, so a linear probe always ends at an empty slot, after ≈ 1.5
+/// slots on a hit and ≈ 2.5 on a miss.
 pub(crate) fn slots_for(entries: usize) -> usize {
     (entries * 2).next_power_of_two().max(16)
 }
 
-/// What the hash index stores for the term `id`: `id + 1`, 0 being the empty
+/// What a hash index stores for the entry `id`: `id + 1`, 0 being the empty
 /// slot.
 ///
 /// # Panics
@@ -218,12 +304,109 @@ fn slot_entry(id: usize) -> u32 {
     u32::try_from(id + 1).expect("the dictionary's hash index addresses at most u32::MAX terms")
 }
 
+/// Probes the open-addressed `table` from `hash` for an entry `is_key`
+/// accepts: that entry's id, or else the empty slot that ends the probe
+/// sequence.
+fn probe(table: &[u32], hash: u64, is_key: impl Fn(u32) -> bool) -> Result<u32, usize> {
+    let mask = table.len() - 1;
+    let mut slot = hash as usize & mask;
+    loop {
+        let Some(id) = table[slot].checked_sub(1) else {
+            return Err(slot);
+        };
+        if is_key(id) {
+            return Ok(id);
+        }
+        slot = (slot + 1) & mask;
+    }
+}
+
 /// An arena offset as a record stores it.
 ///
 /// # Panics
 /// Panics if `offset` does not fit the records' 32-bit offsets.
 fn arena_offset(offset: usize) -> u32 {
     u32::try_from(offset).expect("the dictionary's records address at most u32::MAX arena bytes")
+}
+
+/// The bytes of `range` in `arena`. Every range a record holds ends inside
+/// its arena (the `Dictionary` invariant), so the sum fits a `usize`.
+fn slice(arena: &[u8], off: u32, len: u32) -> &[u8] {
+    &arena[off as usize..off as usize + len as usize]
+}
+
+/// The strings many terms share, each stored once: IRI namespaces and
+/// datatype IRIs. Entry 0 is the empty string, which every record of a kind
+/// that shares nothing names.
+#[derive(Debug, Clone)]
+struct SharedStrings {
+    arena: FlatVec<u8>,
+    records: FlatVec<SharedRecord>,
+    /// While encoding: open addressing over `index + 1`, as the dictionary's
+    /// own hash index, and like it never serialised. Empty once frozen or
+    /// mapped; the next new string rebuilds it.
+    index: Vec<u32>,
+}
+
+impl SharedStrings {
+    fn new() -> Self {
+        SharedStrings {
+            arena: FlatVec::new(),
+            records: vec![SharedRecord {
+                off: 0,
+                len: 0,
+                plain: 1,
+            }]
+            .into(),
+            index: Vec::new(),
+        }
+    }
+
+    /// The bytes of shared string `i`.
+    #[inline(always)]
+    fn get(&self, i: u32) -> &[u8] {
+        let r = &self.records[i as usize];
+        slice(&self.arena, r.off, r.len)
+    }
+
+    /// The index of `text`, stored first if it is new.
+    fn intern(&mut self, text: &str, hasher: &RandomState) -> u32 {
+        let id = self.records.len();
+        let slots = slots_for(id + 1);
+        if self.index.len() < slots {
+            self.index = vec![0; slots];
+            for i in 0..id {
+                // A snapshot may list one string twice: the first keeps it.
+                let bytes = self.get(i as u32);
+                if let Err(slot) = probe(&self.index, hasher.hash_one(bytes), |j| {
+                    self.get(j) == bytes
+                }) {
+                    self.index[slot] = slot_entry(i);
+                }
+            }
+        }
+        let bytes = text.as_bytes();
+        let slot = match probe(&self.index, hasher.hash_one(bytes), |j| {
+            self.get(j) == bytes
+        }) {
+            Ok(i) => return i,
+            Err(slot) => slot,
+        };
+        let off = self.arena.len();
+        arena_offset(off + bytes.len());
+        self.arena.to_mut().extend_from_slice(bytes);
+        self.records.to_mut().push(SharedRecord {
+            off: arena_offset(off),
+            len: arena_offset(bytes.len()),
+            plain: u32::from(is_json_plain(text)),
+        });
+        self.index[slot] = slot_entry(id);
+        id as u32
+    }
+
+    fn memory(&self) -> MemoryUse {
+        MemoryUse::from(&self.arena) + MemoryUse::from(&self.records)
+    }
 }
 
 /// The one structure that answers term → id.
@@ -245,15 +428,18 @@ enum Lookup {
 /// arena) once it is frozen or mapped.
 ///
 /// Invariant (what `term_ref` relies on): every record's two ranges lie
-/// inside `arena`, on UTF-8 boundaries, and hold valid UTF-8. `encode_key`
-/// and `read_sections` are the only places that add records, and nothing
-/// rewrites a byte either array already holds.
+/// inside `arena`, on UTF-8 boundaries, and hold valid UTF-8; its shared
+/// index names a string of `shared`, whose range lies likewise inside the
+/// shared arena and holds valid UTF-8. `encode_key` and `read_sections` are
+/// the only places that add records, and nothing rewrites a byte any array
+/// already holds.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
     arena: FlatVec<u8>,
     records: FlatVec<TermRecord>,
+    shared: SharedStrings,
     lookup: Lookup,
-    /// Keys the hash index. Per process and random, so terms from outside
+    /// Keys the hash indexes. Per process and random, so terms from outside
     /// (`--ntriples`) cannot be chosen to collide.
     hasher: RandomState,
 }
@@ -275,6 +461,7 @@ impl Dictionary {
         Dictionary {
             arena: FlatVec::new(),
             records: Vec::with_capacity(capacity).into(),
+            shared: SharedStrings::new(),
             lookup: Lookup::Hashed(vec![0; slots_for(capacity)]),
             hasher: RandomState::new(),
         }
@@ -286,33 +473,99 @@ impl Dictionary {
         matches!(self.lookup, Lookup::Sorted(_))
     }
 
-    /// Ends loading: sorts the ids for binary search, drops the hash index
+    /// Ends loading: sorts the ids for binary search, drops the hash indexes
     /// and the arrays' spare capacity. Ids, lookups and iteration order are
-    /// unchanged; a later `encode` builds the index again. A no-op on a
+    /// unchanged; a later `encode` builds the indexes again. A no-op on a
     /// dictionary that is already frozen.
     pub fn freeze(&mut self) {
         if let Lookup::Hashed(_) = self.lookup {
             self.lookup = Lookup::Sorted(self.sorted_ids().into());
+            self.shared.index = Vec::new();
             if !self.arena.is_view() {
                 self.arena.to_mut().shrink_to_fit();
                 self.records.to_mut().shrink_to_fit();
+                self.shared.arena.to_mut().shrink_to_fit();
+                self.shared.records.to_mut().shrink_to_fit();
+            }
+        }
+    }
+
+    /// The key `record` is looked up and ordered by.
+    #[inline(always)]
+    fn key(&self, record: &TermRecord) -> Key<'_> {
+        let code = record.code();
+        let shared = if shares(code) {
+            self.shared.get(record.shared)
+        } else {
+            b""
+        };
+        let (lexical, extra) = (
+            slice(&self.arena, record.lex_off, record.lex_len),
+            slice(&self.arena, record.extra_off, record.extra_len),
+        );
+        if code == KIND_IRI {
+            Key {
+                kind: code,
+                lexical: [shared, lexical],
+                extra: [b"", extra],
+            }
+        } else {
+            Key {
+                kind: code,
+                lexical: [b"", lexical],
+                extra: [shared, extra],
             }
         }
     }
 
     /// The ids in key order.
+    ///
+    /// Two records of one kind that name the same shared string differ only
+    /// in their arena strings, and are compared by those alone. Two IRIs
+    /// whose namespaces are each the prefix of no other shared string differ
+    /// within the shorter namespace, and are ordered by their namespaces'
+    /// ranks in text order.
     fn sorted_ids(&self) -> Vec<u32> {
+        let shared = &self.shared;
+        let mut by_text: Vec<u32> = (0..shared.records.len() as u32).collect();
+        by_text.sort_unstable_by(|&a, &b| shared.get(a).cmp(shared.get(b)));
+        // A string is the prefix of another exactly when it is the prefix of
+        // the next in text order; such a string has no rank.
+        let mut rank = vec![u32::MAX; by_text.len()];
+        for (pos, &i) in by_text.iter().enumerate() {
+            let next = by_text.get(pos + 1).map(|&next| shared.get(next));
+            if !next.is_some_and(|next| next.starts_with(shared.get(i))) {
+                rank[i as usize] = pos as u32;
+            }
+        }
         let (arena, records): (&[u8], &[TermRecord]) = (&self.arena, &self.records);
+        let own = |r: &TermRecord| {
+            (
+                slice(arena, r.lex_off, r.lex_len),
+                slice(arena, r.extra_off, r.extra_len),
+            )
+        };
         let mut sorted: Vec<u32> = (0..records.len() as u32).collect();
         sorted.sort_unstable_by(|&a, &b| {
-            record_key(arena, &records[a as usize]).cmp(&record_key(arena, &records[b as usize]))
+            let (a, b) = (&records[a as usize], &records[b as usize]);
+            if a.code() == b.code() {
+                if a.shared == b.shared {
+                    return own(a).cmp(&own(b));
+                }
+                let (ra, rb) = (rank[a.shared as usize], rank[b.shared as usize]);
+                if a.code() == KIND_IRI && ra != u32::MAX && rb != u32::MAX {
+                    return ra.cmp(&rb);
+                }
+            }
+            self.key(a).cmp(&self.key(b))
         });
         sorted
     }
 
-    /// Heap and mapped bytes of the three flat arrays; `sorted` is zero
-    /// until the dictionary is frozen.
-    pub fn memory(&self) -> [(&'static str, MemoryUse); 3] {
+    /// Heap and mapped bytes of the flat arrays; `sorted` is zero until the
+    /// dictionary is frozen, and `shared` is the shared table's arena and
+    /// records together.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 4] {
         let sorted = match &self.lookup {
             Lookup::Sorted(sorted) => sorted.into(),
             Lookup::Hashed(_) => MemoryUse::default(),
@@ -321,23 +574,17 @@ impl Dictionary {
             ("arena", (&self.arena).into()),
             ("records", (&self.records).into()),
             ("sorted", sorted),
+            ("shared", self.shared.memory()),
         ]
     }
 
     /// Probes `table` for `key`: the id it is indexed under, or else the
     /// empty slot that ends its probe sequence.
     fn probe(&self, table: &[u32], key: Key<'_>) -> Result<TermId, usize> {
-        let mask = table.len() - 1;
-        let mut slot = self.hasher.hash_one(key) as usize & mask;
-        loop {
-            let Some(id) = table[slot].checked_sub(1) else {
-                return Err(slot);
-            };
-            if record_key(&self.arena, &self.records[id as usize]) == key {
-                return Ok(TermId(id));
-            }
-            slot = (slot + 1) & mask;
-        }
+        probe(table, key.hash(&self.hasher), |id| {
+            self.key(&self.records[id as usize]).cmp(&key).is_eq()
+        })
+        .map(TermId)
     }
 
     /// A hash index of `slots` slots over every record.
@@ -345,7 +592,7 @@ impl Dictionary {
         let mut table = vec![0; slots];
         for (id, record) in self.records.iter().enumerate() {
             // A snapshot may list one term under two ids: the first keeps it.
-            if let Err(slot) = self.probe(&table, record_key(&self.arena, record)) {
+            if let Err(slot) = self.probe(&table, self.key(record)) {
                 table[slot] = slot_entry(id);
             }
         }
@@ -356,17 +603,16 @@ impl Dictionary {
         match &self.lookup {
             Lookup::Hashed(table) => self.probe(table, key).ok(),
             Lookup::Sorted(sorted) => sorted
-                .binary_search_by(|&id| {
-                    record_key(&self.arena, &self.records[id as usize]).cmp(&key)
-                })
+                .binary_search_by(|&id| self.key(&self.records[id as usize]).cmp(&key))
                 .ok()
                 .map(|pos| TermId(sorted[pos])),
         }
     }
 
-    /// Insert-or-get by key parts: a new term's bytes are appended to the
-    /// arena, once, and its record indexed.
-    fn encode_key(&mut self, kind: u32, lex: &str, extra: &str) -> TermId {
+    /// Insert-or-get by the parts [`term_parts`] gives: a new term's arena
+    /// strings are appended to the arena, once, its namespace or datatype
+    /// IRI interned in the shared table, and its record indexed.
+    fn encode_key(&mut self, kind: u32, lex: &str, datatype: &str, extra: &str) -> TermId {
         let id = self.records.len();
         // Frozen, mapped or about to fill past one half: index (again).
         let slots = slots_for(id + 1);
@@ -376,26 +622,40 @@ impl Dictionary {
         let Lookup::Hashed(table) = &self.lookup else {
             unreachable!("indexed above");
         };
-        let slot = match self.probe(table, (kind, lex.as_bytes(), extra.as_bytes())) {
+        let slot = match self.probe(table, Key::whole(kind, lex, datatype, extra)) {
             Ok(id) => return id,
             Err(slot) => slot,
         };
         let entry = slot_entry(id);
+        let (shared, lex) = if kind == KIND_IRI {
+            let iri = IriRef::split(lex);
+            (iri.namespace(), iri.local())
+        } else {
+            (datatype, lex)
+        };
         let lex_off = self.arena.len();
         let extra_off = lex_off + lex.len();
         // Refused before the arena grows; every offset below fits if the end does.
         arena_offset(extra_off + extra.len());
-        let (numeric, number) = stored_view(term_ref_from_parts(kind, lex, extra).numeric_view());
+        let (shared, shared_plain) = if shares(kind) {
+            let shared = self.shared.intern(shared, &self.hasher);
+            (shared, self.shared.records[shared as usize].plain == 1)
+        } else {
+            (0, true)
+        };
+        let view = term_ref_from_parts(kind, "", lex, extra).numeric_view();
+        let (numeric, number) = stored_view(view);
+        let plain = stored_plain(shared_plain, lex, extra);
         let arena = self.arena.to_mut();
         arena.extend_from_slice(lex.as_bytes());
         arena.extend_from_slice(extra.as_bytes());
         self.records.to_mut().push(TermRecord {
-            kind: kind | numeric | stored_plain(lex, extra),
+            kind: kind | numeric | plain,
             lex_off: arena_offset(lex_off),
             lex_len: arena_offset(lex.len()),
             extra_off: arena_offset(extra_off),
             extra_len: arena_offset(extra.len()),
-            reserved: 0,
+            shared,
             number,
         });
         if let Lookup::Hashed(table) = &mut self.lookup {
@@ -406,25 +666,25 @@ impl Dictionary {
 
     /// Returns the id for `term`, inserting it if it is not yet present.
     pub fn encode(&mut self, term: &Term) -> TermId {
-        let (kind, lex, extra) = term_key(term);
-        self.encode_key(kind, lex, &extra)
+        let (kind, lex, datatype, extra) = term_parts(term);
+        self.encode_key(kind, lex, datatype, &extra)
     }
 
     /// Convenience: encodes an IRI string.
     pub fn encode_iri(&mut self, iri: &str) -> TermId {
-        self.encode_key(KIND_IRI, iri, "")
+        self.encode_key(KIND_IRI, iri, "", "")
     }
 
     /// Returns the id of `term` if it has been encoded before.
     pub fn id_of(&self, term: &Term) -> Option<TermId> {
-        let (kind, lex, extra) = term_key(term);
-        self.lookup_key((kind, lex.as_bytes(), extra.as_bytes()))
+        let (kind, lex, datatype, extra) = term_parts(term);
+        self.lookup_key(Key::whole(kind, lex, datatype, &extra))
     }
 
     /// Returns the id of the IRI `iri` if it has been encoded before
-    /// (straight against the arena bytes, nothing allocated).
+    /// (straight against the stored bytes, nothing allocated).
     pub fn id_of_iri(&self, iri: &str) -> Option<TermId> {
-        self.lookup_key((KIND_IRI, iri.as_bytes(), b""))
+        self.lookup_key(Key::whole(KIND_IRI, iri, "", ""))
     }
 
     /// Returns a borrowed view of the term for `id`, if `id` is valid: no
@@ -453,23 +713,34 @@ impl Dictionary {
         Some((self.decode(record), record.view()))
     }
 
-    /// The term `record` describes, borrowed from the arena. Inlined into
-    /// every reader: the result writer resolves a cell per call of
-    /// `term_and_plain`, and a call more per cell keeps fewer record misses
-    /// in flight.
+    /// The term `record` describes, borrowed from the arena and the shared
+    /// table. Inlined into every reader: the result writer resolves a cell
+    /// per call of `term_and_plain`, and a call more per cell keeps fewer
+    /// record misses in flight.
     #[inline(always)]
     fn decode(&self, record: &TermRecord) -> TermRef<'_> {
-        let (kind, lex, extra) = record_key(&self.arena, record);
-        // SAFETY: by the struct invariant both ranges hold valid UTF-8:
+        let code = record.code();
+        let shared = if shares(code) {
+            self.shared.get(record.shared)
+        } else {
+            b""
+        };
+        // SAFETY: by the struct invariant every range holds valid UTF-8:
         // `encode` and `encode_iri` appended them from `&str`s (through
-        // `encode_key`), `read_sections` validated every record's ranges
-        // with `from_utf8`, and no byte either array holds is rewritten
+        // `encode_key`, which splits an IRI after an ASCII byte),
+        // `read_sections` validated every record's ranges and every shared
+        // string with `from_utf8`, and no byte any array holds is rewritten
         // afterwards (a mapped arena is a private read-only mapping, the
         // premise `ByteStore` already rests on).
         // Validating here instead would cost a pass over the string on every
         // decoded cell of every result row.
         let text = |bytes| unsafe { std::str::from_utf8_unchecked(bytes) };
-        term_ref_from_parts(kind, text(lex), text(extra))
+        term_ref_from_parts(
+            code,
+            text(shared),
+            text(slice(&self.arena, record.lex_off, record.lex_len)),
+            text(slice(&self.arena, record.extra_off, record.extra_len)),
+        )
     }
 
     /// Returns the term for `id`, if `id` is valid.
@@ -510,8 +781,9 @@ impl Dictionary {
     }
 
     /// Serializes the dictionary as snapshot sections (arena, records,
-    /// sorted permutation) — see `docs/STORAGE.md`. The arrays are written
-    /// as they are; a dictionary not yet frozen sorts its ids for the write.
+    /// sorted permutation, shared arena, shared records) — see
+    /// `docs/STORAGE.md`. The arrays are written as they are; a dictionary
+    /// not yet frozen sorts its ids for the write.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
         w.section(TAG_DICT_ARENA, &self.arena);
         w.section(TAG_DICT_RECORDS, &self.records);
@@ -519,64 +791,101 @@ impl Dictionary {
             Lookup::Sorted(sorted) => w.section(TAG_DICT_SORTED, sorted),
             Lookup::Hashed(_) => w.section(TAG_DICT_SORTED, &self.sorted_ids()),
         }
+        w.section(TAG_DICT_SHARED_ARENA, &self.shared.arena);
+        w.section(TAG_DICT_SHARED_RECORDS, &self.shared.records);
     }
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
-    /// validating every record's arena ranges and their UTF-8 so later reads
-    /// cannot panic, its numeric view against its lexical form's, bit for
-    /// bit, so a FILTER over the view answers as over the text, and its
-    /// [`PLAIN`] bit against its strings, so a crafted file cannot have the
-    /// result writer copy a quote or a control byte into a body unescaped.
-    /// All three read the record's strings in the one pass.
+    /// validating every shared string's range, UTF-8 and [`PLAIN`] bit
+    /// first, then every record: its arena ranges and their UTF-8 and its
+    /// shared index, so later reads cannot panic; an IRI's split, which must
+    /// be the one [`IriRef::split`] makes, so lookups find it; its numeric
+    /// view against its lexical form's, bit for bit, so a FILTER over the
+    /// view answers as over the text; and its [`PLAIN`] bit against its
+    /// strings, so a crafted file cannot have the result writer copy a quote
+    /// or a control byte into a body unescaped. All of a record's checks read
+    /// its strings in the one pass.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
+        let malformed = |what: String| Err(SnapshotError::Malformed(what));
         let arena: FlatVec<u8> = cur.next_section(TAG_DICT_ARENA)?;
         let records: FlatVec<TermRecord> = cur.next_section(TAG_DICT_RECORDS)?;
         let sorted: FlatVec<u32> = cur.next_section(TAG_DICT_SORTED)?;
+        let shared = SharedStrings {
+            arena: cur.next_section(TAG_DICT_SHARED_ARENA)?,
+            records: cur.next_section(TAG_DICT_SHARED_RECORDS)?,
+            index: Vec::new(),
+        };
         if sorted.len() != records.len() {
-            return Err(SnapshotError::Malformed(
-                "dictionary sort permutation length mismatch".into(),
-            ));
+            return malformed("dictionary sort permutation length mismatch".into());
         }
-        let arena_len = arena.len() as u64;
-        let within = |off: u32, len: u32| u64::from(off) + u64::from(len) <= arena_len;
+        let within = |arena: &[u8], off: u32, len: u32| {
+            u64::from(off) + u64::from(len) <= arena.len() as u64
+        };
+        let mut namespace = Vec::with_capacity(shared.records.len());
+        for (i, r) in shared.records.iter().enumerate() {
+            if !within(&shared.arena, r.off, r.len) {
+                return malformed(format!("dictionary shared string {i} is out of bounds"));
+            }
+            let Ok(text) = std::str::from_utf8(shared.get(i as u32)) else {
+                return malformed(format!("dictionary shared string {i} is not UTF-8"));
+            };
+            if r.plain != u32::from(is_json_plain(text)) {
+                return malformed(format!(
+                    "dictionary shared string {i}'s JSON-plain bit is not its text's"
+                ));
+            }
+            namespace.push(text.bytes().last().is_none_or(ends_namespace));
+        }
         for (i, r) in records.iter().enumerate() {
-            if !within(r.lex_off, r.lex_len)
-                || !within(r.extra_off, r.extra_len)
+            if !within(&arena, r.lex_off, r.lex_len)
+                || !within(&arena, r.extra_off, r.extra_len)
                 || r.code() > KIND_TYPED_LANG
             {
-                return Err(SnapshotError::Malformed(format!(
+                return malformed(format!(
                     "dictionary record {i} is out of bounds or has a bad kind"
-                )));
+                ));
+            }
+            if r.shared as usize >= shared.records.len() {
+                return malformed(format!(
+                    "dictionary record {i}'s shared string index is out of range"
+                ));
             }
             // `term_ref` hands these ranges out as `&str`.
-            let (kind, lex, extra) = record_key(&arena, r);
+            let (lex, extra) = (
+                slice(&arena, r.lex_off, r.lex_len),
+                slice(&arena, r.extra_off, r.extra_len),
+            );
             let (Ok(lex), Ok(extra)) = (std::str::from_utf8(lex), std::str::from_utf8(extra))
             else {
-                return Err(SnapshotError::Malformed(format!(
-                    "dictionary record {i} is not UTF-8"
-                )));
+                return malformed(format!("dictionary record {i} is not UTF-8"));
             };
-            let view = term_ref_from_parts(kind, lex, extra).numeric_view();
+            let view = term_ref_from_parts(r.code(), "", lex, extra).numeric_view();
             if (r.kind & NUMERIC, r.number) != stored_view(view) {
-                return Err(SnapshotError::Malformed(format!(
+                return malformed(format!(
                     "dictionary record {i}'s numeric view is not its lexical form's"
-                )));
+                ));
             }
-            if r.kind & PLAIN != stored_plain(lex, extra) {
-                return Err(SnapshotError::Malformed(format!(
+            let shared_plain = !shares(r.code()) || shared.records[r.shared as usize].plain == 1;
+            if r.kind & PLAIN != stored_plain(shared_plain, lex, extra) {
+                return malformed(format!(
                     "dictionary record {i}'s JSON-plain bit is not its text's"
-                )));
+                ));
+            }
+            let local_ends_namespace = lex.bytes().any(ends_namespace);
+            if r.code() == KIND_IRI && (!namespace[r.shared as usize] || local_ends_namespace) {
+                return malformed(format!(
+                    "dictionary record {i}'s IRI is not split after its last '/' or '#'"
+                ));
             }
         }
         let n = records.len() as u64;
         if sorted.iter().any(|&id| u64::from(id) >= n) {
-            return Err(SnapshotError::Malformed(
-                "dictionary sort permutation references an invalid id".into(),
-            ));
+            return malformed("dictionary sort permutation references an invalid id".into());
         }
         Ok(Dictionary {
             arena,
             records,
+            shared,
             lookup: Lookup::Sorted(sorted),
             hasher: RandomState::new(),
         })
@@ -727,12 +1036,12 @@ mod tests {
         let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
         // The arrays are on the ledger from the first `encode`; only the
         // sorted ids wait for the freeze.
-        let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
-        assert!(arena > 0);
+        let [arena, records, sorted, shared] = d.memory().map(|(_, m)| m.heap);
+        assert!(arena > 0 && shared > 0);
         assert_eq!((records, sorted), ((terms.len() * 32) as u64, 0));
         d.freeze();
         assert!(d.is_frozen());
-        let [arena, records, sorted] = d.memory().map(|(_, m)| m.heap);
+        let [arena, records, sorted, _] = d.memory().map(|(_, m)| m.heap);
         assert_eq!(records, (terms.len() * 32) as u64);
         assert_eq!(sorted, (terms.len() * 4) as u64);
         assert!(arena > 0);
@@ -930,8 +1239,13 @@ mod tests {
     }
 
     /// Reads a dictionary from sections holding `arena` and `records` (and
-    /// the identity as their order), through a file of its own.
-    fn read_records(arena: &[u8], records: &[TermRecord]) -> Result<Dictionary, SnapshotError> {
+    /// the identity as their order) and the shared table `shared`, through a
+    /// file of its own.
+    fn read_parts(
+        arena: &[u8],
+        records: &[TermRecord],
+        shared: (&[u8], &[SharedRecord]),
+    ) -> Result<Dictionary, SnapshotError> {
         static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let file = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut w = SnapshotWriter::new();
@@ -941,6 +1255,8 @@ mod tests {
             TAG_DICT_SORTED,
             &(0..records.len() as u32).collect::<Vec<_>>(),
         );
+        w.section(TAG_DICT_SHARED_ARENA, shared.0);
+        w.section(TAG_DICT_SHARED_RECORDS, shared.1);
         let path = std::env::temp_dir().join(format!(
             "turbohom-dict-{}-records-{file}.snap",
             std::process::id()
@@ -951,15 +1267,24 @@ mod tests {
         read
     }
 
+    /// [`read_parts`] with `d`'s shared table.
+    fn read_records(
+        d: &Dictionary,
+        arena: &[u8],
+        records: &[TermRecord],
+    ) -> Result<Dictionary, SnapshotError> {
+        read_parts(arena, records, (&d.shared.arena, &d.shared.records))
+    }
+
     #[test]
     fn a_snapshot_record_whose_view_or_range_is_wrong_is_refused() {
         let mut d = Dictionary::new();
         d.encode(&Term::typed_literal("12", crate::vocab::XSD_INTEGER));
         let (arena, record) = (d.arena.to_vec(), d.records[0]);
         assert_eq!(record.view(), Some(12.0));
-        assert!(read_records(&arena, &[record]).is_ok());
+        assert!(read_records(&d, &arena, &[record]).is_ok());
         let malformed = |record: TermRecord, what: &str| {
-            let err = read_records(&arena, &[record]).map(|_| ()).unwrap_err();
+            let err = read_records(&d, &arena, &[record]).map(|_| ()).unwrap_err();
             assert!(
                 matches!(&err, SnapshotError::Malformed(m) if m.contains(what)),
                 "{err:?}"
@@ -1004,8 +1329,8 @@ mod tests {
             },
             view,
         );
-        // A range that runs one byte past the arena (the datatype IRI ends
-        // it), or past `u32::MAX`; and a bad kind code.
+        // A range that runs one byte past the arena (the empty extra string
+        // ends it), or past `u32::MAX`; and a bad kind code.
         let bounds = "out of bounds";
         malformed(
             TermRecord {
@@ -1052,18 +1377,213 @@ mod tests {
             d.encode(term);
         }
         let arena = d.arena.to_vec();
-        assert!(read_records(&arena, &d.records).is_ok());
+        assert!(read_records(&d, &arena, &d.records).is_ok());
         for (record, (term, plain)) in d.records.iter().zip(&terms) {
             assert_eq!(record.is_plain(), *plain, "{term}");
             let flipped = TermRecord {
                 kind: record.kind ^ PLAIN,
                 ..*record
             };
-            let err = read_records(&arena, &[flipped]).map(|_| ()).unwrap_err();
+            let err = read_records(&d, &arena, &[flipped])
+                .map(|_| ())
+                .unwrap_err();
             assert!(
                 matches!(&err, SnapshotError::Malformed(m) if m.contains("JSON-plain bit")),
                 "{term}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn namespaces_and_datatypes_are_stored_once() {
+        let mut d = Dictionary::new();
+        for i in 0..3 {
+            d.encode_iri(&format!("http://ex.org/people/p{i}"));
+            d.encode(&Term::typed_literal(
+                i.to_string(),
+                crate::vocab::XSD_INTEGER,
+            ));
+        }
+        d.encode_iri("http://ex.org/people#me");
+        d.encode_iri("mailto");
+        // The arena holds local names and lexical forms only; the shared
+        // table the empty string, two namespaces and one datatype.
+        assert_eq!(&d.arena[..], b"p00p11p22memailto");
+        let shared: Vec<&[u8]> = (0..d.shared.records.len() as u32)
+            .map(|i| d.shared.get(i))
+            .collect();
+        let expected: [&[u8]; 4] = [
+            b"",
+            b"http://ex.org/people/",
+            crate::vocab::XSD_INTEGER.as_bytes(),
+            b"http://ex.org/people#",
+        ];
+        assert_eq!(shared, expected);
+        assert_eq!(d.records[7].shared, 0);
+        assert_eq!(
+            d.term_ref(TermId(6)).unwrap(),
+            TermRef::Iri(IriRef::new("http://ex.org/people#", "me"))
+        );
+    }
+
+    #[test]
+    fn a_split_key_hashes_and_compares_as_the_whole_key() {
+        let hasher = RandomState::new();
+        let text = "http://ex.org/a/very/long/namespace/that/crosses/a/sip/block#local-name";
+        let whole = Key::whole(KIND_TYPED, text, text, "\0en");
+        for at in 0..=text.len() {
+            let (a, b) = text.as_bytes().split_at(at);
+            let split = Key {
+                kind: KIND_TYPED,
+                lexical: [a, b],
+                extra: [b"", [text, "\0en"].concat().leak().as_bytes()],
+            };
+            assert_eq!(split.hash(&hasher), whole.hash(&hasher), "split at {at}");
+            assert!(split.cmp(&whole).is_eq(), "split at {at}");
+        }
+    }
+
+    /// The arrays a dictionary's sections hold, for a test to patch.
+    struct Sections {
+        arena: Vec<u8>,
+        records: Vec<TermRecord>,
+        shared_arena: Vec<u8>,
+        shared: Vec<SharedRecord>,
+    }
+
+    /// The sections of a dictionary whose first term is an IRI, patched by
+    /// `patch` and read back: the error, if any.
+    fn patched(patch: &dyn Fn(&mut Sections)) -> Option<String> {
+        let mut d = Dictionary::new();
+        d.encode_iri("http://ex.org/a/Person");
+        d.encode(&Term::typed_literal("1", crate::vocab::XSD_INTEGER));
+        let mut s = Sections {
+            arena: d.arena.to_vec(),
+            records: d.records.to_vec(),
+            shared_arena: d.shared.arena.to_vec(),
+            shared: d.shared.records.to_vec(),
+        };
+        patch(&mut s);
+        match read_parts(&s.arena, &s.records, (&s.shared_arena, &s.shared)) {
+            Ok(_) => None,
+            Err(SnapshotError::Malformed(m)) => Some(m),
+            Err(other) => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_snapshot_shared_string_or_split_that_is_wrong_is_refused() {
+        assert_eq!(patched(&|_| {}), None);
+        let refused = |what: &str, patch: &dyn Fn(&mut Sections)| {
+            let err = patched(patch).unwrap_or_else(|| panic!("{what}: read"));
+            assert!(err.contains(what), "{err}");
+        };
+        // A shared index past the table, on a kind that shares and on one
+        // that does not.
+        let range = "shared string index is out of range";
+        refused(range, &|s| s.records[0].shared = s.shared.len() as u32);
+        refused(range, &|s| s.records[1].shared = u32::MAX);
+        // The IRI's namespace made not to end in '/', `http://ex.org/ax`;
+        // a local name that holds a '/', `Pe/son`; and the datatype IRI,
+        // which ends in neither, as a namespace.
+        let split = "not split after its last";
+        refused(split, &|s| {
+            let end = s.shared[1].off + s.shared[1].len;
+            s.shared_arena[end as usize - 1] = b'x';
+        });
+        refused(split, &|s| s.arena[2] = b'/');
+        refused(split, &|s| s.records[0].shared = 2);
+        // A shared string whose plain bit says otherwise, either way.
+        let plain = "shared string 1's JSON-plain bit";
+        refused(plain, &|s| s.shared[1].plain = 0);
+        refused(plain, &|s| {
+            s.shared_arena[0] = b'"';
+            s.shared[1].plain = 1;
+        });
+        refused("shared string 2 is out of bounds", &|s| {
+            s.shared[2].len += 1
+        });
+        refused("shared string 1 is not UTF-8", &|s| {
+            s.shared_arena[0] = 0xff
+        });
+    }
+
+    proptest::proptest! {
+        /// IRIs of every shape — no '/' or '#', ending in one, a '#' before
+        /// a '/', empty, multibyte, many in one namespace — and typed
+        /// literals whose datatype is some IRI's text answer on the heap,
+        /// frozen and snapshot-view dictionaries as their whole text does:
+        /// `term`, `id_of` and `id_of_iri` round-trip, the plain bit is
+        /// `is_json_plain` of the whole text, a split view equals, orders
+        /// and hashes like the whole one, and the sorted ids are a sort by
+        /// whole text.
+        #[test]
+        fn split_iris_answer_as_their_whole_text(
+            specs in proptest::collection::vec(
+                (0usize..6, 0usize..6, "[ab/#é日😀\"]{0,5}"),
+                1..60,
+            ),
+            case in 0u64..u64::MAX,
+        ) {
+            const NAMESPACES: [&str; 6] = [
+                "", "http://ex.org/", "http://ex.org/a#", "urn:x#y/", "http://é.org/日/", "http://ex.org/\"q\"/",
+            ];
+            let mut iris: Vec<String> = Vec::new();
+            let mut terms: Vec<Term> = Vec::new();
+            for (shape, pick, text) in &specs {
+                let term = match shape {
+                    0 => Term::iri(text.as_str()),
+                    1 | 2 => Term::iri(format!("{}{text}", NAMESPACES[*pick])),
+                    3 if !iris.is_empty() => {
+                        Term::typed_literal(text.as_str(), iris[pick % iris.len()].as_str())
+                    }
+                    4 => Term::lang_literal(text.as_str(), "en"),
+                    _ => Term::literal(text.as_str()),
+                };
+                if let Term::Iri(iri) = &term {
+                    iris.push(iri.clone());
+                }
+                terms.push(term);
+            }
+            let mut owned = Dictionary::new();
+            let ids: Vec<TermId> = terms.iter().map(|t| owned.encode(t)).collect();
+            let mut frozen = owned.clone();
+            frozen.freeze();
+            let view = snapshot_view(&owned, &format!("split-{case:x}"));
+            // The parent's key: kind, whole lexical form, whole extra string.
+            let whole_key = |id: u32| {
+                let term = owned.term(TermId(id)).unwrap();
+                let (kind, lex, datatype, extra) = term_parts(&term);
+                (kind, lex.to_owned(), [datatype, &extra].concat())
+            };
+            let mut by_text: Vec<u32> = (0..owned.len() as u32).collect();
+            by_text.sort_by_key(|&id| whole_key(id));
+            let hasher = RandomState::new();
+            for d in [&owned, &frozen, &view] {
+                for (term, &id) in terms.iter().zip(&ids) {
+                    proptest::prop_assert_eq!(d.term(id).as_ref(), Some(term));
+                    proptest::prop_assert_eq!(d.id_of(term), Some(id));
+                    if let Term::Iri(iri) = term {
+                        proptest::prop_assert_eq!(d.id_of_iri(iri), Some(id));
+                    }
+                    let (split, plain) = d.term_and_plain(id).unwrap();
+                    let whole = TermRef::from(term);
+                    let (kind, lex, datatype, extra) = term_parts(term);
+                    let text_plain = kind != KIND_TYPED_LANG
+                        && is_json_plain(lex) && is_json_plain(datatype) && is_json_plain(&extra);
+                    proptest::prop_assert_eq!(plain, text_plain, "{}", term);
+                    proptest::prop_assert_eq!(split, whole);
+                    proptest::prop_assert_eq!(hasher.hash_one(split), hasher.hash_one(whole));
+                    for (other, &other_id) in terms.iter().zip(&ids) {
+                        let other_split = d.term_ref(other_id).unwrap();
+                        proptest::prop_assert_eq!(split.cmp(&other_split), term.cmp(other));
+                    }
+                }
+                if let Lookup::Sorted(sorted) = &d.lookup {
+                    proptest::prop_assert_eq!(&sorted[..], &by_text[..]);
+                }
+            }
+            proptest::prop_assert!(frozen.is_frozen() && view.is_frozen());
         }
     }
 

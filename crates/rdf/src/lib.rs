@@ -11,7 +11,8 @@
 //!   excluded from timings as the paper does (Section 7.1).
 //! * [`IdRows`] — the flat `u32` id-row buffer every result path appends to,
 //!   and [`TermRef`], the borrowed term view that sorts and serialises those
-//!   ids without cloning a `Term`.
+//!   ids without cloning a `Term` (an IRI as an [`IriRef`]: the namespace
+//!   the dictionary stores once and the local name).
 //! * [`Triple`] / [`TripleStore`] — an append-only, deduplicated in-memory
 //!   triple store over encoded ids.
 //! * [`ntriples`] — a streaming N-Triples parser and serializer used by the
@@ -36,5 +37,5 @@ pub use error::RdfError;
 pub use inference::{InferenceEngine, InferenceStats};
 pub use ntriples::{parse_ntriples, parse_ntriples_line, serialize_ntriples};
 pub use rows::{IdRows, UNBOUND};
-pub use term::{Term, TermRef};
+pub use term::{IriRef, Term, TermRef};
 pub use triple::{Dataset, Triple, TripleStore};

@@ -7,7 +7,9 @@
 
 use crate::error::RdfError;
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An RDF term: the subject, predicate or object of a triple.
 ///
@@ -196,8 +198,175 @@ impl fmt::Display for Term {
     }
 }
 
+/// Compares the strings `a` and `b` spell, each given in two pieces, byte
+/// for byte: what a whole-string compare would answer, wherever either split
+/// falls.
+pub(crate) fn cmp_pieces(a: [&[u8]; 2], b: [&[u8]; 2]) -> Ordering {
+    let ([mut a, mut a_rest], [mut b, mut b_rest]) = (a, b);
+    loop {
+        if a.is_empty() {
+            if a_rest.is_empty() {
+                return if b.is_empty() && b_rest.is_empty() {
+                    Ordering::Equal
+                } else {
+                    Ordering::Less
+                };
+            }
+            a = std::mem::take(&mut a_rest);
+            continue;
+        }
+        if b.is_empty() {
+            if b_rest.is_empty() {
+                return Ordering::Greater;
+            }
+            b = std::mem::take(&mut b_rest);
+            continue;
+        }
+        let n = a.len().min(b.len());
+        match a[..n].cmp(&b[..n]) {
+            Ordering::Equal => (a, b) = (&a[n..], &b[n..]),
+            unequal => return unequal,
+        }
+    }
+}
+
+/// Whether `byte` ends an IRI's namespace: a `/` or a `#`.
+pub(crate) fn ends_namespace(byte: u8) -> bool {
+    byte == b'/' || byte == b'#'
+}
+
+/// A borrowed IRI in two pieces: a namespace and a local name, which spell
+/// the IRI one after the other. The dictionary stores every IRI so, split
+/// after its last `/` or `#` ([`IriRef::split`]), with each namespace stored
+/// once; an IRI viewed from a [`Term`] is one piece (an empty namespace).
+///
+/// Everything a reader sees of it is of the whole text, wherever the split
+/// falls: equality, order, hash and display. A view from the dictionary and
+/// one from a `Term` of the same IRI are equal.
+#[derive(Clone, Copy)]
+pub struct IriRef<'a> {
+    namespace: &'a str,
+    local: &'a str,
+}
+
+impl<'a> IriRef<'a> {
+    /// The IRI `namespace` followed by `local`, split where it is given.
+    pub fn new(namespace: &'a str, local: &'a str) -> Self {
+        IriRef { namespace, local }
+    }
+
+    /// `iri` split after its last `/` or `#`: the namespace ends in one of
+    /// them (or is empty, when `iri` has neither) and the local name holds
+    /// neither. The one split the dictionary stores.
+    pub fn split(iri: &'a str) -> Self {
+        let at = iri.bytes().rposition(ends_namespace).map_or(0, |i| i + 1);
+        let (namespace, local) = iri.split_at(at);
+        IriRef { namespace, local }
+    }
+
+    /// The first piece.
+    pub fn namespace(self) -> &'a str {
+        self.namespace
+    }
+
+    /// The second piece.
+    pub fn local(self) -> &'a str {
+        self.local
+    }
+
+    /// The length of the whole text in bytes.
+    pub fn len(self) -> usize {
+        self.namespace.len() + self.local.len()
+    }
+
+    /// Whether the IRI is the empty string.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The whole text: borrowed when one piece is empty, else copied into
+    /// one string.
+    pub fn text(self) -> Cow<'a, str> {
+        match (self.namespace, self.local) {
+            ("", whole) | (whole, "") => Cow::Borrowed(whole),
+            (namespace, local) => Cow::Owned([namespace, local].concat()),
+        }
+    }
+
+    fn pieces(&self) -> [&'a [u8]; 2] {
+        [self.namespace.as_bytes(), self.local.as_bytes()]
+    }
+}
+
+impl<'a> From<&'a str> for IriRef<'a> {
+    /// The IRI `iri` as one piece.
+    fn from(iri: &'a str) -> Self {
+        IriRef::new("", iri)
+    }
+}
+
+impl PartialEq for IriRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && cmp_pieces(self.pieces(), other.pieces()).is_eq()
+    }
+}
+
+impl Eq for IriRef<'_> {}
+
+impl PartialOrd for IriRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for IriRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_pieces(self.pieces(), other.pieces())
+    }
+}
+
+impl Hash for IriRef<'_> {
+    /// Hashes the whole text as `str` does. The bytes reach the hasher in
+    /// 64-byte chunks counted from the start of the text, so where the split
+    /// falls changes no call the hasher sees.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut chunk = [0u8; 64];
+        let mut filled = 0;
+        for &byte in self
+            .namespace
+            .as_bytes()
+            .iter()
+            .chain(self.local.as_bytes())
+        {
+            chunk[filled] = byte;
+            filled += 1;
+            if filled == chunk.len() {
+                state.write(&chunk);
+                filled = 0;
+            }
+        }
+        state.write(&chunk[..filled]);
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Display for IriRef<'_> {
+    /// The whole text, unescaped.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.namespace)?;
+        f.write_str(self.local)
+    }
+}
+
+impl fmt::Debug for IriRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.text(), f)
+    }
+}
+
 /// A borrowed view of a [`Term`]: the same three shapes over `&str`s that
-/// live in a dictionary (its `Term`s, or the string arena of a snapshot).
+/// live in a dictionary (its `Term`s, or the string arena of a snapshot), an
+/// IRI as its two pieces ([`IriRef`]).
 ///
 /// The result path filters and serialises through these views, so no `Term`
 /// is cloned between the enumerator and the socket: a FILTER expression
@@ -209,7 +378,7 @@ impl fmt::Display for Term {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TermRef<'a> {
     /// An IRI.
-    Iri(&'a str),
+    Iri(IriRef<'a>),
     /// A blank node label (without the `_:` prefix).
     BlankNode(&'a str),
     /// A literal with optional datatype IRI or language tag.
@@ -226,7 +395,7 @@ pub enum TermRef<'a> {
 impl<'a> From<&'a Term> for TermRef<'a> {
     fn from(term: &'a Term) -> Self {
         match term {
-            Term::Iri(iri) => TermRef::Iri(iri),
+            Term::Iri(iri) => TermRef::Iri(IriRef::from(iri.as_str())),
             Term::BlankNode(label) => TermRef::BlankNode(label),
             Term::Literal {
                 lexical,
@@ -257,7 +426,7 @@ impl TermRef<'_> {
     /// Copies the view into an owned [`Term`].
     pub fn to_term(self) -> Term {
         match self {
-            TermRef::Iri(iri) => Term::Iri(iri.to_owned()),
+            TermRef::Iri(iri) => Term::Iri(iri.text().into_owned()),
             TermRef::BlankNode(label) => Term::BlankNode(label.to_owned()),
             TermRef::Literal {
                 lexical,

@@ -231,12 +231,12 @@ impl<'t> Value<'t> {
     }
 
     /// A string view used for string comparison and REGEX: borrowed, except
-    /// for a blank node's `_:` form and a number.
+    /// for a blank node's `_:` form, a number and an IRI the dictionary
+    /// split into its namespace and local name.
     pub fn as_string(&self) -> Option<Cow<'t, str>> {
         match *self {
-            Value::Term(TermRef::Literal { lexical: s, .. } | TermRef::Iri(s), _) => {
-                Some(Cow::Borrowed(s))
-            }
+            Value::Term(TermRef::Literal { lexical: s, .. }, _) => Some(Cow::Borrowed(s)),
+            Value::Term(TermRef::Iri(iri), _) => Some(iri.text()),
             Value::Term(TermRef::BlankNode(b), _) => Some(Cow::Owned(format!("_:{b}"))),
             Value::Number(n) => Some(Cow::Owned(n.to_string())),
             Value::Boolean(b) => Some(Cow::Borrowed(if b { "true" } else { "false" })),
@@ -346,7 +346,7 @@ impl Expression {
             }
             Expression::Datatype(e) => match e.evaluate(bindings) {
                 Value::Term(TermRef::Literal { datatype, .. }, _) => {
-                    Value::Term(TermRef::Iri(datatype.unwrap_or(XSD_STRING)), None)
+                    Value::Term(TermRef::Iri(datatype.unwrap_or(XSD_STRING).into()), None)
                 }
                 _ => Value::Unbound,
             },
@@ -412,23 +412,30 @@ fn compare(a: &Value<'_>, op: CompareOp, b: &Value<'_>) -> bool {
             CompareOp::Ge => x >= y,
         };
     }
-    let (Some(x), Some(y)) = (a.as_string(), b.as_string()) else {
-        return false;
-    };
-    if a.is_node() != b.is_node() {
-        match op {
-            CompareOp::Eq => return false,
-            CompareOp::Ne => return true,
-            _ => {}
+    // Two IRIs compare by their whole texts, piece by piece: the
+    // dictionary's are split, and neither is copied to be compared.
+    let order = if let (Value::Term(TermRef::Iri(x), _), Value::Term(TermRef::Iri(y), _)) = (a, b) {
+        x.cmp(y)
+    } else {
+        let (Some(x), Some(y)) = (a.as_string(), b.as_string()) else {
+            return false;
+        };
+        if a.is_node() != b.is_node() {
+            match op {
+                CompareOp::Eq => return false,
+                CompareOp::Ne => return true,
+                _ => {}
+            }
         }
-    }
+        x.cmp(&y)
+    };
     match op {
-        CompareOp::Eq => x == y,
-        CompareOp::Ne => x != y,
-        CompareOp::Lt => x < y,
-        CompareOp::Le => x <= y,
-        CompareOp::Gt => x > y,
-        CompareOp::Ge => x >= y,
+        CompareOp::Eq => order.is_eq(),
+        CompareOp::Ne => order.is_ne(),
+        CompareOp::Lt => order.is_lt(),
+        CompareOp::Le => order.is_le(),
+        CompareOp::Gt => order.is_gt(),
+        CompareOp::Ge => order.is_ge(),
     }
 }
 
@@ -1007,6 +1014,47 @@ mod tests {
         }
     }
 
+    /// An IRI the dictionary split into its namespace and local name
+    /// compares with any other IRI, by every operator, as its whole text.
+    #[test]
+    fn an_iri_in_two_pieces_compares_as_its_whole_text() {
+        use std::cmp::Ordering::{self, Equal, Greater, Less};
+        use turbohom_rdf::IriRef;
+        let holds = |op, order: Ordering| match op {
+            CompareOp::Eq => order.is_eq(),
+            CompareOp::Ne => order.is_ne(),
+            CompareOp::Lt => order.is_lt(),
+            CompareOp::Le => order.is_le(),
+            CompareOp::Gt => order.is_gt(),
+            CompareOp::Ge => order.is_ge(),
+        };
+        let iri = |iri| Value::term(TermRef::Iri(iri));
+        let split = iri(IriRef::new("http://x/", "d1"));
+        for (other, order) in [
+            ("http://x/d1", Equal),
+            ("http://x/d0", Greater),
+            ("http://x/d10", Less),
+            ("http://x/", Greater),
+            ("http://x/e", Less),
+            ("http://x/d1/", Less),
+        ] {
+            for whole in [iri(IriRef::from(other)), iri(IriRef::split(other))] {
+                for op in [
+                    CompareOp::Eq,
+                    CompareOp::Ne,
+                    CompareOp::Lt,
+                    CompareOp::Le,
+                    CompareOp::Gt,
+                    CompareOp::Ge,
+                ] {
+                    assert_eq!(compare(&split, op, &whole), holds(op, order), "{other}");
+                    let reverse = holds(op, order.reverse());
+                    assert_eq!(compare(&whole, op, &split), reverse, "{other}");
+                }
+            }
+        }
+    }
+
     /// SPARQL 1.1 §17.4.1.7 (RDFterm-equal): an IRI or a blank node and a
     /// literal are different terms, so `=` is false and `!=` is true between
     /// them even where their strings agree, in either operand order. Two
@@ -1050,9 +1098,13 @@ mod tests {
         assert_eq!(Value::term(TermRef::from(&seven)).as_number(), Some(7.0));
         assert_eq!(Value::Boolean(true).as_number(), Some(1.0));
         assert_eq!(Value::Unbound.as_string(), None);
-        // Views borrow; only a blank node's `_:` form and a number allocate.
-        let iri = Value::term(TermRef::Iri("http://x")).as_string();
+        // Views borrow; only a blank node's `_:` form, a number and an IRI
+        // in two pieces allocate.
+        let iri = Value::term(TermRef::Iri("http://x".into())).as_string();
         assert!(matches!(iri, Some(Cow::Borrowed("http://x"))));
+        let split = turbohom_rdf::IriRef::new("http://", "x");
+        let split = Value::term(TermRef::Iri(split)).as_string();
+        assert!(matches!(split, Some(Cow::Owned(s)) if s == "http://x"));
         let blank = Value::term(TermRef::BlankNode("b")).as_string();
         assert!(matches!(blank, Some(Cow::Owned(s)) if s == "_:b"));
     }

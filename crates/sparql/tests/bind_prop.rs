@@ -79,7 +79,7 @@ where
         }
         Expression::Datatype(e) => match reference(e, bindings) {
             Value::Term(TermRef::Literal { datatype, .. }, _) => {
-                Value::term(TermRef::Iri(datatype.unwrap_or(XSD_STRING)))
+                Value::term(TermRef::Iri(datatype.unwrap_or(XSD_STRING).into()))
             }
             _ => Value::Unbound,
         },
@@ -271,7 +271,7 @@ fn a_folded_sum_stays_a_number() {
     let datatype = Expression::Datatype(Box::new(five.clone())).bind(&[]);
     assert_eq!(
         datatype.evaluate(&|_| None),
-        Value::Term(TermRef::Iri(XSD_STRING), None)
+        Value::Term(TermRef::Iri(XSD_STRING.into()), None)
     );
     assert_eq!(render(five.evaluate(&|_| None)), "term \"5\"");
 }
