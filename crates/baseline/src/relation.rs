@@ -83,13 +83,6 @@ impl Relation {
         }
     }
 
-    /// Removes duplicate rows (used for DISTINCT and for UNION result
-    /// hygiene in tests; the benchmark timings skip it as the paper does).
-    pub fn deduplicate(&mut self) {
-        self.rows.sort_unstable();
-        self.rows.dedup();
-    }
-
     /// Appends another relation with the same header.
     ///
     /// # Panics
@@ -151,16 +144,6 @@ mod tests {
         combined.append(b.project(&["x".into(), "y".into(), "z".into()]));
         assert_eq!(combined.len(), 2);
         assert_eq!(combined.rows[1], vec![None, id(2), id(9)]);
-    }
-
-    #[test]
-    fn deduplicate_removes_copies() {
-        let mut r = Relation {
-            vars: vec!["x".into()],
-            rows: vec![vec![id(1)], vec![id(1)], vec![id(2)]],
-        };
-        r.deduplicate();
-        assert_eq!(r.len(), 2);
     }
 
     #[test]

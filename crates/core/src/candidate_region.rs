@@ -449,7 +449,7 @@ mod tests {
     use crate::start_vertex;
     use turbohom_rdf::{vocab, Dataset};
     use turbohom_sparql::parse_query;
-    use turbohom_transform::{transform_query, type_aware_transform};
+    use turbohom_transform::{transform_branch, type_aware_transform};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -493,7 +493,10 @@ mod tests {
         let ds = figure2_dataset(ys);
         let t = type_aware_transform(&ds);
         let q = parse_query(STAR_QUERY).unwrap();
-        let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         (ds, t, tq)
     }
 
@@ -535,7 +538,10 @@ mod tests {
         // Note: no Z typed vertex and no third edge.
         let t = type_aware_transform(&ds);
         let q = parse_query(STAR_QUERY).unwrap();
-        let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         // The query mentions class Z which exists nowhere: already
         // unsatisfiable at transformation time.
         assert!(tq.unsatisfiable);
@@ -547,7 +553,10 @@ mod tests {
             let ds = figure2_dataset(3);
             let t = type_aware_transform(&ds);
             let q = parse_query(STAR_QUERY).unwrap();
-            let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+            let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
+                .unwrap()
+                .components
+                .remove(0);
             (ds, t, tq)
         };
         // Query asking for a `wrongEdge` predicate that exists in the data
@@ -561,7 +570,10 @@ mod tests {
                SELECT ?a ?x WHERE { ?a rdf:type ub:A . ?x rdf:type ub:X . ?a ub:wrongEdge ?x . }"#,
         )
         .unwrap();
-        let tq2 = transform_query(&q2.pattern, &t2, &ds2.dictionary).unwrap();
+        let tq2 = transform_branch(&q2.pattern, &t2, &ds2.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         assert!(!tq2.unsatisfiable);
         let config = TurboHomConfig::default();
         let mut stats = MatchStats::default();
@@ -590,7 +602,10 @@ mod tests {
                }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         // `rating` is unknown, but it only occurs in an OPTIONAL clause: the
         // query stays satisfiable and the region exploration must not fail —
         // the optional child simply has no candidates.
@@ -621,7 +636,10 @@ mod tests {
                SELECT ?x ?y ?z WHERE { ?x ub:e ?y . ?y ub:e ?z . }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let x = tq.graph.vertex_of_variable("x").unwrap();
         let z = tq.graph.vertex_of_variable("z").unwrap();
         let tree = QueryTree::build(&tq.graph, x);
@@ -666,7 +684,10 @@ mod tests {
                SELECT * WHERE { ?a ub:ab ?b . ?b ub:bc ?c . ?c ub:cd ?d . }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let [a, b, c, d] = ["a", "b", "c", "d"].map(|v| tq.graph.vertex_of_variable(v).unwrap());
         let tree = QueryTree::build(&tq.graph, a);
         let vertex = |name: &str| VertexId::of_term(ds.dictionary.id_of_iri(&ub(name)).unwrap());

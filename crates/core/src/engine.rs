@@ -899,7 +899,7 @@ mod tests {
     use crate::config::Optimizations;
     use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
-    use turbohom_transform::{transform_query, type_aware_transform};
+    use turbohom_transform::{transform_branch, type_aware_transform};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -954,7 +954,10 @@ mod tests {
         config: TurboHomConfig,
     ) -> MatchResult {
         let q = parse_query(sparql).unwrap();
-        let tq = transform_query(&q.pattern, data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         TurboHomEngine::new(data, &ds.dictionary, config)
             .execute(&tq)
             .unwrap()
@@ -1025,7 +1028,10 @@ mod tests {
         let ds = university_dataset_with_empty_regions();
         let data = type_aware_transform(&ds);
         let q = parse_query(TRIANGLE).unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let run = |config: TurboHomConfig, preset: Option<&MatchingOrder>, limit: Option<usize>| {
             let input = RunInput {
                 limit,
@@ -1117,7 +1123,10 @@ mod tests {
         };
         for (sparql, dead) in [(TRIANGLE, 3), (chain, 3), (scan, 0)] {
             let q = parse_query(sparql).unwrap();
-            let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+            let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+                .unwrap()
+                .components
+                .remove(0);
             let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
             let prologue = engine.explain(&tq, RunInput::of(&tq));
             let start = prologue.start.unwrap().expect("the query is admitted");
@@ -1208,7 +1217,10 @@ mod tests {
                SELECT ?x WHERE { ?x rdf:type ub:Starship . }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         assert_eq!(admit(&tq), Ok(false));
         let result = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
             .execute(&tq)
@@ -1223,10 +1235,14 @@ mod tests {
         let data = type_aware_transform(&ds);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
-               SELECT ?a ?b WHERE { ?a ub:memberOf ?d . ?b ub:subOrganizationOf ?u . }"#,
+               SELECT ?a ?b WHERE { ?a ub:memberOf ?d . OPTIONAL { ?b ub:subOrganizationOf ?u . } }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        // An OPTIONAL clause that meets no component goes to the first.
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let err = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
             .execute(&tq)
             .unwrap_err();
@@ -1243,7 +1259,10 @@ mod tests {
         let direct = turbohom_transform::direct_transform(&aware);
         let a = execute(&ds, &aware, TRIANGLE, TurboHomConfig::default());
         let q = parse_query(TRIANGLE).unwrap();
-        let tq = transform_query(&q.pattern, &direct, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &direct, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let d = TurboHomEngine::new(&direct, &ds.dictionary, TurboHomConfig::turbohom())
             .execute(&tq)
             .unwrap();
@@ -1275,7 +1294,10 @@ mod tests {
         let ds = university_dataset();
         let data = type_aware_transform(&ds);
         let q = parse_query(TRIANGLE).unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         // Cold run: computes the order once (+REUSE) and hands it back.
         let (cold, order) = engine
@@ -1326,7 +1348,10 @@ mod tests {
         let ds = university_dataset();
         let data = type_aware_transform(&ds);
         let q = parse_query(TRIANGLE).unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
 
         // Sequential: the three stage rollups appear under the given parent.
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
@@ -1421,7 +1446,10 @@ mod tests {
                }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         let trace = Trace::detailed(15);
         let root = trace.span("execute");
@@ -1467,7 +1495,10 @@ mod tests {
                SELECT ?x WHERE { ?x rdf:type ub:Student . ?x rdf:type ub:GraduateStudent . }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         assert_eq!((tq.graph.vertex_count(), tq.graph.edge_count()), (1, 0));
         let config = TurboHomConfig::default().with_threads(4);
         let trace = Trace::detailed(14);

@@ -8,9 +8,9 @@
 //!
 //! | Paper | Module |
 //! |-------|--------|
-//! | `ChooseStartQueryVertex` (rank = freq/deg, degree + NLF refinement) | [`start_vertex`] |
-//! | `WriteQueryTree` (BFS tree + non-tree edges) | [`query_tree`] |
-//! | `ExploreCandidateRegion` | [`candidate_region`] |
+//! | `ChooseStartQueryVertex` (rank = freq/deg, degree + NLF refinement) | `start_vertex` |
+//! | `WriteQueryTree` (BFS tree + non-tree edges) | `query_tree` |
+//! | `ExploreCandidateRegion` | `candidate_region` |
 //! | `DetermineMatchingOrder` (+REUSE) | [`matching_order`] |
 //! | `SubgraphSearch` / `IsJoinable` (+INT) | [`subgraph_search`] |
 //! | degree / NLF filters (−DEG / −NLF toggles) | [`filters`] |

@@ -260,7 +260,7 @@ mod tests {
     use crate::stats::MatchStats;
     use turbohom_rdf::{vocab, Dataset};
     use turbohom_sparql::parse_query;
-    use turbohom_transform::{transform_query, type_aware_transform, TransformedGraph};
+    use turbohom_transform::{transform_branch, type_aware_transform, TransformedGraph};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -287,7 +287,10 @@ mod tests {
         sparql: &str,
     ) -> (TransformedQuery, QueryTree, CandidateRegion) {
         let q = parse_query(sparql).unwrap();
-        let tq = transform_query(&q.pattern, t, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let config = TurboHomConfig::default();
         let mut stats = MatchStats::default();
         let sel = start_vertex::choose_start_vertex(t, &config, &tq, None, &mut stats);

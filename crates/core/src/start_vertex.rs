@@ -184,7 +184,7 @@ mod tests {
     use super::*;
     use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
-    use turbohom_transform::{transform_query, type_aware_transform};
+    use turbohom_transform::{transform_branch, type_aware_transform, TransformError};
 
     /// Selection as it was before it counted: the full candidate list of
     /// each of the top-k query vertices is copied out of the index, walked
@@ -343,7 +343,10 @@ mod tests {
 
     fn transformed(ds: &Dataset, t: &TransformedGraph, sparql: &str) -> TransformedQuery {
         let q = parse_query(sparql).unwrap();
-        transform_query(&q.pattern, t, &ds.dictionary).unwrap()
+        transform_branch(&q.pattern, t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0)
     }
 
     #[test]
@@ -434,7 +437,10 @@ mod tests {
                SELECT ?x WHERE { ?x rdf:type ub:Student . ?x ub:memberOf ?d . }"#,
         )
         .unwrap();
-        let mut tq = transform_query(&q.pattern, &t, &ds.dictionary).unwrap();
+        let mut tq = transform_branch(&q.pattern, &t, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let u = tq.graph.vertex_of_variable("x").unwrap();
         let mut stats = MatchStats::default();
         // The two departments that have members beat the ten students, and
@@ -683,17 +689,26 @@ mod tests {
                  PREFIX ub: <http://ub.org/> SELECT * WHERE {{ {} }}",
                 patterns.iter().copied().map(pattern_text).collect::<Vec<_>>().join(" "),
             );
-            let tq = transform_query(&parse_query(&text).unwrap().pattern, &t, &ds.dictionary).unwrap();
+            // A branch whose predicate variable is in two components has no
+            // query graph to match: it is refused.
+            let branch = match transform_branch(&parse_query(&text).unwrap().pattern, &t, &ds.dictionary) {
+                Err(TransformError::SpansComponents { predicate }) => {
+                    proptest::prop_assert_eq!(predicate.as_deref(), Some("pred"), "{}", text);
+                    return;
+                }
+                branch => branch.unwrap(),
+            };
             let none = crate::config::Optimizations::none();
-            for config in [
+            let configs = [
                 TurboHomConfig::default(),
                 TurboHomConfig::turbohom(),
                 TurboHomConfig::isomorphism().with_optimizations(none),
-            ] {
+            ];
+            for (tq, config) in (branch.components.iter()).flat_map(|tq| configs.map(|c| (tq, c))) {
                 let (mut expected_stats, mut stats) = (MatchStats::default(), MatchStats::default());
                 let (query_vertex, start_vertices) =
-                    reference::choose_start_vertex(&t, &config, &tq, &mut expected_stats);
-                let sel = choose_start_vertex(&t, &config, &tq, None, &mut stats);
+                    reference::choose_start_vertex(&t, &config, tq, &mut expected_stats);
+                let sel = choose_start_vertex(&t, &config, tq, None, &mut stats);
                 proptest::prop_assert_eq!(sel.query_vertex, query_vertex, "{} {:?}", text, config);
                 proptest::prop_assert_eq!(&*sel.start_vertices, &start_vertices[..], "{} {:?}", text, config);
                 proptest::prop_assert_eq!(stats, expected_stats, "{} {:?}", text, config);

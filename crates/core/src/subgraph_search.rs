@@ -472,7 +472,7 @@ mod tests {
     use crate::start_vertex::choose_start_vertex;
     use turbohom_rdf::{vocab, Dataset, UNBOUND};
     use turbohom_sparql::parse_query;
-    use turbohom_transform::{transform_query, type_aware_transform};
+    use turbohom_transform::{transform_branch, type_aware_transform};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -546,7 +546,10 @@ mod tests {
         limit: Option<usize>,
     ) -> Found {
         let q = parse_query(sparql).unwrap();
-        let tq = transform_query(&q.pattern, data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         assert!(!tq.unsatisfiable, "query should be satisfiable");
         let mut stats = MatchStats::default();
         let mut sel = choose_start_vertex(data, config, &tq, None, &mut stats);
@@ -644,7 +647,10 @@ mod tests {
                }"#,
         )
         .unwrap();
-        let tq = transform_query(&q.pattern, &data, &ds.dictionary).unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
         let layout = RowLayout::of(&tq.graph);
         for config in [
             TurboHomConfig::default(),

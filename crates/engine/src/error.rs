@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn conversions_and_display() {
-        let e: StoreError = RdfError::UnknownTermId(3).into();
+        let e: StoreError = RdfError::InvalidIri("a b".into()).into();
         assert!(e.to_string().contains("RDF error"));
         let e: StoreError = ParseError {
             message: "bad".into(),

@@ -610,6 +610,15 @@ mod tests {
                 Some("no required part (every vertex is OPTIONAL)"),
                 Err(EngineError::NoRequiredPart),
             ),
+            // An OPTIONAL clause that meets no required vertex stays with
+            // the (first) component, whose graph it disconnects.
+            (
+                "SELECT ?x WHERE { ?x <http://ub.org/memberOf> ?d . \
+                   OPTIONAL { ?a <http://ub.org/memberOf> ?b . } }"
+                    .to_string(),
+                Some("disconnected query graph"),
+                Err(EngineError::DisconnectedQuery),
+            ),
         ];
         for (sparql, note, outcome) in cases {
             let report = explain(&store, &sparql, kind);
@@ -623,9 +632,6 @@ mod tests {
                 }
             }
         }
-        // The fourth verdict is not reachable from here: a disconnected
-        // pattern is split into connected components before it is planned
-        // (`turbohom-core` tests `admit` on one).
     }
 
     #[test]

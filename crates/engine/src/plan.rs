@@ -24,7 +24,7 @@
 use crate::error::StoreError;
 use crate::results::{IdResults, QueryResults};
 use crate::sharded::{Anchor, Routing};
-use crate::store::{collect_filters, split_components, EngineKind, Store};
+use crate::store::{EngineKind, Store};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,9 +35,9 @@ use turbohom_core::{
 };
 use turbohom_graph::ELabel;
 use turbohom_rdf::{Dictionary, IdRows, TermId, UNBOUND};
-use turbohom_sparql::{Binding, Expression, GroupPattern, Query};
+use turbohom_sparql::{Binding, Expression, Query};
 use turbohom_trace::{SpanId, Trace};
-use turbohom_transform::{transform_query, TransformedGraph, TransformedQuery};
+use turbohom_transform::{transform_branch, TransformedGraph, TransformedQuery};
 
 /// A fully prepared query: parsed, union-expanded, component-split and
 /// transformed for one [`EngineKind`] against one [`Store`]. A plan a
@@ -71,28 +71,25 @@ pub(crate) enum PlanMode {
 
 /// One union-free branch of the query.
 pub(crate) struct BranchPlan {
-    /// The connected components of the branch's required BGP (almost always
-    /// exactly one).
+    /// The connected components of the branch's query graph, as the
+    /// transform splits it (almost always exactly one).
     pub(crate) components: Vec<ComponentPlan>,
-    /// Branch filters of a branch with more than one component
-    /// (`split_components` drops them from the per-component groups): read
-    /// by the component matched under the others' constant rows, or else
-    /// applied to the cartesian combination.
+    /// Every FILTER of a branch of several components (which carry none):
+    /// read by the component matched under the others' constant rows, or
+    /// else applied to the cartesian combination.
     filters: Vec<Expression>,
     /// The component matched last with the one row each other component
     /// yields bound (see `Store::run_components`): the only one, or of
-    /// several the one without a required constant query vertex, when no
-    /// variable is in two components. `None`: the branch is a cartesian
-    /// product of its components.
+    /// several the one without a required constant query vertex. `None`:
+    /// the branch is a cartesian product of its components.
     bind_into: Option<usize>,
 }
 
 /// One connected component: a transformed query graph ready to match.
 pub(crate) struct ComponentPlan {
     pub(crate) transformed: TransformedQuery,
-    /// The component's own variables (its output columns when the branch has
-    /// several components; empty for single-component branches, which render
-    /// straight onto the projection).
+    /// Its vertices' and edges' variables, sorted: its columns in a branch
+    /// of several components, which share none. Empty for the only one.
     vars: Vec<String>,
     /// The `+REUSE` matching order memoized by the first run (`Arc` so the
     /// warm path clones a pointer, not the order itself).
@@ -100,6 +97,21 @@ pub(crate) struct ComponentPlan {
 }
 
 impl ComponentPlan {
+    /// The plan of one component, of `several` or the only one, its
+    /// matching order not yet memoized.
+    fn new(transformed: TransformedQuery, several: bool) -> Self {
+        let mut vars = Vec::new();
+        if several {
+            vars = transformed.graph.variables();
+            vars.sort_unstable();
+        }
+        ComponentPlan {
+            transformed,
+            vars,
+            cached_order: Mutex::new(None),
+        }
+    }
+
     /// Whether a constant is one of the component's required query
     /// vertices: its start list is that constant, and its match a lookup.
     fn anchored(&self) -> bool {
@@ -114,16 +126,11 @@ impl ComponentPlan {
 /// with nothing to bind.
 fn bind_target(components: &[ComponentPlan]) -> Option<usize> {
     let mut unanchored = (components.iter().enumerate()).filter(|(_, c)| !c.anchored());
-    let target = match (components, unanchored.next(), unanchored.next()) {
-        ([_], ..) => 0,
-        (_, Some((target, _)), None) => target,
-        _ => return None,
-    };
-    let mut vars: Vec<&String> = components.iter().flat_map(|c| &c.vars).collect();
-    let named = vars.len();
-    vars.sort_unstable();
-    vars.dedup();
-    (vars.len() == named).then_some(target)
+    match (components, unanchored.next(), unanchored.next()) {
+        ([_], ..) => Some(0),
+        (_, Some((target, _)), None) => Some(target),
+        _ => None,
+    }
 }
 
 impl QueryPlan {
@@ -429,7 +436,8 @@ impl Store {
         Ok(results)
     }
 
-    /// Expands the query's unions and transforms every branch for `graph`.
+    /// Expands the query's unions and transforms every branch for `graph`,
+    /// into the connected components the transform splits it into.
     fn plan_branches(
         &self,
         query: &Query,
@@ -437,39 +445,18 @@ impl Store {
     ) -> Result<Vec<BranchPlan>, StoreError> {
         let mut branches = Vec::new();
         for branch in query.pattern.expand_unions() {
-            let (components, filters) = match split_components(&branch).as_slice() {
-                [] | [_] => {
-                    let only = self.plan_component(&branch, graph, Vec::new())?;
-                    (vec![only], Vec::new())
-                }
-                groups => {
-                    let components = (groups.iter())
-                        .map(|c| self.plan_component(c, graph, c.all_variables()))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    (components, collect_filters(&branch))
-                }
-            };
+            let split = transform_branch(&branch, graph, self.dictionary())?;
+            let several = split.components.len() > 1;
+            let components: Vec<_> = (split.components.into_iter())
+                .map(|c| ComponentPlan::new(c, several))
+                .collect();
             branches.push(BranchPlan {
                 bind_into: bind_target(&components),
                 components,
-                filters,
+                filters: split.filters,
             });
         }
         Ok(branches)
-    }
-
-    /// Transforms one connected, union-free group for `graph`.
-    fn plan_component(
-        &self,
-        group: &GroupPattern,
-        graph: &TransformedGraph,
-        vars: Vec<String>,
-    ) -> Result<ComponentPlan, StoreError> {
-        Ok(ComponentPlan {
-            transformed: transform_query(group, graph, self.dictionary())?,
-            vars,
-            cached_order: Mutex::new(None),
-        })
     }
 
     /// Runs a graph plan's branches under `config` with the plan's pushed-down
@@ -703,7 +690,7 @@ impl Store {
             }
         }
         // FILTER expressions read the dictionary's view of the cells they ask
-        // for; a variable in two columns reads the last one bound.
+        // for.
         let mut filtered = None;
         if !branch.filters.is_empty() {
             let filtering = Instant::now();
@@ -711,10 +698,8 @@ impl Store {
             let dictionary = self.dictionary();
             combined.retain(|row| {
                 let bindings = |name: &str| {
-                    let mut cells = all_vars.iter().zip(row).rev();
-                    cells.find_map(|(var, &cell)| {
-                        (*var == name).then(|| binding_of(dictionary, cell))?
-                    })
+                    let column = all_vars.iter().position(|var| *var == name)?;
+                    binding_of(dictionary, row[column])
                 };
                 branch.filters.iter().all(|f| f.evaluate_bool(&bindings))
             });

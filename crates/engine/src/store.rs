@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use turbohom_baseline::{HashJoinEngine, JoinStrategy, MergeJoinEngine, PermutationIndexes};
 use turbohom_core::TurboHomConfig;
 use turbohom_rdf::{parse_ntriples, Dataset, Dictionary, IdRows};
-use turbohom_sparql::{parse_query, GroupPattern, Query, SparqlTerm};
+use turbohom_sparql::{parse_query, Query};
 use turbohom_storage::{Snapshot, SnapshotWriter};
 use turbohom_trace::Trace;
 use turbohom_transform::TransformedGraph;
@@ -421,104 +421,6 @@ impl<'s> PreparedQuery<'s> {
     pub fn plan(&self, kind: EngineKind) -> Result<QueryPlan, StoreError> {
         self.store.plan_query(&self.query, kind)
     }
-}
-
-/// All FILTER expressions of a branch, including those inside OPTIONALs
-/// (used when the branch is evaluated component-wise at the store level).
-pub(crate) fn collect_filters(branch: &GroupPattern) -> Vec<turbohom_sparql::Expression> {
-    let mut out = branch.filters.clone();
-    for opt in &branch.optionals {
-        out.extend(collect_filters(opt));
-    }
-    out
-}
-
-/// Splits a union-free branch into the connected components of its required
-/// basic graph pattern. Variables *and* constants connect patterns (they map
-/// to shared query vertices). OPTIONAL clauses are attached to the first
-/// component they share a variable with; FILTERs are deliberately dropped —
-/// the caller re-applies them after combining the component results.
-pub(crate) fn split_components(branch: &GroupPattern) -> Vec<GroupPattern> {
-    if branch.triples.len() <= 1 {
-        return vec![branch.clone()];
-    }
-    // Union-find over the term keys of the required triples.
-    let mut keys: Vec<String> = Vec::new();
-    let mut parents: Vec<usize> = Vec::new();
-    fn find(parents: &mut [usize], mut x: usize) -> usize {
-        while parents[x] != x {
-            parents[x] = parents[parents[x]];
-            x = parents[x];
-        }
-        x
-    }
-    let key_index = |keys: &mut Vec<String>, parents: &mut Vec<usize>, key: String| -> usize {
-        match keys.iter().position(|k| *k == key) {
-            Some(i) => i,
-            None => {
-                keys.push(key);
-                parents.push(parents.len());
-                parents.len() - 1
-            }
-        }
-    };
-    let term_key = |t: &SparqlTerm| match t {
-        SparqlTerm::Variable(v) => format!("?{v}"),
-        SparqlTerm::Constant(c) => c.to_string(),
-    };
-    let mut triple_roots: Vec<usize> = Vec::with_capacity(branch.triples.len());
-    for triple in &branch.triples {
-        let mut nodes = vec![
-            key_index(&mut keys, &mut parents, term_key(&triple.subject)),
-            key_index(&mut keys, &mut parents, term_key(&triple.object)),
-        ];
-        if triple.predicate.is_variable() {
-            nodes.push(key_index(
-                &mut keys,
-                &mut parents,
-                term_key(&triple.predicate),
-            ));
-        }
-        let root = find(&mut parents, nodes[0]);
-        for &n in &nodes[1..] {
-            let r = find(&mut parents, n);
-            parents[r] = root;
-        }
-        triple_roots.push(root);
-    }
-    // Normalize roots after all unions.
-    let roots: Vec<usize> = triple_roots
-        .iter()
-        .map(|&r| find(&mut parents, r))
-        .collect();
-    let mut distinct_roots: Vec<usize> = roots.clone();
-    distinct_roots.sort_unstable();
-    distinct_roots.dedup();
-    if distinct_roots.len() <= 1 {
-        return vec![branch.clone()];
-    }
-    let mut components: Vec<GroupPattern> =
-        distinct_roots.iter().map(|_| GroupPattern::new()).collect();
-    for (triple, root) in branch.triples.iter().zip(&roots) {
-        let idx = distinct_roots
-            .iter()
-            .position(|r| r == root)
-            .expect("root present");
-        components[idx].triples.push(triple.clone());
-    }
-    // Attach each OPTIONAL to the first component sharing a variable.
-    for opt in &branch.optionals {
-        let opt_vars = opt.all_variables();
-        let target = components
-            .iter()
-            .position(|c| {
-                let vars = c.all_variables();
-                opt_vars.iter().any(|v| vars.contains(v))
-            })
-            .unwrap_or(0);
-        components[target].optionals.push(opt.clone());
-    }
-    components
 }
 
 #[cfg(test)]

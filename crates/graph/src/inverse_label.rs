@@ -76,11 +76,6 @@ impl InverseLabelIndex {
         }
     }
 
-    /// Number of distinct labels indexed.
-    pub fn label_count(&self) -> usize {
-        self.lists.num_rows()
-    }
-
     /// Bytes of the index's arrays.
     pub fn memory(&self) -> MemoryUse {
         MemoryUse::from(&self.lists)
@@ -133,7 +128,6 @@ mod tests {
         );
         assert_eq!(idx.vertices_with_label(VLabel(2)), &[VertexId(4)]);
         assert_eq!(idx.frequency(VLabel(0)), 3);
-        assert_eq!(idx.label_count(), 3);
     }
 
     #[test]

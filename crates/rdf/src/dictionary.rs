@@ -8,7 +8,7 @@
 //! from elapsed times, as Section 7.1 of the paper prescribes.
 //!
 //! The dictionary is flat arrays from the first [`Dictionary::encode`] on: a
-//! UTF-8 string arena, fixed-width [`TermRecord`]s pointing into it (indexed
+//! UTF-8 string arena, fixed-width `TermRecord`s pointing into it (indexed
 //! by id), a small table of shared strings, and one lookup structure over the
 //! ids.
 //!
@@ -56,7 +56,6 @@
 //!   stores share one read path. `encode` on a sorted dictionary rebuilds the
 //!   table from the records (ids unchanged, no string copied).
 
-use crate::error::RdfError;
 use crate::term::{cmp_pieces, ends_namespace, IriRef, Term, TermRef};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -748,11 +747,6 @@ impl Dictionary {
         self.term_ref(id).map(TermRef::to_term)
     }
 
-    /// Returns the term for `id` or an [`RdfError::UnknownTermId`].
-    pub fn term_checked(&self, id: TermId) -> Result<Term, RdfError> {
-        self.term(id).ok_or(RdfError::UnknownTermId(id.0))
-    }
-
     /// The number of distinct terms encoded.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -796,12 +790,12 @@ impl Dictionary {
     }
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
-    /// validating every shared string's range, UTF-8 and [`PLAIN`] bit
+    /// validating every shared string's range, UTF-8 and `PLAIN` bit
     /// first, then every record: its arena ranges and their UTF-8 and its
     /// shared index, so later reads cannot panic; an IRI's split, which must
     /// be the one [`IriRef::split`] makes, so lookups find it; its numeric
     /// view against its lexical form's, bit for bit, so a FILTER over the
-    /// view answers as over the text; and its [`PLAIN`] bit against its
+    /// view answers as over the text; and its `PLAIN` bit against its
     /// strings, so a crafted file cannot have the result writer copy a quote
     /// or a control byte into a body unescaped. All of a record's checks read
     /// its strings in the one pass.
@@ -952,10 +946,6 @@ mod tests {
         let d = Dictionary::new();
         assert!(d.term(TermId(0)).is_none());
         assert!(d.id_of(&Term::iri("http://nope")).is_none());
-        assert!(matches!(
-            d.term_checked(TermId(9)),
-            Err(RdfError::UnknownTermId(9))
-        ));
         assert_eq!(d.render(TermId(3)), "#3");
     }
 

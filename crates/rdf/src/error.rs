@@ -9,8 +9,6 @@ pub enum RdfError {
     ///
     /// Carries the 1-based line number and a human readable description.
     Parse { line: usize, message: String },
-    /// A term id was looked up that is not present in the dictionary.
-    UnknownTermId(u32),
     /// A term was expected to be present in the dictionary but is not.
     UnknownTerm(String),
     /// An IRI failed basic well-formedness checks (empty, embedded spaces, …).
@@ -25,7 +23,6 @@ impl fmt::Display for RdfError {
             RdfError::Parse { line, message } => {
                 write!(f, "N-Triples parse error at line {line}: {message}")
             }
-            RdfError::UnknownTermId(id) => write!(f, "unknown term id {id}"),
             RdfError::UnknownTerm(t) => write!(f, "term not in dictionary: {t}"),
             RdfError::InvalidIri(iri) => write!(f, "invalid IRI: {iri}"),
             RdfError::InvalidLiteral(l) => write!(f, "invalid literal: {l}"),
@@ -48,11 +45,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("42"));
         assert!(s.contains("missing dot"));
-    }
-
-    #[test]
-    fn display_unknown_term_id() {
-        assert_eq!(RdfError::UnknownTermId(7).to_string(), "unknown term id 7");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::dictionary::{slots_for, Dictionary, TermId};
 use crate::term::Term;
 use crate::vocab;
-use std::collections::HashSet;
 use std::hash::{BuildHasher, RandomState};
 use turbohom_storage::{MemoryUse, Pod};
 
@@ -251,22 +250,6 @@ impl Dataset {
         self.triples.iter().filter(|t| t.p == pred).count()
     }
 
-    /// Returns the set of distinct subjects and objects (entity ids), i.e.
-    /// the vertices of the direct transformation.
-    pub fn entity_ids(&self) -> HashSet<TermId> {
-        let mut ids = HashSet::new();
-        for t in self.triples.iter() {
-            ids.insert(t.s);
-            ids.insert(t.o);
-        }
-        ids
-    }
-
-    /// Returns the set of distinct predicates.
-    pub fn predicate_ids(&self) -> HashSet<TermId> {
-        self.triples.iter().map(|t| t.p).collect()
-    }
-
     /// Decodes a triple back into terms. Panics if the ids are foreign to
     /// this dataset's dictionary (which would be a logic error).
     pub fn decode(&self, triple: &Triple) -> (Term, Term, Term) {
@@ -357,21 +340,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         // a, p, b → three distinct terms only.
         assert_eq!(d.dictionary.len(), 3);
-    }
-
-    #[test]
-    fn dataset_entity_and_predicate_sets() {
-        let mut d = Dataset::new();
-        d.insert_iris("http://a", "http://p", "http://b");
-        d.insert_iris("http://a", "http://q", "http://c");
-        let entities = d.entity_ids();
-        let predicates = d.predicate_ids();
-        assert_eq!(entities.len(), 3);
-        assert_eq!(predicates.len(), 2);
-        // Predicates are not entities here.
-        for p in &predicates {
-            assert!(!entities.contains(p));
-        }
     }
 
     #[test]

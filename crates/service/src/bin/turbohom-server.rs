@@ -54,9 +54,10 @@ fn usage() -> &'static str {
      \x20 --snapshot FILE   serve a snapshot file (memory-mapped, zero-copy)\n\
      \x20 --save-snapshot F write the loaded store to one snapshot file and\n\
      \x20                   exit (a single store only: not with --shards)\n\
-     \x20 --inference       materialize the RDFS closure at load time: the\n\
-     \x20                   only way the class hierarchy applies, for every\n\
-     \x20                   engine\n\
+     \x20 --inference       materialize the RDFS closure of an --ntriples file\n\
+     \x20                   at load time: the only way the class hierarchy\n\
+     \x20                   applies, for every engine (a --lubm store is\n\
+     \x20                   generated closed, a --snapshot keeps its own)\n\
      \x20 --threads N       default worker threads per query (default 1)\n\
      \x20 --shards N        split the ownership of the terms of the one store\n\
      \x20                   N ways and route queries by it\n\
@@ -152,6 +153,10 @@ fn run() -> Result<(), String> {
     let args = parse_args()?;
     if args.snapshot.is_some() && (args.ntriples.is_some() || args.save_snapshot.is_some()) {
         return Err("--snapshot cannot be combined with --ntriples or --save-snapshot".into());
+    }
+    if args.inference && args.ntriples.is_none() {
+        let why = "a --lubm store is generated with its RDFS closure, and a --snapshot file keeps the one it was saved with";
+        return Err(format!("--inference needs --ntriples ({why})"));
     }
     if args.shards > 1 && (args.snapshot.is_some() || args.save_snapshot.is_some()) {
         let why = "a sharded store is built from triples at boot and never saved";

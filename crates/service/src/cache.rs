@@ -1,7 +1,7 @@
 //! The LRU plan cache.
 //!
 //! Keys are the *canonical* normalized query text (see
-//! [`turbohom_sparql::fingerprint`]) plus the engine kind — so every
+//! [`turbohom_sparql::fingerprint()`]) plus the engine kind — so every
 //! spelling of a query shares one entry per engine, and a fingerprint hash
 //! collision can never hand back the wrong plan (the full canonical text is
 //! compared on lookup). There is one map per engine, keyed by the text alone,

@@ -339,14 +339,6 @@ impl ServiceMetrics {
         self.started.elapsed()
     }
 
-    /// Total successful queries across all engines.
-    pub fn total_queries(&self) -> u64 {
-        self.per_engine
-            .iter()
-            .map(|m| m.queries.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Queries per second over the whole uptime, per engine.
     pub fn qps(&self, kind: EngineKind) -> f64 {
         let secs = self.uptime().as_secs_f64();
@@ -720,7 +712,6 @@ mod tests {
             1
         );
         assert_eq!(m.engine(EngineKind::HashJoin).latency.count(), 0);
-        assert_eq!(m.total_queries(), 2);
         assert!(m.qps(EngineKind::TurboHomPlusPlus) > 0.0);
         // Every matcher counter accumulates across requests, the ones this
         // request left at zero included.

@@ -1,7 +1,7 @@
 //! The server's command line refuses what it cannot serve — a snapshot file
 //! that an earlier build wrote for a sharded store, a sharded store to save,
-//! a halo radius to set — with a message, and exits before it binds or
-//! writes anything.
+//! a halo radius to set, RDFS inference over anything but an N-Triples
+//! file — with a message, and exits before it binds or writes anything.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -123,4 +123,29 @@ fn the_halo_is_not_an_option() {
     assert!(!output.status.success(), "{printed}");
     assert!(printed.contains("unknown option `--halo`"), "{printed}");
     assert!(printed.contains("usage: turbohom-server"), "{printed}");
+}
+
+#[test]
+fn inference_applies_to_an_ntriples_file_alone() {
+    let dir = scratch_dir("inference");
+    let (data, snap) = (dir.join("sample.nt"), dir.join("sample.snap"));
+    std::fs::write(&data, SAMPLE).unwrap();
+    for refused in [
+        &["--inference"][..],
+        &["--lubm", "1", "--inference"],
+        &["--snapshot", "missing.snap", "--inference"],
+    ] {
+        let output = server(&[&["--bind", "127.0.0.1:0"], refused].concat());
+        let printed = stderr(&output);
+        assert!(!output.status.success(), "{refused:?}: {printed}");
+        assert!(
+            printed.contains("--inference needs --ntriples"),
+            "{refused:?}: {printed}"
+        );
+    }
+    let (data, path) = (data.to_str().unwrap(), snap.to_str().unwrap());
+    let output = server(&["--ntriples", data, "--inference", "--save-snapshot", path]);
+    assert!(output.status.success(), "{}", stderr(&output));
+    assert!(Store::from_snapshot(&snap).unwrap().options().inference);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

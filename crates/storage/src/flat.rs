@@ -219,17 +219,6 @@ impl<T: Pod> FlatCsr<T> {
         }
     }
 
-    /// Sorts every row in place (copying a viewed data array first).
-    pub fn sort_rows(&mut self)
-    where
-        T: Ord,
-    {
-        let data = self.data.to_mut();
-        for w in self.offsets.windows(2) {
-            data[w[0] as usize..w[1] as usize].sort_unstable();
-        }
-    }
-
     /// Reassembles from the two flat arrays, validating the CSR invariants
     /// (non-empty offsets, monotone, last offset covering `data`).
     pub fn from_parts(offsets: FlatVec<u64>, data: FlatVec<T>) -> Result<Self, SnapshotError> {
@@ -262,11 +251,6 @@ impl<T: Pod> FlatCsr<T> {
             return &[];
         }
         &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Total number of stored elements.
-    pub fn total_len(&self) -> usize {
-        self.data.len()
     }
 
     /// Heap bytes of both arrays (see [`FlatVec::heap_bytes`]).
@@ -411,7 +395,7 @@ mod tests {
         assert_eq!(csr.row(1), &[] as &[u32]);
         assert_eq!(csr.row(2), &[3]);
         assert_eq!(csr.row(7), &[] as &[u32]);
-        assert_eq!(csr.total_len(), 3);
+        assert_eq!(csr.data().len(), 3);
         let rebuilt = FlatCsr::from_parts(csr.offsets().clone(), csr.data().clone()).unwrap();
         assert_eq!(rebuilt, csr);
     }
@@ -419,15 +403,10 @@ mod tests {
     #[test]
     fn counted_csr_equals_the_one_built_from_rows() {
         let pairs = [(2usize, 7u32), (0, 1), (2, 8), (0, 2), (2, 9)];
-        let mut csr = FlatCsr::counted(4, |sink| pairs.iter().rev().for_each(|&(r, v)| sink(r, v)));
+        let csr = FlatCsr::counted(4, |sink| pairs.iter().rev().for_each(|&(r, v)| sink(r, v)));
         assert_eq!(
             csr,
             FlatCsr::from_rows(&[vec![2, 1], vec![], vec![9, 8, 7], vec![]])
-        );
-        csr.sort_rows();
-        assert_eq!(
-            csr,
-            FlatCsr::from_rows(&[vec![1, 2], vec![], vec![7, 8, 9], vec![]])
         );
         assert_eq!(FlatCsr::<u32>::counted(0, |_| {}).num_rows(), 0);
     }

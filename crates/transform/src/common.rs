@@ -412,12 +412,27 @@ impl TransformedGraph {
 pub enum TransformError {
     /// A blank node appeared where the transformation cannot handle it.
     UnsupportedTerm(String),
+    /// Two connected components of a branch share what their cartesian
+    /// product cannot join on: an OPTIONAL clause that meets both
+    /// (`predicate: None`), or the named predicate variable, which labels
+    /// edges in one and is in the other.
+    SpansComponents { predicate: Option<String> },
 }
 
 impl fmt::Display for TransformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransformError::UnsupportedTerm(t) => write!(f, "unsupported term in query: {t}"),
+            TransformError::SpansComponents { predicate } => {
+                match predicate {
+                    Some(p) => write!(f, "predicate variable ?{p} is")?,
+                    None => write!(f, "an OPTIONAL clause is")?,
+                }
+                write!(
+                    f,
+                    " in two connected components of its branch, whose cartesian product cannot join on it"
+                )
+            }
         }
     }
 }
@@ -502,5 +517,11 @@ mod tests {
         assert!(TransformError::UnsupportedTerm("x".into())
             .to_string()
             .contains('x'));
+        let spans = |predicate: Option<&str>| {
+            let predicate = predicate.map(str::to_string);
+            TransformError::SpansComponents { predicate }.to_string()
+        };
+        assert!(spans(Some("p")).starts_with("predicate variable ?p is in two"));
+        assert!(spans(None).starts_with("an OPTIONAL clause is in two"));
     }
 }

@@ -16,10 +16,11 @@
 //!   class hierarchy reaches the labels only through RDFS materialization at
 //!   load, the same way it reaches every other engine.
 //!
-//! [`transform_query`] turns a parsed SPARQL [`GroupPattern`]
-//! (including nested OPTIONAL clauses) into a [`QueryGraph`] under either
-//! transformation, producing the two-attribute query vertices of
-//! Section 4.1.
+//! [`transform_branch`] turns a parsed SPARQL [`GroupPattern`]
+//! (including nested OPTIONAL clauses) into a
+//! [`QueryGraph`](turbohom_graph::QueryGraph) under either transformation,
+//! producing the two-attribute query vertices of Section 4.1, and returns
+//! that graph as its connected components.
 
 pub mod common;
 pub mod direct;
@@ -28,7 +29,7 @@ pub mod type_aware;
 
 pub use common::{GraphMappings, TransformError, TransformKind, TransformedGraph};
 pub use direct::direct_transform;
-pub use query::{transform_query, TransformedQuery};
+pub use query::{transform_branch, TransformedBranch, TransformedQuery};
 pub use type_aware::type_aware_transform;
 
 // Re-exported so downstream crates don't need to depend on the algebra crate

@@ -4,7 +4,7 @@ use turbohom::core::{MatchSemantics, TurboHomConfig, TurboHomEngine};
 use turbohom::datasets::micro;
 use turbohom::engine::{EngineKind, Store, StoreOptions};
 use turbohom::sparql::parse_query;
-use turbohom::transform::{direct_transform, transform_query, type_aware_transform};
+use turbohom::transform::{direct_transform, transform_branch, type_aware_transform};
 
 /// Figure 1: the query has exactly one subgraph isomorphism and three
 /// e-graph homomorphisms in the data graph.
@@ -13,7 +13,10 @@ fn figure1_isomorphism_vs_homomorphism_counts() {
     let ds = micro::figure1();
     let data = type_aware_transform(&ds);
     let query = parse_query(&micro::figure1_query().sparql).unwrap();
-    let tq = transform_query(&query.pattern, &data, &ds.dictionary).unwrap();
+    let tq = transform_branch(&query.pattern, &data, &ds.dictionary)
+        .unwrap()
+        .components
+        .remove(0);
 
     let hom = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
         .execute(&tq)
@@ -112,8 +115,14 @@ fn figure8_query_graph_shape() {
     let aware = type_aware_transform(&ds);
     let direct = direct_transform(&aware);
     let query = parse_query(&micro::figure3_query().sparql).unwrap();
-    let tq_aware = transform_query(&query.pattern, &aware, &ds.dictionary).unwrap();
-    let tq_direct = transform_query(&query.pattern, &direct, &ds.dictionary).unwrap();
+    let tq_aware = transform_branch(&query.pattern, &aware, &ds.dictionary)
+        .unwrap()
+        .components
+        .remove(0);
+    let tq_direct = transform_branch(&query.pattern, &direct, &ds.dictionary)
+        .unwrap()
+        .components
+        .remove(0);
     assert_eq!(tq_aware.graph.vertex_count(), 3);
     assert_eq!(tq_aware.graph.edge_count(), 3);
     assert_eq!(tq_direct.graph.vertex_count(), 6);
