@@ -484,12 +484,6 @@ pub fn constant_solution_queries() -> Vec<&'static str> {
     vec!["Q1", "Q3", "Q4", "Q5", "Q7", "Q8", "Q10", "Q11", "Q12"]
 }
 
-/// The ids of the LUBM queries whose solution count grows with the scale
-/// factor (the paper's "increasing solution queries").
-pub fn increasing_solution_queries() -> Vec<&'static str> {
-    vec!["Q2", "Q6", "Q9", "Q13", "Q14"]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,10 +592,7 @@ mod tests {
             assert_eq!(*id, format!("Q{}", i + 1));
         }
         let constant = constant_solution_queries();
-        let increasing = increasing_solution_queries();
-        assert_eq!(constant.len() + increasing.len(), 14);
-        for id in ids {
-            assert!(constant.contains(&id) ^ increasing.contains(&id));
-        }
+        assert_eq!(constant.len(), 9);
+        assert!(constant.iter().all(|id| ids.contains(id)));
     }
 }

@@ -166,7 +166,9 @@ pub struct ActualSummary {
     pub signature_pruned: u64,
     /// Chunks of start vertices the pool's workers claimed.
     pub morsels: u64,
-    /// The worst per-step q-error, if step telemetry was recorded.
+    /// The worst q-error of the steps the report attached rows to (`None`
+    /// when it attached none: a plan of several components with matching
+    /// orders).
     pub max_qerror: Option<f64>,
 }
 
@@ -192,7 +194,8 @@ impl ExplainReport {
         }
     }
 
-    /// The worst per-step q-error across the whole report (ANALYZE only).
+    /// The worst q-error of the steps the report carries rows for (ANALYZE
+    /// only).
     pub fn max_qerror(&self) -> Option<f64> {
         self.actual.as_ref().and_then(|a| a.max_qerror)
     }
@@ -217,9 +220,6 @@ impl ExplainReport {
     /// counted before the window was cut.
     pub fn attach_actuals(&mut self, results: &IdResults<'_>) {
         self.analyzed = true;
-        let max_qerror = std::iter::zip(&results.step_estimates, &results.step_rows)
-            .map(|(&e, &a)| qerror(e, a))
-            .reduce(f64::max);
         let copies = std::iter::once(&mut self.components)
             .chain(self.shards.iter_mut().map(|s| &mut s.components));
         for components in copies {
@@ -246,7 +246,7 @@ impl ExplainReport {
             recursions: results.stats.search_recursions as u64,
             signature_pruned: results.stats.signature_pruned as u64,
             morsels: results.stats.morsels as u64,
-            max_qerror,
+            max_qerror: self.step_qerrors().into_iter().reduce(f64::max),
         });
     }
 
@@ -704,6 +704,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `max_qerror` is the worst of the steps the report carries rows for:
+    /// on LUBM Q2 (one component) that is every step the run counted, on
+    /// BSBM Q5 (two components with matching orders) none.
+    #[test]
+    fn max_qerror_covers_the_attached_steps_alone() {
+        use turbohom_datasets::{bsbm, lubm};
+        let query = |queries: Vec<turbohom_datasets::BenchmarkQuery>, id: &str| {
+            queries.into_iter().find(|q| q.id == id).unwrap().sparql
+        };
+        let lubm_store =
+            Store::from_dataset(lubm::LubmGenerator::new(lubm::LubmConfig::scale(1)).generate());
+        let store = AnyStore::Single(Arc::new(lubm_store));
+        let (results, report) = explain_and_run(&store, &query(lubm::queries(), "Q2"));
+        let run_max = std::iter::zip(&results.step_estimates, &results.step_rows)
+            .map(|(&e, &a)| qerror(e, a))
+            .reduce(f64::max);
+        assert!(run_max.is_some());
+        assert_eq!(report.max_qerror(), run_max);
+
+        let bsbm_store =
+            Store::from_dataset(bsbm::BsbmGenerator::new(bsbm::BsbmConfig::scale(1)).generate());
+        let store = AnyStore::Single(Arc::new(bsbm_store));
+        let (results, report) = explain_and_run(&store, &query(bsbm::queries(), "Q5"));
+        assert!(!results.step_rows.is_empty());
+        let steps = report.components.iter().flat_map(|c| &c.steps);
+        assert!(steps.clone().count() > 0 && steps.clone().all(|s| s.rows.is_none()));
+        assert_eq!(report.max_qerror(), None);
+        assert!(report.step_qerrors().is_empty());
     }
 
     #[test]

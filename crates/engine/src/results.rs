@@ -16,7 +16,7 @@
 use crate::plan::Window;
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use turbohom_core::MatchStats;
 use turbohom_json::escape_json_into;
 use turbohom_rdf::{Dictionary, IdRows, Term, TermRef};
@@ -38,15 +38,11 @@ pub struct QueryResults {
     pub solution_count: usize,
     /// Wall-clock time of pattern matching and of projecting the matches to
     /// term ids. Parsing and query-graph transformation happened at
-    /// plan-preparation time; dictionary decoding
-    /// ([`decode_elapsed`](Self::decode_elapsed)) and serialisation come
+    /// plan-preparation time; dictionary decoding and serialisation come
     /// after it and are not included (mirroring the paper's protocol of
     /// timing only query processing, and making cold and warm plan-cache
     /// runs report comparable numbers).
     pub elapsed: Duration,
-    /// Wall-clock time [`IdResults::decode`] spent copying terms out of the
-    /// dictionary into [`rows`](Self::rows).
-    pub decode_elapsed: Duration,
     /// Per-stage execution counters of the graph engines, merged across all
     /// branches and worker threads (all-zero for the join baselines, which
     /// do not run the matcher). The benchmark flight recorder persists these
@@ -195,7 +191,6 @@ impl<'s> IdResults<'s> {
     /// Decodes every id into an owned [`Term`]: the one place terms are
     /// copied out of the dictionary.
     pub fn decode(self) -> QueryResults {
-        let started = Instant::now();
         let width = self.variables.len();
         let rows = (self.rows.iter())
             .map(|row| {
@@ -210,7 +205,6 @@ impl<'s> IdResults<'s> {
             rows,
             solution_count: self.solution_count,
             elapsed: self.elapsed,
-            decode_elapsed: started.elapsed(),
             stats: self.stats,
             step_rows: self.step_rows,
             step_estimates: self.step_estimates,

@@ -25,16 +25,6 @@ fn collected(fill: impl FnOnce(&mut Vec<VertexId>)) -> Vec<VertexId> {
     out
 }
 
-/// [`intersect_merge_into`] a fresh vector.
-pub fn intersect_merge(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    collected(|out| intersect_merge_into(a, b, out))
-}
-
-/// [`intersect_galloping_into`] a fresh vector.
-pub fn intersect_galloping(small: &[VertexId], large: &[VertexId]) -> Vec<VertexId> {
-    collected(|out| intersect_galloping_into(small, large, out))
-}
-
 /// [`intersect_adaptive_into`] a fresh vector.
 pub fn intersect_adaptive(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
     collected(|out| intersect_adaptive_into(a, b, out))
@@ -209,6 +199,14 @@ mod tests {
         ids.iter().map(|&i| VertexId(i)).collect()
     }
 
+    fn merge(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+        collected(|out| intersect_merge_into(a, b, out))
+    }
+
+    fn galloping(small: &[VertexId], large: &[VertexId]) -> Vec<VertexId> {
+        collected(|out| intersect_galloping_into(small, large, out))
+    }
+
     #[test]
     fn sorted_set_detection() {
         assert!(is_sorted_set(&vs(&[1, 2, 5])));
@@ -220,29 +218,26 @@ mod tests {
     #[test]
     fn merge_intersection_basic() {
         assert_eq!(
-            intersect_merge(&vs(&[1, 3, 5, 7]), &vs(&[2, 3, 4, 7, 9])),
+            merge(&vs(&[1, 3, 5, 7]), &vs(&[2, 3, 4, 7, 9])),
             vs(&[3, 7])
         );
-        assert_eq!(intersect_merge(&vs(&[]), &vs(&[1, 2])), vs(&[]));
+        assert_eq!(merge(&vs(&[]), &vs(&[1, 2])), vs(&[]));
     }
 
     #[test]
     fn galloping_matches_merge() {
         let small = vs(&[5, 100, 900, 901]);
         let large: Vec<VertexId> = (0..1000).map(VertexId).collect();
-        assert_eq!(
-            intersect_galloping(&small, &large),
-            intersect_merge(&small, &large)
-        );
+        assert_eq!(galloping(&small, &large), merge(&small, &large));
     }
 
     #[test]
     fn galloping_handles_disjoint_and_exhausted_inputs() {
         let small = vs(&[2000, 3000]);
         let large: Vec<VertexId> = (0..100).map(VertexId).collect();
-        assert!(intersect_galloping(&small, &large).is_empty());
+        assert!(galloping(&small, &large).is_empty());
         let small2 = vs(&[1, 99]);
-        assert_eq!(intersect_galloping(&small2, &large), vs(&[1, 99]));
+        assert_eq!(galloping(&small2, &large), vs(&[1, 99]));
     }
 
     #[test]
@@ -264,7 +259,7 @@ mod tests {
                 .collect();
             canonicalize(&mut a);
             canonicalize(&mut b);
-            assert_eq!(intersect_adaptive(&a, &b), intersect_merge(&a, &b));
+            assert_eq!(intersect_adaptive(&a, &b), merge(&a, &b));
         }
     }
 
@@ -294,9 +289,9 @@ mod tests {
         let mut out = vs(&[99, 99]); // stale content must be cleared
         let mut scratch = Vec::new();
         intersect_merge_into(&a, &b, &mut out);
-        assert_eq!(out, intersect_merge(&a, &b));
+        assert_eq!(out, vs(&[2, 4, 6]));
         intersect_galloping_into(&b, &a, &mut out);
-        assert_eq!(out, intersect_galloping(&b, &a));
+        assert_eq!(out, vs(&[2, 4, 6]));
         intersect_adaptive_into(&a, &b, &mut out);
         assert_eq!(out, intersect_adaptive(&a, &b));
         intersect_k_into(&[&a, &b, &c], &mut out, &mut scratch);

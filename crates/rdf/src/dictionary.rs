@@ -1504,9 +1504,9 @@ mod tests {
         /// literals whose datatype is some IRI's text answer on the heap,
         /// frozen and snapshot-view dictionaries as their whole text does:
         /// `term`, `id_of` and `id_of_iri` round-trip, the plain bit is
-        /// `is_json_plain` of the whole text, a split view equals, orders
-        /// and hashes like the whole one, and the sorted ids are a sort by
-        /// whole text.
+        /// `is_json_plain` of the whole text, a split view equals and
+        /// orders like the whole one, and the sorted ids are a sort by whole
+        /// text.
         #[test]
         fn split_iris_answer_as_their_whole_text(
             specs in proptest::collection::vec(
@@ -1548,7 +1548,6 @@ mod tests {
             };
             let mut by_text: Vec<u32> = (0..owned.len() as u32).collect();
             by_text.sort_by_key(|&id| whole_key(id));
-            let hasher = RandomState::new();
             for d in [&owned, &frozen, &view] {
                 for (term, &id) in terms.iter().zip(&ids) {
                     proptest::prop_assert_eq!(d.term(id).as_ref(), Some(term));
@@ -1563,7 +1562,6 @@ mod tests {
                         && is_json_plain(lex) && is_json_plain(datatype) && is_json_plain(&extra);
                     proptest::prop_assert_eq!(plain, text_plain, "{}", term);
                     proptest::prop_assert_eq!(split, whole);
-                    proptest::prop_assert_eq!(hasher.hash_one(split), hasher.hash_one(whole));
                     for (other, &other_id) in terms.iter().zip(&ids) {
                         let other_split = d.term_ref(other_id).unwrap();
                         proptest::prop_assert_eq!(split.cmp(&other_split), term.cmp(other));

@@ -9,7 +9,6 @@ use crate::error::RdfError;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// An RDF term: the subject, predicate or object of a triple.
 ///
@@ -82,11 +81,6 @@ impl Term {
     /// Creates a double literal with the `xsd:double` datatype.
     pub fn double(value: f64) -> Self {
         Term::typed_literal(format!("{value}"), crate::vocab::XSD_DOUBLE)
-    }
-
-    /// Returns `true` if the term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
     }
 
     /// Returns `true` if the term is a blank node.
@@ -241,7 +235,7 @@ pub(crate) fn ends_namespace(byte: u8) -> bool {
 /// once; an IRI viewed from a [`Term`] is one piece (an empty namespace).
 ///
 /// Everything a reader sees of it is of the whole text, wherever the split
-/// falls: equality, order, hash and display. A view from the dictionary and
+/// falls: equality, order and display. A view from the dictionary and
 /// one from a `Term` of the same IRI are equal.
 #[derive(Clone, Copy)]
 pub struct IriRef<'a> {
@@ -325,31 +319,6 @@ impl Ord for IriRef<'_> {
     }
 }
 
-impl Hash for IriRef<'_> {
-    /// Hashes the whole text as `str` does. The bytes reach the hasher in
-    /// 64-byte chunks counted from the start of the text, so where the split
-    /// falls changes no call the hasher sees.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut chunk = [0u8; 64];
-        let mut filled = 0;
-        for &byte in self
-            .namespace
-            .as_bytes()
-            .iter()
-            .chain(self.local.as_bytes())
-        {
-            chunk[filled] = byte;
-            filled += 1;
-            if filled == chunk.len() {
-                state.write(&chunk);
-                filled = 0;
-            }
-        }
-        state.write(&chunk[..filled]);
-        state.write_u8(0xff);
-    }
-}
-
 impl fmt::Display for IriRef<'_> {
     /// The whole text, unescaped.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -375,7 +344,7 @@ impl fmt::Debug for IriRef<'_> {
 /// cell. Variant and field order
 /// mirror [`Term`] exactly, which makes the derived ordering identical to
 /// `Term`'s derived `Ord`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TermRef<'a> {
     /// An IRI.
     Iri(IriRef<'a>),
@@ -513,7 +482,7 @@ mod tests {
 
     #[test]
     fn predicates_kind_checks() {
-        assert!(Term::iri("x").is_iri());
+        assert!(matches!(Term::iri("x"), Term::Iri(_)));
         assert!(!Term::iri("x").is_literal());
         assert!(Term::literal("x").is_literal());
         assert!(Term::blank("x").is_blank());

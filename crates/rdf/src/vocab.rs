@@ -42,24 +42,9 @@ pub const XSD_DATETIME: &str = "http://www.w3.org/2001/XMLSchema#dateTime";
 /// `xsd:boolean`.
 pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 
-/// Returns `true` if `iri` is one of the schema predicates that the
-/// type-aware transformation removes from the data graph
-/// (`rdf:type`, `rdfs:subClassOf`).
-pub fn is_type_predicate(iri: &str) -> bool {
-    iri == RDF_TYPE || iri == RDFS_SUBCLASSOF
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn type_predicates_detected() {
-        assert!(is_type_predicate(RDF_TYPE));
-        assert!(is_type_predicate(RDFS_SUBCLASSOF));
-        assert!(!is_type_predicate(RDFS_SUBPROPERTYOF));
-        assert!(!is_type_predicate("http://example.org/memberOf"));
-    }
 
     #[test]
     fn vocab_iris_are_well_formed() {

@@ -26,7 +26,7 @@ use std::time::Duration;
 use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
 use turbohom_engine::{AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions};
 use turbohom_rdf::parse_ntriples;
-use turbohom_service::{HttpServer, QueryService, ServiceConfig};
+use turbohom_service::{HttpServer, QueryService, ServiceConfig, MAX_THREADS};
 
 struct Args {
     bind: String,
@@ -58,7 +58,7 @@ fn usage() -> &'static str {
      \x20                   at load time: the only way the class hierarchy\n\
      \x20                   applies, for every engine (a --lubm store is\n\
      \x20                   generated closed, a --snapshot keeps its own)\n\
-     \x20 --threads N       default worker threads per query (default 1)\n\
+     \x20 --threads N       default worker threads per query, 1 to 64 (default 1)\n\
      \x20 --shards N        split the ownership of the terms of the one store\n\
      \x20                   N ways and route queries by it\n\
      \x20                   (default 1 = no shards; built from triples at\n\
@@ -107,7 +107,12 @@ fn parse_args() -> Result<Args, String> {
             "--snapshot" => args.snapshot = Some(value()?),
             "--save-snapshot" => args.save_snapshot = Some(value()?),
             "--inference" => args.inference = true,
-            "--threads" => args.threads = number(flag, value()?, "an integer")?,
+            "--threads" => {
+                let bound = 1..=MAX_THREADS;
+                let threads = value()?.parse().ok().filter(|t| bound.contains(t));
+                let expects = format!("{flag} expects an integer from 1 to {MAX_THREADS}");
+                args.threads = threads.ok_or(expects)?;
+            }
             "--shards" => {
                 args.shards = number::<NonZeroUsize>(flag, value()?, "an integer >= 1")?.get()
             }
@@ -167,12 +172,12 @@ fn run() -> Result<(), String> {
 
     let options = StoreOptions {
         inference: args.inference,
-        threads: args.threads.max(1),
+        threads: args.threads,
     };
     let sharded_options = ShardedOptions {
         shards: args.shards,
         inference: args.inference,
-        threads: args.threads.max(1),
+        threads: args.threads,
     };
     let load_started = std::time::Instant::now();
     let store = if let Some(path) = &args.snapshot {
@@ -239,7 +244,6 @@ fn run() -> Result<(), String> {
             plan_cache_capacity: args.cache,
             default_engine: args.engine,
             slow_query: args.slow_ms.map(|ms| Duration::from_secs_f64(ms / 1000.0)),
-            ..ServiceConfig::default()
         },
     )
     .with_dataset_label(dataset_label);

@@ -60,6 +60,7 @@ use crate::service::{InFlight, QueryOptions, QueryService};
 use std::cell::Cell;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -397,7 +398,7 @@ pub fn serve_connection<R: Read, W: Write>(
                 (response.status, trace_id, delivered.is_ok())
             }
             Reply::Results(query) => {
-                let trace_id = query.trace_id;
+                let trace_id = query.admitted.trace_id;
                 let delivered = stream_results(writer, &mut piece, &query, head_only, close);
                 let ok = delivered.is_ok();
                 match delivered {
@@ -551,10 +552,9 @@ fn stream_results<W: Write>(
     let record_stages = || {
         let write = writing.get();
         let serialise = started.elapsed().saturating_sub(write);
-        request
-            .trace
-            .record_rollup("serialise", None, serialise, &[]);
-        request.trace.record_rollup("write", None, write, &[]);
+        let trace = &request.admitted.trace;
+        trace.record_rollup("serialise", None, serialise, &[]);
+        trace.record_rollup("write", None, write, &[]);
     };
     write_head(
         body.pending,
@@ -564,9 +564,9 @@ fn stream_results<W: Write>(
         close,
         Some(&QueryHead {
             cache_hit: Some(request.cache_hit),
-            engine: request.engine,
+            engine: request.admitted.engine,
             fingerprint: request.fingerprint.hash,
-            trace_id: request.trace_id,
+            trace_id: request.admitted.trace_id,
         }),
     );
     if head_only {
@@ -576,12 +576,13 @@ fn stream_results<W: Write>(
     // "head"/"results" pair. The bindings have gone out when they are
     // written, so the profile covers serialising and writing them (not
     // itself).
-    let reports = request.profile || request.explain.is_some();
+    let profile = request.admitted.trace.is_detailed();
+    let reports = profile || request.explain.is_some();
     let mut members = |out: &mut Vec<u8>| {
         record_stages();
-        if request.profile {
+        if profile {
             out.extend_from_slice(b",\"profile\":");
-            out.extend_from_slice(request.trace.finish().to_json().as_bytes());
+            out.extend_from_slice(request.admitted.trace.finish().to_json().as_bytes());
         }
         if let Some(report) = &request.explain {
             out.extend_from_slice(b",\"explain\":");
@@ -781,19 +782,13 @@ fn respond_query<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<
     let Some(sparql) = raw_query.or_else(|| param("query")) else {
         return bad("missing `query` parameter");
     };
-    let engine = match param("engine") {
-        None => None,
-        Some(name) => match name.parse::<EngineKind>() {
-            Ok(kind) => Some(kind),
-            Err(e) => return bad(&e.to_string()),
-        },
+    let engine = match param("engine").map(str::parse::<EngineKind>).transpose() {
+        Ok(engine) => engine,
+        Err(e) => return bad(&e.to_string()),
     };
-    let threads = match param("threads") {
-        None => None,
-        Some(t) => match t.parse::<usize>() {
-            Ok(t) if t >= 1 => Some(t),
-            _ => return bad("`threads` must be a positive integer"),
-        },
+    let threads = match param("threads").map(str::parse::<NonZeroUsize>).transpose() {
+        Ok(threads) => threads.map(NonZeroUsize::get),
+        Err(_) => return bad("`threads` must be a positive integer"),
     };
     let bool_param = |name: &str| match param(name).map(str::to_ascii_lowercase).as_deref() {
         None | Some("0") | Some("false") | Some("no") | Some("") => Ok(false),
@@ -802,27 +797,22 @@ fn respond_query<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<
             "`{name}` must be a boolean (1/0, true/false, yes/no)"
         )),
     };
-    let (profile, explain, analyze) = match (
-        bool_param("profile"),
-        bool_param("explain"),
-        bool_param("analyze"),
-    ) {
-        (Ok(p), Ok(e), Ok(a)) => (p, e, a),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return bad(&e),
+    let [profile, explain, analyze] = match ["profile", "explain", "analyze"].map(bool_param) {
+        [Ok(p), Ok(e), Ok(a)] => [p, e, a],
+        [Err(e), _, _] | [_, Err(e), _] | [_, _, Err(e)] => return bad(&e),
     };
     if explain && analyze {
         return bad("`explain` and `analyze` are mutually exclusive (explain never executes)");
     }
+    let options = QueryOptions {
+        engine,
+        threads,
+        profile,
+        analyze,
+    };
     if explain {
         // EXPLAIN: build and return the plan tree without executing.
-        return match service.explain(
-            sparql,
-            QueryOptions {
-                engine,
-                threads,
-                ..QueryOptions::default()
-            },
-        ) {
+        return match service.explain(sparql, options) {
             Ok(response) => Reply::Buffered(Routed {
                 query: Some(QueryHead {
                     cache_hit: None,
@@ -835,15 +825,7 @@ fn respond_query<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<
             Err(e) => bad(&e.to_string()),
         };
     }
-    match service.begin(
-        sparql,
-        QueryOptions {
-            engine,
-            threads,
-            profile,
-            analyze,
-        },
-    ) {
+    match service.begin(sparql, options) {
         Ok(request) => Reply::Results(Box::new(request)),
         Err(e) => bad(&e.to_string()),
     }

@@ -64,7 +64,7 @@ pub use metrics::{
 };
 pub use service::{
     BytesSnapshot, EngineStats, ExplainResponse, QueryOptions, QueryResponse, QueryService,
-    ServiceConfig, StatsSnapshot,
+    ServiceConfig, StatsSnapshot, MAX_THREADS,
 };
 // Re-exported so HTTP-layer consumers can work with profile/explain reports
 // and trace ids without a direct engine/trace dependency.

@@ -3,20 +3,20 @@
 //!
 //! Request path:
 //!
-//! 1. normalize + fingerprint the query text (cheap: one lexer pass),
-//! 2. look the `(canonical, engine)` key up in the LRU plan cache (probed
-//!    with the borrowed text: a hit copies nothing),
-//! 3. **hit** → jump straight to enumeration via
-//!    [`Store::run_plan_traced`], the one run of every plan, routed or not
-//!    (no parsing, no transformation, and — via the plan's memoized
-//!    matching order — no order determination either),
-//! 4. **miss** → [`AnyStore::prepare_plan_traced`] (parse + transform, and
-//!    on a sharded store the routing), run it, and cache the plan for the
-//!    next request.
+//! 1. **admission**, one step for every mode (QUERY, PROFILE, ANALYZE,
+//!    EXPLAIN): engine, thread count (at most [`MAX_THREADS`]), trace id,
+//!    `query_admitted`, clock and trace,
+//! 2. normalize + fingerprint the query text (cheap: one lexer pass),
+//! 3. look the `(canonical, engine)` key up in the LRU plan cache (probed
+//!    with the borrowed text: a hit copies nothing); a **miss** takes the
+//!    one planning step, [`AnyStore::prepare_plan_traced`] (parse +
+//!    transform, and on a sharded store the routing), and caches the plan.
+//!    ANALYZE and EXPLAIN plan outside the cache,
+//! 4. [`Store::run_plan_traced`], the one run of every plan (a cached plan
+//!    also skips order determination, via its memoized matching order).
 //!
-//! The service counts how many times the expensive prepare half actually
-//! ran ([`StatsSnapshot::plans_prepared`]), which is what the warm-path
-//! tests assert on: repeated queries must not re-parse or re-transform.
+//! [`StatsSnapshot::plans_prepared`] counts the cache's planning steps: the
+//! warm-path tests assert that repeated queries do not re-parse.
 
 use crate::cache::{PlanCache, PlanKey};
 use crate::journal::{EventJournal, JournalEvent, SlowDetail};
@@ -25,11 +25,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_engine::{
-    AnyStore, EngineKind, ExplainReport, IdResults, MatchStats, MemoryRow, MemoryUse, Store,
-    StoreError, Trace, TraceReport,
+    AnyStore, EngineKind, ExplainReport, IdResults, MatchStats, MemoryRow, MemoryUse, QueryPlan,
+    Store, StoreError, Trace, TraceReport,
 };
 use turbohom_json::{Fixed3, JsonWriter, ToJson};
 use turbohom_sparql::{fingerprint, QueryFingerprint};
+
+/// The most worker threads one request runs on: a request's `threads`, and
+/// the store's default where it names none, are clamped to `1..=MAX_THREADS`
+/// at admission (the server refuses a `--threads` above it).
+pub const MAX_THREADS: usize = 64;
 
 /// Configuration of a [`QueryService`].
 #[derive(Debug, Clone, Copy)]
@@ -38,9 +43,6 @@ pub struct ServiceConfig {
     pub plan_cache_capacity: usize,
     /// Engine used when a request does not name one.
     pub default_engine: EngineKind,
-    /// Upper bound for the per-request `threads` override (defends the
-    /// thread pool against `threads=10000` requests).
-    pub max_threads: usize,
     /// Queries at or above this latency are kept in the journal's slow
     /// view, `/debug/slow` (`Duration::ZERO` keeps every one, `None`
     /// disables it).
@@ -52,7 +54,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             plan_cache_capacity: 256,
             default_engine: EngineKind::TurboHomPlusPlus,
-            max_threads: 64,
             slow_query: Some(Duration::from_millis(500)),
         }
     }
@@ -63,7 +64,8 @@ impl Default for ServiceConfig {
 pub struct QueryOptions {
     /// Engine to execute with (`None` = the service default).
     pub engine: Option<EngineKind>,
-    /// Worker-thread override for this request only.
+    /// Worker-thread override for this request only (`None` = the store's
+    /// default; either is clamped to `1..=`[`MAX_THREADS`]).
     pub threads: Option<usize>,
     /// PROFILE mode: collect a detailed trace (per-stage and per-worker
     /// spans) and return it in [`QueryResponse::profile`].
@@ -100,6 +102,19 @@ pub struct QueryResponse<'s> {
     pub explain: Option<ExplainReport>,
 }
 
+/// What [`QueryService::admit`] settled for a request before planning it.
+pub(crate) struct Admission {
+    pub(crate) engine: EngineKind,
+    threads: usize,
+    /// `"query"`, `"profile"`, `"analyze"` or `"explain"`, as journaled.
+    mode: &'static str,
+    pub(crate) trace_id: u64,
+    /// Coarse, detailed (PROFILE) or disabled (ANALYZE and EXPLAIN, which
+    /// stay out of the plan cache and the stage totals).
+    pub(crate) trace: Trace,
+    started: Instant,
+}
+
 /// A query that has executed but whose response is not delivered yet.
 ///
 /// The HTTP layer streams `results` to the client between
@@ -109,24 +124,12 @@ pub struct QueryResponse<'s> {
 /// socket writes.
 pub(crate) struct InFlight<'s> {
     pub(crate) results: IdResults<'s>,
-    pub(crate) engine: EngineKind,
-    /// The request mode, as journaled at admission.
-    mode: &'static str,
+    /// The request's admission, its trace still open.
+    pub(crate) admitted: Admission,
     pub(crate) cache_hit: bool,
     pub(crate) fingerprint: QueryFingerprint,
-    pub(crate) trace_id: u64,
-    /// The request's trace, still open: coarse, detailed under
-    /// [`QueryOptions::profile`], disabled under [`QueryOptions::analyze`].
-    pub(crate) trace: Trace,
-    pub(crate) profile: bool,
     pub(crate) explain: Option<ExplainReport>,
-    started: Instant,
 }
-
-/// What executing a query yields: the results, whether the plan came from
-/// the cache, the query's fingerprint, and the ANALYZE report if one was
-/// asked for.
-type Executed<'s> = (IdResults<'s>, bool, QueryFingerprint, Option<ExplainReport>);
 
 /// The outcome of one `explain=1` request ([`QueryService::explain`]):
 /// the static plan tree, built **without executing** the query.
@@ -326,12 +329,8 @@ impl QueryService {
     }
 
     /// Creates a service over either store flavor (the server uses this to
-    /// boot `--shards=k`). A `max_threads` of 0 is taken as 1.
+    /// boot `--shards=k`).
     pub fn with_any_store(store: AnyStore, config: ServiceConfig) -> Self {
-        let config = ServiceConfig {
-            max_threads: config.max_threads.max(1),
-            ..config
-        };
         let service = QueryService {
             cache: PlanCache::new(config.plan_cache_capacity),
             metrics: ServiceMetrics::new(),
@@ -431,67 +430,144 @@ impl QueryService {
         sparql: &str,
         options: QueryOptions,
     ) -> Result<InFlight<'_>, StoreError> {
+        let admitted = self.admit(&options, false);
+        let (engine, trace_id) = (admitted.engine, admitted.trace_id);
+        self.execute(sparql, admitted)
+            .inspect_err(|e| self.record_query_error(engine, trace_id, e.to_string()))
+    }
+
+    /// The one admission step of every request, EXPLAIN included: resolves
+    /// the engine, settles the thread count, journals `query_admitted` with
+    /// the mode, starts the clock and picks the trace.
+    fn admit(&self, options: &QueryOptions, explain: bool) -> Admission {
         let engine = options.engine.unwrap_or(self.config.default_engine);
-        let threads = options.threads.map(|t| t.clamp(1, self.config.max_threads));
+        let threads = (options.threads)
+            .unwrap_or(self.store.store().options().threads)
+            .clamp(1, MAX_THREADS);
         let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        let mode = if options.analyze {
-            "analyze"
-        } else if options.profile {
-            "profile"
-        } else {
-            "query"
+        let mode = match (explain, options.analyze, options.profile) {
+            (true, _, _) => "explain",
+            (_, true, _) => "analyze",
+            (_, _, true) => "profile",
+            _ => "query",
         };
         self.journal_event(Some(trace_id), JournalEvent::QueryAdmitted { engine, mode });
         let started = Instant::now();
-        let trace = if options.analyze {
-            // ANALYZE runs outside the plan cache and the stage totals.
-            Trace::disabled()
-        } else if options.profile {
-            Trace::detailed(trace_id)
-        } else {
-            Trace::new(trace_id)
+        let trace = match mode {
+            "query" => Trace::new(trace_id),
+            "profile" => Trace::detailed(trace_id),
+            _ => Trace::disabled(),
         };
-        let outcome = if options.analyze {
-            self.run_analyze(sparql, engine, threads, trace_id)
-        } else {
-            self.run(sparql, engine, threads, &trace, trace_id)
-        };
-        match outcome {
-            Ok((results, cache_hit, fingerprint, explain)) => Ok(InFlight {
-                results,
-                engine,
-                mode,
-                cache_hit,
-                fingerprint,
-                trace_id,
-                trace,
-                profile: options.profile && !options.analyze,
-                explain,
-                started,
-            }),
-            Err(e) => {
-                self.record_query_error(engine, trace_id, e.to_string());
-                Err(e)
-            }
+        Admission {
+            engine,
+            threads,
+            mode,
+            trace_id,
+            trace,
+            started,
         }
+    }
+
+    /// Fingerprints, plans and runs an admitted request. ANALYZE runs a plan
+    /// prepared outside the plan cache, attaches the run's actuals to its
+    /// EXPLAIN report and feeds the q-error histogram; every other run takes
+    /// its plan from the cache.
+    fn execute(&self, sparql: &str, admitted: Admission) -> Result<InFlight<'_>, StoreError> {
+        let trace = &admitted.trace;
+        let fingerprint = {
+            let mut span = trace.span("fingerprint");
+            let fp = fingerprint(sparql)?;
+            span.counter("tokens", fp.tokens as u64);
+            fp
+        };
+        let analyze = admitted.mode == "analyze";
+        let (plan, cache_hit) = if analyze {
+            (Arc::new(self.plan(sparql, &admitted)?), false)
+        } else {
+            self.cached_plan(sparql, &fingerprint, &admitted)?
+        };
+        let store = self.store.store();
+        let mut explain = analyze.then(|| store.explain(&plan));
+        let results = store.run_plan_traced(&plan, Some(admitted.threads), trace)?;
+        if let Some(report) = &mut explain {
+            report.attach_actuals(&results);
+            self.metrics.record_qerrors(&report.step_qerrors());
+        }
+        Ok(InFlight {
+            results,
+            admitted,
+            cache_hit,
+            fingerprint,
+            explain,
+        })
+    }
+
+    /// The plan of a request from the cache, or planned and cached on a
+    /// miss; with whether it was a hit.
+    fn cached_plan(
+        &self,
+        sparql: &str,
+        fp: &QueryFingerprint,
+        admitted: &Admission,
+    ) -> Result<(Arc<QueryPlan>, bool), StoreError> {
+        let (engine, trace_id) = (admitted.engine, admitted.trace_id);
+        let cached = {
+            let mut span = admitted.trace.span("cache_lookup");
+            let cached = self.cache.get(&fp.canonical, engine);
+            span.counter("hit", cached.is_some() as u64);
+            cached
+        };
+        if let Some(plan) = cached {
+            // Warm path: straight to enumeration.
+            return Ok((plan, true));
+        }
+        let plan = Arc::new(self.plan(sparql, admitted)?);
+        self.plans_prepared.fetch_add(1, Ordering::Relaxed);
+        let key = PlanKey {
+            canonical: fp.canonical.clone(),
+            kind: engine,
+        };
+        let outcome = self.cache.insert(key, Arc::clone(&plan));
+        let evicted = (outcome.evicted).map(|victim| JournalEvent::PlanEvicted {
+            engine: victim.kind,
+            query: victim.canonical,
+        });
+        let cached = outcome.inserted.then(|| JournalEvent::PlanCached {
+            engine,
+            query: fp.canonical.clone(),
+        });
+        for event in evicted.into_iter().chain(cached) {
+            self.journal_event(Some(trace_id), event);
+        }
+        Ok((plan, false))
+    }
+
+    /// The one planning step: parse and transform (and on a sharded store
+    /// route) `sparql` under the request's trace, then journal under it the
+    /// structures its planning built.
+    fn plan(&self, sparql: &str, admitted: &Admission) -> Result<QueryPlan, StoreError> {
+        let planned = (self.store).prepare_plan_traced(sparql, admitted.engine, &admitted.trace);
+        self.journal_first_use_builds(admitted.trace_id);
+        planned
     }
 
     /// Success bookkeeping once the response is delivered: engine metrics,
     /// stage totals and the request's one record, the journal's
     /// `query_completed` entry.
     pub(crate) fn complete<'s>(&self, request: InFlight<'s>) -> QueryResponse<'s> {
-        let (engine, cache_hit, trace_id) = (request.engine, request.cache_hit, request.trace_id);
+        let (admitted, cache_hit) = (&request.admitted, request.cache_hit);
+        let (engine, trace_id, trace) = (admitted.engine, admitted.trace_id, &admitted.trace);
         let stats = &request.results.stats;
-        let elapsed = request.started.elapsed();
+        let elapsed = admitted.started.elapsed();
         self.metrics.record_success(engine, elapsed, stats);
-        let report = request.trace.finish();
+        let report = trace.finish();
         self.metrics.record_stages(&report);
-        let slow = request.trace.is_enabled() && self.journal.is_slow(elapsed);
+        let slow = trace.is_enabled() && self.journal.is_slow(elapsed);
         self.journal_event(
             Some(trace_id),
             JournalEvent::QueryCompleted {
                 engine,
-                mode: request.mode,
+                mode: admitted.mode,
                 cache_hit,
                 solutions: stats.solutions,
                 total_ms: elapsed.as_secs_f64() * 1000.0,
@@ -512,7 +588,7 @@ impl QueryService {
             fingerprint: request.fingerprint.hash,
             elapsed,
             trace_id,
-            profile: request.profile.then_some(report),
+            profile: trace.is_detailed().then_some(report),
             explain: request.explain,
         }
     }
@@ -521,11 +597,9 @@ impl QueryService {
     /// delivered (the client hung up mid-body): it counts as an error and
     /// leaves one `query_failed` journal event.
     pub(crate) fn abandon(&self, request: InFlight<'_>, error: &std::io::Error) {
-        self.record_query_error(
-            request.engine,
-            request.trace_id,
-            format!("response not delivered: {error}"),
-        );
+        let (engine, trace_id) = (request.admitted.engine, request.admitted.trace_id);
+        let error = format!("response not delivered: {error}");
+        self.record_query_error(engine, trace_id, error);
     }
 
     /// Builds the EXPLAIN plan tree of a prepared plan **without executing
@@ -537,33 +611,21 @@ impl QueryService {
         sparql: &str,
         options: QueryOptions,
     ) -> Result<ExplainResponse, StoreError> {
-        let engine = options.engine.unwrap_or(self.config.default_engine);
-        let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        self.journal_event(
-            Some(trace_id),
-            JournalEvent::QueryAdmitted {
-                engine,
-                mode: "explain",
-            },
-        );
-        let start = Instant::now();
-        let explained = fingerprint(sparql)
-            .map_err(StoreError::from)
-            .and_then(|fp| {
-                let planned = self
-                    .store
-                    .prepare_plan_traced(sparql, engine, &Trace::disabled());
-                self.journal_first_use_builds(trace_id);
-                Ok((fp, self.store.store().explain(&planned?)))
-            });
+        let admitted = self.admit(&options, true);
+        let (engine, trace_id) = (admitted.engine, admitted.trace_id);
+        let explained = (|| -> Result<_, StoreError> {
+            let fp = fingerprint(sparql)?;
+            let plan = self.plan(sparql, &admitted)?;
+            Ok((fp, self.store.store().explain(&plan)))
+        })();
         let (fp, report) =
             explained.inspect_err(|e| self.record_query_error(engine, trace_id, e.to_string()))?;
-        let elapsed = start.elapsed();
+        let elapsed = admitted.started.elapsed();
         self.journal_event(
             Some(trace_id),
             JournalEvent::QueryCompleted {
                 engine,
-                mode: "explain",
+                mode: admitted.mode,
                 cache_hit: false,
                 solutions: 0,
                 total_ms: elapsed.as_secs_f64() * 1000.0,
@@ -578,30 +640,6 @@ impl QueryService {
             trace_id,
             elapsed,
         })
-    }
-
-    /// The `analyze=1` request path: explain a plan prepared outside the
-    /// plan cache, run it, attach the run's actuals, and feed the estimate-
-    /// vs-actual telemetry (the q-error histogram).
-    fn run_analyze(
-        &self,
-        sparql: &str,
-        engine: EngineKind,
-        threads: Option<usize>,
-        trace_id: u64,
-    ) -> Result<Executed<'_>, StoreError> {
-        let fp = fingerprint(sparql)?;
-        let planned = self
-            .store
-            .prepare_plan_traced(sparql, engine, &Trace::disabled());
-        self.journal_first_use_builds(trace_id);
-        let plan = planned?;
-        let store = self.store.store();
-        let mut report = store.explain(&plan);
-        let results = store.run_plan_traced(&plan, threads, &Trace::disabled())?;
-        report.attach_actuals(&results);
-        self.metrics.record_qerrors(&report.step_qerrors());
-        Ok((results, false, fp, Some(report)))
     }
 
     /// Error bookkeeping: the error counter plus the journal's failure
@@ -632,63 +670,6 @@ impl QueryService {
     fn journal_event(&self, trace_id: Option<u64>, event: JournalEvent) {
         self.journal
             .record(trace_id, self.metrics.uptime().as_secs_f64(), event);
-    }
-
-    fn run(
-        &self,
-        sparql: &str,
-        engine: EngineKind,
-        threads: Option<usize>,
-        trace: &Trace,
-        trace_id: u64,
-    ) -> Result<Executed<'_>, StoreError> {
-        let fp = {
-            let mut span = trace.span("fingerprint");
-            let fp = fingerprint(sparql)?;
-            span.counter("tokens", fp.tokens as u64);
-            fp
-        };
-        let cached = {
-            let mut span = trace.span("cache_lookup");
-            let cached = self.cache.get(&fp.canonical, engine);
-            span.counter("hit", cached.is_some() as u64);
-            cached
-        };
-        if let Some(plan) = cached {
-            // Warm path: straight to enumeration.
-            let results = self.store.store().run_plan_traced(&plan, threads, trace)?;
-            return Ok((results, true, fp, None));
-        }
-        // Cold path: parse + transform, run, then publish the plan.
-        let prepared = self.store.prepare_plan_traced(sparql, engine, trace);
-        self.journal_first_use_builds(trace_id);
-        let plan = prepared?;
-        self.plans_prepared.fetch_add(1, Ordering::Relaxed);
-        let results = self.store.store().run_plan_traced(&plan, threads, trace)?;
-        let key = PlanKey {
-            canonical: fp.canonical.clone(),
-            kind: engine,
-        };
-        let outcome = self.cache.insert(key, Arc::new(plan));
-        if let Some(victim) = outcome.evicted {
-            self.journal_event(
-                Some(trace_id),
-                JournalEvent::PlanEvicted {
-                    engine: victim.kind,
-                    query: victim.canonical,
-                },
-            );
-        }
-        if outcome.inserted {
-            self.journal_event(
-                Some(trace_id),
-                JournalEvent::PlanCached {
-                    engine,
-                    query: fp.canonical.clone(),
-                },
-            );
-        }
-        Ok((results, false, fp, None))
     }
 
     /// Renders every counter in Prometheus text exposition format (the
@@ -875,6 +856,7 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbohom_engine::StoreOptions;
     use turbohom_rdf::{vocab, Dataset};
 
     fn ub(l: &str) -> String {
@@ -979,22 +961,64 @@ mod tests {
         assert_eq!(r.results.len(), 3);
     }
 
-    /// `clamp(1, 0)` panics: a bound of 0 is raised to 1 when the service
-    /// is built, and a request that names a thread count runs on one.
+    /// The store's default thread count is bounded like a request's: a
+    /// pool never has more than `MAX_THREADS` workers, however many start
+    /// vertices there are.
     #[test]
-    fn a_thread_bound_of_zero_is_one() {
-        let store = service().store().clone();
-        let config = ServiceConfig {
-            max_threads: 0,
-            ..ServiceConfig::default()
+    fn a_store_default_above_the_bound_runs_on_max_threads() {
+        let mut ds = Dataset::new();
+        for i in 0..70 {
+            let s = ub(&format!("student{i}"));
+            ds.insert_iris(&s, &ub("memberOf"), &ub(&format!("dept{i}")));
+            ds.insert_iris(&s, &ub("advisor"), &ub(&format!("prof{i}")));
+        }
+        let options = StoreOptions {
+            threads: MAX_THREADS + 1,
+            ..StoreOptions::default()
         };
-        let svc = QueryService::with_any_store(store, config);
-        assert_eq!(svc.config().max_threads, 1);
-        let options = QueryOptions {
-            threads: Some(4),
+        let svc = QueryService::new(Arc::new(Store::from_dataset_with(ds, options)));
+        let join = "SELECT ?x ?d ?p WHERE { ?x <http://ub.org/memberOf> ?d . \
+                    ?x <http://ub.org/advisor> ?p . }";
+        let profile = QueryOptions {
+            profile: true,
             ..QueryOptions::default()
         };
-        assert_eq!(svc.query(Q, options).unwrap().results.len(), 3);
+        let r = svc.query(join, profile).unwrap();
+        assert_eq!(r.results.len(), 70);
+        let report = r.profile.unwrap();
+        let starts = report
+            .spans
+            .iter()
+            .find(|s| s.name == "start_vertex")
+            .unwrap();
+        assert!(starts.counters.contains(&("candidates", 70)), "{starts:?}");
+        let workers = report.spans.iter().filter(|s| s.name == "worker").count();
+        assert_eq!(workers, MAX_THREADS);
+    }
+
+    /// ANALYZE and EXPLAIN plan outside the cache: neither looks a plan up,
+    /// nor caches one, nor counts as a prepared plan.
+    #[test]
+    fn analyze_and_explain_leave_the_plan_cache_alone() {
+        let svc = service();
+        let other = "SELECT ?x WHERE { ?x <http://ub.org/memberOf> ?d . }";
+        svc.query(other, QueryOptions::default()).unwrap();
+        svc.query(other, QueryOptions::default()).unwrap();
+        let cache = |svc: &QueryService| {
+            let s = svc.stats();
+            (s.cache_hits, s.cache_misses, s.cache_size, s.plans_prepared)
+        };
+        let before = cache(&svc);
+        assert_eq!(before, (1, 1, 1, 1));
+        let analyze = QueryOptions {
+            analyze: true,
+            ..QueryOptions::default()
+        };
+        assert!(!svc.query(Q, analyze).unwrap().cache_hit);
+        svc.explain(Q, QueryOptions::default()).unwrap();
+        assert_eq!(cache(&svc), before);
+        assert!(!svc.query(Q, QueryOptions::default()).unwrap().cache_hit);
+        assert_eq!(cache(&svc), (1, 2, 2, 2));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The server's command line refuses what it cannot serve — a snapshot file
 //! that an earlier build wrote for a sharded store, a sharded store to save,
 //! a halo radius to set, RDFS inference over anything but an N-Triples
-//! file — with a message, and exits before it binds or writes anything.
+//! file, a thread count outside `1..=MAX_THREADS` — with a message, and
+//! exits before it binds or writes anything.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -148,4 +149,25 @@ fn inference_applies_to_an_ntriples_file_alone() {
     assert!(output.status.success(), "{}", stderr(&output));
     assert!(Store::from_snapshot(&snap).unwrap().options().inference);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The default thread count reaches every query's pool, which spawns a
+/// worker per start vertex up to that count: a count outside
+/// `1..=MAX_THREADS` is refused, with the range, before the store is loaded.
+#[test]
+fn a_thread_count_outside_the_bound_is_refused_before_loading() {
+    assert_eq!(turbohom_service::MAX_THREADS, 64);
+    for threads in ["0", "65"] {
+        let output = server(&["--bind", "127.0.0.1:0", "--lubm", "1", "--threads", threads]);
+        let printed = stderr(&output);
+        assert!(!output.status.success(), "--threads {threads}: {printed}");
+        assert!(
+            printed.contains("--threads expects an integer from 1 to 64"),
+            "--threads {threads}: {printed}"
+        );
+        assert!(
+            !printed.contains("store ready"),
+            "--threads {threads}: {printed}"
+        );
+    }
 }

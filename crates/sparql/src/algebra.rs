@@ -85,15 +85,6 @@ impl TriplePattern {
             .filter_map(|t| t.as_variable())
             .collect()
     }
-
-    /// Number of constant positions (used by the baselines' selectivity
-    /// heuristics: more constants ⇒ more selective).
-    pub fn bound_positions(&self) -> usize {
-        [&self.subject, &self.predicate, &self.object]
-            .into_iter()
-            .filter(|t| !t.is_variable())
-            .count()
-    }
 }
 
 /// A group graph pattern: the unit inside `{ ... }`.
@@ -151,21 +142,6 @@ impl GroupPattern {
                 branch.collect_variables(out);
             }
         }
-    }
-
-    /// Total number of triple patterns including optionals and unions.
-    pub fn pattern_count(&self) -> usize {
-        self.triples.len()
-            + self
-                .optionals
-                .iter()
-                .map(GroupPattern::pattern_count)
-                .sum::<usize>()
-            + self
-                .unions
-                .iter()
-                .flat_map(|u| u.iter().map(GroupPattern::pattern_count))
-                .sum::<usize>()
     }
 
     /// Expands the `UNION` constructs into a list of union-free groups (the
@@ -289,9 +265,6 @@ mod tests {
     fn pattern_variables_and_selectivity() {
         let p = tp("?x", "http://p", "?y");
         assert_eq!(p.variables(), vec!["x", "y"]);
-        assert_eq!(p.bound_positions(), 1);
-        let q = tp("http://s", "http://p", "http://o");
-        assert_eq!(q.bound_positions(), 3);
     }
 
     #[test]
@@ -307,7 +280,6 @@ mod tests {
         b2.triples.push(tp("?x", "http://r", "?v"));
         g.unions.push(vec![b1, b2]);
         assert_eq!(g.all_variables(), vec!["v", "w", "x", "y", "z"]);
-        assert_eq!(g.pattern_count(), 4);
     }
 
     #[test]

@@ -178,21 +178,6 @@ impl<T: Pod> Default for FlatCsr<T> {
 }
 
 impl<T: Pod> FlatCsr<T> {
-    /// Builds from per-row vectors.
-    pub fn from_rows(rows: &[Vec<T>]) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut data = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-        offsets.push(0u64);
-        for row in rows {
-            data.extend_from_slice(row);
-            offsets.push(data.len() as u64);
-        }
-        FlatCsr {
-            offsets: offsets.into(),
-            data: data.into(),
-        }
-    }
-
     /// Builds `num_rows` rows in two walks over one input: `walk` hands its
     /// sink `(row, value)` pairs, once to count each row's length and once
     /// to place the values, so both arrays are allocated at their final
@@ -342,6 +327,15 @@ pub fn process_resident_bytes() -> (u64, u64) {
 mod tests {
     use super::*;
 
+    /// The CSR whose rows are `rows`.
+    fn csr_of(rows: &[Vec<u32>]) -> FlatCsr<u32> {
+        FlatCsr::counted(rows.len(), |sink| {
+            for (r, row) in rows.iter().enumerate() {
+                row.iter().for_each(|&v| sink(r, v));
+            }
+        })
+    }
+
     #[test]
     fn bytes_are_heap_when_owned_or_buffered_and_mapped_over_a_mapping() {
         let owned: FlatVec<u32> = vec![1, 2, 3].into();
@@ -349,7 +343,7 @@ mod tests {
         let buffered = Arc::new(ByteStore::from_bytes(&[0; 16]));
         let view: FlatVec<u64> = FlatVec::view(buffered, 0, 2);
         assert_eq!((view.heap_bytes(), view.mapped_bytes()), (16, 0));
-        let csr = FlatCsr::from_rows(&[vec![1u32, 2], vec![3]]);
+        let csr = csr_of(&[vec![1, 2], vec![3]]);
         assert_eq!(
             MemoryUse::from(&csr) + MemoryUse::from(&owned),
             MemoryUse {
@@ -388,8 +382,7 @@ mod tests {
 
     #[test]
     fn csr_round_trip() {
-        let rows = vec![vec![1u32, 2], vec![], vec![3]];
-        let csr = FlatCsr::from_rows(&rows);
+        let csr = csr_of(&[vec![1, 2], vec![], vec![3]]);
         assert_eq!(csr.num_rows(), 3);
         assert_eq!(csr.row(0), &[1, 2]);
         assert_eq!(csr.row(1), &[] as &[u32]);
@@ -401,13 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn counted_csr_equals_the_one_built_from_rows() {
+    fn a_counted_csr_keeps_each_rows_values_in_arrival_order() {
         let pairs = [(2usize, 7u32), (0, 1), (2, 8), (0, 2), (2, 9)];
         let csr = FlatCsr::counted(4, |sink| pairs.iter().rev().for_each(|&(r, v)| sink(r, v)));
-        assert_eq!(
-            csr,
-            FlatCsr::from_rows(&[vec![2, 1], vec![], vec![9, 8, 7], vec![]])
-        );
+        let rows: Vec<&[u32]> = (0..csr.num_rows()).map(|r| csr.row(r)).collect();
+        assert_eq!(rows, [&[2, 1][..], &[], &[9, 8, 7], &[]]);
         assert_eq!(FlatCsr::<u32>::counted(0, |_| {}).num_rows(), 0);
     }
 
