@@ -43,8 +43,11 @@ const TAG_STORE_META: u64 = 0x0901;
 /// (`0x0704`/`0x0705`). 10: no triple table (`0x0201`): the type-aware graph
 /// holds every triple. 11: the dictionary stores each IRI namespace and
 /// datatype IRI once, in a shared table (`0x0104`/`0x0105`) its records
-/// (`0x0102`) index, and its arena (`0x0101`) only the rest.
-const STORE_FORMAT_SUB_VERSION: u64 = 11;
+/// (`0x0102`) index, and its arena (`0x0101`) only the rest. 12: a term
+/// record (`0x0102`) is 16 bytes, its extra string ending where the next
+/// record's strings begin, and the numeric views lie beside the records
+/// (`0x0106`).
+const STORE_FORMAT_SUB_VERSION: u64 = 12;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not

@@ -136,6 +136,7 @@ fn ledger_line(tag: u64) -> Option<(&'static str, &'static str)> {
         0x0102 => ("dictionary", "records"),
         0x0103 => ("dictionary", "sorted"),
         0x0104 | 0x0105 => ("dictionary", "shared"),
+        0x0106 => ("dictionary", "numbers"),
         0x0302..=0x0304 => (graph, "labels"),
         0x0310..=0x032f => (graph, "csr"),
         0x0400..=0x04ff => (graph, "predicate_index"),
@@ -294,10 +295,11 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // label sets), 6 (each graph still mapped its vertices to terms), 7
     // (each graph still stored the type groups that filter nothing), 8
     // (the direct graph followed the type-aware one), 9 (the triple table
-    // followed the dictionary) or 10 (the dictionary stored every IRI and
-    // datatype IRI whole).
+    // followed the dictionary), 10 (the dictionary stored every IRI and
+    // datatype IRI whole) or 11 (a term record was 32 bytes, with its extra
+    // string's range and its numeric view).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
+    for found in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -306,7 +308,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 11
+                expected: 12
             })
         );
     }
@@ -329,7 +331,7 @@ fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
 
     let mut w = turbohom_storage::SnapshotWriter::new();
     let triples = small.triple_count() as u64;
-    w.section::<u64>(0x0901, &[11, 1, triples]);
+    w.section::<u64>(0x0901, &[12, 1, triples]);
     small.dictionary().write_sections(&mut w);
     graph.write_sections(&mut w);
     let path = temp_path("rows.snap");
@@ -354,7 +356,7 @@ fn a_meta_triple_count_that_is_not_the_graphs_is_refused() {
     let path = temp_path("count.snap");
     for saved in [held - 1, held + 1] {
         let mut w = turbohom_storage::SnapshotWriter::new();
-        w.section::<u64>(0x0901, &[11, 1, saved as u64]);
+        w.section::<u64>(0x0901, &[12, 1, saved as u64]);
         store.dictionary().write_sections(&mut w);
         graph.write_sections(&mut w);
         w.write_to(&path).unwrap();
@@ -368,7 +370,7 @@ fn a_meta_triple_count_that_is_not_the_graphs_is_refused() {
     }
     // The same sections with the right count open.
     let mut w = turbohom_storage::SnapshotWriter::new();
-    w.section::<u64>(0x0901, &[11, 1, held as u64]);
+    w.section::<u64>(0x0901, &[12, 1, held as u64]);
     store.dictionary().write_sections(&mut w);
     graph.write_sections(&mut w);
     w.write_to(&path).unwrap();
@@ -487,8 +489,15 @@ fn a_dictionary_shared_string_or_iri_split_that_is_wrong_is_refused() {
     let word = |text: &[u8; 4]| u32::from_le_bytes(*text);
     let split = "not split after its last '/' or '#'";
     for (tag, at, value, what) in [
-        // The record's shared-string index (its sixth u32), past the table.
-        (0x0102, 20, 1000, "shared string index is out of range"),
+        // The record's kind word (its third u32: the IRI's code 0, the
+        // JSON-plain bit 4 and, from bit 5, the shared-string index) naming
+        // a string past the table.
+        (
+            0x0102,
+            8,
+            1000 << 5 | 1 << 4,
+            "shared string index is out of range",
+        ),
         // `http://ub.orgx`: a namespace that ends in neither '/' nor '#'.
         (0x0104, 10, word(b"orgx"), split),
         // `G/aduateStudent`: a local name that holds a '/'.
@@ -511,9 +520,13 @@ fn a_dictionary_shared_string_or_iri_split_that_is_wrong_is_refused() {
         );
     }
     // Each patch overwrote what the comments say it did.
-    for (tag, at, text) in [(0x0104, 10, b"org/"), (0x0101, 0, b"Grad")] {
+    for (tag, at, value) in [
+        (0x0102, 8, 1 << 5 | 1 << 4),
+        (0x0104, 10, word(b"org/")),
+        (0x0101, 0, word(b"Grad")),
+    ] {
         let mut bytes = original.clone();
-        overwrite_u32(&mut bytes, tag, at, word(text));
+        overwrite_u32(&mut bytes, tag, at, value);
         assert_eq!(bytes, original);
     }
     std::fs::remove_file(&path).ok();

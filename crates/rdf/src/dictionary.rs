@@ -20,21 +20,27 @@
 //! language tags. At LUBM(640) 146,603 IRIs share 1,924 namespaces; at
 //! BSBM(200) 106,081 IRIs share 5, and 41,999 typed literals 2 datatypes.
 //!
-//! A record is 32 bytes: the kind code, `u32` offsets and lengths of the
-//! lexical form (an IRI's local name) and of the extra string (language
-//! tag), the index of its shared string (namespace or datatype IRI), and the
-//! term's numeric view ([`TermRef::numeric_view`]), taken once when the term
-//! is encoded, with a flag bit in the kind saying whether it has one (so the
-//! literal `"NaN"` keeps its NaN). A FILTER comparison reads the view from
-//! the record ([`Dictionary::term_and_view`]) and no byte of the arena, so no
-//! string is parsed while a query runs. A second flag bit says whether all
-//! of the term's strings are JSON-plain ([`is_json_plain`]: no `"`, `\` or
-//! control byte), decided once as well, from a bit each shared string
-//! carries and the arena strings: the result writer copies such a term's
-//! strings whole ([`Dictionary::term_and_plain`]) and escapes only the rest,
-//! so no byte of a clean term is tested while a result is written. Offsets
-//! are 32 bits: the arena refuses to grow past `u32::MAX` bytes, as the ids
-//! refuse the 2³²-th term.
+//! A record is 16 bytes, four `u32` words: the arena offset where the
+//! term's strings begin, the length of its lexical form (an IRI's local
+//! name), the kind code with two flag bits and, above them, the index of its
+//! shared string (namespace or datatype IRI), and the index of its numeric
+//! view. Its extra string (a language tag) has no length of its own: a term's
+//! strings are appended to the arena in id order, so they end where the next
+//! record's begin, the last record's at the arena's end, and only the two
+//! language-tagged kinds have any bytes after the lexical form. The numeric
+//! view ([`TermRef::numeric_view`]) is taken once, when the term is encoded,
+//! and kept beside the records, one `f64` per term that has one, with a flag
+//! bit in the kind saying whether it does (so the literal `"NaN"` keeps its
+//! NaN). A FILTER comparison reads the view from there
+//! ([`Dictionary::term_and_view`]) and no byte of the arena, so no string is
+//! parsed while a query runs. A second flag bit says whether all of the
+//! term's strings are JSON-plain ([`is_json_plain`]: no `"`, `\` or control
+//! byte), decided once as well, from a bit each shared string carries and
+//! the arena strings: the result writer copies such a term's strings whole
+//! ([`Dictionary::term_and_plain`]) and escapes only the rest, so no byte of
+//! a clean term is tested while a result is written. Offsets are 32 bits: the
+//! arena refuses to grow past `u32::MAX` bytes, as the ids refuse the 2³²-th
+//! term and the shared table its 2²⁷-th string.
 //!
 //! Lookups and the sorted ids order terms as if nothing were shared: by kind,
 //! the whole lexical form, then the whole extra string (datatype IRI, then
@@ -51,8 +57,8 @@
 //!   compares it once; only a new IRI looks up its namespace.
 //! * **Sorted** once served — the ids in key order, for binary search.
 //!   [`Dictionary::freeze`] sorts the ids and drops the table, and a snapshot
-//!   stores exactly the arena, the records, this permutation and the shared
-//!   table, so a mapped dictionary reads them in place: heap and snapshot
+//!   stores exactly the arena, the records, this permutation, the shared
+//!   table and the numeric views, so a mapped dictionary reads them in place: heap and snapshot
 //!   stores share one read path. `encode` on a sorted dictionary rebuilds the
 //!   table from the records (ids unchanged, no string copied).
 
@@ -97,6 +103,7 @@ const TAG_DICT_RECORDS: u64 = 0x0102;
 const TAG_DICT_SORTED: u64 = 0x0103;
 const TAG_DICT_SHARED_ARENA: u64 = 0x0104;
 const TAG_DICT_SHARED_RECORDS: u64 = 0x0105;
+const TAG_DICT_NUMBERS: u64 = 0x0106;
 
 /// Term kind codes stored in the low bits of [`TermRecord::kind`].
 const KIND_IRI: u32 = 0;
@@ -109,11 +116,16 @@ const KIND_LANG: u32 = 4;
 /// round-trip it); its extra string is `\0` and the tag, so that it orders
 /// after the datatype as `datatype \0 language`.
 const KIND_TYPED_LANG: u32 = 5;
+/// The bits of [`TermRecord::kind`] that hold the kind code.
+const CODE: u32 = 0b111;
 /// The bit of [`TermRecord::kind`] set when the term has a numeric view.
-const NUMERIC: u32 = 1 << 8;
+const NUMERIC: u32 = 1 << 3;
 /// The bit of [`TermRecord::kind`] set when none of the term's strings needs
 /// a JSON escape.
-const PLAIN: u32 = 1 << 9;
+const PLAIN: u32 = 1 << 4;
+/// Where the shared-string index starts in [`TermRecord::kind`]: above the
+/// code and the flags, in the word's remaining 27 bits.
+const SHARED_SHIFT: u32 = 5;
 
 /// Whether terms of kind `code` keep a string in the shared table: an IRI its
 /// namespace, a typed literal its datatype IRI. Every other record names the
@@ -122,35 +134,41 @@ fn shares(code: u32) -> bool {
     matches!(code, KIND_IRI | KIND_TYPED | KIND_TYPED_LANG)
 }
 
-/// Fixed-width description of one term: a kind code, two `(offset, len)`
-/// ranges into the string arena (lexical form — an IRI's local name — and
-/// the kind-dependent extra string, a language tag), the index of its shared
-/// string and the term's numeric view.
+/// Whether terms of kind `code` have an extra string (a language tag) after
+/// their lexical form; every other kind's strings end with the lexical form.
+fn has_extra(code: u32) -> bool {
+    matches!(code, KIND_LANG | KIND_TYPED_LANG)
+}
+
+/// Fixed-width description of one term: where its strings begin in the
+/// string arena, the length of the first (the lexical form, an IRI's local
+/// name), its kind with the index of its shared string, and the index of its
+/// numeric view. The extra string, a language tag, follows the lexical form
+/// and ends where the next record's strings begin (the last record's at the
+/// arena's end).
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TermRecord {
-    /// The kind code, with [`NUMERIC`] set when the term has a numeric view
-    /// and [`PLAIN`] when its strings need no JSON escape.
-    kind: u32,
-    lex_off: u32,
+    off: u32,
     lex_len: u32,
-    extra_off: u32,
-    extra_len: u32,
-    /// The index of the term's shared string ([`shares`]): an IRI's
-    /// namespace, a typed literal's datatype IRI; 0, the empty string, for
-    /// the other kinds.
-    shared: u32,
-    /// The numeric view's `f64::to_bits` under [`NUMERIC`], else 0.
-    number: u64,
+    /// The kind code, with [`NUMERIC`] set when the term has a numeric view
+    /// and [`PLAIN`] when its strings need no JSON escape, and above them
+    /// (from [`SHARED_SHIFT`]) the index of the term's shared string
+    /// ([`shares`]): an IRI's namespace, a typed literal's datatype IRI; 0,
+    /// the empty string, for the other kinds.
+    kind: u32,
+    /// Under [`NUMERIC`], the index of the term's numeric view in the
+    /// dictionary's `numbers`; else 0.
+    number: u32,
 }
 
-// Safety: repr(C), five u32s, a u32 and a u64 at offset 24: no padding.
+// Safety: repr(C), four u32s: no padding.
 unsafe impl Pod for TermRecord {}
 
 impl TermRecord {
-    /// The kind code, without the [`NUMERIC`] and [`PLAIN`] bits.
+    /// The kind code, without the flags and the shared index.
     fn code(&self) -> u32 {
-        self.kind & !(NUMERIC | PLAIN)
+        self.kind & CODE
     }
 
     /// Whether the term's strings need no JSON escape.
@@ -158,9 +176,14 @@ impl TermRecord {
         self.kind & PLAIN != 0
     }
 
-    /// The stored numeric view.
-    fn view(&self) -> Option<f64> {
-        (self.kind & NUMERIC != 0).then(|| f64::from_bits(self.number))
+    /// The index of the term's shared string.
+    fn shared(&self) -> u32 {
+        self.kind >> SHARED_SHIFT
+    }
+
+    /// The index of the term's numeric view, if it has one.
+    fn number(&self) -> Option<u32> {
+        (self.kind & NUMERIC != 0).then_some(self.number)
     }
 }
 
@@ -176,12 +199,6 @@ struct SharedRecord {
 
 // Safety: repr(C), three u32s: no padding.
 unsafe impl Pod for SharedRecord {}
-
-/// What a record stores of the numeric view `number`: its [`NUMERIC`] bit and
-/// its bits. Two views store alike exactly when they are equal bit for bit.
-fn stored_view(number: Option<f64>) -> (u32, u64) {
-    number.map_or((0, 0), |n| (NUMERIC, n.to_bits()))
-}
 
 /// What a record stores of a term whose arena strings are `lexical` and
 /// `extra` and whose shared string is JSON-plain when `shared_plain`:
@@ -328,8 +345,21 @@ fn arena_offset(offset: usize) -> u32 {
     u32::try_from(offset).expect("the dictionary's records address at most u32::MAX arena bytes")
 }
 
-/// The bytes of `range` in `arena`. Every range a record holds ends inside
-/// its arena (the `Dictionary` invariant), so the sum fits a `usize`.
+/// A shared-string index as a record's kind word holds it, shifted above the
+/// code and the flags.
+///
+/// # Panics
+/// Panics if `index` does not fit the word's 27 bits left for it.
+fn packed_shared(index: usize) -> u32 {
+    u32::try_from(index)
+        .ok()
+        .filter(|&index| index <= u32::MAX >> SHARED_SHIFT)
+        .expect("the dictionary's records address at most 2^27 shared strings")
+        << SHARED_SHIFT
+}
+
+/// The bytes of `range` in `arena`. Every range a shared record holds ends
+/// inside its arena (the `Dictionary` invariant), so the sum fits a `usize`.
 fn slice(arena: &[u8], off: u32, len: u32) -> &[u8] {
     &arena[off as usize..off as usize + len as usize]
 }
@@ -426,17 +456,23 @@ enum Lookup {
 /// dictionary is being encoded into and O(log n) (binary search over the
 /// arena) once it is frozen or mapped.
 ///
-/// Invariant (what `term_ref` relies on): every record's two ranges lie
-/// inside `arena`, on UTF-8 boundaries, and hold valid UTF-8; its shared
-/// index names a string of `shared`, whose range lies likewise inside the
-/// shared arena and holds valid UTF-8. `encode_key` and `read_sections` are
-/// the only places that add records, and nothing rewrites a byte any array
-/// already holds.
+/// Invariant (what `term_ref` relies on): the first record's strings begin
+/// at arena offset 0, and every record's lexical form ends at or before the
+/// next record's offset (the last one's at or before the arena's end), with
+/// nothing after it unless its kind has an extra string; both strings lie on
+/// UTF-8 boundaries and hold valid UTF-8. A record's shared index names a
+/// string of `shared`, whose range lies likewise inside the shared arena and
+/// holds valid UTF-8, and its numeric index, when its `NUMERIC` bit is set,
+/// an entry of `numbers`. `encode_key` and `read_sections` are the only
+/// places that add records, and nothing rewrites a byte any array already
+/// holds.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
     arena: FlatVec<u8>,
     records: FlatVec<TermRecord>,
     shared: SharedStrings,
+    /// The numeric views of the terms that have one, in id order.
+    numbers: FlatVec<f64>,
     lookup: Lookup,
     /// Keys the hash indexes. Per process and random, so terms from outside
     /// (`--ntriples`) cannot be chosen to collide.
@@ -461,6 +497,7 @@ impl Dictionary {
             arena: FlatVec::new(),
             records: Vec::with_capacity(capacity).into(),
             shared: SharedStrings::new(),
+            numbers: FlatVec::new(),
             lookup: Lookup::Hashed(vec![0; slots_for(capacity)]),
             hasher: RandomState::new(),
         }
@@ -485,32 +522,57 @@ impl Dictionary {
                 self.records.to_mut().shrink_to_fit();
                 self.shared.arena.to_mut().shrink_to_fit();
                 self.shared.records.to_mut().shrink_to_fit();
+                self.numbers.to_mut().shrink_to_fit();
             }
         }
     }
 
-    /// The key `record` is looked up and ordered by.
+    /// The arena strings of record `id`, `record`: its lexical form and its
+    /// extra string, which runs from there to where the next record's
+    /// strings begin (the last record's to the arena's end). That is empty
+    /// but for the kinds that have one ([`has_extra`]), so only those read
+    /// the next record.
     #[inline(always)]
-    fn key(&self, record: &TermRecord) -> Key<'_> {
-        let code = record.code();
-        let shared = if shares(code) {
-            self.shared.get(record.shared)
+    fn strings(&self, id: usize, record: &TermRecord) -> (&[u8], &[u8]) {
+        let (off, lex_end) = (
+            record.off as usize,
+            record.off as usize + record.lex_len as usize,
+        );
+        let extra: &[u8] = if has_extra(record.code()) {
+            let end = (self.records.get(id + 1)).map_or(self.arena.len(), |next| next.off as usize);
+            &self.arena[lex_end..end]
         } else {
             b""
         };
-        let (lexical, extra) = (
-            slice(&self.arena, record.lex_off, record.lex_len),
-            slice(&self.arena, record.extra_off, record.extra_len),
-        );
-        if code == KIND_IRI {
+        (&self.arena[off..lex_end], extra)
+    }
+
+    /// The shared string `record` names: its namespace or datatype IRI, or
+    /// the empty string for a kind that shares none.
+    #[inline(always)]
+    fn shared_of(&self, record: &TermRecord) -> &[u8] {
+        if shares(record.code()) {
+            self.shared.get(record.shared())
+        } else {
+            b""
+        }
+    }
+
+    /// The key record `id` is looked up and ordered by.
+    #[inline(always)]
+    fn key(&self, id: u32) -> Key<'_> {
+        let record = &self.records[id as usize];
+        let shared = self.shared_of(record);
+        let (lexical, extra) = self.strings(id as usize, record);
+        if record.code() == KIND_IRI {
             Key {
-                kind: code,
+                kind: KIND_IRI,
                 lexical: [shared, lexical],
                 extra: [b"", extra],
             }
         } else {
             Key {
-                kind: code,
+                kind: record.code(),
                 lexical: [b"", lexical],
                 extra: [shared, extra],
             }
@@ -537,23 +599,19 @@ impl Dictionary {
                 rank[i as usize] = pos as u32;
             }
         }
-        let (arena, records): (&[u8], &[TermRecord]) = (&self.arena, &self.records);
-        let own = |r: &TermRecord| {
-            (
-                slice(arena, r.lex_off, r.lex_len),
-                slice(arena, r.extra_off, r.extra_len),
-            )
-        };
+        let records: &[TermRecord] = &self.records;
         let mut sorted: Vec<u32> = (0..records.len() as u32).collect();
         sorted.sort_unstable_by(|&a, &b| {
-            let (a, b) = (&records[a as usize], &records[b as usize]);
-            if a.code() == b.code() {
-                if a.shared == b.shared {
-                    return own(a).cmp(&own(b));
+            let (ra, rb) = (&records[a as usize], &records[b as usize]);
+            if ra.code() == rb.code() {
+                if ra.shared() == rb.shared() {
+                    return self
+                        .strings(a as usize, ra)
+                        .cmp(&self.strings(b as usize, rb));
                 }
-                let (ra, rb) = (rank[a.shared as usize], rank[b.shared as usize]);
-                if a.code() == KIND_IRI && ra != u32::MAX && rb != u32::MAX {
-                    return ra.cmp(&rb);
+                let (ka, kb) = (rank[ra.shared() as usize], rank[rb.shared() as usize]);
+                if ra.code() == KIND_IRI && ka != u32::MAX && kb != u32::MAX {
+                    return ka.cmp(&kb);
                 }
             }
             self.key(a).cmp(&self.key(b))
@@ -562,9 +620,9 @@ impl Dictionary {
     }
 
     /// Heap and mapped bytes of the flat arrays; `sorted` is zero until the
-    /// dictionary is frozen, and `shared` is the shared table's arena and
-    /// records together.
-    pub fn memory(&self) -> [(&'static str, MemoryUse); 4] {
+    /// dictionary is frozen, `shared` is the shared table's arena and
+    /// records together, and `numbers` the numeric views.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 5] {
         let sorted = match &self.lookup {
             Lookup::Sorted(sorted) => sorted.into(),
             Lookup::Hashed(_) => MemoryUse::default(),
@@ -574,6 +632,7 @@ impl Dictionary {
             ("records", (&self.records).into()),
             ("sorted", sorted),
             ("shared", self.shared.memory()),
+            ("numbers", (&self.numbers).into()),
         ]
     }
 
@@ -581,7 +640,7 @@ impl Dictionary {
     /// empty slot that ends its probe sequence.
     fn probe(&self, table: &[u32], key: Key<'_>) -> Result<TermId, usize> {
         probe(table, key.hash(&self.hasher), |id| {
-            self.key(&self.records[id as usize]).cmp(&key).is_eq()
+            self.key(id).cmp(&key).is_eq()
         })
         .map(TermId)
     }
@@ -589,9 +648,9 @@ impl Dictionary {
     /// A hash index of `slots` slots over every record.
     fn index(&self, slots: usize) -> Vec<u32> {
         let mut table = vec![0; slots];
-        for (id, record) in self.records.iter().enumerate() {
+        for id in 0..self.records.len() {
             // A snapshot may list one term under two ids: the first keeps it.
-            if let Err(slot) = self.probe(&table, self.key(record)) {
+            if let Err(slot) = self.probe(&table, self.key(id as u32)) {
                 table[slot] = slot_entry(id);
             }
         }
@@ -602,7 +661,7 @@ impl Dictionary {
         match &self.lookup {
             Lookup::Hashed(table) => self.probe(table, key).ok(),
             Lookup::Sorted(sorted) => sorted
-                .binary_search_by(|&id| self.key(&self.records[id as usize]).cmp(&key))
+                .binary_search_by(|&id| self.key(id).cmp(&key))
                 .ok()
                 .map(|pos| TermId(sorted[pos])),
         }
@@ -632,29 +691,34 @@ impl Dictionary {
         } else {
             (datatype, lex)
         };
-        let lex_off = self.arena.len();
-        let extra_off = lex_off + lex.len();
-        // Refused before the arena grows; every offset below fits if the end does.
-        arena_offset(extra_off + extra.len());
+        let off = self.arena.len();
+        // Refused before the arena grows; the offset and length fit if the end does.
+        arena_offset(off + lex.len() + extra.len());
         let (shared, shared_plain) = if shares(kind) {
             let shared = self.shared.intern(shared, &self.hasher);
             (shared, self.shared.records[shared as usize].plain == 1)
         } else {
             (0, true)
         };
-        let view = term_ref_from_parts(kind, "", lex, extra).numeric_view();
-        let (numeric, number) = stored_view(view);
+        let shared = packed_shared(shared as usize);
         let plain = stored_plain(shared_plain, lex, extra);
+        let (numeric, number) = match term_ref_from_parts(kind, "", lex, extra).numeric_view() {
+            Some(view) => {
+                let numbers = self.numbers.to_mut();
+                numbers.push(view);
+                // Fewer views than terms, whose ids fit a `u32`.
+                (NUMERIC, (numbers.len() - 1) as u32)
+            }
+            None => (0, 0),
+        };
+        // The term's strings in one run, the extra string ending it.
         let arena = self.arena.to_mut();
         arena.extend_from_slice(lex.as_bytes());
         arena.extend_from_slice(extra.as_bytes());
         self.records.to_mut().push(TermRecord {
-            kind: kind | numeric | plain,
-            lex_off: arena_offset(lex_off),
+            off: arena_offset(off),
             lex_len: arena_offset(lex.len()),
-            extra_off: arena_offset(extra_off),
-            extra_len: arena_offset(extra.len()),
-            shared,
+            kind: kind | numeric | plain | shared,
             number,
         });
         if let Lookup::Hashed(table) = &mut self.lookup {
@@ -689,45 +753,43 @@ impl Dictionary {
     /// Returns a borrowed view of the term for `id`, if `id` is valid: no
     /// string is copied, on the heap or on a snapshot view.
     pub fn term_ref(&self, id: TermId) -> Option<TermRef<'_>> {
-        self.records
-            .get(id.index())
-            .map(|record| self.decode(record))
+        let record = self.records.get(id.index())?;
+        Some(self.decode(id, record))
     }
 
     /// Returns the term for `id` and whether its strings need no JSON escape,
-    /// both from the term's one record: what the result writer reads of a
-    /// cell. Inlined into the writer's resolve pass, where a call more per
-    /// cell keeps fewer record misses in flight.
+    /// both from the term's one record (and, for a language tag, the next
+    /// record's offset): what the result writer reads of a cell. Inlined
+    /// into the writer's resolve pass, where a call more per cell keeps fewer
+    /// record misses in flight.
     #[inline(always)]
     pub fn term_and_plain(&self, id: TermId) -> Option<(TermRef<'_>, bool)> {
         let record = self.records.get(id.index())?;
-        Some((self.decode(record), record.is_plain()))
+        Some((self.decode(id, record), record.is_plain()))
     }
 
     /// Returns the term for `id` with its numeric view
-    /// ([`TermRef::numeric_view`]), both from the term's one record: what a
-    /// FILTER reads of a bound variable. No string is copied or parsed.
+    /// ([`TermRef::numeric_view`]): the term from its record, the view from
+    /// the entry the record names beside them. What a FILTER reads of a
+    /// bound variable; no string is copied or parsed.
     pub fn term_and_view(&self, id: TermId) -> Option<(TermRef<'_>, Option<f64>)> {
         let record = self.records.get(id.index())?;
-        Some((self.decode(record), record.view()))
+        let view = record.number().map(|i| self.numbers[i as usize]);
+        Some((self.decode(id, record), view))
     }
 
-    /// The term `record` describes, borrowed from the arena and the shared
-    /// table. Inlined into every reader: the result writer resolves a cell
-    /// per call of `term_and_plain`, and a call more per cell keeps fewer
-    /// record misses in flight.
+    /// The term record `id`, `record`, describes, borrowed from the arena
+    /// and the shared table. Inlined into every reader: the result writer
+    /// resolves a cell per call of `term_and_plain`, and a call more per cell
+    /// keeps fewer record misses in flight.
     #[inline(always)]
-    fn decode(&self, record: &TermRecord) -> TermRef<'_> {
-        let code = record.code();
-        let shared = if shares(code) {
-            self.shared.get(record.shared)
-        } else {
-            b""
-        };
-        // SAFETY: by the struct invariant every range holds valid UTF-8:
+    fn decode(&self, id: TermId, record: &TermRecord) -> TermRef<'_> {
+        let (lexical, extra) = self.strings(id.index(), record);
+        // SAFETY: by the struct invariant every string holds valid UTF-8:
         // `encode` and `encode_iri` appended them from `&str`s (through
-        // `encode_key`, which splits an IRI after an ASCII byte),
-        // `read_sections` validated every record's ranges and every shared
+        // `encode_key`, which splits an IRI after an ASCII byte) in id order,
+        // so each extra string ends where the next term's strings begin,
+        // `read_sections` validated every record's strings and every shared
         // string with `from_utf8`, and no byte any array holds is rewritten
         // afterwards (a mapped arena is a private read-only mapping, the
         // premise `ByteStore` already rests on).
@@ -735,10 +797,10 @@ impl Dictionary {
         // decoded cell of every result row.
         let text = |bytes| unsafe { std::str::from_utf8_unchecked(bytes) };
         term_ref_from_parts(
-            code,
-            text(shared),
-            text(slice(&self.arena, record.lex_off, record.lex_len)),
-            text(slice(&self.arena, record.extra_off, record.extra_len)),
+            record.code(),
+            text(self.shared_of(record)),
+            text(lexical),
+            text(extra),
         )
     }
 
@@ -775,9 +837,9 @@ impl Dictionary {
     }
 
     /// Serializes the dictionary as snapshot sections (arena, records,
-    /// sorted permutation, shared arena, shared records) — see
-    /// `docs/STORAGE.md`. The arrays are written as they are; a dictionary
-    /// not yet frozen sorts its ids for the write.
+    /// sorted permutation, shared arena, shared records, numeric views) —
+    /// see `docs/STORAGE.md`. The arrays are written as they are; a
+    /// dictionary not yet frozen sorts its ids for the write.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
         w.section(TAG_DICT_ARENA, &self.arena);
         w.section(TAG_DICT_RECORDS, &self.records);
@@ -787,18 +849,20 @@ impl Dictionary {
         }
         w.section(TAG_DICT_SHARED_ARENA, &self.shared.arena);
         w.section(TAG_DICT_SHARED_RECORDS, &self.shared.records);
+        w.section(TAG_DICT_NUMBERS, &self.numbers);
     }
 
     /// Reconstructs a zero-copy dictionary view from its snapshot sections,
     /// validating every shared string's range, UTF-8 and `PLAIN` bit
-    /// first, then every record: its arena ranges and their UTF-8 and its
-    /// shared index, so later reads cannot panic; an IRI's split, which must
-    /// be the one [`IriRef::split`] makes, so lookups find it; its numeric
-    /// view against its lexical form's, bit for bit, so a FILTER over the
-    /// view answers as over the text; and its `PLAIN` bit against its
-    /// strings, so a crafted file cannot have the result writer copy a quote
-    /// or a control byte into a body unescaped. All of a record's checks read
-    /// its strings in the one pass.
+    /// first, then every record: where its strings begin and end, their
+    /// UTF-8 and its shared index, so later reads cannot panic; an IRI's
+    /// split, which must be the one [`IriRef::split`] makes, so lookups find
+    /// it; its numeric index and the view it names against its lexical
+    /// form's, bit for bit, so a FILTER over the view answers as over the
+    /// text; and its `PLAIN` bit against its strings, so a crafted file
+    /// cannot have the result writer copy a quote or a control byte into a
+    /// body unescaped. All of a record's checks read its strings in the one
+    /// pass.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let malformed = |what: String| Err(SnapshotError::Malformed(what));
         let arena: FlatVec<u8> = cur.next_section(TAG_DICT_ARENA)?;
@@ -809,12 +873,19 @@ impl Dictionary {
             records: cur.next_section(TAG_DICT_SHARED_RECORDS)?,
             index: Vec::new(),
         };
+        let numbers: FlatVec<f64> = cur.next_section(TAG_DICT_NUMBERS)?;
         if sorted.len() != records.len() {
             return malformed("dictionary sort permutation length mismatch".into());
         }
         let within = |arena: &[u8], off: u32, len: u32| {
             u64::from(off) + u64::from(len) <= arena.len() as u64
         };
+        // `encode_key` packs the index of every string it finds here.
+        if shared.records.len() > 1 << (32 - SHARED_SHIFT) {
+            return malformed(
+                "dictionary shared table holds more strings than a record can name".into(),
+            );
+        }
         let mut namespace = Vec::with_capacity(shared.records.len());
         for (i, r) in shared.records.iter().enumerate() {
             if !within(&shared.arena, r.off, r.len) {
@@ -830,43 +901,81 @@ impl Dictionary {
             }
             namespace.push(text.bytes().last().is_none_or(ends_namespace));
         }
+        // The terms' strings run in id order from the arena's start to its
+        // end: each record's begin where the previous one's end, and are its
+        // lexical form and, for a kind that has one, its extra string.
+        let begin = |i: usize| {
+            records
+                .get(i)
+                .map_or(arena.len() as u64, |r| u64::from(r.off))
+        };
+        if records.first().is_some_and(|first| first.off != 0) {
+            return malformed("dictionary record 0 does not start at the arena's start".into());
+        }
+        if records.is_empty() && !arena.is_empty() {
+            return malformed("dictionary strings do not end at the arena's length".into());
+        }
         for (i, r) in records.iter().enumerate() {
-            if !within(&arena, r.lex_off, r.lex_len)
-                || !within(&arena, r.extra_off, r.extra_len)
-                || r.code() > KIND_TYPED_LANG
-            {
+            let (lex_end, end) = (u64::from(r.off) + u64::from(r.lex_len), begin(i + 1));
+            if lex_end > end || end > arena.len() as u64 || r.code() > KIND_TYPED_LANG {
                 return malformed(format!(
                     "dictionary record {i} is out of bounds or has a bad kind"
                 ));
             }
-            if r.shared as usize >= shared.records.len() {
+            if lex_end != end && !has_extra(r.code()) {
+                return malformed(if i + 1 < records.len() {
+                    format!(
+                        "dictionary record {} does not start where the previous term's strings end",
+                        i + 1
+                    )
+                } else {
+                    "dictionary strings do not end at the arena's length".into()
+                });
+            }
+            if r.shared() as usize >= shared.records.len() {
                 return malformed(format!(
                     "dictionary record {i}'s shared string index is out of range"
                 ));
             }
-            // `term_ref` hands these ranges out as `&str`.
+            // `term_ref` hands these strings out as `&str`.
             let (lex, extra) = (
-                slice(&arena, r.lex_off, r.lex_len),
-                slice(&arena, r.extra_off, r.extra_len),
+                &arena[r.off as usize..lex_end as usize],
+                &arena[lex_end as usize..end as usize],
             );
             let (Ok(lex), Ok(extra)) = (std::str::from_utf8(lex), std::str::from_utf8(extra))
             else {
                 return malformed(format!("dictionary record {i} is not UTF-8"));
             };
+            let stored = match r.number() {
+                None if r.number != 0 => {
+                    return malformed(format!(
+                        "dictionary record {i} has a numeric index but no numeric view"
+                    ))
+                }
+                None => None,
+                Some(n) => match numbers.get(n as usize) {
+                    Some(view) => Some(view.to_bits()),
+                    None => {
+                        return malformed(format!(
+                            "dictionary record {i}'s numeric index is out of range"
+                        ))
+                    }
+                },
+            };
             let view = term_ref_from_parts(r.code(), "", lex, extra).numeric_view();
-            if (r.kind & NUMERIC, r.number) != stored_view(view) {
+            if stored != view.map(f64::to_bits) {
                 return malformed(format!(
                     "dictionary record {i}'s numeric view is not its lexical form's"
                 ));
             }
-            let shared_plain = !shares(r.code()) || shared.records[r.shared as usize].plain == 1;
+            let shared_plain = !shares(r.code()) || shared.records[r.shared() as usize].plain == 1;
             if r.kind & PLAIN != stored_plain(shared_plain, lex, extra) {
                 return malformed(format!(
                     "dictionary record {i}'s JSON-plain bit is not its text's"
                 ));
             }
             let local_ends_namespace = lex.bytes().any(ends_namespace);
-            if r.code() == KIND_IRI && (!namespace[r.shared as usize] || local_ends_namespace) {
+            if r.code() == KIND_IRI && (!namespace[r.shared() as usize] || local_ends_namespace) {
                 return malformed(format!(
                     "dictionary record {i}'s IRI is not split after its last '/' or '#'"
                 ));
@@ -880,6 +989,7 @@ impl Dictionary {
             arena,
             records,
             shared,
+            numbers,
             lookup: Lookup::Sorted(sorted),
             hasher: RandomState::new(),
         })
@@ -1026,13 +1136,17 @@ mod tests {
         let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
         // The arrays are on the ledger from the first `encode`; only the
         // sorted ids wait for the freeze.
-        let [arena, records, sorted, shared] = d.memory().map(|(_, m)| m.heap);
+        // One term, the integer `3`, has a numeric view.
+        let [arena, records, sorted, shared, numbers] = d.memory().map(|(_, m)| m.heap);
         assert!(arena > 0 && shared > 0);
-        assert_eq!((records, sorted), ((terms.len() * 32) as u64, 0));
+        assert_eq!(
+            (records, sorted, numbers),
+            ((terms.len() * 16) as u64, 0, 8)
+        );
         d.freeze();
         assert!(d.is_frozen());
-        let [arena, records, sorted, _] = d.memory().map(|(_, m)| m.heap);
-        assert_eq!(records, (terms.len() * 32) as u64);
+        let [arena, records, sorted, _, numbers] = d.memory().map(|(_, m)| m.heap);
+        assert_eq!((records, numbers), ((terms.len() * 16) as u64, 8));
         assert_eq!(sorted, (terms.len() * 4) as u64);
         assert!(arena > 0);
         for (t, id) in terms.iter().zip(&ids) {
@@ -1206,8 +1320,16 @@ mod tests {
     }
 
     #[test]
-    fn a_record_is_32_bytes_and_keeps_its_terms_numeric_view() {
-        assert_eq!(std::mem::size_of::<TermRecord>(), 32);
+    #[should_panic(expected = "at most 2^27 shared strings")]
+    fn a_shared_index_the_kind_word_cannot_hold_is_refused_not_wrapped() {
+        let widest = u32::MAX >> SHARED_SHIFT;
+        assert_eq!(packed_shared(widest as usize) >> SHARED_SHIFT, widest);
+        packed_shared(widest as usize + 1);
+    }
+
+    #[test]
+    fn a_record_is_16_bytes_and_keeps_its_terms_numeric_view() {
+        assert_eq!(std::mem::size_of::<TermRecord>(), 16);
         let mut d = Dictionary::new();
         let terms = [
             Term::typed_literal(" 42 ", crate::vocab::XSD_INTEGER),
@@ -1228,122 +1350,189 @@ mod tests {
         }
     }
 
-    /// Reads a dictionary from sections holding `arena` and `records` (and
-    /// the identity as their order) and the shared table `shared`, through a
-    /// file of its own.
-    fn read_parts(
-        arena: &[u8],
-        records: &[TermRecord],
-        shared: (&[u8], &[SharedRecord]),
-    ) -> Result<Dictionary, SnapshotError> {
-        static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let file = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut w = SnapshotWriter::new();
-        w.section(TAG_DICT_ARENA, arena);
-        w.section(TAG_DICT_RECORDS, records);
-        w.section(
-            TAG_DICT_SORTED,
-            &(0..records.len() as u32).collect::<Vec<_>>(),
-        );
-        w.section(TAG_DICT_SHARED_ARENA, shared.0);
-        w.section(TAG_DICT_SHARED_RECORDS, shared.1);
-        let path = std::env::temp_dir().join(format!(
-            "turbohom-dict-{}-records-{file}.snap",
-            std::process::id()
-        ));
-        w.write_to(&path).unwrap();
-        let read = Dictionary::read_sections(&mut Snapshot::open(&path).unwrap().cursor());
-        std::fs::remove_file(&path).unwrap();
-        read
+    /// The arrays a dictionary's sections hold, for a test to patch.
+    struct Sections {
+        arena: Vec<u8>,
+        records: Vec<TermRecord>,
+        shared_arena: Vec<u8>,
+        shared: Vec<SharedRecord>,
+        numbers: Vec<f64>,
     }
 
-    /// [`read_parts`] with `d`'s shared table.
-    fn read_records(
-        d: &Dictionary,
-        arena: &[u8],
-        records: &[TermRecord],
-    ) -> Result<Dictionary, SnapshotError> {
-        read_parts(arena, records, (&d.shared.arena, &d.shared.records))
+    impl Sections {
+        /// The sections of a dictionary of `terms`.
+        fn of(terms: &[Term]) -> Self {
+            let mut d = Dictionary::new();
+            for term in terms {
+                d.encode(term);
+            }
+            Sections {
+                arena: d.arena.to_vec(),
+                records: d.records.to_vec(),
+                shared_arena: d.shared.arena.to_vec(),
+                shared: d.shared.records.to_vec(),
+                numbers: d.numbers.to_vec(),
+            }
+        }
+
+        /// Reads a dictionary from these sections, with the identity as the
+        /// records' order, through a file of its own.
+        fn read(&self) -> Result<Dictionary, SnapshotError> {
+            static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let file = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let mut w = SnapshotWriter::new();
+            w.section(TAG_DICT_ARENA, &self.arena);
+            w.section(TAG_DICT_RECORDS, &self.records);
+            let order: Vec<u32> = (0..self.records.len() as u32).collect();
+            w.section(TAG_DICT_SORTED, &order);
+            w.section(TAG_DICT_SHARED_ARENA, &self.shared_arena);
+            w.section(TAG_DICT_SHARED_RECORDS, &self.shared);
+            w.section(TAG_DICT_NUMBERS, &self.numbers);
+            let path = std::env::temp_dir().join(format!(
+                "turbohom-dict-{}-records-{file}.snap",
+                std::process::id()
+            ));
+            w.write_to(&path).unwrap();
+            let read = Dictionary::read_sections(&mut Snapshot::open(&path).unwrap().cursor());
+            std::fs::remove_file(&path).unwrap();
+            read
+        }
+    }
+
+    /// The sections of a dictionary of `terms`, patched by `patch` and read
+    /// back: the error, if any.
+    fn patched(terms: &[Term], patch: impl Fn(&mut Sections)) -> Option<String> {
+        let mut s = Sections::of(terms);
+        patch(&mut s);
+        match s.read() {
+            Ok(_) => None,
+            Err(SnapshotError::Malformed(m)) => Some(m),
+            Err(other) => panic!("{other:?}"),
+        }
+    }
+
+    /// Asserts that the sections of a dictionary of `terms`, patched by
+    /// `patch`, are refused with a message that names `what`.
+    fn assert_refused(terms: &[Term], what: &str, patch: impl Fn(&mut Sections)) {
+        let err = patched(terms, patch).unwrap_or_else(|| panic!("{what}: read"));
+        assert!(err.contains(what), "{what}: {err}");
     }
 
     #[test]
     fn a_snapshot_record_whose_view_or_range_is_wrong_is_refused() {
-        let mut d = Dictionary::new();
-        d.encode(&Term::typed_literal("12", crate::vocab::XSD_INTEGER));
-        let (arena, record) = (d.arena.to_vec(), d.records[0]);
-        assert_eq!(record.view(), Some(12.0));
-        assert!(read_records(&d, &arena, &[record]).is_ok());
-        let malformed = |record: TermRecord, what: &str| {
-            let err = read_records(&d, &arena, &[record]).map(|_| ()).unwrap_err();
-            assert!(
-                matches!(&err, SnapshotError::Malformed(m) if m.contains(what)),
-                "{err:?}"
-            );
-        };
-        let view = "numeric view is not its lexical form's";
+        let twelve = [Term::typed_literal("12", crate::vocab::XSD_INTEGER)];
+        assert_eq!(patched(&twelve, |_| {}), None);
+        assert_eq!(Sections::of(&twelve).numbers, [12.0]);
+        let refused =
+            |what: &str, patch: &dyn Fn(&mut Sections)| assert_refused(&twelve, what, patch);
         // Another number, the same number one bit off, no view, and a view
-        // on the datatype IRI's kind.
-        malformed(
-            TermRecord {
-                number: 13f64.to_bits(),
-                ..record
-            },
-            view,
-        );
-        malformed(
-            TermRecord {
-                number: record.number ^ 1,
-                ..record
-            },
-            view,
-        );
-        malformed(
-            TermRecord {
-                kind: KIND_TYPED | PLAIN,
-                ..record
-            },
-            view,
-        );
-        malformed(
-            TermRecord {
-                kind: KIND_IRI | NUMERIC | PLAIN,
-                ..record
-            },
-            view,
-        );
-        malformed(
-            TermRecord {
-                kind: KIND_TYPED | PLAIN,
-                number: 0,
-                ..record
-            },
-            view,
-        );
-        // A range that runs one byte past the arena (the empty extra string
-        // ends it), or past `u32::MAX`; and a bad kind code.
+        // on the IRI's kind.
+        let view = "numeric view is not its lexical form's";
+        refused(view, &|s| s.numbers[0] = 13.0);
+        refused(view, &|s| {
+            s.numbers[0] = f64::from_bits(12f64.to_bits() ^ 1)
+        });
+        refused(view, &|s| s.records[0].kind &= !NUMERIC);
+        refused(view, &|s| s.records[0].kind ^= KIND_TYPED ^ KIND_IRI);
+        // A lexical form that runs one byte past the arena, or past
+        // `u32::MAX`; and the two bad kind codes.
         let bounds = "out of bounds";
-        malformed(
-            TermRecord {
-                extra_len: record.extra_len + 1,
-                ..record
-            },
-            bounds,
+        refused(bounds, &|s| s.records[0].lex_len += 1);
+        refused(bounds, &|s| s.records[0].lex_len = u32::MAX);
+        for code in [6, 7] {
+            refused(bounds, &|s| {
+                s.records[0].kind = s.records[0].kind & !CODE | code
+            });
+        }
+    }
+
+    #[test]
+    fn a_snapshot_record_whose_strings_do_not_follow_the_previous_terms_is_refused() {
+        // An IRI, a language-tagged literal and a plain literal: each term's
+        // strings begin where the previous term's end.
+        let terms = [
+            Term::iri("http://ex.org/Person"),
+            Term::lang_literal("chat", "fr"),
+            Term::literal("x"),
+        ];
+        assert_eq!(patched(&terms, |_| {}), None);
+        let s = Sections::of(&terms);
+        assert_eq!(&s.arena, b"Personchatfrx");
+        assert_eq!(
+            s.records.iter().map(|r| r.off).collect::<Vec<_>>(),
+            [0, 6, 12]
         );
-        malformed(
-            TermRecord {
-                lex_off: u32::MAX,
-                lex_len: 2,
-                ..record
-            },
-            bounds,
+        let refused =
+            |what: &str, patch: &dyn Fn(&mut Sections)| assert_refused(&terms, what, patch);
+        // An offset that decreases: into the local name before it, to 0, and
+        // into the lexical form before it.
+        refused("record 0 is out of bounds", &|s| s.records[1].off = 3);
+        refused("record 0 is out of bounds", &|s| s.records[1].off = 0);
+        refused("record 1 is out of bounds", &|s| s.records[2].off = 8);
+        // Offsets that leave a byte between the IRI, whose strings end with
+        // its local name, and the next term; and a first term that does not
+        // start the arena.
+        refused(
+            "record 1 does not start where the previous term's strings end",
+            &|s| s.records[1].off = 7,
         );
-        malformed(
-            TermRecord {
-                kind: 6 | NUMERIC | PLAIN,
-                ..record
-            },
-            bounds,
+        refused("record 0 does not start at the arena's start", &|s| {
+            s.records[0].off = 1;
+            s.records[0].lex_len = 5;
+        });
+        // A byte after the last term's strings, which end with its lexical
+        // form, and bytes that no term owns.
+        let end = "strings do not end at the arena's length";
+        refused(end, &|s| s.arena.push(b'y'));
+        assert_refused(&[], end, |s| s.arena.push(b'y'));
+        // A language tag runs to the next term's strings: a byte after the
+        // last term's is its tag's.
+        let mut tagged = Sections::of(&terms[1..2]);
+        tagged.arena.push(b'x');
+        let term = tagged.read().unwrap().term(TermId(0));
+        assert_eq!(term, Some(Term::lang_literal("chat", "frx")));
+    }
+
+    #[test]
+    fn a_snapshot_numeric_index_that_is_wrong_is_refused() {
+        // Two numbers around a word: views 1 and 2 at indexes 0 and 1, and
+        // none for the word.
+        let terms = [Term::literal("1"), Term::literal("abc"), Term::literal("2")];
+        assert_eq!(patched(&terms, |_| {}), None);
+        let s = Sections::of(&terms);
+        assert_eq!(s.numbers, [1.0, 2.0]);
+        assert_eq!(
+            s.records.iter().map(|r| r.number).collect::<Vec<_>>(),
+            [0, 0, 1]
         );
+        let refused =
+            |what: &str, patch: &dyn Fn(&mut Sections)| assert_refused(&terms, what, patch);
+        // Out of range: one past the views, the widest index, a view too few.
+        let range = "numeric index is out of range";
+        refused(range, &|s| s.records[2].number = 2);
+        refused(range, &|s| s.records[0].number = u32::MAX);
+        refused(range, &|s| s.numbers.truncate(1));
+        // An index on the record that has no view.
+        refused("record 1 has a numeric index but no numeric view", &|s| {
+            s.records[1].number = 1
+        });
+        // An index that names the other term's view, and views swapped.
+        let view = "numeric view is not its lexical form's";
+        refused(view, &|s| s.records[0].number = 1);
+        refused(view, &|s| s.numbers.swap(0, 1));
+        // NaN and −0 are kept bit for bit: another NaN's payload, the NaN of
+        // the other sign, and +0 are all refused.
+        let odd = [Term::literal("NaN"), Term::lang_literal("-0", "en")];
+        let bits: Vec<u64> = Sections::of(&odd)
+            .numbers
+            .iter()
+            .map(|n| n.to_bits())
+            .collect();
+        assert_eq!(bits, [f64::NAN.to_bits(), (-0f64).to_bits()]);
+        let refused = |patch: &dyn Fn(&mut Sections)| assert_refused(&odd, view, patch);
+        refused(&|s| s.numbers[0] = f64::from_bits(f64::NAN.to_bits() ^ 1));
+        refused(&|s| s.numbers[0] = -f64::NAN);
+        refused(&|s| s.numbers[1] = 0.0);
     }
 
     /// The encoder sets [`PLAIN`] exactly on terms whose lexical form and
@@ -1351,8 +1540,7 @@ mod tests {
     /// otherwise, either way, is refused.
     #[test]
     fn a_snapshot_record_whose_plain_bit_is_wrong_is_refused() {
-        let mut d = Dictionary::new();
-        let terms = [
+        let cases = [
             (Term::literal("clean é日😀 text"), true),
             (Term::iri("http://ex.org/a"), true),
             (Term::literal(""), true),
@@ -1363,24 +1551,13 @@ mod tests {
             (Term::typed_literal("1", "http://ex.org/\"dt"), false),
             (Term::blank("b\n0"), false),
         ];
-        for (term, _) in &terms {
-            d.encode(term);
-        }
-        let arena = d.arena.to_vec();
-        assert!(read_records(&d, &arena, &d.records).is_ok());
-        for (record, (term, plain)) in d.records.iter().zip(&terms) {
+        let terms: Vec<Term> = cases.iter().map(|(term, _)| term.clone()).collect();
+        assert_eq!(patched(&terms, |_| {}), None);
+        let records = Sections::of(&terms).records;
+        for (i, (record, (term, plain))) in records.iter().zip(&cases).enumerate() {
             assert_eq!(record.is_plain(), *plain, "{term}");
-            let flipped = TermRecord {
-                kind: record.kind ^ PLAIN,
-                ..*record
-            };
-            let err = read_records(&d, &arena, &[flipped])
-                .map(|_| ())
-                .unwrap_err();
-            assert!(
-                matches!(&err, SnapshotError::Malformed(m) if m.contains("JSON-plain bit")),
-                "{term}: {err:?}"
-            );
+            let what = format!("record {i}'s JSON-plain bit is not its text's");
+            assert_refused(&terms, &what, |s| s.records[i].kind ^= PLAIN);
         }
     }
 
@@ -1409,7 +1586,7 @@ mod tests {
             b"http://ex.org/people#",
         ];
         assert_eq!(shared, expected);
-        assert_eq!(d.records[7].shared, 0);
+        assert_eq!(d.records[7].shared(), 0);
         assert_eq!(
             d.term_ref(TermId(6)).unwrap(),
             TermRef::Iri(IriRef::new("http://ex.org/people#", "me"))
@@ -1421,58 +1598,44 @@ mod tests {
         let hasher = RandomState::new();
         let text = "http://ex.org/a/very/long/namespace/that/crosses/a/sip/block#local-name";
         let whole = Key::whole(KIND_TYPED, text, text, "\0en");
+        let extra = [text, "\0en"].concat();
         for at in 0..=text.len() {
             let (a, b) = text.as_bytes().split_at(at);
             let split = Key {
                 kind: KIND_TYPED,
                 lexical: [a, b],
-                extra: [b"", [text, "\0en"].concat().leak().as_bytes()],
+                extra: [b"", extra.as_bytes()],
             };
             assert_eq!(split.hash(&hasher), whole.hash(&hasher), "split at {at}");
             assert!(split.cmp(&whole).is_eq(), "split at {at}");
         }
     }
 
-    /// The arrays a dictionary's sections hold, for a test to patch.
-    struct Sections {
-        arena: Vec<u8>,
-        records: Vec<TermRecord>,
-        shared_arena: Vec<u8>,
-        shared: Vec<SharedRecord>,
-    }
-
-    /// The sections of a dictionary whose first term is an IRI, patched by
-    /// `patch` and read back: the error, if any.
-    fn patched(patch: &dyn Fn(&mut Sections)) -> Option<String> {
-        let mut d = Dictionary::new();
-        d.encode_iri("http://ex.org/a/Person");
-        d.encode(&Term::typed_literal("1", crate::vocab::XSD_INTEGER));
-        let mut s = Sections {
-            arena: d.arena.to_vec(),
-            records: d.records.to_vec(),
-            shared_arena: d.shared.arena.to_vec(),
-            shared: d.shared.records.to_vec(),
-        };
-        patch(&mut s);
-        match read_parts(&s.arena, &s.records, (&s.shared_arena, &s.shared)) {
-            Ok(_) => None,
-            Err(SnapshotError::Malformed(m)) => Some(m),
-            Err(other) => panic!("{other:?}"),
+    /// `record` naming shared string `index` instead.
+    fn naming(record: TermRecord, index: u32) -> TermRecord {
+        TermRecord {
+            kind: record.kind & (CODE | NUMERIC | PLAIN) | index << SHARED_SHIFT,
+            ..record
         }
     }
 
     #[test]
     fn a_snapshot_shared_string_or_split_that_is_wrong_is_refused() {
-        assert_eq!(patched(&|_| {}), None);
-        let refused = |what: &str, patch: &dyn Fn(&mut Sections)| {
-            let err = patched(patch).unwrap_or_else(|| panic!("{what}: read"));
-            assert!(err.contains(what), "{err}");
-        };
+        let terms = [
+            Term::iri("http://ex.org/a/Person"),
+            Term::typed_literal("1", crate::vocab::XSD_INTEGER),
+        ];
+        assert_eq!(patched(&terms, |_| {}), None);
+        let refused =
+            |what: &str, patch: &dyn Fn(&mut Sections)| assert_refused(&terms, what, patch);
         // A shared index past the table, on a kind that shares and on one
-        // that does not.
+        // that does not; the widest its field holds.
         let range = "shared string index is out of range";
-        refused(range, &|s| s.records[0].shared = s.shared.len() as u32);
-        refused(range, &|s| s.records[1].shared = u32::MAX);
+        let widest = u32::MAX >> SHARED_SHIFT;
+        refused(range, &|s| {
+            s.records[0] = naming(s.records[0], s.shared.len() as u32)
+        });
+        refused(range, &|s| s.records[1] = naming(s.records[1], widest));
         // The IRI's namespace made not to end in '/', `http://ex.org/ax`;
         // a local name that holds a '/', `Pe/son`; and the datatype IRI,
         // which ends in neither, as a namespace.
@@ -1482,7 +1645,7 @@ mod tests {
             s.shared_arena[end as usize - 1] = b'x';
         });
         refused(split, &|s| s.arena[2] = b'/');
-        refused(split, &|s| s.records[0].shared = 2);
+        refused(split, &|s| s.records[0] = naming(s.records[0], 2));
         // A shared string whose plain bit says otherwise, either way.
         let plain = "shared string 1's JSON-plain bit";
         refused(plain, &|s| s.shared[1].plain = 0);

@@ -27,6 +27,8 @@ unsafe impl Pod for i8 {}
 unsafe impl Pod for i16 {}
 unsafe impl Pod for i32 {}
 unsafe impl Pod for i64 {}
+// Every bit pattern is an `f64`, a NaN's payload included.
+unsafe impl Pod for f64 {}
 
 /// Reinterprets a Pod slice as its raw bytes.
 pub fn bytes_of<T: Pod>(data: &[T]) -> &[u8] {

@@ -35,7 +35,8 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"TURBOSNP";
 /// Current format version: 3 since the dictionary's term records carry a
 /// bit saying whether the term's strings need a JSON escape (2 shrank them to
-/// 32 bytes with each term's numeric view); an older file is refused.
+/// 32 bytes with each term's numeric view; store sub-version 12 to 16 bytes,
+/// the views beside them); an older file is refused.
 pub const VERSION: u32 = 3;
 /// Endianness probe value (reads back differently on a big-endian machine).
 const ENDIAN_PROBE: u32 = 0x0A0B_0C0D;
