@@ -491,7 +491,7 @@ mod tests {
 
     fn setup(ys: usize) -> (Dataset, TransformedGraph, TransformedQuery) {
         let ds = figure2_dataset(ys);
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(STAR_QUERY).unwrap();
         let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
             .unwrap()
@@ -536,7 +536,7 @@ mod tests {
         ds.insert_iris(&ub("a0"), &ub("edge"), &ub("x0"));
         ds.insert_iris(&ub("a0"), &ub("edge"), &ub("y0"));
         // Note: no Z typed vertex and no third edge.
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(STAR_QUERY).unwrap();
         let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
             .unwrap()
@@ -551,7 +551,7 @@ mod tests {
     fn region_fails_when_edge_exists_but_label_mismatches() {
         let (ds, _, _) = {
             let ds = figure2_dataset(3);
-            let t = type_aware_transform(&ds);
+            let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
             let q = parse_query(STAR_QUERY).unwrap();
             let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
                 .unwrap()
@@ -563,7 +563,7 @@ mod tests {
         // dictionary but never with an A-subject.
         let mut ds2 = ds.clone();
         ds2.insert_iris(&ub("y0"), &ub("wrongEdge"), &ub("y1"));
-        let t2 = type_aware_transform(&ds2);
+        let t2 = type_aware_transform(ds2.triples.clone(), &ds2.dictionary);
         let q2 = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                PREFIX ub: <http://ub.org/>
@@ -592,7 +592,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("p1"), vocab::RDF_TYPE, &ub("Product"));
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("cheap"));
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                PREFIX ub: <http://ub.org/>
@@ -630,7 +630,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("a"), &ub("e"), &ub("b"));
         ds.insert_iris(&ub("b"), &ub("e"), &ub("a"));
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT ?x ?y ?z WHERE { ?x ub:e ?y . ?y ub:e ?z . }"#,
@@ -678,7 +678,7 @@ mod tests {
         ds.insert_iris(&ub("b_small"), &ub("bc"), &ub("c_small"));
         ds.insert_iris(&ub("c_small"), &ub("cd"), &ub("d_small"));
         ds.insert_iris(&ub("dead"), &ub("ab"), &ub("b_dead"));
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT * WHERE { ?a ub:ab ?b . ?b ub:bc ?c . ?c ub:cd ?d . }"#,

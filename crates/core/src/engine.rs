@@ -966,7 +966,7 @@ mod tests {
     #[test]
     fn triangle_query_counts_solutions() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let result = execute(&ds, &data, TRIANGLE, TurboHomConfig::default());
         assert_eq!(result.len(), 24);
         assert_eq!(result.rows.len(), 24);
@@ -976,7 +976,7 @@ mod tests {
     #[test]
     fn turbohom_and_turbohom_plus_plus_agree() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let plus = execute(&ds, &data, TRIANGLE, TurboHomConfig::turbohom_plus_plus());
         let plain = execute(&ds, &data, TRIANGLE, TurboHomConfig::turbohom());
         assert_eq!(plus.len(), plain.len());
@@ -1026,7 +1026,7 @@ mod tests {
     #[test]
     fn every_thread_count_runs_the_same_search() {
         let ds = university_dataset_with_empty_regions();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(TRIANGLE).unwrap();
         let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
             .unwrap()
@@ -1102,7 +1102,7 @@ mod tests {
     #[test]
     fn explain_probes_the_region_and_order_a_cold_run_starts_from() {
         let ds = university_dataset_with_empty_regions();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let chain = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
             PREFIX ub: <http://ub.org/>
             SELECT ?x ?d ?a WHERE {
@@ -1154,7 +1154,7 @@ mod tests {
     #[test]
     fn morsel_scheduler_counts_morsels() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let par = execute(
             &ds,
             &data,
@@ -1167,7 +1167,7 @@ mod tests {
     #[test]
     fn cheap_filter_is_applied_inline() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let result = execute(
             &ds,
             &data,
@@ -1187,7 +1187,7 @@ mod tests {
     #[test]
     fn expensive_join_filter_is_applied_post_hoc() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let result = execute(
             &ds,
             &data,
@@ -1210,7 +1210,7 @@ mod tests {
     #[test]
     fn unsatisfiable_query_returns_empty_without_search() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                PREFIX ub: <http://ub.org/>
@@ -1232,7 +1232,7 @@ mod tests {
     #[test]
     fn disconnected_query_is_rejected() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT ?a ?b WHERE { ?a ub:memberOf ?d . OPTIONAL { ?b ub:subOrganizationOf ?u . } }"#,
@@ -1255,7 +1255,7 @@ mod tests {
     #[test]
     fn direct_and_type_aware_transformations_agree() {
         let ds = university_dataset();
-        let aware = type_aware_transform(&ds);
+        let aware = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let direct = turbohom_transform::direct_transform(&aware);
         let a = execute(&ds, &aware, TRIANGLE, TurboHomConfig::default());
         let q = parse_query(TRIANGLE).unwrap();
@@ -1273,7 +1273,7 @@ mod tests {
     #[test]
     fn reuse_matching_order_computes_it_once() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let with_reuse = execute(&ds, &data, TRIANGLE, TurboHomConfig::default());
         assert_eq!(with_reuse.stats.matching_orders_computed, 1);
         let without = execute(
@@ -1292,7 +1292,7 @@ mod tests {
     #[test]
     fn preset_matching_order_skips_order_computation() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(TRIANGLE).unwrap();
         let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
             .unwrap()
@@ -1346,7 +1346,7 @@ mod tests {
     #[test]
     fn detailed_trace_records_stage_and_worker_spans() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(TRIANGLE).unwrap();
         let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
             .unwrap()
@@ -1437,7 +1437,7 @@ mod tests {
     #[test]
     fn a_detailed_trace_times_the_post_hoc_filters_apart() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT ?a ?b WHERE {
@@ -1488,7 +1488,7 @@ mod tests {
     #[test]
     fn an_edge_free_query_is_answered_from_its_start_list() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                PREFIX ub: <http://ub.org/>
@@ -1534,7 +1534,7 @@ mod tests {
     #[test]
     fn bound_entity_query_explores_single_region() {
         let ds = university_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let result = execute(
             &ds,
             &data,

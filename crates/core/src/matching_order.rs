@@ -277,7 +277,7 @@ mod tests {
                 ds.insert_iris(&ub("a0"), &ub("edge"), &v);
             }
         }
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }
 
@@ -363,7 +363,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("v100"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("v5"));
         ds.insert_iris(&ub("p1"), &ub("homepage"), &ub("hp"));
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (tq, tree, region) = prepare(
             &ds,
             &t,
@@ -408,7 +408,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("v100"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("v5"));
         ds.insert_iris(&ub("p1"), &ub("homepage"), &ub("hp"));
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (tq, tree, region) = prepare(
             &ds,
             &t,

@@ -337,7 +337,7 @@ mod tests {
                 ds.insert_iris(&student, &ub("undergraduateDegreeFrom"), &ub("univ0"));
             }
         }
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }
 
@@ -493,7 +493,7 @@ mod tests {
             );
             name(&mut ds, &student);
         }
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }
 
@@ -654,7 +654,7 @@ mod tests {
                 }
             }
         }
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }
 

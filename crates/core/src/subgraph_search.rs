@@ -636,7 +636,7 @@ mod tests {
     #[test]
     fn reused_arena_and_searcher_match_fresh_ones_region_by_region() {
         let ds = uneven_universities();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                PREFIX ub: <http://ub.org/>
@@ -767,7 +767,7 @@ mod tests {
     #[test]
     fn figure1_homomorphism_finds_three_solutions() {
         let ds = figure1_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(&ds, &data, FIGURE1_QUERY, &TurboHomConfig::default());
         assert_eq!(count, 3);
         assert_eq!(solutions.len(), 3);
@@ -779,7 +779,7 @@ mod tests {
     #[test]
     fn figure1_isomorphism_finds_one_solution() {
         let ds = figure1_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(&ds, &data, FIGURE1_QUERY, &TurboHomConfig::isomorphism());
         assert_eq!(count, 1);
         // Every data vertex in the single solution is distinct (injectivity).
@@ -792,7 +792,7 @@ mod tests {
     #[test]
     fn optimizations_do_not_change_the_result() {
         let ds = figure1_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let baseline = run(&ds, &data, FIGURE1_QUERY, &TurboHomConfig::turbohom()).0;
         assert_eq!(baseline, 3);
         for opts in [
@@ -811,7 +811,7 @@ mod tests {
     #[test]
     fn intersection_replaces_probes() {
         let ds = figure1_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let with_int = run(
             &ds,
             &data,
@@ -838,7 +838,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("a"), &ub("p"), &ub("b"));
         ds.insert_iris(&ub("a"), &ub("q"), &ub("b"));
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
             &data,
@@ -861,7 +861,7 @@ mod tests {
         }
         // Only p1 has a rating.
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("five"));
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
             &data,
@@ -888,7 +888,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("x"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("r1"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("r2"));
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
             &data,
@@ -912,7 +912,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("x"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("five"));
         // No homepage.
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
             &data,
@@ -937,7 +937,7 @@ mod tests {
         for i in 0..50 {
             ds.insert_iris(&ub(&format!("s{i}")), vocab::RDF_TYPE, &ub("Student"));
         }
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let found = run_from(
             &ds,
             &data,
@@ -955,7 +955,7 @@ mod tests {
     #[test]
     fn count_only_mode_does_not_materialize() {
         let ds = figure1_dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let config = TurboHomConfig {
             count_only: true,
             ..TurboHomConfig::default()
@@ -1033,7 +1033,7 @@ mod tests {
 
         // Every advisor subject is a Student, every teacherOf and
         // takesCourse object a Course: nothing is left to select by.
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let regular = run_from(&ds, &data, &q9, &config, Some("Y"), None);
         assert_eq!(regular.named(&ds), triangles);
         assert!(regular.lookup_labels_of("X").is_empty());
@@ -1051,7 +1051,7 @@ mod tests {
         ds.insert_iris(&ub("visitor"), &ub("takesCourse"), &ub("course0_0"));
         ds.insert_iris(&ub("visitor"), &ub("takesCourse"), &ub("reading_group"));
         ds.insert_iris(&ub("prof0"), &ub("teacherOf"), &ub("reading_group"));
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let irregular = run_from(&ds, &data, &q9, &config, Some("Y"), None);
         assert_eq!(irregular.named(&ds), triangles);
         assert_eq!(
@@ -1093,7 +1093,7 @@ mod tests {
                 ds.insert_iris(&student, &ub("degreeFrom"), &univ);
             }
         }
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         // From ?U the tree is U → {S → P, D}: ?D is a leaf whose `worksFor`
         // edge to ?P only the enumeration verifies.
         let j2 = format!(
@@ -1129,7 +1129,7 @@ mod tests {
         }
         // r1 is signed, r2 is anonymous.
         ds.insert_iris(&ub("r1"), &ub("by"), &ub("alice"));
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let leaf = format!(
             "{UB_PREFIXES} SELECT * WHERE {{ ?p ub:price ?x . OPTIONAL {{ ?p ub:rating ?r . }} }}"
         );
@@ -1166,7 +1166,7 @@ mod tests {
         }
         ds.insert_iris(&ub("has_p3"), &ub("p3"), &ub("c"));
         ds.insert_iris(&ub("has_p35"), &ub("p35"), &ub("c"));
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let elabel = |p: &str| {
             let term = ds.dictionary.id_of_iri(&ub(p)).unwrap();
             data.mappings.elabel_of(term).unwrap()

@@ -133,8 +133,10 @@ impl Backend {
     /// Builds what every plan reads: materializes the RDFS closure when
     /// `inference` is set, freezes the dataset — before the graph build, so
     /// that the memory the loading form gives back is what the graph is
-    /// built into — and runs the type-aware transformation. Then the triple
-    /// table goes: the graph holds every triple.
+    /// built into — and hands its triple table to the type-aware
+    /// transformation, which frees it once the outgoing direction is laid
+    /// out: the load's peak is the served store, and the graph holds every
+    /// triple.
     pub fn build(mut dataset: Dataset, inference: bool) -> Self {
         if inference {
             InferenceEngine::default().materialize(&mut dataset);
@@ -144,14 +146,19 @@ impl Backend {
             let bytes = total(dataset.dictionary.memory()) + total(dataset.triples.memory());
             ((), bytes)
         });
+        let Dataset {
+            dictionary,
+            triples,
+        } = dataset;
+        let triple_count = triples.len();
         let (type_aware, type_aware_build) = timed("type_aware", || {
-            let graph = type_aware_transform(&dataset);
+            let graph = type_aware_transform(triples, &dictionary);
             let bytes = total(graph.memory());
             (graph, bytes)
         });
-        debug_assert_eq!(type_aware.triple_count(), dataset.len());
+        debug_assert_eq!(type_aware.triple_count(), triple_count);
         Backend {
-            dictionary: dataset.dictionary,
+            dictionary,
             type_aware,
             dataset: OnceLock::new(),
             direct: OnceLock::new(),

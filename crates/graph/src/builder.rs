@@ -1,12 +1,14 @@
 //! Lays out the CSR [`LabeledGraph`] (paper Section 4.2).
 //!
 //! [`layout`] is the one function that does it. It takes the vertex count,
-//! the vertex label sets as a CSR and an edge source it can walk more than
-//! once, and lays out the grouped adjacency of both directions in counted
-//! passes: every array the graph keeps is allocated at its final length but
-//! the small table of interned common label sets, and the only large
-//! scratch is one row buffer both directions reuse. Exact duplicate edges are
-//! dropped where the per-row sort leaves them adjacent.
+//! the vertex label sets as a CSR and an edge source it walks twice, and
+//! lays out the grouped adjacency of both directions in counted passes: the
+//! outgoing direction from the edge source, which is then dropped, and the
+//! incoming one from the outgoing CSR. Every array the graph keeps is
+//! allocated at its final length but the small table of interned common
+//! label sets, and the only large scratch is one row buffer both directions
+//! reuse. Exact duplicate edges are dropped where the per-row sort leaves
+//! them adjacent.
 //!
 //! The data-graph transformations feed [`layout`] straight from the triples;
 //! [`LabeledGraphBuilder`] collects the vertices and edges of a small graph
@@ -70,7 +72,7 @@ impl LabeledGraphBuilder {
             self.vertex_labels.len(),
             label_offsets,
             labels,
-            |sink: &mut EdgeSink<'_>| {
+            move |sink: &mut EdgeSink<'_>| {
                 for &(from, to, label) in &self.edges {
                     sink(from, to, label);
                 }
@@ -84,8 +86,11 @@ impl LabeledGraphBuilder {
 /// `labels` is vertex `v`'s set, sorted and duplicate free) and whose edges
 /// are what `edges` hands its sink, each `from --label--> to`.
 ///
-/// `edges` is walked four times (a count and a placement per direction) and
-/// must hand over the same edges, in any order, each time. The label space
+/// `edges` is walked twice, a count and a placement of the outgoing
+/// direction, and must hand over the same edges, in any order, each time.
+/// Then it is dropped, with whatever it owns, and the incoming direction is
+/// laid out from the finished outgoing one: a source that owns the triples
+/// frees them before the second direction is allocated. The label space
 /// sizes follow the largest label used: a vertex label on some vertex, an
 /// edge label on some edge.
 ///
@@ -112,8 +117,21 @@ pub fn layout(
     // The row buffer both directions reuse; dropped before returning.
     let mut rows = Vec::new();
     let label_sets = (&label_offsets[..], &labels[..]);
-    let [outgoing, incoming] = [false, true]
-        .map(|incoming| lay_out_direction(label_sets, num_vlabels, &edges, &mut rows, incoming));
+    let outgoing = lay_out_direction(label_sets, num_vlabels, &edges, &mut rows, false);
+    // Whatever the edge source owns goes before the incoming direction is
+    // allocated: that direction is the outgoing one transposed.
+    drop(edges);
+    let transposed = |sink: &mut EdgeSink<'_>| {
+        for v in (0..num_vertices).map(|v| VertexId(v as u32)) {
+            for i in outgoing.group_range(v) {
+                let label = outgoing.elabel_groups[i].elabel;
+                for &t in outgoing.targets_of(i) {
+                    sink(v, t, label);
+                }
+            }
+        }
+    };
+    let incoming = lay_out_direction(label_sets, num_vlabels, &transposed, &mut rows, true);
     drop(rows);
     // The last group is the sentinel.
     let groups = &outgoing.elabel_groups[..outgoing.elabel_groups.len() - 1];
@@ -344,7 +362,9 @@ impl CommonSets {
 mod tests {
     use super::*;
     use crate::ids::Direction;
+    use std::cell::Cell;
     use std::collections::{BTreeMap, BTreeSet};
+    use std::rc::Rc;
 
     #[test]
     fn empty_graph_builds() {
@@ -471,6 +491,36 @@ mod tests {
             assert_eq!(a.common_offsets, b.common_offsets);
             assert_eq!(a.common_labels, b.common_labels);
         }
+    }
+
+    #[test]
+    fn layout_walks_its_edge_source_twice_and_drops_it_before_returning() {
+        // u -0-> w twice, w -1-> u, u -1-> u.
+        let edges = [(0, 1, 0), (0, 1, 0), (1, 0, 1), (0, 0, 1)]
+            .map(|(from, to, label)| (VertexId(from), VertexId(to), ELabel(label)));
+        let walks = Cell::new(0);
+        let counter = &walks;
+        let owned = Rc::new(edges);
+        let held = Rc::downgrade(&owned);
+        let g = layout(
+            2,
+            vec![0, 1, 1],
+            vec![VLabel(0)],
+            move |sink: &mut EdgeSink<'_>| {
+                counter.set(counter.get() + 1);
+                for &(from, to, label) in owned.iter() {
+                    sink(from, to, label);
+                }
+            },
+        );
+        assert_eq!(walks.get(), 2);
+        assert!(held.upgrade().is_none(), "the edge source outlived layout");
+        let [u, w] = [VertexId(0), VertexId(1)];
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.neighbors(u, Direction::Outgoing, ELabel(0)), &[w]);
+        assert_eq!(g.neighbors(u, Direction::Incoming, ELabel(1)), &[u, w]);
+        assert_eq!(g.neighbors(w, Direction::Incoming, ELabel(0)), &[u]);
+        assert_eq!(g.degree(w, Direction::Incoming), 1);
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl AdjacencyDirection {
     }
 
     /// The indices in `elabel_groups` of vertex `v`'s groups.
-    fn group_range(&self, v: VertexId) -> Range<usize> {
+    pub(crate) fn group_range(&self, v: VertexId) -> Range<usize> {
         self.vertex_offsets[v.index()] as usize..self.vertex_offsets[v.index() + 1] as usize
     }
 

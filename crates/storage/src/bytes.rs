@@ -94,6 +94,13 @@ impl ByteStore {
                 "cannot map an empty file",
             ));
         }
+        // Safety: a null address hint lets the kernel place the mapping, so
+        // no existing mapping of this process is replaced; `len` is the
+        // file's non-zero length and the descriptor is open for the call
+        // (the mapping outlives it). The mapping is read-only and private:
+        // nothing here writes through it. The result is checked against
+        // `MAP_FAILED` before use. A file truncated by another process while
+        // mapped faults on access, the usual limit of mapping a file.
         let ptr = unsafe {
             ffi::mmap(
                 std::ptr::null_mut(),

@@ -79,7 +79,7 @@ mod tests {
         // Department, student1, univ1, dept1.univ1, and the two literals) and
         // 9 edges, 7 distinct edge labels.
         let ds = figure3_dataset();
-        let t = direct_transform(&type_aware_transform(&ds));
+        let t = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         assert_eq!(t.kind, TransformKind::Direct);
         assert_eq!(t.graph.stats().vertices, 9);
         assert_eq!(t.graph.edge_count(), 9);
@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn topology_is_preserved() {
         let ds = figure3_dataset();
-        let t = direct_transform(&type_aware_transform(&ds));
+        let t = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         let dict = &ds.dictionary;
         let vertex =
             |iri: &str| VertexId::of_term(dict.id_of_iri(&format!("http://ub.org/{iri}")).unwrap());
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn predicate_index_covers_all_predicates() {
         let ds = figure3_dataset();
-        let t = direct_transform(&type_aware_transform(&ds));
+        let t = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         let rdf_type = t
             .mappings
             .elabel_of(ds.dictionary.id_of_iri(vocab::RDF_TYPE).unwrap())
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn mapping_round_trips() {
         let ds = figure3_dataset();
-        let t = direct_transform(&type_aware_transform(&ds));
+        let t = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         assert_eq!(t.graph.vertex_count(), ds.dictionary.len());
         for (i, &term) in t.mappings.elabel_to_term.iter().enumerate() {
             let el = t.mappings.elabel_of(term).expect("interned");
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn empty_dataset_produces_empty_graph() {
         let ds = Dataset::new();
-        let t = direct_transform(&type_aware_transform(&ds));
+        let t = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         assert_eq!(t.graph.vertex_count(), 0);
         assert_eq!(t.graph.edge_count(), 0);
     }
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn literals_become_vertices() {
         let ds = figure3_dataset();
-        let t = direct_transform(&type_aware_transform(&ds));
+        let t = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         let phone = ds
             .dictionary
             .id_of(&turbohom_rdf::Term::literal("012-345-6789"))

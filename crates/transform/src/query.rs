@@ -461,7 +461,7 @@ mod tests {
         // 3 vertices / 3 edges, one label per vertex.
         let ds = dataset();
         let q = parse_query(TRIANGLE_QUERY).unwrap();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
             .unwrap()
             .components
@@ -481,7 +481,7 @@ mod tests {
     fn direct_query_matches_figure5_shape() {
         let ds = dataset();
         let q = parse_query(TRIANGLE_QUERY).unwrap();
-        let data = direct_transform(&type_aware_transform(&ds));
+        let data = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
             .unwrap()
             .components
@@ -507,7 +507,7 @@ mod tests {
                SELECT ?d WHERE { <http://ub.org/student1> ub:memberOf ?d . }"#,
         )
         .unwrap();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let tq = transform_branch(&query.pattern, &data, &ds.dictionary)
             .unwrap()
             .components
@@ -526,7 +526,7 @@ mod tests {
     #[test]
     fn unknown_constant_or_class_or_predicate_is_unsatisfiable() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         for q in [
             // unknown entity
             r#"PREFIX ub: <http://ub.org/> SELECT ?d WHERE { <http://ub.org/ghost> ub:memberOf ?d . }"#,
@@ -554,7 +554,7 @@ mod tests {
     #[test]
     fn unfoldable_type_patterns_are_edges_with_the_folded_label() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let rdf_type = elabel(&ds, &data, vocab::RDF_TYPE);
         // No CSR edge carries the label: it names the folded triples.
         assert_eq!(data.csr_label(Some(rdf_type)), None);
@@ -592,7 +592,7 @@ mod tests {
                SELECT ?x ?t WHERE { ?x rdf:type ?t . }"#,
         )
         .unwrap();
-        let direct = direct_transform(&type_aware_transform(&ds));
+        let direct = direct_transform(&type_aware_transform(ds.triples.clone(), &ds.dictionary));
         let tq = transform_branch(&q.pattern, &direct, &ds.dictionary)
             .unwrap()
             .components
@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn variable_predicate_produces_unlabeled_edge() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"SELECT ?p WHERE { <http://ub.org/student1> ?p <http://ub.org/univ1> . }"#,
         )
@@ -627,7 +627,7 @@ mod tests {
             ds.insert_iris(&ub("student1"), &ub("email"), &ub("mail1"));
             ds
         };
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT ?d ?e ?ph WHERE {
@@ -676,7 +676,7 @@ mod tests {
     #[test]
     fn filters_are_collected_from_all_clauses() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT ?x WHERE {
@@ -695,7 +695,7 @@ mod tests {
     #[test]
     fn shared_constant_is_one_query_vertex() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT ?a ?b WHERE {
@@ -716,7 +716,7 @@ mod tests {
     #[test]
     fn unexpanded_union_is_an_error() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
                SELECT ?x WHERE { { ?x ub:memberOf ?d . } UNION { ?x ub:subOrganizationOf ?d . } }"#,
@@ -742,7 +742,7 @@ mod tests {
     #[test]
     fn a_branch_splits_into_the_components_of_its_query_graph() {
         let ds = dataset();
-        let aware = type_aware_transform(&ds);
+        let aware = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let direct = direct_transform(&aware);
         let split = |body: &str, data| transform_branch(&group(body), data, &ds.dictionary);
         let two_students = "?x a ub:Student . ?y a ub:Student .";
@@ -788,7 +788,7 @@ mod tests {
     #[test]
     fn a_branch_refuses_what_spans_two_components() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         for (body, predicate) in [
             (
                 "?x ub:memberOf ub:dept1 . ?y a ub:Student . OPTIONAL { ?x ub:memberOf ?y }",
@@ -830,7 +830,7 @@ mod tests {
     #[test]
     fn subclassof_pattern_is_an_edge_with_the_folded_label() {
         let ds = dataset();
-        let data = type_aware_transform(&ds);
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
                SELECT ?c WHERE { ?c rdfs:subClassOf <http://ub.org/Student> . }"#,

@@ -21,16 +21,20 @@
 
 use crate::common::{GraphMappings, TransformKind, TransformedGraph};
 use turbohom_graph::{layout, VLabel, VertexId};
-use turbohom_rdf::{Dataset, TermId};
+use turbohom_rdf::{vocab, Dictionary, TermId, TripleStore};
 
-/// Applies the type-aware transformation to `dataset`.
+/// Applies the type-aware transformation to `triples`, encoded against
+/// `dictionary`, and frees them on the way.
 ///
-/// Every array is sized by a count before it is filled, and the graph is laid
-/// out straight from the triples through the mappings: what loading keeps
-/// beyond the served arrays is the layout's one row buffer.
-pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
-    let rdf_type = dataset.rdf_type_id();
-    let subclassof = dataset.subclassof_id();
+/// Every array is sized by a count before it is filled. The labels and the
+/// subclass pairs are read from the triples first; then the triples move
+/// into the layout, which walks them twice for the outgoing direction and
+/// drops them before it allocates the incoming one, so the indexes are built
+/// without them. What loading keeps beyond the served arrays is the
+/// layout's one row buffer. A caller that keeps its triples passes a clone.
+pub fn type_aware_transform(triples: TripleStore, dictionary: &Dictionary) -> TransformedGraph {
+    let rdf_type = dictionary.id_of_iri(vocab::RDF_TYPE);
+    let subclassof = dictionary.id_of_iri(vocab::RDFS_SUBCLASSOF);
 
     let is_type_pred = |p: TermId| Some(p) == rdf_type;
     let is_subclass_pred = |p: TermId| Some(p) == subclassof;
@@ -40,7 +44,7 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     // no id of its own: it is its term, one row per dictionary term.
     let mut mappings = GraphMappings::default();
     let mut folded = [None, None]; // `rdfs:subClassOf`, then `rdf:type`
-    for t in dataset.triples.iter() {
+    for t in triples.iter() {
         if is_type_pred(t.p) {
             mappings.intern_vlabel(t.o);
             folded[1] = Some(t.p);
@@ -55,7 +59,7 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     for p in folded.into_iter().flatten() {
         mappings.intern_elabel(p);
     }
-    let n = dataset.dictionary.len();
+    let n = dictionary.len();
     let vlabel = |term| mappings.vlabel_of(term).expect("interned above");
 
     // ---- Pass 2: every vertex's label set, the objects of its `rdf:type`
@@ -64,8 +68,8 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
     // because the graph keeps `u32` offsets: converting that CSR's `u64` ones
     // and copying its labels raised the LUBM(640) load peak by 0.4 MB.
     let type_rows = || {
-        let triples = dataset.triples.iter().filter(|t| is_type_pred(t.p));
-        triples.map(|t| (t.s.index(), vlabel(t.o)))
+        let typed = triples.iter().filter(|t| is_type_pred(t.p));
+        typed.map(|t| (t.s.index(), vlabel(t.o)))
     };
     let mut label_offsets = vec![0u32; n + 1];
     for (v, _) in type_rows() {
@@ -86,19 +90,9 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
         labels[w[0] as usize..w[1] as usize].sort_unstable();
     }
 
-    // ---- Pass 3: lay out the CSR straight from the non-schema triples.
-    let graph = layout(n, label_offsets, labels, |sink| {
-        for t in dataset.triples.iter() {
-            if !is_type_pred(t.p) && !is_subclass_pred(t.p) {
-                let p = mappings.elabel_of(t.p).expect("interned above");
-                sink(VertexId::of_term(t.s), VertexId::of_term(t.o), p);
-            }
-        }
-    });
-
-    let mut t = TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings);
-    t.schema = [false, true].map(|reversed| {
-        let subclass = dataset.triples.iter().filter(|t| is_subclass_pred(t.p));
+    // ---- Pass 3: the `rdfs:subClassOf` pairs, both ways, sorted.
+    let schema = [false, true].map(|reversed| {
+        let subclass = triples.iter().filter(|t| is_subclass_pred(t.p));
         let ends = subclass.map(|t| if reversed { [t.o, t.s] } else { [t.s, t.o] });
         let mut pairs: Vec<u64> = ends
             .map(|[a, b]| u64::from(a.0) << 32 | u64::from(b.0))
@@ -106,6 +100,21 @@ pub fn type_aware_transform(dataset: &Dataset) -> TransformedGraph {
         pairs.sort_unstable();
         pairs.into()
     });
+
+    // ---- Pass 4: lay out the CSR straight from the non-schema triples,
+    // which the layout owns and frees once the outgoing direction is done.
+    let edge_labels = &mappings;
+    let graph = layout(n, label_offsets, labels, move |sink| {
+        for t in triples.iter() {
+            if !is_type_pred(t.p) && !is_subclass_pred(t.p) {
+                let p = edge_labels.elabel_of(t.p).expect("interned above");
+                sink(VertexId::of_term(t.s), VertexId::of_term(t.o), p);
+            }
+        }
+    });
+
+    let mut t = TransformedGraph::assemble(TransformKind::TypeAware, graph, mappings);
+    t.schema = schema;
     t
 }
 
@@ -114,7 +123,7 @@ mod tests {
     use super::*;
     use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
     use turbohom_graph::{Direction, ELabel, LabeledGraph, LabeledGraphBuilder};
-    use turbohom_rdf::{vocab, InferenceEngine, Term};
+    use turbohom_rdf::{Dataset, InferenceEngine, Term};
 
     fn ub(l: &str) -> String {
         format!("http://ub.org/{l}")
@@ -162,7 +171,7 @@ mod tests {
         // Department), 5 edge labels. `rdfs:subClassOf` and `rdf:type` are
         // two more edge labels that no CSR edge carries.
         let ds = figure3_dataset();
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         assert_eq!(t.kind, TransformKind::TypeAware);
         assert_eq!(t.graph.stats().vertices, 5);
         assert_eq!(t.graph.edge_count(), 5);
@@ -186,13 +195,13 @@ mod tests {
     fn type_closure_becomes_label_set() {
         // Without materialization L(student1) is its asserted type alone.
         let ds = figure3_dataset();
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let student1 = vertex(&ds, &Term::iri(ub("student1")));
         assert_eq!(t.graph.labels(student1), &[vl(&t, &ds, "GraduateStudent")]);
 
         // L(student1) = {GraduateStudent, Student} — Student via subClassOf.
         let ds = materialized(figure3_dataset());
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let student1 = vertex(&ds, &Term::iri(ub("student1")));
         assert!(t.graph.has_label(student1, vl(&t, &ds, "GraduateStudent")));
         assert!(t.graph.has_label(student1, vl(&t, &ds, "Student")));
@@ -202,7 +211,7 @@ mod tests {
     #[test]
     fn class_terms_are_not_vertices() {
         let ds = figure3_dataset();
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         for class in ["GraduateStudent", "Student", "University", "Department"] {
             let id = ds.dictionary.id_of_iri(&ub(class)).unwrap();
             let row = VertexId::of_term(id);
@@ -220,7 +229,7 @@ mod tests {
     #[test]
     fn non_schema_topology_is_preserved() {
         let ds = figure3_dataset();
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let student1 = vertex(&ds, &Term::iri(ub("student1")));
         let univ1 = vertex(&ds, &Term::iri(ub("univ1")));
         let dept = vertex(&ds, &Term::iri(ub("dept1.univ1")));
@@ -254,8 +263,11 @@ mod tests {
     fn edge_reduction_matches_schema_triple_count() {
         // |E_type-aware| = |E_direct| − (#type triples + #subClassOf triples).
         let ds = figure3_dataset();
-        let direct = crate::direct::direct_transform(&type_aware_transform(&ds));
-        let aware = type_aware_transform(&ds);
+        let direct = crate::direct::direct_transform(&type_aware_transform(
+            ds.triples.clone(),
+            &ds.dictionary,
+        ));
+        let aware = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let schema_triples = 4; // 3 rdf:type + 1 subClassOf
         assert_eq!(
             aware.graph.edge_count(),
@@ -267,8 +279,11 @@ mod tests {
     #[test]
     fn type_edges_are_read_from_the_labels() {
         let ds = figure3_dataset();
-        let direct = crate::direct::direct_transform(&type_aware_transform(&ds));
-        let aware = type_aware_transform(&ds);
+        let direct = crate::direct::direct_transform(&type_aware_transform(
+            ds.triples.clone(),
+            &ds.dictionary,
+        ));
+        let aware = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         // Every vertex's variable-predicate range and every edge's labels,
         // as terms, are the direct graph's.
         let term = |t: &TransformedGraph, el: ELabel| t.mappings.term_of_elabel(el).unwrap();
@@ -305,11 +320,11 @@ mod tests {
     #[test]
     fn inverse_label_index_reflects_closure() {
         let ds = figure3_dataset();
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         assert_eq!(t.inverse_labels.frequency(vl(&t, &ds, "Student")), 0);
 
         let ds = materialized(figure3_dataset());
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         assert_eq!(t.inverse_labels.frequency(vl(&t, &ds, "Student")), 1);
         let univ1 = vertex(&ds, &Term::iri(ub("univ1")));
         let university = vl(&t, &ds, "University");
@@ -345,7 +360,7 @@ mod tests {
     /// The classes labelling `x`, built without and with materialization.
     fn classes_of_x(ds: Dataset) -> [Vec<Term>; 2] {
         [ds.clone(), materialized(ds)].map(|ds| {
-            let t = type_aware_transform(&ds);
+            let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
             let x = vertex(&ds, &Term::iri(ub("x")));
             let class = |&l| {
                 t.mappings
@@ -378,7 +393,7 @@ mod tests {
     fn entity_appearing_only_in_type_triples_still_becomes_vertex() {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("lonely"), vocab::RDF_TYPE, &ub("Thing"));
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         assert_eq!(t.graph.stats().vertices, 1);
         assert_eq!(t.graph.edge_count(), 0);
         let lonely = vertex(&ds, &Term::iri(ub("lonely")));
@@ -391,7 +406,7 @@ mod tests {
         // A class that also participates in a non-schema triple (common in
         // BTC-style data) must be a vertex *and* a label.
         let ds = class_as_vertex();
-        let t = type_aware_transform(&ds);
+        let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let curious_id = ds.dictionary.id_of_iri(&ub("Curious")).unwrap();
         assert!(t.graph.total_degree(VertexId::of_term(curious_id)) > 0);
         assert!(t.mappings.vlabel_of(curious_id).is_some());
@@ -506,9 +521,15 @@ mod tests {
         ];
         for (name, ds) in &fixtures {
             let pairs = [
-                (type_aware_transform(ds), reference_type_aware(ds)),
                 (
-                    crate::direct::direct_transform(&type_aware_transform(ds)),
+                    type_aware_transform(ds.triples.clone(), &ds.dictionary),
+                    reference_type_aware(ds),
+                ),
+                (
+                    crate::direct::direct_transform(&type_aware_transform(
+                        ds.triples.clone(),
+                        &ds.dictionary,
+                    )),
                     reference_direct(ds),
                 ),
             ];
@@ -536,7 +557,7 @@ mod tests {
 
     #[test]
     fn empty_dataset() {
-        let t = type_aware_transform(&Dataset::new());
+        let t = type_aware_transform(TripleStore::new(), &Dictionary::new());
         assert_eq!(t.graph.vertex_count(), 0);
         assert_eq!(t.graph.edge_count(), 0);
         assert_eq!(t.graph.vertex_label_count(), 0);

@@ -11,7 +11,7 @@ use turbohom::transform::{direct_transform, transform_branch, type_aware_transfo
 #[test]
 fn figure1_isomorphism_vs_homomorphism_counts() {
     let ds = micro::figure1();
-    let data = type_aware_transform(&ds);
+    let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
     let query = parse_query(&micro::figure1_query().sparql).unwrap();
     let tq = transform_branch(&query.pattern, &data, &ds.dictionary)
         .unwrap()
@@ -71,7 +71,7 @@ fn figure2_matching_order_effect_shows_in_stats() {
 #[test]
 fn figure3_transformation_sizes() {
     let ds = micro::figure3();
-    let aware = type_aware_transform(&ds);
+    let aware = type_aware_transform(ds.triples.clone(), &ds.dictionary);
     let direct = direct_transform(&aware);
     assert_eq!(direct.graph.stats().vertices, 9);
     assert_eq!(direct.graph.edge_count(), 9);
@@ -112,7 +112,7 @@ fn figure8_query_graph_shape() {
         turbohom::rdf::InferenceEngine::default().materialize(&mut ds);
         ds
     };
-    let aware = type_aware_transform(&ds);
+    let aware = type_aware_transform(ds.triples.clone(), &ds.dictionary);
     let direct = direct_transform(&aware);
     let query = parse_query(&micro::figure3_query().sparql).unwrap();
     let tq_aware = transform_branch(&query.pattern, &aware, &ds.dictionary)
