@@ -49,6 +49,41 @@ impl BenchmarkQuery {
     }
 }
 
+/// A fingerprint of a generated dataset's content: its term count, its
+/// triple count, and an FNV-1a hash over every term in id order (kind and
+/// strings) and every triple in insertion order. Two datasets with the same
+/// fingerprint assign the same ids and keep the same triple list.
+#[cfg(test)]
+pub(crate) fn fingerprint(ds: &turbohom_rdf::Dataset) -> (usize, usize, u64) {
+    use turbohom_rdf::Term;
+    use turbohom_storage::{fnv1a, FNV_OFFSET};
+    // Each string is length-prefixed, so no two term lists hash alike by
+    // moving bytes between neighbouring strings.
+    let string = |h: u64, s: &str| fnv1a(fnv1a(h, &(s.len() as u64).to_le_bytes()), s.as_bytes());
+    let mut h = FNV_OFFSET;
+    for (_, term) in ds.dictionary.iter() {
+        h = match &term {
+            Term::Iri(iri) => string(fnv1a(h, &[0]), iri),
+            Term::BlankNode(label) => string(fnv1a(h, &[1]), label),
+            Term::Literal {
+                lexical,
+                datatype,
+                language,
+            } => {
+                let h = string(fnv1a(h, &[2]), lexical);
+                let h = string(h, datatype.as_deref().unwrap_or(""));
+                string(h, language.as_deref().unwrap_or(""))
+            }
+        };
+    }
+    for t in ds.triples.iter() {
+        for id in [t.s, t.p, t.o] {
+            h = fnv1a(h, &id.0.to_le_bytes());
+        }
+    }
+    (ds.dictionary.len(), ds.len(), h)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
