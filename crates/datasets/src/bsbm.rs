@@ -10,22 +10,128 @@
 //! Q5 (join-condition filters) and Q6 (regular expression over labels) are
 //! the two expensive ones.
 
+use crate::encode::{Encoder, Node, Vocabulary};
 use crate::BenchmarkQuery;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use turbohom_rdf::{vocab, Dataset, Term};
+use turbohom_rdf::{vocab, Dataset, Term, TermId};
 
 /// Vocabulary namespace.
 pub const BSBM: &str = "http://bsbm.example.org/vocabulary/";
 /// Instance namespace.
 pub const INST: &str = "http://bsbm.example.org/instances/";
 
-fn voc(local: &str) -> Term {
-    Term::iri(format!("{BSBM}{local}"))
+/// The generator's classes: each one's IRI is its name in the vocabulary
+/// namespace.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    ProductType,
+    ProductFeature,
+    Producer,
+    Vendor,
+    Person,
+    Product,
+    Offer,
+    Review,
 }
 
-fn inst(local: &str) -> Term {
-    Term::iri(format!("{INST}{local}"))
+impl Class {
+    /// Number of classes.
+    const COUNT: usize = Class::Review as usize + 1;
+}
+
+/// The generator's properties: `rdf:type`, `rdfs:subClassOf` and the ones
+/// in the vocabulary namespace.
+#[derive(Debug, Clone, Copy)]
+enum Prop {
+    Type,
+    SubClassOf,
+    Label,
+    Name,
+    Country,
+    Producer,
+    ProductFeature,
+    PropertyNum1,
+    PropertyNum2,
+    PropertyNum3,
+    PropertyTex1,
+    Product,
+    Vendor,
+    Price,
+    DeliveryDays,
+    ReviewFor,
+    Reviewer,
+    Title,
+    Rating1,
+}
+
+impl Prop {
+    /// Number of properties.
+    const COUNT: usize = Prop::Rating1 as usize + 1;
+
+    fn iri(self) -> String {
+        let local = match self {
+            Prop::Type => return vocab::RDF_TYPE.to_string(),
+            Prop::SubClassOf => return vocab::RDFS_SUBCLASSOF.to_string(),
+            Prop::Label => "label",
+            Prop::Name => "name",
+            Prop::Country => "country",
+            Prop::Producer => "producer",
+            Prop::ProductFeature => "productFeature",
+            Prop::PropertyNum1 => "propertyNum1",
+            Prop::PropertyNum2 => "propertyNum2",
+            Prop::PropertyNum3 => "propertyNum3",
+            Prop::PropertyTex1 => "propertyTex1",
+            Prop::Product => "product",
+            Prop::Vendor => "vendor",
+            Prop::Price => "price",
+            Prop::DeliveryDays => "deliveryDays",
+            Prop::ReviewFor => "reviewFor",
+            Prop::Reviewer => "reviewer",
+            Prop::Title => "title",
+            Prop::Rating1 => "rating1",
+        };
+        format!("{BSBM}{local}")
+    }
+}
+
+/// What the generator encodes on first use: its classes and properties,
+/// and the seven countries producers, vendors and reviewers come from.
+#[derive(Debug, Clone, Copy)]
+enum Key {
+    Class(Class),
+    Prop(Prop),
+    Country(usize),
+}
+
+impl Vocabulary for Key {
+    fn slot(self) -> usize {
+        match self {
+            Key::Class(class) => class as usize,
+            Key::Prop(prop) => Class::COUNT + prop as usize,
+            Key::Country(c) => Class::COUNT + Prop::COUNT + c,
+        }
+    }
+
+    fn iri(self) -> String {
+        match self {
+            Key::Class(class) => format!("{BSBM}{class:?}"),
+            Key::Prop(prop) => prop.iri(),
+            Key::Country(c) => format!("http://countries.example.org/C{c}"),
+        }
+    }
+}
+
+impl From<Class> for Node<Key> {
+    fn from(class: Class) -> Self {
+        Node::Key(Key::Class(class))
+    }
+}
+
+impl From<Prop> for Node<Key> {
+    fn from(prop: Prop) -> Self {
+        Node::Key(Key::Prop(prop))
+    }
 }
 
 /// Generator configuration.
@@ -80,8 +186,7 @@ impl BsbmGenerator {
     pub fn generate(&self) -> Dataset {
         let cfg = &self.config;
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut ds = Dataset::new();
-        let rdf_type = Term::iri(vocab::RDF_TYPE);
+        let mut enc = Encoder::new();
 
         let products = cfg.products();
         let producers = (cfg.scale * 5).max(2);
@@ -89,178 +194,101 @@ impl BsbmGenerator {
         let reviewers = (cfg.scale * 20).max(5);
 
         // Product type hierarchy: a root type with a handful of subtypes.
-        ds.insert(&voc("ProductTypeRoot"), &rdf_type, &voc("ProductType"));
-        for t in 0..6 {
-            let ty = voc(&format!("ProductType{t}"));
-            ds.insert(&ty, &rdf_type, &voc("ProductType"));
-            ds.insert(
-                &ty,
-                &Term::iri(vocab::RDFS_SUBCLASSOF),
-                &voc("ProductTypeRoot"),
-            );
-        }
+        let root = enc.entity(&format!("{BSBM}ProductTypeRoot"));
+        enc.insert(root, Prop::Type, Class::ProductType);
+        let types: Vec<TermId> = (0..6)
+            .map(|t| {
+                let ty = enc.entity(&format!("{BSBM}ProductType{t}"));
+                enc.insert(ty, Prop::Type, Class::ProductType);
+                enc.insert(ty, Prop::SubClassOf, root);
+                ty
+            })
+            .collect();
 
         // Features.
-        for f in 0..cfg.features {
-            let feature = inst(&format!("ProductFeature{f}"));
-            ds.insert(&feature, &rdf_type, &voc("ProductFeature"));
-            ds.insert(
-                &feature,
-                &voc("label"),
-                &Term::literal(format!("feature number {f}")),
-            );
-        }
+        let features: Vec<TermId> = (0..cfg.features)
+            .map(|f| {
+                let feature = enc.entity(&format!("{INST}ProductFeature{f}"));
+                enc.insert(feature, Prop::Type, Class::ProductFeature);
+                let label = format!("feature number {f}");
+                enc.insert(feature, Prop::Label, Term::literal(label));
+                feature
+            })
+            .collect();
 
-        // Producers.
-        for p in 0..producers {
-            let producer = inst(&format!("Producer{p}"));
-            ds.insert(&producer, &rdf_type, &voc("Producer"));
-            ds.insert(
-                &producer,
-                &voc("label"),
-                &Term::literal(format!("Producer {p}")),
-            );
-            ds.insert(
-                &producer,
-                &voc("country"),
-                &Term::iri(format!("http://countries.example.org/C{}", p % 7)),
-            );
-        }
-
-        // Vendors.
-        for v in 0..vendors {
-            let vendor = inst(&format!("Vendor{v}"));
-            ds.insert(&vendor, &rdf_type, &voc("Vendor"));
-            ds.insert(
-                &vendor,
-                &voc("label"),
-                &Term::literal(format!("Vendor {v}")),
-            );
-            ds.insert(
-                &vendor,
-                &voc("country"),
-                &Term::iri(format!("http://countries.example.org/C{}", v % 7)),
-            );
-        }
-
-        // Reviewers.
-        for r in 0..reviewers {
-            let reviewer = inst(&format!("Reviewer{r}"));
-            ds.insert(&reviewer, &rdf_type, &voc("Person"));
-            ds.insert(
-                &reviewer,
-                &voc("name"),
-                &Term::literal(format!("Reviewer {r}")),
-            );
-            ds.insert(
-                &reviewer,
-                &voc("country"),
-                &Term::iri(format!("http://countries.example.org/C{}", r % 7)),
-            );
-        }
+        // Producers, vendors and reviewers: `Producer3` is labelled
+        // "Producer 3", and each comes from one of seven countries.
+        let mut agents = |kind: &str, count: usize, class: Class, named: Prop| {
+            (0..count)
+                .map(|a| {
+                    let agent = enc.entity(&format!("{INST}{kind}{a}"));
+                    enc.insert(agent, Prop::Type, class);
+                    enc.insert(agent, named, Term::literal(format!("{kind} {a}")));
+                    enc.insert(agent, Prop::Country, Key::Country(a % 7));
+                    agent
+                })
+                .collect::<Vec<TermId>>()
+        };
+        let producers = agents("Producer", producers, Class::Producer, Prop::Label);
+        let vendors = agents("Vendor", vendors, Class::Vendor, Prop::Label);
+        let reviewers = agents("Reviewer", reviewers, Class::Person, Prop::Name);
 
         // Products, offers, reviews.
         let adjectives = [
             "great", "solid", "cheap", "premium", "classic", "alpha", "omega",
         ];
         for i in 0..products {
-            let product = inst(&format!("Product{i}"));
-            ds.insert(&product, &rdf_type, &voc("Product"));
-            ds.insert(&product, &rdf_type, &voc(&format!("ProductType{}", i % 6)));
-            ds.insert(
-                &product,
-                &voc("label"),
-                &Term::literal(format!(
-                    "{} product number {i}",
-                    adjectives[i % adjectives.len()]
-                )),
-            );
-            ds.insert(
-                &product,
-                &voc("producer"),
-                &inst(&format!("Producer{}", i % producers)),
-            );
+            let product = enc.entity(&format!("{INST}Product{i}"));
+            enc.insert(product, Prop::Type, Class::Product);
+            enc.insert(product, Prop::Type, types[i % types.len()]);
+            let adjective = adjectives[i % adjectives.len()];
+            let label = format!("{adjective} product number {i}");
+            enc.insert(product, Prop::Label, Term::literal(label));
+            enc.insert(product, Prop::Producer, producers[i % producers.len()]);
             // 3–5 features per product.
             let feature_count = 3 + rng.gen_range(0..3);
             for _ in 0..feature_count {
                 let f = rng.gen_range(0..cfg.features);
-                ds.insert(
-                    &product,
-                    &voc("productFeature"),
-                    &inst(&format!("ProductFeature{f}")),
-                );
+                enc.insert(product, Prop::ProductFeature, features[f]);
             }
-            ds.insert(
-                &product,
-                &voc("propertyNum1"),
-                &Term::integer(rng.gen_range(1..2000)),
-            );
-            ds.insert(
-                &product,
-                &voc("propertyNum2"),
-                &Term::integer(rng.gen_range(1..2000)),
-            );
-            ds.insert(
-                &product,
-                &voc("propertyNum3"),
-                &Term::integer(rng.gen_range(1..2000)),
-            );
+            for num in [Prop::PropertyNum1, Prop::PropertyNum2, Prop::PropertyNum3] {
+                enc.insert(product, num, Term::integer(rng.gen_range(1..2000)));
+            }
             // 70 % of the products have a text property (used by OPTIONAL queries).
             if rng.gen_ratio(7, 10) {
-                ds.insert(
-                    &product,
-                    &voc("propertyTex1"),
-                    &Term::literal(format!("textual description {i}")),
-                );
+                let text = format!("textual description {i}");
+                enc.insert(product, Prop::PropertyTex1, Term::literal(text));
             }
 
             // Offers: two per product.
             for k in 0..2 {
-                let offer = inst(&format!("Offer{i}_{k}"));
-                ds.insert(&offer, &rdf_type, &voc("Offer"));
-                ds.insert(&offer, &voc("product"), &product);
-                ds.insert(
-                    &offer,
-                    &voc("vendor"),
-                    &inst(&format!("Vendor{}", rng.gen_range(0..vendors))),
-                );
-                ds.insert(
-                    &offer,
-                    &voc("price"),
-                    &Term::double(rng.gen_range(10.0..5000.0)),
-                );
-                ds.insert(
-                    &offer,
-                    &voc("deliveryDays"),
-                    &Term::integer(rng.gen_range(1..14)),
-                );
+                let offer = enc.entity(&format!("{INST}Offer{i}_{k}"));
+                enc.insert(offer, Prop::Type, Class::Offer);
+                enc.insert(offer, Prop::Product, product);
+                let vendor = vendors[rng.gen_range(0..vendors.len())];
+                enc.insert(offer, Prop::Vendor, vendor);
+                let price = Term::double(rng.gen_range(10.0..5000.0));
+                enc.insert(offer, Prop::Price, price);
+                let days = Term::integer(rng.gen_range(1..14));
+                enc.insert(offer, Prop::DeliveryDays, days);
             }
 
             // Reviews: two per product, 60 % carry a rating.
             for k in 0..2 {
-                let review = inst(&format!("Review{i}_{k}"));
-                ds.insert(&review, &rdf_type, &voc("Review"));
-                ds.insert(&review, &voc("reviewFor"), &product);
-                ds.insert(
-                    &review,
-                    &voc("reviewer"),
-                    &inst(&format!("Reviewer{}", rng.gen_range(0..reviewers))),
-                );
-                ds.insert(
-                    &review,
-                    &voc("title"),
-                    &Term::literal(format!("review {k} of product {i}")),
-                );
+                let review = enc.entity(&format!("{INST}Review{i}_{k}"));
+                enc.insert(review, Prop::Type, Class::Review);
+                enc.insert(review, Prop::ReviewFor, product);
+                let reviewer = reviewers[rng.gen_range(0..reviewers.len())];
+                enc.insert(review, Prop::Reviewer, reviewer);
+                let title = format!("review {k} of product {i}");
+                enc.insert(review, Prop::Title, Term::literal(title));
                 if rng.gen_ratio(3, 5) {
-                    ds.insert(
-                        &review,
-                        &voc("rating1"),
-                        &Term::integer(rng.gen_range(1..=10)),
-                    );
+                    let rating = Term::integer(rng.gen_range(1..=10));
+                    enc.insert(review, Prop::Rating1, rating);
                 }
             }
         }
-        ds
+        enc.into_dataset()
     }
 }
 

@@ -19,6 +19,7 @@
 
 pub mod bsbm;
 pub mod btc;
+mod encode;
 pub mod lubm;
 pub mod micro;
 pub mod yago;

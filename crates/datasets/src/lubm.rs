@@ -10,10 +10,11 @@
 //!
 //! The scale factor is the number of universities, exactly as in LUBM.
 
+use crate::encode::{Encoder, Node, Vocabulary};
 use crate::BenchmarkQuery;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use turbohom_rdf::{vocab, Dataset, InferenceEngine, Term};
+use turbohom_rdf::{vocab, Dataset, InferenceEngine, Term, TermId};
 
 /// The univ-bench ontology namespace.
 pub const UB: &str = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
@@ -22,16 +23,122 @@ fn ub(local: &str) -> Term {
     Term::iri(format!("{UB}{local}"))
 }
 
-fn university_iri(u: usize) -> Term {
-    Term::iri(format!("http://www.University{u}.edu"))
+fn entity_iri(u: usize, d: usize, name: &str) -> String {
+    format!("http://www.Department{d}.University{u}.edu/{name}")
 }
 
-fn department_iri(u: usize, d: usize) -> Term {
-    Term::iri(format!("http://www.Department{d}.University{u}.edu"))
+/// The generator's classes: each one's IRI is its name in the `ub:`
+/// namespace.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    University,
+    Department,
+    Course,
+    GraduateCourse,
+    ResearchGroup,
+    FullProfessor,
+    AssociateProfessor,
+    AssistantProfessor,
+    Chair,
+    Lecturer,
+    Publication,
+    UndergraduateStudent,
+    GraduateStudent,
+    TeachingAssistant,
 }
 
-fn entity_iri(u: usize, d: usize, name: &str) -> Term {
-    Term::iri(format!("http://www.Department{d}.University{u}.edu/{name}"))
+impl Class {
+    /// Number of classes.
+    const COUNT: usize = Class::TeachingAssistant as usize + 1;
+}
+
+/// The generator's properties: `rdf:type` and the `ub:` ones it emits
+/// outside the schema.
+#[derive(Debug, Clone, Copy)]
+enum Prop {
+    Type,
+    Name,
+    EmailAddress,
+    Telephone,
+    SubOrganizationOf,
+    WorksFor,
+    HeadOf,
+    MemberOf,
+    ResearchInterest,
+    TeacherOf,
+    PublicationAuthor,
+    TakesCourse,
+    Advisor,
+    UndergraduateDegreeFrom,
+    HasAlumnus,
+    TeachingAssistantOf,
+}
+
+impl Prop {
+    /// Number of properties.
+    const COUNT: usize = Prop::TeachingAssistantOf as usize + 1;
+
+    fn iri(self) -> String {
+        let local = match self {
+            Prop::Type => return vocab::RDF_TYPE.to_string(),
+            Prop::Name => "name",
+            Prop::EmailAddress => "emailAddress",
+            Prop::Telephone => "telephone",
+            Prop::SubOrganizationOf => "subOrganizationOf",
+            Prop::WorksFor => "worksFor",
+            Prop::HeadOf => "headOf",
+            Prop::MemberOf => "memberOf",
+            Prop::ResearchInterest => "researchInterest",
+            Prop::TeacherOf => "teacherOf",
+            Prop::PublicationAuthor => "publicationAuthor",
+            Prop::TakesCourse => "takesCourse",
+            Prop::Advisor => "advisor",
+            Prop::UndergraduateDegreeFrom => "undergraduateDegreeFrom",
+            Prop::HasAlumnus => "hasAlumnus",
+            Prop::TeachingAssistantOf => "teachingAssistantOf",
+        };
+        format!("{UB}{local}")
+    }
+}
+
+/// What the generator encodes on first use: its classes and properties,
+/// and the universities — a graduate's degree may name one before it is
+/// created.
+#[derive(Debug, Clone, Copy)]
+enum Key {
+    Class(Class),
+    Prop(Prop),
+    University(usize),
+}
+
+impl Vocabulary for Key {
+    fn slot(self) -> usize {
+        match self {
+            Key::Class(class) => class as usize,
+            Key::Prop(prop) => Class::COUNT + prop as usize,
+            Key::University(u) => Class::COUNT + Prop::COUNT + u,
+        }
+    }
+
+    fn iri(self) -> String {
+        match self {
+            Key::Class(class) => format!("{UB}{class:?}"),
+            Key::Prop(prop) => prop.iri(),
+            Key::University(u) => format!("http://www.University{u}.edu"),
+        }
+    }
+}
+
+impl From<Class> for Node<Key> {
+    fn from(class: Class) -> Self {
+        Node::Key(Key::Class(class))
+    }
+}
+
+impl From<Prop> for Node<Key> {
+    fn from(prop: Prop) -> Self {
+        Node::Key(Key::Prop(prop))
+    }
 }
 
 /// Generator configuration. The defaults are scaled-down LUBM cardinalities
@@ -123,22 +230,23 @@ impl LubmGenerator {
     /// Generates the dataset.
     pub fn generate(&self) -> Dataset {
         let cfg = &self.config;
-        let mut ds = Dataset::new();
-        self.emit_schema(&mut ds);
+        let mut enc = Encoder::new();
+        Self::emit_schema(&mut enc);
 
         for u in 0..cfg.universities {
-            let univ = university_iri(u);
-            ds.insert(&univ, &Term::iri(vocab::RDF_TYPE), &ub("University"));
-            ds.insert(&univ, &ub("name"), &Term::literal(format!("University{u}")));
+            let univ = enc.id(Key::University(u));
+            enc.insert(univ, Prop::Type, Class::University);
+            enc.insert(univ, Prop::Name, Term::literal(format!("University{u}")));
             for d in 0..cfg.departments_per_university {
                 // Each department gets its own deterministic PRNG stream so
                 // that Department0.University0 is byte-identical across scale
                 // factors — which is what keeps the "constant solution
                 // queries" constant, exactly as in the original generator.
                 let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ ((u as u64) << 20) ^ (d as u64));
-                self.generate_department(&mut ds, &mut rng, u, d);
+                self.generate_department(&mut enc, &mut rng, univ, u, d);
             }
         }
+        let mut ds = enc.into_dataset();
         if cfg.materialize_rdfs {
             InferenceEngine::default().materialize(&mut ds);
         }
@@ -146,7 +254,7 @@ impl LubmGenerator {
     }
 
     /// Emits the class and property hierarchies (the "schema" triples).
-    fn emit_schema(&self, ds: &mut Dataset) {
+    fn emit_schema(enc: &mut Encoder<Key>) {
         let sc = Term::iri(vocab::RDFS_SUBCLASSOF);
         let sp = Term::iri(vocab::RDFS_SUBPROPERTYOF);
         for (sub, sup) in [
@@ -167,7 +275,7 @@ impl LubmGenerator {
             ("Department", "Organization"),
             ("ResearchGroup", "Organization"),
         ] {
-            ds.insert(&ub(sub), &sc, &ub(sup));
+            enc.insert(ub(sub), sc.clone(), ub(sup));
         }
         for (sub, sup) in [
             ("headOf", "worksFor"),
@@ -176,118 +284,138 @@ impl LubmGenerator {
             ("mastersDegreeFrom", "degreeFrom"),
             ("doctoralDegreeFrom", "degreeFrom"),
         ] {
-            ds.insert(&ub(sub), &sp, &ub(sup));
+            enc.insert(ub(sub), sp.clone(), ub(sup));
         }
     }
 
+    /// Creates the entity `name` of department `d` of university `u`, an
+    /// instance of `class`: encodes it and emits its type triple.
+    fn create(enc: &mut Encoder<Key>, u: usize, d: usize, name: &str, class: Class) -> TermId {
+        let entity = enc.entity(&entity_iri(u, d, name));
+        enc.insert(entity, Prop::Type, class);
+        entity
+    }
+
     #[allow(clippy::too_many_lines)]
-    fn generate_department(&self, ds: &mut Dataset, rng: &mut ChaCha8Rng, u: usize, d: usize) {
+    fn generate_department(
+        &self,
+        enc: &mut Encoder<Key>,
+        rng: &mut ChaCha8Rng,
+        univ: TermId,
+        u: usize,
+        d: usize,
+    ) {
         let cfg = &self.config;
-        let rdf_type = Term::iri(vocab::RDF_TYPE);
-        let univ = university_iri(u);
-        let dept = department_iri(u, d);
-        ds.insert(&dept, &rdf_type, &ub("Department"));
-        ds.insert(&dept, &ub("subOrganizationOf"), &univ);
-        ds.insert(&dept, &ub("name"), &Term::literal(format!("Department{d}")));
+        let dept = enc.entity(&format!("http://www.Department{d}.University{u}.edu"));
+        enc.insert(dept, Prop::Type, Class::Department);
+        enc.insert(dept, Prop::SubOrganizationOf, univ);
+        enc.insert(dept, Prop::Name, Term::literal(format!("Department{d}")));
 
         // Courses.
-        let courses: Vec<Term> = (0..cfg.courses_per_department)
-            .map(|c| entity_iri(u, d, &format!("Course{c}")))
+        let courses: Vec<TermId> = (0..cfg.courses_per_department)
+            .map(|c| Self::create(enc, u, d, &format!("Course{c}"), Class::Course))
             .collect();
-        for c in &courses {
-            ds.insert(c, &rdf_type, &ub("Course"));
-        }
-        let grad_courses: Vec<Term> = (0..cfg.graduate_courses_per_department)
-            .map(|c| entity_iri(u, d, &format!("GraduateCourse{c}")))
+        let grad_courses: Vec<TermId> = (0..cfg.graduate_courses_per_department)
+            .map(|c| {
+                Self::create(
+                    enc,
+                    u,
+                    d,
+                    &format!("GraduateCourse{c}"),
+                    Class::GraduateCourse,
+                )
+            })
             .collect();
-        for c in &grad_courses {
-            ds.insert(c, &rdf_type, &ub("GraduateCourse"));
-        }
 
         // Research groups: sub-organizations of the department (and of the
         // university via the transitive closure, emitted in inference mode).
         for g in 0..cfg.research_groups_per_department {
-            let group = entity_iri(u, d, &format!("ResearchGroup{g}"));
-            ds.insert(&group, &rdf_type, &ub("ResearchGroup"));
-            ds.insert(&group, &ub("subOrganizationOf"), &dept);
+            let group = Self::create(
+                enc,
+                u,
+                d,
+                &format!("ResearchGroup{g}"),
+                Class::ResearchGroup,
+            );
+            enc.insert(group, Prop::SubOrganizationOf, dept);
             if cfg.with_inference {
-                ds.insert(&group, &ub("subOrganizationOf"), &univ);
+                enc.insert(group, Prop::SubOrganizationOf, univ);
             }
         }
 
-        // Faculty.
-        let professor_kinds = ["FullProfessor", "AssociateProfessor", "AssistantProfessor"];
-        let mut professors: Vec<Term> = Vec::new();
-        let mut taught_by: Vec<(Term, Term)> = Vec::new(); // (course, teacher)
+        // Faculty: `FullProfessor0` is a `ub:FullProfessor`.
+        let professor_kinds = [
+            Class::FullProfessor,
+            Class::AssociateProfessor,
+            Class::AssistantProfessor,
+        ];
+        let mut professors: Vec<TermId> = Vec::new();
+        let mut taught_by: Vec<(TermId, TermId)> = Vec::new(); // (course, teacher)
         for p in 0..cfg.professors_per_department {
-            let kind = professor_kinds[p % professor_kinds.len()];
-            let index = p / professor_kinds.len();
-            let prof = entity_iri(u, d, &format!("{kind}{index}"));
-            ds.insert(&prof, &rdf_type, &ub(kind));
-            ds.insert(&prof, &ub("worksFor"), &dept);
-            self.emit_person_details(ds, rng, &prof, u);
-            ds.insert(
-                &prof,
-                &ub("researchInterest"),
-                &Term::literal(format!("Research{}", rng.gen_range(0..20))),
-            );
+            let class = professor_kinds[p % professor_kinds.len()];
+            let name = format!("{class:?}{}", p / professor_kinds.len());
+            let prof = Self::create(enc, u, d, &name, class);
+            enc.insert(prof, Prop::WorksFor, dept);
+            Self::emit_person_details(enc, rng, prof, &name, u);
+            let interest = format!("Research{}", rng.gen_range(0..20));
+            enc.insert(prof, Prop::ResearchInterest, Term::literal(interest));
             // Every professor teaches one undergraduate and one graduate course.
-            let c = &courses[p % courses.len()];
-            ds.insert(&prof, &ub("teacherOf"), c);
-            taught_by.push((c.clone(), prof.clone()));
+            let c = courses[p % courses.len()];
+            enc.insert(prof, Prop::TeacherOf, c);
+            taught_by.push((c, prof));
             if !grad_courses.is_empty() {
-                let gc = &grad_courses[p % grad_courses.len()];
-                ds.insert(&prof, &ub("teacherOf"), gc);
-                taught_by.push((gc.clone(), prof.clone()));
+                let gc = grad_courses[p % grad_courses.len()];
+                enc.insert(prof, Prop::TeacherOf, gc);
+                taught_by.push((gc, prof));
             }
             // Publications.
             for k in 0..cfg.publications_per_professor {
-                let publication = entity_iri(u, d, &format!("Publication{p}_{k}"));
-                ds.insert(&publication, &rdf_type, &ub("Publication"));
-                ds.insert(&publication, &ub("publicationAuthor"), &prof);
+                let name = format!("Publication{p}_{k}");
+                let publication = Self::create(enc, u, d, &name, Class::Publication);
+                enc.insert(publication, Prop::PublicationAuthor, prof);
             }
             professors.push(prof);
         }
         // The first full professor is the head of the department.
-        if let Some(head) = professors.first() {
-            ds.insert(head, &ub("headOf"), &dept);
+        if let Some(&head) = professors.first() {
+            enc.insert(head, Prop::HeadOf, dept);
             if cfg.with_inference {
-                ds.insert(head, &rdf_type, &ub("Chair"));
+                enc.insert(head, Prop::Type, Class::Chair);
             }
         }
         for l in 0..cfg.lecturers_per_department {
-            let lecturer = entity_iri(u, d, &format!("Lecturer{l}"));
-            ds.insert(&lecturer, &rdf_type, &ub("Lecturer"));
-            ds.insert(&lecturer, &ub("worksFor"), &dept);
-            self.emit_person_details(ds, rng, &lecturer, u);
-            let c = &courses[(cfg.professors_per_department + l) % courses.len()];
-            ds.insert(&lecturer, &ub("teacherOf"), c);
-            taught_by.push((c.clone(), lecturer.clone()));
+            let name = format!("Lecturer{l}");
+            let lecturer = Self::create(enc, u, d, &name, Class::Lecturer);
+            enc.insert(lecturer, Prop::WorksFor, dept);
+            Self::emit_person_details(enc, rng, lecturer, &name, u);
+            let c = courses[(cfg.professors_per_department + l) % courses.len()];
+            enc.insert(lecturer, Prop::TeacherOf, c);
+            taught_by.push((c, lecturer));
         }
 
         // Undergraduate students.
         for s in 0..cfg.undergraduates_per_department {
-            let student = entity_iri(u, d, &format!("UndergraduateStudent{s}"));
-            ds.insert(&student, &rdf_type, &ub("UndergraduateStudent"));
-            ds.insert(&student, &ub("memberOf"), &dept);
-            self.emit_person_details(ds, rng, &student, u);
+            let name = format!("UndergraduateStudent{s}");
+            let student = Self::create(enc, u, d, &name, Class::UndergraduateStudent);
+            enc.insert(student, Prop::MemberOf, dept);
+            Self::emit_person_details(enc, rng, student, &name, u);
             for _ in 0..2 {
-                let c = &courses[rng.gen_range(0..courses.len())];
-                ds.insert(&student, &ub("takesCourse"), c);
+                let c = courses[rng.gen_range(0..courses.len())];
+                enc.insert(student, Prop::TakesCourse, c);
             }
             // One in five undergraduates has an advisor.
             if rng.gen_ratio(1, 5) {
-                let advisor = &professors[rng.gen_range(0..professors.len())];
-                ds.insert(&student, &ub("advisor"), advisor);
+                let advisor = professors[rng.gen_range(0..professors.len())];
+                enc.insert(student, Prop::Advisor, advisor);
             }
         }
 
         // Graduate students.
         for s in 0..cfg.graduates_per_department {
-            let student = entity_iri(u, d, &format!("GraduateStudent{s}"));
-            ds.insert(&student, &rdf_type, &ub("GraduateStudent"));
-            ds.insert(&student, &ub("memberOf"), &dept);
-            self.emit_person_details(ds, rng, &student, u);
+            let name = format!("GraduateStudent{s}");
+            let student = Self::create(enc, u, d, &name, Class::GraduateStudent);
+            enc.insert(student, Prop::MemberOf, dept);
+            Self::emit_person_details(enc, rng, student, &name, u);
             // Undergraduate degree: 25 % of graduate students stay at their
             // own university (these are the Q2 solutions, growing with the
             // scale factor), another 25 % come from the "flagship"
@@ -304,77 +432,71 @@ impl LubmGenerator {
             } else {
                 uniform
             };
-            ds.insert(
-                &student,
-                &ub("undergraduateDegreeFrom"),
-                &university_iri(degree_univ),
-            );
+            let degree_univ = Key::University(degree_univ);
+            enc.insert(student, Prop::UndergraduateDegreeFrom, degree_univ);
             if cfg.with_inference {
-                ds.insert(&university_iri(degree_univ), &ub("hasAlumnus"), &student);
+                enc.insert(degree_univ, Prop::HasAlumnus, student);
             }
             // Every graduate student takes an "assigned" graduate course,
             // spreading students across courses the way the original
             // generator does — this keeps every graduate course populated,
             // so Q1's solution set is nonempty and constant across scales.
             if !grad_courses.is_empty() {
-                ds.insert(
-                    &student,
-                    &ub("takesCourse"),
-                    &grad_courses[s % grad_courses.len()],
+                enc.insert(
+                    student,
+                    Prop::TakesCourse,
+                    grad_courses[s % grad_courses.len()],
                 );
             }
             // Advisor and courses; with probability ~1/3 the student takes a
             // course taught by the advisor (which is what gives Q9 solutions).
-            let advisor = &professors[rng.gen_range(0..professors.len())];
-            ds.insert(&student, &ub("advisor"), advisor);
-            let advisor_courses: Vec<&Term> = taught_by
+            let advisor = professors[rng.gen_range(0..professors.len())];
+            enc.insert(student, Prop::Advisor, advisor);
+            let advisor_courses: Vec<TermId> = taught_by
                 .iter()
-                .filter(|(_, t)| t == advisor)
-                .map(|(c, _)| c)
+                .filter(|&&(_, t)| t == advisor)
+                .map(|&(c, _)| c)
                 .collect();
             for _ in 0..2 {
                 let course = if !advisor_courses.is_empty() && rng.gen_ratio(1, 3) {
-                    Some(advisor_courses[rng.gen_range(0..advisor_courses.len())].clone())
+                    Some(advisor_courses[rng.gen_range(0..advisor_courses.len())])
                 } else if !grad_courses.is_empty() {
-                    Some(grad_courses[rng.gen_range(0..grad_courses.len())].clone())
+                    Some(grad_courses[rng.gen_range(0..grad_courses.len())])
                 } else {
                     None
                 };
                 if let Some(course) = course {
-                    ds.insert(&student, &ub("takesCourse"), &course);
+                    enc.insert(student, Prop::TakesCourse, course);
                 }
             }
             // One in four graduate students is a teaching assistant.
             if rng.gen_ratio(1, 4) {
-                ds.insert(&student, &rdf_type, &ub("TeachingAssistant"));
-                let c = &courses[rng.gen_range(0..courses.len())];
-                ds.insert(&student, &ub("teachingAssistantOf"), c);
+                enc.insert(student, Prop::Type, Class::TeachingAssistant);
+                let c = courses[rng.gen_range(0..courses.len())];
+                enc.insert(student, Prop::TeachingAssistantOf, c);
             }
         }
     }
 
-    /// Name, email, telephone and degree provenance common to all persons.
-    fn emit_person_details(&self, ds: &mut Dataset, rng: &mut ChaCha8Rng, person: &Term, u: usize) {
-        let local = match person {
-            Term::Iri(iri) => iri.rsplit('/').next().unwrap_or("person").to_string(),
-            _ => "person".to_string(),
-        };
-        ds.insert(person, &ub("name"), &Term::literal(local.clone()));
-        ds.insert(
-            person,
-            &ub("emailAddress"),
-            &Term::literal(format!("{local}@University{u}.edu")),
+    /// Name, email and telephone common to all persons; `name` is the
+    /// local part of the person's IRI.
+    fn emit_person_details(
+        enc: &mut Encoder<Key>,
+        rng: &mut ChaCha8Rng,
+        person: TermId,
+        name: &str,
+        u: usize,
+    ) {
+        enc.insert(person, Prop::Name, Term::literal(name));
+        let email = format!("{name}@University{u}.edu");
+        enc.insert(person, Prop::EmailAddress, Term::literal(email));
+        let telephone = format!(
+            "{:03}-{:03}-{:04}",
+            rng.gen_range(100..999),
+            rng.gen_range(100..999),
+            rng.gen_range(1000..9999)
         );
-        ds.insert(
-            person,
-            &ub("telephone"),
-            &Term::literal(format!(
-                "{:03}-{:03}-{:04}",
-                rng.gen_range(100..999),
-                rng.gen_range(100..999),
-                rng.gen_range(1000..9999)
-            )),
-        );
+        enc.insert(person, Prop::Telephone, Term::literal(telephone));
     }
 }
 
@@ -501,7 +623,10 @@ mod tests {
     #[ignore = "generates LUBM(640): a few seconds in release, longer in debug"]
     fn generation_is_deterministic_at_scale_640() {
         let ds = LubmGenerator::new(LubmConfig::scale(640)).generate();
-        assert_eq!(crate::fingerprint(&ds), (254_828, 1_007_893, 0xba8d78f24303a2e8));
+        assert_eq!(
+            crate::fingerprint(&ds),
+            (254_828, 1_007_893, 0xba8d78f24303a2e8)
+        );
     }
 
     #[test]

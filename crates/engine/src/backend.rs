@@ -62,12 +62,16 @@ pub struct MemoryRow {
     pub bytes: MemoryUse,
 }
 
-/// One structure a store built: `freeze` and `type_aware` at load, `direct`
-/// and `permutations` for the first plan that reads them, `triples` for the
-/// first caller of [`Store::dataset`](crate::Store::dataset).
+/// One structure a store built: `inference` (when its options ask for it),
+/// `freeze` and `type_aware` at load, `direct` and `permutations` for the
+/// first plan that reads them, `triples` for the first caller of
+/// [`Store::dataset`](crate::Store::dataset). Ahead of them, the stage that
+/// produced the store's dataset — `generate` or `parse` — where its caller
+/// recorded one ([`Store::record_source`](crate::Store::record_source)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StructureBuild {
-    /// `freeze`, `type_aware`, `direct`, `permutations` or `triples`.
+    /// `generate`, `parse`, `inference`, `freeze`, `type_aware`, `direct`,
+    /// `permutations` or `triples`.
     pub structure: &'static str,
     /// Wall-clock milliseconds the build took.
     pub ms: f64,
@@ -129,6 +133,28 @@ fn timed<T>(structure: &'static str, build: impl FnOnce() -> (T, u64)) -> (T, St
     (built, record)
 }
 
+/// Heap and mapped bytes of a dataset's dictionary and triple table.
+fn dataset_bytes(dataset: &Dataset) -> u64 {
+    total(dataset.dictionary.memory()) + total(dataset.triples.memory())
+}
+
+impl StructureBuild {
+    /// Runs `produce`, the stage that yields a store's dataset — `generate`
+    /// or `parse` — and returns the dataset with the record of that stage
+    /// (for [`Store::record_source`](crate::Store::record_source)).
+    pub fn produce<E>(
+        stage: &'static str,
+        produce: impl FnOnce() -> Result<Dataset, E>,
+    ) -> Result<(Dataset, Self), E> {
+        let (dataset, record) = timed(stage, || {
+            let dataset = produce();
+            let bytes = dataset.as_ref().map_or(0, dataset_bytes);
+            (dataset, bytes)
+        });
+        Ok((dataset?, record))
+    }
+}
+
 impl Backend {
     /// Builds what every plan reads: materializes the RDFS closure when
     /// `inference` is set, freezes the dataset — before the graph build, so
@@ -138,13 +164,17 @@ impl Backend {
     /// out: the load's peak is the served store, and the graph holds every
     /// triple.
     pub fn build(mut dataset: Dataset, inference: bool) -> Self {
+        let mut builds = Vec::new();
         if inference {
-            InferenceEngine::default().materialize(&mut dataset);
+            let ((), build) = timed("inference", || {
+                InferenceEngine::default().materialize(&mut dataset);
+                ((), dataset_bytes(&dataset))
+            });
+            builds.push((build, None));
         }
         let ((), freeze) = timed("freeze", || {
             dataset.freeze();
-            let bytes = total(dataset.dictionary.memory()) + total(dataset.triples.memory());
-            ((), bytes)
+            ((), dataset_bytes(&dataset))
         });
         let Dataset {
             dictionary,
@@ -157,6 +187,7 @@ impl Backend {
             (graph, bytes)
         });
         debug_assert_eq!(type_aware.triple_count(), triple_count);
+        builds.extend([(freeze, None), (type_aware_build, None)]);
         Backend {
             dictionary,
             type_aware,
@@ -164,7 +195,7 @@ impl Backend {
             direct: OnceLock::new(),
             permutations: OnceLock::new(),
             origin: Origin::Heap,
-            builds: Mutex::new(vec![(freeze, None), (type_aware_build, None)]),
+            builds: Mutex::new(builds),
         }
     }
 
@@ -322,6 +353,11 @@ impl Backend {
         let by = first_use.then(|| std::thread::current().id());
         self.builds.lock().push((record, by));
         built
+    }
+
+    /// Records the stage that produced the dataset, ahead of every build.
+    pub fn record_source(&self, source: StructureBuild) {
+        self.builds.lock().insert(0, (source, None));
     }
 
     /// Every build so far, load-time ones first.

@@ -318,11 +318,20 @@ impl Store {
         self.backend.memory()
     }
 
-    /// Every structure build so far with its duration: `freeze` and
-    /// `type_aware` at load, then the first-use builds (`direct`,
-    /// `permutations`, `triples`).
+    /// Every structure build so far with its duration: the recorded
+    /// source (see [`record_source`](Self::record_source)), `inference`,
+    /// `freeze` and `type_aware` at load, then the first-use builds
+    /// (`direct`, `permutations`, `triples`).
     pub fn builds(&self) -> Vec<StructureBuild> {
         self.backend.builds()
+    }
+
+    /// Records the stage that produced the dataset this store was built
+    /// from — `generate` or `parse`, timed by the caller with
+    /// [`StructureBuild::produce`] — so that a boot's split has no
+    /// unlabelled part: [`builds`](Self::builds) lists it first.
+    pub fn record_source(&self, source: StructureBuild) {
+        self.backend.record_source(source);
     }
 
     /// The first-use builds the calling thread ran and that no caller has

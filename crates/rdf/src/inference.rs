@@ -91,10 +91,13 @@ impl InferenceEngine {
             }
         }
 
+        // The store only appends: each rule below walks the triples it
+        // started with as a prefix, by index, and copies none of them.
+
         // ---- 2. Property propagation (rdfs7) ---------------------------
         if !subproperty_closure.is_empty() {
-            let originals: Vec<Triple> = dataset.triples.iter().copied().collect();
-            for t in originals {
+            for i in 0..dataset.triples.len() {
+                let t = dataset.triples.as_slice()[i];
                 if t.p == rdf_type || t.p == subclassof || t.p == subpropertyof {
                     continue;
                 }
@@ -112,8 +115,8 @@ impl InferenceEngine {
         let domains = collect_pairs(dataset, domain);
         let ranges = collect_pairs(dataset, range);
         if !domains.is_empty() || !ranges.is_empty() {
-            let snapshot: Vec<Triple> = dataset.triples.iter().copied().collect();
-            for t in snapshot {
+            for i in 0..dataset.triples.len() {
+                let t = dataset.triples.as_slice()[i];
                 if t.p == rdf_type
                     || t.p == subclassof
                     || t.p == subpropertyof
@@ -143,13 +146,11 @@ impl InferenceEngine {
         // Runs last so that domain/range-derived types are also lifted to
         // their superclasses.
         if !subclass_closure.is_empty() {
-            let typed: Vec<Triple> = dataset
-                .triples
-                .iter()
-                .filter(|t| t.p == rdf_type)
-                .copied()
-                .collect();
-            for t in typed {
+            for i in 0..dataset.triples.len() {
+                let t = dataset.triples.as_slice()[i];
+                if t.p != rdf_type {
+                    continue;
+                }
                 if let Some(supers) = subclass_closure.get(&t.o) {
                     for &sup in supers {
                         if dataset.triples.insert(Triple::new(t.s, rdf_type, sup)) {

@@ -58,15 +58,6 @@ impl TripleStore {
         Self::default()
     }
 
-    /// Creates an empty store with capacity for `capacity` triples.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TripleStore {
-            triples: Vec::with_capacity(capacity),
-            seen: vec![0; slots_for(capacity)],
-            hasher: RandomState::new(),
-        }
-    }
-
     /// Probes `self.seen` for `triple`: its index in `triples`, or else the
     /// empty slot that ends its probe sequence.
     fn probe(&self, triple: &Triple) -> Result<usize, usize> {

@@ -24,7 +24,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
-use turbohom_engine::{AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions};
+use turbohom_engine::{
+    AnyStore, EngineKind, ShardedOptions, ShardedStore, Store, StoreOptions, StructureBuild,
+};
 use turbohom_rdf::parse_ntriples;
 use turbohom_service::{HttpServer, QueryService, ServiceConfig, MAX_THREADS};
 
@@ -186,22 +188,28 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
         AnyStore::Single(Arc::new(store))
     } else {
-        let dataset = if let Some(path) = &args.ntriples {
+        let (dataset, source) = if let Some(path) = &args.ntriples {
             eprintln!("loading N-Triples from {path} ...");
-            let input =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            parse_ntriples(&input).map_err(|e| format!("cannot parse {path}: {e}"))?
+            StructureBuild::produce("parse", || {
+                let input = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                parse_ntriples(&input).map_err(|e| format!("cannot parse {path}: {e}"))
+            })?
         } else {
             eprintln!("generating LUBM({}) ...", args.lubm_scale);
-            LubmGenerator::new(LubmConfig::scale(args.lubm_scale)).generate()
+            StructureBuild::produce("generate", || {
+                Ok::<_, String>(LubmGenerator::new(LubmConfig::scale(args.lubm_scale)).generate())
+            })?
         };
-        if args.shards > 1 {
+        let store = if args.shards > 1 {
             let store = ShardedStore::from_dataset_with(dataset, sharded_options)
                 .map_err(|e| format!("cannot shard the store: {e}"))?;
             AnyStore::Sharded(Arc::new(store))
         } else {
             AnyStore::Single(Arc::new(Store::from_dataset_with(dataset, options)))
-        }
+        };
+        store.store().record_source(source);
+        store
     };
     // Whatever plans of the default engine read beyond the type-aware graph
     // is built now, not by the first request. (Another engine named by a
@@ -212,8 +220,19 @@ fn run() -> Result<(), String> {
     let shard_note = store.sharded().map_or(String::new(), |s| {
         format!(", {} shards of one store", s.shard_count())
     });
+    // Where the load went: each stage by name, and what no stage covers.
+    let builds = one.builds();
+    let split = if builds.is_empty() {
+        String::new()
+    } else {
+        let stages = builds
+            .iter()
+            .map(|b| format!("{} {:.1} ms, ", b.structure, b.ms));
+        let other = load_ms - builds.iter().map(|b| b.ms).sum::<f64>();
+        format!("; {}other {other:.1} ms", stages.collect::<String>())
+    };
     eprintln!(
-        "store ready: {} triples in {load_ms:.1} ms ({} backend{}{shard_note})",
+        "store ready: {} triples in {load_ms:.1} ms ({} backend{}{shard_note}{split})",
         one.triple_count(),
         store.backend_name(),
         if one.is_mapped() { ", mmap" } else { "" },

@@ -110,12 +110,14 @@ pub enum JournalEvent {
         triples: usize,
         /// Whether the store is served from a memory-mapped snapshot.
         mapped: bool,
-        /// Per structure (`freeze`, `type_aware`, `direct`, `permutations`)
-        /// built before the service started: the milliseconds it took, and
-        /// the process's resident high-water mark right after it (both 0 for
-        /// a structure not built yet, or mapped instead of built). Rendered as
-        /// `<structure>_ms` and `<structure>_peak_bytes` members.
-        builds: [(&'static str, f64, u64); 4],
+        /// Per load stage that ran (`generate` or `parse`, the dataset's
+        /// source, and `inference`) and per structure (`freeze`,
+        /// `type_aware`, `direct`, `permutations`) built before the service
+        /// started: the milliseconds it took, and the process's resident
+        /// high-water mark right after it (both 0 for a structure not built
+        /// yet, or mapped instead of built). Rendered as `<stage>_ms` and
+        /// `<stage>_peak_bytes` members.
+        builds: Vec<(&'static str, f64, u64)>,
     },
     /// A derived structure was built by the first plan that reads it; the
     /// entry's trace id is the request that caused (and waited for) it.
@@ -497,7 +499,8 @@ mod tests {
                 backend: "heap",
                 triples: 42,
                 mapped: false,
-                builds: [
+                builds: vec![
+                    ("generate", 0.5, 40 << 20),
                     ("freeze", 1.0, 50 << 20),
                     ("type_aware", 2.0, 110 << 20),
                     ("direct", 0.0, 0),
@@ -519,6 +522,9 @@ mod tests {
         assert!(lines[0].contains("\"trace\":null"));
         assert!(lines[0].contains("\"event\":\"store_loaded\""));
         assert!(lines[0].contains("\"triples\":42"));
+        assert!(lines[0].contains(
+            "\"generate_ms\":0.500,\"generate_peak_bytes\":41943040,\"freeze_ms\":1.000,"
+        ));
         assert!(lines[0].contains("\"type_aware_ms\":2.000,\"type_aware_peak_bytes\":115343360,"));
         assert!(lines[1].contains("\"trace\":\"000000000000002a\""));
         assert!(lines[1].contains("\"event\":\"query_admitted\""));
@@ -562,7 +568,7 @@ mod tests {
                 backend: "heap",
                 triples: 9,
                 mapped: false,
-                builds: [("freeze", 0.0, 0); 4],
+                builds: vec![("freeze", 0.0, 0)],
             },
             JournalEvent::StructureBuilt {
                 structure: "permutations",

@@ -342,12 +342,19 @@ impl QueryService {
             store,
         };
         let built = service.store.store().builds();
-        let builds = ["freeze", "type_aware", "direct", "permutations"].map(|structure| {
+        // The stages a heap load may have run are reported where they ran;
+        // the structures every store has are reported always (0 where not
+        // built, or mapped instead).
+        let ran = ["generate", "parse", "inference"].into_iter();
+        let ran = ran.filter(|stage| built.iter().any(|b| b.structure == *stage));
+        let always = ["freeze", "type_aware", "direct", "permutations"];
+        let builds = ran.chain(always).map(|structure| {
             let of_structure = built.iter().filter(|b| b.structure == structure);
             of_structure.fold((structure, 0.0, 0), |(_, ms, peak), b| {
                 (structure, ms + b.ms, peak.max(b.peak_bytes))
             })
         });
+        let builds = builds.collect();
         service.journal.record(
             None,
             0.0,

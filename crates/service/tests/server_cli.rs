@@ -2,7 +2,8 @@
 //! that an earlier build wrote for a sharded store, a sharded store to save,
 //! a halo radius to set, RDFS inference over anything but an N-Triples
 //! file, a thread count outside `1..=MAX_THREADS` — with a message, and
-//! exits before it binds or writes anything.
+//! exits before it binds or writes anything. What it does load, it times
+//! stage by stage on its `store ready` line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -148,6 +149,60 @@ fn inference_applies_to_an_ntriples_file_alone() {
     let output = server(&["--ntriples", data, "--inference", "--save-snapshot", path]);
     assert!(output.status.success(), "{}", stderr(&output));
     assert!(Store::from_snapshot(&snap).unwrap().options().inference);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `store ready` line's total milliseconds, and its split: each stage
+/// with its milliseconds, `other` last.
+fn ready_split(printed: &str) -> (f64, Vec<(String, f64)>) {
+    let line = printed.lines().find(|l| l.starts_with("store ready: "));
+    let line = line.unwrap_or_else(|| panic!("no store ready line: {printed}"));
+    let ms = |text: &str| text.trim_end_matches(" ms").parse::<f64>().unwrap();
+    let total = ms(line
+        .split(" in ")
+        .nth(1)
+        .unwrap()
+        .split(" (")
+        .next()
+        .unwrap());
+    let split = line.rsplit_once("; ").unwrap().1.trim_end_matches(')');
+    let stages = split.split(", ").map(|stage| {
+        let (name, time) = stage.split_once(' ').unwrap();
+        (name.to_string(), ms(time))
+    });
+    (total, stages.collect())
+}
+
+/// A heap boot names every stage of its load, the one that produced the
+/// dataset first, and what they leave of the total is `other`.
+#[test]
+fn the_ready_line_splits_the_load_by_stage() {
+    let dir = scratch_dir("split");
+    let (data, snap) = (dir.join("sample.nt"), dir.join("sample.snap"));
+    std::fs::write(&data, SAMPLE).unwrap();
+    let (data, path) = (data.to_str().unwrap(), snap.to_str().unwrap());
+    for (args, expected) in [
+        (
+            &["--lubm", "1"][..],
+            &["generate", "freeze", "type_aware", "other"][..],
+        ),
+        (
+            &["--ntriples", data, "--inference"],
+            &["parse", "inference", "freeze", "type_aware", "other"],
+        ),
+    ] {
+        let output = server(&[args, &["--save-snapshot", path]].concat());
+        assert!(output.status.success(), "{}", stderr(&output));
+        let (total, stages) = ready_split(&stderr(&output));
+        let names: Vec<&str> = stages.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, expected, "{args:?}");
+        // Each figure is rounded to 0.1 ms.
+        let sum: f64 = stages.iter().map(|(_, ms)| ms).sum();
+        assert!(
+            (sum - total).abs() <= 0.05 * (stages.len() + 1) as f64,
+            "{args:?}: {stages:?} of {total}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
