@@ -15,7 +15,8 @@ use std::time::Instant;
 use turbohom_baseline::PermutationIndexes;
 use turbohom_rdf::{Dataset, Dictionary, InferenceEngine};
 use turbohom_storage::{
-    process_resident_bytes, FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter,
+    process_resident_bytes, trim_free_heap, FlatVec, MemoryUse, SectionCursor, SnapshotError,
+    SnapshotWriter,
 };
 use turbohom_transform::{direct_transform, type_aware_transform, TransformedGraph};
 
@@ -46,8 +47,11 @@ const TAG_STORE_META: u64 = 0x0901;
 /// (`0x0102`) index, and its arena (`0x0101`) only the rest. 12: a term
 /// record (`0x0102`) is 16 bytes, its extra string ending where the next
 /// record's strings begin, and the numeric views lie beside the records
-/// (`0x0106`).
-const STORE_FORMAT_SUB_VERSION: u64 = 12;
+/// (`0x0106`). 13: term ids are in key order, so the records are their own
+/// sorted array and the dictionary keeps no sorted ids (`0x0103`); nor does
+/// a graph keep its term → label arrays (`0x0603`/`0x0605`), which are
+/// derived from the label → term ones at load.
+const STORE_FORMAT_SUB_VERSION: u64 = 13;
 
 /// One line of the memory ledger ([`Store::memory`](crate::Store::memory)):
 /// the bytes of one part of one component. A derived structure that has not
@@ -343,6 +347,9 @@ impl Backend {
         })
     }
 
+    /// Runs a build on first use and records it. The build's temporaries
+    /// are freed by now: the allocator hands their pages back, or it would
+    /// keep them resident.
     fn record<T>(
         &self,
         structure: &'static str,
@@ -350,6 +357,7 @@ impl Backend {
         build: impl FnOnce() -> (T, u64),
     ) -> T {
         let (built, record) = timed(structure, build);
+        trim_free_heap();
         let by = first_use.then(|| std::thread::current().id());
         self.builds.lock().push((record, by));
         built

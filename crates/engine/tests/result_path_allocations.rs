@@ -83,8 +83,7 @@ const TWO_TRIANGLES: &str = "PREFIX ex: <http://ex.org/> \
     ?h ex:a ?l1 . ?l1 ex:b ?l2 . ?l2 ex:c ?h . \
     ?h ex:d ?r1 . ?r1 ex:e ?r2 . ?r2 ex:f ?h . }";
 
-/// `n` students over 16 departments, inserted — and so numbered — in an
-/// order that is not the order of their IRIs.
+/// `n` students over 16 departments.
 fn student_store(n: usize) -> Store {
     let mut dataset = Dataset::new();
     for i in 0..n {
@@ -100,18 +99,30 @@ fn student_store(n: usize) -> Store {
 #[test]
 fn an_unlimited_scan_leaves_in_enumeration_order() {
     let _alone = alone();
-    let store = student_store(16_000);
+    // Students in 16 departments. The scan starts at the smaller side, the
+    // departments, so its rows come grouped by department: not sorted by
+    // student, though ids are in IRI order.
+    let mut dataset = Dataset::new();
+    for i in 0..16_000 {
+        let student = format!("http://ex.org/student{i}");
+        dataset.insert_iris(&student, vocab::RDF_TYPE, "http://ex.org/Student");
+        let dept = format!("http://ex.org/dept{}", i % 16);
+        dataset.insert_iris(&student, "http://ex.org/memberOf", &dept);
+    }
+    let store = Store::from_dataset(dataset);
+    let members = "SELECT ?x ?d WHERE { ?x a <http://ex.org/Student> . \
+        ?x <http://ex.org/memberOf> ?d . }";
     let kind = EngineKind::TurboHomPlusPlus;
     // A LIMIT no result reaches stops nothing early and reorders nothing.
     let enumerated = store
-        .execute(&format!("{SCAN} LIMIT 1000000000"), kind)
+        .execute(&format!("{members} LIMIT 1000000000"), kind)
         .unwrap();
-    let unlimited = store.execute(SCAN, kind).unwrap();
+    let unlimited = store.execute(members, kind).unwrap();
     assert_eq!(unlimited.rows.len(), 16_000);
     assert!(unlimited.rows == enumerated.rows, "the scan was reordered");
     let mut sorted = unlimited.rows.clone();
     sorted.sort();
-    assert!(sorted != unlimited.rows, "id order is IRI order here");
+    assert!(sorted != unlimited.rows, "the rows come sorted here");
 }
 
 #[test]

@@ -134,7 +134,6 @@ fn ledger_line(tag: u64) -> Option<(&'static str, &'static str)> {
         0x0704 | 0x0705 => (graph, "csr"),
         0x0101 => ("dictionary", "arena"),
         0x0102 => ("dictionary", "records"),
-        0x0103 => ("dictionary", "sorted"),
         0x0104 | 0x0105 => ("dictionary", "shared"),
         0x0106 => ("dictionary", "numbers"),
         0x0302..=0x0304 => (graph, "labels"),
@@ -197,11 +196,16 @@ fn every_ledger_line_is_the_bytes_of_its_snapshot_sections() {
                 .iter()
                 .find(|(l, _)| *l == line)
                 .unwrap_or_else(|| panic!("no section for {line:?}"));
-            // The one line that is more than its sections: the predicate
-            // index's summary is derived at load and lies on the heap.
+            // The lines that are more than their sections: the predicate
+            // index's summary and the term → label entries (8 bytes per
+            // label) are derived at load and lie on the heap.
+            let graph = store.type_aware_graph();
             let derived = match line {
-                ("type_aware", "predicate_index") => {
-                    derived_summary_bytes(store.type_aware_graph())
+                ("type_aware", "predicate_index") => derived_summary_bytes(graph),
+                ("type_aware", "mappings") => {
+                    let labels =
+                        graph.mappings.vlabel_to_term.len() + graph.mappings.elabel_to_term.len();
+                    8 * labels as u64
                 }
                 _ => 0,
             };
@@ -296,10 +300,11 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
     // (each graph still stored the type groups that filter nothing), 8
     // (the direct graph followed the type-aware one), 9 (the triple table
     // followed the dictionary), 10 (the dictionary stored every IRI and
-    // datatype IRI whole) or 11 (a term record was 32 bytes, with its extra
-    // string's range and its numeric view).
+    // datatype IRI whole), 11 (a term record was 32 bytes, with its extra
+    // string's range and its numeric view) or 12 (term ids followed first
+    // appearance, and a permutation held their key order).
     let path = temp_path("subversion.snap");
-    for found in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11] {
+    for found in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12] {
         let mut w = turbohom_storage::SnapshotWriter::new();
         w.section::<u64>(0x0901, &[found, 0, 3]);
         w.write_to(&path).unwrap();
@@ -308,7 +313,7 @@ fn an_older_sub_version_snapshot_is_refused_with_a_version_mismatch() {
             err,
             StoreError::Snapshot(SnapshotError::VersionMismatch {
                 found: found as u32,
-                expected: 12
+                expected: 13
             })
         );
     }
@@ -332,7 +337,7 @@ fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
 
     let mut w = turbohom_storage::SnapshotWriter::new();
     let triples = small.triple_count() as u64;
-    w.section::<u64>(0x0901, &[12, 1, triples]);
+    w.section::<u64>(0x0901, &[13, 1, triples]);
     small.dictionary().write_sections(&mut w);
     graph.write_sections(&mut w);
     let path = temp_path("rows.snap");
@@ -357,7 +362,7 @@ fn a_meta_triple_count_that_is_not_the_graphs_is_refused() {
     let path = temp_path("count.snap");
     for saved in [held - 1, held + 1] {
         let mut w = turbohom_storage::SnapshotWriter::new();
-        w.section::<u64>(0x0901, &[12, 1, saved as u64]);
+        w.section::<u64>(0x0901, &[13, 1, saved as u64]);
         store.dictionary().write_sections(&mut w);
         graph.write_sections(&mut w);
         w.write_to(&path).unwrap();
@@ -371,7 +376,7 @@ fn a_meta_triple_count_that_is_not_the_graphs_is_refused() {
     }
     // The same sections with the right count open.
     let mut w = turbohom_storage::SnapshotWriter::new();
-    w.section::<u64>(0x0901, &[12, 1, held as u64]);
+    w.section::<u64>(0x0901, &[13, 1, held as u64]);
     store.dictionary().write_sections(&mut w);
     graph.write_sections(&mut w);
     w.write_to(&path).unwrap();
@@ -479,7 +484,7 @@ fn overwrite_u32(bytes: &mut [u8], tag: u64, at: usize, value: u32) {
 
 #[test]
 fn a_dictionary_shared_string_or_iri_split_that_is_wrong_is_refused() {
-    // The dictionary's first term is `http://ub.org/GraduateStudent`: its
+    // The dictionary's first term in key order is `http://ub.org/Department`: its
     // record (0x0102) names shared string 1, the namespace
     // `http://ub.org/` (0x0104), and the arena (0x0101) starts with its
     // local name. Shared string 0 is the empty string (0x0105 holds
@@ -501,8 +506,8 @@ fn a_dictionary_shared_string_or_iri_split_that_is_wrong_is_refused() {
         ),
         // `http://ub.orgx`: a namespace that ends in neither '/' nor '#'.
         (0x0104, 10, word(b"orgx"), split),
-        // `G/aduateStudent`: a local name that holds a '/'.
-        (0x0101, 0, word(b"G/ad"), split),
+        // `D/partment`: a local name that holds a '/'.
+        (0x0101, 0, word(b"D/pa"), split),
         // The empty string marked as needing a JSON escape.
         (
             0x0105,
@@ -524,7 +529,7 @@ fn a_dictionary_shared_string_or_iri_split_that_is_wrong_is_refused() {
     for (tag, at, value) in [
         (0x0102, 8, 1 << 5 | 1 << 4),
         (0x0104, 10, word(b"org/")),
-        (0x0101, 0, word(b"Grad")),
+        (0x0101, 0, word(b"Depa")),
     ] {
         let mut bytes = original.clone();
         overwrite_u32(&mut bytes, tag, at, value);

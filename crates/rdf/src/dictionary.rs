@@ -42,25 +42,24 @@
 //! arena refuses to grow past `u32::MAX` bytes, as the ids refuse the 2³²-th
 //! term and the shared table its 2²⁷-th string.
 //!
-//! Lookups and the sorted ids order terms as if nothing were shared: by kind,
-//! the whole lexical form, then the whole extra string (datatype IRI, then
-//! language tag), each compared piece by piece across the shared and the
-//! arena part. Two records that share their shared string compare by their
-//! arena strings alone.
+//! Terms are ordered as if nothing were shared: by kind, the whole lexical
+//! form, then the whole extra string (datatype IRI, then language tag), each
+//! compared piece by piece across the shared and the arena part. Two records
+//! that share their shared string compare by their arena strings alone.
 //!
-//! The lookup structure is one of two:
+//! A lookup (term → id) goes one of two ways:
 //!
 //! * **Hashed** while terms are being encoded — an open-addressing table of
 //!   ids, hashed over the key's pieces with a per-process keyed SipHash,
 //!   never stored. SipHash takes its input as a stream, so a split key hashes
 //!   as the whole one: encoding a known IRI hashes it once, whole, and
 //!   compares it once; only a new IRI looks up its namespace.
-//! * **Sorted** once served — the ids in key order, for binary search.
-//!   [`Dictionary::freeze`] sorts the ids and drops the table, and a snapshot
-//!   stores exactly the arena, the records, this permutation, the shared
-//!   table and the numeric views, so a mapped dictionary reads them in place: heap and snapshot
-//!   stores share one read path. `encode` on a sorted dictionary rebuilds the
-//!   table from the records (ids unchanged, no string copied).
+//! * **Binary search** once served. [`Dictionary::freeze`] drops the table
+//!   and renumbers the terms in key order, as HDT's dictionary does, so the
+//!   records are their own sorted array. A snapshot stores exactly the arena,
+//!   the records, the shared table and the numeric views, so a mapped
+//!   dictionary reads them in place: heap and snapshot stores share one read
+//!   path. Loading is one-shot: `encode` on a frozen dictionary is refused.
 
 use crate::term::{cmp_pieces, ends_namespace, IriRef, Term, TermRef};
 use std::borrow::Cow;
@@ -71,7 +70,7 @@ use turbohom_storage::{FlatVec, MemoryUse, Pod, SectionCursor, SnapshotError, Sn
 
 /// A dense identifier for a dictionary-encoded [`Term`].
 ///
-/// Ids are assigned sequentially starting from 0 in insertion order, so they
+/// Ids are dense from 0, in key order once the dictionary is frozen, so they
 /// double as indices into side arrays (the labeled graph uses them to index
 /// vertex metadata directly). They are 32 bits wide, as the graph's vertex
 /// ids and the id-row cells are: the dictionary refuses the 2³²-th term (see
@@ -100,7 +99,6 @@ impl std::fmt::Display for TermId {
 /// Snapshot section tags (component 0x01).
 const TAG_DICT_ARENA: u64 = 0x0101;
 const TAG_DICT_RECORDS: u64 = 0x0102;
-const TAG_DICT_SORTED: u64 = 0x0103;
 const TAG_DICT_SHARED_ARENA: u64 = 0x0104;
 const TAG_DICT_SHARED_RECORDS: u64 = 0x0105;
 const TAG_DICT_NUMBERS: u64 = 0x0106;
@@ -373,7 +371,7 @@ struct SharedStrings {
     records: FlatVec<SharedRecord>,
     /// While encoding: open addressing over `index + 1`, as the dictionary's
     /// own hash index, and like it never serialised. Empty once frozen or
-    /// mapped; the next new string rebuilds it.
+    /// mapped.
     index: Vec<u32>,
 }
 
@@ -405,13 +403,10 @@ impl SharedStrings {
         if self.index.len() < slots {
             self.index = vec![0; slots];
             for i in 0..id {
-                // A snapshot may list one string twice: the first keeps it.
-                let bytes = self.get(i as u32);
-                if let Err(slot) = probe(&self.index, hasher.hash_one(bytes), |j| {
-                    self.get(j) == bytes
-                }) {
-                    self.index[slot] = slot_entry(i);
-                }
+                // The strings are distinct: each takes the first empty slot.
+                let hash = hasher.hash_one(self.get(i as u32));
+                let slot = probe(&self.index, hash, |_| false).unwrap_err();
+                self.index[slot] = slot_entry(i);
             }
         }
         let bytes = text.as_bytes();
@@ -438,23 +433,12 @@ impl SharedStrings {
     }
 }
 
-/// The one structure that answers term → id.
-#[derive(Debug, Clone)]
-enum Lookup {
-    /// While encoding: open addressing with linear probing over slots of
-    /// `id + 1` (see [`slots_for`], [`slot_entry`]). Build-time state: never
-    /// serialised, and left to the memory ledger's `unaccounted` line.
-    Hashed(Vec<u32>),
-    /// Once frozen or mapped: term ids sorted by [`Key`] for binary search.
-    Sorted(FlatVec<u32>),
-}
-
 /// A bidirectional mapping between [`Term`]s and [`TermId`]s.
 ///
 /// Encoding is insert-or-get: encoding the same term twice yields the same
 /// id. Decoding is O(1) via the record array; `id_of` is O(1) while the
 /// dictionary is being encoded into and O(log n) (binary search over the
-/// arena) once it is frozen or mapped.
+/// records) once it is frozen or mapped.
 ///
 /// Invariant (what `term_ref` relies on): the first record's strings begin
 /// at arena offset 0, and every record's lexical form ends at or before the
@@ -463,9 +447,9 @@ enum Lookup {
 /// UTF-8 boundaries and hold valid UTF-8. A record's shared index names a
 /// string of `shared`, whose range lies likewise inside the shared arena and
 /// holds valid UTF-8, and its numeric index, when its `NUMERIC` bit is set,
-/// an entry of `numbers`. `encode_key` and `read_sections` are the only
-/// places that add records, and nothing rewrites a byte any array already
-/// holds.
+/// an entry of `numbers`. Frozen or mapped, each key orders strictly after
+/// the previous record's (what `id_of` relies on). Nothing rewrites a byte
+/// of an array in place.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
     arena: FlatVec<u8>,
@@ -473,7 +457,10 @@ pub struct Dictionary {
     shared: SharedStrings,
     /// The numeric views of the terms that have one, in id order.
     numbers: FlatVec<f64>,
-    lookup: Lookup,
+    /// While encoding: open addressing with linear probing over slots of
+    /// `id + 1` ([`slots_for`], [`slot_entry`]), never serialised and left to
+    /// the ledger's `unaccounted` line. Empty once frozen or mapped.
+    index: Vec<u32>,
     /// Keys the hash indexes. Per process and random, so terms from outside
     /// (`--ntriples`) cannot be chosen to collide.
     hasher: RandomState,
@@ -498,33 +485,51 @@ impl Dictionary {
             records: Vec::with_capacity(capacity).into(),
             shared: SharedStrings::new(),
             numbers: FlatVec::new(),
-            lookup: Lookup::Hashed(vec![0; slots_for(capacity)]),
+            index: vec![0; slots_for(capacity)],
             hasher: RandomState::new(),
         }
     }
 
-    /// Returns `true` if lookups go through the sorted ids: the dictionary
-    /// was frozen, or is read in place from a snapshot.
+    /// Returns `true` if the ids are in key order: the dictionary was frozen,
+    /// or is read in place from a snapshot.
     pub fn is_frozen(&self) -> bool {
-        matches!(self.lookup, Lookup::Sorted(_))
+        self.index.is_empty()
     }
 
-    /// Ends loading: sorts the ids for binary search, drops the hash indexes
-    /// and the arrays' spare capacity. Ids, lookups and iteration order are
-    /// unchanged; a later `encode` builds the indexes again. A no-op on a
-    /// dictionary that is already frozen.
-    pub fn freeze(&mut self) {
-        if let Lookup::Hashed(_) = self.lookup {
-            self.lookup = Lookup::Sorted(self.sorted_ids().into());
-            self.shared.index = Vec::new();
-            if !self.arena.is_view() {
-                self.arena.to_mut().shrink_to_fit();
-                self.records.to_mut().shrink_to_fit();
-                self.shared.arena.to_mut().shrink_to_fit();
-                self.shared.records.to_mut().shrink_to_fit();
-                self.numbers.to_mut().shrink_to_fit();
-            }
+    /// Ends loading: drops the hash indexes and renumbers the terms in key
+    /// order, rewriting the arena, the records and the numeric views. Returns
+    /// each old id's new id (the identity if already frozen) for the caller.
+    #[must_use = "the terms' ids change"]
+    pub fn freeze(&mut self) -> Vec<TermId> {
+        if self.is_frozen() {
+            return (0..self.len() as u32).map(TermId).collect();
         }
+        self.index = Vec::new();
+        self.shared.index = Vec::new();
+        self.shared.arena.to_mut().shrink_to_fit();
+        self.shared.records.to_mut().shrink_to_fit();
+        let sorted = self.sorted_ids();
+        let mut arena = Vec::with_capacity(self.arena.len());
+        let mut records = Vec::with_capacity(sorted.len());
+        let mut numbers = Vec::with_capacity(self.numbers.len());
+        let mut new_ids = vec![TermId(0); sorted.len()];
+        for (new, &old) in sorted.iter().enumerate() {
+            let mut record = self.records[old as usize];
+            // The term's strings in one run, as `encode_key` wrote them.
+            let end = (self.records.get(old as usize + 1))
+                .map_or(self.arena.len(), |next| next.off as usize);
+            let strings = &self.arena[record.off as usize..end];
+            record.off = arena_offset(arena.len());
+            arena.extend_from_slice(strings);
+            if let Some(i) = record.number() {
+                record.number = numbers.len() as u32;
+                numbers.push(self.numbers[i as usize]);
+            }
+            records.push(record);
+            new_ids[old as usize] = TermId(new as u32);
+        }
+        (self.arena, self.records, self.numbers) = (arena.into(), records.into(), numbers.into());
+        new_ids
     }
 
     /// The arena strings of record `id`, `record`: its lexical form and its
@@ -579,13 +584,9 @@ impl Dictionary {
         }
     }
 
-    /// The ids in key order.
-    ///
-    /// Two records of one kind that name the same shared string differ only
-    /// in their arena strings, and are compared by those alone. Two IRIs
-    /// whose namespaces are each the prefix of no other shared string differ
-    /// within the shorter namespace, and are ordered by their namespaces'
-    /// ranks in text order.
+    /// The ids in key order. Two IRIs whose namespaces are each the prefix of
+    /// no other shared string differ within the shorter namespace, and are
+    /// ordered by their namespaces' ranks in text order.
     fn sorted_ids(&self) -> Vec<u32> {
         let shared = &self.shared;
         let mut by_text: Vec<u32> = (0..shared.records.len() as u32).collect();
@@ -603,34 +604,32 @@ impl Dictionary {
         let mut sorted: Vec<u32> = (0..records.len() as u32).collect();
         sorted.sort_unstable_by(|&a, &b| {
             let (ra, rb) = (&records[a as usize], &records[b as usize]);
-            if ra.code() == rb.code() {
-                if ra.shared() == rb.shared() {
-                    return self
-                        .strings(a as usize, ra)
-                        .cmp(&self.strings(b as usize, rb));
-                }
-                let (ka, kb) = (rank[ra.shared() as usize], rank[rb.shared() as usize]);
-                if ra.code() == KIND_IRI && ka != u32::MAX && kb != u32::MAX {
-                    return ka.cmp(&kb);
-                }
+            let (ka, kb) = (rank[ra.shared() as usize], rank[rb.shared() as usize]);
+            let iris = ra.code() == KIND_IRI && rb.code() == KIND_IRI;
+            if iris && ka != kb && ka.max(kb) != u32::MAX {
+                return ka.cmp(&kb);
             }
-            self.key(a).cmp(&self.key(b))
+            self.cmp_ids(a, b)
         });
         sorted
     }
 
-    /// Heap and mapped bytes of the flat arrays; `sorted` is zero until the
-    /// dictionary is frozen, `shared` is the shared table's arena and
-    /// records together, and `numbers` the numeric views.
-    pub fn memory(&self) -> [(&'static str, MemoryUse); 5] {
-        let sorted = match &self.lookup {
-            Lookup::Sorted(sorted) => sorted.into(),
-            Lookup::Hashed(_) => MemoryUse::default(),
-        };
+    /// How records `a` and `b` order: by their arena strings alone when they
+    /// share their kind and their shared string, else by their keys.
+    fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
+        let (ra, rb) = (&self.records[a as usize], &self.records[b as usize]);
+        if ra.code() == rb.code() && ra.shared() == rb.shared() {
+            return (self.strings(a as usize, ra)).cmp(&self.strings(b as usize, rb));
+        }
+        self.key(a).cmp(&self.key(b))
+    }
+
+    /// Heap and mapped bytes of the flat arrays: `shared` is the shared
+    /// table's arena and records together, and `numbers` the numeric views.
+    pub fn memory(&self) -> [(&'static str, MemoryUse); 4] {
         [
             ("arena", (&self.arena).into()),
             ("records", (&self.records).into()),
-            ("sorted", sorted),
             ("shared", self.shared.memory()),
             ("numbers", (&self.numbers).into()),
         ]
@@ -646,41 +645,48 @@ impl Dictionary {
     }
 
     /// A hash index of `slots` slots over every record.
-    fn index(&self, slots: usize) -> Vec<u32> {
+    fn rehash(&self, slots: usize) -> Vec<u32> {
         let mut table = vec![0; slots];
         for id in 0..self.records.len() {
-            // A snapshot may list one term under two ids: the first keeps it.
-            if let Err(slot) = self.probe(&table, self.key(id as u32)) {
-                table[slot] = slot_entry(id);
-            }
+            // The keys are distinct: each takes the first empty slot.
+            let hash = self.key(id as u32).hash(&self.hasher);
+            let slot = probe(&table, hash, |_| false).unwrap_err();
+            table[slot] = slot_entry(id);
         }
         table
     }
 
     fn lookup_key(&self, key: Key<'_>) -> Option<TermId> {
-        match &self.lookup {
-            Lookup::Hashed(table) => self.probe(table, key).ok(),
-            Lookup::Sorted(sorted) => sorted
-                .binary_search_by(|&id| self.key(id).cmp(&key))
-                .ok()
-                .map(|pos| TermId(sorted[pos])),
+        if !self.is_frozen() {
+            return self.probe(&self.index, key).ok();
         }
+        let (mut lo, mut hi) = (0, self.records.len() as u32);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(mid).cmp(&key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(TermId(mid)),
+            }
+        }
+        None
     }
 
     /// Insert-or-get by the parts [`term_parts`] gives: a new term's arena
     /// strings are appended to the arena, once, its namespace or datatype
     /// IRI interned in the shared table, and its record indexed.
     fn encode_key(&mut self, kind: u32, lex: &str, datatype: &str, extra: &str) -> TermId {
+        assert!(
+            !self.is_frozen(),
+            "encode on a frozen dictionary: loading is one-shot"
+        );
         let id = self.records.len();
-        // Frozen, mapped or about to fill past one half: index (again).
+        // About to fill past one half: index again.
         let slots = slots_for(id + 1);
-        if !matches!(&self.lookup, Lookup::Hashed(table) if table.len() >= slots) {
-            self.lookup = Lookup::Hashed(self.index(slots));
+        if self.index.len() < slots {
+            self.index = self.rehash(slots);
         }
-        let Lookup::Hashed(table) = &self.lookup else {
-            unreachable!("indexed above");
-        };
-        let slot = match self.probe(table, Key::whole(kind, lex, datatype, extra)) {
+        let slot = match self.probe(&self.index, Key::whole(kind, lex, datatype, extra)) {
             Ok(id) => return id,
             Err(slot) => slot,
         };
@@ -721,19 +727,18 @@ impl Dictionary {
             kind: kind | numeric | plain | shared,
             number,
         });
-        if let Lookup::Hashed(table) = &mut self.lookup {
-            table[slot] = entry;
-        }
+        self.index[slot] = entry;
         TermId(entry - 1)
     }
 
     /// Returns the id for `term`, inserting it if it is not yet present.
+    /// Panics on a frozen or mapped dictionary: loading is one-shot.
     pub fn encode(&mut self, term: &Term) -> TermId {
         let (kind, lex, datatype, extra) = term_parts(term);
         self.encode_key(kind, lex, datatype, &extra)
     }
 
-    /// Convenience: encodes an IRI string.
+    /// Convenience: encodes an IRI string, as [`encode`](Self::encode) does.
     pub fn encode_iri(&mut self, iri: &str) -> TermId {
         self.encode_key(KIND_IRI, iri, "", "")
     }
@@ -789,10 +794,10 @@ impl Dictionary {
         // `encode` and `encode_iri` appended them from `&str`s (through
         // `encode_key`, which splits an IRI after an ASCII byte) in id order,
         // so each extra string ends where the next term's strings begin,
-        // `read_sections` validated every record's strings and every shared
-        // string with `from_utf8`, and no byte any array holds is rewritten
-        // afterwards (a mapped arena is a private read-only mapping, the
-        // premise `ByteStore` already rests on).
+        // `freeze` moved each term's strings whole, `read_sections` validated
+        // every record's strings and every shared string with `from_utf8`,
+        // and no byte any array holds is rewritten in place (a mapped arena
+        // is a private read-only mapping, the premise `ByteStore` rests on).
         // Validating here instead would cost a pass over the string on every
         // decoded cell of every result row.
         let text = |bytes| unsafe { std::str::from_utf8_unchecked(bytes) };
@@ -819,7 +824,7 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// Iterates over `(id, term)` pairs in id order.
+    /// Iterates over `(id, term)` pairs in id order: key order once frozen.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, Term)> + '_ {
         (0..self.len() as u32).map(move |i| {
             let id = TermId(i);
@@ -836,17 +841,12 @@ impl Dictionary {
         }
     }
 
-    /// Serializes the dictionary as snapshot sections (arena, records,
-    /// sorted permutation, shared arena, shared records, numeric views) —
-    /// see `docs/STORAGE.md`. The arrays are written as they are; a
-    /// dictionary not yet frozen sorts its ids for the write.
+    /// Serializes the frozen dictionary as snapshot sections (arena, records,
+    /// shared arena, shared records, numeric views) — see `docs/STORAGE.md`.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
+        assert!(self.is_frozen(), "a snapshot holds a frozen dictionary");
         w.section(TAG_DICT_ARENA, &self.arena);
         w.section(TAG_DICT_RECORDS, &self.records);
-        match &self.lookup {
-            Lookup::Sorted(sorted) => w.section(TAG_DICT_SORTED, sorted),
-            Lookup::Hashed(_) => w.section(TAG_DICT_SORTED, &self.sorted_ids()),
-        }
         w.section(TAG_DICT_SHARED_ARENA, &self.shared.arena);
         w.section(TAG_DICT_SHARED_RECORDS, &self.shared.records);
         w.section(TAG_DICT_NUMBERS, &self.numbers);
@@ -861,26 +861,29 @@ impl Dictionary {
     /// form's, bit for bit, so a FILTER over the view answers as over the
     /// text; and its `PLAIN` bit against its strings, so a crafted file
     /// cannot have the result writer copy a quote or a control byte into a
-    /// body unescaped. All of a record's checks read its strings in the one
-    /// pass.
+    /// body unescaped; and its key against the previous record's, which it
+    /// must order strictly after, so lookups find every term. All of a
+    /// record's checks read its strings in the one pass.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
         let malformed = |what: String| Err(SnapshotError::Malformed(what));
-        let arena: FlatVec<u8> = cur.next_section(TAG_DICT_ARENA)?;
-        let records: FlatVec<TermRecord> = cur.next_section(TAG_DICT_RECORDS)?;
-        let sorted: FlatVec<u32> = cur.next_section(TAG_DICT_SORTED)?;
-        let shared = SharedStrings {
-            arena: cur.next_section(TAG_DICT_SHARED_ARENA)?,
-            records: cur.next_section(TAG_DICT_SHARED_RECORDS)?,
+        let dictionary = Dictionary {
+            arena: cur.next_section(TAG_DICT_ARENA)?,
+            records: cur.next_section(TAG_DICT_RECORDS)?,
+            shared: SharedStrings {
+                arena: cur.next_section(TAG_DICT_SHARED_ARENA)?,
+                records: cur.next_section(TAG_DICT_SHARED_RECORDS)?,
+                index: Vec::new(),
+            },
+            numbers: cur.next_section(TAG_DICT_NUMBERS)?,
             index: Vec::new(),
+            hasher: RandomState::new(),
         };
-        let numbers: FlatVec<f64> = cur.next_section(TAG_DICT_NUMBERS)?;
-        if sorted.len() != records.len() {
-            return malformed("dictionary sort permutation length mismatch".into());
-        }
+        let (arena, records) = (&dictionary.arena, &dictionary.records);
+        let (shared, numbers) = (&dictionary.shared, &dictionary.numbers);
         let within = |arena: &[u8], off: u32, len: u32| {
             u64::from(off) + u64::from(len) <= arena.len() as u64
         };
-        // `encode_key` packs the index of every string it finds here.
+        // A record's kind word names at most this many.
         if shared.records.len() > 1 << (32 - SHARED_SHIFT) {
             return malformed(
                 "dictionary shared table holds more strings than a record can name".into(),
@@ -980,19 +983,12 @@ impl Dictionary {
                     "dictionary record {i}'s IRI is not split after its last '/' or '#'"
                 ));
             }
+            // Both records' strings are checked by now.
+            if i > 0 && dictionary.cmp_ids(i as u32 - 1, i as u32).is_ge() {
+                return malformed(format!("dictionary record {i} is not in key order"));
+            }
         }
-        let n = records.len() as u64;
-        if sorted.iter().any(|&id| u64::from(id) >= n) {
-            return malformed("dictionary sort permutation references an invalid id".into());
-        }
-        Ok(Dictionary {
-            arena,
-            records,
-            shared,
-            numbers,
-            lookup: Lookup::Sorted(sorted),
-            hasher: RandomState::new(),
-        })
+        Ok(dictionary)
     }
 }
 
@@ -1096,6 +1092,23 @@ mod tests {
         ]
     }
 
+    /// A frozen dictionary of `terms`, and each term's id in it.
+    fn frozen(terms: &[Term]) -> (Dictionary, Vec<TermId>) {
+        let mut d = Dictionary::new();
+        let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
+        let new_ids = d.freeze();
+        (d, ids.iter().map(|id| new_ids[id.index()]).collect())
+    }
+
+    /// What the dictionary orders `term` by, from its whole strings: the
+    /// kind, the lexical form (an IRI's whole text), the datatype IRI and the
+    /// extra string.
+    fn whole_key(term: &Term) -> (u32, String, String) {
+        let (kind, lex, datatype, extra) = term_parts(term);
+        (kind, lex.to_owned(), [datatype, &extra].concat())
+    }
+
+    /// The frozen dictionary `d` through a snapshot file.
     fn snapshot_view(d: &Dictionary, name: &str) -> Dictionary {
         let mut w = SnapshotWriter::new();
         d.write_sections(&mut w);
@@ -1111,9 +1124,8 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_preserves_ids_and_lookups() {
-        let mut d = Dictionary::new();
         let terms = sample_terms();
-        let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
+        let (d, ids) = frozen(&terms);
         let view = snapshot_view(&d, "roundtrip");
         assert!(view.is_frozen());
         assert_eq!(view.len(), d.len());
@@ -1125,41 +1137,57 @@ mod tests {
         assert_eq!(view.id_of_iri("http://ex.org/zzz"), None);
         assert!(view.id_of(&Term::literal("missing")).is_none());
         assert!(view.term(TermId(terms.len() as u32)).is_none());
-        let collected: Vec<Term> = view.iter().map(|(_, t)| t).collect();
-        assert_eq!(collected, terms);
+        let collected: Vec<(TermId, Term)> = view.iter().collect();
+        assert_eq!(collected, d.iter().collect::<Vec<_>>());
     }
 
     #[test]
-    fn freeze_keeps_ids_and_lookups_and_encode_thaws() {
+    fn freeze_renumbers_in_key_order_and_keeps_every_lookup() {
         let mut d = Dictionary::new();
         let terms = sample_terms();
         let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
-        // The arrays are on the ledger from the first `encode`; only the
-        // sorted ids wait for the freeze.
-        // One term, the integer `3`, has a numeric view.
-        let [arena, records, sorted, shared, numbers] = d.memory().map(|(_, m)| m.heap);
+        // The arrays are on the ledger from the first `encode`, and the
+        // freeze rewrites them at their size. One term, the integer `3`, has
+        // a numeric view.
+        let [arena, records, shared, numbers] = d.memory().map(|(_, m)| m.heap);
         assert!(arena > 0 && shared > 0);
-        assert_eq!(
-            (records, sorted, numbers),
-            ((terms.len() * 16) as u64, 0, 8)
-        );
-        d.freeze();
-        assert!(d.is_frozen());
-        let [arena, records, sorted, _, numbers] = d.memory().map(|(_, m)| m.heap);
         assert_eq!((records, numbers), ((terms.len() * 16) as u64, 8));
-        assert_eq!(sorted, (terms.len() * 4) as u64);
+        let new_ids = d.freeze();
+        assert!(d.is_frozen());
+        let [arena, records, _, numbers] = d.memory().map(|(_, m)| m.heap);
+        assert_eq!((records, numbers), ((terms.len() * 16) as u64, 8));
         assert!(arena > 0);
+        // The IRIs first, then the blank node, then the literals: plain
+        // (the empty one first), typed, language-tagged, both.
+        let order: Vec<u32> = ids.iter().map(|id| new_ids[id.index()].0).collect();
+        assert_eq!(order, [0, 1, 2, 4, 5, 6, 7, 3]);
         for (t, id) in terms.iter().zip(&ids) {
-            assert_eq!(d.term(*id).as_ref(), Some(t));
-            assert_eq!(d.id_of(t), Some(*id));
+            let id = new_ids[id.index()];
+            assert_eq!(d.term(id).as_ref(), Some(t));
+            assert_eq!(d.id_of(t), Some(id));
         }
-        assert_eq!(d.id_of_iri("http://ex.org/b"), Some(ids[1]));
-        d.freeze(); // a second freeze changes nothing
+        assert_eq!(d.id_of_iri("http://ex.org/b"), Some(TermId(1)));
+        // A second freeze changes nothing.
+        let again = d.freeze();
+        assert_eq!(
+            again,
+            (0..terms.len() as u32).map(TermId).collect::<Vec<_>>()
+        );
         assert_eq!(d.len(), terms.len());
-        // Encoding thaws: old ids stay, the new term gets the next one.
-        assert_eq!(d.encode(&terms[3]), ids[3]);
-        assert_eq!(d.encode_iri("http://ex.org/new").index(), terms.len());
-        assert!(!d.is_frozen());
+    }
+
+    #[test]
+    #[should_panic(expected = "encode on a frozen dictionary")]
+    fn encode_on_a_frozen_dictionary_is_refused() {
+        let (mut d, _) = frozen(&sample_terms());
+        d.encode(&Term::literal("plain"));
+    }
+
+    #[test]
+    #[should_panic(expected = "encode on a frozen dictionary")]
+    fn encode_on_a_mapped_dictionary_is_refused() {
+        let (d, _) = frozen(&sample_terms());
+        snapshot_view(&d, "encode").encode_iri("http://ex.org/new");
     }
 
     /// One term of each of the six kinds from three short strings.
@@ -1181,9 +1209,9 @@ mod tests {
 
     proptest::proptest! {
         /// The owned, the frozen and the snapshot-view form are one
-        /// dictionary: same length, same iteration order, same answer to
-        /// every `id_of` and `term_ref` — and thawing a frozen dictionary
-        /// keeps every id.
+        /// dictionary: same length and terms, the frozen and the view in key
+        /// order, each id the answer to `id_of` of its term — and a dataset's
+        /// triples decode to the same sequence before and after its freeze.
         #[test]
         fn owned_frozen_and_snapshot_forms_agree(
             specs in proptest::collection::vec(
@@ -1196,38 +1224,49 @@ mod tests {
                 .iter()
                 .map(|(kind, lex, dt, lang)| term_of_kind(*kind, lex, dt, lang))
                 .collect();
-            let mut owned = Dictionary::new();
-            let ids: Vec<TermId> = terms.iter().map(|t| owned.encode(t)).collect();
+            let mut owned = crate::Dataset::new();
+            for i in 0..terms.len() {
+                let term = |j: usize| &terms[j % terms.len()];
+                owned.insert(term(i), term(i * 7 + 1), term(i * 3 + 2));
+            }
+            let decoded = |d: &crate::Dataset| {
+                d.triples.iter().map(|t| d.decode(t)).collect::<Vec<_>>()
+            };
             let mut frozen = owned.clone();
             frozen.freeze();
-            let view = snapshot_view(&owned, &format!("prop-{case:x}"));
+            proptest::prop_assert_eq!(decoded(&frozen), decoded(&owned));
+            let view = snapshot_view(&frozen.dictionary, &format!("prop-{case:x}"));
             let absent = Term::iri("http://ex.org/absent/term");
-            for flat in [&frozen, &view] {
+            let owned = &owned.dictionary;
+            for flat in [&frozen.dictionary, &view] {
                 proptest::prop_assert!(flat.is_frozen());
                 proptest::prop_assert_eq!(flat.len(), owned.len());
-                proptest::prop_assert_eq!(
-                    flat.iter().collect::<Vec<_>>(),
-                    owned.iter().collect::<Vec<_>>()
-                );
-                for (term, id) in terms.iter().zip(&ids) {
-                    proptest::prop_assert_eq!(flat.id_of(term), Some(*id));
-                    proptest::prop_assert_eq!(flat.term_ref(*id), owned.term_ref(*id));
+                let keys: Vec<_> = flat.iter().map(|(_, term)| whole_key(&term)).collect();
+                proptest::prop_assert!(keys.windows(2).all(|pair| pair[0] < pair[1]));
+                for id in (0..flat.len() as u32).map(TermId) {
+                    let term = flat.term(id).unwrap();
+                    proptest::prop_assert_eq!(flat.id_of(&term), Some(id));
+                    proptest::prop_assert!(owned.id_of(&term).is_some());
+                }
+                for term in &terms {
+                    let id = flat.id_of(term).unwrap();
+                    proptest::prop_assert_eq!(flat.term(id).as_ref(), Some(term));
                 }
                 proptest::prop_assert_eq!(flat.id_of(&absent), None);
                 proptest::prop_assert_eq!(flat.term_ref(TermId(owned.len() as u32)), None);
             }
-            let mut thawed = frozen.clone();
-            proptest::prop_assert_eq!(thawed.encode(&absent).index(), owned.len());
-            for (term, id) in terms.iter().zip(&ids) {
-                proptest::prop_assert_eq!(thawed.id_of(term), Some(*id));
-            }
+            proptest::prop_assert_eq!(
+                view.iter().collect::<Vec<_>>(),
+                frozen.dictionary.iter().collect::<Vec<_>>()
+            );
         }
     }
 
     proptest::proptest! {
         /// Any interleaving of the dictionary's operations answers as the
         /// owned form did — a `HashMap<Term, u32>` plus a `Vec<Term>`, kept
-        /// here as the model.
+        /// here as the model, which a freeze renumbers as it renumbers the
+        /// dictionary. Encodes stop at the first freeze.
         #[test]
         fn interleaved_operations_match_the_owned_model(
             ops in proptest::collection::vec(
@@ -1239,11 +1278,19 @@ mod tests {
             let mut dict = Dictionary::new();
             let mut ids: HashMap<Term, u32> = HashMap::new();
             let mut terms: Vec<Term> = Vec::new();
+            let renumber = |new_ids: Vec<TermId>, ids: &mut HashMap<Term, u32>, terms: &mut Vec<Term>| {
+                let mut renumbered = terms.clone();
+                for (term, new) in terms.iter().zip(new_ids) {
+                    ids.insert(term.clone(), new.0);
+                    renumbered[new.index()] = term.clone();
+                }
+                *terms = renumbered;
+            };
             for (step, (op, kind, lex, dt, lang)) in ops.iter().enumerate() {
                 let term = term_of_kind(*kind, lex, dt, lang);
                 let known = ids.get(&term).map(|&id| TermId(id));
                 match op {
-                    0..=3 => {
+                    0..=3 if !dict.is_frozen() => {
                         let expected = known.unwrap_or(TermId(terms.len() as u32));
                         proptest::prop_assert_eq!(dict.encode(&term), expected, "step {}", step);
                         if known.is_none() {
@@ -1251,7 +1298,7 @@ mod tests {
                             terms.push(term);
                         }
                     }
-                    4 | 5 => proptest::prop_assert_eq!(dict.id_of(&term), known, "step {}", step),
+                    0..=5 => proptest::prop_assert_eq!(dict.id_of(&term), known, "step {}", step),
                     6 => {
                         let iri = format!("http://ex.org/{lex}");
                         let known = ids.get(&Term::iri(iri.as_str())).map(|&id| TermId(id));
@@ -1266,8 +1313,11 @@ mod tests {
                             "step {}", step
                         );
                     }
-                    8 => dict.freeze(),
-                    _ => dict = snapshot_view(&dict, &format!("model-{case:x}-{step}")),
+                    8 => renumber(dict.freeze(), &mut ids, &mut terms),
+                    _ => {
+                        renumber(dict.freeze(), &mut ids, &mut terms);
+                        dict = snapshot_view(&dict, &format!("model-{case:x}-{step}"));
+                    }
                 }
                 proptest::prop_assert_eq!(dict.len(), terms.len(), "step {}", step);
             }
@@ -1280,28 +1330,24 @@ mod tests {
     }
 
     #[test]
-    fn the_hash_index_grows_through_many_doublings_and_after_a_freeze() {
-        // 16 slots hold 8 terms: 3,000 terms cross nine doublings, and the
-        // encodes after the freeze index 3,000 records and cross a tenth.
+    fn the_hash_index_grows_through_many_doublings() {
+        // 16 slots hold 8 terms: 5,000 terms cross ten doublings.
         let term = |i: usize| term_of_kind(i % 6, &format!("shared/prefix/{i}"), "d", "l");
         let mut d = Dictionary::new();
-        for i in 0..3_000 {
+        for i in 0..5_000 {
             assert_eq!(d.encode(&term(i)).index(), i);
             assert_eq!(d.encode(&term(i / 2)).index(), i / 2);
         }
-        d.freeze();
-        for i in 0..5_000 {
-            assert_eq!(d.encode(&term(i)).index(), i);
-        }
+        let mut new_ids: Vec<TermId> = (0..5_000).map(TermId).collect();
         for frozen in [false, true] {
             assert_eq!(d.is_frozen(), frozen);
             assert_eq!(d.len(), 5_000);
-            for i in 0..5_000 {
-                assert_eq!(d.id_of(&term(i)), Some(TermId(i as u32)));
-                assert_eq!(d.term(TermId(i as u32)), Some(term(i)));
+            for (i, &id) in new_ids.iter().enumerate() {
+                assert_eq!(d.id_of(&term(i)), Some(id));
+                assert_eq!(d.term(id), Some(term(i)));
             }
             assert_eq!(d.id_of(&term(5_000)), None);
-            d.freeze();
+            new_ids = d.freeze();
         }
     }
 
@@ -1340,8 +1386,9 @@ mod tests {
             Term::blank("1"),
         ];
         let ids: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
-        let view = snapshot_view(&d, "views");
-        for flat in [&d, &view] {
+        let (keyed, keyed_ids) = frozen(&terms);
+        let view = snapshot_view(&keyed, "views");
+        for (flat, ids) in [(&d, &ids), (&view, &keyed_ids)] {
             let views: Vec<Option<u64>> = (ids.iter())
                 .map(|&id| flat.term_and_view(id).unwrap().1.map(f64::to_bits))
                 .collect();
@@ -1360,12 +1407,9 @@ mod tests {
     }
 
     impl Sections {
-        /// The sections of a dictionary of `terms`.
+        /// The sections of a frozen dictionary of `terms`.
         fn of(terms: &[Term]) -> Self {
-            let mut d = Dictionary::new();
-            for term in terms {
-                d.encode(term);
-            }
+            let (d, _) = frozen(terms);
             Sections {
                 arena: d.arena.to_vec(),
                 records: d.records.to_vec(),
@@ -1375,16 +1419,13 @@ mod tests {
             }
         }
 
-        /// Reads a dictionary from these sections, with the identity as the
-        /// records' order, through a file of its own.
+        /// Reads a dictionary from these sections, through a file of its own.
         fn read(&self) -> Result<Dictionary, SnapshotError> {
             static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
             let file = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             let mut w = SnapshotWriter::new();
             w.section(TAG_DICT_ARENA, &self.arena);
             w.section(TAG_DICT_RECORDS, &self.records);
-            let order: Vec<u32> = (0..self.records.len() as u32).collect();
-            w.section(TAG_DICT_SORTED, &order);
             w.section(TAG_DICT_SHARED_ARENA, &self.shared_arena);
             w.section(TAG_DICT_SHARED_RECORDS, &self.shared);
             w.section(TAG_DICT_NUMBERS, &self.numbers);
@@ -1448,19 +1489,19 @@ mod tests {
 
     #[test]
     fn a_snapshot_record_whose_strings_do_not_follow_the_previous_terms_is_refused() {
-        // An IRI, a language-tagged literal and a plain literal: each term's
-        // strings begin where the previous term's end.
+        // An IRI, a plain literal and a language-tagged literal, in key
+        // order: each term's strings begin where the previous term's end.
         let terms = [
             Term::iri("http://ex.org/Person"),
-            Term::lang_literal("chat", "fr"),
             Term::literal("x"),
+            Term::lang_literal("chat", "fr"),
         ];
         assert_eq!(patched(&terms, |_| {}), None);
         let s = Sections::of(&terms);
-        assert_eq!(&s.arena, b"Personchatfrx");
+        assert_eq!(&s.arena, b"Personxchatfr");
         assert_eq!(
             s.records.iter().map(|r| r.off).collect::<Vec<_>>(),
-            [0, 6, 12]
+            [0, 6, 7]
         );
         let refused =
             |what: &str, patch: &dyn Fn(&mut Sections)| assert_refused(&terms, what, patch);
@@ -1468,7 +1509,7 @@ mod tests {
         // into the lexical form before it.
         refused("record 0 is out of bounds", &|s| s.records[1].off = 3);
         refused("record 0 is out of bounds", &|s| s.records[1].off = 0);
-        refused("record 1 is out of bounds", &|s| s.records[2].off = 8);
+        refused("record 1 is out of bounds", &|s| s.records[2].off = 6);
         // Offsets that leave a byte between the IRI, whose strings end with
         // its local name, and the next term; and a first term that does not
         // start the arena.
@@ -1483,21 +1524,44 @@ mod tests {
         // A byte after the last term's strings, which end with its lexical
         // form, and bytes that no term owns.
         let end = "strings do not end at the arena's length";
-        refused(end, &|s| s.arena.push(b'y'));
+        assert_refused(&terms[..2], end, |s| s.arena.push(b'y'));
         assert_refused(&[], end, |s| s.arena.push(b'y'));
         // A language tag runs to the next term's strings: a byte after the
         // last term's is its tag's.
-        let mut tagged = Sections::of(&terms[1..2]);
+        let mut tagged = Sections::of(&terms[2..]);
         tagged.arena.push(b'x');
         let term = tagged.read().unwrap().term(TermId(0));
         assert_eq!(term, Some(Term::lang_literal("chat", "frx")));
     }
 
     #[test]
+    fn a_snapshot_whose_records_are_not_in_key_order_is_refused() {
+        let terms = [
+            Term::iri("http://ex.org/a"),
+            Term::iri("http://ex.org/bb"),
+            Term::literal("x"),
+        ];
+        assert_eq!(patched(&terms, |_| {}), None);
+        // The first two records swapped, their strings kept contiguous
+        // (`bb`, `a`, `x`): every other check holds.
+        assert_refused(&terms, "record 1 is not in key order", |s| {
+            s.arena[..3].rotate_left(1);
+            s.records.swap(0, 1);
+            (s.records[0].off, s.records[1].off) = (0, 2);
+        });
+        // One term listed twice: `a`, `a`, `x`.
+        assert_refused(&terms, "record 1 is not in key order", |s| {
+            s.arena = b"aax".to_vec();
+            s.records[1].lex_len = 1;
+            s.records[2].off = 2;
+        });
+    }
+
+    #[test]
     fn a_snapshot_numeric_index_that_is_wrong_is_refused() {
-        // Two numbers around a word: views 1 and 2 at indexes 0 and 1, and
-        // none for the word.
-        let terms = [Term::literal("1"), Term::literal("abc"), Term::literal("2")];
+        // Two numbers around a word, in key order: views 1 and 2 at indexes
+        // 0 and 1, and none for the word.
+        let terms = [Term::literal("1"), Term::literal("1st"), Term::literal("2")];
         assert_eq!(patched(&terms, |_| {}), None);
         let s = Sections::of(&terms);
         assert_eq!(s.numbers, [1.0, 2.0]);
@@ -1554,8 +1618,10 @@ mod tests {
         let terms: Vec<Term> = cases.iter().map(|(term, _)| term.clone()).collect();
         assert_eq!(patched(&terms, |_| {}), None);
         let records = Sections::of(&terms).records;
-        for (i, (record, (term, plain))) in records.iter().zip(&cases).enumerate() {
-            assert_eq!(record.is_plain(), *plain, "{term}");
+        let (_, ids) = frozen(&terms);
+        for ((term, plain), id) in cases.iter().zip(ids) {
+            let i = id.index();
+            assert_eq!(records[i].is_plain(), *plain, "{term}");
             let what = format!("record {i}'s JSON-plain bit is not its text's");
             assert_refused(&terms, &what, |s| s.records[i].kind ^= PLAIN);
         }
@@ -1668,7 +1734,7 @@ mod tests {
         /// frozen and snapshot-view dictionaries as their whole text does:
         /// `term`, `id_of` and `id_of_iri` round-trip, the plain bit is
         /// `is_json_plain` of the whole text, a split view equals and
-        /// orders like the whole one, and the sorted ids are a sort by whole
+        /// orders like the whole one, and the frozen ids are a sort by whole
         /// text.
         #[test]
         fn split_iris_answer_as_their_whole_text(
@@ -1700,19 +1766,12 @@ mod tests {
             }
             let mut owned = Dictionary::new();
             let ids: Vec<TermId> = terms.iter().map(|t| owned.encode(t)).collect();
-            let mut frozen = owned.clone();
-            frozen.freeze();
-            let view = snapshot_view(&owned, &format!("split-{case:x}"));
-            // The parent's key: kind, whole lexical form, whole extra string.
-            let whole_key = |id: u32| {
-                let term = owned.term(TermId(id)).unwrap();
-                let (kind, lex, datatype, extra) = term_parts(&term);
-                (kind, lex.to_owned(), [datatype, &extra].concat())
-            };
-            let mut by_text: Vec<u32> = (0..owned.len() as u32).collect();
-            by_text.sort_by_key(|&id| whole_key(id));
-            for d in [&owned, &frozen, &view] {
-                for (term, &id) in terms.iter().zip(&ids) {
+            let (frozen, frozen_ids) = frozen(&terms);
+            let view = snapshot_view(&frozen, &format!("split-{case:x}"));
+            let mut by_text: Vec<Term> = owned.iter().map(|(_, term)| term).collect();
+            by_text.sort_by_key(whole_key);
+            for (d, ids) in [(&owned, &ids), (&frozen, &frozen_ids), (&view, &frozen_ids)] {
+                for (term, &id) in terms.iter().zip(ids) {
                     proptest::prop_assert_eq!(d.term(id).as_ref(), Some(term));
                     proptest::prop_assert_eq!(d.id_of(term), Some(id));
                     if let Term::Iri(iri) = term {
@@ -1725,32 +1784,17 @@ mod tests {
                         && is_json_plain(lex) && is_json_plain(datatype) && is_json_plain(&extra);
                     proptest::prop_assert_eq!(plain, text_plain, "{}", term);
                     proptest::prop_assert_eq!(split, whole);
-                    for (other, &other_id) in terms.iter().zip(&ids) {
+                    for (other, &other_id) in terms.iter().zip(ids) {
                         let other_split = d.term_ref(other_id).unwrap();
                         proptest::prop_assert_eq!(split.cmp(&other_split), term.cmp(other));
                     }
                 }
-                if let Lookup::Sorted(sorted) = &d.lookup {
-                    proptest::prop_assert_eq!(&sorted[..], &by_text[..]);
-                }
             }
-            proptest::prop_assert!(frozen.is_frozen() && view.is_frozen());
+            for d in [&frozen, &view] {
+                proptest::prop_assert!(d.is_frozen());
+                let in_id_order: Vec<Term> = d.iter().map(|(_, term)| term).collect();
+                proptest::prop_assert_eq!(&in_id_order, &by_text);
+            }
         }
-    }
-
-    #[test]
-    fn encode_on_a_view_copies_on_write() {
-        let mut d = Dictionary::new();
-        for t in sample_terms() {
-            d.encode(&t);
-        }
-        let mut view = snapshot_view(&d, "cow");
-        let before = view.len();
-        // Re-encoding an existing term must not change anything.
-        assert!(view.encode(&Term::literal("plain")).index() < before);
-        let new_id = view.encode_iri("http://ex.org/new");
-        assert_eq!(new_id.index(), before);
-        assert!(!view.is_frozen());
-        assert_eq!(view.term(new_id), Some(Term::iri("http://ex.org/new")));
     }
 }

@@ -207,13 +207,15 @@ impl Dataset {
         self.triples.insert(Triple::new(s, p, o))
     }
 
-    /// Ends loading: the dictionary sorts its ids and drops its hash index
-    /// (see [`Dictionary::freeze`]) and the triple store drops its dedup
-    /// set. Every read is unchanged; an insert afterwards rebuilds what it
-    /// needs.
+    /// Ends loading: the triple store drops its dedup set, the dictionary
+    /// renumbers its terms in key order ([`Dictionary::freeze`]), and the
+    /// triples are renamed to the new ids in one pass, their order kept.
     pub fn freeze(&mut self) {
-        self.dictionary.freeze();
         self.triples.freeze();
+        let new = self.dictionary.freeze();
+        for t in &mut self.triples.triples {
+            *t = Triple::new(new[t.s.index()], new[t.p.index()], new[t.o.index()]);
+        }
     }
 
     /// Number of distinct triples.

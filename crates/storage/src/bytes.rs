@@ -194,8 +194,23 @@ impl std::fmt::Debug for ByteStore {
     }
 }
 
-/// The minimal `mmap(2)` surface, declared by hand. `std` links libc on
-/// unix, so these resolve without adding any dependency.
+/// Hands the heap pages the allocator holds free back to the kernel:
+/// glibc's `malloc_trim(0)`, a no-op on other targets. glibc keeps a freed
+/// block resident while it is below its (dynamic) mmap threshold, so a
+/// build's temporaries would otherwise stay in the resident set after the
+/// build.
+pub fn trim_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    // Safety: `malloc_trim` only releases free memory the allocator owns;
+    // it touches no live allocation.
+    unsafe {
+        ffi::malloc_trim(0);
+    }
+}
+
+/// The minimal `mmap(2)` surface, declared by hand, and glibc's
+/// `malloc_trim`. `std` links libc on unix, so these resolve without adding
+/// any dependency.
 #[cfg(unix)]
 mod ffi {
     use std::ffi::{c_int, c_void};
@@ -214,6 +229,8 @@ mod ffi {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        pub fn malloc_trim(pad: usize) -> c_int;
     }
 }
 

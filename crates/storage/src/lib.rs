@@ -25,7 +25,7 @@ pub mod hash;
 pub mod pod;
 pub mod snapshot;
 
-pub use bytes::ByteStore;
+pub use bytes::{trim_free_heap, ByteStore};
 pub use flat::{process_resident_bytes, FlatCsr, FlatVec, MemoryUse};
 pub use hash::{fnv1a, FNV_OFFSET};
 pub use pod::Pod;

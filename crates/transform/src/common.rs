@@ -8,17 +8,14 @@ use turbohom_rdf::{TermId, Triple};
 use turbohom_storage::{FlatVec, MemoryUse, SectionCursor, SnapshotError, SnapshotWriter};
 
 /// Snapshot section tags (components 0x06 mappings, 0x07 transformed graph).
-/// `0x0601`/`0x0602` are retired: a data vertex's id is its term id; and so
-/// is the kind (`0x0701`): a snapshot holds the type-aware graph alone.
-const TAG_MAP_TERM_TO_VLABEL: u64 = 0x0603;
+/// `0x0601`/`0x0602` are retired: a data vertex's id is its term id; so are
+/// the term-to-label arrays (`0x0603`/`0x0605`), derived from the label-to-term
+/// ones at load; and so is the kind (`0x0701`): a snapshot holds the
+/// type-aware graph alone.
 const TAG_MAP_VLABEL_TO_TERM: u64 = 0x0604;
-const TAG_MAP_TERM_TO_ELABEL: u64 = 0x0605;
 const TAG_MAP_ELABEL_TO_TERM: u64 = 0x0606;
 const TAG_SCHEMA_OUT: u64 = 0x0704;
 const TAG_SCHEMA_IN: u64 = 0x0705;
-
-/// Sentinel in the dense term→graph-id arrays for "not mapped".
-const UNMAPPED: u32 = u32::MAX;
 
 /// Which transformation produced a [`TransformedGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,31 +30,58 @@ pub enum TransformKind {
 ///
 /// These are the `FVL` and `FEL` functions of Definition 3 (and their
 /// inverses); `FV` is the identity ([`VertexId::of_term`](turbohom_graph::VertexId::of_term)).
-/// All four directions are dense flat arrays (the forward ones indexed by
-/// term id with a sentinel for unmapped terms), so the whole structure
-/// serializes into a snapshot and reads back in place.
+/// The label → term directions are dense flat arrays, which a snapshot
+/// stores and reads back in place. The term → label directions are sorted
+/// `term << 32 | label` entries, one per label, derived from them: a class
+/// or predicate term's id can be anywhere in the dictionary's key order, so
+/// an array indexed by term id would run to the largest one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphMappings {
     /// RDF class term → vertex label (empty for the direct transformation).
-    term_to_vlabel: FlatVec<u32>,
+    term_to_vlabel: Vec<u64>,
     /// Vertex label → RDF class term (dense).
     pub vlabel_to_term: FlatVec<TermId>,
     /// RDF predicate term → edge label.
-    term_to_elabel: FlatVec<u32>,
+    term_to_elabel: Vec<u64>,
     /// Edge label → RDF predicate term (dense).
     pub elabel_to_term: FlatVec<TermId>,
 }
 
-fn forward_get(arr: &FlatVec<u32>, term: TermId) -> Option<u32> {
-    arr.get(term.index()).copied().filter(|&v| v != UNMAPPED)
+/// The label of `term` in the sorted entries `forward`.
+fn forward_get(forward: &[u64], term: TermId) -> Option<u32> {
+    let at = forward.partition_point(|&entry| entry >> 32 < u64::from(term.0));
+    let entry = forward
+        .get(at)
+        .filter(|&&entry| entry >> 32 == u64::from(term.0));
+    entry.map(|&entry| entry as u32)
 }
 
-fn forward_set(arr: &mut FlatVec<u32>, term: TermId, value: u32) {
-    let arr = arr.to_mut();
-    if arr.len() <= term.index() {
-        arr.resize(term.index() + 1, UNMAPPED);
+/// The sorted entries of the labels `reverse` names, or the first label whose
+/// term an earlier label already names.
+fn forward_of(reverse: &[TermId]) -> Result<Vec<u64>, usize> {
+    let entry = |(label, term): (usize, &TermId)| u64::from(term.0) << 32 | label as u64;
+    let mut forward: Vec<u64> = reverse.iter().enumerate().map(entry).collect();
+    forward.sort_unstable();
+    match forward
+        .windows(2)
+        .find(|pair| pair[0] >> 32 == pair[1] >> 32)
+    {
+        Some(pair) => Err(pair[1] as u32 as usize),
+        None => Ok(forward),
     }
-    arr[term.index()] = value;
+}
+
+/// The label of `term`, given the next one if it has none: entered in the
+/// sorted `forward` and appended to `reverse`.
+fn intern(forward: &mut Vec<u64>, reverse: &mut FlatVec<TermId>, term: TermId) -> u32 {
+    if let Some(label) = forward_get(forward, term) {
+        return label;
+    }
+    let label = reverse.len() as u32;
+    let entry = u64::from(term.0) << 32 | u64::from(label);
+    forward.insert(forward.partition_point(|&e| e < entry), entry);
+    reverse.to_mut().push(term);
+    label
 }
 
 impl GraphMappings {
@@ -83,70 +107,58 @@ impl GraphMappings {
 
     /// Interns a class term as a vertex label.
     pub(crate) fn intern_vlabel(&mut self, term: TermId) -> VLabel {
-        if let Some(l) = self.vlabel_of(term) {
-            return l;
-        }
-        let l = VLabel(self.vlabel_to_term.len() as u32);
-        forward_set(&mut self.term_to_vlabel, term, l.0);
-        self.vlabel_to_term.to_mut().push(term);
-        l
+        VLabel(intern(
+            &mut self.term_to_vlabel,
+            &mut self.vlabel_to_term,
+            term,
+        ))
     }
 
     /// Interns a predicate term as an edge label.
     pub(crate) fn intern_elabel(&mut self, term: TermId) -> ELabel {
-        if let Some(l) = self.elabel_of(term) {
-            return l;
-        }
-        let l = ELabel(self.elabel_to_term.len() as u32);
-        forward_set(&mut self.term_to_elabel, term, l.0);
-        self.elabel_to_term.to_mut().push(term);
-        l
+        ELabel(intern(
+            &mut self.term_to_elabel,
+            &mut self.elabel_to_term,
+            term,
+        ))
     }
 
-    /// Bytes of the four mapping arrays.
+    /// Bytes of the label → term arrays and the term → label entries.
     pub fn memory(&self) -> MemoryUse {
-        MemoryUse::from(&self.term_to_vlabel)
-            + (&self.vlabel_to_term).into()
-            + (&self.term_to_elabel).into()
+        let forward = std::mem::size_of_val(&self.term_to_vlabel[..])
+            + std::mem::size_of_val(&self.term_to_elabel[..]);
+        MemoryUse::from(&self.vlabel_to_term)
             + (&self.elabel_to_term).into()
+            + MemoryUse {
+                heap: forward as u64,
+                mapped: 0,
+            }
     }
 
-    /// Serializes all four mapping arrays as snapshot sections.
+    /// Serializes the label → term arrays as snapshot sections.
     pub fn write_sections(&self, w: &mut SnapshotWriter) {
-        w.section(TAG_MAP_TERM_TO_VLABEL, &self.term_to_vlabel);
         w.section(TAG_MAP_VLABEL_TO_TERM, &self.vlabel_to_term);
-        w.section(TAG_MAP_TERM_TO_ELABEL, &self.term_to_elabel);
         w.section(TAG_MAP_ELABEL_TO_TERM, &self.elabel_to_term);
     }
 
-    /// Reconstructs the mappings from a snapshot, validating that forward
-    /// and reverse arrays agree so lookups stay total.
+    /// Reconstructs the mappings from a snapshot, deriving the term → label
+    /// directions; a term that two labels name is refused, since a lookup
+    /// would find only one of them.
     pub fn read_sections(cur: &mut SectionCursor<'_>) -> Result<Self, SnapshotError> {
-        let m = GraphMappings {
-            term_to_vlabel: cur.next_section(TAG_MAP_TERM_TO_VLABEL)?,
-            vlabel_to_term: cur.next_section(TAG_MAP_VLABEL_TO_TERM)?,
-            term_to_elabel: cur.next_section(TAG_MAP_TERM_TO_ELABEL)?,
-            elabel_to_term: cur.next_section(TAG_MAP_ELABEL_TO_TERM)?,
+        let vlabel_to_term: FlatVec<TermId> = cur.next_section(TAG_MAP_VLABEL_TO_TERM)?;
+        let elabel_to_term: FlatVec<TermId> = cur.next_section(TAG_MAP_ELABEL_TO_TERM)?;
+        let forward = |reverse: &[TermId], what: &str| {
+            forward_of(reverse).map_err(|label| {
+                let what = format!("{what} {label} names a term an earlier one names");
+                SnapshotError::Malformed(what)
+            })
         };
-        for (fwd, rev, what) in [
-            (&m.term_to_vlabel, &m.vlabel_to_term, "vertex label"),
-            (&m.term_to_elabel, &m.elabel_to_term, "edge label"),
-        ] {
-            let n = rev.len() as u32;
-            if fwd.iter().any(|&g| g != UNMAPPED && g >= n) {
-                return Err(SnapshotError::Malformed(format!(
-                    "term-to-{what} mapping points outside the reverse array"
-                )));
-            }
-            for (i, t) in rev.iter().enumerate() {
-                if fwd.get(t.index()).copied() != Some(i as u32) {
-                    return Err(SnapshotError::Malformed(format!(
-                        "{what} mapping arrays disagree at graph id {i}"
-                    )));
-                }
-            }
-        }
-        Ok(m)
+        Ok(GraphMappings {
+            term_to_vlabel: forward(&vlabel_to_term, "vertex label")?,
+            term_to_elabel: forward(&elabel_to_term, "edge label")?,
+            vlabel_to_term,
+            elabel_to_term,
+        })
     }
 }
 
@@ -456,6 +468,41 @@ mod tests {
         let e1 = m.intern_elabel(TermId(8));
         assert_eq!(m.term_of_elabel(e1), Some(TermId(8)));
         assert_eq!(m.elabel_of(TermId(7)), Some(e0));
+    }
+
+    #[test]
+    fn a_term_two_labels_name_is_refused_and_the_rest_read_back() {
+        use turbohom_storage::{Snapshot, SnapshotWriter};
+        let read = |vlabels: &[TermId], name: &str| {
+            let mut w = SnapshotWriter::new();
+            w.section(TAG_MAP_VLABEL_TO_TERM, vlabels);
+            w.section::<TermId>(TAG_MAP_ELABEL_TO_TERM, &[TermId(9), TermId(4)]);
+            let path = std::env::temp_dir().join(format!(
+                "turbohom-mappings-{}-{name}.snap",
+                std::process::id()
+            ));
+            w.write_to(&path).unwrap();
+            let read = GraphMappings::read_sections(&mut Snapshot::open(&path).unwrap().cursor());
+            std::fs::remove_file(&path).unwrap();
+            read
+        };
+        // Labels in neither term nor label order, the largest term first.
+        let m = read(&[TermId(300_000), TermId(3), TermId(40)], "good").unwrap();
+        let vlabels = [300_000, 3, 40, 4].map(|t| m.vlabel_of(TermId(t)));
+        assert_eq!(
+            vlabels,
+            [Some(VLabel(0)), Some(VLabel(1)), Some(VLabel(2)), None]
+        );
+        assert_eq!(m.elabel_of(TermId(4)), Some(ELabel(1)));
+        // Entries of 8 bytes each on the heap, the 4-byte label → term
+        // arrays mapped.
+        let memory = m.memory();
+        assert_eq!((memory.heap, memory.mapped), (5 * 8, 5 * 4));
+        let err = read(&[TermId(5), TermId(3), TermId(5)], "twice").unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotError::Malformed("vertex label 2 names a term an earlier one names".into())
+        );
     }
 
     #[test]

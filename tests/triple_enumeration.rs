@@ -11,12 +11,14 @@ use turbohom::engine::{Store, StoreOptions};
 use turbohom::rdf::{parse_ntriples, vocab, Dataset, InferenceEngine, Triple};
 
 /// The triples a store built from `dataset` holds: the dataset's, closed
-/// under RDFS when `inference` is set, sorted.
+/// under RDFS when `inference` is set, under the ids the freeze gives (key
+/// order), sorted.
 fn loaded(dataset: &Dataset, inference: bool) -> Vec<Triple> {
     let mut dataset = dataset.clone();
     if inference {
         InferenceEngine::default().materialize(&mut dataset);
     }
+    dataset.freeze();
     let mut triples = dataset.triples.as_slice().to_vec();
     triples.sort_unstable();
     triples
