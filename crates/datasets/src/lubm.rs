@@ -629,6 +629,28 @@ mod tests {
         );
     }
 
+    /// What each RDFS rule adds to LUBM(1), and the dataset it leaves: a
+    /// rule that miscounts or reorders what it adds moves one of these.
+    #[test]
+    fn rdfs_materialization_is_pinned() {
+        let cfg = LubmConfig {
+            materialize_rdfs: false,
+            ..LubmConfig::scale(1)
+        };
+        let mut ds = LubmGenerator::new(cfg).generate();
+        let stats = InferenceEngine::default().materialize(&mut ds);
+        let counts = [
+            stats.subclass_closure,
+            stats.type_inheritance,
+            stats.subproperty_closure,
+            stats.property_propagation,
+            stats.domain,
+            stats.range,
+        ];
+        assert_eq!(counts, [19, 319, 1, 54, 0, 0]);
+        assert_eq!(crate::fingerprint(&ds), (500, 1620, 0xc50710b7ed4b8166));
+    }
+
     #[test]
     fn triple_count_scales_roughly_linearly() {
         let one = LubmGenerator::new(LubmConfig::scale(1)).generate().len();
