@@ -427,6 +427,7 @@ mod tests {
                 }
             }
         }
+        ds.dedup();
         ds
     }
 
@@ -597,6 +598,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("a"), &ub("knows"), &ub("a"));
         ds.insert_iris(&ub("a"), &ub("knows"), &ub("b"));
+        ds.dedup();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
         let (rel, _) = run(
             &ds,

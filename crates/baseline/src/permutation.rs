@@ -240,6 +240,7 @@ mod tests {
                 );
             }
         }
+        ds.dedup();
         ds
     }
 

@@ -477,6 +477,7 @@ mod tests {
             ds.insert_iris(&z, vocab::RDF_TYPE, &ub("Z"));
             ds.insert_iris(&ub("a0"), &ub("edge"), &z);
         }
+        ds.dedup();
         ds
     }
 
@@ -536,6 +537,7 @@ mod tests {
         ds.insert_iris(&ub("a0"), &ub("edge"), &ub("x0"));
         ds.insert_iris(&ub("a0"), &ub("edge"), &ub("y0"));
         // Note: no Z typed vertex and no third edge.
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(STAR_QUERY).unwrap();
         let tq = transform_branch(&q.pattern, &t, &ds.dictionary)
@@ -563,6 +565,7 @@ mod tests {
         // dictionary but never with an A-subject.
         let mut ds2 = ds.clone();
         ds2.insert_iris(&ub("y0"), &ub("wrongEdge"), &ub("y1"));
+        ds2.dedup();
         let t2 = type_aware_transform(ds2.triples.clone(), &ds2.dictionary);
         let q2 = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -592,6 +595,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("p1"), vocab::RDF_TYPE, &ub("Product"));
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("cheap"));
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -630,6 +634,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("a"), &ub("e"), &ub("b"));
         ds.insert_iris(&ub("b"), &ub("e"), &ub("a"));
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>
@@ -678,6 +683,7 @@ mod tests {
         ds.insert_iris(&ub("b_small"), &ub("bc"), &ub("c_small"));
         ds.insert_iris(&ub("c_small"), &ub("cd"), &ub("d_small"));
         ds.insert_iris(&ub("dead"), &ub("ab"), &ub("b_dead"));
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let q = parse_query(
             r#"PREFIX ub: <http://ub.org/>

@@ -912,6 +912,7 @@ mod tests {
     fn university_dataset() -> Dataset {
         let mut ds = Dataset::new();
         add_universities(&mut ds);
+        ds.dedup();
         ds
     }
 
@@ -1006,6 +1007,7 @@ mod tests {
             );
         }
         add_universities(&mut ds);
+        ds.dedup();
         ds
     }
 

@@ -320,6 +320,7 @@ mod tests {
         ds.insert_iris(&ub("dept1"), vocab::RDF_TYPE, &ub("Department"));
         ds.insert_iris(&ub("c1"), vocab::RDF_TYPE, &ub("Course"));
         ds.insert_iris(&ub("s1"), &ub("takesCourse"), &ub("c1"));
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }

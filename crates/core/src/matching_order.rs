@@ -277,6 +277,7 @@ mod tests {
                 ds.insert_iris(&ub("a0"), &ub("edge"), &v);
             }
         }
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }
@@ -363,6 +364,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("v100"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("v5"));
         ds.insert_iris(&ub("p1"), &ub("homepage"), &ub("hp"));
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (tq, tree, region) = prepare(
             &ds,
@@ -408,6 +410,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("v100"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("v5"));
         ds.insert_iris(&ub("p1"), &ub("homepage"), &ub("hp"));
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (tq, tree, region) = prepare(
             &ds,

@@ -337,6 +337,7 @@ mod tests {
                 ds.insert_iris(&student, &ub("undergraduateDegreeFrom"), &ub("univ0"));
             }
         }
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }
@@ -493,6 +494,7 @@ mod tests {
             );
             name(&mut ds, &student);
         }
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }
@@ -654,6 +656,7 @@ mod tests {
                 }
             }
         }
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         (ds, t)
     }

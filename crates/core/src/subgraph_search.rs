@@ -630,6 +630,7 @@ mod tests {
                 }
             }
         }
+        ds.dedup();
         ds
     }
 
@@ -751,6 +752,7 @@ mod tests {
         ] {
             ds.insert_iris(&ub(s), &ub(p), &ub(o));
         }
+        ds.dedup();
         ds
     }
 
@@ -838,6 +840,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("a"), &ub("p"), &ub("b"));
         ds.insert_iris(&ub("a"), &ub("q"), &ub("b"));
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
@@ -861,6 +864,7 @@ mod tests {
         }
         // Only p1 has a rating.
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("five"));
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
@@ -888,6 +892,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("x"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("r1"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("r2"));
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
@@ -912,6 +917,7 @@ mod tests {
         ds.insert_iris(&ub("p1"), &ub("price"), &ub("x"));
         ds.insert_iris(&ub("p1"), &ub("rating"), &ub("five"));
         // No homepage.
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let (count, solutions, _) = run(
             &ds,
@@ -937,6 +943,7 @@ mod tests {
         for i in 0..50 {
             ds.insert_iris(&ub(&format!("s{i}")), vocab::RDF_TYPE, &ub("Student"));
         }
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let found = run_from(
             &ds,
@@ -1017,6 +1024,7 @@ mod tests {
             }
         }
         triangles.sort();
+        ds.dedup();
         (ds, triangles)
     }
 
@@ -1051,6 +1059,7 @@ mod tests {
         ds.insert_iris(&ub("visitor"), &ub("takesCourse"), &ub("course0_0"));
         ds.insert_iris(&ub("visitor"), &ub("takesCourse"), &ub("reading_group"));
         ds.insert_iris(&ub("prof0"), &ub("teacherOf"), &ub("reading_group"));
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let irregular = run_from(&ds, &data, &q9, &config, Some("Y"), None);
         assert_eq!(irregular.named(&ds), triangles);
@@ -1093,6 +1102,7 @@ mod tests {
                 ds.insert_iris(&student, &ub("degreeFrom"), &univ);
             }
         }
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         // From ?U the tree is U → {S → P, D}: ?D is a leaf whose `worksFor`
         // edge to ?P only the enumeration verifies.
@@ -1129,6 +1139,7 @@ mod tests {
         }
         // r1 is signed, r2 is anonymous.
         ds.insert_iris(&ub("r1"), &ub("by"), &ub("alice"));
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let leaf = format!(
             "{UB_PREFIXES} SELECT * WHERE {{ ?p ub:price ?x . OPTIONAL {{ ?p ub:rating ?r . }} }}"
@@ -1166,6 +1177,7 @@ mod tests {
         }
         ds.insert_iris(&ub("has_p3"), &ub("p3"), &ub("c"));
         ds.insert_iris(&ub("has_p35"), &ub("p35"), &ub("c"));
+        ds.dedup();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         let elabel = |p: &str| {
             let term = ds.dictionary.id_of_iri(&ub(p)).unwrap();

@@ -184,6 +184,7 @@ impl BtcGenerator {
                 &Term::literal(format!("Document {d}")),
             );
         }
+        ds.dedup();
         ds
     }
 }

@@ -93,7 +93,7 @@ impl<K: Vocabulary> Encoder<K> {
         }
     }
 
-    /// Inserts the triple `(s, p, o)`, resolving its terms in that order.
+    /// Appends the triple `(s, p, o)`, resolving its terms in that order.
     pub(crate) fn insert(
         &mut self,
         s: impl Into<Node<K>>,
@@ -106,8 +106,9 @@ impl<K: Vocabulary> Encoder<K> {
         self.dataset.triples.insert(Triple::new(s, p, o));
     }
 
-    /// The dataset built.
-    pub(crate) fn into_dataset(self) -> Dataset {
+    /// The dataset built, its repeated triples dropped.
+    pub(crate) fn into_dataset(mut self) -> Dataset {
+        self.dataset.dedup();
         self.dataset
     }
 }

@@ -48,6 +48,7 @@ pub fn figure1() -> Dataset {
     ] {
         ds.insert(&ex(s), &ex(p), &ex(o));
     }
+    ds.dedup();
     ds
 }
 
@@ -83,6 +84,7 @@ pub fn figure2(xs: usize, ys: usize, zs: usize) -> Dataset {
     add("X", xs);
     add("Y", ys);
     add("Z", zs);
+    ds.dedup();
     ds
 }
 
@@ -138,6 +140,7 @@ pub fn figure3() -> Dataset {
         &ex("emailAddress"),
         &Term::literal("john@dept1.univ1.edu"),
     );
+    ds.dedup();
     ds
 }
 

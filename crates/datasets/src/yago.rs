@@ -194,6 +194,7 @@ impl YagoGenerator {
                 );
             }
         }
+        ds.dedup();
         ds
     }
 }

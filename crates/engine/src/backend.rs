@@ -139,7 +139,8 @@ fn timed<T>(structure: &'static str, build: impl FnOnce() -> (T, u64)) -> (T, St
 
 /// Heap and mapped bytes of a dataset's dictionary and triple table.
 fn dataset_bytes(dataset: &Dataset) -> u64 {
-    total(dataset.dictionary.memory()) + total(dataset.triples.memory())
+    let triples = dataset.triples.memory();
+    total(dataset.dictionary.memory()) + triples.heap + triples.mapped
 }
 
 impl StructureBuild {
@@ -313,7 +314,7 @@ impl Backend {
     /// What a decoded dataset adds to the store: its triple array, and the
     /// heap arrays of its dictionary copy (a mapped array is shared).
     fn decoded_bytes(dataset: &Dataset) -> MemoryUse {
-        let [(_, triples), _] = dataset.triples.memory();
+        let triples = dataset.triples.memory();
         let heap = dataset
             .dictionary
             .memory()

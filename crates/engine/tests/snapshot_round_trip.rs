@@ -331,6 +331,7 @@ fn a_graph_with_more_rows_than_the_dictionary_has_terms_is_refused() {
         assert_eq!(larger.dictionary.encode(&term), id);
     }
     larger.insert_iris(&ub("extra"), &ub("memberOf"), &ub("dept0"));
+    larger.dedup();
     let graph =
         turbohom_transform::type_aware_transform(larger.triples.clone(), &larger.dictionary);
     assert_eq!(graph.graph.vertex_count(), small.dictionary().len() + 1);

@@ -1229,6 +1229,7 @@ mod tests {
                 let term = |j: usize| &terms[j % terms.len()];
                 owned.insert(term(i), term(i * 7 + 1), term(i * 3 + 2));
             }
+            owned.dedup();
             let decoded = |d: &crate::Dataset| {
                 d.triples.iter().map(|t| d.decode(t)).collect::<Vec<_>>()
             };

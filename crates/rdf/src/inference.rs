@@ -18,10 +18,13 @@
 //! | `rdfs3`  | `(x p y), (p range C)` | `(y type C)` |
 //!
 //! The engine works on an encoded [`Dataset`] and appends the inferred
-//! triples in place, reporting per-rule statistics.
+//! triples in place, reporting per-rule statistics. Each rule is a batch:
+//! it appends its conclusions in order and one dedup pass keeps the new
+//! ones, so the rules run in the table's order but rdfs9 last, and rdfs2's
+//! conclusions precede rdfs3's.
 
 use crate::dictionary::TermId;
-use crate::triple::{Dataset, Triple};
+use crate::triple::{Dataset, Triple, TripleStore};
 use crate::vocab;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -60,8 +63,10 @@ pub struct InferenceEngine {}
 
 impl InferenceEngine {
     /// Materializes the entailed triples into `dataset`, returning statistics.
+    /// Triples appended to it and not yet deduped are deduped first.
     pub fn materialize(&self, dataset: &mut Dataset) -> InferenceStats {
         let mut stats = InferenceStats::default();
+        dataset.dedup();
 
         let [rdf_type, subclassof, subpropertyof, domain, range] = [
             vocab::RDF_TYPE,
@@ -78,91 +83,83 @@ impl InferenceEngine {
 
         for (&sub, supers) in &subclass_closure {
             for &sup in supers {
-                if dataset.triples.insert(Triple::new(sub, subclassof, sup)) {
-                    stats.subclass_closure += 1;
-                }
+                dataset.triples.insert(Triple::new(sub, subclassof, sup));
             }
         }
+        stats.subclass_closure = dataset.dedup();
         for (&sub, supers) in &subproperty_closure {
             for &sup in supers {
-                if dataset.triples.insert(Triple::new(sub, subpropertyof, sup)) {
-                    stats.subproperty_closure += 1;
-                }
+                dataset.triples.insert(Triple::new(sub, subpropertyof, sup));
             }
         }
-
-        // The store only appends: each rule below walks the triples it
-        // started with as a prefix, by index, and copies none of them.
+        stats.subproperty_closure = dataset.dedup();
 
         // ---- 2. Property propagation (rdfs7) ---------------------------
         if !subproperty_closure.is_empty() {
-            for i in 0..dataset.triples.len() {
-                let t = dataset.triples.as_slice()[i];
+            stats.property_propagation = apply(dataset, |t, out| {
                 if t.p == rdf_type || t.p == subclassof || t.p == subpropertyof {
-                    continue;
+                    return;
                 }
-                if let Some(supers) = subproperty_closure.get(&t.p) {
-                    for &q in supers {
-                        if dataset.triples.insert(Triple::new(t.s, q, t.o)) {
-                            stats.property_propagation += 1;
-                        }
-                    }
+                for &q in subproperty_closure.get(&t.p).into_iter().flatten() {
+                    out.insert(Triple::new(t.s, q, t.o));
                 }
-            }
+            });
         }
 
         // ---- 3. Domain / range (rdfs2 / rdfs3) -------------------------
+        let schema = [rdf_type, subclassof, subpropertyof, domain, range];
         let domains = collect_pairs(dataset, domain);
+        if !domains.is_empty() {
+            stats.domain = apply(dataset, |t, out| {
+                if schema.contains(&t.p) {
+                    return;
+                }
+                for &c in domains.get(&t.p).into_iter().flatten() {
+                    out.insert(Triple::new(t.s, rdf_type, c));
+                }
+            });
+        }
         let ranges = collect_pairs(dataset, range);
-        if !domains.is_empty() || !ranges.is_empty() {
-            for i in 0..dataset.triples.len() {
-                let t = dataset.triples.as_slice()[i];
-                if t.p == rdf_type
-                    || t.p == subclassof
-                    || t.p == subpropertyof
-                    || t.p == domain
-                    || t.p == range
-                {
-                    continue;
+        if !ranges.is_empty() {
+            stats.range = apply(dataset, |t, out| {
+                if schema.contains(&t.p) {
+                    return;
                 }
-                if let Some(classes) = domains.get(&t.p) {
-                    for &c in classes {
-                        if dataset.triples.insert(Triple::new(t.s, rdf_type, c)) {
-                            stats.domain += 1;
-                        }
-                    }
+                for &c in ranges.get(&t.p).into_iter().flatten() {
+                    out.insert(Triple::new(t.o, rdf_type, c));
                 }
-                if let Some(classes) = ranges.get(&t.p) {
-                    for &c in classes {
-                        if dataset.triples.insert(Triple::new(t.o, rdf_type, c)) {
-                            stats.range += 1;
-                        }
-                    }
-                }
-            }
+            });
         }
 
         // ---- 4. Type inheritance (rdfs9) -------------------------------
         // Runs last so that domain/range-derived types are also lifted to
         // their superclasses.
         if !subclass_closure.is_empty() {
-            for i in 0..dataset.triples.len() {
-                let t = dataset.triples.as_slice()[i];
+            stats.type_inheritance = apply(dataset, |t, out| {
                 if t.p != rdf_type {
-                    continue;
+                    return;
                 }
-                if let Some(supers) = subclass_closure.get(&t.o) {
-                    for &sup in supers {
-                        if dataset.triples.insert(Triple::new(t.s, rdf_type, sup)) {
-                            stats.type_inheritance += 1;
-                        }
-                    }
+                for &sup in subclass_closure.get(&t.o).into_iter().flatten() {
+                    out.insert(Triple::new(t.s, rdf_type, sup));
                 }
-            }
+            });
         }
 
         stats
     }
+}
+
+/// Applies one rule as a batch: `derive` appends what it concludes from each
+/// triple the store held when the rule started, in order, and one dedup pass
+/// then keeps the first occurrence of each new triple. Returns how many
+/// triples the rule added.
+fn apply(dataset: &mut Dataset, mut derive: impl FnMut(Triple, &mut TripleStore)) -> usize {
+    let store = &mut dataset.triples;
+    for i in 0..store.len() {
+        let t = store.deduped()[i];
+        derive(t, store);
+    }
+    store.dedup()
 }
 
 /// `node → {nodes}`, ordered: the rules insert triples while walking these

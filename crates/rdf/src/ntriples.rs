@@ -13,8 +13,9 @@ use crate::triple::Dataset;
 
 /// Parses a complete N-Triples document into a [`Dataset`].
 ///
-/// Duplicate triples are silently deduplicated (set semantics, as RDF
-/// prescribes).
+/// A repeated triple keeps its first line's place and no other (set
+/// semantics, as RDF prescribes): the lines are appended in order and
+/// deduped in one pass at the end.
 pub fn parse_ntriples(input: &str) -> Result<Dataset, RdfError> {
     let mut dataset = Dataset::new();
     for (lineno, line) in input.lines().enumerate() {
@@ -28,6 +29,7 @@ pub fn parse_ntriples(input: &str) -> Result<Dataset, RdfError> {
         })?;
         dataset.insert(&s, &p, &o);
     }
+    dataset.dedup();
     Ok(dataset)
 }
 
@@ -327,6 +329,29 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_line_keeps_its_first_place_under_inference_too() {
+        let doc = "<http://x> <http://p> <http://y> .\n\
+                   <http://x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://G> .\n\
+                   <http://x> <http://p> <http://y> .\n\
+                   <http://G> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://S> .\n\
+                   <http://x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://S> .\n\
+                   <http://x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://G> .\n\
+                   <http://z> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://G> .\n";
+        let mut ds = parse_ntriples(doc).unwrap();
+        let kept: String = [0, 1, 3, 4, 6]
+            .map(|i| doc.lines().nth(i).unwrap())
+            .join("\n")
+            + "\n";
+        assert_eq!(serialize_ntriples(&ds), kept);
+        // rdfs9 concludes `x a S`, already asserted, and `z a S`, which is
+        // new: only the latter is appended.
+        let stats = crate::InferenceEngine::default().materialize(&mut ds);
+        assert_eq!(stats.type_inheritance, 1);
+        let z_is_s = "<http://z> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://S> .\n";
+        assert_eq!(serialize_ntriples(&ds), kept + z_is_s);
+    }
+
+    #[test]
     fn serialization_round_trips() {
         let mut ds = Dataset::new();
         ds.insert_iris("http://ex.org/a", vocab::RDF_TYPE, "http://ex.org/T");
@@ -340,6 +365,7 @@ mod tests {
             &Term::iri("http://ex.org/age"),
             &Term::typed_literal("39", vocab::XSD_INTEGER),
         );
+        ds.dedup();
         let text = serialize_ntriples(&ds);
         let back = parse_ntriples(&text).unwrap();
         assert_eq!(back.len(), ds.len());

@@ -6,10 +6,9 @@
 //! the transformations, the baseline engines and the dataset generators all
 //! exchange `Dataset`s.
 
-use crate::dictionary::{slots_for, Dictionary, TermId};
+use crate::dictionary::{Dictionary, TermId};
 use crate::term::Term;
 use crate::vocab;
-use std::hash::{BuildHasher, RandomState};
 use turbohom_storage::{MemoryUse, Pod};
 
 /// A dictionary-encoded RDF triple `(subject, predicate, object)`.
@@ -36,21 +35,28 @@ impl Triple {
 
 /// An append-only, deduplicated collection of encoded triples.
 ///
-/// The dedup set exists only while the store is being populated:
-/// [`freeze`](Self::freeze) drops it, and the first insert afterwards
-/// rebuilds it from the triples. A snapshot stores no triple table: the
-/// type-aware graph holds every triple.
+/// An insert appends; a [`dedup`](Self::dedup) pass then drops every
+/// appended triple that repeats an earlier one, so each triple keeps its
+/// first occurrence's place. The readers take a deduped store: in a debug
+/// build they panic while appended triples are pending.
+///
+/// While loading, the store keeps its *sorted run*: the indices of its
+/// triples in (s, p, o) order, 4 bytes a triple, against which a pass finds
+/// the appended triples already present. [`freeze`](Self::freeze) drops
+/// it, and the first pass afterwards sorts every triple again. A snapshot
+/// stores no triple table: the type-aware graph holds every triple.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
     triples: Vec<Triple>,
-    /// The dedup set: open addressing with linear probing over slots of
-    /// `index + 1` into `triples`, 0 being the empty slot (see
-    /// [`slots_for`]). Either empty or indexing every triple.
-    seen: Vec<u32>,
-    /// Keys the dedup set. Per process and random, so triples from outside
-    /// cannot be chosen to collide.
-    hasher: RandomState,
+    /// The indices of `triples[..run.len()]` in triple order. Either empty
+    /// (frozen) or covering every triple the last pass left.
+    run: Vec<u32>,
+    /// How many triples the last pass left: those after are pending.
+    deduped: usize,
 }
+
+/// A dedup pass's mark on an appended triple that repeats an earlier one.
+const DROPPED: u32 = u32::MAX;
 
 impl TripleStore {
     /// Creates an empty store.
@@ -58,100 +64,210 @@ impl TripleStore {
         Self::default()
     }
 
-    /// Probes `self.seen` for `triple`: its index in `triples`, or else the
-    /// empty slot that ends its probe sequence.
-    fn probe(&self, triple: &Triple) -> Result<usize, usize> {
-        let mask = self.seen.len() - 1;
-        let mut slot = self.hasher.hash_one(triple) as usize & mask;
-        loop {
-            let Some(index) = self.seen[slot].checked_sub(1) else {
-                return Err(slot);
-            };
-            if self.triples[index as usize] == *triple {
-                return Ok(index as usize);
-            }
-            slot = (slot + 1) & mask;
-        }
+    /// Appends a triple. It is pending until the next [`dedup`](Self::dedup).
+    pub fn insert(&mut self, triple: Triple) {
+        self.triples.push(triple);
     }
 
-    /// Inserts a triple. Returns `true` if it was not already present.
+    /// Dedups the triples appended since the last pass, keeping each
+    /// triple's first occurrence in place, and returns how many triples the
+    /// store grew by.
+    ///
+    /// The pass sorts the appended indices by (s, p, o, index), keeps the
+    /// first of each repeat unless the run already holds its triple,
+    /// compacts the kept triples in place and merges them into the run.
     ///
     /// # Panics
-    /// Panics if the store would hold `u32::MAX` triples.
-    pub fn insert(&mut self, triple: Triple) -> bool {
-        let len = self.triples.len();
-        let entry =
-            u32::try_from(len + 1).expect("a triple store holds fewer than u32::MAX triples");
-        let slots = slots_for(len + 1);
-        if self.seen.len() < slots {
-            // Frozen or about to fill past one half: index
-            // every triple again, the old table dropped first.
-            self.seen = Vec::new();
-            self.seen = vec![0; slots];
-            for index in 0..len {
-                if let Err(slot) = self.probe(&self.triples[index]) {
-                    self.seen[slot] = index as u32 + 1;
-                }
+    /// Panics if the store holds `u32::MAX` triples or more.
+    pub fn dedup(&mut self) -> usize {
+        let (before, len) = (self.deduped, self.triples.len());
+        if before == len {
+            return 0;
+        }
+        assert!(
+            len < DROPPED as usize,
+            "a triple store holds fewer than u32::MAX triples"
+        );
+        // The pass covers what the run does not: after a freeze, everything.
+        let base = self.run.len();
+        let triples = &mut self.triples;
+        let mut order: Vec<u32> = (base as u32..len as u32).collect();
+        let mut fate = Vec::new();
+        radix_sort(&mut order, &mut fate, triples);
+
+        // Keep the first of each repeat, unless the run holds it.
+        fate.clear();
+        fate.resize(len - base, DROPPED);
+        let mut run = self.run.iter().map(|&i| triples[i as usize]).peekable();
+        let mut previous = None;
+        for &i in &order {
+            let t = triples[i as usize];
+            if previous == Some(t) {
+                continue;
+            }
+            previous = Some(t);
+            while run.next_if(|r| *r < t).is_some() {}
+            if run.peek() != Some(&t) {
+                fate[i as usize - base] = 0;
             }
         }
-        match self.probe(&triple) {
-            Ok(_) => false,
-            Err(slot) => {
-                self.seen[slot] = entry;
-                self.triples.push(triple);
-                true
+
+        // Compact in place; a kept triple's fate becomes its new index.
+        let mut kept = base;
+        for (j, fate) in fate.iter_mut().enumerate() {
+            if *fate != DROPPED {
+                triples[kept] = triples[base + j];
+                *fate = kept as u32;
+                kept += 1;
             }
         }
+        triples.truncate(kept);
+        order.retain_mut(|i| {
+            *i = fate[*i as usize - base];
+            *i != DROPPED
+        });
+        drop(fate);
+        merge(&mut self.run, &order, triples);
+        self.deduped = kept;
+        kept - before
     }
 
-    /// Ends loading: drops the dedup set and the triple array's spare
-    /// capacity.
+    /// Ends loading: dedups what is pending, and drops the sorted run and
+    /// the triple array's spare capacity.
     pub fn freeze(&mut self) {
-        self.seen = Vec::new();
+        self.dedup();
+        self.run = Vec::new();
         self.triples.shrink_to_fit();
     }
 
-    /// Bytes of the triple array and of the dedup set.
-    pub fn memory(&self) -> [(&'static str, MemoryUse); 2] {
-        let dedup = MemoryUse {
-            heap: std::mem::size_of_val(&self.seen[..]) as u64,
+    /// Bytes of the triple array and, while loading, of its sorted run.
+    pub fn memory(&self) -> MemoryUse {
+        let heap = std::mem::size_of_val(&self.triples[..]) + std::mem::size_of_val(&self.run[..]);
+        MemoryUse {
+            heap: heap as u64,
             mapped: 0,
-        };
-        let triples = MemoryUse {
-            heap: std::mem::size_of_val(&self.triples[..]) as u64,
-            mapped: 0,
-        };
-        [("triples", triples), ("dedup_set", dedup)]
+        }
+    }
+
+    /// The triples, which a pass must have deduped.
+    fn distinct(&self) -> &[Triple] {
+        debug_assert_eq!(
+            self.deduped,
+            self.triples.len(),
+            "a triple store is read while appended triples are pending"
+        );
+        &self.triples
+    }
+
+    /// The triples the last pass left, whatever has been appended since.
+    pub(crate) fn deduped(&self) -> &[Triple] {
+        &self.triples[..self.deduped]
     }
 
     /// Returns `true` if the exact triple is present.
     pub fn contains(&self, triple: &Triple) -> bool {
-        if self.seen.is_empty() {
-            // Frozen store before any insert: no dedup set.
-            self.triples.iter().any(|t| t == triple)
+        let triples = self.distinct();
+        if self.run.len() == triples.len() {
+            let search = self
+                .run
+                .binary_search_by(|&i| triples[i as usize].cmp(triple));
+            search.is_ok()
         } else {
-            self.probe(triple).is_ok()
+            // Frozen: no run.
+            triples.contains(triple)
         }
     }
 
     /// Number of distinct triples.
     pub fn len(&self) -> usize {
-        self.triples.len()
+        self.distinct().len()
     }
 
     /// Returns `true` if the store holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
+        self.distinct().is_empty()
     }
 
     /// Iterates over the triples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Triple> {
-        self.triples.iter()
+        self.distinct().iter()
     }
 
     /// Returns the triples as a slice (insertion order).
     pub fn as_slice(&self) -> &[Triple] {
-        &self.triples
+        self.distinct()
+    }
+}
+
+/// Bits of a radix digit: 2,048 buckets. An id is three digits, and a
+/// digit every triple shares is skipped: an id below 2^22 takes two passes.
+const DIGIT_BITS: u32 = 11;
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// The `k`th digit of `id`, least significant first.
+fn digit(id: TermId, k: usize) -> usize {
+    (id.0 >> (DIGIT_BITS as usize * k)) as usize & (BUCKETS - 1)
+}
+
+/// Sorts `order`, indices into `triples` in ascending order, by triple: an
+/// LSD radix sort, stable, so equal triples stay in index order. `scratch`
+/// is its second buffer.
+fn radix_sort(order: &mut Vec<u32>, scratch: &mut Vec<u32>, triples: &[Triple]) {
+    // Nine digits, least significant first: the object's three, then the
+    // predicate's, then the subject's. One walk counts them all.
+    let mut counts = vec![[0u32; BUCKETS]; 9];
+    for &i in order.iter() {
+        let t = &triples[i as usize];
+        for (field, id) in [t.o, t.p, t.s].into_iter().enumerate() {
+            for k in 0..3 {
+                counts[3 * field + k][digit(id, k)] += 1;
+            }
+        }
+    }
+    scratch.resize(order.len(), 0);
+    for (d, counts) in counts.iter_mut().enumerate() {
+        if counts.contains(&(order.len() as u32)) {
+            continue;
+        }
+        let mut start = 0;
+        for count in counts.iter_mut() {
+            (*count, start) = (start, start + *count);
+        }
+        let k = d % 3;
+        match d / 3 {
+            0 => scatter(order, scratch, counts, |i| digit(triples[i].o, k)),
+            1 => scatter(order, scratch, counts, |i| digit(triples[i].p, k)),
+            _ => scatter(order, scratch, counts, |i| digit(triples[i].s, k)),
+        }
+        std::mem::swap(order, scratch);
+    }
+}
+
+/// One radix pass: moves each index of `order`, in order, to the next slot
+/// of its bucket in `out`, the buckets starting at `starts`.
+fn scatter(order: &[u32], out: &mut [u32], starts: &mut [u32], bucket: impl Fn(usize) -> usize) {
+    for &i in order {
+        let slot = &mut starts[bucket(i as usize)];
+        out[*slot as usize] = i;
+        *slot += 1;
+    }
+}
+
+/// Merges `new` into `run`, both indices sorted by triple and naming no
+/// triple in common, from the back, so that the run grows in place.
+fn merge(run: &mut Vec<u32>, new: &[u32], triples: &[Triple]) {
+    let (mut i, mut j) = (run.len(), new.len());
+    run.reserve_exact(j);
+    run.resize(i + j, 0);
+    while j > 0 {
+        let slot = i + j - 1;
+        if i > 0 && triples[run[i - 1] as usize] > triples[new[j - 1] as usize] {
+            run[slot] = run[i - 1];
+            i -= 1;
+        } else {
+            run[slot] = new[j - 1];
+            j -= 1;
+        }
     }
 }
 
@@ -160,16 +276,17 @@ impl<'a> IntoIterator for &'a TripleStore {
     type IntoIter = std::slice::Iter<'a, Triple>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.triples.iter()
+        self.distinct().iter()
     }
 }
 
 impl FromIterator<Triple> for TripleStore {
     fn from_iter<I: IntoIterator<Item = Triple>>(iter: I) -> Self {
-        let mut store = TripleStore::new();
-        for t in iter {
-            store.insert(t);
-        }
+        let mut store = TripleStore {
+            triples: iter.into_iter().collect(),
+            ..TripleStore::default()
+        };
+        store.dedup();
         store
     }
 }
@@ -192,24 +309,31 @@ impl Dataset {
         Self::default()
     }
 
-    /// Inserts a decoded `(s, p, o)` triple, encoding the terms as needed.
-    /// Returns `true` if the triple was new.
-    pub fn insert(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
+    /// Appends a decoded `(s, p, o)` triple, encoding the terms as needed.
+    /// It is pending until the next [`dedup`](Self::dedup).
+    pub fn insert(&mut self, s: &Term, p: &Term, o: &Term) {
         let s = self.dictionary.encode(s);
         let p = self.dictionary.encode(p);
         let o = self.dictionary.encode(o);
-        self.triples.insert(Triple::new(s, p, o))
+        self.triples.insert(Triple::new(s, p, o));
     }
 
-    /// Convenience for tests and generators: inserts a triple of IRIs.
-    pub fn insert_iris(&mut self, s: &str, p: &str, o: &str) -> bool {
+    /// Convenience for tests and generators: appends a triple of IRIs.
+    pub fn insert_iris(&mut self, s: &str, p: &str, o: &str) {
         let [s, p, o] = [s, p, o].map(|iri| self.dictionary.encode_iri(iri));
-        self.triples.insert(Triple::new(s, p, o))
+        self.triples.insert(Triple::new(s, p, o));
     }
 
-    /// Ends loading: the triple store drops its dedup set, the dictionary
-    /// renumbers its terms in key order ([`Dictionary::freeze`]), and the
-    /// triples are renamed to the new ids in one pass, their order kept.
+    /// Dedups the triples appended since the last pass
+    /// ([`TripleStore::dedup`]): a producer hands out a deduped dataset.
+    pub fn dedup(&mut self) -> usize {
+        self.triples.dedup()
+    }
+
+    /// Ends loading: the triple store dedups what is pending and drops its
+    /// sorted run, the dictionary renumbers its terms in key order
+    /// ([`Dictionary::freeze`]), and the triples are renamed to the new ids
+    /// in one pass, their order kept.
     pub fn freeze(&mut self) {
         self.triples.freeze();
         let new = self.dictionary.freeze();
@@ -271,31 +395,50 @@ mod tests {
     #[test]
     fn store_deduplicates() {
         let mut s = TripleStore::new();
-        assert!(s.insert(Triple::new(id(0), id(1), id(2))));
-        assert!(!s.insert(Triple::new(id(0), id(1), id(2))));
-        assert!(s.insert(Triple::new(id(0), id(1), id(3))));
+        s.insert(Triple::new(id(0), id(1), id(2)));
+        s.insert(Triple::new(id(0), id(1), id(2)));
+        s.insert(Triple::new(id(0), id(1), id(3)));
+        assert_eq!(s.dedup(), 2);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.dedup(), 0);
+        s.insert(Triple::new(id(0), id(1), id(3)));
+        assert_eq!(s.dedup(), 0);
         assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn the_dedup_set_grows_through_many_doublings_and_after_a_freeze() {
-        // 16 slots hold 8 triples: 3,000 triples cross nine doublings, and
-        // the inserts after the freeze index 3,000 triples and cross a tenth.
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pending")]
+    fn a_pending_triple_is_not_read() {
+        let mut s = TripleStore::new();
+        s.insert(Triple::new(id(0), id(1), id(2)));
+        s.len();
+    }
+
+    #[test]
+    fn the_run_grows_over_many_passes_and_after_a_freeze() {
+        // Thirty passes of 100 triples, each appended beside a repeat of an
+        // earlier one: the repeat is in the run, or earlier in its own pass.
         let triple = |i: u32| Triple::new(id(i % 7), id(i % 3), id(i));
         let mut s = TripleStore::new();
-        for i in 0..3_000 {
-            assert!(s.insert(triple(i)));
-            assert!(!s.insert(triple(i / 2)));
+        for pass in 0..30 {
+            for i in pass * 100..(pass + 1) * 100 {
+                s.insert(triple(i));
+                s.insert(triple(i / 2));
+            }
+            assert_eq!(s.dedup(), 100);
         }
-        // The ledger line is the table: 8,192 slots of 4 bytes.
-        assert_eq!(s.memory()[1].1.heap, 8_192 * 4);
+        // The ledger line is the triples and, while loading, the run.
+        assert_eq!(s.memory().heap, 3_000 * (12 + 4));
         s.freeze();
-        assert_eq!(s.memory()[1].1.heap, 0);
+        assert_eq!(s.memory().heap, 3_000 * 12);
         assert!(s.contains(&triple(2_999)));
         assert!(!s.contains(&triple(3_000)));
+        // The first pass after the freeze sorts every triple again.
         for i in 0..5_000 {
-            assert_eq!(s.insert(triple(i)), i >= 3_000);
+            s.insert(triple(i));
         }
+        assert_eq!(s.dedup(), 2_000);
         assert_eq!(s.len(), 5_000);
         for i in 0..5_000 {
             assert!(s.contains(&triple(i)));
@@ -305,12 +448,59 @@ mod tests {
         assert_eq!(order, (0..5_000).map(triple).collect::<Vec<_>>());
     }
 
+    /// Ids that differ in each of a key's radix digits.
+    const IDS: [u32; 6] = [0, 1, 2_048, 2_049, 1 << 22, u32::MAX];
+
+    proptest::proptest! {
+        /// Rounds of appends, each followed by a pass and some by a freeze,
+        /// leave what a first-occurrence walk over a `HashSet` leaves: the
+        /// same triples in the same order, each pass growing the store by
+        /// the walk's new triples, and `contains` true for exactly those.
+        #[test]
+        fn passes_keep_first_occurrences(
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec((0usize..6, 0usize..3, 0usize..6), 0..80), 0..4),
+                1..6,
+            ),
+        ) {
+            let triple = |(s, p, o): (usize, usize, usize)| {
+                Triple::new(id(IDS[s]), id(IDS[p]), id(IDS[o]))
+            };
+            let mut store = TripleStore::new();
+            let (mut model, mut seen) = (Vec::new(), std::collections::HashSet::new());
+            for (appended, freeze) in rounds {
+                let before = model.len();
+                for &key in &appended {
+                    store.insert(triple(key));
+                    if seen.insert(triple(key)) {
+                        model.push(triple(key));
+                    }
+                }
+                proptest::prop_assert_eq!(store.dedup(), model.len() - before);
+                if freeze == 0 {
+                    store.freeze();
+                }
+                proptest::prop_assert_eq!(store.len(), model.len());
+                proptest::prop_assert_eq!(store.as_slice(), &model[..]);
+                for s in 0..6 {
+                    for p in 0..3 {
+                        for o in 0..6 {
+                            let t = triple((s, p, o));
+                            proptest::prop_assert_eq!(store.contains(&t), seen.contains(&t));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn store_preserves_insertion_order() {
         let mut s = TripleStore::new();
         s.insert(Triple::new(id(2), id(0), id(1)));
         s.insert(Triple::new(id(0), id(0), id(1)));
         s.insert(Triple::new(id(1), id(0), id(1)));
+        s.dedup();
         let subjects: Vec<u32> = s.iter().map(|t| t.s.0).collect();
         assert_eq!(subjects, vec![2, 0, 1]);
     }
@@ -327,9 +517,10 @@ mod tests {
     #[test]
     fn dataset_insert_encodes_terms_consistently() {
         let mut d = Dataset::new();
-        assert!(d.insert_iris("http://a", "http://p", "http://b"));
-        assert!(d.insert_iris("http://b", "http://p", "http://a"));
-        assert!(!d.insert_iris("http://a", "http://p", "http://b"));
+        d.insert_iris("http://a", "http://p", "http://b");
+        d.insert_iris("http://b", "http://p", "http://a");
+        d.insert_iris("http://a", "http://p", "http://b");
+        assert_eq!(d.dedup(), 2);
         assert_eq!(d.len(), 2);
         // a, p, b → three distinct terms only.
         assert_eq!(d.dictionary.len(), 3);
@@ -343,6 +534,7 @@ mod tests {
             &Term::iri("http://p"),
             &Term::literal("o"),
         );
+        d.dedup();
         let t = *d.triples.iter().next().unwrap();
         let (s, p, o) = d.decode(&t);
         assert_eq!(s, Term::iri("http://s"));
@@ -355,6 +547,7 @@ mod tests {
         let mut d = Dataset::new();
         assert!(d.rdf_type_id().is_none());
         d.insert_iris("http://x", vocab::RDF_TYPE, "http://C");
+        d.dedup();
         assert!(d.rdf_type_id().is_some());
         assert_eq!(d.count_predicate(d.rdf_type_id().unwrap()), 1);
     }

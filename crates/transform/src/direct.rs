@@ -70,6 +70,7 @@ mod tests {
             &turbohom_rdf::Term::iri(ub("emailAddress")),
             &turbohom_rdf::Term::literal("john@dept1.univ1.edu"),
         );
+        ds.dedup();
         ds
     }
 

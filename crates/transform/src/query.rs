@@ -440,6 +440,7 @@ mod tests {
         );
         ds.insert_iris(&ub("student1"), &ub("memberOf"), &ub("dept1"));
         ds.insert_iris(&ub("dept1"), &ub("subOrganizationOf"), &ub("univ1"));
+        ds.dedup();
         ds
     }
 
@@ -625,6 +626,7 @@ mod tests {
         let ds = {
             let mut ds = dataset();
             ds.insert_iris(&ub("student1"), &ub("email"), &ub("mail1"));
+            ds.dedup();
             ds
         };
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);

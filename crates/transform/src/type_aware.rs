@@ -157,6 +157,7 @@ mod tests {
             &Term::iri(ub("emailAddress")),
             &Term::literal("john@dept1.univ1.edu"),
         );
+        ds.dedup();
         ds
     }
 
@@ -338,6 +339,7 @@ mod tests {
         ds.insert_iris(&ub("C"), vocab::RDFS_SUBCLASSOF, &ub("D"));
         ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("A"));
         ds.insert_iris(&ub("x"), &ub("knows"), &ub("y"));
+        ds.dedup();
         ds
     }
 
@@ -347,6 +349,7 @@ mod tests {
         ds.insert_iris(&ub("B"), vocab::RDFS_SUBCLASSOF, &ub("A"));
         ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("A"));
         ds.insert_iris(&ub("x"), &ub("p"), &ub("y"));
+        ds.dedup();
         ds
     }
 
@@ -354,6 +357,7 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("x"), vocab::RDF_TYPE, &ub("Curious"));
         ds.insert_iris(&ub("Curious"), &ub("definedBy"), &ub("ontology1"));
+        ds.dedup();
         ds
     }
 
@@ -393,6 +397,7 @@ mod tests {
     fn entity_appearing_only_in_type_triples_still_becomes_vertex() {
         let mut ds = Dataset::new();
         ds.insert_iris(&ub("lonely"), vocab::RDF_TYPE, &ub("Thing"));
+        ds.dedup();
         let t = type_aware_transform(ds.triples.clone(), &ds.dictionary);
         assert_eq!(t.graph.stats().vertices, 1);
         assert_eq!(t.graph.edge_count(), 0);

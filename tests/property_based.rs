@@ -53,6 +53,7 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
                     &iri(CLASSES[c]),
                 );
             }
+            ds.dedup();
             ds
         })
 }
@@ -141,6 +142,7 @@ proptest! {
             &Term::iri(iri("p")),
             &Term::literal(s.clone()),
         );
+        ds.dedup();
         let text = serialize_ntriples(&ds);
         let back = parse_ntriples(&text).unwrap();
         let t = *back.triples.iter().next().unwrap();
@@ -222,6 +224,7 @@ proptest! {
         for (a, b) in classes {
             ds.insert_iris(&iri(CLASSES[a]), turbohom::rdf::vocab::RDFS_SUBCLASSOF, &iri(CLASSES[b]));
         }
+        ds.dedup();
         let before = ds.len();
         let engine = InferenceEngine::default();
         engine.materialize(&mut ds);

@@ -113,6 +113,7 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
                     &iri(&format!("n{}", o % entities)),
                 );
             }
+            ds.dedup();
             ds
         })
 }
@@ -176,6 +177,7 @@ fn typed_dataset_strategy() -> impl Strategy<Value = Dataset> {
                     &iri(CLASSES[class]),
                 );
             }
+            ds.dedup();
             if regular {
                 let p = ds.dictionary.id_of_iri(&iri("p"));
                 let q = ds.dictionary.id_of_iri(&iri("q"));
@@ -199,6 +201,7 @@ fn typed_dataset_strategy() -> impl Strategy<Value = Dataset> {
                     ds.insert_iris(&entity, vocab::RDF_TYPE, &iri(class));
                 }
             }
+            ds.dedup();
             ds
         })
 }
