@@ -305,7 +305,7 @@ impl<'a> Key<'a> {
 /// dictionary's terms, its shared strings): a power of two filled to at most
 /// one half, so a linear probe always ends at an empty slot, after ≈ 1.5
 /// slots on a hit and ≈ 2.5 on a miss.
-pub(crate) fn slots_for(entries: usize) -> usize {
+fn slots_for(entries: usize) -> usize {
     (entries * 2).next_power_of_two().max(16)
 }
 
