@@ -128,7 +128,7 @@ impl TripleStore {
         });
         // `fate` lives until the run has grown: freed before, it left room
         // in the heap that glibc gave the run, whose growth then raised the
-        // LUBM(640) generate peak from 32.3 to 33.4 MB.
+        // LUBM(640) generate peak from 32.5 to 33.4 MB.
         merge(&mut self.run, &order, triples);
         self.deduped = kept;
         kept - before
