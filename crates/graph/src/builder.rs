@@ -161,8 +161,11 @@ pub fn layout(
 ///    strict sorted set;
 /// 5. count the edge-label groups, and the type groups and typed entries
 ///    that filter;
-/// 6. allocate every array at its final length and fill it, interning each
-///    group's common label set.
+/// 6. allocate every array at its final length and fill it group by group:
+///    count each label's carriers among the group's targets, give each label
+///    that some but not all carry its range of `typed_targets` in label
+///    order, place the targets into those ranges in one walk in target order,
+///    and intern the set of the labels every target carries.
 fn lay_out_direction(
     (label_offsets, labels): (&[u32], &[VLabel]),
     num_vlabels: usize,
@@ -225,18 +228,12 @@ fn lay_out_direction(
     // `count[l]` is how many targets of the current group carry `l`, and
     // `touched` the labels with a non-zero count.
     let mut count = vec![0u32; num_vlabels];
-    let mut touched = Vec::new();
+    let mut touched: Vec<VLabel> = Vec::new();
     let (mut num_groups, mut num_type_groups, mut num_typed) = (0usize, 0usize, 0usize);
     for v in 0..n {
         for group in groups_of(v) {
-            for &(_, t) in group {
-                for &l in label_set(t) {
-                    if count[l.index()] == 0 {
-                        touched.push(l);
-                    }
-                    count[l.index()] += 1;
-                }
-            }
+            let sets = group.iter().map(|&(_, t)| label_set(t));
+            count_carriers(sets, &mut count, &mut touched);
             for l in touched.drain(..) {
                 let carriers = std::mem::take(&mut count[l.index()]) as usize;
                 if carriers < group.len() {
@@ -247,7 +244,6 @@ fn lay_out_direction(
             num_groups += 1;
         }
     }
-    drop(count);
     // Every range below is stored as `u32`: the casts are lossless.
     assert!(
         u32::try_from(num_groups.max(num_type_groups).max(num_typed)).is_ok(),
@@ -258,38 +254,58 @@ fn lay_out_direction(
     let mut elabel_groups = Vec::with_capacity(num_groups + 1);
     let mut type_groups = Vec::with_capacity(num_type_groups);
     let mut targets = Vec::with_capacity(degrees.iter().map(|&d| d as usize).sum());
-    let mut typed_targets = Vec::with_capacity(num_typed);
+    let mut typed_targets = vec![VertexId(0); num_typed];
     let mut common_sets = CommonSets::new();
-    // One edge-label group's (label, neighbor) pairs and common set, reused
-    // across groups.
-    let mut typed_scratch: Vec<(VLabel, VertexId)> = Vec::new();
+    // `count[l]` again counts the current group's carriers of `l`, then
+    // holds where `l`'s next typed target goes, or `COMMON`, and is 0 again
+    // after the group. `common_scratch` is the group's common set, reused.
+    const COMMON: u32 = u32::MAX;
     let mut common_scratch: Vec<VLabel> = Vec::new();
+    let mut typed_end = 0u32;
     vertex_offsets.push(0u32);
     for v in 0..n {
         for group in groups_of(v) {
             let target_start = targets.len() as u32;
             targets.extend(group.iter().map(|&(_, t)| t));
-            typed_scratch.clear();
-            for &(_, t) in group {
-                typed_scratch.extend(label_set(t).iter().map(|&l| (l, t)));
-            }
-            typed_scratch.sort_unstable();
+            let sets = group.iter().map(|&(_, t)| label_set(t));
+            count_carriers(sets, &mut count, &mut touched);
+            // In label order: a label every target carries joins the common
+            // set, any other gets its range of typed targets.
+            touched.sort_unstable();
             let type_start = type_groups.len() as u32;
             common_scratch.clear();
-            for run in typed_scratch.chunk_by(|a, b| a.0 == b.0) {
-                // Targets are distinct, so a run as long as the group is
+            for &l in &touched {
+                let carriers = count[l.index()];
+                // Targets are distinct, so as many carriers as targets is
                 // every target.
-                if run.len() == group.len() {
-                    common_scratch.push(run[0].0);
+                if carriers as usize == group.len() {
+                    common_scratch.push(l);
+                    count[l.index()] = COMMON;
                     continue;
                 }
-                let start = typed_targets.len() as u32;
-                typed_targets.extend(run.iter().map(|&(_, t)| t));
+                let start = typed_end;
+                typed_end += carriers;
                 type_groups.push(TypeGroup {
-                    vlabel: run[0].0,
+                    vlabel: l,
                     start,
-                    end: typed_targets.len() as u32,
+                    end: typed_end,
                 });
+                count[l.index()] = start;
+            }
+            // One walk in target order fills each range in target order.
+            if type_groups.len() as u32 > type_start {
+                for &(_, t) in group {
+                    for &l in label_set(t) {
+                        let at = &mut count[l.index()];
+                        if *at != COMMON {
+                            typed_targets[*at as usize] = t;
+                            *at += 1;
+                        }
+                    }
+                }
+            }
+            for l in touched.drain(..) {
+                count[l.index()] = 0;
             }
             elabel_groups.push(ELabelGroup {
                 elabel: group[0].0,
@@ -307,7 +323,7 @@ fn lay_out_direction(
         common: 0,
     });
     debug_assert_eq!(
-        [elabel_groups.len(), type_groups.len(), typed_targets.len()],
+        [elabel_groups.len(), type_groups.len(), typed_end as usize],
         [num_groups + 1, num_type_groups, num_typed]
     );
 
@@ -323,6 +339,23 @@ fn lay_out_direction(
     }
 }
 
+/// Adds one to `count[l]` for each label `l` of each of `label_sets`, and
+/// pushes onto `touched` each label it raises from 0.
+fn count_carriers<'a>(
+    label_sets: impl Iterator<Item = &'a [VLabel]>,
+    count: &mut [u32],
+    touched: &mut Vec<VLabel>,
+) {
+    for set in label_sets {
+        for &l in set {
+            if count[l.index()] == 0 {
+                touched.push(l);
+            }
+            count[l.index()] += 1;
+        }
+    }
+}
+
 /// The common label sets of one direction, interned: id `c` is
 /// `labels[offsets[c]..offsets[c + 1]]`. Id 0 is the empty set, and the
 /// others are numbered in the order [`id`](Self::id) first meets them, so a
@@ -331,6 +364,9 @@ struct CommonSets {
     offsets: Vec<u32>,
     labels: Vec<VLabel>,
     ids: HashMap<Vec<VLabel>, u32>,
+    /// The last id [`id`](Self::id) returned: a vertex's groups and
+    /// neighbouring vertices mostly repeat a set.
+    last: u32,
 }
 
 impl CommonSets {
@@ -338,23 +374,32 @@ impl CommonSets {
         CommonSets {
             offsets: vec![0, 0],
             labels: Vec::new(),
-            ids: HashMap::new(),
+            ids: HashMap::from([(Vec::new(), 0)]),
+            last: 0,
         }
+    }
+
+    /// The labels of set `id`.
+    fn get(&self, id: u32) -> &[VLabel] {
+        &self.labels[self.offsets[id as usize] as usize..self.offsets[id as usize + 1] as usize]
     }
 
     /// The id of `set`, interning it if it is new.
     fn id(&mut self, set: &[VLabel]) -> u32 {
-        if set.is_empty() {
-            return 0;
+        if self.get(self.last) == set {
+            return self.last;
         }
-        if let Some(&id) = self.ids.get(set) {
-            return id;
-        }
-        let id = self.offsets.len() as u32 - 1;
-        self.labels.extend_from_slice(set);
-        self.offsets.push(self.labels.len() as u32);
-        self.ids.insert(set.to_vec(), id);
-        id
+        self.last = match self.ids.get(set) {
+            Some(&id) => id,
+            None => {
+                let id = self.offsets.len() as u32 - 1;
+                self.labels.extend_from_slice(set);
+                self.offsets.push(self.labels.len() as u32);
+                self.ids.insert(set.to_vec(), id);
+                id
+            }
+        };
+        self.last
     }
 }
 
@@ -523,110 +568,124 @@ mod tests {
         assert_eq!(g.degree(w, Direction::Incoming), 1);
     }
 
-    #[test]
-    fn layout_equals_a_reference_grouped_through_ordered_maps() {
-        // 30 vertices with 0–2 labels, 200 edges (repeats, self loops,
-        // parallel edges under other labels) from a fixed LCG.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = |bound: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % bound
-        };
-        let labels: Vec<Vec<VLabel>> = (0..30u32)
-            .map(|v| (0..v % 3).map(|l| VLabel((v + 2 * l) % 7)).collect())
-            .collect();
-        let edges: Vec<(VertexId, VertexId, ELabel)> = (0..200)
-            .map(|_| {
-                let [from, to] = [next(30), next(30)].map(|v| VertexId(v as u32));
-                (from, to, ELabel(next(5) as u32))
-            })
-            .collect();
-        let mut b = LabeledGraphBuilder::new();
-        for ls in &labels {
-            b.add_vertex(ls.clone());
-        }
-        for &(from, to, label) in &edges {
-            b.add_edge(from, to, label);
-        }
-        let g = b.build();
-
-        for (dir, incoming) in [(&g.outgoing, false), (&g.incoming, true)] {
-            // Per vertex: edge label → neighbor set, and per (edge label,
-            // neighbor label) → neighbor set.
-            type Groups<K> = Vec<BTreeMap<K, BTreeSet<VertexId>>>;
-            let mut plain: Groups<ELabel> = vec![BTreeMap::new(); 30];
-            let mut typed: Groups<(ELabel, VLabel)> = vec![BTreeMap::new(); 30];
-            for &(from, to, el) in &edges {
-                let (v, w) = if incoming { (to, from) } else { (from, to) };
-                plain[v.index()].entry(el).or_default().insert(w);
-                for &l in &labels[w.index()] {
-                    typed[v.index()].entry((el, l)).or_default().insert(w);
-                }
-            }
-            let (mut targets, mut typed_targets, mut type_groups) = (vec![], vec![], vec![]);
-            let (mut groups, mut offsets) = (vec![], vec![0u32]);
-            // Common sets in the order first met, the empty set first.
-            let mut common_sets: Vec<Vec<VLabel>> = vec![vec![]];
-            for v in 0..30 {
-                for (&el, neighbors) in &plain[v] {
-                    let target_start = targets.len() as u32;
-                    targets.extend(neighbors);
-                    let type_start = type_groups.len() as u32;
-                    let mut common = vec![];
-                    for (&(_, vlabel), ns) in
-                        typed[v].range((el, VLabel(0))..=(el, VLabel(u32::MAX)))
-                    {
-                        if ns == neighbors {
-                            common.push(vlabel);
-                            continue;
-                        }
-                        let start = typed_targets.len() as u32;
-                        typed_targets.extend(ns);
-                        let end = typed_targets.len() as u32;
-                        type_groups.push(TypeGroup { vlabel, start, end });
-                    }
-                    let id = match common_sets.iter().position(|set| *set == common) {
-                        Some(id) => id,
-                        None => {
-                            common_sets.push(common);
-                            common_sets.len() - 1
-                        }
-                    };
-                    groups.push(ELabelGroup {
-                        elabel: el,
-                        target_start,
-                        type_start,
-                        common: id as u32,
-                    });
-                }
-                offsets.push(groups.len() as u32);
-            }
-            groups.push(ELabelGroup {
-                elabel: ELabel(0),
-                target_start: targets.len() as u32,
-                type_start: type_groups.len() as u32,
-                common: 0,
-            });
-            let mut common_offsets = vec![0u32];
-            for set in &common_sets {
-                common_offsets.push(common_offsets[common_offsets.len() - 1] + set.len() as u32);
-            }
-            let degrees: Vec<u32> = (0..30)
-                .map(|v| plain[v].values().map(|ns| ns.len() as u32).sum())
+    proptest::proptest! {
+        /// Both directions equal a reference grouped through ordered maps,
+        /// array by array, the common sets numbered in the order first met:
+        /// up to 24 vertices with 0–4 labels each from 8, so that a group's
+        /// targets carry a label all, some or none of them; up to 150 edges
+        /// under 5 labels, parallel edges under other labels, self loops, and
+        /// repeats both adjacent and far apart in the edge list.
+        #[test]
+        fn layout_equals_a_reference_grouped_through_ordered_maps(
+            label_sets in proptest::collection::vec(proptest::collection::vec(0u32..8, 0..5), 1..25),
+            edges in proptest::collection::vec((0usize..24, 0usize..24, 0u32..5), 0..150),
+            loops in proptest::collection::vec((0usize..24, 0u32..5), 0..8),
+            repeats in proptest::collection::vec(0usize..1_000, 0..30),
+        ) {
+            let n = label_sets.len();
+            let labels: Vec<Vec<VLabel>> = label_sets
+                .iter()
+                .map(|set| BTreeSet::from_iter(set.iter().map(|&l| VLabel(l))).into_iter().collect())
                 .collect();
-            assert_eq!(&*dir.vertex_offsets, &offsets[..]);
-            assert_eq!(&*dir.elabel_groups, &groups[..]);
-            assert_eq!(&*dir.type_groups, &type_groups[..]);
-            assert_eq!(&*dir.targets, &targets[..]);
-            assert_eq!(&*dir.typed_targets, &typed_targets[..]);
-            assert_eq!(&*dir.degrees, &degrees[..]);
-            assert_eq!(&*dir.common_offsets, &common_offsets[..]);
-            assert_eq!(&*dir.common_labels, &common_sets.concat()[..]);
+            let mut edges: Vec<(VertexId, VertexId, ELabel)> = (edges.iter())
+                .map(|&(from, to, el)| (from % n, to % n, el))
+                .chain(loops.iter().map(|&(v, el)| (v % n, v % n, el)))
+                .map(|(from, to, el)| (VertexId(from as u32), VertexId(to as u32), ELabel(el)))
+                .collect();
+            for (k, &i) in repeats.iter().enumerate() {
+                if !edges.is_empty() {
+                    let edge = edges[i % edges.len()];
+                    let at = if k % 2 == 0 { edges.len() } else { i % edges.len() };
+                    edges.insert(at, edge);
+                }
+            }
+            let mut b = LabeledGraphBuilder::new();
+            for set in &label_sets {
+                b.add_vertex(set.iter().map(|&l| VLabel(l)).collect());
+            }
+            for &(from, to, label) in &edges {
+                b.add_edge(from, to, label);
+            }
+            let g = b.build();
+
+            for (dir, incoming) in [(&g.outgoing, false), (&g.incoming, true)] {
+                // Per vertex: edge label → neighbor set, and per (edge label,
+                // neighbor label) → neighbor set.
+                type Groups<K> = Vec<BTreeMap<K, BTreeSet<VertexId>>>;
+                let mut plain: Groups<ELabel> = vec![BTreeMap::new(); n];
+                let mut typed: Groups<(ELabel, VLabel)> = vec![BTreeMap::new(); n];
+                for &(from, to, el) in &edges {
+                    let (v, w) = if incoming { (to, from) } else { (from, to) };
+                    plain[v.index()].entry(el).or_default().insert(w);
+                    for &l in &labels[w.index()] {
+                        typed[v.index()].entry((el, l)).or_default().insert(w);
+                    }
+                }
+                let (mut targets, mut typed_targets, mut type_groups) = (vec![], vec![], vec![]);
+                let (mut groups, mut offsets) = (vec![], vec![0u32]);
+                // Common sets in the order first met, the empty set first.
+                let mut common_sets: Vec<Vec<VLabel>> = vec![vec![]];
+                for v in 0..n {
+                    for (&el, neighbors) in &plain[v] {
+                        let target_start = targets.len() as u32;
+                        targets.extend(neighbors);
+                        let type_start = type_groups.len() as u32;
+                        let mut common = vec![];
+                        for (&(_, vlabel), ns) in
+                            typed[v].range((el, VLabel(0))..=(el, VLabel(u32::MAX)))
+                        {
+                            if ns == neighbors {
+                                common.push(vlabel);
+                                continue;
+                            }
+                            let start = typed_targets.len() as u32;
+                            typed_targets.extend(ns);
+                            let end = typed_targets.len() as u32;
+                            type_groups.push(TypeGroup { vlabel, start, end });
+                        }
+                        let id = match common_sets.iter().position(|set| *set == common) {
+                            Some(id) => id,
+                            None => {
+                                common_sets.push(common);
+                                common_sets.len() - 1
+                            }
+                        };
+                        groups.push(ELabelGroup {
+                            elabel: el,
+                            target_start,
+                            type_start,
+                            common: id as u32,
+                        });
+                    }
+                    offsets.push(groups.len() as u32);
+                }
+                groups.push(ELabelGroup {
+                    elabel: ELabel(0),
+                    target_start: targets.len() as u32,
+                    type_start: type_groups.len() as u32,
+                    common: 0,
+                });
+                let mut common_offsets = vec![0u32];
+                for set in &common_sets {
+                    common_offsets.push(common_offsets[common_offsets.len() - 1] + set.len() as u32);
+                }
+                let degrees: Vec<u32> = (0..n)
+                    .map(|v| plain[v].values().map(|ns| ns.len() as u32).sum())
+                    .collect();
+                proptest::prop_assert_eq!(&*dir.vertex_offsets, &offsets[..]);
+                proptest::prop_assert_eq!(&*dir.elabel_groups, &groups[..]);
+                proptest::prop_assert_eq!(&*dir.type_groups, &type_groups[..]);
+                proptest::prop_assert_eq!(&*dir.targets, &targets[..]);
+                proptest::prop_assert_eq!(&*dir.typed_targets, &typed_targets[..]);
+                proptest::prop_assert_eq!(&*dir.degrees, &degrees[..]);
+                proptest::prop_assert_eq!(&*dir.common_offsets, &common_offsets[..]);
+                proptest::prop_assert_eq!(&*dir.common_labels, &common_sets.concat()[..]);
+            }
+            let max_vlabel = labels.iter().flatten().map(|l| l.index() + 1).max();
+            let max_elabel = edges.iter().map(|e| e.2.index() + 1).max();
+            proptest::prop_assert_eq!(g.vertex_label_count(), max_vlabel.unwrap_or(0));
+            proptest::prop_assert_eq!(g.edge_label_count(), max_elabel.unwrap_or(0));
         }
-        assert_eq!(g.vertex_label_count(), 7);
-        assert_eq!(g.edge_label_count(), 5);
     }
 
     #[test]

@@ -51,9 +51,11 @@
 //!
 //! * **Hashed** while terms are being encoded — an open-addressing table of
 //!   ids, hashed over the key's pieces with a per-process keyed SipHash,
-//!   never stored. SipHash takes its input as a stream, so a split key hashes
-//!   as the whole one: encoding a known IRI hashes it once, whole, and
-//!   compares it once; only a new IRI looks up its namespace.
+//!   never stored. Each slot keeps 32 bits of its key's hash beside the id,
+//!   so a probe compares keys only where those agree, and growing the table
+//!   reads no key. SipHash takes its input as a stream, so a split key
+//!   hashes as the whole one: encoding a known IRI hashes it once, whole,
+//!   and compares it once; only a new IRI looks up its namespace.
 //! * **Binary search** once served. [`Dictionary::freeze`] drops the table
 //!   and renumbers the terms in key order, as HDT's dictionary does, so the
 //!   records are their own sorted array. A snapshot stores exactly the arena,
@@ -318,21 +320,42 @@ fn slot_entry(id: usize) -> u32 {
     u32::try_from(id + 1).expect("the dictionary's hash index addresses at most u32::MAX terms")
 }
 
-/// Probes the open-addressed `table` from `hash` for an entry `is_key`
-/// accepts: that entry's id, or else the empty slot that ends the probe
-/// sequence.
-fn probe(table: &[u32], hash: u64, is_key: impl Fn(u32) -> bool) -> Result<u32, usize> {
+/// One slot of a hash index: an entry ([`slot_entry`], 0 when empty) and its
+/// key's tag, the low 32 bits of the key's hash, which also picks the slot
+/// its probe starts at.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    tag: u32,
+    entry: u32,
+}
+
+/// Probes the open-addressed `table` from `tag` for an entry of that tag
+/// that `is_key` accepts: that entry's id, or else the empty slot that ends
+/// the probe sequence.
+fn probe(table: &[Slot], tag: u32, is_key: impl Fn(u32) -> bool) -> Result<u32, usize> {
     let mask = table.len() - 1;
-    let mut slot = hash as usize & mask;
+    let mut slot = tag as usize & mask;
     loop {
-        let Some(id) = table[slot].checked_sub(1) else {
+        let Some(id) = table[slot].entry.checked_sub(1) else {
             return Err(slot);
         };
-        if is_key(id) {
+        if table[slot].tag == tag && is_key(id) {
             return Ok(id);
         }
         slot = (slot + 1) & mask;
     }
+}
+
+/// `table`'s entries in a table of `slots` slots, each placed from its tag
+/// alone: no key is read or hashed again.
+fn grown(table: &[Slot], slots: usize) -> Vec<Slot> {
+    let mut grown = vec![Slot::default(); slots];
+    for &slot in table.iter().filter(|slot| slot.entry != 0) {
+        // The keys are distinct: each takes the first empty slot.
+        let at = probe(&grown, slot.tag, |_| false).unwrap_err();
+        grown[at] = slot;
+    }
+    grown
 }
 
 /// An arena offset as a record stores it.
@@ -372,7 +395,7 @@ struct SharedStrings {
     /// While encoding: open addressing over `index + 1`, as the dictionary's
     /// own hash index, and like it never serialised. Empty once frozen or
     /// mapped.
-    index: Vec<u32>,
+    index: Vec<Slot>,
 }
 
 impl SharedStrings {
@@ -396,23 +419,20 @@ impl SharedStrings {
         slice(&self.arena, r.off, r.len)
     }
 
-    /// The index of `text`, stored first if it is new.
+    /// The index of `text`, stored first if it is new. The empty string is
+    /// entry 0 and not in the hash index.
     fn intern(&mut self, text: &str, hasher: &RandomState) -> u32 {
+        if text.is_empty() {
+            return 0;
+        }
         let id = self.records.len();
         let slots = slots_for(id + 1);
         if self.index.len() < slots {
-            self.index = vec![0; slots];
-            for i in 0..id {
-                // The strings are distinct: each takes the first empty slot.
-                let hash = hasher.hash_one(self.get(i as u32));
-                let slot = probe(&self.index, hash, |_| false).unwrap_err();
-                self.index[slot] = slot_entry(i);
-            }
+            self.index = grown(&self.index, slots);
         }
         let bytes = text.as_bytes();
-        let slot = match probe(&self.index, hasher.hash_one(bytes), |j| {
-            self.get(j) == bytes
-        }) {
+        let tag = hasher.hash_one(bytes) as u32;
+        let slot = match probe(&self.index, tag, |j| self.get(j) == bytes) {
             Ok(i) => return i,
             Err(slot) => slot,
         };
@@ -424,7 +444,10 @@ impl SharedStrings {
             len: arena_offset(bytes.len()),
             plain: u32::from(is_json_plain(text)),
         });
-        self.index[slot] = slot_entry(id);
+        self.index[slot] = Slot {
+            tag,
+            entry: slot_entry(id),
+        };
         id as u32
     }
 
@@ -458,9 +481,10 @@ pub struct Dictionary {
     /// The numeric views of the terms that have one, in id order.
     numbers: FlatVec<f64>,
     /// While encoding: open addressing with linear probing over slots of
-    /// `id + 1` ([`slots_for`], [`slot_entry`]), never serialised and left to
-    /// the ledger's `unaccounted` line. Empty once frozen or mapped.
-    index: Vec<u32>,
+    /// `id + 1` and its key's tag ([`slots_for`], [`Slot`]), never
+    /// serialised and left to the ledger's `unaccounted` line. Empty once
+    /// frozen or mapped.
+    index: Vec<Slot>,
     /// Keys the hash indexes. Per process and random, so terms from outside
     /// (`--ntriples`) cannot be chosen to collide.
     hasher: RandomState,
@@ -485,7 +509,7 @@ impl Dictionary {
             records: Vec::with_capacity(capacity).into(),
             shared: SharedStrings::new(),
             numbers: FlatVec::new(),
-            index: vec![0; slots_for(capacity)],
+            index: vec![Slot::default(); slots_for(capacity)],
             hasher: RandomState::new(),
         }
     }
@@ -586,7 +610,10 @@ impl Dictionary {
 
     /// The ids in key order. Two IRIs whose namespaces are each the prefix of
     /// no other shared string differ within the shorter namespace, and are
-    /// ordered by their namespaces' ranks in text order.
+    /// ordered by their namespaces' ranks in text order. Such ranked IRIs
+    /// are counting-sorted by rank, each rank's bucket sorted by local name
+    /// ([`cmp_ids`](Self::cmp_ids)); the other terms are sorted by the
+    /// comparator that orders any two ids, and the two runs merged by it.
     fn sorted_ids(&self) -> Vec<u32> {
         let shared = &self.shared;
         let mut by_text: Vec<u32> = (0..shared.records.len() as u32).collect();
@@ -601,16 +628,61 @@ impl Dictionary {
             }
         }
         let records: &[TermRecord] = &self.records;
-        let mut sorted: Vec<u32> = (0..records.len() as u32).collect();
-        sorted.sort_unstable_by(|&a, &b| {
-            let (ra, rb) = (&records[a as usize], &records[b as usize]);
-            let (ka, kb) = (rank[ra.shared() as usize], rank[rb.shared() as usize]);
-            let iris = ra.code() == KIND_IRI && rb.code() == KIND_IRI;
-            if iris && ka != kb && ka.max(kb) != u32::MAX {
-                return ka.cmp(&kb);
+        let rank_of = |id: u32| {
+            let record = &records[id as usize];
+            (record.code() == KIND_IRI)
+                .then(|| rank[record.shared() as usize])
+                .filter(|&rank| rank != u32::MAX)
+        };
+        let cmp = |&a: &u32, &b: &u32| match (rank_of(a), rank_of(b)) {
+            (Some(ka), Some(kb)) if ka != kb => ka.cmp(&kb),
+            _ => self.cmp_ids(a, b),
+        };
+
+        // `bucket_end[k]` ends up where rank `k`'s bucket ends.
+        let mut bucket_end = vec![0u32; by_text.len()];
+        let mut rest = Vec::new();
+        for id in 0..records.len() as u32 {
+            match rank_of(id) {
+                Some(k) => bucket_end[k as usize] += 1,
+                None => rest.push(id),
             }
-            self.cmp_ids(a, b)
-        });
+        }
+        let mut end = 0;
+        for n in &mut bucket_end {
+            end += *n;
+            *n = end;
+        }
+        // Placed backwards, each bucket fills from its end to its start.
+        let mut ranked = vec![0u32; end as usize];
+        for id in (0..records.len() as u32).rev() {
+            if let Some(k) = rank_of(id) {
+                bucket_end[k as usize] -= 1;
+                ranked[bucket_end[k as usize] as usize] = id;
+            }
+        }
+        let bucket_starts = bucket_end;
+        for (k, &start) in bucket_starts.iter().enumerate() {
+            let end = bucket_starts
+                .get(k + 1)
+                .map_or(ranked.len(), |&e| e as usize);
+            ranked[start as usize..end].sort_unstable_by(|&a, &b| self.cmp_ids(a, b));
+        }
+        rest.sort_unstable_by(cmp);
+
+        let mut sorted = Vec::with_capacity(records.len());
+        let (mut i, mut j) = (0, 0);
+        while i < ranked.len() && j < rest.len() {
+            if cmp(&rest[j], &ranked[i]).is_lt() {
+                sorted.push(rest[j]);
+                j += 1;
+            } else {
+                sorted.push(ranked[i]);
+                i += 1;
+            }
+        }
+        sorted.extend_from_slice(&ranked[i..]);
+        sorted.extend_from_slice(&rest[j..]);
         sorted
     }
 
@@ -635,30 +707,15 @@ impl Dictionary {
         ]
     }
 
-    /// Probes `table` for `key`: the id it is indexed under, or else the
-    /// empty slot that ends its probe sequence.
-    fn probe(&self, table: &[u32], key: Key<'_>) -> Result<TermId, usize> {
-        probe(table, key.hash(&self.hasher), |id| {
-            self.key(id).cmp(&key).is_eq()
-        })
-        .map(TermId)
-    }
-
-    /// A hash index of `slots` slots over every record.
-    fn rehash(&self, slots: usize) -> Vec<u32> {
-        let mut table = vec![0; slots];
-        for id in 0..self.records.len() {
-            // The keys are distinct: each takes the first empty slot.
-            let hash = self.key(id as u32).hash(&self.hasher);
-            let slot = probe(&table, hash, |_| false).unwrap_err();
-            table[slot] = slot_entry(id);
-        }
-        table
+    /// Probes the hash index for `key`, whose tag is `tag`: the id it is
+    /// indexed under, or else the empty slot that ends its probe sequence.
+    fn probe(&self, key: Key<'_>, tag: u32) -> Result<TermId, usize> {
+        probe(&self.index, tag, |id| self.key(id).cmp(&key).is_eq()).map(TermId)
     }
 
     fn lookup_key(&self, key: Key<'_>) -> Option<TermId> {
         if !self.is_frozen() {
-            return self.probe(&self.index, key).ok();
+            return self.probe(key, key.hash(&self.hasher) as u32).ok();
         }
         let (mut lo, mut hi) = (0, self.records.len() as u32);
         while lo < hi {
@@ -684,9 +741,11 @@ impl Dictionary {
         // About to fill past one half: index again.
         let slots = slots_for(id + 1);
         if self.index.len() < slots {
-            self.index = self.rehash(slots);
+            self.index = grown(&self.index, slots);
         }
-        let slot = match self.probe(&self.index, Key::whole(kind, lex, datatype, extra)) {
+        let key = Key::whole(kind, lex, datatype, extra);
+        let tag = key.hash(&self.hasher) as u32;
+        let slot = match self.probe(key, tag) {
             Ok(id) => return id,
             Err(slot) => slot,
         };
@@ -727,7 +786,7 @@ impl Dictionary {
             kind: kind | numeric | plain | shared,
             number,
         });
-        self.index[slot] = entry;
+        self.index[slot] = Slot { tag, entry };
         TermId(entry - 1)
     }
 
@@ -1335,10 +1394,31 @@ mod tests {
         // 16 slots hold 8 terms: 5,000 terms cross ten doublings.
         let term = |i: usize| term_of_kind(i % 6, &format!("shared/prefix/{i}"), "d", "l");
         let mut d = Dictionary::new();
+        let mut doublings = 0;
         for i in 0..5_000 {
+            let slots = d.index.len();
             assert_eq!(d.encode(&term(i)).index(), i);
             assert_eq!(d.encode(&term(i / 2)).index(), i / 2);
+            if d.index.len() == slots {
+                continue;
+            }
+            // Each moved slot keeps its key's tag, and every id reads back.
+            doublings += 1;
+            assert_eq!(d.index.len(), 2 * slots);
+            for slot in d.index.iter().filter(|slot| slot.entry != 0) {
+                let key = d.key(slot.entry - 1);
+                assert_eq!(slot.tag, key.hash(&d.hasher) as u32);
+            }
+            for j in 0..=i {
+                assert_eq!(
+                    d.id_of(&term(j)),
+                    Some(TermId(j as u32)),
+                    "after {slots} slots"
+                );
+            }
+            assert_eq!(d.id_of(&term(i + 1)), None);
         }
+        assert_eq!(doublings, 10);
         let mut new_ids: Vec<TermId> = (0..5_000).map(TermId).collect();
         for frozen in [false, true] {
             assert_eq!(d.is_frozen(), frozen);
@@ -1795,6 +1875,39 @@ mod tests {
                 proptest::prop_assert!(d.is_frozen());
                 let in_id_order: Vec<Term> = d.iter().map(|(_, term)| term).collect();
                 proptest::prop_assert_eq!(&in_id_order, &by_text);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Many IRIs in each of a few namespaces, one namespace the prefix of
+        /// two others (so it has no rank, and its IRIs order between theirs),
+        /// IRIs without a namespace, and literals and blank nodes beside
+        /// them: the frozen ids are the sort by whole key, and every term
+        /// looks its id up.
+        #[test]
+        fn ranked_namespaces_freeze_in_whole_key_order(
+            specs in proptest::collection::vec((0usize..8, "[a-c0é]{0,4}"), 1..400),
+        ) {
+            const NAMESPACES: [&str; 5] = [
+                "http://ex.org/", "http://ex.org/a/", "http://ex.org/a#", "http://ex.org/b/", "urn:z/",
+            ];
+            let terms: Vec<Term> = specs
+                .iter()
+                .map(|(pick, local)| match pick {
+                    0..=4 => Term::iri(format!("{}{local}", NAMESPACES[*pick])),
+                    5 => Term::iri(local.as_str()),
+                    6 => Term::blank(local.as_str()),
+                    _ => Term::typed_literal(local.as_str(), NAMESPACES[0]),
+                })
+                .collect();
+            let (frozen, ids) = frozen(&terms);
+            let mut by_key: Vec<Term> = frozen.iter().map(|(_, term)| term).collect();
+            by_key.sort_by_key(whole_key);
+            let in_id_order: Vec<Term> = frozen.iter().map(|(_, term)| term).collect();
+            proptest::prop_assert_eq!(&in_id_order, &by_key);
+            for (term, &id) in terms.iter().zip(&ids) {
+                proptest::prop_assert_eq!(frozen.id_of(term), Some(id));
             }
         }
     }
