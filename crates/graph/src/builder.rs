@@ -228,7 +228,7 @@ fn lay_out_direction(
     // `count[l]` is how many targets of the current group carry `l`, and
     // `touched` the labels with a non-zero count.
     let mut count = vec![0u32; num_vlabels];
-    let mut touched: Vec<VLabel> = Vec::new();
+    let mut touched = Vec::new();
     let (mut num_groups, mut num_type_groups, mut num_typed) = (0usize, 0usize, 0usize);
     for v in 0..n {
         for group in groups_of(v) {
@@ -364,8 +364,8 @@ struct CommonSets {
     offsets: Vec<u32>,
     labels: Vec<VLabel>,
     ids: HashMap<Vec<VLabel>, u32>,
-    /// The last id [`id`](Self::id) returned: a vertex's groups and
-    /// neighbouring vertices mostly repeat a set.
+    /// The last id [`id`](Self::id) returned, compared before a set is
+    /// hashed.
     last: u32,
 }
 

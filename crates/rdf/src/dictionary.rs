@@ -639,34 +639,31 @@ impl Dictionary {
             _ => self.cmp_ids(a, b),
         };
 
-        // `bucket_end[k]` ends up where rank `k`'s bucket ends.
-        let mut bucket_end = vec![0u32; by_text.len()];
+        // Counted, then placed backwards: `bounds[k]` ends as the start of
+        // rank `k`'s bucket, and `bounds[k + 1]` as its end.
+        let mut bounds = vec![0u32; by_text.len() + 1];
         let mut rest = Vec::new();
         for id in 0..records.len() as u32 {
             match rank_of(id) {
-                Some(k) => bucket_end[k as usize] += 1,
+                Some(k) => bounds[k as usize] += 1,
                 None => rest.push(id),
             }
         }
-        let mut end = 0;
-        for n in &mut bucket_end {
-            end += *n;
-            *n = end;
+        let mut total = 0;
+        for bound in &mut bounds {
+            total += *bound;
+            *bound = total;
         }
-        // Placed backwards, each bucket fills from its end to its start.
-        let mut ranked = vec![0u32; end as usize];
+        let mut ranked = vec![0u32; total as usize];
         for id in (0..records.len() as u32).rev() {
             if let Some(k) = rank_of(id) {
-                bucket_end[k as usize] -= 1;
-                ranked[bucket_end[k as usize] as usize] = id;
+                bounds[k as usize] -= 1;
+                ranked[bounds[k as usize] as usize] = id;
             }
         }
-        let bucket_starts = bucket_end;
-        for (k, &start) in bucket_starts.iter().enumerate() {
-            let end = bucket_starts
-                .get(k + 1)
-                .map_or(ranked.len(), |&e| e as usize);
-            ranked[start as usize..end].sort_unstable_by(|&a, &b| self.cmp_ids(a, b));
+        for bucket in bounds.windows(2) {
+            let bucket = &mut ranked[bucket[0] as usize..bucket[1] as usize];
+            bucket.sort_unstable_by(|&a, &b| self.cmp_ids(a, b));
         }
         rest.sort_unstable_by(cmp);
 
