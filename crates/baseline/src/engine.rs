@@ -4,8 +4,8 @@
 //! [`PermutationIndexes`]; the scans are combined with binary joins in a
 //! greedy, selectivity-driven order; OPTIONAL becomes a left outer join,
 //! FILTER a selection over the intermediate relation, UNION a concatenation
-//! of the expanded branches. The two engines differ only in the physical
-//! join operator (sort-merge vs hash).
+//! of the expanded branches. The two engines are one [`BaselineEngine`]
+//! with one of two physical join operators ([`JoinStrategy`]).
 
 use crate::permutation::PermutationIndexes;
 use crate::relation::Relation;
@@ -16,25 +16,12 @@ use turbohom_sparql::{Expression, GroupPattern, Query, SparqlTerm, TriplePattern
 /// Physical join operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
-    /// Sort both inputs on the join key and merge (the RDF-3X way — its
-    /// scans are already sorted, so merging is the natural operator).
+    /// Sort both inputs on the join key and merge (the RDF-3X way; RDF-3X
+    /// reads inputs already sorted on the key, these are sorted here).
     SortMerge,
     /// Build a hash table over the smaller input and probe with the larger
     /// one (the TripleBit / System-X stand-in).
     Hash,
-}
-
-/// Execution counters of one baseline query run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BaselineStats {
-    /// Triples produced by the index scans.
-    pub scanned_triples: usize,
-    /// Number of binary joins performed.
-    pub joins: usize,
-    /// Total rows of all intermediate join results.
-    pub intermediate_rows: usize,
-    /// Rows of the final relation.
-    pub solutions: usize,
 }
 
 /// A join-based SPARQL engine over one dictionary and its permutation
@@ -45,75 +32,37 @@ pub struct BaselineEngine<'a> {
     strategy: JoinStrategy,
 }
 
-/// RDF-3X-style engine: permutation-index scans + sort-merge joins.
-pub struct MergeJoinEngine;
-
-impl MergeJoinEngine {
-    /// Creates the RDF-3X-style engine. Deliberately returns the shared
-    /// [`BaselineEngine`] runner rather than `Self` — `MergeJoinEngine` and
-    /// `HashJoinEngine` are facade names for the two join strategies.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new<'a>(
-        dictionary: &'a Dictionary,
-        indexes: &'a PermutationIndexes,
-    ) -> BaselineEngine<'a> {
-        BaselineEngine {
-            dictionary,
-            indexes,
-            strategy: JoinStrategy::SortMerge,
-        }
-    }
-}
-
-/// Hash-join engine: permutation-index scans + hash joins.
-pub struct HashJoinEngine;
-
-impl HashJoinEngine {
-    /// Creates the hash-join engine. Deliberately returns the shared
-    /// [`BaselineEngine`] runner rather than `Self`, like
-    /// [`MergeJoinEngine::new`].
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new<'a>(
-        dictionary: &'a Dictionary,
-        indexes: &'a PermutationIndexes,
-    ) -> BaselineEngine<'a> {
-        BaselineEngine {
-            dictionary,
-            indexes,
-            strategy: JoinStrategy::Hash,
-        }
-    }
-}
-
 impl<'a> BaselineEngine<'a> {
-    /// The physical join operator this engine uses.
-    pub fn strategy(&self) -> JoinStrategy {
-        self.strategy
+    /// An engine joining scans of `indexes` with `strategy`.
+    pub fn new(
+        dictionary: &'a Dictionary,
+        indexes: &'a PermutationIndexes,
+        strategy: JoinStrategy,
+    ) -> Self {
+        BaselineEngine {
+            dictionary,
+            indexes,
+            strategy,
+        }
     }
 
-    /// Executes a parsed SPARQL query, returning the result relation (over
-    /// all pattern variables) and the execution counters.
-    pub fn execute(&self, query: &Query) -> (Relation, BaselineStats) {
-        let mut stats = BaselineStats::default();
+    /// Executes a parsed SPARQL query, returning the result relation over
+    /// all pattern variables.
+    pub fn execute(&self, query: &Query) -> Relation {
         let header = query.pattern.all_variables();
         let mut out = Relation::empty(header.clone());
         for branch in query.pattern.expand_unions() {
-            let r = self.evaluate_group(&branch, &mut stats);
-            out.append(r.project(&header));
+            out.append(self.evaluate_group(&branch).project(&header));
         }
-        stats.solutions = out.len();
-        (out, stats)
+        out
     }
 
     /// Evaluates one union-free group: required BGP, then OPTIONAL left
     /// joins, then FILTER selections.
-    fn evaluate_group(&self, group: &GroupPattern, stats: &mut BaselineStats) -> Relation {
-        let mut current = self.evaluate_bgp(&group.triples, stats);
+    fn evaluate_group(&self, group: &GroupPattern) -> Relation {
+        let mut current = self.evaluate_bgp(&group.triples);
         for optional in &group.optionals {
-            let right = self.evaluate_group(optional, stats);
-            stats.joins += 1;
-            current = self.left_join(&current, &right);
-            stats.intermediate_rows += current.len();
+            current = self.left_join(&current, &self.evaluate_group(optional));
         }
         for filter in &group.filters {
             current = self.apply_filter(current, filter);
@@ -125,14 +74,11 @@ impl<'a> BaselineEngine<'a> {
     /// the most selective scan, repeatedly join the smallest relation that
     /// shares a variable with the result so far (falling back to a cartesian
     /// product only when nothing is connected).
-    fn evaluate_bgp(&self, patterns: &[TriplePattern], stats: &mut BaselineStats) -> Relation {
+    fn evaluate_bgp(&self, patterns: &[TriplePattern]) -> Relation {
         if patterns.is_empty() {
             return Relation::unit();
         }
-        let mut scans: Vec<Relation> = patterns
-            .iter()
-            .map(|p| self.scan_pattern(p, stats))
-            .collect();
+        let mut scans: Vec<Relation> = patterns.iter().map(|p| self.scan_pattern(p)).collect();
         // Start with the smallest scan.
         scans.sort_by_key(|r| r.len());
         let mut current = scans.remove(0);
@@ -146,9 +92,7 @@ impl<'a> BaselineEngine<'a> {
                 .map(|(i, _)| i);
             let idx = connected.unwrap_or(0);
             let right = scans.remove(idx);
-            stats.joins += 1;
             current = self.inner_join(&current, &right);
-            stats.intermediate_rows += current.len();
             if current.is_empty() {
                 // Early exit: the remaining joins cannot resurrect rows.
                 break;
@@ -158,7 +102,7 @@ impl<'a> BaselineEngine<'a> {
     }
 
     /// Scans one triple pattern into a relation over its variables.
-    fn scan_pattern(&self, pattern: &TriplePattern, stats: &mut BaselineStats) -> Relation {
+    fn scan_pattern(&self, pattern: &TriplePattern) -> Relation {
         let resolve = |term: &SparqlTerm| -> Result<Option<TermId>, ()> {
             match term {
                 SparqlTerm::Variable(_) => Ok(None),
@@ -187,7 +131,6 @@ impl<'a> BaselineEngine<'a> {
             _ => return Relation::empty(vars),
         };
         let triples = self.indexes.scan((s, p, o));
-        stats.scanned_triples += triples.len();
         let mut rows = Vec::with_capacity(triples.len());
         'next: for t in triples {
             let mut row: Vec<Option<TermId>> = vec![None; vars.len()];
@@ -289,17 +232,14 @@ impl<'a> BaselineEngine<'a> {
         let index = build_hash_index(right, &shared);
         let nulls: Vec<Option<TermId>> = vec![None; right.vars.len()];
         for lrow in &left.rows {
-            let matches = key_of(left, lrow, &shared)
-                .and_then(|key| index.get(&key))
-                .cloned()
-                .unwrap_or_default();
-            if matches.is_empty() {
-                out.rows.push(combine(left, lrow, right, &nulls, &out.vars));
-            } else {
-                for ri in matches {
-                    out.rows
-                        .push(combine(left, lrow, right, &right.rows[ri], &out.vars));
+            match key_of(left, lrow, &shared).and_then(|key| index.get(&key)) {
+                Some(matches) => {
+                    for &ri in matches {
+                        out.rows
+                            .push(combine(left, lrow, right, &right.rows[ri], &out.vars));
+                    }
                 }
+                None => out.rows.push(combine(left, lrow, right, &nulls, &out.vars)),
             }
         }
         out
@@ -439,18 +379,9 @@ mod tests {
             ?x ub:undergraduateDegreeFrom ?y . ?x ub:memberOf ?z . ?z ub:subOrganizationOf ?y .
         }"#;
 
-    fn run(
-        ds: &Dataset,
-        idx: &PermutationIndexes,
-        strategy: JoinStrategy,
-        q: &str,
-    ) -> (Relation, BaselineStats) {
+    fn run(ds: &Dataset, idx: &PermutationIndexes, strategy: JoinStrategy, q: &str) -> Relation {
         let query = parse_query(q).unwrap();
-        let engine = match strategy {
-            JoinStrategy::SortMerge => MergeJoinEngine::new(&ds.dictionary, idx),
-            JoinStrategy::Hash => HashJoinEngine::new(&ds.dictionary, idx),
-        };
-        engine.execute(&query)
+        BaselineEngine::new(&ds.dictionary, idx, strategy).execute(&query)
     }
 
     #[test]
@@ -458,11 +389,8 @@ mod tests {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
         for strategy in [JoinStrategy::SortMerge, JoinStrategy::Hash] {
-            let (rel, stats) = run(&ds, &idx, strategy, TRIANGLE);
+            let rel = run(&ds, &idx, strategy, TRIANGLE);
             assert_eq!(rel.len(), 24, "{strategy:?}");
-            assert_eq!(stats.solutions, 24);
-            assert!(stats.joins >= 5);
-            assert!(stats.scanned_triples > 0);
         }
     }
 
@@ -470,8 +398,8 @@ mod tests {
     fn merge_and_hash_join_produce_identical_row_sets() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (mut a, _) = run(&ds, &idx, JoinStrategy::SortMerge, TRIANGLE);
-        let (mut b, _) = run(&ds, &idx, JoinStrategy::Hash, TRIANGLE);
+        let mut a = run(&ds, &idx, JoinStrategy::SortMerge, TRIANGLE);
+        let mut b = run(&ds, &idx, JoinStrategy::Hash, TRIANGLE);
         a.rows.sort_unstable();
         b.rows.sort_unstable();
         assert_eq!(a, b);
@@ -481,7 +409,7 @@ mod tests {
     fn bound_subject_query() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::SortMerge,
@@ -495,7 +423,7 @@ mod tests {
     fn unknown_constant_yields_empty_result() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::Hash,
@@ -509,7 +437,7 @@ mod tests {
     fn optional_keeps_unmatched_rows_with_nulls() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::SortMerge,
@@ -531,7 +459,7 @@ mod tests {
     fn filter_on_numeric_literals() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::Hash,
@@ -546,7 +474,7 @@ mod tests {
     fn join_condition_filter() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::SortMerge,
@@ -565,7 +493,7 @@ mod tests {
     fn union_concatenates_branches() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::Hash,
@@ -583,7 +511,7 @@ mod tests {
     fn variable_predicate_scan() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::SortMerge,
@@ -600,7 +528,7 @@ mod tests {
         ds.insert_iris(&ub("a"), &ub("knows"), &ub("b"));
         ds.dedup();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::Hash,
@@ -613,10 +541,10 @@ mod tests {
     fn empty_bgp_returns_unit() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let engine = MergeJoinEngine::new(&ds.dictionary, &idx);
+        let engine = BaselineEngine::new(&ds.dictionary, &idx, JoinStrategy::SortMerge);
         let query =
             parse_query("SELECT ?x WHERE { OPTIONAL { ?x <http://ub.org/email> ?m . } }").unwrap();
-        let (rel, _) = engine.execute(&query);
+        let rel = engine.execute(&query);
         // Unit left-joined with 6 email rows → 6 rows.
         assert_eq!(rel.len(), 6);
     }
@@ -625,7 +553,7 @@ mod tests {
     fn cartesian_product_when_patterns_share_nothing() {
         let ds = dataset();
         let idx = PermutationIndexes::build(ds.triples.iter().copied());
-        let (rel, _) = run(
+        let rel = run(
             &ds,
             &idx,
             JoinStrategy::SortMerge,

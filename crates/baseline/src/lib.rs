@@ -7,11 +7,18 @@
 //! commercial "System-X" (bitmap indexes). This crate provides two faithful
 //! stand-ins for that execution model:
 //!
-//! * [`MergeJoinEngine`] — RDF-3X style: all six orderings of the triple
-//!   table ([`PermutationIndexes`]), triple-pattern range scans, and
-//!   sort-merge joins with a greedy selectivity-based join order.
-//! * [`HashJoinEngine`] — the "specialized join" family (TripleBit /
+//! * [`JoinStrategy::SortMerge`] — RDF-3X style: sorted orderings of the
+//!   triple table ([`PermutationIndexes`]), triple-pattern range scans, and
+//!   sort-merge joins with a greedy selectivity-based join order. RDF-3X
+//!   keeps all six orderings so that every scan arrives sorted on its join
+//!   variable; these joins sort their inputs themselves, so three orderings
+//!   (SPO, POS, OSP) suffice: each pattern's bound positions are a key
+//!   prefix of one of them, and every scan is one range of one table.
+//! * [`JoinStrategy::Hash`] — the "specialized join" family (TripleBit /
 //!   System-X stand-in): the same scans joined with hash joins.
+//!
+//! [`BaselineEngine::new`] takes the dictionary, the tables and the
+//! strategy.
 //!
 //! Both support the general SPARQL features the BSBM explore use case needs
 //! (OPTIONAL as left outer join, FILTER, UNION), so every benchmark query in
@@ -28,6 +35,6 @@ pub mod engine;
 pub mod permutation;
 pub mod relation;
 
-pub use engine::{BaselineEngine, BaselineStats, HashJoinEngine, JoinStrategy, MergeJoinEngine};
+pub use engine::{BaselineEngine, JoinStrategy};
 pub use permutation::PermutationIndexes;
 pub use relation::Relation;

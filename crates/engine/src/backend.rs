@@ -1,6 +1,6 @@
 //! What a [`Store`](crate::Store) holds: the dictionary, the type-aware
 //! graph — which holds every triple — and the two derived structures only
-//! some plans read — the direct graph and the six permutation tables — each
+//! some plans read — the direct graph and the three permutation tables — each
 //! built from the graph's triples by the first plan that reads it. The
 //! arrays are owned heap memory when the store was built from triples and
 //! zero-copy views into a memory-mapped file when it was opened from a
@@ -337,7 +337,7 @@ impl Backend {
         })
     }
 
-    /// The six permutation tables, built here if this is their first reader.
+    /// The three permutation tables, built here if this is their first reader.
     pub fn permutations(&self, first_use: bool) -> &PermutationIndexes {
         self.permutations.get_or_init(|| {
             self.record("permutations", first_use, || {

@@ -9,7 +9,7 @@ use crate::results::{IdResults, QueryResults};
 use std::fmt;
 use std::path::Path;
 use std::time::{Duration, Instant};
-use turbohom_baseline::{HashJoinEngine, JoinStrategy, MergeJoinEngine, PermutationIndexes};
+use turbohom_baseline::{BaselineEngine, JoinStrategy, PermutationIndexes};
 use turbohom_core::TurboHomConfig;
 use turbohom_rdf::{parse_ntriples, Dataset, Dictionary, IdRows};
 use turbohom_sparql::{parse_query, Query};
@@ -27,7 +27,8 @@ pub enum EngineKind {
     /// The unoptimized port of TurboISO over the direct transformation
     /// (the paper's "TurboHOM", Figure 6 / Table 7 baseline).
     TurboHom,
-    /// RDF-3X-style baseline: six permutation indexes + sort-merge joins.
+    /// RDF-3X-style baseline: scans of three permutation indexes (SPO, POS,
+    /// OSP) + sort-merge joins.
     MergeJoin,
     /// TripleBit / System-X stand-in: predicate scans + hash joins.
     HashJoin,
@@ -161,7 +162,7 @@ impl Default for StoreOptions {
 /// An RDF store: the dictionary, the type-aware graph every TurboHOM++ plan
 /// matches over — which holds every triple, so no triple table is kept —
 /// and, each built from the graph's triples by the first plan that reads
-/// it, on either backend, the direct graph and the six permutation tables.
+/// it, on either backend, the direct graph and the three permutation tables.
 ///
 /// The arrays are either owned heap memory (built from parsed triples) or
 /// zero-copy views into a memory-mapped snapshot file (see
@@ -289,7 +290,7 @@ impl Store {
         self.backend.direct(true)
     }
 
-    /// The six permutation indexes (the join baselines' storage), built now
+    /// The three permutation indexes (the join baselines' storage), built now
     /// if nothing has read them before.
     pub(crate) fn permutations(&self) -> &PermutationIndexes {
         self.backend.permutations(true)
@@ -395,12 +396,9 @@ impl Store {
         materialise: &mut Duration,
     ) -> IdResults<'_> {
         let projected = query.projected_variables();
-        let engine = match strategy {
-            JoinStrategy::SortMerge => MergeJoinEngine::new(self.dictionary(), self.permutations()),
-            JoinStrategy::Hash => HashJoinEngine::new(self.dictionary(), self.permutations()),
-        };
+        let engine = BaselineEngine::new(self.dictionary(), self.permutations(), strategy);
         let mut span = trace.span("execute");
-        let (relation, _stats) = engine.execute(query);
+        let relation = engine.execute(query);
         span.counter("solutions", relation.len() as u64);
         span.finish();
         let projecting = Instant::now();

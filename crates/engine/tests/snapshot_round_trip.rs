@@ -237,7 +237,7 @@ fn a_snapshot_holds_no_permutations_and_a_baseline_builds_them_from_the_map() {
     snap.execute(QUERIES[0], EngineKind::HashJoin).unwrap();
     assert_eq!(
         bytes_of(&snap, "permutations"),
-        6 * 12 * snap.triple_count() as u64
+        3 * 12 * snap.triple_count() as u64
     );
     let built: Vec<_> = snap.builds().iter().map(|b| b.structure).collect();
     assert_eq!(built, ["permutations"]);
