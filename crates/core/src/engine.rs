@@ -1533,6 +1533,59 @@ mod tests {
         assert_eq!(names, stages, "no worker spans: no pool ran");
     }
 
+    /// 64 hubs, each with its `x` and `y` leaves. The hub of the lowest id
+    /// has 4 `x` and 1 `y`; every other one 1 `x` and 3 `y`. The region of
+    /// the lowest id, alone, orders `?y` before `?x`; every other region
+    /// orders `?x` first, which is the cheaper order for 63 of the 64.
+    #[test]
+    fn the_reused_order_is_the_one_most_regions_choose() {
+        let mut ds = Dataset::new();
+        for h in 0..64 {
+            let hub = ub(&format!("hub{h:02}"));
+            ds.insert_iris(&hub, vocab::RDF_TYPE, &ub("Hub"));
+            let (xs, ys) = if h == 0 { (4, 1) } else { (1, 3) };
+            for (class, leaves) in [("X", xs), ("Y", ys)] {
+                for i in 0..leaves {
+                    let leaf = ub(&format!("{class}{h:02}_{i}"));
+                    ds.insert_iris(&leaf, vocab::RDF_TYPE, &ub(class));
+                    ds.insert_iris(&hub, &ub(&class.to_lowercase()), &leaf);
+                }
+            }
+        }
+        ds.dedup();
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
+        let q = parse_query(
+            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+               PREFIX ub: <http://ub.org/>
+               SELECT ?h ?x ?y WHERE {
+                 ?h rdf:type ub:Hub . ?x rdf:type ub:X . ?y rdf:type ub:Y .
+                 ?h ub:x ?x . ?h ub:y ?y .
+               }"#,
+        )
+        .unwrap();
+        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
+            .unwrap()
+            .components
+            .remove(0);
+        for threads in [1, 2] {
+            let config = TurboHomConfig::default().with_threads(threads);
+            let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
+                .execute_with_order(&tq, None, RunInput::of(&tq), &Trace::disabled(), None)
+                .unwrap();
+            let order = order.expect("a cold +REUSE run determines an order");
+            let names: Vec<&str> = (order.order.iter())
+                .map(|&u| tq.graph.vertex(u).variable.as_deref().unwrap())
+                .collect();
+            assert_eq!(names, ["h", "x", "y"], "at {threads} thread(s)");
+            assert_eq!(result.len(), 4 + 63 * 3);
+            assert_eq!(result.stats.matching_orders_computed, 1);
+            assert_eq!(
+                result.stats.search_recursions, 131,
+                "at {threads} thread(s)"
+            );
+        }
+    }
+
     #[test]
     fn bound_entity_query_explores_single_region() {
         let ds = university_dataset();
