@@ -175,6 +175,11 @@ impl CandidateRegion {
         self.counts.get(u).copied().unwrap_or(0)
     }
 
+    /// Every query vertex's [`count`](Self::count), indexed by query vertex.
+    pub fn counts(&self) -> &[usize] {
+        &self.counts
+    }
+
     /// Total number of candidate vertices in the region.
     pub fn total_candidates(&self) -> usize {
         self.counts.iter().sum()

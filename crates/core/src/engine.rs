@@ -106,7 +106,8 @@ struct RegionRun<'r> {
     layout: &'r RowLayout,
     starts: &'r [VertexId],
     /// The +REUSE order when it is known before the first region runs: the
-    /// plan cache's preset, or the one the prologue probed for a pool.
+    /// plan cache's preset, or the one the prologue determined on a sample
+    /// of regions, or probed for a pool.
     shared_order: Option<&'r MatchingOrder>,
     /// The stopwatch every worker starts with: no time on it yet, running
     /// since the run's own last lap.
@@ -255,7 +256,7 @@ impl Worker for RegionWorker<'_> {
             (None, _) => {
                 self.searcher.stats.matching_orders_computed += 1;
                 let tree = &run.explorer.tree;
-                let determined = MatchingOrder::determine(run.query, tree, &self.region);
+                let determined = MatchingOrder::determine(run.query, tree, self.region.counts());
                 self.searcher.set_order(tree, &determined);
                 if reuse {
                     self.own_order.insert(determined)
@@ -573,9 +574,97 @@ pub struct Start<'a> {
     /// grown (no start vertex, or a query answered from its start list with
     /// nothing to probe).
     pub explorer: Option<RegionExplorer<'a>>,
-    /// The first non-empty candidate region in start order and the matching
-    /// order determined on it, where they were asked for and one exists.
-    pub first: Option<(CandidateRegion, MatchingOrder)>,
+    /// The +REUSE order the prologue determined, with the regions it read,
+    /// where one was asked for and a non-empty region was found (see
+    /// [`OrderSample`]).
+    pub sample: Option<OrderSample>,
+}
+
+/// +REUSE samples one start vertex in this many...
+const STARTS_PER_SAMPLE: usize = 16;
+/// ...and at most this many of them.
+const MAX_SAMPLE: usize = 16;
+
+/// The regions the +REUSE order (Section 4.3) is determined on, and that
+/// order. With `n` start vertices and `k = min(16, n / 16)` of at least
+/// two, the regions are those of the start vertices at positions
+/// `i * n / k` that are non-empty, and the order is determined on each
+/// query vertex's candidate count summed over them; their exploration is at
+/// most 1/16 of a run's. Otherwise (an anchored lookup, a short list), or
+/// when every sampled region is empty, it is the first non-empty region in
+/// start order. A search capped at a LIMIT takes that one too: it explores
+/// the list from its start and may stop in its first regions, which the
+/// first one describes, and the rows it stops at stay those it stopped at
+/// before the sample.
+pub struct OrderSample {
+    /// The start vertices of the regions read, in start order.
+    pub starts: Vec<VertexId>,
+    /// Per query vertex, its candidate count summed over those regions.
+    pub counts: Vec<usize>,
+    /// The matching order determined on `counts`.
+    pub order: MatchingOrder,
+}
+
+impl OrderSample {
+    /// Explores the sampled regions of `starts` (none unless `sampled`)
+    /// and, if every one is empty and `fallback` asks for it, the first
+    /// non-empty region; `None` when it found no non-empty region.
+    /// The exploration is not counted: whoever runs a region explores, and
+    /// counts, it again.
+    fn take(
+        query: &TransformedQuery,
+        explorer: &RegionExplorer<'_>,
+        starts: &[VertexId],
+        sampled: bool,
+        fallback: bool,
+    ) -> Option<OrderSample> {
+        let (mut region, mut uncounted) = (CandidateRegion::default(), MatchStats::default());
+        let (mut read, mut counts) = (Vec::new(), vec![0; query.graph.vertex_count()]);
+        // One region or none is no sample: the first non-empty one serves.
+        let n = starts.len();
+        let k = (n / STARTS_PER_SAMPLE).min(MAX_SAMPLE);
+        let k = if sampled && k > 1 { k } else { 0 };
+        for vs in (0..k).map(|i| starts[i * n / k]) {
+            if explorer.explore(&mut region, vs, &mut uncounted) {
+                read.push(vs);
+                for (sum, count) in counts.iter_mut().zip(region.counts()) {
+                    *sum += count;
+                }
+            }
+        }
+        if read.is_empty() && fallback {
+            let mut live = starts.iter().copied();
+            if let Some(vs) = live.find(|&vs| explorer.explore(&mut region, vs, &mut uncounted)) {
+                read.push(vs);
+                counts.copy_from_slice(region.counts());
+            }
+        }
+        (!read.is_empty()).then(|| OrderSample {
+            order: MatchingOrder::determine(query, &explorer.tree, &counts),
+            starts: read,
+            counts,
+        })
+    }
+
+    /// `total`, a sum over the regions read, as their mean (rounded).
+    pub fn mean(&self, total: usize) -> usize {
+        let regions = self.starts.len();
+        (total + regions / 2) / regions
+    }
+}
+
+/// What a run asks its prologue for about the +REUSE order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OrderProbe {
+    /// Nothing: the run has its order (the plan's), or determines one per
+    /// region (−REUSE).
+    Skip,
+    /// The sample's order, where there is a sample; otherwise the run's one
+    /// worker meets the first non-empty region itself.
+    Sample,
+    /// An order before any region runs: the sample's, or the first
+    /// non-empty region's.
+    Always,
 }
 
 /// The TurboHOM / TurboHOM++ execution engine over one transformed data graph.
@@ -608,11 +697,11 @@ impl<'a> TurboHomEngine<'a> {
     }
 
     /// What a run of `query` with `input` decides before it enumerates
-    /// anything, its first non-empty region probed: the plan EXPLAIN
-    /// reports.
+    /// anything, its +REUSE order determined as a cold run determines it:
+    /// the plan EXPLAIN reports.
     pub fn explain<'s>(&'s self, query: &'s TransformedQuery, input: RunInput<'s>) -> Prologue<'s> {
         let (mut stats, mut clock) = (MatchStats::default(), StageClock::start(false));
-        self.prologue(query, input, &mut stats, &mut clock, |_| true)
+        self.prologue(query, input, &mut stats, &mut clock, |_| OrderProbe::Always)
     }
 
     /// Algorithm 1 before its first enumeration, written once for the runs
@@ -620,18 +709,16 @@ impl<'a> TurboHomEngine<'a> {
     /// search's cap decided from them and its LIMIT, the guards, the start
     /// query vertex with its data vertices (those that pass its inline
     /// FILTERs, unless the search is capped), the explorer over the query
-    /// tree rooted there (unless no region is going to be grown) and, when
-    /// `probe` asks for it once the start vertices are known, the first
-    /// non-empty region in start order, with the matching order determined
-    /// on it (+REUSE, Section 4.3). That exploration is not counted: whoever
-    /// runs the region explores, and counts, it again.
+    /// tree rooted there (unless no region is going to be grown) and, as
+    /// `probe` asks once the start vertices are known, the +REUSE order
+    /// (Section 4.3) with the regions it was determined on ([`OrderSample`]).
     fn prologue<'s>(
         &'s self,
         query: &'s TransformedQuery,
         input: RunInput<'s>,
         stats: &mut MatchStats,
         clock: &mut StageClock,
-        probe: impl FnOnce(&StartSelection<'_>) -> bool,
+        probe: impl FnOnce(&StartSelection<'_>) -> OrderProbe,
     ) -> Prologue<'s> {
         let mut split = FilterSplit::new(self.dictionary, query, input);
         let cap = split.search_cap(&self.config, input.limit);
@@ -651,7 +738,12 @@ impl<'a> TurboHomEngine<'a> {
             split.inline[selection.query_vertex].clear();
         }
         let starts = &selection.start_vertices;
-        let probing = !starts.is_empty() && probe(&selection);
+        let probe = if starts.is_empty() {
+            OrderProbe::Skip
+        } else {
+            probe(&selection)
+        };
+        let probing = probe != OrderProbe::Skip;
         let grows = !starts.is_empty() && !answered_from_starts(query, &input);
         let explorer = (probing || grows).then(|| {
             let tree = QueryTree::build(&query.graph, selection.query_vertex);
@@ -659,22 +751,16 @@ impl<'a> TurboHomEngine<'a> {
             RegionExplorer::new(self.data, &self.config, query, tree, split)
         });
         clock.lap(|c| &mut c.select);
-        let mut first = None;
+        let mut sample = None;
         if let Some(explorer) = explorer.as_ref().filter(|_| probing) {
-            let (mut region, mut uncounted) = (CandidateRegion::default(), MatchStats::default());
-            if starts
-                .iter()
-                .any(|&vs| explorer.explore(&mut region, vs, &mut uncounted))
-            {
-                let order = MatchingOrder::determine(query, &explorer.tree, &region);
-                first = Some((region, order));
-            }
+            let (sampled, fallback) = (cap.solutions.is_none(), probe == OrderProbe::Always);
+            sample = OrderSample::take(query, explorer, starts, sampled, fallback);
             clock.lap(|c| &mut c.order);
         }
         let start = Start {
             selection,
             explorer,
-            first,
+            sample,
         };
         Prologue {
             cap,
@@ -686,6 +772,12 @@ impl<'a> TurboHomEngine<'a> {
     /// matching order computed by a previous run of the *same* query on the
     /// *same* data graph (the plan-cache warm path), and returns the order
     /// this run computed so the caller can cache it.
+    ///
+    /// Without a preset, a `+REUSE` run computes one order: on a sample of
+    /// candidate regions spread over the start list where it is long enough,
+    /// else on the first non-empty region in start order (see
+    /// [`OrderSample`]); one worker and a pool follow the same order, so
+    /// `MatchStats::matching_orders_computed` reads 1 at any thread count.
     ///
     /// The preset only takes effect under `+REUSE` (without it the order is
     /// per-region by design). When a preset is supplied, no order is computed
@@ -716,19 +808,24 @@ impl<'a> TurboHomEngine<'a> {
         let reuse = self.config.optimizations.reuse_matching_order;
         let preset_order = preset_order.filter(|_| reuse);
         let from_starts = answered_from_starts(query, &input);
-        // +REUSE takes the order of the first non-empty region in start
-        // order. A worker walking the starts in that order meets the region
-        // itself; a pool's workers do not, and the start-list answer explores
-        // no region, so for them the prologue probes it.
+        // +REUSE takes the order of a sample of regions, or else of the first
+        // non-empty region in start order (see `OrderSample`). A worker
+        // walking the starts in that order meets that region itself; a pool's
+        // workers do not, and the start-list answer explores no region, so
+        // for them the prologue probes it.
         let probe = |selection: &StartSelection<'_>| {
             let pool = self.config.threads.min(selection.start_vertices.len()) > 1;
-            reuse && preset_order.is_none() && (pool || from_starts)
+            match (reuse && preset_order.is_none(), pool || from_starts) {
+                (false, _) => OrderProbe::Skip,
+                (true, false) => OrderProbe::Sample,
+                (true, true) => OrderProbe::Always,
+            }
         };
         let Prologue { cap, start } = self.prologue(query, input, &mut stats, &mut clock, probe);
         let Some(mut start) = start? else {
             return Ok((MatchResult::default(), None));
         };
-        let probed = start.first.take().map(|(_, order)| order);
+        let probed = start.sample.take().map(|sample| sample.order);
         stats.matching_orders_computed += usize::from(probed.is_some());
         let starts = &start.selection.start_vertices;
         let (mut result, own_order, workers) = if starts.is_empty() {
@@ -819,7 +916,7 @@ impl<'a> TurboHomEngine<'a> {
     /// cap, not at all unless it keeps rows) and every counter reads what
     /// Algorithm 1's loop would have left one region at a time; no pool is
     /// set up and nothing is ranked by degree. With +REUSE and no preset the
-    /// prologue has probed the order once, from the first region, for the
+    /// prologue has determined the order once ([`OrderSample`]), for the
     /// plan to memoize.
     fn answer_from_starts(
         &self,
@@ -1132,12 +1229,14 @@ mod tests {
             let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
             let prologue = engine.explain(&tq, RunInput::of(&tq));
             let start = prologue.start.unwrap().expect("the query is admitted");
-            let (region, order) = start.first.as_ref().expect("a non-empty region");
+            let sample = start.sample.as_ref().expect("a non-empty region");
+            // Too few start vertices for a sample: the first live region.
             let starts = &start.selection.start_vertices;
-            assert_eq!(
-                starts.iter().position(|&v| v == region.start_vertex),
-                Some(dead)
-            );
+            assert!(starts.len() < 2 * STARTS_PER_SAMPLE);
+            let (order, &[first]) = (&sample.order, &sample.starts[..]) else {
+                panic!("one region read: {:?}", sample.starts);
+            };
+            assert_eq!(starts.iter().position(|&v| v == first), Some(dead));
             for threads in [1, 2, 4] {
                 let (_, cold) = run(&tq, TurboHomConfig::default().with_threads(threads), None);
                 let case = format!("{sparql} at {threads} threads");
@@ -1149,7 +1248,7 @@ mod tests {
             let regions = (hit.stats.candidate_regions, hit.stats.nonempty_regions);
             assert_eq!(regions, (dead + 1, 1), "{sparql}");
             let row = hit.rows.iter().next().expect("one solution");
-            assert_eq!(row[start.selection.query_vertex], region.start_vertex.0);
+            assert_eq!(row[start.selection.query_vertex], first.0);
         }
     }
 
@@ -1583,6 +1682,96 @@ mod tests {
                 result.stats.search_recursions, 131,
                 "at {threads} thread(s)"
             );
+        }
+    }
+
+    /// 64 hubs, hub `h` with `1 + h / 16` `x` leaves, two `y` leaves and,
+    /// unless `h` is a multiple of 16, three `z` leaves. The sample reads
+    /// hubs 0, 16, 32 and 48: over them `?x` (10 leaves) outweighs `?y`
+    /// (8), although the first region alone (1 and 2) would order `?x`
+    /// first. With `?z` asked for too, every sampled region is empty and the
+    /// order is the first non-empty region's, hub 1's; under a LIMIT it is
+    /// hub 0's.
+    #[test]
+    fn the_order_sample_is_spread_over_the_start_list() {
+        let mut ds = Dataset::new();
+        for h in 0..64 {
+            let hub = ub(&format!("hub{h:02}"));
+            ds.insert_iris(&hub, vocab::RDF_TYPE, &ub("Hub"));
+            let zs = if h % 16 == 0 { 0 } else { 3 };
+            for (class, leaves) in [("X", 1 + h / 16), ("Y", 2), ("Z", zs)] {
+                for i in 0..leaves {
+                    let leaf = ub(&format!("{class}{h:02}_{i}"));
+                    ds.insert_iris(&leaf, vocab::RDF_TYPE, &ub(class));
+                    ds.insert_iris(&hub, &ub(&class.to_lowercase()), &leaf);
+                }
+            }
+        }
+        ds.dedup();
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
+        let star = |leaves: &str| {
+            let patterns: String = (leaves.chars())
+                .map(|l| format!("?{l} rdf:type ub:{} . ?h ub:{l} ?{l} . ", l.to_uppercase()))
+                .collect();
+            let q = parse_query(&format!(
+                "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                 PREFIX ub: <http://ub.org/>
+                 SELECT * WHERE {{ ?h rdf:type ub:Hub . {patterns} }}"
+            ))
+            .unwrap();
+            let components = transform_branch(&q.pattern, &data, &ds.dictionary).unwrap();
+            components.components.into_iter().next().unwrap()
+        };
+        // The leaves asked for, the LIMIT, the start positions read, the
+        // order, and per query vertex in that order its count summed and
+        // averaged over the regions read.
+        type Case = (
+            &'static str,
+            Option<usize>,
+            &'static [usize],
+            &'static str,
+            &'static [(usize, usize)],
+        );
+        let cases: [Case; 3] = [
+            (
+                "xy",
+                None,
+                &[0, 16, 32, 48],
+                "hyx",
+                &[(4, 1), (8, 2), (10, 3)],
+            ),
+            ("xy", Some(1), &[0], "hxy", &[(1, 1), (1, 1), (2, 2)]),
+            ("xyz", None, &[1], "hxyz", &[(1, 1), (1, 1), (2, 2), (3, 3)]),
+        ];
+        for (leaves, limit, positions, names, counts) in cases {
+            let tq = star(leaves);
+            let input = RunInput {
+                limit,
+                ..RunInput::of(&tq)
+            };
+            let case = format!("{leaves}, LIMIT {limit:?}");
+            let vertex = |name: char| tq.graph.vertex_of_variable(&name.to_string()).unwrap();
+            let order: Vec<usize> = names.chars().map(vertex).collect();
+            let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
+            let start = engine.explain(&tq, input).start.unwrap().unwrap();
+            let sample = start.sample.expect("a non-empty region");
+            let starts = &start.selection.start_vertices;
+            assert_eq!(starts.len(), 64);
+            let read: Vec<VertexId> = positions.iter().map(|&i| starts[i]).collect();
+            assert_eq!(sample.starts, read, "{case}");
+            assert_eq!(sample.order.order, order, "{case}");
+            let counted: Vec<(usize, usize)> = (order.iter())
+                .map(|&u| (sample.counts[u], sample.mean(sample.counts[u])))
+                .collect();
+            assert_eq!(counted, counts, "{case}");
+            for threads in [1, 2] {
+                let config = TurboHomConfig::default().with_threads(threads);
+                let (_, cold) = TurboHomEngine::new(&data, &ds.dictionary, config)
+                    .execute_with_order(&tq, None, input, &Trace::disabled(), None)
+                    .unwrap();
+                let cold = cold.unwrap().order;
+                assert_eq!(cold, order, "{case} at {threads} thread(s)");
+            }
         }
     }
 

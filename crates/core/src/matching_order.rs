@@ -1,7 +1,7 @@
 //! `DetermineMatchingOrder` (paper Section 2.2) plus the clause layout the
 //! OPTIONAL strategy needs.
 //!
-//! Given the candidate counts of one region, the matching order is a
+//! Given a candidate count per query vertex, the matching order is a
 //! permutation of the query vertices such that
 //!
 //! 1. the query-tree parent of every vertex precedes it (so `CR(u, M(P(u)))`
@@ -15,10 +15,16 @@
 //!    "clause nullified" continuation when a clause cannot be matched
 //!    (Section 5.1).
 //!
-//! With the `+REUSE` optimization the order is computed for the first
-//! non-empty candidate region only and reused for all others (Section 4.3).
+//! Without `+REUSE` every non-empty candidate region is ordered by its own
+//! counts. With it one order is computed and reused for all regions
+//! (Section 4.3); the engine's prologue ([`OrderSample`]) decides which
+//! counts that order is determined on. Where the start list is long enough,
+//! they are summed over a sample of regions spread over it, since one
+//! region read alone gets the order wrong as soon as it is unlike the rest.
+//! Otherwise they are those of the first non-empty region in start order.
+//!
+//! [`OrderSample`]: crate::engine::OrderSample
 
-use crate::candidate_region::CandidateRegion;
 use crate::query_tree::QueryTree;
 use turbohom_transform::TransformedQuery;
 
@@ -49,11 +55,13 @@ pub struct MatchingOrder {
 }
 
 impl MatchingOrder {
-    /// Computes the matching order for `region`.
+    /// Computes the matching order for the candidate counts `counts`, one
+    /// per query vertex: those of one region (`CandidateRegion::counts`),
+    /// or their sums over several.
     pub fn determine(
         query: &TransformedQuery,
         tree: &QueryTree,
-        region: &CandidateRegion,
+        counts: &[usize],
     ) -> MatchingOrder {
         let n = query.graph.vertex_count();
         let mut order: Vec<usize> = Vec::with_capacity(n);
@@ -61,7 +69,7 @@ impl MatchingOrder {
 
         // --- Phase A: required vertices, DFS over the tree, cheapest
         // subtree first.
-        let subtree_cost = compute_subtree_costs(query, tree, region);
+        let subtree_cost = compute_subtree_costs(query, tree, counts);
         place_required_dfs(
             query,
             tree,
@@ -148,13 +156,13 @@ impl MatchingOrder {
 fn compute_subtree_costs(
     query: &TransformedQuery,
     tree: &QueryTree,
-    region: &CandidateRegion,
+    counts: &[usize],
 ) -> Vec<usize> {
     let n = query.graph.vertex_count();
     let mut cost = vec![0usize; n];
     // bfs_order is parent-before-child, so accumulate in reverse.
     for &u in tree.bfs_order.iter().rev() {
-        let mut total = region.count(u).max(1);
+        let mut total = counts[u].max(1);
         for &c in &tree.children[u] {
             total += cost[c];
         }
@@ -255,6 +263,7 @@ fn place_clause_dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate_region::CandidateRegion;
     use crate::config::TurboHomConfig;
     use crate::start_vertex;
     use crate::stats::MatchStats;
@@ -322,7 +331,7 @@ mod tests {
                  ?a ub:edge ?x . ?a ub:edge ?y . ?a ub:edge ?z .
                }"#,
         );
-        let order = MatchingOrder::determine(&tq, &tree, &region);
+        let order = MatchingOrder::determine(&tq, &tree, region.counts());
         assert_eq!(order.len(), 4);
         // Root first, then Z (5 candidates), X (10), Y (50) — the paper's
         // < u0, u3, u1, u2 > order of Figure 2.
@@ -349,7 +358,7 @@ mod tests {
                PREFIX ub: <http://ub.org/>
                SELECT ?a ?x WHERE { ?a rdf:type ub:A . ?x rdf:type ub:X . ?a ub:edge ?x . }"#,
         );
-        let order = MatchingOrder::determine(&tq, &tree, &region);
+        let order = MatchingOrder::determine(&tq, &tree, region.counts());
         for &u in &order.order {
             if let Some(edge) = tree.parent[u] {
                 assert!(order.position[edge.parent] < order.position[u]);
@@ -376,7 +385,7 @@ mod tests {
                  OPTIONAL { ?p ub:rating ?r . OPTIONAL { ?p ub:homepage ?h . } }
                }"#,
         );
-        let order = MatchingOrder::determine(&tq, &tree, &region);
+        let order = MatchingOrder::determine(&tq, &tree, region.counts());
         // Query vertices: ?p, ?price, ?r, ?h (the type triple is folded).
         assert_eq!(order.len(), 4);
         // The first positions are required, the rest optional.
@@ -423,7 +432,7 @@ mod tests {
                  OPTIONAL { ?p ub:homepage ?h . }
                }"#,
         );
-        let order = MatchingOrder::determine(&tq, &tree, &region);
+        let order = MatchingOrder::determine(&tq, &tree, region.counts());
         let b0 = order.clause_blocks[0];
         let b1 = order.clause_blocks[1];
         assert!(

@@ -576,7 +576,7 @@ mod tests {
             }
             stats.nonempty_regions += 1;
             if order.is_none() || !config.optimizations.reuse_matching_order {
-                let determined = MatchingOrder::determine(&tq, &tree, &region);
+                let determined = MatchingOrder::determine(&tq, &tree, region.counts());
                 searcher.set_order(&tree, &determined);
                 order = Some(determined);
                 stats.matching_orders_computed += 1;
@@ -691,7 +691,7 @@ mod tests {
                     for u in 0..tq.graph.vertex_count() {
                         assert_eq!(region.count(u), fresh_region.count(u), "{config:?} u{u}");
                     }
-                    let order = MatchingOrder::determine(&tq, &tree, fresh_region);
+                    let order = MatchingOrder::determine(&tq, &tree, fresh_region.counts());
                     // −REUSE plans every region anew; +REUSE keeps the first.
                     if expected.rows.is_empty() || !config.optimizations.reuse_matching_order {
                         reused.set_order(&tree, &order);

@@ -3,9 +3,10 @@
 //!
 //! [`Store::explain`] answers "what would this prepared plan do?" *without
 //! executing it*: the transformed components, the chosen start vertex, the
-//! first non-empty candidate region's sizes, and the matching order with the
-//! per-step cardinality estimates (`|CR(u)|`, paper Section 4.3) that
-//! justified it — what the engine's prologue decides for a run. For a plan
+//! mean size of the candidate regions the matching order was determined on,
+//! and that order with the per-step cardinality estimates (mean `|CR(u)|`,
+//! paper Section 4.3) that justified it — what the engine's prologue decides
+//! for a run. For a plan
 //! a [`ShardedStore`](crate::ShardedStore) routed, the report instead
 //! carries the anchor and one verdict per shard — live, or routed away by
 //! the constant-anchor ownership rule — with the components on every live
@@ -89,7 +90,9 @@ pub struct ComponentExplain {
     pub note: Option<&'static str>,
     /// The chosen start query vertex.
     pub start: Option<StartExplain>,
-    /// Total candidate vertices in the first non-empty candidate region.
+    /// Total candidate vertices of a candidate region: the mean (rounded)
+    /// over the non-empty regions the matching order was determined on (the
+    /// +REUSE sample, or the first non-empty region).
     pub region_candidates: Option<usize>,
     /// The matching order, one entry per position.
     pub steps: Vec<StepExplain>,
@@ -115,8 +118,9 @@ pub struct StepExplain {
     pub query_vertex: usize,
     /// Its SPARQL variable name, if any.
     pub variable: Option<String>,
-    /// The candidate-count estimate that justified the order: `|CR(u)|` of
-    /// the first non-empty region (EXPLAIN), or summed over all explored
+    /// The candidate-count estimate that justified the order: `|CR(u)|`
+    /// as a mean (rounded) over the regions the order was determined on
+    /// (EXPLAIN, see `region_candidates`), or summed over all explored
     /// regions (ANALYZE).
     pub estimate: u64,
     /// `+SUM`: the adjacency list of this vertex is selected by fewer labels
@@ -343,7 +347,7 @@ impl ToJson for ShardExplain {
 
 /// The static plan tree of one transformed component: what the engine's
 /// prologue decides for a run of it with `limit` — guards, start vertex,
-/// first non-empty candidate region, matching order — short of
+/// the candidate regions the order is determined on, matching order — short of
 /// enumeration. Also returns whether that run's search stops at the LIMIT.
 fn explain_component(
     store: &Store,
@@ -388,7 +392,7 @@ fn explain_component(
         variable: tq.graph.vertex(selection.query_vertex).variable.clone(),
         candidates: selection.start_vertices.len(),
     });
-    let (Some(explorer), Some((region, order))) = (&start.explorer, &start.first) else {
+    let (Some(explorer), Some(sample)) = (&start.explorer, &start.sample) else {
         ce.note = Some(if selection.start_vertices.is_empty() {
             "start vertex has no candidate data vertices"
         } else {
@@ -396,16 +400,15 @@ fn explain_component(
         });
         return (ce, pushed);
     };
-    ce.region_candidates = Some(region.total_candidates());
-    ce.steps = order
-        .order
+    ce.region_candidates = Some(sample.mean(sample.counts.iter().sum()));
+    ce.steps = (sample.order.order)
         .iter()
         .enumerate()
         .map(|(position, &u)| StepExplain {
             position,
             query_vertex: u,
             variable: tq.graph.vertex(u).variable.clone(),
-            estimate: region.count(u) as u64,
+            estimate: sample.mean(sample.counts[u]) as u64,
             label_lookup_elided: explorer.lookup_labels(u).len() < tq.graph.vertex(u).labels.len(),
             signature_bits: explorer.signature_need(u).count_ones(),
             rows: None,

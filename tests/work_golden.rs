@@ -7,9 +7,12 @@
 //! vector: every `MatchStats::counters()` entry, the row count and a hash of
 //! the sorted SPARQL-JSON body. It compares each with the committed vector in
 //! `crates/bench/tests/golden/work.json` and names the query and the counter
-//! that moved. At two worker threads only the row count and the hash are
-//! checked (a LIMIT's rows are then any seven rows of the answer, so a
-//! `LIMIT 7` query checks its row count alone).
+//! that moved. At two worker threads a query without a LIMIT must do the
+//! one-thread work: its row count and hash are checked against the committed
+//! vector and every counter but `morsels` (the chunks a pool claims, 0
+//! inline) against the one-thread vector. A `LIMIT 7` query checks its row
+//! count alone there: its rows are then any seven rows of the answer, and
+//! the workers may together search past the cap.
 //!
 //! A change that is meant to move a number re-blesses the file:
 //! `cargo test --test work_golden -- --ignored bless_work_golden`.
@@ -145,7 +148,21 @@ fn every_benchmark_query_does_the_committed_work() {
     let golden = golden();
     let mut moved = Vec::new();
     let measured = measure(&[1, 2]);
+    let one_thread: HashMap<&str, &Vector> = (measured.iter())
+        .filter(|(threads, ..)| *threads == 1)
+        .map(|(_, key, vector)| (key.as_str(), vector))
+        .collect();
     for (threads, key, vector) in &measured {
+        if *threads > 1 && !key.contains(LIMIT) {
+            let pairs = vector.iter().zip(one_thread[key.as_str()]).skip(2);
+            for ((name, value), (_, alone)) in pairs {
+                if name != "morsels" && value != alone {
+                    moved.push(format!(
+                        "{key} at {threads} threads: {name} {value}, at one thread {alone}"
+                    ));
+                }
+            }
+        }
         let Some(expected) = golden.get(key) else {
             moved.push(format!("{key}: no committed vector"));
             continue;
@@ -181,6 +198,42 @@ fn every_benchmark_query_does_the_committed_work() {
         moved.len(),
         moved.join("\n")
     );
+}
+
+/// The repo benchmark's J3: two advisees of one professor, one a teaching
+/// assistant of a course the professor teaches, the other (an
+/// undergraduate) taking it.
+const J3: &str = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
+SELECT ?X ?W ?Z WHERE { ?X ub:advisor ?Y . ?W ub:advisor ?Y . ?X ub:teachingAssistantOf ?Z .
+  ?W ub:takesCourse ?Z . ?Y ub:teacherOf ?Z . ?W rdf:type ub:UndergraduateStudent . }";
+
+/// The two LUBM(640) joins whose work hangs on the +REUSE matching order:
+/// their first non-empty candidate region orders them differently from most
+/// regions, so an order read from it alone costs Q9 39,081 recursions and
+/// 28,418 intersections, and J3 4,662 and 2,671.
+#[test]
+#[ignore = "builds LUBM(640): a few seconds in release, longer in debug"]
+fn lubm640_join_work_is_pinned() {
+    let store =
+        Store::from_dataset(lubm::LubmGenerator::new(lubm::LubmConfig::scale(640)).generate());
+    let q9 = lubm::queries().into_iter().find(|q| q.id == "Q9").unwrap();
+    for (id, sparql, pinned) in [
+        ("Q9", q9.sparql.as_str(), (19_679, 31_980, 21_317)),
+        ("J3", J3, (96, 4_353, 2_362)),
+    ] {
+        let results = run(&store, sparql, EngineKind::TurboHomPlusPlus, 1);
+        let stats = results.stats;
+        let work = (
+            results.len(),
+            stats.search_recursions,
+            stats.intersection_ops,
+        );
+        assert_eq!(
+            work, pinned,
+            "{id}: (rows, search_recursions, intersection_ops)"
+        );
+    }
 }
 
 #[test]
