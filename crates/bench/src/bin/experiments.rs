@@ -525,8 +525,8 @@ fn figure16() {
         .into_iter()
         .filter(|q| q.id == "Q2" || q.id == "Q9")
         .collect();
-    // Build one store per thread count so each run uses the configured pool.
-    let base_store = lubm_parallel_store(universities, 1);
+    // One store; each run sets its thread count in its configuration.
+    let base_store = lubm_parallel_store(universities);
     println!("  {} triples", base_store.triple_count());
     println!(
         "{:<6} {:>9} {:>14} {:>10}",

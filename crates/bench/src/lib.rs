@@ -139,8 +139,9 @@ pub fn sharded_lubm_store(scale: usize, shards: usize) -> ShardedStore {
 }
 
 /// A larger LUBM configuration used for the parallel-speed-up experiment
-/// (bigger departments so Q2/Q9 run long enough for threading to matter).
-pub fn lubm_parallel_store(universities: usize, threads: usize) -> Store {
+/// (bigger departments so Q2/Q9 run long enough for threading to matter),
+/// without inference. A run sets its thread count in its configuration.
+pub fn lubm_parallel_store(universities: usize) -> Store {
     let config = lubm::LubmConfig {
         universities,
         departments_per_university: 6,
@@ -151,13 +152,7 @@ pub fn lubm_parallel_store(universities: usize, threads: usize) -> Store {
         ..lubm::LubmConfig::default()
     };
     let dataset = lubm::LubmGenerator::new(config).generate();
-    Store::from_dataset_with(
-        dataset,
-        StoreOptions {
-            inference: false,
-            threads,
-        },
-    )
+    Store::from_dataset_with(dataset, StoreOptions::default())
 }
 
 /// Builds the YAGO-like store.

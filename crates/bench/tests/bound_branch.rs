@@ -5,7 +5,8 @@
 //! inline checks. These tests hold that bound run to the join baselines on
 //! heap and snapshot stores at one and two threads, to the order of the
 //! unfiltered component filtered by hand where enumeration order is defined,
-//! and to the counters that show the mechanism;
+//! to their own unlimited answer under a LIMIT and an OFFSET, and to the
+//! counters and spans that show the mechanism;
 //! a side of no row or of two rows takes the empty answer or the cartesian
 //! product instead.
 
@@ -62,7 +63,8 @@ const FILTERS: [Filters; 3] = [
         "FILTER (?p1 < ?orig1 - 500 || ?p1 > ?orig1 + 500)",
         |p1, _, o1, _| p1 < o1 - 500 || p1 > o1 + 500,
     ),
-    // `!` on one vertex, and a join condition that stays post hoc.
+    // `!` on one vertex, and a join condition that still reads two unbound
+    // variables after the bind: it waits for complete rows.
     (
         "FILTER (!(?p2 > ?orig2)) FILTER (?p1 + ?p2 > ?orig1 + ?orig2)",
         |p1, p2, o1, o2| p2 <= o2 && p1 + p2 > o1 + o2,
@@ -121,6 +123,26 @@ fn run(store: &Store, sparql: &str, kind: EngineKind, threads: usize) -> QueryRe
         .decode()
 }
 
+/// [`run`] of TurboHOM++ under a detailed trace, which shows the pass of
+/// the FILTERs that wait for complete rows, where one ran, as
+/// `materialise`'s `post_filters` child with the rows it removed.
+fn run_traced(store: &Store, sparql: &str, threads: usize) -> QueryResults {
+    let plan = store.prepare_plan(sparql, PLUS).unwrap();
+    let trace = Trace::detailed(1);
+    let results = store.run_plan_traced(&plan, Some(threads), &trace).unwrap();
+    let spans = trace.finish().spans;
+    let materialise = spans.iter().find(|s| s.name == "materialise").unwrap();
+    let filtered = results.stats.filtered_post as u64;
+    match spans.iter().find(|s| s.name == "post_filters") {
+        Some(pass) => {
+            assert_eq!(pass.parent, Some(materialise.id), "{sparql}");
+            assert_eq!(pass.counters, [("filtered", filtered)], "{sparql}");
+        }
+        None => assert_eq!(filtered, 0, "{sparql}"),
+    }
+    results.decode()
+}
+
 fn integer(cell: &Option<Term>) -> i64 {
     cell.as_ref()
         .and_then(Term::as_integer)
@@ -168,8 +190,14 @@ fn products_and_starts(store: &Store, sparql: &str) -> (Vec<Term>, u64) {
 
 /// Every engine returns the same rows on both stores at one and two threads;
 /// at one thread a bound TurboHOM++ run returns the hand-filtered products,
-/// and so does one capped by a LIMIT of as many rows. Returns the TurboHOM++
-/// result at one thread on the heap store.
+/// and so does one capped by a LIMIT of as many rows. Under `LIMIT 2` and
+/// `LIMIT 2 OFFSET 1` TurboHOM++ returns its unlimited answer's window, and
+/// the pass after the match removes as many rows. Where the run is the
+/// unlimited one's, it returns the very rows at the window's positions:
+/// at one thread, under an OFFSET or with a FILTER that waits for complete
+/// rows. Otherwise (the pool's order, or a capped run's own start vertex)
+/// it returns as many rows of that answer. Returns the TurboHOM++ result at
+/// one thread on the heap store.
 fn check(stores: &[Store; 2], product: &str, filters: Filters) -> QueryResults {
     let sparql = q5(product, filters.0);
     let expected = canonical_json(stores[0].execute(&sparql, EngineKind::MergeJoin).unwrap());
@@ -178,6 +206,22 @@ fn check(stores: &[Store; 2], product: &str, filters: Filters) -> QueryResults {
             for kind in EngineKind::all() {
                 let got = canonical_json(run(store, &sparql, kind, threads));
                 assert_eq!(got, expected, "{kind} {flavour} threads={threads} {sparql}");
+            }
+            let all = run_traced(store, &sparql, threads);
+            for (window, offset) in [(" LIMIT 2", 0), (" LIMIT 2 OFFSET 1", 1)] {
+                let windowed = format!("{sparql}{window}");
+                let case = format!("{flavour} threads={threads} {windowed}");
+                let got = run_traced(store, &windowed, threads);
+                let kept = all.rows.iter().skip(offset).take(2);
+                assert_eq!(got.rows.len(), kept.len(), "{case}");
+                let same_run = offset > 0 || all.stats.filtered_post > 0;
+                if threads == 1 && same_run {
+                    assert!(got.rows.iter().eq(kept), "{case}");
+                } else {
+                    assert!(got.rows.iter().all(|r| all.rows.contains(r)), "{case}");
+                }
+                let filtered = (got.stats.filtered_post, all.stats.filtered_post);
+                assert_eq!(filtered.0, filtered.1, "{case}");
             }
         }
         let Some(by_hand) = filtered_by_hand(store, product, filters.1) else {

@@ -224,8 +224,7 @@ pub struct RegionExplorer<'a> {
     query: &'a TransformedQuery,
     /// The query tree the regions are grown along.
     pub(crate) tree: QueryTree,
-    /// The run's FILTERs: the inline ones are tested here, the post-hoc
-    /// ones wait for complete solutions.
+    /// The run's inline FILTERs, tested here.
     pub(crate) split: FilterSplit<'a>,
     filters: Vec<VertexFilter<'a>>,
     /// Per query vertex: the labels its adjacency list is selected by. `L(u)`
@@ -442,7 +441,7 @@ pub(crate) fn explore_candidate_region(
     stats: &mut MatchStats,
 ) -> Option<CandidateRegion> {
     let mut region = CandidateRegion::default();
-    let split = FilterSplit::of(dictionary, query);
+    let split = FilterSplit::new(dictionary, query, &[]);
     RegionExplorer::new(data, config, query, tree.clone(), split)
         .explore(&mut region, start, stats)
         .then_some(region)
@@ -703,7 +702,7 @@ mod tests {
         let tree = QueryTree::build(&tq.graph, a);
         let vertex = |name: &str| VertexId::of_term(ds.dictionary.id_of_iri(&ub(name)).unwrap());
         let config = TurboHomConfig::default();
-        let split = FilterSplit::of(&ds.dictionary, &tq);
+        let split = FilterSplit::new(&ds.dictionary, &tq, &[]);
         let explorer = RegionExplorer::new(&t, &config, &tq, tree, split);
         let mut stats = MatchStats::default();
         let mut region = CandidateRegion::default();

@@ -1,7 +1,8 @@
 //! The top-level engine: orchestrates start-vertex selection, candidate
-//! region exploration, matching-order determination, subgraph search,
-//! FILTER application and (optionally) parallel execution over starting
-//! vertices (paper Algorithm 1 + Sections 4.3, 5.1, 5.2).
+//! region exploration, matching-order determination, subgraph search, the
+//! inline FILTERs and (optionally) parallel execution over starting
+//! vertices (paper Algorithm 1 + Sections 4.3, 5.1, 5.2). The FILTERs that
+//! wait for complete solutions are the caller's to apply ([`split_filters`]).
 
 use crate::candidate_region::{CandidateRegion, RegionExplorer};
 use crate::config::TurboHomConfig;
@@ -16,8 +17,8 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use turbohom_graph::{ELabel, VertexId};
-use turbohom_rdf::{Dictionary, IdRows, UNBOUND};
+use turbohom_graph::VertexId;
+use turbohom_rdf::{Dictionary, IdRows};
 use turbohom_sparql::{Binding, Expression};
 use turbohom_trace::{SpanId, Trace};
 use turbohom_transform::{TransformedGraph, TransformedQuery};
@@ -50,7 +51,7 @@ fn accumulate_estimates(dst: &mut Vec<u64>, order: &MatchingOrder, region: &Cand
 /// time from the stopwatch's start to its last lap. Exploration,
 /// matching-order determination and enumeration interleave per candidate
 /// region, so their times are accumulated here and emitted as rolled-up
-/// spans at the end of the run; so are the post-hoc FILTERs'.
+/// spans at the end of the run.
 #[derive(Debug, Clone, Copy)]
 struct StageClock {
     /// When the previous lap ended. `None` unless the trace is detailed: the
@@ -60,7 +61,6 @@ struct StageClock {
     explore: Duration,
     order: Duration,
     search: Duration,
-    filter: Duration,
 }
 
 impl StageClock {
@@ -71,7 +71,6 @@ impl StageClock {
             explore: Duration::ZERO,
             order: Duration::ZERO,
             search: Duration::ZERO,
-            filter: Duration::ZERO,
         }
     }
 
@@ -94,12 +93,13 @@ impl StageClock {
 }
 
 /// What every worker of one run reads: the query, its search structures,
-/// the start vertices in the order they are handed out, the search's cap
-/// and the run-wide solution counter that makes it stop all workers.
+/// the start vertices in the order they are handed out, the LIMIT the
+/// search stops at and the run-wide solution counter that makes it stop all
+/// workers.
 struct RegionRun<'r> {
     data: &'r TransformedGraph,
     config: &'r TurboHomConfig,
-    cap: SearchCap,
+    limit: Option<usize>,
     query: &'r TransformedQuery,
     /// Grows the regions, along the query tree, under the inline FILTERs.
     explorer: &'r RegionExplorer<'r>,
@@ -209,7 +209,7 @@ struct RegionWorker<'r> {
 impl<'r> RegionWorker<'r> {
     fn new(run: &'r RegionRun<'r>) -> Self {
         let mut searcher =
-            SubgraphSearcher::new(run.data, run.config, run.cap, run.query, run.layout);
+            SubgraphSearcher::new(run.data, run.config, run.limit, run.query, run.layout);
         if let Some(shared) = run.shared_order {
             searcher.set_order(&run.explorer.tree, shared);
         }
@@ -227,11 +227,11 @@ impl<'r> RegionWorker<'r> {
 impl Worker for RegionWorker<'_> {
     /// One iteration of Algorithm 1 for the start vertex at `index`: explore
     /// its candidate region, fix or reuse the matching order, search. Stops
-    /// (without exploring) once the run has found as many solutions as the
-    /// search's cap.
+    /// (without exploring) once the run has found as many solutions as its
+    /// LIMIT.
     fn run(&mut self, index: usize) -> bool {
         let run = self.shared;
-        let limit = run.cap.solutions;
+        let limit = run.limit;
         if limit.is_some_and(|limit| run.found.load(Ordering::Relaxed) >= limit) {
             return false;
         }
@@ -284,15 +284,14 @@ impl Worker for RegionWorker<'_> {
 }
 
 /// Emits the detailed stage spans: `start_vertex`, `candidate_regions`,
-/// `matching_order`, `post_filters` (only when the query has post-hoc
-/// FILTERs) and `enumeration` rollups under `parent`, plus one `worker` span
-/// per pool worker (child of `enumeration`, as long as the worker's regions
-/// took) carrying its share of the counters.
+/// `matching_order` and `enumeration` rollups under `parent`, plus one
+/// `worker` span per pool worker (child of `enumeration`, as long as the
+/// worker's regions took) carrying its share of the counters.
 ///
 /// `enumeration` is written last and lasts until then: it takes in what
-/// follows the last region, but for the post-hoc FILTERs — merging the
-/// workers, LIMIT, freeing what the run was set up with, writing its
-/// siblings — so that they all add up to the matcher's whole time.
+/// follows the last region — merging the workers, LIMIT, freeing what the
+/// run was set up with, writing its siblings — so that they all add up to
+/// the matcher's whole time.
 fn record_stage_spans(
     trace: &Trace,
     parent: Option<SpanId>,
@@ -300,7 +299,6 @@ fn record_stage_spans(
     selection: &StartSelection<'_>,
     stats: &MatchStats,
     pool: &[WorkerShare],
-    post_filters: bool,
 ) {
     trace.record_rollup(
         "start_vertex",
@@ -327,14 +325,6 @@ fn record_stage_spans(
         clock.order,
         &[("orders_computed", stats.matching_orders_computed as u64)],
     );
-    if post_filters {
-        trace.record_rollup(
-            "post_filters",
-            parent,
-            clock.filter,
-            &[("filtered", stats.filtered_post as u64)],
-        );
-    }
     clock.lap(|c| &mut c.search);
     let enumeration = trace.record_rollup(
         "enumeration",
@@ -406,9 +396,10 @@ fn admit(query: &TransformedQuery) -> Result<bool, EngineError> {
 }
 
 /// Whether the engine answers `query` from its start list (see
-/// [`TurboHomEngine::answer_from_starts`]): one vertex, no edge, no FILTER.
-fn answered_from_starts(query: &TransformedQuery, filters: &RunInput<'_>) -> bool {
-    let unfiltered = filters.own.is_empty() && filters.branch.is_empty();
+/// [`TurboHomEngine::answer_from_starts`]): one vertex, no edge, no inline
+/// FILTER.
+fn answered_from_starts(query: &TransformedQuery, input: &RunInput<'_>) -> bool {
+    let unfiltered = input.inline.is_empty();
     query.graph.vertex_count() == 1 && query.graph.edge_count() == 0 && unfiltered
 }
 
@@ -428,108 +419,66 @@ fn inline_vertex(query: &TransformedQuery, filter: &Expression) -> Option<usize>
     (query.graph.vertex_of_variable(&vars[0])).filter(|&u| query.vertex_clause[u].is_none())
 }
 
-/// What one run of a query graph takes besides the graph: the FILTER
-/// expressions it filters its matches by, the terms of the variables bound
-/// outside the query graph, which the expressions read as constants, and
-/// the LIMIT its answer is cut at. A plan's query graph brings its own
-/// FILTERs ([`RunInput::of`]); one matched under a disconnected branch's
-/// one-row constant side also brings the branch's, and that row.
-#[derive(Debug, Clone, Copy)]
+/// A branch's FILTERs for one run of its query graph `query`, each bound to
+/// the run's `outer` terms (variables bound outside the query graph, with
+/// their numeric views; see [`Expression::bind`]) and split by where it is
+/// evaluated (Section 5.1): `(inline, post)`. The inline ones go to the run
+/// ([`RunInput::inline`]); the rest wait for complete solutions, which the
+/// caller filters after the run, so its search must neither stop at a LIMIT
+/// nor count without rows.
+pub fn split_filters<'f>(
+    query: &TransformedQuery,
+    filters: &'f [Expression],
+    outer: &[(&str, Binding<'_>)],
+) -> (Vec<Cow<'f, Expression>>, Vec<Cow<'f, Expression>>) {
+    // Parsed FILTERs come folded: only outer bindings add to that.
+    let bound = filters.iter().map(|filter| match outer {
+        [] => Cow::Borrowed(filter),
+        outer => Cow::Owned(filter.bind(outer)),
+    });
+    bound.partition(|filter| inline_vertex(query, filter).is_some())
+}
+
+/// What one run of a query graph takes besides the graph: the FILTERs it
+/// tests while it matches and the LIMIT its answer is cut at.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunInput<'f> {
-    /// The query graph's own FILTERs (its `TransformedQuery::filters`).
-    pub own: &'f [Expression],
-    /// The FILTERs of the branch the query graph is a component of.
-    pub branch: &'f [Expression],
-    /// Variables bound outside the query graph, with their terms and those
-    /// terms' numeric views.
-    pub outer: &'f [(&'f str, Binding<'f>)],
-    /// The most solutions the run answers with; whether its search stops
-    /// there is the prologue's to decide ([`SearchCap`]).
+    /// FILTERs that each read one required query vertex's variable (the
+    /// first half of [`split_filters`]): a candidate of that vertex must
+    /// pass them to start or enter a region.
+    pub inline: &'f [Cow<'f, Expression>],
+    /// The most solutions the run answers with; its search stops there.
     pub limit: Option<usize>,
 }
 
-impl<'f> RunInput<'f> {
-    /// A run of `query` by its own FILTERs alone, without a LIMIT.
-    pub fn of(query: &'f TransformedQuery) -> Self {
-        RunInput {
-            own: &query.filters,
-            branch: &[],
-            outer: &[],
-            limit: None,
-        }
-    }
-}
-
-/// What a run's search does with the solutions it finds, decided once per
-/// run by its prologue. A FILTER that waits for complete solutions (Section
-/// 5.1) needs all of them, as rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchCap {
-    /// How many solutions it stops at: the run's LIMIT, unless a post-hoc
-    /// FILTER waits.
-    pub solutions: Option<usize>,
-    /// Whether it keeps rows: unless the run only counts, and always for a
-    /// post-hoc FILTER.
-    pub keeps_rows: bool,
-}
-
-/// One run's FILTERs split by where they are evaluated (Section 5.1): those
-/// of one required query vertex inline, where the start vertices are chosen
-/// and the regions admit its candidates, the rest on complete solutions.
-/// Each is bound to the run's outer bindings once, here
-/// ([`Expression::bind`]).
+/// One run's inline FILTERs by the query vertex they are tested at (Section
+/// 5.1), where the start vertices are chosen and the regions admit its
+/// candidates.
 pub struct FilterSplit<'f> {
     dictionary: &'f Dictionary,
     query: &'f TransformedQuery,
-    /// Per query vertex, the FILTERs a candidate of it must pass to start or
-    /// enter a region.
-    pub(crate) inline: Vec<Vec<Cow<'f, Expression>>>,
-    /// The FILTERs applied to complete solutions.
-    pub(crate) post: Vec<Cow<'f, Expression>>,
+    /// Per query vertex, the FILTERs a candidate of it must pass.
+    pub(crate) inline: Vec<Vec<&'f Expression>>,
 }
 
 impl<'f> FilterSplit<'f> {
-    /// Splits `filters` for a run of `query`, whose data terms the
-    /// `dictionary` gives.
+    /// Places the `inline` FILTERs of a run of `query`, whose data terms the
+    /// `dictionary` gives, at their query vertices.
     pub(crate) fn new(
         dictionary: &'f Dictionary,
         query: &'f TransformedQuery,
-        filters: RunInput<'f>,
+        inline: &'f [Cow<'f, Expression>],
     ) -> Self {
         let mut split = FilterSplit {
             dictionary,
             query,
             inline: vec![Vec::new(); query.graph.vertex_count()],
-            post: Vec::new(),
         };
-        for filter in filters.own.iter().chain(filters.branch) {
-            // Parsed FILTERs come folded: only outer bindings add to that.
-            let bound = match filters.outer {
-                [] => Cow::Borrowed(filter),
-                outer => Cow::Owned(filter.bind(outer)),
-            };
-            match inline_vertex(query, &bound) {
-                Some(u) => split.inline[u].push(bound),
-                None => split.post.push(bound),
-            }
+        for filter in inline {
+            let u = inline_vertex(query, filter).expect("an inline FILTER reads a required vertex");
+            split.inline[u].push(filter);
         }
         split
-    }
-
-    /// The split of a run of `query` by its own FILTERs.
-    #[cfg(test)]
-    pub(crate) fn of(dictionary: &'f Dictionary, query: &'f TransformedQuery) -> Self {
-        FilterSplit::new(dictionary, query, RunInput::of(query))
-    }
-
-    /// What the search of a run with this split and `limit` does (see
-    /// [`SearchCap`]) under `config`.
-    pub(crate) fn search_cap(&self, config: &TurboHomConfig, limit: Option<usize>) -> SearchCap {
-        let waits = !self.post.is_empty();
-        SearchCap {
-            solutions: limit.filter(|_| !waits),
-            keeps_rows: waits || !config.count_only,
-        }
     }
 
     /// Whether data vertex `v` passes the inline FILTERs of query vertex
@@ -554,15 +503,10 @@ impl<'f> FilterSplit<'f> {
 }
 
 /// Algorithm 1 before its first enumeration, as
-/// [`TurboHomEngine::explain`] reports it and a run starts from it.
-pub struct Prologue<'a> {
-    /// What the search does with the run's LIMIT and its solutions, decided
-    /// for every run, admitted or not.
-    pub cap: SearchCap,
-    /// The guards' verdict, and where an admitted run starts: `Ok(None)` —
-    /// the answer is empty without a look at the data; `Err` — refused.
-    pub start: Result<Option<Start<'a>>, EngineError>,
-}
+/// [`TurboHomEngine::explain`] reports it and a run starts from it: the
+/// guards' verdict, and where an admitted run starts. `Ok(None)` — the
+/// answer is empty without a look at the data; `Err` — refused.
+pub type Prologue<'a> = Result<Option<Start<'a>>, EngineError>;
 
 /// Where the search of an admitted run starts.
 pub struct Start<'a> {
@@ -689,9 +633,10 @@ impl<'a> TurboHomEngine<'a> {
         }
     }
 
-    /// Executes one (union-free) transformed query by its own FILTERs.
+    /// Executes one (union-free) transformed query, with no FILTER and no
+    /// LIMIT.
     pub fn execute(&self, query: &TransformedQuery) -> Result<MatchResult, EngineError> {
-        let input = RunInput::of(query);
+        let input = RunInput::default();
         self.execute_with_order(query, None, input, &Trace::disabled(), None)
             .map(|(result, _)| result)
     }
@@ -705,10 +650,10 @@ impl<'a> TurboHomEngine<'a> {
     }
 
     /// Algorithm 1 before its first enumeration, written once for the runs
-    /// and for EXPLAIN: `input`'s FILTERs split and bound for the run, the
-    /// search's cap decided from them and its LIMIT, the guards, the start
-    /// query vertex with its data vertices (those that pass its inline
-    /// FILTERs, unless the search is capped), the explorer over the query
+    /// and for EXPLAIN: `input`'s FILTERs placed at their query vertices,
+    /// the guards, the start query vertex with its data vertices (those
+    /// that pass its inline FILTERs, unless the search stops at a LIMIT),
+    /// the explorer over the query
     /// tree rooted there (unless no region is going to be grown) and, as
     /// `probe` asks once the start vertices are known, the +REUSE order
     /// (Section 4.3) with the regions it was determined on ([`OrderSample`]).
@@ -720,19 +665,17 @@ impl<'a> TurboHomEngine<'a> {
         clock: &mut StageClock,
         probe: impl FnOnce(&StartSelection<'_>) -> OrderProbe,
     ) -> Prologue<'s> {
-        let mut split = FilterSplit::new(self.dictionary, query, input);
-        let cap = split.search_cap(&self.config, input.limit);
+        let mut split = FilterSplit::new(self.dictionary, query, input.inline);
         let verdict = admit(query);
         if verdict != Ok(true) {
-            let start = verdict.map(|_| None);
-            return Prologue { cap, start };
+            return verdict.map(|_| None);
         }
         // A capped search stops early: a FILTER pass over whole start lists
         // costs it more than it saves. At BSBM(200), one thread, minimum of
         // 15 runs: Q6 `LIMIT 10` took 0.17-1.31 ms choosing unfiltered and
         // 1.8-3.0 ms choosing filtered, `regex(?label, "number") LIMIT 10`
         // 0.006 ms against 1.8-2.1 ms.
-        let counted = cap.solutions.is_none().then_some(&split);
+        let counted = input.limit.is_none().then_some(&split);
         let selection = choose_start_vertex(self.data, &self.config, query, counted, stats);
         if selection.filtered {
             split.inline[selection.query_vertex].clear();
@@ -753,19 +696,15 @@ impl<'a> TurboHomEngine<'a> {
         clock.lap(|c| &mut c.select);
         let mut sample = None;
         if let Some(explorer) = explorer.as_ref().filter(|_| probing) {
-            let (sampled, fallback) = (cap.solutions.is_none(), probe == OrderProbe::Always);
+            let (sampled, fallback) = (input.limit.is_none(), probe == OrderProbe::Always);
             sample = OrderSample::take(query, explorer, starts, sampled, fallback);
             clock.lap(|c| &mut c.order);
         }
-        let start = Start {
+        Ok(Some(Start {
             selection,
             explorer,
             sample,
-        };
-        Prologue {
-            cap,
-            start: Ok(Some(start)),
-        }
+        }))
     }
 
     /// Executes like [`execute`](Self::execute), but additionally accepts a
@@ -784,10 +723,8 @@ impl<'a> TurboHomEngine<'a> {
     /// at all — `MatchStats::matching_orders_computed` stays `0` — and the
     /// returned order is `None` (the caller already holds it).
     ///
-    /// The run applies `input`'s FILTERs: the query's own, or for a
-    /// component matched under a constant side, the branch's as well with
-    /// that side's row bound; and answers with at most `input`'s LIMIT of
-    /// solutions (see [`RunInput`]).
+    /// The run tests `input`'s inline FILTERs and answers with at most its
+    /// LIMIT of solutions (see [`RunInput`]).
     ///
     /// Spans go into `trace` (under `parent`). A
     /// [detailed](Trace::is_detailed) trace times start-vertex selection,
@@ -821,8 +758,8 @@ impl<'a> TurboHomEngine<'a> {
                 (true, true) => OrderProbe::Always,
             }
         };
-        let Prologue { cap, start } = self.prologue(query, input, &mut stats, &mut clock, probe);
-        let Some(mut start) = start? else {
+        let prologue = self.prologue(query, input, &mut stats, &mut clock, probe);
+        let Some(mut start) = prologue? else {
             return Ok((MatchResult::default(), None));
         };
         let probed = start.sample.take().map(|sample| sample.order);
@@ -835,14 +772,13 @@ impl<'a> TurboHomEngine<'a> {
             };
             (result, None, Vec::new())
         } else if from_starts {
-            let answer = self.answer_from_starts(starts, cap, stats);
+            let answer = self.answer_from_starts(starts, input.limit, stats);
             (answer, None, Vec::new())
         } else {
             let shared_order = preset_order.or(probed.as_ref());
-            self.run_regions(query, &start, cap, shared_order, stats, &mut clock)
+            self.run_regions(query, &start, input.limit, shared_order, stats, &mut clock)
         };
-        // The LIMIT is cut here: a pool's workers may together overshoot the
-        // cap, and post-hoc FILTERs lift it from the search.
+        // The LIMIT is cut here: a pool's workers may together overshoot it.
         if let Some(limit) = input.limit {
             result.rows.truncate(limit);
             result.solution_count = result.solution_count.min(limit);
@@ -851,45 +787,34 @@ impl<'a> TurboHomEngine<'a> {
             result.rows.clear();
         }
         // Freed before `enumeration` is written, which takes it in.
-        let explorer = start.explorer.take();
-        let post_filters = explorer.is_some_and(|explorer| !explorer.split.post.is_empty());
+        start.explorer = None;
         if trace.is_detailed() {
             let selection = &start.selection;
-            record_stage_spans(
-                trace,
-                parent,
-                clock,
-                selection,
-                &result.stats,
-                &workers,
-                post_filters,
-            );
+            record_stage_spans(trace, parent, clock, selection, &result.stats, &workers);
         }
         Ok((result, probed.or(own_order)))
     }
 
-    /// Everything after the prologue but the LIMIT: the set-up the regions
-    /// share (row layout), the regions, searched under `cap`, and the
-    /// post-hoc FILTERs.
+    /// Everything after the prologue but the LIMIT's cut: the set-up the
+    /// regions share (row layout) and the regions, searched until `limit`.
     fn run_regions(
         &self,
         query: &TransformedQuery,
         start: &Start<'_>,
-        cap: SearchCap,
+        limit: Option<usize>,
         shared_order: Option<&MatchingOrder>,
         stats: MatchStats,
         clock: &mut StageClock,
     ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
         let explorer = (start.explorer.as_ref())
             .expect("the prologue explores a query with an edge or a FILTER");
-        let filters = &explorer.split;
         let layout = RowLayout::of(&query.graph);
 
         clock.lap(|c| &mut c.select);
         let run = RegionRun {
             data: self.data,
             config: &self.config,
-            cap,
+            limit,
             query,
             explorer,
             layout: &layout,
@@ -898,22 +823,15 @@ impl<'a> TurboHomEngine<'a> {
             handoff: StageClock::resume(clock.last),
             found: AtomicUsize::new(0),
         };
-        let (mut result, own_order, workers) = run.execute(stats, clock);
-
-        if !filters.post.is_empty() {
-            clock.lap(|c| &mut c.search);
-            self.apply_post_filters(query, &layout, filters, &mut result);
-            clock.lap(|c| &mut c.filter);
-        }
-        (result, own_order, workers)
+        run.execute(stats, clock)
     }
 
-    /// The answer to a query of one vertex and no edge that no FILTER
+    /// The answer to a query of one vertex and no edge that no inline FILTER
     /// applies to — a type scan after the type-aware transformation: the
     /// start vertices are the data vertices that carry its ID, labels and
     /// filter demands, a region would hold its start vertex alone, and the
-    /// search would report it. So the list is appended (cut at the search's
-    /// cap, not at all unless it keeps rows) and every counter reads what
+    /// search would report it. So the list is appended (cut at `limit`, not
+    /// at all when the run only counts) and every counter reads what
     /// Algorithm 1's loop would have left one region at a time; no pool is
     /// set up and nothing is ranked by degree. With +REUSE and no preset the
     /// prologue has determined the order once ([`OrderSample`]), for the
@@ -921,16 +839,14 @@ impl<'a> TurboHomEngine<'a> {
     fn answer_from_starts(
         &self,
         starts: &[VertexId],
-        cap: SearchCap,
+        limit: Option<usize>,
         mut stats: MatchStats,
     ) -> MatchResult {
-        let n = cap
-            .solutions
-            .map_or(starts.len(), |limit| starts.len().min(limit));
+        let n = limit.map_or(starts.len(), |limit| starts.len().min(limit));
         if !self.config.optimizations.reuse_matching_order {
             stats.matching_orders_computed += n;
         }
-        let kept = if cap.keeps_rows { n } else { 0 };
+        let kept = if self.config.count_only { 0 } else { n };
         let mut rows = IdRows::with_capacity(1, kept);
         for v in &starts[..kept] {
             rows.push(&[v.0]);
@@ -946,47 +862,6 @@ impl<'a> TurboHomEngine<'a> {
             step_rows: vec![n as u64],
             step_estimates: vec![n as u64],
         }
-    }
-
-    /// Applies the expensive filters to the materialized solutions. Each
-    /// variable's term is looked up in its row only when a filter reads it:
-    /// a vertex column is its term, a variable-predicate column maps through
-    /// its edge label, both read as the dictionary's borrowed view.
-    fn apply_post_filters(
-        &self,
-        query: &TransformedQuery,
-        layout: &RowLayout,
-        filters: &FilterSplit<'_>,
-        result: &mut MatchResult,
-    ) {
-        let (graph, mappings) = (&query.graph, &self.data.mappings);
-        // Per variable, its column and whether that holds an edge label.
-        let vertices = (graph.vertices().iter().enumerate())
-            .filter_map(|(u, qv)| Some((qv.variable.as_deref()?, layout.vertex_column(u), false)));
-        let edges = layout.variable_edges().iter().filter_map(|&e| {
-            let variable = graph.edge(e).variable.as_deref()?;
-            Some((variable, layout.edge_column(e)?, true))
-        });
-        let columns: Vec<(&str, usize, bool)> = vertices.chain(edges).collect();
-        let before = result.rows.len();
-        result.rows.retain(|row| {
-            // A variable in two columns reads the last one bound.
-            let bindings = |name: &str| {
-                let mut candidates = columns.iter().rev().filter(|(v, ..)| *v == name);
-                candidates.find_map(|&(_, column, edge)| {
-                    let cell = row[column];
-                    let id = match (cell, edge) {
-                        (UNBOUND, _) => None,
-                        (_, false) => Some(VertexId(cell).term()),
-                        (_, true) => mappings.term_of_elabel(ELabel(cell)),
-                    };
-                    id.and_then(|id| self.dictionary.term_and_view(id))
-                })
-            };
-            filters.post.iter().all(|f| f.evaluate_bool(&bindings))
-        });
-        result.stats.filtered_post += before - result.rows.len();
-        result.solution_count = result.rows.len();
     }
 }
 
@@ -1052,13 +927,18 @@ mod tests {
         config: TurboHomConfig,
     ) -> MatchResult {
         let q = parse_query(sparql).unwrap();
-        let tq = transform_branch(&q.pattern, data, &ds.dictionary)
-            .unwrap()
-            .components
-            .remove(0);
+        let branch = transform_branch(&q.pattern, data, &ds.dictionary).unwrap();
+        let tq = &branch.components[0];
+        let (inline, post) = split_filters(tq, &branch.filters, &[]);
+        assert!(post.is_empty(), "a run applies its inline FILTERs alone");
+        let input = RunInput {
+            inline: &inline,
+            limit: None,
+        };
         TurboHomEngine::new(data, &ds.dictionary, config)
-            .execute(&tq)
+            .execute_with_order(tq, None, input, &Trace::disabled(), None)
             .unwrap()
+            .0
     }
 
     #[test]
@@ -1134,7 +1014,7 @@ mod tests {
         let run = |config: TurboHomConfig, preset: Option<&MatchingOrder>, limit: Option<usize>| {
             let input = RunInput {
                 limit,
-                ..RunInput::of(&tq)
+                ..RunInput::default()
             };
             TurboHomEngine::new(&data, &ds.dictionary, config)
                 .execute_with_order(&tq, preset, input, &Trace::disabled(), None)
@@ -1214,7 +1094,7 @@ mod tests {
         let run = |tq: &TransformedQuery, config: TurboHomConfig, limit: Option<usize>| {
             let input = RunInput {
                 limit,
-                ..RunInput::of(tq)
+                ..RunInput::default()
             };
             TurboHomEngine::new(&data, &ds.dictionary, config)
                 .execute_with_order(tq, None, input, &Trace::disabled(), None)
@@ -1227,8 +1107,8 @@ mod tests {
                 .components
                 .remove(0);
             let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-            let prologue = engine.explain(&tq, RunInput::of(&tq));
-            let start = prologue.start.unwrap().expect("the query is admitted");
+            let prologue = engine.explain(&tq, RunInput::default());
+            let start = prologue.unwrap().expect("the query is admitted");
             let sample = start.sample.as_ref().expect("a non-empty region");
             // Too few start vertices for a sample: the first live region.
             let starts = &start.selection.start_vertices;
@@ -1283,29 +1163,6 @@ mod tests {
         assert_eq!(result.len(), 12);
         assert!(result.stats.filtered_inline > 0);
         assert_eq!(result.stats.filtered_post, 0);
-    }
-
-    #[test]
-    fn expensive_join_filter_is_applied_post_hoc() {
-        let ds = university_dataset();
-        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
-        let result = execute(
-            &ds,
-            &data,
-            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-               PREFIX ub: <http://ub.org/>
-               SELECT ?a ?b WHERE {
-                 ?a rdf:type ub:Student . ?b rdf:type ub:Student .
-                 ?a ub:memberOf ?d . ?b ub:memberOf ?d .
-                 ?a ub:age ?agea . ?b ub:age ?ageb .
-                 FILTER (?agea > ?ageb)
-               }"#,
-            TurboHomConfig::default(),
-        );
-        // Per department: pairs (a, b) with age_a > age_b out of 4 students
-        // with distinct ages = C(4,2) = 6; times 6 departments = 36.
-        assert_eq!(result.len(), 36);
-        assert!(result.stats.filtered_post > 0);
     }
 
     #[test]
@@ -1402,7 +1259,7 @@ mod tests {
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         // Cold run: computes the order once (+REUSE) and hands it back.
         let (cold, order) = engine
-            .execute_with_order(&tq, None, RunInput::of(&tq), &Trace::disabled(), None)
+            .execute_with_order(&tq, None, RunInput::default(), &Trace::disabled(), None)
             .unwrap();
         assert_eq!(cold.stats.matching_orders_computed, 1);
         let order = order.expect("cold run must surface the computed order");
@@ -1411,7 +1268,7 @@ mod tests {
             .execute_with_order(
                 &tq,
                 Some(&order),
-                RunInput::of(&tq),
+                RunInput::default(),
                 &Trace::disabled(),
                 None,
             )
@@ -1434,7 +1291,7 @@ mod tests {
             .execute_with_order(
                 &tq,
                 Some(&order),
-                RunInput::of(&tq),
+                RunInput::default(),
                 &Trace::disabled(),
                 None,
             )
@@ -1460,7 +1317,7 @@ mod tests {
         let root = trace.span("execute");
         let root_id = root.id();
         let (result, _) = engine
-            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, root_id)
+            .execute_with_order(&tq, None, RunInput::default(), &trace, root_id)
             .unwrap();
         root.finish();
         let report = trace.finish();
@@ -1500,7 +1357,7 @@ mod tests {
         );
         let trace = Trace::detailed(12);
         let (result, _) = engine
-            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, None)
+            .execute_with_order(&tq, None, RunInput::default(), &trace, None)
             .unwrap();
         assert_eq!(result.len(), 24);
         let report = trace.finish();
@@ -1527,60 +1384,9 @@ mod tests {
         let trace = Trace::new(13);
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         let (_, _) = engine
-            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, None)
+            .execute_with_order(&tq, None, RunInput::default(), &trace, None)
             .unwrap();
         assert!(trace.finish().spans.is_empty());
-    }
-
-    /// A join condition waits for complete solutions: its time is its own
-    /// child of `execute`, between the per-region three and `enumeration`,
-    /// and the children still fit in `execute`.
-    #[test]
-    fn a_detailed_trace_times_the_post_hoc_filters_apart() {
-        let ds = university_dataset();
-        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
-        let q = parse_query(
-            r#"PREFIX ub: <http://ub.org/>
-               SELECT ?a ?b WHERE {
-                 ?a ub:memberOf ?d . ?b ub:memberOf ?d . ?a ub:age ?agea . ?b ub:age ?ageb .
-                 FILTER (?agea > ?ageb)
-               }"#,
-        )
-        .unwrap();
-        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
-            .unwrap()
-            .components
-            .remove(0);
-        let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-        let trace = Trace::detailed(15);
-        let root = trace.span("execute");
-        let root_id = root.id();
-        let (result, _) = engine
-            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, root_id)
-            .unwrap();
-        root.finish();
-        assert_eq!(result.len(), 36);
-        let spans = trace.finish().spans;
-        let children: Vec<_> = spans.iter().filter(|s| s.parent == root_id).collect();
-        let names: Vec<&str> = children.iter().map(|s| s.name).collect();
-        assert_eq!(
-            names,
-            [
-                "start_vertex",
-                "candidate_regions",
-                "matching_order",
-                "post_filters",
-                "enumeration"
-            ]
-        );
-        assert_eq!(
-            children[3].counters,
-            [("filtered", result.stats.filtered_post as u64)]
-        );
-        assert_eq!(result.stats.filtered_post, 6 * 16 - 36);
-        let execute = spans.iter().find(|s| s.name == "execute").unwrap();
-        let tiled: u64 = children.iter().map(|s| s.duration_ns).sum();
-        assert!(tiled <= execute.duration_ns, "{tiled} of {execute:?}");
     }
 
     /// One labelled vertex, no edge: the start list is the answer, counted
@@ -1604,7 +1410,7 @@ mod tests {
         let config = TurboHomConfig::default().with_threads(4);
         let trace = Trace::detailed(14);
         let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
-            .execute_with_order(&tq, None, RunInput::of(&tq), &trace, None)
+            .execute_with_order(&tq, None, RunInput::default(), &trace, None)
             .unwrap();
         assert_eq!(order.map(|o| o.order), Some(vec![0]));
         assert_eq!((result.len(), result.rows.len()), (24, 24));
@@ -1669,7 +1475,7 @@ mod tests {
         for threads in [1, 2] {
             let config = TurboHomConfig::default().with_threads(threads);
             let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
-                .execute_with_order(&tq, None, RunInput::of(&tq), &Trace::disabled(), None)
+                .execute_with_order(&tq, None, RunInput::default(), &Trace::disabled(), None)
                 .unwrap();
             let order = order.expect("a cold +REUSE run determines an order");
             let names: Vec<&str> = (order.order.iter())
@@ -1747,13 +1553,13 @@ mod tests {
             let tq = star(leaves);
             let input = RunInput {
                 limit,
-                ..RunInput::of(&tq)
+                ..RunInput::default()
             };
             let case = format!("{leaves}, LIMIT {limit:?}");
             let vertex = |name: char| tq.graph.vertex_of_variable(&name.to_string()).unwrap();
             let order: Vec<usize> = names.chars().map(vertex).collect();
             let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-            let start = engine.explain(&tq, input).start.unwrap().unwrap();
+            let start = engine.explain(&tq, input).unwrap().unwrap();
             let sample = start.sample.expect("a non-empty region");
             let starts = &start.selection.start_vertices;
             assert_eq!(starts.len(), 64);

@@ -379,7 +379,6 @@ mod tests {
             graph,
             unsatisfiable: false,
             clause_parents: Vec::new(),
-            filters: Vec::new(),
         }
     }
 

@@ -14,7 +14,7 @@
 //! | `DetermineMatchingOrder` (+REUSE) | [`matching_order`] |
 //! | `SubgraphSearch` / `IsJoinable` (+INT) | [`subgraph_search`] |
 //! | degree / NLF filters (−DEG / −NLF toggles) | [`filters`] |
-//! | OPTIONAL / FILTER handling (Section 5.1) | folded into [`subgraph_search`] and [`engine`] |
+//! | OPTIONAL / FILTER handling (Section 5.1) | folded into [`subgraph_search`] and [`engine`]; the FILTERs that wait for complete solutions are the caller's ([`split_filters`]) |
 //! | parallel execution over starting vertices (Section 5.2) | [`engine`] + [`morsel`] |
 //!
 //! The public entry point is [`TurboHomEngine`].
@@ -32,7 +32,7 @@ pub mod stats;
 pub mod subgraph_search;
 
 pub use config::{MatchSemantics, OptimizationName, Optimizations, TurboHomConfig};
-pub use engine::{EngineError, Prologue, RunInput, TurboHomEngine};
+pub use engine::{split_filters, EngineError, Prologue, RunInput, TurboHomEngine};
 pub use matching_order::MatchingOrder;
 pub use result::{merge_step_counts, MatchResult, RowLayout};
 pub use stats::MatchStats;

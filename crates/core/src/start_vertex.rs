@@ -182,6 +182,7 @@ pub fn choose_start_vertex<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{split_filters, RunInput};
     use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
     use turbohom_transform::{transform_branch, type_aware_transform, TransformError};
@@ -343,11 +344,18 @@ mod tests {
     }
 
     fn transformed(ds: &Dataset, t: &TransformedGraph, sparql: &str) -> TransformedQuery {
+        filtered(ds, t, sparql).0
+    }
+
+    /// The only component of `sparql`'s branch, with the branch's FILTERs.
+    fn filtered(
+        ds: &Dataset,
+        t: &TransformedGraph,
+        sparql: &str,
+    ) -> (TransformedQuery, Vec<turbohom_sparql::Expression>) {
         let q = parse_query(sparql).unwrap();
-        transform_branch(&q.pattern, t, &ds.dictionary)
-            .unwrap()
-            .components
-            .remove(0)
+        let mut branch = transform_branch(&q.pattern, t, &ds.dictionary).unwrap();
+        (branch.components.remove(0), branch.filters)
     }
 
     #[test]
@@ -515,7 +523,7 @@ mod tests {
     #[test]
     fn the_filtered_vertex_with_the_fewest_survivors_wins_with_its_filtered_list() {
         let (ds, t) = named_data();
-        let tq = transformed(
+        let (tq, filters) = filtered(
             &ds,
             &t,
             r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -525,7 +533,8 @@ mod tests {
         );
         let n = tq.graph.vertex_of_variable("n").unwrap();
         let config = TurboHomConfig::default();
-        let split = FilterSplit::of(&ds.dictionary, &tq);
+        let (inline, _) = split_filters(&tq, &filters, &[]);
+        let split = FilterSplit::new(&ds.dictionary, &tq, &inline);
         let mut stats = MatchStats::default();
         let sel = choose_start_vertex(&t, &config, &tq, Some(&split), &mut stats);
         assert_eq!((sel.query_vertex, sel.filtered), (n, true));
@@ -555,7 +564,7 @@ mod tests {
     #[test]
     fn a_losing_filtered_vertex_stops_counting_at_the_best_count() {
         let (ds, t) = named_data();
-        let tq = transformed(
+        let (tq, filters) = filtered(
             &ds,
             &t,
             r#"PREFIX ub: <http://ub.org/>
@@ -563,7 +572,8 @@ mod tests {
                                     FILTER regex(?n, "^student") }"#,
         );
         let n = tq.graph.vertex_of_variable("n").unwrap();
-        let split = FilterSplit::of(&ds.dictionary, &tq);
+        let (inline, _) = split_filters(&tq, &filters, &[]);
+        let split = FilterSplit::new(&ds.dictionary, &tq, &inline);
         let mut stats = MatchStats::default();
         let config = TurboHomConfig::default();
         let sel = choose_start_vertex(&t, &config, &tq, Some(&split), &mut stats);
@@ -582,43 +592,42 @@ mod tests {
 
     /// A capped run chooses without its inline FILTERs: the search stops at
     /// the LIMIT, so a FILTER pass over whole start lists would cost more
-    /// than it saves. The explorer then tests them on each start vertex. A
-    /// post-hoc FILTER lifts the cap from the search, which then counts.
+    /// than it saves. The explorer then tests them on each start vertex.
     #[test]
     fn a_capped_run_chooses_its_start_vertex_unfiltered() {
         let (ds, t) = named_data();
-        let query = |post: &str| {
-            let sparql = format!(
-                r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-                   PREFIX ub: <http://ub.org/>
-                   SELECT ?x ?n WHERE {{ ?x rdf:type ub:Student . ?x ub:name ?n .
-                                         FILTER regex(?n, "^student1") {post} }}"#
-            );
-            transformed(&ds, &t, &sparql)
+        let (tq, filters) = filtered(
+            &ds,
+            &t,
+            r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+               PREFIX ub: <http://ub.org/>
+               SELECT ?x ?n WHERE { ?x rdf:type ub:Student . ?x ub:name ?n .
+                                    FILTER regex(?n, "^student1") }"#,
+        );
+        let (inline, _) = split_filters(&tq, &filters, &[]);
+        let input = |limit| RunInput {
+            inline: &inline,
+            limit,
         };
-        let (tq, post_hoc) = (query(""), query("FILTER (?x != ?n)"));
-        fn input(tq: &TransformedQuery, limit: Option<usize>) -> crate::engine::RunInput<'_> {
-            let own = crate::engine::RunInput::of(tq);
-            crate::engine::RunInput { limit, ..own }
-        }
         let config = TurboHomConfig::default();
         let engine = crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config);
-        let variable = |tq: &TransformedQuery, limit: Option<usize>| {
-            let prologue = engine.explain(tq, input(tq, limit));
-            let selection = prologue.start.unwrap().unwrap().selection;
+        let variable = |limit: Option<usize>| {
+            let selection = engine
+                .explain(&tq, input(limit))
+                .unwrap()
+                .unwrap()
+                .selection;
             let u = selection.query_vertex;
             (
                 tq.graph.vertex(u).variable.clone().unwrap(),
                 selection.start_vertices.len(),
             )
         };
-        let n = ("n".to_string(), 11);
-        assert_eq!(variable(&tq, None), n);
-        assert_eq!(variable(&tq, Some(5)), ("x".to_string(), 20));
-        assert_eq!(variable(&post_hoc, Some(5)), n);
+        assert_eq!(variable(None), ("n".to_string(), 11));
+        assert_eq!(variable(Some(5)), ("x".to_string(), 20));
         let run = |limit| {
             let trace = turbohom_trace::Trace::disabled();
-            let found = engine.execute_with_order(&tq, None, input(&tq, limit), &trace, None);
+            let found = engine.execute_with_order(&tq, None, input(limit), &trace, None);
             found.unwrap().0
         };
         let (all, first) = (run(None), run(Some(5)));

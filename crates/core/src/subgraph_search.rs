@@ -22,7 +22,6 @@
 
 use crate::candidate_region::CandidateRegion;
 use crate::config::{MatchSemantics, TurboHomConfig};
-use crate::engine::SearchCap;
 use crate::matching_order::MatchingOrder;
 use crate::query_tree::QueryTree;
 use crate::result::RowLayout;
@@ -84,7 +83,8 @@ struct SearchPlan {
 pub struct SubgraphSearcher<'a> {
     data: &'a TransformedGraph,
     config: &'a TurboHomConfig,
-    cap: SearchCap,
+    /// The most solutions it reports.
+    limit: Option<usize>,
     query: &'a TransformedQuery,
     layout: &'a RowLayout,
     plan: SearchPlan,
@@ -93,7 +93,7 @@ pub struct SubgraphSearcher<'a> {
     /// Empty between regions, for the same reason.
     used: HashSet<VertexId>,
     /// The solutions of every region searched so far, one row per solution
-    /// in `layout` (left empty unless the cap keeps rows).
+    /// in `layout` (left empty when the run only counts).
     pub rows: IdRows,
     /// Number of solutions found so far (also counts in count-only mode).
     pub solution_count: usize,
@@ -114,13 +114,13 @@ pub struct SubgraphSearcher<'a> {
 }
 
 impl<'a> SubgraphSearcher<'a> {
-    /// Creates a searcher that stops at `cap`. Solutions are appended to
-    /// [`rows`](Self::rows) in `layout` if it keeps rows. A matching order
+    /// Creates a searcher that stops at `limit`. Solutions are appended to
+    /// [`rows`](Self::rows) in `layout` unless `config` only counts. A matching order
     /// has to be [set](Self::set_order) before the first region is searched.
     pub fn new(
         data: &'a TransformedGraph,
         config: &'a TurboHomConfig,
-        cap: SearchCap,
+        limit: Option<usize>,
         query: &'a TransformedQuery,
         layout: &'a RowLayout,
     ) -> Self {
@@ -128,7 +128,7 @@ impl<'a> SubgraphSearcher<'a> {
         SubgraphSearcher {
             data,
             config,
-            cap,
+            limit,
             query,
             layout,
             plan: SearchPlan::default(),
@@ -194,7 +194,7 @@ impl<'a> SubgraphSearcher<'a> {
     }
 
     /// Returns `true` once the search has found as many solutions as its
-    /// cap.
+    /// limit.
     pub fn limit_reached(&self) -> bool {
         self.limit_reached
     }
@@ -407,7 +407,7 @@ impl<'a> SubgraphSearcher<'a> {
             .product::<usize>()
             .max(1);
 
-        let remaining = (self.cap.solutions)
+        let remaining = (self.limit)
             .map(|m| m.saturating_sub(self.solution_count))
             .unwrap_or(usize::MAX);
         let to_emit = combinations.min(remaining);
@@ -420,10 +420,10 @@ impl<'a> SubgraphSearcher<'a> {
 
         self.solution_count += to_emit;
         self.stats.solutions += to_emit;
-        if (self.cap.solutions).is_some_and(|m| self.solution_count >= m) {
+        if (self.limit).is_some_and(|m| self.solution_count >= m) {
             self.limit_reached = true;
         }
-        if !self.cap.keeps_rows {
+        if self.config.count_only {
             return to_emit;
         }
 
@@ -535,8 +535,8 @@ mod tests {
     }
 
     /// [`run`] with the query tree rooted at `root` (a variable) instead of
-    /// where start-vertex selection would put it, and the search capped as
-    /// a run with `limit` would cap it.
+    /// where start-vertex selection would put it, and the search stopped at
+    /// `limit`.
     fn run_from(
         ds: &Dataset,
         data: &TransformedGraph,
@@ -563,11 +563,10 @@ mod tests {
         }
         let tree = QueryTree::build(&tq.graph, sel.query_vertex);
         let layout = RowLayout::of(&tq.graph);
-        let split = FilterSplit::of(&ds.dictionary, &tq);
-        let cap = split.search_cap(config, limit);
+        let split = FilterSplit::new(&ds.dictionary, &tq, &[]);
         let explorer = RegionExplorer::new(data, config, &tq, tree.clone(), split);
         let mut region = CandidateRegion::default();
-        let mut searcher = SubgraphSearcher::new(data, config, cap, &tq, &layout);
+        let mut searcher = SubgraphSearcher::new(data, config, limit, &tq, &layout);
         let mut order: Option<MatchingOrder> = None;
         for &start in sel.start_vertices.iter() {
             stats.candidate_regions += 1;
@@ -662,10 +661,9 @@ mod tests {
             assert_eq!(sel.query_vertex, tq.graph.vertex_of_variable("y").unwrap());
             let tree = QueryTree::build(&tq.graph, sel.query_vertex);
             let dictionary = &ds.dictionary;
-            let split = FilterSplit::of(dictionary, &tq);
-            let cap = split.search_cap(&config, None);
+            let split = FilterSplit::new(dictionary, &tq, &[]);
             let explorer = RegionExplorer::new(&data, &config, &tq, tree.clone(), split);
-            let new_searcher = || SubgraphSearcher::new(&data, &config, cap, &tq, &layout);
+            let new_searcher = || SubgraphSearcher::new(&data, &config, None, &tq, &layout);
 
             let mut region = CandidateRegion::default();
             let mut reused = new_searcher();

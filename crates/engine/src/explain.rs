@@ -26,7 +26,7 @@ use crate::plan::{ComponentPlan, PlanMode, QueryPlan, Window};
 use crate::results::IdResults;
 use crate::sharded::Anchor;
 use crate::store::{EngineKind, Store};
-use turbohom_core::{EngineError, RunInput, TurboHomConfig, TurboHomEngine};
+use turbohom_core::{split_filters, EngineError, RunInput, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
 use turbohom_transform::{TransformKind, TransformedGraph};
 
@@ -346,18 +346,18 @@ impl ToJson for ShardExplain {
 }
 
 /// The static plan tree of one transformed component: what the engine's
-/// prologue decides for a run of it with `limit` — guards, start vertex,
+/// prologue decides for a run of it with `input` — guards, start vertex,
 /// the candidate regions the order is determined on, matching order — short of
-/// enumeration. Also returns whether that run's search stops at the LIMIT.
+/// enumeration.
 fn explain_component(
     store: &Store,
     graph: &TransformedGraph,
     config: &TurboHomConfig,
     comp: &ComponentPlan,
-    limit: Option<usize>,
+    input: RunInput<'_>,
     branch: usize,
     index: usize,
-) -> (ComponentExplain, bool) {
+) -> ComponentExplain {
     let tq = &comp.transformed;
     let mut ce = ComponentExplain {
         branch,
@@ -374,17 +374,15 @@ fn explain_component(
         steps: Vec::new(),
     };
     let engine = TurboHomEngine::new(graph, store.dictionary(), *config);
-    let own = RunInput::of(tq);
-    let prologue = engine.explain(tq, RunInput { limit, ..own });
-    let pushed = prologue.cap.solutions.is_some();
-    ce.note = match &prologue.start {
+    let prologue = engine.explain(tq, input);
+    ce.note = match &prologue {
         Ok(Some(_)) => None,
         Ok(None) => Some("unsatisfiable: a query constant does not occur in the data"),
         Err(EngineError::DisconnectedQuery) => Some("disconnected query graph"),
         Err(EngineError::NoRequiredPart) => Some("no required part (every vertex is OPTIONAL)"),
     };
-    let Ok(Some(start)) = prologue.start else {
-        return (ce, pushed);
+    let Ok(Some(start)) = prologue else {
+        return ce;
     };
     let selection = &start.selection;
     ce.start = Some(StartExplain {
@@ -398,7 +396,7 @@ fn explain_component(
         } else {
             "every candidate region is empty"
         });
-        return (ce, pushed);
+        return ce;
     };
     ce.region_candidates = Some(sample.mean(sample.counts.iter().sum()));
     ce.steps = (sample.order.order)
@@ -415,7 +413,7 @@ fn explain_component(
             qerror: None,
         })
         .collect();
-    (ce, pushed)
+    ce
 }
 
 impl Store {
@@ -425,26 +423,30 @@ impl Store {
     pub fn explain(&self, plan: &QueryPlan) -> ExplainReport {
         let flavor = plan.routing.as_ref().map_or("single", |_| "sharded");
         let mut report = ExplainReport::new(plan.kind(), flavor, plan.window);
-        // Only a graph plan's branch of one component is known to hand the
-        // LIMIT to a run: the join baselines and a cartesian product of
-        // components cut it from what was found. A branch of several
-        // components hands it on only when a run finds every constant side
-        // to be one row, which a plan cannot know, so its components are
-        // explained without it. Whether a run's search stops at the LIMIT
-        // (a FILTER that waits for complete solutions lifts it) is its
-        // prologue's to decide, and start-vertex selection reads it.
+        // Only a graph plan's branch of one component is known to hand its
+        // FILTERs and the LIMIT to a run: the join baselines and a cartesian
+        // product of components cut it from what was found. A branch of
+        // several components hands them on only when a run finds every
+        // constant side to be one row, which a plan cannot know, so its
+        // components are explained without them. A FILTER that waits for
+        // complete solutions lifts the LIMIT from the run, split as the run
+        // splits them, and start-vertex selection reads it.
         let mut pushed = false;
         if let PlanMode::Graph { config, branches } = &plan.mode {
             let graph = self.graph_of(plan.kind());
             for (b, branch) in branches.iter().enumerate() {
-                let limit = match branch.components.as_slice() {
-                    [_] => plan.pushed_limit(),
-                    _ => None,
+                let (filters, limit) = match branch.components.as_slice() {
+                    [_] => (&branch.filters[..], plan.pushed_limit()),
+                    _ => (&[][..], None),
                 };
                 for (c, comp) in branch.components.iter().enumerate() {
-                    let (component, capped) =
-                        explain_component(self, graph, config, comp, limit, b, c);
-                    pushed |= capped;
+                    let (inline, post) = split_filters(&comp.transformed, filters, &[]);
+                    let input = RunInput {
+                        inline: &inline,
+                        limit: limit.filter(|_| post.is_empty()),
+                    };
+                    pushed |= input.limit.is_some();
+                    let component = explain_component(self, graph, config, comp, input, b, c);
                     report.components.push(component);
                 }
             }

@@ -10,8 +10,9 @@
 //! plan cache stores under a normalized query fingerprint.
 //!
 //! A plan additionally memoizes the TurboHOM++ *matching order* (paper
-//! Section 4.3, `+REUSE`): the first run computes it from the first
-//! non-empty candidate region and parks it in the plan, so warm runs skip
+//! Section 4.3, `+REUSE`): the first run determines it on a sample of
+//! candidate regions spread over the start list (on the first non-empty
+//! region when the list is short) and parks it in the plan, so warm runs skip
 //! order determination as well (`MatchStats::matching_orders_computed == 0`).
 //!
 //! Plans are `Send + Sync` (asserted at compile time in `lib.rs`) and can be
@@ -26,12 +27,13 @@ use crate::results::{IdResults, QueryResults};
 use crate::sharded::{Anchor, Routing};
 use crate::store::{EngineKind, Store};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_baseline::JoinStrategy;
 use turbohom_core::{
-    merge_step_counts, MatchResult, MatchingOrder, RowLayout, RunInput, TurboHomConfig,
-    TurboHomEngine,
+    merge_step_counts, split_filters, MatchResult, MatchingOrder, RowLayout, RunInput,
+    TurboHomConfig, TurboHomEngine,
 };
 use turbohom_graph::ELabel;
 use turbohom_rdf::{Dictionary, IdRows, TermId, UNBOUND};
@@ -74,10 +76,11 @@ pub(crate) struct BranchPlan {
     /// The connected components of the branch's query graph, as the
     /// transform splits it (almost always exactly one).
     pub(crate) components: Vec<ComponentPlan>,
-    /// Every FILTER of a branch of several components (which carry none):
-    /// read by the component matched under the others' constant rows, or
-    /// else applied to the cartesian combination.
-    filters: Vec<Expression>,
+    /// Every FILTER of the branch: split by the run of the component matched
+    /// under the others' constant rows into those it tests inline and those
+    /// that wait for complete rows; all of the latter for a cartesian
+    /// product.
+    pub(crate) filters: Vec<Expression>,
     /// The component matched last with the one row each other component
     /// yields bound (see `Store::run_components`): the only one, or of
     /// several the one without a required constant query vertex. `None`:
@@ -88,8 +91,8 @@ pub(crate) struct BranchPlan {
 /// One connected component: a transformed query graph ready to match.
 pub(crate) struct ComponentPlan {
     pub(crate) transformed: TransformedQuery,
-    /// Its vertices' and edges' variables, sorted: its columns in a branch
-    /// of several components, which share none. Empty for the only one.
+    /// Its vertices' and edges' variables, sorted: its columns where the
+    /// rows of a branch's components are combined (they share none).
     vars: Vec<String>,
     /// The `+REUSE` matching order memoized by the first run (`Arc` so the
     /// warm path clones a pointer, not the order itself).
@@ -97,14 +100,10 @@ pub(crate) struct ComponentPlan {
 }
 
 impl ComponentPlan {
-    /// The plan of one component, of `several` or the only one, its
-    /// matching order not yet memoized.
-    fn new(transformed: TransformedQuery, several: bool) -> Self {
-        let mut vars = Vec::new();
-        if several {
-            vars = transformed.graph.variables();
-            vars.sort_unstable();
-        }
+    /// The plan of one component, its matching order not yet memoized.
+    fn new(transformed: TransformedQuery) -> Self {
+        let mut vars = transformed.graph.variables();
+        vars.sort_unstable();
         ComponentPlan {
             transformed,
             vars,
@@ -239,13 +238,13 @@ fn absorb_counts(results: &mut IdResults<'_>, result: &MatchResult) {
 }
 
 /// What a run records as `materialise`, summed over its branches: the time
-/// spent turning matches into term-id rows and, within it, the FILTER pass
-/// over a cartesian product of components (its time and the rows it
-/// removed) when one ran.
+/// spent turning matches into term-id rows and, within it, the pass of the
+/// FILTERs that wait for complete rows (its time and the rows it removed)
+/// when one ran.
 #[derive(Debug, Default)]
 struct Materialise {
     took: Duration,
-    product_filters: Option<(Duration, usize)>,
+    post_filters: Option<(Duration, usize)>,
 }
 
 /// The query's window. `ORDER BY` and `DISTINCT` are refused here, for every
@@ -388,10 +387,11 @@ impl Store {
     /// branch), and `materialise`, the projection of the matches to term ids,
     /// the shard count and the window cut. With a
     /// [detailed](Trace::is_detailed) trace the matching engine additionally
-    /// records `candidate_regions`, `matching_order`, `enumeration` and
-    /// per-worker spans as children of `execute`, and the FILTER pass over a
-    /// cartesian product of components is `materialise`'s `post_filters`
-    /// child (the join baselines only get the two stage spans).
+    /// records `start_vertex`, `candidate_regions`, `matching_order`,
+    /// `enumeration` and per-worker spans as children of `execute`, and the
+    /// pass of the FILTERs that wait for complete rows is `materialise`'s
+    /// `post_filters` child (the join baselines only get the two stage
+    /// spans).
     pub fn run_plan_traced(
         &self,
         plan: &QueryPlan,
@@ -429,8 +429,8 @@ impl Store {
             materialise.took,
             &[("rows", results.row_count() as u64)],
         );
-        let product_filters = materialise.product_filters.filter(|_| trace.is_detailed());
-        if let Some((took, filtered)) = product_filters {
+        let post_filters = materialise.post_filters.filter(|_| trace.is_detailed());
+        if let Some((took, filtered)) = post_filters {
             trace.record_rollup("post_filters", span, took, &[("filtered", filtered as u64)]);
         }
         Ok(results)
@@ -446,9 +446,10 @@ impl Store {
         let mut branches = Vec::new();
         for branch in query.pattern.expand_unions() {
             let split = transform_branch(&branch, graph, self.dictionary())?;
-            let several = split.components.len() > 1;
-            let components: Vec<_> = (split.components.into_iter())
-                .map(|c| ComponentPlan::new(c, several))
+            let components: Vec<_> = split
+                .components
+                .into_iter()
+                .map(ComponentPlan::new)
                 .collect();
             branches.push(BranchPlan {
                 bind_into: bind_target(&components),
@@ -497,17 +498,20 @@ impl Store {
     ///
     /// - one yields no row: the branch is empty, and nothing else is matched;
     /// - each yields one row (a branch of one component has no other): those
-    ///   rows are bound, and the bound component is matched once, a run
-    ///   under the branch FILTERs with the LIMIT. A FILTER whose one unbound
-    ///   variable is a required vertex of it runs inline there (Section
-    ///   5.1's split, the bound variables counted as constants), the rest
-    ///   post hoc. The product of one-row sides with its rows is its rows,
-    ///   in enumeration order;
-    /// - otherwise every component is matched, and the cartesian product of
-    ///   their rows is filtered and cut at the LIMIT.
+    ///   rows are bound into the branch FILTERs, and the bound component is
+    ///   matched once. A FILTER whose one unbound variable is a required
+    ///   vertex of it runs inline there (Section 5.1's split, the bound
+    ///   variables counted as constants) and the run stops at the LIMIT;
+    ///   the rest wait for complete rows, and the run finds them all. The
+    ///   product of one-row sides with its rows is its rows, in enumeration
+    ///   order;
+    /// - otherwise every component is matched, and every FILTER waits for
+    ///   the cartesian product of their rows.
     ///
-    /// `execute` is the matcher alone; folding what it found into `results`
-    /// is part of materialising them.
+    /// The FILTERs that wait are one pass over the complete rows
+    /// ([`combine_components`](Self::combine_components)), before the LIMIT
+    /// is cut. `execute` is the matcher alone; folding what it found into
+    /// `results` is part of materialising them.
     fn run_components(
         &self,
         plan: &QueryPlan,
@@ -521,7 +525,7 @@ impl Store {
         let limit = (plan.pushed_limit()).map(|l| l.saturating_sub(results.solution_count));
         let components = branch.components.as_slice();
         let mut matched: Vec<Option<MatchResult>> = components.iter().map(|_| None).collect();
-        // A constant side is matched for its rows, whole.
+        // The rows a FILTER pass reads are matched whole.
         let whole = TurboHomConfig {
             count_only: false,
             ..config
@@ -531,7 +535,7 @@ impl Store {
         let mut shape = branch.bind_into.map_or(Shape::Product, Shape::Bound);
         if let Shape::Bound(target) = shape {
             for (i, component) in components.iter().enumerate().filter(|&(i, _)| i != target) {
-                let input = RunInput::of(&component.transformed);
+                let input = RunInput::default();
                 let side = self.match_component(graph, component, whole, input, trace, parent)?;
                 let rows = side.rows.len();
                 matched[i] = Some(side);
@@ -544,7 +548,7 @@ impl Store {
                 }
             }
         }
-        let mut constants = Vec::new();
+        let (mut constants, mut post) = (Vec::new(), Vec::new());
         match shape {
             Shape::Bound(target) => {
                 let component = &components[target];
@@ -553,10 +557,14 @@ impl Store {
                 let outer: Vec<(&str, Binding<'_>)> = (constants.iter())
                     .filter_map(|&(var, cell)| Some((var, binding_of(dictionary, cell)?)))
                     .collect();
+                let inline;
+                (inline, post) = split_filters(&component.transformed, &branch.filters, &outer);
+                let (config, limit) = match post.is_empty() {
+                    true => (config, limit),
+                    false => (whole, None),
+                };
                 let input = RunInput {
-                    own: &component.transformed.filters,
-                    branch: &branch.filters,
-                    outer: &outer,
+                    inline: &inline,
                     limit,
                 };
                 let result =
@@ -564,11 +572,12 @@ impl Store {
                 matched[target] = Some(result);
             }
             Shape::Product => {
+                post = branch.filters.iter().map(Cow::Borrowed).collect();
                 for (component, slot) in components.iter().zip(&mut matched) {
                     if slot.is_none() {
-                        let input = RunInput::of(&component.transformed);
+                        let input = RunInput::default();
                         let result =
-                            self.match_component(graph, component, config, input, trace, parent)?;
+                            self.match_component(graph, component, whole, input, trace, parent)?;
                         *slot = Some(result);
                     }
                 }
@@ -585,33 +594,20 @@ impl Store {
         }
         match shape {
             Shape::Empty => {}
-            Shape::Bound(target) => {
+            Shape::Bound(target) if post.is_empty() => {
                 let result = matched[target].as_ref().expect("the bound component ran");
                 self.append_rows(graph, &components[target], result, &constants, results);
             }
-            Shape::Product => {
-                let parts: Vec<IdRows> = (components.iter().zip(&matched))
-                    .map(|(component, result)| {
-                        let result = result.as_ref().expect("every component ran");
-                        self.project(graph, component, &result.rows, &component.vars)
-                    })
-                    .collect();
-                let (mut rows, filtered) =
-                    self.combine_components(branch, &parts, &results.variables);
-                if let Some((took, removed)) = filtered {
-                    results.stats.filtered_post += removed;
-                    let pass = (materialise.product_filters).get_or_insert((Duration::ZERO, 0));
-                    pass.0 += took;
-                    pass.1 += removed;
-                }
-                // A limit cannot be pushed below the cartesian combination
-                // (dropping partial rows early would drop combinations), so
-                // it applies here.
+            Shape::Bound(_) | Shape::Product => {
+                let mut rows =
+                    self.combine_components(graph, branch, &matched, &post, materialise, results);
                 if let Some(l) = limit {
                     rows.truncate(l);
                 }
                 results.solution_count += rows.len();
-                results.rows.append(&mut rows);
+                if !config.count_only {
+                    results.rows.append(&mut rows);
+                }
             }
         }
         materialise.took += projecting.elapsed();
@@ -660,20 +656,29 @@ impl Store {
         cells
     }
 
-    /// Combines the per-component rows of a disconnected branch: cartesian
-    /// product, branch filters, projection onto `projected`. Also returns,
-    /// when the filters ran, how long they took and how many rows they
-    /// removed.
+    /// The one pass of the FILTERs that wait for complete rows (Section
+    /// 5.1): combines the rows `matched` holds of a branch's components —
+    /// their cartesian product, each over its variables; with the other
+    /// components' one row each, the bound component's rows — keeps those
+    /// that pass every one of `post`, and projects them onto the variables
+    /// of `results`. The rows it removes are counted in `results`'
+    /// `filtered_post`, and it is timed as `materialise`'s `post_filters`.
     fn combine_components(
         &self,
+        graph: &TransformedGraph,
         branch: &BranchPlan,
-        parts: &[IdRows],
-        projected: &[String],
-    ) -> (IdRows, Option<(Duration, usize)>) {
-        let all_vars: Vec<&String> = branch.components.iter().flat_map(|c| &c.vars).collect();
+        matched: &[Option<MatchResult>],
+        post: &[Cow<'_, Expression>],
+        materialise: &mut Materialise,
+        results: &mut IdResults<'_>,
+    ) -> IdRows {
+        let components = &branch.components;
+        let all_vars: Vec<&String> = components.iter().flat_map(|c| &c.vars).collect();
         // The join's identity: no columns, one row.
         let mut combined = IdRows::unbound(0, 1);
-        for part in parts {
+        for (component, result) in components.iter().zip(matched) {
+            let result = result.as_ref().expect("every component ran");
+            let part = self.project(graph, component, &result.rows, &component.vars);
             let width = combined.stride();
             let mut next =
                 IdRows::with_capacity(width + part.stride(), combined.len() * part.len());
@@ -685,14 +690,10 @@ impl Store {
                 }
             }
             combined = next;
-            if combined.is_empty() {
-                return (IdRows::new(projected.len()), None);
-            }
         }
         // FILTER expressions read the dictionary's view of the cells they ask
         // for.
-        let mut filtered = None;
-        if !branch.filters.is_empty() {
+        if !post.is_empty() {
             let filtering = Instant::now();
             let before = combined.len();
             let dictionary = self.dictionary();
@@ -701,17 +702,22 @@ impl Store {
                     let column = all_vars.iter().position(|var| *var == name)?;
                     binding_of(dictionary, row[column])
                 };
-                branch.filters.iter().all(|f| f.evaluate_bool(&bindings))
+                post.iter().all(|f| f.evaluate_bool(&bindings))
             });
-            filtered = Some((filtering.elapsed(), before - combined.len()));
+            let removed = before - combined.len();
+            results.stats.filtered_post += removed;
+            let pass = (materialise.post_filters).get_or_insert((Duration::ZERO, 0));
+            pass.0 += filtering.elapsed();
+            pass.1 += removed;
         }
+        let projected = &results.variables;
         let mut rows = IdRows::unbound(projected.len(), combined.len());
         for (column, var) in projected.iter().enumerate() {
             if let Some(source) = all_vars.iter().position(|v| *v == var) {
                 rows.fill_column(column, &combined, source, |id| id);
             }
         }
-        (rows, filtered)
+        rows
     }
 
     /// Runs the matcher over one transformed component with `input`, reusing
@@ -962,6 +968,7 @@ mod tests {
 
     /// The FILTERs of a cartesian product count the rows they remove, and a
     /// detailed trace times them as a child of `materialise`, where they run.
+    /// A run that only counts counts the product's rows.
     #[test]
     fn a_product_counts_and_times_its_filters() {
         let store = sample_store();
@@ -981,6 +988,194 @@ mod tests {
         let filters = spans.iter().find(|s| s.name == "post_filters").unwrap();
         assert_eq!(filters.parent, Some(materialise.id));
         assert_eq!(filters.counters, [("filtered", 1)]);
+        assert!(filters.duration_ns <= materialise.duration_ns);
+        // Counting alone combines the components' rows too.
+        let count_only = TurboHomConfig {
+            count_only: true,
+            ..store.default_config()
+        };
+        let counted = store.execute_turbohom(q, count_only, false).unwrap();
+        assert_eq!((counted.len(), counted.rows.len()), (3, 0));
+        assert_eq!(counted.stats.filtered_post, 1);
+    }
+
+    /// Three universities, each with two departments of four students aged
+    /// 20 to 23; the first two students of a department have an email.
+    fn university_store() -> Store {
+        let mut ds = Dataset::new();
+        for u in 0..3 {
+            let univ = ub(&format!("univ{u}"));
+            ds.insert_iris(&univ, vocab::RDF_TYPE, &ub("University"));
+            for d in 0..2 {
+                let dept = ub(&format!("dept{u}_{d}"));
+                ds.insert_iris(&dept, &ub("subOrganizationOf"), &univ);
+                for s in 0..4 {
+                    let student = ub(&format!("student{u}_{d}_{s}"));
+                    ds.insert_iris(&student, vocab::RDF_TYPE, &ub("Student"));
+                    ds.insert_iris(&student, &ub("memberOf"), &dept);
+                    let (age, years) = (Term::iri(ub("age")), Term::integer(20 + s as i64));
+                    ds.insert(&Term::iri(student.clone()), &age, &years);
+                    if s < 2 {
+                        ds.insert_iris(&student, &ub("email"), &ub(&format!("mail{u}_{d}_{s}")));
+                    }
+                }
+            }
+        }
+        Store::from_dataset(ds)
+    }
+
+    /// `store` and a snapshot of it, read back.
+    fn heap_and_snapshot(store: Store) -> [Store; 2] {
+        let path = std::env::temp_dir().join(format!(
+            "turbohom-post-hoc-filters-{}.snap",
+            std::process::id()
+        ));
+        store.save_snapshot(&path).unwrap();
+        let snapshot = Store::from_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        [store, snapshot]
+    }
+
+    /// Runs `sparql`, whose FILTERs wait for complete rows, with no window,
+    /// `LIMIT 2` and `LIMIT 2 OFFSET 1` on every store at one and two
+    /// threads: the pass removes `filtered` of the rows each time, before
+    /// the window is cut, and leaves `rows`. A window holds the unlimited
+    /// answer's rows at its positions (at two threads, whose order is the
+    /// pool's, as many rows of that answer). A detailed trace times the
+    /// pass as `materialise`'s `post_filters` child.
+    fn check_post_hoc(stores: &[Store; 2], sparql: &str, rows: usize, filtered: usize) {
+        let windows = [
+            ("", 0, rows),
+            (" LIMIT 2", 0, 2),
+            (" LIMIT 2 OFFSET 1", 1, 2),
+        ];
+        for (store, flavour) in stores.iter().zip(["heap", "snapshot"]) {
+            for threads in [1, 2] {
+                let run = |sparql: &str, trace: &Trace| {
+                    let plan = store.prepare_plan(sparql, EngineKind::TurboHomPlusPlus);
+                    store.run_plan_traced(&plan.unwrap(), Some(threads), trace)
+                };
+                let all = run(sparql, &Trace::disabled()).unwrap();
+                let all: Vec<&[u32]> = all.rows.iter().collect();
+                for (window, offset, len) in windows {
+                    let sparql = format!("{sparql}{window}");
+                    let case = format!("{flavour} at {threads} threads: {sparql}");
+                    let trace = Trace::detailed(1);
+                    let r = run(&sparql, &trace).unwrap();
+                    assert_eq!((r.len(), r.rows.len()), (len, len), "{case}");
+                    assert_eq!(r.stats.filtered_post, filtered, "{case}");
+                    let got: Vec<&[u32]> = r.rows.iter().collect();
+                    if threads == 1 {
+                        assert_eq!(got, all[offset..offset + len], "{case}");
+                    } else {
+                        assert!(got.iter().all(|row| all.contains(row)), "{case}");
+                    }
+                    let spans = trace.finish().spans;
+                    let materialise = spans.iter().find(|s| s.name == "materialise").unwrap();
+                    let pass = spans.iter().find(|s| s.name == "post_filters");
+                    let pass = pass.unwrap_or_else(|| panic!("{case}: no post_filters span"));
+                    assert_eq!(pass.parent, Some(materialise.id), "{case}");
+                    assert_eq!(pass.counters, [("filtered", filtered as u64)], "{case}");
+                }
+            }
+        }
+    }
+
+    /// The pass of the FILTERs that wait for complete rows serves a branch
+    /// of one component as it serves a cartesian product: a join condition
+    /// over two variables, a `!BOUND` over an OPTIONAL clause's variable,
+    /// and a FILTER over two components.
+    #[test]
+    fn one_pass_filters_complete_rows_in_every_shape() {
+        let stores = heap_and_snapshot(university_store());
+        let prefixes = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                          PREFIX ub: <http://ub.org/>"#;
+        // Per department, the 6 of 16 ordered pairs with the older first.
+        let join = format!(
+            "{prefixes} SELECT ?a ?b WHERE {{
+               ?a ub:memberOf ?d . ?b ub:memberOf ?d . ?a ub:age ?x . ?b ub:age ?y .
+               FILTER (?x > ?y) }}"
+        );
+        check_post_hoc(&stores, &join, 6 * 6, 6 * 16 - 6 * 6);
+        let unbound = format!(
+            "{prefixes} SELECT ?s WHERE {{
+               ?s rdf:type ub:Student . OPTIONAL {{ ?s ub:email ?e }} FILTER (!BOUND(?e)) }}"
+        );
+        check_post_hoc(&stores, &unbound, 12, 12);
+        let product = format!(
+            "{prefixes} SELECT ?s ?u WHERE {{
+               ?s ub:age ?x . ?u rdf:type ub:University . FILTER (?x > 21 || ?u = ub:univ0) }}"
+        );
+        check_post_hoc(&stores, &product, 12 * 3 + 12, 12 * 2);
+    }
+
+    /// A join condition waits for complete solutions: the run finds every
+    /// one, as rows, and the pass counts what it removes (Section 5.1).
+    #[test]
+    fn expensive_join_filter_is_applied_post_hoc() {
+        let store = university_store();
+        let q = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+                   PREFIX ub: <http://ub.org/>
+                   SELECT ?a ?b WHERE {
+                     ?a rdf:type ub:Student . ?b rdf:type ub:Student .
+                     ?a ub:memberOf ?d . ?b ub:memberOf ?d .
+                     ?a ub:age ?agea . ?b ub:age ?ageb .
+                     FILTER (?agea > ?ageb)
+                   }"#;
+        // Per department: pairs (a, b) with age_a > age_b out of 4 students
+        // with distinct ages = C(4,2) = 6; times 6 departments = 36.
+        let r = store.execute(q, EngineKind::TurboHomPlusPlus).unwrap();
+        assert_eq!(r.len(), 36);
+        assert_eq!(r.stats.filtered_post, 6 * 16 - 36);
+        assert_eq!(r.stats.filtered_inline, 0);
+        // Counting alone still filters every solution.
+        let count_only = TurboHomConfig {
+            count_only: true,
+            ..store.default_config()
+        };
+        let counted = store.execute_turbohom(q, count_only, false).unwrap();
+        assert_eq!((counted.len(), counted.rows.len()), (36, 0));
+        assert_eq!(counted.stats, r.stats);
+    }
+
+    /// A join condition's pass is its own child of `materialise`, where it
+    /// runs; the matcher's four stages are `execute`'s children and still
+    /// fit in it.
+    #[test]
+    fn a_detailed_trace_times_the_post_hoc_filters_apart() {
+        let store = university_store();
+        let q = r#"PREFIX ub: <http://ub.org/>
+                   SELECT ?a ?b WHERE {
+                     ?a ub:memberOf ?d . ?b ub:memberOf ?d . ?a ub:age ?agea . ?b ub:age ?ageb .
+                     FILTER (?agea > ?ageb)
+                   }"#;
+        let plan = store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap();
+        let trace = Trace::detailed(15);
+        let r = store.run_plan_traced(&plan, None, &trace).unwrap();
+        assert_eq!(r.len(), 36);
+        assert_eq!(r.stats.filtered_post, 6 * 16 - 36);
+        let spans = trace.finish().spans;
+        let execute = spans.iter().find(|s| s.name == "execute").unwrap();
+        let children: Vec<_> = (spans.iter())
+            .filter(|s| s.parent == Some(execute.id))
+            .collect();
+        let names: Vec<&str> = children.iter().map(|s| s.name).collect();
+        let stages = [
+            "start_vertex",
+            "candidate_regions",
+            "matching_order",
+            "enumeration",
+        ];
+        assert_eq!(names, stages);
+        let tiled: u64 = children.iter().map(|s| s.duration_ns).sum();
+        assert!(tiled <= execute.duration_ns, "{tiled} of {execute:?}");
+        let materialise = spans.iter().find(|s| s.name == "materialise").unwrap();
+        let filters = spans.iter().find(|s| s.name == "post_filters").unwrap();
+        assert_eq!(filters.parent, Some(materialise.id));
+        assert_eq!(
+            filters.counters,
+            [("filtered", r.stats.filtered_post as u64)]
+        );
         assert!(filters.duration_ns <= materialise.duration_ns);
     }
 

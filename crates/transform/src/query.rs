@@ -13,8 +13,8 @@
 //! OPTIONAL clauses are part of the same query graph: their vertices and
 //! edges are annotated with a *clause id* so the matcher can apply the
 //! nullify-and-keep-searching strategy of Section 5.1. FILTER expressions
-//! are collected and handed to the engine, which applies cheap ones during
-//! matching and expensive ones afterwards.
+//! are collected on the branch and handed to the engine, which applies cheap
+//! ones during matching and expensive ones afterwards.
 //!
 //! [`transform_branch`] returns a branch as the connected components of the
 //! graph the matcher walks: a type-aware class label joins nothing, a
@@ -31,7 +31,7 @@ use turbohom_graph::{Direction, ELabel, QueryEdge, QueryGraph, QueryVertex, VLab
 use turbohom_rdf::{vocab, Dictionary, Term};
 use turbohom_sparql::{Expression, GroupPattern, SparqlTerm};
 
-/// A query graph plus the clause/filter metadata the engine needs.
+/// A query graph plus the clause metadata the engine needs.
 #[derive(Debug, Clone)]
 pub struct TransformedQuery {
     /// The query graph (two-attribute vertices).
@@ -48,9 +48,6 @@ pub struct TransformedQuery {
     /// For every OPTIONAL clause: its parent clause (`None` = attached to the
     /// required part). Nested OPTIONALs form a forest.
     pub clause_parents: Vec<Option<usize>>,
-    /// All FILTER expressions of the query (required part and OPTIONALs);
-    /// none on a component of a branch of several.
-    pub filters: Vec<Expression>,
 }
 
 impl TransformedQuery {
@@ -69,14 +66,13 @@ impl TransformedQuery {
 }
 
 /// A union-free branch transformed once and split into the connected
-/// components of its query graph.
+/// components of its query graph, with its FILTERs.
 #[derive(Debug, Clone)]
 pub struct TransformedBranch {
     /// The components, in order of their first required triple: each the
     /// graph its own patterns transform to.
     pub components: Vec<TransformedQuery>,
-    /// Every FILTER of a branch of several components, which carry none;
-    /// empty when the one component carries them.
+    /// Every FILTER of the branch (required part and OPTIONALs).
     pub filters: Vec<Expression>,
 }
 
@@ -259,20 +255,15 @@ impl<'a> QueryBuilder<'a> {
         }
     }
 
-    /// The query graph's connected components: the FILTERs go with the
-    /// only one, or else with the branch.
+    /// The query graph's connected components, with the branch's FILTERs.
     fn split(self) -> Result<TransformedBranch, TransformError> {
         let (vertex, clause, count) = self.parts()?;
-        let mut components: Vec<_> = (0..count.max(1))
+        let components = (0..count.max(1))
             .map(|k| self.part(&vertex, &clause, k))
             .collect();
-        let mut filters = self.filters;
-        if let [only] = components.as_mut_slice() {
-            only.filters = std::mem::take(&mut filters);
-        }
         Ok(TransformedBranch {
             components,
-            filters,
+            filters: self.filters,
         })
     }
 
@@ -336,7 +327,7 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// The query graph of component `k` of `vertex` and `clause` (see
-    /// [`parts`](Self::parts)), without FILTERs: its clauses and edges in
+    /// [`parts`](Self::parts)): its clauses and edges in
     /// their relative order, and its vertices in the order its patterns first
     /// use them, as its own patterns transform to. A constant that a clause
     /// of `k` shares with another component is a vertex of `k` too, of that
@@ -388,7 +379,6 @@ impl<'a> QueryBuilder<'a> {
             vertex_clause,
             edge_clause,
             clause_parents,
-            filters: Vec::new(),
         }
     }
 }
@@ -687,11 +677,8 @@ mod tests {
                }"#,
         )
         .unwrap();
-        let tq = transform_branch(&q.pattern, &data, &ds.dictionary)
-            .unwrap()
-            .components
-            .remove(0);
-        assert_eq!(tq.filters.len(), 2);
+        let branch = transform_branch(&q.pattern, &data, &ds.dictionary).unwrap();
+        assert_eq!(branch.filters.len(), 2);
     }
 
     #[test]
@@ -740,7 +727,7 @@ mod tests {
     /// A branch splits where the matcher's graph falls apart: a folded class
     /// joins nothing, a direct-graph class vertex does, and neither does a
     /// constant an OPTIONAL clause shares. Each component is the graph its
-    /// own patterns transform to, its FILTERs with the branch.
+    /// own patterns transform to; the FILTERs are the branch's.
     #[test]
     fn a_branch_splits_into_the_components_of_its_query_graph() {
         let ds = dataset();
@@ -777,11 +764,10 @@ mod tests {
             assert_eq!(component.edge_clause, alone.edge_clause, "{part}");
             assert_eq!(component.clause_parents, alone.clause_parents, "{part}");
             assert_eq!(component.unsatisfiable, alone.unsatisfiable, "{part}");
-            assert!(component.filters.is_empty(), "{part}");
         }
-        // One component keeps its FILTERs.
+        // So are those of one component.
         let one = split("?p ub:memberOf ?d . FILTER (?p != ?d)", &aware).unwrap();
-        assert_eq!((one.components[0].filters.len(), one.filters.len()), (1, 0));
+        assert_eq!((one.components.len(), one.filters.len()), (1, 1));
     }
 
     /// A product of components cannot join on an OPTIONAL clause or a
