@@ -653,10 +653,10 @@ impl<'a> TurboHomEngine<'a> {
     /// and for EXPLAIN: `input`'s FILTERs placed at their query vertices,
     /// the guards, the start query vertex with its data vertices (those
     /// that pass its inline FILTERs, unless the search stops at a LIMIT),
-    /// the explorer over the query
-    /// tree rooted there (unless no region is going to be grown) and, as
-    /// `probe` asks once the start vertices are known, the +REUSE order
-    /// (Section 4.3) with the regions it was determined on ([`OrderSample`]).
+    /// the explorer over the query tree rooted there (unless no region is
+    /// going to be grown) and, as `probe` asks once the start vertices are
+    /// known, the +REUSE order (Section 4.3) with the regions it was
+    /// determined on ([`OrderSample`]).
     fn prologue<'s>(
         &'s self,
         query: &'s TransformedQuery,

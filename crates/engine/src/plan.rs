@@ -525,7 +525,8 @@ impl Store {
         let limit = (plan.pushed_limit()).map(|l| l.saturating_sub(results.solution_count));
         let components = branch.components.as_slice();
         let mut matched: Vec<Option<MatchResult>> = components.iter().map(|_| None).collect();
-        // The rows a FILTER pass reads are matched whole.
+        // A constant side, and what a FILTER pass reads, is matched for its
+        // rows, whole.
         let whole = TurboHomConfig {
             count_only: false,
             ..config
