@@ -892,7 +892,9 @@ mod tests {
     /// departments labelled too, so that the nine labels outnumber the
     /// products and a REGEX keeps one of them. Uncapped, selection counts
     /// the REGEX and starts at that label; capped by the LIMIT, it starts at
-    /// the products. EXPLAIN shows the start and order of the run either way.
+    /// the products, unless a FILTER that waits for complete rows lifts the
+    /// LIMIT from the run. EXPLAIN shows the start and order of the run
+    /// every way.
     #[test]
     fn explain_of_a_filtered_branch_starts_where_its_run_does() {
         let mut ds = Dataset::new();
@@ -909,11 +911,17 @@ mod tests {
             label(&mut ds, &format!("dept{d}"), &format!("department{d}"));
         }
         let store = Store::from_dataset(ds);
-        let sparql = r#"PREFIX ub: <http://ub.org/>
-                        SELECT ?p ?l WHERE { ?p a ub:Product . ?p ub:label ?l .
-                                             FILTER regex(?l, "^item1") }"#;
-        for (window, start, candidates) in [("", "l", 1), (" LIMIT 1", "p", 6)] {
-            let sparql = format!("{sparql}{window}");
+        let cases = [
+            ("", "", "l", 1),
+            ("", " LIMIT 1", "p", 6),
+            ("FILTER (?p != ?l)", " LIMIT 1", "l", 1),
+        ];
+        for (waiting, window, start, candidates) in cases {
+            let sparql = format!(
+                r#"PREFIX ub: <http://ub.org/>
+                   SELECT ?p ?l WHERE {{ ?p a ub:Product . ?p ub:label ?l .
+                                         FILTER regex(?l, "^item1") {waiting} }}{window}"#
+            );
             let plan = store
                 .prepare_plan(&sparql, EngineKind::TurboHomPlusPlus)
                 .unwrap();
