@@ -158,13 +158,7 @@ pub fn lubm_parallel_store(universities: usize) -> Store {
 /// Builds the YAGO-like store.
 pub fn yago_store(scale: usize) -> Store {
     let dataset = yago::YagoGenerator::new(yago::YagoConfig::scale(scale)).generate();
-    Store::from_dataset_with(
-        dataset,
-        StoreOptions {
-            inference: true,
-            threads: 1,
-        },
-    )
+    Store::from_dataset_with(dataset, StoreOptions { inference: true })
 }
 
 /// Builds the BTC-like store (no inference, as in the paper).

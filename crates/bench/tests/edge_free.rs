@@ -304,10 +304,7 @@ fn the_micro_datasets_answer_edge_free_queries_alike() {
     // Figure 3 under RDFS inference: the graduate student is a student.
     let store = Store::from_dataset_with(
         micro::figure3(),
-        turbohom_engine::StoreOptions {
-            inference: true,
-            threads: 1,
-        },
+        turbohom_engine::StoreOptions { inference: true },
     );
     for class in ["Student", "GraduateStudent"] {
         let sparql = example(&format!("SELECT ?x WHERE {{ ?x a ex:{class} . }}"));

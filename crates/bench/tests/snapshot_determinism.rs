@@ -16,10 +16,7 @@ fn independently_built_lubm1_stores_save_byte_identical_snapshots() {
     for inference in [false, true] {
         let [first, second] = [1, 2].map(|copy| {
             let dataset = LubmGenerator::new(LubmConfig::scale(1)).generate();
-            let options = StoreOptions {
-                inference,
-                threads: 1,
-            };
+            let options = StoreOptions { inference };
             let path = dir.join(format!("lubm1-determinism-{inference}-{copy}.snap"));
             Store::from_dataset_with(dataset, options)
                 .save_snapshot(&path)

@@ -185,7 +185,7 @@ mod tests {
     use crate::engine::{split_filters, RunInput};
     use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
-    use turbohom_transform::{transform_branch, type_aware_transform, TransformError};
+    use turbohom_transform::{transform_branch, type_aware_transform};
 
     /// Selection as it was before it counted: the full candidate list of
     /// each of the top-k query vertices is copied out of the index, walked
@@ -701,15 +701,8 @@ mod tests {
                  PREFIX ub: <http://ub.org/> SELECT * WHERE {{ {} }}",
                 patterns.iter().copied().map(pattern_text).collect::<Vec<_>>().join(" "),
             );
-            // A branch whose predicate variable is in two components has no
-            // query graph to match: it is refused.
-            let branch = match transform_branch(&parse_query(&text).unwrap().pattern, &t, &ds.dictionary) {
-                Err(TransformError::SpansComponents { predicate }) => {
-                    proptest::prop_assert_eq!(predicate.as_deref(), Some("pred"), "{}", text);
-                    return;
-                }
-                branch => branch.unwrap(),
-            };
+            let branch = transform_branch(&parse_query(&text).unwrap().pattern, &t, &ds.dictionary)
+                .unwrap();
             let none = crate::config::Optimizations::none();
             let configs = [
                 TurboHomConfig::default(),

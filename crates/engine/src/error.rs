@@ -22,9 +22,9 @@ pub enum StoreError {
     /// [`SnapshotError`] distinguishes bad magic, version mismatch,
     /// truncation, checksum failure and structural corruption.
     Snapshot(SnapshotError),
-    /// A per-request thread override of `0` was supplied. `0` worker threads
-    /// cannot execute anything; callers that want the store default should
-    /// pass `None`, so this is rejected instead of silently clamped.
+    /// A per-run thread count of `0` was supplied. `0` worker threads
+    /// cannot execute anything; callers that want the plan's configuration
+    /// should pass `None`, so this is rejected instead of silently clamped.
     InvalidThreadCount(usize),
     /// The query falls outside the sharded executor's scope: it has no
     /// anchor bound in every row (a UNION, or only schema triples). The
@@ -48,7 +48,7 @@ impl fmt::Display for StoreError {
             StoreError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             StoreError::InvalidThreadCount(n) => write!(
                 f,
-                "invalid thread count {n}: the override must be at least 1 (pass None for the store default)"
+                "invalid thread count {n}: the override must be at least 1 (pass None for the plan's configuration)"
             ),
             StoreError::NotShardable(why) => write!(f, "query is not shardable: {why}"),
             StoreError::OrderByUnsupported => write!(

@@ -513,13 +513,7 @@ mod tests {
     }
 
     fn sample_store() -> Store {
-        Store::from_dataset_with(
-            sample_dataset(),
-            StoreOptions {
-                inference: true,
-                threads: 1,
-            },
-        )
+        Store::from_dataset_with(sample_dataset(), StoreOptions { inference: true })
     }
 
     const Q: &str = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
@@ -694,7 +688,6 @@ mod tests {
             let options = ShardedOptions {
                 shards,
                 inference: true,
-                threads: 1,
             };
             let sharded = ShardedStore::from_dataset_with(sample_dataset(), options).unwrap();
             for (sparql, anchor) in [
@@ -769,7 +762,6 @@ mod tests {
             ShardedOptions {
                 shards: 4,
                 inference: true,
-                threads: 1,
             },
         )
         .unwrap();
@@ -822,7 +814,6 @@ mod tests {
                     ShardedOptions {
                         shards,
                         inference: true,
-                        threads: 1,
                     },
                 )
                 .unwrap(),
@@ -872,7 +863,6 @@ mod tests {
                 ShardedOptions {
                     shards: 2,
                     inference: true,
-                    threads: 1,
                 },
             )
             .unwrap(),
@@ -912,7 +902,6 @@ mod tests {
             ShardedOptions {
                 shards: 3,
                 inference: true,
-                threads: 1,
             },
         )
         .unwrap();

@@ -809,13 +809,7 @@ mod tests {
         ds.insert_iris(&ub("dept0"), vocab::RDF_TYPE, &ub("Department"));
         ds.insert_iris(&ub("dept0"), &ub("subOrganizationOf"), &ub("univ0"));
         ds.insert_iris(&ub("univ0"), vocab::RDF_TYPE, &ub("University"));
-        Store::from_dataset_with(
-            ds,
-            StoreOptions {
-                inference: true,
-                threads: 1,
-            },
-        )
+        Store::from_dataset_with(ds, StoreOptions { inference: true })
     }
 
     const Q: &str = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>

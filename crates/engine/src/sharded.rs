@@ -42,8 +42,6 @@ pub struct ShardedOptions {
     /// Materialize the RDFS closure at load, as for a single store: the
     /// only way the class hierarchy applies, for all four engines.
     pub inference: bool,
-    /// Worker threads per query (the TurboHOM++ setting of the one store).
-    pub threads: usize,
 }
 
 impl Default for ShardedOptions {
@@ -51,7 +49,6 @@ impl Default for ShardedOptions {
         ShardedOptions {
             shards: 4,
             inference: false,
-            threads: 1,
         }
     }
 }
@@ -251,13 +248,8 @@ impl ShardedStore {
         dataset: Dataset,
         options: ShardedOptions,
     ) -> Result<Self, StoreError> {
-        let store = Store::from_dataset_with(
-            dataset,
-            StoreOptions {
-                inference: options.inference,
-                threads: options.threads,
-            },
-        );
+        let inference = options.inference;
+        let store = Store::from_dataset_with(dataset, StoreOptions { inference });
         let owned = owned_bits(store.dictionary(), options.shards.max(1)).into();
         Ok(ShardedStore {
             store: Arc::new(store),
@@ -443,13 +435,7 @@ mod tests {
     }
 
     fn single_store() -> Store {
-        Store::from_dataset_with(
-            sample_dataset(),
-            StoreOptions {
-                inference: true,
-                threads: 1,
-            },
-        )
+        Store::from_dataset_with(sample_dataset(), StoreOptions { inference: true })
     }
 
     fn sharded(shards: usize) -> ShardedStore {
@@ -458,7 +444,6 @@ mod tests {
             ShardedOptions {
                 shards,
                 inference: true,
-                threads: 1,
             },
         )
         .unwrap()

@@ -138,25 +138,16 @@ impl std::str::FromStr for EngineKind {
     }
 }
 
-/// Construction options for a [`Store`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Construction options for a [`Store`]: what its load needs. A run's
+/// worker-thread count is not one of them; it comes with the run (see
+/// [`Store::run_plan_traced`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Materialize the RDFS closure (subClassOf/subPropertyOf/domain/range)
     /// before building the graphs — the paper's LUBM loading protocol. This
     /// is the only way the class hierarchy applies, for all four engines:
     /// without it a class matches its asserted instances alone.
     pub inference: bool,
-    /// Number of worker threads used by the TurboHOM++ engine.
-    pub threads: usize,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            inference: false,
-            threads: 1,
-        }
-    }
 }
 
 /// An RDF store: the dictionary, the type-aware graph every TurboHOM++ plan
@@ -212,23 +203,13 @@ impl Store {
     /// Opens a snapshot file written by [`save_snapshot`](Self::save_snapshot)
     /// and serves every read path from zero-copy views into it (memory-mapped
     /// where the platform allows, a buffered read otherwise). The inference
-    /// flag is recovered from the snapshot; the worker-thread count is a
-    /// runtime option and defaults to 1.
+    /// flag is recovered from the snapshot.
     pub fn from_snapshot(path: &Path) -> Result<Self, StoreError> {
-        Self::from_snapshot_with(path, 1)
-    }
-
-    /// Like [`from_snapshot`](Self::from_snapshot) with an explicit
-    /// worker-thread count.
-    pub fn from_snapshot_with(path: &Path, threads: usize) -> Result<Self, StoreError> {
-        if threads == 0 {
-            return Err(StoreError::InvalidThreadCount(0));
-        }
         let snapshot = Snapshot::open(path)?;
         let (backend, inference) = Backend::read(&mut snapshot.cursor(), path)?;
         Ok(Store {
             backend,
-            options: StoreOptions { inference, threads },
+            options: StoreOptions { inference },
         })
     }
 
@@ -347,9 +328,10 @@ impl Store {
         &self.options
     }
 
-    /// The TurboHOM++ configuration this store uses by default.
+    /// The configuration of every TurboHOM++ plan this store makes: one
+    /// worker thread unless a run asks for more.
     pub fn default_config(&self) -> TurboHomConfig {
-        TurboHomConfig::turbohom_plus_plus().with_threads(self.options.threads)
+        TurboHomConfig::turbohom_plus_plus()
     }
 
     /// Parses a SPARQL query once so it can be executed repeatedly.
@@ -454,13 +436,7 @@ mod tests {
         ds.insert_iris(&ub("dept0"), vocab::RDF_TYPE, &ub("Department"));
         ds.insert_iris(&ub("dept0"), &ub("subOrganizationOf"), &ub("univ0"));
         ds.insert_iris(&ub("univ0"), vocab::RDF_TYPE, &ub("University"));
-        Store::from_dataset_with(
-            ds,
-            StoreOptions {
-                inference: true,
-                threads: 1,
-            },
-        )
+        Store::from_dataset_with(ds, StoreOptions { inference: true })
     }
 
     #[test]
@@ -645,15 +621,13 @@ mod tests {
         let q = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                    PREFIX ub: <http://ub.org/>
                    SELECT ?x WHERE { ?x rdf:type ub:Student . }"#;
-        // The store was built with threads = 1; the override applies per call.
-        assert_eq!(store.options().threads, 1);
+        // The plan runs on one thread; the override applies per call.
         let plan = store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap();
         let seq = store.run_plan(&plan).unwrap();
         let par = store
             .run_plan_traced(&plan, Some(4), &Trace::disabled())
             .unwrap();
         assert_eq!(seq.len(), par.len());
-        assert_eq!(store.options().threads, 1);
     }
 
     #[test]
@@ -668,7 +642,7 @@ mod tests {
                 .run_plan_traced(&plan, Some(0), &Trace::disabled())
                 .unwrap_err();
             assert!(matches!(err, StoreError::InvalidThreadCount(0)), "{kind}");
-            // `None` still means "use the store default".
+            // `None` runs at the plan's configuration.
             assert!(store
                 .run_plan_traced(&plan, None, &Trace::disabled())
                 .is_ok());
@@ -733,6 +707,5 @@ mod tests {
         let direct = store.direct_graph().graph.stats();
         assert!(aware.vertices < direct.vertices);
         assert!(aware.edges < direct.edges);
-        assert_eq!(store.options().threads, 1);
     }
 }

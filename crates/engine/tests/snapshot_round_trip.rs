@@ -43,13 +43,7 @@ fn sample_store() -> Store {
         turbohom_rdf::vocab::RDF_TYPE,
         &ub("University"),
     );
-    Store::from_dataset_with(
-        ds,
-        StoreOptions {
-            inference: true,
-            threads: 1,
-        },
-    )
+    Store::from_dataset_with(ds, StoreOptions { inference: true })
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -596,10 +590,4 @@ fn a_graph_label_outside_its_range_is_refused_not_decoded() {
 fn missing_file_is_an_io_error() {
     let err = Store::from_snapshot(&temp_path("does-not-exist.snap")).unwrap_err();
     assert!(matches!(err, StoreError::Snapshot(SnapshotError::Io(_))));
-}
-
-#[test]
-fn zero_threads_are_refused_before_the_file_is_opened() {
-    let err = Store::from_snapshot_with(&temp_path("does-not-exist.snap"), 0).unwrap_err();
-    assert_eq!(err, StoreError::InvalidThreadCount(0));
 }

@@ -60,7 +60,8 @@ fn usage() -> &'static str {
      \x20                   at load time: the only way the class hierarchy\n\
      \x20                   applies, for every engine (a --lubm store is\n\
      \x20                   generated closed, a --snapshot keeps its own)\n\
-     \x20 --threads N       default worker threads per query, 1 to 64 (default 1)\n\
+     \x20 --threads N       worker threads of a request that names no\n\
+     \x20                   threads=, 1 to 64 (default 1)\n\
      \x20 --shards N        split the ownership of the terms of the one store\n\
      \x20                   N ways and route queries by it\n\
      \x20                   (default 1 = no shards; built from triples at\n\
@@ -172,19 +173,10 @@ fn run() -> Result<(), String> {
         ));
     }
 
-    let options = StoreOptions {
-        inference: args.inference,
-        threads: args.threads,
-    };
-    let sharded_options = ShardedOptions {
-        shards: args.shards,
-        inference: args.inference,
-        threads: args.threads,
-    };
     let load_started = std::time::Instant::now();
     let store = if let Some(path) = &args.snapshot {
         eprintln!("mapping snapshot {path} ...");
-        let store = Store::from_snapshot_with(std::path::Path::new(path), options.threads)
+        let store = Store::from_snapshot(std::path::Path::new(path))
             .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
         AnyStore::Single(Arc::new(store))
     } else {
@@ -201,12 +193,18 @@ fn run() -> Result<(), String> {
                 Ok::<_, String>(LubmGenerator::new(LubmConfig::scale(args.lubm_scale)).generate())
             })?
         };
+        let inference = args.inference;
         let store = if args.shards > 1 {
-            let store = ShardedStore::from_dataset_with(dataset, sharded_options)
+            let options = ShardedOptions {
+                shards: args.shards,
+                inference,
+            };
+            let store = ShardedStore::from_dataset_with(dataset, options)
                 .map_err(|e| format!("cannot shard the store: {e}"))?;
             AnyStore::Sharded(Arc::new(store))
         } else {
-            AnyStore::Single(Arc::new(Store::from_dataset_with(dataset, options)))
+            let store = Store::from_dataset_with(dataset, StoreOptions { inference });
+            AnyStore::Single(Arc::new(store))
         };
         store.store().record_source(source);
         store
@@ -263,6 +261,7 @@ fn run() -> Result<(), String> {
             plan_cache_capacity: args.cache,
             default_engine: args.engine,
             slow_query: args.slow_ms.map(|ms| Duration::from_secs_f64(ms / 1000.0)),
+            threads: args.threads,
         },
     )
     .with_dataset_label(dataset_label);

@@ -32,7 +32,7 @@ use turbohom_json::{Fixed3, JsonWriter, ToJson};
 use turbohom_sparql::{fingerprint, QueryFingerprint};
 
 /// The most worker threads one request runs on: a request's `threads`, and
-/// the store's default where it names none, are clamped to `1..=MAX_THREADS`
+/// the service's default where it names none, are clamped to `1..=MAX_THREADS`
 /// at admission (the server refuses a `--threads` above it).
 pub const MAX_THREADS: usize = 64;
 
@@ -47,6 +47,9 @@ pub struct ServiceConfig {
     /// view, `/debug/slow` (`Duration::ZERO` keeps every one, `None`
     /// disables it).
     pub slow_query: Option<Duration>,
+    /// Worker threads of a request that names no count (clamped to
+    /// `1..=`[`MAX_THREADS`] like a request's).
+    pub threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -55,6 +58,7 @@ impl Default for ServiceConfig {
             plan_cache_capacity: 256,
             default_engine: EngineKind::TurboHomPlusPlus,
             slow_query: Some(Duration::from_millis(500)),
+            threads: 1,
         }
     }
 }
@@ -64,8 +68,8 @@ impl Default for ServiceConfig {
 pub struct QueryOptions {
     /// Engine to execute with (`None` = the service default).
     pub engine: Option<EngineKind>,
-    /// Worker-thread override for this request only (`None` = the store's
-    /// default; either is clamped to `1..=`[`MAX_THREADS`]).
+    /// Worker threads for this request only (`None` = the service's
+    /// [`ServiceConfig::threads`]; either is clamped to `1..=`[`MAX_THREADS`]).
     pub threads: Option<usize>,
     /// PROFILE mode: collect a detailed trace (per-stage and per-worker
     /// spans) and return it in [`QueryResponse::profile`].
@@ -449,7 +453,7 @@ impl QueryService {
     fn admit(&self, options: &QueryOptions, explain: bool) -> Admission {
         let engine = options.engine.unwrap_or(self.config.default_engine);
         let threads = (options.threads)
-            .unwrap_or(self.store.store().options().threads)
+            .unwrap_or(self.config.threads)
             .clamp(1, MAX_THREADS);
         let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
         let mode = match (explain, options.analyze, options.profile) {
@@ -863,7 +867,6 @@ impl QueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbohom_engine::StoreOptions;
     use turbohom_rdf::{vocab, Dataset};
 
     fn ub(l: &str) -> String {
@@ -968,22 +971,23 @@ mod tests {
         assert_eq!(r.results.len(), 3);
     }
 
-    /// The store's default thread count is bounded like a request's: a
+    /// The service's default thread count is bounded like a request's: a
     /// pool never has more than `MAX_THREADS` workers, however many start
     /// vertices there are.
     #[test]
-    fn a_store_default_above_the_bound_runs_on_max_threads() {
+    fn a_service_default_above_the_bound_runs_on_max_threads() {
         let mut ds = Dataset::new();
         for i in 0..70 {
             let s = ub(&format!("student{i}"));
             ds.insert_iris(&s, &ub("memberOf"), &ub(&format!("dept{i}")));
             ds.insert_iris(&s, &ub("advisor"), &ub(&format!("prof{i}")));
         }
-        let options = StoreOptions {
+        let config = ServiceConfig {
             threads: MAX_THREADS + 1,
-            ..StoreOptions::default()
+            ..ServiceConfig::default()
         };
-        let svc = QueryService::new(Arc::new(Store::from_dataset_with(ds, options)));
+        let store = AnyStore::Single(Arc::new(Store::from_dataset(ds)));
+        let svc = QueryService::with_any_store(store, config);
         let join = "SELECT ?x ?d ?p WHERE { ?x <http://ub.org/memberOf> ?d . \
                     ?x <http://ub.org/advisor> ?p . }";
         let profile = QueryOptions {
@@ -1001,6 +1005,43 @@ mod tests {
         assert!(starts.counters.contains(&("candidates", 70)), "{starts:?}");
         let workers = report.spans.iter().filter(|s| s.name == "worker").count();
         assert_eq!(workers, MAX_THREADS);
+    }
+
+    /// A store mapped from a snapshot holds no thread count: a request that
+    /// names none runs on the service's, and one that names one on its own,
+    /// from the one cached plan.
+    #[test]
+    fn a_request_without_a_count_runs_on_the_service_default() {
+        let mut ds = Dataset::new();
+        for i in 0..8 {
+            let (student, dept) = (ub(&format!("student{i}")), ub(&format!("dept{i}")));
+            ds.insert_iris(&student, &ub("memberOf"), &dept);
+        }
+        let path = std::env::temp_dir().join(format!(
+            "turbohom-service-default-threads-{}.snap",
+            std::process::id()
+        ));
+        Store::from_dataset(ds).save_snapshot(&path).unwrap();
+        let store = Store::from_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let config = ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        };
+        let svc = QueryService::with_any_store(AnyStore::Single(Arc::new(store)), config);
+        let join = "SELECT ?x ?d WHERE { ?x <http://ub.org/memberOf> ?d . }";
+        let pooled = svc.query(join, QueryOptions::default()).unwrap();
+        assert_eq!(pooled.results.len(), 8);
+        assert!(pooled.results.stats.morsels > 0, "no morsel claimed");
+        let one = QueryOptions {
+            threads: Some(1),
+            ..QueryOptions::default()
+        };
+        let inline = svc.query(join, one).unwrap();
+        assert!(inline.cache_hit);
+        assert_eq!(inline.results.len(), 8);
+        assert_eq!(inline.results.stats.morsels, 0);
+        assert_eq!(svc.stats().plans_prepared, 1);
     }
 
     /// ANALYZE and EXPLAIN plan outside the cache: neither looks a plan up,

@@ -424,27 +424,32 @@ impl TransformedGraph {
 pub enum TransformError {
     /// A blank node appeared where the transformation cannot handle it.
     UnsupportedTerm(String),
-    /// Two connected components of a branch share what their cartesian
-    /// product cannot join on: an OPTIONAL clause that meets both
-    /// (`predicate: None`), or the named predicate variable, which labels
-    /// edges in one and is in the other.
-    SpansComponents { predicate: Option<String> },
+    /// An OPTIONAL clause meets two connected components of its branch,
+    /// whose cartesian product cannot join on it.
+    SpansComponents,
+    /// The named variable is a predicate and also a subject or an object.
+    PredicateIsVertex(String),
+    /// The named predicate variable labels more than one edge, and one of
+    /// them is inside an OPTIONAL clause.
+    OptionalPredicateRepeats(String),
 }
 
 impl fmt::Display for TransformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TransformError::UnsupportedTerm(t) => write!(f, "unsupported term in query: {t}"),
-            TransformError::SpansComponents { predicate } => {
-                match predicate {
-                    Some(p) => write!(f, "predicate variable ?{p} is")?,
-                    None => write!(f, "an OPTIONAL clause is")?,
-                }
-                write!(
-                    f,
-                    " in two connected components of its branch, whose cartesian product cannot join on it"
-                )
-            }
+            TransformError::SpansComponents => write!(
+                f,
+                "an OPTIONAL clause is in two connected components of its branch, whose cartesian product cannot join on it"
+            ),
+            TransformError::PredicateIsVertex(v) => write!(
+                f,
+                "variable ?{v} is a predicate and a subject or object: unsupported"
+            ),
+            TransformError::OptionalPredicateRepeats(v) => write!(
+                f,
+                "predicate variable ?{v} recurs inside an OPTIONAL clause: unsupported"
+            ),
         }
     }
 }
@@ -564,11 +569,11 @@ mod tests {
         assert!(TransformError::UnsupportedTerm("x".into())
             .to_string()
             .contains('x'));
-        let spans = |predicate: Option<&str>| {
-            let predicate = predicate.map(str::to_string);
-            TransformError::SpansComponents { predicate }.to_string()
-        };
-        assert!(spans(Some("p")).starts_with("predicate variable ?p is in two"));
-        assert!(spans(None).starts_with("an OPTIONAL clause is in two"));
+        let spans = TransformError::SpansComponents.to_string();
+        assert!(spans.starts_with("an OPTIONAL clause is in two"));
+        let vertex = TransformError::PredicateIsVertex("p".into()).to_string();
+        assert!(vertex.starts_with("variable ?p is a predicate and a subject"));
+        let optional = TransformError::OptionalPredicateRepeats("p".into()).to_string();
+        assert!(optional.starts_with("predicate variable ?p recurs inside an OPTIONAL"));
     }
 }

@@ -29,6 +29,7 @@ use crate::common::{TransformError, TransformKind, TransformedGraph};
 use std::collections::HashMap;
 use turbohom_graph::{Direction, ELabel, QueryEdge, QueryGraph, QueryVertex, VLabel, VertexId};
 use turbohom_rdf::{vocab, Dictionary, Term};
+use turbohom_sparql::expression::CompareOp;
 use turbohom_sparql::{Expression, GroupPattern, SparqlTerm};
 
 /// A query graph plus the clause metadata the engine needs.
@@ -255,8 +256,47 @@ impl<'a> QueryBuilder<'a> {
         }
     }
 
+    /// Joins each predicate variable that labels more than one edge: the
+    /// matcher fills an edge's column from that edge's own label, so the
+    /// first edge keeps the name, each further one gets a name no query can
+    /// spell (`p#2`, `p#3`, …), and the branch gets a FILTER that the two
+    /// are equal. It reads two edge columns, so it waits for complete rows.
+    /// Refused, as no FILTER over a whole row stands for them: a predicate
+    /// variable that also names a vertex, and one that recurs with an
+    /// occurrence inside an OPTIONAL clause. (The required part's edges
+    /// come before every OPTIONAL clause's, so the first occurrence of a
+    /// name that has a required one is required.)
+    fn join_repeated_predicates(&mut self) -> Result<(), TransformError> {
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        for edge in &mut self.edges {
+            let Some(name) = edge.variable.clone() else {
+                continue;
+            };
+            if self.var_map.contains_key(&name) {
+                return Err(TransformError::PredicateIsVertex(name));
+            }
+            let occurrence = seen.entry(name.clone()).or_insert(0);
+            *occurrence += 1;
+            if *occurrence == 1 {
+                continue;
+            }
+            if edge.clause.is_some() {
+                return Err(TransformError::OptionalPredicateRepeats(name));
+            }
+            let hidden = format!("{name}#{occurrence}");
+            self.filters.push(Expression::Compare(
+                Box::new(Expression::Variable(name)),
+                CompareOp::Eq,
+                Box::new(Expression::Variable(hidden.clone())),
+            ));
+            edge.variable = Some(hidden);
+        }
+        Ok(())
+    }
+
     /// The query graph's connected components, with the branch's FILTERs.
-    fn split(self) -> Result<TransformedBranch, TransformError> {
+    fn split(mut self) -> Result<TransformedBranch, TransformError> {
+        self.join_repeated_predicates()?;
         let (vertex, clause, count) = self.parts()?;
         let components = (0..count.max(1))
             .map(|k| self.part(&vertex, &clause, k))
@@ -272,7 +312,7 @@ impl<'a> QueryBuilder<'a> {
     /// edges, in order of their first vertex. A top-level clause goes, with
     /// its nested ones, to the one component its edges' variables meet (else
     /// the first); a constant joins nothing. A product cannot join on a
-    /// clause or a predicate variable in two: refused.
+    /// clause in two: refused.
     fn parts(&self) -> Result<(Vec<usize>, Vec<usize>, usize), TransformError> {
         let mut parents: Vec<usize> = (0..self.vertices.len()).collect();
         for edge in self.edges.iter().filter(|e| e.clause.is_none()) {
@@ -305,24 +345,12 @@ impl<'a> QueryBuilder<'a> {
                     Some(d) => met[top[d]].unwrap_or(0),
                 };
                 if met[t].is_some_and(|m| m != part) {
-                    return Err(TransformError::SpansComponents { predicate: None });
+                    return Err(TransformError::SpansComponents);
                 }
                 met[t] = Some(part);
             }
         }
         let clause: Vec<usize> = top.iter().map(|&t| met[t].unwrap_or(0)).collect();
-        let vertex_vars =
-            (self.var_map.iter()).map(|(name, &v)| (name, v, self.vertices[v].clause));
-        let edge_vars =
-            (self.edges.iter()).filter_map(|e| Some((e.variable.as_ref()?, e.from, e.clause)));
-        let mut owners = HashMap::new();
-        for (name, v, c) in vertex_vars.chain(edge_vars) {
-            let part = part_of(&vertex, &clause, v, c);
-            if *owners.entry(name).or_insert(part) != part {
-                let predicate = Some(name.clone());
-                return Err(TransformError::SpansComponents { predicate });
-            }
-        }
         Ok((vertex, clause, count))
     }
 
@@ -386,8 +414,11 @@ impl<'a> QueryBuilder<'a> {
 /// Transforms a union-free SPARQL group pattern into a query graph against
 /// `data`, under `data`'s transformation kind, and returns it as the
 /// connected components of that graph (see [`TransformedBranch`]). A
-/// branch whose OPTIONAL clause meets two components, or whose predicate
-/// variable is in two, is refused with [`TransformError::SpansComponents`].
+/// branch whose OPTIONAL clause meets two components is refused with
+/// [`TransformError::SpansComponents`]; a predicate variable that recurs is
+/// joined by a FILTER, or refused where none can join it (see
+/// [`TransformError::PredicateIsVertex`] and
+/// [`TransformError::OptionalPredicateRepeats`]).
 pub fn transform_branch(
     pattern: &GroupPattern,
     data: &TransformedGraph,
@@ -770,42 +801,22 @@ mod tests {
         assert_eq!((one.components.len(), one.filters.len()), (1, 1));
     }
 
-    /// A product of components cannot join on an OPTIONAL clause or a
-    /// predicate variable they share. A clause that meets no component goes
-    /// to the first, whose graph the matcher then finds disconnected.
+    /// A product of components cannot join on an OPTIONAL clause they
+    /// share. A clause that meets no component goes to the first, whose
+    /// graph the matcher then finds disconnected.
     #[test]
     fn a_branch_refuses_what_spans_two_components() {
         let ds = dataset();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
-        for (body, predicate) in [
-            (
-                "?x ub:memberOf ub:dept1 . ?y a ub:Student . OPTIONAL { ?x ub:memberOf ?y }",
-                None,
-            ),
-            (
-                "?x ub:memberOf ?d . ?y a ub:Student . \
-                 OPTIONAL { ?x ub:memberOf ?z } OPTIONAL { ?y ub:memberOf ?z }",
-                None,
-            ),
-            (
-                "?x ub:memberOf ?d . ?y a ub:Student . \
-                 OPTIONAL { ?x ub:memberOf ?z . OPTIONAL { ?y ub:memberOf ?w } }",
-                None,
-            ),
-            ("ub:student1 ?p ?x . ub:dept1 ?p ?y .", Some("p")),
-            ("?x ?p ?y . ?p ub:memberOf ?z .", Some("p")),
-            (
-                "?x ub:memberOf ?d . ?y a ub:Student . OPTIONAL { ?y ?d ?z }",
-                Some("d"),
-            ),
+        for body in [
+            "?x ub:memberOf ub:dept1 . ?y a ub:Student . OPTIONAL { ?x ub:memberOf ?y }",
+            "?x ub:memberOf ?d . ?y a ub:Student . \
+             OPTIONAL { ?x ub:memberOf ?z } OPTIONAL { ?y ub:memberOf ?z }",
+            "?x ub:memberOf ?d . ?y a ub:Student . \
+             OPTIONAL { ?x ub:memberOf ?z . OPTIONAL { ?y ub:memberOf ?w } }",
         ] {
             let refused = transform_branch(&group(body), &data, &ds.dictionary).unwrap_err();
-            let predicate = predicate.map(str::to_string);
-            assert_eq!(
-                refused,
-                TransformError::SpansComponents { predicate },
-                "{body}"
-            );
+            assert_eq!(refused, TransformError::SpansComponents, "{body}");
         }
         let body = "?x ub:memberOf ?d . ?y a ub:Student . OPTIONAL { ?a ub:memberOf ?b }";
         let branch = transform_branch(&group(body), &data, &ds.dictionary).unwrap();
@@ -813,6 +824,64 @@ mod tests {
             .map(|c| c.graph.is_connected())
             .collect();
         assert_eq!(connected, [false, true]);
+    }
+
+    /// Each further edge of a predicate variable gets a name no query can
+    /// spell and a FILTER that it equals the first, in one component or
+    /// across two; what no such FILTER can join is refused.
+    #[test]
+    fn a_repeated_predicate_variable_is_joined_by_a_filter() {
+        let ds = dataset();
+        let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
+        let equal = |a: &str, b: &str| {
+            let var = |v: &str| Box::new(Expression::Variable(v.into()));
+            Expression::Compare(var(a), CompareOp::Eq, var(b))
+        };
+        for (body, edges) in [
+            (
+                "?x ?p ?y . ?y ?p ?z . ?z ?p ?w .",
+                vec![vec!["p", "p#2", "p#3"]],
+            ),
+            (
+                "ub:student1 ?p ?x . ub:dept1 ?p ?y .",
+                vec![vec!["p"], vec!["p#2"]],
+            ),
+        ] {
+            let branch = transform_branch(&group(body), &data, &ds.dictionary).unwrap();
+            let names: Vec<Vec<&str>> = (branch.components.iter())
+                .map(|c| {
+                    let edges = c.graph.edges().iter();
+                    edges.filter_map(|e| e.variable.as_deref()).collect()
+                })
+                .collect();
+            assert_eq!(names, edges, "{body}");
+            let filters: Vec<_> = (edges.concat().into_iter().skip(1))
+                .map(|hidden| equal("p", hidden))
+                .collect();
+            assert_eq!(branch.filters, filters, "{body}");
+        }
+        let vertex = TransformError::PredicateIsVertex;
+        let optional = TransformError::OptionalPredicateRepeats;
+        for (body, refusal) in [
+            ("?x ?p ?y . ?p ub:memberOf ?z .", vertex("p".into())),
+            ("?x ?p ?y . ?y ub:memberOf ?p .", vertex("p".into())),
+            (
+                "?x ub:memberOf ?d . ?y a ub:Student . OPTIONAL { ?y ?d ?z }",
+                vertex("d".into()),
+            ),
+            ("?x ?p ?y . OPTIONAL { ?y ?p ?z }", optional("p".into())),
+            (
+                "?x ub:memberOf ?y . OPTIONAL { ?x ?p ?y } OPTIONAL { ?y ?p ?z }",
+                optional("p".into()),
+            ),
+        ] {
+            let refused = transform_branch(&group(body), &data, &ds.dictionary).unwrap_err();
+            assert_eq!(refused, refusal, "{body}");
+        }
+        // One occurrence inside an OPTIONAL is an ordinary edge.
+        let body = "?x ub:memberOf ?y . OPTIONAL { ?y ?p ?z }";
+        let branch = transform_branch(&group(body), &data, &ds.dictionary).unwrap();
+        assert!(branch.filters.is_empty());
     }
 
     #[test]

@@ -57,10 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // inference so the small class hierarchy is folded into the label sets.
     let yago_store = Store::from_dataset_with(
         yago::YagoGenerator::new(yago::YagoConfig::scale(2)).generate(),
-        StoreOptions {
-            inference: true,
-            threads: 1,
-        },
+        StoreOptions { inference: true },
     );
     run_workload("YAGO-like", &yago_store, &yago::queries())?;
 

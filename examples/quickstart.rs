@@ -25,10 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // so asking for `ex:Student` also finds the graduate student.
     let store = turbohom::engine::Store::from_ntriples_with(
         ntriples,
-        turbohom::engine::StoreOptions {
-            inference: true,
-            threads: 1,
-        },
+        turbohom::engine::StoreOptions { inference: true },
     )?;
     println!(
         "loaded {} triples ({} vertices / {} edges after the type-aware transformation)",

@@ -80,13 +80,7 @@ fn bsbm_queries_agree_across_engines() {
 #[test]
 fn yago_queries_agree_across_engines() {
     let dataset = yago::YagoGenerator::new(yago::YagoConfig::scale(1)).generate();
-    let store = Store::from_dataset_with(
-        dataset,
-        StoreOptions {
-            inference: true,
-            threads: 1,
-        },
-    );
+    let store = Store::from_dataset_with(dataset, StoreOptions { inference: true });
     assert_all_engines_agree(&store, &yago::queries());
 }
 
@@ -101,21 +95,11 @@ fn btc_queries_agree_across_engines() {
 #[test]
 fn parallel_execution_matches_sequential_on_lubm() {
     let dataset = lubm::LubmGenerator::new(lubm::LubmConfig::scale(2)).generate();
-    let sequential = Store::from_dataset(dataset.clone());
-    let parallel = Store::from_dataset_with(
-        dataset,
-        StoreOptions {
-            inference: false,
-            threads: 4,
-        },
-    );
+    let store = Store::from_dataset(dataset);
     for q in lubm::queries() {
-        let a = sequential
-            .execute(&q.sparql, EngineKind::TurboHomPlusPlus)
-            .unwrap()
-            .len();
-        let b = parallel
-            .execute(&q.sparql, EngineKind::TurboHomPlusPlus)
+        let plan = (store.prepare_plan(&q.sparql, EngineKind::TurboHomPlusPlus)).unwrap();
+        let a = store.run_plan(&plan).unwrap().len();
+        let b = (store.run_plan_traced(&plan, Some(4), &Trace::disabled()))
             .unwrap()
             .len();
         assert_eq!(a, b, "parallel result differs on {}", q.id);
@@ -337,10 +321,7 @@ fn the_class_hierarchy_applies_only_through_materialization() {
         std::env::temp_dir().join(format!("turbohom-entailment-{}.snap", std::process::id()));
     for (name, dataset, sparql, closed) in cases {
         for inference in [false, true] {
-            let options = StoreOptions {
-                inference,
-                threads: 1,
-            };
+            let options = StoreOptions { inference };
             let heap = Store::from_dataset_with(dataset.clone(), options);
             heap.save_snapshot(&path).unwrap();
             let mapped = Store::from_snapshot(&path).unwrap();

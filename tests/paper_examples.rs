@@ -84,13 +84,7 @@ fn figure3_transformation_sizes() {
 /// under both transformations and all engines.
 #[test]
 fn figure5_query_agrees_across_transformations_and_engines() {
-    let store = Store::from_dataset_with(
-        micro::figure3(),
-        StoreOptions {
-            inference: true,
-            threads: 1,
-        },
-    );
+    let store = Store::from_dataset_with(micro::figure3(), StoreOptions { inference: true });
     let q = micro::figure3_query();
     for kind in EngineKind::all() {
         let result = store.execute(&q.sparql, kind).unwrap();

@@ -115,14 +115,11 @@ proptest! {
     /// Parallel execution returns exactly the sequential solution count.
     #[test]
     fn parallel_matches_sequential(ds in dataset_strategy(), query in query_strategy()) {
-        let sequential = Store::from_dataset(ds.clone());
-        let parallel = Store::from_dataset_with(
-            ds,
-            turbohom::engine::StoreOptions { inference: false, threads: 3 },
-        );
-        let a = sequential.execute(&query, EngineKind::TurboHomPlusPlus).unwrap().len();
-        let b = parallel.execute(&query, EngineKind::TurboHomPlusPlus).unwrap().len();
-        prop_assert_eq!(a, b);
+        let store = Store::from_dataset(ds);
+        let plan = store.prepare_plan(&query, EngineKind::TurboHomPlusPlus).unwrap();
+        let a = store.run_plan(&plan).unwrap().len();
+        let parallel = store.run_plan_traced(&plan, Some(3), &turbohom::engine::Trace::disabled());
+        prop_assert_eq!(a, parallel.unwrap().len());
     }
 
     /// N-Triples serialization round-trips arbitrary datasets.

@@ -262,7 +262,7 @@ proptest! {
         let patterns = parse_query(&sparql).unwrap().pattern.triples;
         // Each store is matched against its own triples: the closure, or the
         // asserted triples alone.
-        let options = StoreOptions { inference: true, ..StoreOptions::default() };
+        let options = StoreOptions { inference: true };
         let closed = Store::from_dataset_with(ds.clone(), options);
         let asserted = Store::from_dataset(ds);
         for (flavour, store) in [("closed", &closed), ("asserted", &asserted)] {

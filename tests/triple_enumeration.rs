@@ -37,10 +37,7 @@ fn enumerated(store: &Store) -> Vec<Triple> {
 fn check(dataset: &Dataset, inference: bool) -> Result<(), String> {
     static FILES: AtomicUsize = AtomicUsize::new(0);
     let expected = loaded(dataset, inference);
-    let options = StoreOptions {
-        inference,
-        threads: 1,
-    };
+    let options = StoreOptions { inference };
     let heap = Store::from_dataset_with(dataset.clone(), options);
     let dir = std::env::temp_dir().join("turbohom-triple-enumeration");
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
