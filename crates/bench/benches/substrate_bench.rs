@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the substrates: dictionary encoding,
-//! sorted-set kernels (the heart of the +INT optimization), CSR construction
-//! and the two data-graph transformations.
+//! sorted-set kernels (the heart of the +INT optimization), CSR construction,
+//! the two data-graph transformations and the adjacency lookups the matcher
+//! reads (`substrate_adjacency`, which sets the graph's scan bound).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use turbohom_datasets::lubm::{LubmConfig, LubmGenerator};
-use turbohom_graph::{ops, VertexId};
+use turbohom_graph::{ops, Direction, ELabel, LabeledGraph, LabeledGraphBuilder, VLabel, VertexId};
 use turbohom_rdf::{Dictionary, Term};
 use turbohom_transform::{direct_transform, type_aware_transform};
 
@@ -82,10 +83,97 @@ fn transformations(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `adj(v, (el, vl))` lookup: `vl` is a label of the group's first
+/// neighbor, so a typed lookup finds a stored group or the common set.
+type Lookup = (VertexId, Direction, ELabel, VLabel);
+
+/// The lookups the matcher makes of `graph`'s adjacency: one per
+/// (vertex, direction, edge-label group) whose first neighbor has a label,
+/// those of one (direction, edge label) together, as a query edge reads
+/// them over its candidates, and their vertices in a fixed shuffled order.
+fn lookups(graph: &LabeledGraph) -> Vec<Lookup> {
+    let mut out = Vec::new();
+    for v in graph.vertices() {
+        for dir in [Direction::Outgoing, Direction::Incoming] {
+            for (el, targets) in graph.groups(v, dir, None) {
+                if let Some(&vl) = graph.labels(targets[0]).first() {
+                    out.push((v, dir, el, vl));
+                }
+            }
+        }
+    }
+    // Multiplying by an odd constant permutes the `u32` vertex ids.
+    out.sort_unstable_by_key(|&(v, dir, el, _)| {
+        (
+            dir == Direction::Incoming,
+            el,
+            v.0.wrapping_mul(0x9E37_79B1),
+        )
+    });
+    out
+}
+
+/// A graph whose vertex 0 has `groups` outgoing edge-label groups, over
+/// the even edge labels `0, 2, ..`, each to one neighbor of its own.
+fn wide_vertex(groups: u32) -> LabeledGraph {
+    let mut b = LabeledGraphBuilder::new();
+    let hub = b.add_vertex(vec![]);
+    for g in 0..groups {
+        let target = b.add_vertex(vec![]);
+        b.add_edge(hub, target, ELabel(2 * g));
+    }
+    b.build()
+}
+
+fn adjacency(c: &mut Criterion) {
+    let dataset = LubmGenerator::new(LubmConfig::scale(8)).generate();
+    let graph = type_aware_transform(dataset.triples.clone(), &dataset.dictionary).graph;
+    let lookups = lookups(&graph);
+    let mut group = c.benchmark_group("substrate_adjacency");
+    configure(&mut group);
+    group.bench_with_input(
+        BenchmarkId::new("neighbors", lookups.len()),
+        &lookups,
+        |b, lookups| {
+            b.iter(|| {
+                (lookups.iter())
+                    .map(|&(v, dir, el, _)| graph.neighbors(v, dir, el).len())
+                    .sum::<usize>()
+            });
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("neighbors_typed", lookups.len()),
+        &lookups,
+        |b, lookups| {
+            b.iter(|| {
+                (lookups.iter())
+                    .map(|&(v, dir, el, vl)| graph.neighbors_typed(v, dir, el, vl).len())
+                    .sum::<usize>()
+            });
+        },
+    );
+    // One vertex, 1,024 lookups of each edge label below twice its group
+    // count in turn: half of them hit.
+    for groups in [4u32, 8, 16, 32, 64, 256] {
+        let wide = wide_vertex(groups);
+        let labels: Vec<ELabel> = (0..1024).map(|i| ELabel(i % (2 * groups))).collect();
+        group.bench_with_input(BenchmarkId::new("groups", groups), &labels, |b, labels| {
+            b.iter(|| {
+                (labels.iter())
+                    .map(|&el| wide.neighbors(VertexId(0), Direction::Outgoing, el).len())
+                    .sum::<usize>()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     dictionary_encoding,
     sorted_set_kernels,
-    transformations
+    transformations,
+    adjacency
 );
 criterion_main!(benches);

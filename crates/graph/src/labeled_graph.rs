@@ -30,6 +30,26 @@ const TAG_GRAPH_LABELS: u64 = 0x0303;
 const TAG_DIR_OUTGOING: u64 = 0x0310;
 const TAG_DIR_INCOMING: u64 = 0x0320;
 
+/// The longest sorted list a lookup scans from the front; a longer one is
+/// binary searched. A vertex's edge-label groups, an edge-label group's
+/// type groups and a vertex's labels are short (no vertex of LUBM, BSBM,
+/// YAGO or BTC has more than 9 outgoing or 5 incoming edge-label groups),
+/// and there a scan's predictable branches beat a search whose every step
+/// waits on the load before it. The crossover is measured by the
+/// `substrate_adjacency` group of `crates/bench/benches/substrate_bench.rs`.
+const SCAN_BOUND: usize = 16;
+
+/// The position of `key` in `list`, which is sorted by `key_of`: a scan
+/// that stops at the first key not below `key`, or a binary search when
+/// `list` is longer than [`SCAN_BOUND`].
+fn find_sorted<T, K: Ord>(list: &[T], key: K, key_of: impl Fn(&T) -> K) -> Option<usize> {
+    if list.len() > SCAN_BOUND {
+        return list.binary_search_by(|x| key_of(x).cmp(&key)).ok();
+    }
+    let i = list.iter().position(|x| key_of(x) >= key)?;
+    (key_of(&list[i]) == key).then_some(i)
+}
+
 /// Per-edge-label adjacency group of one vertex. A group ends where the next
 /// one starts; one sentinel group closes each direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +129,7 @@ impl AdjacencyDirection {
     fn find_elabel_group(&self, v: VertexId, el: ELabel) -> Option<usize> {
         let range = self.group_range(v);
         let start = range.start;
-        self.elabel_groups[range]
-            .binary_search_by_key(&el, |g| g.elabel)
-            .ok()
-            .map(|i| start + i)
+        find_sorted(&self.elabel_groups[range], el, |g| g.elabel).map(|i| start + i)
     }
 
     /// The neighbors in edge-label group `i`.
@@ -133,9 +150,9 @@ impl AdjacencyDirection {
             return self.targets_of(i);
         }
         let tgs = &self.type_groups[g.type_start as usize..next.type_start as usize];
-        match tgs.binary_search_by_key(&vl, |tg| tg.vlabel) {
-            Ok(i) => &self.typed_targets[tgs[i].start as usize..tgs[i].end as usize],
-            Err(_) => &[],
+        match find_sorted(tgs, vl, |tg| tg.vlabel) {
+            Some(i) => &self.typed_targets[tgs[i].start as usize..tgs[i].end as usize],
+            None => &[],
         }
     }
 
@@ -307,7 +324,7 @@ impl LabeledGraph {
 
     /// Returns `true` if vertex `v` carries label `l`.
     pub fn has_label(&self, v: VertexId, l: VLabel) -> bool {
-        self.labels(v).binary_search(&l).is_ok()
+        find_sorted(self.labels(v), l, |&x| x).is_some()
     }
 
     /// Returns `true` if the label set of `v` is a superset of `required`
@@ -762,11 +779,11 @@ mod tests {
     fn a_sentinel_that_does_not_end_the_arrays_is_refused() {
         // Short of the targets: every start is still monotone.
         assert_refused("short-sentinel", "sentinel", |g| {
-            let groups = g.outgoing.elabel_groups.to_mut();
+            let mut groups = g.outgoing.elabel_groups.to_mut();
             groups.last_mut().unwrap().target_start -= 1;
         });
         assert_refused("long-sentinel", "sentinel", |g| {
-            let groups = g.incoming.elabel_groups.to_mut();
+            let mut groups = g.incoming.elabel_groups.to_mut();
             groups.last_mut().unwrap().type_start += 1;
         });
         assert_refused("no-sentinel", "sentinel", |g| {
@@ -796,6 +813,93 @@ mod tests {
         assert_refused("common-empty", "common-set offsets", |g| {
             g.outgoing.common_offsets = FlatVec::new();
         });
+    }
+
+    /// An edge `from --el--> to` as `(from, el, to)`.
+    type Edge = (VertexId, ELabel, VertexId);
+
+    /// A graph with lists on both sides of `SCAN_BOUND`, every label even so
+    /// that the odd ones between them are absent: vertex 0 has more
+    /// outgoing edge-label groups and more labels than the bound, vertex 1
+    /// fewer of each, vertex 2's one edge-label group has more type groups
+    /// than the bound and vertex 3 more incoming groups. Returns the graph,
+    /// its edges and each vertex's labels.
+    fn graph_around_the_scan_bound() -> (LabeledGraph, Vec<Edge>, Vec<Vec<VLabel>>) {
+        let wide = SCAN_BOUND as u32 + 3;
+        let mut labels: Vec<Vec<VLabel>> = vec![
+            (0..wide).map(|k| VLabel(2 * k)).collect(),
+            vec![VLabel(2)],
+            vec![],
+            vec![VLabel(4), VLabel(6)],
+        ];
+        let mut edges = vec![
+            (VertexId(1), ELabel(2), VertexId(0)),
+            (VertexId(1), ELabel(6), VertexId(3)),
+            (VertexId(2), ELabel(0), VertexId(1)),
+        ];
+        for k in 0..wide {
+            let t = VertexId(labels.len() as u32);
+            labels.push(vec![VLabel(2 * k)]);
+            edges.push((VertexId(0), ELabel(2 * k), t));
+            edges.push((VertexId(2), ELabel(0), t));
+            edges.push((t, ELabel(2 * k), VertexId(3)));
+        }
+        let mut b = LabeledGraphBuilder::new();
+        for l in &labels {
+            b.add_vertex(l.clone());
+        }
+        for &(from, el, to) in &edges {
+            b.add_edge(from, to, el);
+        }
+        (b.build(), edges, labels)
+    }
+
+    #[test]
+    fn lookups_on_both_sides_of_the_scan_bound_match_a_brute_force_pass() {
+        let (built, edges, labels) = graph_around_the_scan_bound();
+        let (out, inc) = (&built.outgoing, &built.incoming);
+        assert!(out.group_range(VertexId(0)).len() > SCAN_BOUND);
+        assert!(out.group_range(VertexId(1)).len() < SCAN_BOUND);
+        assert!(inc.group_range(VertexId(3)).len() > SCAN_BOUND);
+        let typed = out.group_range(VertexId(2)).start;
+        let (g, next) = (out.elabel_groups[typed], out.elabel_groups[typed + 1]);
+        assert!((next.type_start - g.type_start) as usize > SCAN_BOUND);
+        assert!(built.labels(VertexId(0)).len() > SCAN_BOUND);
+        assert!(built.labels(VertexId(1)).len() < SCAN_BOUND);
+        let mapped = read_back(&built, "scan-bound").unwrap();
+        assert!(mapped.outgoing.elabel_groups.is_view() && mapped.labels.is_view());
+
+        // Past the largest label of either kind, 2 * SCAN_BOUND + 4.
+        let end = 2 * SCAN_BOUND as u32 + 8;
+        for g in [&built, &mapped] {
+            for v in g.vertices() {
+                for vl in (0..end).map(VLabel) {
+                    assert_eq!(g.has_label(v, vl), labels[v.index()].contains(&vl));
+                }
+                for el in (0..end).map(ELabel) {
+                    for dir in [Direction::Outgoing, Direction::Incoming] {
+                        let mut expected: Vec<VertexId> = (edges.iter())
+                            .filter(|e| e.1 == el)
+                            .filter_map(|&(from, _, to)| match dir {
+                                Direction::Outgoing => (from == v).then_some(to),
+                                Direction::Incoming => (to == v).then_some(from),
+                            })
+                            .collect();
+                        expected.sort();
+                        assert_eq!(g.neighbors(v, dir, el), expected, "{v:?} {dir:?} {el:?}");
+                        for vl in (0..end).map(VLabel) {
+                            let carriers: Vec<VertexId> = (expected.iter().copied())
+                                .filter(|w| labels[w.index()].contains(&vl))
+                                .collect();
+                            assert_eq!(g.neighbors_typed(v, dir, el, vl), carriers);
+                        }
+                    }
+                    for w in g.vertices() {
+                        assert_eq!(g.has_edge(v, w, el), edges.contains(&(v, el, w)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -766,7 +766,7 @@ impl Dictionary {
         let plain = stored_plain(shared_plain, lex, extra);
         let (numeric, number) = match term_ref_from_parts(kind, "", lex, extra).numeric_view() {
             Some(view) => {
-                let numbers = self.numbers.to_mut();
+                let mut numbers = self.numbers.to_mut();
                 numbers.push(view);
                 // Fewer views than terms, whose ids fit a `u32`.
                 (NUMERIC, (numbers.len() - 1) as u32)
@@ -774,7 +774,7 @@ impl Dictionary {
             None => (0, 0),
         };
         // The term's strings in one run, the extra string ending it.
-        let arena = self.arena.to_mut();
+        let mut arena = self.arena.to_mut();
         arena.extend_from_slice(lex.as_bytes());
         arena.extend_from_slice(extra.as_bytes());
         self.records.to_mut().push(TermRecord {

@@ -3,78 +3,92 @@
 use crate::bytes::ByteStore;
 use crate::pod::Pod;
 use crate::snapshot::SnapshotError;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
-enum Repr<T: Pod> {
-    Owned(Vec<T>),
-    View {
-        store: Arc<ByteStore>,
-        /// Byte offset into the store; always a multiple of `align_of::<T>()`.
-        offset: usize,
-        /// Number of `T` elements.
-        len: usize,
-    },
+/// What keeps a [`FlatVec`]'s elements alive, and where they live.
+enum Owner<T: Pod> {
+    /// Heap memory the array owns.
+    Heap(Vec<T>),
+    /// A region of a byte store (typically a mapped snapshot) the array
+    /// reads in place.
+    Store(Arc<ByteStore>),
 }
 
 /// A flat array of Pod elements, either heap-owned or a zero-copy view into
 /// a [`ByteStore`] (typically a mapped snapshot). Derefs to `&[T]`, so all
 /// read paths are identical for both representations.
+///
+/// The array holds its slice resolved, `(ptr, len)`, beside the owner that
+/// keeps the elements alive: a read is two field loads whichever the owner
+/// is. Neither a heap buffer nor a store region moves when the `FlatVec`
+/// does, so the pair stays right until [`to_mut`](FlatVec::to_mut) changes
+/// the buffer, and its guard resolves the pair again when it drops.
 pub struct FlatVec<T: Pod> {
-    repr: Repr<T>,
+    ptr: NonNull<T>,
+    len: usize,
+    owner: Owner<T>,
 }
+
+// SAFETY: `ptr` reads only the `len` elements that `owner` keeps alive and
+// unmoved: the buffer of its `Vec<T>` or a region of its `Arc<ByteStore>`.
+// Both owners are `Send` (`T: Pod` is `Send`, and `ByteStore` is `Send +
+// Sync`), and that memory goes to the other thread with them; `len` is a
+// plain count.
+unsafe impl<T: Pod> Send for FlatVec<T> {}
+// SAFETY: a shared `FlatVec` hands out only `&[T]` of the memory its owner
+// keeps alive (`T: Pod` is `Sync`); writing needs `&mut self` (`to_mut`).
+unsafe impl<T: Pod> Sync for FlatVec<T> {}
 
 impl<T: Pod> FlatVec<T> {
     /// Creates an empty owned vector.
     pub fn new() -> Self {
-        FlatVec {
-            repr: Repr::Owned(Vec::new()),
-        }
+        Self::from(Vec::new())
     }
 
     /// Wraps a view over `len` elements starting `offset` bytes into `store`.
     ///
-    /// Used by the snapshot reader; callers must have validated bounds and
-    /// alignment (see [`Snapshot::section`](crate::Snapshot)).
+    /// Used by the snapshot reader, which validates each section's bounds
+    /// and alignment (see [`Snapshot::section`](crate::Snapshot)); a view
+    /// outside its store panics.
     pub(crate) fn view(store: Arc<ByteStore>, offset: usize, len: usize) -> Self {
-        debug_assert!(offset + len * std::mem::size_of::<T>() <= store.len());
-        debug_assert_eq!(
-            (store.bytes().as_ptr() as usize + offset) % std::mem::align_of::<T>(),
-            0
+        let region = &store.bytes()[offset..];
+        let ptr = NonNull::from(region).cast::<T>();
+        // `as_slice` reads through `ptr` from here on: it must hold `len`
+        // aligned elements.
+        assert!(
+            len <= region.len() / std::mem::size_of::<T>() && ptr.as_ptr().is_aligned(),
+            "a view must lie in its store, aligned"
         );
         FlatVec {
-            repr: Repr::View { store, offset, len },
+            ptr,
+            len,
+            owner: Owner::Store(store),
         }
     }
 
     /// Returns `true` if this is a zero-copy view (not owned memory).
     pub fn is_view(&self) -> bool {
-        matches!(self.repr, Repr::View { .. })
+        matches!(self.owner, Owner::Store(_))
     }
 
     /// The elements as a slice.
     pub fn as_slice(&self) -> &[T] {
-        match &self.repr {
-            Repr::Owned(v) => v.as_slice(),
-            Repr::View { store, offset, len } => {
-                // Safety: bounds and alignment were validated at view
-                // construction; T is Pod so any byte pattern is valid.
-                unsafe {
-                    std::slice::from_raw_parts(
-                        store.bytes().as_ptr().add(*offset) as *const T,
-                        *len,
-                    )
-                }
-            }
-        }
+        // SAFETY: `ptr` and `len` were resolved from `owner`: the `Vec`'s
+        // buffer (by `from` or the `to_mut` guard's drop), or a store region
+        // that `view` checked holds `len` aligned elements. `self` keeps the
+        // owner alive, and nothing writes the memory while `&self` is held;
+        // `T` is Pod, so any byte pattern is valid.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
     /// Bytes this array holds on the heap: its elements when owned (or when
     /// it views a buffered, not mapped, snapshot), 0 over a mapping. Counts
     /// `len`, not capacity, so it equals the array's snapshot section.
     pub fn heap_bytes(&self) -> u64 {
-        match &self.repr {
-            Repr::View { store, .. } if store.is_mapped() => 0,
+        match &self.owner {
+            Owner::Store(store) if store.is_mapped() => 0,
             _ => std::mem::size_of_val(self.as_slice()) as u64,
         }
     }
@@ -85,15 +99,52 @@ impl<T: Pod> FlatVec<T> {
     }
 
     /// Mutable access as an owned `Vec`, converting a view into owned memory
-    /// first (copy-on-write).
-    pub fn to_mut(&mut self) -> &mut Vec<T> {
-        if let Repr::View { .. } = self.repr {
-            self.repr = Repr::Owned(self.as_slice().to_vec());
+    /// first (copy-on-write). The guard resolves the slice again when it
+    /// drops.
+    pub fn to_mut(&mut self) -> FlatVecMut<'_, T> {
+        if self.is_view() {
+            *self = Self::from(self.as_slice().to_vec());
         }
-        match &mut self.repr {
-            Repr::Owned(v) => v,
-            Repr::View { .. } => unreachable!("converted to owned above"),
+        let Owner::Heap(vec) = &mut self.owner else {
+            unreachable!("converted to owned above")
+        };
+        // A guard that never drops (`mem::forget`) leaves an empty array,
+        // never a pair into a freed buffer.
+        self.len = 0;
+        FlatVecMut {
+            vec,
+            ptr: &mut self.ptr,
+            len: &mut self.len,
         }
+    }
+}
+
+/// The `Vec` behind a [`FlatVec`], from [`FlatVec::to_mut`]. Dropping it
+/// resolves the array's slice again, wherever the writes moved the buffer.
+pub struct FlatVecMut<'a, T: Pod> {
+    vec: &'a mut Vec<T>,
+    ptr: &'a mut NonNull<T>,
+    len: &'a mut usize,
+}
+
+impl<T: Pod> Deref for FlatVecMut<'_, T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        self.vec
+    }
+}
+
+impl<T: Pod> DerefMut for FlatVecMut<'_, T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        self.vec
+    }
+}
+
+impl<T: Pod> Drop for FlatVecMut<'_, T> {
+    fn drop(&mut self) {
+        *self.ptr = NonNull::from(self.vec.as_slice()).cast();
+        *self.len = self.vec.len();
     }
 }
 
@@ -106,7 +157,9 @@ impl<T: Pod> Default for FlatVec<T> {
 impl<T: Pod> From<Vec<T>> for FlatVec<T> {
     fn from(v: Vec<T>) -> Self {
         FlatVec {
-            repr: Repr::Owned(v),
+            ptr: NonNull::from(v.as_slice()).cast::<T>(),
+            len: v.len(),
+            owner: Owner::Heap(v),
         }
     }
 }
@@ -121,16 +174,12 @@ impl<T: Pod> Deref for FlatVec<T> {
 
 impl<T: Pod> Clone for FlatVec<T> {
     fn clone(&self) -> Self {
-        match &self.repr {
-            Repr::Owned(v) => FlatVec {
-                repr: Repr::Owned(v.clone()),
-            },
-            Repr::View { store, offset, len } => FlatVec {
-                repr: Repr::View {
-                    store: Arc::clone(store),
-                    offset: *offset,
-                    len: *len,
-                },
+        match &self.owner {
+            Owner::Heap(v) => Self::from(v.clone()),
+            Owner::Store(store) => FlatVec {
+                ptr: self.ptr,
+                len: self.len,
+                owner: Owner::Store(Arc::clone(store)),
             },
         }
     }
@@ -378,6 +427,71 @@ mod tests {
         v.to_mut().push(3);
         assert!(!v.is_view());
         assert_eq!(v.as_slice(), &[1, 2, 3]);
+    }
+
+    /// An owned array and a view over a buffered store, both `[1, 2, 3]`.
+    fn owned_and_view() -> [FlatVec<u32>; 2] {
+        let store = Arc::new(ByteStore::from_bytes(crate::pod::bytes_of(&[1u32, 2, 3])));
+        [vec![1, 2, 3].into(), FlatVec::view(store, 0, 3)]
+    }
+
+    #[test]
+    fn a_view_past_its_store_or_misaligned_panics() {
+        let store = Arc::new(ByteStore::from_bytes(&[0; 8]));
+        for (offset, len) in [(4, 2), (2, 1), (9, 0)] {
+            let store = Arc::clone(&store);
+            let view =
+                std::panic::AssertUnwindSafe(move || FlatVec::<u32>::view(store, offset, len));
+            assert!(std::panic::catch_unwind(view).is_err(), "{offset}, {len}");
+        }
+        assert_eq!(FlatVec::<u32>::view(store, 8, 0).len(), 0);
+    }
+
+    #[test]
+    fn a_clone_reads_on_after_its_original_is_dropped() {
+        for original in owned_and_view() {
+            let clone = original.clone();
+            assert_eq!(clone.is_view(), original.is_view());
+            // A view's clone reads the same memory; an owned one's a copy.
+            let shared = clone.as_ptr() == original.as_ptr();
+            assert_eq!(shared, original.is_view());
+            drop(original);
+            assert_eq!(&*clone, &[1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn growing_past_the_capacity_then_reading_sees_the_new_buffer() {
+        for mut v in owned_and_view() {
+            let mut vec = v.to_mut();
+            let grown = vec.capacity() as u32 + 1;
+            vec.extend(4..=grown);
+            drop(vec);
+            assert!(!v.is_view());
+            let expected: Vec<u32> = (1..=grown).collect();
+            assert_eq!(v.as_slice(), &expected[..]);
+            assert_eq!(v.clone(), v);
+        }
+    }
+
+    #[test]
+    fn a_guard_that_never_drops_leaves_an_empty_array() {
+        for mut v in owned_and_view() {
+            std::mem::forget(v.to_mut());
+            assert!(v.is_empty());
+            // The next guard resolves the slice again.
+            v.to_mut().push(4);
+            assert_eq!(&*v, &[1, 2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn an_array_moved_to_another_thread_reads_there() {
+        for v in owned_and_view() {
+            let expected = v.to_vec();
+            let read = std::thread::spawn(move || v.to_vec()).join().unwrap();
+            assert_eq!(read, expected);
+        }
     }
 
     #[test]
