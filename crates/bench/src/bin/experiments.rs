@@ -26,6 +26,7 @@
 //! regression gate is the repo benchmark (`BENCHMARK.json`).
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use turbohom_bench::recorder::{BenchRecord, QueryRun};
 use turbohom_bench::*;
 use turbohom_core::{OptimizationName, Optimizations, TurboHomConfig};
@@ -125,9 +126,9 @@ fn record_mode(args: &[String]) {
     let scale: usize = flag(args, "--scale=")
         .map(|v| v.parse().expect("--scale takes an integer"))
         .unwrap_or(1);
-    let threads: usize = flag(args, "--threads=")
-        .map(|v| v.parse().expect("--threads takes an integer"))
-        .unwrap_or(1);
+    let threads: NonZeroUsize = flag(args, "--threads=")
+        .map(|v| v.parse().expect("--threads takes an integer of at least 1"))
+        .unwrap_or(NonZeroUsize::MIN);
     let dataset = format!("LUBM{scale}");
     let out_path = flag(args, "--out=")
         .map(String::from)
@@ -165,7 +166,7 @@ fn record_mode(args: &[String]) {
     let mut record = BenchRecord {
         dataset,
         triples: store.triple_count(),
-        threads,
+        threads: threads.get(),
         load_ms: [
             ("parse_build".to_string(), parse_build_ms),
             ("snapshot_map".to_string(), snapshot_map_ms),
@@ -184,7 +185,7 @@ fn record_mode(args: &[String]) {
                 .unwrap_or_else(|e| panic!("planning {} for {} failed: {e}", q.id, kind));
             let (runs, last) = measure_runs(|| {
                 store
-                    .run_plan_traced(&plan, Some(threads), &Trace::disabled())
+                    .run_plan_traced(&plan, threads, &Trace::disabled())
                     .unwrap_or_else(|e| panic!("{} failed on {}: {e}", kind.label(), q.id))
                     .decode()
             });
@@ -213,7 +214,7 @@ fn record_mode(args: &[String]) {
                 .unwrap_or_else(|e| panic!("traced planning {} for {} failed: {e}", q.id, kind));
             let mut analyzed = store.explain(&traced_plan);
             let traced = store
-                .run_plan_traced(&traced_plan, Some(threads), &trace)
+                .run_plan_traced(&traced_plan, threads, &trace)
                 .unwrap_or_else(|e| panic!("traced {} failed on {}: {e}", kind.label(), q.id));
             analyzed.attach_actuals(&traced);
             let report = trace.finish();
@@ -525,7 +526,8 @@ fn figure16() {
         .into_iter()
         .filter(|q| q.id == "Q2" || q.id == "Q9")
         .collect();
-    // One store; each run sets its thread count in its configuration.
+    // One store; each run asks for its thread count. The plan is made
+    // inside the timed closure, so every run is cold.
     let base_store = lubm_parallel_store(universities);
     println!("  {} triples", base_store.triple_count());
     println!(
@@ -534,9 +536,22 @@ fn figure16() {
     );
     for q in &queries {
         let mut baseline_ms = None;
-        for &threads in &thread_counts {
-            let config = TurboHomConfig::turbohom_plus_plus().with_threads(threads);
-            let (elapsed, _) = measure_turbohom(&base_store, q, config, false);
+        let mut solutions = None;
+        for threads in thread_counts.map(|n| NonZeroUsize::new(n).unwrap()) {
+            let (elapsed, result) = measure(|| {
+                let plan = (base_store.prepare_plan(&q.sparql, EngineKind::TurboHomPlusPlus))
+                    .unwrap_or_else(|e| panic!("planning {} failed: {e}", q.id));
+                (base_store.run_plan_traced(&plan, threads, &Trace::disabled()))
+                    .unwrap_or_else(|e| panic!("TurboHOM++ failed on {}: {e}", q.id))
+                    .decode()
+            });
+            let expected = *solutions.get_or_insert(result.len());
+            assert_eq!(
+                result.len(),
+                expected,
+                "{} at {threads} threads finds another number of solutions",
+                q.id
+            );
             let t = elapsed.as_secs_f64() * 1000.0;
             let speedup = match baseline_ms {
                 None => {

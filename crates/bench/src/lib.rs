@@ -88,7 +88,7 @@ pub fn measure_engine(
     (elapsed, result.len())
 }
 
-/// Runs `query` with an explicit TurboHOM configuration (ablations, threads).
+/// Runs `query` with an explicit TurboHOM configuration (the ablations).
 pub fn measure_turbohom(
     store: &Store,
     query: &BenchmarkQuery,

@@ -10,6 +10,7 @@
 //! a side of no row or of two rows takes the empty answer or the cartesian
 //! product instead.
 
+use std::num::NonZeroUsize;
 use turbohom_bench::{bsbm_store, canonical_json};
 use turbohom_datasets::bsbm::{self, BSBM, INST};
 use turbohom_engine::{EngineKind, MatchStats, QueryResults, Store, Trace};
@@ -118,7 +119,7 @@ fn run(store: &Store, sparql: &str, kind: EngineKind, threads: usize) -> QueryRe
     let plan = store.prepare_plan(sparql, kind).unwrap();
     let trace = Trace::disabled();
     store
-        .run_plan_traced(&plan, Some(threads), &trace)
+        .run_plan_traced(&plan, NonZeroUsize::new(threads).unwrap(), &trace)
         .unwrap()
         .decode()
 }
@@ -129,7 +130,9 @@ fn run(store: &Store, sparql: &str, kind: EngineKind, threads: usize) -> QueryRe
 fn run_traced(store: &Store, sparql: &str, threads: usize) -> QueryResults {
     let plan = store.prepare_plan(sparql, PLUS).unwrap();
     let trace = Trace::detailed(1);
-    let results = store.run_plan_traced(&plan, Some(threads), &trace).unwrap();
+    let results = store
+        .run_plan_traced(&plan, NonZeroUsize::new(threads).unwrap(), &trace)
+        .unwrap();
     let spans = trace.finish().spans;
     let materialise = spans.iter().find(|s| s.name == "materialise").unwrap();
     let filtered = results.stats.filtered_post as u64;
@@ -176,7 +179,9 @@ fn filtered_by_hand(
 fn products_and_starts(store: &Store, sparql: &str) -> (Vec<Term>, u64) {
     let plan = store.prepare_plan(sparql, PLUS).unwrap();
     let trace = Trace::detailed(1);
-    let results = store.run_plan_traced(&plan, Some(1), &trace).unwrap();
+    let results = store
+        .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+        .unwrap();
     let spans = trace.finish().spans;
     let start = spans.iter().rfind(|s| s.name == "start_vertex").unwrap();
     let starts = start

@@ -6,6 +6,7 @@
 //! the direct graph, which keeps the `rdf:type` edge, so it *is* the region
 //! loop answering the same question), and every counter the loop reported.
 
+use std::num::NonZeroUsize;
 use turbohom_bench::{canonical_json, lubm_store, sharded_lubm_store};
 use turbohom_core::{MatchStats, TurboHomConfig};
 use turbohom_datasets::micro;
@@ -165,7 +166,7 @@ fn lubm1_type_scans_are_answered_from_their_start_list() {
     assert_answered_from_the_start_list(&counted, 9, 1, "count_only, 9 at most");
     let plan = store.prepare_plan(&scan, PLUS).unwrap();
     let threaded = store
-        .run_plan_traced(&plan, Some(4), &Trace::disabled())
+        .run_plan_traced(&plan, NonZeroUsize::new(4).unwrap(), &Trace::disabled())
         .unwrap()
         .decode();
     assert_eq!(threaded.rows, all.rows, "the start list is not reordered");

@@ -4,6 +4,7 @@
 //! deciding check named), and `limit_pushdown` on LUBM(1) and BSBM(1) against
 //! what a run under the LIMIT does.
 
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use turbohom_bench::{bsbm_store, lubm_store, sharded_lubm_store};
 use turbohom_datasets::{bsbm, lubm};
@@ -33,7 +34,7 @@ fn analyze<'s>(
     let mut report = store.store().explain(&plan);
     let results = store
         .store()
-        .run_plan_traced(&plan, None, &Trace::disabled())
+        .run_plan_traced(&plan, NonZeroUsize::MIN, &Trace::disabled())
         .unwrap();
     report.attach_actuals(&results);
     (results, report)
@@ -193,7 +194,10 @@ fn regions_and_start(store: &Store, sparql: &str) -> (usize, usize, u64) {
         .prepare_plan(sparql, EngineKind::TurboHomPlusPlus)
         .unwrap();
     let trace = Trace::detailed(1);
-    let stats = store.run_plan_traced(&plan, Some(1), &trace).unwrap().stats;
+    let stats = store
+        .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+        .unwrap()
+        .stats;
     let spans = trace.finish().spans;
     let start = spans.iter().rev().find(|s| s.name == "start_vertex");
     let counters = &start.expect("a start_vertex span").counters;

@@ -5,6 +5,7 @@
 //! unfiltered one, EXPLAIN shows the choice of the run it explains, and a
 //! plan's cold and warm runs agree.
 
+use std::num::NonZeroUsize;
 use turbohom_bench::{bsbm_store, canonical_json};
 use turbohom_datasets::bsbm::{self, BSBM};
 use turbohom_engine::{EngineKind, QueryResults, Store, Trace};
@@ -33,7 +34,9 @@ fn explained_start(store: &Store, sparql: &str) -> (String, usize) {
 fn run_traced(store: &Store, sparql: &str) -> (QueryResults, u64) {
     let plan = store.prepare_plan(sparql, PLUS).unwrap();
     let trace = Trace::detailed(1);
-    let results = store.run_plan_traced(&plan, Some(1), &trace).unwrap();
+    let results = store
+        .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+        .unwrap();
     let spans = trace.finish().spans;
     let start = spans.iter().find(|s| s.name == "start_vertex").unwrap();
     let candidates = start
@@ -89,7 +92,11 @@ fn a_filtered_plan_runs_cold_then_warm_alike() {
         let plan = store.prepare_plan(&sparql, PLUS).unwrap();
         let run = || {
             store
-                .run_plan_traced(&plan, Some(threads), &Trace::disabled())
+                .run_plan_traced(
+                    &plan,
+                    NonZeroUsize::new(threads).unwrap(),
+                    &Trace::disabled(),
+                )
                 .unwrap()
                 .decode()
         };

@@ -7,6 +7,7 @@
 //! the hash-join baseline, to the counters of that mechanism, and to the same
 //! counters at every thread count.
 
+use std::num::NonZeroUsize;
 use turbohom_bench::{bsbm_store, canonical_json};
 use turbohom_datasets::bsbm::{self, BSBM, INST};
 use turbohom_engine::{EngineKind, MatchStats, QueryResults, Store, Trace};
@@ -17,7 +18,7 @@ fn run(store: &Store, sparql: &str, kind: EngineKind, threads: usize) -> QueryRe
     let plan = store.prepare_plan(sparql, kind).unwrap();
     let trace = Trace::disabled();
     store
-        .run_plan_traced(&plan, Some(threads), &trace)
+        .run_plan_traced(&plan, NonZeroUsize::new(threads).unwrap(), &trace)
         .unwrap()
         .decode()
 }

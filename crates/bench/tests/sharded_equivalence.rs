@@ -4,6 +4,7 @@
 //! partitioning that answer, all over the one store.
 
 use std::collections::BTreeSet;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use turbohom_bench::{canonical_json, lubm_store, sharded_lubm_store};
 use turbohom_datasets::{lubm, BenchmarkQuery};
@@ -61,7 +62,7 @@ fn ownership_partitions_the_single_store_rows_at_every_k() {
                 let mut report = sharded.shard(0).explain(&plan);
                 let results = sharded
                     .shard(0)
-                    .run_plan_traced(&plan, None, &Trace::disabled())
+                    .run_plan_traced(&plan, NonZeroUsize::MIN, &Trace::disabled())
                     .unwrap();
                 report.attach_actuals(&results);
                 let contributed: u64 = report.shards.iter().filter_map(|s| s.rows).sum();
@@ -108,10 +109,14 @@ fn a_sharded_query_is_the_single_store_run_at_one_thread() {
                     Err(StoreError::NotShardable(_)) => continue,
                     plan => plan.unwrap_or_else(|e| panic!("{what}: {e}")),
                 };
-                let got = sharded.shard(0).run_plan_traced(&plan, Some(1), &trace);
+                let got = sharded
+                    .shard(0)
+                    .run_plan_traced(&plan, NonZeroUsize::MIN, &trace);
                 let got = got.unwrap();
                 let alone = single.prepare_plan(&q.sparql, kind).unwrap();
-                let expected = single.run_plan_traced(&alone, Some(1), &trace).unwrap();
+                let expected = single
+                    .run_plan_traced(&alone, NonZeroUsize::MIN, &trace)
+                    .unwrap();
                 assert!(
                     q.id.starts_with('Q') || !expected.is_empty(),
                     "{what}: no row"

@@ -19,6 +19,7 @@
 //! inference and without each of the two schema predicates.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use turbohom_bench::canonical_json;
 use turbohom_core::{OptimizationName, Optimizations, TurboHomConfig};
 use turbohom_datasets::{bsbm, lubm};
@@ -232,7 +233,11 @@ fn run(store: &Store, query: &str, kind: EngineKind, threads: usize) -> QueryRes
         assert!(explain.contains(r#""graph":"type-aware""#), "{explain}");
         assert!(!explain.contains(r#""graph":"direct""#), "{explain}");
     }
-    let results = store.run_plan_traced(&plan, Some(threads), &Trace::disabled());
+    let results = store.run_plan_traced(
+        &plan,
+        NonZeroUsize::new(threads).unwrap(),
+        &Trace::disabled(),
+    );
     results.unwrap().decode()
 }
 

@@ -1,4 +1,4 @@
-//! Engine configuration: matching semantics, optimization toggles, threading.
+//! Engine configuration: matching semantics and optimization toggles.
 
 /// The matching semantics.
 ///
@@ -127,16 +127,13 @@ impl OptimizationName {
     }
 }
 
-/// The full engine configuration.
+/// What a plan fixes about its runs; each run brings its own worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TurboHomConfig {
     /// Isomorphism or homomorphism.
     pub semantics: MatchSemantics,
     /// Optimization toggles.
     pub optimizations: Optimizations,
-    /// Number of worker threads for candidate-region-parallel execution
-    /// (Section 5.2). `1` means sequential.
-    pub threads: usize,
     /// When `true`, solutions are counted but not materialized (useful for
     /// the largest benchmark runs).
     pub count_only: bool,
@@ -147,7 +144,6 @@ impl Default for TurboHomConfig {
         TurboHomConfig {
             semantics: MatchSemantics::Homomorphism,
             optimizations: Optimizations::all(),
-            threads: 1,
             count_only: false,
         }
     }
@@ -155,7 +151,7 @@ impl Default for TurboHomConfig {
 
 impl TurboHomConfig {
     /// The TurboHOM++ configuration of the paper's main experiments
-    /// (homomorphism, all optimizations, single thread).
+    /// (homomorphism, all optimizations).
     pub fn turbohom_plus_plus() -> Self {
         Self::default()
     }
@@ -178,12 +174,6 @@ impl TurboHomConfig {
         }
     }
 
-    /// Returns a copy with the given thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Returns a copy with the given optimizations.
     pub fn with_optimizations(mut self, optimizations: Optimizations) -> Self {
         self.optimizations = optimizations;
@@ -204,7 +194,6 @@ mod tests {
         assert!(!c.optimizations.degree_filter);
         assert!(c.optimizations.reuse_matching_order);
         assert!(c.optimizations.schema_summary);
-        assert_eq!(c.threads, 1);
     }
 
     #[test]
@@ -243,11 +232,5 @@ mod tests {
     fn labels_and_enumeration() {
         let labels: Vec<&str> = OptimizationName::all().iter().map(|o| o.label()).collect();
         assert_eq!(labels, vec!["+INT", "-NLF", "-DEG", "+REUSE", "+SUM"]);
-    }
-
-    #[test]
-    fn with_threads_clamps_to_one() {
-        assert_eq!(TurboHomConfig::default().with_threads(0).threads, 1);
-        assert_eq!(TurboHomConfig::default().with_threads(8).threads, 8);
     }
 }

@@ -15,6 +15,7 @@ use crate::stats::MatchStats;
 use crate::subgraph_search::SubgraphSearcher;
 use std::borrow::Cow;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use turbohom_graph::VertexId;
@@ -93,13 +94,13 @@ impl StageClock {
 }
 
 /// What every worker of one run reads: the query, its search structures,
-/// the start vertices in the order they are handed out, the LIMIT the
-/// search stops at and the run-wide solution counter that makes it stop all
-/// workers.
+/// the start vertices in the order they are handed out, the run's input
+/// (the LIMIT the search stops at, the worker count) and the run-wide
+/// solution counter that makes it stop all workers.
 struct RegionRun<'r> {
     data: &'r TransformedGraph,
     config: &'r TurboHomConfig,
-    limit: Option<usize>,
+    input: &'r RunInput<'r>,
     query: &'r TransformedQuery,
     /// Grows the regions, along the query tree, under the inline FILTERs.
     explorer: &'r RegionExplorer<'r>,
@@ -137,7 +138,7 @@ impl RegionRun<'_> {
         stats: MatchStats,
         clock: &mut StageClock,
     ) -> (MatchResult, Option<MatchingOrder>, Vec<WorkerShare>) {
-        let threads = self.config.threads.min(self.starts.len());
+        let threads = self.input.threads.get().min(self.starts.len());
         let mut ranked = None;
         if threads > 1 {
             // Heavy regions first: a candidate region can only be as large as
@@ -209,7 +210,7 @@ struct RegionWorker<'r> {
 impl<'r> RegionWorker<'r> {
     fn new(run: &'r RegionRun<'r>) -> Self {
         let mut searcher =
-            SubgraphSearcher::new(run.data, run.config, run.limit, run.query, run.layout);
+            SubgraphSearcher::new(run.data, run.config, run.input.limit, run.query, run.layout);
         if let Some(shared) = run.shared_order {
             searcher.set_order(&run.explorer.tree, shared);
         }
@@ -231,7 +232,7 @@ impl Worker for RegionWorker<'_> {
     /// LIMIT.
     fn run(&mut self, index: usize) -> bool {
         let run = self.shared;
-        let limit = run.limit;
+        let limit = run.input.limit;
         if limit.is_some_and(|limit| run.found.load(Ordering::Relaxed) >= limit) {
             return false;
         }
@@ -439,16 +440,29 @@ pub fn split_filters<'f>(
     bound.partition(|filter| inline_vertex(query, filter).is_some())
 }
 
-/// What one run of a query graph takes besides the graph: the FILTERs it
-/// tests while it matches and the LIMIT its answer is cut at.
-#[derive(Debug, Clone, Copy, Default)]
+/// What one run of a query graph varies by: the FILTERs it tests while it
+/// matches, the LIMIT its answer is cut at and the workers it runs on.
+#[derive(Debug, Clone)]
 pub struct RunInput<'f> {
     /// FILTERs that each read one required query vertex's variable (the
     /// first half of [`split_filters`]): a candidate of that vertex must
     /// pass them to start or enter a region.
-    pub inline: &'f [Cow<'f, Expression>],
+    pub inline: Vec<Cow<'f, Expression>>,
     /// The most solutions the run answers with; its search stops there.
     pub limit: Option<usize>,
+    /// Worker threads (Section 5.2); one runs on the calling thread.
+    pub threads: NonZeroUsize,
+}
+
+impl RunInput<'_> {
+    /// No FILTER and no LIMIT, on `threads` workers.
+    pub fn on(threads: NonZeroUsize) -> Self {
+        RunInput {
+            inline: Vec::new(),
+            limit: None,
+            threads,
+        }
+    }
 }
 
 /// One run's inline FILTERs by the query vertex they are tested at (Section
@@ -634,9 +648,9 @@ impl<'a> TurboHomEngine<'a> {
     }
 
     /// Executes one (union-free) transformed query, with no FILTER and no
-    /// LIMIT.
+    /// LIMIT, on one worker.
     pub fn execute(&self, query: &TransformedQuery) -> Result<MatchResult, EngineError> {
-        let input = RunInput::default();
+        let input = RunInput::on(NonZeroUsize::MIN);
         self.execute_with_order(query, None, input, &Trace::disabled(), None)
             .map(|(result, _)| result)
     }
@@ -644,7 +658,11 @@ impl<'a> TurboHomEngine<'a> {
     /// What a run of `query` with `input` decides before it enumerates
     /// anything, its +REUSE order determined as a cold run determines it:
     /// the plan EXPLAIN reports.
-    pub fn explain<'s>(&'s self, query: &'s TransformedQuery, input: RunInput<'s>) -> Prologue<'s> {
+    pub fn explain<'s>(
+        &'s self,
+        query: &'s TransformedQuery,
+        input: &'s RunInput<'s>,
+    ) -> Prologue<'s> {
         let (mut stats, mut clock) = (MatchStats::default(), StageClock::start(false));
         self.prologue(query, input, &mut stats, &mut clock, |_| OrderProbe::Always)
     }
@@ -660,12 +678,12 @@ impl<'a> TurboHomEngine<'a> {
     fn prologue<'s>(
         &'s self,
         query: &'s TransformedQuery,
-        input: RunInput<'s>,
+        input: &'s RunInput<'s>,
         stats: &mut MatchStats,
         clock: &mut StageClock,
         probe: impl FnOnce(&StartSelection<'_>) -> OrderProbe,
     ) -> Prologue<'s> {
-        let mut split = FilterSplit::new(self.dictionary, query, input.inline);
+        let mut split = FilterSplit::new(self.dictionary, query, &input.inline);
         let verdict = admit(query);
         if verdict != Ok(true) {
             return verdict.map(|_| None);
@@ -687,7 +705,7 @@ impl<'a> TurboHomEngine<'a> {
             probe(&selection)
         };
         let probing = probe != OrderProbe::Skip;
-        let grows = !starts.is_empty() && !answered_from_starts(query, &input);
+        let grows = !starts.is_empty() && !answered_from_starts(query, input);
         let explorer = (probing || grows).then(|| {
             let tree = QueryTree::build(&query.graph, selection.query_vertex);
             debug_assert!(tree.spans(&query.graph));
@@ -723,8 +741,8 @@ impl<'a> TurboHomEngine<'a> {
     /// at all — `MatchStats::matching_orders_computed` stays `0` — and the
     /// returned order is `None` (the caller already holds it).
     ///
-    /// The run tests `input`'s inline FILTERs and answers with at most its
-    /// LIMIT of solutions (see [`RunInput`]).
+    /// The run tests `input`'s inline FILTERs, answers with at most its
+    /// LIMIT of solutions and runs on its workers (see [`RunInput`]).
     ///
     /// Spans go into `trace` (under `parent`). A
     /// [detailed](Trace::is_detailed) trace times start-vertex selection,
@@ -751,14 +769,14 @@ impl<'a> TurboHomEngine<'a> {
         // workers do not, and the start-list answer explores no region, so
         // for them the prologue probes it.
         let probe = |selection: &StartSelection<'_>| {
-            let pool = self.config.threads.min(selection.start_vertices.len()) > 1;
+            let pool = input.threads.get().min(selection.start_vertices.len()) > 1;
             match (reuse && preset_order.is_none(), pool || from_starts) {
                 (false, _) => OrderProbe::Skip,
                 (true, false) => OrderProbe::Sample,
                 (true, true) => OrderProbe::Always,
             }
         };
-        let prologue = self.prologue(query, input, &mut stats, &mut clock, probe);
+        let prologue = self.prologue(query, &input, &mut stats, &mut clock, probe);
         let Some(mut start) = prologue? else {
             return Ok((MatchResult::default(), None));
         };
@@ -776,7 +794,7 @@ impl<'a> TurboHomEngine<'a> {
             (answer, None, Vec::new())
         } else {
             let shared_order = preset_order.or(probed.as_ref());
-            self.run_regions(query, &start, input.limit, shared_order, stats, &mut clock)
+            self.run_regions(query, &start, &input, shared_order, stats, &mut clock)
         };
         // The LIMIT is cut here: a pool's workers may together overshoot it.
         if let Some(limit) = input.limit {
@@ -796,12 +814,12 @@ impl<'a> TurboHomEngine<'a> {
     }
 
     /// Everything after the prologue but the LIMIT's cut: the set-up the
-    /// regions share (row layout) and the regions, searched until `limit`.
+    /// regions share (row layout) and the regions, searched as `input` says.
     fn run_regions(
         &self,
         query: &TransformedQuery,
         start: &Start<'_>,
-        limit: Option<usize>,
+        input: &RunInput<'_>,
         shared_order: Option<&MatchingOrder>,
         stats: MatchStats,
         clock: &mut StageClock,
@@ -814,7 +832,7 @@ impl<'a> TurboHomEngine<'a> {
         let run = RegionRun {
             data: self.data,
             config: &self.config,
-            limit,
+            input,
             query,
             explorer,
             layout: &layout,
@@ -920,11 +938,26 @@ mod tests {
             ?x ub:undergraduateDegreeFrom ?y . ?x ub:memberOf ?z . ?z ub:subOrganizationOf ?y .
         }"#;
 
+    /// A run's input with no FILTER and no LIMIT, on `threads` workers.
+    fn on(threads: usize) -> RunInput<'static> {
+        RunInput::on(NonZeroUsize::new(threads).unwrap())
+    }
+
     fn execute(
         ds: &Dataset,
         data: &TransformedGraph,
         sparql: &str,
         config: TurboHomConfig,
+    ) -> MatchResult {
+        execute_on(ds, data, sparql, config, 1)
+    }
+
+    fn execute_on(
+        ds: &Dataset,
+        data: &TransformedGraph,
+        sparql: &str,
+        config: TurboHomConfig,
+        threads: usize,
     ) -> MatchResult {
         let q = parse_query(sparql).unwrap();
         let branch = transform_branch(&q.pattern, data, &ds.dictionary).unwrap();
@@ -932,8 +965,8 @@ mod tests {
         let (inline, post) = split_filters(tq, &branch.filters, &[]);
         assert!(post.is_empty(), "a run applies its inline FILTERs alone");
         let input = RunInput {
-            inline: &inline,
-            limit: None,
+            inline,
+            ..on(threads)
         };
         TurboHomEngine::new(data, &ds.dictionary, config)
             .execute_with_order(tq, None, input, &Trace::disabled(), None)
@@ -1011,16 +1044,19 @@ mod tests {
             .unwrap()
             .components
             .remove(0);
-        let run = |config: TurboHomConfig, preset: Option<&MatchingOrder>, limit: Option<usize>| {
+        let run = |config: TurboHomConfig,
+                   threads: usize,
+                   preset: Option<&MatchingOrder>,
+                   limit: Option<usize>| {
             let input = RunInput {
                 limit,
-                ..RunInput::default()
+                ..on(threads)
             };
             TurboHomEngine::new(&data, &ds.dictionary, config)
                 .execute_with_order(&tq, preset, input, &Trace::disabled(), None)
                 .unwrap()
         };
-        let (cold, cached_order) = run(TurboHomConfig::default(), None, None);
+        let (cold, cached_order) = run(TurboHomConfig::default(), 1, None, None);
         // Empty regions come before the first hit, so a pool that counted
         // its search for the shared order would report more regions.
         assert!(cold.stats.candidate_regions > cold.stats.nonempty_regions);
@@ -1042,7 +1078,7 @@ mod tests {
                     optimizations.reuse_matching_order,
                     preset.is_some()
                 );
-                let (seq, seq_order) = run(config, preset, None);
+                let (seq, seq_order) = run(config, 1, preset, None);
                 assert_eq!(seq.len(), 24, "{case}");
                 assert_eq!(
                     seq.stats.morsels, 0,
@@ -1056,7 +1092,7 @@ mod tests {
                 assert_eq!(seq.stats.matching_orders_computed, orders, "{case}");
                 for threads in [1, 2, 4, 8] {
                     let case = format!("{case}, threads = {threads}");
-                    let (par, par_order) = run(config.with_threads(threads), preset, None);
+                    let (par, par_order) = run(config, threads, preset, None);
                     assert_eq!(sorted_rows(&par), sorted_rows(&seq), "{case}");
                     assert_eq!(par.len(), seq.len(), "{case}");
                     assert_eq!(par.step_rows, seq.step_rows, "{case}");
@@ -1067,7 +1103,7 @@ mod tests {
                         seq_order.as_ref().map(|o| o.order.clone()),
                         "{case}"
                     );
-                    let (limited, _) = run(config.with_threads(threads), preset, Some(5));
+                    let (limited, _) = run(config, threads, preset, Some(5));
                     assert_eq!(limited.len(), 5, "{case}");
                     assert_eq!(limited.rows.len(), 5, "{case}");
                 }
@@ -1091,12 +1127,12 @@ mod tests {
         let scan = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
             PREFIX ub: <http://ub.org/>
             SELECT ?d WHERE { ?d rdf:type ub:Department . }"#;
-        let run = |tq: &TransformedQuery, config: TurboHomConfig, limit: Option<usize>| {
+        let run = |tq: &TransformedQuery, threads: usize, limit: Option<usize>| {
             let input = RunInput {
                 limit,
-                ..RunInput::default()
+                ..on(threads)
             };
-            TurboHomEngine::new(&data, &ds.dictionary, config)
+            TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
                 .execute_with_order(tq, None, input, &Trace::disabled(), None)
                 .unwrap()
         };
@@ -1107,7 +1143,8 @@ mod tests {
                 .components
                 .remove(0);
             let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-            let prologue = engine.explain(&tq, RunInput::default());
+            let input = on(1);
+            let prologue = engine.explain(&tq, &input);
             let start = prologue.unwrap().expect("the query is admitted");
             let sample = start.sample.as_ref().expect("a non-empty region");
             // Too few start vertices for a sample: the first live region.
@@ -1118,13 +1155,13 @@ mod tests {
             };
             assert_eq!(starts.iter().position(|&v| v == first), Some(dead));
             for threads in [1, 2, 4] {
-                let (_, cold) = run(&tq, TurboHomConfig::default().with_threads(threads), None);
+                let (_, cold) = run(&tq, threads, None);
                 let case = format!("{sparql} at {threads} threads");
                 assert_eq!(cold.map(|o| o.order), Some(order.order.clone()), "{case}");
             }
             // One thread that stops at the first solution explores the dead
             // regions, then the probed one, and nothing after it.
-            let (hit, _) = run(&tq, TurboHomConfig::default(), Some(1));
+            let (hit, _) = run(&tq, 1, Some(1));
             let regions = (hit.stats.candidate_regions, hit.stats.nonempty_regions);
             assert_eq!(regions, (dead + 1, 1), "{sparql}");
             let row = hit.rows.iter().next().expect("one solution");
@@ -1136,12 +1173,7 @@ mod tests {
     fn morsel_scheduler_counts_morsels() {
         let ds = university_dataset();
         let data = type_aware_transform(ds.triples.clone(), &ds.dictionary);
-        let par = execute(
-            &ds,
-            &data,
-            TRIANGLE,
-            TurboHomConfig::default().with_threads(4),
-        );
+        let par = execute_on(&ds, &data, TRIANGLE, TurboHomConfig::default(), 4);
         assert!(par.stats.morsels > 0, "a pool must record its morsels");
     }
 
@@ -1259,19 +1291,13 @@ mod tests {
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         // Cold run: computes the order once (+REUSE) and hands it back.
         let (cold, order) = engine
-            .execute_with_order(&tq, None, RunInput::default(), &Trace::disabled(), None)
+            .execute_with_order(&tq, None, on(1), &Trace::disabled(), None)
             .unwrap();
         assert_eq!(cold.stats.matching_orders_computed, 1);
         let order = order.expect("cold run must surface the computed order");
         // Warm run: the preset is used, no order is determined at all.
         let (warm, recomputed) = engine
-            .execute_with_order(
-                &tq,
-                Some(&order),
-                RunInput::default(),
-                &Trace::disabled(),
-                None,
-            )
+            .execute_with_order(&tq, Some(&order), on(1), &Trace::disabled(), None)
             .unwrap();
         assert_eq!(warm.stats.matching_orders_computed, 0);
         assert!(recomputed.is_none());
@@ -1282,19 +1308,8 @@ mod tests {
         b.sort();
         assert_eq!(a, b);
         // The same holds for the parallel path.
-        let par_engine = TurboHomEngine::new(
-            &data,
-            &ds.dictionary,
-            TurboHomConfig::default().with_threads(4),
-        );
-        let (par, recomputed) = par_engine
-            .execute_with_order(
-                &tq,
-                Some(&order),
-                RunInput::default(),
-                &Trace::disabled(),
-                None,
-            )
+        let (par, recomputed) = engine
+            .execute_with_order(&tq, Some(&order), on(4), &Trace::disabled(), None)
             .unwrap();
         assert_eq!(par.stats.matching_orders_computed, 0);
         assert!(recomputed.is_none());
@@ -1317,7 +1332,7 @@ mod tests {
         let root = trace.span("execute");
         let root_id = root.id();
         let (result, _) = engine
-            .execute_with_order(&tq, None, RunInput::default(), &trace, root_id)
+            .execute_with_order(&tq, None, on(1), &trace, root_id)
             .unwrap();
         root.finish();
         let report = trace.finish();
@@ -1350,14 +1365,9 @@ mod tests {
         assert!(report.spans.iter().all(|s| s.name != "worker"));
 
         // Parallel: one worker span per thread, parented under enumeration.
-        let engine = TurboHomEngine::new(
-            &data,
-            &ds.dictionary,
-            TurboHomConfig::default().with_threads(3),
-        );
         let trace = Trace::detailed(12);
         let (result, _) = engine
-            .execute_with_order(&tq, None, RunInput::default(), &trace, None)
+            .execute_with_order(&tq, None, on(3), &trace, None)
             .unwrap();
         assert_eq!(result.len(), 24);
         let report = trace.finish();
@@ -1384,7 +1394,7 @@ mod tests {
         let trace = Trace::new(13);
         let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
         let (_, _) = engine
-            .execute_with_order(&tq, None, RunInput::default(), &trace, None)
+            .execute_with_order(&tq, None, on(1), &trace, None)
             .unwrap();
         assert!(trace.finish().spans.is_empty());
     }
@@ -1407,10 +1417,9 @@ mod tests {
             .components
             .remove(0);
         assert_eq!((tq.graph.vertex_count(), tq.graph.edge_count()), (1, 0));
-        let config = TurboHomConfig::default().with_threads(4);
         let trace = Trace::detailed(14);
-        let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
-            .execute_with_order(&tq, None, RunInput::default(), &trace, None)
+        let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
+            .execute_with_order(&tq, None, on(4), &trace, None)
             .unwrap();
         assert_eq!(order.map(|o| o.order), Some(vec![0]));
         assert_eq!((result.len(), result.rows.len()), (24, 24));
@@ -1473,10 +1482,10 @@ mod tests {
             .components
             .remove(0);
         for threads in [1, 2] {
-            let config = TurboHomConfig::default().with_threads(threads);
-            let (result, order) = TurboHomEngine::new(&data, &ds.dictionary, config)
-                .execute_with_order(&tq, None, RunInput::default(), &Trace::disabled(), None)
-                .unwrap();
+            let (result, order) =
+                TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default())
+                    .execute_with_order(&tq, None, on(threads), &Trace::disabled(), None)
+                    .unwrap();
             let order = order.expect("a cold +REUSE run determines an order");
             let names: Vec<&str> = (order.order.iter())
                 .map(|&u| tq.graph.vertex(u).variable.as_deref().unwrap())
@@ -1551,15 +1560,12 @@ mod tests {
         ];
         for (leaves, limit, positions, names, counts) in cases {
             let tq = star(leaves);
-            let input = RunInput {
-                limit,
-                ..RunInput::default()
-            };
+            let input = RunInput { limit, ..on(1) };
             let case = format!("{leaves}, LIMIT {limit:?}");
             let vertex = |name: char| tq.graph.vertex_of_variable(&name.to_string()).unwrap();
             let order: Vec<usize> = names.chars().map(vertex).collect();
             let engine = TurboHomEngine::new(&data, &ds.dictionary, TurboHomConfig::default());
-            let start = engine.explain(&tq, input).unwrap().unwrap();
+            let start = engine.explain(&tq, &input).unwrap().unwrap();
             let sample = start.sample.expect("a non-empty region");
             let starts = &start.selection.start_vertices;
             assert_eq!(starts.len(), 64);
@@ -1571,8 +1577,11 @@ mod tests {
                 .collect();
             assert_eq!(counted, counts, "{case}");
             for threads in [1, 2] {
-                let config = TurboHomConfig::default().with_threads(threads);
-                let (_, cold) = TurboHomEngine::new(&data, &ds.dictionary, config)
+                let input = RunInput {
+                    limit,
+                    ..on(threads)
+                };
+                let (_, cold) = engine
                     .execute_with_order(&tq, None, input, &Trace::disabled(), None)
                     .unwrap();
                 let cold = cold.unwrap().order;

@@ -183,6 +183,7 @@ pub fn choose_start_vertex<'a>(
 mod tests {
     use super::*;
     use crate::engine::{split_filters, RunInput};
+    use std::num::NonZeroUsize;
     use turbohom_rdf::{vocab, Dataset, Term};
     use turbohom_sparql::parse_query;
     use turbohom_transform::{transform_branch, type_aware_transform};
@@ -606,17 +607,15 @@ mod tests {
         );
         let (inline, _) = split_filters(&tq, &filters, &[]);
         let input = |limit| RunInput {
-            inline: &inline,
+            inline: inline.clone(),
             limit,
+            ..RunInput::on(NonZeroUsize::MIN)
         };
         let config = TurboHomConfig::default();
         let engine = crate::engine::TurboHomEngine::new(&t, &ds.dictionary, config);
         let variable = |limit: Option<usize>| {
-            let selection = engine
-                .explain(&tq, input(limit))
-                .unwrap()
-                .unwrap()
-                .selection;
+            let input = input(limit);
+            let selection = engine.explain(&tq, &input).unwrap().unwrap().selection;
             let u = selection.query_vertex;
             (
                 tq.graph.vertex(u).variable.clone().unwrap(),

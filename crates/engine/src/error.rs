@@ -22,10 +22,6 @@ pub enum StoreError {
     /// [`SnapshotError`] distinguishes bad magic, version mismatch,
     /// truncation, checksum failure and structural corruption.
     Snapshot(SnapshotError),
-    /// A per-run thread count of `0` was supplied. `0` worker threads
-    /// cannot execute anything; callers that want the plan's configuration
-    /// should pass `None`, so this is rejected instead of silently clamped.
-    InvalidThreadCount(usize),
     /// The query falls outside the sharded executor's scope: it has no
     /// anchor bound in every row (a UNION, or only schema triples). The
     /// inner message says which; single-store execution still works.
@@ -46,10 +42,6 @@ impl fmt::Display for StoreError {
             StoreError::Transform(e) => write!(f, "transformation error: {e}"),
             StoreError::Engine(e) => write!(f, "engine error: {e}"),
             StoreError::Snapshot(e) => write!(f, "snapshot error: {e}"),
-            StoreError::InvalidThreadCount(n) => write!(
-                f,
-                "invalid thread count {n}: the override must be at least 1 (pass None for the plan's configuration)"
-            ),
             StoreError::NotShardable(why) => write!(f, "query is not shardable: {why}"),
             StoreError::OrderByUnsupported => write!(
                 f,
@@ -113,8 +105,6 @@ mod tests {
         assert!(e.to_string().contains("transformation"));
         let e: StoreError = EngineError::DisconnectedQuery.into();
         assert!(e.to_string().contains("engine"));
-        let e = StoreError::InvalidThreadCount(0);
-        assert!(e.to_string().contains("invalid thread count 0"));
         let e: StoreError = SnapshotError::BadMagic.into();
         assert!(e.to_string().contains("snapshot error"));
         assert!(matches!(e, StoreError::Snapshot(SnapshotError::BadMagic)));

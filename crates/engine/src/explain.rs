@@ -22,11 +22,12 @@
 //! the HTTP server returns for `explain=1` and splices into the SPARQL-JSON
 //! body for `analyze=1`.
 
-use crate::plan::{ComponentPlan, PlanMode, QueryPlan, Window};
+use crate::plan::{component_input, ComponentPlan, PlanMode, QueryPlan, Window};
 use crate::results::IdResults;
 use crate::sharded::Anchor;
 use crate::store::{EngineKind, Store};
-use turbohom_core::{split_filters, EngineError, RunInput, TurboHomConfig, TurboHomEngine};
+use std::num::NonZeroUsize;
+use turbohom_core::{EngineError, RunInput, TurboHomConfig, TurboHomEngine};
 use turbohom_json::{JsonWriter, ToJson};
 use turbohom_transform::{TransformKind, TransformedGraph};
 
@@ -354,7 +355,7 @@ fn explain_component(
     graph: &TransformedGraph,
     config: &TurboHomConfig,
     comp: &ComponentPlan,
-    input: RunInput<'_>,
+    input: &RunInput<'_>,
     branch: usize,
     index: usize,
 ) -> ComponentExplain {
@@ -423,14 +424,12 @@ impl Store {
     pub fn explain(&self, plan: &QueryPlan) -> ExplainReport {
         let flavor = plan.routing.as_ref().map_or("single", |_| "sharded");
         let mut report = ExplainReport::new(plan.kind(), flavor, plan.window);
-        // Only a graph plan's branch of one component is known to hand its
-        // FILTERs and the LIMIT to a run: the join baselines and a cartesian
-        // product of components cut it from what was found. A branch of
-        // several components hands them on only when a run finds every
-        // constant side to be one row, which a plan cannot know, so its
-        // components are explained without them. A FILTER that waits for
-        // complete solutions lifts the LIMIT from the run, split as the run
-        // splits them, and start-vertex selection reads it.
+        // A graph plan's branch of one component hands its FILTERs and the
+        // LIMIT to a run, and is explained on the input that run is given
+        // (`component_input`). The join baselines and a product of
+        // components cut them from what was found; a branch of several hands
+        // them on only when each constant side is one row, which a plan
+        // cannot know, so it is explained without them.
         let mut pushed = false;
         if let PlanMode::Graph { config, branches } = &plan.mode {
             let graph = self.graph_of(plan.kind());
@@ -440,13 +439,9 @@ impl Store {
                     _ => (&[][..], None),
                 };
                 for (c, comp) in branch.components.iter().enumerate() {
-                    let (inline, post) = split_filters(&comp.transformed, filters, &[]);
-                    let input = RunInput {
-                        inline: &inline,
-                        limit: limit.filter(|_| post.is_empty()),
-                    };
+                    let (input, _) = component_input(comp, filters, &[], limit, NonZeroUsize::MIN);
                     pushed |= input.limit.is_some();
-                    let component = explain_component(self, graph, config, comp, input, b, c);
+                    let component = explain_component(self, graph, config, comp, &input, b, c);
                     report.components.push(component);
                 }
             }
@@ -539,7 +534,10 @@ mod tests {
         let kind = EngineKind::TurboHomPlusPlus;
         let plan = store.prepare_plan_traced(sparql, kind, &trace).unwrap();
         let mut report = store.store().explain(&plan);
-        let results = store.store().run_plan_traced(&plan, None, &trace).unwrap();
+        let results = store
+            .store()
+            .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+            .unwrap();
         report.attach_actuals(&results);
         (results, report)
     }

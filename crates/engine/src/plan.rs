@@ -28,6 +28,7 @@ use crate::sharded::{Anchor, Routing};
 use crate::store::{EngineKind, Store};
 use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turbohom_baseline::JoinStrategy;
@@ -230,6 +231,38 @@ fn binding_of(dictionary: &Dictionary, cell: u32) -> Option<Binding<'_>> {
     IdRows::term_id(cell).and_then(|id| dictionary.term_and_view(id))
 }
 
+/// The one input of a run of `component` on `threads` workers under its
+/// branch's `filters`, the `outer` terms bound into them and the pushed
+/// `limit`, for the run and for EXPLAIN alike. A FILTER whose one unbound
+/// variable is a required vertex is tested inline there (Section 5.1,
+/// [`split_filters`]); one that waits for complete rows lifts the LIMIT, as
+/// the rows it removes are known only once all are found. Also returns
+/// those that wait.
+pub(crate) fn component_input<'f>(
+    component: &ComponentPlan,
+    filters: &'f [Expression],
+    outer: &[(&str, Binding<'_>)],
+    limit: Option<usize>,
+    threads: NonZeroUsize,
+) -> (RunInput<'f>, Vec<Cow<'f, Expression>>) {
+    let (inline, post) = split_filters(&component.transformed, filters, outer);
+    let limit = limit.filter(|_| post.is_empty());
+    let input = RunInput {
+        inline,
+        limit,
+        threads,
+    };
+    (input, post)
+}
+
+/// One run of a graph plan: the plan, its configuration, workers and trace.
+struct GraphRun<'r> {
+    plan: &'r QueryPlan,
+    config: TurboHomConfig,
+    threads: NonZeroUsize,
+    trace: &'r Trace,
+}
+
 /// Adds a match's counters, per-step rows and estimates to `results`.
 fn absorb_counts(results: &mut IdResults<'_>, result: &MatchResult) {
     results.stats.merge(&result.stats);
@@ -369,24 +402,22 @@ impl Store {
         }
     }
 
-    /// Runs a prepared plan with its built-in configuration and decodes the
-    /// result.
+    /// Runs a prepared plan on one worker and decodes the result.
     pub fn run_plan(&self, plan: &QueryPlan) -> Result<QueryResults, StoreError> {
         Ok(self
-            .run_plan_traced(plan, None, &Trace::disabled())?
+            .run_plan_traced(plan, NonZeroUsize::MIN, &Trace::disabled())?
             .decode())
     }
 
     /// The one run of every plan, behind every entry point: runs a prepared
-    /// plan, optionally overriding the worker-thread count for this run only
-    /// (the join baselines are single-threaded and ignore the override), and
-    /// returns the result as term ids (what a server serialises from; see
-    /// [`IdResults`]), rows in enumeration order. A routed plan's run counts
-    /// each live shard's rows before it cuts the query's window. Records two
-    /// stage spans into `trace`: `execute`, the matching (one span per union
-    /// branch), and `materialise`, the projection of the matches to term ids,
-    /// the shard count and the window cut. With a
-    /// [detailed](Trace::is_detailed) trace the matching engine additionally
+    /// plan on `threads` workers (the join baselines are single-threaded and
+    /// ignore the count), and returns the result as term ids (what a server
+    /// serialises from; see [`IdResults`]), rows in enumeration order. A
+    /// routed plan's run counts each live shard's rows before it cuts the
+    /// query's window. Records two stage spans into `trace`: `execute`, the
+    /// matching (one span per union branch), and `materialise`, the
+    /// projection of the matches to term ids, the shard count and the window
+    /// cut. With a [detailed](Trace::is_detailed) trace the matching engine additionally
     /// records `start_vertex`, `candidate_regions`, `matching_order`,
     /// `enumeration` and per-worker spans as children of `execute`, and the
     /// pass of the FILTERs that wait for complete rows is `materialise`'s
@@ -395,21 +426,30 @@ impl Store {
     pub fn run_plan_traced(
         &self,
         plan: &QueryPlan,
-        threads: Option<usize>,
+        threads: NonZeroUsize,
         trace: &Trace,
     ) -> Result<IdResults<'_>, StoreError> {
-        if threads == Some(0) {
-            return Err(StoreError::InvalidThreadCount(0));
-        }
         let started = Instant::now();
         let mut materialise = Materialise::default();
         let mut results = match &plan.mode {
             PlanMode::Graph { config, branches } => {
-                let config = match threads {
-                    Some(t) => config.with_threads(t),
-                    None => *config,
+                let run = GraphRun {
+                    plan,
+                    config: *config,
+                    threads,
+                    trace,
                 };
-                self.run_graph_plan(branches, config, plan, trace, &mut materialise)?
+                // Each branch answers with the solutions the pushed-down
+                // LIMIT still misses, and none runs once it is reached.
+                let projected = &plan.projected;
+                let mut results = self.id_results(projected.clone(), IdRows::new(projected.len()));
+                for branch in branches {
+                    if (plan.pushed_limit()).is_some_and(|l| results.solution_count >= l) {
+                        break;
+                    }
+                    self.run_components(&run, branch, &mut materialise, &mut results)?;
+                }
+                results
             }
             PlanMode::Join { query, strategy } => {
                 self.run_baseline(query, *strategy, trace, &mut materialise.took)
@@ -460,30 +500,6 @@ impl Store {
         Ok(branches)
     }
 
-    /// Runs a graph plan's branches under `config` with the plan's pushed-down
-    /// `LIMIT`: each branch is a run that answers with the solutions still
-    /// missing, and the branch loop stops as soon as the limit is reached.
-    /// The time spent turning matches into term-id rows is added to
-    /// `materialise`.
-    fn run_graph_plan(
-        &self,
-        branches: &[BranchPlan],
-        config: TurboHomConfig,
-        plan: &QueryPlan,
-        trace: &Trace,
-        materialise: &mut Materialise,
-    ) -> Result<IdResults<'_>, StoreError> {
-        let projected = &plan.projected;
-        let mut results = self.id_results(projected.clone(), IdRows::new(projected.len()));
-        for branch in branches {
-            if (plan.pushed_limit()).is_some_and(|l| results.solution_count >= l) {
-                break;
-            }
-            self.run_components(plan, branch, config, trace, materialise, &mut results)?;
-        }
-        Ok(results)
-    }
-
     /// A result over `variables` holding `rows`, whose cells are ids of
     /// this store's dictionary.
     pub(crate) fn id_results(&self, variables: Vec<String>, rows: IdRows) -> IdResults<'_> {
@@ -499,12 +515,9 @@ impl Store {
     /// - one yields no row: the branch is empty, and nothing else is matched;
     /// - each yields one row (a branch of one component has no other): those
     ///   rows are bound into the branch FILTERs, and the bound component is
-    ///   matched once. A FILTER whose one unbound variable is a required
-    ///   vertex of it runs inline there (Section 5.1's split, the bound
-    ///   variables counted as constants) and the run stops at the LIMIT;
-    ///   the rest wait for complete rows, and the run finds them all. The
-    ///   product of one-row sides with its rows is its rows, in enumeration
-    ///   order;
+    ///   matched once, on the input [`component_input`] builds (the bound
+    ///   variables count as constants there). The product of one-row sides
+    ///   with its rows is its rows, in enumeration order;
     /// - otherwise every component is matched, and every FILTER waits for
     ///   the cartesian product of their rows.
     ///
@@ -514,13 +527,12 @@ impl Store {
     /// `results` is part of materialising them.
     fn run_components(
         &self,
-        plan: &QueryPlan,
+        run: &GraphRun<'_>,
         branch: &BranchPlan,
-        config: TurboHomConfig,
-        trace: &Trace,
         materialise: &mut Materialise,
         results: &mut IdResults<'_>,
     ) -> Result<(), StoreError> {
+        let (plan, config, threads, trace) = (run.plan, run.config, run.threads, run.trace);
         let graph = self.graph_of(plan.kind);
         let limit = (plan.pushed_limit()).map(|l| l.saturating_sub(results.solution_count));
         let components = branch.components.as_slice();
@@ -536,7 +548,7 @@ impl Store {
         let mut shape = branch.bind_into.map_or(Shape::Product, Shape::Bound);
         if let Shape::Bound(target) = shape {
             for (i, component) in components.iter().enumerate().filter(|&(i, _)| i != target) {
-                let input = RunInput::default();
+                let input = RunInput::on(threads);
                 let side = self.match_component(graph, component, whole, input, trace, parent)?;
                 let rows = side.rows.len();
                 matched[i] = Some(side);
@@ -558,16 +570,9 @@ impl Store {
                 let outer: Vec<(&str, Binding<'_>)> = (constants.iter())
                     .filter_map(|&(var, cell)| Some((var, binding_of(dictionary, cell)?)))
                     .collect();
-                let inline;
-                (inline, post) = split_filters(&component.transformed, &branch.filters, &outer);
-                let (config, limit) = match post.is_empty() {
-                    true => (config, limit),
-                    false => (whole, None),
-                };
-                let input = RunInput {
-                    inline: &inline,
-                    limit,
-                };
+                let input;
+                (input, post) = component_input(component, &branch.filters, &outer, limit, threads);
+                let config = if post.is_empty() { config } else { whole };
                 let result =
                     self.match_component(graph, component, config, input, trace, parent)?;
                 matched[target] = Some(result);
@@ -576,7 +581,7 @@ impl Store {
                 post = branch.filters.iter().map(Cow::Borrowed).collect();
                 for (component, slot) in components.iter().zip(&mut matched) {
                     if slot.is_none() {
-                        let input = RunInput::default();
+                        let input = RunInput::on(threads);
                         let result =
                             self.match_component(graph, component, whole, input, trace, parent)?;
                         *slot = Some(result);
@@ -840,9 +845,9 @@ mod tests {
         assert_eq!(plan.cached_order_count(), 1);
         let warm = store.run_plan(&plan).unwrap();
         assert_eq!(warm.rows, cold.rows);
-        // The cached order survives a thread override.
+        // The cached order serves a run on four workers too.
         let threaded = store
-            .run_plan_traced(&plan, Some(4), &Trace::disabled())
+            .run_plan_traced(&plan, NonZeroUsize::new(4).unwrap(), &Trace::disabled())
             .unwrap();
         assert_eq!(threaded.len(), cold.len());
     }
@@ -869,7 +874,11 @@ mod tests {
                     .map(|c| c.steps.iter().map(|step| step.query_vertex).collect())
                     .collect();
                 store
-                    .run_plan_traced(&plan, Some(threads), &Trace::disabled())
+                    .run_plan_traced(
+                        &plan,
+                        NonZeroUsize::new(threads).unwrap(),
+                        &Trace::disabled(),
+                    )
                     .unwrap();
                 let PlanMode::Graph { branches, .. } = &plan.mode else {
                     unreachable!("a TurboHOM++ plan is a graph plan")
@@ -984,7 +993,9 @@ mod tests {
         let plan = store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap();
         assert_eq!(plan.component_count(), 2);
         let trace = Trace::detailed(1);
-        let r = store.run_plan_traced(&plan, None, &trace).unwrap();
+        let r = store
+            .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+            .unwrap();
         assert_eq!((r.len(), r.stats.filtered_post), (3, 1));
         let spans = trace.finish().spans;
         let materialise = spans.iter().find(|s| s.name == "materialise").unwrap();
@@ -1056,7 +1067,11 @@ mod tests {
             for threads in [1, 2] {
                 let run = |sparql: &str, trace: &Trace| {
                     let plan = store.prepare_plan(sparql, EngineKind::TurboHomPlusPlus);
-                    store.run_plan_traced(&plan.unwrap(), Some(threads), trace)
+                    store.run_plan_traced(
+                        &plan.unwrap(),
+                        NonZeroUsize::new(threads).unwrap(),
+                        trace,
+                    )
                 };
                 let all = run(sparql, &Trace::disabled()).unwrap();
                 let all: Vec<&[u32]> = all.rows.iter().collect();
@@ -1154,7 +1169,9 @@ mod tests {
                    }"#;
         let plan = store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap();
         let trace = Trace::detailed(15);
-        let r = store.run_plan_traced(&plan, None, &trace).unwrap();
+        let r = store
+            .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+            .unwrap();
         assert_eq!(r.len(), 36);
         assert_eq!(r.stats.filtered_post, 6 * 16 - 36);
         let spans = trace.finish().spans;
@@ -1261,18 +1278,6 @@ mod tests {
         let r = store.run_plan(&plan).unwrap();
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.solution_count, 2);
-    }
-
-    #[test]
-    fn zero_thread_override_is_a_typed_error() {
-        let store = sample_store();
-        for kind in EngineKind::all() {
-            let plan = store.prepare_plan(Q, kind).unwrap();
-            assert!(matches!(
-                store.run_plan_traced(&plan, Some(0), &Trace::disabled()),
-                Err(StoreError::InvalidThreadCount(0))
-            ));
-        }
     }
 
     #[test]

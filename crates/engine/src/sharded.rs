@@ -397,6 +397,7 @@ impl AnyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
     use turbohom_sparql::parse_query;
 
     /// `turbohom_bench::canonical_json`, which this crate's unit tests cannot
@@ -595,7 +596,7 @@ mod tests {
         let trace = Trace::disabled();
         let all = sharded
             .shard(0)
-            .run_plan_traced(&plan, Some(1), &trace)
+            .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
             .unwrap();
         let all = all.decode().rows;
         assert_eq!(all.len(), 10);
@@ -605,7 +606,7 @@ mod tests {
             let plan = sharded.prepare_plan(&q, kind).unwrap();
             let windowed = sharded
                 .shard(0)
-                .run_plan_traced(&plan, Some(1), &trace)
+                .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
                 .unwrap();
             assert_eq!(windowed.len(), limit, "{offset} {limit}");
             let body = windowed.to_sparql_json();
@@ -648,7 +649,7 @@ mod tests {
             .unwrap();
         sharded
             .shard(0)
-            .run_plan_traced(&plan, None, &trace)
+            .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
             .unwrap();
         let report = trace.finish();
         let names: Vec<_> = report
@@ -687,7 +688,9 @@ mod tests {
                 .unwrap();
             let one = store.store();
             assert_eq!(one.explain(&plan).engine, EngineKind::TurboHomPlusPlus);
-            let r = one.run_plan_traced(&plan, None, &trace).unwrap();
+            let r = one
+                .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+                .unwrap();
             assert_eq!(r.variables, ["x", "d"]);
             bodies.push(canonical_json(r.decode()));
         }

@@ -328,8 +328,7 @@ impl Store {
         &self.options
     }
 
-    /// The configuration of every TurboHOM++ plan this store makes: one
-    /// worker thread unless a run asks for more.
+    /// The configuration of every TurboHOM++ plan this store makes.
     pub fn default_config(&self) -> TurboHomConfig {
         TurboHomConfig::turbohom_plus_plus()
     }
@@ -352,8 +351,8 @@ impl Store {
     }
 
     /// Executes with an explicit TurboHOM configuration (used by the
-    /// optimization-ablation and parallel-speed-up experiments): a graph
-    /// plan with `config`, run like any other. `force_direct` runs it over
+    /// optimization-ablation experiments): a graph plan with `config`, run
+    /// on one worker like any other. `force_direct` runs it over
     /// the direct transformation (a `turbohom` plan) instead of the
     /// type-aware one.
     pub fn execute_turbohom(
@@ -415,6 +414,7 @@ impl<'s> PreparedQuery<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroUsize;
     use turbohom_rdf::vocab;
 
     fn ub(l: &str) -> String {
@@ -621,32 +621,14 @@ mod tests {
         let q = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
                    PREFIX ub: <http://ub.org/>
                    SELECT ?x WHERE { ?x rdf:type ub:Student . }"#;
-        // The plan runs on one thread; the override applies per call.
+        // `run_plan` runs on one worker; a run asks for more.
         let plan = store.prepare_plan(q, EngineKind::TurboHomPlusPlus).unwrap();
         let seq = store.run_plan(&plan).unwrap();
+        let four = NonZeroUsize::new(4).unwrap();
         let par = store
-            .run_plan_traced(&plan, Some(4), &Trace::disabled())
+            .run_plan_traced(&plan, four, &Trace::disabled())
             .unwrap();
         assert_eq!(seq.len(), par.len());
-    }
-
-    #[test]
-    fn zero_thread_override_is_rejected_not_clamped() {
-        let store = sample_store();
-        let q = r#"PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-                   PREFIX ub: <http://ub.org/>
-                   SELECT ?x WHERE { ?x rdf:type ub:Student . }"#;
-        for kind in EngineKind::all() {
-            let plan = store.prepare_plan(q, kind).unwrap();
-            let err = store
-                .run_plan_traced(&plan, Some(0), &Trace::disabled())
-                .unwrap_err();
-            assert!(matches!(err, StoreError::InvalidThreadCount(0)), "{kind}");
-            // `None` runs at the plan's configuration.
-            assert!(store
-                .run_plan_traced(&plan, None, &Trace::disabled())
-                .is_ok());
-        }
     }
 
     #[test]
@@ -658,7 +640,9 @@ mod tests {
         let traced = |kind, trace_id| {
             let trace = Trace::detailed(trace_id);
             let plan = store.prepare_plan_traced(q, kind, &trace).unwrap();
-            let results = store.run_plan_traced(&plan, None, &trace).unwrap();
+            let results = store
+                .run_plan_traced(&plan, NonZeroUsize::MIN, &trace)
+                .unwrap();
             (results.len(), trace.finish())
         };
         let (solutions, report) = traced(EngineKind::TurboHomPlusPlus, 7);

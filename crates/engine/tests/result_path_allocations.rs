@@ -9,6 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{self, Write};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use turbohom_core::TurboHomConfig;
@@ -151,7 +152,7 @@ fn matching_and_serialising_allocate_nothing_per_region_or_row() {
         let mut sink = Discard(0);
         let (result_path, result_path_bytes) = allocations(|| {
             let results = store
-                .run_plan_traced(&plan, None, &Trace::disabled())
+                .run_plan_traced(&plan, NonZeroUsize::MIN, &Trace::disabled())
                 .unwrap();
             assert_eq!(results.row_count(), n);
             results
@@ -270,7 +271,7 @@ fn filters_allocate_nothing_per_row() {
             assert!(rows > 0 && rows < *n, "{shape}: {rows} of {n} rows kept");
             let (count, _) = allocations(|| {
                 let results = store
-                    .run_plan_traced(&plan, None, &Trace::disabled())
+                    .run_plan_traced(&plan, NonZeroUsize::MIN, &Trace::disabled())
                     .unwrap();
                 assert_eq!(results.row_count(), rows);
             });

@@ -60,7 +60,6 @@ use crate::service::{InFlight, QueryOptions, QueryService};
 use std::cell::Cell;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -786,9 +785,10 @@ fn respond_query<'s>(request: &Request<'_>, service: &'s QueryService) -> Reply<
         Ok(engine) => engine,
         Err(e) => return bad(&e.to_string()),
     };
-    let threads = match param("threads").map(str::parse::<NonZeroUsize>).transpose() {
-        Ok(threads) => threads.map(NonZeroUsize::get),
-        Err(_) => return bad("`threads` must be a positive integer"),
+    // Admission clamps the count, `0` included, to `1..=MAX_THREADS`.
+    let threads = match param("threads").map(str::parse::<usize>).transpose() {
+        Ok(threads) => threads,
+        Err(_) => return bad("`threads` must be a non-negative integer"),
     };
     let bool_param = |name: &str| match param(name).map(str::to_ascii_lowercase).as_deref() {
         None | Some("0") | Some("false") | Some("no") | Some("") => Ok(false),

@@ -21,6 +21,7 @@
 use crate::cache::{PlanCache, PlanKey};
 use crate::journal::{EventJournal, JournalEvent, SlowDetail};
 use crate::metrics::{escape_label, family, scalar, ServiceMetrics};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,7 +110,7 @@ pub struct QueryResponse<'s> {
 /// What [`QueryService::admit`] settled for a request before planning it.
 pub(crate) struct Admission {
     pub(crate) engine: EngineKind,
-    threads: usize,
+    threads: NonZeroUsize,
     /// `"query"`, `"profile"`, `"analyze"` or `"explain"`, as journaled.
     mode: &'static str,
     pub(crate) trace_id: u64,
@@ -452,9 +453,8 @@ impl QueryService {
     /// the mode, starts the clock and picks the trace.
     fn admit(&self, options: &QueryOptions, explain: bool) -> Admission {
         let engine = options.engine.unwrap_or(self.config.default_engine);
-        let threads = (options.threads)
-            .unwrap_or(self.config.threads)
-            .clamp(1, MAX_THREADS);
+        let threads = (options.threads.unwrap_or(self.config.threads)).min(MAX_THREADS);
+        let threads = NonZeroUsize::new(threads).unwrap_or(NonZeroUsize::MIN);
         let trace_id = self.next_trace_id.fetch_add(1, Ordering::Relaxed);
         let mode = match (explain, options.analyze, options.profile) {
             (true, _, _) => "explain",
@@ -499,7 +499,7 @@ impl QueryService {
         };
         let store = self.store.store();
         let mut explain = analyze.then(|| store.explain(&plan));
-        let results = store.run_plan_traced(&plan, Some(admitted.threads), trace)?;
+        let results = store.run_plan_traced(&plan, admitted.threads, trace)?;
         if let Some(report) = &mut explain {
             report.attach_actuals(&results);
             self.metrics.record_qerrors(&report.step_qerrors());
@@ -969,6 +969,39 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.results.len(), 3);
+    }
+
+    /// A request for zero threads is clamped like any other count: it runs
+    /// on one worker, as a request for one does, where the service's
+    /// default runs a pool.
+    #[test]
+    fn a_request_for_zero_threads_runs_inline() {
+        let mut ds = Dataset::new();
+        for i in 0..8 {
+            let (student, dept) = (ub(&format!("student{i}")), ub(&format!("dept{i}")));
+            ds.insert_iris(&student, &ub("memberOf"), &dept);
+        }
+        let config = ServiceConfig {
+            threads: 2,
+            ..ServiceConfig::default()
+        };
+        let store = AnyStore::Single(Arc::new(Store::from_dataset(ds)));
+        let svc = QueryService::with_any_store(store, config);
+        let join = "SELECT ?x ?d WHERE { ?x <http://ub.org/memberOf> ?d . }";
+        let on = |threads| {
+            let options = QueryOptions {
+                threads,
+                ..QueryOptions::default()
+            };
+            svc.query(join, options).unwrap().results
+        };
+        let pooled = on(None);
+        assert!(pooled.stats.morsels > 0, "the service's default is a pool");
+        let (zero, one) = (on(Some(0)), on(Some(1)));
+        assert_eq!(zero.len(), 8);
+        assert_eq!(zero.to_sparql_json(), one.to_sparql_json());
+        assert_eq!(zero.stats, one.stats);
+        assert_eq!(zero.stats.morsels, 0, "no morsel claimed");
     }
 
     /// The service's default thread count is bounded like a request's: a

@@ -6,6 +6,7 @@
 //! the length of the query text.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use turbohom_datasets::lubm::{self, LubmConfig, LubmGenerator};
@@ -74,7 +75,12 @@ fn a_warm_lookup_allocates_what_run_plan_does_plus_a_fixed_few() {
     let plan = store
         .prepare_plan(q1, EngineKind::TurboHomPlusPlus)
         .unwrap();
-    let run = |trace: &Trace| store.run_plan_traced(&plan, None, trace).unwrap().len();
+    let run = |trace: &Trace| {
+        store
+            .run_plan_traced(&plan, NonZeroUsize::MIN, trace)
+            .unwrap()
+            .len()
+    };
     assert!(run(&Trace::disabled()) > 0);
     let run_plan = allocations(|| {
         run(&Trace::new(1));

@@ -11,9 +11,9 @@
 //! cargo run --release --example parallel_scaling [scale]
 //! ```
 
-use turbohom::core::TurboHomConfig;
+use std::num::NonZeroUsize;
 use turbohom::datasets::lubm::{self, LubmConfig, LubmGenerator};
-use turbohom::engine::{Store, StoreOptions};
+use turbohom::engine::{EngineKind, Store, StoreOptions, Trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale: usize = std::env::args()
@@ -34,9 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\n{} — {}", query.id, query.description);
         let mut baseline = None;
         let mut solutions = None;
-        for &threads in &thread_counts {
-            let config = TurboHomConfig::turbohom_plus_plus().with_threads(threads);
-            let result = store.execute_turbohom(&query.sparql, config, false)?;
+        for threads in thread_counts.map(|n| NonZeroUsize::new(n).unwrap()) {
+            // A fresh plan: every run determines its matching order cold.
+            let plan = store.prepare_plan(&query.sparql, EngineKind::TurboHomPlusPlus)?;
+            let result = store.run_plan_traced(&plan, threads, &Trace::disabled())?;
             let elapsed = result.elapsed;
             let speedup = match baseline {
                 None => {
@@ -59,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 query.id
             );
             assert!(
-                threads == 1 || morsels > 0,
+                threads.get() == 1 || morsels > 0,
                 "{} at {threads} threads claimed no morsels",
                 query.id
             );

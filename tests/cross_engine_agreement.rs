@@ -8,6 +8,7 @@
 //! strong evidence that each one is right.
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use turbohom::datasets::{bsbm, btc, lubm, yago, BenchmarkQuery};
 use turbohom::engine::{EngineKind, ResultRow, Store, StoreOptions, Trace};
 
@@ -99,7 +100,7 @@ fn parallel_execution_matches_sequential_on_lubm() {
     for q in lubm::queries() {
         let plan = (store.prepare_plan(&q.sparql, EngineKind::TurboHomPlusPlus)).unwrap();
         let a = store.run_plan(&plan).unwrap().len();
-        let b = (store.run_plan_traced(&plan, Some(4), &Trace::disabled()))
+        let b = (store.run_plan_traced(&plan, NonZeroUsize::new(4).unwrap(), &Trace::disabled()))
             .unwrap()
             .len();
         assert_eq!(a, b, "parallel result differs on {}", q.id);
@@ -183,7 +184,11 @@ fn limit_pushdown_agrees_across_engines() {
             for kind in EngineKind::all() {
                 let run = |text: &str, threads: usize| {
                     let ran = store.prepare_plan(text, kind).and_then(|plan| {
-                        store.run_plan_traced(&plan, Some(threads), &Trace::disabled())
+                        store.run_plan_traced(
+                            &plan,
+                            NonZeroUsize::new(threads).unwrap(),
+                            &Trace::disabled(),
+                        )
                     });
                     let results =
                         ran.unwrap_or_else(|e| panic!("{} failed on {text}: {e}", kind.label()));

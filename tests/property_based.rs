@@ -8,6 +8,7 @@
 //! the inference fixpoint.
 
 use proptest::prelude::*;
+use std::num::NonZeroUsize;
 use turbohom::engine::{EngineKind, Store};
 use turbohom::graph::ops;
 use turbohom::graph::VertexId;
@@ -118,7 +119,8 @@ proptest! {
         let store = Store::from_dataset(ds);
         let plan = store.prepare_plan(&query, EngineKind::TurboHomPlusPlus).unwrap();
         let a = store.run_plan(&plan).unwrap().len();
-        let parallel = store.run_plan_traced(&plan, Some(3), &turbohom::engine::Trace::disabled());
+        let three = NonZeroUsize::new(3).unwrap();
+        let parallel = store.run_plan_traced(&plan, three, &turbohom::engine::Trace::disabled());
         prop_assert_eq!(a, parallel.unwrap().len());
     }
 

@@ -18,6 +18,7 @@
 //! `cargo test --test work_golden -- --ignored bless_work_golden`.
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use turbohom::datasets::{bsbm, lubm};
 use turbohom::engine::{EngineKind, QueryResults, Store, Trace};
 use turbohom::rdf::Dataset;
@@ -65,7 +66,11 @@ fn workloads() -> Vec<(&'static str, Dataset, Queries)> {
 /// Runs `sparql` with `kind` at `threads` worker threads.
 fn run(store: &Store, sparql: &str, kind: EngineKind, threads: usize) -> QueryResults {
     let plan = store.prepare_plan(sparql, kind).unwrap();
-    let results = store.run_plan_traced(&plan, Some(threads), &Trace::disabled());
+    let results = store.run_plan_traced(
+        &plan,
+        NonZeroUsize::new(threads).unwrap(),
+        &Trace::disabled(),
+    );
     results.unwrap().decode()
 }
 
